@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-micro bench-store bench-full vet race ci fault-matrix fault-matrix-net chaos trace-demo clean
+.PHONY: all build test bench bench-micro bench-store bench-full bench-smoke loc vet race ci fault-matrix fault-matrix-net chaos trace-demo clean
 
 all: build test
 
@@ -36,9 +36,9 @@ bench: bench-micro
 # microbenchmarks and feeds them through cmd/benchjson, which writes
 # BENCH_micro.json and fails on a regression of the hardware-independent
 # ratios (sequential/parallel barrier-phase time, sync/async spill time,
-# sequential/parallel eval-phase time, sequential/pipelined layered run
-# time). The committed BENCH_micro.json is the single-core container
-# baseline; CI archives the fresh one.
+# 8-worker/1-worker eval-phase time over the same slot programs,
+# unpipelined/pipelined layered run time). The committed BENCH_micro.json is
+# the single-core container baseline; CI archives the fresh one.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkBarrier' -benchmem -count 1 \
 		./internal/engine/ > bench-micro.out
@@ -78,6 +78,19 @@ bench-store:
 
 bench-full:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke runs the repo benchmark's own smoke test (benchmark/ is a
+# separate module, so `go test ./...` at the root never reaches it): every
+# workload of BENCHMARK.json once, with its output checks.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
+
+# loc prints the non-test Go lines of the two packages ROADMAP aim 2 tracks
+# (one PQL evaluator, net-negative line counts); CI records it per run.
+loc:
+	@for p in internal/pql/eval internal/driver; do \
+		printf '%-20s %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
+	done
 
 # fault-matrix exercises the partition-targeted fault scenarios end to end
 # under the race detector: the supervision/fault test suites, then three CLI

@@ -83,7 +83,7 @@ type (
 	// as capture_gap(P, F, T).
 	CaptureGap = provenance.CaptureGap
 	// EvalOption tunes PQL evaluation (QueryOffline and online queries):
-	// shard-parallel worker count, sequential reference leg, layer prefetch.
+	// shard-parallel worker count, projection pushdown.
 	EvalOption = driver.EvalOpt
 	// Transport executes partition supersteps, in-process or on remote
 	// worker processes (see WithTransport and internal/transport).
@@ -91,13 +91,8 @@ type (
 )
 
 // EvalWorkers sets the shard-parallel evaluation worker count for a query
-// (n <= 0 picks min(8, GOMAXPROCS); 1 disables parallel delta rounds).
+// (n <= 0 picks min(8, GOMAXPROCS); 1 never fans a delta round out).
 func EvalWorkers(n int) EvalOption { return driver.EvalWorkers(n) }
-
-// SequentialEval forces the seed sequential evaluation path (one worker, no
-// layer prefetch) — the reference leg for differential runs, mirroring
-// WithSequentialBarrier on the engine side.
-func SequentialEval() EvalOption { return driver.SequentialEval() }
 
 // NoProjection disables projection pushdown during layered replay: every
 // spilled provenance column is materialized whether or not the query reads
@@ -263,17 +258,6 @@ func WithOnlineQuery(def QueryDef) Option {
 func WithEvalWorkers(n int) Option {
 	return func(c *runConfig) error {
 		c.evalOpts = append(c.evalOpts, driver.EvalWorkers(n))
-		return nil
-	}
-}
-
-// WithSequentialEval forces the seed sequential evaluation path for every
-// online query of this run — the reference leg for differential tests,
-// mirroring WithSequentialBarrier. Results are identical either way; only
-// the evaluation machinery differs.
-func WithSequentialEval() Option {
-	return func(c *runConfig) error {
-		c.evalOpts = append(c.evalOpts, driver.SequentialEval())
 		return nil
 	}
 }
@@ -613,7 +597,7 @@ const (
 
 // QueryOffline evaluates def over captured provenance. naiveBudget bounds
 // the naive mode's database bytes (0 = unlimited). Options tune the
-// evaluation pipeline (EvalWorkers, SequentialEval).
+// evaluation pipeline (EvalWorkers, NoProjection).
 func QueryOffline(def QueryDef, store *Store, g *Graph, mode Mode, naiveBudget int64, opts ...EvalOption) (*QueryResult, error) {
 	q, err := def.Build()
 	if err != nil {

@@ -203,7 +203,6 @@ func cmdRun(args []string) error {
 	netHeartbeatMisses := fs.Int("net-heartbeat-misses", 0, "consecutive heartbeat misses before a worker is declared dead (0 = default of 3)")
 	failover := fs.Bool("failover", true, "reassign a dead worker's partitions to surviving workers before falling back to master-local execution")
 	evalWorkers := fs.Int("eval-workers", 0, "shard-parallel PQL evaluation workers for online queries (0 = auto, 1 = sequential rounds)")
-	seqEval := fs.Bool("seq-eval", false, "use the reference sequential PQL evaluation path for online queries (identical results, slower)")
 	online := fs.String("online", "", "comma-separated online queries (apt[:eps], q4, q5, q6)")
 	faults := fs.String("faults", "", `fault-injection spec, e.g. "compute:mode=panic:ss=3:vertex=7" or "spill.write:times=2" (clauses joined with ;)`)
 	workerFaults := fs.String("worker-faults", "", `fault spec forwarded to spawned workers (peer-mesh sites live worker-side), e.g. "peer.send:mode=drop:part=1:ss=2"`)
@@ -309,9 +308,7 @@ func cmdRun(args []string) error {
 	if *seqBarrier {
 		opts = append(opts, ariadne.WithSequentialBarrier())
 	}
-	if *seqEval {
-		opts = append(opts, ariadne.WithSequentialEval())
-	} else if *evalWorkers != 0 {
+	if *evalWorkers != 0 {
 		opts = append(opts, ariadne.WithEvalWorkers(*evalWorkers))
 	}
 	// The injector is shared between the engine (compute/capture sites) and
@@ -668,7 +665,6 @@ func cmdQuery(args []string) error {
 	supersteps := fs.Int("supersteps", 20, "PageRank iterations")
 	mode := fs.String("mode", "auto", "auto, online, layered, or naive")
 	evalWorkers := fs.Int("eval-workers", 0, "shard-parallel PQL evaluation workers (0 = auto, 1 = sequential rounds)")
-	seqEval := fs.Bool("seq-eval", false, "use the reference sequential PQL evaluation path (identical results, slower)")
 	var params cliutil.Params
 	fs.Var(&params, "param", "query parameter name=value (repeatable)")
 	edbs := fs.String("edbs", "", "extra EDB declarations, e.g. prov_error:4")
@@ -706,18 +702,14 @@ func cmdQuery(args []string) error {
 	}
 
 	var evalOpts []ariadne.EvalOption
-	if *seqEval {
-		evalOpts = append(evalOpts, ariadne.SequentialEval())
-	} else if *evalWorkers != 0 {
+	if *evalWorkers != 0 {
 		evalOpts = append(evalOpts, ariadne.EvalWorkers(*evalWorkers))
 	}
 
 	var qr *ariadne.QueryResult
 	if *mode == "online" || (*mode == "auto" && (cls == "local" || cls == "forward")) {
 		runOpts := append(opts, ariadne.WithOnlineQuery(def))
-		if *seqEval {
-			runOpts = append(runOpts, ariadne.WithSequentialEval())
-		} else if *evalWorkers != 0 {
+		if *evalWorkers != 0 {
 			runOpts = append(runOpts, ariadne.WithEvalWorkers(*evalWorkers))
 		}
 		res, err := ariadne.Run(g, prog, runOpts...)

@@ -1,6 +1,7 @@
 // Command pqlc is the PQL checker: it parses, analyzes, and classifies a
 // PQL query, reporting its strata, directedness class (Def. 5.2),
-// VC-compatibility (Def. 4.1), and the evaluation modes it supports.
+// VC-compatibility (Def. 4.1), and the evaluation modes it supports; with
+// -explain also how its rules are lowered to slot programs.
 //
 //	pqlc query.pql
 //	pqlc -param eps=0.01 -param alpha=5 query.pql
@@ -22,7 +23,7 @@ import (
 func main() {
 	var params cliutil.Params
 	edbs := flag.String("edbs", "", "extra EDB declarations, e.g. prov_error:4,prov_prediction:4")
-	explain := flag.Bool("explain", false, "report whether the query compiles to a vertex program")
+	explain := flag.Bool("explain", false, "show the lowering: record-sourced or materialised (and why), and per rule the planner, join order, row source of each step and slot count")
 	flag.Var(&params, "param", "query parameter name=value (repeatable)")
 	flag.Parse()
 
@@ -72,21 +73,13 @@ func main() {
 		}
 	}
 	if *explain {
-		if _, err := eval.Compile(q, eval.NewDatabase(), emptyGraph{}); err != nil {
-			fmt.Printf("evaluation:     interpretive Datalog (%v)\n", err)
-		} else {
-			fmt.Println("evaluation:     compiled query vertex program")
+		text, err := eval.Explain(q)
+		if err != nil {
+			fatal(err)
 		}
+		fmt.Print(text)
 	}
 }
-
-// emptyGraph satisfies eval.StaticGraph for compile-only analysis.
-type emptyGraph struct{}
-
-func (emptyGraph) NumVertices() int                        { return 0 }
-func (emptyGraph) OutNeighbors(int64) ([]int64, []float64) { return nil, nil }
-func (emptyGraph) InNeighbors(int64) []int64               { return nil }
-func (emptyGraph) EdgeWeight(int64, int64) (float64, bool) { return 0, false }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pqlc:", err)

@@ -79,9 +79,16 @@ func TestFig7Shape(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// The paper's shape — custom capture is cheaper than full capture — is
+	// asserted over what each policy captured, which repeats exactly; the
+	// wall-clock ratios (FullX, CustomX) are over ~1 ms baselines here and
+	// belong to `make bench-full`.
 	for _, row := range rows {
-		if row.FullX < row.CustomX*0.8 {
-			t.Errorf("%s: full capture (%.2fx) should not be much cheaper than custom (%.2fx)", row.Analytic, row.FullX, row.CustomX)
+		if row.CustomTuples <= 0 || row.FullTuples < row.CustomTuples {
+			t.Errorf("%s: full capture holds %d tuples, custom %d: want full >= custom > 0", row.Analytic, row.FullTuples, row.CustomTuples)
+		}
+		if row.FullBytes < row.CustomBytes {
+			t.Errorf("%s: full capture holds %d bytes, custom %d: want full >= custom", row.Analytic, row.FullBytes, row.CustomBytes)
 		}
 		if row.Baseline <= 0 {
 			t.Errorf("%s: baseline not measured", row.Analytic)

@@ -124,6 +124,9 @@ type CaptureTimeRow struct {
 	Dataset, Analytic string
 	Baseline          time.Duration
 	FullX, CustomX    float64
+	// Captured volume of the two policies: deterministic, unlike the times.
+	FullTuples, CustomTuples int64
+	FullBytes, CustomBytes   int64
 }
 
 // Fig7 measures the runtime overhead of full (Query 2) versus custom
@@ -141,7 +144,7 @@ func (r *Runner) Fig7() ([]CaptureTimeRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			fullT, _, err := r.timeRun(spec.g, spec.prog,
+			fullT, fullRes, err := r.timeRun(spec.g, spec.prog,
 				append([]ariadne.Option{ariadne.WithCaptureQuery(queries.CaptureFull(), provenance.StoreConfig{})}, spec.opts...)...)
 			if err != nil {
 				return nil, err
@@ -150,7 +153,7 @@ func (r *Runner) Fig7() ([]CaptureTimeRow, error) {
 			if spec.name != "SSSP" {
 				src = graph.HighestDegreeVertex(spec.g)
 			}
-			custT, _, err := r.timeRun(spec.g, spec.prog,
+			custT, custRes, err := r.timeRun(spec.g, spec.prog,
 				append([]ariadne.Option{ariadne.WithCaptureQuery(queries.CaptureForwardLineage(src), provenance.StoreConfig{})}, spec.opts...)...)
 			if err != nil {
 				return nil, err
@@ -158,6 +161,8 @@ func (r *Runner) Fig7() ([]CaptureTimeRow, error) {
 			row := CaptureTimeRow{
 				Dataset: d.Name, Analytic: spec.name, Baseline: base,
 				FullX: overhead(fullT, base), CustomX: overhead(custT, base),
+				FullTuples: fullRes.Provenance.TotalTuples(), CustomTuples: custRes.Provenance.TotalTuples(),
+				FullBytes: fullRes.Provenance.TotalBytes(), CustomBytes: custRes.Provenance.TotalBytes(),
 			}
 			rows = append(rows, row)
 			fmt.Fprintf(r.cfg.out(), "%-8s %-9s %12v %7.2fx %7.2fx\n", row.Dataset, row.Analytic, row.Baseline.Round(time.Millisecond), row.FullX, row.CustomX)

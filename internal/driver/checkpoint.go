@@ -14,7 +14,7 @@ import (
 // query-relation deltas derived so far) plus the path-specific cursors —
 // compiled-rule drive cursors and the evolution-retention view for the
 // compiled path, or the evaluator's aggregate tables and the feeder's
-// retention/dedup maps for the interpretive path. Restoring this state and
+// retention/dedup maps for the materialised path. Restoring this state and
 // replaying supersteps from the checkpoint barrier reproduces the
 // failure-free query result bit for bit.
 

@@ -1,8 +1,6 @@
 package driver
 
 import (
-	"errors"
-
 	"ariadne/internal/engine"
 	"ariadne/internal/graph"
 	"ariadne/internal/pql/analysis"
@@ -71,21 +69,19 @@ func (s *staticGraph) EdgeWeight(src, dst int64) (float64, bool) {
 	return s.g.EdgeWeight(graph.VertexID(src), graph.VertexID(dst))
 }
 
-// tryCompile attempts the compiled (vertex-program) evaluation path,
-// falling back to the interpretive evaluator when the query's shape needs
-// it (aggregates, non-local EDB joins).
-func tryCompile(q *analysis.Query, db *eval.Database, g *graph.Graph) (*eval.Compiled, bool) {
+// tryCompile attempts the compiled (vertex-program) evaluation path. The
+// choice is made here, once, before the run: a query whose shape needs the
+// materialised evaluator (aggregates, EDBs that are not record-local)
+// reports ok=false, and one that compiles cannot fail to at run time.
+func tryCompile(q *analysis.Query, db *eval.Database, g *graph.Graph, cfg evalConfig) (*eval.Compiled, bool) {
+	if cfg.materialised {
+		return nil, false
+	}
 	if _, usesEdges := q.EDBs["edge"]; usesEdges {
 		g.BuildInEdges() // idempotent; compiled edge(Y, X) steps enumerate in-neighbors
 	}
 	c, err := eval.Compile(q, db, newStaticGraph(g))
-	if err != nil {
-		if !errors.Is(err, eval.ErrNotCompilable) {
-			return nil, false
-		}
-		return nil, false
-	}
-	return c, true
+	return c, err == nil
 }
 
 // recordViews converts provenance records to compiled-evaluator views,

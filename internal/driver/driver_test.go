@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -274,5 +275,54 @@ dropped(X, D1, D2, I) :- value(X, D1, I), value(X, D2, J),
 	row := rel.All()[0]
 	if row[1].Float() != 3 || row[2].Float() != 10 || row[3].Int() != 5 {
 		t.Errorf("row = %v", row)
+	}
+}
+
+// TestUDFErrorFormatIsOne pins the one format a failing UDF call is reported
+// in — `pql: <pos>: <name>: <err>` — by running the same failing udf_diff
+// through the online driver (record-sourced lowering) and the naive driver
+// (materialised lowering): both share the term compiler, so both wrap alike.
+func TestUDFErrorFormatIsOne(t *testing.T) {
+	g, store := captureSSSP(t, 5)
+	def := func() *analysis.Query {
+		q, err := queries.Apt(0.1, func(a, b value.Value) (float64, error) {
+			return 0, errors.New("diff exploded")
+		}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	pqlPart := func(err error) string {
+		if err == nil {
+			t.Fatal("the failing UDF did not fail the evaluation")
+		}
+		i := strings.Index(err.Error(), "pql: ")
+		if i < 0 {
+			t.Fatalf("error carries no pql position: %v", err)
+		}
+		return err.Error()[i:]
+	}
+
+	o, err := NewOnline(def(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o.UsesCompiledPath() {
+		t.Fatal("apt should run record-sourced online")
+	}
+	e, err := engine.New(g, ssspProg{}, engine.Config{Observers: []engine.Observer{o}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, onlineErr := e.Run()
+	_, naiveErr := Naive(def(), store, g, 0)
+
+	online, naive := pqlPart(onlineErr), pqlPart(naiveErr)
+	if online != naive {
+		t.Errorf("UDF error formats differ:\nonline: %s\nnaive:  %s", online, naive)
+	}
+	if !strings.HasSuffix(online, ": udf_diff: diff exploded") {
+		t.Errorf("UDF error %q, want pql: <pos>: udf_diff: diff exploded", online)
 	}
 }

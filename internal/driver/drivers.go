@@ -45,7 +45,7 @@ func (r *Result) DerivedRelations() []RelationInfo {
 }
 
 // EvalStats returns Datalog work counters (zero when the query ran on the
-// compiled vertex-program path, which does no interpretive work).
+// compiled vertex-program path, which feeds no evaluator).
 func (r *Result) EvalStats() eval.Stats {
 	if r.ev == nil {
 		return eval.Stats{}
@@ -192,7 +192,7 @@ type Online struct {
 	compiled *eval.Compiled
 	vb       *viewBuilder
 
-	// Interpretive fallback (aggregates, non-local EDB joins).
+	// Materialised path (aggregates, EDBs that are not record-local).
 	ev *eval.Evaluator
 	f  *feeder
 
@@ -219,8 +219,8 @@ type Online struct {
 
 // NewOnline prepares online evaluation of q over graph g. Only forward and
 // local queries qualify (Theorem 5.4 covers exactly these). Options tune
-// the interpretive path: EvalWorkers enables shard-parallel delta rounds on
-// each superstep's fixpoint, Interpretive forces the Datalog evaluator.
+// the materialised path: EvalWorkers enables shard-parallel delta rounds on
+// each superstep's fixpoint.
 func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, error) {
 	if !q.Class.OnlineEvaluable() {
 		return nil, fmt.Errorf("driver: %v queries cannot run online; capture provenance and query offline", q.Class)
@@ -228,7 +228,7 @@ func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, err
 	cfg := resolveEvalConfig(opts)
 	db := eval.NewDatabase()
 	o := &Online{q: q, db: db}
-	if c, ok := tryCompileOpt(q, db, g, cfg); ok {
+	if c, ok := tryCompile(q, db, g, cfg); ok {
 		o.compiled = c
 		o.vb = newViewBuilder()
 		return o, nil
@@ -245,7 +245,7 @@ func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, err
 }
 
 // UsesCompiledPath reports whether the query runs as a compiled vertex
-// program (vs the interpretive Datalog fallback).
+// program (vs the materialised Datalog evaluator).
 func (o *Online) UsesCompiledPath() bool { return o.compiled != nil }
 
 // SetMetrics attaches a metrics registry and the query name used to label
@@ -325,7 +325,7 @@ func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
 }
 
 // Finish implements engine.Observer: the compiled path completes its
-// global rules over the final relations; the interpretive path publishes
+// global rules over the final relations; the materialised path publishes
 // its parallel-round counters.
 func (o *Online) Finish(int) error {
 	if o.compiled != nil {

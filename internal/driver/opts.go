@@ -8,14 +8,13 @@ import (
 )
 
 // evalConfig carries the per-run evaluation tuning shared by the three
-// drivers: shard-parallel worker count, the sequential reference leg, the
-// layered prefetch pipeline, and the choice of evaluation machinery.
+// drivers: shard-parallel worker count, the layered prefetch pipeline and
+// projection pushdown.
 type evalConfig struct {
 	workers      int // 0: auto (min(8, GOMAXPROCS))
-	sequential   bool
 	noPrefetch   bool
 	noProjection bool
-	interpretive bool
+	materialised bool
 	metrics      *obs.Metrics
 }
 
@@ -23,17 +22,10 @@ type evalConfig struct {
 type EvalOpt func(*evalConfig)
 
 // EvalWorkers sets the shard-parallel evaluation worker count. n <= 0
-// selects the default (min(8, GOMAXPROCS)); 1 disables parallel rounds but
-// keeps the prefetch pipeline.
+// selects the default (min(8, GOMAXPROCS)); 1 never fans a round out (and
+// keeps the prefetch pipeline).
 func EvalWorkers(n int) EvalOpt {
 	return func(c *evalConfig) { c.workers = n }
-}
-
-// SequentialEval forces the seed sequential evaluation path: one worker and
-// no layer prefetch. This is the reference leg for differential testing and
-// benchmarking, mirroring the engine's WithSequentialBarrier.
-func SequentialEval() EvalOpt {
-	return func(c *evalConfig) { c.sequential = true }
 }
 
 // NoPrefetch disables the layered driver's pipelined layer prefetch while
@@ -50,12 +42,11 @@ func NoProjection() EvalOpt {
 	return func(c *evalConfig) { c.noProjection = true }
 }
 
-// Interpretive forces the interpretive (Datalog) evaluator even when the
-// query compiles to a vertex program — the path shard-parallel rounds apply
-// to; the differential tests and benches use it to pin the machinery under
-// measurement.
-func Interpretive() EvalOpt {
-	return func(c *evalConfig) { c.interpretive = true }
+// materialised is the in-package test hook that keeps a query on the
+// materialised (bottom-up Datalog) evaluator even when it compiles to a
+// vertex program — the path shard-parallel rounds apply to.
+func materialised() EvalOpt {
+	return func(c *evalConfig) { c.materialised = true }
 }
 
 // WithEvalObs attaches a metrics registry for eval-phase counters (parallel
@@ -69,10 +60,6 @@ func resolveEvalConfig(opts []EvalOpt) evalConfig {
 	var c evalConfig
 	for _, o := range opts {
 		o(&c)
-	}
-	if c.sequential {
-		c.workers = 1
-		c.noPrefetch = true
 	}
 	if c.workers <= 0 {
 		c.workers = runtime.GOMAXPROCS(0)

@@ -98,8 +98,8 @@ func differentialQueries() []queries.Definition {
 }
 
 // TestParallelEvalDifferential pins parallel evaluation (1, 2, and 8
-// workers) against the sequential reference leg for the paper queries, in
-// both layered and online mode, on the interpretive path the parallel
+// workers) against the one-worker, unpipelined reference leg for the paper queries, in
+// both layered and online mode, on the materialised evaluator the parallel
 // rounds apply to. Every derived relation must be tuple-identical.
 func TestParallelEvalDifferential(t *testing.T) {
 	g, store := captureEmitting(t, 7)
@@ -116,7 +116,7 @@ func TestParallelEvalDifferential(t *testing.T) {
 			if !q.Class.LayeredEvaluable() {
 				t.Skipf("%s is %v, not layered-evaluable", def.Name, q.Class)
 			}
-			ref, err := Layered(q, store, g, SequentialEval(), Interpretive())
+			ref, err := Layered(q, store, g, EvalWorkers(1), NoPrefetch(), materialised())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestParallelEvalDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Layered(q2, store, g, EvalWorkers(w), Interpretive())
+				res, err := Layered(q2, store, g, EvalWorkers(w), materialised())
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -181,9 +181,9 @@ func TestParallelEvalDifferential(t *testing.T) {
 				}
 				return o.Result()
 			}
-			refSig := resultSig(runOnline(SequentialEval(), Interpretive()))
+			refSig := resultSig(runOnline(EvalWorkers(1), NoPrefetch(), materialised()))
 			for _, w := range workerCounts {
-				res := runOnline(EvalWorkers(w), Interpretive())
+				res := runOnline(EvalWorkers(w), materialised())
 				requireSameSig(t, fmt.Sprintf("workers=%d", w), refSig, resultSig(res))
 				if s := res.EvalStats(); s.ParallelRounds > 0 {
 					sawParallel = true
@@ -207,7 +207,7 @@ func TestParallelSelfDeterminismLayered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Layered(q, store, g, EvalWorkers(4), Interpretive())
+		res, err := Layered(q, store, g, EvalWorkers(4), materialised())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestPrefetchDisabledMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Layered(q, store, g, Interpretive())
+		res, err := Layered(q, store, g, materialised())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestPrefetchDisabledMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPre, err := Layered(q2, store, g, Interpretive(), NoPrefetch())
+	noPre, err := Layered(q2, store, g, materialised(), NoPrefetch())
 	if err != nil {
 		t.Fatal(err)
 	}

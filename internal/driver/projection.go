@@ -11,7 +11,7 @@ import (
 //
 // Two granularities, matching what each evaluation path can safely skip:
 //
-//   - The interpretive (Datalog) path projects at table granularity: a
+//   - The materialised (Datalog) path projects at table granularity: a
 //     payload column is read iff its EDB appears in the query at all. The
 //     feeder materializes whole tuples, and the evaluator's aggregates
 //     observe tuple distinctness, so a column of a *referenced* table can

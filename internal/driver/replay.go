@@ -26,11 +26,11 @@ import (
 //
 // The layered driver is pipelined: a prefetcher goroutine decodes the
 // *next* layer from the store and pre-builds its record views (compiled
-// path) or EDB fact batch (interpretive path) while the engine replays and
+// path) or EDB fact batch (materialised path) while the engine replays and
 // evaluates the current one. Decode and view/fact construction overlap
 // evaluation; only the evaluator's fixpoint stays on the barrier.
 
-// factBatch is one staged EDB fact (interpretive path).
+// factBatch is one staged EDB fact (materialised path).
 type factBatch struct {
 	pred string
 	t    eval.Tuple
@@ -45,7 +45,7 @@ type layerStage struct {
 	index map[graph.VertexID]*provenance.Record
 
 	views     []eval.RecordView // compiled path
-	facts     []factBatch       // interpretive path
+	facts     []factBatch       // materialised path
 	factCount int64             // cumulative feeder count after this layer
 
 	err error
@@ -371,8 +371,7 @@ func (o *replayEvalObserver) Finish(int) error { return nil }
 // for backward queries, as a VC computation over the provenance graph.
 // Mixed queries are rejected (Def. 5.2). Options tune the evaluation
 // pipeline: EvalWorkers enables shard-parallel delta rounds on the
-// interpretive path, NoPrefetch disables the layer prefetcher, and
-// SequentialEval selects the unpipelined single-worker reference leg.
+// materialised path and NoPrefetch disables the layer prefetcher.
 func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ...EvalOpt) (*Result, error) {
 	if !q.Class.LayeredEvaluable() {
 		return nil, fmt.Errorf("driver: %v queries cannot be evaluated layered; use naive mode", q.Class)
@@ -383,7 +382,7 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 	obs := &replayEvalObserver{}
 	res := &Result{q: q, db: db}
 	builder := &stageBuilder{}
-	if c, ok := tryCompileOpt(q, db, g, cfg); ok {
+	if c, ok := tryCompile(q, db, g, cfg); ok {
 		obs.compiled = c
 		builder.vb = newViewBuilder()
 	} else {
@@ -436,12 +435,4 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 	res.Facts = obs.facts
 	mirrorEvalStats(cfg.metrics, "layered", res.EvalStats())
 	return res, nil
-}
-
-// tryCompileOpt is tryCompile gated by the Interpretive option.
-func tryCompileOpt(q *analysis.Query, db *eval.Database, g *graph.Graph, cfg evalConfig) (*eval.Compiled, bool) {
-	if cfg.interpretive {
-		return nil, false
-	}
-	return tryCompile(q, db, g)
 }

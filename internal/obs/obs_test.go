@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -242,6 +243,36 @@ func sampleProfiles() []SuperstepProfile {
 			Retries: map[string]int64{"spill": 2},
 		},
 	}
+}
+
+// TestProfilesSnapshotIsolatedFromRetries: AddRetry after EndSuperstep
+// updates the published profile's Retries map, which Profiles() callers must
+// not share by reference — run under -race, a scraper marshalling the
+// snapshot while retries land is the check.
+func TestProfilesSnapshotIsolatedFromRetries(t *testing.T) {
+	m := New()
+	m.BeginSuperstep(0, 1)
+	m.EndSuperstep()
+	m.AddRetry("checkpoint") // the map now exists in profiles[0]
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			m.AddRetry("checkpoint")
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			if _, err := json.Marshal(m.Profiles()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 func TestEncodeDecodeProfiles(t *testing.T) {

@@ -33,118 +33,93 @@ type aggState struct {
 }
 
 type aggTable struct {
-	plan   *rulePlan
-	groups map[string]*aggState
+	plan    *rulePlan
+	pos     pql.Pos
+	arity   int
+	groups  map[string]*aggState
+	touched map[string]bool // groups changed since the last flush
 }
 
-func newAggTable(plan *rulePlan) *aggTable {
-	return &aggTable{plan: plan, groups: map[string]*aggState{}}
+func newAggTable(r *pql.Rule, plan *rulePlan) *aggTable {
+	return &aggTable{plan: plan, pos: r.Pos, arity: len(r.Head.Args),
+		groups: map[string]*aggState{}, touched: map[string]bool{}}
 }
 
-// evalAggRule fires an aggregate rule: enumerate new satisfying valuations
-// (delta-driven), fold them into group states, and replace changed head
-// tuples.
-func (e *Evaluator) evalAggRule(r *pql.Rule, plan *rulePlan, delta map[string][]Tuple, derived map[string][]Tuple) error {
-	table := e.aggs[r.Head.Pred]
-	head := e.db.Relation(r.Head.Pred, len(r.Head.Args))
-	touched := map[string]bool{}
-
-	fold := func(b binding) error {
-		// Group key from grouping head args.
-		groupVals := make([]value.Value, len(plan.groupCols))
+// fold consumes one satisfying body valuation, laid out as the aggregate
+// rule's program emits it (rulePlan.emitTerms): the grouping head values, the
+// aggregate arguments, then the values of the sorted body variables.
+func (a *aggTable) fold(row Tuple) error {
+	plan := a.plan
+	ng, na := len(plan.groupCols), len(plan.aggArgs)
+	groupVals, aggVals, valuation := row[:ng], row[ng:ng+na], row[ng+na:]
+	gk := groupVals.Key()
+	st, ok := a.groups[gk]
+	if !ok {
+		st = &aggState{min: math.Inf(1), max: math.Inf(-1), seen: map[string]bool{}}
+		a.groups[gk] = st
+	}
+	// Fold each aggregate column.
+	for ai, v := range aggVals {
+		kind := plan.aggKinds[ai]
+		switch kind {
+		case pql.AggCount:
+			key := fmt.Sprintf("c%d|", ai) + Tuple{v}.Key()
+			if st.seen[key] {
+				continue
+			}
+			st.seen[key] = true
+			st.count++
+			a.touched[gk] = true
+		case pql.AggSum, pql.AggAvg:
+			// Dedup on the full body valuation.
+			key := fmt.Sprintf("s%d|", ai) + valuation.Key()
+			if st.seen[key] {
+				continue
+			}
+			st.seen[key] = true
+			if !v.IsNumeric() {
+				return fmt.Errorf("pql: %s: %s needs numeric input, got %s", a.pos, kind, v.Kind())
+			}
+			st.sum += v.Float()
+			st.count++
+			a.touched[gk] = true
+		case pql.AggMin:
+			if !v.IsNumeric() {
+				return fmt.Errorf("pql: %s: MIN needs numeric input, got %s", a.pos, v.Kind())
+			}
+			if v.Float() < st.min {
+				st.min = v.Float()
+				a.touched[gk] = true
+			}
+		case pql.AggMax:
+			if !v.IsNumeric() {
+				return fmt.Errorf("pql: %s: MAX needs numeric input, got %s", a.pos, v.Kind())
+			}
+			if v.Float() > st.max {
+				st.max = v.Float()
+				a.touched[gk] = true
+			}
+		}
+	}
+	// Remember the group values for tuple construction.
+	if st.current == nil {
+		st.current = make(Tuple, a.arity)
 		for i, c := range plan.groupCols {
-			v, err := evalTerm(r.Head.Args[c], b, e.env)
-			if err != nil {
-				return err
-			}
-			groupVals[i] = v
+			st.current[c] = groupVals[i]
 		}
-		gk := Tuple(groupVals).Key()
-		st, ok := table.groups[gk]
-		if !ok {
-			st = &aggState{min: math.Inf(1), max: math.Inf(-1), seen: map[string]bool{}}
-			table.groups[gk] = st
+		for _, c := range plan.aggCols {
+			st.current[c] = value.NullValue
 		}
-		// Fold each aggregate column.
-		for ai, arg := range plan.aggArgs {
-			v, err := evalTerm(arg, b, e.env)
-			if err != nil {
-				return err
-			}
-			kind := plan.aggKinds[ai]
-			switch kind {
-			case pql.AggCount:
-				key := fmt.Sprintf("c%d|", ai) + Tuple{v}.Key()
-				if st.seen[key] {
-					continue
-				}
-				st.seen[key] = true
-				st.count++
-				touched[gk] = true
-			case pql.AggSum, pql.AggAvg:
-				// Dedup on the full body valuation.
-				val := make(Tuple, 0, len(plan.bodyVars))
-				for _, name := range plan.bodyVars {
-					val = append(val, b[name])
-				}
-				key := fmt.Sprintf("s%d|", ai) + val.Key()
-				if st.seen[key] {
-					continue
-				}
-				st.seen[key] = true
-				if !v.IsNumeric() {
-					return fmt.Errorf("pql: %s: %s needs numeric input, got %s", r.Pos, kind, v.Kind())
-				}
-				st.sum += v.Float()
-				st.count++
-				touched[gk] = true
-			case pql.AggMin:
-				if !v.IsNumeric() {
-					return fmt.Errorf("pql: %s: MIN needs numeric input, got %s", r.Pos, v.Kind())
-				}
-				if v.Float() < st.min {
-					st.min = v.Float()
-					touched[gk] = true
-				}
-			case pql.AggMax:
-				if !v.IsNumeric() {
-					return fmt.Errorf("pql: %s: MAX needs numeric input, got %s", r.Pos, v.Kind())
-				}
-				if v.Float() > st.max {
-					st.max = v.Float()
-					touched[gk] = true
-				}
-			}
-		}
-		// Remember the group values for tuple construction.
-		if st.current == nil {
-			st.current = make(Tuple, len(r.Head.Args))
-			for i, c := range plan.groupCols {
-				st.current[c] = groupVals[i]
-			}
-			for _, c := range plan.aggCols {
-				st.current[c] = value.NullValue
-			}
-		}
-		return nil
 	}
+	return nil
+}
 
-	if len(plan.variants) == 0 {
-		return fmt.Errorf("pql: %s: aggregate rule needs a body", r.Pos)
-	}
-	for vi, v := range plan.variants {
-		dts := delta[plan.positivePreds[vi]]
-		if len(dts) == 0 {
-			continue
-		}
-		if err := e.joinFrom(v.steps, 0, binding{}, v.deltaStep, dts, fold); err != nil {
-			return err
-		}
-	}
-
-	// Replace head tuples for changed groups.
-	for gk := range touched {
-		st := table.groups[gk]
+// flush replaces the head tuples of the groups touched since the last
+// flush, handing each new tuple to insert.
+func (a *aggTable) flush(head *Relation, insert func(Tuple) error) error {
+	plan := a.plan
+	for gk := range a.touched {
+		st := a.groups[gk]
 		old := append(Tuple(nil), st.current...)
 		hadResult := false
 		for _, c := range plan.aggCols {
@@ -169,11 +144,10 @@ func (e *Evaluator) evalAggRule(r *pql.Rule, plan *rulePlan, delta map[string][]
 		if hadResult {
 			head.Delete(old)
 		}
-		t := append(Tuple(nil), st.current...)
-		if head.Insert(t) {
-			derived[r.Head.Pred] = append(derived[r.Head.Pred], t)
-			e.stats.derivations.Add(1)
+		if err := insert(append(Tuple(nil), st.current...)); err != nil {
+			return err
 		}
 	}
+	a.touched = map[string]bool{}
 	return nil
 }

@@ -12,99 +12,34 @@ import (
 // This file implements the paper's query compiler (§4: "ARIADNE
 // incorporates a compiler that maps query evaluation to vertex programs";
 // §2.2: "ARIADNE compiles this query into a provenance query vertex
-// program"). A compiled query evaluates its rules directly against each
-// vertex's transient provenance record — value, previous value (evolution),
-// messages, emitted facts, static edges — without materializing any EDB
-// tuples in the Datalog database. Only derived (IDB) tuples are stored.
-// This is what makes online evaluation cheap: the per-record work is a few
-// closure calls instead of tuple construction, hashing, and join indexing.
+// program"). It is a second planner over the slot IR of slots.go: a
+// compiled query's rules run as slot programs whose record-local EDB steps
+// read each vertex's transient provenance record — value, previous value
+// (evolution), messages, emitted facts, static edges — as virtual relations
+// (record.go), without materializing any EDB tuple in the Datalog database.
+// Only derived (IDB) tuples are stored, which is what makes online
+// evaluation cheap.
 //
-// Not every PQL query compiles: aggregates, remote EDB access, and
-// unrestricted cross-layer joins fall back to the interpretive evaluator
-// (the drivers handle the fallback transparently).
+// Not every PQL query compiles: aggregates, EDBs that are not record-local,
+// and unrestricted cross-layer joins run on the materialised Evaluator (the
+// drivers handle the choice transparently, once, before the run starts).
 
-// ErrNotCompilable reports that a query needs the interpretive evaluator.
+// ErrNotCompilable reports that a query needs the materialised evaluator.
 var ErrNotCompilable = errors.New("pql: query is not compilable to a vertex program")
 
 func notCompilable(pos pql.Pos, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: %s", ErrNotCompilable, pos, fmt.Sprintf(format, args...))
 }
 
-// MsgView is one message endpoint of a record under compiled evaluation.
-type MsgView struct {
-	Peer int64
-	Val  value.Value
-}
-
-// FactView is one emitted analytic fact of a record.
-type FactView struct {
-	Table string
-	Args  []value.Value
-}
-
-// RecordView is the compiled evaluator's view of one provenance record —
-// the transient state a query vertex program reads.
-type RecordView struct {
-	Vertex    int64
-	Superstep int64
-	HasValue  bool
-	Value     value.Value
-	// PrevActive/PrevValue realize the evolution edge (retention).
-	PrevActive   int64 // -1 if none
-	PrevValue    value.Value
-	HasPrevValue bool
-	SentAny      bool
-	Sends        []MsgView
-	Recvs        []MsgView
-	Emitted      []FactView
-
-	// embIdx lazily indexes Emitted by (table, first-argument) so compiled
-	// joins between emitted tables (e.g. Query 7's prov_error with
-	// prov_prediction on the same neighbor) cost O(deg) instead of O(deg²).
-	embIdx map[string]map[string][]int
-}
-
-// factsByFirstArg returns the indices of emitted facts of the given table
-// keyed by their first argument, building the index on first use.
-func (rv *RecordView) factsByFirstArg(table string) map[string][]int {
-	if rv.embIdx == nil {
-		rv.embIdx = map[string]map[string][]int{}
-	}
-	idx, ok := rv.embIdx[table]
-	if !ok {
-		idx = map[string][]int{}
-		for i := range rv.Emitted {
-			f := &rv.Emitted[i]
-			if f.Table != table || len(f.Args) == 0 {
-				continue
-			}
-			k := Tuple{f.Args[0]}.Key()
-			idx[k] = append(idx[k], i)
-		}
-		rv.embIdx[table] = idx
-	}
-	return idx
-}
-
-// StaticGraph exposes the input graph to compiled edge/edge_value literals.
-type StaticGraph interface {
-	NumVertices() int
-	// OutNeighbors returns destinations and weights of v's out-edges.
-	OutNeighbors(v int64) ([]int64, []float64)
-	// InNeighbors returns sources of v's in-edges (nil if unavailable).
-	InNeighbors(v int64) []int64
-	// EdgeWeight returns the weight of edge src->dst if present.
-	EdgeWeight(src, dst int64) (float64, bool)
-}
-
-// Compiled is a query compiled to per-record vertex-program closures.
+// Compiled is a query compiled to a per-record vertex program.
 type Compiled struct {
-	q  *analysis.Query
-	db *Database
-	sg StaticGraph
-
 	// strata[i] holds the compiled rules of stratum i.
 	strata [][]*crule
+	// rn is the evaluation scratch (evaluation is single-threaded: it runs
+	// at the superstep barrier); noRecord stands in for the record of
+	// global and static rules, which read none.
+	rn       slotRun
+	noRecord RecordView
 
 	staticDone bool
 	derived    int64
@@ -115,62 +50,55 @@ type Compiled struct {
 type crule struct {
 	src  *pql.Rule
 	kind ruleKind
-	// steps is the CPS chain; each step binds/filters and calls the next.
-	steps []cstep
+	prog *program
 	// Global rules are driven by the new tuples of one IDB relation
-	// (semi-naive): drivePred names it, driveMatch binds a driving tuple,
+	// (semi-naive): drivePred names it — the program's rowsDelta step —
 	// and driveCursor tracks the insertion-order position already consumed.
 	drivePred   string
-	driveMatch  []argMatcher
 	driveCursor int
-	// head builds and inserts the head tuple from the slot bindings.
-	headPred  string
-	headArity int
-	headArgs  []termFn
-	nslots    int
-
-	// Reusable single-threaded evaluation scratch (see Compiled.scratch).
-	scratchSlots *slots
-	scratchEmit  func() error
+	// emit inserts a head tuple and counts it.
+	emit func(Tuple) error
 }
 
 type ruleKind uint8
 
 const (
 	ruleRecord ruleKind = iota // anchored at each record
-	ruleGlobal                 // driven by a full scan of its first IDB
+	ruleGlobal                 // driven by the new tuples of its first IDB
 	ruleStatic                 // only static EDBs: evaluated once
 )
 
-// slots is the compiled binding environment: values plus a bound mask.
-type slots struct {
-	val   []value.Value
-	bound []bool
-}
-
-// cstep executes one literal: it may bind slots, and calls k for each match
-// (restoring bindings afterwards).
-type cstep func(rv *RecordView, s *slots, k func() error) error
-
-// termFn evaluates a term under slot bindings.
-type termFn func(s *slots) (value.Value, error)
+func (k ruleKind) String() string { return [...]string{"record", "global", "static"}[k] }
 
 // Compile compiles an analyzed query. Returns ErrNotCompilable (wrapped)
-// when the query requires the interpretive evaluator.
+// when the query requires the materialised evaluator; a query that
+// compiles never fails for a compile-time reason at run time.
 func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error) {
-	c := &Compiled{q: q, db: db, sg: sg, strata: make([][]*crule, len(q.Strata))}
+	c := &Compiled{strata: make([][]*crule, len(q.Strata))}
+	c.rn = slotRun{db: db, sg: sg, rv: &c.noRecord}
 	for name, arity := range q.IDBs {
 		db.Relation(name, arity)
 	}
 	globalHeads := map[string]bool{}
 	for si, stratum := range q.Strata {
 		for _, r := range stratum {
-			cr, err := compileRule(r, q, db, sg)
+			rp, err := planRecordRule(r, q)
 			if err != nil {
 				return nil, err
 			}
+			cr := &crule{src: r, kind: rp.kind, drivePred: rp.drivePred}
+			if cr.prog, err = lower(rp.steps, r.Head.Args, q.Env(), rp.anchor...); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrNotCompilable, err)
+			}
+			head := db.Relation(r.Head.Pred, len(r.Head.Args))
+			cr.emit = func(t Tuple) error {
+				if head.Insert(t) {
+					c.derived++
+				}
+				return nil
+			}
 			if cr.kind == ruleGlobal {
-				globalHeads[cr.headPred] = true
+				globalHeads[r.Head.Pred] = true
 			}
 			c.strata[si] = append(c.strata[si], cr)
 		}
@@ -193,6 +121,277 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 	return c, nil
 }
 
+// recordPlan is planRecordRule's result: the rule's kind, its ordered body
+// with a row source per predicate step, and — for record rules — the
+// anchor variable bound to the record's vertex before the first step.
+type recordPlan struct {
+	kind      ruleKind
+	steps     []planStep
+	anchor    []string
+	drivePred string
+}
+
+// recordPlanner orders one rule for evaluation against transient records.
+//
+// Shape requirements (anything else is ErrNotCompilable):
+//   - no aggregates in the head;
+//   - every record-local EDB literal (superstep, value, evolution,
+//     send/receive_message, prov_send, emitted tables, edge_value) is
+//     located at the head's location variable;
+//   - superstep positions use a single "current" variable, or — for value
+//     literals — the predecessor variable introduced by an evolution
+//     literal (satisfied from retention);
+//   - remote access happens only through IDB predicates (database lookups)
+//     or static edges, exactly the VC-compatible discipline of Def. 4.1.
+type recordPlanner struct {
+	recordPlan
+	r     *pql.Rule
+	q     *analysis.Query
+	bound map[string]bool
+
+	curSS  string // the current-superstep variable
+	prevSS string // the evolution predecessor variable, if any
+}
+
+func planRecordRule(r *pql.Rule, q *analysis.Query) (*recordPlan, error) {
+	for _, a := range r.Head.Args {
+		if containsAgg(a) {
+			return nil, notCompilable(r.Pos, "aggregate head")
+		}
+	}
+	rp := &recordPlanner{r: r, q: q, bound: map[string]bool{}}
+
+	// Classify the body and identify the anchor (head location) variable.
+	anchor := ""
+	if len(r.Head.Args) > 0 {
+		anchor, _ = asVar(r.Head.Args[0])
+	}
+	hasRecordLocal, hasStatic, hasIDB := false, false, false
+	for _, lit := range r.Body {
+		pl, ok := lit.(*pql.PredLit)
+		if !ok {
+			continue
+		}
+		pred := pl.Atom.Pred
+		switch {
+		case pred == "edge":
+			hasStatic = true
+		case rp.recordLocal(pred):
+			hasRecordLocal = true
+			if pl.Negated && pred != "receive_message" && pred != "send_message" {
+				return nil, notCompilable(pl.Atom.Pos, "negated %s", pred)
+			}
+			if v, ok := asVar(pl.Atom.Args[0]); !ok || v != anchor {
+				return nil, notCompilable(pl.Atom.Pos, "record predicate %s must be located at the head's location variable", pred)
+			}
+		case rp.isIDB(pred):
+			hasIDB = true
+		default:
+			return nil, notCompilable(pl.Atom.Pos, "EDB %s is not record-local", pred)
+		}
+	}
+	// Discover the evolution variables first (they type the ss positions).
+	for _, lit := range r.Body {
+		pl, ok := lit.(*pql.PredLit)
+		if !ok || pl.Negated || pl.Atom.Pred != "evolution" {
+			continue
+		}
+		if rp.prevSS != "" {
+			return nil, notCompilable(pl.Atom.Pos, "multiple evolution literals")
+		}
+		j, ok1 := asVar(pl.Atom.Args[1])
+		i, ok2 := asVar(pl.Atom.Args[2])
+		if !ok1 || !ok2 {
+			return nil, notCompilable(pl.Atom.Pos, "evolution needs variable superstep arguments")
+		}
+		rp.prevSS, rp.curSS = j, i
+	}
+
+	switch {
+	case hasRecordLocal:
+		rp.kind = ruleRecord
+		rp.anchor = []string{anchor}
+		rp.bound[anchor] = true
+	case !hasIDB && (hasStatic || len(r.Body) == 0):
+		rp.kind = ruleStatic
+	default:
+		rp.kind = ruleGlobal
+	}
+
+	// Greedy scheduling: bindable comparisons and ground negations first,
+	// then the cheapest positive literal — record-locals before enumerators
+	// before IDB lookups.
+	remaining := append([]pql.Literal(nil), r.Body...)
+	for len(remaining) > 0 {
+		progressed := false
+		for i := 0; i < len(remaining); i++ {
+			if !schedulable(remaining[i], rp.bound) {
+				continue
+			}
+			switch lit := remaining[i].(type) {
+			case *pql.CmpLit:
+				rp.steps = append(rp.steps, planStep{kind: stepCompare, cmp: lit})
+				bindCmpVars(lit, rp.bound)
+			case *pql.PredLit:
+				rows, err := rp.negatedSource(lit.Atom)
+				if err != nil {
+					return nil, err
+				}
+				rp.steps = append(rp.steps, planStep{kind: stepNegated, atom: lit.Atom, rows: rows})
+			}
+			remaining = append(remaining[:i], remaining[i+1:]...)
+			i--
+			progressed = true
+		}
+		bestIdx, bestCost := -1, 1<<30
+		for i, lit := range remaining {
+			pl, ok := lit.(*pql.PredLit)
+			if !ok || pl.Negated {
+				continue
+			}
+			if cost := rp.literalCost(pl.Atom); cost < bestCost {
+				bestIdx, bestCost = i, cost
+			}
+		}
+		if bestIdx >= 0 {
+			a := remaining[bestIdx].(*pql.PredLit).Atom
+			rows, err := rp.source(a)
+			if err != nil {
+				return nil, err
+			}
+			if rp.kind == ruleGlobal && rp.drivePred == "" && rp.isIDB(a.Pred) {
+				// The first IDB drives the rule semi-naively: its step
+				// scans the relation's new tuples, not the relation.
+				rp.drivePred, rows = a.Pred, rowsDelta
+			}
+			rp.steps = append(rp.steps, planStep{kind: stepPositive, atom: a, rows: rows})
+			bindAtomVars(a, rp.bound)
+			remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+			progressed = true
+		}
+		if !progressed {
+			return nil, notCompilable(r.Pos, "cannot schedule rule body for compilation")
+		}
+	}
+	if rp.kind == ruleGlobal && rp.drivePred == "" {
+		return nil, notCompilable(r.Pos, "global rule without an IDB driver")
+	}
+	return &rp.recordPlan, nil
+}
+
+func (rp *recordPlanner) isIDB(pred string) bool {
+	_, ok := rp.q.IDBs[pred]
+	return ok
+}
+
+// recordLocal reports whether pred is satisfiable from a RecordView.
+func (rp *recordPlanner) recordLocal(pred string) bool {
+	switch pred {
+	case "superstep", "value", "evolution", "send_message", "receive_message", "prov_send", "edge_value":
+		return true
+	}
+	// Emitted analytic tables are extra EDBs.
+	_, ok := rp.q.Env().ExtraEDBs[pred]
+	return ok
+}
+
+// literalCost orders positive literals for scheduling: lower is earlier.
+func (rp *recordPlanner) literalCost(a *pql.Atom) int {
+	if rp.isIDB(a.Pred) {
+		if rp.kind == ruleGlobal {
+			return 50 // the driving scan
+		}
+		return 100
+	}
+	switch a.Pred {
+	case "superstep", "prov_send", "evolution":
+		return 1
+	case "value":
+		return 2
+	case "receive_message", "send_message":
+		return 10
+	case "edge":
+		if staticGround(a.Args[0], rp.bound) && staticGround(a.Args[1], rp.bound) {
+			return 5 // membership test
+		}
+		return 20
+	case "edge_value":
+		if staticGround(a.Args[1], rp.bound) {
+			return 6
+		}
+		return 20
+	default: // emitted tables
+		return 10
+	}
+}
+
+// checkSS validates the superstep argument of a record-local literal: it
+// must be the rule's current-superstep variable (or a constant/bound term).
+func (rp *recordPlanner) checkSS(t pql.Term) error {
+	v, ok := asVar(t)
+	if !ok {
+		return nil
+	}
+	if v == rp.prevSS {
+		return notCompilable(rp.r.Pos, "only value literals may reference the evolution predecessor superstep")
+	}
+	if rp.curSS == "" {
+		rp.curSS = v
+	}
+	if v != rp.curSS && !rp.bound[v] {
+		return notCompilable(rp.r.Pos, "superstep variable %s does not match the rule's current superstep", v)
+	}
+	return nil
+}
+
+// source picks the row source of a positive literal.
+func (rp *recordPlanner) source(a *pql.Atom) (rowSource, error) {
+	if rp.isIDB(a.Pred) {
+		return rowsRelation, nil
+	}
+	last := a.Args[len(a.Args)-1]
+	switch a.Pred {
+	case "superstep":
+		return rowsSuperstep, rp.checkSS(last)
+	case "value":
+		if v, ok := asVar(last); ok && v == rp.prevSS {
+			return rowsPrevValue, nil
+		}
+		return rowsValue, rp.checkSS(last)
+	case "evolution":
+		return rowsEvolution, nil
+	case "receive_message":
+		return rowsRecvs, rp.checkSS(last)
+	case "send_message":
+		return rowsSends, rp.checkSS(last)
+	case "prov_send":
+		return rowsProvSend, rp.checkSS(last)
+	case "edge":
+		if rp.kind != ruleStatic && !staticGround(a.Args[0], rp.bound) && !staticGround(a.Args[1], rp.bound) {
+			return 0, notCompilable(a.Pos, "unanchored edge scan outside a static rule")
+		}
+		return rowsEdge, nil
+	case "edge_value":
+		return rowsEdgeValue, nil
+	default: // emitted analytic table, laid out table(X, payload..., I)
+		return rowsEmitted, rp.checkSS(last)
+	}
+}
+
+// negatedSource picks the row source of !p(args...) with ground arguments:
+// an IDB or record-local message membership test.
+func (rp *recordPlanner) negatedSource(a *pql.Atom) (rowSource, error) {
+	switch {
+	case rp.isIDB(a.Pred):
+		return rowsRelation, nil
+	case a.Pred == "receive_message":
+		return rowsRecvs, nil
+	case a.Pred == "send_message":
+		return rowsSends, nil
+	}
+	return 0, notCompilable(a.Pos, "negated %s is not compilable", a.Pred)
+}
+
 // DerivedTuples returns how many head tuples were inserted.
 func (c *Compiled) DerivedTuples() int64 { return c.derived }
 
@@ -210,7 +409,8 @@ func (c *Compiled) BeginRun() error {
 			if r.kind != ruleStatic {
 				continue
 			}
-			if err := c.evalRule(r, nil); err != nil {
+			c.rn.prep(r.prog, nil, r.emit)
+			if err := r.prog.run(&c.rn, 0); err != nil {
 				return err
 			}
 		}
@@ -237,10 +437,8 @@ func (c *Compiled) Layer(recs []RecordView) error {
 						return err
 					}
 				default:
-					for i := range recs {
-						if err := c.evalRule(r, &recs[i]); err != nil {
-							return err
-						}
+					if err := c.evalRecords(r, recs); err != nil {
+						return err
 					}
 				}
 			}
@@ -276,73 +474,29 @@ func (c *Compiled) FinishRun() error {
 	return nil
 }
 
-// evalGlobal runs a global rule over the driving relation's tuples that
-// arrived since the rule's last pass.
-func (c *Compiled) evalGlobal(r *crule) error {
-	rel := c.db.Get(r.drivePred)
-	if rel == nil {
-		return nil
-	}
-	all := rel.All()
-	if r.driveCursor >= len(all) {
-		return nil
-	}
-	s, emit := c.scratch(r)
-	for i := range s.bound {
-		s.bound[i] = false
-	}
-	start := r.driveCursor
-	r.driveCursor = len(all)
-	for _, t := range all[start:] {
-		if err := matchAll(s, r.driveMatch, t, 0, func() error {
-			return runSteps(r.steps, 0, nil, s, emit)
-		}); err != nil {
+// evalRecords runs a record rule once per record, the anchor slot holding
+// the record's vertex.
+func (c *Compiled) evalRecords(r *crule, recs []RecordView) error {
+	c.rn.prep(r.prog, nil, r.emit)
+	for i := range recs {
+		c.rn.rv = &recs[i]
+		c.rn.slots[0] = value.NewInt(recs[i].Vertex)
+		if err := r.prog.run(&c.rn, 0); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scratch returns the rule's reusable evaluation state (evaluation is
-// single-threaded: it runs at the superstep barrier).
-func (c *Compiled) scratch(r *crule) (*slots, func() error) {
-	if r.scratchSlots == nil {
-		s := &slots{val: make([]value.Value, r.nslots), bound: make([]bool, r.nslots)}
-		head := c.db.Relation(r.headPred, r.headArity)
-		r.scratchSlots = s
-		r.scratchEmit = func() error {
-			t := make(Tuple, r.headArity)
-			for i, fn := range r.headArgs {
-				v, err := fn(s)
-				if err != nil {
-					return err
-				}
-				t[i] = v
-			}
-			if head.Insert(t) {
-				c.derived++
-			}
-			return nil
-		}
+// evalGlobal runs a global rule over the driving relation's tuples that
+// arrived since the rule's last pass.
+func (c *Compiled) evalGlobal(r *crule) error {
+	all := c.rn.db.Get(r.drivePred).All()
+	if r.driveCursor >= len(all) {
+		return nil
 	}
-	return r.scratchSlots, r.scratchEmit
-}
-
-// evalRule runs one compiled rule over one record (or globally when rv is
-// nil for global/static rules).
-func (c *Compiled) evalRule(r *crule, rv *RecordView) error {
-	s, emit := c.scratch(r)
-	for i := range s.bound {
-		s.bound[i] = false
-	}
-	return runSteps(r.steps, 0, rv, s, emit)
-}
-
-func runSteps(steps []cstep, i int, rv *RecordView, s *slots, emit func() error) error {
-	if i == len(steps) {
-		return emit()
-	}
-	return steps[i](rv, s, func() error {
-		return runSteps(steps, i+1, rv, s, emit)
-	})
+	start := r.driveCursor
+	r.driveCursor = len(all)
+	c.rn.prep(r.prog, all[start:], r.emit)
+	return r.prog.run(&c.rn, 0)
 }

@@ -2,7 +2,9 @@ package eval
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ariadne/internal/pql"
@@ -43,46 +45,15 @@ func (f *fakeGraph) EdgeWeight(src, dst int64) (float64, bool) {
 	return w, ok
 }
 
-// runBothPaths evaluates the query over the record stream on the compiled
-// path and the interpretive path and asserts every IDB relation matches.
-func runBothPaths(t *testing.T, src string, env *analysis.Env, sg StaticGraph, layers [][]RecordView) {
-	t.Helper()
-	build := func() *analysis.Query {
-		prog, err := pql.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := analysis.Analyze(prog, env.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q
-	}
+// factSink is what the materialised legs (Evaluator and oracle) share.
+type factSink interface {
+	AddFact(pred string, t Tuple)
+	Fixpoint() error
+}
 
-	// Compiled path.
-	qc := build()
-	cdb := NewDatabase()
-	comp, err := Compile(qc, cdb, sg)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	for _, l := range layers {
-		if err := comp.Layer(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := comp.FinishRun(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Interpretive path.
-	qi := build()
-	idb := NewDatabase()
-	ev, err := NewEvaluator(qi, idb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Static edges.
+// feedLayers materialises the record stream as EDB facts, one Fixpoint per
+// layer, mirroring the driver's feeder.
+func feedLayers(ev factSink, sg StaticGraph, layers [][]RecordView) error {
 	for v := 0; v < sg.NumVertices(); v++ {
 		dst, _ := sg.OutNeighbors(int64(v))
 		for _, d := range dst {
@@ -91,47 +62,173 @@ func runBothPaths(t *testing.T, src string, env *analysis.Env, sg StaticGraph, l
 	}
 	for _, l := range layers {
 		for i := range l {
-			feedViewInterpretive(ev, sg, &l[i])
+			feedView(ev, sg, &l[i])
 		}
 		if err := ev.Fixpoint(); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
+	return nil
+}
 
-	for name := range qc.IDBs {
-		c, it := cdb.Get(name), idb.Get(name)
-		cl, il := 0, 0
-		if c != nil {
-			cl = c.Len()
+// insertionOrder renders every IDB relation as its tuples' canonical keys in
+// insertion order; sorted=true gives the set view instead.
+func insertionOrder(q *analysis.Query, db *Database, sorted bool) map[string][]string {
+	out := map[string][]string{}
+	for name := range q.IDBs {
+		var keys []string
+		if rel := db.Get(name); rel != nil {
+			for _, tu := range rel.All() {
+				keys = append(keys, tu.Key())
+			}
 		}
-		if it != nil {
-			il = it.Len()
+		if sorted {
+			sort.Strings(keys)
 		}
-		if cl != il {
-			t.Errorf("%s: compiled %d tuples vs interpretive %d\ncompiled: %v\ninterp:  %v",
-				name, cl, il, rows(c), rows(it))
-			continue
+		out[name] = keys
+	}
+	return out
+}
+
+func sameRelations(label string, want, got map[string][]string) error {
+	for name, w := range want {
+		g := got[name]
+		if len(w) != len(g) {
+			return fmt.Errorf("%s: %s has %d tuples, reference %d", label, name, len(g), len(w))
 		}
-		if c == nil {
-			continue
-		}
-		for _, tup := range c.All() {
-			if !it.Contains(tup) {
-				t.Errorf("%s: compiled tuple %v missing from interpretive result", name, tup)
+		for i := range w {
+			if w[i] != g[i] {
+				return fmt.Errorf("%s: %s differs at tuple %d", label, name, i)
 			}
 		}
 	}
+	return nil
 }
 
-func rows(r *Relation) []Tuple {
-	if r == nil {
+// lowerOutcomes counts how checkLowering's calls ended, so a test can assert
+// the generated programs reach the comparisons (single-goroutine tests only).
+var lowerOutcomes = map[string]int{}
+
+// checkLowering is the three-way differential over one program and record
+// stream: the oracle interpreter, the materialised Evaluator's slot programs
+// at 1, 2 and 8 workers, and — when the query compiles — the record-sourced
+// lowering. The oracle and the one-worker Evaluator must agree tuple for
+// tuple in insertion order (set-wise under aggregates, whose group flush
+// order is a map's); every other leg must derive the same sets. A run-time
+// error (a type error, a failing UDF) must hit the oracle and the one-worker
+// Evaluator alike; the other legs join in a different order, so which
+// valuation trips first is theirs and they are then not compared.
+func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers [][]RecordView) error {
+	q, err := build()
+	if err != nil {
+		lowerOutcomes["analysis rejected"]++
+		return nil // all three share the analysis: rejected for all
+	}
+	if q.Class == analysis.Backward {
+		layers = append([][]RecordView(nil), layers...)
+		for i, j := 0, len(layers)-1; i < j; i, j = i+1, j-1 {
+			layers[i], layers[j] = layers[j], layers[i]
+		}
+	}
+	odb := NewDatabase()
+	orc, oerr := newOracle(q, odb)
+	if oerr == nil {
+		oerr = feedLayers(orc, sg, layers)
+	}
+	ordered := true
+	for _, r := range q.Rules {
+		for _, a := range r.Head.Args {
+			ordered = ordered && !containsAgg(a)
+		}
+	}
+	want := insertionOrder(q, odb, !ordered)
+	wantSet := insertionOrder(q, odb, true)
+
+	for _, workers := range []int{1, 2, 8} {
+		qe, _ := build()
+		edb := NewDatabase()
+		ev, err := NewEvaluator(qe, edb)
+		if err != nil {
+			// The lowering rejects statically what the oracle can reject
+			// only once data reaches the literal (or never, on this data).
+			lowerOutcomes["lowering rejected"]++
+			return nil
+		}
+		ev.SetWorkers(workers)
+		err = feedLayers(ev, sg, layers)
+		if workers == 1 {
+			if (err == nil) != (oerr == nil) || (err != nil && err.Error() != oerr.Error()) {
+				return fmt.Errorf("run-time verdicts differ: oracle %v, slots %v", oerr, err)
+			}
+			if err == nil {
+				if err := sameRelations("slots@1 vs oracle", want, insertionOrder(qe, edb, !ordered)); err != nil {
+					return err
+				}
+			}
+		}
+		if err != nil || oerr != nil {
+			lowerOutcomes["run-time error"]++
+			return nil
+		}
+		if err := sameRelations(fmt.Sprintf("slots@%d vs oracle", workers), wantSet, insertionOrder(qe, edb, true)); err != nil {
+			return err
+		}
+	}
+
+	qc, _ := build()
+	if qc.Class == analysis.Mixed {
+		lowerOutcomes["materialised only"]++
 		return nil
 	}
-	return r.Sorted()
+	cdb := NewDatabase()
+	comp, err := Compile(qc, cdb, sg)
+	if err != nil {
+		if !errors.Is(err, ErrNotCompilable) {
+			return fmt.Errorf("Compile failed without ErrNotCompilable: %v", err)
+		}
+		lowerOutcomes["materialised only"]++
+		return nil
+	}
+	for _, l := range layers {
+		if err := comp.Layer(l); err != nil {
+			lowerOutcomes["run-time error"]++
+			return nil
+		}
+	}
+	if err := comp.FinishRun(); err != nil {
+		lowerOutcomes["run-time error"]++
+		return nil
+	}
+	lowerOutcomes["three-way"]++
+	for _, keys := range wantSet {
+		lowerOutcomes["three-way tuples"] += len(keys)
+	}
+	return sameRelations("record-sourced vs oracle", wantSet, insertionOrder(qc, cdb, true))
 }
 
-// feedViewInterpretive mirrors the driver's feeder for RecordViews.
-func feedViewInterpretive(ev *Evaluator, sg StaticGraph, rv *RecordView) {
+// runAllPaths is checkLowering for a fixed source.
+func runAllPaths(t *testing.T, src string, env *analysis.Env, sg StaticGraph, layers [][]RecordView) {
+	t.Helper()
+	build := func() (*analysis.Query, error) {
+		prog, err := pql.Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		return analysis.Analyze(prog, env.Clone())
+	}
+	if _, err := build(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(analysis.MustAnalyze(src, env.Clone()), NewDatabase(), sg); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if err := checkLowering(build, sg, layers); err != nil {
+		t.Error(err)
+	}
+}
+
+// feedView mirrors the driver's feeder for RecordViews.
+func feedView(ev factSink, sg StaticGraph, rv *RecordView) {
 	x := value.NewInt(rv.Vertex)
 	i := value.NewInt(rv.Superstep)
 	ev.AddFact("superstep", Tuple{x, i})
@@ -205,7 +302,11 @@ func randomLayers(seed int64, sg *fakeGraph, nLayers int) [][]RecordView {
 					rv.Recvs = append(rv.Recvs, MsgView{Peer: s, Val: value.NewFloat(rng.Float64())})
 				}
 			}
-			rv.Emitted = []FactView{{Table: "prov_error", Args: []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}}}
+			rv.Emitted = []FactView{
+				{Table: "prov_error", Args: []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}},
+				{Table: "prov_prediction", Args: []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}},
+				{Table: "prov_prediction", Args: []value.Value{value.NewInt((v + 1) % 3), value.NewFloat(rng.Float64() * 4)}},
+			}
 			states[v] = &vstate{lastSS: int64(ss), lastVal: val}
 			recs = append(recs, rv)
 		}
@@ -221,7 +322,7 @@ func testGraphAndLayers(seed int64) (*fakeGraph, [][]RecordView) {
 	return sg, randomLayers(seed, sg, 6)
 }
 
-func TestCompiledMatchesInterpretiveApt(t *testing.T) {
+func TestLoweringsAgreeApt(t *testing.T) {
 	env := analysis.NewEnv()
 	env.SetParam("eps", value.NewFloat(0.5))
 	src := `
@@ -235,11 +336,11 @@ unsafe(X, I) :- no_execute(X, I), !change(X, I).
 `
 	for seed := int64(1); seed <= 5; seed++ {
 		sg, layers := testGraphAndLayers(seed)
-		runBothPaths(t, src, env, sg, layers)
+		runAllPaths(t, src, env, sg, layers)
 	}
 }
 
-func TestCompiledMatchesInterpretiveMonitoring(t *testing.T) {
+func TestLoweringsAgreeMonitoring(t *testing.T) {
 	env := analysis.NewEnv()
 	src := `
 check_failed(X, I) :- value(X, D1, I), value(X, D2, J), evolution(X, J, I),
@@ -251,11 +352,11 @@ silent(X, I) :- value(X, D1, I), value(X, D2, J), evolution(X, J, I),
 `
 	for seed := int64(1); seed <= 5; seed++ {
 		sg, layers := testGraphAndLayers(seed)
-		runBothPaths(t, src, env, sg, layers)
+		runAllPaths(t, src, env, sg, layers)
 	}
 }
 
-func TestCompiledMatchesInterpretiveEdgeRules(t *testing.T) {
+func TestLoweringsAgreeEdgeRules(t *testing.T) {
 	env := analysis.NewEnv()
 	env.DeclareEDB("prov_error", 4)
 	src := `
@@ -266,11 +367,11 @@ sent_flag(X, I) :- prov_send(X, I).
 `
 	for seed := int64(1); seed <= 5; seed++ {
 		sg, layers := testGraphAndLayers(seed)
-		runBothPaths(t, src, env, sg, layers)
+		runAllPaths(t, src, env, sg, layers)
 	}
 }
 
-func TestCompiledMatchesInterpretiveRecursive(t *testing.T) {
+func TestLoweringsAgreeRecursive(t *testing.T) {
 	env := analysis.NewEnv()
 	env.SetParam("alpha", value.NewInt(0))
 	// Recursive forward rules need the temporal guard J < I for the three
@@ -285,7 +386,7 @@ fwd(X, I) :- receive_message(X, Y, M, I), fwd(Y, J), J < I, superstep(X, I).
 `
 	for seed := int64(1); seed <= 5; seed++ {
 		sg, layers := testGraphAndLayers(seed)
-		runBothPaths(t, src, env, sg, layers)
+		runAllPaths(t, src, env, sg, layers)
 	}
 }
 
@@ -293,7 +394,7 @@ func TestCompileRejections(t *testing.T) {
 	env := analysis.NewEnv()
 	sg := newFakeGraph(2, [][2]int64{{0, 1}})
 	cases := []string{
-		// Aggregates need the interpretive path.
+		// Aggregates need the materialised evaluator.
 		`deg(X, COUNT(Y)) :- receive_message(X, Y, M, I).`,
 		// Record rule consuming a global head.
 		`g(X, I) :- q(X, I), q(X, J).
@@ -330,5 +431,5 @@ pair(X, I, J) :- seen(X, I), seen(X, J), I < J.
 		{{Vertex: 0, Superstep: 1, HasValue: true, Value: value.NewFloat(2), PrevActive: 0, PrevValue: value.NewFloat(1), HasPrevValue: true}},
 		{{Vertex: 0, Superstep: 2, HasValue: true, Value: value.NewFloat(3), PrevActive: 1, PrevValue: value.NewFloat(2), HasPrevValue: true}},
 	}
-	runBothPaths(t, src, env, sg, layers)
+	runAllPaths(t, src, env, sg, layers)
 }

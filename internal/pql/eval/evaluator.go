@@ -8,7 +8,6 @@ import (
 
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
-	"ariadne/internal/value"
 )
 
 // Evaluator runs semi-naive stratified evaluation of an analyzed query over
@@ -16,27 +15,29 @@ import (
 // treated as deltas, which is what makes layered (§5.1) and online (§5.2)
 // evaluation possible — each provenance layer is one delta batch.
 //
+// Every rule — plain, fact and aggregate bodies alike — is lowered to slot
+// programs (slots.go) in NewEvaluator; a rule shape the lowering rejects is
+// a positioned error there, never a run-time one.
+//
 // With SetWorkers(n > 1) and a VC-compatible query, parallel-safe strata run
-// their delta rounds shard-parallel: the round's delta is split across n
-// shards by each predicate's location column (the engine's partition hash),
-// one worker goroutine evaluates each shard against the frozen relations,
-// and derived tuples are merged back in a canonical order (rule, then shard,
-// then emission order) so the final relations — and their insertion order —
-// are independent of scheduling.
+// their large delta rounds shard-parallel: the round's delta is split across
+// n shards by each predicate's location column (the engine's partition
+// hash), one worker goroutine runs the same programs over each shard against
+// the frozen relations, and derived tuples are merged back in a canonical
+// order (rule, then shard, then emission order) so the final relations — and
+// their insertion order — are independent of scheduling.
 type Evaluator struct {
-	q   *analysis.Query
-	db  *Database
-	env *analysis.Env
+	q  *analysis.Query
+	db *Database
 
 	plans   map[*pql.Rule]*rulePlan
 	aggs    map[string]*aggTable // aggregate head pred -> state
 	pending map[string][]Tuple
 
-	workers   int            // shard count; <= 1 keeps the sequential path
-	parSafe   []bool         // per-stratum shard-parallel safety
-	locCols   map[string]int // per-predicate location column (-1: whole-tuple hash)
-	slots     map[*pql.Rule][]*slotVariant
-	slotFacts map[*pql.Rule]*slotVariant
+	workers int            // shard count; <= 1 never fans a round out
+	parSafe []bool         // per-stratum shard-parallel safety
+	locCols map[string]int // per-predicate location column (-1: whole-tuple hash)
+	rn      slotRun        // scratch of the sequential rounds
 
 	stats statCounters
 }
@@ -76,26 +77,30 @@ type Stats struct {
 // NewEvaluator prepares evaluation of q over db.
 func NewEvaluator(q *analysis.Query, db *Database) (*Evaluator, error) {
 	e := &Evaluator{
-		q: q, db: db, env: q.Env(),
+		q: q, db: db,
 		plans:   map[*pql.Rule]*rulePlan{},
 		aggs:    map[string]*aggTable{},
 		pending: map[string][]Tuple{},
 		workers: 1,
+		parSafe: q.ParallelSafeStrata(),
+		locCols: q.LocationCols(),
+		rn:      slotRun{db: db},
 	}
 	e.stats.perStratum = make([]atomic.Int64, len(q.Strata))
-	aggDef := map[string]bool{}
 	for _, r := range q.Rules {
 		plan, err := planRule(r)
 		if err != nil {
 			return nil, err
 		}
+		if err := plan.lower(r, q.Env()); err != nil {
+			return nil, err
+		}
 		e.plans[r] = plan
 		if plan.aggregates {
-			if aggDef[r.Head.Pred] {
+			if e.aggs[r.Head.Pred] != nil {
 				return nil, fmt.Errorf("pql: %s: aggregate predicate %s has multiple defining rules", r.Pos, r.Head.Pred)
 			}
-			aggDef[r.Head.Pred] = true
-			e.aggs[r.Head.Pred] = newAggTable(plan)
+			e.aggs[r.Head.Pred] = newAggTable(r, plan)
 		}
 	}
 	// Pre-create IDB relations so negation over empty IDBs works — and so
@@ -124,57 +129,21 @@ func (e *Evaluator) Stats() Stats {
 }
 
 // SetWorkers sets the shard-parallel worker count for subsequent Fixpoint
-// calls. n <= 1 (the default) keeps the seed sequential path bit-for-bit.
-// Parallel rounds require a VC-compatible query (Def. 4.1): remote access
-// only follows message edges whose destination is computable from the tuple,
-// which is what makes the per-round exchange legal. For incompatible queries
-// the setting is ignored and evaluation stays sequential.
+// calls; n <= 1 (the default) never fans a round out. The worker count only
+// chooses whether a large round is split over shards of the same programs —
+// never which machinery evaluates a rule. Parallel rounds require a
+// VC-compatible query (Def. 4.1): remote access only follows message edges
+// whose destination is computable from the tuple, which is what makes the
+// per-round exchange legal. For incompatible queries the setting is ignored.
 func (e *Evaluator) SetWorkers(n int) {
 	if n < 1 || !e.q.VCCompatible {
 		n = 1
 	}
 	e.workers = n
-	if n > 1 && e.slots == nil {
-		e.locCols = e.q.LocationCols()
-		e.parSafe = e.q.ParallelSafeStrata()
-		e.compileSlots()
-	}
 }
 
 // Workers returns the configured shard-parallel worker count.
 func (e *Evaluator) Workers() int { return e.workers }
-
-// compileSlots builds slot programs for every rule variant that supports
-// them; variants that don't (ground complex matches, unusual binder shapes)
-// keep a nil entry and fall back to the interpretive joinFrom inside
-// workers, which is equally thread-safe against frozen relations.
-func (e *Evaluator) compileSlots() {
-	e.slots = map[*pql.Rule][]*slotVariant{}
-	e.slotFacts = map[*pql.Rule]*slotVariant{}
-	for _, r := range e.q.Rules {
-		plan := e.plans[r]
-		if plan.aggregates {
-			continue
-		}
-		if plan.factPlan != nil {
-			if sv, ok := compileVariant(r, plan.factPlan, e.env); ok {
-				e.slotFacts[r] = sv
-			}
-			continue
-		}
-		svs := make([]*slotVariant, len(plan.variants))
-		any := false
-		for i, v := range plan.variants {
-			if sv, ok := compileVariant(r, v, e.env); ok {
-				svs[i] = sv
-				any = true
-			}
-		}
-		if any {
-			e.slots[r] = svs
-		}
-	}
-}
 
 // AddFact queues an EDB (or externally derived) fact for the next Fixpoint.
 func (e *Evaluator) AddFact(pred string, t Tuple) {
@@ -298,235 +267,57 @@ func (e *Evaluator) parallelOK(stratum int, delta map[string][]Tuple) bool {
 }
 
 // sequentialRound fires every rule of the stratum against the round delta on
-// the calling goroutine — the seed evaluation path.
+// the calling goroutine, inserting derived tuples as they are emitted.
 func (e *Evaluator) sequentialRound(stratum []*pql.Rule, delta map[string][]Tuple) (map[string][]Tuple, error) {
 	derived := map[string][]Tuple{}
 	for _, r := range stratum {
 		plan := e.plans[r]
-		if plan.aggregates {
-			if err := e.evalAggRule(r, plan, delta, derived); err != nil {
+		pred := r.Head.Pred
+		head := e.db.Relation(pred, len(r.Head.Args))
+		insert := func(t Tuple) error {
+			if head.Insert(t) {
+				derived[pred] = append(derived[pred], t)
+				e.stats.derivations.Add(1)
+			}
+			return nil
+		}
+		if !plan.aggregates {
+			if err := plan.fire(&e.rn, delta, insert); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if err := e.evalRule(r, plan, delta, derived); err != nil {
+		// Aggregate rule: fold the new satisfying valuations into the group
+		// states, then replace the head tuples of the groups that changed.
+		table := e.aggs[pred]
+		if err := plan.fire(&e.rn, delta, table.fold); err != nil {
+			return nil, err
+		}
+		if err := table.flush(head, insert); err != nil {
 			return nil, err
 		}
 	}
 	return derived, nil
 }
 
-// headEmit adapts a tuple-level emit to the binding-level emit joinFrom
-// produces: it builds the head tuple from the rule's head terms under the
-// final binding.
-func (e *Evaluator) headEmit(r *pql.Rule, emit func(Tuple) error) func(binding) error {
-	return func(b binding) error {
-		t := make(Tuple, len(r.Head.Args))
-		for i, a := range r.Head.Args {
-			v, err := evalTerm(a, b, e.env)
-			if err != nil {
-				return err
-			}
-			t[i] = v
-		}
-		return emit(t)
-	}
-}
-
-// evalRule fires one plain rule semi-naively: once per positive literal
+// fire runs the rule's programs semi-naively: once per positive literal
 // whose predicate has a delta, with that literal restricted to the delta.
-// Rules with no positive body literals (facts) fire unconditionally.
-func (e *Evaluator) evalRule(r *pql.Rule, plan *rulePlan, delta map[string][]Tuple, derived map[string][]Tuple) error {
-	head := e.db.Relation(r.Head.Pred, len(r.Head.Args))
-	emit := e.headEmit(r, func(t Tuple) error {
-		if head.Insert(t) {
-			derived[r.Head.Pred] = append(derived[r.Head.Pred], t)
-			e.stats.derivations.Add(1)
-		}
-		return nil
-	})
-
-	if plan.factPlan != nil {
-		// Fact rule: fires once per Fixpoint (idempotent via dedup).
-		return e.joinFrom(plan.factPlan.steps, 0, binding{}, -1, nil, emit)
+// Rules with no positive body literals (facts) fire unconditionally — once
+// per Fixpoint round, idempotent via dedup.
+func (p *rulePlan) fire(rn *slotRun, delta map[string][]Tuple, emit func(Tuple) error) error {
+	if p.fact != nil {
+		rn.prep(p.fact, nil, emit)
+		return p.fact.run(rn, 0)
 	}
-	for vi, v := range plan.variants {
-		dts := delta[plan.positivePreds[vi]]
+	for vi, prog := range p.progs {
+		dts := delta[p.positivePreds[vi]]
 		if len(dts) == 0 {
 			continue
 		}
-		if err := e.joinFrom(v.steps, 0, binding{}, v.deltaStep, dts, emit); err != nil {
+		rn.prep(prog, dts, emit)
+		if err := prog.run(rn, 0); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// joinFrom recursively executes plan steps from index si under binding b.
-// Step deltaStep (a step index) draws candidates from deltaTuples instead
-// of the full relation.
-func (e *Evaluator) joinFrom(steps []planStep, si int, b binding, deltaStep int, deltaTuples []Tuple, emit func(binding) error) error {
-	if si == len(steps) {
-		return emit(b)
-	}
-	st := steps[si]
-	switch st.kind {
-	case stepCompare:
-		c := st.cmp
-		// Binder form: Var = expr with the var still unbound.
-		if c.Op == pql.CmpEq {
-			if v, ok := c.L.(*pql.Var); ok && !v.Wildcard() {
-				if _, bound := b[v.Name]; !bound && termGround(c.R, b) {
-					val, err := evalTerm(c.R, b, e.env)
-					if err != nil {
-						return err
-					}
-					b[v.Name] = val
-					err = e.joinFrom(steps, si+1, b, deltaStep, deltaTuples, emit)
-					delete(b, v.Name)
-					return err
-				}
-			}
-			if v, ok := c.R.(*pql.Var); ok && !v.Wildcard() {
-				if _, bound := b[v.Name]; !bound && termGround(c.L, b) {
-					val, err := evalTerm(c.L, b, e.env)
-					if err != nil {
-						return err
-					}
-					b[v.Name] = val
-					err = e.joinFrom(steps, si+1, b, deltaStep, deltaTuples, emit)
-					delete(b, v.Name)
-					return err
-				}
-			}
-		}
-		ok, err := evalCompare(c, b, e.env)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		return e.joinFrom(steps, si+1, b, deltaStep, deltaTuples, emit)
-
-	case stepNegated:
-		t := make(Tuple, len(st.atom.Args))
-		for i, a := range st.atom.Args {
-			v, err := evalTerm(a, b, e.env)
-			if err != nil {
-				return err
-			}
-			t[i] = v
-		}
-		rel := e.db.Get(st.atom.Pred)
-		if rel != nil && rel.Contains(t) {
-			return nil
-		}
-		return e.joinFrom(steps, si+1, b, deltaStep, deltaTuples, emit)
-
-	default: // stepPositive
-		var candidates []Tuple
-		if si == deltaStep {
-			candidates = deltaTuples
-		} else {
-			rel := e.db.Get(st.atom.Pred)
-			if rel == nil {
-				return nil
-			}
-			// Use an index over the argument positions that are already
-			// ground (variables bound earlier, or constants).
-			var cols []int
-			var key []value.Value
-			for i, a := range st.atom.Args {
-				switch a := a.(type) {
-				case *pql.Var:
-					if a.Wildcard() {
-						continue
-					}
-					if v, ok := b[a.Name]; ok {
-						cols = append(cols, i)
-						key = append(key, v)
-					}
-				case *pql.Const:
-					cols = append(cols, i)
-					key = append(key, a.Val)
-				default:
-					if termGround(a, b) {
-						v, err := evalTerm(a, b, e.env)
-						if err != nil {
-							return err
-						}
-						cols = append(cols, i)
-						key = append(key, v)
-					}
-				}
-			}
-			candidates = rel.Lookup(cols, key)
-		}
-		for _, t := range candidates {
-			if len(t) != len(st.atom.Args) {
-				return fmt.Errorf("pql: %s: arity mismatch binding %s", st.atom.Pos, st.atom.Pred)
-			}
-			newVars, ok, err := e.unify(st.atom, t, b)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := e.joinFrom(steps, si+1, b, deltaStep, deltaTuples, emit); err != nil {
-				return err
-			}
-			for _, n := range newVars {
-				delete(b, n)
-			}
-		}
-		return nil
-	}
-}
-
-// unify matches tuple t against atom args under b, extending b with newly
-// bound variables (returned so the caller can backtrack).
-func (e *Evaluator) unify(a *pql.Atom, t Tuple, b binding) (newVars []string, ok bool, err error) {
-	for i, arg := range a.Args {
-		switch arg := arg.(type) {
-		case *pql.Var:
-			if arg.Wildcard() {
-				continue
-			}
-			if v, bound := b[arg.Name]; bound {
-				if !v.Equal(t[i]) {
-					for _, n := range newVars {
-						delete(b, n)
-					}
-					return nil, false, nil
-				}
-				continue
-			}
-			b[arg.Name] = t[i]
-			newVars = append(newVars, arg.Name)
-		case *pql.Const:
-			if !arg.Val.Equal(t[i]) {
-				for _, n := range newVars {
-					delete(b, n)
-				}
-				return nil, false, nil
-			}
-		default:
-			if !termGround(arg, b) {
-				return nil, false, fmt.Errorf("pql: %s: argument %s of %s must be ground when matched", a.Pos, arg, a.Pred)
-			}
-			v, err := evalTerm(arg, b, e.env)
-			if err != nil {
-				return nil, false, err
-			}
-			if !v.Equal(t[i]) {
-				for _, n := range newVars {
-					delete(b, n)
-				}
-				return nil, false, nil
-			}
-		}
-	}
-	return newVars, true, nil
 }

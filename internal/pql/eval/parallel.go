@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"math"
 	"sync"
 
 	"ariadne/internal/pql"
@@ -20,24 +19,18 @@ import (
 // further locking. The canonical merge makes the final relations, their
 // insertion order, and the next round's delta independent of goroutine
 // scheduling: a parallel run is tuple-for-tuple identical to itself at any
-// worker count. (Versus the sequential evaluator the relations are
-// set-identical; insertion order may differ because workers see one
-// frozen-relation snapshot per round rather than mid-round inserts, so
-// reporting goes through Relation.Sorted either way.)
+// worker count. (Versus a sequential round the relations are set-identical;
+// insertion order may differ because workers see one frozen-relation
+// snapshot per round rather than mid-round inserts, so reporting goes
+// through Relation.Sorted either way.)
 
 // locShard maps a location value to a shard, reusing the engine's
 // non-negative partition hash for integral ids so shard assignment matches
 // the partition that owned the tuple during capture. Ints and numerically
 // equal Floats shard identically (mirroring Tuple.Key normalization).
 func locShard(v value.Value, p int) int {
-	switch v.Kind() {
-	case value.Int:
-		return int(uint64(v.Int()) % uint64(p))
-	case value.Float:
-		f := v.Float()
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			return int(uint64(int64(f)) % uint64(p))
-		}
+	if id, ok := vertexID(v); ok {
+		return int(uint64(id) % uint64(p))
 	}
 	var buf [16]byte
 	return int(fnvSum(appendNorm(buf[:0], v)) % uint64(p))
@@ -150,6 +143,11 @@ func (e *Evaluator) workerRound(w int, stratum []*pql.Rule, delta map[string][]T
 	rn := &slotRun{db: e.db}
 	for ri, r := range stratum {
 		plan := e.plans[r]
+		// Fact rules have no delta literal; they fire on one worker so the
+		// merge sees each unconditional derivation exactly once.
+		if plan.fact != nil && w != 0 {
+			continue
+		}
 		head := e.db.Get(r.Head.Pred)
 		predSeen := seen[r.Head.Pred]
 		if predSeen == nil {
@@ -158,7 +156,7 @@ func (e *Evaluator) workerRound(w int, stratum []*pql.Rule, delta map[string][]T
 		}
 		emit := func(t Tuple) error {
 			k := t.Key()
-			if head != nil && head.ContainsKey(k) {
+			if head.ContainsKey(k) {
 				return nil
 			}
 			if _, dup := predSeen[k]; dup {
@@ -168,38 +166,8 @@ func (e *Evaluator) workerRound(w int, stratum []*pql.Rule, delta map[string][]T
 			bufs[ri] = append(bufs[ri], emitted{key: k, t: t})
 			return nil
 		}
-
-		if plan.factPlan != nil {
-			// Fact rules have no delta literal; they fire on one worker so
-			// the merge sees each unconditional derivation exactly once.
-			if w != 0 {
-				continue
-			}
-			if sv := e.slotFacts[r]; sv != nil {
-				rn.prep(sv, nil, emit)
-				if err := sv.run(rn, 0); err != nil {
-					return nil, err
-				}
-			} else if err := e.joinFrom(plan.factPlan.steps, 0, binding{}, -1, nil, e.headEmit(r, emit)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		svs := e.slots[r]
-		for vi, v := range plan.variants {
-			dts := delta[plan.positivePreds[vi]]
-			if len(dts) == 0 {
-				continue
-			}
-			if svs != nil && svs[vi] != nil {
-				sv := svs[vi]
-				rn.prep(sv, dts, emit)
-				if err := sv.run(rn, 0); err != nil {
-					return nil, err
-				}
-			} else if err := e.joinFrom(v.steps, 0, binding{}, v.deltaStep, dts, e.headEmit(r, emit)); err != nil {
-				return nil, err
-			}
+		if err := plan.fire(rn, delta, emit); err != nil {
+			return nil, err
 		}
 	}
 	return bufs, nil

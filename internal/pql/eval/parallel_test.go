@@ -72,8 +72,8 @@ func diffSignatures(t *testing.T, label string, want, got map[string][]string) {
 	}
 }
 
-// Programs exercising every plan shape the slot compiler and the worker
-// fallback must agree on: recursion, negation, compare binders and filters,
+// Programs exercising every plan shape the slot programs and the oracle
+// must agree on: recursion, negation, compare binders and filters,
 // fact rules, wildcards, constants, arithmetic, and UDF calls. Facts are
 // sized so the round deltas clear parallelCutoff and the parallel path
 // really runs.
@@ -143,10 +143,6 @@ func parallelPrograms() map[string]struct {
 	}
 }
 
-// TestParallelFixpointMatchesSequential is the eval-level differential: for
-// every program shape, the parallel evaluator at 2 and 8 workers produces
-// relations bit-identical (canonical keys, sorted order) to the sequential
-// evaluator.
 // testEnv is NewEnv plus the synthetic EDBs the programs here feed.
 func testEnv() *analysis.Env {
 	env := analysis.NewEnv()
@@ -155,20 +151,65 @@ func testEnv() *analysis.Env {
 	return env
 }
 
-func TestParallelFixpointMatchesSequential(t *testing.T) {
+// runOracle evaluates src on the oracle interpreter, batch by batch.
+func runOracle(t *testing.T, src string, env *analysis.Env, batches []feedBatch) *Database {
+	t.Helper()
+	db := NewDatabase()
+	o, err := newOracle(analysis.MustAnalyze(src, env), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range batches {
+		for _, f := range batch {
+			o.AddFact(f.pred, f.t)
+		}
+		if err := o.Fixpoint(); err != nil {
+			t.Fatalf("oracle fixpoint: %v", err)
+		}
+	}
+	return db
+}
+
+// dbOrder renders every relation as name:key lines in insertion order.
+func dbOrder(db *Database) []string {
+	var out []string
+	for _, name := range db.Names() {
+		for _, tu := range db.Get(name).All() {
+			out = append(out, name+":"+tu.Key())
+		}
+	}
+	return out
+}
+
+// TestSlotProgramsMatchOracle is the eval-level differential: for every
+// program shape the slot programs at one worker reproduce the oracle
+// interpreter tuple for tuple in insertion order, and at 2 and 8 workers
+// produce relations bit-identical as sets (canonical keys, sorted order).
+func TestSlotProgramsMatchOracle(t *testing.T) {
 	for name, prog := range parallelPrograms() {
 		t.Run(name, func(t *testing.T) {
 			env := testEnv()
+			oracleDB := runOracle(t, prog.src, env, prog.batches)
+			want := relSignature(oracleDB)
 			refDB, refStats := runBatches(t, prog.src, env, 1, prog.batches)
-			want := relSignature(refDB)
+			diffSignatures(t, "workers=1", want, relSignature(refDB))
+			wo, go1 := dbOrder(oracleDB), dbOrder(refDB)
+			for i := range wo {
+				if i >= len(go1) || wo[i] != go1[i] {
+					t.Fatalf("workers=1: insertion order diverges from the oracle at %d", i)
+				}
+			}
+			if refStats.ParallelRounds != 0 {
+				t.Errorf("workers=1 ran %d parallel rounds", refStats.ParallelRounds)
+			}
 			for _, workers := range []int{2, 8} {
 				db, stats := runBatches(t, prog.src, env, workers, prog.batches)
 				diffSignatures(t, fmt.Sprintf("workers=%d", workers), want, relSignature(db))
 				if stats.Derivations != refStats.Derivations {
-					t.Errorf("workers=%d: derivations %d != sequential %d", workers, stats.Derivations, refStats.Derivations)
+					t.Errorf("workers=%d: derivations %d != one worker's %d", workers, stats.Derivations, refStats.Derivations)
 				}
 				if stats.FactsAdded != refStats.FactsAdded {
-					t.Errorf("workers=%d: facts added %d != sequential %d", workers, stats.FactsAdded, refStats.FactsAdded)
+					t.Errorf("workers=%d: facts added %d != one worker's %d", workers, stats.FactsAdded, refStats.FactsAdded)
 				}
 				if stats.ParallelRounds == 0 {
 					t.Errorf("workers=%d: no parallel rounds ran — cutoff or safety misclassified", workers)
@@ -193,19 +234,10 @@ func TestParallelFixpointMatchesSequential(t *testing.T) {
 // including insertion order (the canonical merge order).
 func TestParallelSelfDeterminism(t *testing.T) {
 	prog := parallelPrograms()["transitive-closure"]
-	insertionOrder := func(db *Database) []string {
-		var out []string
-		for _, name := range db.Names() {
-			for _, tu := range db.Get(name).All() {
-				out = append(out, name+":"+tu.Key())
-			}
-		}
-		return out
-	}
 	env := testEnv()
 	db1, _ := runBatches(t, prog.src, env, 4, prog.batches)
 	db2, _ := runBatches(t, prog.src, env, 4, prog.batches)
-	o1, o2 := insertionOrder(db1), insertionOrder(db2)
+	o1, o2 := dbOrder(db1), dbOrder(db2)
 	if len(o1) != len(o2) {
 		t.Fatalf("insertion order lengths differ: %d vs %d", len(o1), len(o2))
 	}
@@ -216,9 +248,9 @@ func TestParallelSelfDeterminism(t *testing.T) {
 	}
 }
 
-// TestAggregateStrataStaySequential: aggregate queries keep their strata on
-// the sequential path (ParallelSafeStrata gates them) yet still produce
-// identical results when workers are configured.
+// TestAggregateStrataStaySequential: aggregate queries never fan their
+// aggregate strata out (ParallelSafeStrata gates them) yet still produce the
+// oracle's results when workers are configured.
 func TestAggregateStrataStaySequential(t *testing.T) {
 	src := `deg(X, COUNT(Y)) :- link(X, Y).` + "\n" + `big(X) :- deg(X, D), D >= 2.`
 	var batch feedBatch
@@ -229,9 +261,11 @@ func TestAggregateStrataStaySequential(t *testing.T) {
 		}{"link", ints(int64(i%50), int64(i))})
 	}
 	env := testEnv()
-	refDB, _ := runBatches(t, src, env, 1, []feedBatch{batch})
-	db, _ := runBatches(t, src, env, 8, []feedBatch{batch})
-	diffSignatures(t, "aggregate", relSignature(refDB), relSignature(db))
+	want := relSignature(runOracle(t, src, env, []feedBatch{batch}))
+	for _, workers := range []int{1, 8} {
+		db, _ := runBatches(t, src, env, workers, []feedBatch{batch})
+		diffSignatures(t, fmt.Sprintf("aggregate workers=%d", workers), want, relSignature(db))
+	}
 }
 
 // TestSetWorkersGates: non-VC-compatible queries must refuse parallelism.

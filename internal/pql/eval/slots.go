@@ -8,20 +8,20 @@ import (
 	"ariadne/internal/value"
 )
 
-// Slot-compiled rule programs: the shard workers' fast path.
+// The slot program: the one IR every PQL rule is lowered to.
 //
-// orderBody produces a static join order, which means the set of bound
-// variables at each step is known at plan time. That lets us replace the
-// interpreter's binding map (string-keyed, with backtracking deletes) with a
-// flat slot array indexed by precomputed positions, and its per-step
-// cols/key rebuilds with precompiled lookup encoders writing into a reused
-// byte buffer. The compiled program matches every argument exactly the way
-// unify does (first variable occurrence binds, later occurrences compare,
-// constants and ground expressions compare by Equal), so a slot program and
-// joinFrom produce identical tuples in identical order. Any rule shape the
-// compiler doesn't cover — non-ground complex terms, unusual binder forms —
-// makes compileVariant return ok=false and the variant runs interpretively
-// inside the worker instead.
+// A planner (orderBody for the bottom-up evaluator, planRecordRule for the
+// query vertex program) fixes a static join order, so the set of bound
+// variables at each step is known at compile time. lower turns that order
+// into a program over a flat slot array indexed by precomputed positions:
+// a positive step draws candidate rows from its rowSource — an indexed
+// Relation lookup, the firing's delta batch, or a record source read
+// straight off the transient RecordView / StaticGraph — and matches every
+// argument against the row (first variable occurrence binds, later
+// occurrences compare, constants and ground expressions compare by Equal);
+// negations and comparisons filter; the head constructors build the emitted
+// tuple. Boundness is static: a variable read before it is bound is a
+// compile-time error, never a run-time one.
 
 // slotFn evaluates a term against the slot array.
 type slotFn func(slots []value.Value) (value.Value, error)
@@ -53,8 +53,8 @@ func (s *slotSrc) eval(slots []value.Value) (value.Value, error) {
 	}
 }
 
-// match actions: how each argument of a positive atom is checked against a
-// candidate tuple, mirroring unify argument by argument.
+// match actions: how each argument of an atom is checked against a
+// candidate row.
 type matchKind uint8
 
 const (
@@ -76,16 +76,17 @@ type slotStep struct {
 	kind stepKind
 	pred string
 	pos  pql.Pos
+	text string // the literal's source, for Explain
 
-	// stepPositive
-	isDelta    bool
+	// Predicate steps: where rows come from, the key columns ground before
+	// the step (with their sources), and the per-argument match actions. A
+	// negated step over a Relation tests membership by negSrc instead.
+	rows       rowSource
 	lookupCols []int
 	colsKey    string
 	lookupSrc  []slotSrc
 	match      []slotMatch
-
-	// stepNegated
-	negSrc []slotSrc
+	negSrc     []slotSrc
 
 	// stepCompare: bindSlot >= 0 is the binder form (evaluate bindFn into
 	// the slot), otherwise cmpFn filters.
@@ -94,32 +95,39 @@ type slotStep struct {
 	cmpFn    func(slots []value.Value) (bool, error)
 }
 
-// slotVariant is one compiled plan variant: the step program, the head
+// program is one lowered rule body: the step program, the head
 // constructors, and the slot count.
-type slotVariant struct {
+type program struct {
 	steps  []slotStep
 	head   []slotSrc
 	nSlots int
 }
 
-// slotRun is per-(worker, firing) scratch state: the slot array, a reused
-// key buffer, the delta batch, and the emit sink.
+// slotRun is per-goroutine scratch state: the slot array, reused key and
+// row buffers, the firing's delta batch and emit sink, and — on the
+// record-sourced path — the record and graph the record sources read.
 type slotRun struct {
 	db     *Database
+	sg     StaticGraph
+	rv     *RecordView
 	slots  []value.Value
+	rowBuf [][]value.Value // per step, reused across rows
 	keyBuf []byte
 	deltas []Tuple
 	emit   func(Tuple) error
 }
 
-// prep sizes the scratch for sv and installs the delta batch and sink.
+// prep sizes the scratch for p and installs the delta batch and sink.
 // Stale slot values from a previous firing are harmless: the static binding
 // discipline guarantees every slot is written before it is read.
-func (rn *slotRun) prep(sv *slotVariant, deltas []Tuple, emit func(Tuple) error) {
-	if cap(rn.slots) < sv.nSlots {
-		rn.slots = make([]value.Value, sv.nSlots)
+func (rn *slotRun) prep(p *program, deltas []Tuple, emit func(Tuple) error) {
+	if cap(rn.slots) < p.nSlots {
+		rn.slots = make([]value.Value, p.nSlots)
 	} else {
-		rn.slots = rn.slots[:sv.nSlots]
+		rn.slots = rn.slots[:p.nSlots]
+	}
+	for len(rn.rowBuf) < len(p.steps) {
+		rn.rowBuf = append(rn.rowBuf, nil)
 	}
 	rn.deltas = deltas
 	rn.emit = emit
@@ -134,12 +142,58 @@ func appendNorm(b []byte, v value.Value) []byte {
 	return v.AppendBinary(b)
 }
 
+// key evaluates srcs into the reused key buffer, in canonical encoding.
+func (rn *slotRun) key(srcs []slotSrc) ([]byte, error) {
+	kb := rn.keyBuf[:0]
+	for i := range srcs {
+		v, err := srcs[i].eval(rn.slots)
+		if err != nil {
+			return nil, err
+		}
+		kb = appendNorm(kb, v)
+	}
+	rn.keyBuf = kb
+	return kb, nil
+}
+
+// matchRow runs the step's match actions against one candidate row.
+func (st *slotStep) matchRow(slots, row []value.Value) (bool, error) {
+	if len(row) != len(st.match) {
+		return false, fmt.Errorf("pql: %s: arity mismatch binding %s", st.pos, st.pred)
+	}
+	for i := range st.match {
+		m := &st.match[i]
+		switch m.kind {
+		case matchSkip:
+		case matchBind:
+			slots[m.slot] = row[i]
+		case matchSlot:
+			if !slots[m.slot].Equal(row[i]) {
+				return false, nil
+			}
+		case matchConst:
+			if !m.cval.Equal(row[i]) {
+				return false, nil
+			}
+		default: // matchFn
+			v, err := m.fn(slots)
+			if err != nil {
+				return false, err
+			}
+			if !v.Equal(row[i]) {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
+}
+
 // run executes the program from step si.
-func (sv *slotVariant) run(rn *slotRun, si int) error {
-	if si == len(sv.steps) {
-		t := make(Tuple, len(sv.head))
-		for i := range sv.head {
-			v, err := sv.head[i].eval(rn.slots)
+func (p *program) run(rn *slotRun, si int) error {
+	if si == len(p.steps) {
+		t := make(Tuple, len(p.head))
+		for i := range p.head {
+			v, err := p.head[i].eval(rn.slots)
 			if err != nil {
 				return err
 			}
@@ -147,45 +201,41 @@ func (sv *slotVariant) run(rn *slotRun, si int) error {
 		}
 		return rn.emit(t)
 	}
-	st := &sv.steps[si]
-	switch st.kind {
-	case stepCompare:
+	st := &p.steps[si]
+	switch {
+	case st.kind == stepCompare:
 		if st.bindSlot >= 0 {
 			v, err := st.bindFn(rn.slots)
 			if err != nil {
 				return err
 			}
 			rn.slots[st.bindSlot] = v
-			return sv.run(rn, si+1)
+			return p.run(rn, si+1)
 		}
 		ok, err := st.cmpFn(rn.slots)
 		if err != nil || !ok {
 			return err
 		}
-		return sv.run(rn, si+1)
+		return p.run(rn, si+1)
 
-	case stepNegated:
+	case st.rows >= rowsSuperstep:
+		return p.runRecord(rn, si, st)
+
+	case st.kind == stepNegated:
 		// Evaluate the arguments before the nil-relation check so UDF and
-		// arithmetic errors surface exactly as in the interpreter.
-		kb := rn.keyBuf[:0]
-		for i := range st.negSrc {
-			v, err := st.negSrc[i].eval(rn.slots)
-			if err != nil {
-				return err
-			}
-			kb = appendNorm(kb, v)
+		// arithmetic errors surface whether or not the relation exists.
+		kb, err := rn.key(st.negSrc)
+		if err != nil {
+			return err
 		}
-		rn.keyBuf = kb
 		if rel := rn.db.Get(st.pred); rel != nil && rel.containsKeyBytes(kb) {
 			return nil
 		}
-		return sv.run(rn, si+1)
+		return p.run(rn, si+1)
 
-	default: // stepPositive
-		var cands []Tuple
-		if st.isDelta {
-			cands = rn.deltas
-		} else {
+	default: // stepPositive over a Relation or the delta batch
+		cands := rn.deltas
+		if st.rows == rowsRelation {
 			rel := rn.db.Get(st.pred)
 			if rel == nil {
 				return nil
@@ -193,49 +243,22 @@ func (sv *slotVariant) run(rn *slotRun, si int) error {
 			if len(st.lookupCols) == 0 {
 				cands = rel.All()
 			} else {
-				kb := rn.keyBuf[:0]
-				for i := range st.lookupSrc {
-					v, err := st.lookupSrc[i].eval(rn.slots)
-					if err != nil {
-						return err
-					}
-					kb = appendNorm(kb, v)
+				kb, err := rn.key(st.lookupSrc)
+				if err != nil {
+					return err
 				}
-				rn.keyBuf = kb
 				cands = rel.LookupKey(st.lookupCols, st.colsKey, kb)
 			}
 		}
-		nm := len(st.match)
-	outer:
 		for _, t := range cands {
-			if len(t) != nm {
-				return fmt.Errorf("pql: %s: arity mismatch binding %s", st.pos, st.pred)
+			ok, err := st.matchRow(rn.slots, t)
+			if err != nil {
+				return err
 			}
-			for i := 0; i < nm; i++ {
-				m := &st.match[i]
-				switch m.kind {
-				case matchSkip:
-				case matchBind:
-					rn.slots[m.slot] = t[i]
-				case matchSlot:
-					if !rn.slots[m.slot].Equal(t[i]) {
-						continue outer
-					}
-				case matchConst:
-					if !m.cval.Equal(t[i]) {
-						continue outer
-					}
-				default: // matchFn
-					v, err := m.fn(rn.slots)
-					if err != nil {
-						return err
-					}
-					if !v.Equal(t[i]) {
-						continue outer
-					}
-				}
+			if !ok {
+				continue
 			}
-			if err := sv.run(rn, si+1); err != nil {
+			if err := p.run(rn, si+1); err != nil {
 				return err
 			}
 		}
@@ -243,46 +266,49 @@ func (sv *slotVariant) run(rn *slotRun, si int) error {
 	}
 }
 
-// slotCompiler tracks the static binding state during compilation: which
-// variables are bound, and at which slot.
-type slotCompiler struct {
+// lowerer tracks the static binding state during lowering: which variables
+// are bound, and at which slot.
+type lowerer struct {
 	env    *analysis.Env
 	slotOf map[string]int
-	n      int
 }
 
-func (sc *slotCompiler) bind(name string) int {
-	if s, ok := sc.slotOf[name]; ok {
+func (lw *lowerer) bind(name string) int {
+	if s, ok := lw.slotOf[name]; ok {
 		return s
 	}
-	s := sc.n
-	sc.n++
-	sc.slotOf[name] = s
+	s := len(lw.slotOf)
+	lw.slotOf[name] = s
 	return s
 }
 
-// slotFn compiles a term that must be ground at this point of the program.
-// Returns ok=false for wildcards, unbound variables, and term shapes the
-// compiler doesn't handle — the caller falls back to the interpreter, whose
-// runtime groundness checks route those cases identically.
-func (sc *slotCompiler) slotFn(t pql.Term) (slotFn, bool) {
+// ground reports whether every variable of t is bound at this point.
+func (lw *lowerer) ground(t pql.Term) bool {
+	var vs []*pql.Var
+	for _, v := range pql.Vars(t, vs) {
+		if _, ok := lw.slotOf[v.Name]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// term lowers a term that must be ground at this point of the program.
+func (lw *lowerer) term(t pql.Term) (slotFn, error) {
 	switch t := t.(type) {
 	case *pql.Const:
 		v := t.Val
-		return func([]value.Value) (value.Value, error) { return v, nil }, true
+		return func([]value.Value) (value.Value, error) { return v, nil }, nil
 	case *pql.Var:
-		if t.Wildcard() {
-			return nil, false
-		}
-		slot, ok := sc.slotOf[t.Name]
+		slot, ok := lw.slotOf[t.Name]
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("pql: %s: variable %s is not bound at this point of the rule body", t.Pos, t.Name)
 		}
-		return func(s []value.Value) (value.Value, error) { return s[slot], nil }, true
+		return func(s []value.Value) (value.Value, error) { return s[slot], nil }, nil
 	case *pql.BinExpr:
-		lf, ok := sc.slotFn(t.L)
-		if !ok {
-			return nil, false
+		lf, err := lw.term(t.L)
+		if err != nil {
+			return nil, err
 		}
 		if t.Op == pql.OpNeg {
 			return func(s []value.Value) (value.Value, error) {
@@ -291,11 +317,11 @@ func (sc *slotCompiler) slotFn(t pql.Term) (slotFn, bool) {
 					return value.NullValue, err
 				}
 				return value.Neg(l)
-			}, true
+			}, nil
 		}
-		rf, ok := sc.slotFn(t.R)
-		if !ok {
-			return nil, false
+		rf, err := lw.term(t.R)
+		if err != nil {
+			return nil, err
 		}
 		var op func(a, b value.Value) (value.Value, error)
 		switch t.Op {
@@ -310,7 +336,7 @@ func (sc *slotCompiler) slotFn(t pql.Term) (slotFn, bool) {
 		case pql.OpMod:
 			op = value.Mod
 		default:
-			return nil, false
+			return nil, fmt.Errorf("pql: %s: unknown operator", t.Pos)
 		}
 		return func(s []value.Value) (value.Value, error) {
 			l, err := lf(s)
@@ -322,17 +348,17 @@ func (sc *slotCompiler) slotFn(t pql.Term) (slotFn, bool) {
 				return value.NullValue, err
 			}
 			return op(l, r)
-		}, true
+		}, nil
 	case *pql.Call:
-		fn, ok := sc.env.Funcs[t.Name]
+		fn, ok := lw.env.Funcs[t.Name]
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("pql: %s: unknown function %s", t.Pos, t.Name)
 		}
 		argFns := make([]slotFn, len(t.Args))
 		for i, a := range t.Args {
-			af, ok := sc.slotFn(a)
-			if !ok {
-				return nil, false
+			af, err := lw.term(a)
+			if err != nil {
+				return nil, err
 			}
 			argFns[i] = af
 		}
@@ -351,47 +377,65 @@ func (sc *slotCompiler) slotFn(t pql.Term) (slotFn, bool) {
 				return value.NullValue, fmt.Errorf("pql: %s: %s: %w", pos, name, err)
 			}
 			return out, nil
-		}, true
+		}, nil
 	default:
-		return nil, false
+		return nil, fmt.Errorf("pql: %s: cannot evaluate %s here", termPos(t), t)
 	}
 }
 
-// src compiles a term into a slot source; the srcConst/srcSlot forms avoid
-// a closure call for the common cases.
-func (sc *slotCompiler) src(t pql.Term) (slotSrc, bool) {
+func termPos(t pql.Term) pql.Pos {
 	switch t := t.(type) {
-	case *pql.Const:
-		return slotSrc{kind: srcConst, cval: t.Val}, true
-	case *pql.Var:
-		if t.Wildcard() {
-			return slotSrc{}, false
-		}
-		if slot, ok := sc.slotOf[t.Name]; ok {
-			return slotSrc{kind: srcSlot, slot: slot}, true
-		}
-		return slotSrc{}, false
-	default:
-		fn, ok := sc.slotFn(t)
-		if !ok {
-			return slotSrc{}, false
-		}
-		return slotSrc{kind: srcFn, fn: fn}, true
+	case *pql.Param:
+		return t.Pos
+	case *pql.Aggregate:
+		return t.Pos
 	}
+	return pql.Pos{}
 }
 
-// cmpFn compiles a comparison filter (both sides ground).
-func (sc *slotCompiler) cmpFn(c *pql.CmpLit) (func([]value.Value) (bool, error), bool) {
-	lf, ok := sc.slotFn(c.L)
-	if !ok {
-		return nil, false
+// src lowers a ground term into a slot source; the srcConst/srcSlot forms
+// avoid a closure call for the common cases.
+func (lw *lowerer) src(t pql.Term) (slotSrc, error) {
+	if c, ok := t.(*pql.Const); ok {
+		return slotSrc{kind: srcConst, cval: c.Val}, nil
 	}
-	rf, ok := sc.slotFn(c.R)
-	if !ok {
-		return nil, false
+	if v, ok := t.(*pql.Var); ok {
+		if slot, bound := lw.slotOf[v.Name]; bound {
+			return slotSrc{kind: srcSlot, slot: slot}, nil
+		}
+	}
+	fn, err := lw.term(t)
+	return slotSrc{kind: srcFn, fn: fn}, err
+}
+
+// cmp lowers a comparison literal: the binder form `v = expr` when v is a
+// still-unbound variable and expr is ground, a filter otherwise.
+func (lw *lowerer) cmp(c *pql.CmpLit) (slotStep, error) {
+	st := slotStep{kind: stepCompare, pos: c.Pos, text: c.String(), bindSlot: -1}
+	if c.Op == pql.CmpEq {
+		for _, side := range [2][2]pql.Term{{c.L, c.R}, {c.R, c.L}} {
+			v, ok := asVar(side[0])
+			if _, bound := lw.slotOf[v]; !ok || bound || !lw.ground(side[1]) {
+				continue
+			}
+			fn, err := lw.term(side[1])
+			if err != nil {
+				return st, err
+			}
+			st.bindSlot, st.bindFn = lw.bind(v), fn
+			return st, nil
+		}
+	}
+	lf, err := lw.term(c.L)
+	if err != nil {
+		return st, err
+	}
+	rf, err := lw.term(c.R)
+	if err != nil {
+		return st, err
 	}
 	op, pos := c.Op, c.Pos
-	return func(s []value.Value) (bool, error) {
+	st.cmpFn = func(s []value.Value) (bool, error) {
 		l, err := lf(s)
 		if err != nil {
 			return false, err
@@ -419,114 +463,94 @@ func (sc *slotCompiler) cmpFn(c *pql.CmpLit) (func([]value.Value) (bool, error),
 		default:
 			return false, fmt.Errorf("pql: %s: unknown comparison", pos)
 		}
-	}, true
+	}
+	return st, nil
 }
 
-// compileVariant compiles one plan variant into a slot program. ok=false
-// means the variant has a shape the compiler doesn't support and must run
-// interpretively.
-func compileVariant(r *pql.Rule, v *planVariant, env *analysis.Env) (*slotVariant, bool) {
-	sc := &slotCompiler{env: env, slotOf: map[string]int{}}
-	sv := &slotVariant{}
-	for si, st := range v.steps {
-		switch st.kind {
-		case stepPositive:
-			s := slotStep{kind: stepPositive, pred: st.atom.Pred, pos: st.atom.Pos, isDelta: si == v.deltaStep}
-			// Pass 1: build the lookup key from arguments ground *before*
-			// this step (sc.slotOf is still the pre-step binding state).
-			// The delta step scans its batch and never looks up.
-			if !s.isDelta {
-				for i, a := range st.atom.Args {
-					if src, ok := sc.src(a); ok {
-						s.lookupCols = append(s.lookupCols, i)
-						s.lookupSrc = append(s.lookupSrc, src)
-					}
+// atom lowers a predicate step. Pass 1 builds the lookup key from the
+// source's key columns that are ground *before* the step; pass 2 builds the
+// match actions in argument order — a variable's first occurrence binds, a
+// repeat occurrence (even within this atom) compares.
+func (lw *lowerer) atom(ps planStep) (slotStep, error) {
+	a := ps.atom
+	st := slotStep{kind: ps.kind, pred: a.Pred, pos: a.Pos, text: a.String(), rows: ps.rows, bindSlot: -1}
+	if ps.kind == stepNegated {
+		st.text = "!" + st.text
+		if ps.rows == rowsRelation {
+			for _, arg := range a.Args {
+				src, err := lw.src(arg)
+				if err != nil {
+					return st, err
 				}
-				s.colsKey = encodeCols(s.lookupCols)
+				st.negSrc = append(st.negSrc, src)
 			}
-			// Pass 2: match actions in argument order, exactly as unify
-			// walks them — a variable's first occurrence binds, a repeat
-			// occurrence (even within this atom) compares.
-			s.match = make([]slotMatch, len(st.atom.Args))
-			for i, a := range st.atom.Args {
-				switch a := a.(type) {
-				case *pql.Var:
-					if a.Wildcard() {
-						s.match[i] = slotMatch{kind: matchSkip}
-					} else if slot, ok := sc.slotOf[a.Name]; ok {
-						s.match[i] = slotMatch{kind: matchSlot, slot: slot}
-					} else {
-						s.match[i] = slotMatch{kind: matchBind, slot: sc.bind(a.Name)}
-					}
-				case *pql.Const:
-					s.match[i] = slotMatch{kind: matchConst, cval: a.Val}
-				default:
-					fn, ok := sc.slotFn(a)
-					if !ok {
-						return nil, false
-					}
-					s.match[i] = slotMatch{kind: matchFn, fn: fn}
-				}
-			}
-			sv.steps = append(sv.steps, s)
-
-		case stepNegated:
-			s := slotStep{kind: stepNegated, pred: st.atom.Pred, pos: st.atom.Pos}
-			for _, a := range st.atom.Args {
-				src, ok := sc.src(a)
-				if !ok {
-					return nil, false
-				}
-				s.negSrc = append(s.negSrc, src)
-			}
-			sv.steps = append(sv.steps, s)
-
-		case stepCompare:
-			c := st.cmp
-			// Static binder detection, mirroring joinFrom's dynamic checks
-			// in the same order: boundness is static, so "unbound at this
-			// step" is decidable at compile time.
-			if c.Op == pql.CmpEq {
-				if bs, ok := compileBinder(sc, c.L, c.R); ok {
-					sv.steps = append(sv.steps, bs)
-					continue
-				}
-				if bs, ok := compileBinder(sc, c.R, c.L); ok {
-					sv.steps = append(sv.steps, bs)
-					continue
-				}
-			}
-			cf, ok := sc.cmpFn(c)
-			if !ok {
-				return nil, false
-			}
-			sv.steps = append(sv.steps, slotStep{kind: stepCompare, bindSlot: -1, cmpFn: cf})
+			return st, nil
 		}
 	}
-	for _, a := range r.Head.Args {
-		src, ok := sc.src(a)
-		if !ok {
-			return nil, false
+	for i, arg := range a.Args {
+		if !ps.rows.keyColumn(i, len(a.Args)) || !lw.ground(arg) {
+			continue
 		}
-		sv.head = append(sv.head, src)
+		src, err := lw.src(arg)
+		if err != nil {
+			return st, err
+		}
+		st.lookupCols = append(st.lookupCols, i)
+		st.lookupSrc = append(st.lookupSrc, src)
 	}
-	sv.nSlots = sc.n
-	return sv, true
+	st.colsKey = encodeCols(st.lookupCols)
+	st.match = make([]slotMatch, len(a.Args))
+	for i, arg := range a.Args {
+		switch arg := arg.(type) {
+		case *pql.Var:
+			if arg.Wildcard() {
+				st.match[i] = slotMatch{kind: matchSkip}
+			} else if slot, ok := lw.slotOf[arg.Name]; ok {
+				st.match[i] = slotMatch{kind: matchSlot, slot: slot}
+			} else {
+				st.match[i] = slotMatch{kind: matchBind, slot: lw.bind(arg.Name)}
+			}
+		case *pql.Const:
+			st.match[i] = slotMatch{kind: matchConst, cval: arg.Val}
+		default:
+			fn, err := lw.term(arg)
+			if err != nil {
+				return st, fmt.Errorf("%w (argument %s of %s must be ground when matched)", err, arg, a.Pred)
+			}
+			st.match[i] = slotMatch{kind: matchFn, fn: fn}
+		}
+	}
+	return st, nil
 }
 
-// compileBinder compiles `v = expr` when v is an unbound non-wildcard
-// variable and expr is ground — the binder form of a comparison step.
-func compileBinder(sc *slotCompiler, lhs, rhs pql.Term) (slotStep, bool) {
-	v, ok := lhs.(*pql.Var)
-	if !ok || v.Wildcard() {
-		return slotStep{}, false
+// lower compiles an ordered body and head into a slot program. Variables
+// named in bound hold a value before the first step runs (slots 0..).
+func lower(steps []planStep, head []pql.Term, env *analysis.Env, bound ...string) (*program, error) {
+	lw := &lowerer{env: env, slotOf: map[string]int{}}
+	for _, name := range bound {
+		lw.bind(name)
 	}
-	if _, bound := sc.slotOf[v.Name]; bound {
-		return slotStep{}, false
+	p := &program{}
+	for _, ps := range steps {
+		var st slotStep
+		var err error
+		if ps.kind == stepCompare {
+			st, err = lw.cmp(ps.cmp)
+		} else {
+			st, err = lw.atom(ps)
+		}
+		if err != nil {
+			return nil, err
+		}
+		p.steps = append(p.steps, st)
 	}
-	fn, ok := sc.slotFn(rhs)
-	if !ok {
-		return slotStep{}, false
+	for _, a := range head {
+		src, err := lw.src(a)
+		if err != nil {
+			return nil, err
+		}
+		p.head = append(p.head, src)
 	}
-	return slotStep{kind: stepCompare, bindSlot: sc.bind(v.Name), bindFn: fn}, true
+	p.nSlots = len(lw.slotOf)
+	return p, nil
 }

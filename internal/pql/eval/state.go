@@ -123,7 +123,7 @@ func (c *Compiled) LoadState(r *value.BlobReader) error {
 	return nil
 }
 
-// SaveState serializes the interpretive evaluator's state beyond the
+// SaveState serializes the materialised evaluator's state beyond the
 // database: work counters and the aggregate group tables (incremental
 // SUM/COUNT/AVG/MIN/MAX accumulators with their dedup sets).
 func (e *Evaluator) SaveState(w *value.Blob) {
@@ -194,6 +194,7 @@ func (e *Evaluator) LoadState(r *value.BlobReader) error {
 			break
 		}
 		table.groups = map[string]*aggState{}
+		table.touched = map[string]bool{}
 		for j := 0; j < nGroups && r.Err() == nil; j++ {
 			k := r.String()
 			st := &aggState{min: math.Inf(1), max: math.Inf(-1), seen: map[string]bool{}}
