@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-micro bench-store bench-full bench-smoke loc vet race ci fault-matrix fault-matrix-net chaos trace-demo clean
+.PHONY: all build test bench bench-micro bench-store bench-full bench-smoke bench-e2e loc vet race ci fault-matrix fault-matrix-net chaos trace-demo clean
 
 all: build test
 
@@ -35,10 +35,11 @@ bench: bench-micro
 # bench-micro runs the barrier, spill-pipeline, and query-evaluation
 # microbenchmarks and feeds them through cmd/benchjson, which writes
 # BENCH_micro.json and fails on a regression of the hardware-independent
-# ratios (sequential/parallel barrier-phase time, sync/async spill time,
-# 8-worker/1-worker eval-phase time over the same slot programs,
-# unpipelined/pipelined layered run time). The committed BENCH_micro.json is
-# the single-core container baseline; CI archives the fresh one.
+# ratios (parallel/sequential barrier-phase time over the same inbox.build,
+# sync/async spill time, 8-worker/1-worker eval-phase time over the same slot
+# programs, unpipelined/pipelined layered run time). The committed
+# BENCH_micro.json is the single-core container baseline (taskset -c 0); CI
+# archives the fresh one.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkBarrier' -benchmem -count 1 \
 		./internal/engine/ > bench-micro.out
@@ -85,10 +86,23 @@ bench-full:
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 
-# loc prints the non-test Go lines of the two packages ROADMAP aim 2 tracks
-# (one PQL evaluator, net-negative line counts); CI records it per run.
+# bench-e2e runs the repo benchmark as BENCHMARK.json declares it (every
+# workload, --seconds 8, untraced) and appends one entry — commit, per-workload
+# job_s / setup_s / failed and the exact work counts — to BENCH_e2e.json, the
+# committed end-to-end trajectory (ROADMAP 1a). COMMIT labels the entry.
+E2E_WORKLOADS = bare.pagerank online.q4.pagerank online.q6.sssp online.q7.als \
+	capture.full.pagerank layered.q6.sssp tcp.comb.sssp
+COMMIT ?= $(shell git describe --always --dirty)
+bench-e2e:
+	for w in $(E2E_WORKLOADS); do \
+		bash benchmark/run.sh --workload $$w --seconds 8 || exit 1; \
+	done | $(GO) run ./cmd/benchjson -e2e -commit "$(COMMIT)" -out BENCH_e2e.json
+
+# loc prints the non-test Go lines of the packages ROADMAP aim 2 tracks (one
+# PQL evaluator, one message barrier; net-negative line counts); CI records
+# it per run.
 loc:
-	@for p in internal/pql/eval internal/driver; do \
+	@for p in internal/pql/eval internal/driver internal/engine; do \
 		printf '%-20s %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
 	done
 

@@ -202,12 +202,11 @@ func WithCombiner(f func(a, b Value) Value) Option {
 	}
 }
 
-// WithSequentialBarrier selects the seed single-threaded superstep barrier
-// (one sequential merge loop, fresh inbox maps each superstep, global
-// record sort) instead of the parallel sharded one. Combining semantics
-// are shared between the modes, so the two paths are bit-identical by
-// construction; this option exists as the reference leg for differential
-// tests and the "before" leg of BenchmarkBarrier.
+// WithSequentialBarrier runs the superstep barrier single-threaded — every
+// partition's inbox built on the engine goroutine instead of one goroutine
+// each. Both settings run the same code over the same messages, so results
+// are bit-identical by construction; this option exists as the reference
+// leg for differential tests and BenchmarkBarrier.
 func WithSequentialBarrier() Option {
 	return func(c *runConfig) error {
 		c.engineCfg.SequentialBarrier = true

@@ -193,7 +193,7 @@ func cmdRun(args []string) error {
 	spillQueue := fs.Int("spill-queue", 0, "async spill queue depth in layers (0 = default double-buffering)")
 	reloadCache := fs.Int("reload-cache", 0, "spilled-layer reload cache capacity in layers (0 = default, negative = disabled)")
 	storeFormat := fs.String("store-format", "v2", "spilled layer file format: v2 (compressed columnar) or v1 (row-oriented); reads always auto-detect")
-	seqBarrier := fs.Bool("seq-barrier", false, "use the reference sequential superstep barrier instead of the sharded parallel one (bit-identical results, slower)")
+	seqBarrier := fs.Bool("seq-barrier", false, "run the superstep barrier single-threaded instead of one goroutine per partition (reference leg; bit-identical results)")
 	transportName := fs.String("transport", "inproc", "partition transport: inproc, or tcp to run partitions on worker processes")
 	workers := fs.Int("workers", 0, "worker processes to spawn with -transport tcp (0 = 1)")
 	workerAddrs := fs.String("worker-addrs", "", `comma-separated addresses of already-running "ariadne worker" processes (instead of -workers)`)

@@ -48,10 +48,12 @@ func benchGraph(b *testing.B, n, deg int) *graph.Graph {
 	return g
 }
 
-// BenchmarkBarrier compares the seed sequential superstep barrier against
-// the sharded parallel one at 8 partitions, with and without a combiner.
-// The parallel/sequential time ratio is the regression metric archived by
-// `make bench-micro` — it is hardware-independent, unlike absolute ns/op.
+// BenchmarkBarrier runs the barrier at 8 partitions on one goroutine
+// (sequential) and on one per destination partition (parallel), with and
+// without a combiner. Both legs run the same inbox.build, so the
+// parallel/sequential barrier-phase ratio archived by `make bench-micro`
+// measures only what the fan-out costs — it is hardware-independent, unlike
+// absolute ns/op. barrier-ns/msg and allocs/op are reported per leg.
 func BenchmarkBarrier(b *testing.B) {
 	const (
 		nVertices  = 10000
@@ -97,7 +99,49 @@ func BenchmarkBarrier(b *testing.B) {
 				}
 				b.ReportMetric(float64(sent)*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 				b.ReportMetric(float64(barrierNS)/float64(b.N), "barrier-ns/op")
+				b.ReportMetric(float64(barrierNS)/float64(b.N)/float64(sent), "barrier-ns/msg")
 			})
 		}
+	}
+}
+
+// BenchmarkBarrierShape runs whole jobs at the two shapes BenchmarkBarrier's
+// dense 8-partition flood does not cover: a chain, whose frontier is one
+// vertex for as many supersteps as the graph has vertices (the barrier must
+// cost what the frontier costs, not what the partition holds), and the flood
+// at 16 and 64 partitions (the column merge must not cost O(partitions) per
+// message).
+func BenchmarkBarrierShape(b *testing.B) {
+	run := func(name string, g *graph.Graph, prog Program, cfg Config) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var supersteps int
+			for i := 0; i < b.N; i++ {
+				e, err := New(g, prog, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stats, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				supersteps = stats.Supersteps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(supersteps), "ns/superstep")
+		})
+	}
+	const chain = 10000
+	edges := make([]graph.Edge, 0, chain-1)
+	for v := 0; v < chain-1; v++ {
+		edges = append(edges, graph.Edge{Src: VertexID(v), Dst: VertexID(v + 1), Weight: 1})
+	}
+	g, err := graph.NewFromEdges(chain, edges)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("chain/partitions=4", g, minProg{}, Config{Partitions: 4})
+	flood := benchGraph(b, 10000, 8)
+	for _, p := range []int{16, 64} {
+		run(fmt.Sprintf("flood/partitions=%d", p), flood, floodProg{}, Config{Partitions: p, MaxSupersteps: 8})
 	}
 }

@@ -96,7 +96,8 @@ type checkpointData struct {
 	nEdges     int64
 	values     []value.Value
 	lastActive []int32
-	inbox      []inboxEntry
+	inboxIDs   []VertexID // in-flight messages: inboxMsgs[i] are addressed to inboxIDs[i]
+	inboxMsgs  [][]IncomingMessage
 	aggCurrent map[string]float64
 	stat       RunStats
 	profiles   []obs.SuperstepProfile
@@ -104,11 +105,6 @@ type checkpointData struct {
 	rpcs       []obs.RPCStat
 	obsPresent []bool
 	obsBlobs   [][]byte
-}
-
-type inboxEntry struct {
-	dst  VertexID
-	msgs []IncomingMessage
 }
 
 // writeCheckpoint snapshots engine state entering superstep resumeSS.
@@ -157,20 +153,23 @@ func (e *Engine) encodeCheckpoint(resumeSS int) ([]byte, error) {
 	for _, la := range e.lastActive {
 		w.Int(int64(la))
 	}
-	// In-flight messages, flattened and sorted by destination so the
-	// checkpoint is independent of the partition count.
-	var entries []inboxEntry
-	for p := range e.inboxes {
-		for dst, msgs := range e.inboxes[p] {
-			entries = append(entries, inboxEntry{dst: dst, msgs: msgs})
-		}
+	// In-flight messages in ascending destination, each destination's in
+	// inbox order (ascending source vertex), so the section is independent
+	// of the partition count when no combiner folded across partitions.
+	nOwners := 0
+	for _, in := range e.inbox {
+		nOwners += len(in.owners())
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].dst < entries[j].dst })
-	w.Uvarint(uint64(len(entries)))
-	for _, en := range entries {
-		w.Uvarint(uint64(en.dst))
-		w.Uvarint(uint64(len(en.msgs)))
-		for _, m := range en.msgs {
+	w.Uvarint(uint64(nOwners))
+	for v := 0; v < e.g.NumVertices() && nOwners > 0; v++ {
+		msgs := e.inbox[e.partition(VertexID(v))].msgs(VertexID(v))
+		if len(msgs) == 0 {
+			continue
+		}
+		nOwners--
+		w.Uvarint(uint64(v))
+		w.Uvarint(uint64(len(msgs)))
+		for _, m := range msgs {
 			w.Uvarint(uint64(m.Src))
 			w.Value(m.Val)
 		}
@@ -291,12 +290,14 @@ func loadCheckpoint(path string) (*checkpointData, error) {
 	}
 	nInbox := r.Count()
 	for i := 0; i < nInbox && r.Err() == nil; i++ {
-		en := inboxEntry{dst: VertexID(r.Uvarint())}
+		dst := VertexID(r.Uvarint())
+		var msgs []IncomingMessage
 		nMsgs := r.Count()
 		for j := 0; j < nMsgs && r.Err() == nil; j++ {
-			en.msgs = append(en.msgs, IncomingMessage{Src: VertexID(r.Uvarint()), Val: r.Value()})
+			msgs = append(msgs, IncomingMessage{Src: VertexID(r.Uvarint()), Val: r.Value()})
 		}
-		cp.inbox = append(cp.inbox, en)
+		cp.inboxIDs = append(cp.inboxIDs, dst)
+		cp.inboxMsgs = append(cp.inboxMsgs, msgs)
 	}
 	cp.aggCurrent = map[string]float64{}
 	nAgg := r.Count()
@@ -369,11 +370,8 @@ func (e *Engine) restoreCore(cp *checkpointData) error {
 	}
 	copy(e.values, cp.values)
 	copy(e.lastActive, cp.lastActive)
-	for p := range e.inboxes {
-		e.inboxes[p] = make(map[VertexID][]IncomingMessage)
-	}
-	for _, en := range cp.inbox {
-		e.inboxes[e.partition(en.dst)][en.dst] = en.msgs
+	for _, in := range e.inbox {
+		in.install(cp.inboxIDs, cp.inboxMsgs)
 	}
 	e.agg.current = cp.aggCurrent
 	e.startSS = cp.resumeSS

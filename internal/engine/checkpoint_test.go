@@ -3,8 +3,11 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"ariadne/internal/fault"
@@ -113,6 +116,113 @@ func TestResumeAcrossPartitionCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameValues(t, re.Values(), baseline)
+}
+
+// inFlightSection renders a checkpoint file's in-flight messages bit for bit.
+func inFlightSection(t *testing.T, path string) string {
+	t.Helper()
+	cp, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for i, dst := range cp.inboxIDs {
+		fmt.Fprintf(&b, "%d<-[%s]\n", dst, msgBits(cp.inboxMsgs[i]))
+	}
+	return b.String()
+}
+
+// TestCheckpointInFlightIndependentOfPartitions: the in-flight section is
+// written in ascending destination and, per destination, ascending source —
+// the same bytes whatever the partition count or barrier mode (without a
+// combiner, whose fold tree is per partition count by definition).
+func TestCheckpointInFlightIndependentOfPartitions(t *testing.T) {
+	g := contractGraph(t)
+	var ref string
+	for _, parts := range []int{1, 2, 4} {
+		for _, seq := range []bool{false, true} {
+			dir := t.TempDir()
+			e, err := New(g, orderProg{}, Config{
+				Partitions: parts, SequentialBarrier: seq, MaxSupersteps: 4,
+				Checkpoint: &CheckpointConfig{Dir: dir, Interval: 2, Keep: 4},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got := inFlightSection(t, filepath.Join(dir, "checkpoint-000002.ckpt")) +
+				inFlightSection(t, filepath.Join(dir, "checkpoint-000004.ckpt"))
+			if ref == "" {
+				if ref = got; strings.Count(ref, "|") < 100 {
+					t.Fatalf("only %d messages in flight; the test would prove little", strings.Count(ref, "|"))
+				}
+			} else if got != ref {
+				t.Fatalf("parts=%d seq=%v: in-flight section differs from the 1-partition run", parts, seq)
+			}
+		}
+	}
+}
+
+// TestResumeFromNonCanonicalCheckpoint: a checkpoint whose in-flight lists
+// are not in canonical order — what earlier versions wrote (delivery order,
+// source-partition-major) — still resumes bit-identically, because
+// runPartition re-establishes the order for any installed frontier.
+func TestResumeFromNonCanonicalCheckpoint(t *testing.T) {
+	g := contractGraph(t)
+	const total, cut = 7, 3
+	base, err := New(g, orderProg{}, Config{Partitions: 4, MaxSupersteps: total})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	e, err := New(g, orderProg{}, Config{Partitions: 4, MaxSupersteps: cut,
+		Checkpoint: &CheckpointConfig{Dir: dir, Interval: total + 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	scrambled := 0
+	for _, in := range e.inbox {
+		ids := slices.Clone(in.owners())
+		lists := make([][]IncomingMessage, len(ids))
+		for i, v := range ids {
+			lists[i] = slices.Clone(in.msgs(v))
+			slices.Reverse(lists[i])
+			if !isCanonical(lists[i]) {
+				scrambled++
+			}
+		}
+		in.install(ids, lists)
+	}
+	if scrambled < 10 {
+		t.Fatalf("only %d lists out of order; the test would prove little", scrambled)
+	}
+	if err := e.writeCheckpoint(cut); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, parts := range []int{4, 2} {
+		re, err := Resume(g, orderProg{}, Config{Partitions: parts, MaxSupersteps: total,
+			Checkpoint: &CheckpointConfig{Dir: dir, Interval: total + 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.ResumedFrom() != cut {
+			t.Fatalf("resumed from %d, want %d", re.ResumedFrom(), cut)
+		}
+		if _, err := re.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sameValues(t, re.Values(), base.Values())
+	}
 }
 
 func TestCheckpointWriteRetriesTransientErrors(t *testing.T) {

@@ -12,14 +12,21 @@ type Context struct {
 	superstep int
 	partition int
 
-	id      VertexID
-	sent    []SentMessage
-	emitted []ProvFact
+	id VertexID
+	// sent[sentStart:] are the current vertex's sends; with keepSent the
+	// earlier vertices' stay in front, where their records borrow them.
+	sent      []SentMessage
+	sentStart int
+	keepSent  bool
+	emitted   []ProvFact
 }
 
 func (c *Context) reset(v VertexID) {
 	c.id = v
-	c.sent = c.sent[:0]
+	if !c.keepSent {
+		c.sent = c.sent[:0]
+	}
+	c.sentStart = len(c.sent)
 	c.emitted = nil
 }
 
@@ -82,7 +89,7 @@ func (c *Context) SendToAllNeighbors(val value.Value) {
 // current Compute call. The approximate-optimization wrapper (paper §2.2,
 // §6.2.2: "only message neighbors on large updates") uses it to suppress
 // sends when the vertex value changed less than the threshold.
-func (c *Context) DiscardSentMessages() { c.sent = c.sent[:0] }
+func (c *Context) DiscardSentMessages() { c.sent = c.sent[:c.sentStart] }
 
 // EmitProv publishes an auxiliary provenance fact (table, args...) for this
 // vertex at this superstep. Analytics-specific tables such as the paper's

@@ -15,11 +15,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,23 +127,22 @@ type Config struct {
 	// so the capture observer sheds its provenance from that superstep on
 	// (the same degraded-mode contract repeated capture failures trigger).
 	Degrade *supervise.DegradeState
-	// SequentialBarrier selects the seed single-threaded barrier: one
-	// sequential merge loop over every outbox, fresh inbox maps each
-	// superstep, and a global sort of the observer records. Combining
-	// semantics are identical in both modes — the sender pre-combines per
-	// destination vertex, then the barrier folds the per-partition partial
-	// values in ascending source-partition order — so the two barriers are
-	// bit-identical by construction and differ only in parallelism and
-	// allocation behavior. It is the reference implementation the parallel
-	// barrier is differentially tested against (and the "before" leg of
-	// BenchmarkBarrier); production runs leave it false.
+	// SequentialBarrier runs the barrier on one goroutine instead of one per
+	// destination partition. Both settings run the same inbox.build over the
+	// same columns, so they are bit-identical by construction. It is the
+	// reference, single-threaded leg of the differential tests and of
+	// BenchmarkBarrier; production runs leave it false.
 	SequentialBarrier bool
 }
 
 // Observer consumes per-superstep vertex records. ObserveSuperstep is called
 // once per superstep, after the barrier, with the records of every vertex
-// that computed. Records (and their slices) are only valid during the call
-// unless the observer copies them.
+// that computed. Records and their slices are only valid during the call:
+// Received is a window of the inbox arena and Sent of the partition's send
+// buffer, both reused by later supersteps, so an observer copies what it
+// keeps. Every observer in this repository does (capture.Observer,
+// driver.Online and the driver's fact feed convert the messages into their
+// own rows inside the call; the benchmark's timedObserver wraps those).
 type Observer interface {
 	// NeedsRawMessages reports whether the observer must see individual
 	// received messages; if any observer returns true the engine disables
@@ -248,26 +248,17 @@ type Engine struct {
 	values     []value.Value
 	lastActive []int32 // previous superstep each vertex computed in, -1 if never
 
-	// inboxes[p] holds messages for vertices of partition p, keyed by vertex.
-	inboxes []map[VertexID][]IncomingMessage
+	// inbox[p] holds the messages in flight to partition p's vertices; each
+	// is rebuilt by exactly one goroutine during the barrier.
+	inbox []*inbox
 
-	// Barrier buffer pools, reused across supersteps so the steady state
-	// allocates no per-superstep maps or slices (ISSUE 4 buffer reuse).
-	// spareInboxes[p] is last superstep's (cleared) inbox map awaiting
-	// reuse; msgFree[p] recycles the per-vertex message slices that map
-	// held; results is the per-partition superstep scratch; recBuf is the
-	// merged observer-record buffer. Each index is owned by exactly one
-	// delivery-shard goroutine during the barrier, so none of this needs
-	// locks.
-	spareInboxes []map[VertexID][]IncomingMessage
-	msgFree      [][][]IncomingMessage
-	results      []partResult
-	recBuf       []VertexRecord
-	mergeHeads   []int
+	// results is the per-partition superstep scratch; recBuf is the merged
+	// observer-record buffer.
+	results []partResult
+	recBuf  []VertexRecord
 
 	// sendComb is the combiner applied inside runPartition per destination
-	// vertex as messages are emitted (nil when raw messages are needed or
-	// under SequentialBarrier, which combines only at the barrier).
+	// vertex as messages are emitted (nil when raw messages are needed).
 	sendComb func(a, b value.Value) value.Value
 
 	agg  *aggregators
@@ -300,15 +291,13 @@ type Engine struct {
 	// checkpoint/final collects), and the barrier frontier (stateSS). A
 	// partition pinned local mid-superstep records the superstep in
 	// pinnedAtSS so that superstep's delivery knows its fragments died with
-	// the workers. effComb is the run's effective combiner (nil when an
-	// observer needs raw messages) — the replay engine must match it.
+	// the workers.
 	resident       bool
 	stateful       StatefulTransport
 	residentActive [][]VertexID
 	pinnedAtSS     []int
 	masterAuthSS   int
 	stateSS        int
-	effComb        func(a, b value.Value) value.Value
 
 	// Deterministic replay for re-hydration: a private scratch engine over
 	// the same graph and program, seeded from the newest checkpoint and
@@ -328,7 +317,7 @@ func New(g *graph.Graph, prog Program, cfg Config) (*Engine, error) {
 		cfg.Partitions = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Transport != nil && cfg.SequentialBarrier {
-		return nil, errors.New("engine: Transport requires the sharded barrier (SequentialBarrier must be off)")
+		return nil, errors.New("engine: Transport requires the parallel barrier (SequentialBarrier must be off)")
 	}
 	e := &Engine{g: g, prog: prog, cfg: cfg, nParts: cfg.Partitions}
 	for _, o := range cfg.Observers {
@@ -343,14 +332,11 @@ func New(g *graph.Graph, prog Program, cfg Config) (*Engine, error) {
 		e.values[v] = prog.InitialValue(g, VertexID(v))
 		e.lastActive[v] = -1
 	}
-	e.inboxes = make([]map[VertexID][]IncomingMessage, e.nParts)
-	for p := range e.inboxes {
-		e.inboxes[p] = make(map[VertexID][]IncomingMessage)
+	e.inbox = make([]*inbox, e.nParts)
+	for p := range e.inbox {
+		e.inbox[p] = newInbox(p, e.nParts, n)
 	}
-	e.spareInboxes = make([]map[VertexID][]IncomingMessage, e.nParts)
-	e.msgFree = make([][][]IncomingMessage, e.nParts)
 	e.results = make([]partResult, e.nParts)
-	e.mergeHeads = make([]int, e.nParts)
 	e.agg = newAggregators(e.nParts)
 	e.localPinned = make([]atomic.Bool, e.nParts)
 	e.runCtx = context.Background()
@@ -405,18 +391,12 @@ func (e *Engine) Run() (RunStats, error) {
 		combiner = nil
 	}
 	// Sender-side combining: runPartition pre-combines per destination
-	// vertex as messages are emitted, so the barrier sees pre-combined
-	// outboxes. The capture path is unaffected — raw send-message tuples
-	// come from VertexRecord.Sent (copied from the per-vertex send list
-	// before combining), and any observer that needs raw *deliveries*
-	// already disabled the combiner entirely via NeedsRawMessages.
-	// Both barrier modes combine at the sender: the association tree
-	// (fold within partition at the sender, fold across partitions in
-	// ascending order at the barrier) is the engine's canonical combining
-	// order, so sequential and sharded delivery are bit-identical even for
-	// non-associative float folds.
+	// vertex as messages are emitted and the barrier folds those partial
+	// values in ascending source-partition order — the engine's one
+	// association tree. Capture is unaffected: raw sends travel in
+	// VertexRecord.Sent, and an observer that needs raw deliveries has
+	// disabled the combiner via NeedsRawMessages.
 	e.sendComb = combiner
-	e.effComb = combiner
 	halter, _ := e.prog.(Halter)
 	m := e.cfg.Metrics
 	if e.cfg.Context != nil {
@@ -431,12 +411,7 @@ func (e *Engine) Run() (RunStats, error) {
 		e.masterAuthSS = e.startSS
 		e.stateSS = e.startSS
 		for p := 0; p < e.nParts; p++ {
-			act := make([]VertexID, 0, len(e.inboxes[p]))
-			for v := range e.inboxes[p] {
-				act = append(act, v)
-			}
-			sort.Slice(act, func(i, j int) bool { return act[i] < act[j] })
-			e.residentActive[p] = act
+			e.residentActive[p] = slices.Clone(e.inbox[p].owners())
 		}
 	}
 
@@ -470,46 +445,27 @@ func (e *Engine) Run() (RunStats, error) {
 			}
 		}
 		// Determine active vertices: all at superstep 0, else inbox owners
-		// plus any ActiveAt-forced vertices.
-		var forced [][]VertexID
+		// plus any ActiveAt-forced vertices. Computed once per superstep so a
+		// supervised re-execution replays the same set.
+		var forced []VertexID
 		if e.cfg.ActiveAt != nil {
-			forced = make([][]VertexID, e.nParts)
-			for _, v := range e.cfg.ActiveAt(ss) {
-				p := e.partition(v)
-				forced[p] = append(forced[p], v)
+			forced = e.cfg.ActiveAt(ss)
+			for _, v := range forced {
+				if int(v) >= e.g.NumVertices() {
+					e.stat.Aborted = true
+					return e.stat, fmt.Errorf("engine: ActiveAt(%d) returned vertex %d, the graph has %d vertices",
+						ss, v, e.g.NumVertices())
+				}
 			}
 		}
+		active := make([][]VertexID, e.nParts)
 		totalActive := 0
-		if ss == 0 {
-			totalActive = e.g.NumVertices()
-		} else {
-			for p := 0; p < e.nParts; p++ {
-				if e.resident && !e.localPinned[p].Load() {
-					// Worker-resident partition: the active set came back
-					// from the delivery barrier, not a master inbox.
-					act := e.residentActive[p]
-					totalActive += len(act)
-					if forced != nil {
-						for _, v := range forced[p] {
-							if !containsVertex(act, v) {
-								totalActive++
-							}
-						}
-					}
-					continue
-				}
-				totalActive += len(e.inboxes[p])
-				if forced != nil {
-					for _, v := range forced[p] {
-						if _, hasMsg := e.inboxes[p][v]; !hasMsg {
-							totalActive++
-						}
-					}
-				}
-			}
-			if totalActive == 0 {
-				break
-			}
+		for p := range active {
+			active[p] = e.activeIDs(p, ss, forced)
+			totalActive += len(active[p])
+		}
+		if ss > 0 && totalActive == 0 {
+			break
 		}
 
 		if totalActive > e.stat.PeakActiveVertices {
@@ -529,11 +485,7 @@ func (e *Engine) Run() (RunStats, error) {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				var fp []VertexID
-				if forced != nil {
-					fp = forced[p]
-				}
-				ids := e.activeIDs(p, ss, fp)
+				ids := active[p]
 				spanned := m.SpansEnabled()
 				var t0 time.Time
 				if spanned {
@@ -606,10 +558,8 @@ func (e *Engine) Run() (RunStats, error) {
 				return e.stat, derr
 			}
 			e.stateSS = ss + 1
-		} else if e.cfg.SequentialBarrier {
-			delivered, combined = e.sequentialDeliver(combiner, results)
 		} else {
-			delivered, combined, maxShard = e.shardedDeliver(combiner, results)
+			delivered, combined, maxShard = e.deliver(combiner, results)
 		}
 		combined += combinedSender
 		e.stat.MessagesSent += sent
@@ -701,12 +651,6 @@ func (e *Engine) Run() (RunStats, error) {
 	return e.stat, nil
 }
 
-// containsVertex reports membership in a sorted vertex slice.
-func containsVertex(ids []VertexID, v VertexID) bool {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= v })
-	return i < len(ids) && ids[i] == v
-}
-
 // superviseCompute runs partition p's superstep under the supervisor:
 // snapshot the partition's slice of the barrier state, attempt, and on a
 // retryable failure roll back and re-execute only this partition. Runs on
@@ -768,6 +712,9 @@ type partResult struct {
 	records  []VertexRecord
 	computed []VertexID
 	crash    *CrashError
+	// sendBuf backs the Sent windows of this superstep's records (the
+	// vertices append their sends to it one after the other); reused.
+	sendBuf []SentMessage
 	// combIdx maps a destination vertex to its pre-combined message's
 	// index inside outbox[partition(dst)] (sender-side combining).
 	combIdx map[VertexID]int32
@@ -807,136 +754,52 @@ func (r *partResult) reset(nParts int, combining bool) {
 	}
 }
 
-// sequentialDeliver is the seed barrier: one loop over every outbox in
-// ascending source-partition order, building freshly allocated inbox maps.
-// With a combiner set it folds the sender-pre-combined partial values — the
-// same association tree as the sharded barrier, so the two are
-// bit-identical. Kept as the reference leg for differential tests and
-// BenchmarkBarrier.
-func (e *Engine) sequentialDeliver(combiner func(a, b value.Value) value.Value, results []partResult) (delivered, combined int64) {
-	for p := range e.inboxes {
-		e.inboxes[p] = make(map[VertexID][]IncomingMessage)
-	}
-	for ri := range results {
-		r := &results[ri]
-		for dp, msgs := range r.outbox {
-			for _, om := range msgs {
-				if combiner != nil {
-					if ex := e.inboxes[dp][om.Dst]; len(ex) > 0 {
-						ex[0].Val = combiner(ex[0].Val, om.Val)
-						combined++
-						continue
-					}
-				}
-				e.inboxes[dp][om.Dst] = append(e.inboxes[dp][om.Dst], IncomingMessage{Src: om.Src, Val: om.Val})
-				delivered++
-			}
-		}
-	}
-	return delivered, combined
-}
-
-// shardedDeliver is the parallel barrier: destination partition p's inbox is
-// built by exactly one goroutine, which drains outbox[p] of every source
-// partition in ascending source order — so for any destination vertex the
-// merge order (and therefore every combined value, bit for bit) matches the
-// sequential path. Inbox maps and message slices are recycled from the
-// previous superstep instead of reallocated.
-//
-// Combining composes across the two stages: within a partition the sender
-// merged its own messages left-to-right in emission order; here the
-// per-partition partial values meet and merge in ascending partition order.
-// sequentialDeliver folds the same pre-combined outboxes in the same order,
-// so the two barriers share one association tree and stay bit-identical
-// even for non-associative float combiners.
-func (e *Engine) shardedDeliver(combiner func(a, b value.Value) value.Value, results []partResult) (delivered, combined, maxShard int64) {
-	shardDelivered := make([]int64, e.nParts)
-	shardCombined := make([]int64, e.nParts)
+// deliver is the master barrier: every destination partition's inbox is
+// rebuilt from the outbox columns addressed to it, one goroutine per
+// destination (or all on this one under SequentialBarrier). The sender
+// already merged its own messages per destination in emission order;
+// inbox.build folds those partial values in ascending source partition.
+func (e *Engine) deliver(combiner func(a, b value.Value) value.Value, results []partResult) (delivered, combined, maxShard int64) {
+	d, c := make([]int64, e.nParts), make([]int64, e.nParts)
 	var wg sync.WaitGroup
-	for dp := 0; dp < e.nParts; dp++ {
-		wg.Add(1)
-		go func(dp int) {
+	for dp := range d {
+		build := func() {
 			defer wg.Done()
-			shardDelivered[dp], shardCombined[dp] = e.deliverColumn(dp, combiner, results)
-		}(dp)
+			d[dp], c[dp] = e.buildInbox(dp, combiner, results)
+		}
+		wg.Add(1)
+		if e.cfg.SequentialBarrier {
+			build()
+		} else {
+			go build()
+		}
 	}
 	wg.Wait()
-	for dp := 0; dp < e.nParts; dp++ {
-		delivered += shardDelivered[dp]
-		combined += shardCombined[dp]
-		if shardDelivered[dp] > maxShard {
-			maxShard = shardDelivered[dp]
-		}
+	for dp := range d {
+		delivered += d[dp]
+		combined += c[dp]
+		maxShard = max(maxShard, d[dp])
 	}
 	return delivered, combined, maxShard
 }
 
-// deliverColumn builds destination partition dp's next inbox from every
-// source partition's outbox column, in ascending source order — the
-// per-shard body of shardedDeliver, also reused by the resident barrier for
-// master-resident (pinned) partitions. Inbox maps and message slices are
-// recycled from the previous superstep instead of reallocated. Safe to call
-// concurrently for distinct dp (everything touched is dp-indexed).
-func (e *Engine) deliverColumn(dp int, combiner func(a, b value.Value) value.Value, results []partResult) (nDelivered, nCombined int64) {
-	// Recycle last superstep's inbox: its message slices were fully
-	// consumed by the compute phase (observers copied what they
-	// keep), so both the map and the slices return to the pool.
-	old := e.inboxes[dp]
-	free := e.msgFree[dp]
-	for _, s := range old {
-		if cap(s) > 0 {
-			free = append(free, s[:0])
-		}
-	}
-	clear(old)
-	next := e.spareInboxes[dp]
-	if next == nil {
-		next = make(map[VertexID][]IncomingMessage)
-	}
+// buildInbox rebuilds destination partition dp's inbox from every source
+// partition's outbox column. Safe to call concurrently for distinct dp.
+func (e *Engine) buildInbox(dp int, combiner func(a, b value.Value) value.Value, results []partResult) (delivered, combined int64) {
+	cols := make([][]OutMessage, len(results))
 	for sp := range results {
-		for _, om := range results[sp].outbox[dp] {
-			if combiner != nil {
-				if ex := next[om.Dst]; len(ex) > 0 {
-					ex[0].Val = combiner(ex[0].Val, om.Val)
-					nCombined++
-					continue
-				}
-			}
-			s := next[om.Dst]
-			if s == nil && len(free) > 0 {
-				s = free[len(free)-1]
-				free = free[:len(free)-1]
-			}
-			next[om.Dst] = append(s, IncomingMessage{Src: om.Src, Val: om.Val})
-			nDelivered++
-		}
+		cols[sp] = results[sp].outbox[dp]
 	}
-	e.inboxes[dp] = next
-	e.spareInboxes[dp] = old
-	e.msgFree[dp] = free
-	return nDelivered, nCombined
+	return e.inbox[dp].build(cols, combiner)
 }
 
 // mergeRecords builds the superstep's observer view in ascending vertex
-// order. Each partition produced its records in ascending order already
-// (activeIDs sorts), so a k-way merge replaces the seed's global
-// sort.Slice; the merged buffer is reused across supersteps (the Observer
-// contract already says records are only valid during the call). Under
-// SequentialBarrier the seed's copy-and-sort is kept verbatim.
+// order. Each partition produced its records in ascending order already, so
+// a k-way merge does it; the merged buffer is reused across supersteps (the
+// Observer contract says records are only valid during the call).
 func (e *Engine) mergeRecords(results []partResult) []VertexRecord {
-	if e.cfg.SequentialBarrier {
-		var recs []VertexRecord
-		for ri := range results {
-			recs = append(recs, results[ri].records...)
-		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-		return recs
-	}
 	recs := e.recBuf[:0]
-	heads := e.mergeHeads
-	for p := range heads {
-		heads[p] = 0
-	}
+	heads := make([]int, len(results))
 	for {
 		best := -1
 		for p := range results {
@@ -958,9 +821,9 @@ func (e *Engine) mergeRecords(results []partResult) []VertexRecord {
 }
 
 // activeIDs returns partition p's active vertices for superstep ss in
-// deterministic ascending order: every owned vertex at superstep 0, else
-// the partition's inbox owners plus any ActiveAt-forced vertices. Computed
-// once per superstep so a supervised re-execution replays the same set.
+// ascending order without duplicates: every owned vertex at superstep 0, else
+// the vertices with messages plus any ActiveAt-forced ones. The result may
+// alias the inbox's owner list.
 func (e *Engine) activeIDs(p, ss int, forced []VertexID) []VertexID {
 	if ss == 0 {
 		var ids []VertexID
@@ -969,30 +832,24 @@ func (e *Engine) activeIDs(p, ss int, forced []VertexID) []VertexID {
 		}
 		return ids
 	}
+	act := e.inbox[p].owners()
 	if e.resident && !e.localPinned[p].Load() {
-		act := e.residentActive[p]
-		ids := make([]VertexID, 0, len(act)+len(forced))
-		ids = append(ids, act...)
-		for _, v := range forced {
-			if !containsVertex(act, v) {
-				ids = append(ids, v)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return ids
+		// Worker-resident partition: the active set came back from the
+		// delivery barrier, not a master inbox.
+		act = e.residentActive[p]
 	}
-	inbox := e.inboxes[p]
-	ids := make([]VertexID, 0, len(inbox)+len(forced))
-	for v := range inbox {
-		ids = append(ids, v)
-	}
+	var ids []VertexID
 	for _, v := range forced {
-		if _, hasMsg := inbox[v]; !hasMsg {
+		if e.partition(v) == p {
 			ids = append(ids, v)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	if len(ids) == 0 {
+		return act
+	}
+	ids = append(ids, act...)
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // runPartition computes the given active vertices of partition p for
@@ -1003,30 +860,44 @@ func (e *Engine) activeIDs(p, ss int, forced []VertexID) []VertexID {
 func (e *Engine) runPartition(actx context.Context, p, ss int, observing bool, ids []VertexID, res *partResult) {
 	comb := e.sendComb
 	res.reset(e.nParts, comb != nil)
-	ctx := &Context{engine: e, superstep: ss, partition: p}
+	ctx := &Context{engine: e, superstep: ss, partition: p, keepSent: observing, sent: res.sendBuf[:0]}
+	defer func() { res.sendBuf = ctx.sent }()
+	inbox := e.inbox[p]
+	n := e.g.NumVertices()
 
-	compute := func(v VertexID, msgs []IncomingMessage) bool {
-		// Deterministic message order regardless of worker scheduling.
-		sort.Slice(msgs, func(i, j int) bool {
-			if msgs[i].Src != msgs[j].Src {
-				return msgs[i].Src < msgs[j].Src
-			}
-			return msgs[i].Val.Compare(msgs[j].Val) < 0
-		})
+	for _, v := range ids {
+		// An expired per-partition deadline stops the attempt between
+		// vertices so a genuinely slow partition cancels promptly, not just
+		// ones blocked inside a fault site. Parent cancellation is excluded:
+		// the in-flight superstep finishes (compute is fast) and the
+		// superstep-start check exits with a consistent final checkpoint.
+		if actx.Err() != nil && e.runCtx.Err() == nil {
+			res.crash = &CrashError{Vertex: v, Superstep: ss,
+				Err: fmt.Errorf("partition %d attempt canceled: %w", p, actx.Err())}
+			return
+		}
+		msgs := inbox.msgs(v)
+		canonicalize(msgs)
 		ctx.reset(v)
 		old := e.values[v]
 		if err := e.computeOne(actx, ctx, v, ss, p, msgs); err != nil {
 			res.crash = &CrashError{Vertex: v, Superstep: ss, Err: err}
-			return false
+			return
 		}
 		// Flush this vertex's outgoing messages into the partition outbox.
-		// ctx.sent always holds the raw sends (capture reads them from the
+		// The context always holds the raw sends (capture reads them from the
 		// VertexRecord below); when a sender-side combiner is active the
 		// outbox keeps only one pre-combined message per destination vertex,
 		// merged left-to-right in emission order — the same association
-		// order the sequential barrier would use for this partition.
-		res.sent += int64(len(ctx.sent))
-		for _, m := range ctx.sent {
+		// order the barrier would use for this partition.
+		sent := ctx.sent[ctx.sentStart:]
+		res.sent += int64(len(sent))
+		for _, m := range sent {
+			if int(m.Dst) >= n {
+				res.crash = &CrashError{Vertex: v, Superstep: ss,
+					Err: fmt.Errorf("message to vertex %d: the graph has %d vertices", m.Dst, n)}
+				return
+			}
 			dp := e.partition(m.Dst)
 			if comb != nil {
 				if i, ok := res.combIdx[m.Dst]; ok {
@@ -1041,35 +912,46 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, observing bool, i
 		}
 		res.computed = append(res.computed, v)
 		if observing {
+			// Received and Sent borrow the arena and the send buffer.
 			rec := VertexRecord{
 				ID:         v,
 				Superstep:  ss,
 				PrevActive: int(e.lastActive[v]),
 				OldValue:   old,
 				NewValue:   e.values[v],
+				Received:   msgs,
 				Emitted:    ctx.emitted,
 			}
-			rec.Sent = append([]SentMessage(nil), ctx.sent...)
-			rec.Received = append([]IncomingMessage(nil), msgs...)
+			if len(sent) > 0 {
+				rec.Sent = sent[:len(sent):len(sent)]
+			}
 			res.records = append(res.records, rec)
 		}
-		return true
 	}
+}
 
-	inbox := e.inboxes[p]
-	for _, v := range ids {
-		// An expired per-partition deadline stops the attempt between
-		// vertices so a genuinely slow partition cancels promptly, not just
-		// ones blocked inside a fault site. Parent cancellation is excluded:
-		// the in-flight superstep finishes (compute is fast) and the
-		// superstep-start check exits with a consistent final checkpoint.
-		if actx.Err() != nil && e.runCtx.Err() == nil {
-			res.crash = &CrashError{Vertex: v, Superstep: ss,
-				Err: fmt.Errorf("partition %d attempt canceled: %w", p, actx.Err())}
-			return
-		}
-		if !compute(v, inbox[v]) {
-			return
+// canonicalize puts msgs into the engine's message order — ascending Src,
+// then ascending Val, ties as given — so what Compute sees depends on neither
+// scheduling nor the partition count. inbox.build delivers that order unless
+// one Src sent a vertex several messages (multi-edges), and an installed
+// frontier may be in any order, so one linear pass decides whether to sort.
+func canonicalize(msgs []IncomingMessage) {
+	if !isCanonical(msgs) {
+		slices.SortStableFunc(msgs, func(a, b IncomingMessage) int {
+			if a.Src != b.Src {
+				return cmp.Compare(a.Src, b.Src)
+			}
+			return a.Val.Compare(b.Val)
+		})
+	}
+}
+
+func isCanonical(msgs []IncomingMessage) bool {
+	for i := 1; i < len(msgs); i++ {
+		a, b := &msgs[i-1], &msgs[i]
+		if a.Src > b.Src || a.Src == b.Src && a.Val.Compare(b.Val) > 0 {
+			return false
 		}
 	}
+	return true
 }

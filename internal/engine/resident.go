@@ -23,7 +23,6 @@ package engine
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"ariadne/internal/obs"
 	"ariadne/internal/value"
@@ -31,8 +30,8 @@ import (
 
 // residentDeliver is the delivery barrier of a resident-state superstep.
 // Destination partitions fall into three classes: master-resident (pinned
-// before this superstep) columns fold locally via deliverColumn, exactly as
-// the sharded barrier would; worker-resident partitions fold on their
+// before this superstep) columns fold locally via buildInbox, exactly as
+// the master barrier would; worker-resident partitions fold on their
 // owning workers through one Deliver round (the master contributes only the
 // columns of its own pinned partitions); and partitions that lost their
 // state mid-superstep — pinned during compute, or whose worker died before
@@ -55,14 +54,17 @@ func (e *Engine) residentDeliver(ss int, combiner func(a, b value.Value) value.V
 		}
 	}
 
-	perDP := make([]int64, e.nParts)
+	account := func(d, c int64) {
+		delivered += d
+		combined += c
+		maxShard = max(maxShard, d)
+	}
 	var workerParts []int
 	for dp := 0; dp < e.nParts; dp++ {
-		if !e.localPinned[dp].Load() {
+		switch {
+		case !e.localPinned[dp].Load():
 			workerParts = append(workerParts, dp)
-			continue
-		}
-		if e.pinnedAtSS[dp] == ss {
+		case e.pinnedAtSS[dp] == ss:
 			// Pinned mid-superstep: the remote fragments for dp were routed
 			// toward a worker that no longer owns it (or died); rebuild the
 			// inbox by replay and install it master-side.
@@ -70,78 +72,59 @@ func (e *Engine) residentDeliver(ss int, combiner func(a, b value.Value) value.V
 			if rerr != nil {
 				return 0, 0, 0, rerr
 			}
-			perDP[dp] = d
-			delivered += d
-			combined += c
-			continue
+			account(d, c)
+		default:
+			account(e.buildInbox(dp, combiner, results))
 		}
-		d, c := e.deliverColumn(dp, combiner, results)
-		perDP[dp] = d
-		delivered += d
-		combined += c
+	}
+	if len(workerParts) == 0 {
+		return delivered, combined, maxShard, nil
 	}
 
-	if len(workerParts) > 0 {
-		dreq := &DeliverRequest{
-			Superstep: ss,
-			Combine:   combiner != nil,
-			Parts:     workerParts,
-			Expected:  make([][]int64, len(workerParts)),
-		}
-		dreq.MasterFrags = make([][][]OutMessage, len(workerParts))
-		for i, dp := range workerParts {
-			exp := make([]int64, e.nParts)
-			mf := make([][]OutMessage, e.nParts)
-			for sp := range results {
-				exp[sp] = counts[sp][dp]
-				if exp[sp] <= 0 || dp >= len(results[sp].outbox) {
-					continue
-				}
-				// Forward any complete column the master holds: pinned
-				// sources (workers never saw these fragments) and resident
-				// sources whose peer send failed — the worker keeps the
-				// column in its exec reply precisely so the master can relay
-				// it here instead of forcing a replay.
-				col := results[sp].outbox[dp]
-				if int64(len(col)) != exp[sp] {
-					continue
-				}
-				mf[sp] = append([]OutMessage(nil), col...)
-			}
-			dreq.Expected[i] = exp
-			dreq.MasterFrags[i] = mf
-		}
-		if m := e.cfg.Metrics; m.SpansEnabled() {
-			dreq.TraceID = m.SpanTraceID()
-			dreq.ParentSpan = m.NewSpanID()
-		}
-		dres, derr := e.stateful.Deliver(e.runCtx, dreq)
-		for i, dp := range workerParts {
-			var part *DeliverPart
-			if derr == nil && dres != nil && i < len(dres.Parts) && dres.Parts[i].OK {
-				part = &dres.Parts[i]
-			}
-			if part == nil {
-				d, c, rerr := e.replayDeliver(ss, dp, counts)
-				if rerr != nil {
-					return 0, 0, 0, rerr
-				}
-				perDP[dp] = d
-				delivered += d
-				combined += c
+	dreq := &DeliverRequest{
+		Superstep:   ss,
+		Combine:     combiner != nil,
+		Parts:       workerParts,
+		Expected:    make([][]int64, len(workerParts)),
+		MasterFrags: make([][][]OutMessage, len(workerParts)),
+	}
+	for i, dp := range workerParts {
+		exp := make([]int64, e.nParts)
+		mf := make([][]OutMessage, e.nParts)
+		for sp := range results {
+			exp[sp] = counts[sp][dp]
+			if exp[sp] <= 0 || dp >= len(results[sp].outbox) {
 				continue
 			}
-			perDP[dp] = part.Delivered
-			delivered += part.Delivered
-			combined += part.Combined
-			e.residentActive[dp] = part.Dsts
+			// Forward any complete column the master holds: pinned sources
+			// (workers never saw these fragments) and resident sources whose
+			// peer send failed — the worker keeps the column in its exec
+			// reply precisely so the master can relay it here instead of
+			// forcing a replay.
+			if col := results[sp].outbox[dp]; int64(len(col)) == exp[sp] {
+				mf[sp] = append([]OutMessage(nil), col...)
+			}
 		}
+		dreq.Expected[i] = exp
+		dreq.MasterFrags[i] = mf
 	}
-
-	for dp := range perDP {
-		if perDP[dp] > maxShard {
-			maxShard = perDP[dp]
+	if m := e.cfg.Metrics; m.SpansEnabled() {
+		dreq.TraceID = m.SpanTraceID()
+		dreq.ParentSpan = m.NewSpanID()
+	}
+	dres, derr := e.stateful.Deliver(e.runCtx, dreq)
+	for i, dp := range workerParts {
+		if derr == nil && dres != nil && i < len(dres.Parts) && dres.Parts[i].OK {
+			part := &dres.Parts[i]
+			account(part.Delivered, part.Combined)
+			e.residentActive[dp] = part.Dsts
+			continue
 		}
+		d, c, rerr := e.replayDeliver(ss, dp, counts)
+		if rerr != nil {
+			return 0, 0, 0, rerr
+		}
+		account(d, c)
 	}
 	return delivered, combined, maxShard, nil
 }
@@ -169,37 +152,47 @@ func (e *Engine) collectResident(target int) error {
 		}
 		res, err := e.stateful.Deliver(e.runCtx, req)
 		for i, p := range parts {
-			var part *DeliverPart
-			if err == nil && res != nil && i < len(res.Parts) && res.Parts[i].OK {
-				part = &res.Parts[i]
-			}
-			if part != nil && len(part.Values) == e.strideLen(p) {
-				j := 0
-				for v := p; v < e.g.NumVertices(); v += e.nParts {
-					e.values[VertexID(v)] = part.Values[j]
-					j++
+			if err == nil && res != nil && i < len(res.Parts) && res.Parts[i].OK &&
+				len(res.Parts[i].Values) == e.strideLen(p) {
+				part := &res.Parts[i]
+				e.setStride(p, part.Values)
+				ids := make([]VertexID, len(part.Inbox))
+				lists := make([][]IncomingMessage, len(part.Inbox))
+				for j, en := range part.Inbox {
+					ids[j], lists[j] = en.Dst, en.Msgs
 				}
-				inbox := make(map[VertexID][]IncomingMessage, len(part.Inbox))
-				for _, en := range part.Inbox {
-					inbox[en.Dst] = en.Msgs
-				}
-				e.inboxes[p] = inbox
+				e.inbox[p].install(ids, lists)
 				continue
 			}
 			vals, inbox, rerr := e.replayState(target, p)
 			if rerr != nil {
 				return fmt.Errorf("engine: collecting partition %d at superstep %d: %w", p, target, rerr)
 			}
-			j := 0
-			for v := p; v < e.g.NumVertices(); v += e.nParts {
-				e.values[VertexID(v)] = vals[j]
-				j++
-			}
-			e.inboxes[p] = inbox
+			e.setStride(p, vals)
+			e.inbox[p] = inbox
 		}
 	}
 	e.masterAuthSS = target
 	return nil
+}
+
+// setStride installs partition p's vertex values, given in stride order
+// (vertex p, p+nParts, ...).
+func (e *Engine) setStride(p int, vals []value.Value) {
+	j := 0
+	for v := p; v < e.g.NumVertices(); v += e.nParts {
+		e.values[VertexID(v)] = vals[j]
+		j++
+	}
+}
+
+// stride returns a copy of partition p's vertex values in stride order.
+func (e *Engine) stride(p int) []value.Value {
+	vals := make([]value.Value, 0, e.strideLen(p))
+	for v := p; v < e.g.NumVertices(); v += e.nParts {
+		vals = append(vals, e.values[v])
+	}
+	return vals
 }
 
 // strideLen is the number of vertices partition p owns.
@@ -223,12 +216,8 @@ func (e *Engine) seedLocalFromReplay(p, ss int) error {
 	if err != nil {
 		return err
 	}
-	j := 0
-	for v := p; v < e.g.NumVertices(); v += e.nParts {
-		e.values[VertexID(v)] = vals[j]
-		j++
-	}
-	e.inboxes[p] = inbox
+	e.setStride(p, vals)
+	e.inbox[p] = inbox
 	return nil
 }
 
@@ -251,19 +240,12 @@ func (e *Engine) replayDeliver(ss, dp int, counts [][]int64) (delivered, combine
 	for sp := range counts {
 		total += counts[sp][dp]
 	}
-	for _, msgs := range inbox {
-		delivered += int64(len(msgs))
-	}
+	delivered = inbox.size()
 	combined = total - delivered
 	if e.localPinned[dp].Load() {
-		e.inboxes[dp] = inbox
+		e.inbox[dp] = inbox
 	} else {
-		act := make([]VertexID, 0, len(inbox))
-		for v := range inbox {
-			act = append(act, v)
-		}
-		sort.Slice(act, func(i, j int) bool { return act[i] < act[j] })
-		e.residentActive[dp] = act
+		e.residentActive[dp] = inbox.owners()
 	}
 	return delivered, combined, nil
 }
@@ -272,22 +254,14 @@ func (e *Engine) replayDeliver(ss, dp int, counts [][]int64) (delivered, combine
 // stride-order values and a private copy of its inbox — from the replay
 // engine, advancing it as needed. Safe from concurrent partition
 // goroutines.
-func (e *Engine) replayState(target, p int) ([]value.Value, map[VertexID][]IncomingMessage, error) {
+func (e *Engine) replayState(target, p int) ([]value.Value, *inbox, error) {
 	e.replayMu.Lock()
 	defer e.replayMu.Unlock()
 	s, err := e.rehydrate(target)
 	if err != nil {
 		return nil, nil, err
 	}
-	vals := make([]value.Value, 0, e.strideLen(p))
-	for v := p; v < e.g.NumVertices(); v += e.nParts {
-		vals = append(vals, s.values[VertexID(v)])
-	}
-	inbox := make(map[VertexID][]IncomingMessage, len(s.inboxes[p]))
-	for v, msgs := range s.inboxes[p] {
-		inbox[v] = append([]IncomingMessage(nil), msgs...)
-	}
-	return vals, inbox, nil
+	return s.stride(p), s.inbox[p].clone(), nil
 }
 
 // rehydrate advances the private replay engine to "entering superstep
@@ -306,7 +280,7 @@ func (e *Engine) rehydrate(target int) (*Engine, error) {
 	if e.replay == nil {
 		scratch, err := New(e.g, e.prog, Config{
 			Partitions: e.nParts,
-			Combiner:   e.effComb,
+			Combiner:   e.sendComb,
 			ActiveAt:   e.cfg.ActiveAt,
 		})
 		if err != nil {

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -213,7 +214,9 @@ type ExecResult struct {
 	Computed  []VertexID
 	NewValues []value.Value // aligned with Computed
 	Outbox    [][]OutMessage
-	Records   []VertexRecord
+	// Records own their Received and Sent slices (two flat buffers per
+	// result), unlike the records of an in-process partition.
+	Records []VertexRecord
 
 	Sent           int64
 	CombinedSender int64
@@ -410,32 +413,20 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 		// overwrites the whole partition (values, last-active, inbox).
 		rp.executedSS = -1
 		rp.deliverSS, rp.deliverRes = -1, nil
-		i := 0
-		for v := p; v < e.g.NumVertices(); v += e.nParts {
-			e.values[VertexID(v)] = req.AllValues[i]
-			e.lastActive[VertexID(v)] = req.AllActive[i]
-			i++
+		e.setStride(p, req.AllValues)
+		for i := range req.AllActive {
+			e.lastActive[p+i*e.nParts] = req.AllActive[i]
 		}
-		inbox := make(map[VertexID][]IncomingMessage, len(req.Active))
-		for i, v := range req.Active {
-			if len(req.Inbox[i]) > 0 {
-				inbox[v] = req.Inbox[i]
-			}
-		}
-		e.inboxes[p] = inbox
+		e.inbox[p].install(req.Active, req.Inbox)
 		rp.readySS = req.Superstep
 	default: // ModeClassic — the stateless exchange, exactly as before PR 9
 		rp.readySS, rp.executedSS = -1, -1
 		rp.deliverSS, rp.deliverRes = -1, nil
-		inbox := make(map[VertexID][]IncomingMessage, len(req.Active))
 		for i, v := range req.Active {
 			e.values[v] = req.Values[i]
 			e.lastActive[v] = req.PrevActive[i]
-			if len(req.Inbox[i]) > 0 {
-				inbox[v] = req.Inbox[i]
-			}
 		}
-		e.inboxes[p] = inbox
+		e.inbox[p].install(req.Active, req.Inbox)
 	}
 	e.agg.setCurrent(req.Agg)
 	e.agg.resetPartition(p)
@@ -524,7 +515,7 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 		res.Outbox[dp] = flat[lo:len(flat):len(flat)]
 	}
 	if req.Observing {
-		res.Records = append([]VertexRecord(nil), pr.records...)
+		res.Records = detachRecords(pr.records)
 	}
 	res.Agg = e.agg.partial(p)
 	if resident {
@@ -534,6 +525,33 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 		}
 	}
 	return res
+}
+
+// detachRecords copies records and moves their Received and Sent windows,
+// which borrow the engine's inbox arena and send buffer, into two flat
+// buffers of the result's own: a result leaves the executor's mutex (the TCP
+// worker encodes it afterwards, while a duplicate Exec may already be
+// rewriting the borrowed buffers), so it must not alias them.
+func detachRecords(recs []VertexRecord) []VertexRecord {
+	var nRecv, nSent int
+	for i := range recs {
+		nRecv += len(recs[i].Received)
+		nSent += len(recs[i].Sent)
+	}
+	out := slices.Clone(recs)
+	recv, sent := make([]IncomingMessage, 0, nRecv), make([]SentMessage, 0, nSent)
+	for i := range out {
+		r := &out[i]
+		if n := len(recv); len(r.Received) > 0 {
+			recv = append(recv, r.Received...)
+			r.Received = recv[n:len(recv):len(recv)]
+		}
+		if n := len(sent); len(r.Sent) > 0 {
+			sent = append(sent, r.Sent...)
+			r.Sent = sent[n:len(sent):len(sent)]
+		}
+	}
+	return out
 }
 
 // Assemble runs partition p's delivery barrier for superstep ss on the
@@ -566,55 +584,14 @@ func (x *Executor) Assemble(ss, p int, combine bool, expected []int64, frags [][
 	if combine {
 		comb = e.cfg.Combiner
 	}
-	// Recycle last superstep's inbox exactly like deliverColumn does on the
-	// master: the compute phase fully consumed it (executedSS == ss was
-	// checked above), so both the map and its message slices return to the
-	// pool. The worker engine never runs its own barrier, so spareInboxes
-	// and msgFree are otherwise idle here.
-	old := e.inboxes[p]
-	free := e.msgFree[p]
-	for _, s := range old {
-		if cap(s) > 0 {
-			free = append(free, s[:0])
-		}
-	}
-	clear(old)
-	next := e.spareInboxes[p]
-	if next == nil {
-		next = make(map[VertexID][]IncomingMessage)
-	}
-	for sp := range frags {
-		for _, om := range frags[sp] {
-			if comb != nil {
-				if ex := next[om.Dst]; len(ex) > 0 {
-					ex[0].Val = comb(ex[0].Val, om.Val)
-					dp.Combined++
-					continue
-				}
-			}
-			s := next[om.Dst]
-			if s == nil && len(free) > 0 {
-				s = free[len(free)-1]
-				free = free[:len(free)-1]
-			}
-			next[om.Dst] = append(s, IncomingMessage{Src: om.Src, Val: om.Val})
-			dp.Delivered++
-		}
-	}
-	e.inboxes[p] = next
-	e.spareInboxes[p] = old
-	e.msgFree[p] = free
+	dp.Delivered, dp.Combined = e.inbox[p].build(frags, comb)
 	for _, v := range rp.ids {
 		e.lastActive[v] = int32(ss)
 	}
 	rp.executedSS = -1
 	rp.readySS = ss + 1
 	dp.OK = true
-	dp.Dsts = make([]VertexID, 0, len(next))
-	for v := range next {
-		dp.Dsts = append(dp.Dsts, v)
-	}
-	sort.Slice(dp.Dsts, func(i, j int) bool { return dp.Dsts[i] < dp.Dsts[j] })
+	dp.Dsts = slices.Clone(e.inbox[p].owners())
 	rp.deliverSS, rp.deliverRes = ss, dp
 	return dp
 }
@@ -638,15 +615,12 @@ func (x *Executor) Collect(target, p int) *DeliverPart {
 		return dp
 	}
 	dp.OK = true
-	for v := p; v < e.g.NumVertices(); v += e.nParts {
-		dp.Values = append(dp.Values, e.values[VertexID(v)])
+	dp.Values = e.stride(p)
+	snap := e.inbox[p].clone()
+	dp.Inbox = make([]InboxChunk, 0, len(snap.owners()))
+	for _, v := range snap.owners() {
+		dp.Inbox = append(dp.Inbox, InboxChunk{Dst: v, Msgs: snap.msgs(v)})
 	}
-	inbox := e.inboxes[p]
-	dp.Inbox = make([]InboxChunk, 0, len(inbox))
-	for v, msgs := range inbox {
-		dp.Inbox = append(dp.Inbox, InboxChunk{Dst: v, Msgs: msgs})
-	}
-	sort.Slice(dp.Inbox, func(i, j int) bool { return dp.Inbox[i].Dst < dp.Inbox[j].Dst })
 	return dp
 }
 
@@ -676,11 +650,11 @@ func (e *Engine) buildExecRequest(p, ss int, observing bool, ids []VertexID) *Ex
 		req.Values = make([]value.Value, len(ids))
 		req.PrevActive = make([]int32, len(ids))
 		req.Inbox = make([][]IncomingMessage, len(ids))
-		inbox := e.inboxes[p]
+		inbox := e.inbox[p]
 		for i, v := range ids {
 			req.Values[i] = e.values[v]
 			req.PrevActive[i] = e.lastActive[v]
-			req.Inbox[i] = inbox[v]
+			req.Inbox[i] = inbox.msgs(v)
 		}
 	}
 	if m := e.cfg.Metrics; m.SpansEnabled() {
@@ -706,24 +680,19 @@ func (e *Engine) seedRequest(req *ExecRequest) error {
 		req.AllActive = append(req.AllActive, e.lastActive[VertexID(v)])
 	}
 	req.Inbox = make([][]IncomingMessage, len(req.Active))
+	inbox := e.inbox[p]
 	if e.masterAuthSS == ss {
-		req.AllValues = req.AllValues[:0]
-		for v := p; v < n; v += e.nParts {
-			req.AllValues = append(req.AllValues, e.values[VertexID(v)])
-		}
-		inbox := e.inboxes[p]
-		for i, v := range req.Active {
-			req.Inbox[i] = inbox[v]
-		}
+		req.AllValues = e.stride(p)
 	} else {
-		vals, inbox, err := e.replayState(ss, p)
+		vals, snap, err := e.replayState(ss, p)
 		if err != nil {
 			return err
 		}
 		req.AllValues = vals
-		for i, v := range req.Active {
-			req.Inbox[i] = inbox[v]
-		}
+		inbox = snap
+	}
+	for i, v := range req.Active {
+		req.Inbox[i] = inbox.msgs(v)
 	}
 	req.Mode = ModeSeed
 	return nil
