@@ -37,7 +37,7 @@ bench: bench-micro
 # BENCH_micro.json and fails on a regression of the hardware-independent
 # ratios (parallel/sequential barrier-phase time over the same inbox.build,
 # sync/async spill time, 8-worker/1-worker eval-phase time over the same slot
-# programs, unpipelined/pipelined layered run time). The committed
+# programs); the layered full run is recorded ungated. The committed
 # BENCH_micro.json is the single-core container baseline (taskset -c 0); CI
 # archives the fresh one.
 bench-micro:

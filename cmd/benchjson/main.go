@@ -111,13 +111,6 @@ func main() {
 			"single-core runner no overlap is possible and the async leg pays "+
 			"its per-layer scheduling handoffs (~0.9 observed), so the guard "+
 			"only rejects async being materially slower than sync")
-	minLayered := flag.Float64("min-layered-speedup", 0.7,
-		"minimum unpipelined/pipelined layered full-run time ratio. Both legs "+
-			"run the same slot programs, so on a single-core runner the "+
-			"pipelined leg has nothing to overlap and pays its prefetch and "+
-			"shard fan-out handoffs (0.84-0.95 observed); with cores it "+
-			"exceeds 1. The guard only rejects pipelining being materially "+
-			"slower than the inline path")
 	maxTransport := flag.Float64("max-transport-overhead", 10,
 		"maximum tcp-loopback/in-process full-run time ratio (the transport "+
 			"seam's serialization + framing cost; worker-resident state keeps "+
@@ -260,14 +253,6 @@ func main() {
 				rep.Failures = append(rep.Failures,
 					fmt.Sprintf("span_disabled_allocs %.1f != 0 (disabled span path allocates)", v))
 			}
-		}
-	}
-	if wants("layered_run_speedup") {
-		if v := ratio(rep, benches, "layered_run_speedup",
-			"BenchmarkLayeredEval/unpipelined",
-			"BenchmarkLayeredEval/pipelined", "ns/op"); v > 0 && v < *minLayered {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("layered_run_speedup %.2f < %.2f", v, *minLayered))
 		}
 	}
 	// bytes_per_tuple_reduction is a floor on storage compression: the same

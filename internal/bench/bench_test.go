@@ -105,10 +105,25 @@ func TestFig8Shape(t *testing.T) {
 	if len(rows) != 5 { // 1 (PR) + 2 (SSSP) + 2 (WCC)
 		t.Fatalf("rows = %d", len(rows))
 	}
+	checkModesShape(t, rows)
+}
+
+// checkModesShape asserts the paper's shape of Figures 8 and 11 — online
+// cheapest, naive most expensive — over what each mode evaluated, which
+// repeats exactly; the wall-clock ratios are over ~1 ms baselines here and
+// belong to `make bench-full`.
+func checkModesShape(t *testing.T, rows []ModesRow) {
+	t.Helper()
 	for _, row := range rows {
-		// Paper shape: online cheapest, naive most expensive.
-		if !row.NaiveDNF && row.OnlineX > row.NaiveX*1.5 {
-			t.Errorf("%s/%s: online %.2fx should not dwarf naive %.2fx", row.Query, row.Analytic, row.OnlineX, row.NaiveX)
+		// Layered evaluation of the full capture sees exactly the records
+		// the online query saw live.
+		if row.OnlineFacts <= 0 || row.LayeredFacts != row.OnlineFacts {
+			t.Errorf("%s/%s: online evaluated %d, layered %d: want equal and > 0", row.Query, row.Analytic, row.OnlineFacts, row.LayeredFacts)
+		}
+		// Naive materialises the whole provenance graph before evaluating.
+		if !row.NaiveDNF && (row.NaiveFacts < row.OnlineFacts || row.NaiveDBBytes <= 0) {
+			t.Errorf("%s/%s: naive materialised %d facts (%d bytes), online evaluated %d: want naive >= online",
+				row.Query, row.Analytic, row.NaiveFacts, row.NaiveDBBytes, row.OnlineFacts)
 		}
 		if math.IsNaN(row.OnlineX) || math.IsNaN(row.LayeredX) {
 			t.Errorf("%s/%s: missing overheads", row.Query, row.Analytic)
@@ -185,17 +200,24 @@ func TestFig11And12Shapes(t *testing.T) {
 	if len(f11) != 3 {
 		t.Fatalf("fig11 rows = %d", len(f11))
 	}
+	checkModesShape(t, f11)
 	f12, err := r.Fig12()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range f12 {
-		if row.TraceSize == 0 {
-			t.Errorf("%s/%s: empty backward trace", row.Dataset, row.Analytic)
+		// Paper: the trace over custom provenance "contains the exact same
+		// information".
+		if row.TraceSize == 0 || row.CustomTraceSize != row.TraceSize {
+			t.Errorf("%s/%s: trace sizes full %d, custom %d: want equal and > 0", row.Dataset, row.Analytic, row.TraceSize, row.CustomTraceSize)
 		}
-		// Paper shape: custom-provenance tracing beats full-provenance tracing.
-		if row.CustomX > row.FullX*1.2 {
-			t.Errorf("%s/%s: custom %.2fx should not exceed full %.2fx", row.Dataset, row.Analytic, row.CustomX, row.FullX)
+		// Paper shape: custom-provenance tracing beats full-provenance
+		// tracing — it reads a smaller store and evaluates no more records.
+		if row.CustomBytes >= row.FullBytes {
+			t.Errorf("%s/%s: custom capture holds %d bytes, full %d: want custom < full", row.Dataset, row.Analytic, row.CustomBytes, row.FullBytes)
+		}
+		if row.CustomFacts <= 0 || row.CustomFacts > row.FullFacts {
+			t.Errorf("%s/%s: custom trace evaluated %d, full %d: want 0 < custom <= full", row.Dataset, row.Analytic, row.CustomFacts, row.FullFacts)
 		}
 	}
 }

@@ -180,6 +180,11 @@ type ModesRow struct {
 	Baseline                  time.Duration
 	OnlineX, LayeredX, NaiveX float64
 	NaiveDNF                  bool
+	// What each mode evaluated (Result.Facts: EDB facts fed, or records on
+	// the compiled path) and the bytes naive evaluation held in its
+	// database: deterministic, unlike the times.
+	OnlineFacts, LayeredFacts, NaiveFacts int64
+	NaiveDBBytes                          int64
 }
 
 // monitoringQueries maps each analytic to its §6.2.1 monitoring queries.
@@ -245,23 +250,26 @@ func (r *Runner) modesExperiment(queryPick func(analytic string) []queries.Defin
 			for _, def := range queryPick(spec.name) {
 				row := ModesRow{Query: def.Name, Dataset: d.Name, Analytic: spec.name, Baseline: base}
 
-				onT, _, err := r.timeRun(spec.g, spec.prog,
+				onT, onRes, err := r.timeRun(spec.g, spec.prog,
 					append([]ariadne.Option{ariadne.WithOnlineQuery(def)}, spec.opts...)...)
 				if err != nil {
 					cleanup()
 					return nil, err
 				}
 				row.OnlineX = overhead(onT, base)
+				row.OnlineFacts = onRes.Query(def.Name).Facts
 
 				start := time.Now()
-				if _, err := ariadne.QueryOffline(def, store, spec.g, ariadne.ModeLayered, 0); err != nil {
+				layered, err := ariadne.QueryOffline(def, store, spec.g, ariadne.ModeLayered, 0)
+				if err != nil {
 					cleanup()
 					return nil, err
 				}
 				row.LayeredX = overhead(time.Since(start), base)
+				row.LayeredFacts = layered.Facts
 
 				start = time.Now()
-				_, err = ariadne.QueryOffline(def, store, spec.g, ariadne.ModeNaive, r.cfg.naiveBudget())
+				naiveRes, err := ariadne.QueryOffline(def, store, spec.g, ariadne.ModeNaive, r.cfg.naiveBudget())
 				switch {
 				case errors.Is(err, driver.ErrNaiveBudget):
 					row.NaiveDNF = true
@@ -271,6 +279,7 @@ func (r *Runner) modesExperiment(queryPick func(analytic string) []queries.Defin
 					return nil, err
 				default:
 					row.NaiveX = overhead(time.Since(start), base)
+					row.NaiveFacts, row.NaiveDBBytes = naiveRes.Facts, naiveRes.DBBytes()
 				}
 
 				rows = append(rows, row)
@@ -453,8 +462,13 @@ type BackwardRow struct {
 	Baseline          time.Duration
 	FullX, CustomX    float64
 	// TraceSize is the number of provenance nodes in the backward trace
-	// (identical between full and custom per the paper).
-	TraceSize int
+	// over full provenance; CustomTraceSize the same over custom provenance
+	// (identical per the paper).
+	TraceSize, CustomTraceSize int
+	// Stored bytes of each capture and the layered Facts each trace
+	// evaluated: deterministic, unlike the times.
+	FullBytes, CustomBytes int64
+	FullFacts, CustomFacts int64
 }
 
 // Fig12 measures layered backward tracing (Query 10 on full provenance vs
@@ -525,10 +539,15 @@ func (r *Runner) Fig12() ([]BackwardRow, error) {
 			row := BackwardRow{
 				Dataset: d.Name, Analytic: spec.name, Baseline: base,
 				FullX: overhead(fullT, base), CustomX: overhead(custT, base),
-				TraceSize: q10.Relation("back_trace").Len(),
+				TraceSize:       q10.Relation("back_trace").Len(),
+				CustomTraceSize: q12.Relation("back_trace").Len(),
+				FullBytes:       fullStore.TotalBytes(),
+				CustomBytes:     custRes.Provenance.TotalBytes(),
+				FullFacts:       q10.Facts,
+				CustomFacts:     q12.Facts,
 			}
-			if got := q12.Relation("back_trace").Len(); got != row.TraceSize {
-				fmt.Fprintf(r.cfg.out(), "WARNING: %s/%s trace sizes differ: full=%d custom=%d\n", d.Name, spec.name, row.TraceSize, got)
+			if row.CustomTraceSize != row.TraceSize {
+				fmt.Fprintf(r.cfg.out(), "WARNING: %s/%s trace sizes differ: full=%d custom=%d\n", d.Name, spec.name, row.TraceSize, row.CustomTraceSize)
 			}
 			rows = append(rows, row)
 			fmt.Fprintf(r.cfg.out(), "%-8s %-9s %12v %7.2fx %7.2fx %10d\n", row.Dataset, row.Analytic, row.Baseline.Round(time.Millisecond), row.FullX, row.CustomX, row.TraceSize)

@@ -12,11 +12,10 @@ import (
 // The online driver is a deterministic function of the superstep record
 // stream, so its recoverable state is exactly: the Datalog database (the
 // query-relation deltas derived so far) plus the path-specific cursors —
-// compiled-rule drive cursors and the evolution-retention view for the
-// compiled path, or the evaluator's aggregate tables and the feeder's
-// retention/dedup maps for the materialised path. Restoring this state and
-// replaying supersteps from the checkpoint barrier reproduces the
-// failure-free query result bit for bit.
+// compiled-rule drive cursors for the compiled path, or the evaluator's
+// aggregate tables and the feeder's retention/dedup maps for the
+// materialised path. Restoring this state and replaying supersteps from the
+// checkpoint barrier reproduces the failure-free query result bit for bit.
 
 // MarshalCheckpoint implements engine.Checkpointable.
 func (o *Online) MarshalCheckpoint() ([]byte, error) {
@@ -30,7 +29,10 @@ func (o *Online) MarshalCheckpoint() ([]byte, error) {
 	w.Bool(o.compiled != nil)
 	if o.compiled != nil {
 		o.compiled.SaveState(w)
-		saveVertexValues(w, o.vb.ret)
+		// An always-empty vertex-value map: the compiled path retains
+		// nothing (the engine hands it each previous value), and the slot
+		// keeps the checkpoint layout unchanged.
+		w.Uvarint(0)
 		return w.Bytes(), nil
 	}
 	o.ev.SaveState(w)
@@ -46,16 +48,17 @@ func (o *Online) MarshalCheckpoint() ([]byte, error) {
 	}
 	w.Bool(o.f.ret != nil)
 	if o.f.ret != nil {
-		saveVertexValues(w, o.f.ret.lastVal)
-		ids := make([]graph.VertexID, 0, len(o.f.ret.lastSS))
-		for v := range o.f.ret.lastSS {
-			ids = append(ids, v)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		// Values, then supersteps, each in vertex order.
+		ids := sortedVertices(o.f.ret)
 		w.Uvarint(uint64(len(ids)))
 		for _, v := range ids {
 			w.Uvarint(uint64(v))
-			w.Uvarint(uint64(o.f.ret.lastSS[v]))
+			w.Value(o.f.ret[v].val)
+		}
+		w.Uvarint(uint64(len(ids)))
+		for _, v := range ids {
+			w.Uvarint(uint64(v))
+			w.Uvarint(uint64(o.f.ret[v].ss))
 		}
 	}
 	return w.Bytes(), nil
@@ -87,7 +90,7 @@ func (o *Online) UnmarshalCheckpoint(data []byte) error {
 		if err := o.compiled.LoadState(r); err != nil {
 			return err
 		}
-		if err := loadVertexValues(r, o.vb.ret); err != nil {
+		if _, err := loadVertexValues(r); err != nil {
 			return err
 		}
 		return errCtx(r.Err())
@@ -114,15 +117,15 @@ func (o *Online) UnmarshalCheckpoint(data []byte) error {
 		return fmt.Errorf("driver: online checkpoint retention mismatch (saved=%v, this query=%v)", hadRet, o.f.ret != nil)
 	}
 	if o.f.ret != nil {
-		o.f.ret.lastVal = map[graph.VertexID]value.Value{}
-		if err := loadVertexValues(r, o.f.ret.lastVal); err != nil {
+		vals, err := loadVertexValues(r)
+		if err != nil {
 			return err
 		}
 		n := r.Count()
-		o.f.ret.lastSS = make(map[graph.VertexID]int, n)
+		o.f.ret = make(retention, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			v := graph.VertexID(r.Uvarint())
-			o.f.ret.lastSS[v] = int(r.Uvarint())
+			o.f.ret[v] = retained{val: vals[v], ss: int(r.Uvarint())}
 		}
 	}
 	return errCtx(r.Err())
@@ -135,40 +138,19 @@ func errCtx(err error) error {
 	return nil
 }
 
-// saveVertexValues writes a vertex→value map in sorted vertex order.
-func saveVertexValues(w *value.Blob, m map[graph.VertexID]value.Value) {
-	ids := sortedVertices2(m)
-	w.Uvarint(uint64(len(ids)))
-	for _, v := range ids {
-		w.Uvarint(uint64(v))
-		w.Value(m[v])
-	}
-}
-
-// loadVertexValues fills dst (which must be non-nil and is cleared first)
-// from a saveVertexValues blob.
-func loadVertexValues(r *value.BlobReader, dst map[graph.VertexID]value.Value) error {
-	for v := range dst {
-		delete(dst, v)
-	}
+// loadVertexValues reads a vertex→value map written as a count followed by
+// (vertex, value) pairs.
+func loadVertexValues(r *value.BlobReader) (map[graph.VertexID]value.Value, error) {
 	n := r.Count()
+	m := make(map[graph.VertexID]value.Value, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		v := graph.VertexID(r.Uvarint())
-		dst[v] = r.Value()
+		m[v] = r.Value()
 	}
-	return errCtx(r.Err())
+	return m, errCtx(r.Err())
 }
 
-func sortedVertices(m map[graph.VertexID]bool) []graph.VertexID {
-	ids := make([]graph.VertexID, 0, len(m))
-	for v := range m {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func sortedVertices2(m map[graph.VertexID]value.Value) []graph.VertexID {
+func sortedVertices[T any](m map[graph.VertexID]T) []graph.VertexID {
 	ids := make([]graph.VertexID, 0, len(m))
 	for v := range m {
 		ids = append(ids, v)

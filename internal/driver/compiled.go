@@ -6,7 +6,6 @@ import (
 	"ariadne/internal/pql/analysis"
 	"ariadne/internal/pql/eval"
 	"ariadne/internal/provenance"
-	"ariadne/internal/value"
 )
 
 // staticGraph adapts graph.Graph to the compiled evaluator's StaticGraph.
@@ -84,14 +83,19 @@ func tryCompile(q *analysis.Query, db *eval.Database, g *graph.Graph, cfg evalCo
 	return c, err == nil
 }
 
-// recordViews converts provenance records to compiled-evaluator views,
-// maintaining the per-vertex retention needed for evolution joins.
+// viewBuilder converts stored provenance records to compiled-evaluator
+// views, maintaining the per-vertex retention needed for evolution joins
+// when the layers arrive in ascending order.
 type viewBuilder struct {
-	ret map[graph.VertexID]value.Value
+	ret retention
 }
 
-func newViewBuilder() *viewBuilder {
-	return &viewBuilder{ret: map[graph.VertexID]value.Value{}}
+func newViewBuilder(ascending bool) *viewBuilder {
+	vb := &viewBuilder{}
+	if ascending {
+		vb.ret = retention{}
+	}
+	return vb
 }
 
 func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
@@ -107,10 +111,7 @@ func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
 			SentAny:    r.SentAny || len(r.Sends) > 0,
 		}
 		if r.PrevActive >= 0 {
-			if pv, ok := vb.ret[r.Vertex]; ok {
-				rv.PrevValue = pv
-				rv.HasPrevValue = true
-			}
+			rv.PrevValue, rv.HasPrevValue = vb.ret.at(r.Vertex, int(r.PrevActive))
 		}
 		if len(r.Sends) > 0 {
 			rv.Sends = make([]eval.MsgView, len(r.Sends))
@@ -131,14 +132,16 @@ func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
 			}
 		}
 		if r.HasValue {
-			vb.ret[r.Vertex] = r.Value
+			vb.ret.keep(r.Vertex, l.Superstep, r.Value)
 		}
 		out[i] = rv
 	}
 	return out
 }
 
-func (vb *viewBuilder) fromEngine(recs []engine.VertexRecord) []eval.RecordView {
+// engineViews converts live engine records (online mode) to views; the
+// engine supplies each record's previous value itself.
+func engineViews(recs []engine.VertexRecord) []eval.RecordView {
 	out := make([]eval.RecordView, len(recs))
 	for i := range recs {
 		r := &recs[i]
@@ -174,7 +177,6 @@ func (vb *viewBuilder) fromEngine(recs []engine.VertexRecord) []eval.RecordView 
 				rv.Emitted[j] = eval.FactView{Table: f.Table, Args: f.Args}
 			}
 		}
-		vb.ret[r.ID] = r.NewValue
 		out[i] = rv
 	}
 	return out

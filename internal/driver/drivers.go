@@ -63,15 +63,17 @@ func (r *Result) DBBytes() int64 { return r.db.MemSize() }
 var ErrNaiveBudget = errors.New("driver: naive evaluation exceeds the memory budget (use layered or online mode)")
 
 // unfoldedNode is one node of the *unfolded* provenance graph (paper §3):
-// a (vertex, superstep) instantiation object with its message edges and an
-// evolution pointer. Naive evaluation materializes all of them at once —
-// the memory-hungry representation the compact store avoids.
+// a (vertex, superstep) instantiation object with its message edges (or,
+// under a capture that keeps only send flags, the flag) and an evolution
+// pointer. Naive evaluation materializes all of them at once — the
+// memory-hungry representation the compact store avoids.
 type unfoldedNode struct {
 	vertex    graph.VertexID
 	superstep int
 	val       value.Value
 	sends     []provenance.MsgHalf
 	recvs     []provenance.MsgHalf
+	sentAny   bool
 	evolution *unfoldedNode
 }
 
@@ -108,7 +110,7 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 			r := &l.Records[ri]
 			n := &unfoldedNode{
 				vertex: r.Vertex, superstep: l.Superstep, val: r.Value,
-				sends: r.Sends, recvs: r.Recvs,
+				sends: r.Sends, recvs: r.Recvs, sentAny: r.SentAny || len(r.Sends) > 0,
 			}
 			if r.PrevActive >= 0 {
 				n.evolution = nodes[key(r.Vertex, int(r.PrevActive))]
@@ -140,7 +142,7 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 			value:      n.val,
 			sends:      n.sends,
 			recvs:      n.recvs,
-			sentAny:    len(n.sends) > 0,
+			sentAny:    n.sentAny,
 		}
 		if n.evolution != nil {
 			rec.prevActive = n.evolution.superstep
@@ -190,7 +192,6 @@ type Online struct {
 	// Compiled path (the paper's "query vertex program"): rules evaluate
 	// directly against the transient records, no EDB materialization.
 	compiled *eval.Compiled
-	vb       *viewBuilder
 
 	// Materialised path (aggregates, EDBs that are not record-local).
 	ev *eval.Evaluator
@@ -230,7 +231,6 @@ func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, err
 	o := &Online{q: q, db: db}
 	if c, ok := tryCompile(q, db, g, cfg); ok {
 		o.compiled = c
-		o.vb = newViewBuilder()
 		return o, nil
 	}
 	ev, err := eval.NewEvaluator(q, db)
@@ -307,7 +307,7 @@ func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
 	recs := o.shedRecords(v)
 	if o.compiled != nil {
 		before := o.compiled.DerivedTuples()
-		if err := o.compiled.Layer(o.vb.fromEngine(recs)); err != nil {
+		if err := o.compiled.Layer(engineViews(recs)); err != nil {
 			return err
 		}
 		o.notePiggyback(v.Superstep, o.compiled.DerivedTuples()-before)

@@ -74,20 +74,35 @@ func needsOf(q *analysis.Query) needs {
 	return n
 }
 
-// retention keeps, per vertex, the last captured value and superstep so
+// retention keeps, per vertex, the last captured value and its superstep so
 // evolution joins (value at the *previous active* superstep) work in
 // layered and online modes without materializing older layers — DESIGN.md
-// decision 3. Memory is O(active vertices), not O(supersteps).
-type retention struct {
-	lastVal map[graph.VertexID]value.Value
-	lastSS  map[graph.VertexID]int
+// decision 3. Memory is O(active vertices), not O(supersteps). Only a walk
+// forward in time can retain a predecessor's value, so a nil retention
+// (backward or unordered feeding) keeps and finds nothing.
+type retention map[graph.VertexID]retained
+
+type retained struct {
+	val value.Value
+	ss  int
 }
 
-func newRetention() *retention {
-	return &retention{
-		lastVal: map[graph.VertexID]value.Value{},
-		lastSS:  map[graph.VertexID]int{},
+// keep records v's value at superstep ss.
+func (r retention) keep(v graph.VertexID, ss int, val value.Value) {
+	if r != nil {
+		r[v] = retained{val: val, ss: ss}
 	}
+}
+
+// at returns v's value at superstep ss, if that is the value retained: a
+// later capture that carried no value must not pass an older value off as
+// the one at ss.
+func (r retention) at(v graph.VertexID, ss int) (value.Value, bool) {
+	e, ok := r[v]
+	if !ok || e.ss != ss {
+		return value.Value{}, false
+	}
+	return e.val, true
 }
 
 // feeder converts provenance records into EDB facts for an evaluator.
@@ -95,7 +110,7 @@ type feeder struct {
 	ev   *eval.Evaluator
 	g    *graph.Graph
 	n    needs
-	ret  *retention
+	ret  retention
 	prov *provenance.Store // set when feeding from a store (layered/naive)
 
 	edgesFed     bool
@@ -108,18 +123,12 @@ type feeder struct {
 	edgeValueFed map[graph.VertexID]bool
 	// Facts and bytes fed, for the piggyback/size metrics.
 	FactCount int64
-
-	// sink, when set, diverts facts away from the evaluator (the layered
-	// prefetcher uses it to stage a layer's facts off the engine thread,
-	// ingesting them later). Retention state still advances, so the sink
-	// must be driven in replay-step order by a single goroutine.
-	sink func(pred string, t eval.Tuple)
 }
 
 func newFeeder(ev *eval.Evaluator, g *graph.Graph, q *analysis.Query, forward bool) *feeder {
 	f := &feeder{ev: ev, g: g, n: needsOf(q)}
 	if forward && (f.n.evolution || f.n.value) {
-		f.ret = newRetention()
+		f.ret = retention{}
 	}
 	if f.n.edgeValue {
 		f.edgeValueFed = map[graph.VertexID]bool{}
@@ -129,10 +138,6 @@ func newFeeder(ev *eval.Evaluator, g *graph.Graph, q *analysis.Query, forward bo
 
 func (f *feeder) add(pred string, t eval.Tuple) {
 	f.FactCount++
-	if f.sink != nil {
-		f.sink(pred, t)
-		return
-	}
 	f.ev.AddFact(pred, t)
 }
 
@@ -250,8 +255,8 @@ func (f *feeder) feedRecord(r *record) {
 		// Re-inject the retained previous value so value(X, D2, J) joins
 		// resolve without the J-th layer resident (idempotent under naive
 		// mode, where the fact is already present).
-		if f.n.value && f.ret != nil {
-			if pv, ok := f.ret.lastVal[r.vertex]; ok && f.ret.lastSS[r.vertex] == r.prevActive {
+		if f.n.value {
+			if pv, ok := f.ret.at(r.vertex, r.prevActive); ok {
 				f.add("value", eval.Tuple{x, pv, j})
 			}
 		}
@@ -287,9 +292,8 @@ func (f *feeder) feedRecord(r *record) {
 		t = append(t, i)
 		f.add(fact.Table, t)
 	}
-	if f.ret != nil && r.hasValue {
-		f.ret.lastVal[r.vertex] = r.value
-		f.ret.lastSS[r.vertex] = r.superstep
+	if r.hasValue {
+		f.ret.keep(r.vertex, r.superstep, r.value)
 	}
 }
 

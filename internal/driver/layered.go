@@ -1,0 +1,84 @@
+package driver
+
+import (
+	"fmt"
+
+	"ariadne/internal/graph"
+	"ariadne/internal/pql/analysis"
+	"ariadne/internal/pql/eval"
+	"ariadne/internal/provenance"
+)
+
+// Layered evaluates q one provenance layer at a time (paper §5.1): each
+// layer is read from the store once — ascending superstep order for forward
+// and local queries, descending for backward queries — and evaluated before
+// the next is read, so working memory holds one layer plus the query's
+// relations and the evaluation takes n passes for n layers (Lemma 5.3).
+// Mixed queries are rejected (Def. 5.2). EvalWorkers enables shard-parallel
+// delta rounds on the materialised path.
+func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ...EvalOpt) (*Result, error) {
+	if !q.Class.LayeredEvaluable() {
+		return nil, fmt.Errorf("driver: %v queries cannot be evaluated layered; use naive mode", q.Class)
+	}
+	cfg := resolveEvalConfig(opts)
+	db := eval.NewDatabase()
+	ascending := q.Class != analysis.Backward
+	res := &Result{q: q, db: db}
+	compiled, isCompiled := tryCompile(q, db, g, cfg)
+	var vb *viewBuilder
+	var f *feeder
+	if isCompiled {
+		vb = newViewBuilder(ascending)
+	} else {
+		ev, err := eval.NewEvaluator(q, db)
+		if err != nil {
+			return nil, err
+		}
+		ev.SetWorkers(cfg.workers)
+		f = newFeeder(ev, g, q, ascending)
+		f.prov = store
+		f.feedStatic()
+		res.ev = ev
+	}
+	// Projection pushdown: ask the store for only the payload columns this
+	// query's evaluation path can observe (v2 columnar layers skip the rest
+	// on disk). NoProjection pins the full-width reference leg.
+	var proj *provenance.LayerProjection
+	if !cfg.noProjection {
+		proj = projectionFor(q, isCompiled)
+	}
+	n := store.NumLayers()
+	for i := 0; i < n; i++ {
+		idx := i
+		if !ascending {
+			idx = n - 1 - i
+		}
+		l, err := store.LayerProjected(idx, proj)
+		if err != nil {
+			return nil, err
+		}
+		if isCompiled {
+			views := vb.fromProv(l)
+			res.Facts += int64(len(views))
+			if err := compiled.Layer(views); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		for ri := range l.Records {
+			f.feedProvRecord(&l.Records[ri], l.Superstep)
+		}
+		if err := res.ev.Fixpoint(); err != nil {
+			return nil, err
+		}
+	}
+	if isCompiled {
+		if err := compiled.FinishRun(); err != nil {
+			return nil, err
+		}
+	} else {
+		res.Facts = f.FactCount
+	}
+	mirrorEvalStats(cfg.metrics, "layered", res.EvalStats())
+	return res, nil
+}

@@ -12,7 +12,7 @@ import (
 )
 
 // benchCapture runs SSSP under full capture on a spilling store, so the
-// layered legs pay the real decode cost the prefetcher hides.
+// layered run pays the real decode cost of every layer.
 func benchCapture(b *testing.B, scale int) (*graph.Graph, *provenance.Store) {
 	b.Helper()
 	g, err := gen.RMAT(gen.DefaultRMAT(scale, 6, 7))
@@ -31,30 +31,25 @@ func benchCapture(b *testing.B, scale int) (*graph.Graph, *provenance.Store) {
 	return g, store
 }
 
-// BenchmarkLayeredEval compares the layered driver's full run (decode +
-// replay + evaluation) between one worker without layer prefetch and the
-// pipelined shard-parallel default, on the materialised evaluator. benchjson
-// derives layered_run_speedup from the unpipelined/pipelined ns/op ratio.
+// BenchmarkLayeredEval measures the layered driver's full run (decode +
+// evaluation, one layer at a time) on the materialised evaluator at the
+// default worker count.
 func BenchmarkLayeredEval(b *testing.B) {
 	g, store := benchCapture(b, 9)
 	defer store.Close()
 	def := queries.MonotoneCheck()
-	run := func(b *testing.B, opts ...EvalOpt) {
-		b.ReportAllocs()
-		var facts int64
-		for i := 0; i < b.N; i++ {
-			q, err := def.Build()
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := Layered(q, store, g, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			facts = res.Facts
+	b.ReportAllocs()
+	var facts int64
+	for i := 0; i < b.N; i++ {
+		q, err := def.Build()
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(facts)*float64(b.N)/b.Elapsed().Seconds(), "facts/s")
+		res, err := Layered(q, store, g, materialised())
+		if err != nil {
+			b.Fatal(err)
+		}
+		facts = res.Facts
 	}
-	b.Run("unpipelined", func(b *testing.B) { run(b, EvalWorkers(1), NoPrefetch(), materialised()) })
-	b.Run("pipelined", func(b *testing.B) { run(b, EvalWorkers(8), materialised()) })
+	b.ReportMetric(float64(facts)*float64(b.N)/b.Elapsed().Seconds(), "facts/s")
 }

@@ -8,11 +8,9 @@ import (
 )
 
 // evalConfig carries the per-run evaluation tuning shared by the three
-// drivers: shard-parallel worker count, the layered prefetch pipeline and
-// projection pushdown.
+// drivers: shard-parallel worker count and projection pushdown.
 type evalConfig struct {
 	workers      int // 0: auto (min(8, GOMAXPROCS))
-	noPrefetch   bool
 	noProjection bool
 	materialised bool
 	metrics      *obs.Metrics
@@ -22,16 +20,9 @@ type evalConfig struct {
 type EvalOpt func(*evalConfig)
 
 // EvalWorkers sets the shard-parallel evaluation worker count. n <= 0
-// selects the default (min(8, GOMAXPROCS)); 1 never fans a round out (and
-// keeps the prefetch pipeline).
+// selects the default (min(8, GOMAXPROCS)); 1 never fans a round out.
 func EvalWorkers(n int) EvalOpt {
 	return func(c *evalConfig) { c.workers = n }
-}
-
-// NoPrefetch disables the layered driver's pipelined layer prefetch while
-// keeping parallel evaluation (isolates the two optimizations).
-func NoPrefetch() EvalOpt {
-	return func(c *evalConfig) { c.noPrefetch = true }
 }
 
 // NoProjection disables the layered driver's column projection pushdown:
@@ -50,7 +41,7 @@ func materialised() EvalOpt {
 }
 
 // WithEvalObs attaches a metrics registry for eval-phase counters (parallel
-// rounds, exchange tuples, shard skew, prefetch hit/miss).
+// rounds, exchange tuples, shard skew).
 func WithEvalObs(m *obs.Metrics) EvalOpt {
 	return func(c *evalConfig) { c.metrics = m }
 }

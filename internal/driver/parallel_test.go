@@ -98,7 +98,7 @@ func differentialQueries() []queries.Definition {
 }
 
 // TestParallelEvalDifferential pins parallel evaluation (1, 2, and 8
-// workers) against the one-worker, unpipelined reference leg for the paper queries, in
+// workers) against the one-worker reference leg for the paper queries, in
 // both layered and online mode, on the materialised evaluator the parallel
 // rounds apply to. Every derived relation must be tuple-identical.
 func TestParallelEvalDifferential(t *testing.T) {
@@ -116,7 +116,7 @@ func TestParallelEvalDifferential(t *testing.T) {
 			if !q.Class.LayeredEvaluable() {
 				t.Skipf("%s is %v, not layered-evaluable", def.Name, q.Class)
 			}
-			ref, err := Layered(q, store, g, EvalWorkers(1), NoPrefetch(), materialised())
+			ref, err := Layered(q, store, g, EvalWorkers(1), materialised())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,8 +138,8 @@ func TestParallelEvalDifferential(t *testing.T) {
 					sawParallel = true
 				}
 			}
-			// The default leg (compiled when possible, prefetch on) must
-			// agree on the answer predicates.
+			// The default leg (compiled when possible) must agree on the
+			// answer predicates.
 			q3, err := def.Build()
 			if err != nil {
 				t.Fatal(err)
@@ -181,7 +181,7 @@ func TestParallelEvalDifferential(t *testing.T) {
 				}
 				return o.Result()
 			}
-			refSig := resultSig(runOnline(EvalWorkers(1), NoPrefetch(), materialised()))
+			refSig := resultSig(runOnline(EvalWorkers(1), materialised()))
 			for _, w := range workerCounts {
 				res := runOnline(EvalWorkers(w), materialised())
 				requireSameSig(t, fmt.Sprintf("workers=%d", w), refSig, resultSig(res))
@@ -227,30 +227,4 @@ func TestParallelSelfDeterminismLayered(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPrefetchDisabledMatches pins NoPrefetch (synchronous layer loading)
-// against the pipelined default.
-func TestPrefetchDisabledMatches(t *testing.T) {
-	g, store := captureEmitting(t, 6)
-	build := func() *Result {
-		q, err := queries.MonotoneCheck().Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Layered(q, store, g, materialised())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	q2, err := queries.MonotoneCheck().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	noPre, err := Layered(q2, store, g, materialised(), NoPrefetch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameSig(t, "no-prefetch", resultSig(build()), resultSig(noPre))
 }

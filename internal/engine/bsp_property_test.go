@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -137,118 +135,6 @@ func TestDeterminismAcrossPartitionsProperty(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestActiveAtForcesComputation(t *testing.T) {
-	g, err := graph.NewFromEdges(4, nil) // no edges, no messages
-	if err != nil {
-		t.Fatal(err)
-	}
-	var computed []int
-	prog := recorderProg{mu: new(sync.Mutex), hit: &computed}
-	e, err := New(g, prog, Config{
-		MaxSupersteps: 4,
-		ActiveAt: func(ss int) []VertexID {
-			if ss >= 1 && ss <= 2 {
-				return []VertexID{2}
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ss0: all 4 compute; ss1, ss2: forced vertex 2; ss3: ActiveAt empty
-	// and no messages -> stop.
-	if stats.Supersteps != 3 {
-		t.Errorf("supersteps = %d, want 3", stats.Supersteps)
-	}
-	want := 4 + 1 + 1
-	if len(computed) != want {
-		t.Errorf("computed %d vertex steps, want %d", len(computed), want)
-	}
-}
-
-// TestActiveAtDuplicatesComputeOnce: an ActiveAt that names a vertex more
-// than once, out of order, and names one that also has a message, still
-// computes every vertex once per superstep — one Compute, one record, one
-// count in ActiveVertices.
-func TestActiveAtDuplicatesComputeOnce(t *testing.T) {
-	const n = 8
-	for _, parts := range []int{1, 3} {
-		prog := newCountingProg(minProg{})
-		obs := &countObserver{}
-		e, err := New(chainGraph(t, n), prog, Config{
-			Partitions:    parts,
-			MaxSupersteps: 4,
-			Observers:     []Observer{obs},
-			ActiveAt: func(ss int) []VertexID {
-				// Vertex ss receives the chain's message at superstep ss.
-				return []VertexID{6, VertexID(ss), 6, 3, 6, 3}
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ss := 1; ss < stats.Supersteps; ss++ {
-			want := map[VertexID]bool{6: true, 3: true, VertexID(ss): true}
-			for v, c := range prog.calls[ss] {
-				if c != 1 || !want[v] {
-					t.Errorf("parts=%d superstep %d: vertex %d computed %d times", parts, ss, v, c)
-				}
-			}
-			if len(prog.calls[ss]) != len(want) || stats.ActiveVertices[ss] != len(want) || obs.perSS[ss] != len(want) {
-				t.Errorf("parts=%d superstep %d: %d vertices computed, ActiveVertices %d, %d records, want %d each",
-					parts, ss, len(prog.calls[ss]), stats.ActiveVertices[ss], obs.perSS[ss], len(want))
-			}
-		}
-	}
-}
-
-// TestActiveAtOutOfRangeIsAnError: a forced vertex the graph does not have
-// is reported by Run instead of panicking in a partition goroutine.
-func TestActiveAtOutOfRangeIsAnError(t *testing.T) {
-	e, err := New(chainGraph(t, 4), minProg{}, Config{
-		Partitions: 2,
-		ActiveAt: func(ss int) []VertexID {
-			if ss == 1 {
-				return []VertexID{9}
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), "ActiveAt(1) returned vertex 9") {
-		t.Fatalf("want an ActiveAt range error, got %v", err)
-	}
-	if !stats.Aborted {
-		t.Error("stats should mark the run aborted")
-	}
-}
-
-// recorderProg lists the vertices computed; partitions run concurrently.
-type recorderProg struct {
-	mu  *sync.Mutex
-	hit *[]int
-}
-
-func (recorderProg) InitialValue(_ *graph.Graph, _ VertexID) value.Value { return value.NewInt(0) }
-func (p recorderProg) Compute(ctx *Context, _ []IncomingMessage) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	*p.hit = append(*p.hit, int(ctx.ID()))
-	return nil
 }
 
 func TestContextAccessors(t *testing.T) {

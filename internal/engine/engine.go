@@ -86,13 +86,6 @@ type Config struct {
 	Combiner func(a, b value.Value) value.Value
 	// Observers receive the per-superstep transient provenance stream.
 	Observers []Observer
-	// ActiveAt, when set, forces the returned vertices to compute at the
-	// given superstep even without incoming messages (in addition to
-	// message receivers). Returning nil everywhere and having no messages
-	// still ends the run. Offline layered evaluation uses this to replay a
-	// captured provenance graph whose activation pattern is known
-	// (paper §5.1: only a single layer's nodes execute at each superstep).
-	ActiveAt func(superstep int) []VertexID
 	// Context, when set, is checked at each superstep barrier: a hung or
 	// runaway analytic aborts cleanly with an error wrapping ctx.Err()
 	// instead of blocking forever.
@@ -444,24 +437,13 @@ func (e *Engine) Run() (RunStats, error) {
 			default:
 			}
 		}
-		// Determine active vertices: all at superstep 0, else inbox owners
-		// plus any ActiveAt-forced vertices. Computed once per superstep so a
-		// supervised re-execution replays the same set.
-		var forced []VertexID
-		if e.cfg.ActiveAt != nil {
-			forced = e.cfg.ActiveAt(ss)
-			for _, v := range forced {
-				if int(v) >= e.g.NumVertices() {
-					e.stat.Aborted = true
-					return e.stat, fmt.Errorf("engine: ActiveAt(%d) returned vertex %d, the graph has %d vertices",
-						ss, v, e.g.NumVertices())
-				}
-			}
-		}
+		// Determine active vertices: all at superstep 0, else inbox owners.
+		// Computed once per superstep so a supervised re-execution replays
+		// the same set.
 		active := make([][]VertexID, e.nParts)
 		totalActive := 0
 		for p := range active {
-			active[p] = e.activeIDs(p, ss, forced)
+			active[p] = e.activeIDs(p, ss)
 			totalActive += len(active[p])
 		}
 		if ss > 0 && totalActive == 0 {
@@ -628,10 +610,7 @@ func (e *Engine) Run() (RunStats, error) {
 			break
 		}
 		if sent == 0 {
-			// Quiescence — unless forced activation has more work queued.
-			if e.cfg.ActiveAt == nil || len(e.cfg.ActiveAt(ss+1)) == 0 {
-				break
-			}
+			break // quiescence
 		}
 	}
 
@@ -822,9 +801,8 @@ func (e *Engine) mergeRecords(results []partResult) []VertexRecord {
 
 // activeIDs returns partition p's active vertices for superstep ss in
 // ascending order without duplicates: every owned vertex at superstep 0, else
-// the vertices with messages plus any ActiveAt-forced ones. The result may
-// alias the inbox's owner list.
-func (e *Engine) activeIDs(p, ss int, forced []VertexID) []VertexID {
+// the vertices with messages. The result may alias the inbox's owner list.
+func (e *Engine) activeIDs(p, ss int) []VertexID {
 	if ss == 0 {
 		var ids []VertexID
 		for v := p; v < e.g.NumVertices(); v += e.nParts {
@@ -832,24 +810,12 @@ func (e *Engine) activeIDs(p, ss int, forced []VertexID) []VertexID {
 		}
 		return ids
 	}
-	act := e.inbox[p].owners()
 	if e.resident && !e.localPinned[p].Load() {
 		// Worker-resident partition: the active set came back from the
 		// delivery barrier, not a master inbox.
-		act = e.residentActive[p]
+		return e.residentActive[p]
 	}
-	var ids []VertexID
-	for _, v := range forced {
-		if e.partition(v) == p {
-			ids = append(ids, v)
-		}
-	}
-	if len(ids) == 0 {
-		return act
-	}
-	ids = append(ids, act...)
-	slices.Sort(ids)
-	return slices.Compact(ids)
+	return e.inbox[p].owners()
 }
 
 // runPartition computes the given active vertices of partition p for

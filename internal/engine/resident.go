@@ -268,11 +268,10 @@ func (e *Engine) replayState(target, p int) ([]value.Value, *inbox, error) {
 // target", building it on first use: seeded from the newest readable
 // checkpoint at or before target when checkpointing is configured (the
 // existing blob codec, minus observer state), else replayed from superstep
-// 0. The scratch engine runs the same graph, program, partition count,
-// effective combiner, and forced-activation schedule as the live run — and
-// no transport, observers, faults, or supervision — so each superstep it
-// replays is bit-identical to what the lost worker computed. Caller holds
-// replayMu.
+// 0. The scratch engine runs the same graph, program, partition count and
+// effective combiner as the live run — and no transport, observers, faults,
+// or supervision — so each superstep it replays is bit-identical to what the
+// lost worker computed. Caller holds replayMu.
 func (e *Engine) rehydrate(target int) (*Engine, error) {
 	if e.replay != nil && e.replaySS > target {
 		e.replay = nil // target rewound past the scratch frontier; rebuild
@@ -281,7 +280,6 @@ func (e *Engine) rehydrate(target int) (*Engine, error) {
 		scratch, err := New(e.g, e.prog, Config{
 			Partitions: e.nParts,
 			Combiner:   e.sendComb,
-			ActiveAt:   e.cfg.ActiveAt,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("engine: building replay engine: %w", err)

@@ -527,9 +527,7 @@ func (s *Store) NumLayers() int { return len(s.layers) }
 // backward evaluation visits the same layer once per rule body.
 //
 // Layer is not safe for concurrent use: the cache's LRU bookkeeping and the
-// spill-completion drain mutate store state. The layered driver's prefetch
-// pipeline respects this by making its producer goroutine the sole Layer
-// caller for the duration of a replay.
+// spill-completion drain mutate store state.
 func (s *Store) Layer(i int) (*Layer, error) { return s.LayerProjected(i, nil) }
 
 // LayerProjected returns layer i with at least the columns selected by
