@@ -36,10 +36,10 @@ bench: bench-micro
 # microbenchmarks and feeds them through cmd/benchjson, which writes
 # BENCH_micro.json and fails on a regression of the hardware-independent
 # ratios (parallel/sequential barrier-phase time over the same inbox.build,
-# sync/async spill time, 8-worker/1-worker eval-phase time over the same slot
-# programs); the layered full run is recorded ungated. The committed
-# BENCH_micro.json is the single-core container baseline (taskset -c 0); CI
-# archives the fresh one.
+# 8-worker/1-worker eval-phase time over the same slot programs); the
+# sync/async spill ratio and the layered full run are recorded ungated. The
+# committed BENCH_micro.json is the single-core container baseline
+# (taskset -c 0); CI archives the fresh one.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkBarrier' -benchmem -count 1 \
 		./internal/engine/ > bench-micro.out
@@ -62,18 +62,17 @@ bench-micro:
 	rm -f bench-micro.out
 
 # bench-store runs just the provenance-storage benchmarks — spill pipeline,
-# v1-vs-v2 on-disk density, projected-vs-unprojected layered replay — and
-# gates their three ratios (spill_async_speedup, bytes_per_tuple_reduction,
-# layered_replay_facts_s) via cmd/benchjson -expect, writing BENCH_store.json.
-# Faster than bench-micro when iterating on the layer file format; CI runs it
-# in the bench job and archives the JSON.
+# on-disk density, projected-vs-unprojected layered replay — and gates
+# layered_replay_facts_s (spill_async_speedup is recorded) via cmd/benchjson
+# -expect, writing BENCH_store.json. Faster than bench-micro when iterating on
+# the layer file format; CI runs it in the bench job and archives the JSON.
 bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillPipeline|BenchmarkStoreFormat' -benchmem -count 1 \
 		./internal/provenance/ > bench-store.out
 	$(GO) test -run '^$$' -bench 'BenchmarkLayeredReplay' -benchmem -count 1 \
 		./internal/driver/ >> bench-store.out
 	$(GO) run ./cmd/benchjson -out BENCH_store.json \
-		-expect spill_async_speedup,bytes_per_tuple_reduction,layered_replay_facts_s \
+		-expect spill_async_speedup,layered_replay_facts_s \
 		< bench-store.out
 	rm -f bench-store.out
 
@@ -99,10 +98,10 @@ bench-e2e:
 	done | $(GO) run ./cmd/benchjson -e2e -commit "$(COMMIT)" -out BENCH_e2e.json
 
 # loc prints the non-test Go lines of the packages ROADMAP aim 2 tracks (one
-# PQL evaluator, one message barrier; net-negative line counts); CI records
-# it per run.
+# PQL evaluator, one message barrier, one layer representation; net-negative
+# line counts); CI records it per run.
 loc:
-	@for p in internal/pql/eval internal/driver internal/engine; do \
+	@for p in internal/pql/eval internal/driver internal/engine internal/provenance internal/capture; do \
 		printf '%-20s %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
 	done
 

@@ -100,18 +100,6 @@ func EvalWorkers(n int) EvalOption { return driver.EvalWorkers(n) }
 // benchmarks; production replays should let the driver project.
 func NoProjection() EvalOption { return driver.NoProjection() }
 
-// Layer file formats for StoreConfig.Format. Readers sniff the version
-// byte, so either format (and mixes of both in one spill directory) always
-// loads regardless of this setting.
-const (
-	// FormatV1 is the original row-oriented layer file.
-	FormatV1 = provenance.FormatV1
-	// FormatV2 is the compressed columnar layout with per-column footer
-	// offsets; the default, and the only format that supports projected
-	// (partial-column) reads.
-	FormatV2 = provenance.FormatV2
-)
-
 // NewMetrics creates an empty metrics registry for WithMetrics. Create it
 // before Run to serve obs.Handler(m) endpoints while the run is live.
 func NewMetrics() *Metrics { return obs.New() }
@@ -473,6 +461,9 @@ func prepare(g *Graph, opts []Option) (*runConfig, *provenance.Store, []*driver.
 		cfg.capturePol = &pol
 	}
 	if cfg.capturePol != nil {
+		if err := cfg.storeCfg.Validate(); err != nil {
+			return nil, nil, nil, err
+		}
 		store = provenance.NewStore(cfg.storeCfg)
 		co := capture.NewObserver(*cfg.capturePol, store)
 		co.SetMetrics(cfg.metrics)

@@ -366,7 +366,7 @@ func TestALSCaptureBlowup(t *testing.T) {
 	res, err := ariadne.Run(r.Graph, prog,
 		ariadne.WithMaxSupersteps(8),
 		ariadne.WithCapture(capture.FullPolicy(), ariadne.StoreConfig{
-			MemoryBudget: 2 << 20, SpillDir: t.TempDir(),
+			MemoryBudget: 512 << 10, SpillDir: t.TempDir(),
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -382,6 +382,32 @@ func TestALSCaptureBlowup(t *testing.T) {
 	}
 	if n := ariadne.Count(qr, "input_failed"); n != 0 {
 		t.Errorf("in-range ratings flagged offline: %d", n)
+	}
+}
+
+// computeCounter counts the vertex computations of the program it wraps.
+type computeCounter struct {
+	engine.Program
+	calls int
+}
+
+func (c *computeCounter) Compute(ctx *engine.Context, msgs []engine.IncomingMessage) error {
+	c.calls++
+	return c.Program.Compute(ctx, msgs)
+}
+
+// TestSpillAllWithoutSpillDirFailsBeforeSuperstepZero: a store that must
+// spill every layer but has nowhere to put them is a configuration error,
+// reported before the analytic computes anything.
+func TestSpillAllWithoutSpillDirFailsBeforeSuperstepZero(t *testing.T) {
+	prog := &computeCounter{Program: &analytics.PageRank{Iterations: 3}}
+	_, err := ariadne.Run(testGraph(t, 5, 4, 1), prog, ariadne.WithPartitions(1),
+		ariadne.WithCapture(capture.FullPolicy(), ariadne.StoreConfig{SpillAll: true}))
+	if err == nil {
+		t.Fatal("SpillAll without a SpillDir was accepted")
+	}
+	if prog.calls != 0 {
+		t.Errorf("the run computed %d vertices before rejecting the store configuration", prog.calls)
 	}
 }
 

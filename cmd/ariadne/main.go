@@ -190,9 +190,7 @@ func cmdRun(args []string) error {
 	spill := fs.String("spill", "", "spill directory for captured provenance")
 	budget := fs.Int64("budget", 0, "capture memory budget in bytes (0 = unlimited)")
 	syncSpill := fs.Bool("sync-spill", false, "write spilled layers inline in the barrier instead of on the async writer goroutine")
-	spillQueue := fs.Int("spill-queue", 0, "async spill queue depth in layers (0 = default double-buffering)")
-	reloadCache := fs.Int("reload-cache", 0, "spilled-layer reload cache capacity in layers (0 = default, negative = disabled)")
-	storeFormat := fs.String("store-format", "v2", "spilled layer file format: v2 (compressed columnar) or v1 (row-oriented); reads always auto-detect")
+	reloadCache := fs.Int("reload-cache", 0, "decoded-layer cache capacity in layers (0 = default, negative = disabled)")
 	seqBarrier := fs.Bool("seq-barrier", false, "run the superstep barrier single-threaded instead of one goroutine per partition (reference leg; bit-identical results)")
 	transportName := fs.String("transport", "inproc", "partition transport: inproc, or tcp to run partitions on worker processes")
 	workers := fs.Int("workers", 0, "worker processes to spawn with -transport tcp (0 = 1)")
@@ -264,15 +262,6 @@ func cmdRun(args []string) error {
 			onlineNames = append(onlineNames, def.Name)
 		}
 	}
-	var layerFormat int
-	switch *storeFormat {
-	case "", "v2":
-		layerFormat = provenance.FormatV2
-	case "v1":
-		layerFormat = provenance.FormatV1
-	default:
-		return fmt.Errorf("-store-format: unknown format %q (want v1 or v2)", *storeFormat)
-	}
 	if *captureSpec != "" {
 		if *spill != "" {
 			if err := os.MkdirAll(*spill, 0o755); err != nil {
@@ -283,9 +272,7 @@ func cmdRun(args []string) error {
 			MemoryBudget: *budget,
 			SpillDir:     *spill,
 			SyncSpill:    *syncSpill,
-			SpillQueue:   *spillQueue,
 			ReloadCache:  *reloadCache,
-			Format:       layerFormat,
 		}
 		var def queries.Definition
 		switch {

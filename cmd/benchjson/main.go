@@ -6,9 +6,9 @@
 //	    go run ./cmd/benchjson -out BENCH_micro.json
 //
 // Absolute ns/op is meaningless across CI runners, so the regression checks
-// compare legs of the same run: the parallel/sequential barrier-phase ratio
-// and the sync/async spill ratio. Exit status 1 means a ratio crossed its
-// threshold (or an expected benchmark is missing).
+// compare legs of the same run, such as the parallel/sequential
+// barrier-phase ratio. Exit status 1 means a ratio crossed its threshold (or
+// an expected benchmark is missing).
 //
 // With -e2e it instead reads the output of the repository benchmark
 // (`bash benchmark/run.sh --workload W ...`, any number of workloads) and
@@ -103,14 +103,6 @@ func main() {
 		"read benchmark/run.sh output on stdin and append one entry to the "+
 			"end-to-end record named by -out, instead of gating microbenchmarks")
 	commit := flag.String("commit", "unknown", "with -e2e: the commit the entry was measured at")
-	minSpill := flag.Float64("min-spill-speedup", 0.7,
-		"minimum sync/async spill pipeline time ratio. The benchmark now "+
-			"interleaves layer construction with appends (the shape a real run "+
-			"has), so on multi-core hardware the async leg overlaps encode+write "+
-			"with the next layer's build and the ratio exceeds 1; on a "+
-			"single-core runner no overlap is possible and the async leg pays "+
-			"its per-layer scheduling handoffs (~0.9 observed), so the guard "+
-			"only rejects async being materially slower than sync")
 	maxTransport := flag.Float64("max-transport-overhead", 10,
 		"maximum tcp-loopback/in-process full-run time ratio (the transport "+
 			"seam's serialization + framing cost; worker-resident state keeps "+
@@ -122,10 +114,6 @@ func main() {
 	maxTrace := flag.Float64("max-trace-overhead", 1.05,
 		"maximum traced/untraced full-run time ratio over TCP loopback "+
 			"(span tracing must cost at most 5% on an instrumented run)")
-	minTupleReduction := flag.Float64("min-bytes-per-tuple-reduction", 3,
-		"minimum v1/v2 on-disk bytes-per-tuple ratio on the WCC-shaped "+
-			"store-format benchmark (how much the columnar layer format "+
-			"shrinks spilled provenance)")
 	minReplayProj := flag.Float64("min-replay-projection-speedup", 1.3,
 		"minimum projected/unprojected facts-per-second ratio on the layered "+
 			"replay of a vector-valued capture (what projection pushdown "+
@@ -178,13 +166,14 @@ func main() {
 			"BenchmarkBarrier/parallel/combine",
 			"BenchmarkBarrier/sequential/combine", "barrier-ns/op")
 	}
+	// spill_async_speedup is recorded, not gated: the write-behind only
+	// writes finished images, so on a single core it has nothing but fsync
+	// waits to overlap and sits near 1.0. It is kept because it wins end to
+	// end on capture.full.pagerank (CHANGES.md), not on this ratio.
 	if wants("spill_async_speedup") {
-		if v := ratio(rep, benches, "spill_async_speedup",
+		ratio(rep, benches, "spill_async_speedup",
 			"BenchmarkSpillPipeline/sync",
-			"BenchmarkSpillPipeline/async", "ns/op"); v > 0 && v < *minSpill {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("spill_async_speedup %.2f < %.2f", v, *minSpill))
-		}
+			"BenchmarkSpillPipeline/async", "ns/op")
 	}
 	// eval_fanout_overhead is a ceiling: every worker count runs the same
 	// slot programs, so fanning a round out over 8 shards may cost at most
@@ -253,18 +242,6 @@ func main() {
 				rep.Failures = append(rep.Failures,
 					fmt.Sprintf("span_disabled_allocs %.1f != 0 (disabled span path allocates)", v))
 			}
-		}
-	}
-	// bytes_per_tuple_reduction is a floor on storage compression: the same
-	// WCC-shaped capture spilled by both formats, compared by on-disk bytes
-	// per provenance tuple. The v2 columnar blocks (dictionary + delta/varint)
-	// must be at least 3x denser than the v1 row format.
-	if wants("bytes_per_tuple_reduction") {
-		if v := ratio(rep, benches, "bytes_per_tuple_reduction",
-			"BenchmarkStoreFormat/v1",
-			"BenchmarkStoreFormat/v2", "B/tuple"); v > 0 && v < *minTupleReduction {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("bytes_per_tuple_reduction %.2f < %.2f", v, *minTupleReduction))
 		}
 	}
 	// layered_replay_facts_s is a floor on projection pushdown: replaying a

@@ -591,7 +591,7 @@ func (r *Runner) ALSCapture(spillDir string) (*ALSCaptureResult, error) {
 	if spillDir != "" {
 		_, res, err := r.timeRun(ml.Graph, prog, ariadne.WithMaxSupersteps(8),
 			ariadne.WithCapture(ariadne.CapturePolicy{Values: true, Sends: true, Recvs: true, Emitted: []string{"*"}},
-				provenance.StoreConfig{MemoryBudget: 16 << 20, SpillDir: spillDir}))
+				provenance.StoreConfig{MemoryBudget: 4 << 20, SpillDir: spillDir}))
 		if err != nil {
 			return nil, err
 		}

@@ -82,11 +82,13 @@ type Observer struct {
 	// capture failure aborts the run (the pre-supervision behavior).
 	inj *fault.Injector
 	deg *supervise.DegradeState
+
+	b *provenance.LayerBuilder // reused: each layer starts at the last one's block sizes
 }
 
 // NewObserver creates a capture observer writing into store.
 func NewObserver(policy Policy, store *provenance.Store) *Observer {
-	o := &Observer{policy: policy, store: store}
+	o := &Observer{policy: policy, store: store, b: provenance.NewLayerBuilder(0)}
 	o.emitSet = map[string]bool{}
 	for _, t := range policy.Emitted {
 		if t == "*" {
@@ -129,20 +131,21 @@ func (o *Observer) NeedsRawMessages() bool {
 	return o.policy.NeedsRaw() || o.policy.TaintSource != nil
 }
 
-// ObserveSuperstep implements engine.Observer: converts the superstep's
-// records into a compact provenance layer. When degradation is armed,
-// each partition's capture is health-checked first: records of failing or
-// already-shed partitions are dropped from the layer and recorded as
-// capture gaps, and whole-layer store failures (spill errors, exhausted
-// memory budget) degrade to an empty placeholder layer instead of
-// aborting the run.
+// ObserveSuperstep implements engine.Observer: appends the superstep's
+// records straight into the layer's column blocks and hands the finished
+// layer to the store. When degradation is armed, each partition's capture
+// is health-checked first: records of failing or already-shed partitions
+// are dropped from the layer and recorded as capture gaps, and whole-layer
+// store failures (spill errors, exhausted memory budget) degrade to an
+// empty placeholder layer instead of aborting the run.
 func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
 	skip, err := o.partitionHealth(v)
 	if err != nil {
 		return err
 	}
-	l := &provenance.Layer{Superstep: v.Superstep}
-	newTaints := []graph.VertexID{}
+	b := o.b
+	b.Reset(v.Superstep)
+	var newTaints []graph.VertexID
 	var nValues, nSends, nFlags, nRecvs int64
 	var nEmitted map[string]int64
 	for i := range v.Records {
@@ -150,57 +153,52 @@ func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
 		if skip != nil && skip[v.Engine.PartitionOf(rec.ID)] {
 			continue
 		}
-		if o.tainted != nil {
-			if !o.taintedNow(rec, &newTaints) {
-				continue
-			}
+		if o.tainted != nil && !o.taintedNow(rec, &newTaints) {
+			continue
 		}
-		pr := provenance.Record{
-			Vertex:     rec.ID,
-			PrevActive: int32(rec.PrevActive),
-		}
-		if o.policy.Values {
-			pr.HasValue = true
-			pr.Value = rec.NewValue
-			nValues++
-		}
+		var sent []engine.SentMessage
+		var received []engine.IncomingMessage
 		if o.policy.Sends {
-			pr.Sends = make([]provenance.MsgHalf, len(rec.Sent))
-			for j, m := range rec.Sent {
-				pr.Sends[j] = provenance.MsgHalf{Peer: m.Dst, Val: m.Val}
-			}
-			nSends += int64(len(rec.Sent))
-		}
-		if o.policy.SendFlags {
-			pr.SentAny = len(rec.Sent) > 0
-			if pr.SentAny {
-				nFlags++
-			}
+			sent = rec.Sent
 		}
 		if o.policy.Recvs {
-			pr.Recvs = make([]provenance.MsgHalf, len(rec.Received))
-			for j, m := range rec.Received {
-				pr.Recvs[j] = provenance.MsgHalf{Peer: m.Src, Val: m.Val}
-			}
-			nRecvs += int64(len(rec.Received))
+			received = rec.Received
 		}
-		if o.emitAll || len(o.emitSet) > 0 {
-			for _, f := range rec.Emitted {
-				if o.emitAll || o.emitSet[f.Table] {
-					pr.Emitted = append(pr.Emitted, provenance.Fact{
-						Table: f.Table,
-						Args:  append([]value.Value(nil), f.Args...),
-					})
-					if o.metrics != nil {
-						if nEmitted == nil {
-							nEmitted = map[string]int64{}
-						}
-						nEmitted[f.Table]++
-					}
+		facts := 0
+		for _, f := range rec.Emitted {
+			if o.keeps(f.Table) {
+				facts++
+			}
+		}
+		b.Begin(rec.ID, int32(rec.PrevActive), len(sent), len(received), facts)
+		if o.policy.Values {
+			b.Value(rec.NewValue)
+			nValues++
+		}
+		if o.policy.SendFlags && len(rec.Sent) > 0 {
+			b.SentAny()
+			nFlags++
+		}
+		for _, m := range sent {
+			b.Send(m.Dst, m.Val)
+		}
+		for _, m := range received {
+			b.Recv(m.Src, m.Val)
+		}
+		nSends += int64(len(sent))
+		nRecvs += int64(len(received))
+		for _, f := range rec.Emitted {
+			if !o.keeps(f.Table) {
+				continue
+			}
+			b.Fact(f.Table, f.Args)
+			if o.metrics != nil {
+				if nEmitted == nil {
+					nEmitted = map[string]int64{}
 				}
+				nEmitted[f.Table]++
 			}
 		}
-		l.Records = append(l.Records, pr)
 	}
 	if o.metrics != nil {
 		o.metrics.AddCaptureTuples("value", nValues)
@@ -217,11 +215,14 @@ func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
 	for _, t := range newTaints {
 		o.tainted[t] = true
 	}
-	if err := o.store.AppendLayer(l); err != nil {
+	if err := o.store.Append(b); err != nil {
 		return o.degradeLayer(v.Superstep, err)
 	}
 	return nil
 }
+
+// keeps reports whether the policy persists emitted facts of table.
+func (o *Observer) keeps(table string) bool { return o.emitAll || o.emitSet[table] }
 
 // partitionHealth runs the per-partition capture health check and returns
 // the set of partitions whose records must be dropped this superstep (nil

@@ -339,119 +339,191 @@ func (c *bcursor) packedValue() (value.Value, error) {
 	}
 }
 
-// encodeLayerColumnar serializes l in the v2 columnar format.
-func encodeLayerColumnar(w io.Writer, l *Layer) error {
-	var head []byte
-	head = append(head, layerMagic[:]...)
-	head = append(head, layerVersionColumnar)
-	head = binary.AppendUvarint(head, uint64(l.Superstep))
-	head = binary.AppendUvarint(head, uint64(len(l.Records)))
+// LayerBuilder encodes one layer straight into its v2 column blocks, one
+// record at a time, so capture never builds row-shaped Records: the blocks
+// it fills are the blocks the file holds. A record is Begin, then any of
+// Value, SentAny, and exactly the Send/Recv/Fact calls its Begin counts
+// announced. Finish assembles the file image. The builder also tallies what
+// the store accounts for each layer — tuples, the v1-shaped EncodedSize,
+// and the captured vertices — so nothing walks the layer a second time.
+//
+// A builder is reusable: Reset starts the next layer, and the block buffers
+// keep their capacity, so a run's later layers append without regrowing.
+type LayerBuilder struct {
+	superstep int
+	n         int
+	blocks    [numColumns][]byte // colEmitted holds the per-record body; Finish prepends the dictionary
+	dict      map[string]int
+	tables    []string
 
-	var blocks [numColumns][]byte
-	prevVertex := int64(0)
-	prevBase := int64(l.Superstep - 1)
-	var flagAcc byte
-	flagBits := 0
-	dict := map[string]int{}
-	var tables []string
-	var emittedBody []byte
-	for i := range l.Records {
-		r := &l.Records[i]
-		v := int64(r.Vertex)
-		blocks[colVertex] = binary.AppendUvarint(blocks[colVertex], zigzag(v-prevVertex))
-		prevVertex = v
-		blocks[colPrevActive] = binary.AppendUvarint(blocks[colPrevActive], zigzag(prevBase-int64(r.PrevActive)))
-		var fl byte
-		if r.HasValue {
-			fl |= 1
-		}
-		if r.SentAny {
-			fl |= 2
-		}
-		flagAcc |= fl << flagBits
-		flagBits += 2
-		if flagBits == 8 {
-			blocks[colFlags] = append(blocks[colFlags], flagAcc)
-			flagAcc, flagBits = 0, 0
-		}
-		blocks[colSendPeers] = appendPeerDeltas(blocks[colSendPeers], v, r.Sends)
-		for _, m := range r.Sends {
-			blocks[colSendValues] = appendPackedValue(blocks[colSendValues], m.Val)
-		}
-		blocks[colRecvPeers] = appendPeerDeltas(blocks[colRecvPeers], v, r.Recvs)
-		for _, m := range r.Recvs {
-			blocks[colRecvValues] = appendPackedValue(blocks[colRecvValues], m.Val)
-		}
-		if r.HasValue {
-			blocks[colValues] = appendPackedValue(blocks[colValues], r.Value)
-		}
-		emittedBody = binary.AppendUvarint(emittedBody, uint64(len(r.Emitted)))
-		for _, fc := range r.Emitted {
-			idx, ok := dict[fc.Table]
-			if !ok {
-				idx = len(tables)
-				dict[fc.Table] = idx
-				tables = append(tables, fc.Table)
-			}
-			emittedBody = binary.AppendUvarint(emittedBody, uint64(idx))
-			emittedBody = binary.AppendUvarint(emittedBody, uint64(len(fc.Args)))
-			for _, a := range fc.Args {
-				emittedBody = appendPackedValue(emittedBody, a)
-			}
-		}
-	}
-	if flagBits > 0 {
-		blocks[colFlags] = append(blocks[colFlags], flagAcc)
-	}
-	var emitted []byte
-	emitted = binary.AppendUvarint(emitted, uint64(len(tables)))
-	for _, t := range tables {
-		emitted = binary.AppendUvarint(emitted, uint64(len(t)))
-		emitted = append(emitted, t...)
-	}
-	blocks[colEmitted] = append(emitted, emittedBody...)
+	prevVertex, sendPrev, recvPrev int64
 
-	var foot []byte
-	foot = binary.AppendUvarint(foot, numColumns)
-	off := uint64(len(head))
-	for id, b := range blocks {
-		foot = binary.AppendUvarint(foot, uint64(id))
-		foot = binary.AppendUvarint(foot, off)
-		foot = binary.AppendUvarint(foot, uint64(len(b)))
-		off += uint64(len(b))
-	}
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
-	for _, b := range blocks {
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	if _, err := w.Write(foot); err != nil {
-		return err
-	}
-	var trailer [8]byte
-	binary.LittleEndian.PutUint32(trailer[:4], uint32(len(foot)))
-	copy(trailer[4:], layerEndMagic[:])
-	_, err := w.Write(trailer[:])
-	return err
+	tuples   int64 // Layer.NumTuples
+	enc      int64 // Layer.EncodedSize, the logical size Store.TotalBytes reports
+	vertices []VertexID
 }
 
-// appendPeerDeltas encodes one record's message peer list: a count, then
-// zigzag deltas between consecutive peers, the first relative to the
-// record's own vertex. Capture order is preserved exactly — replay walks
-// this list to regenerate deliveries, and the differential suite demands
-// bit-identical runs.
-func appendPeerDeltas(buf []byte, vertex int64, ms []MsgHalf) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ms)))
-	prev := vertex
-	for _, m := range ms {
-		p := int64(m.Peer)
-		buf = binary.AppendUvarint(buf, zigzag(p-prev))
-		prev = p
+// NewLayerBuilder returns a builder for the layer of superstep ss.
+func NewLayerBuilder(ss int) *LayerBuilder {
+	b := &LayerBuilder{dict: map[string]int{}}
+	b.Reset(ss)
+	return b
+}
+
+// Reset empties the builder for the layer of superstep ss.
+func (b *LayerBuilder) Reset(ss int) {
+	b.superstep, b.n, b.prevVertex = ss, 0, 0
+	for i := range b.blocks {
+		b.blocks[i] = b.blocks[i][:0]
 	}
-	return buf
+	clear(b.dict)
+	b.tables = b.tables[:0]
+	b.tuples, b.enc = 0, 16
+	b.vertices = b.vertices[:0]
+}
+
+// Begin starts the next record: vertex v, previously active at prevActive
+// (-1: never), followed by sends Send calls, recvs Recv calls and facts Fact
+// calls.
+func (b *LayerBuilder) Begin(v VertexID, prevActive int32, sends, recvs, facts int) {
+	if b.n%4 == 0 {
+		b.blocks[colFlags] = append(b.blocks[colFlags], 0)
+	}
+	b.n++
+	x := int64(v)
+	b.blocks[colVertex] = binary.AppendUvarint(b.blocks[colVertex], zigzag(x-b.prevVertex))
+	b.blocks[colPrevActive] = binary.AppendUvarint(b.blocks[colPrevActive], zigzag(int64(b.superstep-1)-int64(prevActive)))
+	b.blocks[colSendPeers] = binary.AppendUvarint(b.blocks[colSendPeers], uint64(sends))
+	b.blocks[colRecvPeers] = binary.AppendUvarint(b.blocks[colRecvPeers], uint64(recvs))
+	b.blocks[colEmitted] = binary.AppendUvarint(b.blocks[colEmitted], uint64(facts))
+	b.prevVertex, b.sendPrev, b.recvPrev = x, x, x
+	b.vertices = append(b.vertices, v)
+	b.tuples += int64(1 + sends + recvs + facts) // the superstep fact, one per message and fact
+	if prevActive >= 0 {
+		b.tuples++ // the evolution fact
+	}
+	b.enc += int64(10+1+2+1) + int64(5*(sends+recvs)) // Record.EncodedSize's fixed part
+}
+
+// flag sets one of the current record's two flag bits.
+func (b *LayerBuilder) flag(bit byte) {
+	i := b.n - 1
+	b.blocks[colFlags][i/4] |= bit << ((i % 4) * 2)
+	b.tuples++
+}
+
+// Value captures the current record's vertex value.
+func (b *LayerBuilder) Value(v value.Value) {
+	b.flag(1)
+	b.blocks[colValues] = appendPackedValue(b.blocks[colValues], v)
+	b.enc += int64(v.EncodedSize())
+}
+
+// SentAny records that the current record's vertex sent a message (the
+// prov-send flag of paper Query 11).
+func (b *LayerBuilder) SentAny() { b.flag(2) }
+
+// Send appends one sent message of the current record. Peers are stored as
+// zigzag deltas, the first from the record's own vertex, in capture order —
+// which the bit-identity contract depends on.
+func (b *LayerBuilder) Send(dst VertexID, v value.Value) {
+	p := int64(dst)
+	b.blocks[colSendPeers] = binary.AppendUvarint(b.blocks[colSendPeers], zigzag(p-b.sendPrev))
+	b.sendPrev = p
+	b.blocks[colSendValues] = appendPackedValue(b.blocks[colSendValues], v)
+	b.enc += int64(v.EncodedSize())
+}
+
+// Recv appends one received message of the current record, as Send does.
+func (b *LayerBuilder) Recv(src VertexID, v value.Value) {
+	p := int64(src)
+	b.blocks[colRecvPeers] = binary.AppendUvarint(b.blocks[colRecvPeers], zigzag(p-b.recvPrev))
+	b.recvPrev = p
+	b.blocks[colRecvValues] = appendPackedValue(b.blocks[colRecvValues], v)
+	b.enc += int64(v.EncodedSize())
+}
+
+// Fact appends one analytic-emitted fact of the current record, its table
+// name interned in the layer's dictionary.
+func (b *LayerBuilder) Fact(table string, args []value.Value) {
+	idx, ok := b.dict[table]
+	if !ok {
+		idx = len(b.tables)
+		b.dict[table] = idx
+		b.tables = append(b.tables, table)
+	}
+	e := binary.AppendUvarint(b.blocks[colEmitted], uint64(idx))
+	e = binary.AppendUvarint(e, uint64(len(args)))
+	b.enc += int64(2 + len(table))
+	for _, a := range args {
+		e = appendPackedValue(e, a)
+		b.enc += int64(a.EncodedSize())
+	}
+	b.blocks[colEmitted] = e
+}
+
+// add appends one row-shaped record.
+func (b *LayerBuilder) add(r *Record) {
+	b.Begin(r.Vertex, r.PrevActive, len(r.Sends), len(r.Recvs), len(r.Emitted))
+	if r.HasValue {
+		b.Value(r.Value)
+	}
+	if r.SentAny {
+		b.SentAny()
+	}
+	for _, m := range r.Sends {
+		b.Send(m.Peer, m.Val)
+	}
+	for _, m := range r.Recvs {
+		b.Recv(m.Peer, m.Val)
+	}
+	for _, f := range r.Emitted {
+		b.Fact(f.Table, f.Args)
+	}
+}
+
+// Finish returns the finished v2 file image: header, column blocks, footer
+// and trailer. The image is a fresh allocation the builder never touches
+// again.
+func (b *LayerBuilder) Finish() []byte {
+	// meta holds the three small pieces back to back: header | emitted
+	// dictionary | footer.
+	meta := append([]byte(nil), layerMagic[:]...)
+	meta = append(meta, layerVersionColumnar)
+	meta = binary.AppendUvarint(meta, uint64(b.superstep))
+	meta = binary.AppendUvarint(meta, uint64(b.n))
+	headEnd := len(meta)
+	meta = binary.AppendUvarint(meta, uint64(len(b.tables)))
+	for _, t := range b.tables {
+		meta = binary.AppendUvarint(meta, uint64(len(t)))
+		meta = append(meta, t...)
+	}
+	dictEnd := len(meta)
+	meta = binary.AppendUvarint(meta, numColumns)
+	off := uint64(headEnd)
+	for id, blk := range b.blocks {
+		n := uint64(len(blk))
+		if id == colEmitted {
+			n += uint64(dictEnd - headEnd)
+		}
+		meta = binary.AppendUvarint(meta, uint64(id))
+		meta = binary.AppendUvarint(meta, off)
+		meta = binary.AppendUvarint(meta, n)
+		off += n
+	}
+	foot := meta[dictEnd:]
+
+	img := make([]byte, 0, int(off)+len(foot)+8)
+	img = append(img, meta[:headEnd]...)
+	for id, blk := range b.blocks {
+		if id == colEmitted {
+			img = append(img, meta[headEnd:dictEnd]...)
+		}
+		img = append(img, blk...)
+	}
+	img = append(img, foot...)
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(foot)))
+	return append(img, layerEndMagic[:]...)
 }
 
 // columnarLayer is an opened v2 layer file: parsed header and footer, with

@@ -99,18 +99,28 @@ func assertLayersIdentical(t *testing.T, want, got *Layer) {
 	}
 }
 
-func writeTempLayer(t *testing.T, l *Layer, format int) string {
+func writeTempLayer(t *testing.T, l *Layer) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "layer.prov")
-	if _, err := writeLayerFile(path, l, format, nil, nil); err != nil {
+	if err := writeLayerFile(path, encodeLayerColumnar(l), l.Superstep, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
+// readImage decodes a v2 image with the columns in mask.
+func readImage(t *testing.T, img []byte, mask colMask) (*Layer, colMask) {
+	t.Helper()
+	l, got, err := readLayer(bytes.NewReader(img), int64(len(img)), mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, got
+}
+
 func TestColumnarRoundTrip(t *testing.T) {
 	for _, l := range []*Layer{trickyLayer(3), trickyLayer(0), {Superstep: 2}, sampleLayer(1, 50)} {
-		path := writeTempLayer(t, l, FormatV2)
+		path := writeTempLayer(t, l)
 		got, err := readLayerFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -179,18 +189,15 @@ func TestIntegralFloat(t *testing.T) {
 	}
 }
 
-// TestColumnarProjection reads the same file under narrowing projections
+// TestColumnarProjection reads the same image under narrowing projections
 // and checks exactly which columns materialize; then widens the partial
 // layer with mergeLayerColumns back to full and checks identity.
 func TestColumnarProjection(t *testing.T) {
 	l := trickyLayer(4)
-	path := writeTempLayer(t, l, FormatV2)
+	img := encodeLayerColumnar(l)
 
 	// Core-only projection: topology present, payload columns absent.
-	core, gotMask, err := readLayerFileProjected(path, (&LayerProjection{}).mask())
-	if err != nil {
-		t.Fatal(err)
-	}
+	core, gotMask := readImage(t, img, (&LayerProjection{}).mask())
 	if gotMask != maskCore {
 		t.Fatalf("core projection materialized mask %09b, want %09b", gotMask, maskCore)
 	}
@@ -217,10 +224,7 @@ func TestColumnarProjection(t *testing.T) {
 	}
 
 	// RecvValues implies RecvPeers.
-	rp, gotMask, err := readLayerFileProjected(path, (&LayerProjection{RecvValues: true}).mask())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp, gotMask := readImage(t, img, (&LayerProjection{RecvValues: true}).mask())
 	if !gotMask.has(colRecvPeers) || !gotMask.has(colRecvValues) {
 		t.Fatalf("RecvValues projection mask %09b misses recv columns", gotMask)
 	}
@@ -237,7 +241,7 @@ func TestColumnarProjection(t *testing.T) {
 	}
 
 	// Widening the core layer column by column converges to the full layer.
-	if err := mergeLayerColumns(path, core, maskAll&^maskCore); err != nil {
+	if err := mergeLayerColumns(bytes.NewReader(img), int64(len(img)), core, maskAll&^maskCore); err != nil {
 		t.Fatal(err)
 	}
 	assertLayersIdentical(t, l, core)
@@ -247,87 +251,42 @@ func TestColumnarProjection(t *testing.T) {
 // contract: a partially materialized layer must have a strictly smaller
 // MemSize than the full decode of the same file (decoded columns only).
 func TestProjectedLayerChargesLessMemory(t *testing.T) {
-	l := trickyLayer(4)
-	path := writeTempLayer(t, l, FormatV2)
-	full, _, err := readLayerFileProjected(path, maskAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, _, err := readLayerFileProjected(path, maskCore)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := encodeLayerColumnar(trickyLayer(4))
+	full, _ := readImage(t, img, maskAll)
+	core, _ := readImage(t, img, maskCore)
 	if core.MemSize() >= full.MemSize() {
 		t.Errorf("projected layer MemSize %d >= full %d", core.MemSize(), full.MemSize())
 	}
 }
 
-// TestColumnarSmallerThanRowFormat is a sanity floor under the benchmark
-// gate: on an int-valued message-heavy layer (the WCC shape), the columnar
-// file must be at least 3x smaller than the v1 row file.
+// TestColumnarSmallerThanRowFormat is a sanity floor on storage
+// compression: on an int-valued message-heavy layer (the WCC shape), the
+// columnar image must be at least 3x smaller than the same layer's
+// committed v1 row file.
 func TestColumnarSmallerThanRowFormat(t *testing.T) {
-	l := wccLayer(3, 2000, 4)
-	dir := t.TempDir()
-	v1, err := writeLayerFile(filepath.Join(dir, "v1.prov"), l, FormatV1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := writeLayerFile(filepath.Join(dir, "v2.prov"), l, FormatV2, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := len(readV1Fixture(t, "wcc-3-300-4.prov"))
+	v2 := len(encodeLayerColumnar(wccLayer(3, 300, 4)))
 	if v2*3 > v1 {
-		t.Errorf("v2 file %d bytes vs v1 %d: reduction %.2fx < 3x", v2, v1, float64(v1)/float64(v2))
+		t.Errorf("v2 image %d bytes vs v1 %d: reduction %.2fx < 3x", v2, v1, float64(v1)/float64(v2))
 	}
 }
 
-// TestStoreFormatV1StillWritten pins the -store-format v1 escape hatch: a
-// FormatV1 store produces files the v1 decoder reads directly.
-func TestStoreFormatV1StillWritten(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStore(StoreConfig{SpillAll: true, SyncSpill: true, SpillDir: dir, Format: FormatV1})
-	l := sampleLayer(0, 10)
-	if err := s.AppendLayer(l); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, layerFileName(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw[4] != layerVersion {
-		t.Fatalf("FormatV1 store wrote version %d", raw[4])
-	}
-	got, err := s.Layer(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLayersIdentical(t, l, got)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV1FilesRemainReadable writes v1 layer files (an earlier build's spill
-// output) and reattaches them with a default-format (v2) store — the
-// checkpoint/resume compatibility path. Projected reads against v1 files
-// must silently degrade to full materialization.
+// TestV1FilesRemainReadable reattaches v1 layer files (an earlier build's
+// spill output) — the checkpoint/resume compatibility path. Projected reads
+// against v1 files must silently degrade to full materialization.
 func TestV1FilesRemainReadable(t *testing.T) {
 	dir := t.TempDir()
-	old := NewStore(StoreConfig{SpillAll: true, SyncSpill: true, SpillDir: dir, Format: FormatV1})
 	var want []*Layer
 	for ss := 0; ss < 4; ss++ {
-		l := sampleLayer(ss, 12)
-		want = append(want, l)
-		if err := old.AppendLayer(l); err != nil {
+		name := layerFileName(ss)
+		if err := os.WriteFile(filepath.Join(dir, name), readV1Fixture(t, "store/"+name), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, sampleLayer(ss, 12))
 	}
-	// Detach without deleting the files (Close would remove them): simulate
-	// process death by dropping the store on the floor.
-
-	s := NewStore(StoreConfig{SpillAll: true, SpillDir: dir}) // default FormatV2
+	s := NewStore(StoreConfig{SpillAll: true, SpillDir: dir})
 	if err := s.Reattach(4); err != nil {
-		t.Fatalf("reattaching v1 files under a v2 store: %v", err)
+		t.Fatalf("reattaching v1 files: %v", err)
 	}
 	for ss := 0; ss < 4; ss++ {
 		got, err := s.LayerProjected(ss, &LayerProjection{})
@@ -390,14 +349,11 @@ func wccLayer(ss, nrec, fanout int) *Layer {
 }
 
 // TestColumnarBufferRoundTrip drives the encoder/decoder through an
-// in-memory buffer (the fuzz target's transport) rather than a file.
+// in-memory image (how the store reads resident layers) rather than a file.
 func TestColumnarBufferRoundTrip(t *testing.T) {
 	l := trickyLayer(2)
-	var buf bytes.Buffer
-	if err := encodeLayerColumnar(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := openColumnar(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	img := encodeLayerColumnar(l)
+	cl, err := openColumnar(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -101,38 +102,47 @@ func TestSpillWriteExhaustedRetriesLeaveNoPartialFile(t *testing.T) {
 	})
 }
 
-// formatCases names both layer file formats for format-matrix subtests.
-var formatCases = []struct {
-	name   string
-	format int
-}{{"v1", FormatV1}, {"v2", FormatV2}}
+// formatCase is one layer file of the fault matrix.
+type formatCase struct {
+	name string
+	raw  []byte
+}
 
-// TestLayerTruncationNeverPanics reads a layer file truncated at every byte
-// boundary, in both formats; each truncation must yield an error, never a
-// panic. The v2 leg also exercises the projected decode path, whose footer
-// seek reads the file back-to-front.
+// formatCases are the same layer, sampleLayer(0, 6), in both formats: the
+// committed v1 file and the v2 image the store writes today.
+func formatCases(t *testing.T) []formatCase {
+	return []formatCase{
+		{"v1", readV1Fixture(t, "sample-0-6.prov")},
+		{"v2", encodeLayerColumnar(sampleLayer(0, 6))},
+	}
+}
+
+// readRaw decodes layer file bytes the way the store does.
+func readRaw(raw []byte, mask colMask) (*Layer, error) {
+	l, _, err := readLayer(bytes.NewReader(raw), int64(len(raw)), mask)
+	return l, err
+}
+
+// TestLayerTruncationNeverPanics first checks that both formats decode to
+// the same layer, then reads each truncated at every byte boundary; each
+// truncation must yield an error, never a panic. The v2 leg also exercises
+// the projected decode path, whose footer seek reads the file
+// back-to-front.
 func TestLayerTruncationNeverPanics(t *testing.T) {
-	for _, fc := range formatCases {
+	want := sampleLayer(0, 6)
+	for _, fc := range formatCases(t) {
 		t.Run(fc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "layer.prov")
-			if _, err := writeLayerFile(path, sampleLayer(0, 6), fc.format, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			raw, err := os.ReadFile(path)
+			got, err := readRaw(fc.raw, maskAll)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trunc := filepath.Join(dir, "trunc.prov")
-			for cut := 0; cut < len(raw); cut++ {
-				if err := os.WriteFile(trunc, raw[:cut], 0o644); err != nil {
-					t.Fatal(err)
+			assertLayersIdentical(t, want, got)
+			for cut := 0; cut < len(fc.raw); cut++ {
+				if _, err := readRaw(fc.raw[:cut], maskAll); err == nil {
+					t.Fatalf("truncation at byte %d of %d decoded without error", cut, len(fc.raw))
 				}
-				if _, err := readLayerFile(trunc); err == nil {
-					t.Fatalf("truncation at byte %d of %d decoded without error", cut, len(raw))
-				}
-				if _, _, err := readLayerFileProjected(trunc, maskCore); err == nil {
-					t.Fatalf("projected decode of truncation at byte %d of %d succeeded", cut, len(raw))
+				if _, err := readRaw(fc.raw[:cut], maskCore); err == nil {
+					t.Fatalf("projected decode of truncation at byte %d of %d succeeded", cut, len(fc.raw))
 				}
 			}
 		})
@@ -143,29 +153,16 @@ func TestLayerTruncationNeverPanics(t *testing.T) {
 // counts, column footers, packed values) and checks decode errors out
 // rather than over-allocating or panicking, in both formats.
 func TestLayerCorruptCountsNeverPanic(t *testing.T) {
-	for _, fc := range formatCases {
+	for _, fc := range formatCases(t) {
 		t.Run(fc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "layer.prov")
-			if _, err := writeLayerFile(path, sampleLayer(0, 6), fc.format, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mut := filepath.Join(dir, "mut.prov")
-			for pos := 5; pos < len(raw); pos++ {
+			for pos := 5; pos < len(fc.raw); pos++ {
 				for _, bit := range []byte{0x80, 0xff} {
-					b := append([]byte(nil), raw...)
+					b := append([]byte(nil), fc.raw...)
 					b[pos] ^= bit
-					if err := os.WriteFile(mut, b, 0o644); err != nil {
-						t.Fatal(err)
-					}
 					// Any outcome but a panic is acceptable: some flips still
 					// decode (payload bytes), corrupt counts must error.
-					readLayerFile(mut)
-					readLayerFileProjected(mut, maskCore)
+					readRaw(b, maskAll)
+					readRaw(b, maskCore)
 				}
 			}
 		})

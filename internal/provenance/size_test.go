@@ -1,77 +1,25 @@
 package provenance
 
 import (
-	"bufio"
-	"bytes"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"ariadne/internal/value"
 )
 
-// TestEncodedSizeMatchesEncoding checks that the analytic EncodedSize
-// matches the actual byte length produced by the layer codec, record by
-// record, within the per-record varint slack the estimate allows.
+// TestEncodedSizeMatchesEncoding checks that the analytic EncodedSize — the
+// v1-shaped logical size TotalBytes reports — bounds the actual v1 encoding
+// of every committed v1 file, within the per-record varint slack the
+// estimate allows.
 func TestEncodedSizeMatchesEncoding(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		l := &Layer{Superstep: r.Intn(100)}
-		for i := 0; i < 1+r.Intn(20); i++ {
-			rec := Record{
-				Vertex:     VertexID(r.Intn(1 << 16)),
-				PrevActive: int32(r.Intn(12) - 1),
-				HasValue:   r.Intn(4) != 0,
-				SentAny:    r.Intn(2) == 0,
-			}
-			switch r.Intn(4) {
-			case 0:
-				rec.Value = value.NewFloat(r.NormFloat64())
-			case 1:
-				rec.Value = value.NewInt(r.Int63n(1 << 40))
-			case 2:
-				rec.Value = value.NewString("label-1234")
-			default:
-				vec := make([]float64, 1+r.Intn(8))
-				for j := range vec {
-					vec[j] = r.Float64()
-				}
-				rec.Value = value.NewVector(vec)
-			}
-			for j := 0; j < r.Intn(6); j++ {
-				rec.Sends = append(rec.Sends, MsgHalf{Peer: VertexID(r.Intn(1 << 16)), Val: value.NewFloat(r.Float64())})
-			}
-			for j := 0; j < r.Intn(6); j++ {
-				rec.Recvs = append(rec.Recvs, MsgHalf{Peer: VertexID(r.Intn(1 << 16)), Val: value.NewFloat(r.Float64())})
-			}
-			if r.Intn(3) == 0 {
-				rec.Emitted = append(rec.Emitted, Fact{
-					Table: "prov_error",
-					Args:  []value.Value{value.NewInt(int64(r.Intn(100))), value.NewFloat(r.Float64())},
-				})
-			}
-			l.Records = append(l.Records, rec)
-		}
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := encodeLayer(w, l); err != nil {
-			return false
-		}
-		w.Flush()
-		actual := int64(buf.Len())
+	for name, l := range v1Fixtures() {
+		actual := int64(len(readV1Fixture(t, name)))
 		est := l.EncodedSize()
 		// The estimate over-allocates varint headroom (up to ~12 bytes per
 		// record plus message-peer slack); it must never undercount and
 		// never exceed 2x.
-		if est < actual {
-			t.Logf("seed %d: estimate %d < actual %d", seed, est, actual)
-			return false
+		if est < actual || est > 2*actual+64 {
+			t.Errorf("%s: estimate %d for a %d-byte v1 file", name, est, actual)
 		}
-		return est <= 2*actual+64
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
-		t.Error(err)
 	}
 }
 

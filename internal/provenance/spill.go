@@ -13,7 +13,7 @@ import (
 	"ariadne/internal/value"
 )
 
-// Binary layer file format, version 1 (the HDFS-offload stand-in):
+// Binary layer file format, version 1 (read-only; earlier builds wrote it):
 //
 //	magic "APRV" | version:1 | superstep:uvarint | nrecords:uvarint | records
 //
@@ -25,8 +25,8 @@ import (
 //
 // flags: bit0 HasValue, bit1 SentAny.
 //
-// Version 2 is the columnar format in columnar.go; readers sniff the
-// version byte, so v1 files written by earlier builds keep loading.
+// Version 2 is the columnar format in columnar.go, the only one written;
+// readers sniff the version byte, so v1 files keep loading.
 
 var layerMagic = [4]byte{'A', 'P', 'R', 'V'}
 
@@ -41,19 +41,17 @@ const (
 	maxDecodeLen = 1 << 26
 )
 
-// writeLayerFile persists one layer atomically in the given format (v1 row
-// or v2 columnar): the bytes go to a temp file, are fsynced, and only then
+// writeLayerFile persists the finished image of superstep ss's layer
+// atomically: the bytes go to a temp file, are fsynced, and only then
 // renamed to the final path, so a crash or I/O error mid-write never leaves
-// a partial layer visible where readLayerFile would trip over it. Transient
+// a partial layer visible where a reader would trip over it. Transient
 // errors (injectable via inj for testing) are retried with capped
 // exponential backoff; each fallback to retry is recorded as a warning
 // trace event and a retry counter bump — never silently — so
-// fault-injection runs are auditable from the trace buffer alone. Returns
-// the on-disk size of the written file.
-func writeLayerFile(path string, l *Layer, format int, inj *fault.Injector, m *obs.Metrics) (int64, error) {
-	var written int64
+// fault-injection runs are auditable from the trace buffer alone.
+func writeLayerFile(path string, img []byte, ss int, inj *fault.Injector, m *obs.Metrics) error {
 	attempt := func() error {
-		if err := inj.Hit(fault.SiteSpillWrite, l.Superstep, -1, -1); err != nil {
+		if err := inj.Hit(fault.SiteSpillWrite, ss, -1, -1); err != nil {
 			return err
 		}
 		tmp := path + ".tmp"
@@ -61,180 +59,86 @@ func writeLayerFile(path string, l *Layer, format int, inj *fault.Injector, m *o
 		if err != nil {
 			return err
 		}
-		cw := &countingWriter{w: bufio.NewWriter(f)}
-		if format == FormatV1 {
-			err = encodeLayer(cw, l)
-		} else {
-			err = encodeLayerColumnar(cw, l)
+		_, err = f.Write(img)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp, path)
 		}
 		if err != nil {
-			f.Close()
 			os.Remove(tmp)
-			return err
 		}
-		if err := cw.w.Flush(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		written = cw.n
-		return nil
+		return err
 	}
 	notify := func(n int, err error) {
 		m.AddRetry("spill")
-		m.Tracef(obs.Warn, "spill", l.Superstep, "layer write attempt %d/%d failed, retrying: %v",
+		m.Tracef(obs.Warn, "spill", ss, "layer write attempt %d/%d failed, retrying: %v",
 			n, spillAttempts, err)
 	}
 	if err := fault.RetryNotify(spillAttempts, spillBackoff, attempt, notify); err != nil {
-		m.Tracef(obs.Error, "spill", l.Superstep, "layer write giving up after %d attempts: %v", spillAttempts, err)
-		return 0, err
+		m.Tracef(obs.Error, "spill", ss, "layer write giving up after %d attempts: %v", spillAttempts, err)
+		return err
 	}
-	return written, nil
+	return nil
 }
 
-// countingWriter counts bytes through to a bufio.Writer (the actual on-disk
-// layer size, which v2 makes much smaller than EncodedSize's v1-shaped
-// estimate).
-type countingWriter struct {
-	w *bufio.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readLayerFile loads a complete layer, sniffing the format version.
-func readLayerFile(path string) (*Layer, error) {
-	l, _, err := readLayerFileProjected(path, maskAll)
-	return l, err
-}
-
-// readLayerFileProjected loads a layer materializing only the columns in
-// mask (core columns always). v1 row files ignore the mask — every column
-// streams past the reader anyway — and report maskAll. The returned mask
-// records which columns are actually materialized, for cache bookkeeping.
-func readLayerFileProjected(path string, mask colMask) (*Layer, colMask, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
+// readLayer decodes a layer file of the given size, sniffing the format
+// version, materializing only the columns in mask (core columns always). v1
+// row files ignore the mask — every column streams past the reader anyway —
+// and report maskAll. The returned mask records which columns are actually
+// materialized, for cache bookkeeping.
+func readLayer(r io.ReaderAt, size int64, mask colMask) (*Layer, colMask, error) {
 	var ver [5]byte
-	if _, err := io.ReadFull(f, ver[:]); err != nil {
+	if _, err := r.ReadAt(ver[:], 0); err != nil {
 		return nil, 0, fmt.Errorf("provenance: layer file too short: %w", err)
 	}
 	if [4]byte(ver[:4]) != layerMagic {
 		return nil, 0, fmt.Errorf("provenance: bad layer magic %q", ver[:4])
 	}
-	switch ver[4] {
-	case layerVersion:
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, 0, err
-		}
-		l, err := decodeLayer(bufio.NewReader(f))
+	if ver[4] == layerVersion {
+		l, err := decodeLayer(bufio.NewReader(io.NewSectionReader(r, 0, size)))
 		return l, maskAll, err
-	case layerVersionColumnar:
-		st, err := f.Stat()
-		if err != nil {
-			return nil, 0, err
-		}
-		cl, err := openColumnar(f, st.Size())
-		if err != nil {
-			return nil, 0, err
-		}
-		l := &Layer{}
-		if err := cl.decodeInto(l, mask); err != nil {
-			return nil, 0, err
-		}
-		return l, mask | maskCore, nil
-	default:
-		return nil, 0, fmt.Errorf("provenance: unsupported layer version %d", ver[4])
 	}
+	cl, err := openColumnar(r, size)
+	if err != nil {
+		return nil, 0, err
+	}
+	l := &Layer{}
+	if err := cl.decodeInto(l, mask); err != nil {
+		return nil, 0, err
+	}
+	return l, mask | maskCore, nil
 }
 
-// mergeLayerColumns decodes the additional columns in add from a v2 layer
-// file into a previously projected layer (in place). Only columnar files
-// ever yield partial layers, so a v1 file here is a bookkeeping bug.
-func mergeLayerColumns(path string, l *Layer, add colMask) error {
+// readLayerFile loads a complete layer file.
+func readLayerFile(path string) (*Layer, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cl, err := openColumnar(f, st.Size())
+	l, _, err := readLayer(f, st.Size(), maskAll)
+	return l, err
+}
+
+// mergeLayerColumns decodes the additional columns in add from a v2 layer
+// file into a layer previously read from it with a narrower projection (in
+// place). Only columnar files ever yield partial layers, so a v1 file here
+// is a bookkeeping bug.
+func mergeLayerColumns(r io.ReaderAt, size int64, l *Layer, add colMask) error {
+	cl, err := openColumnar(r, size)
 	if err != nil {
 		return err
 	}
 	return cl.mergeInto(l, add)
-}
-
-func encodeLayer(w io.Writer, l *Layer) error {
-	if _, err := w.Write(layerMagic[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{layerVersion}); err != nil {
-		return err
-	}
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(l.Superstep))
-	buf = binary.AppendUvarint(buf, uint64(len(l.Records)))
-	for i := range l.Records {
-		r := &l.Records[i]
-		buf = binary.AppendUvarint(buf, uint64(r.Vertex))
-		buf = binary.AppendUvarint(buf, uint64(r.PrevActive+1))
-		var flags byte
-		if r.HasValue {
-			flags |= 1
-		}
-		if r.SentAny {
-			flags |= 2
-		}
-		buf = append(buf, flags)
-		if r.HasValue {
-			buf = r.Value.AppendBinary(buf)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Sends)))
-		for _, m := range r.Sends {
-			buf = binary.AppendUvarint(buf, uint64(m.Peer))
-			buf = m.Val.AppendBinary(buf)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Recvs)))
-		for _, m := range r.Recvs {
-			buf = binary.AppendUvarint(buf, uint64(m.Peer))
-			buf = m.Val.AppendBinary(buf)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Emitted)))
-		for _, fc := range r.Emitted {
-			buf = binary.AppendUvarint(buf, uint64(len(fc.Table)))
-			buf = append(buf, fc.Table...)
-			buf = binary.AppendUvarint(buf, uint64(len(fc.Args)))
-			for _, a := range fc.Args {
-				buf = a.AppendBinary(buf)
-			}
-		}
-	}
-	_, err := w.Write(buf)
-	return err
 }
 
 type byteReader interface {

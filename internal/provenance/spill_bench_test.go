@@ -4,16 +4,16 @@ import (
 	"testing"
 )
 
-// BenchmarkSpillPipeline compares the synchronous spill path (layer encode +
-// fsync-free write inline in AppendLayer) against the async writer-goroutine
-// pipeline. Each iteration interleaves layer *construction* (standing in for
-// a superstep's capture work, the way a real run builds the next layer while
-// the previous one spills) with AppendLayer under SpillAll: the sync leg
-// serializes build -> encode -> write, the async leg overlaps the writer
-// goroutine's encode+write with the next layer's build. The async/sync time
-// ratio is the regression metric archived by `make bench-micro`; an earlier
-// version of this benchmark pre-built all layers outside the timed loop,
-// which left the async leg nothing to overlap with and measured ~1.0x.
+// BenchmarkSpillPipeline compares the synchronous spill path (the finished
+// layer image written and fsynced inline in the append) against the async
+// write-behind. Each iteration interleaves layer *construction* — rows
+// built, then encoded into an image by the LayerBuilder, standing in for a
+// superstep's compute and capture — with appends under SpillAll: the sync
+// leg serializes build -> write, the async leg overlaps the writer
+// goroutine's write+fsync of one image with the next layer's build. Both
+// legs spill the same already-built images, so the async/sync time ratio
+// measures only what the write-behind hides; `make bench-micro` records it
+// ungated (on one core there is little but fsync to hide).
 func BenchmarkSpillPipeline(b *testing.B) {
 	const (
 		layersPerRun = 12
@@ -34,9 +34,7 @@ func BenchmarkSpillPipeline(b *testing.B) {
 					SyncSpill: mode.sync,
 				})
 				for ss := 0; ss < layersPerRun; ss++ {
-					// The build is the "compute" the async writer hides behind.
-					l := sampleLayer(ss, recsPerLayer)
-					if err := s.AppendLayer(l); err != nil {
+					if err := s.AppendLayer(sampleLayer(ss, recsPerLayer)); err != nil {
 						b.Fatal(err)
 					}
 				}

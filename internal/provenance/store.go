@@ -1,8 +1,10 @@
 package provenance
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,7 +23,8 @@ var ErrBudgetExceeded = errors.New("provenance: memory budget exceeded and no sp
 
 // StoreConfig controls the provenance store.
 type StoreConfig struct {
-	// MemoryBudget caps resident layer bytes; 0 means unlimited.
+	// MemoryBudget caps the bytes of resident layer images; 0 means
+	// unlimited.
 	MemoryBudget int64
 	// SpillDir, when set, receives the oldest layers as binary files once
 	// the budget is exceeded (the stand-in for the paper's asynchronous
@@ -46,31 +49,28 @@ type StoreConfig struct {
 	// (the pre-pipeline behavior; also what the fault-injection tests that
 	// assert on immediate errors select).
 	SyncSpill bool
-	// SpillQueue bounds the async spill pipeline: at most this many layer
-	// writes may be queued or in flight before AppendLayer blocks
-	// (backpressure). 0 means the default of 2 — double-buffering: one
-	// layer being written while the next is queued.
-	SpillQueue int
-	// ReloadCache bounds the LRU cache of spilled layers reloaded by
-	// Layer(): layered backward evaluation revisits the same layer once per
-	// rule body, so rereading the file each visit is pure waste. 0 means
-	// the default of 3 layers; negative disables caching.
+	// ReloadCache bounds the LRU cache of layers decoded by Layer():
+	// layered backward evaluation revisits the same layer once per rule
+	// body, so decoding it again each visit is pure waste. 0 means the
+	// default of 3 layers; negative disables caching.
 	ReloadCache int
-	// Format selects the layer file format for spilled layers: FormatV1
-	// (row-oriented) or FormatV2 (columnar with projection support). 0
-	// means FormatV2. Reads sniff the version byte, so a store always loads
-	// files of either format regardless of this setting.
-	Format int
 }
 
-// Layer file format selectors for StoreConfig.Format.
-const (
-	FormatV1 = 1 // row-oriented stream (the original format)
-	FormatV2 = 2 // columnar blocks with per-column footer offsets
-)
+// Validate rejects a configuration no store can honor, so a run can refuse
+// it before computing anything.
+func (c StoreConfig) Validate() error {
+	if c.SpillAll && c.SpillDir == "" {
+		return errors.New("provenance: SpillAll requires a SpillDir")
+	}
+	return nil
+}
 
 const (
-	defaultSpillQueue  = 2
+	// spillQueue bounds the async spill pipeline: at most this many layer
+	// writes may be queued or in flight before an append blocks
+	// (backpressure) — double-buffering, one layer being written while the
+	// next is queued.
+	spillQueue         = 2
 	defaultReloadCache = 3
 )
 
@@ -88,21 +88,25 @@ type CaptureGap struct {
 }
 
 // Store holds the captured provenance graph as a sequence of layers, with
-// size accounting and optional spill-to-disk.
+// size accounting and optional spill-to-disk. A layer has one
+// representation from capture to disk: its finished v2 file image. A
+// resident layer is the image in memory, a spilled one the same bytes in a
+// file; reads open either with openColumnar and decode only the projected
+// blocks.
 //
 // Concurrency: the Store API is single-goroutine (the engine's observe
 // phase). The async spill pipeline adds exactly one background writer
-// goroutine, which only ever touches the layers handed to it via the jobs
-// channel and the (internally synchronized) metrics registry; all Store
-// state, including the pending set, stays owned by the caller goroutine.
+// goroutine, which only ever reads the images handed to it via the jobs
+// channel and touches the (internally synchronized) metrics registry; all
+// Store state, including the pending set, stays owned by the caller
+// goroutine.
 type Store struct {
 	cfg StoreConfig
 
-	layers  []*Layer // nil when spilled
-	spilled []bool
-	files   []string
+	images [][]byte // resident layer images; nil once handed to the spill path
+	files  []string // spill file of each layer, "" while resident
 
-	resident    int64 // in-memory bytes of resident layers
+	resident    int64 // image bytes of resident layers
 	totalBytes  int64 // serialized bytes ever captured (resident + spilled)
 	diskBytes   int64 // actual on-disk bytes of spilled layer files
 	totalTuples int64
@@ -115,24 +119,29 @@ type Store struct {
 	// net_rpc) alongside the provenance itself.
 	telemetry Telemetry
 
-	// Async spill pipeline state. pending holds layers whose file write is
-	// queued or in flight — logically spilled (accounting already moved)
-	// but still readable from memory. asyncErr is the sticky first write
-	// failure, surfaced at the next AppendLayer or Sync and cleared once
-	// reported; the failed layer reverts to resident before it surfaces.
-	sp          *spillPipeline
-	pending     map[int]*Layer
+	// Async spill pipeline state: the background writer takes finished
+	// images from jobs (at most spillQueue waiting) and reports on done.
+	// pending holds the images whose file write is queued or in flight —
+	// logically spilled (accounting already moved) but still readable from
+	// memory. asyncErr is the sticky first write failure, surfaced at the
+	// next append or Sync and cleared once reported; the failed image
+	// reverts to resident before it surfaces.
+	jobs        chan spillJob
+	done        chan spillDone
+	pending     map[int][]byte
 	outstanding int
 	highWater   int64
 	asyncErr    error
 
-	// LRU reload cache for spilled layers (bounded, default 3). Entries may
+	// LRU cache of decoded layers (bounded, default 3). Entries may
 	// be partially materialized (a projected reload); their byte charge
 	// covers only the decoded columns, and a wider later projection merges
 	// the missing columns into the cached layer in place.
 	cache      map[int]*cacheEntry
 	cacheLRU   []int // least-recently-used first
 	cacheBytes int64 // sum of cached layers' MemSize (decoded columns only)
+
+	rows *LayerBuilder // AppendLayer's, reused across layers
 }
 
 // cacheEntry is one cached reload: the (possibly partial) layer, the
@@ -143,32 +152,15 @@ type cacheEntry struct {
 	bytes int64
 }
 
-// format returns the layer file format in effect for new spill writes.
-func (s *Store) format() int {
-	if s.cfg.Format == 0 {
-		return FormatV2
-	}
-	return s.cfg.Format
-}
-
 // NewStore creates an empty store.
 func NewStore(cfg StoreConfig) *Store {
-	return &Store{cfg: cfg, vertices: make(map[VertexID]struct{})}
-}
-
-// spillPipeline is the bounded background writer: jobs carries layers to
-// persist (capacity = SpillQueue, giving double-buffering by default), done
-// carries completions back to the store goroutine.
-type spillPipeline struct {
-	jobs chan spillJob
-	done chan spillDone
+	return &Store{cfg: cfg, vertices: make(map[VertexID]struct{}), rows: NewLayerBuilder(0)}
 }
 
 type spillJob struct {
 	idx  int
 	path string
-	l    *Layer
-	enc  int64
+	img  []byte
 	// attrSS is the superstep whose append triggered this spill — the
 	// profile the write's bytes/duration are attributed to, regardless of
 	// when the background write completes.
@@ -176,93 +168,77 @@ type spillJob struct {
 }
 
 type spillDone struct {
-	idx   int
-	err   error
-	bytes int64 // on-disk size of the written layer file
+	idx int
+	err error
 }
 
-// pipeline lazily starts the background writer the first time an async
-// spill is needed, so stores that never spill never spawn a goroutine.
-func (s *Store) pipeline() *spillPipeline {
-	if s.sp == nil {
-		q := s.cfg.SpillQueue
-		if q <= 0 {
-			q = defaultSpillQueue
+// startWriter starts the background writer the first time an async spill
+// is needed, so stores that never spill never spawn a goroutine. done holds
+// one more completion than can be outstanding, so the writer never blocks.
+func (s *Store) startWriter() {
+	s.jobs, s.done = make(chan spillJob, spillQueue), make(chan spillDone, spillQueue+1)
+	s.pending = make(map[int][]byte)
+	go func(jobs <-chan spillJob, done chan<- spillDone) {
+		for j := range jobs {
+			done <- spillDone{idx: j.idx, err: s.spillLayer(j.path, j.img, j.idx, j.attrSS)}
 		}
-		s.sp = &spillPipeline{
-			jobs: make(chan spillJob, q),
-			done: make(chan spillDone, q+1),
-		}
-		s.pending = make(map[int]*Layer)
-		go func(sp *spillPipeline) {
-			for j := range sp.jobs {
-				n, err := s.spillLayer(j.path, j.l, j.enc, j.attrSS)
-				sp.done <- spillDone{idx: j.idx, err: err, bytes: n}
-			}
-			close(sp.done)
-		}(s.sp)
-	}
-	return s.sp
+		close(done)
+	}(s.jobs, s.done)
 }
 
-// enqueueSpill moves layer i onto the spill pipeline (or writes it inline
-// under SyncSpill). Accounting happens at enqueue — the layer is logically
-// spilled from this point, though Layer(i) still serves it from the pending
-// set until the write completes. A full queue blocks, draining completions
-// while waiting (backpressure instead of unbounded buffering).
-func (s *Store) enqueueSpill(i int, l *Layer) error {
+// enqueueSpill hands layer i's image to the spill pipeline (or writes it
+// inline under SyncSpill). Accounting happens at enqueue — the layer is
+// logically spilled from this point, though reads still serve it from the
+// pending set until the write completes. A full queue blocks, draining
+// completions while waiting (backpressure instead of unbounded buffering).
+func (s *Store) enqueueSpill(i int) error {
+	img := s.images[i]
 	path := filepath.Join(s.cfg.SpillDir, layerFileName(i))
-	enc := l.EncodedSize()
-	attrSS := len(s.layers) - 1 // the superstep being appended
+	attrSS := len(s.images) - 1 // the superstep being appended
 	if s.cfg.SyncSpill {
-		n, err := s.spillLayer(path, l, enc, attrSS)
-		if err != nil {
+		if err := s.spillLayer(path, img, i, attrSS); err != nil {
 			return fmt.Errorf("provenance: spilling layer %d: %w", i, err)
 		}
-		s.diskBytes += n
-		s.resident -= l.MemSize()
-		s.layers[i] = nil
-		s.spilled[i] = true
-		s.files[i] = path
-		return nil
-	}
-	sp := s.pipeline()
-	s.resident -= l.MemSize()
-	s.layers[i] = nil
-	s.spilled[i] = true
-	s.files[i] = path
-	s.pending[i] = l
-	job := spillJob{idx: i, path: path, l: l, enc: enc, attrSS: attrSS}
-	for {
-		select {
-		case sp.jobs <- job:
-			s.outstanding++
-			if int64(s.outstanding) > s.highWater {
-				s.highWater = int64(s.outstanding)
-			}
-			s.cfg.Metrics.SpillQueue(int64(s.outstanding), s.highWater)
-			return nil
-		case d := <-sp.done:
-			s.complete(d)
+		s.diskBytes += int64(len(img))
+	} else {
+		if s.jobs == nil {
+			s.startWriter()
 		}
+		s.pending[i] = img
+		job := spillJob{idx: i, path: path, img: img, attrSS: attrSS}
+	send:
+		for {
+			select {
+			case s.jobs <- job:
+				break send
+			case d := <-s.done:
+				s.complete(d)
+			}
+		}
+		s.outstanding++
+		s.highWater = max(s.highWater, int64(s.outstanding))
+		s.cfg.Metrics.SpillQueue(int64(s.outstanding), s.highWater)
 	}
+	s.resident -= int64(len(img))
+	s.images[i] = nil
+	s.files[i] = path
+	return nil
 }
 
 // complete applies one writer completion: a success finalizes the spill; a
-// failure reverts the layer to resident and latches the first error so the
-// next AppendLayer (or Sync) reports it — the async-spill error contract.
+// failure turns the image back into a resident layer and latches the first
+// error so the next append (or Sync) reports it — the async-spill error
+// contract.
 func (s *Store) complete(d spillDone) {
 	s.outstanding--
-	l := s.pending[d.idx]
+	img := s.pending[d.idx]
 	delete(s.pending, d.idx)
 	if d.err == nil {
-		s.diskBytes += d.bytes
-	}
-	if d.err != nil && l != nil {
-		s.layers[d.idx] = l
-		s.spilled[d.idx] = false
+		s.diskBytes += int64(len(img))
+	} else {
+		s.images[d.idx] = img
 		s.files[d.idx] = ""
-		s.resident += l.MemSize()
+		s.resident += int64(len(img))
 		if s.asyncErr == nil {
 			s.asyncErr = fmt.Errorf("provenance: spilling layer %d: %w", d.idx, d.err)
 		}
@@ -272,12 +248,9 @@ func (s *Store) complete(d spillDone) {
 
 // drainCompletions consumes any writer completions without blocking.
 func (s *Store) drainCompletions() {
-	if s.sp == nil {
-		return
-	}
-	for {
+	for s.done != nil {
 		select {
-		case d := <-s.sp.done:
+		case d := <-s.done:
 			s.complete(d)
 		default:
 			return
@@ -291,40 +264,49 @@ func (s *Store) drainCompletions() {
 // watermark must actually be durable on disk.
 func (s *Store) Sync() error {
 	for s.outstanding > 0 {
-		s.complete(<-s.sp.done)
+		s.complete(<-s.done)
 	}
 	err := s.asyncErr
 	s.asyncErr = nil
 	return err
 }
 
-// AppendLayer adds the provenance layer for the next superstep. Layers must
-// arrive in superstep order. When the memory budget is exceeded the oldest
-// resident layers spill to disk; without a spill directory the append fails
-// with ErrBudgetExceeded.
+// AppendLayer adds a row-shaped layer for the next superstep by encoding it
+// through the same LayerBuilder capture uses (see Append).
 func (s *Store) AppendLayer(l *Layer) error {
-	if l.Superstep != len(s.layers) {
-		return fmt.Errorf("provenance: layer %d appended out of order (have %d layers)", l.Superstep, len(s.layers))
+	s.rows.Reset(l.Superstep)
+	for i := range l.Records {
+		s.rows.add(&l.Records[i])
+	}
+	return s.Append(s.rows)
+}
+
+// Append adds the layer built in b for the next superstep; b may be Reset
+// for the next layer as soon as Append returns. Layers must arrive in
+// superstep order. When the memory budget is exceeded the oldest resident
+// layers spill to disk; without a spill directory the append fails with
+// ErrBudgetExceeded.
+func (s *Store) Append(b *LayerBuilder) error {
+	if err := s.cfg.Validate(); err != nil {
+		return err
+	}
+	if b.superstep != len(s.images) {
+		return fmt.Errorf("provenance: layer %d appended out of order (have %d layers)", b.superstep, len(s.images))
 	}
 	s.drainCompletions()
-	sz := l.MemSize()
-	enc := l.EncodedSize()
-	for i := range l.Records {
-		s.vertices[l.Records[i].Vertex] = struct{}{}
+	img := b.Finish()
+	for _, v := range b.vertices {
+		s.vertices[v] = struct{}{}
 	}
-	s.layers = append(s.layers, l)
-	s.spilled = append(s.spilled, false)
+	s.images = append(s.images, img)
 	s.files = append(s.files, "")
-	s.resident += sz
-	s.totalBytes += enc
-	s.totalTuples += l.NumTuples()
-	s.cfg.Metrics.AddCaptureBytes(enc)
+	s.resident += int64(len(img))
+	s.totalBytes += b.enc
+	s.totalTuples += b.tuples
+	s.cfg.Metrics.AddCaptureBytes(b.enc)
 
 	if s.cfg.SpillAll {
-		if s.cfg.SpillDir == "" {
-			return fmt.Errorf("provenance: SpillAll requires a SpillDir")
-		}
-		if err := s.enqueueSpill(len(s.layers)-1, l); err != nil {
+		if err := s.enqueueSpill(len(s.images) - 1); err != nil {
 			return err
 		}
 	} else if s.cfg.MemoryBudget > 0 && s.resident > s.cfg.MemoryBudget {
@@ -463,14 +445,13 @@ func (s *Store) truncateGaps(n int) {
 // resident even under SpillAll — it records the absence of provenance, and
 // writing it through the same failing spill path would just fail again.
 func (s *Store) AppendGapLayer(ss int, reason string) error {
-	l := &Layer{Superstep: ss}
-	if ss != len(s.layers) {
-		return fmt.Errorf("provenance: gap layer %d appended out of order (have %d layers)", ss, len(s.layers))
+	if ss != len(s.images) {
+		return fmt.Errorf("provenance: gap layer %d appended out of order (have %d layers)", ss, len(s.images))
 	}
-	s.layers = append(s.layers, l)
-	s.spilled = append(s.spilled, false)
+	img := NewLayerBuilder(ss).Finish()
+	s.images = append(s.images, img)
 	s.files = append(s.files, "")
-	s.resident += l.MemSize()
+	s.resident += int64(len(img))
 	s.AddGap(ss, -1, reason)
 	return nil
 }
@@ -480,11 +461,11 @@ func (s *Store) AppendGapLayer(ss int, reason string) error {
 // Enqueue-time accounting means the budget check converges immediately even
 // though the writes land asynchronously.
 func (s *Store) spillOldest() error {
-	for i := 0; i < len(s.layers)-1 && s.resident > s.cfg.MemoryBudget; i++ {
-		if s.spilled[i] || s.layers[i] == nil {
+	for i := 0; i < len(s.images)-1 && s.resident > s.cfg.MemoryBudget; i++ {
+		if s.images[i] == nil {
 			continue
 		}
-		if err := s.enqueueSpill(i, s.layers[i]); err != nil {
+		if err := s.enqueueSpill(i); err != nil {
 			return err
 		}
 	}
@@ -494,68 +475,57 @@ func (s *Store) spillOldest() error {
 	return nil
 }
 
-// spillLayer writes one layer file in the configured format, accounting
-// bytes and duration to the metrics registry under superstep attrSS (enc is
-// the layer's encoded size, which the caller has already computed for its
-// own bookkeeping). Returns the on-disk file size. Runs on the caller
-// goroutine under SyncSpill and on the pipeline's writer goroutine
+// spillLayer writes layer idx's image to its file, accounting bytes and
+// duration to the metrics registry under superstep attrSS. Runs on the
+// caller goroutine under SyncSpill and on the pipeline's writer goroutine
 // otherwise — everything it touches is either job-local or internally
 // synchronized.
-func (s *Store) spillLayer(path string, l *Layer, enc int64, attrSS int) (int64, error) {
-	m := s.cfg.Metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
+func (s *Store) spillLayer(path string, img []byte, idx, attrSS int) error {
+	start := time.Now()
+	if err := writeLayerFile(path, img, idx, s.cfg.Fault, s.cfg.Metrics); err != nil {
+		return err
 	}
-	n, err := writeLayerFile(path, l, s.format(), s.cfg.Fault, m)
-	if err != nil {
-		return 0, err
-	}
-	if m != nil {
-		m.AddSpill(attrSS, enc, time.Since(start))
-	}
-	return n, nil
+	s.cfg.Metrics.AddSpill(attrSS, int64(len(img)), time.Since(start))
+	return nil
 }
 
 // NumLayers returns the number of captured layers (supersteps).
-func (s *Store) NumLayers() int { return len(s.layers) }
+func (s *Store) NumLayers() int { return len(s.images) }
 
-// Layer returns layer i fully materialized. Resident layers come from
-// memory; layers whose spill write is still in flight are served from the
-// pending set (the write need not be waited for); already-spilled layers
-// are read back from disk through a small LRU cache, since layered
-// backward evaluation visits the same layer once per rule body.
+// Layer returns layer i fully materialized (see LayerProjected).
 //
 // Layer is not safe for concurrent use: the cache's LRU bookkeeping and the
 // spill-completion drain mutate store state.
 func (s *Store) Layer(i int) (*Layer, error) { return s.LayerProjected(i, nil) }
 
 // LayerProjected returns layer i with at least the columns selected by
-// proj materialized (nil means all — Layer's behavior). Resident and
-// pending layers are always full. For spilled v2 layers only the projected
-// column blocks are read and decoded; a cached partial layer is widened in
-// place when a later caller asks for more columns (the untouched columns
-// stay lazily decodable on disk). The returned layer may hold more columns
-// than requested — never fewer — so callers must treat extra columns as
+// proj materialized (nil means all — Layer's behavior). Whether the layer's
+// image is resident, in flight to its file, or only in the file, only the
+// projected column blocks are read and decoded, through a small LRU cache
+// (layered backward evaluation visits the same layer once per rule body);
+// a cached partial layer is widened in place when a later caller asks for
+// more columns. The returned layer may hold more columns than requested —
+// never fewer — so callers must treat extra columns as
 // present-but-ignorable.
 //
 // Same concurrency contract as Layer.
 func (s *Store) LayerProjected(i int, proj *LayerProjection) (*Layer, error) {
-	if i < 0 || i >= len(s.layers) {
-		return nil, fmt.Errorf("provenance: layer %d out of range [0,%d)", i, len(s.layers))
-	}
-	if s.layers[i] != nil {
-		return s.layers[i], nil
+	if i < 0 || i >= len(s.images) {
+		return nil, fmt.Errorf("provenance: layer %d out of range [0,%d)", i, len(s.images))
 	}
 	s.drainCompletions()
-	if l := s.pending[i]; l != nil {
-		return l, nil
+	where := "resident layer"
+	if s.files[i] != "" {
+		where = "spilled layer"
 	}
 	want := proj.mask()
 	if e := s.cacheGet(i); e != nil {
 		if missing := want &^ e.mask; missing != 0 {
-			if err := mergeLayerColumns(s.files[i], e.l, missing); err != nil {
-				return nil, fmt.Errorf("provenance: widening cached layer %d: %w", i, err)
+			err := s.withLayer(i, func(r io.ReaderAt, size int64) error {
+				return mergeLayerColumns(r, size, e.l, missing)
+			})
+			if err != nil {
+				return nil, fmt.Errorf("provenance: widening cached %s %d: %w", where, i, err)
 			}
 			e.mask |= missing
 			nb := e.l.MemSize()
@@ -568,12 +538,39 @@ func (s *Store) LayerProjected(i int, proj *LayerProjection) (*Layer, error) {
 		return e.l, nil
 	}
 	s.cfg.Metrics.Counter("store_layer_reload_total").Add(1)
-	l, got, err := readLayerFileProjected(s.files[i], want)
+	var l *Layer
+	var got colMask
+	err := s.withLayer(i, func(r io.ReaderAt, size int64) (err error) {
+		l, got, err = readLayer(r, size, want)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("provenance: reloading spilled layer %d: %w", i, err)
+		return nil, fmt.Errorf("provenance: reading %s %d: %w", where, i, err)
 	}
 	s.cachePut(i, l, got)
 	return l, nil
+}
+
+// withLayer calls fn over layer i's bytes: its image while resident or in
+// flight to its file, the file once written.
+func (s *Store) withLayer(i int, fn func(r io.ReaderAt, size int64) error) error {
+	img := s.images[i]
+	if img == nil {
+		img = s.pending[i]
+	}
+	if img != nil {
+		return fn(bytes.NewReader(img), int64(len(img)))
+	}
+	f, err := os.Open(s.files[i])
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	return fn(f, st.Size())
 }
 
 // cacheGet returns the cached reload of layer i, marking it most recently
@@ -657,14 +654,15 @@ func (s *Store) TotalTuples() int64 { return s.totalTuples }
 // vertices").
 func (s *Store) DistinctVertices() int { return len(s.vertices) }
 
-// ResidentBytes returns the bytes currently held in memory.
+// ResidentBytes returns the image bytes of the layers held in memory (the
+// quantity MemoryBudget caps).
 func (s *Store) ResidentBytes() int64 { return s.resident }
 
 // SpilledLayers returns how many layers live on disk.
 func (s *Store) SpilledLayers() int {
 	n := 0
-	for _, sp := range s.spilled {
-		if sp {
+	for _, f := range s.files {
+		if f != "" {
 			n++
 		}
 	}
@@ -680,21 +678,20 @@ func layerFileName(i int) string { return fmt.Sprintf("layer-%06d.prov", i) }
 // run re-appends them in order. Size and vertex statistics are recomputed
 // from the surviving layers (spilled ones are read back).
 func (s *Store) TruncateLayers(n int) error {
-	if n < 0 || n > len(s.layers) {
-		return fmt.Errorf("provenance: truncate to %d layers out of range [0,%d]", n, len(s.layers))
+	if n < 0 || n > len(s.images) {
+		return fmt.Errorf("provenance: truncate to %d layers out of range [0,%d]", n, len(s.images))
 	}
 	// Quiesce the spill pipeline first so no write lands after its file was
 	// removed. A surfaced write error is absorbed here: the failed layer is
 	// resident again, and truncation recomputes all accounting below.
 	s.Sync()
 	s.invalidateCache()
-	for i := n; i < len(s.layers); i++ {
+	for i := n; i < len(s.images); i++ {
 		if s.files[i] != "" {
 			os.Remove(s.files[i])
 		}
 	}
-	s.layers = s.layers[:n]
-	s.spilled = s.spilled[:n]
+	s.images = s.images[:n]
 	s.files = s.files[:n]
 	s.truncateGaps(n)
 	s.resident, s.totalBytes, s.totalTuples, s.diskBytes = 0, 0, 0, 0
@@ -704,18 +701,24 @@ func (s *Store) TruncateLayers(n int) error {
 		if err != nil {
 			return fmt.Errorf("provenance: recomputing stats after truncation: %w", err)
 		}
-		if !s.spilled[i] {
-			s.resident += l.MemSize()
+		if s.files[i] == "" {
+			s.resident += int64(len(s.images[i]))
 		} else if st, err := os.Stat(s.files[i]); err == nil {
 			s.diskBytes += st.Size()
 		}
-		s.totalBytes += l.EncodedSize()
-		s.totalTuples += l.NumTuples()
-		for ri := range l.Records {
-			s.vertices[l.Records[ri].Vertex] = struct{}{}
-		}
+		s.recount(l)
 	}
 	return nil
+}
+
+// recount adds a decoded layer's tuples, logical bytes and vertices to the
+// store's totals (the recovery paths; appends take them from the builder).
+func (s *Store) recount(l *Layer) {
+	s.totalBytes += l.EncodedSize()
+	s.totalTuples += l.NumTuples()
+	for i := range l.Records {
+		s.vertices[l.Records[i].Vertex] = struct{}{}
+	}
 }
 
 // Reattach adopts the first n layer files already present in SpillDir (a
@@ -723,7 +726,7 @@ func (s *Store) TruncateLayers(n int) error {
 // recovery path for capture under SpillAll: the store's content lives on
 // disk, so a restored observer only needs the files re-registered.
 func (s *Store) Reattach(n int) error {
-	if len(s.layers) != 0 {
+	if len(s.images) != 0 {
 		return errors.New("provenance: Reattach requires an empty store")
 	}
 	if s.cfg.SpillDir == "" {
@@ -738,17 +741,12 @@ func (s *Store) Reattach(n int) error {
 		if l.Superstep != i {
 			return fmt.Errorf("provenance: reattached layer file %d holds superstep %d", i, l.Superstep)
 		}
-		s.layers = append(s.layers, nil)
-		s.spilled = append(s.spilled, true)
+		s.images = append(s.images, nil)
 		s.files = append(s.files, path)
 		if st, err := os.Stat(path); err == nil {
 			s.diskBytes += st.Size()
 		}
-		s.totalBytes += l.EncodedSize()
-		s.totalTuples += l.NumTuples()
-		for ri := range l.Records {
-			s.vertices[l.Records[ri].Vertex] = struct{}{}
-		}
+		s.recount(l)
 	}
 	return nil
 }
@@ -757,10 +755,9 @@ func (s *Store) Reattach(n int) error {
 // files.
 func (s *Store) Close() error {
 	firstErr := s.Sync()
-	if s.sp != nil {
-		close(s.sp.jobs)
-		s.sp = nil
-		s.pending = nil
+	if s.jobs != nil {
+		close(s.jobs)
+		s.jobs, s.done, s.pending = nil, nil, nil
 	}
 	s.invalidateCache()
 	for i, f := range s.files {

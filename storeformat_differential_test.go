@@ -1,90 +1,60 @@
 package ariadne_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ariadne"
 	"ariadne/internal/analytics"
 	"ariadne/internal/engine"
+	"ariadne/internal/gen"
+	"ariadne/internal/provenance"
 	"ariadne/internal/queries"
 )
 
-// TestStoreFormatDifferential is the non-interference check for the
-// compressed columnar layer format and projection pushdown: for each paper
-// monitoring query, the same analytic run captured under full policy and
-// spilled as v1 (row) and as v2 (columnar) must produce identical online
-// results, identical analytic values, zero capture gaps, and — replayed
-// layered with projection pushdown on and off — identical offline results
-// across all four format × projection legs. Run under -race in CI, which
-// also exercises the prefetch pipeline's projected reloads for data races.
+// TestStoreFormatDifferential is the compatibility check for the layer file
+// formats: testdata/v1 holds the v1 row files an earlier build spilled for
+// a full capture of each analytic below (testGraph(5, 4, 9), 4 partitions).
+// Reattached, they must hold exactly the provenance today's columnar files
+// hold for the same run, and layered replay over both stores — projection
+// pushdown on and off — must derive identical results.
 func TestStoreFormatDifferential(t *testing.T) {
 	cases := []struct {
 		name    string
 		prog    engine.Program
 		steps   int
-		online  []queries.Definition
 		offline []queries.Definition
 	}{
 		{"pagerank", &analytics.PageRank{Iterations: 8}, 9,
-			[]queries.Definition{queries.PageRankCheck()},
 			[]queries.Definition{queries.PageRankCheck(), queries.BackwardTrace(3, 6)}},
 		{"sssp", &analytics.SSSP{Source: 0}, 30,
-			[]queries.Definition{queries.MonotoneCheck()},
 			[]queries.Definition{queries.MonotoneCheck()}},
 		{"wcc", analytics.WCC{}, 30,
-			[]queries.Definition{queries.SilentChange()},
 			[]queries.Definition{queries.SilentChange()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := testGraph(t, 7, 5, 9)
-			runs := map[int]*ariadne.Result{}
-			for _, format := range []int{ariadne.FormatV1, ariadne.FormatV2} {
-				opts := []ariadne.Option{
-					ariadne.WithMaxSupersteps(tc.steps),
-					ariadne.WithCaptureQuery(queries.CaptureFull(), ariadne.StoreConfig{
-						SpillAll: true,
-						SpillDir: t.TempDir(),
-						Format:   format,
-					}),
-				}
-				for _, d := range tc.online {
-					opts = append(opts, ariadne.WithOnlineQuery(d))
-				}
-				res, err := ariadne.Run(g, tc.prog, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer res.Provenance.Close()
-				if len(res.CaptureGaps) != 0 {
-					t.Fatalf("format %d: capture gaps %v on an undisturbed run", format, res.CaptureGaps)
-				}
-				runs[format] = res
+			g := testGraph(t, 5, 4, 9)
+			res, err := ariadne.Run(g, tc.prog, ariadne.WithPartitions(4), ariadne.WithMaxSupersteps(tc.steps),
+				ariadne.WithCaptureQuery(queries.CaptureFull(), ariadne.StoreConfig{SpillAll: true, SpillDir: t.TempDir()}))
+			if err != nil {
+				t.Fatal(err)
 			}
-			v1, v2 := runs[ariadne.FormatV1], runs[ariadne.FormatV2]
-
-			// The spill format must not touch the analytic: values bit-identical.
-			for v := range v1.Values {
-				if !bitIdentical(v1.Values[v], v2.Values[v]) {
-					t.Fatalf("vertex %d value %v (v1 run) != %v (v2 run)", v, v1.Values[v], v2.Values[v])
-				}
-			}
-			// Nor the capture: both stores hold the same layers tuple for tuple.
-			assertSameProvenance(t, v1.Provenance, v2.Provenance)
-
-			// Online results agree across formats.
-			for _, d := range tc.online {
-				assertSameQueryResult(t, "online/"+d.Name,
-					v1.Query(d.Name), v2.Query(d.Name))
-			}
+			v2 := res.Provenance
+			defer v2.Close()
+			v1 := reattachV1(t, filepath.Join("testdata", "v1", tc.name), v2.NumLayers())
+			assertSameProvenance(t, v1, v2)
 
 			// Offline layered replay: v1 without projection is the reference
 			// leg; v1 projected (table-level), v2 unprojected, and v2
 			// projected (column-level partial reads) must all agree with it.
 			for _, d := range tc.offline {
-				ref, err := ariadne.QueryOffline(d, v1.Provenance, g, ariadne.ModeLayered, 0,
-					ariadne.NoProjection())
+				ref, err := ariadne.QueryOffline(d, v1, g, ariadne.ModeLayered, 0, ariadne.NoProjection())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,9 +63,9 @@ func TestStoreFormatDifferential(t *testing.T) {
 					store *ariadne.Store
 					opts  []ariadne.EvalOption
 				}{
-					{"v1/projected", v1.Provenance, nil},
-					{"v2/unprojected", v2.Provenance, []ariadne.EvalOption{ariadne.NoProjection()}},
-					{"v2/projected", v2.Provenance, nil},
+					{"v1/projected", v1, nil},
+					{"v2/unprojected", v2, []ariadne.EvalOption{ariadne.NoProjection()}},
+					{"v2/projected", v2, nil},
 				}
 				for _, leg := range legs {
 					got, err := ariadne.QueryOffline(d, leg.store, g, ariadne.ModeLayered, 0, leg.opts...)
@@ -106,6 +76,85 @@ func TestStoreFormatDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// reattachV1 adopts a copy of the n committed v1 layer files in dir as a
+// store, the way a resumed run adopts a crashed run's spill directory.
+func reattachV1(t *testing.T, dir string, n int) *ariadne.Store {
+	t.Helper()
+	tmp := t.TempDir()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("layer-%06d.prov", i)
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(tmp, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := provenance.NewStore(provenance.StoreConfig{SpillAll: true, SpillDir: tmp})
+	if err := s.Reattach(n); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestLayerFileDigests pins the on-disk format by construction: small fixed
+// captures under the paper's three capture policies (Query 2 full capture,
+// here of PageRank and of vector-valued, fact-emitting ALS; Query 3 forward
+// lineage; Query 11 backward custom) must spill layer files whose SHA-256
+// digests, and the store's totals, equal testdata/layer_digests.golden. A
+// deliberate format change regenerates the golden from this test's log.
+func TestLayerFileDigests(t *testing.T) {
+	rmat := func(t *testing.T) *ariadne.Graph { return testGraph(t, 6, 4, 3) }
+	als := func(t *testing.T) *ariadne.Graph {
+		r, err := gen.Bipartite(gen.DefaultBipartite(16, 6, 3, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Graph
+	}
+	cases := []struct {
+		name  string
+		graph func(t *testing.T) *ariadne.Graph
+		prog  ariadne.Program
+		def   queries.Definition
+		steps int
+	}{
+		{"full-pagerank", rmat, &analytics.PageRank{Iterations: 5}, queries.CaptureFull(), 6},
+		{"full-als", als, &analytics.ALS{NumUsers: 16, Features: 3, Seed: 2}, queries.CaptureFull(), 4},
+		{"fwd-lineage-sssp", rmat, &analytics.SSSP{Source: 0}, queries.CaptureForwardLineage(0), 30},
+		{"backward-custom-wcc", rmat, analytics.WCC{}, queries.CaptureBackwardCustom(), 30},
+	}
+	var b strings.Builder
+	for _, c := range cases {
+		dir := t.TempDir()
+		res, err := ariadne.Run(c.graph(t), c.prog, ariadne.WithPartitions(4), ariadne.WithMaxSupersteps(c.steps),
+			ariadne.WithCaptureQuery(c.def, ariadne.StoreConfig{SpillAll: true, SpillDir: dir}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Provenance
+		for i := 0; i < s.NumLayers(); i++ {
+			raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("layer-%06d.prov", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s layer %d %d %x\n", c.name, i, len(raw), sha256.Sum256(raw))
+		}
+		fmt.Fprintf(&b, "%s total layers=%d tuples=%d bytes=%d disk=%d vertices=%d\n", c.name,
+			s.NumLayers(), s.TotalTuples(), s.TotalBytes(), s.DiskBytes(), s.DistinctVertices())
+		s.Close()
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "layer_digests.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("layer files differ from testdata/layer_digests.golden; this run wrote:\n%s", got)
 	}
 }
 
