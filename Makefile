@@ -37,7 +37,9 @@ bench: bench-micro
 # BENCH_micro.json and fails on a regression of the hardware-independent
 # ratios (parallel/sequential barrier-phase time over the same inbox.build,
 # 8-worker/1-worker eval-phase time over the same slot programs); the
-# sync/async spill ratio and the layered full run are recorded ungated. The
+# sync/async spill ratio and the layered full run are recorded ungated; the
+# frame-encode, disabled-span and steady-state online-observe paths must not
+# allocate at all. The
 # committed BENCH_micro.json is the single-core container baseline
 # (taskset -c 0); CI archives the fresh one.
 bench-micro:
@@ -47,7 +49,7 @@ bench-micro:
 		./internal/provenance/ >> bench-micro.out
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelEval' -benchmem -count 1 \
 		./internal/pql/eval/ >> bench-micro.out
-	$(GO) test -run '^$$' -bench 'BenchmarkLayeredEval$$' -benchmem -count 1 \
+	$(GO) test -run '^$$' -bench 'BenchmarkLayeredEval$$|BenchmarkOnlineObserve$$' -benchmem -count 1 \
 		./internal/driver/ >> bench-micro.out
 	$(GO) test -run '^$$' -bench 'BenchmarkTransportRun|BenchmarkTraceRun|BenchmarkWireFrame' -benchmem -count 1 \
 		./internal/transport/ >> bench-micro.out

@@ -244,6 +244,20 @@ func main() {
 			}
 		}
 	}
+	// A steady-state online superstep must not allocate: record views borrow
+	// the engine's records and a duplicate derivation probes the relation
+	// with reused key bytes (BenchmarkOnlineObserve, Query 6).
+	if wants("online_observe_allocs") {
+		if v, ok := metric(benches, "BenchmarkOnlineObserve", "allocs/op"); !ok {
+			rep.Failures = append(rep.Failures, "online_observe_allocs: missing BenchmarkOnlineObserve")
+		} else {
+			rep.Ratios["online_observe_allocs"] = v
+			if v != 0 {
+				rep.Failures = append(rep.Failures,
+					fmt.Sprintf("online_observe_allocs %.1f != 0 (online observe path allocates)", v))
+			}
+		}
+	}
 	// layered_replay_facts_s is a floor on projection pushdown: replaying a
 	// vector-valued capture for a query that never touches the payload
 	// columns must be materially faster when the store only materializes the

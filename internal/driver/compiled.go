@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"slices"
+
 	"ariadne/internal/engine"
 	"ariadne/internal/graph"
 	"ariadne/internal/pql/analysis"
@@ -85,9 +87,15 @@ func tryCompile(q *analysis.Query, db *eval.Database, g *graph.Graph, cfg evalCo
 
 // viewBuilder converts stored provenance records to compiled-evaluator
 // views, maintaining the per-vertex retention needed for evolution joins
-// when the layers arrive in ascending order.
+// when the layers arrive in ascending order. The views and their message
+// and fact slices live in arenas reused layer after layer: a layer's views
+// are valid until the next fromProv call.
 type viewBuilder struct {
-	ret retention
+	ret   retention
+	views []eval.RecordView
+	sends []engine.SentMessage
+	recvs []engine.IncomingMessage
+	facts []engine.ProvFact
 }
 
 func newViewBuilder(ascending bool) *viewBuilder {
@@ -99,7 +107,18 @@ func newViewBuilder(ascending bool) *viewBuilder {
 }
 
 func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
-	out := make([]eval.RecordView, len(l.Records))
+	var nSends, nRecvs, nFacts int
+	for i := range l.Records {
+		r := &l.Records[i]
+		nSends += len(r.Sends)
+		nRecvs += len(r.Recvs)
+		nFacts += len(r.Emitted)
+	}
+	vb.views = slices.Grow(vb.views[:0], len(l.Records))[:len(l.Records)]
+	vb.sends = slices.Grow(vb.sends[:0], nSends)[:nSends]
+	vb.recvs = slices.Grow(vb.recvs[:0], nRecvs)[:nRecvs]
+	vb.facts = slices.Grow(vb.facts[:0], nFacts)[:nFacts]
+	sends, recvs, facts := vb.sends, vb.recvs, vb.facts
 	for i := range l.Records {
 		r := &l.Records[i]
 		rv := eval.RecordView{
@@ -113,36 +132,39 @@ func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
 		if r.PrevActive >= 0 {
 			rv.PrevValue, rv.HasPrevValue = vb.ret.at(r.Vertex, int(r.PrevActive))
 		}
-		if len(r.Sends) > 0 {
-			rv.Sends = make([]eval.MsgView, len(r.Sends))
+		if n := len(r.Sends); n > 0 {
+			rv.Sends, sends = sends[:n:n], sends[n:]
 			for j, m := range r.Sends {
-				rv.Sends[j] = eval.MsgView{Peer: int64(m.Peer), Val: m.Val}
+				rv.Sends[j] = engine.SentMessage{Dst: m.Peer, Val: m.Val}
 			}
 		}
-		if len(r.Recvs) > 0 {
-			rv.Recvs = make([]eval.MsgView, len(r.Recvs))
+		if n := len(r.Recvs); n > 0 {
+			rv.Recvs, recvs = recvs[:n:n], recvs[n:]
 			for j, m := range r.Recvs {
-				rv.Recvs[j] = eval.MsgView{Peer: int64(m.Peer), Val: m.Val}
+				rv.Recvs[j] = engine.IncomingMessage{Src: m.Peer, Val: m.Val}
 			}
 		}
-		if len(r.Emitted) > 0 {
-			rv.Emitted = make([]eval.FactView, len(r.Emitted))
+		if n := len(r.Emitted); n > 0 {
+			rv.Emitted, facts = facts[:n:n], facts[n:]
 			for j, f := range r.Emitted {
-				rv.Emitted[j] = eval.FactView{Table: f.Table, Args: f.Args}
+				rv.Emitted[j] = engine.ProvFact{Table: f.Table, Args: f.Args}
 			}
 		}
 		if r.HasValue {
 			vb.ret.keep(r.Vertex, l.Superstep, r.Value)
 		}
-		out[i] = rv
+		vb.views[i] = rv
 	}
-	return out
+	return vb.views
 }
 
-// engineViews converts live engine records (online mode) to views; the
-// engine supplies each record's previous value itself.
-func engineViews(recs []engine.VertexRecord) []eval.RecordView {
-	out := make([]eval.RecordView, len(recs))
+// engineViews writes the views of live engine records (online mode) into
+// dst, reused across supersteps. Each view is a header over the record: its
+// message and fact slices are the engine's own, borrowed for the duration
+// of the ObserveSuperstep call. The engine supplies each record's previous
+// value itself.
+func engineViews(dst []eval.RecordView, recs []engine.VertexRecord) []eval.RecordView {
+	dst = slices.Grow(dst[:0], len(recs))[:len(recs)]
 	for i := range recs {
 		r := &recs[i]
 		rv := eval.RecordView{
@@ -152,6 +174,9 @@ func engineViews(recs []engine.VertexRecord) []eval.RecordView {
 			Value:      r.NewValue,
 			PrevActive: int64(r.PrevActive),
 			SentAny:    len(r.Sent) > 0,
+			Sends:      r.Sent,
+			Recvs:      r.Received,
+			Emitted:    r.Emitted,
 		}
 		if r.PrevActive >= 0 {
 			// The engine's OldValue is the value after the previous compute,
@@ -159,25 +184,7 @@ func engineViews(recs []engine.VertexRecord) []eval.RecordView {
 			rv.PrevValue = r.OldValue
 			rv.HasPrevValue = true
 		}
-		if len(r.Sent) > 0 {
-			rv.Sends = make([]eval.MsgView, len(r.Sent))
-			for j, m := range r.Sent {
-				rv.Sends[j] = eval.MsgView{Peer: int64(m.Dst), Val: m.Val}
-			}
-		}
-		if len(r.Received) > 0 {
-			rv.Recvs = make([]eval.MsgView, len(r.Received))
-			for j, m := range r.Received {
-				rv.Recvs[j] = eval.MsgView{Peer: int64(m.Src), Val: m.Val}
-			}
-		}
-		if len(r.Emitted) > 0 {
-			rv.Emitted = make([]eval.FactView, len(r.Emitted))
-			for j, f := range r.Emitted {
-				rv.Emitted[j] = eval.FactView{Table: f.Table, Args: f.Args}
-			}
-		}
-		out[i] = rv
+		dst[i] = rv
 	}
-	return out
+	return dst
 }

@@ -192,6 +192,7 @@ type Online struct {
 	// Compiled path (the paper's "query vertex program"): rules evaluate
 	// directly against the transient records, no EDB materialization.
 	compiled *eval.Compiled
+	views    []eval.RecordView // reused across supersteps (engineViews)
 
 	// Materialised path (aggregates, EDBs that are not record-local).
 	ev *eval.Evaluator
@@ -307,7 +308,8 @@ func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
 	recs := o.shedRecords(v)
 	if o.compiled != nil {
 		before := o.compiled.DerivedTuples()
-		if err := o.compiled.Layer(engineViews(recs)); err != nil {
+		o.views = engineViews(o.views, recs)
+		if err := o.compiled.Layer(o.views); err != nil {
 			return err
 		}
 		o.notePiggyback(v.Superstep, o.compiled.DerivedTuples()-before)

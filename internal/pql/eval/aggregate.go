@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"ariadne/internal/pql"
 	"ariadne/internal/value"
@@ -37,59 +38,59 @@ type aggTable struct {
 	pos     pql.Pos
 	arity   int
 	groups  map[string]*aggState
-	touched map[string]bool // groups changed since the last flush
+	touched map[*aggState]bool // groups changed since the last flush
+	kb      []byte             // canonical-key scratch: probes allocate nothing
 }
 
 func newAggTable(r *pql.Rule, plan *rulePlan) *aggTable {
 	return &aggTable{plan: plan, pos: r.Pos, arity: len(r.Head.Args),
-		groups: map[string]*aggState{}, touched: map[string]bool{}}
+		groups: map[string]*aggState{}, touched: map[*aggState]bool{}}
 }
 
 // fold consumes one satisfying body valuation, laid out as the aggregate
 // rule's program emits it (rulePlan.emitTerms): the grouping head values, the
-// aggregate arguments, then the values of the sorted body variables.
+// aggregate arguments, then the values of the sorted body variables. row is
+// the program's reused head buffer, so fold keeps only copies of its
+// values, and every key is probed before it is allocated.
 func (a *aggTable) fold(row Tuple) error {
 	plan := a.plan
 	ng, na := len(plan.groupCols), len(plan.aggArgs)
 	groupVals, aggVals, valuation := row[:ng], row[ng:ng+na], row[ng+na:]
-	gk := groupVals.Key()
-	st, ok := a.groups[gk]
+	a.kb = appendKey(a.kb[:0], groupVals)
+	st, ok := a.groups[string(a.kb)]
 	if !ok {
 		st = &aggState{min: math.Inf(1), max: math.Inf(-1), seen: map[string]bool{}}
-		a.groups[gk] = st
+		a.groups[string(a.kb)] = st
 	}
 	// Fold each aggregate column.
 	for ai, v := range aggVals {
 		kind := plan.aggKinds[ai]
 		switch kind {
 		case pql.AggCount:
-			key := fmt.Sprintf("c%d|", ai) + Tuple{v}.Key()
-			if st.seen[key] {
+			// Dedup on the counted value.
+			if !st.firstSeen(&a.kb, 'c', ai, Tuple{v}) {
 				continue
 			}
-			st.seen[key] = true
 			st.count++
-			a.touched[gk] = true
+			a.touched[st] = true
 		case pql.AggSum, pql.AggAvg:
 			// Dedup on the full body valuation.
-			key := fmt.Sprintf("s%d|", ai) + valuation.Key()
-			if st.seen[key] {
+			if !st.firstSeen(&a.kb, 's', ai, valuation) {
 				continue
 			}
-			st.seen[key] = true
 			if !v.IsNumeric() {
 				return fmt.Errorf("pql: %s: %s needs numeric input, got %s", a.pos, kind, v.Kind())
 			}
 			st.sum += v.Float()
 			st.count++
-			a.touched[gk] = true
+			a.touched[st] = true
 		case pql.AggMin:
 			if !v.IsNumeric() {
 				return fmt.Errorf("pql: %s: MIN needs numeric input, got %s", a.pos, v.Kind())
 			}
 			if v.Float() < st.min {
 				st.min = v.Float()
-				a.touched[gk] = true
+				a.touched[st] = true
 			}
 		case pql.AggMax:
 			if !v.IsNumeric() {
@@ -97,7 +98,7 @@ func (a *aggTable) fold(row Tuple) error {
 			}
 			if v.Float() > st.max {
 				st.max = v.Float()
-				a.touched[gk] = true
+				a.touched[st] = true
 			}
 		}
 	}
@@ -114,12 +115,24 @@ func (a *aggTable) fold(row Tuple) error {
 	return nil
 }
 
+// firstSeen records the dedup key "<tag><ai>|" followed by the canonical key
+// of t, reporting whether it is new; only a new key is allocated. The layout
+// is the one checkpoints store (see Evaluator.LoadState).
+func (st *aggState) firstSeen(kb *[]byte, tag byte, ai int, t Tuple) bool {
+	*kb = append(strconv.AppendInt(append((*kb)[:0], tag), int64(ai), 10), '|')
+	*kb = appendKey(*kb, t)
+	if st.seen[string(*kb)] {
+		return false
+	}
+	st.seen[string(*kb)] = true
+	return true
+}
+
 // flush replaces the head tuples of the groups touched since the last
-// flush, handing each new tuple to insert.
+// flush, handing each new tuple to insert, which copies what it keeps.
 func (a *aggTable) flush(head *Relation, insert func(Tuple) error) error {
 	plan := a.plan
-	for gk := range a.touched {
-		st := a.groups[gk]
+	for st := range a.touched {
 		old := append(Tuple(nil), st.current...)
 		hadResult := false
 		for _, c := range plan.aggCols {
@@ -144,10 +157,10 @@ func (a *aggTable) flush(head *Relation, insert func(Tuple) error) error {
 		if hadResult {
 			head.Delete(old)
 		}
-		if err := insert(append(Tuple(nil), st.current...)); err != nil {
+		if err := insert(st.current); err != nil {
 			return err
 		}
 	}
-	a.touched = map[string]bool{}
+	clear(a.touched)
 	return nil
 }

@@ -40,6 +40,7 @@ type Compiled struct {
 	// global and static rules, which read none.
 	rn       slotRun
 	noRecord RecordView
+	headKey  []byte // the emit sinks' canonical-key scratch
 
 	staticDone bool
 	derived    int64
@@ -92,7 +93,7 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 			}
 			head := db.Relation(r.Head.Pred, len(r.Head.Args))
 			cr.emit = func(t Tuple) error {
-				if head.Insert(t) {
+				if _, ok := head.insertCopy(t, &c.headKey); ok {
 					c.derived++
 				}
 				return nil
@@ -480,6 +481,7 @@ func (c *Compiled) evalRecords(r *crule, recs []RecordView) error {
 	c.rn.prep(r.prog, nil, r.emit)
 	for i := range recs {
 		c.rn.rv = &recs[i]
+		c.rn.recSeq++
 		c.rn.slots[0] = value.NewInt(recs[i].Vertex)
 		if err := r.prog.run(&c.rn, 0); err != nil {
 			return err

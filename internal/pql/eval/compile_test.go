@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"ariadne/internal/engine"
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
 	"ariadne/internal/value"
@@ -243,10 +244,10 @@ func feedView(ev factSink, sg StaticGraph, rv *RecordView) {
 		}
 	}
 	for _, m := range rv.Sends {
-		ev.AddFact("send_message", Tuple{x, value.NewInt(m.Peer), m.Val, i})
+		ev.AddFact("send_message", Tuple{x, value.NewInt(int64(m.Dst)), m.Val, i})
 	}
 	for _, m := range rv.Recvs {
-		ev.AddFact("receive_message", Tuple{x, value.NewInt(m.Peer), m.Val, i})
+		ev.AddFact("receive_message", Tuple{x, value.NewInt(int64(m.Src)), m.Val, i})
 	}
 	if rv.SentAny || len(rv.Sends) > 0 {
 		ev.AddFact("prov_send", Tuple{x, i})
@@ -293,16 +294,16 @@ func randomLayers(seed int64, sg *fakeGraph, nLayers int) [][]RecordView {
 			}
 			for _, d := range sg.out[v] {
 				if rng.Intn(2) == 0 {
-					rv.Sends = append(rv.Sends, MsgView{Peer: d, Val: val})
+					rv.Sends = append(rv.Sends, engine.SentMessage{Dst: engine.VertexID(d), Val: val})
 				}
 			}
 			rv.SentAny = len(rv.Sends) > 0
 			for _, s := range sg.in[v] {
 				if rng.Intn(2) == 0 {
-					rv.Recvs = append(rv.Recvs, MsgView{Peer: s, Val: value.NewFloat(rng.Float64())})
+					rv.Recvs = append(rv.Recvs, engine.IncomingMessage{Src: engine.VertexID(s), Val: value.NewFloat(rng.Float64())})
 				}
 			}
-			rv.Emitted = []FactView{
+			rv.Emitted = []engine.ProvFact{
 				{Table: "prov_error", Args: []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}},
 				{Table: "prov_prediction", Args: []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}},
 				{Table: "prov_prediction", Args: []value.Value{value.NewInt((v + 1) % 3), value.NewFloat(rng.Float64() * 4)}},
@@ -432,4 +433,120 @@ pair(X, I, J) :- seen(X, I), seen(X, J), I < J.
 		{{Vertex: 0, Superstep: 2, HasValue: true, Value: value.NewFloat(3), PrevActive: 1, PrevValue: value.NewFloat(2), HasPrevValue: true}},
 	}
 	runAllPaths(t, src, env, sg, layers)
+}
+
+// TestEmittedIndexKeepsEmittedOrder drives Query 7's emitted-table join
+// through the keyed step's per-record index over records of many facts,
+// whose first arguments mix Ints and numerically equal Floats (one hash
+// chain per peer, several facts per chain). The compiled relation must hold
+// exactly the nested-loop join's tuples in the nested loop's order, and
+// agree with the other lowerings.
+func TestEmittedIndexKeepsEmittedOrder(t *testing.T) {
+	env := analysis.NewEnv()
+	env.DeclareEDB("prov_error", 4)
+	env.DeclareEDB("prov_prediction", 4)
+	src := `algo(X, Y, P, I) :- prov_error(X, Y, E, I), prov_prediction(X, Y, P, I).`
+	rng := rand.New(rand.NewSource(5))
+	peer := func() value.Value {
+		p := int64(rng.Intn(6))
+		if rng.Intn(2) == 0 {
+			return value.NewInt(p)
+		}
+		return value.NewFloat(float64(p))
+	}
+	sg := newFakeGraph(3, nil)
+	var layers [][]RecordView
+	for ss := int64(0); ss < 3; ss++ {
+		var recs []RecordView
+		for v := int64(0); v < 3; v++ {
+			rv := RecordView{Vertex: v, Superstep: ss, HasValue: true, Value: value.NewFloat(0), PrevActive: -1}
+			for k := 0; k < 48; k++ {
+				table := [2]string{"prov_error", "prov_prediction"}[rng.Intn(2)]
+				rv.Emitted = append(rv.Emitted, engine.ProvFact{Table: table,
+					Args: []value.Value{peer(), value.NewFloat(float64(rng.Intn(4)))}})
+			}
+			recs = append(recs, rv)
+		}
+		layers = append(layers, recs)
+	}
+	runAllPaths(t, src, env, sg, layers)
+
+	var want []string
+	seen := map[string]bool{}
+	for _, l := range layers {
+		for _, rv := range l {
+			for _, e := range rv.Emitted {
+				for _, p := range rv.Emitted {
+					if e.Table != "prov_error" || p.Table != "prov_prediction" || !e.Args[0].Equal(p.Args[0]) {
+						continue
+					}
+					k := Tuple{value.NewInt(rv.Vertex), e.Args[0], p.Args[1], value.NewInt(rv.Superstep)}.Key()
+					if !seen[k] {
+						seen[k] = true
+						want = append(want, k)
+					}
+				}
+			}
+		}
+	}
+	db := NewDatabase()
+	c, err := Compile(analysis.MustAnalyze(src, env.Clone()), db, sg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range layers {
+		if err := c.Layer(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := db.Get("algo").All()
+	if len(got) != len(want) {
+		t.Fatalf("%d tuples, nested loop %d", len(got), len(want))
+	}
+	for i, tu := range got {
+		if tu.Key() != want[i] {
+			t.Fatalf("tuple %d is %v, nested loop has a different one there", i, tu)
+		}
+	}
+}
+
+// TestCompiledHeadBufferNeverStored runs a rule that derives several
+// distinct tuples from each record through the one reused head buffer. A
+// sink that kept the buffer instead of a copy would leave every stored tuple
+// equal to the last head written, so each stored tuple must still be the
+// tuple its key names.
+func TestCompiledHeadBufferNeverStored(t *testing.T) {
+	src := `heard(X, Y, M, I) :- receive_message(X, Y, M, I).`
+	sg, layers := testGraphAndLayers(3)
+	db := NewDatabase()
+	c, err := Compile(analysis.MustAnalyze(src, analysis.NewEnv()), db, sg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := false
+	for _, l := range layers {
+		for _, rv := range l {
+			multi = multi || len(rv.Recvs) > 1
+		}
+		if err := c.Layer(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !multi {
+		t.Fatal("fixture has no record with several messages")
+	}
+	rel := db.Get("heard")
+	if rel.Len() < 2 {
+		t.Fatalf("%d tuples derived", rel.Len())
+	}
+	for k, tu := range rel.rows {
+		if tu.Key() != k {
+			t.Errorf("tuple stored under %q now reads %v", k, tu)
+		}
+	}
+	for i, tu := range rel.All() {
+		if !rel.ContainsKey(tu.Key()) {
+			t.Errorf("tuple %d (%v) is not a member under its own key", i, tu)
+		}
+	}
 }

@@ -34,10 +34,12 @@ type Evaluator struct {
 	aggs    map[string]*aggTable // aggregate head pred -> state
 	pending map[string][]Tuple
 
-	workers int            // shard count; <= 1 never fans a round out
-	parSafe []bool         // per-stratum shard-parallel safety
-	locCols map[string]int // per-predicate location column (-1: whole-tuple hash)
-	rn      slotRun        // scratch of the sequential rounds
+	workers int              // shard count; <= 1 never fans a round out
+	parSafe []bool           // per-stratum shard-parallel safety
+	locCols map[string]int   // per-predicate location column (-1: whole-tuple hash)
+	rn      slotRun          // scratch of the sequential rounds
+	headKey []byte           // the sequential insert's canonical-key scratch
+	scratch []*workerScratch // per shard worker, reused across rounds
 
 	stats statCounters
 }
@@ -275,8 +277,8 @@ func (e *Evaluator) sequentialRound(stratum []*pql.Rule, delta map[string][]Tupl
 		pred := r.Head.Pred
 		head := e.db.Relation(pred, len(r.Head.Args))
 		insert := func(t Tuple) error {
-			if head.Insert(t) {
-				derived[pred] = append(derived[pred], t)
+			if c, ok := head.insertCopy(t, &e.headKey); ok {
+				derived[pred] = append(derived[pred], c)
 				e.stats.derivations.Add(1)
 			}
 			return nil

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ariadne/internal/engine"
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
 	"ariadne/internal/queries"
@@ -31,7 +32,7 @@ selfmsg(X, I) :- superstep(X, I), p(Z, Z).
 	rec := func(v, ss int64, peers ...int64) RecordView {
 		rv := RecordView{Vertex: v, Superstep: ss, HasValue: true, Value: value.NewFloat(1), PrevActive: -1}
 		for _, p := range peers {
-			rv.Recvs = append(rv.Recvs, MsgView{Peer: p, Val: value.NewFloat(2)})
+			rv.Recvs = append(rv.Recvs, engine.IncomingMessage{Src: engine.VertexID(p), Val: value.NewFloat(2)})
 		}
 		return rv
 	}

@@ -93,7 +93,8 @@ func (o *oracle) evalRule(r *pql.Rule, delta, derived map[string][]Tuple) error 
 	plan := o.plans[r]
 	head := o.db.Relation(r.Head.Pred, len(r.Head.Args))
 	insert := func(t Tuple) error {
-		if head.Insert(t) {
+		// Sinks copy what they keep: flush hands over its group state.
+		if t = t.Clone(); head.Insert(t) {
 			derived[r.Head.Pred] = append(derived[r.Head.Pred], t)
 		}
 		return nil

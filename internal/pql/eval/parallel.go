@@ -40,11 +40,7 @@ func locShard(v value.Value, p int) int {
 // over the canonical encoding.
 func keyShard(t Tuple, p int) int {
 	var buf [64]byte
-	b := buf[:0]
-	for _, v := range t {
-		b = appendNorm(b, v)
-	}
-	return int(fnvSum(b) % uint64(p))
+	return int(fnvSum(appendKey(buf[:0], t)) % uint64(p))
 }
 
 // fnvSum is FNV-1a over b.
@@ -92,6 +88,9 @@ func (e *Evaluator) parallelRound(stratum []*pql.Rule, delta map[string][]Tuple)
 		}
 	}
 
+	for len(e.scratch) < p {
+		e.scratch = append(e.scratch, &workerScratch{seen: map[string]map[string]struct{}{}})
+	}
 	bufs := make([][][]emitted, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
@@ -133,13 +132,28 @@ func (e *Evaluator) parallelRound(stratum []*pql.Rule, delta map[string][]Tuple)
 	return derived, nil
 }
 
+// workerScratch is one shard worker's state that outlives a round: its
+// buffers are cleared, not reallocated, so they stop growing (and their maps
+// stop rehashing) once they have reached a round's size.
+type workerScratch struct {
+	seen map[string]map[string]struct{} // head pred -> keys emitted this round
+	vals []value.Value                  // the current rule's kept tuples, end to end
+	kb   []byte                         // canonical-key scratch
+}
+
 // workerRound evaluates every rule of the stratum against one shard of the
 // delta, buffering emissions per rule. Relations are frozen: the worker
 // filters against the head relation read-only and dedups its own emissions,
-// leaving cross-worker dedup to the merge.
+// leaving cross-worker dedup to the merge. Both probes take the key from
+// reused scratch, so a duplicate allocates nothing; the tuples a rule keeps
+// are copied out of the reused head buffer into one allocation of exactly
+// their size once the rule has fired.
 func (e *Evaluator) workerRound(w int, stratum []*pql.Rule, delta map[string][]Tuple) ([][]emitted, error) {
 	bufs := make([][]emitted, len(stratum))
-	seen := map[string]map[string]struct{}{}
+	sc := e.scratch[w]
+	for _, m := range sc.seen {
+		clear(m)
+	}
 	rn := &slotRun{db: e.db}
 	for ri, r := range stratum {
 		plan := e.plans[r]
@@ -149,25 +163,35 @@ func (e *Evaluator) workerRound(w int, stratum []*pql.Rule, delta map[string][]T
 			continue
 		}
 		head := e.db.Get(r.Head.Pred)
-		predSeen := seen[r.Head.Pred]
+		predSeen := sc.seen[r.Head.Pred]
 		if predSeen == nil {
 			predSeen = map[string]struct{}{}
-			seen[r.Head.Pred] = predSeen
+			sc.seen[r.Head.Pred] = predSeen
 		}
+		sc.vals = sc.vals[:0]
+		width := 0
 		emit := func(t Tuple) error {
-			k := t.Key()
-			if head.ContainsKey(k) {
+			sc.kb = appendKey(sc.kb[:0], t)
+			if head.containsKeyBytes(sc.kb) {
 				return nil
 			}
-			if _, dup := predSeen[k]; dup {
+			if _, dup := predSeen[string(sc.kb)]; dup {
 				return nil
 			}
+			k := string(sc.kb)
 			predSeen[k] = struct{}{}
-			bufs[ri] = append(bufs[ri], emitted{key: k, t: t})
+			sc.vals = append(sc.vals, t...)
+			width = len(t)
+			bufs[ri] = append(bufs[ri], emitted{key: k})
 			return nil
 		}
 		if err := plan.fire(rn, delta, emit); err != nil {
 			return nil, err
+		}
+		kept := make([]value.Value, len(sc.vals))
+		copy(kept, sc.vals)
+		for i := range bufs[ri] {
+			bufs[ri][i].t = kept[i*width : (i+1)*width : (i+1)*width]
 		}
 	}
 	return bufs, nil

@@ -3,7 +3,9 @@ package eval
 import (
 	"errors"
 	"math"
+	"slices"
 
+	"ariadne/internal/engine"
 	"ariadne/internal/value"
 )
 
@@ -53,20 +55,11 @@ func (s rowSource) keyColumn(i, arity int) bool {
 	return false
 }
 
-// MsgView is one message endpoint of a record.
-type MsgView struct {
-	Peer int64
-	Val  value.Value
-}
-
-// FactView is one emitted analytic fact of a record.
-type FactView struct {
-	Table string
-	Args  []value.Value
-}
-
 // RecordView is the query vertex program's view of one provenance record —
-// the transient state the record sources read.
+// the transient state the record sources read. Sends, Recvs and Emitted
+// borrow the producer's slices (the engine's record arena online, the
+// layer's arena offline): a view is valid only while the evaluation call it
+// is passed to runs, and nothing derived from it may keep the slices.
 type RecordView struct {
 	Vertex    int64
 	Superstep int64
@@ -77,36 +70,54 @@ type RecordView struct {
 	PrevValue    value.Value
 	HasPrevValue bool
 	SentAny      bool
-	Sends        []MsgView
-	Recvs        []MsgView
-	Emitted      []FactView
-
-	// embIdx lazily indexes Emitted by (table, first-argument) so joins
-	// between emitted tables (e.g. Query 7's prov_error with
-	// prov_prediction on the same neighbor) cost O(deg) instead of O(deg²).
-	embIdx map[string]map[string][]int
+	Sends        []engine.SentMessage
+	Recvs        []engine.IncomingMessage
+	Emitted      []engine.ProvFact
 }
 
-// factsByFirstArg returns the indices of emitted facts of the given table
-// keyed by their first argument, building the index on first use.
-func (rv *RecordView) factsByFirstArg(table string) map[string][]int {
-	if rv.embIdx == nil {
-		rv.embIdx = map[string]map[string][]int{}
-	}
-	idx, ok := rv.embIdx[table]
-	if !ok {
-		idx = map[string][]int{}
-		for i := range rv.Emitted {
-			f := &rv.Emitted[i]
+// factIndex is one emitted step's hash index over the current record's
+// facts of its table, chained through the facts' positions: head[b] and
+// next[i] hold a position plus one (zero ends a chain). seq names the record
+// it was built for: slotRun.recSeq moves on with every record, so an index
+// never outlives its record even though views are reused across supersteps.
+type factIndex struct {
+	seq  uint64
+	head []int32
+	next []int32
+}
+
+// factsByFirstArg calls fn, in emitted order, with the current record's
+// facts of table whose canonical first argument hashes to h, building step
+// si's index on the first probe of each record. Hash collisions only add
+// candidates: fn's match actions compare every argument anyway.
+func (rn *slotRun) factsByFirstArg(si int, table string, h uint64, fn func(*engine.ProvFact) error) error {
+	fx, facts := &rn.factIdx[si], rn.rv.Emitted
+	if fx.seq != rn.recSeq {
+		fx.seq = rn.recSeq
+		nb := 1
+		for nb < len(facts) {
+			nb <<= 1
+		}
+		fx.head = slices.Grow(fx.head[:0], nb)[:nb]
+		fx.next = slices.Grow(fx.next[:0], len(facts))[:len(facts)]
+		clear(fx.head)
+		// Prepending in reverse leaves every chain in emitted order.
+		for i := len(facts) - 1; i >= 0; i-- {
+			f := &facts[i]
 			if f.Table != table || len(f.Args) == 0 {
 				continue
 			}
-			k := Tuple{f.Args[0]}.Key()
-			idx[k] = append(idx[k], i)
+			rn.keyBuf = appendNorm(rn.keyBuf[:0], f.Args[0])
+			b := fnvSum(rn.keyBuf) & uint64(nb-1)
+			fx.next[i], fx.head[b] = fx.head[b], int32(i+1)
 		}
-		rv.embIdx[table] = idx
 	}
-	return idx
+	for p := fx.head[h&uint64(len(fx.head)-1)]; p != 0; p = fx.next[p-1] {
+		if err := fn(&facts[p-1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // StaticGraph exposes the input graph to edge/edge_value steps.
@@ -200,14 +211,20 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 		row[0], row[1], row[2] = x, value.NewInt(rv.PrevActive), ss
 		return p.tryRow(rn, si, st, row)
 
-	case rowsSends, rowsRecvs:
-		msgs := rv.Recvs
-		if st.rows == rowsSends {
-			msgs = rv.Sends
-		}
+	case rowsSends:
 		row[0], row[3] = x, ss
-		for i := range msgs {
-			row[1], row[2] = value.NewInt(msgs[i].Peer), msgs[i].Val
+		for i := range rv.Sends {
+			row[1], row[2] = value.NewInt(int64(rv.Sends[i].Dst)), rv.Sends[i].Val
+			if err := p.tryRow(rn, si, st, row); err != nil {
+				return err
+			}
+		}
+		return nil
+
+	case rowsRecvs:
+		row[0], row[3] = x, ss
+		for i := range rv.Recvs {
+			row[1], row[2] = value.NewInt(int64(rv.Recvs[i].Src)), rv.Recvs[i].Val
 			if err := p.tryRow(rn, si, st, row); err != nil {
 				return err
 			}
@@ -223,7 +240,7 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 
 	case rowsEmitted:
 		row[0], row[len(row)-1] = x, ss
-		fact := func(f *FactView) error {
+		fact := func(f *engine.ProvFact) error {
 			if f.Table != st.pred || len(f.Args) != len(row)-2 {
 				return nil
 			}
@@ -232,17 +249,13 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 		}
 		if len(st.lookupCols) > 0 {
 			// Joining on the first payload argument (e.g. the neighbor in
-			// Query 7): use the per-record index instead of a scan.
+			// Query 7): probe the step's per-record index instead of
+			// scanning.
 			kb, err := rn.key(st.lookupSrc)
 			if err != nil {
 				return err
 			}
-			for _, fi := range rv.factsByFirstArg(st.pred)[string(kb)] {
-				if err := fact(&rv.Emitted[fi]); err != nil {
-					return err
-				}
-			}
-			return nil
+			return rn.factsByFirstArg(si, st.pred, fnvSum(kb), fact)
 		}
 		for fi := range rv.Emitted {
 			if err := fact(&rv.Emitted[fi]); err != nil {

@@ -17,18 +17,8 @@ import (
 type Tuple []value.Value
 
 // Key returns a canonical byte-string identity for the tuple, used for
-// set-semantics deduplication. Numerically equal Ints and Floats encode
-// identically (both as floats) so 3 and 3.0 are one tuple.
-func (t Tuple) Key() string {
-	var buf []byte
-	for _, v := range t {
-		if v.Kind() == value.Int {
-			v = value.NewFloat(v.Float())
-		}
-		buf = v.AppendBinary(buf)
-	}
-	return string(buf)
-}
+// set-semantics deduplication; see appendNorm for how numbers encode.
+func (t Tuple) Key() string { return string(appendKey(nil, t)) }
 
 // String renders the tuple for diagnostics.
 func (t Tuple) String() string {
@@ -95,6 +85,30 @@ func (r *Relation) InsertKeyed(k string, t Tuple) bool {
 	if _, ok := r.rows[k]; ok {
 		return false
 	}
+	r.add(k, t)
+	return true
+}
+
+// insertCopy inserts a copy of t unless an equal tuple is present, and
+// returns the stored copy. The canonical key is encoded into *kb, scratch
+// the caller reuses, and probed first, so a duplicate allocates nothing:
+// only a new tuple is cloned and keyed. t itself is never retained, which
+// is what lets the slot programs emit one reused head buffer.
+func (r *Relation) insertCopy(t Tuple, kb *[]byte) (Tuple, bool) {
+	if len(t) != r.arity {
+		panic(fmt.Sprintf("eval: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
+	}
+	*kb = appendKey((*kb)[:0], t)
+	if r.containsKeyBytes(*kb) {
+		return nil, false
+	}
+	c := t.Clone()
+	r.add(string(*kb), c)
+	return c, true
+}
+
+// add stores a tuple known to be new under its canonical key.
+func (r *Relation) add(k string, t Tuple) {
 	r.rows[k] = t
 	r.order = append(r.order, t)
 	r.mu.Lock()
@@ -103,7 +117,6 @@ func (r *Relation) InsertKeyed(k string, t Tuple) bool {
 		idx.m[pk] = append(idx.m[pk], t)
 	}
 	r.mu.Unlock()
-	return true
 }
 
 // Delete removes t, reporting whether it was present. Deletion is used only
@@ -206,11 +219,7 @@ func projKey(t Tuple, cols []int) string {
 	var buf [64]byte
 	b := buf[:0]
 	for _, c := range cols {
-		v := t[c]
-		if v.Kind() == value.Int {
-			v = value.NewFloat(v.Float())
-		}
-		b = v.AppendBinary(b)
+		b = appendNorm(b, t[c])
 	}
 	return string(b)
 }
@@ -218,14 +227,7 @@ func projKey(t Tuple, cols []int) string {
 // keyOf encodes the lookup key values (all columns of key, in order).
 func keyOf(key []value.Value) string {
 	var buf [64]byte
-	b := buf[:0]
-	for _, v := range key {
-		if v.Kind() == value.Int {
-			v = value.NewFloat(v.Float())
-		}
-		b = v.AppendBinary(b)
-	}
-	return string(b)
+	return string(appendKey(buf[:0], key))
 }
 
 // encodeCols identifies a column subset compactly (columns are tiny ints).

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -99,5 +100,127 @@ func TestSortedIsTotalOrder(t *testing.T) {
 		if !less {
 			t.Fatalf("sorted order violated at %d: %v !< %v", i, prev, cur)
 		}
+	}
+}
+
+// TestTupleIdentityFollowsEqual pins the canonical key to value.Equal at
+// the two places a float-only encoding broke it: Ints beyond 2^53 that no
+// float64 represents stay distinct tuples, and 0 and -0.0, which Equal
+// calls equal, are one tuple.
+func TestTupleIdentityFollowsEqual(t *testing.T) {
+	const big = int64(1) << 53
+	for _, c := range []struct {
+		a, b value.Value
+		same bool
+	}{
+		{value.NewInt(big), value.NewInt(big + 1), false},
+		{value.NewInt(-big - 1), value.NewInt(-big), false},
+		{value.NewInt(math.MaxInt64), value.NewInt(math.MaxInt64 - 1), false},
+		{value.NewInt(0), value.NewFloat(math.Copysign(0, -1)), true},
+		{value.NewInt(3), value.NewFloat(3), true},
+		{value.NewInt(big), value.NewFloat(float64(big)), true},
+	} {
+		if c.a.Equal(c.b) != c.same {
+			t.Fatalf("%v vs %v: Equal = %v, test expects %v", c.a, c.b, !c.same, c.same)
+		}
+		rel := NewRelation(2)
+		rel.Insert(Tuple{c.a, value.NewString("x")})
+		rel.Insert(Tuple{c.b, value.NewString("x")})
+		if want := map[bool]int{true: 1, false: 2}[c.same]; rel.Len() != want {
+			t.Errorf("(%v, x) and (%v, x): %d tuples, want %d", c.a, c.b, rel.Len(), want)
+		}
+		// Index lookups use the same encoding.
+		if got := rel.Lookup([]int{0}, []value.Value{c.b}); len(got) != 1 {
+			t.Errorf("lookup %v: %d tuples, want 1", c.b, len(got))
+		}
+	}
+}
+
+// numericPool draws Ints and Floats around the places numeric identity is
+// subtle — small integers, ±0, the 2^53 edge of exact float64 integers, the
+// int64 limits, fractions, infinities and NaN — and closes the pool under
+// the Int/Float twins Equal relates (and, for an Int no float64 holds
+// exactly, the neighbors rounding to the same float), so every pair whose
+// equality depends on a third value meets that value.
+func numericPool(r *rand.Rand, n int) []value.Value {
+	const big = int64(1) << 53
+	var pool []value.Value
+	for i := 0; i < n; i++ {
+		switch r.Intn(8) {
+		case 0:
+			pool = append(pool, value.NewInt(int64(r.Intn(7)-3)))
+		case 1:
+			pool = append(pool, value.NewFloat(float64(r.Intn(7)-3)))
+		case 2:
+			pool = append(pool, value.NewFloat(math.Copysign(0, float64(r.Intn(2)*2-1))))
+		case 3:
+			pool = append(pool, value.NewInt((big+int64(r.Intn(9)-4))*int64(r.Intn(2)*2-1)))
+		case 4:
+			pool = append(pool, value.NewInt([]int64{math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 1}[r.Intn(4)]))
+		case 5:
+			pool = append(pool, value.NewFloat(float64(r.Intn(9)-4)/4))
+		case 6:
+			pool = append(pool, value.NewFloat([]float64{math.Inf(1), math.Inf(-1), math.NaN(), 0x1p63, -0x1p63}[r.Intn(5)]))
+		default:
+			pool = append(pool, value.NewFloat(float64(big+int64(r.Intn(9)-4))))
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for _, v := range pool {
+			switch v.Kind() {
+			case value.Int:
+				i := v.Int()
+				pool = append(pool, value.NewFloat(float64(i)))
+				if float64(i) >= 0x1p63 || int64(float64(i)) != i {
+					// An inexact Int shares its float with a neighbor.
+					if i > math.MinInt64 {
+						pool = append(pool, value.NewInt(i-1))
+					}
+					if i < math.MaxInt64 {
+						pool = append(pool, value.NewInt(i+1))
+					}
+				}
+			case value.Float:
+				if f := v.Float(); f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
+					pool = append(pool, value.NewInt(int64(f)))
+				}
+			}
+		}
+	}
+	return pool
+}
+
+// TestTupleKeyAgreesWithEqual is the property behind the canonical
+// encoding: over generated Int/Float values, two one-column tuples share a
+// key exactly when their values are Equal — for every pair on which Equal
+// is transitive across the pool (Int(0) = -0.0 = Int(0) = 0.0 while
+// 0.0 != -0.0 bitwise, say, is no identity any encoding could follow).
+func TestTupleKeyAgreesWithEqual(t *testing.T) {
+	checked := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		pool := numericPool(rand.New(rand.NewSource(seed)), 24)
+		for _, a := range pool {
+			for _, b := range pool {
+				eq := a.Equal(b)
+				consistent := true
+				for _, c := range pool {
+					if eq && a.Equal(c) != b.Equal(c) || !eq && a.Equal(c) && c.Equal(b) {
+						consistent = false
+						break
+					}
+				}
+				if !consistent {
+					continue
+				}
+				checked++
+				if same := (Tuple{a}).Key() == (Tuple{b}).Key(); same != eq {
+					t.Fatalf("seed %d: %v (%v) vs %v (%v): keys equal %v, Equal %v",
+						seed, a, a.Kind(), b, b.Kind(), same, eq)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no transitive pairs checked")
 	}
 }

@@ -103,18 +103,25 @@ type program struct {
 	nSlots int
 }
 
-// slotRun is per-goroutine scratch state: the slot array, reused key and
-// row buffers, the firing's delta batch and emit sink, and — on the
+// slotRun is per-goroutine scratch state: the slot array, reused key, row
+// and head buffers, the firing's delta batch and emit sink, and — on the
 // record-sourced path — the record and graph the record sources read.
+//
+// The emit sink receives the head buffer itself, overwritten by the next
+// firing: a sink that keeps a tuple must copy it (Relation.insertCopy), and
+// it probes with the canonical key first so a duplicate costs nothing.
 type slotRun struct {
-	db     *Database
-	sg     StaticGraph
-	rv     *RecordView
-	slots  []value.Value
-	rowBuf [][]value.Value // per step, reused across rows
-	keyBuf []byte
-	deltas []Tuple
-	emit   func(Tuple) error
+	db      *Database
+	sg      StaticGraph
+	rv      *RecordView
+	recSeq  uint64 // advances with every record rv points at
+	slots   []value.Value
+	rowBuf  [][]value.Value // per step, reused across rows
+	factIdx []factIndex     // per step, emitted-fact index of the current record
+	keyBuf  []byte
+	head    Tuple
+	deltas  []Tuple
+	emit    func(Tuple) error
 }
 
 // prep sizes the scratch for p and installs the delta batch and sink.
@@ -126,20 +133,45 @@ func (rn *slotRun) prep(p *program, deltas []Tuple, emit func(Tuple) error) {
 	} else {
 		rn.slots = rn.slots[:p.nSlots]
 	}
+	if cap(rn.head) < len(p.head) {
+		rn.head = make(Tuple, len(p.head))
+	} else {
+		rn.head = rn.head[:len(p.head)]
+	}
 	for len(rn.rowBuf) < len(p.steps) {
 		rn.rowBuf = append(rn.rowBuf, nil)
+		rn.factIdx = append(rn.factIdx, factIndex{})
 	}
 	rn.deltas = deltas
 	rn.emit = emit
 }
 
-// appendNorm appends v's canonical binary encoding (Ints normalized to
-// Floats, exactly as Tuple.Key and projKey do).
+// appendNorm appends v's canonical binary encoding, the one tuple identity
+// every relation key, index key, probe and shard hash uses. It agrees with
+// value.Equal wherever Equal is transitive: an Int that a float64 represents
+// exactly encodes as that Float (3 and 3.0 are one tuple), a larger one
+// keeps its Int encoding (1<<53 and 1<<53+1 stay two), and -0.0 encodes as
+// +0.0 (0 and -0.0 are one tuple).
 func appendNorm(b []byte, v value.Value) []byte {
-	if v.Kind() == value.Int {
-		v = value.NewFloat(v.Float())
+	switch v.Kind() {
+	case value.Int:
+		if i := v.Int(); float64(i) < 1<<63 && int64(float64(i)) == i {
+			v = value.NewFloat(float64(i))
+		}
+	case value.Float:
+		if v.Float() == 0 {
+			v = value.NewFloat(0)
+		}
 	}
 	return v.AppendBinary(b)
+}
+
+// appendKey appends the canonical key of t (see Tuple.Key).
+func appendKey(b []byte, t Tuple) []byte {
+	for _, v := range t {
+		b = appendNorm(b, v)
+	}
+	return b
 }
 
 // key evaluates srcs into the reused key buffer, in canonical encoding.
@@ -191,15 +223,14 @@ func (st *slotStep) matchRow(slots, row []value.Value) (bool, error) {
 // run executes the program from step si.
 func (p *program) run(rn *slotRun, si int) error {
 	if si == len(p.steps) {
-		t := make(Tuple, len(p.head))
 		for i := range p.head {
 			v, err := p.head[i].eval(rn.slots)
 			if err != nil {
 				return err
 			}
-			t[i] = v
+			rn.head[i] = v
 		}
-		return rn.emit(t)
+		return rn.emit(rn.head)
 	}
 	st := &p.steps[si]
 	switch {

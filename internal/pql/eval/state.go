@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"ariadne/internal/value"
 )
@@ -194,9 +195,12 @@ func (e *Evaluator) LoadState(r *value.BlobReader) error {
 			break
 		}
 		table.groups = map[string]*aggState{}
-		table.touched = map[string]bool{}
+		table.touched = map[*aggState]bool{}
 		for j := 0; j < nGroups && r.Err() == nil; j++ {
-			k := r.String()
+			k, err := canonicalKey(r.String(), false)
+			if err != nil {
+				return fmt.Errorf("eval: corrupt evaluator state: aggregate %s: %w", pred, err)
+			}
 			st := &aggState{min: math.Inf(1), max: math.Inf(-1), seen: map[string]bool{}}
 			st.count = int64(r.Uvarint())
 			st.sum = r.Float()
@@ -204,7 +208,11 @@ func (e *Evaluator) LoadState(r *value.BlobReader) error {
 			st.max = r.Float()
 			nSeen := r.Count()
 			for s := 0; s < nSeen && r.Err() == nil; s++ {
-				st.seen[r.String()] = true
+				sk, err := canonicalKey(r.String(), true)
+				if err != nil {
+					return fmt.Errorf("eval: corrupt evaluator state: aggregate %s: %w", pred, err)
+				}
+				st.seen[sk] = true
 			}
 			if r.Bool() {
 				arity := r.Count()
@@ -223,4 +231,33 @@ func (e *Evaluator) LoadState(r *value.BlobReader) error {
 		return fmt.Errorf("eval: corrupt evaluator state: %w", err)
 	}
 	return nil
+}
+
+// canonicalKey re-encodes a saved aggregate key in the canonical encoding
+// (appendNorm): a group key is the key of the group values, a dedup key
+// (prefixed) is "<tag><column>|" followed by the key of the deduplicated
+// values. Checkpoints written before Int and -0.0 keys were made to agree
+// with value.Equal hold every Int as a float and -0.0 as itself; re-keying
+// lets their seen-sets match the keys fold probes with now. A key already
+// canonical comes back unchanged.
+func canonicalKey(k string, prefixed bool) (string, error) {
+	var b []byte
+	rest := k
+	if prefixed {
+		i := strings.IndexByte(k, '|')
+		if i < 0 {
+			return "", fmt.Errorf("dedup key without a column prefix")
+		}
+		b = append(b, k[:i+1]...)
+		rest = k[i+1:]
+	}
+	for len(rest) > 0 {
+		v, n, err := value.DecodeValue([]byte(rest))
+		if err != nil {
+			return "", err
+		}
+		b = appendNorm(b, v)
+		rest = rest[n:]
+	}
+	return string(b), nil
 }
