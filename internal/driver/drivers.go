@@ -16,10 +16,11 @@ import (
 
 // Result exposes the outcome of a query evaluation.
 type Result struct {
-	q     *analysis.Query
-	db    *eval.Database
-	ev    *eval.Evaluator
-	Facts int64 // EDB facts fed
+	q        *analysis.Query
+	db       *eval.Database
+	ev       *eval.Evaluator
+	compiled *eval.Compiled
+	Facts    int64 // EDB facts fed
 }
 
 // Relation returns the result relation for an IDB (or EDB) predicate.
@@ -51,6 +52,15 @@ func (r *Result) EvalStats() eval.Stats {
 		return eval.Stats{}
 	}
 	return r.ev.Stats()
+}
+
+// CompiledStats returns the compiled vertex program's work counters (zero
+// when the query ran on the materialised evaluator).
+func (r *Result) CompiledStats() eval.CompiledStats {
+	if r.compiled == nil {
+		return eval.CompiledStats{}
+	}
+	return r.compiled.Stats()
 }
 
 // DBBytes estimates the evaluation database size, the memory the naive mode
@@ -340,7 +350,7 @@ func (o *Online) Finish(int) error {
 // Result returns the query results accumulated so far.
 func (o *Online) Result() *Result {
 	if o.compiled != nil {
-		return &Result{q: o.q, db: o.db, Facts: o.compiled.Records()}
+		return &Result{q: o.q, db: o.db, compiled: o.compiled, Facts: o.compiled.Records()}
 	}
 	return &Result{q: o.q, db: o.db, ev: o.ev, Facts: o.f.FactCount}
 }

@@ -29,6 +29,7 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 	var f *feeder
 	if isCompiled {
 		vb = newViewBuilder(ascending)
+		res.compiled = compiled
 	} else {
 		ev, err := eval.NewEvaluator(q, db)
 		if err != nil {

@@ -150,6 +150,27 @@ r1(X, I) :- t(Y, I), receive_message(X, Y, M, I),
 	}
 }
 
+// TestClassifyBackwardWithEvolutionIsMixed: a backward query is evaluated
+// walking the layers downward, so a rule joining a vertex's previous active
+// superstep (evolution) would read a layer that walk has not reached — the
+// compiled path would find no predecessor value and the materialised one
+// would decide negations before the value arrives. Such a query is not
+// directed and must run naive.
+func TestClassifyBackwardWithEvolutionIsMixed(t *testing.T) {
+	src := `
+back_trace(X, I) :- superstep(X, I), I = 3, X = 0.
+back_trace(X, I) :- send_message(X, Y, M, I), back_trace(Y, J), J = I + 1.
+grew(X, I) :- value(X, D1, I), value(X, D2, J), evolution(X, J, I), D1 > D2.
+`
+	q := analyze(t, src, NewEnv())
+	if q.Class != Mixed {
+		t.Errorf("class = %v, want mixed", q.Class)
+	}
+	if q.Class.LayeredEvaluable() {
+		t.Error("a backward query reading predecessor values must not be layered-evaluable")
+	}
+}
+
 func TestClassifyNotVCCompatible(t *testing.T) {
 	// Remote table with no message guard at all.
 	src := `

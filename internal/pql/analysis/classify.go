@@ -17,8 +17,14 @@ func (q *Query) classify() error {
 	q.VCCompatible = true
 	usesRecvGuards := false
 	usesSendGuards := false
+	readsPredecessor := false
 
 	for _, r := range q.Rules {
+		for _, lit := range r.Body {
+			if pl, ok := lit.(*pql.PredLit); ok && !pl.Negated && pl.Atom.Pred == "evolution" {
+				readsPredecessor = true
+			}
+		}
 		headLoc, ok := locationVar(r.Head)
 		if !ok {
 			// Constant location (e.g. a fact): no remote access possible.
@@ -107,6 +113,11 @@ func (q *Query) classify() error {
 	case !q.VCCompatible:
 		q.Class = Mixed
 	case usesRecvGuards && usesSendGuards:
+		q.Class = Mixed
+	case usesSendGuards && readsPredecessor:
+		// A backward query walks the layers downward, but an evolution
+		// literal reads the vertex's previous active superstep, which that
+		// walk reaches only later: the query is not directed either way.
 		q.Class = Mixed
 	case usesRecvGuards:
 		q.Class = Forward

@@ -33,8 +33,13 @@ func notCompilable(pos pql.Pos, format string, args ...any) error {
 
 // Compiled is a query compiled to a per-record vertex program.
 type Compiled struct {
-	// strata[i] holds the compiled rules of stratum i.
-	strata [][]*crule
+	// strata[i] holds the compiled rules of stratum i; recursive[i] marks a
+	// stratum some rule of which reads a head of that stratum, the only kind
+	// Layer iterates to an in-layer fixpoint. passes[i] counts Layer's passes
+	// over stratum i.
+	strata    [][]*crule
+	recursive []bool
+	passes    []int64
 	// rn is the evaluation scratch (evaluation is single-threaded: it runs
 	// at the superstep barrier); noRecord stands in for the record of
 	// global and static rules, which read none.
@@ -57,8 +62,13 @@ type crule struct {
 	// and driveCursor tracks the insertion-order position already consumed.
 	drivePred   string
 	driveCursor int
-	// emit inserts a head tuple and counts it.
-	emit func(Tuple) error
+	// seedSS: the rule's current-superstep variable is pre-bound in slot 1
+	// to the record's superstep, as the anchor is in slot 0 to its vertex.
+	seedSS bool
+	// emit inserts a head tuple and counts it; emitted counts every
+	// emission, duplicates included.
+	emit    func(Tuple) error
+	emitted int64
 }
 
 type ruleKind uint8
@@ -75,24 +85,30 @@ func (k ruleKind) String() string { return [...]string{"record", "global", "stat
 // when the query requires the materialised evaluator; a query that
 // compiles never fails for a compile-time reason at run time.
 func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error) {
-	c := &Compiled{strata: make([][]*crule, len(q.Strata))}
+	n := len(q.Strata)
+	c := &Compiled{strata: make([][]*crule, n), recursive: make([]bool, n), passes: make([]int64, n)}
 	c.rn = slotRun{db: db, sg: sg, rv: &c.noRecord}
 	for name, arity := range q.IDBs {
 		db.Relation(name, arity)
 	}
 	globalHeads := map[string]bool{}
 	for si, stratum := range q.Strata {
+		heads := map[string]bool{}
+		for _, r := range stratum {
+			heads[r.Head.Pred] = true
+		}
 		for _, r := range stratum {
 			rp, err := planRecordRule(r, q)
 			if err != nil {
 				return nil, err
 			}
-			cr := &crule{src: r, kind: rp.kind, drivePred: rp.drivePred}
+			cr := &crule{src: r, kind: rp.kind, drivePred: rp.drivePred, seedSS: len(rp.anchor) > 1}
 			if cr.prog, err = lower(rp.steps, r.Head.Args, q.Env(), rp.anchor...); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrNotCompilable, err)
 			}
 			head := db.Relation(r.Head.Pred, len(r.Head.Args))
 			cr.emit = func(t Tuple) error {
+				cr.emitted++
 				if _, ok := head.insertCopy(t, &c.headKey); ok {
 					c.derived++
 				}
@@ -100,6 +116,11 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 			}
 			if cr.kind == ruleGlobal {
 				globalHeads[r.Head.Pred] = true
+			}
+			for _, lit := range r.Body {
+				if pl, ok := lit.(*pql.PredLit); ok && heads[pl.Atom.Pred] {
+					c.recursive[si] = true
+				}
 			}
 			c.strata[si] = append(c.strata[si], cr)
 		}
@@ -124,7 +145,8 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 
 // recordPlan is planRecordRule's result: the rule's kind, its ordered body
 // with a row source per predicate step, and — for record rules — the
-// anchor variable bound to the record's vertex before the first step.
+// anchor variables bound before the first step: the record's vertex and,
+// when the rule has one, its current superstep.
 type recordPlan struct {
 	kind      ruleKind
 	steps     []planStep
@@ -277,6 +299,12 @@ func planRecordRule(r *pql.Rule, q *analysis.Query) (*recordPlan, error) {
 	if rp.kind == ruleGlobal && rp.drivePred == "" {
 		return nil, notCompilable(r.Pos, "global rule without an IDB driver")
 	}
+	// Every record source yields the record's superstep in its superstep
+	// column, so the current-superstep variable is bound from the start;
+	// the schedule above stays the one planned without it.
+	if rp.kind == ruleRecord && rp.curSS != "" && rp.curSS != anchor {
+		rp.anchor = append(rp.anchor, rp.curSS)
+	}
 	return &rp.recordPlan, nil
 }
 
@@ -399,6 +427,28 @@ func (c *Compiled) DerivedTuples() int64 { return c.derived }
 // Records returns how many records were processed.
 func (c *Compiled) Records() int64 { return c.records }
 
+// CompiledStats is a snapshot of a compiled query's work counters.
+type CompiledStats struct {
+	// PassesPerStratum counts Layer's passes per stratum: one per layer,
+	// plus one per pass of a recursive stratum that derived something.
+	PassesPerStratum []int64
+	// Emissions counts the head tuples each predicate's rules emitted,
+	// duplicates included; a cut rule emits each tuple once per binding of
+	// the steps before its cut.
+	Emissions map[string]int64
+}
+
+// Stats returns a snapshot of the work counters.
+func (c *Compiled) Stats() CompiledStats {
+	s := CompiledStats{PassesPerStratum: append([]int64(nil), c.passes...), Emissions: map[string]int64{}}
+	for _, stratum := range c.strata {
+		for _, r := range stratum {
+			s.Emissions[r.src.Head.Pred] += r.emitted
+		}
+	}
+	return s
+}
+
 // BeginRun evaluates the static rules (bodies over static EDBs only).
 func (c *Compiled) BeginRun() error {
 	if c.staticDone {
@@ -420,14 +470,17 @@ func (c *Compiled) BeginRun() error {
 }
 
 // Layer evaluates one provenance layer's records: every stratum in order,
-// iterating to an in-layer fixpoint (recursive rules).
+// once — a recursive stratum until a pass derives nothing (an in-layer
+// fixpoint). A non-recursive stratum reads only lower strata, which a
+// second pass would find unchanged.
 func (c *Compiled) Layer(recs []RecordView) error {
 	if err := c.BeginRun(); err != nil {
 		return err
 	}
 	c.records += int64(len(recs))
-	for _, stratum := range c.strata {
+	for si, stratum := range c.strata {
 		for {
+			c.passes[si]++
 			before := c.derived
 			for _, r := range stratum {
 				switch r.kind {
@@ -443,7 +496,7 @@ func (c *Compiled) Layer(recs []RecordView) error {
 					}
 				}
 			}
-			if c.derived == before {
+			if !c.recursive[si] || c.derived == before {
 				break
 			}
 		}
@@ -475,14 +528,17 @@ func (c *Compiled) FinishRun() error {
 	return nil
 }
 
-// evalRecords runs a record rule once per record, the anchor slot holding
-// the record's vertex.
+// evalRecords runs a record rule once per record, the anchor slots holding
+// the record's vertex and superstep.
 func (c *Compiled) evalRecords(r *crule, recs []RecordView) error {
 	c.rn.prep(r.prog, nil, r.emit)
 	for i := range recs {
 		c.rn.rv = &recs[i]
 		c.rn.recSeq++
 		c.rn.slots[0] = value.NewInt(recs[i].Vertex)
+		if r.seedSS {
+			c.rn.slots[1] = value.NewInt(recs[i].Superstep)
+		}
 		if err := r.prog.run(&c.rn, 0); err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"ariadne/internal/engine"
@@ -53,8 +54,8 @@ type factSink interface {
 }
 
 // feedLayers materialises the record stream as EDB facts, one Fixpoint per
-// layer, mirroring the driver's feeder.
-func feedLayers(ev factSink, sg StaticGraph, layers [][]RecordView) error {
+// layer, mirroring the driver's feeder; forward says the layers ascend.
+func feedLayers(ev factSink, sg StaticGraph, layers [][]RecordView, forward bool) error {
 	for v := 0; v < sg.NumVertices(); v++ {
 		dst, _ := sg.OutNeighbors(int64(v))
 		for _, d := range dst {
@@ -63,7 +64,7 @@ func feedLayers(ev factSink, sg StaticGraph, layers [][]RecordView) error {
 	}
 	for _, l := range layers {
 		for i := range l {
-			feedView(ev, sg, &l[i])
+			feedView(ev, sg, &l[i], forward)
 		}
 		if err := ev.Fixpoint(); err != nil {
 			return err
@@ -125,7 +126,8 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 		lowerOutcomes["analysis rejected"]++
 		return nil // all three share the analysis: rejected for all
 	}
-	if q.Class == analysis.Backward {
+	forward := q.Class != analysis.Backward
+	if !forward {
 		layers = append([][]RecordView(nil), layers...)
 		for i, j := 0, len(layers)-1; i < j; i, j = i+1, j-1 {
 			layers[i], layers[j] = layers[j], layers[i]
@@ -134,7 +136,7 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 	odb := NewDatabase()
 	orc, oerr := newOracle(q, odb)
 	if oerr == nil {
-		oerr = feedLayers(orc, sg, layers)
+		oerr = feedLayers(orc, sg, layers, forward)
 	}
 	ordered := true
 	for _, r := range q.Rules {
@@ -156,7 +158,7 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 			return nil
 		}
 		ev.SetWorkers(workers)
-		err = feedLayers(ev, sg, layers)
+		err = feedLayers(ev, sg, layers, forward)
 		if workers == 1 {
 			if (err == nil) != (oerr == nil) || (err != nil && err.Error() != oerr.Error()) {
 				return fmt.Errorf("run-time verdicts differ: oracle %v, slots %v", oerr, err)
@@ -201,10 +203,25 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 		return nil
 	}
 	lowerOutcomes["three-way"]++
+	if anyCut(comp) {
+		lowerOutcomes["three-way with a cut"]++
+	}
 	for _, keys := range wantSet {
 		lowerOutcomes["three-way tuples"] += len(keys)
 	}
 	return sameRelations("record-sourced vs oracle", wantSet, insertionOrder(qc, cdb, true))
+}
+
+// anyCut reports whether some rule of c takes a cut.
+func anyCut(c *Compiled) bool {
+	for _, stratum := range c.strata {
+		for _, r := range stratum {
+			if r.prog.cut >= 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // runAllPaths is checkLowering for a fixed source.
@@ -228,8 +245,11 @@ func runAllPaths(t *testing.T, src string, env *analysis.Env, sg StaticGraph, la
 	}
 }
 
-// feedView mirrors the driver's feeder for RecordViews.
-func feedView(ev factSink, sg StaticGraph, rv *RecordView) {
+// feedView mirrors the driver's feeder for RecordViews. Like the feeder, it
+// re-injects the predecessor's value only when feeding forward: fed from a
+// later record in a backward walk, value(X, D, J) would precede record J's
+// other facts, and a negation over those would be decided too early.
+func feedView(ev factSink, sg StaticGraph, rv *RecordView, forward bool) {
 	x := value.NewInt(rv.Vertex)
 	i := value.NewInt(rv.Superstep)
 	ev.AddFact("superstep", Tuple{x, i})
@@ -239,7 +259,7 @@ func feedView(ev factSink, sg StaticGraph, rv *RecordView) {
 	if rv.PrevActive >= 0 {
 		j := value.NewInt(rv.PrevActive)
 		ev.AddFact("evolution", Tuple{x, j, i})
-		if rv.HasPrevValue {
+		if forward && rv.HasPrevValue {
 			ev.AddFact("value", Tuple{x, rv.PrevValue, j})
 		}
 	}
@@ -300,7 +320,16 @@ func randomLayers(seed int64, sg *fakeGraph, nLayers int) [][]RecordView {
 			rv.SentAny = len(rv.Sends) > 0
 			for _, s := range sg.in[v] {
 				if rng.Intn(2) == 0 {
-					rv.Recvs = append(rv.Recvs, engine.IncomingMessage{Src: engine.VertexID(s), Val: value.NewFloat(rng.Float64())})
+					// Odd senders send Ints, so one record's messages can
+					// mix kinds: a term like M mod 2 succeeds on some of
+					// its rows and fails on others. The Ints run 2..5, so,
+					// like the Floats, none matches the message values the
+					// generated negations look for (1.0, 0.5).
+					m := value.NewFloat(rng.Float64())
+					if s%2 == 1 {
+						m = value.NewInt(2 + int64(m.Float()*4))
+					}
+					rv.Recvs = append(rv.Recvs, engine.IncomingMessage{Src: engine.VertexID(s), Val: m})
 				}
 			}
 			rv.Emitted = []engine.ProvFact{
@@ -391,6 +420,59 @@ fwd(X, I) :- receive_message(X, Y, M, I), fwd(Y, J), J < I, superstep(X, I).
 	}
 }
 
+// TestLoweringsAgreeBackwardNegation: a backward query with a local rule
+// that negates a record's own sends. Walking the layers downward, every leg
+// must see record J's value together with its sends — a value fed early,
+// from a later record's predecessor, would let the negation pass before the
+// sends arrive.
+func TestLoweringsAgreeBackwardNegation(t *testing.T) {
+	env := analysis.NewEnv()
+	src := `
+back_trace(X, I) :- superstep(X, I), I = 5, X = 4.
+back_trace(X, I) :- send_message(X, Y, M, I), back_trace(Y, J), J = I + 1.
+quiet(X, I) :- value(X, D, I), !send_message(X, V, D, I), edge(X, V).
+`
+	for seed := int64(1); seed <= 5; seed++ {
+		sg, layers := testGraphAndLayers(seed)
+		runAllPaths(t, src, env, sg, layers)
+	}
+}
+
+// TestRecursiveStrataReachFixpoint: two strata whose rules read heads of
+// their own stratum within one layer — a rule reading its own head at a
+// peer in the same superstep, and (one stratum up, through the negation) a
+// rule reading the head of a rule listed after it — so one pass in rule and
+// record order would miss tuples. Both are marked recursive, iterate past
+// one pass per layer, and agree with the other lowerings.
+func TestRecursiveStrataReachFixpoint(t *testing.T) {
+	src := `
+reach(X, I) :- superstep(X, I), X = 7.
+reach(X, I) :- receive_message(X, Y, M, I), reach(Y, I).
+sent_early(X, I) :- superstep(X, I), sent(X, I).
+sent(X, I) :- prov_send(X, I), !reach(X, I).
+`
+	for seed := int64(1); seed <= 5; seed++ {
+		sg, layers := testGraphAndLayers(seed)
+		runAllPaths(t, src, analysis.NewEnv(), sg, layers)
+
+		c, err := Compile(analysis.MustAnalyze(src, analysis.NewEnv()), NewDatabase(), sg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range layers {
+			if err := c.Layer(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for si, passes := range c.Stats().PassesPerStratum {
+			if !c.recursive[si] || passes <= int64(len(layers)) {
+				t.Errorf("seed %d: stratum %d recursive=%v took %d passes over %d layers, want a recursive stratum that iterates",
+					seed, si, c.recursive[si], passes, len(layers))
+			}
+		}
+	}
+}
+
 func TestCompileRejections(t *testing.T) {
 	env := analysis.NewEnv()
 	sg := newFakeGraph(2, [][2]int64{{0, 1}})
@@ -433,6 +515,106 @@ pair(X, I, J) :- seen(X, I), seen(X, J), I < J.
 		{{Vertex: 0, Superstep: 2, HasValue: true, Value: value.NewFloat(3), PrevActive: 1, PrevValue: value.NewFloat(2), HasPrevValue: true}},
 	}
 	runAllPaths(t, src, env, sg, layers)
+}
+
+// legErrors evaluates src over layers on every leg — the oracle, the
+// materialised Evaluator at 1, 2 and 8 workers, and the record-sourced
+// program fed one Layer call per superstep, which is how both the online and
+// the layered driver run it — and returns each leg's error, plus the
+// compiled query.
+func legErrors(t *testing.T, src string, sg StaticGraph, layers [][]RecordView) (map[string]error, *Compiled) {
+	t.Helper()
+	build := func() *analysis.Query { return analysis.MustAnalyze(src, analysis.NewEnv()) }
+	errs := map[string]error{}
+	orc, err := newOracle(build(), NewDatabase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs["oracle"] = feedLayers(orc, sg, layers, true)
+	for _, w := range []int{1, 2, 8} {
+		ev, err := NewEvaluator(build(), NewDatabase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.SetWorkers(w)
+		errs[fmt.Sprintf("materialised@%d", w)] = feedLayers(ev, sg, layers, true)
+	}
+	c, err := Compile(build(), NewDatabase(), sg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range layers {
+		if err = c.Layer(l); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = c.FinishRun()
+	}
+	errs["record-sourced"] = err
+	return errs, c
+}
+
+// TestCutKeepsErrorContract pins the cut's fallibility rule: a run that
+// fails on the oracle fails with the same error on every leg. In the first
+// rule every head variable is bound before the message scan, so the first
+// message (an Int) is a witness — but the second (a Float) fails M mod 2,
+// and a cut would skip it: the rule must take none. In the second rule the
+// failing term comes before the head is bound; the cut after it still
+// applies, stopping the scan at the first message, and the record whose
+// value is a Float still fails everywhere.
+func TestCutKeepsErrorContract(t *testing.T) {
+	sg := newFakeGraph(3, [][2]int64{{0, 1}, {2, 1}})
+	rec := func(ss int64, d value.Value, msgs ...value.Value) RecordView {
+		rv := RecordView{Vertex: 1, Superstep: ss, HasValue: true, Value: d, PrevActive: ss - 1}
+		for i, m := range msgs {
+			rv.Recvs = append(rv.Recvs, engine.IncomingMessage{Src: engine.VertexID(2 * i), Val: m})
+		}
+		return rv
+	}
+	witnessThenFail := []value.Value{value.NewInt(4), value.NewFloat(0.5)}
+	cases := []struct {
+		name   string
+		src    string
+		cut    int
+		layers [][]RecordView
+	}{
+		{"failing row after the head is bound", `g(X, I) :- receive_message(X, Y, M, I), R = M mod 2.`, -1,
+			[][]RecordView{{rec(0, value.NewInt(3), witnessThenFail...)}}},
+		{"failing term before the cut", `g(X, R, I) :- value(X, D, I), R = D mod 2, receive_message(X, Y, M, I).`, 2,
+			[][]RecordView{{rec(0, value.NewInt(3), witnessThenFail...)}, {rec(1, value.NewFloat(0.5), value.NewInt(4))}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			errs, c := legErrors(t, tc.src, sg, tc.layers)
+			if cut := c.strata[0][0].prog.cut; cut != tc.cut {
+				t.Errorf("cut = %d, want %d", cut, tc.cut)
+			}
+			want := errs["oracle"]
+			if want == nil || !strings.Contains(want.Error(), "cannot mod float") {
+				t.Fatalf("oracle error %v, want the Float's mod failure", want)
+			}
+			for leg, err := range errs {
+				if err == nil || err.Error() != want.Error() {
+					t.Errorf("%s: error %v, oracle %v", leg, err, want)
+				}
+			}
+			if tc.cut < 0 {
+				return
+			}
+			// The cut stopped the first record's scan at its first message.
+			one, err := Compile(analysis.MustAnalyze(tc.src, analysis.NewEnv()), NewDatabase(), sg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := one.Layer(tc.layers[0]); err != nil {
+				t.Fatal(err)
+			}
+			if n := one.Stats().Emissions["g"]; n != 1 {
+				t.Errorf("%d emissions from one record with two messages, want 1", n)
+			}
+		})
+	}
 }
 
 // TestEmittedIndexKeepsEmittedOrder drives Query 7's emitted-table join

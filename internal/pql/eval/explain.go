@@ -10,16 +10,24 @@ import (
 // Explain reports how q is lowered: whether its rules run record-sourced (as
 // a query vertex program) or on the materialised Evaluator — and then the
 // one reason why — and per rule the planner kind, the join order, each
-// step's row source with its key columns, and the slot count. Every rule
-// shown is a slot program; there is no other way a rule can run.
+// step's row source with its key columns, the slot count and the cut
+// (cut=k: every head variable is bound before step k+1, so the first
+// completion ends that step's enumeration). A record-sourced stratum marked
+// recursive iterates to an in-layer fixpoint; every other runs once per
+// layer. Every rule shown is a slot program; there is no other way a rule
+// can run.
 func Explain(q *analysis.Query) (string, error) {
 	var b strings.Builder
 	c, cerr := Compile(q, NewDatabase(), nil)
 	if cerr == nil {
 		fmt.Fprintf(&b, "lowering:       record-sourced (%d rules)\n", len(q.Rules))
 		for si, stratum := range c.strata {
+			label := fmt.Sprint(si)
+			if c.recursive[si] {
+				label += " recursive"
+			}
 			for _, r := range stratum {
-				fmt.Fprintf(&b, "  [%d] %s\n      planner=%s slots=%d\n", si, r.src, r.kind, r.prog.nSlots)
+				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s slots=%d%s\n", label, r.src, r.kind, r.prog.nSlots, r.prog.cutNote())
 				r.prog.describe(&b, "      ")
 			}
 		}
@@ -36,16 +44,24 @@ func Explain(q *analysis.Query) (string, error) {
 			plan := ev.plans[r]
 			fmt.Fprintf(&b, "  [%d] %s\n      planner=materialised\n", si, r)
 			if plan.fact != nil {
-				fmt.Fprintf(&b, "      fact: slots=%d\n", plan.fact.nSlots)
+				fmt.Fprintf(&b, "      fact: slots=%d%s\n", plan.fact.nSlots, plan.fact.cutNote())
 				plan.fact.describe(&b, "        ")
 			}
 			for vi, p := range plan.progs {
-				fmt.Fprintf(&b, "      delta %s: slots=%d\n", plan.positivePreds[vi], p.nSlots)
+				fmt.Fprintf(&b, "      delta %s: slots=%d%s\n", plan.positivePreds[vi], p.nSlots, p.cutNote())
 				p.describe(&b, "        ")
 			}
 		}
 	}
 	return b.String(), nil
+}
+
+// cutNote renders the program's cut for Explain, or nothing without one.
+func (p *program) cutNote() string {
+	if p.cut < 0 {
+		return ""
+	}
+	return fmt.Sprintf(" cut=%d", p.cut)
 }
 
 // describe writes one line per step, in execution order.

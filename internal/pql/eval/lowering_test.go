@@ -204,8 +204,8 @@ func genRules(rng *rand.Rand, n int) string {
 
 // TestGeneratedRulesReachEveryLeg runs the fuzz target's generator over a
 // fixed seed range and checks it has teeth: most programs must survive the
-// analysis and a good share must reach the three-way comparison with tuples
-// to compare.
+// analysis, a good share must reach the three-way comparison with tuples to
+// compare, and a real share of those must have a rule that takes a cut.
 func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	for k := range lowerOutcomes {
 		delete(lowerOutcomes, k)
@@ -234,6 +234,10 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	if lowerOutcomes["three-way"] < n/5 || lowerOutcomes["three-way tuples"] < 10*n {
 		t.Errorf("only %d of %d programs (%d tuples) reached the three-way comparison",
 			lowerOutcomes["three-way"], n, lowerOutcomes["three-way tuples"])
+	}
+	if lowerOutcomes["three-way with a cut"] < n/10 {
+		t.Errorf("only %d of %d programs reached the three-way comparison with a rule that takes a cut",
+			lowerOutcomes["three-way with a cut"], n)
 	}
 }
 

@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
@@ -21,7 +23,9 @@ import (
 // occurrences compare, constants and ground expressions compare by Equal);
 // negations and comparisons filter; the head constructors build the emitted
 // tuple. Boundness is static: a variable read before it is bound is a
-// compile-time error, never a run-time one.
+// compile-time error, never a run-time one. So the cut is static too: the
+// step from which on, every head variable being bound, the rest of the body
+// is only an existence check, whose first witness ends the enumeration.
 
 // slotFn evaluates a term against the slot array.
 type slotFn func(slots []value.Value) (value.Value, error)
@@ -93,6 +97,10 @@ type slotStep struct {
 	bindSlot int
 	bindFn   slotFn
 	cmpFn    func(slots []value.Value) (bool, error)
+
+	// fallible: the step evaluates a term that can fail at run time (an
+	// arithmetic expression or a function call).
+	fallible bool
 }
 
 // program is one lowered rule body: the step program, the head
@@ -101,7 +109,17 @@ type program struct {
 	steps  []slotStep
 	head   []slotSrc
 	nSlots int
+	// cut is the first step before which every head variable is bound, or
+	// -1. Every completion under that step emits the same tuple, so the
+	// first one ends the step's enumeration (errCut). The cut applies only
+	// when no step from it on is fallible: a row it skips could otherwise
+	// have failed the evaluation.
+	cut int
 }
+
+// errCut unwinds a completion under the program's cut step back to that
+// step, ending its enumeration — as errRowExists ends a negated scan.
+var errCut = errors.New("eval: head bound")
 
 // slotRun is per-goroutine scratch state: the slot array, reused key, row
 // and head buffers, the firing's delta batch and emit sink, and — on the
@@ -220,8 +238,20 @@ func (st *slotStep) matchRow(slots, row []value.Value) (bool, error) {
 	return true, nil
 }
 
-// run executes the program from step si.
+// run executes the program from step si; at the cut step it absorbs the
+// errCut its first completion returns.
 func (p *program) run(rn *slotRun, si int) error {
+	if si == p.cut {
+		if err := p.exec(rn, si); err != errCut {
+			return err
+		}
+		return nil
+	}
+	return p.exec(rn, si)
+}
+
+// exec runs step si, or emits the head once every step has matched.
+func (p *program) exec(rn *slotRun, si int) error {
 	if si == len(p.steps) {
 		for i := range p.head {
 			v, err := p.head[i].eval(rn.slots)
@@ -230,7 +260,10 @@ func (p *program) run(rn *slotRun, si int) error {
 			}
 			rn.head[i] = v
 		}
-		return rn.emit(rn.head)
+		if err := rn.emit(rn.head); err != nil || p.cut < 0 {
+			return err
+		}
+		return errCut
 	}
 	st := &p.steps[si]
 	switch {
@@ -318,6 +351,16 @@ func (lw *lowerer) ground(t pql.Term) bool {
 	var vs []*pql.Var
 	for _, v := range pql.Vars(t, vs) {
 		if _, ok := lw.slotOf[v.Name]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// groundAll reports whether every term of ts is ground at this point.
+func (lw *lowerer) groundAll(ts []pql.Term) bool {
+	for _, t := range ts {
+		if !lw.ground(t) {
 			return false
 		}
 	}
@@ -439,10 +482,21 @@ func (lw *lowerer) src(t pql.Term) (slotSrc, error) {
 	return slotSrc{kind: srcFn, fn: fn}, err
 }
 
+// canFail reports whether evaluating t can fail at run time: anything but a
+// variable or a constant is arithmetic or a function call.
+func canFail(t pql.Term) bool {
+	switch t.(type) {
+	case *pql.Var, *pql.Const:
+		return false
+	}
+	return true
+}
+
 // cmp lowers a comparison literal: the binder form `v = expr` when v is a
 // still-unbound variable and expr is ground, a filter otherwise.
 func (lw *lowerer) cmp(c *pql.CmpLit) (slotStep, error) {
-	st := slotStep{kind: stepCompare, pos: c.Pos, text: c.String(), bindSlot: -1}
+	st := slotStep{kind: stepCompare, pos: c.Pos, text: c.String(), bindSlot: -1,
+		fallible: canFail(c.L) || canFail(c.R)}
 	if c.Op == pql.CmpEq {
 		for _, side := range [2][2]pql.Term{{c.L, c.R}, {c.R, c.L}} {
 			v, ok := asVar(side[0])
@@ -505,6 +559,9 @@ func (lw *lowerer) cmp(c *pql.CmpLit) (slotStep, error) {
 func (lw *lowerer) atom(ps planStep) (slotStep, error) {
 	a := ps.atom
 	st := slotStep{kind: ps.kind, pred: a.Pred, pos: a.Pos, text: a.String(), rows: ps.rows, bindSlot: -1}
+	for _, arg := range a.Args {
+		st.fallible = st.fallible || canFail(arg)
+	}
 	if ps.kind == stepNegated {
 		st.text = "!" + st.text
 		if ps.rows == rowsRelation {
@@ -561,8 +618,11 @@ func lower(steps []planStep, head []pql.Term, env *analysis.Env, bound ...string
 	for _, name := range bound {
 		lw.bind(name)
 	}
-	p := &program{}
-	for _, ps := range steps {
+	p := &program{cut: -1}
+	for i, ps := range steps {
+		if p.cut < 0 && lw.groundAll(head) {
+			p.cut = i
+		}
 		var st slotStep
 		var err error
 		if ps.kind == stepCompare {
@@ -581,6 +641,9 @@ func lower(steps []planStep, head []pql.Term, env *analysis.Env, bound ...string
 			return nil, err
 		}
 		p.head = append(p.head, src)
+	}
+	if p.cut >= 0 && slices.ContainsFunc(p.steps[p.cut:], func(st slotStep) bool { return st.fallible }) {
+		p.cut = -1
 	}
 	p.nSlots = len(lw.slotOf)
 	return p, nil
