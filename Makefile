@@ -60,7 +60,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkLayeredReplay' -benchmem -count 1 \
 		./internal/driver/ >> bench-micro.out
 	$(GO) run ./cmd/benchjson -out BENCH_micro.json \
-		-max-transport-overhead 1.5 -min-bytes-reduction 2 < bench-micro.out
+		-max-transport-overhead 1.5 < bench-micro.out
 	rm -f bench-micro.out
 
 # bench-store runs just the provenance-storage benchmarks — spill pipeline,
@@ -100,10 +100,10 @@ bench-e2e:
 	done | $(GO) run ./cmd/benchjson -e2e -commit "$(COMMIT)" -out BENCH_e2e.json
 
 # loc prints the non-test Go lines of the packages ROADMAP aim 2 tracks (one
-# PQL evaluator, one message barrier, one layer representation; net-negative
-# line counts); CI records it per run.
+# PQL evaluator, one message barrier, one layer representation, one exchange
+# mode; net-negative line counts); CI records it per run.
 loc:
-	@for p in internal/pql/eval internal/driver internal/engine internal/provenance internal/capture; do \
+	@for p in internal/pql/eval internal/driver internal/engine internal/transport internal/provenance internal/capture; do \
 		printf '%-20s %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
 	done
 

@@ -199,13 +199,10 @@ func cmdRun(args []string) error {
 	netDeadline := fs.Duration("net-deadline", 0, "per-message send/receive deadline with -transport tcp (0 = 5s default)")
 	netHeartbeat := fs.Duration("net-heartbeat", time.Second, "worker liveness probe interval with -transport tcp (0 disables probing)")
 	netHeartbeatMisses := fs.Int("net-heartbeat-misses", 0, "consecutive heartbeat misses before a worker is declared dead (0 = default of 3)")
-	failover := fs.Bool("failover", true, "reassign a dead worker's partitions to surviving workers before falling back to master-local execution")
 	evalWorkers := fs.Int("eval-workers", 0, "shard-parallel PQL evaluation workers for online queries (0 = auto, 1 = sequential rounds)")
 	online := fs.String("online", "", "comma-separated online queries (apt[:eps], q4, q5, q6)")
 	faults := fs.String("faults", "", `fault-injection spec, e.g. "compute:mode=panic:ss=3:vertex=7" or "spill.write:times=2" (clauses joined with ;)`)
 	workerFaults := fs.String("worker-faults", "", `fault spec forwarded to spawned workers (peer-mesh sites live worker-side), e.g. "peer.send:mode=drop:part=1:ss=2"`)
-	fullState := fs.Bool("full-state", false, "disable worker-resident state: ship full frontiers and relay every outbox through the master (the pre-delta classic exchange)")
-	noNetCompress := fs.Bool("no-net-compress", false, "disable snappy frame compression on the TCP transport (skip offering the capability at handshake)")
 	ckDir := fs.String("checkpoint", "", "checkpoint directory (enables superstep checkpointing)")
 	ckEvery := fs.Int("checkpoint-every", 5, "supersteps between checkpoints")
 	ckKeep := fs.Int("checkpoint-keep", 3, "checkpoints to retain in -checkpoint (older ones are pruned)")
@@ -385,9 +382,6 @@ func cmdRun(args []string) error {
 			MaxRetries:        *maxRetries,
 			HeartbeatInterval: *netHeartbeat,
 			HeartbeatMisses:   *netHeartbeatMisses,
-			NoFailover:        !*failover,
-			ForceFullState:    *fullState,
-			NoCompress:        *noNetCompress,
 			Fault:             inj,
 			Metrics:           metrics,
 		})

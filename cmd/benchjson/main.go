@@ -107,10 +107,6 @@ func main() {
 		"maximum tcp-loopback/in-process full-run time ratio (the transport "+
 			"seam's serialization + framing cost; worker-resident state keeps "+
 			"it well under 1.5x on a loopback container)")
-	minBytesReduction := flag.Float64("min-bytes-reduction", 2,
-		"minimum full-state/delta wire bytes-per-superstep ratio (how much "+
-			"worker-resident delta exchanges shrink the exchanged traffic "+
-			"versus shipping full frontiers every superstep)")
 	maxTrace := flag.Float64("max-trace-overhead", 1.05,
 		"maximum traced/untraced full-run time ratio over TCP loopback "+
 			"(span tracing must cost at most 5% on an instrumented run)")
@@ -194,17 +190,6 @@ func main() {
 			"BenchmarkTransportRun/inproc", "ns/op"); v > *maxTransport {
 			rep.Failures = append(rep.Failures,
 				fmt.Sprintf("transport_overhead %.2f > %.2f", v, *maxTransport))
-		}
-	}
-	// bytes_per_superstep_reduction is a floor: the delta exchange must move
-	// materially fewer bytes per superstep than the classic full-frontier
-	// exchange of the same run (tcp-full forces ForceFullState).
-	if wants("bytes_per_superstep_reduction") {
-		if v := ratio(rep, benches, "bytes_per_superstep_reduction",
-			"BenchmarkTransportRun/tcp-full",
-			"BenchmarkTransportRun/tcp", "wire-B/ss"); v > 0 && v < *minBytesReduction {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("bytes_per_superstep_reduction %.2f < %.2f", v, *minBytesReduction))
 		}
 	}
 	// Assembling and writing a wire frame must not allocate: the pooled

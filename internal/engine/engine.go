@@ -107,13 +107,15 @@ type Config struct {
 	// straggler flagging against a multiple-of-median policy. nil keeps
 	// the pre-supervision behavior: any partition failure aborts the run.
 	Supervise *supervise.Config
-	// Transport, when set, executes each partition's superstep compute
-	// through it (in-process executor or remote worker processes) instead of
-	// calling the vertex programs directly. The barrier — delivery,
-	// combining, observation, checkpointing — still runs on this engine, so
-	// results are bit-identical to a local run. Transport failures retry
-	// through Supervise; a partition unreachable past MaxRetries is pinned
-	// local for the rest of the run and its capture shed via Degrade.
+	// Transport, when set, executes each partition's superstep compute on
+	// worker processes that keep the partition's state resident, instead of
+	// calling the vertex programs directly; the workers fold each other's
+	// messages in a Deliver round. Observation and checkpointing still run
+	// on this engine, and every fold is the in-process barrier's
+	// inbox.build, so results are bit-identical to a local run. Transport
+	// failures retry through Supervise; a partition unreachable past
+	// MaxRetries is pinned local for the rest of the run and its capture
+	// shed via Degrade.
 	Transport Transport
 	// Degrade, when set alongside Transport, receives ShedNow for a
 	// partition that fell back to local execution after transport failure,
@@ -276,17 +278,15 @@ type Engine struct {
 	// goroutines read.
 	localPinned []atomic.Bool
 
-	// Worker-resident state (PR 9). When the transport keeps partition state
-	// on the workers, the master stops shipping frontiers and relaying
-	// outboxes: it tracks only each partition's next active set
+	// Worker-resident state. With a Transport, partition state lives on the
+	// workers, and the master neither ships frontiers nor relays outboxes:
+	// it tracks only each partition's next active set
 	// (residentActive, from the delivery barrier), which superstep its own
 	// arrays were last authoritative for (masterAuthSS, advanced by
 	// checkpoint/final collects), and the barrier frontier (stateSS). A
 	// partition pinned local mid-superstep records the superstep in
 	// pinnedAtSS so that superstep's delivery knows its fragments died with
 	// the workers.
-	resident       bool
-	stateful       StatefulTransport
 	residentActive [][]VertexID
 	pinnedAtSS     []int
 	masterAuthSS   int
@@ -334,9 +334,7 @@ func New(g *graph.Graph, prog Program, cfg Config) (*Engine, error) {
 	e.localPinned = make([]atomic.Bool, e.nParts)
 	e.runCtx = context.Background()
 	e.lastCkptSS = -1
-	if st, ok := cfg.Transport.(StatefulTransport); ok && st.Resident() {
-		e.resident = true
-		e.stateful = st
+	if cfg.Transport != nil {
 		e.residentActive = make([][]VertexID, e.nParts)
 		e.pinnedAtSS = make([]int, e.nParts)
 		for i := range e.pinnedAtSS {
@@ -395,7 +393,7 @@ func (e *Engine) Run() (RunStats, error) {
 	if e.cfg.Context != nil {
 		e.runCtx = e.cfg.Context
 	}
-	if e.resident {
+	if e.cfg.Transport != nil {
 		// The master's arrays are authoritative exactly at the run's start
 		// (fresh init, or a checkpoint restore); workers take over from the
 		// first superstep on. Seed the active tracking from the inboxes —
@@ -422,7 +420,7 @@ func (e *Engine) Run() (RunStats, error) {
 				// configured) so the interrupted run resumes from this
 				// superstep instead of the last periodic snapshot.
 				if ck := e.cfg.Checkpoint; ck != nil && ck.Dir != "" && ck.Interval > 0 && ss != e.lastCkptSS {
-					if e.resident {
+					if e.cfg.Transport != nil {
 						if cerr := e.collectResident(ss); cerr != nil {
 							m.Tracef(obs.Error, "checkpoint", ss, "state collect before final checkpoint failed: %v", cerr)
 						}
@@ -529,7 +527,7 @@ func (e *Engine) Run() (RunStats, error) {
 			sent += results[ri].sent
 			combinedSender += results[ri].combinedSender
 		}
-		if e.resident {
+		if e.cfg.Transport != nil {
 			var derr error
 			delivered, combined, maxShard, derr = e.residentDeliver(ss, combiner, results)
 			if derr != nil {
@@ -592,7 +590,7 @@ func (e *Engine) Run() (RunStats, error) {
 		// ss+1 depends on, including observer state as of the superstep the
 		// observers just processed.
 		if ck := e.cfg.Checkpoint; ck != nil && ck.Dir != "" && ck.Interval > 0 && (ss+1)%ck.Interval == 0 {
-			if e.resident {
+			if e.cfg.Transport != nil {
 				// Pull the worker-resident state home first so the snapshot
 				// holds the exact frontier (and later seeds come cheap).
 				if err := e.collectResident(ss + 1); err != nil {
@@ -614,7 +612,7 @@ func (e *Engine) Run() (RunStats, error) {
 		}
 	}
 
-	if e.resident {
+	if e.cfg.Transport != nil {
 		// The run is over: pull every worker-resident partition's final
 		// state back into the master's arrays so Values() reads the result.
 		if err := e.collectResident(e.stateSS); err != nil {
@@ -810,7 +808,7 @@ func (e *Engine) activeIDs(p, ss int) []VertexID {
 		}
 		return ids
 	}
-	if e.resident && !e.localPinned[p].Load() {
+	if e.cfg.Transport != nil && !e.localPinned[p].Load() {
 		// Worker-resident partition: the active set came back from the
 		// delivery barrier, not a master inbox.
 		return e.residentActive[p]

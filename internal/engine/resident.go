@@ -1,10 +1,10 @@
-// Worker-resident state runtime (PR 9): the master-side half of the delta
-// exchange protocol. With a StatefulTransport, partition state lives on the
-// workers across supersteps — the master ships only dirty-vertex deltas and
-// control metadata, workers route outbox fragments directly to the peers
-// that own the destination partitions, and the delivery barrier becomes one
-// Deliver round that returns per-partition accounting and next-active sets
-// instead of the messages themselves.
+// Worker-resident state runtime: the master-side half of the delta exchange
+// protocol. With a Transport, partition state lives on the workers across
+// supersteps — the master ships only dirty-vertex deltas and control
+// metadata, workers route outbox fragments directly to the peers that own
+// the destination partitions, and the delivery barrier becomes one Deliver
+// round that returns per-partition accounting and next-active sets instead
+// of the messages themselves.
 //
 // Failure handling composes with the PR 8 recovery ladder. Worker state is
 // soft: everything a worker holds is a deterministic function of the last
@@ -112,7 +112,7 @@ func (e *Engine) residentDeliver(ss int, combiner func(a, b value.Value) value.V
 		dreq.TraceID = m.SpanTraceID()
 		dreq.ParentSpan = m.NewSpanID()
 	}
-	dres, derr := e.stateful.Deliver(e.runCtx, dreq)
+	dres, derr := e.cfg.Transport.Deliver(e.runCtx, dreq)
 	for i, dp := range workerParts {
 		if derr == nil && dres != nil && i < len(dres.Parts) && dres.Parts[i].OK {
 			part := &dres.Parts[i]
@@ -150,7 +150,7 @@ func (e *Engine) collectResident(target int) error {
 			req.TraceID = m.SpanTraceID()
 			req.ParentSpan = m.NewSpanID()
 		}
-		res, err := e.stateful.Deliver(e.runCtx, req)
+		res, err := e.cfg.Transport.Deliver(e.runCtx, req)
 		for i, p := range parts {
 			if err == nil && res != nil && i < len(res.Parts) && res.Parts[i].OK &&
 				len(res.Parts[i].Values) == e.strideLen(p) {

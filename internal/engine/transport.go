@@ -1,14 +1,15 @@
 // Transport boundary: the superstep compute/exchange seam the distributed
-// runtime plugs into. The engine remains the single coordinator ("master" in
-// BLADYG terms): it owns the authoritative vertex values, inboxes,
-// aggregators, observers, and checkpoints, and each superstep it hands every
-// partition's work — active vertices, their current values, their inbox —
-// to a Transport, which executes the vertex programs either on an in-process
-// executor or on a remote worker process and returns the partition's
-// outboxes, records, and aggregator contributions. Because the barrier-side
-// delivery, combining, observation, and checkpointing code is exactly the
-// code the in-process path runs, a transport-backed run is bit-identical to
-// a local one by construction; only *where* Compute executes changes.
+// runtime plugs into. The engine is the coordinator ("master" in BLADYG
+// terms): it owns aggregators, observers, checkpoints and the barrier
+// schedule, while the workers behind a Transport keep their partitions'
+// vertex values and inboxes resident for the whole run, as Giraph workers
+// do. Each superstep the engine hands every partition's active set to the
+// Transport, which executes the vertex programs on a worker and returns the
+// partition's records, accounting and aggregator contributions; the workers
+// then fold each other's outbox fragments in one Deliver round (resident.go).
+// Every fold goes through the same inbox.build the in-process barrier runs,
+// so a transport-backed run is bit-identical to a local one by construction;
+// only *where* Compute executes changes.
 //
 // Robustness contract: a Transport failure (connection loss, exceeded
 // message deadlines, an unreachable peer) is reported as an error wrapping
@@ -16,15 +17,16 @@
 // as ExecResult.Crash and is reconstructed into the same CrashError a local
 // run would produce. The recovery ladder, in order: the transport's own
 // per-message retransmit budget; partition failover inside the transport's
-// worker pool (the TCP leg reroutes the same ExecRequest to a surviving
-// worker — any worker computes it bit-identically and capture is fully
-// preserved, so a worker death costs nothing but latency while survivors
-// remain); the engine's supervised partition retry; and finally, when the
-// transport reports that no workers remain, local re-execution — the engine
-// pins the partition local from the superstep barrier (the master holds the
-// program and graph, so the analytic completes bit-identically) while
-// shedding that partition's provenance capture via the degraded-mode
-// machinery, exactly as repeated capture failures do.
+// worker pool (the TCP leg reroutes the request to a surviving worker, which
+// answers a state miss and is re-seeded, so capture is fully preserved and a
+// worker death costs nothing but latency while survivors remain); the
+// engine's supervised partition retry; and finally, when the transport
+// reports that no workers remain, local re-execution — the engine rebuilds
+// the partition's state from checkpoint + replay and pins it local from the
+// superstep barrier (the master holds the program and graph, so the analytic
+// completes bit-identically) while shedding that partition's provenance
+// capture via the degraded-mode machinery, exactly as repeated capture
+// failures do.
 package engine
 
 import (
@@ -49,63 +51,61 @@ import (
 // instead of aborting the run.
 var ErrTransport = errors.New("transport failure")
 
-// ErrStateMiss reports that a worker could not execute a delta-mode request
+// ErrStateMiss reports that a worker could not execute a delta request
 // because it holds no resident state for the partition at that superstep
 // (fresh worker, failover target, or a worker that lost a delivery round).
 // It deliberately does NOT wrap ErrTransport: the worker is alive and
-// answering — the master re-seeds it with a full-state request instead of
-// failing the partition over or pinning it local.
+// answering — the master re-seeds it with a seed request instead of failing
+// the partition over or pinning it local.
 var ErrStateMiss = errors.New("worker resident-state miss")
 
-// ExecMode selects how much state an ExecRequest carries (wire v3, PR 9).
+// ExecMode selects how much state an ExecRequest carries.
 //
-// The zero value is ModeClassic — the stateless exchange of PRs 6–8, where
-// every request ships the frontier's values, previous-active marks, and
-// inbox, and every result returns the new values and the full outbox. Direct
-// Executor/Transport users (tests, tools) that construct bare requests get
-// exactly the legacy semantics.
-//
-// Under a StatefulTransport the engine switches to ModeDelta: workers keep
-// partition state resident across supersteps, requests carry only the active
-// vertex IDs and control metadata, and results return accounting, records,
-// and the master-resident outbox columns — the values and the cross-worker
-// messages never transit the master. ModeSeed is ModeDelta plus a full
-// partition state install (stride values, last-active marks, inbox): the
-// master sends it on a fresh run's first superstep miss, after failover, or
-// after a replay re-hydration.
+// The zero value is ModeDelta: the worker already holds the partition's
+// values, last-active marks and inbox, so the request carries only the
+// active vertex IDs and control metadata, and the result returns
+// accounting, records and the master-resident outbox columns — the values
+// and the cross-worker messages never transit the master. ModeSeed is
+// ModeDelta plus a full partition state install (stride values, last-active
+// marks, inbox): the master sends it on a fresh run's first superstep miss,
+// after failover, or after a replay re-hydration.
 type ExecMode uint8
 
 const (
-	ModeClassic ExecMode = iota
-	ModeDelta
+	ModeDelta ExecMode = iota
 	ModeSeed
 )
 
-// Transport executes one partition's superstep compute, either in-process
-// or on a remote worker. Exec must be safe for concurrent calls (the engine
-// issues one call per partition per superstep, from the per-partition worker
-// goroutines) and must be synchronous: when ctx is cancelled or its deadline
-// expires the call returns promptly so a supervised retry never races an
-// abandoned attempt.
+// Transport executes partition supersteps on workers that keep partition
+// state resident across supersteps. Exec must be safe for concurrent calls
+// (the engine issues one call per partition per superstep, from the
+// per-partition worker goroutines) and must be synchronous: when ctx is
+// cancelled or its deadline expires the call returns promptly so a
+// supervised retry never races an abandoned attempt. Deliver runs the
+// delivery barrier (or a collect round) on the workers; it reports an
+// unreachable partition as OK=false, and the engine then re-hydrates that
+// partition from checkpoint + replay.
 //
 // Exec errors wrapping ErrTransport mean the request may not have reached
-// the worker (or the reply was lost); the engine treats the request as
-// idempotent — ExecRequest is a pure function of its payload — and re-sends
-// it on retry. A remote vertex-program failure is NOT an Exec error: it
-// comes back inside ExecResult.Crash so the master reproduces the exact
-// CrashError (culprit vertex, superstep, panic/fault cause) a local run
-// would have raised.
+// the worker (or the reply was lost); the engine re-sends the same request
+// on retry, and the worker's superstep bookkeeping makes a duplicate
+// execution idempotent. A remote vertex-program failure is NOT an Exec
+// error: it comes back inside ExecResult.Crash so the master reproduces the
+// exact CrashError (culprit vertex, superstep, panic/fault cause) a local
+// run would have raised.
 type Transport interface {
 	Exec(ctx context.Context, req *ExecRequest) (*ExecResult, error)
+	Deliver(ctx context.Context, req *DeliverRequest) (*DeliverResult, error)
 	Close() error
 }
 
-// ExecRequest carries everything one partition needs to compute one
-// superstep: the active vertices in ascending order with their current
-// values and previous-active supersteps, the per-vertex inbox, and the
-// merged aggregator values of the previous superstep. It is a pure value —
-// executing it twice yields the same ExecResult — which is what licenses
-// at-least-once delivery with receiver-side reply dedup in the TCP leg.
+// StatefulTransport is Transport under its earlier name, kept so that code
+// embedding it in a decorator still compiles.
+type StatefulTransport = Transport
+
+// ExecRequest carries what one partition needs to compute one superstep:
+// the active vertices in ascending order and the merged aggregator values of
+// the previous superstep, plus, for a seed, the partition's whole state.
 type ExecRequest struct {
 	Superstep int
 	Partition int
@@ -116,12 +116,9 @@ type ExecRequest struct {
 	// program's combiner (both sides are constructed from the same analytic,
 	// so the association order matches the local path exactly).
 	Combine bool
-	// Active lists the vertices to compute, ascending. Values and PrevActive
-	// align with it; Inbox[i] holds the messages for Active[i] (may be nil).
-	Active     []VertexID
-	Values     []value.Value
-	PrevActive []int32
-	Inbox      [][]IncomingMessage
+	// Active lists the vertices to compute, ascending, all owned by
+	// Partition.
+	Active []VertexID
 	// Agg holds the merged aggregator values of the previous superstep
 	// (Pregel read-your-previous-superstep semantics).
 	Agg map[string]float64
@@ -132,24 +129,25 @@ type ExecRequest struct {
 	// when tracing is off — the worker then records nothing.
 	TraceID    uint64
 	ParentSpan uint64
-	// Worker-resident state (PR 9). Mode selects the exchange shape; the
-	// remaining fields only matter when Mode != ModeClassic. For ModeDelta,
-	// Values/PrevActive/Inbox stay nil — the worker already holds them.
+	// Mode selects the exchange shape: a delta against the worker's
+	// resident state, or a seed that installs it.
 	Mode ExecMode
 	// Route maps each destination partition to the address of the worker
 	// that owns it this superstep, so the executing worker sends outbox
-	// fragments directly across the peer mesh; "" keeps the column in the
-	// reply (the partition is master-resident). Filled by the transport at
-	// send time from its current assignment; nil under ModeClassic.
+	// fragments directly across the peer mesh; "." keeps the column on the
+	// executing worker and "" keeps it in the reply (the partition is
+	// master-resident). Filled by the transport at send time from its
+	// current assignment.
 	Route []string
 	// LocalParts flags master-resident (pinned-local) partitions; the
 	// transport derives Route from it. Master-side only, not serialized.
 	LocalParts []bool
 	// Seed payload (ModeSeed): the partition's full state in stride order
-	// (vertex p, p+nParts, ...). Inbox then aligns with Active as in classic
-	// mode, carrying the messages of the seed superstep.
+	// (vertex p, p+nParts, ...), and Inbox[i], the messages for Active[i]
+	// (may be nil) at the seed superstep. All three are nil in a delta.
 	AllValues []value.Value
 	AllActive []int32
+	Inbox     [][]IncomingMessage
 }
 
 // OutMessage is one outbox entry on the wire: source and destination vertex
@@ -202,18 +200,16 @@ func (rc *RemoteCrash) Err() error {
 	return err
 }
 
-// ExecResult is one partition's completed superstep: new values for the
-// computed vertices, the per-destination-partition outboxes in canonical
-// emission order, the observer records (when requested), message accounting,
-// and the partition's aggregator partials. Crash is set instead when a
-// vertex failed; the other fields are then meaningless.
+// ExecResult is one partition's completed superstep: the outbox columns that
+// were not routed to a worker, in canonical emission order, the observer
+// records (when requested), message accounting, and the partition's
+// aggregator partials. The new values stay on the worker. Crash is set
+// instead when a vertex failed; the other fields are then meaningless.
 type ExecResult struct {
 	Partition int
 	Crash     *RemoteCrash
 
-	Computed  []VertexID
-	NewValues []value.Value // aligned with Computed
-	Outbox    [][]OutMessage
+	Outbox [][]OutMessage
 	// Records own their Received and Sent slices (two flat buffers per
 	// result), unlike the records of an in-process partition.
 	Records []VertexRecord
@@ -227,15 +223,14 @@ type ExecResult struct {
 	// trace context). The master merges them via Metrics.AddRemoteSpans.
 	Spans []obs.Span
 
-	// StateMiss reports a delta-mode request the worker could not serve for
-	// lack of resident state; the transport surfaces it as ErrStateMiss and
-	// the other fields are meaningless.
+	// StateMiss reports a delta request the worker could not serve for lack
+	// of resident state; the transport surfaces it as ErrStateMiss and the
+	// other fields are meaningless.
 	StateMiss bool
 	// DstCounts gives the per-destination-partition outbox sizes (after
-	// sender-side combining) for resident-mode results, where the routed
-	// columns themselves are not in Outbox. The master uses them for message
-	// accounting and to tell workers how many fragments to expect at the
-	// delivery barrier.
+	// sender-side combining), including the routed columns that are not in
+	// Outbox. The master uses them for message accounting and to tell
+	// workers how many fragments to expect at the delivery barrier.
 	DstCounts []int64
 }
 
@@ -294,31 +289,18 @@ type DeliverResult struct {
 	Parts []DeliverPart
 }
 
-// StatefulTransport is a Transport whose workers keep partition state
-// resident across supersteps. Resident reports whether the resident-state
-// protocol is active (a transport can implement the interface but opt out,
-// e.g. the TCP leg under ForceFullState); when true the engine sends delta
-// requests and drives the delivery barrier through Deliver, and falls back
-// to checkpoint + replay re-hydration when a worker (and the state it held)
-// is lost.
-type StatefulTransport interface {
-	Transport
-	Resident() bool
-	Deliver(ctx context.Context, req *DeliverRequest) (*DeliverResult, error)
-}
-
-// Executor runs partition supersteps against request-supplied state — the
+// Executor runs partition supersteps against worker-resident state — the
 // worker-process side of the transport. It wraps a private Engine over the
-// same graph and program the master holds; each Exec installs the request's
-// values, inbox, and aggregator snapshot, runs the partition exactly as the
-// master's in-process path would, and extracts the result. Exec is
-// serialized by an internal mutex (a worker serves one master connection,
-// but its partitions' requests may arrive back to back).
+// same graph and program the master holds; each Exec runs the partition
+// exactly as the master's in-process path would (after installing a seed's
+// state) and extracts the result. Exec is serialized by an internal mutex
+// (a worker serves one master connection, but its partitions' requests may
+// arrive back to back).
 type Executor struct {
 	mu sync.Mutex
 	e  *Engine
-	// res tracks each partition's worker-resident state across supersteps
-	// (PR 9): which superstep the resident values/inbox can execute, which
+	// res tracks each partition's worker-resident state across supersteps:
+	// which superstep the resident values/inbox can execute, which
 	// superstep has executed but not yet passed the delivery barrier, and
 	// the memoized last barrier outcome for retransmit idempotence.
 	res []residentPart
@@ -329,7 +311,6 @@ type residentPart struct {
 	// readySS is the superstep the resident state can execute (a fresh
 	// executor is authoritative for superstep 0 by construction: initial
 	// values, empty inboxes, last-active -1 — identical to a fresh master).
-	// -1 after a classic-mode request invalidates residency.
 	readySS int
 	// executedSS is the superstep that has executed but not yet been
 	// assembled at the delivery barrier; -1 when none. ids and snap hold the
@@ -382,33 +363,103 @@ func (x *Executor) rollback(rp *residentPart) {
 	rp.executedSS = -1
 }
 
+// CheckExec reports whether a decoded request fits this executor's
+// partitioning, so that Exec indexes nothing out of range: the partition
+// exists, Active is ascending and owned by it, and a seed carries one value
+// and one last-active mark per owned vertex and one inbox list per active
+// vertex. A worker calls it once per frame and answers a failure with an
+// error instead of executing.
+func (x *Executor) CheckExec(req *ExecRequest) error {
+	e := x.e
+	p := req.Partition
+	if p < 0 || p >= e.nParts {
+		return fmt.Errorf("engine: exec partition %d out of range [0, %d)", p, e.nParts)
+	}
+	for i, v := range req.Active {
+		if !x.owns(p, v) || (i > 0 && v <= req.Active[i-1]) {
+			return fmt.Errorf("engine: exec active[%d] = %d is not an ascending vertex of partition %d", i, v, p)
+		}
+	}
+	if req.Mode != ModeSeed {
+		return nil
+	}
+	if n := e.strideLen(p); len(req.AllValues) != n || len(req.AllActive) != n {
+		return fmt.Errorf("engine: seed of partition %d carries %d values and %d marks, want %d",
+			p, len(req.AllValues), len(req.AllActive), n)
+	}
+	if len(req.Inbox) != len(req.Active) {
+		return fmt.Errorf("engine: seed carries %d inbox lists for %d active vertices", len(req.Inbox), len(req.Active))
+	}
+	return nil
+}
+
+// CheckDeliver reports whether a decoded deliver round fits this executor's
+// partitioning: every listed partition exists and, for a delivery, its
+// Expected and MasterFrags rows are present, at most one entry per source
+// partition, and every relayed message is addressed to the partition.
+func (x *Executor) CheckDeliver(req *DeliverRequest) error {
+	nParts := x.e.nParts
+	if !req.CollectOnly && (len(req.Expected) != len(req.Parts) || len(req.MasterFrags) != len(req.Parts)) {
+		return fmt.Errorf("engine: deliver lists %d partitions with %d expected rows and %d fragment rows",
+			len(req.Parts), len(req.Expected), len(req.MasterFrags))
+	}
+	for i, p := range req.Parts {
+		if p < 0 || p >= nParts {
+			return fmt.Errorf("engine: deliver partition %d out of range [0, %d)", p, nParts)
+		}
+		if req.CollectOnly {
+			continue
+		}
+		if len(req.Expected[i]) > nParts || len(req.MasterFrags[i]) > nParts {
+			return fmt.Errorf("engine: deliver rows of partition %d exceed %d source partitions", p, nParts)
+		}
+		for sp, msgs := range req.MasterFrags[i] {
+			if err := x.CheckFrag(sp, p, msgs); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// CheckFrag reports whether msgs can be folded as source partition sp's
+// column for destination partition dp: both partitions exist and every
+// message is addressed to a vertex dp owns.
+func (x *Executor) CheckFrag(sp, dp int, msgs []OutMessage) error {
+	if sp < 0 || sp >= x.e.nParts || dp < 0 || dp >= x.e.nParts {
+		return fmt.Errorf("engine: fragment %d->%d out of range [0, %d)", sp, dp, x.e.nParts)
+	}
+	for _, m := range msgs {
+		if !x.owns(dp, m.Dst) {
+			return fmt.Errorf("engine: fragment %d->%d carries a message for vertex %d", sp, dp, m.Dst)
+		}
+	}
+	return nil
+}
+
+// owns reports whether vertex v exists and belongs to partition p.
+func (x *Executor) owns(p int, v VertexID) bool {
+	return uint64(v) < uint64(x.e.g.NumVertices()) && x.e.partition(v) == p
+}
+
 // Partitions returns the executor's partition count (handshake check).
 func (x *Executor) Partitions() int { return x.e.nParts }
 
 // Graph returns the executor's graph (handshake fingerprint).
 func (x *Executor) Graph() *graph.Graph { return x.e.g }
 
-// Exec computes one partition superstep from the request's state. The
-// context bounds the attempt like a supervision deadline does locally:
-// cancellation aborts between vertices and surfaces as a RemoteCrash with
-// the deadline/cancel cause preserved.
+// Exec computes one partition superstep against the resident state, after
+// installing it first when the request is a seed. The context bounds the
+// attempt like a supervision deadline does locally: cancellation aborts
+// between vertices and surfaces as a RemoteCrash with the deadline/cancel
+// cause preserved. The request must have passed CheckExec.
 func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	e := x.e
 	p := req.Partition
 	rp := &x.res[p]
-	switch req.Mode {
-	case ModeDelta:
-		if rp.executedSS == req.Superstep {
-			// Duplicate execution (the reply was lost): roll back to the
-			// pre-exec snapshot so the re-run is idempotent.
-			x.rollback(rp)
-		}
-		if rp.readySS != req.Superstep {
-			return &ExecResult{Partition: p, StateMiss: true}
-		}
-	case ModeSeed:
+	if req.Mode == ModeSeed {
 		// Full state install: any pending exec is obsolete, the seed
 		// overwrites the whole partition (values, last-active, inbox).
 		rp.executedSS = -1
@@ -419,14 +470,15 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 		}
 		e.inbox[p].install(req.Active, req.Inbox)
 		rp.readySS = req.Superstep
-	default: // ModeClassic — the stateless exchange, exactly as before PR 9
-		rp.readySS, rp.executedSS = -1, -1
-		rp.deliverSS, rp.deliverRes = -1, nil
-		for i, v := range req.Active {
-			e.values[v] = req.Values[i]
-			e.lastActive[v] = req.PrevActive[i]
+	} else {
+		if rp.executedSS == req.Superstep {
+			// Duplicate execution (the reply was lost): roll back to the
+			// pre-exec snapshot so the re-run is idempotent.
+			x.rollback(rp)
 		}
-		e.inbox[p].install(req.Active, req.Inbox)
+		if rp.readySS != req.Superstep {
+			return &ExecResult{Partition: p, StateMiss: true}
+		}
 	}
 	e.agg.setCurrent(req.Agg)
 	e.agg.resetPartition(p)
@@ -437,13 +489,10 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 	}
 	e.runCtx = context.Background() // any ctx expiry is attempt-scoped here
 
-	resident := req.Mode != ModeClassic
-	if resident {
-		rp.ids = append(rp.ids[:0], req.Active...)
-		rp.snap = rp.snap[:0]
-		for _, v := range req.Active {
-			rp.snap = append(rp.snap, e.values[v])
-		}
+	rp.ids = append(rp.ids[:0], req.Active...)
+	rp.snap = rp.snap[:0]
+	for _, v := range req.Active {
+		rp.snap = append(rp.snap, e.values[v])
 	}
 
 	// Reuse the engine's per-partition result buffer: the worker engine
@@ -453,14 +502,11 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 	e.runPartition(ctx, p, req.Superstep, req.Observing, req.Active, pr)
 
 	res := &ExecResult{Partition: p, Sent: pr.sent, CombinedSender: pr.combinedSender}
+	rp.executedSS = req.Superstep
 	if c := pr.crash; c != nil {
-		if resident {
-			// Restore the pre-exec values so the resident state stays exact
-			// for the supervised retry the master will issue.
-			for i, v := range rp.ids {
-				e.values[v] = rp.snap[i]
-			}
-		}
+		// Restore the pre-exec values so the resident state stays exact for
+		// the supervised retry the master will issue.
+		x.rollback(rp)
 		res.Crash = &RemoteCrash{
 			Vertex:    c.Vertex,
 			Superstep: c.Superstep,
@@ -472,21 +518,14 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 		}
 		return res
 	}
-	if resident {
-		rp.executedSS = req.Superstep
-	} else {
-		res.Computed = append([]VertexID(nil), pr.computed...)
-		res.NewValues = make([]value.Value, len(pr.computed))
-		for i, v := range pr.computed {
-			res.NewValues[i] = e.values[v]
-		}
-	}
 	res.Outbox = make([][]OutMessage, e.nParts)
+	res.DstCounts = make([]int64, e.nParts)
 	selfRouted := func(dp int) bool {
-		return resident && dp < len(req.Route) && req.Route[dp] == "."
+		return dp < len(req.Route) && req.Route[dp] == "."
 	}
 	total := 0
 	for dp, msgs := range pr.outbox {
+		res.DstCounts[dp] = int64(len(msgs))
 		if !selfRouted(dp) {
 			total += len(msgs)
 		}
@@ -500,7 +539,7 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 	// store holds only the slice header and every element access — the
 	// Assemble fold, and any duplicate-exec rewrite — happens under x.mu
 	// with deterministically identical contents, so they alias pr directly
-	// and the delta path pays no copy at all.
+	// and pay no copy at all.
 	flat := make([]OutMessage, 0, total)
 	for dp, msgs := range pr.outbox {
 		if len(msgs) == 0 {
@@ -518,12 +557,6 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 		res.Records = detachRecords(pr.records)
 	}
 	res.Agg = e.agg.partial(p)
-	if resident {
-		res.DstCounts = make([]int64, e.nParts)
-		for dp := range res.Outbox {
-			res.DstCounts[dp] = int64(len(res.Outbox[dp]))
-		}
-	}
 	return res
 }
 
@@ -624,10 +657,11 @@ func (x *Executor) Collect(target, p int) *DeliverPart {
 	return dp
 }
 
-// buildExecRequest snapshots partition p's superstep input for the
-// transport. Everything referenced is either copied or immutable for the
-// duration of the call (inbox slices are only recycled at the next barrier,
-// after every Exec of this superstep returned).
+// buildExecRequest builds partition p's delta request for superstep ss: the
+// worker holds the values and inbox resident, so only the active set and
+// control metadata go over the wire. ids is not modified for the duration of
+// the call (owner lists are only recycled at the next barrier, after every
+// Exec of this superstep returned).
 func (e *Engine) buildExecRequest(p, ss int, observing bool, ids []VertexID) *ExecRequest {
 	req := &ExecRequest{
 		Superstep: ss,
@@ -636,26 +670,11 @@ func (e *Engine) buildExecRequest(p, ss int, observing bool, ids []VertexID) *Ex
 		Combine:   e.sendComb != nil,
 		Active:    ids,
 		Agg:       e.agg.currentSnapshot(),
+		// The transport turns LocalParts into the peer-mesh Route.
+		LocalParts: make([]bool, e.nParts),
 	}
-	if e.resident {
-		// Delta exchange: the worker holds the values and inbox resident;
-		// only the active set and control metadata go over the wire. The
-		// transport turns LocalParts into the peer-mesh Route.
-		req.Mode = ModeDelta
-		req.LocalParts = make([]bool, e.nParts)
-		for dp := range req.LocalParts {
-			req.LocalParts[dp] = e.localPinned[dp].Load()
-		}
-	} else {
-		req.Values = make([]value.Value, len(ids))
-		req.PrevActive = make([]int32, len(ids))
-		req.Inbox = make([][]IncomingMessage, len(ids))
-		inbox := e.inbox[p]
-		for i, v := range ids {
-			req.Values[i] = e.values[v]
-			req.PrevActive[i] = e.lastActive[v]
-			req.Inbox[i] = inbox.msgs(v)
-		}
+	for dp := range req.LocalParts {
+		req.LocalParts[dp] = e.localPinned[dp].Load()
 	}
 	if m := e.cfg.Metrics; m.SpansEnabled() {
 		req.TraceID = m.SpanTraceID()
@@ -664,9 +683,9 @@ func (e *Engine) buildExecRequest(p, ss int, observing bool, ids []VertexID) *Ex
 	return req
 }
 
-// seedRequest upgrades a delta request to a full-state seed after a worker
-// reported a resident-state miss: stride values, last-active marks, and the
-// superstep's inbox. When the master's own arrays are authoritative for
+// seedRequest upgrades a delta request to a seed after a worker reported a
+// resident-state miss: stride values, last-active marks, and the superstep's
+// inbox. When the master's own arrays are authoritative for
 // this superstep (run start, or right after a checkpoint collect) they are
 // copied directly; otherwise the state is re-hydrated from the newest
 // checkpoint plus a deterministic replay of the supersteps since.
@@ -698,11 +717,12 @@ func (e *Engine) seedRequest(req *ExecRequest) error {
 	return nil
 }
 
-// applyExecResult installs a transport result into the master's state: new
-// values for the computed vertices, the partition's barrier scratch
-// (outboxes, records, accounting), and its aggregator partials. Mirrors
-// what runPartition would have left behind, so the barrier code downstream
-// is unchanged. Partition-local, so safe from p's worker goroutine.
+// applyExecResult installs a transport result into the partition's barrier
+// scratch and its aggregator partials. The values stay on the worker: the
+// master records the computed set (identical to the request's active set —
+// every active vertex computes), the per-destination message counts, the
+// records, and only the master-resident outbox columns. Partition-local, so
+// safe from p's worker goroutine.
 func (e *Engine) applyExecResult(p int, req *ExecRequest, res *ExecResult, out *partResult) {
 	out.reset(e.nParts, false)
 	if len(res.Spans) > 0 {
@@ -712,20 +732,9 @@ func (e *Engine) applyExecResult(p int, req *ExecRequest, res *ExecResult, out *
 		out.crash = &CrashError{Vertex: res.Crash.Vertex, Superstep: res.Crash.Superstep, Err: res.Crash.Err()}
 		return
 	}
-	if req.Mode != ModeClassic {
-		// Worker-resident: the values stay on the worker. The master records
-		// the computed set (identical to the request's active set — every
-		// active vertex computes), the per-destination message counts, and
-		// only the master-resident outbox columns below.
-		out.computed = append(out.computed, req.Active...)
-		out.dstCounts = append(out.dstCounts[:0], res.DstCounts...)
-		out.residentRemote = true
-	} else {
-		for i, v := range res.Computed {
-			e.values[v] = res.NewValues[i]
-		}
-		out.computed = append(out.computed, res.Computed...)
-	}
+	out.computed = append(out.computed, req.Active...)
+	out.dstCounts = append(out.dstCounts[:0], res.DstCounts...)
+	out.residentRemote = true
 	out.records = append(out.records, res.Records...)
 	for dp := range res.Outbox {
 		out.outbox[dp] = append(out.outbox[dp], res.Outbox[dp]...)
@@ -747,10 +756,9 @@ func transportRetryable(err error) bool {
 }
 
 // transportCompute runs partition p's superstep through the configured
-// transport, with the same supervision wrapper the local path uses: the
-// attempt snapshot/reset is identical, so a retry (or the local fallback
-// below) re-executes from the superstep barrier exactly like a supervised
-// local re-execution. A transport with a worker pool (the TCP leg) fails a
+// transport, with the same supervision wrapper the local path uses, so a
+// retry (or the local fallback below) re-executes from the superstep barrier
+// exactly like a supervised local re-execution. A transport with a worker pool (the TCP leg) fails a
 // partition over to surviving workers internally, so an ErrTransport
 // reaching this ladder means the pool is exhausted: when every supervised
 // attempt still fails on a *transport* error — no worker can take the
@@ -762,25 +770,14 @@ func transportRetryable(err error) bool {
 // design (cheap, deterministic, and the gap accounting stays contiguous).
 func (e *Engine) transportCompute(p, ss int, observing bool, ids []VertexID, results []partResult, durs []time.Duration) {
 	start := time.Now()
-	// The attempt snapshot only matters when a remote result writes values
-	// back into the master (classic full-state mode). Resident-mode results
-	// carry no Computed/NewValues — applyExecResult leaves e.values alone —
-	// so the rollback would restore bytes that never changed; skip it.
-	var snap []value.Value
-	if !e.resident {
-		snap = make([]value.Value, len(ids))
-		for i, v := range ids {
-			snap[i] = e.values[v]
-		}
-	}
 	req := e.buildExecRequest(p, ss, observing, ids)
 	attempt := func(actx context.Context) error {
 		res, err := e.cfg.Transport.Exec(actx, req)
 		if err != nil && errors.Is(err, ErrStateMiss) && req.Mode == ModeDelta {
 			// The worker holds no resident state for this superstep (fresh
 			// worker, failover target, or post-replay): upgrade the request
-			// to a full-state seed in place — retries then keep the seed —
-			// and re-send it.
+			// to a seed in place — retries then keep the seed — and re-send
+			// it.
 			m := e.cfg.Metrics
 			m.Counter(obs.MetricNetStateReseeds).Add(1)
 			m.Tracef(obs.Info, "transport", ss, "partition %d resident-state miss; re-seeding worker", p)
@@ -798,12 +795,9 @@ func (e *Engine) transportCompute(p, ss int, observing bool, ids []VertexID, res
 		}
 		return nil
 	}
+	// A remote attempt leaves the master's values alone, so resetting the
+	// partition's scratch and aggregator partials is the whole rollback.
 	reset := func() {
-		if snap != nil {
-			for i, v := range ids {
-				e.values[v] = snap[i]
-			}
-		}
 		e.agg.resetPartition(p)
 		results[p].reset(e.nParts, false)
 	}
@@ -826,21 +820,19 @@ func (e *Engine) transportCompute(p, ss int, observing bool, ids []VertexID, res
 			e.localPinned[p].Store(true)
 			e.cfg.Degrade.ShedNow(p, ss)
 			reset()
-			if e.resident {
-				// The partition's state died with its workers: rebuild it
-				// master-side from the last checkpoint plus replayed deltas
-				// before executing locally, so the pinned run stays exact.
-				if serr := e.seedLocalFromReplay(p, ss); serr != nil {
-					v := VertexID(0)
-					if len(ids) > 0 {
-						v = ids[0]
-					}
-					results[p].crash = &CrashError{Vertex: v, Superstep: ss, Err: serr}
-					if durs != nil {
-						durs[p] = time.Since(start)
-					}
-					return
+			// The partition's state died with its workers: rebuild it
+			// master-side from the last checkpoint plus replayed deltas
+			// before executing locally, so the pinned run stays exact.
+			if serr := e.seedLocalFromReplay(p, ss); serr != nil {
+				v := VertexID(0)
+				if len(ids) > 0 {
+					v = ids[0]
 				}
+				results[p].crash = &CrashError{Vertex: v, Superstep: ss, Err: serr}
+				if durs != nil {
+					durs[p] = time.Since(start)
+				}
+				return
 			}
 			if e.sup != nil {
 				e.superviseCompute(p, ss, observing, ids, results, durs)

@@ -1,7 +1,6 @@
-// Worker-to-worker fragment routing (PR 9). After a resident-mode exec, the
-// worker routes each outbox column straight to the worker that owns the
-// destination partition — the master sees only aggregates, records, and
-// counts. The receiving side parks columns in a fragStore keyed by
+// Worker-to-worker fragment routing. After an exec, the worker routes each
+// outbox column straight to the worker that owns the destination partition
+// — the master sees only aggregates, records, and counts. The receiving side parks columns in a fragStore keyed by
 // (emit superstep, destination partition, source partition) until its
 // delivery round folds them; the sending side keeps one persistent framed
 // connection per peer, handshaked with the same fingerprint + capability

@@ -15,12 +15,13 @@
 //
 // Exec routes a partition to its assigned peer; when that peer is not
 // routable — or exhausts its retransmit budget — the partition *fails over*:
-// the assignment table is rewritten to a surviving peer and the same encoded
-// request (same seq) is re-sent there. Because an ExecRequest is a pure
-// function of its payload and the master owns all state, any worker computes
-// it bit-identically, so failover loses neither results nor provenance
-// capture. Only when every peer has been tried does Exec return ErrTransport,
-// which is what routes the engine into its pin-local + capture-shed ladder.
+// the assignment table is rewritten to a surviving peer and the request
+// (same seq) is re-sent there. The survivor holds no state for the
+// partition, answers a state miss, and the engine re-seeds it from its own
+// arrays or from checkpoint + replay, so failover loses neither results nor
+// provenance capture. Only when every peer has been tried does Exec return
+// ErrTransport, which is what routes the engine into its pin-local +
+// capture-shed ladder.
 package transport
 
 import (
@@ -163,7 +164,7 @@ func (t *TCP) reassign(req *engine.ExecRequest, from, to int) {
 // for the engine's pin-local fallback.
 func (t *TCP) route(req *engine.ExecRequest, tried []bool) int {
 	pi := t.assigned(req.Partition)
-	if t.cfg.NoFailover {
+	if t.cfg.noFailover {
 		if tried[pi] {
 			return -1
 		}

@@ -62,7 +62,7 @@ func TestSnapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireDeltaSeedRoundTrip pins the v3 resident-mode request layouts:
+// TestWireDeltaSeedRoundTrip pins the resident request layouts:
 // a delta request (active ids + route only) and a seed request (full stride
 // state) must both decode back field-identical.
 func TestWireDeltaSeedRoundTrip(t *testing.T) {
@@ -104,9 +104,9 @@ func TestWireDeltaSeedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireResidentResultRoundTrip pins the v3 result extensions: the
-// StateMiss short-circuit and the per-destination fan-out counts a resident
-// result carries in place of its peer-routed columns.
+// TestWireResidentResultRoundTrip pins the result's resident fields: the
+// StateMiss short-circuit and the per-destination fan-out counts a result
+// carries in place of its peer-routed columns.
 func TestWireResidentResultRoundTrip(t *testing.T) {
 	miss := &engine.ExecResult{Partition: 3, StateMiss: true}
 	rt, err := decodeExecResult(encodeExecResult(miss))
@@ -119,8 +119,6 @@ func TestWireResidentResultRoundTrip(t *testing.T) {
 
 	res := &engine.ExecResult{
 		Partition: 1,
-		Computed:  []engine.VertexID{5},
-		NewValues: []value.Value{value.NewFloat(2.5)},
 		Outbox:    [][]engine.OutMessage{nil, {{Src: 5, Dst: 2, Val: value.NewInt(1)}}},
 		Sent:      4, CombinedSender: 1,
 		DstCounts: []int64{0, 1, 3, 0},
@@ -332,35 +330,9 @@ func TestChaosKillMidDeltaStream(t *testing.T) {
 	}
 }
 
-// TestForceFullStateDifferential pins the classic stateless exchange behind
-// the ForceFullState switch: same bits, no worker mesh traffic, no resident
-// deliver rounds.
-func TestForceFullStateDifferential(t *testing.T) {
-	g := testGraph(t)
-	refE, refStats, refObs, err := runLeg(t, g, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := obs.New()
-	addrs := startWorkers(t, g, 2, nil)
-	tr := dialWorkers(t, g, addrs, func(c *TCPConfig) {
-		c.ForceFullState = true
-		c.Metrics = m
-	})
-	defer tr.Close()
-	e, stats, o, err := runLeg(t, g, engine.Config{Transport: tr, Metrics: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "full-state", refE, e, refStats, stats, refObs, o)
-	if n := m.Counter(obs.MetricNetPeerFrags).Value(); n != 0 {
-		t.Errorf("classic mode must not touch the worker mesh, saw %d frags", n)
-	}
-}
-
 // TestNetCompressionNegotiation pins the capability handshake: with
 // compression on (the default) big frames ride as snappy blocks and the
-// run is bit-identical; with NoCompress the master offers no capability,
+// run is bit-identical; with noCompress the master offers no capability,
 // nothing is compressed, and the run is still bit-identical.
 func TestNetCompressionNegotiation(t *testing.T) {
 	g := testGraph(t)
@@ -374,12 +346,14 @@ func TestNetCompressionNegotiation(t *testing.T) {
 	}{{"snappy", false}, {"plain", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := obs.New()
-			// ForceFullState makes the master ship full frontiers — frames big
-			// enough that the compression path must engage on the snappy leg.
-			addrs := startWorkers(t, g, 2, nil)
+			wm := obs.New() // worker-side registry: result frames compress here
+			// runLeg observes the run, so every result frame carries its
+			// partition's records — frames big enough that the compression
+			// path must engage on the snappy leg. One worker, so no mesh link
+			// (which negotiates on its own) adds frames to wm.
+			addrs := startMeshWorkers(t, g, 1, wm, nil)
 			tr := dialWorkers(t, g, addrs, func(c *TCPConfig) {
-				c.ForceFullState = true
-				c.NoCompress = tc.noCompress
+				c.noCompress = tc.noCompress
 				c.Metrics = m
 			})
 			defer tr.Close()
@@ -388,11 +362,11 @@ func TestNetCompressionNegotiation(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertIdentical(t, tc.name, refE, e, refStats, stats, refObs, o)
-			frames := m.Counter(obs.MetricNetSnapFrames).Value()
-			saved := m.Counter(obs.MetricNetSnapSavedB).Value()
+			frames := m.Counter(obs.MetricNetSnapFrames).Value() + wm.Counter(obs.MetricNetSnapFrames).Value()
+			saved := m.Counter(obs.MetricNetSnapSavedB).Value() + wm.Counter(obs.MetricNetSnapSavedB).Value()
 			if tc.noCompress {
 				if frames != 0 {
-					t.Errorf("NoCompress leg compressed %d frames", frames)
+					t.Errorf("noCompress leg compressed %d frames", frames)
 				}
 			} else {
 				if frames == 0 {

@@ -54,26 +54,23 @@ type TCPConfig struct {
 	// fail within one deadline instead of waiting out TCP timeouts.
 	HeartbeatInterval time.Duration
 	HeartbeatMisses   int
-	// NoFailover disables the worker pool's partition failover: a failed
-	// partition is never rerouted to a surviving worker, so exhausting the
-	// retransmit budget on the assigned peer surfaces ErrTransport
-	// immediately (the PR 6 behavior — the engine then pins the partition
-	// local and sheds its capture). Default off: failover on.
-	NoFailover bool
-	// ForceFullState disables worker-resident state: Resident() reports
-	// false, so the engine ships full frontiers every superstep and relays
-	// all messages through the master (the pre-PR 9 exchange). The
-	// before/after leg of the distributed bench.
-	ForceFullState bool
-	// NoCompress stops offering the snap-compression capability in the
-	// handshake, so every master<->worker frame travels raw. Worker-to-
-	// worker mesh links negotiate independently and are unaffected.
-	NoCompress bool
 	// Fault injects deterministic network faults at the net.send/net.recv
 	// sites (drop, delay, duplicate, reset).
 	Fault *fault.Injector
 	// Metrics receives transport counters; nil disables them.
 	Metrics *obs.Metrics
+
+	// noFailover disables the worker pool's partition failover: a failed
+	// partition is never rerouted to a surviving worker, so exhausting the
+	// retransmit budget on the assigned peer surfaces ErrTransport
+	// immediately and the engine pins the partition local and sheds its
+	// capture. A reference leg for this package's tests.
+	noFailover bool
+	// noCompress stops offering the snap-compression capability in the
+	// handshake, so every master<->worker frame travels raw. Worker-to-
+	// worker mesh links negotiate independently and are unaffected. A
+	// reference leg for this package's tests.
+	noCompress bool
 }
 
 func (c TCPConfig) normalize() TCPConfig {
@@ -159,44 +156,25 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 	return t, nil
 }
 
-// Exec implements engine.Transport: encode once, route to the partition's
-// assigned worker, and attempt the exchange up to 1+MaxRetries times under
-// per-message deadlines. Retransmits reuse the sequence number, so a worker
-// that already executed the request replays its cached reply instead of
-// recomputing (recomputing would be harmless — the request is a pure
-// function — but the cache keeps retry storms cheap). When a peer exhausts
-// its budget it is declared dead and the partition fails over: the same
-// encoded request (same seq) is re-sent to the next surviving worker, each
-// peer tried at most once per call. Only when no worker can take the
-// request does Exec fail with ErrTransport — the engine's cue to pin the
-// partition local.
+// Exec implements engine.Transport: route to the partition's assigned
+// worker, encode the request with that worker's mesh route, and attempt the
+// exchange up to 1+MaxRetries times under per-message deadlines.
+// Retransmits reuse the sequence number, so a worker that already executed
+// the request replays its cached reply instead of recomputing (recomputing
+// would be harmless — a duplicate exec rolls back first — but the cache
+// keeps retry storms cheap). When a peer exhausts its budget it is declared
+// dead and the partition fails over: the request (same seq) is re-encoded
+// for the next surviving worker, each peer tried at most once per call; a
+// worker without the partition's state answers a state miss. Only when no
+// worker can take the request does Exec fail with ErrTransport — the
+// engine's cue to pin the partition local.
 func (t *TCP) Exec(ctx context.Context, req *engine.ExecRequest) (*engine.ExecResult, error) {
 	if t.closed.Load() {
 		return nil, fmt.Errorf("%w: client closed", engine.ErrTransport)
 	}
 	m := t.cfg.Metrics
 	traced := req.TraceID != 0 && m.SpansEnabled()
-	encode := func() []byte {
-		var encStart time.Time
-		if traced {
-			encStart = time.Now()
-		}
-		p := encodeExecRequest(req)
-		if traced {
-			m.RecordSpan(obs.Span{
-				Parent: req.ParentSpan, Proc: obs.ProcMaster, Name: obs.SpanSerialize,
-				Superstep: req.Superstep, Partition: req.Partition,
-				Start: encStart.UnixNano(), Dur: int64(time.Since(encStart)),
-				Bytes: int64(len(p)),
-			})
-		}
-		return p
-	}
-	classic := req.Mode == engine.ModeClassic
 	var payload []byte
-	if classic {
-		payload = encode()
-	}
 	execStart := time.Now()
 	seq := t.seq.Add(1)
 	tried := make([]bool, len(t.peers))
@@ -215,12 +193,19 @@ func (t *TCP) Exec(ctx context.Context, req *engine.ExecRequest) (*engine.ExecRe
 		}
 		tried[pi] = true
 		p := t.peers[pi]
-		if !classic {
-			// The mesh route depends on which peer executes the request (its
-			// own partitions route "." into the local frag store), so resident
-			// requests re-encode per attempt.
-			req.Route = t.routesFor(req, pi)
-			payload = encode()
+		// The mesh route depends on which peer executes the request (its own
+		// partitions route "." into the local frag store), so the request is
+		// encoded per peer.
+		req.Route = t.routesFor(req, pi)
+		encStart := time.Now()
+		payload = encodeExecRequest(req)
+		if traced {
+			m.RecordSpan(obs.Span{
+				Parent: req.ParentSpan, Proc: obs.ProcMaster, Name: obs.SpanSerialize,
+				Superstep: req.Superstep, Partition: req.Partition,
+				Start: encStart.UnixNano(), Dur: int64(time.Since(encStart)),
+				Bytes: int64(len(payload)),
+			})
 		}
 		res, replyLen, attempts, err := t.exchange(ctx, p, req, seq, payload, traced, retries)
 		retries += attempts
@@ -238,15 +223,13 @@ func (t *TCP) Exec(ctx context.Context, req *engine.ExecRequest) (*engine.ExecRe
 				return nil, fmt.Errorf("partition %d superstep %d: worker %s: %w",
 					req.Partition, req.Superstep, p.addr, engine.ErrStateMiss)
 			}
-			if !classic {
-				t.amu.Lock()
-				t.lastExec[req.Partition] = pi
-				t.amu.Unlock()
-			}
+			t.amu.Lock()
+			t.lastExec[req.Partition] = pi
+			t.amu.Unlock()
 			return res, nil
 		}
 		lastErr = err
-		if t.cfg.NoFailover || ctx.Err() != nil || t.closed.Load() {
+		if t.cfg.noFailover || ctx.Err() != nil || t.closed.Load() {
 			m.AddRPC(req.Superstep, req.Partition,
 				int64(len(payload)), int64(retries), time.Since(execStart))
 			return nil, lastErr
@@ -282,7 +265,7 @@ func (t *TCP) exchange(ctx context.Context, p *peer, req *engine.ExecRequest, se
 			// A peer declared dead or draining mid-exchange (heartbeat miss
 			// budget, drain frame) will not answer; stop burning the budget
 			// here and let the caller fail over.
-			if !t.cfg.NoFailover && !p.routable() {
+			if !t.cfg.noFailover && !p.routable() {
 				break
 			}
 		}
@@ -326,12 +309,7 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// Resident implements engine.StatefulTransport: the TCP leg keeps partition
-// state worker-resident unless the run forces the classic full-state
-// exchange.
-func (t *TCP) Resident() bool { return !t.cfg.ForceFullState }
-
-// routesFor builds the peer-mesh routing table for a resident request about
+// routesFor builds the peer-mesh routing table for a request about
 // to be sent to peer pi: master-resident partitions stay "", the executing
 // peer's own partitions route "." into its local frag store, everything
 // else routes to the owning peer's address. Ownership is the current
@@ -355,7 +333,7 @@ func (t *TCP) routesFor(req *engine.ExecRequest, pi int) []string {
 }
 
 // lastExecPeer returns the peer holding partition p's resident state: the
-// peer that executed its latest resident superstep, falling back to the
+// peer that executed its latest superstep, falling back to the
 // nominal assignment before any exec happened.
 func (t *TCP) lastExecPeer(p int) int {
 	t.amu.Lock()
@@ -367,7 +345,7 @@ func (t *TCP) lastExecPeer(p int) int {
 	return pi
 }
 
-// Deliver implements engine.StatefulTransport: it fans the delivery-barrier
+// Deliver implements engine.Transport: it fans the delivery-barrier
 // (or collect) round out to the workers holding the listed partitions, one
 // concurrent exchange per worker, and merges the per-partition outcomes.
 // A worker that cannot be reached within the retransmit budget leaves its
@@ -551,7 +529,7 @@ func (p *peer) handshake(conn net.Conn) (bool, error) {
 	conn.SetDeadline(time.Now().Add(p.t.cfg.DialTimeout))
 	defer conn.SetDeadline(time.Time{})
 	caps := capSnappy
-	if p.t.cfg.NoCompress {
+	if p.t.cfg.noCompress {
 		caps = 0
 	}
 	if _, err := writeFrame(conn, frameHello, 0, encodeHello(p.t.cfg.Fingerprint, caps)); err != nil {

@@ -9,38 +9,43 @@ import (
 	"ariadne/internal/value"
 )
 
-// Wire v2: trace context rides in every ExecRequest, and worker-side spans
-// piggyback on every ExecResult — including crash results, whose span
+// Trace context rides in every ExecRequest, delta or seed, and worker-side
+// spans piggyback on every ExecResult — including crash results, whose span
 // section is simply empty.
 
 func TestWireTraceContextRoundTrip(t *testing.T) {
-	req := &engine.ExecRequest{
+	for _, req := range []*engine.ExecRequest{{
 		Superstep: 2, Partition: 0,
-		Active:     []engine.VertexID{3},
-		Values:     []value.Value{value.NewFloat(1)},
-		PrevActive: []int32{-1},
-		Inbox:      [][]engine.IncomingMessage{nil},
-		TraceID:    0xdeadbeef, ParentSpan: 77,
-	}
-	rt, err := decodeExecRequest(encodeExecRequest(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.TraceID != req.TraceID || rt.ParentSpan != req.ParentSpan {
-		t.Fatalf("trace context lost: got (%#x, %d), want (%#x, %d)",
-			rt.TraceID, rt.ParentSpan, req.TraceID, req.ParentSpan)
-	}
-	if !reflect.DeepEqual(req, rt) {
-		t.Fatalf("roundtrip mismatch:\n  in  %+v\n  out %+v", req, rt)
+		Active:  []engine.VertexID{3},
+		Route:   []string{".", "10.0.0.2:9"},
+		TraceID: 0xdeadbeef, ParentSpan: 77,
+	}, {
+		Superstep: 2, Partition: 0, Mode: engine.ModeSeed,
+		Active:    []engine.VertexID{3},
+		AllValues: []value.Value{value.NewFloat(1)},
+		AllActive: []int32{-1},
+		Inbox:     [][]engine.IncomingMessage{nil},
+		TraceID:   0xdeadbeef, ParentSpan: 77,
+	}} {
+		rt, err := decodeExecRequest(encodeExecRequest(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.TraceID != req.TraceID || rt.ParentSpan != req.ParentSpan {
+			t.Fatalf("mode %d: trace context lost: got (%#x, %d), want (%#x, %d)",
+				req.Mode, rt.TraceID, rt.ParentSpan, req.TraceID, req.ParentSpan)
+		}
+		if !reflect.DeepEqual(req, rt) {
+			t.Fatalf("mode %d: roundtrip mismatch:\n  in  %+v\n  out %+v", req.Mode, req, rt)
+		}
 	}
 }
 
 func TestWireResultSpanRoundTrip(t *testing.T) {
 	res := &engine.ExecResult{
 		Partition: 1,
-		Computed:  []engine.VertexID{4},
-		NewValues: []value.Value{value.NewFloat(0.5)},
 		Outbox:    [][]engine.OutMessage{nil},
+		DstCounts: []int64{2},
 		Spans: []obs.Span{
 			{TraceID: 9, Parent: 4, Proc: "worker:a", Name: obs.SpanDecode,
 				Superstep: 2, Partition: 1, Start: 12345, Dur: 10, Bytes: 99},
@@ -70,7 +75,7 @@ func TestWireResultSpanRoundTrip(t *testing.T) {
 	}
 
 	// Untraced results must encode a zero-length span section, not omit it.
-	plain := &engine.ExecResult{Partition: 0, Computed: []engine.VertexID{}, NewValues: []value.Value{}, Outbox: [][]engine.OutMessage{}}
+	plain := &engine.ExecResult{Partition: 0, Outbox: [][]engine.OutMessage{}}
 	rt, err = decodeExecResult(encodeExecResult(plain))
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -120,33 +121,56 @@ func assertIdentical(t *testing.T, leg string, ref, got *engine.Engine, refStats
 	}
 }
 
+// TestWireExecRequestRoundTrip pins the two request shapes through one
+// codec: a request with no mode set is a delta (mode 0), and a seed adds the
+// stride state after the shared prefix; an unknown mode or trailing bytes
+// fail to decode.
 func TestWireExecRequestRoundTrip(t *testing.T) {
-	req := &engine.ExecRequest{
-		Superstep: 3, Partition: 1, Observing: true, Combine: true,
-		Active:     []engine.VertexID{1, 5, 9},
-		Values:     []value.Value{value.NewFloat(0.25), value.NewVector([]float64{1, -2.5}), value.NewString("x")},
-		PrevActive: []int32{-1, 0, 2},
-		Inbox: [][]engine.IncomingMessage{
-			nil,
-			{{Src: 2, Val: value.NewFloat(0.125)}, {Src: 3, Val: value.NewInt(-7)}},
-			{{Src: 1, Val: value.NewBool(true)}},
+	for name, req := range map[string]*engine.ExecRequest{
+		"no-mode": {Partition: 3, Active: []engine.VertexID{}},
+		"delta": {
+			Superstep: 3, Partition: 1, Observing: true, Combine: true,
+			Active: []engine.VertexID{1, 5, 9},
+			Route:  []string{"", ".", "10.0.0.2:9", "."},
+			Agg:    map[string]float64{"err": 0.5, "mass": 1.0},
 		},
-		Agg: map[string]float64{"err": 0.5, "mass": 1.0},
+		"seed": {
+			Superstep: 3, Partition: 1, Mode: engine.ModeSeed,
+			Active: []engine.VertexID{1, 5, 9},
+			AllValues: []value.Value{
+				value.NewFloat(0.25), value.NewVector([]float64{1, -2.5}), value.NewString("x"),
+			},
+			AllActive: []int32{-1, 0, 2},
+			Inbox: [][]engine.IncomingMessage{
+				nil,
+				{{Src: 2, Val: value.NewFloat(0.125)}, {Src: 3, Val: value.NewInt(-7)}},
+				{{Src: 1, Val: value.NewBool(true)}},
+			},
+		},
+	} {
+		rt, err := decodeExecRequest(encodeExecRequest(req))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(req, rt) {
+			t.Fatalf("%s: roundtrip mismatch:\n  in  %+v\n  out %+v", name, req, rt)
+		}
 	}
-	rt, err := decodeExecRequest(encodeExecRequest(req))
-	if err != nil {
-		t.Fatal(err)
+
+	bad := encodeExecRequest(&engine.ExecRequest{Partition: 1})
+	bad[2] = 2 // the mode byte: superstep and partition are one byte each
+	if _, err := decodeExecRequest(bad); err == nil {
+		t.Error("mode 2 decoded without error")
 	}
-	if !reflect.DeepEqual(req, rt) {
-		t.Fatalf("roundtrip mismatch:\n  in  %+v\n  out %+v", req, rt)
+	trailing := append(encodeExecRequest(&engine.ExecRequest{Partition: 1}), 0)
+	if _, err := decodeExecRequest(trailing); err == nil {
+		t.Error("a request with a trailing byte decoded without error")
 	}
 }
 
 func TestWireExecResultRoundTrip(t *testing.T) {
 	res := &engine.ExecResult{
 		Partition: 2,
-		Computed:  []engine.VertexID{4, 8},
-		NewValues: []value.Value{value.NewFloat(0.5), value.NullValue},
 		Outbox: [][]engine.OutMessage{
 			{{Src: 4, Dst: 0, Val: value.NewFloat(1.5)}},
 			nil,
@@ -160,7 +184,8 @@ func TestWireExecResultRoundTrip(t *testing.T) {
 			Emitted:  []engine.ProvFact{{Table: "tp", Args: []value.Value{value.NewInt(4)}}},
 		}},
 		Sent: 3, CombinedSender: 1,
-		Agg: []engine.AggUpdate{{Name: "mass", Op: engine.AggSum, Val: 2, N: 5}},
+		Agg:       []engine.AggUpdate{{Name: "mass", Op: engine.AggSum, Val: 2, N: 5}},
+		DstCounts: []int64{1, 0, 2},
 	}
 	rt, err := decodeExecResult(encodeExecResult(res))
 	if err != nil {
@@ -182,10 +207,9 @@ func TestWireExecResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTransportDifferential pins every transport leg against the in-process
+// TestTransportDifferential pins the TCP leg against the in-process
 // reference: same values bit for bit, same message accounting, same
-// observer record stream — for the local executor leg, the codec-roundtrip
-// leg, and TCP-loopback with 1 and 2 workers.
+// observer record stream — over TCP-loopback with 1 and 2 workers.
 func TestTransportDifferential(t *testing.T) {
 	g := testGraph(t)
 	refE, refStats, refObs, err := runLeg(t, g, engine.Config{})
@@ -193,16 +217,7 @@ func TestTransportDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	newExec := func() *engine.Executor {
-		x, err := engine.NewExecutor(g, testProg(), engine.Config{Partitions: testParts, Combiner: analytics.SumCombiner})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x
-	}
 	legs := map[string]func() engine.Transport{
-		"local":       func() engine.Transport { return NewLocal(newExec()) },
-		"local-codec": func() engine.Transport { return NewLocalCodec(newExec()) },
 		"tcp-1": func() engine.Transport {
 			return dialWorkers(t, g, startWorkers(t, g, 1, nil))
 		},
@@ -401,7 +416,7 @@ func TestWorkerKilledMidRun(t *testing.T) {
 }
 
 // TestWorkerKilledNoFailover pins the pre-failover contract behind the
-// NoFailover switch: the dead worker's partitions pin local and shed
+// noFailover switch: the dead worker's partitions pin local and shed
 // capture instead of rerouting.
 func TestWorkerKilledNoFailover(t *testing.T) {
 	g := testGraph(t)
@@ -418,7 +433,7 @@ func TestWorkerKilledNoFailover(t *testing.T) {
 		c.MessageDeadline = 100 * time.Millisecond
 		c.MaxRetries = 1
 		c.Backoff = time.Millisecond
-		c.NoFailover = true
+		c.noFailover = true
 		c.Metrics = m
 	})
 	defer tr.Close()
@@ -515,7 +530,8 @@ func TestWorkerDrainRejoin(t *testing.T) {
 	defer tr.Close()
 
 	// Partition 1 is statically assigned to worker 1; prove the route works.
-	if _, err := tr.Exec(context.Background(), &engine.ExecRequest{Superstep: 0, Partition: 1}); err != nil {
+	// Each request is a seed, so whichever worker it lands on can run it.
+	if _, err := tr.Exec(context.Background(), seedRequest(g, 0, 1)); err != nil {
 		t.Fatalf("warm-up exec: %v", err)
 	}
 	if err := w1.Drain(); err != nil {
@@ -525,7 +541,7 @@ func TestWorkerDrainRejoin(t *testing.T) {
 
 	// The drained worker's partition reroutes to the survivor, gracefully:
 	// a reassignment, not a death.
-	if _, err := tr.Exec(context.Background(), &engine.ExecRequest{Superstep: 1, Partition: 1}); err != nil {
+	if _, err := tr.Exec(context.Background(), seedRequest(g, 1, 1)); err != nil {
 		t.Fatalf("exec after drain: %v", err)
 	}
 	if m.Counter(obs.MetricFailoverReassignments).Value() == 0 {
@@ -541,13 +557,27 @@ func TestWorkerDrainRejoin(t *testing.T) {
 	newTestWorker(t, g, addr1)
 	// Partition 3 still points at the restarted worker's slot, so routing it
 	// probes and rejoins.
-	if _, err := tr.Exec(context.Background(), &engine.ExecRequest{Superstep: 2, Partition: 3}); err != nil {
+	if _, err := tr.Exec(context.Background(), seedRequest(g, 2, 3)); err != nil {
 		t.Fatalf("exec after rejoin: %v", err)
 	}
 	waitCounter(t, m, obs.MetricFailoverRejoins, 1)
 	if !tr.peers[1].routable() {
 		t.Error("rejoined worker should be routable again")
 	}
+}
+
+// seedRequest is partition p's seed at superstep ss carrying the initial
+// state: every owned vertex active, initial values, no messages.
+func seedRequest(g *graph.Graph, ss, p int) *engine.ExecRequest {
+	req := &engine.ExecRequest{Superstep: ss, Partition: p, Mode: engine.ModeSeed}
+	prog := testProg()
+	for v := p; v < g.NumVertices(); v += testParts {
+		req.Active = append(req.Active, engine.VertexID(v))
+		req.AllValues = append(req.AllValues, prog.InitialValue(g, engine.VertexID(v)))
+		req.AllActive = append(req.AllActive, -1)
+	}
+	req.Inbox = make([][]engine.IncomingMessage, len(req.Active))
+	return req
 }
 
 // TestPoolStateMachine drives the circuit breaker's transitions directly:
@@ -719,5 +749,124 @@ func TestExecCanceled(t *testing.T) {
 	}
 	if !errors.Is(err, engine.ErrTransport) || !errors.Is(err, context.Canceled) {
 		t.Errorf("error should wrap ErrTransport and context.Canceled: %v", err)
+	}
+}
+
+// TestWorkerRejectsMalformedFrames sends a worker frames that pass the CRC
+// but that no correct master or peer sends: indexes outside the worker's
+// partitioning, seeds of the wrong stride length, fragments addressed to
+// vertices the destination does not own, and the classic request of a
+// version-3 master. Each must be answered (or, for a fragment, refused) with
+// an error frame, and the worker must keep serving — before validation most
+// of these frames panicked the worker process.
+func TestWorkerRejectsMalformedFrames(t *testing.T) {
+	g := testGraph(t)
+	type step struct {
+		typ     byte
+		payload []byte
+		want    byte
+	}
+	exec := func(req *engine.ExecRequest, want byte) step {
+		return step{frameExec, encodeExecRequest(req), want}
+	}
+	deliver := func(req *engine.DeliverRequest, want byte) step {
+		return step{frameDeliver, encodeDeliverRequest(req), want}
+	}
+	// A valid superstep-0 exec of partition 0 on a fresh worker, so the
+	// deliver rows below reach the fold.
+	exec0 := exec(&engine.ExecRequest{Active: []engine.VertexID{0}}, frameResult)
+	// Vertex 4000 is congruent to partition 0 but beyond the 128-vertex graph.
+	const far = engine.VertexID(4000)
+	seed := func(n int) *engine.ExecRequest {
+		req := seedRequest(g, 0, 1)
+		for len(req.AllValues) < n {
+			req.AllValues = append(req.AllValues, value.NewFloat(0))
+			req.AllActive = append(req.AllActive, -1)
+		}
+		req.AllValues, req.AllActive = req.AllValues[:n], req.AllActive[:n]
+		return req
+	}
+	classic := value.NewBlob() // a version-3 master's mode-0 (classic) request
+	classic.Uvarint(0)         // superstep
+	classic.Uvarint(0)         // partition
+	classic.Uvarint(0)         // mode 0: classic in version 3
+	classic.Bool(false)        // observing
+	classic.Bool(false)        // combine
+	classic.Uvarint(1)         // one active vertex: id, value, last-active
+	classic.Uvarint(4)
+	classic.Value(value.NewFloat(0.25))
+	classic.Int(-1)
+	classic.Uvarint(0) // its inbox
+	classic.Uvarint(0) // aggregators
+	classic.Uvarint(0) // trace id
+	classic.Uvarint(0) // parent span
+
+	cases := map[string][]step{
+		"exec partition out of range": {exec(&engine.ExecRequest{Partition: testParts}, frameError)},
+		"exec vertex out of range":    {exec(&engine.ExecRequest{Active: []engine.VertexID{0, far}}, frameError)},
+		"exec foreign vertex":         {exec(&engine.ExecRequest{Active: []engine.VertexID{1}}, frameError)},
+		"exec descending":             {exec(&engine.ExecRequest{Active: []engine.VertexID{8, 4}}, frameError)},
+		"seed stride short":           {exec(seed(1), frameError)},
+		"seed stride long":            {exec(seed(33), frameError)},
+		"v3 classic frame":            {{frameExec, classic.Bytes(), frameError}},
+		"collect partition out of range": {
+			deliver(&engine.DeliverRequest{CollectOnly: true, Parts: []int{testParts}}, frameError),
+		},
+		"deliver expected row too long": {exec0, deliver(&engine.DeliverRequest{
+			Parts:       []int{0},
+			Expected:    [][]int64{make([]int64, testParts+1)},
+			MasterFrags: [][][]engine.OutMessage{nil},
+		}, frameError)},
+		"deliver master frag to foreign vertex": {exec0, deliver(&engine.DeliverRequest{
+			Parts:       []int{0},
+			Expected:    [][]int64{{1, 0, 0, 0}},
+			MasterFrags: [][][]engine.OutMessage{{{{Src: 0, Dst: far, Val: value.NewFloat(1)}}, nil, nil, nil}},
+		}, frameError)},
+		"peer frag to foreign vertex": {
+			{framePeerFrag, encodePeerFrag(&peerFrag{sp: 1, dp: 0, msgs: []engine.OutMessage{
+				{Src: 1, Dst: far, Val: value.NewFloat(1)},
+			}}), frameError},
+			exec0,
+			// The refused fragment is missing from the fold: OK=false, which
+			// the master answers with a replay.
+			deliver(&engine.DeliverRequest{
+				Parts:       []int{0},
+				Expected:    [][]int64{{0, 1, 0, 0}},
+				MasterFrags: [][][]engine.OutMessage{nil},
+			}, frameDeliverRes),
+		},
+	}
+	for name, steps := range cases {
+		t.Run(name, func(t *testing.T) {
+			w := newTestWorker(t, g, "127.0.0.1:0")
+			conn, err := net.Dial("tcp", w.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			fp := Fingerprint{Partitions: testParts, NumVertices: g.NumVertices(), NumEdges: g.NumEdges()}
+			if _, err := writeFrame(conn, frameHello, 0, encodeHello(fp, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if typ, _, _, _, err := readFrame(conn); err != nil || typ != frameWelcome {
+				t.Fatalf("handshake: frame %d, %v", typ, err)
+			}
+			steps = append(steps, step{framePing, nil, framePong}) // still serving
+			for i, s := range steps {
+				seq := uint64(i + 1)
+				if _, err := writeFrame(conn, s.typ, seq, s.payload); err != nil {
+					t.Fatalf("step %d: send: %v", i, err)
+				}
+				typ, got, payload, _, err := readFrame(conn)
+				if err != nil {
+					t.Fatalf("step %d: no reply (worker gone?): %v", i, err)
+				}
+				if typ != s.want || got != seq {
+					t.Fatalf("step %d: reply frame %d seq %d (%q), want frame %d seq %d",
+						i, typ, got, payload, s.want, seq)
+				}
+			}
+		})
 	}
 }

@@ -1,11 +1,13 @@
-// Package transport moves partition superstep execution across a wire. It
-// ships the two legs behind the engine's Transport seam: Local, which calls
-// an in-process Executor directly (the seed topology), and TCP, a
-// master-side client that sends each partition's ExecRequest to a worker
-// process over a length-prefixed, CRC-framed, versioned protocol and
-// survives a faulty network — per-message deadlines, bounded retransmit
-// with the supervision backoff policy, heartbeat liveness, reconnects, and
-// receiver-side dedup of at-least-once deliveries.
+// Package transport runs partition supersteps on worker processes that keep
+// their partitions' state resident, behind the engine's Transport seam. TCP
+// is the master-side client and Worker the worker-process server: the
+// master sends each partition's delta (or seed) ExecRequest to the worker
+// that owns it, workers route outbox fragments to each other over a peer
+// mesh, and a Deliver round folds them into the next inboxes on the
+// workers. The protocol is length-prefixed, CRC-framed and versioned, and
+// survives a faulty network — per-message deadlines, bounded retransmit with
+// the supervision backoff policy, heartbeat liveness, reconnects, partition
+// failover, and receiver-side dedup of at-least-once deliveries.
 //
 // The wire format reuses the repo's binary conventions: frames are
 //
@@ -14,14 +16,9 @@
 // like the checkpoint format's record framing, and bodies are value.Blob
 // encodings, so every Value crosses the wire through the same bit-exact
 // codec the spill and checkpoint files use — which is what keeps a TCP run
-// bit-identical to an in-process one.
-//
-// Version 3 (PR 9) makes workers stateful: exec requests carry a mode
-// (classic full-state, delta, or seed), a peer-mesh route, deliver rounds
-// move the barrier to the workers, peer frag frames carry worker-to-worker
-// outbox columns, and any large frame may travel snap-compressed inside a
-// frameSnap envelope when both sides negotiated the capability at
-// handshake.
+// bit-identical to an in-process one. Any large frame may travel
+// snap-compressed inside a frameSnap envelope when both sides negotiated
+// the capability at handshake.
 package transport
 
 import (
@@ -40,10 +37,12 @@ import (
 // Version is the protocol version exchanged in the handshake. A master and
 // worker must agree exactly; there is no cross-version negotiation.
 // Version 2 added the trace context trailing every ExecRequest and a span
-// section trailing every ExecResult. Version 3 adds exec modes (delta/seed
+// section trailing every ExecResult. Version 3 added exec modes (delta/seed
 // exchanges for worker-resident state), deliver and peer-frag frames, the
-// handshake capability mask, and snap-compressed frames.
-const Version = 3
+// handshake capability mask, and snap-compressed frames. Version 4 drops
+// the stateless exchange that shipped whole frontiers: delta is mode 0, seed
+// mode 1, and a result no longer carries new values.
+const Version = 4
 
 // maxFrame bounds a frame body so a corrupt length prefix fails fast
 // instead of provoking a giant allocation.
@@ -276,8 +275,8 @@ func decodeHello(p []byte) (Fingerprint, uint64, error) {
 	return f, caps, nil
 }
 
-// appendRoute / readRoute carry the peer-mesh routing table of a resident
-// exec request: Route[dp] is the owning worker's address, "." for the
+// appendRoute / readRoute carry the peer-mesh routing table of an exec
+// request: Route[dp] is the owning worker's address, "." for the
 // executing worker itself, "" for master-resident partitions.
 func appendRoute(b *value.Blob, route []string) {
 	b.Uvarint(uint64(len(route)))
@@ -296,6 +295,28 @@ func readRoute(r *value.BlobReader) []string {
 		route[i] = r.String()
 	}
 	return route
+}
+
+// appendInMsgs / readInMsgs carry one vertex's received messages: a seed's
+// inbox lists, a record's Received, a collected inbox chunk.
+func appendInMsgs(b *value.Blob, msgs []engine.IncomingMessage) {
+	b.Uvarint(uint64(len(msgs)))
+	for _, m := range msgs {
+		b.Uvarint(uint64(m.Src))
+		b.Value(m.Val)
+	}
+}
+
+func readInMsgs(r *value.BlobReader) []engine.IncomingMessage {
+	k := r.Count()
+	if k == 0 {
+		return nil
+	}
+	msgs := make([]engine.IncomingMessage, k)
+	for j := range msgs {
+		msgs[j] = engine.IncomingMessage{Src: engine.VertexID(r.Uvarint()), Val: r.Value()}
+	}
+	return msgs
 }
 
 func appendOutMsgs(b *value.Blob, msgs []engine.OutMessage) {
@@ -323,11 +344,9 @@ func readOutMsgs(r *value.BlobReader) []engine.OutMessage {
 	return msgs
 }
 
-// encodeExecRequest serializes a partition superstep request. The layout
-// branches on the exchange mode: classic requests carry the full
-// (id, value, last-active, inbox) state exactly as in v2; delta requests
-// carry only the active ids and the mesh route; seed requests add the full
-// stride state install.
+// encodeExecRequest serializes a partition superstep request. Delta and seed
+// share the prefix up to the mesh route; a seed then adds the stride state
+// install and the inbox of each active vertex.
 func encodeExecRequest(req *engine.ExecRequest) []byte {
 	b := value.NewBlob()
 	b.Uvarint(uint64(req.Superstep))
@@ -335,44 +354,19 @@ func encodeExecRequest(req *engine.ExecRequest) []byte {
 	b.Uvarint(uint64(req.Mode))
 	b.Bool(req.Observing)
 	b.Bool(req.Combine)
-	switch req.Mode {
-	case engine.ModeDelta:
-		b.Uvarint(uint64(len(req.Active)))
-		for _, v := range req.Active {
-			b.Uvarint(uint64(v))
-		}
-		appendRoute(b, req.Route)
-	case engine.ModeSeed:
-		b.Uvarint(uint64(len(req.Active)))
-		for _, v := range req.Active {
-			b.Uvarint(uint64(v))
-		}
-		appendRoute(b, req.Route)
+	b.Uvarint(uint64(len(req.Active)))
+	for _, v := range req.Active {
+		b.Uvarint(uint64(v))
+	}
+	appendRoute(b, req.Route)
+	if req.Mode == engine.ModeSeed {
 		b.Uvarint(uint64(len(req.AllValues)))
 		for i, v := range req.AllValues {
 			b.Value(v)
 			b.Int(int64(req.AllActive[i]))
 		}
 		for _, msgs := range req.Inbox {
-			b.Uvarint(uint64(len(msgs)))
-			for _, m := range msgs {
-				b.Uvarint(uint64(m.Src))
-				b.Value(m.Val)
-			}
-		}
-	default: // ModeClassic — the stateless v2 layout
-		b.Uvarint(uint64(len(req.Active)))
-		for i, v := range req.Active {
-			b.Uvarint(uint64(v))
-			b.Value(req.Values[i])
-			b.Int(int64(req.PrevActive[i]))
-		}
-		for _, msgs := range req.Inbox {
-			b.Uvarint(uint64(len(msgs)))
-			for _, m := range msgs {
-				b.Uvarint(uint64(m.Src))
-				b.Value(m.Val)
-			}
+			appendInMsgs(b, msgs)
 		}
 	}
 	// Aggregators in sorted-name order for a canonical encoding.
@@ -397,25 +391,22 @@ func decodeExecRequest(p []byte) (*engine.ExecRequest, error) {
 	req := &engine.ExecRequest{
 		Superstep: int(r.Uvarint()),
 		Partition: int(r.Uvarint()),
-		Mode:      engine.ExecMode(r.Uvarint()),
-		Observing: r.Bool(),
-		Combine:   r.Bool(),
 	}
-	switch req.Mode {
-	case engine.ModeDelta:
-		n := r.Count()
-		req.Active = make([]engine.VertexID, n)
-		for i := 0; i < n; i++ {
-			req.Active[i] = engine.VertexID(r.Uvarint())
-		}
-		req.Route = readRoute(r)
-	case engine.ModeSeed:
-		n := r.Count()
-		req.Active = make([]engine.VertexID, n)
-		for i := 0; i < n; i++ {
-			req.Active[i] = engine.VertexID(r.Uvarint())
-		}
-		req.Route = readRoute(r)
+	switch mode := r.Uvarint(); mode {
+	case uint64(engine.ModeDelta), uint64(engine.ModeSeed):
+		req.Mode = engine.ExecMode(mode)
+	default:
+		return nil, fmt.Errorf("transport: corrupt exec request: unknown mode %d", mode)
+	}
+	req.Observing = r.Bool()
+	req.Combine = r.Bool()
+	n := r.Count()
+	req.Active = make([]engine.VertexID, n)
+	for i := 0; i < n; i++ {
+		req.Active[i] = engine.VertexID(r.Uvarint())
+	}
+	req.Route = readRoute(r)
+	if req.Mode == engine.ModeSeed {
 		k := r.Count()
 		req.AllValues = make([]value.Value, k)
 		req.AllActive = make([]int32, k)
@@ -424,36 +415,8 @@ func decodeExecRequest(p []byte) (*engine.ExecRequest, error) {
 			req.AllActive[i] = int32(r.Int())
 		}
 		req.Inbox = make([][]engine.IncomingMessage, n)
-		for i := 0; i < n; i++ {
-			if k := r.Count(); k > 0 {
-				msgs := make([]engine.IncomingMessage, k)
-				for j := 0; j < k; j++ {
-					msgs[j] = engine.IncomingMessage{Src: engine.VertexID(r.Uvarint()), Val: r.Value()}
-				}
-				req.Inbox[i] = msgs
-			}
-		}
-	default:
-		n := r.Count()
-		req.Active = make([]engine.VertexID, n)
-		req.Values = make([]value.Value, n)
-		req.PrevActive = make([]int32, n)
-		for i := 0; i < n; i++ {
-			req.Active[i] = engine.VertexID(r.Uvarint())
-			req.Values[i] = r.Value()
-			req.PrevActive[i] = int32(r.Int())
-		}
-		req.Inbox = make([][]engine.IncomingMessage, n)
-		for i := 0; i < n; i++ {
-			k := r.Count()
-			if k == 0 {
-				continue
-			}
-			msgs := make([]engine.IncomingMessage, k)
-			for j := 0; j < k; j++ {
-				msgs[j] = engine.IncomingMessage{Src: engine.VertexID(r.Uvarint()), Val: r.Value()}
-			}
-			req.Inbox[i] = msgs
+		for i := range req.Inbox {
+			req.Inbox[i] = readInMsgs(r)
 		}
 	}
 	if k := r.Count(); k > 0 {
@@ -467,6 +430,9 @@ func decodeExecRequest(p []byte) (*engine.ExecRequest, error) {
 	req.ParentSpan = r.Uvarint()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("transport: corrupt exec request: %w", r.Err())
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("transport: corrupt exec request: %d trailing bytes", r.Len())
 	}
 	return req, nil
 }
@@ -507,19 +473,9 @@ func encodeExecResultBody(res *engine.ExecResult) []byte {
 	if res.StateMiss {
 		return b.Bytes()
 	}
-	b.Uvarint(uint64(len(res.Computed)))
-	for i, v := range res.Computed {
-		b.Uvarint(uint64(v))
-		b.Value(res.NewValues[i])
-	}
 	b.Uvarint(uint64(len(res.Outbox)))
 	for _, msgs := range res.Outbox {
-		b.Uvarint(uint64(len(msgs)))
-		for _, m := range msgs {
-			b.Uvarint(uint64(m.Src))
-			b.Uvarint(uint64(m.Dst))
-			b.Value(m.Val)
-		}
+		appendOutMsgs(b, msgs)
 	}
 	b.Uvarint(uint64(len(res.Records)))
 	for i := range res.Records {
@@ -529,11 +485,7 @@ func encodeExecResultBody(res *engine.ExecResult) []byte {
 		b.Int(int64(rec.PrevActive))
 		b.Value(rec.OldValue)
 		b.Value(rec.NewValue)
-		b.Uvarint(uint64(len(rec.Received)))
-		for _, m := range rec.Received {
-			b.Uvarint(uint64(m.Src))
-			b.Value(m.Val)
-		}
+		appendInMsgs(b, rec.Received)
 		b.Uvarint(uint64(len(rec.Sent)))
 		for _, m := range rec.Sent {
 			b.Uvarint(uint64(m.Dst))
@@ -577,43 +529,24 @@ func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 			Deadline:  r.Bool(),
 			Canceled:  r.Bool(),
 		}
-		res.Spans, _ = obs.DecodeSpans(r)
-		if r.Err() != nil {
-			return nil, fmt.Errorf("transport: corrupt exec result: %w", r.Err())
-		}
-		return res, nil
-	}
-	if r.Bool() {
+	} else if r.Bool() {
 		res.StateMiss = true
-		res.Spans, _ = obs.DecodeSpans(r)
-		if r.Err() != nil {
-			return nil, fmt.Errorf("transport: corrupt exec result: %w", r.Err())
-		}
-		return res, nil
+	} else {
+		decodeExecResultBody(r, res)
 	}
-	n := r.Count()
-	res.Computed = make([]engine.VertexID, n)
-	res.NewValues = make([]value.Value, n)
-	for i := 0; i < n; i++ {
-		res.Computed[i] = engine.VertexID(r.Uvarint())
-		res.NewValues[i] = r.Value()
+	res.Spans, _ = obs.DecodeSpans(r)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("transport: corrupt exec result: %w", r.Err())
 	}
-	nParts := r.Count()
-	res.Outbox = make([][]engine.OutMessage, nParts)
-	for dp := 0; dp < nParts; dp++ {
-		k := r.Count()
-		if k == 0 {
-			continue
-		}
-		msgs := make([]engine.OutMessage, k)
-		for j := 0; j < k; j++ {
-			msgs[j] = engine.OutMessage{
-				Src: engine.VertexID(r.Uvarint()),
-				Dst: engine.VertexID(r.Uvarint()),
-				Val: r.Value(),
-			}
-		}
-		res.Outbox[dp] = msgs
+	return res, nil
+}
+
+// decodeExecResultBody reads a completed superstep's outbox columns,
+// records, accounting, aggregator partials and fan-out counts.
+func decodeExecResultBody(r *value.BlobReader, res *engine.ExecResult) {
+	res.Outbox = make([][]engine.OutMessage, r.Count())
+	for dp := range res.Outbox {
+		res.Outbox[dp] = readOutMsgs(r)
 	}
 	if nRecs := r.Count(); nRecs > 0 {
 		res.Records = make([]engine.VertexRecord, nRecs)
@@ -624,12 +557,7 @@ func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 			rec.PrevActive = int(r.Int())
 			rec.OldValue = r.Value()
 			rec.NewValue = r.Value()
-			if k := r.Count(); k > 0 {
-				rec.Received = make([]engine.IncomingMessage, k)
-				for j := 0; j < k; j++ {
-					rec.Received[j] = engine.IncomingMessage{Src: engine.VertexID(r.Uvarint()), Val: r.Value()}
-				}
-			}
+			rec.Received = readInMsgs(r)
 			if k := r.Count(); k > 0 {
 				rec.Sent = make([]engine.SentMessage, k)
 				for j := 0; j < k; j++ {
@@ -669,11 +597,6 @@ func decodeExecResult(p []byte) (*engine.ExecResult, error) {
 			res.DstCounts[j] = r.Int()
 		}
 	}
-	res.Spans, _ = obs.DecodeSpans(r)
-	if r.Err() != nil {
-		return nil, fmt.Errorf("transport: corrupt exec result: %w", r.Err())
-	}
-	return res, nil
 }
 
 // encodeDeliverRequest serializes one worker's slice of the delivery
@@ -769,11 +692,7 @@ func encodeDeliverResult(res *engine.DeliverResult) []byte {
 		b.Uvarint(uint64(len(dp.Inbox)))
 		for _, en := range dp.Inbox {
 			b.Uvarint(uint64(en.Dst))
-			b.Uvarint(uint64(len(en.Msgs)))
-			for _, m := range en.Msgs {
-				b.Uvarint(uint64(m.Src))
-				b.Value(m.Val)
-			}
+			appendInMsgs(b, en.Msgs)
 		}
 	}
 	return b.Bytes()
@@ -807,13 +726,7 @@ func decodeDeliverResult(p []byte) (*engine.DeliverResult, error) {
 			dp.Inbox = make([]engine.InboxChunk, k)
 			for j := 0; j < k; j++ {
 				dp.Inbox[j].Dst = engine.VertexID(r.Uvarint())
-				if km := r.Count(); km > 0 {
-					msgs := make([]engine.IncomingMessage, km)
-					for a := 0; a < km; a++ {
-						msgs[a] = engine.IncomingMessage{Src: engine.VertexID(r.Uvarint()), Val: r.Value()}
-					}
-					dp.Inbox[j].Msgs = msgs
-				}
+				dp.Inbox[j].Msgs = readInMsgs(r)
 			}
 		}
 	}

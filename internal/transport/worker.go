@@ -286,6 +286,9 @@ func (w *Worker) handleExec(cs *connState, seq uint64, payload []byte, release f
 	t0 := time.Now()
 	req, err := decodeExecRequest(payload)
 	release()
+	if err == nil {
+		err = w.x.CheckExec(req)
+	}
 	if err != nil {
 		cs.cache.finish(seq, nil)
 		w.replyErr(cs, seq, err.Error())
@@ -296,7 +299,7 @@ func (w *Worker) handleExec(cs *connState, seq uint64, payload []byte, release f
 	t2 := time.Now()
 	var peerBytes int64
 	var peerDur time.Duration
-	if req.Mode != engine.ModeClassic && res.Crash == nil && !res.StateMiss {
+	if res.Crash == nil && !res.StateMiss {
 		peerBytes = w.routeOutbox(req, res)
 		peerDur = time.Since(t2)
 	}
@@ -334,7 +337,7 @@ func (w *Worker) handleExec(cs *connState, seq uint64, payload []byte, release f
 	w.reply(cs, frameResult, seq, out)
 }
 
-// routeOutbox sends a resident-mode result's outbox columns to the workers
+// routeOutbox sends a result's outbox columns to the workers
 // that own their destination partitions, per the request's route: "." parks
 // the column in this worker's own frag store, a peer address ships it over
 // the mesh, and "" (master-resident) leaves it in the reply. A failed peer
@@ -385,6 +388,9 @@ func (w *Worker) handleDeliver(cs *connState, seq uint64, payload []byte, releas
 	}
 	req, err := decodeDeliverRequest(payload)
 	release()
+	if err == nil {
+		err = w.x.CheckDeliver(req)
+	}
 	if err != nil {
 		cs.cache.finish(seq, nil)
 		w.replyErr(cs, seq, err.Error())
@@ -422,6 +428,9 @@ func (w *Worker) handleDeliver(cs *connState, seq uint64, payload []byte, releas
 func (w *Worker) handlePeerFrag(cs *connState, seq uint64, payload []byte, release func()) {
 	f, err := decodePeerFrag(payload)
 	release()
+	if err == nil {
+		err = w.x.CheckFrag(f.sp, f.dp, f.msgs)
+	}
 	if err != nil {
 		w.replyErr(cs, seq, err.Error())
 		return
