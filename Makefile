@@ -35,9 +35,8 @@ bench: bench-micro
 # bench-micro runs the barrier, spill-pipeline, and query-evaluation
 # microbenchmarks and feeds them through cmd/benchjson, which writes
 # BENCH_micro.json and fails on a regression of the hardware-independent
-# ratios (parallel/sequential barrier-phase time over the same inbox.build,
-# 8-worker/1-worker eval-phase time over the same slot programs); the
-# sync/async spill ratio and the layered full run are recorded ungated; the
+# ratios (parallel/sequential barrier-phase time over the same inbox.build);
+# the sync/async spill ratio and the layered full run are recorded ungated; the
 # frame-encode, disabled-span and steady-state online-observe paths must not
 # allocate at all. The
 # committed BENCH_micro.json is the single-core container baseline
@@ -47,8 +46,6 @@ bench-micro:
 		./internal/engine/ > bench-micro.out
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillPipeline' -benchmem -count 1 \
 		./internal/provenance/ >> bench-micro.out
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelEval' -benchmem -count 1 \
-		./internal/pql/eval/ >> bench-micro.out
 	$(GO) test -run '^$$' -bench 'BenchmarkLayeredEval$$|BenchmarkOnlineObserve$$' -benchmem -count 1 \
 		./internal/driver/ >> bench-micro.out
 	$(GO) test -run '^$$' -bench 'BenchmarkTransportRun|BenchmarkTraceRun|BenchmarkWireFrame' -benchmem -count 1 \
@@ -103,8 +100,8 @@ bench-e2e:
 # PQL evaluator, one message barrier, one layer representation, one exchange
 # mode; net-negative line counts); CI records it per run.
 loc:
-	@for p in internal/pql/eval internal/driver internal/engine internal/transport internal/provenance internal/capture; do \
-		printf '%-20s %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
+	@for p in internal/pql/eval internal/pql/analysis internal/driver internal/engine internal/transport internal/provenance internal/capture; do \
+		printf '%-22s %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
 	done
 
 # fault-matrix exercises the partition-targeted fault scenarios end to end

@@ -137,44 +137,3 @@ final(X, D, I) :- value(X, D, I).
 		t.Error("no value tuples found offline")
 	}
 }
-
-// TestEvalOptionsThroughAPI drives the shard-parallel evaluation options
-// end to end: online via Run options, offline via QueryOffline options, and
-// checks the sequential reference leg agrees with the parallel one.
-func TestEvalOptionsThroughAPI(t *testing.T) {
-	g := testGraph(t, 7, 5, 35)
-	run := func(opts ...ariadne.Option) *ariadne.QueryResult {
-		t.Helper()
-		res, err := ariadne.Run(g, &analytics.SSSP{Source: 0},
-			append(opts, ariadne.WithOnlineQuery(queries.MonotoneCheck()))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Query("q5-monotone-check")
-	}
-	seq := run(ariadne.WithEvalWorkers(1))
-	par := run(ariadne.WithEvalWorkers(8))
-	if a, b := ariadne.Count(seq, "check_failed"), ariadne.Count(par, "check_failed"); a != b {
-		t.Errorf("online sequential %d tuples vs parallel %d", a, b)
-	}
-
-	res, err := ariadne.Run(g, &analytics.SSSP{Source: 0},
-		ariadne.WithCaptureQuery(queries.CaptureFull(), ariadne.StoreConfig{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	def := queries.MonotoneCheck()
-	offSeq, err := ariadne.QueryOffline(def, res.Provenance, g, ariadne.ModeLayered, 0,
-		ariadne.EvalWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	offPar, err := ariadne.QueryOffline(def, res.Provenance, g, ariadne.ModeLayered, 0,
-		ariadne.EvalWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := ariadne.Count(offSeq, "check_failed"), ariadne.Count(offPar, "check_failed"); a != b {
-		t.Errorf("offline sequential %d tuples vs parallel %d", a, b)
-	}
-}

@@ -82,23 +82,10 @@ type (
 	// in degraded mode (Partition -1 = all partitions). Queryable from PQL
 	// as capture_gap(P, F, T).
 	CaptureGap = provenance.CaptureGap
-	// EvalOption tunes PQL evaluation (QueryOffline and online queries):
-	// shard-parallel worker count, projection pushdown.
-	EvalOption = driver.EvalOpt
 	// Transport executes partition supersteps, in-process or on remote
 	// worker processes (see WithTransport and internal/transport).
 	Transport = engine.Transport
 )
-
-// EvalWorkers sets the shard-parallel evaluation worker count for a query
-// (n <= 0 picks min(8, GOMAXPROCS); 1 never fans a delta round out).
-func EvalWorkers(n int) EvalOption { return driver.EvalWorkers(n) }
-
-// NoProjection disables projection pushdown during layered replay: every
-// spilled provenance column is materialized whether or not the query reads
-// it. This is the reference leg for differential tests and storage
-// benchmarks; production replays should let the driver project.
-func NoProjection() EvalOption { return driver.NoProjection() }
 
 // NewMetrics creates an empty metrics registry for WithMetrics. Create it
 // before Run to serve obs.Handler(m) endpoints while the run is live.
@@ -153,7 +140,6 @@ type runConfig struct {
 	captureDef *queries.Definition
 	storeCfg   provenance.StoreConfig
 	onlineDefs []queries.Definition
-	evalOpts   []driver.EvalOpt
 	observers  []engine.Observer
 	metrics    *obs.Metrics
 	traceCap   int
@@ -186,18 +172,6 @@ func WithPartitions(n int) Option {
 func WithCombiner(f func(a, b Value) Value) Option {
 	return func(c *runConfig) error {
 		c.engineCfg.Combiner = f
-		return nil
-	}
-}
-
-// WithSequentialBarrier runs the superstep barrier single-threaded — every
-// partition's inbox built on the engine goroutine instead of one goroutine
-// each. Both settings run the same code over the same messages, so results
-// are bit-identical by construction; this option exists as the reference
-// leg for differential tests and BenchmarkBarrier.
-func WithSequentialBarrier() Option {
-	return func(c *runConfig) error {
-		c.engineCfg.SequentialBarrier = true
 		return nil
 	}
 }
@@ -235,16 +209,6 @@ func WithCaptureQuery(def QueryDef, cfg StoreConfig) Option {
 func WithOnlineQuery(def QueryDef) Option {
 	return func(c *runConfig) error {
 		c.onlineDefs = append(c.onlineDefs, def)
-		return nil
-	}
-}
-
-// WithEvalWorkers sets the shard-parallel worker count every online query
-// of this run evaluates with (VC-compatible queries shard their delta
-// rounds by the location column; others fall back to one worker).
-func WithEvalWorkers(n int) Option {
-	return func(c *runConfig) error {
-		c.evalOpts = append(c.evalOpts, driver.EvalWorkers(n))
 		return nil
 	}
 }
@@ -478,11 +442,7 @@ func prepare(g *Graph, opts []Option) (*runConfig, *provenance.Store, []*driver.
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		evalOpts := cfg.evalOpts
-		if cfg.metrics != nil {
-			evalOpts = append(append([]driver.EvalOpt(nil), evalOpts...), driver.WithEvalObs(cfg.metrics))
-		}
-		o, err := driver.NewOnline(q, g, evalOpts...)
+		o, err := driver.NewOnline(q, g)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("ariadne: query %s: %w", def.Name, err)
 		}
@@ -586,23 +546,22 @@ const (
 )
 
 // QueryOffline evaluates def over captured provenance. naiveBudget bounds
-// the naive mode's database bytes (0 = unlimited). Options tune the
-// evaluation pipeline (EvalWorkers, NoProjection).
-func QueryOffline(def QueryDef, store *Store, g *Graph, mode Mode, naiveBudget int64, opts ...EvalOption) (*QueryResult, error) {
+// the naive mode's database bytes (0 = unlimited).
+func QueryOffline(def QueryDef, store *Store, g *Graph, mode Mode, naiveBudget int64) (*QueryResult, error) {
 	q, err := def.Build()
 	if err != nil {
 		return nil, err
 	}
 	switch mode {
 	case ModeNaive:
-		return driver.Naive(q, store, g, naiveBudget, opts...)
+		return driver.Naive(q, store, g, naiveBudget)
 	case ModeLayered:
-		return driver.Layered(q, store, g, opts...)
+		return driver.Layered(q, store, g)
 	default:
 		if q.Class.LayeredEvaluable() {
-			return driver.Layered(q, store, g, opts...)
+			return driver.Layered(q, store, g)
 		}
-		return driver.Naive(q, store, g, naiveBudget, opts...)
+		return driver.Naive(q, store, g, naiveBudget)
 	}
 }
 

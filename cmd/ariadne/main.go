@@ -107,7 +107,7 @@ paper's tables and figures; "pqlc" checks and classifies PQL files.`)
 }
 
 // loadGraph resolves -graph/-dataset/-size flags into a graph.
-func loadGraph(graphFile, dataset string, size int, weightsForSSSP bool) (*graph.Graph, error) {
+func loadGraph(graphFile, dataset string, size int) (*graph.Graph, error) {
 	if graphFile != "" {
 		f, err := os.Open(graphFile)
 		if err != nil {
@@ -120,7 +120,6 @@ func loadGraph(graphFile, dataset string, size int, weightsForSSSP bool) (*graph
 	if err != nil {
 		return nil, err
 	}
-	_ = weightsForSSSP // weights are always generated
 	return d.Build()
 }
 
@@ -131,7 +130,7 @@ func cmdStats(args []string) error {
 	size := fs.Int("size", 0, "dataset size factor")
 	samples := fs.Int("diameter-samples", 8, "BFS samples for the diameter estimate")
 	fs.Parse(args)
-	g, err := loadGraph(*graphFile, *dataset, *size, false)
+	g, err := loadGraph(*graphFile, *dataset, *size)
 	if err != nil {
 		return err
 	}
@@ -191,7 +190,6 @@ func cmdRun(args []string) error {
 	budget := fs.Int64("budget", 0, "capture memory budget in bytes (0 = unlimited)")
 	syncSpill := fs.Bool("sync-spill", false, "write spilled layers inline in the barrier instead of on the async writer goroutine")
 	reloadCache := fs.Int("reload-cache", 0, "decoded-layer cache capacity in layers (0 = default, negative = disabled)")
-	seqBarrier := fs.Bool("seq-barrier", false, "run the superstep barrier single-threaded instead of one goroutine per partition (reference leg; bit-identical results)")
 	transportName := fs.String("transport", "inproc", "partition transport: inproc, or tcp to run partitions on worker processes")
 	workers := fs.Int("workers", 0, "worker processes to spawn with -transport tcp (0 = 1)")
 	workerAddrs := fs.String("worker-addrs", "", `comma-separated addresses of already-running "ariadne worker" processes (instead of -workers)`)
@@ -199,7 +197,6 @@ func cmdRun(args []string) error {
 	netDeadline := fs.Duration("net-deadline", 0, "per-message send/receive deadline with -transport tcp (0 = 5s default)")
 	netHeartbeat := fs.Duration("net-heartbeat", time.Second, "worker liveness probe interval with -transport tcp (0 disables probing)")
 	netHeartbeatMisses := fs.Int("net-heartbeat-misses", 0, "consecutive heartbeat misses before a worker is declared dead (0 = default of 3)")
-	evalWorkers := fs.Int("eval-workers", 0, "shard-parallel PQL evaluation workers for online queries (0 = auto, 1 = sequential rounds)")
 	online := fs.String("online", "", "comma-separated online queries (apt[:eps], q4, q5, q6)")
 	faults := fs.String("faults", "", `fault-injection spec, e.g. "compute:mode=panic:ss=3:vertex=7" or "spill.write:times=2" (clauses joined with ;)`)
 	workerFaults := fs.String("worker-faults", "", `fault spec forwarded to spawned workers (peer-mesh sites live worker-side), e.g. "peer.send:mode=drop:part=1:ss=2"`)
@@ -224,7 +221,6 @@ func cmdRun(args []string) error {
 		WorkerAddrs:     *workerAddrs,
 		Heartbeat:       *netHeartbeat,
 		HeartbeatMisses: *netHeartbeatMisses,
-		SeqBarrier:      *seqBarrier,
 		Resume:          *resume,
 		Checkpoint:      *ckDir,
 	}); err != nil {
@@ -232,7 +228,7 @@ func cmdRun(args []string) error {
 	}
 	distributed := *transportName == "tcp"
 
-	g, err := loadGraph(*graphFile, *dataset, *size, *analytic == "sssp")
+	g, err := loadGraph(*graphFile, *dataset, *size)
 	if err != nil {
 		return err
 	}
@@ -289,12 +285,6 @@ func cmdRun(args []string) error {
 		opts = append(opts, ariadne.WithCaptureQuery(def, storeCfg))
 	}
 
-	if *seqBarrier {
-		opts = append(opts, ariadne.WithSequentialBarrier())
-	}
-	if *evalWorkers != 0 {
-		opts = append(opts, ariadne.WithEvalWorkers(*evalWorkers))
-	}
 	// The injector is shared between the engine (compute/capture sites) and
 	// the TCP transport (net.send/net.recv sites), so one -faults spec can
 	// target either side of the wire.
@@ -470,7 +460,7 @@ func cmdWorker(args []string) error {
 	faults := fs.String("faults", "", `worker-side fault-injection spec for the peer-mesh sites, e.g. "peer.send:mode=drop:part=1:ss=2" (clauses joined with ;)`)
 	fs.Parse(args)
 
-	g, err := loadGraph(*graphFile, *dataset, *size, *analytic == "sssp")
+	g, err := loadGraph(*graphFile, *dataset, *size)
 	if err != nil {
 		return err
 	}
@@ -645,7 +635,6 @@ func cmdQuery(args []string) error {
 	size := fs.Int("size", 0, "dataset size factor")
 	supersteps := fs.Int("supersteps", 20, "PageRank iterations")
 	mode := fs.String("mode", "auto", "auto, online, layered, or naive")
-	evalWorkers := fs.Int("eval-workers", 0, "shard-parallel PQL evaluation workers (0 = auto, 1 = sequential rounds)")
 	var params cliutil.Params
 	fs.Var(&params, "param", "query parameter name=value (repeatable)")
 	edbs := fs.String("edbs", "", "extra EDB declarations, e.g. prov_error:4")
@@ -667,13 +656,17 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	def := queries.Definition{Name: fs.Arg(0), Source: string(src), Env: env}
-	cls, vc, err := ariadne.Classify(def)
+	q, err := def.Build()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("query class=%s vc-compatible=%v\n", cls, vc)
+	fmt.Printf("query class=%s vc-compatible=%v\n", q.Class, q.VCCompatible)
+	ran, err := queryMode(*mode, q.Class)
+	if err != nil {
+		return err
+	}
 
-	g, err := loadGraph(*graphFile, *dataset, *size, *analytic == "sssp")
+	g, err := loadGraph(*graphFile, *dataset, *size)
 	if err != nil {
 		return err
 	}
@@ -682,18 +675,9 @@ func cmdQuery(args []string) error {
 		return err
 	}
 
-	var evalOpts []ariadne.EvalOption
-	if *evalWorkers != 0 {
-		evalOpts = append(evalOpts, ariadne.EvalWorkers(*evalWorkers))
-	}
-
 	var qr *ariadne.QueryResult
-	if *mode == "online" || (*mode == "auto" && (cls == "local" || cls == "forward")) {
-		runOpts := append(opts, ariadne.WithOnlineQuery(def))
-		if *evalWorkers != 0 {
-			runOpts = append(runOpts, ariadne.WithEvalWorkers(*evalWorkers))
-		}
-		res, err := ariadne.Run(g, prog, runOpts...)
+	if ran == "online" {
+		res, err := ariadne.Run(g, prog, append(opts, ariadne.WithOnlineQuery(def))...)
 		if err != nil {
 			return err
 		}
@@ -707,15 +691,15 @@ func cmdQuery(args []string) error {
 			return err
 		}
 		offMode := ariadne.ModeLayered
-		if *mode == "naive" {
+		if ran == "naive" {
 			offMode = ariadne.ModeNaive
 		}
-		qr, err = ariadne.QueryOffline(def, res.Provenance, g, offMode, 0, evalOpts...)
+		qr, err = ariadne.QueryOffline(def, res.Provenance, g, offMode, 0)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("captured %d layers (%d tuples), evaluated %s offline\n",
-			res.Provenance.NumLayers(), res.Provenance.TotalTuples(), *mode)
+			res.Provenance.NumLayers(), res.Provenance.TotalTuples(), ran)
 	}
 
 	for _, rel := range qr.DerivedRelations() {
@@ -731,6 +715,25 @@ func cmdQuery(args []string) error {
 	return nil
 }
 
+// queryMode resolves the query subcommand's -mode for a query of class cls
+// into the mode that runs: online, layered or naive. auto picks online when
+// the class allows it, else layered when the class allows it, else naive.
+func queryMode(mode string, cls analysis.Class) (string, error) {
+	switch mode {
+	case "online", "layered", "naive":
+		return mode, nil
+	case "auto":
+		switch {
+		case cls.OnlineEvaluable():
+			return "online", nil
+		case cls.LayeredEvaluable():
+			return "layered", nil
+		}
+		return "naive", nil
+	}
+	return "", fmt.Errorf("-mode %q: want auto, online, layered, or naive", mode)
+}
+
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	analytic := fs.String("analytic", "sssp", "pagerank, sssp, or wcc")
@@ -743,7 +746,7 @@ func cmdTrace(args []string) error {
 	custom := fs.Bool("custom", false, "use custom (reduced) capture, paper Queries 11+12")
 	fs.Parse(args)
 
-	g, err := loadGraph(*graphFile, *dataset, *size, *analytic == "sssp")
+	g, err := loadGraph(*graphFile, *dataset, *size)
 	if err != nil {
 		return err
 	}

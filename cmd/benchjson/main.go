@@ -2,7 +2,7 @@
 // JSON report and enforces the hardware-independent regression ratios for the
 // barrier, spill, and query-evaluation microbenchmarks:
 //
-//	go test -run '^$' -bench 'Barrier|SpillPipeline|ParallelEval|LayeredEval' ./internal/... | \
+//	go test -run '^$' -bench 'Barrier|SpillPipeline|LayeredEval' ./internal/... | \
 //	    go run ./cmd/benchjson -out BENCH_micro.json
 //
 // Absolute ns/op is meaningless across CI runners, so the regression checks
@@ -90,12 +90,9 @@ func ratio(r *Report, benches []Bench, key, numName, denName, unit string) float
 	return v
 }
 
-// maxEvalFanout bounds workers8/workers1 eval-phase time, maxBarrierFanout
-// parallel/sequential barrier-phase time (see the gates).
-const (
-	maxEvalFanout    = 1.1
-	maxBarrierFanout = 1.1
-)
+// maxBarrierFanout bounds parallel/sequential barrier-phase time (see the
+// gate).
+const maxBarrierFanout = 1.1
 
 func main() {
 	out := flag.String("out", "BENCH_micro.json", "output JSON path")
@@ -170,17 +167,6 @@ func main() {
 		ratio(rep, benches, "spill_async_speedup",
 			"BenchmarkSpillPipeline/sync",
 			"BenchmarkSpillPipeline/async", "ns/op")
-	}
-	// eval_fanout_overhead is a ceiling: every worker count runs the same
-	// slot programs, so fanning a round out over 8 shards may cost at most
-	// 10% over one worker even on a single core, where it cannot win.
-	if wants("eval_fanout_overhead") {
-		if v := ratio(rep, benches, "eval_fanout_overhead",
-			"BenchmarkParallelEval/workers8",
-			"BenchmarkParallelEval/workers1", "ns/op"); v > maxEvalFanout {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("eval_fanout_overhead %.2f > %.2f", v, maxEvalFanout))
-		}
 	}
 	// transport_overhead is a ceiling, not a floor: the TCP leg is allowed
 	// to cost more than in-process, but not unboundedly more.

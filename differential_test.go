@@ -40,7 +40,7 @@ func TestParallelBarrierDifferential(t *testing.T) {
 				ariadne.WithMaxSupersteps(tc.steps),
 				ariadne.WithPartitions(8),
 				ariadne.WithCombiner(tc.combiner),
-				ariadne.WithSequentialBarrier())
+				ariadne.SequentialBarrier())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestParallelBarrierDifferential(t *testing.T) {
 				ariadne.WithPartitions(8),
 				ariadne.WithCombiner(tc.combiner),
 				ariadne.WithCaptureQuery(queries.CaptureFull(), ariadne.StoreConfig{}),
-				ariadne.WithSequentialBarrier())
+				ariadne.SequentialBarrier())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -149,9 +148,8 @@ func (mixedProg) Compute(ctx *engine.Context, _ []engine.IncomingMessage) error 
 
 // TestCutKeepsErrorContractDrivers runs the rule whose head is bound before
 // its message scan but whose later message fails M mod 2 through every
-// driver: online, layered (compiled, and materialised at 1, 2 and 8
-// workers) and naive must all report the Float's failure, none stopping at
-// the Int witness before it.
+// driver: online, layered (compiled and materialised) and naive must all
+// report the Float's failure, none stopping at the Int witness before it.
 func TestCutKeepsErrorContractDrivers(t *testing.T) {
 	g, err := graph.NewFromEdges(3, []graph.Edge{{Src: 0, Dst: 2, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}})
 	if err != nil {
@@ -175,9 +173,7 @@ func TestCutKeepsErrorContractDrivers(t *testing.T) {
 	}
 	_, errs["online"] = e.Run()
 	_, errs["layered"] = Layered(build(), store, g)
-	for _, w := range []int{1, 2, 8} {
-		_, errs[fmt.Sprintf("layered/materialised@%d", w)] = Layered(build(), store, g, EvalWorkers(w), materialised())
-	}
+	_, errs["layered/materialised"] = Layered(build(), store, g, materialised())
 	_, errs["naive"] = Naive(build(), store, g, 0)
 	for leg, err := range errs {
 		if err == nil || !strings.HasSuffix(err.Error(), want) {

@@ -105,10 +105,13 @@ func (n *unfoldedNode) memSize() int64 {
 // bytes (unfolded graph plus evaluation database); exceeding it returns
 // ErrNaiveBudget — the paper's "Naive was not able to scale beyond the two
 // smallest datasets".
-func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBudget int64, opts ...EvalOpt) (*Result, error) {
-	cfg := resolveEvalConfig(opts)
-	// Phase 1: full materialization of the unfolded provenance graph.
+func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBudget int64) (*Result, error) {
+	// Phase 1: full materialization of the unfolded provenance graph. The
+	// map resolves evolution pointers; the slice keeps the nodes in capture
+	// order, so the facts (and the relations' insertion order) are fed
+	// deterministically.
 	nodes := make(map[uint64]*unfoldedNode)
+	var order []*unfoldedNode
 	key := func(v graph.VertexID, ss int) uint64 { return uint64(v)<<32 | uint64(uint32(ss)) }
 	var unfoldedBytes int64
 	for i := 0; i < store.NumLayers(); i++ {
@@ -126,6 +129,7 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 				n.evolution = nodes[key(r.Vertex, int(r.PrevActive))]
 			}
 			nodes[key(r.Vertex, l.Superstep)] = n
+			order = append(order, n)
 			unfoldedBytes += n.memSize()
 		}
 		if memoryBudget > 0 && unfoldedBytes > memoryBudget {
@@ -139,11 +143,10 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 	if err != nil {
 		return nil, err
 	}
-	ev.SetWorkers(cfg.workers)
 	f := newFeeder(ev, g, q, false)
 	f.prov = store
 	f.feedStatic()
-	for _, n := range nodes {
+	for _, n := range order {
 		rec := record{
 			vertex:     n.vertex,
 			superstep:  n.superstep,
@@ -186,7 +189,6 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 	// The unfolded graph must stay resident throughout evaluation; keep it
 	// alive until here.
 	_ = nodes
-	mirrorEvalStats(cfg.metrics, "naive", ev.Stats())
 	return &Result{q: q, db: db, ev: ev, Facts: f.FactCount}, nil
 }
 
@@ -230,9 +232,7 @@ type Online struct {
 }
 
 // NewOnline prepares online evaluation of q over graph g. Only forward and
-// local queries qualify (Theorem 5.4 covers exactly these). Options tune
-// the materialised path: EvalWorkers enables shard-parallel delta rounds on
-// each superstep's fixpoint.
+// local queries qualify (Theorem 5.4 covers exactly these).
 func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, error) {
 	if !q.Class.OnlineEvaluable() {
 		return nil, fmt.Errorf("driver: %v queries cannot run online; capture provenance and query offline", q.Class)
@@ -248,7 +248,6 @@ func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, err
 	if err != nil {
 		return nil, err
 	}
-	ev.SetWorkers(cfg.workers)
 	o.ev = ev
 	o.f = newFeeder(ev, g, q, true)
 	o.f.feedStatic()
@@ -337,13 +336,11 @@ func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
 }
 
 // Finish implements engine.Observer: the compiled path completes its
-// global rules over the final relations; the materialised path publishes
-// its parallel-round counters.
+// global rules over the final relations.
 func (o *Online) Finish(int) error {
 	if o.compiled != nil {
 		return o.compiled.FinishRun()
 	}
-	mirrorEvalStats(o.metrics, o.name, o.ev.Stats())
 	return nil
 }
 

@@ -14,8 +14,7 @@ import (
 // and local queries, descending for backward queries — and evaluated before
 // the next is read, so working memory holds one layer plus the query's
 // relations and the evaluation takes n passes for n layers (Lemma 5.3).
-// Mixed queries are rejected (Def. 5.2). EvalWorkers enables shard-parallel
-// delta rounds on the materialised path.
+// Mixed queries are rejected (Def. 5.2).
 func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ...EvalOpt) (*Result, error) {
 	if !q.Class.LayeredEvaluable() {
 		return nil, fmt.Errorf("driver: %v queries cannot be evaluated layered; use naive mode", q.Class)
@@ -35,7 +34,6 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 		if err != nil {
 			return nil, err
 		}
-		ev.SetWorkers(cfg.workers)
 		f = newFeeder(ev, g, q, ascending)
 		f.prov = store
 		f.feedStatic()
@@ -80,6 +78,5 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 	} else {
 		res.Facts = f.FactCount
 	}
-	mirrorEvalStats(cfg.metrics, "layered", res.EvalStats())
 	return res, nil
 }

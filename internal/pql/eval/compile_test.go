@@ -113,13 +113,13 @@ var lowerOutcomes = map[string]int{}
 
 // checkLowering is the three-way differential over one program and record
 // stream: the oracle interpreter, the materialised Evaluator's slot programs
-// at 1, 2 and 8 workers, and — when the query compiles — the record-sourced
-// lowering. The oracle and the one-worker Evaluator must agree tuple for
-// tuple in insertion order (set-wise under aggregates, whose group flush
-// order is a map's); every other leg must derive the same sets. A run-time
-// error (a type error, a failing UDF) must hit the oracle and the one-worker
-// Evaluator alike; the other legs join in a different order, so which
-// valuation trips first is theirs and they are then not compared.
+// and — when the query compiles — the record-sourced lowering. The oracle and
+// the Evaluator must agree tuple for tuple in insertion order (set-wise under
+// aggregates, whose group flush order is a map's); the record-sourced leg
+// must derive the same sets. A run-time error (a type error, a failing UDF)
+// must hit the oracle and the Evaluator alike; the record-sourced leg joins in
+// a different order, so which valuation trips first is its own and it is then
+// not compared.
 func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers [][]RecordView) error {
 	q, err := build()
 	if err != nil {
@@ -147,35 +147,25 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 	want := insertionOrder(q, odb, !ordered)
 	wantSet := insertionOrder(q, odb, true)
 
-	for _, workers := range []int{1, 2, 8} {
-		qe, _ := build()
-		edb := NewDatabase()
-		ev, err := NewEvaluator(qe, edb)
-		if err != nil {
-			// The lowering rejects statically what the oracle can reject
-			// only once data reaches the literal (or never, on this data).
-			lowerOutcomes["lowering rejected"]++
-			return nil
-		}
-		ev.SetWorkers(workers)
-		err = feedLayers(ev, sg, layers, forward)
-		if workers == 1 {
-			if (err == nil) != (oerr == nil) || (err != nil && err.Error() != oerr.Error()) {
-				return fmt.Errorf("run-time verdicts differ: oracle %v, slots %v", oerr, err)
-			}
-			if err == nil {
-				if err := sameRelations("slots@1 vs oracle", want, insertionOrder(qe, edb, !ordered)); err != nil {
-					return err
-				}
-			}
-		}
-		if err != nil || oerr != nil {
-			lowerOutcomes["run-time error"]++
-			return nil
-		}
-		if err := sameRelations(fmt.Sprintf("slots@%d vs oracle", workers), wantSet, insertionOrder(qe, edb, true)); err != nil {
-			return err
-		}
+	qe, _ := build()
+	edb := NewDatabase()
+	ev, err := NewEvaluator(qe, edb)
+	if err != nil {
+		// The lowering rejects statically what the oracle can reject
+		// only once data reaches the literal (or never, on this data).
+		lowerOutcomes["lowering rejected"]++
+		return nil
+	}
+	err = feedLayers(ev, sg, layers, forward)
+	if (err == nil) != (oerr == nil) || (err != nil && err.Error() != oerr.Error()) {
+		return fmt.Errorf("run-time verdicts differ: oracle %v, slots %v", oerr, err)
+	}
+	if err != nil {
+		lowerOutcomes["run-time error"]++
+		return nil
+	}
+	if err := sameRelations("slots vs oracle", want, insertionOrder(qe, edb, !ordered)); err != nil {
+		return err
 	}
 
 	qc, _ := build()
@@ -518,7 +508,7 @@ pair(X, I, J) :- seen(X, I), seen(X, J), I < J.
 }
 
 // legErrors evaluates src over layers on every leg — the oracle, the
-// materialised Evaluator at 1, 2 and 8 workers, and the record-sourced
+// materialised Evaluator, and the record-sourced
 // program fed one Layer call per superstep, which is how both the online and
 // the layered driver run it — and returns each leg's error, plus the
 // compiled query.
@@ -531,14 +521,11 @@ func legErrors(t *testing.T, src string, sg StaticGraph, layers [][]RecordView) 
 		t.Fatal(err)
 	}
 	errs["oracle"] = feedLayers(orc, sg, layers, true)
-	for _, w := range []int{1, 2, 8} {
-		ev, err := NewEvaluator(build(), NewDatabase())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev.SetWorkers(w)
-		errs[fmt.Sprintf("materialised@%d", w)] = feedLayers(ev, sg, layers, true)
+	ev, err := NewEvaluator(build(), NewDatabase())
+	if err != nil {
+		t.Fatal(err)
 	}
+	errs["materialised"] = feedLayers(ev, sg, layers, true)
 	c, err := Compile(build(), NewDatabase(), sg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,6 @@ package eval
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
@@ -19,13 +17,9 @@ import (
 // programs (slots.go) in NewEvaluator; a rule shape the lowering rejects is
 // a positioned error there, never a run-time one.
 //
-// With SetWorkers(n > 1) and a VC-compatible query, parallel-safe strata run
-// their large delta rounds shard-parallel: the round's delta is split across
-// n shards by each predicate's location column (the engine's partition
-// hash), one worker goroutine runs the same programs over each shard against
-// the frozen relations, and derived tuples are merged back in a canonical
-// order (rule, then shard, then emission order) so the final relations — and
-// their insertion order — are independent of scheduling.
+// Evaluation runs on the calling goroutine: every delta round fires the
+// stratum's rules in order and inserts each derived tuple as it is emitted,
+// so the relations' insertion order is a function of the facts alone.
 type Evaluator struct {
 	q  *analysis.Query
 	db *Database
@@ -34,27 +28,10 @@ type Evaluator struct {
 	aggs    map[string]*aggTable // aggregate head pred -> state
 	pending map[string][]Tuple
 
-	workers int              // shard count; <= 1 never fans a round out
-	parSafe []bool           // per-stratum shard-parallel safety
-	locCols map[string]int   // per-predicate location column (-1: whole-tuple hash)
-	rn      slotRun          // scratch of the sequential rounds
-	headKey []byte           // the sequential insert's canonical-key scratch
-	scratch []*workerScratch // per shard worker, reused across rounds
+	rn      slotRun // scratch of the delta rounds
+	headKey []byte  // the insert's canonical-key scratch
 
-	stats statCounters
-}
-
-// statCounters are the evaluator's internal work counters. They are atomics
-// because shard workers increment derivation counts concurrently; Stats()
-// snapshots them into the plain Stats struct.
-type statCounters struct {
-	rounds         atomic.Int64
-	parallelRounds atomic.Int64
-	derivations    atomic.Int64
-	factsAdded     atomic.Int64
-	exchanged      atomic.Int64
-	maxShardDelta  atomic.Int64
-	perStratum     []atomic.Int64
+	stats Stats
 }
 
 // Stats is a snapshot of evaluation work counters.
@@ -62,16 +39,6 @@ type Stats struct {
 	Rounds      int
 	Derivations int64
 	FactsAdded  int64
-
-	// ParallelRounds counts the delta rounds that ran shard-parallel
-	// (always <= Rounds; zero on the sequential path).
-	ParallelRounds int
-	// ExchangeTuples counts derived tuples whose home shard differed from
-	// the worker that derived them — the per-round exchange volume.
-	ExchangeTuples int64
-	// MaxShardDelta is the largest per-shard delta batch seen in any
-	// parallel round, a skew indicator.
-	MaxShardDelta int
 	// RoundsPerStratum breaks Rounds down by stratum index.
 	RoundsPerStratum []int
 }
@@ -83,12 +50,9 @@ func NewEvaluator(q *analysis.Query, db *Database) (*Evaluator, error) {
 		plans:   map[*pql.Rule]*rulePlan{},
 		aggs:    map[string]*aggTable{},
 		pending: map[string][]Tuple{},
-		workers: 1,
-		parSafe: q.ParallelSafeStrata(),
-		locCols: q.LocationCols(),
 		rn:      slotRun{db: db},
 	}
-	e.stats.perStratum = make([]atomic.Int64, len(q.Strata))
+	e.stats.RoundsPerStratum = make([]int, len(q.Strata))
 	for _, r := range q.Rules {
 		plan, err := planRule(r)
 		if err != nil {
@@ -105,8 +69,7 @@ func NewEvaluator(q *analysis.Query, db *Database) (*Evaluator, error) {
 			e.aggs[r.Head.Pred] = newAggTable(r, plan)
 		}
 	}
-	// Pre-create IDB relations so negation over empty IDBs works — and so
-	// shard workers never race on Database.Relation's map mutation.
+	// Pre-create IDB relations so negation over empty IDBs works.
 	for name, arity := range q.IDBs {
 		db.Relation(name, arity)
 	}
@@ -115,37 +78,10 @@ func NewEvaluator(q *analysis.Query, db *Database) (*Evaluator, error) {
 
 // Stats returns a snapshot of the evaluation counters.
 func (e *Evaluator) Stats() Stats {
-	s := Stats{
-		Rounds:           int(e.stats.rounds.Load()),
-		Derivations:      e.stats.derivations.Load(),
-		FactsAdded:       e.stats.factsAdded.Load(),
-		ParallelRounds:   int(e.stats.parallelRounds.Load()),
-		ExchangeTuples:   e.stats.exchanged.Load(),
-		MaxShardDelta:    int(e.stats.maxShardDelta.Load()),
-		RoundsPerStratum: make([]int, len(e.stats.perStratum)),
-	}
-	for i := range e.stats.perStratum {
-		s.RoundsPerStratum[i] = int(e.stats.perStratum[i].Load())
-	}
+	s := e.stats
+	s.RoundsPerStratum = append([]int(nil), e.stats.RoundsPerStratum...)
 	return s
 }
-
-// SetWorkers sets the shard-parallel worker count for subsequent Fixpoint
-// calls; n <= 1 (the default) never fans a round out. The worker count only
-// chooses whether a large round is split over shards of the same programs —
-// never which machinery evaluates a rule. Parallel rounds require a
-// VC-compatible query (Def. 4.1): remote access only follows message edges
-// whose destination is computable from the tuple, which is what makes the
-// per-round exchange legal. For incompatible queries the setting is ignored.
-func (e *Evaluator) SetWorkers(n int) {
-	if n < 1 || !e.q.VCCompatible {
-		n = 1
-	}
-	e.workers = n
-}
-
-// Workers returns the configured shard-parallel worker count.
-func (e *Evaluator) Workers() int { return e.workers }
 
 // AddFact queues an EDB (or externally derived) fact for the next Fixpoint.
 func (e *Evaluator) AddFact(pred string, t Tuple) {
@@ -154,10 +90,6 @@ func (e *Evaluator) AddFact(pred string, t Tuple) {
 
 // Result returns the relation for pred (IDB or EDB), or nil.
 func (e *Evaluator) Result(pred string) *Relation { return e.db.Get(pred) }
-
-// parallelCutoff is the minimum round-delta size before a round fans out to
-// shard workers; smaller deltas aren't worth the goroutine handoff.
-const parallelCutoff = 64
 
 // Fixpoint runs all strata to fixpoint over the pending deltas.
 func (e *Evaluator) Fixpoint() error {
@@ -169,16 +101,9 @@ func (e *Evaluator) Fixpoint() error {
 		// own derivations (recursion).
 		delta := newSince
 		for {
-			e.stats.rounds.Add(1)
-			e.stats.perStratum[si].Add(1)
-			var derived map[string][]Tuple
-			var err error
-			if e.parallelOK(si, delta) {
-				e.stats.parallelRounds.Add(1)
-				derived, err = e.parallelRound(stratum, delta)
-			} else {
-				derived, err = e.sequentialRound(stratum, delta)
-			}
+			e.stats.Rounds++
+			e.stats.RoundsPerStratum[si]++
+			derived, err := e.sequentialRound(stratum, delta)
 			if err != nil {
 				return err
 			}
@@ -198,74 +123,26 @@ func (e *Evaluator) Fixpoint() error {
 
 // drainPending inserts the queued facts; the ones actually new seed the
 // delta sets. Predicates are drained in sorted name order so the seed delta
-// — and everything derived from it — is deterministic. With workers
-// configured, per-predicate ingest fans out (relations are disjoint, so the
-// only shared state is the atomic counter); the per-predicate insertion
-// order is preserved either way.
+// — and everything derived from it — is deterministic.
 func (e *Evaluator) drainPending() map[string][]Tuple {
 	newSince := map[string][]Tuple{}
 	pendNames := make([]string, 0, len(e.pending))
-	total := 0
-	for name, ts := range e.pending {
+	for name := range e.pending {
 		pendNames = append(pendNames, name)
-		total += len(ts)
 	}
 	sort.Strings(pendNames)
-	if e.workers > 1 && len(pendNames) > 1 && total >= parallelCutoff {
-		rels := make([]*Relation, len(pendNames))
-		for i, name := range pendNames {
-			rels[i] = e.db.Relation(name, len(e.pending[name][0]))
-		}
-		news := make([][]Tuple, len(pendNames))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, e.workers)
-		for i := range pendNames {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				rel := rels[i]
-				for _, t := range e.pending[pendNames[i]] {
-					if rel.Insert(t) {
-						news[i] = append(news[i], t)
-						e.stats.factsAdded.Add(1)
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i, name := range pendNames {
-			if len(news[i]) > 0 {
-				newSince[name] = news[i]
-			}
-		}
-	} else {
-		for _, name := range pendNames {
-			ts := e.pending[name]
-			rel := e.db.Relation(name, len(ts[0]))
-			for _, t := range ts {
-				if rel.Insert(t) {
-					newSince[name] = append(newSince[name], t)
-					e.stats.factsAdded.Add(1)
-				}
+	for _, name := range pendNames {
+		ts := e.pending[name]
+		rel := e.db.Relation(name, len(ts[0]))
+		for _, t := range ts {
+			if rel.Insert(t) {
+				newSince[name] = append(newSince[name], t)
+				e.stats.FactsAdded++
 			}
 		}
 	}
 	e.pending = map[string][]Tuple{}
 	return newSince
-}
-
-// parallelOK reports whether this round should fan out to shard workers.
-func (e *Evaluator) parallelOK(stratum int, delta map[string][]Tuple) bool {
-	if e.workers <= 1 || !e.parSafe[stratum] {
-		return false
-	}
-	n := 0
-	for _, ts := range delta {
-		n += len(ts)
-	}
-	return n >= parallelCutoff
 }
 
 // sequentialRound fires every rule of the stratum against the round delta on
@@ -279,7 +156,7 @@ func (e *Evaluator) sequentialRound(stratum []*pql.Rule, delta map[string][]Tupl
 		insert := func(t Tuple) error {
 			if c, ok := head.insertCopy(t, &e.headKey); ok {
 				derived[pred] = append(derived[pred], c)
-				e.stats.derivations.Add(1)
+				e.stats.Derivations++
 			}
 			return nil
 		}

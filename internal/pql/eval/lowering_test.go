@@ -244,7 +244,7 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 // FuzzRuleLowering is the semantic fuzz smoke for the rule IR: a seed
 // program (chosen by base) extended with random rules, over a small random
 // record stream, must evaluate identically on the oracle interpreter, the
-// slot programs at 1, 2 and 8 workers and the record-sourced lowering — or
+// slot programs and the record-sourced lowering — or
 // be rejected by all of them (see checkLowering for the exact contract).
 func FuzzRuleLowering(f *testing.F) {
 	bases := fuzzBases(f)

@@ -120,6 +120,15 @@ func (rn *slotRun) factsByFirstArg(si int, table string, h uint64, fn func(*engi
 	return nil
 }
 
+// fnvSum is FNV-1a over b.
+func fnvSum(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
+}
+
 // StaticGraph exposes the input graph to edge/edge_value steps.
 type StaticGraph interface {
 	NumVertices() int

@@ -42,9 +42,9 @@ func (t Tuple) Clone() Tuple {
 // Concurrency contract: concurrent readers (Lookup/LookupKey/Contains/All)
 // are safe with each other — lazy index construction is serialized behind
 // mu, and everything else they touch is read-only. Mutations (Insert,
-// Delete, Clear) must not overlap with readers or each other; the parallel
-// evaluator guarantees this by alternating read-only worker phases with a
-// single-goroutine merge phase.
+// Delete, Clear) must not overlap with readers or each other: a caller that
+// reads a relation from several goroutines keeps its writes to phases in
+// which no reader runs.
 type Relation struct {
 	arity int
 	rows  map[string]Tuple
@@ -73,15 +73,10 @@ func (r *Relation) Len() int { return len(r.rows) }
 
 // Insert adds t, reporting whether it was new. The tuple is retained.
 func (r *Relation) Insert(t Tuple) bool {
-	return r.InsertKeyed(t.Key(), t)
-}
-
-// InsertKeyed is Insert with the tuple's canonical key already computed
-// (the parallel merge phase reuses the key computed by shard workers).
-func (r *Relation) InsertKeyed(k string, t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("eval: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
+	k := t.Key()
 	if _, ok := r.rows[k]; ok {
 		return false
 	}
@@ -196,7 +191,7 @@ func (r *Relation) LookupKey(cols []int, colsKey string, key []byte) []Tuple {
 }
 
 // index returns the hash index on cols, building it under the lock on first
-// use so concurrent lookups from shard workers race safely.
+// use so concurrent lookups race safely.
 func (r *Relation) index(ck string, cols []int) *index {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -3,6 +3,7 @@ package eval
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -223,4 +224,68 @@ func TestTupleKeyAgreesWithEqual(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no transitive pairs checked")
 	}
+}
+
+// TestRelationMemSizePinned pins the MemSize estimate: tuples plus the
+// overhead of every built index, computed by hand from the documented
+// constants.
+func TestRelationMemSizePinned(t *testing.T) {
+	r := NewRelation(2)
+	r.Insert(ints(1, 2))
+	r.Insert(ints(1, 3))
+	r.Insert(ints(2, 3))
+	var tupleBytes int64
+	for _, tu := range r.All() {
+		tupleBytes += memTupleOverhead
+		for _, v := range tu {
+			tupleBytes += int64(v.MemSize())
+		}
+	}
+	if got := r.MemSize(); got != tupleBytes {
+		t.Fatalf("unindexed MemSize = %d, want %d", got, tupleBytes)
+	}
+
+	// Build an index on column 0: buckets {1} -> 2 tuples, {2} -> 1 tuple.
+	r.Lookup([]int{0}, []value.Value{value.NewInt(1)})
+	keyLen := int64(len(projKey(ints(1, 2), []int{0})))
+	indexBytes := int64(memIndexOverhead) +
+		(memBucketOverhead + keyLen + 2*memEntryPointer) + // bucket 1
+		(memBucketOverhead + keyLen + 1*memEntryPointer) // bucket 2
+	if got := r.MemSize(); got != tupleBytes+indexBytes {
+		t.Fatalf("indexed MemSize = %d, want %d (tuples %d + index %d)", got, tupleBytes+indexBytes, tupleBytes, indexBytes)
+	}
+
+	// A second index adds its own overhead; inserts keep both maintained.
+	r.Lookup([]int{1}, []value.Value{value.NewInt(3)})
+	if got, prev := r.MemSize(), tupleBytes+indexBytes; got <= prev {
+		t.Fatalf("second index did not grow MemSize: %d <= %d", got, prev)
+	}
+}
+
+// TestRelationConcurrentLookup: concurrent readers may race on lazy index
+// construction; run under -race this verifies the lock discipline.
+func TestRelationConcurrentLookup(t *testing.T) {
+	r := NewRelation(2)
+	for i := 0; i < 500; i++ {
+		r.Insert(ints(int64(i%50), int64(i)))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := int64((w*7 + i) % 50)
+				if got := r.Lookup([]int{0}, []value.Value{value.NewInt(k)}); len(got) != 10 {
+					t.Errorf("lookup %d: %d tuples, want 10", k, len(got))
+					return
+				}
+				if !r.ContainsKey(ints(k, k).Key()) && k >= 50 {
+					t.Errorf("unexpected membership for %d", k)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

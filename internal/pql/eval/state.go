@@ -128,9 +128,9 @@ func (c *Compiled) LoadState(r *value.BlobReader) error {
 // database: work counters and the aggregate group tables (incremental
 // SUM/COUNT/AVG/MIN/MAX accumulators with their dedup sets).
 func (e *Evaluator) SaveState(w *value.Blob) {
-	w.Uvarint(uint64(e.stats.rounds.Load()))
-	w.Uvarint(uint64(e.stats.derivations.Load()))
-	w.Uvarint(uint64(e.stats.factsAdded.Load()))
+	w.Uvarint(uint64(e.stats.Rounds))
+	w.Uvarint(uint64(e.stats.Derivations))
+	w.Uvarint(uint64(e.stats.FactsAdded))
 	preds := make([]string, 0, len(e.aggs))
 	for p := range e.aggs {
 		preds = append(preds, p)
@@ -176,12 +176,11 @@ func (e *Evaluator) SaveState(w *value.Blob) {
 // LoadState restores a SaveState snapshot taken from an Evaluator built for
 // the same query.
 func (e *Evaluator) LoadState(r *value.BlobReader) error {
-	// The blob carries the three seed counters only; the parallel-round
-	// breakdown (per-stratum rounds, exchange volume) restarts at zero on
-	// resume.
-	e.stats.rounds.Store(int64(r.Uvarint()))
-	e.stats.derivations.Store(int64(r.Uvarint()))
-	e.stats.factsAdded.Store(int64(r.Uvarint()))
+	// The blob carries the three seed counters only; the per-stratum round
+	// breakdown restarts at zero on resume.
+	e.stats.Rounds = int(r.Uvarint())
+	e.stats.Derivations = int64(r.Uvarint())
+	e.stats.FactsAdded = int64(r.Uvarint())
 	e.pending = map[string][]Tuple{}
 	nPreds := r.Count()
 	for i := 0; i < nPreds && r.Err() == nil; i++ {

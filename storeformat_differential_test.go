@@ -11,6 +11,7 @@ import (
 
 	"ariadne"
 	"ariadne/internal/analytics"
+	"ariadne/internal/driver"
 	"ariadne/internal/engine"
 	"ariadne/internal/gen"
 	"ariadne/internal/provenance"
@@ -54,21 +55,21 @@ func TestStoreFormatDifferential(t *testing.T) {
 			// leg; v1 projected (table-level), v2 unprojected, and v2
 			// projected (column-level partial reads) must all agree with it.
 			for _, d := range tc.offline {
-				ref, err := ariadne.QueryOffline(d, v1, g, ariadne.ModeLayered, 0, ariadne.NoProjection())
+				ref, err := driver.Layered(d.MustBuild(), v1, g, driver.NoProjection())
 				if err != nil {
 					t.Fatal(err)
 				}
 				legs := []struct {
 					name  string
 					store *ariadne.Store
-					opts  []ariadne.EvalOption
+					opts  []driver.EvalOpt
 				}{
 					{"v1/projected", v1, nil},
-					{"v2/unprojected", v2, []ariadne.EvalOption{ariadne.NoProjection()}},
+					{"v2/unprojected", v2, []driver.EvalOpt{driver.NoProjection()}},
 					{"v2/projected", v2, nil},
 				}
 				for _, leg := range legs {
-					got, err := ariadne.QueryOffline(d, leg.store, g, ariadne.ModeLayered, 0, leg.opts...)
+					got, err := driver.Layered(d.MustBuild(), leg.store, g, leg.opts...)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", d.Name, leg.name, err)
 					}
