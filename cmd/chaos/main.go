@@ -91,8 +91,9 @@ type driver struct {
 	err     error
 }
 
-func (d *driver) NeedsRawMessages() bool { return false }
-func (d *driver) Finish(int) error       { return nil }
+func (d *driver) NeedsRawMessages() bool                         { return false }
+func (*driver) ObservePartition(int, int, []engine.VertexRecord) {}
+func (d *driver) Finish(int) error                               { return nil }
 
 func (d *driver) ObserveSuperstep(v *engine.SuperstepView) error {
 	for d.next < len(d.plan.Events) && d.plan.Events[d.next].Superstep <= v.Superstep {

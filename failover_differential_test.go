@@ -55,8 +55,9 @@ type killRejoin struct {
 	target           *failoverWorker
 }
 
-func (o *killRejoin) NeedsRawMessages() bool { return false }
-func (o *killRejoin) Finish(int) error       { return nil }
+func (o *killRejoin) NeedsRawMessages() bool                         { return false }
+func (*killRejoin) ObservePartition(int, int, []engine.VertexRecord) {}
+func (o *killRejoin) Finish(int) error                               { return nil }
 func (o *killRejoin) ObserveSuperstep(v *engine.SuperstepView) error {
 	switch v.Superstep {
 	case o.killAt:

@@ -305,13 +305,14 @@ type sideObserver struct {
 	sawErrFacts bool
 }
 
-func (o *sideObserver) NeedsRawMessages() bool { return false }
+func (o *sideObserver) NeedsRawMessages() bool                         { return false }
+func (*sideObserver) ObservePartition(int, int, []engine.VertexRecord) {}
 func (o *sideObserver) ObserveSuperstep(v *engine.SuperstepView) error {
 	if o.sides == nil {
 		o.sides = map[int]sideCount{}
 	}
 	sc := o.sides[v.Superstep]
-	for _, r := range v.Records {
+	for _, r := range v.Records() {
 		// Count only vertices that actually recomputed their value.
 		if len(r.Received) == 0 && v.Superstep > 0 {
 			continue

@@ -187,9 +187,10 @@ type boundObserver struct {
 	violations int
 }
 
-func (o *boundObserver) NeedsRawMessages() bool { return false }
+func (o *boundObserver) NeedsRawMessages() bool                         { return false }
+func (*boundObserver) ObservePartition(int, int, []engine.VertexRecord) {}
 func (o *boundObserver) ObserveSuperstep(v *engine.SuperstepView) error {
-	for _, r := range v.Records {
+	for _, r := range v.Records() {
 		b := r.NewValue.Vec()[0]
 		if prev, ok := o.last[r.ID]; ok && b > prev {
 			o.violations++

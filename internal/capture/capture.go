@@ -126,6 +126,10 @@ func (o *Observer) SetDegradation(deg *supervise.DegradeState, inj *fault.Inject
 // Degraded returns the degradation state (nil unless armed).
 func (o *Observer) Degraded() *supervise.DegradeState { return o.deg }
 
+// ObservePartition implements engine.Observer: capture appends the merged
+// records at the barrier, so it does nothing per partition.
+func (o *Observer) ObservePartition(int, int, []engine.VertexRecord) {}
+
 // NeedsRawMessages implements engine.Observer.
 func (o *Observer) NeedsRawMessages() bool {
 	return o.policy.NeedsRaw() || o.policy.TaintSource != nil
@@ -148,8 +152,9 @@ func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
 	var newTaints []graph.VertexID
 	var nValues, nSends, nFlags, nRecvs int64
 	var nEmitted map[string]int64
-	for i := range v.Records {
-		rec := &v.Records[i]
+	recs := v.Records()
+	for i := range recs {
+		rec := &recs[i]
 		if skip != nil && skip[v.Engine.PartitionOf(rec.ID)] {
 			continue
 		}
@@ -236,8 +241,9 @@ func (o *Observer) partitionHealth(v *engine.SuperstepView) (map[int]bool, error
 	}
 	ss := v.Superstep
 	seen := map[int]bool{}
-	for i := range v.Records {
-		seen[v.Engine.PartitionOf(v.Records[i].ID)] = true
+	recs := v.Records()
+	for i := range recs {
+		seen[v.Engine.PartitionOf(recs[i].ID)] = true
 	}
 	parts := make([]int, 0, len(seen))
 	for p := range seen {

@@ -13,7 +13,7 @@ import (
 )
 
 func view(ss int, recs ...engine.VertexRecord) *engine.SuperstepView {
-	return &engine.SuperstepView{Superstep: ss, Records: recs}
+	return engine.NewSuperstepView(ss, recs)
 }
 
 func rec(id graph.VertexID, prev int, val float64, sent []engine.SentMessage, recv []engine.IncomingMessage) engine.VertexRecord {

@@ -90,6 +90,7 @@ func (o *Online) UnmarshalCheckpoint(data []byte) error {
 		if err := o.compiled.LoadState(r); err != nil {
 			return err
 		}
+		o.noted = o.compiled.DerivedTuples()
 		if _, err := loadVertexValues(r); err != nil {
 			return err
 		}

@@ -157,34 +157,3 @@ func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
 	}
 	return vb.views
 }
-
-// engineViews writes the views of live engine records (online mode) into
-// dst, reused across supersteps. Each view is a header over the record: its
-// message and fact slices are the engine's own, borrowed for the duration
-// of the ObserveSuperstep call. The engine supplies each record's previous
-// value itself.
-func engineViews(dst []eval.RecordView, recs []engine.VertexRecord) []eval.RecordView {
-	dst = slices.Grow(dst[:0], len(recs))[:len(recs)]
-	for i := range recs {
-		r := &recs[i]
-		rv := eval.RecordView{
-			Vertex:     int64(r.ID),
-			Superstep:  int64(r.Superstep),
-			HasValue:   true,
-			Value:      r.NewValue,
-			PrevActive: int64(r.PrevActive),
-			SentAny:    len(r.Sent) > 0,
-			Sends:      r.Sent,
-			Recvs:      r.Received,
-			Emitted:    r.Emitted,
-		}
-		if r.PrevActive >= 0 {
-			// The engine's OldValue is the value after the previous compute,
-			// i.e. exactly the value at PrevActive.
-			rv.PrevValue = r.OldValue
-			rv.HasPrevValue = true
-		}
-		dst[i] = rv
-	}
-	return dst
-}

@@ -196,7 +196,10 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 // lockstep with the analytic (paper §5.2, Theorem 5.4): each superstep's
 // transient provenance is fed as a delta batch and the query fixpoint runs
 // before the next superstep. At the end of the analytic both its result and
-// the query result exist; nothing is captured.
+// the query result exist; nothing is captured. On the compiled path the
+// in-partition strata run in ObservePartition, on each engine partition's
+// goroutine, and ObserveSuperstep merges their tuples and runs the barrier
+// strata.
 type Online struct {
 	q  *analysis.Query
 	db *eval.Database
@@ -204,7 +207,7 @@ type Online struct {
 	// Compiled path (the paper's "query vertex program"): rules evaluate
 	// directly against the transient records, no EDB materialization.
 	compiled *eval.Compiled
-	views    []eval.RecordView // reused across supersteps (engineViews)
+	views    []eval.RecordView // barrier strata's views, reused across supersteps
 
 	// Materialised path (aggregates, EDBs that are not record-local).
 	ev *eval.Evaluator
@@ -229,6 +232,11 @@ type Online struct {
 	// provenance capture was shed too), keeping the online view consistent
 	// with what offline evaluation of the degraded store would derive.
 	deg *supervise.DegradeState
+	// shed is deg.Shed, bound once (nil without deg).
+	shed func(p int) bool
+	// noted is the compiled path's DerivedTuples already counted as
+	// piggyback (static tuples count towards the first superstep).
+	noted int64
 }
 
 // NewOnline prepares online evaluation of q over graph g. Only forward and
@@ -242,6 +250,10 @@ func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, err
 	o := &Online{q: q, db: db}
 	if c, ok := tryCompile(q, db, g, cfg); ok {
 		o.compiled = c
+		// Static rules run here, before superstep 0 and never on a partition
+		// goroutine; an error is reported by the first superstep's
+		// ObserveSuperstep, which calls BeginRun again.
+		_ = c.BeginRun()
 		return o, nil
 	}
 	ev, err := eval.NewEvaluator(q, db)
@@ -268,23 +280,29 @@ func (o *Online) SetMetrics(m *obs.Metrics, name string) {
 // SetDegrade attaches the degradation state shared with the supervisor so
 // online evaluation sheds piggybacking alongside capture. nil keeps all
 // records flowing.
-func (o *Online) SetDegrade(d *supervise.DegradeState) { o.deg = d }
+func (o *Online) SetDegrade(d *supervise.DegradeState) {
+	o.deg, o.shed = d, nil
+	if d != nil {
+		o.shed = d.Shed
+	}
+}
 
 // shedRecords returns v's records with those of shed partitions removed.
 // The common case (no degradation) returns the original slice untouched.
 func (o *Online) shedRecords(v *engine.SuperstepView) []engine.VertexRecord {
+	recs := v.Records()
 	if o.deg == nil || !o.deg.AnyShed() {
-		return v.Records
+		return recs
 	}
 	if o.deg.Shed(-1) {
 		return nil
 	}
-	out := make([]engine.VertexRecord, 0, len(v.Records))
-	for i := range v.Records {
-		if o.deg.Shed(v.Engine.PartitionOf(v.Records[i].ID)) {
+	out := make([]engine.VertexRecord, 0, len(recs))
+	for i := range recs {
+		if o.deg.Shed(v.Engine.PartitionOf(recs[i].ID)) {
 			continue
 		}
-		out = append(out, v.Records[i])
+		out = append(out, recs[i])
 	}
 	return out
 }
@@ -312,18 +330,28 @@ func (o *Online) NeedsRawMessages() bool {
 	return n.recv || n.send
 }
 
-// ObserveSuperstep implements engine.Observer.
-func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
-	recs := o.shedRecords(v)
+// ObservePartition implements engine.Observer: the compiled query's
+// in-partition strata evaluate partition p's records on p's goroutine.
+func (o *Online) ObservePartition(p, superstep int, recs []engine.VertexRecord) {
 	if o.compiled != nil {
-		before := o.compiled.DerivedTuples()
-		o.views = engineViews(o.views, recs)
-		if err := o.compiled.Layer(o.views); err != nil {
+		o.compiled.ObservePartition(p, superstep, recs)
+	}
+}
+
+// ObserveSuperstep implements engine.Observer. The shed check runs here, in
+// observer order, so a partition an earlier observer (capture) shed in this
+// superstep is dropped too.
+func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
+	if o.compiled != nil {
+		if err := o.observeCompiled(v); err != nil {
 			return err
 		}
-		o.notePiggyback(v.Superstep, o.compiled.DerivedTuples()-before)
+		derived := o.compiled.DerivedTuples()
+		o.notePiggyback(v.Superstep, derived-o.noted)
+		o.noted = derived
 		return nil
 	}
+	recs := o.shedRecords(v)
 	for i := range recs {
 		o.f.feedEngineRecord(&recs[i])
 	}
@@ -333,6 +361,22 @@ func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
 	}
 	o.notePiggyback(v.Superstep, o.ev.Stats().Derivations-before)
 	return nil
+}
+
+// observeCompiled merges the partitions' in-partition strata, then runs the
+// barrier strata over the superstep's records. A superstep no partition
+// observed (a caller that drives ObserveSuperstep alone) is evaluated whole.
+func (o *Online) observeCompiled(v *engine.SuperstepView) error {
+	c := o.compiled
+	merged, err := c.MergePartitions(v.Superstep, o.shed)
+	if err != nil || merged && !c.HasBarrierStrata() {
+		return err
+	}
+	o.views = eval.EngineViews(o.views, o.shedRecords(v))
+	if merged {
+		return c.BarrierLayer(o.views)
+	}
+	return c.Layer(o.views)
 }
 
 // Finish implements engine.Observer: the compiled path completes its

@@ -70,9 +70,10 @@ type countingObserver struct {
 	sent, recv int64
 }
 
-func (o *countingObserver) NeedsRawMessages() bool { return true }
+func (o *countingObserver) NeedsRawMessages() bool                  { return true }
+func (*countingObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *countingObserver) ObserveSuperstep(v *SuperstepView) error {
-	for _, r := range v.Records {
+	for _, r := range v.Records() {
 		o.sent += int64(len(r.Sent))
 		o.recv += int64(len(r.Received))
 	}

@@ -386,7 +386,8 @@ type cancelObserver struct {
 	at     int
 }
 
-func (o *cancelObserver) NeedsRawMessages() bool { return false }
+func (o *cancelObserver) NeedsRawMessages() bool                  { return false }
+func (*cancelObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *cancelObserver) ObserveSuperstep(v *SuperstepView) error {
 	if v.Superstep == o.at {
 		o.cancel()

@@ -130,19 +130,28 @@ type Config struct {
 	SequentialBarrier bool
 }
 
-// Observer consumes per-superstep vertex records. ObserveSuperstep is called
-// once per superstep, after the barrier, with the records of every vertex
-// that computed. Records and their slices are only valid during the call:
-// Received is a window of the inbox arena and Sent of the partition's send
-// buffer, both reused by later supersteps, so an observer copies what it
-// keeps. Every observer in this repository does (capture.Observer,
-// driver.Online and the driver's fact feed convert the messages into their
-// own rows inside the call; the benchmark's timedObserver wraps those).
+// Observer consumes per-superstep vertex records, in two steps. First, on
+// each partition's own goroutine once its compute has succeeded (after any
+// supervised retry, transport exec or local fallback), ObservePartition
+// receives that partition's records in ascending vertex order; partitions
+// call it concurrently, so an observer that does work there keeps it
+// partition-local until the barrier. Then ObserveSuperstep is called once per
+// superstep, after the barrier, in observer order. Records and their slices
+// are only valid until ObserveSuperstep returns: Received is a window of the
+// inbox arena and Sent of the partition's send buffer, both reused by later
+// supersteps, so an observer copies what it keeps. Every observer in this
+// repository does (capture.Observer, driver.Online and the driver's fact feed
+// convert the messages into their own rows; the benchmark's timedObserver
+// wraps those).
 type Observer interface {
 	// NeedsRawMessages reports whether the observer must see individual
 	// received messages; if any observer returns true the engine disables
 	// the combiner (DESIGN.md decision 2).
 	NeedsRawMessages() bool
+	// ObservePartition sees partition p's records of one superstep on p's
+	// goroutine. It cannot fail the run: an observer reports errors from
+	// ObserveSuperstep.
+	ObservePartition(p, superstep int, recs []VertexRecord)
 	ObserveSuperstep(obs *SuperstepView) error
 	// Finish is called once after the last superstep.
 	Finish(lastSuperstep int) error
@@ -151,8 +160,27 @@ type Observer interface {
 // SuperstepView is the transient provenance of one completed superstep.
 type SuperstepView struct {
 	Superstep int
-	Records   []VertexRecord
 	Engine    *Engine
+	// recs is the merged record view; the engine builds it on the first
+	// Records call, so a superstep no observer reads never merges.
+	recs   []VertexRecord
+	merged bool
+}
+
+// NewSuperstepView returns a view over records already in ascending vertex
+// order, for observers driven outside an engine run.
+func NewSuperstepView(superstep int, recs []VertexRecord) *SuperstepView {
+	return &SuperstepView{Superstep: superstep, recs: recs, merged: true}
+}
+
+// Records returns the records of every vertex that computed, in ascending
+// vertex order.
+func (v *SuperstepView) Records() []VertexRecord {
+	if !v.merged {
+		v.merged = true
+		v.recs = v.Engine.mergeRecords(v.Engine.results)
+	}
+	return v.recs
 }
 
 // VertexRecord describes the execution of one vertex at one superstep —
@@ -201,9 +229,11 @@ type RunStats struct {
 	PartitionRetries int64
 	DeadlineHits     int64
 	StragglerFlags   int64
-	// Wall time per phase: parallel compute, barrier bookkeeping (message
-	// delivery, aggregator merge), observer work (capture and online query
-	// evaluation), and checkpoint writes.
+	// Wall time per phase: parallel compute (including each partition's
+	// ObservePartition work, e.g. in-partition query strata), barrier
+	// bookkeeping (message delivery, aggregator merge), the observers'
+	// barrier work (ObserveSuperstep: capture, the merge of in-partition
+	// query results and barrier strata), and checkpoint writes.
 	ComputeWall    time.Duration
 	BarrierWall    time.Duration
 	ObserveWall    time.Duration
@@ -487,6 +517,9 @@ func (e *Engine) Run() (RunStats, error) {
 						Tuples: int64(len(ids)),
 					})
 				}
+				if observing && results[p].crash == nil {
+					e.observePartition(p, ss, results[p].records, spanned)
+				}
 			}(p)
 		}
 		wg.Wait()
@@ -558,8 +591,7 @@ func (e *Engine) Run() (RunStats, error) {
 		var observeDur time.Duration
 		if observing {
 			observeStart := time.Now()
-			recs := e.mergeRecords(results)
-			view := &SuperstepView{Superstep: ss, Records: recs, Engine: e}
+			view := &SuperstepView{Superstep: ss, Engine: e}
 			for _, o := range e.cfg.Observers {
 				if err := o.ObserveSuperstep(view); err != nil {
 					e.stat.Aborted = true
@@ -626,6 +658,26 @@ func (e *Engine) Run() (RunStats, error) {
 		}
 	}
 	return e.stat, nil
+}
+
+// observePartition hands partition p's records to every observer on p's
+// goroutine, with an observe span per partition when spans are on.
+func (e *Engine) observePartition(p, ss int, recs []VertexRecord, spanned bool) {
+	var t0 time.Time
+	if spanned {
+		t0 = time.Now()
+	}
+	for _, o := range e.cfg.Observers {
+		o.ObservePartition(p, ss, recs)
+	}
+	if spanned {
+		e.cfg.Metrics.RecordSpan(obs.Span{
+			Proc: obs.ProcMaster, Name: obs.SpanObserve,
+			Superstep: ss, Partition: p,
+			Start: t0.UnixNano(), Dur: int64(time.Since(t0)),
+			Tuples: int64(len(recs)),
+		})
+	}
 }
 
 // superviseCompute runs partition p's superstep under the supervisor:
@@ -773,7 +825,8 @@ func (e *Engine) buildInbox(dp int, combiner func(a, b value.Value) value.Value,
 // mergeRecords builds the superstep's observer view in ascending vertex
 // order. Each partition produced its records in ascending order already, so
 // a k-way merge does it; the merged buffer is reused across supersteps (the
-// Observer contract says records are only valid during the call).
+// Observer contract says records are only valid during the superstep's
+// observation).
 func (e *Engine) mergeRecords(results []partResult) []VertexRecord {
 	recs := e.recBuf[:0]
 	heads := make([]int, len(results))

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"ariadne/internal/graph"
+	"ariadne/internal/obs"
 	"ariadne/internal/value"
 )
 
@@ -148,13 +151,14 @@ type countObserver struct {
 	finished  int
 }
 
-func (o *countObserver) NeedsRawMessages() bool { return o.raw }
+func (o *countObserver) NeedsRawMessages() bool                  { return o.raw }
+func (*countObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *countObserver) ObserveSuperstep(v *SuperstepView) error {
 	if o.perSS == nil {
 		o.perSS = map[int]int{}
 	}
-	o.perSS[v.Superstep] += len(v.Records)
-	for _, r := range v.Records {
+	o.perSS[v.Superstep] += len(v.Records())
+	for _, r := range v.Records() {
 		o.recvCount += len(r.Received)
 	}
 	return nil
@@ -219,12 +223,13 @@ type evoObserver struct {
 	finishedAt int
 }
 
-func (o *evoObserver) NeedsRawMessages() bool { return false }
+func (o *evoObserver) NeedsRawMessages() bool                  { return false }
+func (*evoObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *evoObserver) ObserveSuperstep(v *SuperstepView) error {
 	if o.prev == nil {
 		o.prev = map[VertexID]map[int]int{}
 	}
-	for _, r := range v.Records {
+	for _, r := range v.Records() {
 		o.seen[r.ID] = append(o.seen[r.ID], r.Superstep)
 		if o.prev[r.ID] == nil {
 			o.prev[r.ID] = map[int]int{}
@@ -237,9 +242,10 @@ func (o *evoObserver) Finish(last int) error { o.finishedAt = last; return nil }
 
 type failObserver struct{}
 
-func (failObserver) NeedsRawMessages() bool                { return false }
-func (failObserver) ObserveSuperstep(*SuperstepView) error { return errors.New("boom") }
-func (failObserver) Finish(int) error                      { return nil }
+func (failObserver) NeedsRawMessages() bool                    { return false }
+func (failObserver) ObservePartition(int, int, []VertexRecord) {}
+func (failObserver) ObserveSuperstep(*SuperstepView) error     { return errors.New("boom") }
+func (failObserver) Finish(int) error                          { return nil }
 
 func TestObserverErrorAborts(t *testing.T) {
 	g := chainGraph(t, 3)
@@ -319,5 +325,99 @@ func TestNewValidation(t *testing.T) {
 	g := chainGraph(t, 2)
 	if _, err := New(g, nil, Config{}); err == nil {
 		t.Error("nil program should fail")
+	}
+}
+
+// partObserver checks the ObservePartition contract: once per partition per
+// superstep, before that superstep's ObserveSuperstep, with the partition's
+// own records in ascending vertex order — together exactly the merged view.
+type partObserver struct {
+	t     *testing.T
+	e     *Engine
+	mu    sync.Mutex
+	parts map[int][]VertexRecord // partition -> this superstep's records
+	ss    int
+	steps int
+}
+
+func (o *partObserver) NeedsRawMessages() bool { return false }
+func (o *partObserver) ObservePartition(p, ss int, recs []VertexRecord) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if _, dup := o.parts[p]; dup || ss != o.ss {
+		o.t.Errorf("partition %d observed superstep %d twice or out of turn (expecting %d)", p, ss, o.ss)
+	}
+	for i := range recs {
+		if o.e.PartitionOf(recs[i].ID) != p || i > 0 && recs[i-1].ID >= recs[i].ID {
+			o.t.Errorf("superstep %d partition %d: record %d out of place", ss, p, recs[i].ID)
+		}
+	}
+	o.parts[p] = recs
+}
+func (o *partObserver) ObserveSuperstep(v *SuperstepView) error {
+	if len(o.parts) != o.e.Partitions() {
+		o.t.Errorf("superstep %d: %d of %d partitions observed", v.Superstep, len(o.parts), o.e.Partitions())
+	}
+	var ids []VertexID
+	for _, recs := range o.parts {
+		for i := range recs {
+			ids = append(ids, recs[i].ID)
+		}
+	}
+	slices.Sort(ids)
+	var merged []VertexID
+	for _, r := range v.Records() {
+		merged = append(merged, r.ID)
+	}
+	if !slices.Equal(ids, merged) {
+		o.t.Errorf("superstep %d: partitions saw %v, the merged view %v", v.Superstep, ids, merged)
+	}
+	o.parts, o.ss = map[int][]VertexRecord{}, v.Superstep+1
+	o.steps++
+	return nil
+}
+func (o *partObserver) Finish(int) error { return nil }
+
+// TestObservePartitionContract runs a multi-superstep program at several
+// partition counts with spans on: every partition's records reach
+// ObservePartition once per superstep (see partObserver), and each records
+// one observe span (Partition >= 0) besides its compute span.
+func TestObservePartitionContract(t *testing.T) {
+	edges := []graph.Edge{}
+	const n = 40
+	for v := 0; v < n; v++ {
+		for _, d := range []int{1, 3, 7} {
+			edges = append(edges, graph.Edge{Src: VertexID(v), Dst: VertexID((v + d) % n), Weight: 1})
+		}
+	}
+	g, err := graph.NewFromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{1, 3, 8} {
+		m := obs.New()
+		m.EnableSpans()
+		o := &partObserver{t: t, parts: map[int][]VertexRecord{}}
+		e, err := New(g, minProg{}, Config{Partitions: parts, Observers: []Observer{o}, Metrics: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.e = e
+		stats, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.steps != stats.Supersteps || o.steps < 3 {
+			t.Fatalf("partitions=%d: %d supersteps observed, run took %d", parts, o.steps, stats.Supersteps)
+		}
+		spans := map[string]int{}
+		for _, sp := range m.Spans() {
+			if sp.Partition >= 0 {
+				spans[sp.Name]++
+			}
+		}
+		if want := parts * stats.Supersteps; spans[obs.SpanObserve] != want || spans[obs.SpanCompute] != want {
+			t.Errorf("partitions=%d: %d observe and %d compute partition spans, want %d each", parts, spans[obs.SpanObserve], spans[obs.SpanCompute], want)
+		}
 	}
 }

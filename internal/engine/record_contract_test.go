@@ -61,8 +61,9 @@ type borrowObserver struct {
 	sigs     []string
 }
 
-func (o *borrowObserver) NeedsRawMessages() bool { return true }
-func (o *borrowObserver) Finish(int) error       { return nil }
+func (o *borrowObserver) NeedsRawMessages() bool                  { return true }
+func (*borrowObserver) ObservePartition(int, int, []VertexRecord) {}
+func (o *borrowObserver) Finish(int) error                        { return nil }
 
 func (o *borrowObserver) ObserveSuperstep(v *SuperstepView) error {
 	if v.Superstep > 0 {
@@ -71,18 +72,18 @@ func (o *borrowObserver) ObserveSuperstep(v *SuperstepView) error {
 			next += in.size()
 		}
 		var sent int
-		for i := range v.Records {
-			sent += len(v.Records[i].Sent)
+		for i := range v.Records() {
+			sent += len(v.Records()[i].Sent)
 		}
 		if next != int64(sent) {
 			o.t.Errorf("superstep %d: next inbox holds %d messages while observers run, records sent %d",
 				v.Superstep, next, sent)
 		}
 	}
-	before := recordSig(v.Records)
+	before := recordSig(v.Records())
 	seen := 0
-	for i := range v.Records {
-		r := &v.Records[i]
+	for i := range v.Records() {
+		r := &v.Records()[i]
 		want := o.inFlight[r.ID]
 		oracleSort(want)
 		if g, w := msgBits(r.Received), msgBits(want); g != w {
@@ -96,13 +97,13 @@ func (o *borrowObserver) ObserveSuperstep(v *SuperstepView) error {
 		o.t.Errorf("superstep %d: %d vertices had messages in flight, %d records received them", v.Superstep, len(o.inFlight), seen)
 	}
 	o.inFlight = map[VertexID][]IncomingMessage{}
-	for i := range v.Records {
-		r := &v.Records[i]
+	for i := range v.Records() {
+		r := &v.Records()[i]
 		for _, m := range r.Sent {
 			o.inFlight[m.Dst] = append(o.inFlight[m.Dst], IncomingMessage{Src: r.ID, Val: m.Val})
 		}
 	}
-	if after := recordSig(v.Records); after != before {
+	if after := recordSig(v.Records()); after != before {
 		o.t.Errorf("superstep %d: records changed during ObserveSuperstep", v.Superstep)
 	}
 	o.sigs = append(o.sigs, before)

@@ -15,7 +15,9 @@ import (
 
 // Func is a scalar or boolean user-defined function callable from PQL
 // (paper §4.2: "a boolean function call f(v̄) with f built-in or
-// user-defined").
+// user-defined"). Fn must be safe for concurrent use: online, a query's
+// in-partition strata call it from every engine partition's goroutine at
+// once. The built-ins are pure functions of their arguments.
 type Func struct {
 	// Arity is the required argument count; -1 accepts any.
 	Arity int

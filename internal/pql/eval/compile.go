@@ -3,7 +3,11 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
+	"ariadne/internal/engine"
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
 	"ariadne/internal/value"
@@ -32,22 +36,41 @@ func notCompilable(pos pql.Pos, format string, args ...any) error {
 }
 
 // Compiled is a query compiled to a per-record vertex program.
+//
+// Its strata run in one of two places. The in-partition prefix (strata[:inPart])
+// runs online on each engine partition's goroutine, right after that
+// partition's compute: a partition shard evaluates its records against the
+// database, frozen while partitions compute, and keeps what it derives in an
+// overlay. At the barrier MergePartitions inserts the shards' tuples in the
+// order one serial pass would have, and the remaining strata run there on the
+// main shard, as does every stratum of a layered (offline) evaluation.
 type Compiled struct {
 	// strata[i] holds the compiled rules of stratum i; recursive[i] marks a
 	// stratum some rule of which reads a head of that stratum, the only kind
-	// Layer iterates to an in-layer fixpoint. passes[i] counts Layer's passes
-	// over stratum i.
+	// Layer iterates to an in-layer fixpoint. passes[i] counts the passes
+	// over stratum i. rules lists every rule in (stratum, rule) order.
 	strata    [][]*crule
 	recursive []bool
 	passes    []int64
-	// rn is the evaluation scratch (evaluation is single-threaded: it runs
-	// at the superstep barrier); noRecord stands in for the record of
+	rules     []*crule
+	// strata[:inPart] run in-partition; their rules are rules[:partRules].
+	inPart    int
+	partRules int
+
+	// main is the barrier's scratch; noRecord stands in for the record of
 	// global and static rules, which read none.
-	rn       slotRun
+	main     *shard
 	noRecord RecordView
-	headKey  []byte // the emit sinks' canonical-key scratch
+
+	// parts are the partition shards, created on first use; mu guards the
+	// slice. live and heads are MergePartitions' scratch.
+	mu    sync.Mutex
+	parts []*shard
+	live  []*shard
+	heads []int
 
 	staticDone bool
+	staticErr  error
 	derived    int64
 	records    int64
 }
@@ -57,18 +80,85 @@ type crule struct {
 	src  *pql.Rule
 	kind ruleKind
 	prog *program
+	// idx is the rule's position in Compiled.rules; head its relation.
+	idx  int
+	head *Relation
 	// Global rules are driven by the new tuples of one IDB relation
 	// (semi-naive): drivePred names it — the program's rowsDelta step —
 	// and driveCursor tracks the insertion-order position already consumed.
 	drivePred   string
 	driveCursor int
-	// seedSS: the rule's current-superstep variable is pre-bound in slot 1
-	// to the record's superstep, as the anchor is in slot 0 to its vertex.
+	// anchor is a record rule's location variable (the head's first
+	// argument). seedSS: the rule's current-superstep variable is pre-bound
+	// in slot 1 to the record's superstep, as the anchor is in slot 0 to its
+	// vertex.
+	anchor string
 	seedSS bool
-	// emit inserts a head tuple and counts it; emitted counts every
-	// emission, duplicates included.
-	emit    func(Tuple) error
+	// emitted counts every emission, duplicates included.
 	emitted int64
+}
+
+// shard is one evaluation context: slot scratch, head-key buffer and the
+// rule whose emissions it is sinking. The main shard inserts straight into
+// the database. A partition shard (ovl != nil) runs the in-partition strata
+// over one partition's records on that partition's goroutine: it reads the
+// database (frozen meanwhile) and then its overlay, and keeps each new tuple
+// in the overlay and in out until the merge.
+type shard struct {
+	c       *Compiled
+	rn      slotRun
+	headKey []byte
+	cur     *crule
+	sink    func(Tuple) error
+
+	ovl     *Database
+	ovlHead []*Relation // per rule: the overlay relation of its head
+	views   []RecordView
+	ss      int            // the superstep observed last, -1 before the first
+	out     [][]shardTuple // per rule: the new tuples, in derivation order
+	emitted []int64        // per rule
+	records int64
+	// err is the first error; errRule and errVertex locate it.
+	err       error
+	errRule   int
+	errVertex int64
+}
+
+// shardTuple is a tuple a partition shard derived: the anchor vertex of the
+// record that derived it, its canonical key and the tuple (already cloned).
+type shardTuple struct {
+	vertex int64
+	key    string
+	t      Tuple
+}
+
+func (c *Compiled) newShard(db *Database, sg StaticGraph, ovl *Database) *shard {
+	sh := &shard{c: c, ovl: ovl, ss: -1}
+	sh.rn = slotRun{db: db, sg: sg, ovl: ovl, rv: &c.noRecord}
+	sh.sink = sh.emit
+	return sh
+}
+
+// emit is the shard's sink for the current rule's head tuples.
+func (sh *shard) emit(t Tuple) error {
+	r := sh.cur
+	if sh.ovl == nil {
+		r.emitted++
+		if _, ok := r.head.insertCopy(t, &sh.headKey); ok {
+			sh.c.derived++
+		}
+		return nil
+	}
+	sh.emitted[r.idx]++
+	sh.headKey = appendKey(sh.headKey[:0], t)
+	ovl := sh.ovlHead[r.idx]
+	if r.head.containsKeyBytes(sh.headKey) || ovl.containsKeyBytes(sh.headKey) {
+		return nil
+	}
+	st := shardTuple{vertex: sh.rn.rv.Vertex, key: string(sh.headKey), t: t.Clone()}
+	ovl.add(st.key, st.t)
+	sh.out[r.idx] = append(sh.out[r.idx], st)
+	return nil
 }
 
 type ruleKind uint8
@@ -87,7 +177,7 @@ func (k ruleKind) String() string { return [...]string{"record", "global", "stat
 func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error) {
 	n := len(q.Strata)
 	c := &Compiled{strata: make([][]*crule, n), recursive: make([]bool, n), passes: make([]int64, n)}
-	c.rn = slotRun{db: db, sg: sg, rv: &c.noRecord}
+	c.main = c.newShard(db, sg, nil)
 	for name, arity := range q.IDBs {
 		db.Relation(name, arity)
 	}
@@ -102,17 +192,13 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 			if err != nil {
 				return nil, err
 			}
-			cr := &crule{src: r, kind: rp.kind, drivePred: rp.drivePred, seedSS: len(rp.anchor) > 1}
+			cr := &crule{src: r, kind: rp.kind, drivePred: rp.drivePred, seedSS: len(rp.anchor) > 1,
+				idx: len(c.rules), head: db.Relation(r.Head.Pred, len(r.Head.Args))}
+			if cr.kind == ruleRecord {
+				cr.anchor = rp.anchor[0]
+			}
 			if cr.prog, err = lower(rp.steps, r.Head.Args, q.Env(), rp.anchor...); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrNotCompilable, err)
-			}
-			head := db.Relation(r.Head.Pred, len(r.Head.Args))
-			cr.emit = func(t Tuple) error {
-				cr.emitted++
-				if _, ok := head.insertCopy(t, &c.headKey); ok {
-					c.derived++
-				}
-				return nil
 			}
 			if cr.kind == ruleGlobal {
 				globalHeads[r.Head.Pred] = true
@@ -123,24 +209,67 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 				}
 			}
 			c.strata[si] = append(c.strata[si], cr)
+			c.rules = append(c.rules, cr)
 		}
 	}
 	// Soundness guard: record rules re-evaluate per record, so they must
 	// not consume predicates whose tuples may appear without a matching
 	// record (global-rule heads complete only at FinishRun).
-	for _, stratum := range c.strata {
-		for _, cr := range stratum {
-			if cr.kind != ruleRecord {
-				continue
+	for _, cr := range c.rules {
+		if cr.kind != ruleRecord {
+			continue
+		}
+		for _, lit := range cr.src.Body {
+			if pl, ok := lit.(*pql.PredLit); ok && globalHeads[pl.Atom.Pred] {
+				return nil, notCompilable(cr.src.Pos, "record rule consumes global predicate %s", pl.Atom.Pred)
 			}
-			for _, lit := range cr.src.Body {
-				if pl, ok := lit.(*pql.PredLit); ok && globalHeads[pl.Atom.Pred] {
-					return nil, notCompilable(cr.src.Pos, "record rule consumes global predicate %s", pl.Atom.Pred)
+		}
+	}
+	c.inPart = c.partitionPrefix(q)
+	for _, stratum := range c.strata[:c.inPart] {
+		c.partRules += len(stratum)
+	}
+	return c, nil
+}
+
+// partitionPrefix returns how many strata, from the first, run inside the
+// partitions. A stratum does when it is non-recursive, has no global rule
+// (static rules ran before superstep 0), and every IDB literal of its record
+// rules is located at the rule's anchor or names a predicate only static
+// rules define: then everything a record reads was derived before the layer
+// or by the partition owning the record's vertex, and every head it derives
+// is located at that vertex too. The first stratum that fails the test ends
+// the prefix; it and every stratum above it run at the barrier.
+func (c *Compiled) partitionPrefix(q *analysis.Query) int {
+	staticOnly := map[string]bool{}
+	for _, r := range c.rules {
+		pred := r.src.Head.Pred
+		only, seen := staticOnly[pred]
+		staticOnly[pred] = (only || !seen) && r.kind == ruleStatic
+	}
+	for si, stratum := range c.strata {
+		if c.recursive[si] {
+			return si
+		}
+		for _, r := range stratum {
+			if r.kind == ruleGlobal {
+				return si
+			}
+			for _, lit := range r.src.Body {
+				pl, ok := lit.(*pql.PredLit)
+				if !ok || r.kind != ruleRecord || staticOnly[pl.Atom.Pred] {
+					continue
+				}
+				if _, idb := q.IDBs[pl.Atom.Pred]; !idb {
+					continue
+				}
+				if v, ok := asVar(pl.Atom.Args[0]); !ok || v != r.anchor {
+					return si
 				}
 			}
 		}
 	}
-	return c, nil
+	return len(c.strata)
 }
 
 // recordPlan is planRecordRule's result: the rule's kind, its ordered body
@@ -449,21 +578,21 @@ func (c *Compiled) Stats() CompiledStats {
 	return s
 }
 
-// BeginRun evaluates the static rules (bodies over static EDBs only).
+// BeginRun evaluates the static rules (bodies over static EDBs only), once:
+// later calls return the first call's error.
 func (c *Compiled) BeginRun() error {
 	if c.staticDone {
-		return nil
+		return c.staticErr
 	}
 	c.staticDone = true
-	for _, stratum := range c.strata {
-		for _, r := range stratum {
-			if r.kind != ruleStatic {
-				continue
-			}
-			c.rn.prep(r.prog, nil, r.emit)
-			if err := r.prog.run(&c.rn, 0); err != nil {
-				return err
-			}
+	for _, r := range c.rules {
+		if r.kind != ruleStatic {
+			continue
+		}
+		c.main.start(r, nil)
+		if err := r.prog.run(&c.main.rn, 0); err != nil {
+			c.staticErr = err
+			return err
 		}
 	}
 	return nil
@@ -478,20 +607,34 @@ func (c *Compiled) Layer(recs []RecordView) error {
 		return err
 	}
 	c.records += int64(len(recs))
-	for si, stratum := range c.strata {
+	return c.layerFrom(0, recs)
+}
+
+// BarrierLayer evaluates the strata above the in-partition prefix over one
+// layer's records, after MergePartitions has merged the prefix's tuples.
+func (c *Compiled) BarrierLayer(recs []RecordView) error {
+	return c.layerFrom(c.inPart, recs)
+}
+
+// HasBarrierStrata reports whether any stratum runs at the barrier.
+func (c *Compiled) HasBarrierStrata() bool { return c.inPart < len(c.strata) }
+
+// layerFrom runs strata[from:] over recs on the main shard.
+func (c *Compiled) layerFrom(from int, recs []RecordView) error {
+	for si := from; si < len(c.strata); si++ {
 		for {
 			c.passes[si]++
 			before := c.derived
-			for _, r := range stratum {
+			for _, r := range c.strata[si] {
 				switch r.kind {
 				case ruleStatic:
 					// done in BeginRun
 				case ruleGlobal:
-					if err := c.evalGlobal(r); err != nil {
+					if err := c.main.evalGlobal(r); err != nil {
 						return err
 					}
 				default:
-					if err := c.evalRecords(r, recs); err != nil {
+					if err := c.main.evalRecords(r, recs); err != nil {
 						return err
 					}
 				}
@@ -516,7 +659,7 @@ func (c *Compiled) FinishRun() error {
 					continue
 				}
 				r.driveCursor = 0
-				if err := c.evalGlobal(r); err != nil {
+				if err := c.main.evalGlobal(r); err != nil {
 					return err
 				}
 			}
@@ -528,18 +671,162 @@ func (c *Compiled) FinishRun() error {
 	return nil
 }
 
+// ObservePartition evaluates the in-partition strata over partition p's
+// records of one superstep, on the calling goroutine. Partitions call it
+// concurrently, after BeginRun and while nothing writes the database. It
+// reports nothing: MergePartitions merges the result and reports the error.
+func (c *Compiled) ObservePartition(p, superstep int, recs []engine.VertexRecord) {
+	if c.inPart == 0 || !c.staticDone || c.staticErr != nil {
+		return
+	}
+	sh := c.partShard(p)
+	sh.views = EngineViews(sh.views, recs)
+	sh.layer(superstep, sh.views)
+}
+
+// layer runs the in-partition rules over one partition's records of a
+// superstep, in vertex order, into a fresh overlay.
+func (sh *shard) layer(superstep int, recs []RecordView) {
+	sh.ss, sh.records, sh.err = superstep, int64(len(recs)), nil
+	for _, rel := range sh.ovl.rels {
+		rel.Clear()
+	}
+	for i := range sh.out {
+		sh.out[i] = sh.out[i][:0]
+	}
+	clear(sh.emitted)
+	for _, r := range sh.c.rules[:sh.c.partRules] {
+		if r.kind != ruleRecord {
+			continue
+		}
+		if err := sh.evalRecords(r, recs); err != nil {
+			sh.err, sh.errRule, sh.errVertex = err, r.idx, sh.rn.rv.Vertex
+			return
+		}
+	}
+}
+
+// partShard returns partition p's shard, creating it (and any below it) on
+// first use.
+func (c *Compiled) partShard(p int) *shard {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.parts) <= p {
+		ovl := NewDatabase()
+		sh := c.newShard(c.main.rn.db, c.main.rn.sg, ovl)
+		sh.ovlHead = make([]*Relation, c.partRules)
+		sh.out = make([][]shardTuple, c.partRules)
+		sh.emitted = make([]int64, c.partRules)
+		for _, r := range c.rules[:c.partRules] {
+			if r.kind == ruleRecord {
+				sh.ovlHead[r.idx] = ovl.Relation(r.src.Head.Pred, len(r.src.Head.Args))
+			}
+		}
+		c.parts = append(c.parts, sh)
+	}
+	return c.parts[p]
+}
+
+// MergePartitions inserts what the partition shards derived at superstep
+// into the database, in the order one serial pass over the layer would have
+// (stratum, rule, anchor vertex, then derivation order), and counts their
+// records, emissions and passes. shed (nil: none) names the partitions
+// whose records are dropped. When shards failed it merges what a serial
+// pass derives before its first failure and returns that failure: the lowest
+// by (stratum, rule, vertex). It reports false, merging nothing, when no
+// partition observed superstep; the caller then evaluates the layer whole
+// with Layer.
+func (c *Compiled) MergePartitions(superstep int, shed func(p int) bool) (bool, error) {
+	c.live = c.live[:0]
+	observed := false
+	for p, sh := range c.parts {
+		if sh.ss != superstep {
+			continue
+		}
+		observed, sh.ss = true, -1
+		if shed == nil || !shed(p) {
+			c.live = append(c.live, sh)
+		}
+	}
+	if !observed {
+		return false, nil
+	}
+	var failed *shard
+	for _, sh := range c.live {
+		c.records += sh.records
+		if sh.err != nil && (failed == nil || sh.errRule < failed.errRule ||
+			sh.errRule == failed.errRule && sh.errVertex < failed.errVertex) {
+			failed = sh
+		}
+	}
+	for si := 0; si < c.inPart; si++ {
+		c.passes[si]++
+		for _, r := range c.strata[si] {
+			if r.kind != ruleRecord {
+				continue
+			}
+			last := int64(math.MaxInt64)
+			if failed != nil && r.idx == failed.errRule {
+				last = failed.errVertex
+			}
+			c.mergeRule(r, last)
+			if failed != nil && r.idx == failed.errRule {
+				return true, failed.err
+			}
+		}
+	}
+	return true, nil
+}
+
+// mergeRule inserts the live shards' new tuples of rule r up to anchor vertex
+// last, in vertex order: each shard's list is ascending already, and a vertex
+// belongs to one partition.
+func (c *Compiled) mergeRule(r *crule, last int64) {
+	heads := slices.Grow(c.heads[:0], len(c.live))[:len(c.live)]
+	clear(heads)
+	c.heads = heads
+	for _, sh := range c.live {
+		r.emitted += sh.emitted[r.idx]
+	}
+	for {
+		best := -1
+		var bestV int64
+		for i, sh := range c.live {
+			if out := sh.out[r.idx]; heads[i] < len(out) && (best < 0 || out[heads[i]].vertex < bestV) {
+				best, bestV = i, out[heads[i]].vertex
+			}
+		}
+		if best < 0 || bestV > last {
+			return
+		}
+		st := &c.live[best].out[r.idx][heads[best]]
+		heads[best]++
+		if r.head.insertKeyed(st.key, st.t) {
+			c.derived++
+		}
+	}
+}
+
+// start points the shard's run at rule r's program, with deltas as its delta
+// batch.
+func (sh *shard) start(r *crule, deltas []Tuple) {
+	sh.cur = r
+	sh.rn.prep(r.prog, deltas, sh.sink)
+}
+
 // evalRecords runs a record rule once per record, the anchor slots holding
 // the record's vertex and superstep.
-func (c *Compiled) evalRecords(r *crule, recs []RecordView) error {
-	c.rn.prep(r.prog, nil, r.emit)
+func (sh *shard) evalRecords(r *crule, recs []RecordView) error {
+	sh.start(r, nil)
+	rn := &sh.rn
 	for i := range recs {
-		c.rn.rv = &recs[i]
-		c.rn.recSeq++
-		c.rn.slots[0] = value.NewInt(recs[i].Vertex)
+		rn.rv = &recs[i]
+		rn.recSeq++
+		rn.slots[0] = value.NewInt(recs[i].Vertex)
 		if r.seedSS {
-			c.rn.slots[1] = value.NewInt(recs[i].Superstep)
+			rn.slots[1] = value.NewInt(recs[i].Superstep)
 		}
-		if err := r.prog.run(&c.rn, 0); err != nil {
+		if err := r.prog.run(rn, 0); err != nil {
 			return err
 		}
 	}
@@ -548,13 +835,43 @@ func (c *Compiled) evalRecords(r *crule, recs []RecordView) error {
 
 // evalGlobal runs a global rule over the driving relation's tuples that
 // arrived since the rule's last pass.
-func (c *Compiled) evalGlobal(r *crule) error {
-	all := c.rn.db.Get(r.drivePred).All()
+func (sh *shard) evalGlobal(r *crule) error {
+	all := sh.rn.db.Get(r.drivePred).All()
 	if r.driveCursor >= len(all) {
 		return nil
 	}
 	start := r.driveCursor
 	r.driveCursor = len(all)
-	c.rn.prep(r.prog, all[start:], r.emit)
-	return r.prog.run(&c.rn, 0)
+	sh.start(r, all[start:])
+	return r.prog.run(&sh.rn, 0)
+}
+
+// EngineViews writes the views of live engine records into dst, reused
+// across supersteps. Each view is a header over the record: its message and
+// fact slices are the engine's own, borrowed for as long as the engine keeps
+// the records. The engine supplies each record's previous value itself.
+func EngineViews(dst []RecordView, recs []engine.VertexRecord) []RecordView {
+	dst = slices.Grow(dst[:0], len(recs))[:len(recs)]
+	for i := range recs {
+		r := &recs[i]
+		rv := RecordView{
+			Vertex:     int64(r.ID),
+			Superstep:  int64(r.Superstep),
+			HasValue:   true,
+			Value:      r.NewValue,
+			PrevActive: int64(r.PrevActive),
+			SentAny:    len(r.Sent) > 0,
+			Sends:      r.Sent,
+			Recvs:      r.Received,
+			Emitted:    r.Emitted,
+		}
+		if r.PrevActive >= 0 {
+			// The engine's OldValue is the value after the previous compute,
+			// i.e. exactly the value at PrevActive.
+			rv.PrevValue = r.OldValue
+			rv.HasPrevValue = true
+		}
+		dst[i] = rv
+	}
+	return dst
 }

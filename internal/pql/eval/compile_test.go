@@ -119,7 +119,10 @@ var lowerOutcomes = map[string]int{}
 // must derive the same sets. A run-time error (a type error, a failing UDF)
 // must hit the oracle and the Evaluator alike; the record-sourced leg joins in
 // a different order, so which valuation trips first is its own and it is then
-// not compared.
+// not compared. The record-sourced leg is run twice more, with its
+// in-partition strata on three partitions (partitionLeg): that leg must fail
+// with the same error text and hold the same relations, in insertion order,
+// as the serial one, whether or not the run fails.
 func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers [][]RecordView) error {
 	q, err := build()
 	if err != nil {
@@ -182,13 +185,23 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 		lowerOutcomes["materialised only"]++
 		return nil
 	}
-	for _, l := range layers {
-		if err := comp.Layer(l); err != nil {
-			lowerOutcomes["run-time error"]++
-			return nil
-		}
+	serr := serialLeg(comp, layers)
+	qp, _ := build()
+	pdb := NewDatabase()
+	pc, err := Compile(qp, pdb, sg)
+	if err != nil {
+		return fmt.Errorf("second Compile failed: %v", err)
 	}
-	if err := comp.FinishRun(); err != nil {
+	if perr := partitionLeg(pc, layers, 3); (perr == nil) != (serr == nil) || serr != nil && perr.Error() != serr.Error() {
+		return fmt.Errorf("run-time verdicts differ: serial %v, in-partition %v", serr, perr)
+	}
+	if err := sameRelations("in-partition vs serial", insertionOrder(qc, cdb, false), insertionOrder(qp, pdb, false)); err != nil {
+		return err
+	}
+	if pc.inPart > 0 {
+		lowerOutcomes["in-partition strata"]++
+	}
+	if serr != nil {
 		lowerOutcomes["run-time error"]++
 		return nil
 	}
@@ -200,6 +213,54 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 		lowerOutcomes["three-way tuples"] += len(keys)
 	}
 	return sameRelations("record-sourced vs oracle", wantSet, insertionOrder(qc, cdb, true))
+}
+
+// serialLeg evaluates layers with Layer, then FinishRun.
+func serialLeg(c *Compiled, layers [][]RecordView) error {
+	for _, l := range layers {
+		if err := c.Layer(l); err != nil {
+			return err
+		}
+	}
+	return c.FinishRun()
+}
+
+// partitionLeg evaluates layers as the online driver does, with each layer's
+// records split over parts partitions (vertex mod parts): every partition's
+// shard runs the in-partition strata, MergePartitions merges them, and the
+// barrier strata run over the whole layer. The layer index stands in for the
+// superstep.
+func partitionLeg(c *Compiled, layers [][]RecordView, parts int) error {
+	if err := c.BeginRun(); err != nil {
+		return err
+	}
+	split := make([][]RecordView, parts)
+	for i, l := range layers {
+		for p := range split {
+			split[p] = split[p][:0]
+		}
+		for _, rv := range l {
+			p := int(rv.Vertex % int64(parts))
+			split[p] = append(split[p], rv)
+		}
+		if c.inPart > 0 {
+			for p := range split {
+				c.partShard(p).layer(i, split[p])
+			}
+		}
+		merged, err := c.MergePartitions(i, nil)
+		switch {
+		case err != nil:
+		case !merged:
+			err = c.Layer(l)
+		case c.HasBarrierStrata():
+			err = c.BarrierLayer(l)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return c.FinishRun()
 }
 
 // anyCut reports whether some rule of c takes a cut.

@@ -14,7 +14,9 @@ import (
 // (cut=k: every head variable is bound before step k+1, so the first
 // completion ends that step's enumeration). A record-sourced stratum marked
 // recursive iterates to an in-layer fixpoint; every other runs once per
-// layer. Every rule shown is a slot program; there is no other way a rule
+// layer. Each record-sourced stratum shows its online placement: partition
+// (on each engine partition's goroutine, right after its compute) or
+// barrier. Every rule shown is a slot program; there is no other way a rule
 // can run.
 func Explain(q *analysis.Query) (string, error) {
 	var b strings.Builder
@@ -25,6 +27,11 @@ func Explain(q *analysis.Query) (string, error) {
 			label := fmt.Sprint(si)
 			if c.recursive[si] {
 				label += " recursive"
+			}
+			if si < c.inPart {
+				label += " partition"
+			} else {
+				label += " barrier"
 			}
 			for _, r := range stratum {
 				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s slots=%d%s\n", label, r.src, r.kind, r.prog.nSlots, r.prog.cutNote())

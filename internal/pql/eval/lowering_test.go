@@ -167,7 +167,7 @@ func genRules(rng *rand.Rand, n int) string {
 				case peer && rng.Intn(2) == 0:
 					body = append(body, g+"(Y, J2)", pick("J2 < I", "J2 = I - 1"), "superstep(X, I)")
 				case peer:
-					body = append(body, g+"(Y, I)", "superstep(X, I)")
+					body = append(body, pick("", "!")+g+"(Y, I)", "superstep(X, I)")
 				default:
 					body = append(body, pick("", "!")+g+"(X, I)", "superstep(X, I)")
 				}
@@ -205,7 +205,8 @@ func genRules(rng *rand.Rand, n int) string {
 // TestGeneratedRulesReachEveryLeg runs the fuzz target's generator over a
 // fixed seed range and checks it has teeth: most programs must survive the
 // analysis, a good share must reach the three-way comparison with tuples to
-// compare, and a real share of those must have a rule that takes a cut.
+// compare, a real share of those must have a rule that takes a cut, and a
+// good share of the compiled programs must run some stratum in-partition.
 func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	for k := range lowerOutcomes {
 		delete(lowerOutcomes, k)
@@ -235,6 +236,9 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 		t.Errorf("only %d of %d programs (%d tuples) reached the three-way comparison",
 			lowerOutcomes["three-way"], n, lowerOutcomes["three-way tuples"])
 	}
+	if lowerOutcomes["in-partition strata"] < n/5 {
+		t.Errorf("only %d of %d programs ran a stratum in-partition", lowerOutcomes["in-partition strata"], n)
+	}
 	if lowerOutcomes["three-way with a cut"] < n/10 {
 		t.Errorf("only %d of %d programs reached the three-way comparison with a rule that takes a cut",
 			lowerOutcomes["three-way with a cut"], n)
@@ -244,8 +248,8 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 // FuzzRuleLowering is the semantic fuzz smoke for the rule IR: a seed
 // program (chosen by base) extended with random rules, over a small random
 // record stream, must evaluate identically on the oracle interpreter, the
-// slot programs and the record-sourced lowering — or
-// be rejected by all of them (see checkLowering for the exact contract).
+// slot programs and the record-sourced lowering, serial and in-partition —
+// or be rejected by all of them (see checkLowering for the exact contract).
 func FuzzRuleLowering(f *testing.F) {
 	bases := fuzzBases(f)
 	for i := range bases {

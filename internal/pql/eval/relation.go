@@ -102,6 +102,16 @@ func (r *Relation) insertCopy(t Tuple, kb *[]byte) (Tuple, bool) {
 	return c, true
 }
 
+// insertKeyed adds t under its canonical key k unless that key is present,
+// reporting whether it did. t is retained.
+func (r *Relation) insertKeyed(k string, t Tuple) bool {
+	if _, ok := r.rows[k]; ok {
+		return false
+	}
+	r.add(k, t)
+	return true
+}
+
 // add stores a tuple known to be new under its canonical key.
 func (r *Relation) add(k string, t Tuple) {
 	r.rows[k] = t

@@ -123,13 +123,16 @@ var errCut = errors.New("eval: head bound")
 
 // slotRun is per-goroutine scratch state: the slot array, reused key, row
 // and head buffers, the firing's delta batch and emit sink, and — on the
-// record-sourced path — the record and graph the record sources read.
+// record-sourced path — the record and graph the record sources read. A
+// partition shard's run also reads its overlay: relation steps see the
+// database's tuples, then the overlay's.
 //
 // The emit sink receives the head buffer itself, overwritten by the next
 // firing: a sink that keeps a tuple must copy it (Relation.insertCopy), and
 // it probes with the canonical key first so a duplicate costs nothing.
 type slotRun struct {
 	db      *Database
+	ovl     *Database
 	sg      StaticGraph
 	rv      *RecordView
 	recSeq  uint64 // advances with every record rv points at
@@ -295,39 +298,72 @@ func (p *program) exec(rn *slotRun, si int) error {
 		if rel := rn.db.Get(st.pred); rel != nil && rel.containsKeyBytes(kb) {
 			return nil
 		}
+		if rel := rn.overlay(st.pred); rel != nil && rel.containsKeyBytes(kb) {
+			return nil
+		}
 		return p.run(rn, si+1)
 
-	default: // stepPositive over a Relation or the delta batch
-		cands := rn.deltas
-		if st.rows == rowsRelation {
-			rel := rn.db.Get(st.pred)
-			if rel == nil {
-				return nil
-			}
-			if len(st.lookupCols) == 0 {
-				cands = rel.All()
-			} else {
-				kb, err := rn.key(st.lookupSrc)
-				if err != nil {
-					return err
-				}
-				cands = rel.LookupKey(st.lookupCols, st.colsKey, kb)
-			}
+	case st.rows == rowsDelta:
+		return p.each(rn, si, st, rn.deltas)
+
+	default: // stepPositive over a Relation (and the overlay's)
+		rel, ovl := rn.db.Get(st.pred), rn.overlay(st.pred)
+		if rel == nil && ovl == nil {
+			return nil
 		}
-		for _, t := range cands {
-			ok, err := st.matchRow(rn.slots, t)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := p.run(rn, si+1); err != nil {
+		var kb []byte
+		if len(st.lookupCols) > 0 {
+			var err error
+			if kb, err = rn.key(st.lookupSrc); err != nil {
 				return err
 			}
 		}
+		// Both candidate lists are taken before either is walked: the later
+		// steps reuse the key buffer.
+		cands, more := rel.candidates(st, kb), ovl.candidates(st, kb)
+		if err := p.each(rn, si, st, cands); err != nil {
+			return err
+		}
+		return p.each(rn, si, st, more)
+	}
+}
+
+// overlay returns the run's overlay relation for pred, or nil.
+func (rn *slotRun) overlay(pred string) *Relation {
+	if rn.ovl == nil {
 		return nil
 	}
+	return rn.ovl.Get(pred)
+}
+
+// candidates returns the tuples a relation step reads from r (nil: none):
+// all of them, or those matching the key kb on the step's key columns.
+func (r *Relation) candidates(st *slotStep, kb []byte) []Tuple {
+	if r == nil {
+		return nil
+	}
+	if len(st.lookupCols) == 0 {
+		return r.All()
+	}
+	return r.LookupKey(st.lookupCols, st.colsKey, kb)
+}
+
+// each matches every candidate tuple and runs the rest of the program on
+// each match.
+func (p *program) each(rn *slotRun, si int, st *slotStep, cands []Tuple) error {
+	for _, t := range cands {
+		ok, err := st.matchRow(rn.slots, t)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		if err := p.run(rn, si+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // lowerer tracks the static binding state during lowering: which variables

@@ -18,14 +18,16 @@ import (
 // panics on corrupt input (BlobReader is bounds-checked with a sticky
 // error).
 
-// Clear empties the relation in place, preserving its identity: compiled
-// rules capture *Relation pointers in their emit closures, so restore must
-// refill the same objects rather than swap them.
+// Clear empties the relation in place, preserving its identity (compiled
+// rules hold *Relation pointers, so restore refills the same objects rather
+// than swap them), its index definitions and its capacity (a partition
+// shard's overlay is cleared every superstep). A slice All returned before
+// is overwritten by later inserts.
 func (r *Relation) Clear() {
-	r.rows = map[string]Tuple{}
-	r.order = nil
+	clear(r.rows)
+	r.order = r.order[:0]
 	for _, idx := range r.indexes {
-		idx.m = map[string][]Tuple{}
+		clear(idx.m)
 	}
 }
 

@@ -39,11 +39,12 @@ func testProg() engine.Program { return &analytics.PageRank{Iterations: testStep
 // for identical provenance streams without a capture store in the loop.
 type recObserver struct{ sigs []string }
 
-func (o *recObserver) NeedsRawMessages() bool { return true }
-func (o *recObserver) Finish(int) error       { return nil }
+func (o *recObserver) NeedsRawMessages() bool                         { return true }
+func (*recObserver) ObservePartition(int, int, []engine.VertexRecord) {}
+func (o *recObserver) Finish(int) error                               { return nil }
 func (o *recObserver) ObserveSuperstep(v *engine.SuperstepView) error {
-	for i := range v.Records {
-		r := &v.Records[i]
+	for i := range v.Records() {
+		r := &v.Records()[i]
 		sig := fmt.Sprintf("%d/%d/%d:%x:%x:", r.ID, r.Superstep, r.PrevActive,
 			r.OldValue.AppendBinary(nil), r.NewValue.AppendBinary(nil))
 		for _, m := range r.Received {
