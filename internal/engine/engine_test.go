@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ariadne/internal/graph"
 	"ariadne/internal/obs"
@@ -418,6 +419,27 @@ func TestObservePartitionContract(t *testing.T) {
 		}
 		if want := parts * stats.Supersteps; spans[obs.SpanObserve] != want || spans[obs.SpanCompute] != want {
 			t.Errorf("partitions=%d: %d observe and %d compute partition spans, want %d each", parts, spans[obs.SpanObserve], spans[obs.SpanCompute], want)
+		}
+	}
+}
+
+// TestMessageLayout pins the size of what the engine moves per message: the
+// send buffer holds SentMessages, the outbox columns OutMessages and the inbox
+// arena IncomingMessages, each one or two uint32 ids and a 24-byte Value.
+func TestMessageLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name string
+		size uintptr
+	}{
+		{"IncomingMessage", unsafe.Sizeof(IncomingMessage{})},
+		{"SentMessage", unsafe.Sizeof(SentMessage{})},
+		{"OutMessage", unsafe.Sizeof(OutMessage{})},
+	} {
+		if c.size != 32 {
+			t.Errorf("%s is %d bytes, want 32", c.name, c.size)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 	"time"
 
@@ -78,7 +77,7 @@ func TestWireDeltaSeedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(delta, rt) {
+	if !wireEqual(delta, rt) {
 		t.Fatalf("delta roundtrip mismatch:\n  in  %+v\n  out %+v", delta, rt)
 	}
 
@@ -99,7 +98,7 @@ func TestWireDeltaSeedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seed, rt) {
+	if !wireEqual(seed, rt) {
 		t.Fatalf("seed roundtrip mismatch:\n  in  %+v\n  out %+v", seed, rt)
 	}
 }
@@ -113,7 +112,7 @@ func TestWireResidentResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(miss, rt) {
+	if !wireEqual(miss, rt) {
 		t.Fatalf("state-miss roundtrip mismatch: %+v vs %+v", rt, miss)
 	}
 
@@ -127,7 +126,7 @@ func TestWireResidentResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, rt) {
+	if !wireEqual(res, rt) {
 		t.Fatalf("dst-counts roundtrip mismatch:\n  in  %+v\n  out %+v", res, rt)
 	}
 }
@@ -150,7 +149,7 @@ func TestWireDeliverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(req, rt) {
+	if !wireEqual(req, rt) {
 		t.Fatalf("deliver request roundtrip mismatch:\n  in  %+v\n  out %+v", req, rt)
 	}
 
@@ -159,7 +158,7 @@ func TestWireDeliverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(collect, rt) {
+	if !wireEqual(collect, rt) {
 		t.Fatalf("collect request roundtrip mismatch:\n  in  %+v\n  out %+v", collect, rt)
 	}
 
@@ -176,7 +175,7 @@ func TestWireDeliverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, rtr) {
+	if !wireEqual(res, rtr) {
 		t.Fatalf("deliver result roundtrip mismatch:\n  in  %+v\n  out %+v", res, rtr)
 	}
 }
@@ -191,7 +190,7 @@ func TestWirePeerFragRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(f, rt) {
+	if !wireEqual(f, rt) {
 		t.Fatalf("peer frag roundtrip mismatch:\n  in  %+v\n  out %+v", f, rt)
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"reflect"
 	"testing"
 
 	"ariadne/internal/engine"
@@ -35,7 +34,7 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 			t.Fatalf("mode %d: trace context lost: got (%#x, %d), want (%#x, %d)",
 				req.Mode, rt.TraceID, rt.ParentSpan, req.TraceID, req.ParentSpan)
 		}
-		if !reflect.DeepEqual(req, rt) {
+		if !wireEqual(req, rt) {
 			t.Fatalf("mode %d: roundtrip mismatch:\n  in  %+v\n  out %+v", req.Mode, req, rt)
 		}
 	}
@@ -57,7 +56,7 @@ func TestWireResultSpanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, rt) {
+	if !wireEqual(res, rt) {
 		t.Fatalf("roundtrip mismatch:\n  in  %+v\n  out %+v", res, rt)
 	}
 
@@ -70,7 +69,7 @@ func TestWireResultSpanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(crash, rt) {
+	if !wireEqual(crash, rt) {
 		t.Fatalf("crash roundtrip mismatch:\n  in  %+v\n  out %+v", crash, rt)
 	}
 

@@ -153,7 +153,7 @@ func TestWireExecRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(req, rt) {
+		if !wireEqual(req, rt) {
 			t.Fatalf("%s: roundtrip mismatch:\n  in  %+v\n  out %+v", name, req, rt)
 		}
 	}
@@ -192,7 +192,7 @@ func TestWireExecResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, rt) {
+	if !wireEqual(res, rt) {
 		t.Fatalf("roundtrip mismatch:\n  in  %+v\n  out %+v", res, rt)
 	}
 
@@ -203,7 +203,7 @@ func TestWireExecResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(crash, rt) {
+	if !wireEqual(crash, rt) {
 		t.Fatalf("crash roundtrip mismatch: %+v vs %+v", rt, crash)
 	}
 }
@@ -681,7 +681,7 @@ func TestReplyDedupAfterEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first, again) {
+	if !wireEqual(first, again) {
 		t.Fatalf("post-eviction recompute diverged:\n  first %+v\n  again %+v", first, again)
 	}
 }

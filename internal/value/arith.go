@@ -44,8 +44,9 @@ func Neg(v Value) (Value, error) {
 	case Float:
 		return NewFloat(-v.Float()), nil
 	case Vector:
-		out := make([]float64, len(v.vec))
-		for i, f := range v.vec {
+		a := v.vec()
+		out := make([]float64, len(a))
+		for i, f := range a {
 			out[i] = -f
 		}
 		return NewVector(out), nil
@@ -57,25 +58,27 @@ func Neg(v Value) (Value, error) {
 func binop(op string, v, w Value) (Value, error) {
 	// String concatenation.
 	if op == "add" && v.kind == String && w.kind == String {
-		return NewString(v.str + w.str), nil
+		return NewString(v.str() + w.str()), nil
 	}
 	// Vector element-wise.
 	if v.kind == Vector && w.kind == Vector {
-		if len(v.vec) != len(w.vec) {
-			return NullValue, fmt.Errorf("value: vector length mismatch %d vs %d", len(v.vec), len(w.vec))
+		a, b := v.vec(), w.vec()
+		if len(a) != len(b) {
+			return NullValue, fmt.Errorf("value: vector length mismatch %d vs %d", len(a), len(b))
 		}
-		out := make([]float64, len(v.vec))
-		for i := range v.vec {
-			out[i] = applyFloat(op, v.vec[i], w.vec[i])
+		out := make([]float64, len(a))
+		for i := range a {
+			out[i] = applyFloat(op, a[i], b[i])
 		}
 		return NewVector(out), nil
 	}
 	// Vector scaled by scalar.
 	if v.kind == Vector && w.IsNumeric() && (op == "mul" || op == "div") {
 		s := w.Float()
-		out := make([]float64, len(v.vec))
-		for i := range v.vec {
-			out[i] = applyFloat(op, v.vec[i], s)
+		a := v.vec()
+		out := make([]float64, len(a))
+		for i := range a {
+			out[i] = applyFloat(op, a[i], s)
 		}
 		return NewVector(out), nil
 	}

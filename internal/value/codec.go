@@ -26,11 +26,11 @@ func (v Value) AppendBinary(buf []byte) []byte {
 	case Int, Float:
 		buf = binary.LittleEndian.AppendUint64(buf, v.num)
 	case String:
-		buf = binary.AppendUvarint(buf, uint64(len(v.str)))
-		buf = append(buf, v.str...)
+		buf = binary.AppendUvarint(buf, v.num)
+		buf = append(buf, v.str()...)
 	case Vector:
-		buf = binary.AppendUvarint(buf, uint64(len(v.vec)))
-		for _, f := range v.vec {
+		buf = binary.AppendUvarint(buf, v.num)
+		for _, f := range v.vec() {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic type of a Value.
@@ -49,13 +50,28 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a compact tagged union. The zero Value is Null.
+// Value is a compact tagged union of three words (24 bytes on 64-bit
+// platforms), so an engine message — a vertex id or two plus a Value — is 32
+// bytes. The zero Value is Null.
+//
+// A String or Vector keeps only its data pointer and its length: ptr is the
+// string's bytes or the vector's first element, and num the length. A vector
+// therefore loses its spare capacity (Vec returns a slice with cap == len),
+// but keeps its identity: NewVector(nil).Vec() is nil and an empty non-nil
+// vector stays non-nil.
+//
+// Value is deliberately not comparable with ==: two equal strings or vectors
+// can sit at different addresses. Use Equal, Compare or Hash, or compare
+// AppendBinary encodings for bit identity; reflect.DeepEqual compares a
+// String's or Vector's address, not its payload.
 type Value struct {
+	_ [0]func() // forbids ==; zero-size, so it adds nothing as the first field
+	// ptr is the payload of a String or Vector; nil for every other kind.
+	ptr unsafe.Pointer
+	// num holds the integer value, the float bits, the bool (0/1), or the
+	// length of a String or Vector.
+	num  uint64
 	kind Kind
-	// num holds the integer value, the float bits, or the bool (0/1).
-	num uint64
-	str string
-	vec []float64
 }
 
 // NullValue is the canonical null.
@@ -76,11 +92,23 @@ func NewInt(i int64) Value { return Value{kind: Int, num: uint64(i)} }
 // NewFloat returns a floating-point Value.
 func NewFloat(f float64) Value { return Value{kind: Float, num: math.Float64bits(f)} }
 
-// NewString returns a string Value.
-func NewString(s string) Value { return Value{kind: String, str: s} }
+// NewString returns a string Value. The string's bytes are retained, not
+// copied.
+func NewString(s string) Value {
+	return Value{kind: String, ptr: unsafe.Pointer(unsafe.StringData(s)), num: uint64(len(s))}
+}
 
-// NewVector returns a vector Value. The slice is retained, not copied.
-func NewVector(v []float64) Value { return Value{kind: Vector, vec: v} }
+// NewVector returns a vector Value. The slice's elements are retained, not
+// copied.
+func NewVector(v []float64) Value {
+	return Value{kind: Vector, ptr: unsafe.Pointer(unsafe.SliceData(v)), num: uint64(len(v))}
+}
+
+// str and vec rebuild the payload of a String or Vector; the caller has
+// checked the kind.
+func (v Value) str() string { return unsafe.String((*byte)(v.ptr), int(v.num)) }
+
+func (v Value) vec() []float64 { return unsafe.Slice((*float64)(v.ptr), int(v.num)) }
 
 // Kind reports the dynamic kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -117,7 +145,7 @@ func (v Value) Str() string {
 	if v.kind != String {
 		return ""
 	}
-	return v.str
+	return v.str()
 }
 
 // Vec returns the vector payload; nil for non-vector Values.
@@ -125,7 +153,7 @@ func (v Value) Vec() []float64 {
 	if v.kind != Vector {
 		return nil
 	}
-	return v.vec
+	return v.vec()
 }
 
 // IsNumeric reports whether v is an Int or Float.
@@ -146,11 +174,11 @@ func (v Value) String() string {
 	case Float:
 		return strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64)
 	case String:
-		return v.str
+		return v.str()
 	case Vector:
 		var b strings.Builder
 		b.WriteByte('[')
-		for i, f := range v.vec {
+		for i, f := range v.vec() {
 			if i > 0 {
 				b.WriteByte(',')
 			}
@@ -171,13 +199,14 @@ func (v Value) Equal(w Value) bool {
 		case Null:
 			return true
 		case String:
-			return v.str == w.str
+			return v.str() == w.str()
 		case Vector:
-			if len(v.vec) != len(w.vec) {
+			a, b := v.vec(), w.vec()
+			if len(a) != len(b) {
 				return false
 			}
-			for i := range v.vec {
-				if v.vec[i] != w.vec[i] {
+			for i := range a {
+				if a[i] != b[i] {
 					return false
 				}
 			}
@@ -219,18 +248,19 @@ func (v Value) Compare(w Value) int {
 			return 0
 		}
 	case classString:
-		return strings.Compare(v.str, w.str)
+		return strings.Compare(v.str(), w.str())
 	default: // classVector
-		n := min(len(v.vec), len(w.vec))
+		a, b := v.vec(), w.vec()
+		n := min(len(a), len(b))
 		for i := 0; i < n; i++ {
-			if v.vec[i] < w.vec[i] {
+			if a[i] < b[i] {
 				return -1
 			}
-			if v.vec[i] > w.vec[i] {
+			if a[i] > b[i] {
 				return 1
 			}
 		}
-		return cmpInt(len(v.vec), len(w.vec))
+		return cmpInt(len(a), len(b))
 	}
 }
 
@@ -304,10 +334,10 @@ func (v Value) Hash() uint64 {
 		writeUint64(&h, math.Float64bits(f))
 	case String:
 		h.WriteByte(3)
-		h.WriteString(v.str)
+		h.WriteString(v.str())
 	case Vector:
 		h.WriteByte(4)
-		for _, f := range v.vec {
+		for _, f := range v.vec() {
 			writeUint64(&h, math.Float64bits(f))
 		}
 	}
@@ -333,9 +363,9 @@ func (v Value) EncodedSize() int {
 	case Int, Float:
 		return 9
 	case String:
-		return 1 + uvarintLen(uint64(len(v.str))) + len(v.str)
+		return 1 + uvarintLen(v.num) + int(v.num)
 	case Vector:
-		return 1 + uvarintLen(uint64(len(v.vec))) + 8*len(v.vec)
+		return 1 + uvarintLen(v.num) + 8*int(v.num)
 	default:
 		return 1
 	}
@@ -353,12 +383,12 @@ func uvarintLen(x uint64) int {
 // MemSize returns the approximate in-memory footprint of v in bytes,
 // used by the provenance store's size accounting.
 func (v Value) MemSize() int {
-	const base = 8 + 8 + 16 + 24 // kind+pad, num, string header, slice header
+	const base = int(unsafe.Sizeof(Value{}))
 	switch v.kind {
 	case String:
-		return base + len(v.str)
+		return base + int(v.num)
 	case Vector:
-		return base + 8*len(v.vec)
+		return base + 8*int(v.num)
 	default:
 		return base
 	}

@@ -1,9 +1,16 @@
 package value
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKinds(t *testing.T) {
@@ -262,4 +269,124 @@ func TestMemSize(t *testing.T) {
 	if NewVector(make([]float64, 10)).MemSize() <= NewVector(nil).MemSize() {
 		t.Error("longer vector should report larger size")
 	}
+}
+
+// TestLayout pins the representation every engine message carries: three
+// words, so a message (one or two uint32 vertex ids plus a Value) is 32
+// bytes. Value must stay non-comparable: == on two Strings or Vectors would
+// compare addresses, not payloads.
+func TestLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Errorf("Value is %d bytes, want 24", got)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable with ==; it must compare through Equal")
+	}
+	if got := NewInt(1).MemSize(); got != 24 {
+		t.Errorf("MemSize of an Int = %d, want the struct's 24 bytes", got)
+	}
+}
+
+// TestPayloadIdentity checks what a pointer-and-length payload keeps and
+// loses: a nil vector stays nil and an empty one non-nil (EuclideanDist
+// tells them apart), the capacity is cut to the length so appending to Vec
+// never writes into the caller's array, and the bytes are shared, not
+// copied.
+func TestPayloadIdentity(t *testing.T) {
+	if NewVector(nil).Vec() != nil {
+		t.Error("NewVector(nil).Vec() is not nil")
+	}
+	if NewVector([]float64{}).Vec() == nil {
+		t.Error("an empty non-nil vector came back nil")
+	}
+	if _, err := EuclideanDist(NewVector([]float64{}), NewVector([]float64{})); err != nil {
+		t.Errorf("two empty vectors: %v", err)
+	}
+	back := make([]float64, 2, 8)
+	back[0], back[1] = 1, 2
+	v := NewVector(back)
+	if got := v.Vec(); cap(got) != 2 || &got[0] != &back[0] {
+		t.Errorf("Vec() = cap %d, shared %v; want cap 2 over the same array", cap(got), &got[0] == &back[0])
+	}
+	_ = append(v.Vec(), 3)
+	if back[:3][2] != 0 {
+		t.Error("appending to Vec() wrote into the caller's spare capacity")
+	}
+	s := "prefix-middle-suffix"
+	if got := NewString(s[7:13]).Str(); got != "middle" {
+		t.Errorf("substring payload = %q", got)
+	}
+	if got := NewString(s[20:]).Str(); got != "" {
+		t.Errorf("empty substring payload = %q", got)
+	}
+}
+
+// TestPayloadOutlivesItsSource drops every other reference to a String's and
+// a Vector's backing memory, forces collections and churns the heap: the
+// Value's data pointer alone must keep the bytes alive.
+func TestPayloadOutlivesItsSource(t *testing.T) {
+	const n = 64
+	vals := make([]Value, 0, 2*n)
+	for i := 0; i < n; i++ {
+		vals = append(vals,
+			NewString(strconv.Itoa(i)+"-"+strings.Repeat("x", i)),
+			NewVector([]float64{float64(i), float64(-i), 0.5}))
+	}
+	for round := 0; round < 3; round++ {
+		runtime.GC()
+		junk := make([][]byte, 256)
+		for i := range junk {
+			junk[i] = bytes.Repeat([]byte{0xff}, 64)
+		}
+		runtime.KeepAlive(junk)
+	}
+	for i := 0; i < n; i++ {
+		if got, want := vals[2*i].Str(), strconv.Itoa(i)+"-"+strings.Repeat("x", i); got != want {
+			t.Fatalf("string %d = %q after GC, want %q", i, got, want)
+		}
+		if got := vals[2*i+1].Vec(); len(got) != 3 || got[0] != float64(i) || got[1] != float64(-i) || got[2] != 0.5 {
+			t.Fatalf("vector %d = %v after GC", i, got)
+		}
+	}
+}
+
+// FuzzValueCodec round-trips every kind through the binary codec and checks
+// that Equal, Compare, Hash and EncodedSize agree on the decoded copy, which
+// holds its payload at a new address.
+func FuzzValueCodec(f *testing.F) {
+	f.Add(int64(0), 0.0, "", []byte{}, uint8(0))
+	f.Add(int64(-1<<62), math.Inf(-1), "héllo", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(5))
+	f.Add(int64(1<<53+1), math.Copysign(0, -1), "a\x00b", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf7, 0x7f}, uint8(3))
+	f.Fuzz(func(t *testing.T, i int64, fl float64, s string, raw []byte, pick uint8) {
+		var vec []float64
+		for len(raw) >= 8 {
+			vec = append(vec, math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+			raw = raw[8:]
+		}
+		all := []Value{NullValue, NewBool(pick%2 == 1), NewInt(i), NewFloat(fl), NewString(s), NewVector(vec)}
+		v := all[int(pick)%len(all)]
+		buf := v.AppendBinary(nil)
+		if len(buf) != v.EncodedSize() {
+			t.Fatalf("%v: EncodedSize %d, encoding %d bytes", v, v.EncodedSize(), len(buf))
+		}
+		got, n, err := DecodeValue(buf)
+		if err != nil || n != len(buf) {
+			t.Fatalf("%v: decode consumed %d of %d: %v", v, n, len(buf), err)
+		}
+		if !bytes.Equal(got.AppendBinary(nil), buf) || got.Kind() != v.Kind() {
+			t.Fatalf("%v (%v) decoded as %v (%v)", v, v.Kind(), got, got.Kind())
+		}
+		if got.Hash() != v.Hash() {
+			t.Fatalf("%v: hash changed across the round trip", v)
+		}
+		if v.Equal(v) && (!got.Equal(v) || got.Compare(v) != 0) {
+			t.Fatalf("%v: decoded copy is not Equal/Compare-equal", v)
+		}
+		if got.String() != v.String() {
+			t.Fatalf("String %q != %q", got.String(), v.String())
+		}
+	})
 }
