@@ -36,7 +36,7 @@ bench: bench-micro
 # microbenchmarks and feeds them through cmd/benchjson, which writes
 # BENCH_micro.json and fails on a regression of the hardware-independent
 # ratios (parallel/sequential barrier-phase time over the same inbox.build);
-# the sync/async spill ratio and the layered full run are recorded ungated; the
+# the write-behind spill pipeline and the layered full run are recorded ungated; the
 # frame-encode, disabled-span and steady-state online-observe paths must not
 # allocate at all. The
 # committed BENCH_micro.json is the single-core container baseline
@@ -62,8 +62,7 @@ bench-micro:
 
 # bench-store runs just the provenance-storage benchmarks — spill pipeline,
 # on-disk density, projected-vs-unprojected layered replay — and gates
-# layered_replay_facts_s (spill_async_speedup is recorded) via cmd/benchjson
-# -expect, writing BENCH_store.json. Faster than bench-micro when iterating on
+# layered_replay_facts_s via cmd/benchjson -expect, writing BENCH_store.json. Faster than bench-micro when iterating on
 # the layer file format; CI runs it in the bench job and archives the JSON.
 bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillPipeline|BenchmarkStoreFormat' -benchmem -count 1 \
@@ -71,7 +70,7 @@ bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkLayeredReplay' -benchmem -count 1 \
 		./internal/driver/ >> bench-store.out
 	$(GO) run ./cmd/benchjson -out BENCH_store.json \
-		-expect spill_async_speedup,layered_replay_facts_s \
+		-expect layered_replay_facts_s \
 		< bench-store.out
 	rm -f bench-store.out
 
@@ -98,11 +97,13 @@ bench-e2e:
 
 # loc prints the non-test Go lines of the packages ROADMAP aim 2 tracks (one
 # PQL evaluator, one message barrier, one layer representation, one exchange
-# mode; net-negative line counts); CI records it per run.
+# mode, one telemetry model; net-negative line counts), then the total of
+# non-test Go outside benchmark/; CI records it per run.
 loc:
-	@for p in internal/pql/eval internal/pql/analysis internal/driver internal/engine internal/transport internal/provenance internal/capture; do \
+	@for p in internal/pql/eval internal/pql/analysis internal/driver internal/engine internal/transport internal/provenance internal/capture internal/obs; do \
 		printf '%-22s %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
 	done
+	@printf '%-22s %s\n' total "$$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 
 # fault-matrix exercises the partition-targeted fault scenarios end to end
 # under the race detector: the supervision/fault test suites, then three CLI

@@ -188,7 +188,6 @@ func cmdRun(args []string) error {
 	captureSpec := fs.String("capture", "", "capture policy: full, lineage:<vertex>, or backward")
 	spill := fs.String("spill", "", "spill directory for captured provenance")
 	budget := fs.Int64("budget", 0, "capture memory budget in bytes (0 = unlimited)")
-	syncSpill := fs.Bool("sync-spill", false, "write spilled layers inline in the barrier instead of on the async writer goroutine")
 	reloadCache := fs.Int("reload-cache", 0, "decoded-layer cache capacity in layers (0 = default, negative = disabled)")
 	transportName := fs.String("transport", "inproc", "partition transport: inproc, or tcp to run partitions on worker processes")
 	workers := fs.Int("workers", 0, "worker processes to spawn with -transport tcp (0 = 1)")
@@ -264,7 +263,6 @@ func cmdRun(args []string) error {
 		storeCfg := provenance.StoreConfig{
 			MemoryBudget: *budget,
 			SpillDir:     *spill,
-			SyncSpill:    *syncSpill,
 			ReloadCache:  *reloadCache,
 		}
 		var def queries.Definition

@@ -1,6 +1,6 @@
 // benchjson converts `go test -bench` output on stdin into a machine-readable
 // JSON report and enforces the hardware-independent regression ratios for the
-// barrier, spill, and query-evaluation microbenchmarks:
+// barrier, transport, and query-evaluation microbenchmarks:
 //
 //	go test -run '^$' -bench 'Barrier|SpillPipeline|LayeredEval' ./internal/... | \
 //	    go run ./cmd/benchjson -out BENCH_micro.json
@@ -158,15 +158,6 @@ func main() {
 		ratio(rep, benches, "combine_barrier_fanout_overhead",
 			"BenchmarkBarrier/parallel/combine",
 			"BenchmarkBarrier/sequential/combine", "barrier-ns/op")
-	}
-	// spill_async_speedup is recorded, not gated: the write-behind only
-	// writes finished images, so on a single core it has nothing but fsync
-	// waits to overlap and sits near 1.0. It is kept because it wins end to
-	// end on capture.full.pagerank (CHANGES.md), not on this ratio.
-	if wants("spill_async_speedup") {
-		ratio(rep, benches, "spill_async_speedup",
-			"BenchmarkSpillPipeline/sync",
-			"BenchmarkSpillPipeline/async", "ns/op")
 	}
 	// transport_overhead is a ceiling, not a floor: the TCP leg is allowed
 	// to cost more than in-process, but not unboundedly more.

@@ -13,9 +13,9 @@ import (
 // stream, so its recoverable state is exactly: the Datalog database (the
 // query-relation deltas derived so far) plus the path-specific cursors —
 // compiled-rule drive cursors for the compiled path, or the evaluator's
-// aggregate tables and the feeder's retention/dedup maps for the
-// materialised path. Restoring this state and replaying supersteps from the
-// checkpoint barrier reproduces the failure-free query result bit for bit.
+// aggregate tables and the feeder's dedup maps for the materialised path.
+// Restoring this state and replaying supersteps from the checkpoint barrier
+// reproduces the failure-free query result bit for bit.
 
 // MarshalCheckpoint implements engine.Checkpointable.
 func (o *Online) MarshalCheckpoint() ([]byte, error) {
@@ -46,21 +46,10 @@ func (o *Online) MarshalCheckpoint() ([]byte, error) {
 			w.Uvarint(uint64(v))
 		}
 	}
-	w.Bool(o.f.ret != nil)
-	if o.f.ret != nil {
-		// Values, then supersteps, each in vertex order.
-		ids := sortedVertices(o.f.ret)
-		w.Uvarint(uint64(len(ids)))
-		for _, v := range ids {
-			w.Uvarint(uint64(v))
-			w.Value(o.f.ret[v].val)
-		}
-		w.Uvarint(uint64(len(ids)))
-		for _, v := range ids {
-			w.Uvarint(uint64(v))
-			w.Uvarint(uint64(o.f.ret[v].ss))
-		}
-	}
+	// An always-absent retention slot: the feeder retains nothing (each
+	// view carries its previous value), and the slot keeps the checkpoint
+	// layout unchanged.
+	w.Bool(false)
 	return w.Bytes(), nil
 }
 
@@ -110,23 +99,14 @@ func (o *Online) UnmarshalCheckpoint(data []byte) error {
 	} else if r.Err() == nil {
 		o.f.edgeValueFed = nil
 	}
-	hadRet := r.Bool()
-	if err := r.Err(); err != nil {
-		return errCtx(err)
-	}
-	if hadRet != (o.f.ret != nil) {
-		return fmt.Errorf("driver: online checkpoint retention mismatch (saved=%v, this query=%v)", hadRet, o.f.ret != nil)
-	}
-	if o.f.ret != nil {
-		vals, err := loadVertexValues(r)
-		if err != nil {
+	// A checkpoint written while the feeder kept its own retention carries
+	// it here: values, then supersteps, each in vertex order. Read past it.
+	if r.Bool() {
+		if _, err := loadVertexValues(r); err != nil {
 			return err
 		}
-		n := r.Count()
-		o.f.ret = make(retention, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			v := graph.VertexID(r.Uvarint())
-			o.f.ret[v] = retained{val: vals[v], ss: int(r.Uvarint())}
+		for n, i := r.Count(), 0; i < 2*n && r.Err() == nil; i++ {
+			r.Uvarint()
 		}
 	}
 	return errCtx(r.Err())
@@ -151,7 +131,7 @@ func loadVertexValues(r *value.BlobReader) (map[graph.VertexID]value.Value, erro
 	return m, errCtx(r.Err())
 }
 
-func sortedVertices[T any](m map[graph.VertexID]T) []graph.VertexID {
+func sortedVertices(m map[graph.VertexID]bool) []graph.VertexID {
 	ids := make([]graph.VertexID, 0, len(m))
 	for v := range m {
 		ids = append(ids, v)

@@ -8,6 +8,7 @@ import (
 	"ariadne/internal/pql/analysis"
 	"ariadne/internal/pql/eval"
 	"ariadne/internal/provenance"
+	"ariadne/internal/value"
 )
 
 // staticGraph adapts graph.Graph to the compiled evaluator's StaticGraph.
@@ -85,11 +86,42 @@ func tryCompile(q *analysis.Query, db *eval.Database, g *graph.Graph, cfg evalCo
 	return c, err == nil
 }
 
-// viewBuilder converts stored provenance records to compiled-evaluator
-// views, maintaining the per-vertex retention needed for evolution joins
-// when the layers arrive in ascending order. The views and their message
-// and fact slices live in arenas reused layer after layer: a layer's views
-// are valid until the next fromProv call.
+// retention keeps, per vertex, the last captured value and its superstep so
+// evolution joins (value at the *previous active* superstep) work in
+// layered mode without materializing older layers — DESIGN.md decision 3;
+// online, the engine hands each record its previous value. Memory is O(active vertices), not O(supersteps). Only a walk
+// forward in time can retain a predecessor's value, so a nil retention
+// (backward or unordered feeding) keeps and finds nothing.
+type retention map[graph.VertexID]retained
+
+type retained struct {
+	val value.Value
+	ss  int
+}
+
+// keep records v's value at superstep ss.
+func (r retention) keep(v graph.VertexID, ss int, val value.Value) {
+	if r != nil {
+		r[v] = retained{val: val, ss: ss}
+	}
+}
+
+// at returns v's value at superstep ss, if that is the value retained: a
+// later capture that carried no value must not pass an older value off as
+// the one at ss.
+func (r retention) at(v graph.VertexID, ss int) (value.Value, bool) {
+	e, ok := r[v]
+	if !ok || e.ss != ss {
+		return value.Value{}, false
+	}
+	return e.val, true
+}
+
+// viewBuilder converts stored provenance records to record views for
+// either evaluator, maintaining the per-vertex retention needed for
+// evolution joins when the layers arrive in ascending order. The views and
+// their message and fact slices live in arenas reused layer after layer: a
+// layer's views are valid until the next fromProv call.
 type viewBuilder struct {
 	ret   retention
 	views []eval.RecordView

@@ -11,7 +11,6 @@ import (
 	"ariadne/internal/pql/eval"
 	"ariadne/internal/provenance"
 	"ariadne/internal/supervise"
-	"ariadne/internal/value"
 )
 
 // Result exposes the outcome of a query evaluation.
@@ -72,28 +71,18 @@ func (r *Result) DBBytes() int64 { return r.db.MemSize() }
 // two smallest datasets" outcome deterministically.
 var ErrNaiveBudget = errors.New("driver: naive evaluation exceeds the memory budget (use layered or online mode)")
 
-// unfoldedNode is one node of the *unfolded* provenance graph (paper §3):
-// a (vertex, superstep) instantiation object with its message edges (or,
-// under a capture that keeps only send flags, the flag) and an evolution
-// pointer. Naive evaluation materializes all of them at once — the
-// memory-hungry representation the compact store avoids.
-type unfoldedNode struct {
-	vertex    graph.VertexID
-	superstep int
-	val       value.Value
-	sends     []provenance.MsgHalf
-	recvs     []provenance.MsgHalf
-	sentAny   bool
-	evolution *unfoldedNode
-}
-
-func (n *unfoldedNode) memSize() int64 {
+// nodeBytes is what one node of the *unfolded* provenance graph (paper §3)
+// costs held as an object: a (vertex, superstep) instantiation with its
+// value, its message edges and an evolution pointer. Naive evaluation holds
+// all of them at once, the memory-hungry representation the compact store
+// avoids.
+func nodeBytes(rv *eval.RecordView) int64 {
 	s := int64(4 + 8 + 8 + 48 + 8) // fields, slice headers, pointer
-	s += int64(n.val.MemSize())
-	for _, m := range n.sends {
+	s += int64(rv.Value.MemSize())
+	for _, m := range rv.Sends {
 		s += 4 + int64(m.Val.MemSize())
 	}
-	for _, m := range n.recvs {
+	for _, m := range rv.Recvs {
 		s += 4 + int64(m.Val.MemSize())
 	}
 	return s
@@ -106,31 +95,26 @@ func (n *unfoldedNode) memSize() int64 {
 // ErrNaiveBudget — the paper's "Naive was not able to scale beyond the two
 // smallest datasets".
 func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBudget int64) (*Result, error) {
-	// Phase 1: full materialization of the unfolded provenance graph. The
-	// map resolves evolution pointers; the slice keeps the nodes in capture
-	// order, so the facts (and the relations' insertion order) are fed
-	// deterministically.
-	nodes := make(map[uint64]*unfoldedNode)
-	var order []*unfoldedNode
-	key := func(v graph.VertexID, ss int) uint64 { return uint64(v)<<32 | uint64(uint32(ss)) }
+	// Phase 1: full materialization of the unfolded provenance graph, every
+	// layer read once into views that stay resident, in capture order. An
+	// evolution edge needs its predecessor node in the graph; no retention
+	// re-supplies a previous value, every value is present anyway.
+	var nodes []eval.RecordView
+	present := make(map[uint64]bool)
+	key := func(v, ss int64) uint64 { return uint64(v)<<32 | uint64(uint32(ss)) }
 	var unfoldedBytes int64
 	for i := 0; i < store.NumLayers(); i++ {
 		l, err := store.Layer(i)
 		if err != nil {
 			return nil, err
 		}
-		for ri := range l.Records {
-			r := &l.Records[ri]
-			n := &unfoldedNode{
-				vertex: r.Vertex, superstep: l.Superstep, val: r.Value,
-				sends: r.Sends, recvs: r.Recvs, sentAny: r.SentAny || len(r.Sends) > 0,
+		for _, rv := range newViewBuilder(false).fromProv(l) {
+			if rv.PrevActive >= 0 && !present[key(rv.Vertex, rv.PrevActive)] {
+				rv.PrevActive = -1
 			}
-			if r.PrevActive >= 0 {
-				n.evolution = nodes[key(r.Vertex, int(r.PrevActive))]
-			}
-			nodes[key(r.Vertex, l.Superstep)] = n
-			order = append(order, n)
-			unfoldedBytes += n.memSize()
+			present[key(rv.Vertex, rv.Superstep)] = true
+			nodes = append(nodes, rv)
+			unfoldedBytes += nodeBytes(&rv)
 		}
 		if memoryBudget > 0 && unfoldedBytes > memoryBudget {
 			return nil, fmt.Errorf("%w: unfolded provenance graph needs %d bytes > budget %d", ErrNaiveBudget, unfoldedBytes, memoryBudget)
@@ -143,52 +127,15 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 	if err != nil {
 		return nil, err
 	}
-	f := newFeeder(ev, g, q, false)
+	f := newFeeder(ev, g, q)
 	f.prov = store
 	f.feedStatic()
-	for _, n := range order {
-		rec := record{
-			vertex:     n.vertex,
-			superstep:  n.superstep,
-			prevActive: -1,
-			hasValue:   !n.val.IsNull(),
-			value:      n.val,
-			sends:      n.sends,
-			recvs:      n.recvs,
-			sentAny:    n.sentAny,
-		}
-		if n.evolution != nil {
-			rec.prevActive = n.evolution.superstep
-		}
-		f.feedRecord(&rec)
-	}
-	// Emitted analytics facts are not part of the unfolded node shape; feed
-	// them from the layers directly.
-	if len(needsOf(q).emitted) > 0 {
-		for i := 0; i < store.NumLayers(); i++ {
-			l, err := store.Layer(i)
-			if err != nil {
-				return nil, err
-			}
-			for ri := range l.Records {
-				r := &l.Records[ri]
-				if len(r.Emitted) == 0 {
-					continue
-				}
-				rec := record{vertex: r.Vertex, superstep: l.Superstep, prevActive: -1, emitted: r.Emitted}
-				f.feedRecord(&rec)
-			}
-		}
-	}
-	if err := ev.Fixpoint(); err != nil {
+	if err := f.layer(nodes); err != nil {
 		return nil, err
 	}
 	if memoryBudget > 0 && unfoldedBytes+db.MemSize() > memoryBudget {
 		return nil, fmt.Errorf("%w: %d bytes > %d", ErrNaiveBudget, unfoldedBytes+db.MemSize(), memoryBudget)
 	}
-	// The unfolded graph must stay resident throughout evaluation; keep it
-	// alive until here.
-	_ = nodes
 	return &Result{q: q, db: db, ev: ev, Facts: f.FactCount}, nil
 }
 
@@ -207,11 +154,15 @@ type Online struct {
 	// Compiled path (the paper's "query vertex program"): rules evaluate
 	// directly against the transient records, no EDB materialization.
 	compiled *eval.Compiled
-	views    []eval.RecordView // barrier strata's views, reused across supersteps
 
 	// Materialised path (aggregates, EDBs that are not record-local).
 	ev *eval.Evaluator
 	f  *feeder
+
+	// views are the superstep's record views, reused across supersteps: the
+	// barrier strata's on the compiled path, the feeder's on the
+	// materialised one.
+	views []eval.RecordView
 
 	// PiggybackTuples counts derived tuples, the payload that rides along
 	// analytic messages in a distributed deployment (DESIGN.md decision 4).
@@ -261,7 +212,7 @@ func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, err
 		return nil, err
 	}
 	o.ev = ev
-	o.f = newFeeder(ev, g, q, true)
+	o.f = newFeeder(ev, g, q)
 	o.f.feedStatic()
 	return o, nil
 }
@@ -351,12 +302,9 @@ func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
 		o.noted = derived
 		return nil
 	}
-	recs := o.shedRecords(v)
-	for i := range recs {
-		o.f.feedEngineRecord(&recs[i])
-	}
+	o.views = eval.EngineViews(o.views, o.shedRecords(v))
 	before := o.ev.Stats().Derivations
-	if err := o.ev.Fixpoint(); err != nil {
+	if err := o.f.layer(o.views); err != nil {
 		return err
 	}
 	o.notePiggyback(v.Superstep, o.ev.Stats().Derivations-before)

@@ -12,7 +12,6 @@
 package driver
 
 import (
-	"ariadne/internal/engine"
 	"ariadne/internal/graph"
 	"ariadne/internal/obs"
 	"ariadne/internal/pql/analysis"
@@ -74,43 +73,12 @@ func needsOf(q *analysis.Query) needs {
 	return n
 }
 
-// retention keeps, per vertex, the last captured value and its superstep so
-// evolution joins (value at the *previous active* superstep) work in
-// layered and online modes without materializing older layers — DESIGN.md
-// decision 3. Memory is O(active vertices), not O(supersteps). Only a walk
-// forward in time can retain a predecessor's value, so a nil retention
-// (backward or unordered feeding) keeps and finds nothing.
-type retention map[graph.VertexID]retained
-
-type retained struct {
-	val value.Value
-	ss  int
-}
-
-// keep records v's value at superstep ss.
-func (r retention) keep(v graph.VertexID, ss int, val value.Value) {
-	if r != nil {
-		r[v] = retained{val: val, ss: ss}
-	}
-}
-
-// at returns v's value at superstep ss, if that is the value retained: a
-// later capture that carried no value must not pass an older value off as
-// the one at ss.
-func (r retention) at(v graph.VertexID, ss int) (value.Value, bool) {
-	e, ok := r[v]
-	if !ok || e.ss != ss {
-		return value.Value{}, false
-	}
-	return e.val, true
-}
-
-// feeder converts provenance records into EDB facts for an evaluator.
+// feeder converts record views into EDB facts for the materialised
+// evaluator.
 type feeder struct {
 	ev   *eval.Evaluator
 	g    *graph.Graph
 	n    needs
-	ret  retention
 	prov *provenance.Store // set when feeding from a store (layered/naive)
 
 	edgesFed     bool
@@ -125,11 +93,8 @@ type feeder struct {
 	FactCount int64
 }
 
-func newFeeder(ev *eval.Evaluator, g *graph.Graph, q *analysis.Query, forward bool) *feeder {
+func newFeeder(ev *eval.Evaluator, g *graph.Graph, q *analysis.Query) *feeder {
 	f := &feeder{ev: ev, g: g, n: needsOf(q)}
-	if forward && (f.n.evolution || f.n.value) {
-		f.ret = retention{}
-	}
 	if f.n.edgeValue {
 		f.edgeValueFed = map[graph.VertexID]bool{}
 	}
@@ -226,63 +191,49 @@ func (f *feeder) feedTelemetry(t provenance.Telemetry) {
 	}
 }
 
-// record is the mode-independent shape of one provenance record.
-type record struct {
-	vertex     graph.VertexID
-	superstep  int
-	prevActive int
-	hasValue   bool
-	value      value.Value
-	sends      []provenance.MsgHalf
-	recvs      []provenance.MsgHalf
-	sentAny    bool
-	emitted    []provenance.Fact
-}
-
-// feedRecord emits the EDB facts for one record.
-func (f *feeder) feedRecord(r *record) {
-	x := value.NewInt(int64(r.vertex))
-	i := value.NewInt(int64(r.superstep))
+// feedRecord emits the EDB facts for one record view. The previous value
+// an evolution join reads comes with the view: the engine's OldValue online,
+// the view builder's retention over ascending layers, nothing otherwise.
+func (f *feeder) feedRecord(rv *eval.RecordView) {
+	x := value.NewInt(rv.Vertex)
+	i := value.NewInt(rv.Superstep)
 	if f.n.superstep {
 		f.add("superstep", eval.Tuple{x, i})
 	}
-	if f.n.value && r.hasValue {
-		f.add("value", eval.Tuple{x, r.value, i})
+	if f.n.value && rv.HasValue {
+		f.add("value", eval.Tuple{x, rv.Value, i})
 	}
-	if f.n.evolution && r.prevActive >= 0 {
-		j := value.NewInt(int64(r.prevActive))
+	if f.n.evolution && rv.PrevActive >= 0 {
+		j := value.NewInt(rv.PrevActive)
 		f.add("evolution", eval.Tuple{x, j, i})
-		// Re-inject the retained previous value so value(X, D2, J) joins
-		// resolve without the J-th layer resident (idempotent under naive
-		// mode, where the fact is already present).
-		if f.n.value {
-			if pv, ok := f.ret.at(r.vertex, r.prevActive); ok {
-				f.add("value", eval.Tuple{x, pv, j})
-			}
+		// Re-inject the previous value so value(X, D2, J) joins resolve
+		// without the J-th layer resident.
+		if f.n.value && rv.HasPrevValue {
+			f.add("value", eval.Tuple{x, rv.PrevValue, j})
 		}
 	}
 	if f.n.send {
-		for _, m := range r.sends {
-			f.add("send_message", eval.Tuple{x, value.NewInt(int64(m.Peer)), m.Val, i})
+		for _, m := range rv.Sends {
+			f.add("send_message", eval.Tuple{x, value.NewInt(int64(m.Dst)), m.Val, i})
 		}
 	}
 	if f.n.recv {
-		for _, m := range r.recvs {
-			f.add("receive_message", eval.Tuple{x, value.NewInt(int64(m.Peer)), m.Val, i})
+		for _, m := range rv.Recvs {
+			f.add("receive_message", eval.Tuple{x, value.NewInt(int64(m.Src)), m.Val, i})
 		}
 	}
-	if f.n.provSend && (r.sentAny || len(r.sends) > 0) {
+	if f.n.provSend && rv.SentAny {
 		f.add("prov_send", eval.Tuple{x, i})
 	}
-	if f.n.edgeValue && !f.edgeValueFed[r.vertex] {
-		f.edgeValueFed[r.vertex] = true
-		dst, w := f.g.OutNeighbors(r.vertex)
+	if v := graph.VertexID(rv.Vertex); f.n.edgeValue && !f.edgeValueFed[v] {
+		f.edgeValueFed[v] = true
+		dst, w := f.g.OutNeighbors(v)
 		zero := value.NewInt(0)
 		for k, d := range dst {
 			f.add("edge_value", eval.Tuple{x, value.NewInt(int64(d)), value.NewFloat(w[k]), zero})
 		}
 	}
-	for _, fact := range r.emitted {
+	for _, fact := range rv.Emitted {
 		if !f.n.emitted[fact.Table] {
 			continue
 		}
@@ -292,53 +243,12 @@ func (f *feeder) feedRecord(r *record) {
 		t = append(t, i)
 		f.add(fact.Table, t)
 	}
-	if r.hasValue {
-		f.ret.keep(r.vertex, r.superstep, r.value)
-	}
 }
 
-// feedProvRecord adapts a stored provenance record.
-func (f *feeder) feedProvRecord(rec *provenance.Record, superstep int) {
-	f.feedRecord(&record{
-		vertex:     rec.Vertex,
-		superstep:  superstep,
-		prevActive: int(rec.PrevActive),
-		hasValue:   rec.HasValue,
-		value:      rec.Value,
-		sends:      rec.Sends,
-		recvs:      rec.Recvs,
-		sentAny:    rec.SentAny,
-		emitted:    rec.Emitted,
-	})
-}
-
-// feedEngineRecord adapts a live engine record (online mode).
-func (f *feeder) feedEngineRecord(rec *engine.VertexRecord) {
-	r := record{
-		vertex:     rec.ID,
-		superstep:  rec.Superstep,
-		prevActive: rec.PrevActive,
-		hasValue:   true,
-		value:      rec.NewValue,
-		sentAny:    len(rec.Sent) > 0,
+// layer feeds one superstep's views and runs the evaluator to its fixpoint.
+func (f *feeder) layer(views []eval.RecordView) error {
+	for i := range views {
+		f.feedRecord(&views[i])
 	}
-	if len(rec.Sent) > 0 {
-		r.sends = make([]provenance.MsgHalf, len(rec.Sent))
-		for i, m := range rec.Sent {
-			r.sends[i] = provenance.MsgHalf{Peer: m.Dst, Val: m.Val}
-		}
-	}
-	if len(rec.Received) > 0 {
-		r.recvs = make([]provenance.MsgHalf, len(rec.Received))
-		for i, m := range rec.Received {
-			r.recvs[i] = provenance.MsgHalf{Peer: m.Src, Val: m.Val}
-		}
-	}
-	if len(rec.Emitted) > 0 {
-		r.emitted = make([]provenance.Fact, len(rec.Emitted))
-		for i, e := range rec.Emitted {
-			r.emitted[i] = provenance.Fact{Table: e.Table, Args: e.Args}
-		}
-	}
-	f.feedRecord(&r)
+	return f.ev.Fixpoint()
 }

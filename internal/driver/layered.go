@@ -23,21 +23,23 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 	db := eval.NewDatabase()
 	ascending := q.Class != analysis.Backward
 	res := &Result{q: q, db: db}
-	compiled, isCompiled := tryCompile(q, db, g, cfg)
-	var vb *viewBuilder
+	// evalLayer evaluates one layer's views on the query's path.
+	var evalLayer func([]eval.RecordView) error
 	var f *feeder
+	compiled, isCompiled := tryCompile(q, db, g, cfg)
 	if isCompiled {
-		vb = newViewBuilder(ascending)
 		res.compiled = compiled
+		evalLayer = compiled.Layer
 	} else {
 		ev, err := eval.NewEvaluator(q, db)
 		if err != nil {
 			return nil, err
 		}
-		f = newFeeder(ev, g, q, ascending)
+		f = newFeeder(ev, g, q)
 		f.prov = store
 		f.feedStatic()
 		res.ev = ev
+		evalLayer = f.layer
 	}
 	// Projection pushdown: ask the store for only the payload columns this
 	// query's evaluation path can observe (v2 columnar layers skip the rest
@@ -46,6 +48,7 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 	if !cfg.noProjection {
 		proj = projectionFor(q, isCompiled)
 	}
+	vb := newViewBuilder(ascending)
 	n := store.NumLayers()
 	for i := 0; i < n; i++ {
 		idx := i
@@ -56,18 +59,7 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 		if err != nil {
 			return nil, err
 		}
-		if isCompiled {
-			views := vb.fromProv(l)
-			res.Facts += int64(len(views))
-			if err := compiled.Layer(views); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		for ri := range l.Records {
-			f.feedProvRecord(&l.Records[ri], l.Superstep)
-		}
-		if err := res.ev.Fixpoint(); err != nil {
+		if err := evalLayer(vb.fromProv(l)); err != nil {
 			return nil, err
 		}
 	}
@@ -75,6 +67,7 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 		if err := compiled.FinishRun(); err != nil {
 			return nil, err
 		}
+		res.Facts = compiled.Records()
 	} else {
 		res.Facts = f.FactCount
 	}

@@ -6,11 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"ariadne/internal/analytics"
 	"ariadne/internal/capture"
 	"ariadne/internal/engine"
 	"ariadne/internal/gen"
 	"ariadne/internal/graph"
 	"ariadne/internal/obs"
+	"ariadne/internal/pql/analysis"
 	"ariadne/internal/provenance"
 	"ariadne/internal/queries"
 	"ariadne/internal/value"
@@ -198,4 +200,67 @@ func TestLayeredReadsEachLayerOnce(t *testing.T) {
 			requireSameSig(t, c.name+"/"+leg.name, resultSig(naive), resultSig(res))
 		}
 	}
+}
+
+// TestNaiveReadsEachLayerOnce: naive evaluation reads each layer once even
+// when the query reads an emitted table (Query 8 over an ALS capture), and a
+// record's emitted facts are fed with its other facts, so a query over
+// superstep and an emitted table is fed exactly what the layered
+// materialised leg is fed.
+func TestNaiveReadsEachLayerOnce(t *testing.T) {
+	ml, err := gen.MLDataset(-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.New()
+	store := provenance.NewStore(provenance.StoreConfig{Metrics: m})
+	t.Cleanup(func() { store.Close() })
+	e, err := engine.New(ml.Graph, &analytics.ALS{NumUsers: ml.NumUsers, Features: 2, Seed: 7}, engine.Config{
+		MaxSupersteps: 5, Observers: []engine.Observer{capture.NewObserver(capture.FullPolicy(), store)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	q8 := queries.ALSErrorIncrease(0.01)
+	var naive *Result
+	reads := layerReads(m, func() {
+		if naive, err = Naive(q8.MustBuild(), store, ml.Graph, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if reads != int64(store.NumLayers()) {
+		t.Errorf("naive read %d layers of %d, want each once", reads, store.NumLayers())
+	}
+	layered, err := Layered(q8.MustBuild(), store, ml.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resultSig(naive)["avg_error"]) == 0 {
+		t.Fatal("naive derived no avg_error")
+	}
+	requireSameSig(t, "naive vs layered", resultSig(layered), resultSig(naive))
+
+	env := analysis.NewEnv()
+	env.DeclareEDB("prov_error", 4)
+	active := queries.Definition{
+		Name:        "erring",
+		Source:      `erring(X, I) :- superstep(X, I), prov_error(X, Y, E, I).`,
+		Env:         env,
+		ResultPreds: []string{"erring"},
+	}
+	naive, err = Naive(active.MustBuild(), store, ml.Graph, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := Layered(active.MustBuild(), store, ml.Graph, materialised())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.Facts != mat.Facts {
+		t.Errorf("naive fed %d facts, layered materialised %d", naive.Facts, mat.Facts)
+	}
+	requireSameSig(t, "naive vs layered materialised", relationKeys(mat, false), relationKeys(naive, false))
 }

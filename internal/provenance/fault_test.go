@@ -50,9 +50,9 @@ func TestSpillWriteRetriesTransientErrors(t *testing.T) {
 }
 
 func TestSpillWriteExhaustedRetriesLeaveNoPartialFile(t *testing.T) {
-	// Async pipeline (the default): the enqueue succeeds, the exhausted
-	// write surfaces at Sync (or the next AppendLayer), and the failed
-	// layer reverts to resident so its provenance is not lost.
+	// The write-behind pipeline: the enqueue succeeds, the exhausted write
+	// surfaces at Sync (or the next AppendLayer), and the failed layer
+	// reverts to resident so its provenance is not lost.
 	t.Run("async", func(t *testing.T) {
 		dir := t.TempDir()
 		s := NewStore(StoreConfig{
@@ -77,25 +77,6 @@ func TestSpillWriteExhaustedRetriesLeaveNoPartialFile(t *testing.T) {
 			t.Errorf("failed-spill layer unreadable: %v", err)
 		}
 		// Neither a partial layer file nor a temp file may exist.
-		if names := listDir(t, dir); len(names) != 0 {
-			t.Errorf("failed spill left files behind: %v", names)
-		}
-	})
-	// SyncSpill: the pre-pipeline contract — the error surfaces from
-	// AppendLayer itself.
-	t.Run("sync", func(t *testing.T) {
-		dir := t.TempDir()
-		s := NewStore(StoreConfig{
-			SpillAll:  true,
-			SpillDir:  dir,
-			SyncSpill: true,
-			Fault:     fault.NewInjector(fault.IOErrors(fault.SiteSpillWrite, 100)),
-		})
-		defer s.Close()
-		err := s.AppendLayer(sampleLayer(0, 5))
-		if !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("exhausted retries = %v, want ErrInjected", err)
-		}
 		if names := listDir(t, dir); len(names) != 0 {
 			t.Errorf("failed spill left files behind: %v", names)
 		}

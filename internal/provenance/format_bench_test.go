@@ -25,15 +25,14 @@ func BenchmarkStoreFormat(b *testing.B) {
 		dir := b.TempDir()
 		var bytesPerTuple float64
 		for i := 0; i < b.N; i++ {
-			s := NewStore(StoreConfig{
-				SpillAll:  true,
-				SyncSpill: true,
-				SpillDir:  dir,
-			})
+			s := NewStore(StoreConfig{SpillAll: true, SpillDir: dir})
 			for _, l := range layers {
 				if err := s.AppendLayer(l); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if err := s.Sync(); err != nil {
+				b.Fatal(err)
 			}
 			bytesPerTuple = float64(s.DiskBytes()) / float64(s.TotalTuples())
 			if err := s.Close(); err != nil {

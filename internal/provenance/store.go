@@ -44,11 +44,6 @@ type StoreConfig struct {
 	// back to retry under (injected or real) I/O faults. nil disables
 	// instrumentation.
 	Metrics *obs.Metrics
-	// SyncSpill disables the asynchronous spill pipeline: layer files are
-	// written inline and write errors surface immediately from AppendLayer
-	// (the pre-pipeline behavior; also what the fault-injection tests that
-	// assert on immediate errors select).
-	SyncSpill bool
 	// ReloadCache bounds the LRU cache of layers decoded by Layer():
 	// layered backward evaluation revisits the same layer once per rule
 	// body, so decoding it again each visit is pure waste. 0 means the
@@ -186,43 +181,34 @@ func (s *Store) startWriter() {
 	}(s.jobs, s.done)
 }
 
-// enqueueSpill hands layer i's image to the spill pipeline (or writes it
-// inline under SyncSpill). Accounting happens at enqueue — the layer is
-// logically spilled from this point, though reads still serve it from the
-// pending set until the write completes. A full queue blocks, draining
-// completions while waiting (backpressure instead of unbounded buffering).
-func (s *Store) enqueueSpill(i int) error {
+// enqueueSpill hands layer i's image to the spill pipeline. Accounting
+// happens at enqueue — the layer is logically spilled from this point,
+// though reads still serve it from the pending set until the write
+// completes. A full queue blocks, draining completions while waiting
+// (backpressure instead of unbounded buffering).
+func (s *Store) enqueueSpill(i int) {
+	if s.jobs == nil {
+		s.startWriter()
+	}
 	img := s.images[i]
 	path := filepath.Join(s.cfg.SpillDir, layerFileName(i))
-	attrSS := len(s.images) - 1 // the superstep being appended
-	if s.cfg.SyncSpill {
-		if err := s.spillLayer(path, img, i, attrSS); err != nil {
-			return fmt.Errorf("provenance: spilling layer %d: %w", i, err)
+	s.pending[i] = img
+	job := spillJob{idx: i, path: path, img: img, attrSS: len(s.images) - 1} // the superstep being appended
+send:
+	for {
+		select {
+		case s.jobs <- job:
+			break send
+		case d := <-s.done:
+			s.complete(d)
 		}
-		s.diskBytes += int64(len(img))
-	} else {
-		if s.jobs == nil {
-			s.startWriter()
-		}
-		s.pending[i] = img
-		job := spillJob{idx: i, path: path, img: img, attrSS: attrSS}
-	send:
-		for {
-			select {
-			case s.jobs <- job:
-				break send
-			case d := <-s.done:
-				s.complete(d)
-			}
-		}
-		s.outstanding++
-		s.highWater = max(s.highWater, int64(s.outstanding))
-		s.cfg.Metrics.SpillQueue(int64(s.outstanding), s.highWater)
 	}
+	s.outstanding++
+	s.highWater = max(s.highWater, int64(s.outstanding))
+	s.cfg.Metrics.SpillQueue(int64(s.outstanding), s.highWater)
 	s.resident -= int64(len(img))
 	s.images[i] = nil
 	s.files[i] = path
-	return nil
 }
 
 // complete applies one writer completion: a success finalizes the spill; a
@@ -306,9 +292,7 @@ func (s *Store) Append(b *LayerBuilder) error {
 	s.cfg.Metrics.AddCaptureBytes(b.enc)
 
 	if s.cfg.SpillAll {
-		if err := s.enqueueSpill(len(s.images) - 1); err != nil {
-			return err
-		}
+		s.enqueueSpill(len(s.images) - 1)
 	} else if s.cfg.MemoryBudget > 0 && s.resident > s.cfg.MemoryBudget {
 		if s.cfg.SpillDir == "" {
 			return fmt.Errorf("%w: resident %d bytes > budget %d", ErrBudgetExceeded, s.resident, s.cfg.MemoryBudget)
@@ -465,9 +449,7 @@ func (s *Store) spillOldest() error {
 		if s.images[i] == nil {
 			continue
 		}
-		if err := s.enqueueSpill(i); err != nil {
-			return err
-		}
+		s.enqueueSpill(i)
 	}
 	if s.resident > s.cfg.MemoryBudget {
 		return fmt.Errorf("%w: a single layer exceeds the budget", ErrBudgetExceeded)
@@ -477,9 +459,8 @@ func (s *Store) spillOldest() error {
 
 // spillLayer writes layer idx's image to its file, accounting bytes and
 // duration to the metrics registry under superstep attrSS. Runs on the
-// caller goroutine under SyncSpill and on the pipeline's writer goroutine
-// otherwise — everything it touches is either job-local or internally
-// synchronized.
+// pipeline's writer goroutine — everything it touches is either job-local
+// or internally synchronized.
 func (s *Store) spillLayer(path string, img []byte, idx, attrSS int) error {
 	start := time.Now()
 	if err := writeLayerFile(path, img, idx, s.cfg.Fault, s.cfg.Metrics); err != nil {

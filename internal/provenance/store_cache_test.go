@@ -12,7 +12,6 @@ import "testing"
 func TestStoreCacheBytesProjected(t *testing.T) {
 	s := NewStore(StoreConfig{
 		SpillAll:    true,
-		SyncSpill:   true,
 		SpillDir:    t.TempDir(),
 		ReloadCache: 2,
 	})
@@ -21,6 +20,9 @@ func TestStoreCacheBytesProjected(t *testing.T) {
 		if err := s.AppendLayer(wccLayer(ss, 500, 4)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	if got := s.CacheBytes(); got != 0 {
 		t.Fatalf("CacheBytes before any reload = %d, want 0", got)

@@ -137,8 +137,7 @@ func TestCrashRecoveryPageRankQ4(t *testing.T) {
 
 // TestCrashRecoveryPageRankApt covers the interpretive online path (the apt
 // query aggregates, so it cannot compile to a query vertex program): the
-// evaluator's aggregate tables and the feeder's retention maps must survive
-// the crash/resume cycle.
+// evaluator's aggregate tables must survive the crash/resume cycle.
 func TestCrashRecoveryPageRankApt(t *testing.T) {
 	crashSS := 2 + rand.New(rand.NewSource(6)).Intn(10)
 	prog := &analytics.PageRank{Iterations: 14}
