@@ -8,6 +8,7 @@ package capture
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"ariadne/internal/engine"
 	"ariadne/internal/fault"
@@ -83,12 +84,32 @@ type Observer struct {
 	inj *fault.Injector
 	deg *supervise.DegradeState
 
-	b *provenance.LayerBuilder // reused: each layer starts at the last one's block sizes
+	// segs holds each partition's share of the layer being captured,
+	// indexed by partition. The engine's partition count is not known up
+	// front, so the slice grows under mu; a segment itself is only touched
+	// by its partition's goroutine until the barrier.
+	mu   sync.Mutex
+	segs []*segment
+	live []*provenance.LayerBuilder // the barrier's segments to stitch, reused
 }
+
+// segment is one partition's capture of one superstep: its records encoded
+// into a LayerBuilder (reused, so each layer starts at the last one's block
+// sizes) with the tallies and new taints the barrier folds in.
+type segment struct {
+	b        *provenance.LayerBuilder
+	observed bool // the partition handed over records since the last barrier
+	tuples   tally
+	emitted  map[string]int64
+	taints   []graph.VertexID
+}
+
+// tally counts the captured tuples of the built-in tables.
+type tally struct{ values, sends, flags, recvs int64 }
 
 // NewObserver creates a capture observer writing into store.
 func NewObserver(policy Policy, store *provenance.Store) *Observer {
-	o := &Observer{policy: policy, store: store, b: provenance.NewLayerBuilder(0)}
+	o := &Observer{policy: policy, store: store}
 	o.emitSet = map[string]bool{}
 	for _, t := range policy.Emitted {
 		if t == "*" {
@@ -126,39 +147,22 @@ func (o *Observer) SetDegradation(deg *supervise.DegradeState, inj *fault.Inject
 // Degraded returns the degradation state (nil unless armed).
 func (o *Observer) Degraded() *supervise.DegradeState { return o.deg }
 
-// ObservePartition implements engine.Observer: capture appends the merged
-// records at the barrier, so it does nothing per partition.
-func (o *Observer) ObservePartition(int, int, []engine.VertexRecord) {}
-
-// NeedsRawMessages implements engine.Observer.
-func (o *Observer) NeedsRawMessages() bool {
-	return o.policy.NeedsRaw() || o.policy.TaintSource != nil
-}
-
-// ObserveSuperstep implements engine.Observer: appends the superstep's
-// records straight into the layer's column blocks and hands the finished
-// layer to the store. When degradation is armed, each partition's capture
-// is health-checked first: records of failing or already-shed partitions
-// are dropped from the layer and recorded as capture gaps, and whole-layer
-// store failures (spill errors, exhausted memory budget) degrade to an
-// empty placeholder layer instead of aborting the run.
-func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
-	skip, err := o.partitionHealth(v)
-	if err != nil {
-		return err
-	}
-	b := o.b
-	b.Reset(v.Superstep)
-	var newTaints []graph.VertexID
-	var nValues, nSends, nFlags, nRecvs int64
-	var nEmitted map[string]int64
-	recs := v.Records()
+// ObservePartition implements engine.Observer: it runs the capture policy
+// over partition p's records on p's own goroutine, encoding them into the
+// partition's segment of the layer. The forward-lineage filter reads the
+// taint set frozen at the last barrier; the taints it finds join the set at
+// this superstep's barrier.
+func (o *Observer) ObservePartition(p, ss int, recs []engine.VertexRecord) {
+	seg := o.segment(p)
+	b := seg.b
+	b.Reset(ss)
+	seg.observed = len(recs) > 0
+	seg.tuples = tally{}
+	clear(seg.emitted)
+	seg.taints = seg.taints[:0]
 	for i := range recs {
 		rec := &recs[i]
-		if skip != nil && skip[v.Engine.PartitionOf(rec.ID)] {
-			continue
-		}
-		if o.tainted != nil && !o.taintedNow(rec, &newTaints) {
+		if o.tainted != nil && !o.taintedNow(rec, &seg.taints) {
 			continue
 		}
 		var sent []engine.SentMessage
@@ -178,11 +182,11 @@ func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
 		b.Begin(rec.ID, int32(rec.PrevActive), len(sent), len(received), facts)
 		if o.policy.Values {
 			b.Value(rec.NewValue)
-			nValues++
+			seg.tuples.values++
 		}
 		if o.policy.SendFlags && len(rec.Sent) > 0 {
 			b.SentAny()
-			nFlags++
+			seg.tuples.flags++
 		}
 		for _, m := range sent {
 			b.Send(m.Dst, m.Val)
@@ -190,38 +194,91 @@ func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
 		for _, m := range received {
 			b.Recv(m.Src, m.Val)
 		}
-		nSends += int64(len(sent))
-		nRecvs += int64(len(received))
+		seg.tuples.sends += int64(len(sent))
+		seg.tuples.recvs += int64(len(received))
 		for _, f := range rec.Emitted {
 			if !o.keeps(f.Table) {
 				continue
 			}
 			b.Fact(f.Table, f.Args)
 			if o.metrics != nil {
-				if nEmitted == nil {
-					nEmitted = map[string]int64{}
+				if seg.emitted == nil {
+					seg.emitted = map[string]int64{}
 				}
-				nEmitted[f.Table]++
+				seg.emitted[f.Table]++
 			}
 		}
 	}
-	if o.metrics != nil {
-		o.metrics.AddCaptureTuples("value", nValues)
-		o.metrics.AddCaptureTuples("send_message", nSends)
-		o.metrics.AddCaptureTuples("prov_send", nFlags)
-		o.metrics.AddCaptureTuples("receive_message", nRecvs)
-		for t, n := range nEmitted {
-			o.metrics.AddCaptureTuples(t, n)
+}
+
+// segment returns partition p's segment, creating it on first use.
+func (o *Observer) segment(p int) *segment {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for len(o.segs) <= p {
+		o.segs = append(o.segs, &segment{b: provenance.NewLayerBuilder(0)})
+	}
+	return o.segs[p]
+}
+
+// NeedsRawMessages implements engine.Observer.
+func (o *Observer) NeedsRawMessages() bool {
+	return o.policy.NeedsRaw() || o.policy.TaintSource != nil
+}
+
+// ObserveSuperstep implements engine.Observer: the partitions have encoded
+// their records, so the barrier only stitches their segments into the
+// layer's image and hands it to the store. When degradation is armed, each
+// partition's capture is health-checked first: segments of failing or
+// already-shed partitions are left out of the layer and recorded as capture
+// gaps, and whole-layer store failures (spill errors, exhausted memory
+// budget) degrade to an empty placeholder layer instead of aborting the run.
+func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
+	ss := v.Superstep
+	o.mu.Lock()
+	segs := o.segs
+	o.mu.Unlock()
+	var seen []int
+	for p, seg := range segs {
+		if seg.observed {
+			seen = append(seen, p)
+			seg.observed = false
 		}
 	}
-	// Taints become visible after the full layer is processed so that
-	// same-superstep message order cannot matter (BSP semantics: messages
-	// received this superstep were sent last superstep).
-	for _, t := range newTaints {
-		o.tainted[t] = true
+	skip, err := o.partitionHealth(ss, seen)
+	if err != nil {
+		return err
 	}
-	if err := o.store.Append(b); err != nil {
-		return o.degradeLayer(v.Superstep, err)
+	live := o.live[:0]
+	var n tally
+	for _, p := range seen {
+		seg := segs[p]
+		if skip[p] {
+			continue
+		}
+		live = append(live, seg.b)
+		n.values += seg.tuples.values
+		n.sends += seg.tuples.sends
+		n.flags += seg.tuples.flags
+		n.recvs += seg.tuples.recvs
+		for t, c := range seg.emitted {
+			o.metrics.AddCaptureTuples(t, c)
+		}
+		// Taints become visible only now that every partition has captured
+		// the layer, so that same-superstep message order cannot matter (BSP
+		// semantics: messages received this superstep were sent last
+		// superstep).
+		for _, t := range seg.taints {
+			o.tainted[t] = true
+		}
+	}
+	o.live = live
+	o.metrics.AddCaptureTuples("value", n.values)
+	o.metrics.AddCaptureTuples("send_message", n.sends)
+	o.metrics.AddCaptureTuples("prov_send", n.flags)
+	o.metrics.AddCaptureTuples("receive_message", n.recvs)
+	if err := o.store.Append(ss, live...); err != nil {
+		return o.degradeLayer(ss, err)
 	}
 	return nil
 }
@@ -229,27 +286,16 @@ func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
 // keeps reports whether the policy persists emitted facts of table.
 func (o *Observer) keeps(table string) bool { return o.emitAll || o.emitSet[table] }
 
-// partitionHealth runs the per-partition capture health check and returns
-// the set of partitions whose records must be dropped this superstep (nil
-// when nothing is dropped). Already-shed partitions extend their gap; a
-// fresh fault-site failure records a gap, counts toward the partition's
-// consecutive-failure threshold, and — without degradation armed — aborts
-// the run.
-func (o *Observer) partitionHealth(v *engine.SuperstepView) (map[int]bool, error) {
+// partitionHealth runs the per-partition capture health check over the
+// partitions that captured records this superstep (seen, ascending) and
+// returns the set whose segments must be dropped (nil when nothing is
+// dropped). Already-shed partitions extend their gap; a fresh fault-site
+// failure records a gap, counts toward the partition's consecutive-failure
+// threshold, and — without degradation armed — aborts the run.
+func (o *Observer) partitionHealth(ss int, parts []int) (map[int]bool, error) {
 	if o.inj == nil && o.deg == nil {
 		return nil, nil
 	}
-	ss := v.Superstep
-	seen := map[int]bool{}
-	recs := v.Records()
-	for i := range recs {
-		seen[v.Engine.PartitionOf(recs[i].ID)] = true
-	}
-	parts := make([]int, 0, len(seen))
-	for p := range seen {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
 	var skip map[int]bool
 	drop := func(p int) {
 		if skip == nil {

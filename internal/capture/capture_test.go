@@ -1,7 +1,9 @@
 package capture
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"ariadne/internal/engine"
@@ -12,8 +14,26 @@ import (
 	"ariadne/internal/value"
 )
 
-func view(ss int, recs ...engine.VertexRecord) *engine.SuperstepView {
-	return engine.NewSuperstepView(ss, recs)
+// observe drives one superstep through o the way the engine does: the
+// records, in ascending vertex order, are split over parts partitions by
+// vertex id, each partition's share goes to ObservePartition on its own
+// goroutine, and ObserveSuperstep runs once they all returned.
+func observe(o *Observer, parts, ss int, recs ...engine.VertexRecord) error {
+	split := make([][]engine.VertexRecord, parts)
+	for _, r := range recs {
+		p := int(r.ID) % parts
+		split[p] = append(split[p], r)
+	}
+	var wg sync.WaitGroup
+	for p, rs := range split {
+		wg.Add(1)
+		go func(p int, rs []engine.VertexRecord) {
+			defer wg.Done()
+			o.ObservePartition(p, ss, rs)
+		}(p, rs)
+	}
+	wg.Wait()
+	return o.ObserveSuperstep(engine.NewSuperstepView(ss, recs))
 }
 
 func rec(id graph.VertexID, prev int, val float64, sent []engine.SentMessage, recv []engine.IncomingMessage) engine.VertexRecord {
@@ -34,7 +54,7 @@ func TestFullPolicyCapturesEverything(t *testing.T) {
 	recv := []engine.IncomingMessage{{Src: 3, Val: value.NewFloat(2)}}
 	r := rec(1, -1, 0.5, sent, recv)
 	r.Emitted = []engine.ProvFact{{Table: "prov_error", Args: []value.Value{value.NewInt(3)}}}
-	if err := o.ObserveSuperstep(view(0, r)); err != nil {
+	if err := observe(o, 1, 0, r); err != nil {
 		t.Fatal(err)
 	}
 	l, err := store.Layer(0)
@@ -63,7 +83,7 @@ func TestBackwardCustomPolicyDropsMessageValues(t *testing.T) {
 		t.Error("send-flag capture should not force raw delivery")
 	}
 	sent := []engine.SentMessage{{Dst: 2, Val: value.NewFloat(1)}}
-	if err := o.ObserveSuperstep(view(0, rec(1, -1, 0.5, sent, nil))); err != nil {
+	if err := observe(o, 1, 0, rec(1, -1, 0.5, sent, nil)); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := store.Layer(0)
@@ -84,11 +104,11 @@ func TestTaintPropagation(t *testing.T) {
 	o := NewObserver(ForwardLineagePolicy(0), store)
 
 	// ss0: all three vertices compute; only source 0 is tainted.
-	if err := o.ObserveSuperstep(view(0,
+	if err := observe(o, 3, 0,
 		rec(0, -1, 1, []engine.SentMessage{{Dst: 1, Val: value.NewFloat(1)}}, nil),
 		rec(1, -1, 1, nil, nil),
 		rec(2, -1, 1, nil, nil),
-	)); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
 	l0, _ := store.Layer(0)
@@ -98,10 +118,10 @@ func TestTaintPropagation(t *testing.T) {
 
 	// ss1: vertex 1 receives from 0 (tainted), vertex 2 from 1 (1 was NOT
 	// tainted when it sent, i.e. before this layer).
-	if err := o.ObserveSuperstep(view(1,
+	if err := observe(o, 3, 1,
 		rec(1, 0, 2, nil, []engine.IncomingMessage{{Src: 0, Val: value.NewFloat(1)}}),
 		rec(2, 0, 2, nil, []engine.IncomingMessage{{Src: 1, Val: value.NewFloat(1)}}),
-	)); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
 	l1, _ := store.Layer(1)
@@ -110,9 +130,9 @@ func TestTaintPropagation(t *testing.T) {
 	}
 
 	// ss2: now 1 is tainted, so 2 receiving from 1 joins the lineage.
-	if err := o.ObserveSuperstep(view(2,
+	if err := observe(o, 3, 2,
 		rec(2, 0, 3, nil, []engine.IncomingMessage{{Src: 1, Val: value.NewFloat(2)}}),
-	)); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
 	l2, _ := store.Layer(2)
@@ -124,6 +144,59 @@ func TestTaintPropagation(t *testing.T) {
 	}
 }
 
+// TestForwardLineageAcrossPartitions pins when a taint found in one
+// partition reaches another. Vertex 2 (partition 0) joins the lineage at
+// superstep 1; vertex 3 (partition 1), receiving from 2 in that superstep,
+// must not join until superstep 2, even though partition 0 is observed
+// first: partitions read the taint set frozen at the last barrier.
+func TestForwardLineageAcrossPartitions(t *testing.T) {
+	store := provenance.NewStore(provenance.StoreConfig{})
+	o := NewObserver(ForwardLineagePolicy(0), store)
+	from := func(src graph.VertexID) []engine.IncomingMessage {
+		return []engine.IncomingMessage{{Src: src, Val: value.NewFloat(1)}}
+	}
+	steps := []struct {
+		parts [2][]engine.VertexRecord // by partition, vertex mod 2
+		want  []graph.VertexID
+	}{
+		{[2][]engine.VertexRecord{
+			{rec(0, -1, 1, nil, nil), rec(2, -1, 1, nil, nil)},
+			{rec(1, -1, 1, nil, nil), rec(3, -1, 1, nil, nil)},
+		}, []graph.VertexID{0}},
+		{[2][]engine.VertexRecord{
+			{rec(2, 0, 2, nil, from(0)), rec(4, -1, 2, nil, from(2))},
+			{rec(1, 0, 2, nil, from(0)), rec(3, 0, 2, nil, from(2))},
+		}, []graph.VertexID{1, 2}},
+		// Partition 0 hands nothing over: its superstep-1 segment must not
+		// be stitched again.
+		{[2][]engine.VertexRecord{nil, {rec(3, 1, 3, nil, from(2))}}, []graph.VertexID{3}},
+	}
+	for ss, step := range steps {
+		for p, recs := range step.parts {
+			if recs != nil {
+				o.ObservePartition(p, ss, recs)
+			}
+		}
+		if err := o.ObserveSuperstep(engine.NewSuperstepView(ss, nil)); err != nil {
+			t.Fatal(err)
+		}
+		l, err := store.Layer(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []graph.VertexID
+		for _, r := range l.Records {
+			got = append(got, r.Vertex)
+		}
+		if !slices.Equal(got, step.want) {
+			t.Errorf("superstep %d captured %v, want %v", ss, got, step.want)
+		}
+	}
+	if store.DistinctVertices() != 4 {
+		t.Errorf("lineage covers %d vertices, want 4", store.DistinctVertices())
+	}
+}
+
 func TestEmittedFilter(t *testing.T) {
 	store := provenance.NewStore(provenance.StoreConfig{})
 	o := NewObserver(Policy{Values: true, Emitted: []string{"keep"}}, store)
@@ -132,7 +205,7 @@ func TestEmittedFilter(t *testing.T) {
 		{Table: "keep", Args: []value.Value{value.NewInt(1)}},
 		{Table: "drop", Args: []value.Value{value.NewInt(2)}},
 	}
-	if err := o.ObserveSuperstep(view(0, r)); err != nil {
+	if err := observe(o, 1, 0, r); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := store.Layer(0)

@@ -135,14 +135,18 @@ type Config struct {
 // supervised retry, transport exec or local fallback), ObservePartition
 // receives that partition's records in ascending vertex order; partitions
 // call it concurrently, so an observer that does work there keeps it
-// partition-local until the barrier. Then ObserveSuperstep is called once per
-// superstep, after the barrier, in observer order. Records and their slices
-// are only valid until ObserveSuperstep returns: Received is a window of the
-// inbox arena and Sent of the partition's send buffer, both reused by later
-// supersteps, so an observer copies what it keeps. Every observer in this
-// repository does (capture.Observer, driver.Online and the driver's fact feed
-// convert the messages into their own rows; the benchmark's timedObserver
-// wraps those).
+// partition-local until the barrier. This is where the per-record work
+// belongs: capture.Observer encodes the partition's provenance segment there
+// and driver.Online runs a compiled query's in-partition strata. Then
+// ObserveSuperstep is called once per superstep, after the barrier, in
+// observer order, to combine what the partitions produced (capture stitches
+// the segments into one layer image; Online merges derived tuples). Records
+// and their slices are only valid until ObserveSuperstep returns: Received is
+// a window of the inbox arena and Sent of the partition's send buffer, both
+// reused by later supersteps, so an observer copies what it keeps. Every
+// observer in this repository does (capture encodes the messages into its
+// column bytes, driver.Online and the driver's fact feed into their own rows;
+// the benchmark's timedObserver wraps those).
 type Observer interface {
 	// NeedsRawMessages reports whether the observer must see individual
 	// received messages; if any observer returns true the engine disables

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ariadne/internal/value"
@@ -17,7 +18,13 @@ func encodeLayerColumnar(l *Layer) []byte {
 	for i := range l.Records {
 		b.add(&l.Records[i])
 	}
-	return b.Finish()
+	return finish(b)
+}
+
+// finish stitches b alone into its layer image, as Store.Append does for a
+// single segment.
+func finish(b *LayerBuilder) []byte {
+	return new(stitcher).layer(b.superstep, []*LayerBuilder{b})
 }
 
 // oracleEncodeColumnar is the row-walking v2 encoder the builder replaced,
@@ -216,14 +223,14 @@ func TestLayerBuilderMatchesRowEncoder(t *testing.T) {
 		for j := range l.Records {
 			b.add(&l.Records[j])
 		}
-		got, want := b.Finish(), oracleEncodeColumnar(l)
+		got, want := finish(b), oracleEncodeColumnar(l)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("layer %d (ss %d, %d records): builder image differs from the row encoder\n got %x\nwant %x",
 				i, l.Superstep, len(l.Records), got, want)
 		}
-		if b.tuples != l.NumTuples() || b.enc != l.EncodedSize() {
+		if b.tuples != l.NumTuples() || layerHeaderSize+b.enc != l.EncodedSize() {
 			t.Fatalf("layer %d: builder tallies tuples %d, size %d; layer has %d, %d",
-				i, b.tuples, b.enc, l.NumTuples(), l.EncodedSize())
+				i, b.tuples, layerHeaderSize+b.enc, l.NumTuples(), l.EncodedSize())
 		}
 		if len(b.vertices) != len(l.Records) {
 			t.Fatalf("layer %d: builder tallied %d vertices for %d records", i, len(b.vertices), len(l.Records))
@@ -231,6 +238,71 @@ func TestLayerBuilderMatchesRowEncoder(t *testing.T) {
 		for j := range l.Records {
 			if b.vertices[j] != l.Records[j].Vertex {
 				t.Fatalf("layer %d record %d: builder tallied vertex %d, record has %d", i, j, b.vertices[j], l.Records[j].Vertex)
+			}
+		}
+	}
+}
+
+// dictOrderLayer emits facts whose tables are first used in different
+// segments once the records are split by vertex mod 2 or 4: each segment's
+// own dictionary numbers them differently from the layer's, which lists
+// them in order of first use in vertex order (t1, t0, t2).
+func dictOrderLayer() *Layer {
+	fact := func(table string, args ...value.Value) Fact { return Fact{Table: table, Args: args} }
+	nan, negZero := value.NewFloat(math.NaN()), value.NewFloat(math.Copysign(0, -1))
+	return &Layer{Superstep: 5, Records: []Record{
+		{Vertex: 1, PrevActive: 4, Emitted: []Fact{fact("t1", nan)}},
+		{Vertex: 2, PrevActive: -1, HasValue: true, Value: negZero,
+			Emitted: []Fact{fact("t0", negZero, value.NewInt(-3)), fact("t1")}},
+		{Vertex: 3, PrevActive: 2, Emitted: []Fact{fact("t2", value.NewString("x"))}},
+		{Vertex: 4, PrevActive: 4, Sends: []MsgHalf{{Peer: 1, Val: nan}}, Emitted: []Fact{fact("t0", nan)}},
+		{Vertex: 6, PrevActive: 4, Recvs: []MsgHalf{{Peer: 3, Val: negZero}}},
+	}}
+}
+
+// TestStitchMatchesOneBuilder is the stitch's property test: a layer's
+// records split over P segments by vertex mod P, as the engine partitions
+// them, each segment encoded by its own builder, stitch into exactly the
+// bytes the row encoder writes for the whole layer — for P = 1, 2, 4 and
+// 19, with empty segments, records without messages, NaN and -0.0 payloads,
+// and emitted tables first used in different segments. The segments'
+// tallies add up to the layer's.
+func TestStitchMatchesOneBuilder(t *testing.T) {
+	layers := []*Layer{dictOrderLayer(), trickyLayer(3), {Superstep: 2}, sampleLayer(1, 50), wccLayer(2, 300, 4)}
+	r := rand.New(rand.NewSource(31))
+	for i := 0; i < 400; i++ {
+		l := randomLayer(r)
+		sort.SliceStable(l.Records, func(i, j int) bool { return l.Records[i].Vertex < l.Records[j].Vertex })
+		layers = append(layers, l)
+	}
+	// Builders and stitcher are reused across layers, as capture and the
+	// store reuse theirs.
+	var st stitcher
+	segs := make([]*LayerBuilder, 19)
+	for i := range segs {
+		segs[i] = NewLayerBuilder(0)
+	}
+	for i, l := range layers {
+		want := oracleEncodeColumnar(l)
+		for _, p := range []int{1, 2, 4, 19} {
+			parts := segs[:p]
+			for _, b := range parts {
+				b.Reset(l.Superstep)
+			}
+			for j := range l.Records {
+				parts[int(l.Records[j].Vertex)%p].add(&l.Records[j])
+			}
+			if got := st.layer(l.Superstep, parts); !bytes.Equal(got, want) {
+				t.Fatalf("layer %d (ss %d, %d records) over %d segments: stitched image differs from the row encoder\n got %x\nwant %x",
+					i, l.Superstep, len(l.Records), p, got, want)
+			}
+			tuples, enc := int64(0), int64(layerHeaderSize)
+			for _, b := range parts {
+				tuples, enc = tuples+b.tuples, enc+b.enc
+			}
+			if tuples != l.NumTuples() || enc != l.EncodedSize() {
+				t.Fatalf("layer %d over %d segments: tallies tuples %d, size %d; layer has %d, %d",
+					i, p, tuples, enc, l.NumTuples(), l.EncodedSize())
 			}
 		}
 	}

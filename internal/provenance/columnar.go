@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"ariadne/internal/value"
 )
@@ -339,29 +340,49 @@ func (c *bcursor) packedValue() (value.Value, error) {
 	}
 }
 
-// LayerBuilder encodes one layer straight into its v2 column blocks, one
-// record at a time, so capture never builds row-shaped Records: the blocks
-// it fills are the blocks the file holds. A record is Begin, then any of
-// Value, SentAny, and exactly the Send/Recv/Fact calls its Begin counts
-// announced. Finish assembles the file image. The builder also tallies what
-// the store accounts for each layer — tuples, the v1-shaped EncodedSize,
-// and the captured vertices — so nothing walks the layer a second time.
+// LayerBuilder encodes records straight into their v2 column bytes, so
+// capture never builds row-shaped Records. A builder is a segment of a
+// layer: it holds the whole layer or one partition's share of it, and the
+// store stitches the layer's segments into its file image (see stitcher).
+// A record is Begin, then any of Value, SentAny, and exactly the
+// Send/Recv/Fact calls its Begin counts announced.
 //
-// A builder is reusable: Reset starts the next layer, and the block buffers
-// keep their capacity, so a run's later layers append without regrowing.
+// The columns a record owns outright — prevActive, send and receive peers
+// and values, values, and its facts' arguments — are encoded here, once,
+// and the builder notes where each record starts in each of them. The
+// vertex deltas, the packed flags and the facts' table indices depend on
+// the records around it in the merged layer, so the builder keeps those as
+// plain per-record data for the stitch. It also tallies what the store
+// accounts for each layer — tuples, the v1-shaped EncodedSize, and the
+// captured vertices — so nothing walks the layer a second time.
+//
+// A builder is reusable: Reset starts the next layer, and the buffers keep
+// their capacity, so a run's later layers append without regrowing.
 type LayerBuilder struct {
 	superstep int
-	n         int
-	blocks    [numColumns][]byte // colEmitted holds the per-record body; Finish prepends the dictionary
-	dict      map[string]int
+	blocks    [numColumns][]byte // the record-local columns; colEmitted holds fact arguments only
+	recs      []recStart
+	vertices  []VertexID
+	flags     []byte // per record: bit0 HasValue, bit1 SentAny
+	facts     []segFact
+	dict      map[string]int // table name -> index in tables, this builder's own dictionary
 	tables    []string
 
-	prevVertex, sendPrev, recvPrev int64
+	sendPrev, recvPrev int64
 
-	tuples   int64 // Layer.NumTuples
-	enc      int64 // Layer.EncodedSize, the logical size Store.TotalBytes reports
-	vertices []VertexID
+	tuples int64 // Layer.NumTuples
+	enc    int64 // Layer.EncodedSize less its per-layer constant
 }
+
+// recStart is where one record starts in each record-local column block,
+// indexed by column ID (the colVertex and colFlags entries are unused); for
+// colEmitted it is the index of the record's first fact.
+type recStart [numColumns]int
+
+// segFact is one emitted fact: its table's index in the builder's own
+// dictionary, and where its bytes (nargs, then the packed args) end in the
+// colEmitted block; they start where the previous fact's bytes end.
+type segFact struct{ table, end int }
 
 // NewLayerBuilder returns a builder for the layer of superstep ss.
 func NewLayerBuilder(ss int) *LayerBuilder {
@@ -372,32 +393,28 @@ func NewLayerBuilder(ss int) *LayerBuilder {
 
 // Reset empties the builder for the layer of superstep ss.
 func (b *LayerBuilder) Reset(ss int) {
-	b.superstep, b.n, b.prevVertex = ss, 0, 0
+	b.superstep = ss
 	for i := range b.blocks {
 		b.blocks[i] = b.blocks[i][:0]
 	}
+	b.recs, b.vertices, b.flags, b.facts = b.recs[:0], b.vertices[:0], b.flags[:0], b.facts[:0]
 	clear(b.dict)
 	b.tables = b.tables[:0]
-	b.tuples, b.enc = 0, 16
-	b.vertices = b.vertices[:0]
+	b.tuples, b.enc = 0, 0
 }
 
 // Begin starts the next record: vertex v, previously active at prevActive
 // (-1: never), followed by sends Send calls, recvs Recv calls and facts Fact
 // calls.
 func (b *LayerBuilder) Begin(v VertexID, prevActive int32, sends, recvs, facts int) {
-	if b.n%4 == 0 {
-		b.blocks[colFlags] = append(b.blocks[colFlags], 0)
-	}
-	b.n++
+	b.recs = append(b.recs, b.end())
+	b.vertices = append(b.vertices, v)
+	b.flags = append(b.flags, 0)
 	x := int64(v)
-	b.blocks[colVertex] = binary.AppendUvarint(b.blocks[colVertex], zigzag(x-b.prevVertex))
 	b.blocks[colPrevActive] = binary.AppendUvarint(b.blocks[colPrevActive], zigzag(int64(b.superstep-1)-int64(prevActive)))
 	b.blocks[colSendPeers] = binary.AppendUvarint(b.blocks[colSendPeers], uint64(sends))
 	b.blocks[colRecvPeers] = binary.AppendUvarint(b.blocks[colRecvPeers], uint64(recvs))
-	b.blocks[colEmitted] = binary.AppendUvarint(b.blocks[colEmitted], uint64(facts))
-	b.prevVertex, b.sendPrev, b.recvPrev = x, x, x
-	b.vertices = append(b.vertices, v)
+	b.sendPrev, b.recvPrev = x, x
 	b.tuples += int64(1 + sends + recvs + facts) // the superstep fact, one per message and fact
 	if prevActive >= 0 {
 		b.tuples++ // the evolution fact
@@ -407,8 +424,7 @@ func (b *LayerBuilder) Begin(v VertexID, prevActive int32, sends, recvs, facts i
 
 // flag sets one of the current record's two flag bits.
 func (b *LayerBuilder) flag(bit byte) {
-	i := b.n - 1
-	b.blocks[colFlags][i/4] |= bit << ((i % 4) * 2)
+	b.flags[len(b.flags)-1] |= bit
 	b.tuples++
 }
 
@@ -444,7 +460,7 @@ func (b *LayerBuilder) Recv(src VertexID, v value.Value) {
 }
 
 // Fact appends one analytic-emitted fact of the current record, its table
-// name interned in the layer's dictionary.
+// name interned in the builder's dictionary.
 func (b *LayerBuilder) Fact(table string, args []value.Value) {
 	idx, ok := b.dict[table]
 	if !ok {
@@ -452,14 +468,14 @@ func (b *LayerBuilder) Fact(table string, args []value.Value) {
 		b.dict[table] = idx
 		b.tables = append(b.tables, table)
 	}
-	e := binary.AppendUvarint(b.blocks[colEmitted], uint64(idx))
-	e = binary.AppendUvarint(e, uint64(len(args)))
+	e := binary.AppendUvarint(b.blocks[colEmitted], uint64(len(args)))
 	b.enc += int64(2 + len(table))
 	for _, a := range args {
 		e = appendPackedValue(e, a)
 		b.enc += int64(a.EncodedSize())
 	}
 	b.blocks[colEmitted] = e
+	b.facts = append(b.facts, segFact{table: idx, end: len(e)})
 }
 
 // add appends one row-shaped record.
@@ -482,49 +498,274 @@ func (b *LayerBuilder) add(r *Record) {
 	}
 }
 
-// Finish returns the finished v2 file image: header, column blocks, footer
-// and trailer. The image is a fresh allocation the builder never touches
-// again.
-func (b *LayerBuilder) Finish() []byte {
-	// meta holds the three small pieces back to back: header | emitted
-	// dictionary | footer.
-	meta := append([]byte(nil), layerMagic[:]...)
-	meta = append(meta, layerVersionColumnar)
-	meta = binary.AppendUvarint(meta, uint64(b.superstep))
-	meta = binary.AppendUvarint(meta, uint64(b.n))
-	headEnd := len(meta)
-	meta = binary.AppendUvarint(meta, uint64(len(b.tables)))
-	for _, t := range b.tables {
-		meta = binary.AppendUvarint(meta, uint64(len(t)))
-		meta = append(meta, t...)
+// end returns where the builder's records end in each record-local column:
+// the block lengths, and for colEmitted the fact count.
+func (b *LayerBuilder) end() recStart {
+	var at recStart
+	for c := range at {
+		at[c] = len(b.blocks[c])
 	}
-	dictEnd := len(meta)
-	meta = binary.AppendUvarint(meta, numColumns)
-	off := uint64(headEnd)
-	for id, blk := range b.blocks {
-		n := uint64(len(blk))
-		if id == colEmitted {
-			n += uint64(dictEnd - headEnd)
-		}
-		meta = binary.AppendUvarint(meta, uint64(id))
-		meta = binary.AppendUvarint(meta, off)
-		meta = binary.AppendUvarint(meta, n)
-		off += n
-	}
-	foot := meta[dictEnd:]
-
-	img := make([]byte, 0, int(off)+len(foot)+8)
-	img = append(img, meta[:headEnd]...)
-	for id, blk := range b.blocks {
-		if id == colEmitted {
-			img = append(img, meta[headEnd:dictEnd]...)
-		}
-		img = append(img, blk...)
-	}
-	img = append(img, foot...)
-	img = binary.LittleEndian.AppendUint32(img, uint32(len(foot)))
-	return append(img, layerEndMagic[:]...)
+	at[colEmitted] = len(b.facts)
+	return at
 }
+
+// factBytes returns fact k's bytes in the colEmitted block.
+func (b *LayerBuilder) factBytes(k int) []byte {
+	start := 0
+	if k > 0 {
+		start = b.facts[k-1].end
+	}
+	return b.blocks[colEmitted][start:b.facts[k].end]
+}
+
+// stitcher assembles a layer's v2 file image from its segments: builders
+// that each hold records in ascending vertex order, no vertex in two of
+// them (a lone segment may hold any order, and keeps it). The image is,
+// byte for byte, the one a single builder fed every record in merged vertex
+// order would give. The record-local columns need no re-encoding — peer
+// deltas start from the record's own vertex and packed values are
+// self-contained — so each record's bytes are copied once, straight into
+// the image. Only the vertex deltas, the packed flags and the facts' table
+// indices, renumbered into the layer's dictionary in order of first use,
+// are encoded here. A stitcher keeps its scratch from layer to layer.
+type stitcher struct {
+	runs  []run
+	heap  []int // segments with records left, least next vertex first
+	heads []int // per segment: its next record
+	ends  []recStart
+	remap [][]int // per segment: its dictionary's indices in the layer's
+	dict  map[string]int
+	names []string
+	vcol  []byte
+	fcol  []byte
+	meta  []byte
+
+	spare   [][]byte // images of layers now in their files, to write over
+	reusing bool     // spares come back, so images get headroom
+}
+
+// run is a stretch [from, to) of one segment's records that is also
+// consecutive in merged vertex order, so each column copies it in one piece.
+type run struct{ seg, from, to int }
+
+// copied lists the columns whose bytes the stitch copies as the segments
+// hold them.
+var copied = [...]int{colPrevActive, colSendPeers, colSendValues, colRecvPeers, colRecvValues, colValues}
+
+// layer returns the image of superstep ss's layer, stitched from segs (no
+// segments: an empty layer).
+func (st *stitcher) layer(ss int, segs []*LayerBuilder) []byte {
+	st.merge(segs)
+	n, lens := st.encodeMerged(segs)
+
+	// meta holds the header, then the footer.
+	meta := append(st.meta[:0], layerMagic[:]...)
+	meta = append(meta, layerVersionColumnar)
+	meta = binary.AppendUvarint(meta, uint64(ss))
+	meta = binary.AppendUvarint(meta, uint64(n))
+	headEnd := len(meta)
+	meta = binary.AppendUvarint(meta, numColumns)
+	var pos [numColumns]int // each column's write offset in the image
+	off := headEnd
+	for c, l := range lens {
+		meta = binary.AppendUvarint(meta, uint64(c))
+		meta = binary.AppendUvarint(meta, uint64(off))
+		meta = binary.AppendUvarint(meta, uint64(l))
+		pos[c] = off
+		off += l
+	}
+	st.meta = meta
+	foot := meta[headEnd:]
+
+	img := st.image(off + len(foot) + 8)
+	copy(img, meta[:headEnd])
+	copy(img[pos[colVertex]:], st.vcol)
+	copy(img[pos[colFlags]:], st.fcol)
+	e := pos[colEmitted]
+	e += binary.PutUvarint(img[e:], uint64(len(st.names)))
+	for _, t := range st.names {
+		e += binary.PutUvarint(img[e:], uint64(len(t)))
+		e += copy(img[e:], t)
+	}
+	for _, r := range st.runs {
+		b, remap := segs[r.seg], st.remap[r.seg]
+		lo, hi := st.start(r.seg, b, r.from), st.start(r.seg, b, r.to)
+		for _, c := range copied {
+			pos[c] += copy(img[pos[c]:], b.blocks[c][lo[c]:hi[c]])
+		}
+		for i := r.from; i < r.to; i++ {
+			f0, f1 := st.start(r.seg, b, i)[colEmitted], st.start(r.seg, b, i+1)[colEmitted]
+			e += binary.PutUvarint(img[e:], uint64(f1-f0))
+			for k := f0; k < f1; k++ {
+				e += binary.PutUvarint(img[e:], uint64(remap[b.facts[k].table]))
+				e += copy(img[e:], b.factBytes(k))
+			}
+		}
+	}
+	copy(img[off:], foot)
+	binary.LittleEndian.PutUint32(img[off+len(foot):], uint32(len(foot)))
+	copy(img[off+len(foot)+4:], layerEndMagic[:])
+	return img
+}
+
+// reuse takes back an image nothing reads any more, its layer being in its
+// file: a later layer writes over it instead of allocating and zeroing its
+// own.
+func (st *stitcher) reuse(img []byte) {
+	st.reusing = true
+	if len(st.spare) < spillQueue {
+		st.spare = append(st.spare, img)
+	}
+}
+
+// image returns a buffer of size bytes for a layer's image; layer writes
+// every byte of it. Once spilled images come back, a new one gets an eighth
+// of spare capacity, so the next layers still fit in it as their sizes
+// drift.
+func (st *stitcher) image(size int) []byte {
+	for len(st.spare) > 0 {
+		b := st.spare[len(st.spare)-1]
+		st.spare = st.spare[:len(st.spare)-1]
+		if cap(b) >= size {
+			return b[:size]
+		}
+	}
+	if st.reusing {
+		return make([]byte, size, size+size/8)
+	}
+	return make([]byte, size)
+}
+
+// start returns where record i of segment s (held by b) starts in each
+// record-local column; i equal to the record count gives where they end.
+func (st *stitcher) start(s int, b *LayerBuilder, i int) *recStart {
+	if i < len(b.recs) {
+		return &b.recs[i]
+	}
+	return &st.ends[s]
+}
+
+// encodeMerged walks the records in merged order: it encodes the vertex and
+// flags columns into scratch and numbers the emitted tables in order of
+// first use. It returns the record count and every column's length.
+func (st *stitcher) encodeMerged(segs []*LayerBuilder) (n int, lens [numColumns]int) {
+	for len(st.remap) < len(segs) {
+		st.remap = append(st.remap, nil)
+	}
+	st.ends = st.ends[:0]
+	for s, b := range segs {
+		st.ends = append(st.ends, b.end())
+		m := st.remap[s][:0]
+		for range b.tables {
+			m = append(m, -1)
+		}
+		st.remap[s] = m
+		for _, c := range copied {
+			lens[c] += len(b.blocks[c])
+		}
+		lens[colEmitted] += len(b.blocks[colEmitted])
+	}
+	if st.dict == nil {
+		st.dict = map[string]int{}
+	}
+	clear(st.dict)
+	st.names = st.names[:0]
+
+	vcol, fcol := st.vcol[:0], st.fcol[:0]
+	prev := int64(0)
+	for _, r := range st.runs {
+		b, remap := segs[r.seg], st.remap[r.seg]
+		for i := r.from; i < r.to; i++ {
+			x := int64(b.vertices[i])
+			vcol = binary.AppendUvarint(vcol, zigzag(x-prev))
+			prev = x
+			if n%4 == 0 {
+				fcol = append(fcol, 0)
+			}
+			fcol[n/4] |= b.flags[i] << (n % 4 * 2)
+			n++
+			f0, f1 := st.start(r.seg, b, i)[colEmitted], st.start(r.seg, b, i+1)[colEmitted]
+			lens[colEmitted] += uvarintLen(uint64(f1 - f0))
+			for k := f0; k < f1; k++ {
+				t := b.facts[k].table
+				if remap[t] < 0 {
+					remap[t] = st.intern(b.tables[t])
+				}
+				lens[colEmitted] += uvarintLen(uint64(remap[t]))
+			}
+		}
+	}
+	st.vcol, st.fcol = vcol, fcol
+	lens[colVertex], lens[colFlags] = len(vcol), len(fcol)
+	lens[colEmitted] += uvarintLen(uint64(len(st.names)))
+	for _, t := range st.names {
+		lens[colEmitted] += uvarintLen(uint64(len(t))) + len(t)
+	}
+	return n, lens
+}
+
+// merge orders the segments' records by vertex, as runs.
+func (st *stitcher) merge(segs []*LayerBuilder) {
+	runs, heads, h := st.runs[:0], st.heads[:0], st.heap[:0]
+	for s, b := range segs {
+		heads = append(heads, 0)
+		if len(b.vertices) > 0 {
+			h = append(h, s)
+		}
+	}
+	less := func(a, b int) bool { return segs[a].vertices[heads[a]] < segs[b].vertices[heads[b]] }
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, less)
+	}
+	for len(h) > 0 {
+		s := h[0]
+		i := heads[s]
+		heads[s]++
+		if k := len(runs) - 1; k >= 0 && runs[k].seg == s {
+			runs[k].to++
+		} else {
+			runs = append(runs, run{seg: s, from: i, to: i + 1})
+		}
+		if heads[s] == len(segs[s].vertices) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0, less)
+	}
+	st.runs, st.heads, st.heap = runs, heads, h
+}
+
+// siftDown restores the heap order of h below position i.
+func siftDown(h []int, i int, less func(a, b int) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
+		}
+		if !less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// intern returns table's index in the layer's dictionary, adding it.
+func (st *stitcher) intern(table string) int {
+	g, ok := st.dict[table]
+	if !ok {
+		g = len(st.names)
+		st.dict[table] = g
+		st.names = append(st.names, table)
+	}
+	return g
+}
+
+// uvarintLen returns the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // columnarLayer is an opened v2 layer file: parsed header and footer, with
 // column blocks still on storage until decodeInto reads the projected ones.

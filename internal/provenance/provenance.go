@@ -113,9 +113,12 @@ func (l *Layer) MemSize() int64 {
 	return s
 }
 
+// layerHeaderSize is the per-layer part of Layer.EncodedSize.
+const layerHeaderSize = 16
+
 // EncodedSize returns the layer's serialized size in bytes.
 func (l *Layer) EncodedSize() int64 {
-	s := int64(16)
+	s := int64(layerHeaderSize)
 	for i := range l.Records {
 		s += l.Records[i].EncodedSize()
 	}

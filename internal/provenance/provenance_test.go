@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -51,6 +52,61 @@ func TestLayerAccounting(t *testing.T) {
 	l1 := sampleLayer(1, 4)
 	if got := l1.NumTuples(); got != want+4 {
 		t.Errorf("NumTuples with evolution = %d, want %d", got, want+4)
+	}
+}
+
+// TestDistinctVertices counts each captured vertex once across layers,
+// with IDs on both sides of a bitset page boundary and the largest ID, and
+// recounts the surviving layers' vertices after TruncateLayers.
+func TestDistinctVertices(t *testing.T) {
+	s := NewStore(StoreConfig{})
+	defer s.Close()
+	layers := [][]VertexID{{0, 65535, 65536}, {65535, 1 << 31, math.MaxUint32}, {0, 7}}
+	for ss, ids := range layers {
+		l := &Layer{Superstep: ss}
+		for _, v := range ids {
+			l.Records = append(l.Records, Record{Vertex: v, PrevActive: -1})
+		}
+		if err := s.AppendLayer(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.DistinctVertices(); got != 6 {
+		t.Errorf("distinct vertices = %d, want 6", got)
+	}
+	if err := s.TruncateLayers(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DistinctVertices(); got != 3 {
+		t.Errorf("distinct vertices after truncating to one layer = %d, want 3", got)
+	}
+}
+
+// TestStoreWritesOverSpilledImages appends layers of shrinking and growing
+// size to a spilling store, each once the previous layer's file has landed,
+// so later images are written over the buffers of earlier ones: every file
+// must hold exactly its own layer's bytes, none left over from another.
+func TestStoreWritesOverSpilledImages(t *testing.T) {
+	dir := t.TempDir()
+	s := NewStore(StoreConfig{SpillAll: true, SpillDir: dir})
+	defer s.Close()
+	layers := []*Layer{wccLayer(0, 300, 4), sampleLayer(1, 5), trickyLayer(2), wccLayer(3, 280, 4), {Superstep: 4}, wccLayer(5, 310, 4)}
+	for _, l := range layers {
+		if err := s.AppendLayer(l); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, l := range layers {
+		raw, err := os.ReadFile(filepath.Join(dir, layerFileName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, oracleEncodeColumnar(l)) {
+			t.Errorf("layer %d: spilled file differs from its own layer's image", i)
+		}
 	}
 }
 

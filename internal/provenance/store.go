@@ -24,7 +24,8 @@ var ErrBudgetExceeded = errors.New("provenance: memory budget exceeded and no sp
 // StoreConfig controls the provenance store.
 type StoreConfig struct {
 	// MemoryBudget caps the bytes of resident layer images; 0 means
-	// unlimited.
+	// unlimited. It counts image lengths: once layers spill, a new image's
+	// buffer has an eighth of headroom so later layers can reuse it.
 	MemoryBudget int64
 	// SpillDir, when set, receives the oldest layers as binary files once
 	// the budget is exceeded (the stand-in for the paper's asynchronous
@@ -105,7 +106,7 @@ type Store struct {
 	totalBytes  int64 // serialized bytes ever captured (resident + spilled)
 	diskBytes   int64 // actual on-disk bytes of spilled layer files
 	totalTuples int64
-	vertices    map[VertexID]struct{} // distinct captured vertices
+	vertices    vertexSet // distinct captured vertices
 
 	gaps []CaptureGap // shed ranges, ordered by (Partition, From)
 
@@ -136,7 +137,34 @@ type Store struct {
 	cacheLRU   []int // least-recently-used first
 	cacheBytes int64 // sum of cached layers' MemSize (decoded columns only)
 
-	rows *LayerBuilder // AppendLayer's, reused across layers
+	rows   *LayerBuilder // AppendLayer's, reused across layers
+	stitch stitcher
+}
+
+// vertexSet is a growable bitset of vertex IDs with a count of its members.
+// It grows in pages of 64 Ki vertices, so one large ID (a vertex read back
+// from a layer file) costs one page, not a bitmap up to it.
+type vertexSet struct {
+	pages [][]uint64
+	n     int
+}
+
+// add puts v in the set.
+func (vs *vertexSet) add(v VertexID) {
+	p, bit := int(v>>16), v&0xffff
+	if p >= len(vs.pages) {
+		vs.pages = append(vs.pages, make([][]uint64, p+1-len(vs.pages))...)
+	}
+	pg := vs.pages[p]
+	if pg == nil {
+		pg = make([]uint64, 1<<10)
+		vs.pages[p] = pg
+	}
+	w, m := &pg[bit>>6], uint64(1)<<(bit&63)
+	if *w&m == 0 {
+		*w |= m
+		vs.n++
+	}
 }
 
 // cacheEntry is one cached reload: the (possibly partial) layer, the
@@ -149,7 +177,7 @@ type cacheEntry struct {
 
 // NewStore creates an empty store.
 func NewStore(cfg StoreConfig) *Store {
-	return &Store{cfg: cfg, vertices: make(map[VertexID]struct{}), rows: NewLayerBuilder(0)}
+	return &Store{cfg: cfg, rows: NewLayerBuilder(0)}
 }
 
 type spillJob struct {
@@ -221,6 +249,7 @@ func (s *Store) complete(d spillDone) {
 	delete(s.pending, d.idx)
 	if d.err == nil {
 		s.diskBytes += int64(len(img))
+		s.stitch.reuse(img)
 	} else {
 		s.images[d.idx] = img
 		s.files[d.idx] = ""
@@ -264,32 +293,43 @@ func (s *Store) AppendLayer(l *Layer) error {
 	for i := range l.Records {
 		s.rows.add(&l.Records[i])
 	}
-	return s.Append(s.rows)
+	return s.Append(l.Superstep, s.rows)
 }
 
-// Append adds the layer built in b for the next superstep; b may be Reset
-// for the next layer as soon as Append returns. Layers must arrive in
-// superstep order. When the memory budget is exceeded the oldest resident
-// layers spill to disk; without a spill directory the append fails with
-// ErrBudgetExceeded.
-func (s *Store) Append(b *LayerBuilder) error {
+// Append adds the layer of superstep ss, whose records segs hold between
+// them (see LayerBuilder): each in ascending vertex order and no vertex in
+// two, or a single segment in any order. The segments are stitched into the
+// layer's image here, and each may be Reset for the next layer as soon as
+// Append returns. Layers must arrive in superstep order. When the memory
+// budget is exceeded the oldest resident layers spill to disk; without a
+// spill directory the append fails with ErrBudgetExceeded.
+func (s *Store) Append(ss int, segs ...*LayerBuilder) error {
 	if err := s.cfg.Validate(); err != nil {
 		return err
 	}
-	if b.superstep != len(s.images) {
-		return fmt.Errorf("provenance: layer %d appended out of order (have %d layers)", b.superstep, len(s.images))
+	if ss != len(s.images) {
+		return fmt.Errorf("provenance: layer %d appended out of order (have %d layers)", ss, len(s.images))
+	}
+	enc := int64(layerHeaderSize)
+	for _, b := range segs {
+		if b.superstep != ss {
+			return fmt.Errorf("provenance: segment of superstep %d appended to layer %d", b.superstep, ss)
+		}
+		enc += b.enc
 	}
 	s.drainCompletions()
-	img := b.Finish()
-	for _, v := range b.vertices {
-		s.vertices[v] = struct{}{}
+	img := s.stitch.layer(ss, segs)
+	for _, b := range segs {
+		for _, v := range b.vertices {
+			s.vertices.add(v)
+		}
+		s.totalTuples += b.tuples
 	}
 	s.images = append(s.images, img)
 	s.files = append(s.files, "")
 	s.resident += int64(len(img))
-	s.totalBytes += b.enc
-	s.totalTuples += b.tuples
-	s.cfg.Metrics.AddCaptureBytes(b.enc)
+	s.totalBytes += enc
+	s.cfg.Metrics.AddCaptureBytes(enc)
 
 	if s.cfg.SpillAll {
 		s.enqueueSpill(len(s.images) - 1)
@@ -432,7 +472,7 @@ func (s *Store) AppendGapLayer(ss int, reason string) error {
 	if ss != len(s.images) {
 		return fmt.Errorf("provenance: gap layer %d appended out of order (have %d layers)", ss, len(s.images))
 	}
-	img := NewLayerBuilder(ss).Finish()
+	img := s.stitch.layer(ss, nil)
 	s.images = append(s.images, img)
 	s.files = append(s.files, "")
 	s.resident += int64(len(img))
@@ -633,7 +673,7 @@ func (s *Store) TotalTuples() int64 { return s.totalTuples }
 // DistinctVertices returns how many input vertices appear in the provenance
 // (Table 4: the custom provenance "contains more than 80% of the input
 // vertices").
-func (s *Store) DistinctVertices() int { return len(s.vertices) }
+func (s *Store) DistinctVertices() int { return s.vertices.n }
 
 // ResidentBytes returns the image bytes of the layers held in memory (the
 // quantity MemoryBudget caps).
@@ -676,7 +716,7 @@ func (s *Store) TruncateLayers(n int) error {
 	s.files = s.files[:n]
 	s.truncateGaps(n)
 	s.resident, s.totalBytes, s.totalTuples, s.diskBytes = 0, 0, 0, 0
-	s.vertices = make(map[VertexID]struct{})
+	s.vertices = vertexSet{}
 	for i := 0; i < n; i++ {
 		l, err := s.Layer(i)
 		if err != nil {
@@ -698,7 +738,7 @@ func (s *Store) recount(l *Layer) {
 	s.totalBytes += l.EncodedSize()
 	s.totalTuples += l.NumTuples()
 	for i := range l.Records {
-		s.vertices[l.Records[i].Vertex] = struct{}{}
+		s.vertices.add(l.Records[i].Vertex)
 	}
 }
 

@@ -109,6 +109,8 @@ func reattachV1(t *testing.T, dir string, n int) *ariadne.Store {
 // lineage; Query 11 backward custom) must spill layer files whose SHA-256
 // digests, and the store's totals, equal testdata/layer_digests.golden. A
 // deliberate format change regenerates the golden from this test's log.
+// Every partition count writes the same bytes: each partition encodes its
+// own records, and the barrier's stitch must not let the split show.
 func TestLayerFileDigests(t *testing.T) {
 	rmat := func(t *testing.T) *ariadne.Graph { return testGraph(t, 6, 4, 3) }
 	als := func(t *testing.T) *ariadne.Graph {
@@ -130,32 +132,34 @@ func TestLayerFileDigests(t *testing.T) {
 		{"fwd-lineage-sssp", rmat, &analytics.SSSP{Source: 0}, queries.CaptureForwardLineage(0), 30},
 		{"backward-custom-wcc", rmat, analytics.WCC{}, queries.CaptureBackwardCustom(), 30},
 	}
-	var b strings.Builder
-	for _, c := range cases {
-		dir := t.TempDir()
-		res, err := ariadne.Run(c.graph(t), c.prog, ariadne.WithPartitions(4), ariadne.WithMaxSupersteps(c.steps),
-			ariadne.WithCaptureQuery(c.def, ariadne.StoreConfig{SpillAll: true, SpillDir: dir}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := res.Provenance
-		for i := 0; i < s.NumLayers(); i++ {
-			raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("layer-%06d.prov", i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, "%s layer %d %d %x\n", c.name, i, len(raw), sha256.Sum256(raw))
-		}
-		fmt.Fprintf(&b, "%s total layers=%d tuples=%d bytes=%d disk=%d vertices=%d\n", c.name,
-			s.NumLayers(), s.TotalTuples(), s.TotalBytes(), s.DiskBytes(), s.DistinctVertices())
-		s.Close()
-	}
 	want, err := os.ReadFile(filepath.Join("testdata", "layer_digests.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.String(); got != string(want) {
-		t.Errorf("layer files differ from testdata/layer_digests.golden; this run wrote:\n%s", got)
+	for _, parts := range []int{1, 4, 19} {
+		var b strings.Builder
+		for _, c := range cases {
+			dir := t.TempDir()
+			res, err := ariadne.Run(c.graph(t), c.prog, ariadne.WithPartitions(parts), ariadne.WithMaxSupersteps(c.steps),
+				ariadne.WithCaptureQuery(c.def, ariadne.StoreConfig{SpillAll: true, SpillDir: dir}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Provenance
+			for i := 0; i < s.NumLayers(); i++ {
+				raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("layer-%06d.prov", i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "%s layer %d %d %x\n", c.name, i, len(raw), sha256.Sum256(raw))
+			}
+			fmt.Fprintf(&b, "%s total layers=%d tuples=%d bytes=%d disk=%d vertices=%d\n", c.name,
+				s.NumLayers(), s.TotalTuples(), s.TotalBytes(), s.DiskBytes(), s.DistinctVertices())
+			s.Close()
+		}
+		if got := b.String(); got != string(want) {
+			t.Errorf("%d partitions: layer files differ from testdata/layer_digests.golden; this run wrote:\n%s", parts, got)
+		}
 	}
 }
 
