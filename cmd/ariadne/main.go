@@ -188,7 +188,6 @@ func cmdRun(args []string) error {
 	captureSpec := fs.String("capture", "", "capture policy: full, lineage:<vertex>, or backward")
 	spill := fs.String("spill", "", "spill directory for captured provenance")
 	budget := fs.Int64("budget", 0, "capture memory budget in bytes (0 = unlimited)")
-	reloadCache := fs.Int("reload-cache", 0, "decoded-layer cache capacity in layers (0 = default, negative = disabled)")
 	transportName := fs.String("transport", "inproc", "partition transport: inproc, or tcp to run partitions on worker processes")
 	workers := fs.Int("workers", 0, "worker processes to spawn with -transport tcp (0 = 1)")
 	workerAddrs := fs.String("worker-addrs", "", `comma-separated addresses of already-running "ariadne worker" processes (instead of -workers)`)
@@ -260,11 +259,7 @@ func cmdRun(args []string) error {
 				return fmt.Errorf("-spill: %w", err)
 			}
 		}
-		storeCfg := provenance.StoreConfig{
-			MemoryBudget: *budget,
-			SpillDir:     *spill,
-			ReloadCache:  *reloadCache,
-		}
+		storeCfg := provenance.StoreConfig{MemoryBudget: *budget, SpillDir: *spill}
 		var def queries.Definition
 		switch {
 		case *captureSpec == "full":

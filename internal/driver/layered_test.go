@@ -107,20 +107,19 @@ func TestLayeredRetentionMatchesPrevActive(t *testing.T) {
 }
 
 // layerReads counts the layers run reads from a store whose registry is m:
-// every spilled-layer read is either a reload or a cache hit.
+// every read decodes the layer from its image, resident or spilled.
 func layerReads(m *obs.Metrics, run func()) int64 {
-	reads := func() int64 {
-		return m.Counter("store_layer_reload_total").Value() + m.Counter("store_layer_cache_hits_total").Value()
-	}
-	before := reads()
+	reads := m.Counter("store_layer_reload_total")
+	before := reads.Value()
 	run()
-	return reads() - before
+	return reads.Value() - before
 }
 
 // TestLayeredReadsEachLayerOnce asserts Lemma 5.3 as a count: one layered
 // evaluation reads each of the store's n layers exactly once, for local,
 // forward and backward queries alike, and derives what naive evaluation
-// derives.
+// derives. The store keeps no decoded layer between calls, so two
+// successive evaluations read 2n.
 func TestLayeredReadsEachLayerOnce(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(6, 4, 11))
 	if err != nil {
@@ -199,6 +198,18 @@ func TestLayeredReadsEachLayerOnce(t *testing.T) {
 			}
 			requireSameSig(t, c.name+"/"+leg.name, resultSig(naive), resultSig(res))
 		}
+	}
+
+	q10 := queries.BackwardTrace(alpha, sigma)
+	reads := layerReads(fullM, func() {
+		for k := 0; k < 2; k++ {
+			if _, err := Layered(q10.MustBuild(), full, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if want := 2 * int64(full.NumLayers()); reads != want {
+		t.Errorf("two successive layered calls read %d layers, want %d", reads, want)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // projectionFor derives the layer column projection the layered replay
-// pushes down into the provenance store (v2 columnar files decode only the
-// selected columns; v1 files ignore the projection and materialize fully).
+// pushes down into the provenance store, which decodes only the selected
+// columns (and the core ones) of each layer.
 //
 // Two granularities, matching what each evaluation path can safely skip:
 //

@@ -10,10 +10,10 @@ import (
 	"ariadne/internal/value"
 )
 
-// Version 2 columnar layer file format. Where v1 streams self-describing
-// row records, v2 splits the layer into per-column blocks so a reader can
-// seek to and decode only the columns a query projects (the
-// workflow-provenance-on-SPARK lesson: store provenance scan-friendly):
+// Version 2 columnar layer file format, the only one. It splits the layer
+// into per-column blocks so a reader can seek to and decode only the
+// columns a query projects (the workflow-provenance-on-SPARK lesson: store
+// provenance scan-friendly):
 //
 //	magic "APRV" | version:2 | superstep:uvarint | nrecords:uvarint |
 //	column blocks (ascending column ID, contiguous) |
@@ -47,7 +47,7 @@ import (
 // Columns 0-3 are "core": replay always needs the vertex set, activation
 // lineage, flags, and the send topology to regenerate the layer's message
 // structure, so every decode materializes them. Columns 4-8 decode only
-// when projected, and can be merged into a cached partial layer later.
+// when projected.
 
 const layerVersionColumnar = 2
 
@@ -353,7 +353,7 @@ func (c *bcursor) packedValue() (value.Value, error) {
 // vertex deltas, the packed flags and the facts' table indices depend on
 // the records around it in the merged layer, so the builder keeps those as
 // plain per-record data for the stitch. It also tallies what the store
-// accounts for each layer — tuples, the v1-shaped EncodedSize, and the
+// accounts for each layer — tuples, the logical EncodedSize, and the
 // captured vertices — so nothing walks the layer a second time.
 //
 // A builder is reusable: Reset starts the next layer, and the buffers keep
@@ -792,7 +792,7 @@ func openColumnar(r io.ReaderAt, size int64) (*columnarLayer, error) {
 		return nil, fmt.Errorf("provenance: bad layer magic %q", hdr[:min(len(hdr), 4)])
 	}
 	if hdr[4] != layerVersionColumnar {
-		return nil, fmt.Errorf("provenance: unsupported layer version %d", hdr[4])
+		return nil, fmt.Errorf("provenance: unsupported layer file version %d", hdr[4])
 	}
 	c := bcursor{b: hdr, off: 5}
 	ss, err := c.uvarint()
@@ -984,8 +984,8 @@ func (cl *columnarLayer) decodePeers(l *Layer, col int) error {
 
 // decodeOptional decodes one non-core column into an already-materialized
 // layer. Alignment invariants: sendValues needs Sends populated (core),
-// recvValues needs Recvs (so colRecvPeers must decode first — callers
-// iterate columns in ID order and LayerProjection.mask guarantees the
+// recvValues needs Recvs (so colRecvPeers must decode first — decodeInto
+// iterates columns in ID order and LayerProjection.mask guarantees the
 // peers bit accompanies the values bit).
 func (cl *columnarLayer) decodeOptional(l *Layer, col int) error {
 	switch col {
@@ -1082,25 +1082,4 @@ func (cl *columnarLayer) decodeOptional(l *Layer, col int) error {
 	default:
 		return corruptf("column %d is not decodable", col)
 	}
-}
-
-// mergeInto decodes the columns in add into a layer previously materialized
-// from the same file with a narrower projection ("lazily decodable"
-// columns). add must contain only optional columns; if it includes
-// recvValues without the layer having receive topology yet, add must also
-// include recvPeers (LayerProjection.mask maintains that invariant).
-func (cl *columnarLayer) mergeInto(l *Layer, add colMask) error {
-	if cl.nrecords != len(l.Records) || cl.superstep != l.Superstep {
-		return corruptf("merge target mismatch: file holds %d records of superstep %d, layer %d of %d",
-			cl.nrecords, cl.superstep, len(l.Records), l.Superstep)
-	}
-	for col := colSendValues; col < numColumns; col++ {
-		if !add.has(col) {
-			continue
-		}
-		if err := cl.decodeOptional(l, col); err != nil {
-			return err
-		}
-	}
-	return nil
 }

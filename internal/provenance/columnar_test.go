@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ariadne/internal/value"
@@ -109,19 +110,79 @@ func writeTempLayer(t *testing.T, l *Layer) string {
 }
 
 // readImage decodes a v2 image with the columns in mask.
-func readImage(t *testing.T, img []byte, mask colMask) (*Layer, colMask) {
+func readImage(t *testing.T, img []byte, mask colMask) *Layer {
 	t.Helper()
-	l, got, err := readLayer(bytes.NewReader(img), int64(len(img)), mask)
+	l, err := readRaw(img, mask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, got
+	return l
+}
+
+// project copies l keeping only the core columns and those in mask, the
+// layer a decode of l's image with that mask must return.
+func project(l *Layer, mask colMask) *Layer {
+	peersOnly := func(ms []MsgHalf) []MsgHalf {
+		out := make([]MsgHalf, len(ms))
+		for j := range ms {
+			out[j].Peer = ms[j].Peer
+		}
+		return out
+	}
+	out := &Layer{Superstep: l.Superstep, Records: make([]Record, len(l.Records))}
+	for i, r := range l.Records {
+		if !mask.has(colValues) {
+			r.Value = value.NullValue
+		}
+		if !mask.has(colSendValues) {
+			r.Sends = peersOnly(r.Sends)
+		}
+		if !mask.has(colRecvPeers) {
+			r.Recvs = nil
+		} else if !mask.has(colRecvValues) {
+			r.Recvs = peersOnly(r.Recvs)
+		}
+		if !mask.has(colEmitted) {
+			r.Emitted = nil
+		}
+		out.Records[i] = r
+	}
+	return out
+}
+
+// columnsOf returns the core columns plus every optional column some record
+// of l holds data from: a non-Null payload, receive peers or a fact.
+func columnsOf(l *Layer) colMask {
+	m := maskCore
+	for i := range l.Records {
+		r := &l.Records[i]
+		if !r.Value.IsNull() {
+			m |= 1 << colValues
+		}
+		for _, h := range r.Sends {
+			if !h.Val.IsNull() {
+				m |= 1 << colSendValues
+			}
+		}
+		if r.Recvs != nil {
+			m |= 1 << colRecvPeers
+		}
+		for _, h := range r.Recvs {
+			if !h.Val.IsNull() {
+				m |= 1 << colRecvValues
+			}
+		}
+		if r.Emitted != nil {
+			m |= 1 << colEmitted
+		}
+	}
+	return m
 }
 
 func TestColumnarRoundTrip(t *testing.T) {
 	for _, l := range []*Layer{trickyLayer(3), trickyLayer(0), {Superstep: 2}, sampleLayer(1, 50)} {
 		path := writeTempLayer(t, l)
-		got, err := readLayerFile(path)
+		got, err := readLayerFile(path, maskAll)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,73 +250,22 @@ func TestIntegralFloat(t *testing.T) {
 	}
 }
 
-// TestColumnarProjection reads the same image under narrowing projections
-// and checks exactly which columns materialize; then widens the partial
-// layer with mergeLayerColumns back to full and checks identity.
+// TestColumnarProjection reads the same image under every projection and
+// checks that each decode holds exactly the core columns plus the projected
+// ones, with the layer's own data in them.
 func TestColumnarProjection(t *testing.T) {
 	l := trickyLayer(4)
 	img := encodeLayerColumnar(l)
-
-	// Core-only projection: topology present, payload columns absent.
-	core, gotMask := readImage(t, img, (&LayerProjection{}).mask())
-	if gotMask != maskCore {
-		t.Fatalf("core projection materialized mask %09b, want %09b", gotMask, maskCore)
-	}
-	for i := range l.Records {
-		ra, rb := &l.Records[i], &core.Records[i]
-		if ra.Vertex != rb.Vertex || ra.PrevActive != rb.PrevActive ||
-			ra.HasValue != rb.HasValue || ra.SentAny != rb.SentAny {
-			t.Fatalf("core record %d differs: %+v vs %+v", i, ra, rb)
+	for _, p := range []*LayerProjection{nil, {}, {Values: true}, {SendValues: true}, {RecvPeers: true},
+		{RecvValues: true}, {Emitted: true}, {Values: true, SendValues: true, Emitted: true}} {
+		mask := p.mask()
+		got := readImage(t, img, mask)
+		if cols := columnsOf(got); cols != mask {
+			t.Errorf("projection %+v materialized columns %09b, want %09b", p, cols, mask)
 		}
-		if len(ra.Sends) != len(rb.Sends) {
-			t.Fatalf("core record %d send count %d, want %d", i, len(rb.Sends), len(ra.Sends))
+		if !bytes.Equal(encodeLayerColumnar(got), encodeLayerColumnar(project(l, mask))) {
+			t.Errorf("projection %+v decoded other data than the layer's projected columns", p)
 		}
-		for j := range ra.Sends {
-			if ra.Sends[j].Peer != rb.Sends[j].Peer {
-				t.Fatalf("core record %d send peer %d differs", i, j)
-			}
-			if !rb.Sends[j].Val.IsNull() {
-				t.Fatalf("core record %d send %d has a value despite projection", i, j)
-			}
-		}
-		if rb.Recvs != nil || rb.Emitted != nil || !rb.Value.IsNull() {
-			t.Fatalf("core record %d materialized unprojected columns: %+v", i, rb)
-		}
-	}
-
-	// RecvValues implies RecvPeers.
-	rp, gotMask := readImage(t, img, (&LayerProjection{RecvValues: true}).mask())
-	if !gotMask.has(colRecvPeers) || !gotMask.has(colRecvValues) {
-		t.Fatalf("RecvValues projection mask %09b misses recv columns", gotMask)
-	}
-	for i := range l.Records {
-		ra, rb := &l.Records[i], &rp.Records[i]
-		if len(ra.Recvs) != len(rb.Recvs) {
-			t.Fatalf("record %d recv count %d, want %d", i, len(rb.Recvs), len(ra.Recvs))
-		}
-		for j := range ra.Recvs {
-			if ra.Recvs[j].Peer != rb.Recvs[j].Peer || !ra.Recvs[j].Val.Equal(rb.Recvs[j].Val) {
-				t.Fatalf("record %d recv %d differs under projection", i, j)
-			}
-		}
-	}
-
-	// Widening the core layer column by column converges to the full layer.
-	if err := mergeLayerColumns(bytes.NewReader(img), int64(len(img)), core, maskAll&^maskCore); err != nil {
-		t.Fatal(err)
-	}
-	assertLayersIdentical(t, l, core)
-}
-
-// TestProjectedLayerChargesLessMemory pins the satellite accounting
-// contract: a partially materialized layer must have a strictly smaller
-// MemSize than the full decode of the same file (decoded columns only).
-func TestProjectedLayerChargesLessMemory(t *testing.T) {
-	img := encodeLayerColumnar(trickyLayer(4))
-	full, _ := readImage(t, img, maskAll)
-	core, _ := readImage(t, img, maskCore)
-	if core.MemSize() >= full.MemSize() {
-		t.Errorf("projected layer MemSize %d >= full %d", core.MemSize(), full.MemSize())
 	}
 }
 
@@ -271,53 +281,34 @@ func TestColumnarSmallerThanRowFormat(t *testing.T) {
 	}
 }
 
-// TestV1FilesRemainReadable reattaches v1 layer files (an earlier build's
-// spill output) — the checkpoint/resume compatibility path. Projected reads
-// against v1 files must silently degrade to full materialization.
-func TestV1FilesRemainReadable(t *testing.T) {
+// TestV1FilesRejected: a row-format (version 1) layer file, which earlier
+// builds wrote, fails to decode under every projection with an error naming
+// its version, while the same layer's columnar image decodes. A spill
+// directory of them fails to reattach the same way.
+func TestV1FilesRejected(t *testing.T) {
+	for name, want := range v1Fixtures() {
+		raw := readV1Fixture(t, name)
+		for _, mask := range []colMask{maskAll, maskCore} {
+			if _, err := readRaw(raw, mask); err == nil || !strings.Contains(err.Error(), "unsupported layer file version 1") {
+				t.Errorf("%s: read with mask %09b = %v, want the version 1 rejection", name, mask, err)
+			}
+		}
+		assertLayersIdentical(t, want, readImage(t, encodeLayerColumnar(want), maskAll))
+	}
+
 	dir := t.TempDir()
-	var want []*Layer
 	for ss := 0; ss < 4; ss++ {
 		name := layerFileName(ss)
 		if err := os.WriteFile(filepath.Join(dir, name), readV1Fixture(t, "store/"+name), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, sampleLayer(ss, 12))
 	}
 	s := NewStore(StoreConfig{SpillAll: true, SpillDir: dir})
-	if err := s.Reattach(4); err != nil {
-		t.Fatalf("reattaching v1 files: %v", err)
+	if err := s.Reattach(4); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("reattaching v1 files = %v, want the version 1 rejection", err)
 	}
-	for ss := 0; ss < 4; ss++ {
-		got, err := s.LayerProjected(ss, &LayerProjection{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// v1 files have no column blocks: the projected read returns the
-		// full layer.
-		assertLayersIdentical(t, want[ss], got)
-	}
-	// New layers appended by the resumed run spill as v2; both formats then
-	// coexist in one store directory.
-	if err := s.AppendLayer(sampleLayer(4, 12)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, layerFileName(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw[4] != layerVersionColumnar {
-		t.Fatalf("resumed store wrote version %d, want v2", raw[4])
-	}
-	got, err := s.Layer(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Superstep != 4 || len(got.Records) != 12 {
-		t.Fatalf("mixed-format store misread layer 4: ss %d, %d records", got.Superstep, len(got.Records))
+	if s.NumLayers() != 0 {
+		t.Errorf("a rejected reattach adopted %d layers", s.NumLayers())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ariadne/internal/fault"
@@ -87,43 +88,55 @@ func TestSpillWriteExhaustedRetriesLeaveNoPartialFile(t *testing.T) {
 type formatCase struct {
 	name string
 	raw  []byte
+	// rejected is the error every read of the file names, whole or cut
+	// past the version byte; "" for a file the store decodes.
+	rejected string
 }
 
 // formatCases are the same layer, sampleLayer(0, 6), in both formats: the
-// committed v1 file and the v2 image the store writes today.
+// committed v1 file, which the store rejects, and the v2 image it writes.
 func formatCases(t *testing.T) []formatCase {
 	return []formatCase{
-		{"v1", readV1Fixture(t, "sample-0-6.prov")},
-		{"v2", encodeLayerColumnar(sampleLayer(0, 6))},
+		{"v1", readV1Fixture(t, "sample-0-6.prov"), "unsupported layer file version 1"},
+		{"v2", encodeLayerColumnar(sampleLayer(0, 6)), ""},
 	}
 }
 
 // readRaw decodes layer file bytes the way the store does.
 func readRaw(raw []byte, mask colMask) (*Layer, error) {
-	l, _, err := readLayer(bytes.NewReader(raw), int64(len(raw)), mask)
-	return l, err
+	return readLayer(bytes.NewReader(raw), int64(len(raw)), mask)
 }
 
-// TestLayerTruncationNeverPanics first checks that both formats decode to
-// the same layer, then reads each truncated at every byte boundary; each
-// truncation must yield an error, never a panic. The v2 leg also exercises
-// the projected decode path, whose footer seek reads the file
-// back-to-front.
+// TestLayerTruncationNeverPanics first checks that the v2 image decodes to
+// its layer and the v1 file errors naming its version, then reads each
+// truncated at every byte boundary; each truncation must yield an error,
+// never a panic, and a v1 cut that still holds the version byte must be
+// rejected for it. The v2 leg also exercises the projected decode path,
+// whose footer seek reads the file back-to-front.
 func TestLayerTruncationNeverPanics(t *testing.T) {
 	want := sampleLayer(0, 6)
 	for _, fc := range formatCases(t) {
 		t.Run(fc.name, func(t *testing.T) {
 			got, err := readRaw(fc.raw, maskAll)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertLayersIdentical(t, want, got)
-			for cut := 0; cut < len(fc.raw); cut++ {
-				if _, err := readRaw(fc.raw[:cut], maskAll); err == nil {
-					t.Fatalf("truncation at byte %d of %d decoded without error", cut, len(fc.raw))
+			switch {
+			case fc.rejected != "":
+				if err == nil || !strings.Contains(err.Error(), fc.rejected) {
+					t.Fatalf("read = %v, want %q", err, fc.rejected)
 				}
-				if _, err := readRaw(fc.raw[:cut], maskCore); err == nil {
-					t.Fatalf("projected decode of truncation at byte %d of %d succeeded", cut, len(fc.raw))
+			case err != nil:
+				t.Fatal(err)
+			default:
+				assertLayersIdentical(t, want, got)
+			}
+			for cut := 0; cut < len(fc.raw); cut++ {
+				for _, mask := range []colMask{maskAll, maskCore} {
+					_, err := readRaw(fc.raw[:cut], mask)
+					if err == nil {
+						t.Fatalf("truncation at byte %d of %d (mask %09b) decoded without error", cut, len(fc.raw), mask)
+					}
+					if fc.rejected != "" && cut > 4 && !strings.Contains(err.Error(), fc.rejected) {
+						t.Fatalf("truncation at byte %d of %d: %v, want %q", cut, len(fc.raw), err, fc.rejected)
+					}
 				}
 			}
 		})

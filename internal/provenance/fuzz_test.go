@@ -8,15 +8,16 @@ import (
 // FuzzLayerV2Decode drives the layer-file reader with arbitrary bytes and
 // an arbitrary projection mask, generalizing TestLayerTruncationNeverPanics
 // from every-byte truncations to every mutation the fuzzer can find. The
-// corpus is seeded with real files of both formats — LayerBuilder images
-// and the committed v1 files of the same layers: the tricky-value layer
-// (NaN, ±Inf, -0.0, extreme ints, non-ASCII strings, vectors), the
-// WCC-shaped layer, a small generic layer and an empty one — so mutations
-// start from structurally valid files and dig into the dictionary, delta,
-// and varint decoders rather than bouncing off the magic check. The
-// invariant under test: decode never panics and never over-allocates; it
-// either returns a layer or a clean error, for the full read and for every
-// projected read.
+// corpus is seeded with LayerBuilder images of the tricky-value layer (NaN,
+// ±Inf, -0.0, extreme ints, non-ASCII strings, vectors), the WCC-shaped
+// layer, a small generic layer and an empty one — so mutations start from
+// structurally valid files and dig into the dictionary, delta, and varint
+// decoders rather than bouncing off the magic check — and with the
+// committed v1 files of the same layers, which exercise the rejection path.
+// The invariant under test: decode never panics and never over-allocates;
+// it either returns a layer or a clean error, for the full read and for
+// every projected read, and a projected read materializes exactly the core
+// and projected columns.
 //
 // CI runs this as a 30s smoke via `go test -fuzz FuzzLayerV2Decode`.
 func FuzzLayerV2Decode(f *testing.F) {
@@ -47,25 +48,26 @@ func FuzzLayerV2Decode(f *testing.F) {
 		if err == nil && full == nil {
 			t.Fatal("readLayer returned neither layer nor error")
 		}
-		proj, got, err := readLayer(bytes.NewReader(data), int64(len(data)), colMask(mask))
+		proj, err := readRaw(data, colMask(mask))
 		if err != nil {
 			return
 		}
 		if proj == nil {
 			t.Fatal("projected readLayer returned neither layer nor error")
 		}
-		// A successful projected decode must honor the superset contract:
-		// at least the requested columns plus the always-on core set.
-		want := (colMask(mask) | maskCore) & maskAll
-		if got&want != want {
-			t.Fatalf("projected decode materialized mask %04x, missing bits of %04x", got, want)
+		// A successful projected decode materializes the requested columns
+		// plus the always-on core set, and nothing more.
+		want := colMask(mask) | maskCore
+		if got := columnsOf(proj); got&^want != 0 {
+			t.Fatalf("projected decode materialized columns %09b outside %09b", got&^want, want)
 		}
 		// A projected decode may succeed where the full decode errors (a
 		// corrupt byte in a skipped column is invisible to it), but when
-		// both succeed they must agree on the layer shape.
-		if full != nil && (len(proj.Records) != len(full.Records) || proj.Superstep != full.Superstep) {
-			t.Fatalf("projected decode shape (%d records, ss %d) != full (%d records, ss %d)",
-				len(proj.Records), proj.Superstep, len(full.Records), full.Superstep)
+		// both succeed the projected one holds exactly the full one's data
+		// in those columns.
+		if full != nil && !bytes.Equal(encodeLayerColumnar(proj), encodeLayerColumnar(project(full, want))) {
+			t.Fatalf("projected decode (%d records, ss %d) differs from the full decode (%d records, ss %d) projected to %09b",
+				len(proj.Records), proj.Superstep, len(full.Records), full.Superstep, want)
 		}
 	})
 }

@@ -51,30 +51,12 @@ type Record struct {
 	Emitted []Fact
 }
 
-// MemSize estimates the in-memory footprint of the record in bytes.
-func (r *Record) MemSize() int64 {
-	s := int64(4 + 4 + 2 + 16) // ids, flags, headers
-	if r.HasValue {
-		s += int64(r.Value.MemSize())
-	}
-	for _, m := range r.Sends {
-		s += 4 + int64(m.Val.MemSize())
-	}
-	for _, m := range r.Recvs {
-		s += 4 + int64(m.Val.MemSize())
-	}
-	for _, f := range r.Emitted {
-		s += int64(len(f.Table)) + 16
-		for _, a := range f.Args {
-			s += int64(a.MemSize())
-		}
-	}
-	return s
-}
-
-// EncodedSize returns the record's serialized size in bytes (the layer file
-// format) — the on-storage footprint the paper's Tables 3 and 4 compare
-// against the input graph.
+// EncodedSize returns the record's logical row size in bytes: ten for its
+// vertex and activation fields, one of flags, each captured value's binary
+// encoding, five per message peer, each fact's table name, and small length
+// prefixes. It is the uncompressed footprint the paper's Tables 3 and 4
+// compare against the input graph; the columnar layer files are smaller
+// (Store.DiskBytes).
 func (r *Record) EncodedSize() int64 {
 	s := int64(10 + 1) // vertex + prevActive varints (<=5 each), flags
 	if r.HasValue {
@@ -104,19 +86,11 @@ type Layer struct {
 	Records   []Record
 }
 
-// MemSize estimates the in-memory footprint of the layer in bytes.
-func (l *Layer) MemSize() int64 {
-	s := int64(16)
-	for i := range l.Records {
-		s += l.Records[i].MemSize()
-	}
-	return s
-}
-
 // layerHeaderSize is the per-layer part of Layer.EncodedSize.
 const layerHeaderSize = 16
 
-// EncodedSize returns the layer's serialized size in bytes.
+// EncodedSize returns the layer's logical size in bytes: a fixed header
+// plus its records' row sizes.
 func (l *Layer) EncodedSize() int64 {
 	s := int64(layerHeaderSize)
 	for i := range l.Records {

@@ -6,9 +6,9 @@ import (
 	"ariadne/internal/value"
 )
 
-// TestEncodedSizeMatchesEncoding checks that the analytic EncodedSize — the
-// v1-shaped logical size TotalBytes reports — bounds the actual v1 encoding
-// of every committed v1 file, within the per-record varint slack the
+// TestEncodedSizeMatchesEncoding checks that EncodedSize — the logical row
+// size TotalBytes reports — bounds the size of each committed row-format
+// (v1) file of the same layer, within the per-record varint slack the
 // estimate allows.
 func TestEncodedSizeMatchesEncoding(t *testing.T) {
 	for name, l := range v1Fixtures() {

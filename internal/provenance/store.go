@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,11 +44,6 @@ type StoreConfig struct {
 	// back to retry under (injected or real) I/O faults. nil disables
 	// instrumentation.
 	Metrics *obs.Metrics
-	// ReloadCache bounds the LRU cache of layers decoded by Layer():
-	// layered backward evaluation revisits the same layer once per rule
-	// body, so decoding it again each visit is pure waste. 0 means the
-	// default of 3 layers; negative disables caching.
-	ReloadCache int
 }
 
 // Validate rejects a configuration no store can honor, so a run can refuse
@@ -61,14 +55,10 @@ func (c StoreConfig) Validate() error {
 	return nil
 }
 
-const (
-	// spillQueue bounds the async spill pipeline: at most this many layer
-	// writes may be queued or in flight before an append blocks
-	// (backpressure) — double-buffering, one layer being written while the
-	// next is queued.
-	spillQueue         = 2
-	defaultReloadCache = 3
-)
+// spillQueue bounds the async spill pipeline: at most this many layer
+// writes may be queued or in flight before an append blocks (backpressure)
+// — double-buffering, one layer being written while the next is queued.
+const spillQueue = 2
 
 // CaptureGap records a contiguous superstep range whose provenance was
 // shed under degraded-mode capture: the analytic kept running (Theorem 5.4
@@ -129,14 +119,6 @@ type Store struct {
 	highWater   int64
 	asyncErr    error
 
-	// LRU cache of decoded layers (bounded, default 3). Entries may
-	// be partially materialized (a projected reload); their byte charge
-	// covers only the decoded columns, and a wider later projection merges
-	// the missing columns into the cached layer in place.
-	cache      map[int]*cacheEntry
-	cacheLRU   []int // least-recently-used first
-	cacheBytes int64 // sum of cached layers' MemSize (decoded columns only)
-
 	rows   *LayerBuilder // AppendLayer's, reused across layers
 	stitch stitcher
 }
@@ -165,14 +147,6 @@ func (vs *vertexSet) add(v VertexID) {
 		*w |= m
 		vs.n++
 	}
-}
-
-// cacheEntry is one cached reload: the (possibly partial) layer, the
-// columns it has materialized, and its current byte charge.
-type cacheEntry struct {
-	l     *Layer
-	mask  colMask
-	bytes int64
 }
 
 // NewStore creates an empty store.
@@ -515,19 +489,16 @@ func (s *Store) NumLayers() int { return len(s.images) }
 
 // Layer returns layer i fully materialized (see LayerProjected).
 //
-// Layer is not safe for concurrent use: the cache's LRU bookkeeping and the
-// spill-completion drain mutate store state.
+// Layer is not safe for concurrent use: it drains the spill pipeline's
+// completions, which mutates store state.
 func (s *Store) Layer(i int) (*Layer, error) { return s.LayerProjected(i, nil) }
 
-// LayerProjected returns layer i with at least the columns selected by
-// proj materialized (nil means all — Layer's behavior). Whether the layer's
-// image is resident, in flight to its file, or only in the file, only the
-// projected column blocks are read and decoded, through a small LRU cache
-// (layered backward evaluation visits the same layer once per rule body);
-// a cached partial layer is widened in place when a later caller asks for
-// more columns. The returned layer may hold more columns than requested —
-// never fewer — so callers must treat extra columns as
-// present-but-ignorable.
+// LayerProjected decodes layer i with the core columns and the columns
+// selected by proj materialized (nil means all — Layer's behavior); every
+// other column is left zero (Null values, nil Recvs and Emitted). Whether
+// the layer's image is resident, in flight to its file, or only in the
+// file, only those column blocks are read, and every call decodes them
+// afresh.
 //
 // Same concurrency contract as Layer.
 func (s *Store) LayerProjected(i int, proj *LayerProjection) (*Layer, error) {
@@ -535,135 +506,36 @@ func (s *Store) LayerProjected(i int, proj *LayerProjection) (*Layer, error) {
 		return nil, fmt.Errorf("provenance: layer %d out of range [0,%d)", i, len(s.images))
 	}
 	s.drainCompletions()
-	where := "resident layer"
-	if s.files[i] != "" {
-		where = "spilled layer"
-	}
-	want := proj.mask()
-	if e := s.cacheGet(i); e != nil {
-		if missing := want &^ e.mask; missing != 0 {
-			err := s.withLayer(i, func(r io.ReaderAt, size int64) error {
-				return mergeLayerColumns(r, size, e.l, missing)
-			})
-			if err != nil {
-				return nil, fmt.Errorf("provenance: widening cached %s %d: %w", where, i, err)
-			}
-			e.mask |= missing
-			nb := e.l.MemSize()
-			s.cacheBytes += nb - e.bytes
-			e.bytes = nb
-			s.cfg.Metrics.Counter("store_layer_cache_widen_total").Add(1)
-			s.cfg.Metrics.Gauge("store_layer_cache_bytes").Set(s.cacheBytes)
-		}
-		s.cfg.Metrics.Counter("store_layer_cache_hits_total").Add(1)
-		return e.l, nil
-	}
 	s.cfg.Metrics.Counter("store_layer_reload_total").Add(1)
-	var l *Layer
-	var got colMask
-	err := s.withLayer(i, func(r io.ReaderAt, size int64) (err error) {
-		l, got, err = readLayer(r, size, want)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("provenance: reading %s %d: %w", where, i, err)
-	}
-	s.cachePut(i, l, got)
-	return l, nil
-}
-
-// withLayer calls fn over layer i's bytes: its image while resident or in
-// flight to its file, the file once written.
-func (s *Store) withLayer(i int, fn func(r io.ReaderAt, size int64) error) error {
 	img := s.images[i]
 	if img == nil {
 		img = s.pending[i]
 	}
+	var l *Layer
+	var err error
 	if img != nil {
-		return fn(bytes.NewReader(img), int64(len(img)))
+		l, err = readLayer(bytes.NewReader(img), int64(len(img)), proj.mask())
+	} else {
+		l, err = readLayerFile(s.files[i], proj.mask())
 	}
-	f, err := os.Open(s.files[i])
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	return fn(f, st.Size())
-}
-
-// cacheGet returns the cached reload of layer i, marking it most recently
-// used.
-func (s *Store) cacheGet(i int) *cacheEntry {
-	e := s.cache[i]
-	if e == nil {
-		return nil
-	}
-	for j, k := range s.cacheLRU {
-		if k == i {
-			s.cacheLRU = append(append(s.cacheLRU[:j], s.cacheLRU[j+1:]...), i)
-			break
+		where := "resident"
+		if s.files[i] != "" {
+			where = "spilled"
 		}
+		return nil, fmt.Errorf("provenance: reading %s layer %d: %w", where, i, err)
 	}
-	return e
+	return l, nil
 }
 
-// cachePut inserts a reloaded layer with the columns it has materialized,
-// evicting the least recently used entry beyond the configured capacity.
-// Byte accounting charges each entry for its decoded columns only: a
-// projected layer without its value/message payloads costs a fraction of
-// the full layer (the reload LRU's budget, surfaced via CacheBytes).
-func (s *Store) cachePut(i int, l *Layer, mask colMask) {
-	capLayers := s.cfg.ReloadCache
-	if capLayers == 0 {
-		capLayers = defaultReloadCache
-	}
-	if capLayers < 0 {
-		return
-	}
-	if s.cache == nil {
-		s.cache = make(map[int]*cacheEntry, capLayers)
-	}
-	e := &cacheEntry{l: l, mask: mask, bytes: l.MemSize()}
-	if old := s.cache[i]; old != nil {
-		s.cacheBytes -= old.bytes
-	}
-	s.cache[i] = e
-	s.cacheBytes += e.bytes
-	s.cacheLRU = append(s.cacheLRU, i)
-	for len(s.cacheLRU) > capLayers {
-		evict := s.cacheLRU[0]
-		s.cacheLRU = s.cacheLRU[1:]
-		if old := s.cache[evict]; old != nil {
-			s.cacheBytes -= old.bytes
-			delete(s.cache, evict)
-		}
-	}
-	s.cfg.Metrics.Gauge("store_layer_cache_bytes").Set(s.cacheBytes)
-}
-
-// invalidateCache drops every cached reload (truncation/close).
-func (s *Store) invalidateCache() {
-	s.cache = nil
-	s.cacheLRU = nil
-	s.cacheBytes = 0
-}
-
-// CacheBytes returns the in-memory bytes currently charged to the reload
-// cache — partially materialized layers count their decoded columns only.
-func (s *Store) CacheBytes() int64 { return s.cacheBytes }
-
-// TotalBytes returns the *serialized* size of the captured provenance graph
-// in bytes — the on-storage footprint paper Tables 3 and 4 compare against
-// the input graph size. (Resident memory is tracked separately via
-// ResidentBytes and the memory budget.)
+// TotalBytes returns the logical size of the captured provenance graph in
+// bytes: the sum of its records' row sizes (Record.EncodedSize), which paper
+// Tables 3 and 4 compare against the input graph size. (Resident memory is
+// tracked separately via ResidentBytes and the memory budget.)
 func (s *Store) TotalBytes() int64 { return s.totalBytes }
 
-// DiskBytes returns the actual on-disk size of the spilled layer files —
-// what the columnar format shrinks relative to TotalBytes' v1-shaped
-// logical size (the bytes_per_tuple benchmark ratio divides this by
+// DiskBytes returns the actual on-disk size of the spilled layer files, the
+// columnar images (the bytes_per_tuple benchmark ratio divides this by
 // TotalTuples).
 func (s *Store) DiskBytes() int64 { return s.diskBytes }
 
@@ -706,7 +578,6 @@ func (s *Store) TruncateLayers(n int) error {
 	// removed. A surfaced write error is absorbed here: the failed layer is
 	// resident again, and truncation recomputes all accounting below.
 	s.Sync()
-	s.invalidateCache()
 	for i := n; i < len(s.images); i++ {
 		if s.files[i] != "" {
 			os.Remove(s.files[i])
@@ -755,7 +626,7 @@ func (s *Store) Reattach(n int) error {
 	}
 	for i := 0; i < n; i++ {
 		path := filepath.Join(s.cfg.SpillDir, layerFileName(i))
-		l, err := readLayerFile(path)
+		l, err := readLayerFile(path, maskAll)
 		if err != nil {
 			return fmt.Errorf("provenance: reattaching layer %d: %w", i, err)
 		}
@@ -780,7 +651,6 @@ func (s *Store) Close() error {
 		close(s.jobs)
 		s.jobs, s.done, s.pending = nil, nil, nil
 	}
-	s.invalidateCache()
 	for i, f := range s.files {
 		if f != "" {
 			if err := os.Remove(f); err != nil && firstErr == nil {

@@ -18,12 +18,11 @@ import (
 	"ariadne/internal/queries"
 )
 
-// TestStoreFormatDifferential is the compatibility check for the layer file
-// formats: testdata/v1 holds the v1 row files an earlier build spilled for
-// a full capture of each analytic below (testGraph(5, 4, 9), 4 partitions).
-// Reattached, they must hold exactly the provenance today's columnar files
-// hold for the same run, and layered replay over both stores — projection
-// pushdown on and off — must derive identical results.
+// TestStoreFormatDifferential is the projection differential of the layer
+// store: over a spilled full capture of each analytic below, layered replay
+// with projection pushdown, where each layer decodes only the columns the
+// query reads, must derive exactly what full-width replay
+// (driver.NoProjection, the reference leg) derives.
 func TestStoreFormatDifferential(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -46,61 +45,47 @@ func TestStoreFormatDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2 := res.Provenance
-			defer v2.Close()
-			v1 := reattachV1(t, filepath.Join("testdata", "v1", tc.name), v2.NumLayers())
-			assertSameProvenance(t, v1, v2)
-
-			// Offline layered replay: v1 without projection is the reference
-			// leg; v1 projected (table-level), v2 unprojected, and v2
-			// projected (column-level partial reads) must all agree with it.
+			store := res.Provenance
+			defer store.Close()
 			for _, d := range tc.offline {
-				ref, err := driver.Layered(d.MustBuild(), v1, g, driver.NoProjection())
+				ref, err := driver.Layered(d.MustBuild(), store, g, driver.NoProjection())
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s/v2/unprojected: %v", d.Name, err)
 				}
-				legs := []struct {
-					name  string
-					store *ariadne.Store
-					opts  []driver.EvalOpt
-				}{
-					{"v1/projected", v1, nil},
-					{"v2/unprojected", v2, []driver.EvalOpt{driver.NoProjection()}},
-					{"v2/projected", v2, nil},
+				got, err := driver.Layered(d.MustBuild(), store, g)
+				if err != nil {
+					t.Fatalf("%s/v2/projected: %v", d.Name, err)
 				}
-				for _, leg := range legs {
-					got, err := driver.Layered(d.MustBuild(), leg.store, g, leg.opts...)
-					if err != nil {
-						t.Fatalf("%s/%s: %v", d.Name, leg.name, err)
-					}
-					assertSameQueryResult(t, d.Name+"/"+leg.name, ref, got)
-				}
+				assertSameQueryResult(t, d.Name+"/v2/projected", ref, got)
 			}
 		})
 	}
 }
 
-// reattachV1 adopts a copy of the n committed v1 layer files in dir as a
-// store, the way a resumed run adopts a crashed run's spill directory.
-func reattachV1(t *testing.T, dir string, n int) *ariadne.Store {
-	t.Helper()
-	tmp := t.TempDir()
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("layer-%06d.prov", i)
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(tmp, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+// TestV1StoreRejected: testdata/v1/<analytic> holds the first layer file
+// an earlier build spilled, in the row format (version 1), for a full
+// capture of each analytic. Only the columnar format is read, so
+// reattaching it, the way a resumed run adopts a crashed run's spill
+// directory, fails with an error naming the version.
+func TestV1StoreRejected(t *testing.T) {
+	for _, name := range []string{"pagerank", "sssp", "wcc"} {
+		t.Run(name, func(t *testing.T) {
+			const file = "layer-000000.prov"
+			raw, err := os.ReadFile(filepath.Join("testdata", "v1", name, file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := provenance.NewStore(provenance.StoreConfig{SpillAll: true, SpillDir: dir})
+			defer s.Close()
+			if err := s.Reattach(1); err == nil || !strings.Contains(err.Error(), "unsupported layer file version 1") {
+				t.Fatalf("reattaching testdata/v1/%s = %v, want the version 1 rejection", name, err)
+			}
+		})
 	}
-	s := provenance.NewStore(provenance.StoreConfig{SpillAll: true, SpillDir: tmp})
-	if err := s.Reattach(n); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
 }
 
 // TestLayerFileDigests pins the on-disk format by construction: small fixed
