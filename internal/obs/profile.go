@@ -52,8 +52,6 @@ const (
 	MetricNetStateReseeds = "ariadne_net_state_reseeds_total" // counter: seed requests after a worker state miss
 	MetricNetPeerFrags    = "ariadne_net_peer_frags_total"    // counter: worker→worker fragment frames sent
 	MetricNetPeerBytes    = "ariadne_net_peer_bytes_total"    // counter: worker→worker fragment payload bytes
-	MetricNetSnapFrames   = "ariadne_net_snap_frames_total"   // counter: frames sent block-compressed
-	MetricNetSnapSavedB   = "ariadne_net_snap_saved_bytes"    // counter: payload bytes saved by compression
 	// Tracing series (PR 7).
 	MetricTraceDropped = "ariadne_trace_dropped_total" // counter: ring-evicted trace events
 	// Failover series (PR 8): the worker pool's health machine. Deaths count

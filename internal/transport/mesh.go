@@ -3,10 +3,10 @@
 // — the master sees only aggregates, records, and counts. The receiving side parks columns in a fragStore keyed by
 // (emit superstep, destination partition, source partition) until its
 // delivery round folds them; the sending side keeps one persistent framed
-// connection per peer, handshaked with the same fingerprint + capability
-// exchange the master uses, and waits for a synchronous ack before the exec
-// reply goes back to the master (so an acked column is durable at its
-// destination before the master advances the barrier). A failed or dropped
+// connection per peer, handshaked by the same dialHandshake the master
+// uses, and waits for a synchronous ack before the exec reply goes back to
+// the master (so an acked column is durable at its destination before the
+// master advances the barrier). A failed or dropped
 // send is tolerated, not fatal: the column stays in the exec reply, the
 // master forwards it inside the deliver round, and only if that also fails
 // does the partition fall back to checkpoint + replay re-hydration.
@@ -179,7 +179,6 @@ type meshPeer struct {
 	conn    net.Conn
 	wr      *bufio.Writer
 	gen     int
-	snappy  bool
 	pending map[uint64]chan struct{}
 }
 
@@ -190,36 +189,17 @@ func (p *meshPeer) ensure() error {
 	if p.conn != nil {
 		return nil
 	}
-	w := p.m.w
 	conn, err := net.DialTimeout("tcp", p.addr, meshDeadline)
 	if err != nil {
 		return fmt.Errorf("transport: mesh dial %s: %v", p.addr, err)
 	}
-	conn.SetDeadline(time.Now().Add(meshDeadline))
-	fp := Fingerprint{
-		Partitions:  w.x.Partitions(),
-		NumVertices: w.x.Graph().NumVertices(),
-		NumEdges:    w.x.Graph().NumEdges(),
-	}
-	if _, err := writeFrame(conn, frameHello, 0, encodeHello(fp, w.caps)); err != nil {
+	if err := dialHandshake(conn, p.m.w.fingerprint(), meshDeadline); err != nil {
 		conn.Close()
-		return fmt.Errorf("transport: mesh handshake send to %s: %v", p.addr, err)
+		return fmt.Errorf("transport: mesh peer %s: %v", p.addr, err)
 	}
-	typ, _, payload, _, err := readFrame(bufio.NewReader(conn))
-	if err != nil || typ != frameWelcome {
-		conn.Close()
-		return fmt.Errorf("transport: mesh handshake with %s failed (frame %d): %v", p.addr, typ, err)
-	}
-	peerFP, peerCaps, err := decodeHello(payload)
-	if err != nil || peerFP != fp {
-		conn.Close()
-		return fmt.Errorf("transport: mesh fingerprint mismatch with %s: %v", p.addr, err)
-	}
-	conn.SetDeadline(time.Time{})
 	p.gen++
 	p.conn = conn
 	p.wr = bufio.NewWriter(conn)
-	p.snappy = w.caps&peerCaps&capSnappy != 0
 	go p.readLoop(conn, p.gen)
 	return nil
 }
@@ -234,13 +214,9 @@ func (p *meshPeer) send(typ byte, seq uint64, payload []byte) (int, error) {
 		p.mu.Unlock()
 		return 0, fmt.Errorf("transport: mesh connection to %s lost", p.addr)
 	}
-	wtyp, wpay, scratch := frameForSend(typ, payload, p.snappy, p.m.w.m)
-	n, err := writeFrame(wr, wtyp, seq, wpay)
+	n, err := writeFrame(wr, typ, seq, payload)
 	if err == nil {
 		err = wr.Flush()
-	}
-	if scratch != nil {
-		putFrameBuf(scratch)
 	}
 	p.mu.Unlock()
 	if err != nil {

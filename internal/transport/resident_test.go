@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -13,53 +12,6 @@ import (
 	"ariadne/internal/supervise"
 	"ariadne/internal/value"
 )
-
-// TestSnapRoundTrip pins the in-repo block codec: every input decodes back
-// bit-identically, and the compressor actually wins on the payloads it is
-// there for (runs, repeated structure).
-func TestSnapRoundTrip(t *testing.T) {
-	rng := uint64(0x9e3779b97f4a7c15)
-	random := make([]byte, 4096)
-	for i := range random {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		random[i] = byte(rng >> 56)
-	}
-	runs := bytes.Repeat([]byte{0xab}, 8192)
-	structured := bytes.Repeat([]byte("superstep:frontier:delta;"), 300)
-	cases := map[string][]byte{
-		"empty":      {},
-		"one":        {42},
-		"short":      []byte("hi"),
-		"random":     random,
-		"runs":       runs,
-		"structured": structured,
-	}
-	for name, src := range cases {
-		block := snapCompress(nil, src)
-		got, err := snapDecode(nil, block)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if !bytes.Equal(src, got) {
-			t.Fatalf("%s: roundtrip mismatch (%d in, %d out)", name, len(src), len(got))
-		}
-		if (name == "runs" || name == "structured") && len(block) >= len(src)/4 {
-			t.Errorf("%s: block %dB barely compresses %dB input", name, len(block), len(src))
-		}
-	}
-
-	// Corruption must surface as an error, never a silent wrong decode.
-	block := snapCompress(nil, structured)
-	for name, bad := range map[string][]byte{
-		"truncated":  block[:len(block)/2],
-		"bad-offset": append(append([]byte{}, block[:2]...), 0xff, 0xff, 0xff),
-		"short-hdr":  {0x80},
-	} {
-		if _, err := snapDecode(nil, bad); err == nil {
-			t.Errorf("%s: corrupt block decoded without error", name)
-		}
-	}
-}
 
 // TestWireDeltaSeedRoundTrip pins the resident request layouts:
 // a delta request (active ids + route only) and a seed request (full stride
@@ -326,55 +278,5 @@ func TestChaosKillMidDeltaStream(t *testing.T) {
 	}
 	if deg.AnyShed() {
 		t.Error("re-hydration preserves capture; nothing should be shed")
-	}
-}
-
-// TestNetCompressionNegotiation pins the capability handshake: with
-// compression on (the default) big frames ride as snappy blocks and the
-// run is bit-identical; with noCompress the master offers no capability,
-// nothing is compressed, and the run is still bit-identical.
-func TestNetCompressionNegotiation(t *testing.T) {
-	g := testGraph(t)
-	refE, refStats, refObs, err := runLeg(t, g, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name       string
-		noCompress bool
-	}{{"snappy", false}, {"plain", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := obs.New()
-			wm := obs.New() // worker-side registry: result frames compress here
-			// runLeg observes the run, so every result frame carries its
-			// partition's records — frames big enough that the compression
-			// path must engage on the snappy leg. One worker, so no mesh link
-			// (which negotiates on its own) adds frames to wm.
-			addrs := startMeshWorkers(t, g, 1, wm, nil)
-			tr := dialWorkers(t, g, addrs, func(c *TCPConfig) {
-				c.noCompress = tc.noCompress
-				c.Metrics = m
-			})
-			defer tr.Close()
-			e, stats, o, err := runLeg(t, g, engine.Config{Transport: tr, Metrics: m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdentical(t, tc.name, refE, e, refStats, stats, refObs, o)
-			frames := m.Counter(obs.MetricNetSnapFrames).Value() + wm.Counter(obs.MetricNetSnapFrames).Value()
-			saved := m.Counter(obs.MetricNetSnapSavedB).Value() + wm.Counter(obs.MetricNetSnapSavedB).Value()
-			if tc.noCompress {
-				if frames != 0 {
-					t.Errorf("noCompress leg compressed %d frames", frames)
-				}
-			} else {
-				if frames == 0 {
-					t.Error("snappy leg compressed nothing; negotiation or threshold broken")
-				}
-				if saved <= 0 {
-					t.Errorf("compression saved %dB; blocks that do not shrink must ride raw", saved)
-				}
-			}
-		})
 	}
 }

@@ -66,11 +66,6 @@ type TCPConfig struct {
 	// immediately and the engine pins the partition local and sheds its
 	// capture. A reference leg for this package's tests.
 	noFailover bool
-	// noCompress stops offering the snap-compression capability in the
-	// handshake, so every master<->worker frame travels raw. Worker-to-
-	// worker mesh links negotiate independently and are unaffected. A
-	// reference leg for this package's tests.
-	noCompress bool
 }
 
 func (c TCPConfig) normalize() TCPConfig {
@@ -464,7 +459,6 @@ type peer struct {
 	conn    net.Conn
 	w       *bufio.Writer
 	gen     int // bumped per established connection; reader goroutines check it
-	snappy  bool
 	pending map[uint64]chan []byte
 	hbMiss  int
 	// Failover state machine (pool.go): healthy/suspect/dead/draining,
@@ -495,12 +489,10 @@ func (p *peer) ensure() error {
 	if err != nil {
 		return p.wrapErr("dial: %v", err)
 	}
-	snappy, err := p.handshake(conn)
-	if err != nil {
+	if err := dialHandshake(conn, p.t.cfg.Fingerprint, p.t.cfg.DialTimeout); err != nil {
 		conn.Close()
-		return err
+		return p.wrapErr("%v", err)
 	}
-	p.snappy = snappy
 	p.gen++
 	m := p.t.cfg.Metrics
 	if p.gen > 1 {
@@ -523,37 +515,35 @@ func (p *peer) ensure() error {
 	return nil
 }
 
-// handshake runs the versioned hello/welcome exchange on a fresh conn and
-// returns whether both sides negotiated snap compression.
-func (p *peer) handshake(conn net.Conn) (bool, error) {
-	conn.SetDeadline(time.Now().Add(p.t.cfg.DialTimeout))
+// dialHandshake runs the dialing side of the versioned hello/welcome
+// exchange on a fresh conn, for the master and for a mesh worker alike:
+// send our hello, read the welcome, and check it echoes our fingerprint.
+// The error says what failed; the caller names the peer.
+func dialHandshake(conn net.Conn, fp Fingerprint, timeout time.Duration) error {
+	conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
-	caps := capSnappy
-	if p.t.cfg.noCompress {
-		caps = 0
+	if _, err := writeFrame(conn, frameHello, 0, encodeHello(fp)); err != nil {
+		return fmt.Errorf("handshake send: %v", err)
 	}
-	if _, err := writeFrame(conn, frameHello, 0, encodeHello(p.t.cfg.Fingerprint, caps)); err != nil {
-		return false, p.wrapErr("handshake send: %v", err)
-	}
-	typ, _, payload, _, err := readFrame(bufio.NewReader(conn))
+	typ, _, payload, _, err := readFrame(conn)
 	if err != nil {
-		return false, p.wrapErr("handshake recv: %v", err)
+		return fmt.Errorf("handshake recv: %v", err)
 	}
 	switch typ {
 	case frameWelcome:
 	case frameError:
-		return false, p.wrapErr("handshake rejected: %s", payload)
+		return fmt.Errorf("handshake rejected: %s", payload)
 	default:
-		return false, p.wrapErr("handshake: unexpected frame type %d", typ)
+		return fmt.Errorf("handshake: unexpected frame type %d", typ)
 	}
-	fp, peerCaps, err := decodeHello(payload)
+	got, err := decodeHello(payload)
 	if err != nil {
-		return false, p.wrapErr("%v", err)
+		return err
 	}
-	if fp != p.t.cfg.Fingerprint {
-		return false, p.wrapErr("graph fingerprint mismatch: worker %+v, master %+v", fp, p.t.cfg.Fingerprint)
+	if got != fp {
+		return fmt.Errorf("graph fingerprint mismatch: worker %+v, ours %+v", got, fp)
 	}
-	return caps&peerCaps&capSnappy != 0, nil
+	return nil
 }
 
 // readLoop owns conn's receive side: it dispatches result and pong frames
@@ -570,14 +560,6 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 		m := p.t.cfg.Metrics
 		m.Counter(obs.MetricNetMessagesRecv).Add(1)
 		m.Counter(obs.MetricNetBytesRecv).Add(int64(n))
-		if typ == frameSnap {
-			ityp, dec, derr := unsnapOwned(payload)
-			if derr != nil {
-				m.Tracef(obs.Error, "transport", -1, "peer %s: %v", p.addr, derr)
-				continue
-			}
-			typ, payload = ityp, dec
-		}
 		switch typ {
 		case frameResult, framePong, frameDeliverRes:
 			p.mu.Lock()
@@ -658,13 +640,9 @@ func (p *peer) send(typ byte, seq uint64, payload []byte) error {
 		p.mu.Unlock()
 		return p.wrapErr("connection lost")
 	}
-	wtyp, wpay, scratch := frameForSend(typ, payload, p.snappy, p.t.cfg.Metrics)
-	n, err := writeFrame(w, wtyp, seq, wpay)
+	n, err := writeFrame(w, typ, seq, payload)
 	if err == nil {
 		err = w.Flush()
-	}
-	if scratch != nil {
-		putFrameBuf(scratch)
 	}
 	p.mu.Unlock()
 	if err != nil {

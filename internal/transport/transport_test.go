@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -733,6 +734,101 @@ func TestHandshakeRejectsMismatch(t *testing.T) {
 	if !errors.Is(err, engine.ErrTransport) {
 		t.Errorf("mismatch error should wrap ErrTransport: %v", err)
 	}
+	if !strings.Contains(err.Error(), "handshake rejected: graph fingerprint mismatch") {
+		t.Errorf("master should report the worker's refusal: %v", err)
+	}
+
+	// A mesh dial runs the same handshake and reports the refusal the same
+	// way.
+	other, err := engine.NewExecutor(g, testProg(), engine.Config{Partitions: testParts + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(other, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	err = w.mesh.peer(addrs[0]).ensure()
+	if err == nil || !strings.Contains(err.Error(), "handshake rejected: graph fingerprint mismatch") {
+		t.Errorf("mesh dial to a worker of another partitioning: %v", err)
+	}
+}
+
+// TestHandshakeRejectsOtherVersions checks that a worker names the protocol
+// version of a hello from another version, however much or little of the
+// rest it carries, and that after a good handshake a frame of the retired
+// snap-envelope type 13 is refused by its type without taking the worker
+// down.
+func TestHandshakeRejectsOtherVersions(t *testing.T) {
+	g := testGraph(t)
+	w := newTestWorker(t, g, "127.0.0.1:0")
+	fp := w.fingerprint()
+	dial := func(t *testing.T) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", w.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+	// exchange sends one frame and reads the worker's answer.
+	exchange := func(t *testing.T, conn net.Conn, typ byte, seq uint64, payload []byte) (byte, string) {
+		t.Helper()
+		if _, err := writeFrame(conn, typ, seq, payload); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, rseq, reply, _, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("no answer to frame %d: %v", typ, err)
+		}
+		if rseq != seq {
+			t.Fatalf("answer to seq %d came with seq %d", seq, rseq)
+		}
+		return rtyp, string(reply)
+	}
+
+	v4 := value.NewBlob() // a version-4 hello: fingerprint, then the capability mask
+	v4.Uvarint(4)
+	v4.Uvarint(uint64(fp.Partitions))
+	v4.Uvarint(uint64(fp.NumVertices))
+	v4.Uvarint(uint64(fp.NumEdges))
+	v4.Uvarint(1)
+	v99 := value.NewBlob()
+	v99.Uvarint(99)
+	for name, tc := range map[string]struct {
+		hello []byte
+		peer  int
+	}{"v4 with caps": {v4.Bytes(), 4}, "version 99 alone": {v99.Bytes(), 99}} {
+		t.Run(name, func(t *testing.T) {
+			typ, text := exchange(t, dial(t), frameHello, 0, tc.hello)
+			want := fmt.Sprintf("protocol version mismatch: peer %d, ours %d", tc.peer, Version)
+			if typ != frameError || !strings.Contains(text, want) {
+				t.Errorf("answer frame %d %q, want frame %d naming %q", typ, text, frameError, want)
+			}
+		})
+	}
+
+	t.Run("retired frame type", func(t *testing.T) {
+		conn := dial(t)
+		if typ, text := exchange(t, conn, frameHello, 0, encodeHello(fp)); typ != frameWelcome {
+			t.Fatalf("handshake: frame %d %q", typ, text)
+		}
+		typ, text := exchange(t, conn, 13, 1, []byte{frameExec})
+		if want := "unexpected frame type 13"; typ != frameError || text != want {
+			t.Errorf("answer frame %d %q, want frame %d %q", typ, text, frameError, want)
+		}
+		// The worker dropped that connection but still serves new ones.
+		conn = dial(t)
+		if typ, text := exchange(t, conn, frameHello, 0, encodeHello(fp)); typ != frameWelcome {
+			t.Fatalf("handshake after the refused frame: frame %d %q", typ, text)
+		}
+		if typ, _ := exchange(t, conn, framePing, 2, nil); typ != framePong {
+			t.Errorf("ping after the refused frame: frame %d, want pong", typ)
+		}
+	})
 }
 
 // TestExecCanceled checks a canceled context fails the exchange promptly
@@ -847,7 +943,7 @@ func TestWorkerRejectsMalformedFrames(t *testing.T) {
 			defer conn.Close()
 			conn.SetDeadline(time.Now().Add(5 * time.Second))
 			fp := Fingerprint{Partitions: testParts, NumVertices: g.NumVertices(), NumEdges: g.NumEdges()}
-			if _, err := writeFrame(conn, frameHello, 0, encodeHello(fp, 0)); err != nil {
+			if _, err := writeFrame(conn, frameHello, 0, encodeHello(fp)); err != nil {
 				t.Fatal(err)
 			}
 			if typ, _, _, _, err := readFrame(conn); err != nil || typ != frameWelcome {

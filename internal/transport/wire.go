@@ -16,9 +16,8 @@
 // like the checkpoint format's record framing, and bodies are value.Blob
 // encodings, so every Value crosses the wire through the same bit-exact
 // codec the spill and checkpoint files use — which is what keeps a TCP run
-// bit-identical to an in-process one. Any large frame may travel
-// snap-compressed inside a frameSnap envelope when both sides negotiated
-// the capability at handshake.
+// bit-identical to an in-process one. Frames travel uncompressed, in both
+// directions and on every link (DESIGN.md §15 counts why).
 package transport
 
 import (
@@ -41,8 +40,10 @@ import (
 // exchanges for worker-resident state), deliver and peer-frag frames, the
 // handshake capability mask, and snap-compressed frames. Version 4 drops
 // the stateless exchange that shipped whole frontiers: delta is mode 0, seed
-// mode 1, and a result no longer carries new values.
-const Version = 4
+// mode 1, and a result no longer carries new values. Version 5 drops snap
+// compression: the hello carries no capability mask and frame type 13 is
+// retired.
+const Version = 5
 
 // maxFrame bounds a frame body so a corrupt length prefix fails fast
 // instead of provoking a giant allocation.
@@ -50,8 +51,8 @@ const maxFrame = 1 << 30
 
 // Frame types.
 const (
-	frameHello      byte = 1  // master -> worker: version + graph fingerprint + caps
-	frameWelcome    byte = 2  // worker -> master: handshake accepted (echoes fingerprint + caps)
+	frameHello      byte = 1  // master -> worker: version + graph fingerprint
+	frameWelcome    byte = 2  // worker -> master: handshake accepted (echoes fingerprint)
 	frameExec       byte = 3  // master -> worker: ExecRequest
 	frameResult     byte = 4  // worker -> master: ExecResult
 	framePing       byte = 5  // master -> worker: liveness probe
@@ -62,24 +63,13 @@ const (
 	frameDeliverRes byte = 10 // worker -> master: DeliverResult
 	framePeerFrag   byte = 11 // worker -> worker: one outbox column over the mesh
 	framePeerAck    byte = 12 // worker -> worker: frag stored
-	frameSnap       byte = 13 // either direction: [inner type | snap block] envelope
 )
-
-// Handshake capability bits. The effective capability set of a connection
-// is the AND of what both sides offered; unknown bits are ignored, so new
-// capabilities stay backward-compatible within a version.
-const capSnappy uint64 = 1 << 0
-
-// snapMinCompress is the smallest payload worth compressing: below this the
-// tag overhead and the extra copy cost more than the bytes saved.
-const snapMinCompress = 1024
 
 var errBadFrame = errors.New("transport: corrupt frame")
 
 // frameBufs pools frame scratch buffers: writeFrame's single-write encode
-// buffer, the pooled read path's body buffers, and the compressor's
-// envelope scratch. Steady-state framing allocates nothing (the
-// BenchmarkWireFrame allocs/op pin).
+// buffer and the pooled read path's body buffers. Steady-state framing
+// allocates nothing (the BenchmarkWireFrame allocs/op pin).
 var frameBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 func getFrameBuf() *[]byte  { return frameBufs.Get().(*[]byte) }
@@ -174,105 +164,44 @@ func readFramePooled(r io.Reader) (typ byte, seq uint64, payload []byte, n int, 
 	return typ, seq, body[1+k:], 8 + int(length), release, nil
 }
 
-// frameForSend wraps (typ, payload) in a frameSnap envelope when the
-// connection negotiated compression, the payload is big enough to matter,
-// and the frame type carries bulk data. Returns the type and payload to put
-// on the wire plus a pooled scratch buffer the caller must return via
-// putFrameBuf after writing (nil when the frame goes out uncompressed).
-// Incompressible payloads are sent as-is — the envelope is only used when
-// it actually shrinks the frame.
-func frameForSend(typ byte, payload []byte, snappy bool, m *obs.Metrics) (byte, []byte, *[]byte) {
-	if !snappy || len(payload) < snapMinCompress {
-		return typ, payload, nil
-	}
-	switch typ {
-	case frameExec, frameResult, frameDeliver, frameDeliverRes, framePeerFrag:
-	default:
-		return typ, payload, nil
-	}
-	bp := getFrameBuf()
-	buf := (*bp)[:0]
-	buf = append(buf, typ)
-	buf = snapCompress(buf, payload)
-	*bp = buf
-	if len(buf) >= len(payload) {
-		putFrameBuf(bp)
-		return typ, payload, nil
-	}
-	m.Counter(obs.MetricNetSnapFrames).Add(1)
-	m.Counter(obs.MetricNetSnapSavedB).Add(int64(len(payload) - len(buf)))
-	return frameSnap, buf, bp
-}
-
-// unsnapPooled unwraps a frameSnap envelope read through the pooled path:
-// the input buffer is released and the decoded payload comes back in a
-// fresh pooled buffer with its own release.
-func unsnapPooled(payload []byte, release func()) (byte, []byte, func(), error) {
-	if len(payload) == 0 {
-		release()
-		return 0, nil, nil, fmt.Errorf("%w: empty snap envelope", errBadFrame)
-	}
-	inner := payload[0]
-	bp := getFrameBuf()
-	dec, err := snapDecode((*bp)[:0], payload[1:])
-	*bp = dec
-	release()
-	if err != nil {
-		putFrameBuf(bp)
-		return 0, nil, nil, err
-	}
-	return inner, dec, func() { putFrameBuf(bp) }, nil
-}
-
-// unsnapOwned unwraps a frameSnap envelope into a caller-owned buffer (for
-// the master's read loop, where payloads cross a channel to the waiting
-// exchange).
-func unsnapOwned(payload []byte) (byte, []byte, error) {
-	if len(payload) == 0 {
-		return 0, nil, fmt.Errorf("%w: empty snap envelope", errBadFrame)
-	}
-	dec, err := snapDecode(nil, payload[1:])
-	return payload[0], dec, err
-}
-
-// Fingerprint identifies the run a connection belongs to: protocol version,
-// partition count, and graph shape. Master and worker must have loaded the
-// same graph with the same partitioning or results would silently diverge —
-// the handshake turns that into an immediate, explicit error.
+// Fingerprint identifies the run a connection belongs to: partition count
+// and graph shape. The hello carries it after the protocol version. Master
+// and worker (and two mesh workers) must have loaded the same graph with
+// the same partitioning or results would silently diverge — the handshake
+// turns that into an immediate, explicit error.
 type Fingerprint struct {
 	Partitions  int
 	NumVertices int
 	NumEdges    int
 }
 
-// encodeHello builds a hello/welcome payload: the fingerprint plus the
-// sender's capability mask.
-func encodeHello(f Fingerprint, caps uint64) []byte {
+// encodeHello builds a hello/welcome payload: the protocol version, then
+// the fingerprint.
+func encodeHello(f Fingerprint) []byte {
 	b := value.NewBlob()
 	b.Uvarint(Version)
 	b.Uvarint(uint64(f.Partitions))
 	b.Uvarint(uint64(f.NumVertices))
 	b.Uvarint(uint64(f.NumEdges))
-	b.Uvarint(caps)
 	return b.Bytes()
 }
 
-func decodeHello(p []byte) (Fingerprint, uint64, error) {
+// decodeHello compares the version before reading anything else, so a peer
+// of another version is named as such whatever the rest of its hello holds.
+func decodeHello(p []byte) (Fingerprint, error) {
 	r := value.NewBlobReader(p)
-	v := r.Uvarint()
+	if v := r.Uvarint(); r.Err() == nil && v != Version {
+		return Fingerprint{}, fmt.Errorf("transport: protocol version mismatch: peer %d, ours %d", v, Version)
+	}
 	f := Fingerprint{
 		Partitions:  int(r.Uvarint()),
 		NumVertices: int(r.Uvarint()),
 		NumEdges:    int(r.Uvarint()),
 	}
-	caps := r.Uvarint()
 	if r.Err() != nil {
-		return f, 0, fmt.Errorf("transport: corrupt handshake: %w", r.Err())
+		return f, fmt.Errorf("transport: corrupt handshake: %w", r.Err())
 	}
-	if v != Version {
-		return f, 0, fmt.Errorf("transport: protocol version mismatch: peer %d, ours %d", v, Version)
-	}
-	return f, caps, nil
+	return f, nil
 }
 
 // appendRoute / readRoute carry the peer-mesh routing table of an exec

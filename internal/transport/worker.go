@@ -33,8 +33,6 @@ type Worker struct {
 	ln net.Listener
 	m  *obs.Metrics
 
-	// caps is the capability mask offered in handshakes (snap compression).
-	caps uint64
 	// frags parks peer- and self-routed outbox columns between exec and the
 	// delivery round; mesh owns the worker->worker connections.
 	frags fragStore
@@ -64,7 +62,7 @@ func NewWorker(x *engine.Executor, addr string, m *obs.Metrics) (*Worker, error)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	w := &Worker{x: x, ln: ln, m: m, caps: capSnappy, conns: map[net.Conn]struct{}{}}
+	w := &Worker{x: x, ln: ln, m: m, conns: map[net.Conn]struct{}{}}
 	w.mesh = newMesh(w)
 	return w, nil
 }
@@ -178,14 +176,23 @@ func (w *Worker) isDraining() bool {
 }
 
 // connState is one served connection's shared state: the write mutex that
-// keeps pipelined reply frames whole, the negotiated capability set, the
-// seq dedup cache, and the in-flight handler count the drain path waits on.
+// keeps pipelined reply frames whole, the seq dedup cache, and the
+// in-flight handler count the drain path waits on.
 type connState struct {
-	conn   net.Conn
-	wmu    sync.Mutex
-	snappy bool
-	cache  *replyCache
-	wg     sync.WaitGroup
+	conn  net.Conn
+	wmu   sync.Mutex
+	cache *replyCache
+	wg    sync.WaitGroup
+}
+
+// fingerprint is the run identity this worker checks hellos against and
+// offers when it dials a mesh peer.
+func (w *Worker) fingerprint() Fingerprint {
+	return Fingerprint{
+		Partitions:  w.x.Partitions(),
+		NumVertices: w.x.Graph().NumVertices(),
+		NumEdges:    w.x.Graph().NumEdges(),
+	}
 }
 
 // serveConn handshakes, then serves frames until the connection dies or the
@@ -194,31 +201,27 @@ type connState struct {
 func (w *Worker) serveConn(conn net.Conn) {
 	defer w.connWG.Done()
 	defer w.drop(conn)
-	fp := Fingerprint{
-		Partitions:  w.x.Partitions(),
-		NumVertices: w.x.Graph().NumVertices(),
-		NumEdges:    w.x.Graph().NumEdges(),
-	}
+	fp := w.fingerprint()
 	typ, _, payload, _, err := readFrame(conn)
 	if err != nil || typ != frameHello {
 		writeFrame(conn, frameError, 0, []byte("expected hello frame"))
 		return
 	}
-	peerFP, peerCaps, err := decodeHello(payload)
+	peerFP, err := decodeHello(payload)
 	if err != nil {
 		writeFrame(conn, frameError, 0, []byte(err.Error()))
 		return
 	}
 	if peerFP != fp {
 		writeFrame(conn, frameError, 0,
-			[]byte(fmt.Sprintf("graph fingerprint mismatch: master %+v, worker %+v", peerFP, fp)))
+			[]byte(fmt.Sprintf("graph fingerprint mismatch: dialer %+v, worker %+v", peerFP, fp)))
 		return
 	}
-	if _, err := writeFrame(conn, frameWelcome, 0, encodeHello(fp, w.caps)); err != nil {
+	if _, err := writeFrame(conn, frameWelcome, 0, encodeHello(fp)); err != nil {
 		return
 	}
 
-	cs := &connState{conn: conn, snappy: w.caps&peerCaps&capSnappy != 0, cache: newReplyCache(replyCacheSize)}
+	cs := &connState{conn: conn, cache: newReplyCache(replyCacheSize)}
 	for {
 		typ, seq, payload, n, release, err := readFramePooled(conn)
 		if err != nil {
@@ -239,13 +242,6 @@ func (w *Worker) serveConn(conn net.Conn) {
 		}
 		w.m.Counter(obs.MetricNetMessagesRecv).Add(1)
 		w.m.Counter(obs.MetricNetBytesRecv).Add(int64(n))
-		if typ == frameSnap {
-			typ, payload, release, err = unsnapPooled(payload, release)
-			if err != nil {
-				writeFrame(conn, frameError, seq, []byte(err.Error()))
-				return
-			}
-		}
 		switch typ {
 		case framePing:
 			release()
@@ -446,16 +442,11 @@ func (w *Worker) handlePeerFrag(cs *connState, seq uint64, payload []byte, relea
 	w.reply(cs, framePeerAck, seq, nil)
 }
 
-// reply writes one reply frame under the connection's write mutex,
-// compressing when the connection negotiated it.
+// reply writes one reply frame under the connection's write mutex.
 func (w *Worker) reply(cs *connState, typ byte, seq uint64, payload []byte) error {
-	wtyp, wpay, scratch := frameForSend(typ, payload, cs.snappy, w.m)
 	cs.wmu.Lock()
-	n, err := writeFrame(cs.conn, wtyp, seq, wpay)
+	n, err := writeFrame(cs.conn, typ, seq, payload)
 	cs.wmu.Unlock()
-	if scratch != nil {
-		putFrameBuf(scratch)
-	}
 	if err != nil {
 		return err
 	}
