@@ -40,10 +40,10 @@ func notCompilable(pos pql.Pos, format string, args ...any) error {
 // Its strata run in one of two places. The in-partition prefix (strata[:inPart])
 // runs online on each engine partition's goroutine, right after that
 // partition's compute: a partition shard evaluates its records against the
-// database, frozen while partitions compute, and keeps what it derives in an
-// overlay. At the barrier MergePartitions inserts the shards' tuples in the
-// order one serial pass would have, and the remaining strata run there on the
-// main shard, as does every stratum of a layered (offline) evaluation.
+// database, frozen while partitions compute, and keeps what it derives in its
+// own dedup sets. At the barrier MergePartitions appends the shards' tuples in
+// the order one serial pass would have, and the remaining strata run there on
+// the main shard, as does every stratum of a layered (offline) evaluation.
 type Compiled struct {
 	// strata[i] holds the compiled rules of stratum i; recursive[i] marks a
 	// stratum some rule of which reads a head of that stratum, the only kind
@@ -102,8 +102,11 @@ type crule struct {
 // rule whose emissions it is sinking. The main shard inserts straight into
 // the database. A partition shard (ovl != nil) runs the in-partition strata
 // over one partition's records on that partition's goroutine: it reads the
-// database (frozen meanwhile) and then its overlay, and keeps each new tuple
-// in the overlay and in out until the merge.
+// database (frozen meanwhile) and then its overlay. Each overlay relation
+// holds this superstep's new tuples of one head in order, for positive reads,
+// and in rows the shard's dedup set of that head: every tuple the shard
+// derived, registered with the head relation (Relation.sets), which the
+// tuple never leaves. out lists the superstep's new tuples for the merge.
 type shard struct {
 	c       *Compiled
 	rn      slotRun
@@ -114,7 +117,7 @@ type shard struct {
 	ovl     *Database
 	ovlHead []*Relation // per rule: the overlay relation of its head
 	views   []RecordView
-	ss      int            // the superstep observed last, -1 before the first
+	ss      int            // the superstep observed last and not merged, or -1
 	out     [][]shardTuple // per rule: the new tuples, in derivation order
 	emitted []int64        // per rule
 	records int64
@@ -125,10 +128,9 @@ type shard struct {
 }
 
 // shardTuple is a tuple a partition shard derived: the anchor vertex of the
-// record that derived it, its canonical key and the tuple (already cloned).
+// record that derived it and the tuple (already cloned).
 type shardTuple struct {
 	vertex int64
-	key    string
 	t      Tuple
 }
 
@@ -152,11 +154,11 @@ func (sh *shard) emit(t Tuple) error {
 	sh.emitted[r.idx]++
 	sh.headKey = appendKey(sh.headKey[:0], t)
 	ovl := sh.ovlHead[r.idx]
-	if r.head.containsKeyBytes(sh.headKey) || ovl.containsKeyBytes(sh.headKey) {
+	if r.head.inRows(sh.headKey) || ovl.inRows(sh.headKey) {
 		return nil
 	}
-	st := shardTuple{vertex: sh.rn.rv.Vertex, key: string(sh.headKey), t: t.Clone()}
-	ovl.add(st.key, st.t)
+	st := shardTuple{vertex: sh.rn.rv.Vertex, t: t.Clone()}
+	ovl.add(string(sh.headKey), st.t)
 	sh.out[r.idx] = append(sh.out[r.idx], st)
 	return nil
 }
@@ -685,14 +687,13 @@ func (c *Compiled) ObservePartition(p, superstep int, recs []engine.VertexRecord
 }
 
 // layer runs the in-partition rules over one partition's records of a
-// superstep, in vertex order, into a fresh overlay.
+// superstep, in vertex order, into the overlay. The tuples of a superstep
+// observed before and never merged (an aborted one) are dropped first.
 func (sh *shard) layer(superstep int, recs []RecordView) {
+	sh.drop()
 	sh.ss, sh.records, sh.err = superstep, int64(len(recs)), nil
 	for _, rel := range sh.ovl.rels {
-		rel.Clear()
-	}
-	for i := range sh.out {
-		sh.out[i] = sh.out[i][:0]
+		rel.truncate()
 	}
 	clear(sh.emitted)
 	for _, r := range sh.c.rules[:sh.c.partRules] {
@@ -718,35 +719,39 @@ func (c *Compiled) partShard(p int) *shard {
 		sh.out = make([][]shardTuple, c.partRules)
 		sh.emitted = make([]int64, c.partRules)
 		for _, r := range c.rules[:c.partRules] {
-			if r.kind == ruleRecord {
-				sh.ovlHead[r.idx] = ovl.Relation(r.src.Head.Pred, len(r.src.Head.Args))
+			if r.kind == ruleRecord && ovl.Get(r.src.Head.Pred) == nil {
+				r.head.sets = append(r.head.sets, ovl.Relation(r.src.Head.Pred, r.head.arity).rows)
 			}
+			sh.ovlHead[r.idx] = ovl.Get(r.src.Head.Pred)
 		}
 		c.parts = append(c.parts, sh)
 	}
 	return c.parts[p]
 }
 
-// MergePartitions inserts what the partition shards derived at superstep
-// into the database, in the order one serial pass over the layer would have
+// MergePartitions appends what the partition shards derived at superstep to
+// the head relations, in the order one serial pass over the layer would have
 // (stratum, rule, anchor vertex, then derivation order), and counts their
-// records, emissions and passes. shed (nil: none) names the partitions
-// whose records are dropped. When shards failed it merges what a serial
-// pass derives before its first failure and returns that failure: the lowest
-// by (stratum, rule, vertex). It reports false, merging nothing, when no
-// partition observed superstep; the caller then evaluates the layer whole
-// with Layer.
+// records, emissions and passes. Nothing is probed: the tuples stay in the
+// dedup sets of the shards, which probed the frozen database, and a head is
+// located at its anchor vertex, which one partition owns. shed (nil: none)
+// names the partitions whose records are dropped. When shards failed it
+// merges what a serial pass derives before its first failure and returns
+// that failure: the lowest by (stratum, rule, vertex). The sets forget every
+// tuple not merged. It reports false, merging nothing, when no partition
+// observed superstep; the caller then evaluates the layer whole with Layer.
 func (c *Compiled) MergePartitions(superstep int, shed func(p int) bool) (bool, error) {
 	c.live = c.live[:0]
 	observed := false
 	for p, sh := range c.parts {
-		if sh.ss != superstep {
-			continue
+		if sh.ss == superstep {
+			observed = true
+			if shed == nil || !shed(p) {
+				c.live = append(c.live, sh)
+				continue
+			}
 		}
-		observed, sh.ss = true, -1
-		if shed == nil || !shed(p) {
-			c.live = append(c.live, sh)
-		}
+		sh.drop()
 	}
 	if !observed {
 		return false, nil
@@ -759,35 +764,39 @@ func (c *Compiled) MergePartitions(superstep int, shed func(p int) bool) (bool, 
 			failed = sh
 		}
 	}
-	for si := 0; si < c.inPart; si++ {
+	var err error
+	for si := 0; si < c.inPart && err == nil; si++ {
 		c.passes[si]++
 		for _, r := range c.strata[si] {
-			if r.kind != ruleRecord {
+			if r.kind != ruleRecord || err != nil {
 				continue
 			}
 			last := int64(math.MaxInt64)
 			if failed != nil && r.idx == failed.errRule {
-				last = failed.errVertex
+				last, err = failed.errVertex, failed.err
 			}
 			c.mergeRule(r, last)
-			if failed != nil && r.idx == failed.errRule {
-				return true, failed.err
-			}
 		}
 	}
-	return true, nil
+	for _, sh := range c.live {
+		sh.drop() // the rules past a failure
+	}
+	return true, err
 }
 
-// mergeRule inserts the live shards' new tuples of rule r up to anchor vertex
-// last, in vertex order: each shard's list is ascending already, and a vertex
-// belongs to one partition.
+// mergeRule appends the live shards' new tuples of rule r up to anchor vertex
+// last to its head, in vertex order: each shard's list is ascending already,
+// and a vertex belongs to one partition. The rest are forgotten.
 func (c *Compiled) mergeRule(r *crule, last int64) {
 	heads := slices.Grow(c.heads[:0], len(c.live))[:len(c.live)]
 	clear(heads)
 	c.heads = heads
+	n := 0
 	for _, sh := range c.live {
 		r.emitted += sh.emitted[r.idx]
+		n += len(sh.out[r.idx])
 	}
+	r.head.order = slices.Grow(r.head.order, n)
 	for {
 		best := -1
 		var bestV int64
@@ -797,14 +806,33 @@ func (c *Compiled) mergeRule(r *crule, last int64) {
 			}
 		}
 		if best < 0 || bestV > last {
-			return
+			break
 		}
-		st := &c.live[best].out[r.idx][heads[best]]
+		r.head.appendNew(c.live[best].out[r.idx][heads[best]].t)
 		heads[best]++
-		if r.head.insertKeyed(st.key, st.t) {
-			c.derived++
-		}
+		c.derived++
 	}
+	for i, sh := range c.live {
+		sh.forget(r.idx, heads[i])
+	}
+}
+
+// forget deletes the tuples of out[ri][from:], which the merge did not take,
+// from the shard's dedup set, and empties out[ri].
+func (sh *shard) forget(ri, from int) {
+	for _, st := range sh.out[ri][from:] {
+		delete(sh.ovlHead[ri].rows, st.t.Key())
+	}
+	sh.out[ri] = sh.out[ri][:0]
+}
+
+// drop forgets every new tuple the merge has not taken: all of the superstep
+// the shard observed last unless it was merged, which empties out.
+func (sh *shard) drop() {
+	for ri := range sh.out {
+		sh.forget(ri, 0)
+	}
+	sh.ss = -1
 }
 
 // start points the shard's run at rule r's program, with deltas as its delta

@@ -39,18 +39,27 @@ func (t Tuple) Clone() Tuple {
 // Relation is a set of same-arity tuples with lazily built, incrementally
 // maintained hash indexes on column subsets.
 //
+// A head of an in-partition compiled rule also carries the partition shards'
+// dedup sets (sets): each holds, by canonical key, the tuples one shard
+// derived on its partition's goroutine. Those tuples are in order and in
+// every built index, but never in rows; a member is in rows or in one set.
+//
 // Concurrency contract: concurrent readers (Lookup/LookupKey/Contains/All)
 // are safe with each other — lazy index construction is serialized behind
 // mu, and everything else they touch is read-only. Mutations (Insert,
-// Delete, Clear) must not overlap with readers or each other: a caller that
-// reads a relation from several goroutines keeps its writes to phases in
-// which no reader runs.
+// Delete, Clear, the barrier's merge) must not overlap with readers or each
+// other: a caller that reads a relation from several goroutines keeps its
+// writes to phases in which no reader runs. A shard set is written only on
+// its partition's goroutine, while the relation is frozen, and read by every
+// membership probe at the barrier; a partition shard itself probes only rows
+// and its own set.
 type Relation struct {
 	arity int
 	rows  map[string]Tuple
+	sets  []map[string]Tuple
 	order []Tuple // insertion order, for deterministic iteration
 
-	mu      sync.Mutex // guards indexes map + lazy index construction
+	mu      sync.Mutex // guards indexes map + lazy index construction by readers
 	indexes map[string]*index
 }
 
@@ -69,7 +78,7 @@ func NewRelation(arity int) *Relation {
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the tuple count.
-func (r *Relation) Len() int { return len(r.rows) }
+func (r *Relation) Len() int { return len(r.order) }
 
 // Insert adds t, reporting whether it was new. The tuple is retained.
 func (r *Relation) Insert(t Tuple) bool {
@@ -77,7 +86,7 @@ func (r *Relation) Insert(t Tuple) bool {
 		panic(fmt.Sprintf("eval: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
 	k := t.Key()
-	if _, ok := r.rows[k]; ok {
+	if r.ContainsKey(k) {
 		return false
 	}
 	r.add(k, t)
@@ -102,30 +111,25 @@ func (r *Relation) insertCopy(t Tuple, kb *[]byte) (Tuple, bool) {
 	return c, true
 }
 
-// insertKeyed adds t under its canonical key k unless that key is present,
-// reporting whether it did. t is retained.
-func (r *Relation) insertKeyed(k string, t Tuple) bool {
-	if _, ok := r.rows[k]; ok {
-		return false
-	}
-	r.add(k, t)
-	return true
-}
-
-// add stores a tuple known to be new under its canonical key.
+// add stores a tuple known to be new in rows, under its canonical key.
 func (r *Relation) add(k string, t Tuple) {
 	r.rows[k] = t
+	r.appendNew(t)
+}
+
+// appendNew appends a tuple known to be new, and already held by rows or a
+// shard set, to order and to every built index. Like every mutation it runs
+// while no reader does, so it takes no lock.
+func (r *Relation) appendNew(t Tuple) {
 	r.order = append(r.order, t)
-	r.mu.Lock()
 	for _, idx := range r.indexes {
 		pk := projKey(t, idx.cols)
 		idx.m[pk] = append(idx.m[pk], t)
 	}
-	r.mu.Unlock()
 }
 
 // Delete removes t, reporting whether it was present. Deletion is used only
-// by aggregate-group replacement.
+// by aggregate-group replacement, whose heads have no shard sets.
 func (r *Relation) Delete(t Tuple) bool {
 	k := t.Key()
 	old, ok := r.rows[k]
@@ -155,21 +159,38 @@ func (r *Relation) Delete(t Tuple) bool {
 }
 
 // Contains reports membership.
-func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.rows[t.Key()]
-	return ok
-}
+func (r *Relation) Contains(t Tuple) bool { return r.ContainsKey(t.Key()) }
 
 // ContainsKey reports membership by canonical tuple key (see Tuple.Key).
 func (r *Relation) ContainsKey(k string) bool {
-	_, ok := r.rows[k]
-	return ok
+	if _, ok := r.rows[k]; ok {
+		return true
+	}
+	for _, s := range r.sets {
+		if _, ok := s[k]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // containsKeyBytes is ContainsKey without the string allocation: the
 // conversion sits inside the map index expression, which the compiler
 // optimizes to a zero-copy lookup.
 func (r *Relation) containsKeyBytes(k []byte) bool {
+	if r.inRows(k) {
+		return true
+	}
+	for _, s := range r.sets {
+		if _, ok := s[string(k)]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// inRows reports whether rows alone holds the tuple keyed k.
+func (r *Relation) inRows(k []byte) bool {
 	_, ok := r.rows[string(k)]
 	return ok
 }
@@ -207,7 +228,7 @@ func (r *Relation) index(ck string, cols []int) *index {
 	defer r.mu.Unlock()
 	idx, ok := r.indexes[ck]
 	if !ok {
-		idx = &index{cols: append([]int(nil), cols...), m: make(map[string][]Tuple, len(r.rows))}
+		idx = &index{cols: append([]int(nil), cols...), m: make(map[string][]Tuple, len(r.order))}
 		for _, t := range r.order {
 			pk := projKey(t, cols)
 			idx.m[pk] = append(idx.m[pk], t)

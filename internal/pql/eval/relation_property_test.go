@@ -81,6 +81,129 @@ func TestRelationIndexConsistency(t *testing.T) {
 	}
 }
 
+// TestShardSetsReadAsRows spreads random tuples over rows and three shard
+// dedup sets the way online evaluation does: the main shard Inserts into
+// rows, a partition shard keeps each new tuple in its own set (the set of the
+// tuple's first column mod 3, its anchor) and the barrier's merge only
+// appends the shards' tuples to order and the built indexes. The relation
+// must answer every read exactly as one that Inserted the same tuples in the
+// same order, with indexes built before and after merges, and again after a
+// SaveState/LoadState round trip, which leaves every tuple in rows.
+func TestShardSetsReadAsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rel, ref := NewRelation(2), NewRelation(2)
+		for range 3 {
+			rel.sets = append(rel.sets, map[string]Tuple{})
+		}
+		mk := func() Tuple { return ints(int64(r.Intn(9)), int64(r.Intn(4))) }
+		var kb []byte
+		lookup := func() bool {
+			cols := [][]int{{0}, {1}, {0, 1}}[r.Intn(3)]
+			probe := mk()
+			key := make([]value.Value, len(cols))
+			for i, c := range cols {
+				key[i] = probe[c]
+			}
+			return sameKeys(rel.Lookup(cols, key), ref.Lookup(cols, key))
+		}
+		for step := 0; step < 60; step++ {
+			switch r.Intn(3) {
+			case 0: // the main shard: a slot program's sink or the public Insert
+				tu := mk()
+				var ok bool
+				if r.Intn(2) == 0 {
+					_, ok = rel.insertCopy(tu, &kb)
+				} else {
+					ok = rel.Insert(tu)
+				}
+				if ok != ref.Insert(tu) {
+					return false
+				}
+			case 1: // the shards derive, then the barrier merges
+				var merged []Tuple
+				for range r.Intn(8) {
+					tu := mk()
+					set := rel.sets[tu[0].Int()%3]
+					k := tu.Key()
+					if _, ok := set[k]; ok || rel.inRows([]byte(k)) {
+						continue
+					}
+					set[k] = tu
+					merged = append(merged, tu)
+				}
+				for _, tu := range merged {
+					rel.appendNew(tu)
+					if !ref.Insert(tu) {
+						return false
+					}
+				}
+			default: // a read that may build an index
+				if !lookup() {
+					return false
+				}
+			}
+		}
+		same := func() bool {
+			if rel.Len() != ref.Len() || !sameKeys(rel.All(), ref.All()) || !sameKeys(rel.Sorted(), ref.Sorted()) {
+				return false
+			}
+			for x := int64(0); x < 10; x++ {
+				for y := int64(0); y < 5; y++ {
+					tu := ints(x, y)
+					if rel.Contains(tu) != ref.Contains(tu) || rel.ContainsKey(tu.Key()) != ref.ContainsKey(tu.Key()) {
+						return false
+					}
+					kb := appendNorm(nil, tu[1])
+					if !sameKeys(rel.LookupKey([]int{1}, encodeCols([]int{1}), kb), ref.LookupKey([]int{1}, encodeCols([]int{1}), kb)) {
+						return false
+					}
+				}
+			}
+			for range 10 {
+				if !lookup() {
+					return false
+				}
+			}
+			return true
+		}
+		if !same() {
+			return false
+		}
+		db := NewDatabase()
+		db.rels["r"] = rel
+		w := value.NewBlob()
+		db.SaveState(w)
+		for _, into := range []*Database{NewDatabase(), db} {
+			if err := into.LoadState(value.NewBlobReader(w.Bytes())); err != nil {
+				return false
+			}
+			if rel = into.Get("r"); !same() {
+				return false
+			}
+		}
+		// Reloaded in place: every tuple is back in rows, the sets are empty.
+		return len(rel.rows) == ref.Len()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sameKeys reports whether a and b hold equal tuples in the same order.
+func sameKeys(a, b []Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Key() != b[i].Key() {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSortedIsTotalOrder verifies Sorted's comparator sanity on mixed kinds.
 func TestSortedIsTotalOrder(t *testing.T) {
 	rel := NewRelation(2)

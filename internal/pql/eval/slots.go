@@ -125,7 +125,7 @@ var errCut = errors.New("eval: head bound")
 // and head buffers, the firing's delta batch and emit sink, and — on the
 // record-sourced path — the record and graph the record sources read. A
 // partition shard's run also reads its overlay: relation steps see the
-// database's tuples, then the overlay's.
+// database's tuples, then the overlay's; negations probe as has does.
 //
 // The emit sink receives the head buffer itself, overwritten by the next
 // firing: a sink that keeps a tuple must copy it (Relation.insertCopy), and
@@ -295,10 +295,7 @@ func (p *program) exec(rn *slotRun, si int) error {
 		if err != nil {
 			return err
 		}
-		if rel := rn.db.Get(st.pred); rel != nil && rel.containsKeyBytes(kb) {
-			return nil
-		}
-		if rel := rn.overlay(st.pred); rel != nil && rel.containsKeyBytes(kb) {
+		if rn.has(st.pred, kb) {
 			return nil
 		}
 		return p.run(rn, si+1)
@@ -334,6 +331,18 @@ func (rn *slotRun) overlay(pred string) *Relation {
 		return nil
 	}
 	return rn.ovl.Get(pred)
+}
+
+// has reports whether relation pred holds the tuple keyed kb: on the main
+// shard, in rows or any shard set; on a partition shard, whose IDB literals
+// are anchored or static-only, in the frozen rows or its own set.
+func (rn *slotRun) has(pred string, kb []byte) bool {
+	rel := rn.db.Get(pred)
+	if rn.ovl == nil {
+		return rel != nil && rel.containsKeyBytes(kb)
+	}
+	ovl := rn.ovl.Get(pred)
+	return rel != nil && rel.inRows(kb) || ovl != nil && ovl.inRows(kb)
 }
 
 // candidates returns the tuples a relation step reads from r (nil: none):

@@ -18,13 +18,22 @@ import (
 // panics on corrupt input (BlobReader is bounds-checked with a sticky
 // error).
 
-// Clear empties the relation in place, preserving its identity (compiled
-// rules hold *Relation pointers, so restore refills the same objects rather
-// than swap them), its index definitions and its capacity (a partition
-// shard's overlay is cleared every superstep). A slice All returned before
-// is overwritten by later inserts.
+// Clear empties the relation in place, shard sets included, preserving its
+// identity (compiled rules hold *Relation pointers, so restore refills the
+// same objects rather than swap them), its index definitions and its
+// capacity. A slice All returned before is overwritten by later inserts.
 func (r *Relation) Clear() {
 	clear(r.rows)
+	for _, s := range r.sets {
+		clear(s)
+	}
+	r.truncate()
+}
+
+// truncate empties order and every index but keeps rows: a partition
+// shard's overlay starts each superstep so, its rows being the shard's
+// dedup set.
+func (r *Relation) truncate() {
 	r.order = r.order[:0]
 	for _, idx := range r.indexes {
 		clear(idx.m)
