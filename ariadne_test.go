@@ -2,6 +2,7 @@ package ariadne_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -83,27 +84,50 @@ func (s strayProg) Compute(ctx *engine.Context, msgs []engine.IncomingMessage) e
 	return nil
 }
 
+// TestOnlineMonitoringCatchesStrayMessage: Query 4 flags the message vertex
+// 0 sends vertex 3, which has no in-edge, online and layered, at 1, 4 and 19
+// partitions; has_in, whose probes are degree tests, reads as the vertices
+// with an in-edge. The online run attaches Query 4 alone, so the engine
+// builds only the receives it reads; the layered leg reads a second run's
+// full capture. (The materialised evaluator's legs are in internal/driver's
+// TestStaticViewLegs.)
 func TestOnlineMonitoringCatchesStrayMessage(t *testing.T) {
-	// Vertex `lonely` has no in-edges; vertex 0 messages it anyway.
-	edges := []graph.Edge{{Src: 1, Dst: 0, Weight: 1}, {Src: 0, Dst: 1, Weight: 1}, {Src: 2, Dst: 0, Weight: 1}, {Src: 0, Dst: 2, Weight: 1}}
-	g, err := graph.NewFromEdges(4, edges) // vertex 3 is isolated
+	// Vertex 3 has an out-edge and no in-edge; vertex 0 messages it anyway.
+	edges := []graph.Edge{{Src: 1, Dst: 0, Weight: 1}, {Src: 0, Dst: 1, Weight: 1}, {Src: 2, Dst: 0, Weight: 1}, {Src: 0, Dst: 2, Weight: 1}, {Src: 3, Dst: 0, Weight: 1}}
+	g, err := graph.NewFromEdges(4, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ariadne.Run(g, strayProg{inner: &analytics.PageRank{}, target: 3},
-		ariadne.WithMaxSupersteps(10),
-		ariadne.WithOnlineQuery(queries.PageRankCheck()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qr := res.Query("q4-pagerank-check")
-	rows := ariadne.Tuples(qr, "check_failed")
-	if len(rows) == 0 {
-		t.Fatal("stray message not flagged")
-	}
-	// check_failed(X=3, Y=0, I=2): receiver 3, sender 0.
-	if rows[0][0].Int() != 3 || rows[0][1].Int() != 0 {
-		t.Errorf("culprit = %v", rows[0])
+	for _, parts := range []int{1, 4, 19} {
+		res, err := ariadne.Run(g, strayProg{inner: &analytics.PageRank{}, target: 3},
+			ariadne.WithPartitions(parts),
+			ariadne.WithMaxSupersteps(10),
+			ariadne.WithOnlineQuery(queries.PageRankCheck()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		captured, err := ariadne.Run(g, strayProg{inner: &analytics.PageRank{}, target: 3},
+			ariadne.WithPartitions(parts),
+			ariadne.WithMaxSupersteps(10),
+			ariadne.WithCaptureQuery(queries.CaptureFull(), ariadne.StoreConfig{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		layered, err := ariadne.QueryOffline(queries.PageRankCheck(), captured.Provenance, g, ariadne.ModeLayered, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		captured.Provenance.Close()
+		for leg, qr := range map[string]*ariadne.QueryResult{"online": res.Query("q4-pagerank-check"), "layered": layered} {
+			rows := ariadne.Tuples(qr, "check_failed")
+			// check_failed(X=3, Y=0, I=2): receiver 3, sender 0.
+			if len(rows) != 1 || rows[0][0].Int() != 3 || rows[0][1].Int() != 0 || rows[0][2].Int() != 2 {
+				t.Errorf("parts=%d %s: check_failed %v, want the stray message (3, 0, 2)", parts, leg, rows)
+			}
+			if got := fmt.Sprint(ariadne.Tuples(qr, "has_in")); got != "[[0] [1] [2]]" {
+				t.Errorf("parts=%d %s: has_in %s, want the vertices with an in-edge", parts, leg, got)
+			}
+		}
 	}
 }
 

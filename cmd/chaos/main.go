@@ -91,7 +91,7 @@ type driver struct {
 	err     error
 }
 
-func (d *driver) NeedsRawMessages() bool                         { return false }
+func (d *driver) Reads() engine.Fields                           { return 0 }
 func (*driver) ObservePartition(int, int, []engine.VertexRecord) {}
 func (d *driver) Finish(int) error                               { return nil }
 

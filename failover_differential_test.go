@@ -55,7 +55,7 @@ type killRejoin struct {
 	target           *failoverWorker
 }
 
-func (o *killRejoin) NeedsRawMessages() bool                         { return false }
+func (o *killRejoin) Reads() engine.Fields                           { return 0 }
 func (*killRejoin) ObservePartition(int, int, []engine.VertexRecord) {}
 func (o *killRejoin) Finish(int) error                               { return nil }
 func (o *killRejoin) ObserveSuperstep(v *engine.SuperstepView) error {

@@ -305,7 +305,7 @@ type sideObserver struct {
 	sawErrFacts bool
 }
 
-func (o *sideObserver) NeedsRawMessages() bool                         { return false }
+func (o *sideObserver) Reads() engine.Fields                           { return engine.FieldReceived | engine.FieldEmitted }
 func (*sideObserver) ObservePartition(int, int, []engine.VertexRecord) {}
 func (o *sideObserver) ObserveSuperstep(v *engine.SuperstepView) error {
 	if o.sides == nil {

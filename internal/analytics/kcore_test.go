@@ -187,7 +187,7 @@ type boundObserver struct {
 	violations int
 }
 
-func (o *boundObserver) NeedsRawMessages() bool                         { return false }
+func (o *boundObserver) Reads() engine.Fields                           { return 0 }
 func (*boundObserver) ObservePartition(int, int, []engine.VertexRecord) {}
 func (o *boundObserver) ObserveSuperstep(v *engine.SuperstepView) error {
 	for _, r := range v.Records() {

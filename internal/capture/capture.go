@@ -64,8 +64,23 @@ func BackwardCustomPolicy() Policy {
 	return Policy{Values: true, SendFlags: true}
 }
 
-// NeedsRaw reports whether the policy requires per-message delivery.
-func (p Policy) NeedsRaw() bool { return p.Recvs }
+// Reads returns the record fields the policy reads: raw receives to store
+// them or to propagate a forward-lineage taint, sends to store them, and
+// emitted facts when any table is kept. Send flags read the record's
+// always-present SentAny.
+func (p Policy) Reads() engine.Fields {
+	var f engine.Fields
+	if p.Recvs || p.TaintSource != nil {
+		f |= engine.FieldReceived
+	}
+	if p.Sends {
+		f |= engine.FieldSent
+	}
+	if len(p.Emitted) > 0 {
+		f |= engine.FieldEmitted
+	}
+	return f
+}
 
 // Observer captures provenance layers into a Store while the analytic runs.
 type Observer struct {
@@ -184,7 +199,7 @@ func (o *Observer) ObservePartition(p, ss int, recs []engine.VertexRecord) {
 			b.Value(rec.NewValue)
 			seg.tuples.values++
 		}
-		if o.policy.SendFlags && len(rec.Sent) > 0 {
+		if o.policy.SendFlags && rec.SentAny {
 			b.SentAny()
 			seg.tuples.flags++
 		}
@@ -221,10 +236,8 @@ func (o *Observer) segment(p int) *segment {
 	return o.segs[p]
 }
 
-// NeedsRawMessages implements engine.Observer.
-func (o *Observer) NeedsRawMessages() bool {
-	return o.policy.NeedsRaw() || o.policy.TaintSource != nil
-}
+// Reads implements engine.Observer: the policy's fields.
+func (o *Observer) Reads() engine.Fields { return o.policy.Reads() }
 
 // ObserveSuperstep implements engine.Observer: the partitions have encoded
 // their records, so the barrier only stitches their segments into the

@@ -41,14 +41,15 @@ func rec(id graph.VertexID, prev int, val float64, sent []engine.SentMessage, re
 		ID: id, PrevActive: prev,
 		NewValue: value.NewFloat(val),
 		Sent:     sent, Received: recv,
+		SentAny: len(sent) > 0,
 	}
 }
 
 func TestFullPolicyCapturesEverything(t *testing.T) {
 	store := provenance.NewStore(provenance.StoreConfig{})
 	o := NewObserver(FullPolicy(), store)
-	if !o.NeedsRawMessages() {
-		t.Error("full policy needs raw messages")
+	if o.Reads() != engine.FieldReceived|engine.FieldSent|engine.FieldEmitted {
+		t.Errorf("full policy reads %b, want receives, sends and emitted facts", o.Reads())
 	}
 	sent := []engine.SentMessage{{Dst: 2, Val: value.NewFloat(1)}}
 	recv := []engine.IncomingMessage{{Src: 3, Val: value.NewFloat(2)}}
@@ -79,8 +80,8 @@ func TestFullPolicyCapturesEverything(t *testing.T) {
 func TestBackwardCustomPolicyDropsMessageValues(t *testing.T) {
 	store := provenance.NewStore(provenance.StoreConfig{})
 	o := NewObserver(BackwardCustomPolicy(), store)
-	if o.NeedsRawMessages() {
-		t.Error("send-flag capture should not force raw delivery")
+	if o.Reads() != 0 {
+		t.Errorf("send-flag capture reads %b, want no optional field", o.Reads())
 	}
 	sent := []engine.SentMessage{{Dst: 2, Val: value.NewFloat(1)}}
 	if err := observe(o, 1, 0, rec(1, -1, 0.5, sent, nil)); err != nil {

@@ -11,61 +11,46 @@ import (
 	"ariadne/internal/value"
 )
 
-// staticGraph adapts graph.Graph to the compiled evaluator's StaticGraph.
-type staticGraph struct {
-	g *graph.Graph
-	// cached int64 views of the CSR (the compiled evaluator uses int64 ids).
-	out  [][]int64
-	outW [][]float64
-	in   [][]int64
-}
+// staticGraph adapts graph.Graph to the compiled evaluator's StaticGraph,
+// reading the CSR in place: the evaluator names vertices by int64, and one
+// outside the graph has no edges.
+type staticGraph struct{ g *graph.Graph }
 
-func newStaticGraph(g *graph.Graph) *staticGraph {
-	sg := &staticGraph{g: g}
-	n := g.NumVertices()
-	sg.out = make([][]int64, n)
-	sg.outW = make([][]float64, n)
-	for v := 0; v < n; v++ {
-		dst, w := g.OutNeighbors(graph.VertexID(v))
-		o := make([]int64, len(dst))
-		for i, d := range dst {
-			o[i] = int64(d)
-		}
-		sg.out[v] = o
-		sg.outW[v] = w
-	}
-	if g.HasInEdges() {
-		sg.in = make([][]int64, n)
-		for v := 0; v < n; v++ {
-			src, _ := g.InNeighbors(graph.VertexID(v))
-			s := make([]int64, len(src))
-			for i, d := range src {
-				s[i] = int64(d)
-			}
-			sg.in[v] = s
-		}
-	}
-	return sg
-}
+func (s staticGraph) has(v int64) bool { return v >= 0 && v < int64(s.g.NumVertices()) }
 
-func (s *staticGraph) NumVertices() int { return s.g.NumVertices() }
+func (s staticGraph) NumVertices() int { return s.g.NumVertices() }
 
-func (s *staticGraph) OutNeighbors(v int64) ([]int64, []float64) {
-	if v < 0 || int(v) >= len(s.out) {
+func (s staticGraph) OutNeighbors(v int64) ([]graph.VertexID, []float64) {
+	if !s.has(v) {
 		return nil, nil
 	}
-	return s.out[v], s.outW[v]
+	return s.g.OutNeighbors(graph.VertexID(v))
 }
 
-func (s *staticGraph) InNeighbors(v int64) []int64 {
-	if s.in == nil || v < 0 || int(v) >= len(s.in) {
+func (s staticGraph) InNeighbors(v int64) []graph.VertexID {
+	if !s.has(v) || !s.g.HasInEdges() {
 		return nil
 	}
-	return s.in[v]
+	src, _ := s.g.InNeighbors(graph.VertexID(v))
+	return src
 }
 
-func (s *staticGraph) EdgeWeight(src, dst int64) (float64, bool) {
-	if src < 0 || int(src) >= s.g.NumVertices() || dst < 0 || int(dst) >= s.g.NumVertices() {
+func (s staticGraph) OutDegree(v int64) int {
+	if !s.has(v) {
+		return 0
+	}
+	return s.g.OutDegree(graph.VertexID(v))
+}
+
+func (s staticGraph) InDegree(v int64) int {
+	if !s.has(v) || !s.g.HasInEdges() {
+		return 0
+	}
+	return s.g.InDegree(graph.VertexID(v))
+}
+
+func (s staticGraph) EdgeWeight(src, dst int64) (float64, bool) {
+	if !s.has(src) || !s.has(dst) {
 		return 0, false
 	}
 	return s.g.EdgeWeight(graph.VertexID(src), graph.VertexID(dst))
@@ -82,7 +67,7 @@ func tryCompile(q *analysis.Query, db *eval.Database, g *graph.Graph, cfg evalCo
 	if _, usesEdges := q.EDBs["edge"]; usesEdges {
 		g.BuildInEdges() // idempotent; compiled edge(Y, X) steps enumerate in-neighbors
 	}
-	c, err := eval.Compile(q, db, newStaticGraph(g))
+	c, err := eval.Compile(q, db, staticGraph{g})
 	return c, err == nil
 }
 

@@ -134,7 +134,7 @@ func TestOnlinePiggybackCounting(t *testing.T) {
 	if o.PiggybackTuples <= 0 {
 		t.Error("piggyback tuple accounting missing")
 	}
-	if !o.NeedsRawMessages() {
+	if o.Reads()&engine.FieldReceived == 0 {
 		t.Error("apt references receive_message, needs raw delivery")
 	}
 }

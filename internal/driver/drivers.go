@@ -274,11 +274,22 @@ func (o *Online) notePiggyback(ss int, delta int64) {
 	o.metrics.AddPiggyback(o.name, delta)
 }
 
-// NeedsRawMessages implements engine.Observer: online evaluation needs
-// per-message receive tuples whenever the query mentions them.
-func (o *Online) NeedsRawMessages() bool {
+// Reads implements engine.Observer: the record fields of the EDBs the query
+// mentions. Only a query over receive_message disables the combiner; one
+// over send_message keeps the sends, one over an emitted table the facts.
+func (o *Online) Reads() engine.Fields {
 	n := needsOf(o.q)
-	return n.recv || n.send
+	var f engine.Fields
+	if n.recv {
+		f |= engine.FieldReceived
+	}
+	if n.send {
+		f |= engine.FieldSent
+	}
+	if len(n.emitted) > 0 {
+		f |= engine.FieldEmitted
+	}
+	return f
 }
 
 // ObservePartition implements engine.Observer: the compiled query's

@@ -70,7 +70,7 @@ type countingObserver struct {
 	sent, recv int64
 }
 
-func (o *countingObserver) NeedsRawMessages() bool                  { return true }
+func (o *countingObserver) Reads() Fields                           { return FieldReceived | FieldSent }
 func (*countingObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *countingObserver) ObserveSuperstep(v *SuperstepView) error {
 	for _, r := range v.Records() {

@@ -386,7 +386,7 @@ type cancelObserver struct {
 	at     int
 }
 
-func (o *cancelObserver) NeedsRawMessages() bool                  { return false }
+func (o *cancelObserver) Reads() Fields                           { return 0 }
 func (*cancelObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *cancelObserver) ObserveSuperstep(v *SuperstepView) error {
 	if v.Superstep == o.at {

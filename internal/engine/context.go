@@ -13,17 +13,19 @@ type Context struct {
 	partition int
 
 	id VertexID
-	// sent[sentStart:] are the current vertex's sends; with keepSent the
+	// fields is what the run's records carry (Engine.fields, or the
+	// request's on a worker).
+	fields Fields
+	// sent[sentStart:] are the current vertex's sends; under FieldSent the
 	// earlier vertices' stay in front, where their records borrow them.
 	sent      []SentMessage
 	sentStart int
-	keepSent  bool
 	emitted   []ProvFact
 }
 
 func (c *Context) reset(v VertexID) {
 	c.id = v
-	if !c.keepSent {
+	if c.fields&FieldSent == 0 {
 		c.sent = c.sent[:0]
 	}
 	c.sentStart = len(c.sent)
@@ -42,9 +44,11 @@ func (c *Context) NumVertices() int { return c.engine.g.NumVertices() }
 // Graph returns the input graph (read-only by convention).
 func (c *Context) Graph() *graph.Graph { return c.engine.g }
 
-// Observing reports whether any observers are attached to the run, so
-// programs can skip EmitProv work when nothing consumes it.
-func (c *Context) Observing() bool { return len(c.engine.cfg.Observers) > 0 }
+// Observing reports whether some observer of the run reads emitted facts
+// (FieldEmitted), so programs can skip EmitProv work when nothing consumes
+// it. On a transport worker it reports the master's observers: the mask
+// travels in each ExecRequest.
+func (c *Context) Observing() bool { return c.fields&FieldEmitted != 0 }
 
 // Value returns the current value of this vertex.
 func (c *Context) Value() value.Value { return c.engine.values[c.id] }
@@ -94,8 +98,12 @@ func (c *Context) DiscardSentMessages() { c.sent = c.sent[:c.sentStart] }
 // EmitProv publishes an auxiliary provenance fact (table, args...) for this
 // vertex at this superstep. Analytics-specific tables such as the paper's
 // prov-error and prov-prediction (ALS, Queries 7-8) are produced this way;
-// facts flow to observers, never back into the analytic.
+// facts flow to observers, never back into the analytic. Without an
+// observer that reads them (Observing is false) the fact is dropped.
 func (c *Context) EmitProv(table string, args ...value.Value) {
+	if c.fields&FieldEmitted == 0 {
+		return
+	}
 	c.emitted = append(c.emitted, ProvFact{Table: table, Args: args})
 }
 

@@ -82,7 +82,8 @@ type Config struct {
 	Partitions int
 	// Combiner, if set, merges messages addressed to the same vertex at the
 	// sender side (e.g. min for SSSP). The engine ignores it when any
-	// observer needs raw per-message delivery (NeedsRawMessages).
+	// observer reads raw receives (FieldReceived in its Reads mask); an
+	// observer that reads only sends, values or emitted facts leaves it on.
 	Combiner func(a, b value.Value) value.Value
 	// Observers receive the per-superstep transient provenance stream.
 	Observers []Observer
@@ -148,10 +149,10 @@ type Config struct {
 // column bytes, driver.Online and the driver's fact feed into their own rows;
 // the benchmark's timedObserver wraps those).
 type Observer interface {
-	// NeedsRawMessages reports whether the observer must see individual
-	// received messages; if any observer returns true the engine disables
-	// the combiner (DESIGN.md decision 2).
-	NeedsRawMessages() bool
+	// Reads declares the optional record fields the observer reads. The
+	// engine builds the union of every observer's mask and nothing more
+	// (DESIGN.md decision 2).
+	Reads() Fields
 	// ObservePartition sees partition p's records of one superstep on p's
 	// goroutine. It cannot fail the run: an observer reports errors from
 	// ObserveSuperstep.
@@ -160,6 +161,27 @@ type Observer interface {
 	// Finish is called once after the last superstep.
 	Finish(lastSuperstep int) error
 }
+
+// Fields is a mask over the optional parts of a VertexRecord. The core of a
+// record (ID, Superstep, PrevActive, OldValue, NewValue, SentAny) is built
+// whenever any observer is attached; the rest only under its bit.
+type Fields uint8
+
+const (
+	// FieldReceived fills Received with every raw message delivered to the
+	// vertex. It alone disables the combiner: a combined delivery is not
+	// the raw one.
+	FieldReceived Fields = 1 << iota
+	// FieldSent fills Sent with every message the vertex sent. Without it
+	// the partition keeps no send after its vertex's outbox flush.
+	FieldSent
+	// FieldEmitted fills Emitted with the vertex's EmitProv facts;
+	// Context.Observing reports it, and EmitProv without it keeps nothing.
+	FieldEmitted
+	// FieldRecords is set by the engine whenever an observer is attached:
+	// records are built at all. Observers need not return it.
+	FieldRecords
+)
 
 // SuperstepView is the transient provenance of one completed superstep.
 type SuperstepView struct {
@@ -198,9 +220,14 @@ type VertexRecord struct {
 	PrevActive int
 	OldValue   value.Value
 	NewValue   value.Value
-	Received   []IncomingMessage
-	Sent       []SentMessage
-	Emitted    []ProvFact
+	// SentAny reports that the vertex sent at least one message. It is
+	// always set, whatever the observers read.
+	SentAny bool
+	// Received, Sent and Emitted are nil unless some observer reads them
+	// (FieldReceived, FieldSent, FieldEmitted).
+	Received []IncomingMessage
+	Sent     []SentMessage
+	Emitted  []ProvFact
 }
 
 // RunStats summarizes a completed run. The original fields (Supersteps,
@@ -268,11 +295,13 @@ var ErrComputePanic = errors.New("vertex program panicked")
 
 // Engine executes one Program over one Graph.
 type Engine struct {
-	g       *graph.Graph
-	prog    Program
-	cfg     Config
-	nParts  int
-	rawMsgs bool // at least one observer needs raw messages
+	g      *graph.Graph
+	prog   Program
+	cfg    Config
+	nParts int
+	// fields is the union of the observers' Reads masks plus FieldRecords,
+	// or zero without observers: what runPartition builds into records.
+	fields Fields
 
 	values     []value.Value
 	lastActive []int32 // previous superstep each vertex computed in, -1 if never
@@ -348,9 +377,7 @@ func New(g *graph.Graph, prog Program, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{g: g, prog: prog, cfg: cfg, nParts: cfg.Partitions}
 	for _, o := range cfg.Observers {
-		if o.NeedsRawMessages() {
-			e.rawMsgs = true
-		}
+		e.fields |= FieldRecords | o.Reads()
 	}
 	n := g.NumVertices()
 	e.values = make([]value.Value, n)
@@ -410,17 +437,18 @@ func (e *Engine) PartitionOf(v VertexID) int { return e.partition(v) }
 // Run executes supersteps until quiescence, the superstep limit, a Halter
 // stop, or a vertex crash.
 func (e *Engine) Run() (RunStats, error) {
-	observing := len(e.cfg.Observers) > 0
+	fields := e.fields
+	observing := fields != 0
 	combiner := e.cfg.Combiner
-	if e.rawMsgs {
+	if fields&FieldReceived != 0 {
 		combiner = nil
 	}
 	// Sender-side combining: runPartition pre-combines per destination
 	// vertex as messages are emitted and the barrier folds those partial
 	// values in ascending source-partition order — the engine's one
 	// association tree. Capture is unaffected: raw sends travel in
-	// VertexRecord.Sent, and an observer that needs raw deliveries has
-	// disabled the combiner via NeedsRawMessages.
+	// VertexRecord.Sent under FieldSent, and an observer that reads raw
+	// deliveries has disabled the combiner with FieldReceived.
 	e.sendComb = combiner
 	halter, _ := e.prog.(Halter)
 	m := e.cfg.Metrics
@@ -507,11 +535,11 @@ func (e *Engine) Run() (RunStats, error) {
 				}
 				switch {
 				case e.cfg.Transport != nil && !e.localPinned[p].Load():
-					e.transportCompute(p, ss, observing, ids, results, durs)
+					e.transportCompute(p, ss, fields, ids, results, durs)
 				case e.sup == nil:
-					e.runPartition(e.runCtx, p, ss, observing, ids, &results[p])
+					e.runPartition(e.runCtx, p, ss, fields, ids, &results[p])
 				default:
-					e.superviseCompute(p, ss, observing, ids, results, durs)
+					e.superviseCompute(p, ss, fields, ids, results, durs)
 				}
 				if spanned {
 					m.RecordSpan(obs.Span{
@@ -689,14 +717,14 @@ func (e *Engine) observePartition(p, ss int, recs []VertexRecord, spanned bool) 
 // retryable failure roll back and re-execute only this partition. Runs on
 // the partition's worker goroutine; everything it mutates (values of ids,
 // the partition's aggregator map, results[p], durs[p]) is partition-local.
-func (e *Engine) superviseCompute(p, ss int, observing bool, ids []VertexID, results []partResult, durs []time.Duration) {
+func (e *Engine) superviseCompute(p, ss int, fields Fields, ids []VertexID, results []partResult, durs []time.Duration) {
 	start := time.Now()
 	snap := make([]value.Value, len(ids))
 	for i, v := range ids {
 		snap[i] = e.values[v]
 	}
 	attempt := func(actx context.Context) error {
-		e.runPartition(actx, p, ss, observing, ids, &results[p])
+		e.runPartition(actx, p, ss, fields, ids, &results[p])
 		if c := results[p].crash; c != nil {
 			return c
 		}
@@ -874,14 +902,15 @@ func (e *Engine) activeIDs(p, ss int) []VertexID {
 }
 
 // runPartition computes the given active vertices of partition p for
-// superstep ss. actx bounds the attempt: injected hangs and delays block
-// on it, and between vertices an expired per-partition deadline (but not
-// parent cancellation, which the superstep-start check handles so the
-// barrier state stays consistent) aborts the partition early.
-func (e *Engine) runPartition(actx context.Context, p, ss int, observing bool, ids []VertexID, res *partResult) {
+// superstep ss, building records with the given fields (none when zero).
+// actx bounds the attempt: injected hangs and delays block on it, and
+// between vertices an expired per-partition deadline (but not parent
+// cancellation, which the superstep-start check handles so the barrier state
+// stays consistent) aborts the partition early.
+func (e *Engine) runPartition(actx context.Context, p, ss int, fields Fields, ids []VertexID, res *partResult) {
 	comb := e.sendComb
 	res.reset(e.nParts, comb != nil)
-	ctx := &Context{engine: e, superstep: ss, partition: p, keepSent: observing, sent: res.sendBuf[:0]}
+	ctx := &Context{engine: e, superstep: ss, partition: p, fields: fields, sent: res.sendBuf[:0]}
 	defer func() { res.sendBuf = ctx.sent }()
 	inbox := e.inbox[p]
 	n := e.g.NumVertices()
@@ -906,8 +935,8 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, observing bool, i
 			return
 		}
 		// Flush this vertex's outgoing messages into the partition outbox.
-		// The context always holds the raw sends (capture reads them from the
-		// VertexRecord below); when a sender-side combiner is active the
+		// The context holds the vertex's raw sends (under FieldSent its
+		// VertexRecord below keeps them); when a sender-side combiner is active the
 		// outbox keeps only one pre-combined message per destination vertex,
 		// merged left-to-right in emission order — the same association
 		// order the barrier would use for this partition.
@@ -932,7 +961,7 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, observing bool, i
 			res.outbox[dp] = append(res.outbox[dp], OutMessage{Src: v, Dst: m.Dst, Val: m.Val})
 		}
 		res.computed = append(res.computed, v)
-		if observing {
+		if fields != 0 {
 			// Received and Sent borrow the arena and the send buffer.
 			rec := VertexRecord{
 				ID:         v,
@@ -940,10 +969,13 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, observing bool, i
 				PrevActive: int(e.lastActive[v]),
 				OldValue:   old,
 				NewValue:   e.values[v],
-				Received:   msgs,
+				SentAny:    len(sent) > 0,
 				Emitted:    ctx.emitted,
 			}
-			if len(sent) > 0 {
+			if fields&FieldReceived != 0 {
+				rec.Received = msgs
+			}
+			if fields&FieldSent != 0 && len(sent) > 0 {
 				rec.Sent = sent[:len(sent):len(sent)]
 			}
 			res.records = append(res.records, rec)

@@ -152,7 +152,12 @@ type countObserver struct {
 	finished  int
 }
 
-func (o *countObserver) NeedsRawMessages() bool                  { return o.raw }
+func (o *countObserver) Reads() Fields {
+	if o.raw {
+		return FieldReceived
+	}
+	return 0
+}
 func (*countObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *countObserver) ObserveSuperstep(v *SuperstepView) error {
 	if o.perSS == nil {
@@ -170,17 +175,23 @@ func TestCombinerMergesMessages(t *testing.T) {
 	g, _ := graph.NewFromEdges(4, nil)
 	sum := func(a, b value.Value) value.Value { return value.NewFloat(a.Float() + b.Float()) }
 
-	// With combiner: vertex 0 receives one combined message worth 6.
+	// With combiner: vertex 0 receives one combined message worth 6. An
+	// observer that does not read receives keeps the combiner on and sees
+	// no Received.
 	obs := &countObserver{}
 	e, _ := New(g, fanProg{}, Config{Combiner: sum, Observers: []Observer{obs}, Partitions: 2})
-	if _, err := e.Run(); err != nil {
+	stats, err := e.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Values()[0].Float(); got != 9 {
 		t.Errorf("combined sum = %v, want 9", got)
 	}
-	if obs.recvCount != 1 {
-		t.Errorf("combiner should deliver 1 message, saw %d", obs.recvCount)
+	if stats.MessagesDelivered != 1 {
+		t.Errorf("combiner should deliver 1 message, delivered %d", stats.MessagesDelivered)
+	}
+	if obs.recvCount != 0 {
+		t.Errorf("an observer without FieldReceived saw %d received messages", obs.recvCount)
 	}
 
 	// Observer needing raw messages disables the combiner: 6 messages.
@@ -224,7 +235,7 @@ type evoObserver struct {
 	finishedAt int
 }
 
-func (o *evoObserver) NeedsRawMessages() bool                  { return false }
+func (o *evoObserver) Reads() Fields                           { return 0 }
 func (*evoObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *evoObserver) ObserveSuperstep(v *SuperstepView) error {
 	if o.prev == nil {
@@ -243,7 +254,7 @@ func (o *evoObserver) Finish(last int) error { o.finishedAt = last; return nil }
 
 type failObserver struct{}
 
-func (failObserver) NeedsRawMessages() bool                    { return false }
+func (failObserver) Reads() Fields                             { return 0 }
 func (failObserver) ObservePartition(int, int, []VertexRecord) {}
 func (failObserver) ObserveSuperstep(*SuperstepView) error     { return errors.New("boom") }
 func (failObserver) Finish(int) error                          { return nil }
@@ -341,7 +352,7 @@ type partObserver struct {
 	steps int
 }
 
-func (o *partObserver) NeedsRawMessages() bool { return false }
+func (o *partObserver) Reads() Fields { return 0 }
 func (o *partObserver) ObservePartition(p, ss int, recs []VertexRecord) {
 	o.mu.Lock()
 	defer o.mu.Unlock()

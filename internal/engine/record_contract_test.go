@@ -33,6 +33,10 @@ func (orderProg) Compute(ctx *Context, msgs []IncomingMessage) error {
 	return nil
 }
 
+// allFields is the mask of an observer that reads every optional record
+// field, as the engine sends it to a worker.
+const allFields = FieldRecords | FieldReceived | FieldSent | FieldEmitted
+
 // recordSig renders records bit for bit, windows included.
 func recordSig(recs []VertexRecord) string {
 	var b strings.Builder
@@ -61,7 +65,7 @@ type borrowObserver struct {
 	sigs     []string
 }
 
-func (o *borrowObserver) NeedsRawMessages() bool                  { return true }
+func (o *borrowObserver) Reads() Fields                           { return FieldReceived | FieldSent }
 func (*borrowObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *borrowObserver) Finish(int) error                        { return nil }
 
@@ -235,7 +239,7 @@ func TestDuplicateExecHandsOutIdenticalRecords(t *testing.T) {
 		}
 	}
 
-	req := &ExecRequest{Superstep: 1, Partition: 0, Mode: ModeDelta, Observing: true, Active: active[0], Route: route}
+	req := &ExecRequest{Superstep: 1, Partition: 0, Mode: ModeDelta, Fields: allFields, Active: active[0], Route: route}
 	first := x.Exec(ctx, req)
 	if first.Crash != nil || first.StateMiss || len(first.Records) == 0 {
 		t.Fatalf("first exec: %+v", first)
@@ -262,5 +266,128 @@ func TestDuplicateExecHandsOutIdenticalRecords(t *testing.T) {
 	}
 	if got := recordSig(second.Records); got != want {
 		t.Fatal("the duplicate exec handed out different records")
+	}
+}
+
+// maskProg is orderProg whose vertices 3 mod 7 take their sends back, and
+// which emits one fact per compute carrying what Context.Observing said.
+type maskProg struct{ orderProg }
+
+func (p maskProg) Compute(ctx *Context, msgs []IncomingMessage) error {
+	if err := p.orderProg.Compute(ctx, msgs); err != nil {
+		return err
+	}
+	if ctx.ID()%7 == 3 {
+		ctx.DiscardSentMessages()
+	}
+	ctx.EmitProv("observing", value.NewBool(ctx.Observing()))
+	return nil
+}
+
+// maskObserver checks the record mask contract on every record it reads
+// fields of.
+type maskObserver struct {
+	t     *testing.T
+	g     *graph.Graph
+	reads Fields
+	// sent and received total the messages of the records; outs totals
+	// per superstep the out-degrees of the records that sent anything
+	// (maskProg sends along every out-edge or not at all).
+	sent, received int64
+	outs           []int64
+}
+
+func (o *maskObserver) Reads() Fields                           { return o.reads }
+func (*maskObserver) ObservePartition(int, int, []VertexRecord) {}
+func (o *maskObserver) Finish(int) error                        { return nil }
+
+func (o *maskObserver) ObserveSuperstep(v *SuperstepView) error {
+	for i := range v.Records() {
+		r := &v.Records()[i]
+		at := fmt.Sprintf("reads %04b, superstep %d vertex %d", o.reads, r.Superstep, r.ID)
+		if want := o.g.OutDegree(r.ID) > 0 && r.ID%7 != 3; r.SentAny != want {
+			o.t.Errorf("%s: SentAny %v, sent anything %v", at, r.SentAny, want)
+		}
+		if o.reads&FieldSent == 0 && r.Sent != nil {
+			o.t.Errorf("%s: Sent %d messages without FieldSent", at, len(r.Sent))
+		}
+		if o.reads&FieldSent != 0 && r.SentAny != (len(r.Sent) > 0) {
+			o.t.Errorf("%s: Sent %d messages, SentAny %v", at, len(r.Sent), r.SentAny)
+		}
+		if o.reads&FieldReceived == 0 && r.Received != nil {
+			o.t.Errorf("%s: Received %d messages without FieldReceived", at, len(r.Received))
+		}
+		wantFacts := 0
+		if o.reads&FieldEmitted != 0 {
+			wantFacts = 1
+		}
+		if len(r.Emitted) != wantFacts || wantFacts == 1 && !r.Emitted[0].Args[0].Bool() {
+			o.t.Errorf("%s: emitted %v, want %d fact(s) reporting Observing", at, r.Emitted, wantFacts)
+		}
+		o.sent += int64(len(r.Sent))
+		o.received += int64(len(r.Received))
+		for len(o.outs) <= r.Superstep {
+			o.outs = append(o.outs, 0)
+		}
+		if r.SentAny {
+			o.outs[r.Superstep] += int64(o.g.OutDegree(r.ID))
+		}
+	}
+	return nil
+}
+
+// TestRecordFieldMask runs an observer of each record mask at 1, 4 and 19
+// partitions, with a combiner configured. The engine builds only the fields
+// the observer reads, SentAny always, and combines exactly when no observer
+// reads raw receives. An observer of every field sees every send and every
+// delivery, and the analytic's values do not depend on the mask beyond the
+// combiner.
+func TestRecordFieldMask(t *testing.T) {
+	g := contractGraph(t)
+	sum := func(a, b value.Value) value.Value { return value.NewFloat(a.Float() + b.Float()) }
+	masks := []Fields{0, FieldSent, FieldReceived, FieldEmitted, FieldSent | FieldEmitted,
+		FieldReceived | FieldSent | FieldEmitted}
+	values := map[bool]string{} // combined -> values of the first run
+	for _, parts := range []int{1, 4, 19} {
+		for _, reads := range masks {
+			o := &maskObserver{t: t, g: g, reads: reads}
+			e, err := New(g, maskProg{}, Config{Partitions: parts, MaxSupersteps: 6, Combiner: sum, Observers: []Observer{o}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := reads&FieldReceived != 0
+			if combined := stats.MessagesCombined > 0; combined == raw {
+				t.Errorf("parts=%d reads %04b: combined %d messages", parts, reads, stats.MessagesCombined)
+			}
+			if reads&FieldSent != 0 && o.sent != stats.MessagesSent {
+				t.Errorf("parts=%d reads %04b: records sent %d, engine %d", parts, reads, o.sent, stats.MessagesSent)
+			}
+			var sent int64
+			for _, n := range o.outs {
+				sent += n
+			}
+			if sent != stats.MessagesSent {
+				t.Errorf("parts=%d reads %04b: the SentAny records send %d messages, engine %d", parts, reads, sent, stats.MessagesSent)
+			}
+			// Without a combiner every send but the last superstep's is
+			// received.
+			if last := o.outs[len(o.outs)-1]; raw && o.received != stats.MessagesSent-last {
+				t.Errorf("parts=%d reads %04b: records received %d, engine delivered %d before the last superstep",
+					parts, reads, o.received, stats.MessagesSent-last)
+			}
+			var b strings.Builder
+			for _, v := range e.Values() {
+				fmt.Fprintf(&b, "%x ", v.AppendBinary(nil))
+			}
+			if want, ok := values[raw]; !ok {
+				values[raw] = b.String()
+			} else if b.String() != want {
+				t.Errorf("parts=%d reads %04b: values differ from the first run with the combiner %v", parts, reads, !raw)
+			}
+		}
 	}
 }

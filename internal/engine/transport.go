@@ -109,9 +109,11 @@ type StatefulTransport = Transport
 type ExecRequest struct {
 	Superstep int
 	Partition int
-	// Observing asks for VertexRecords in the result (provenance capture or
-	// online queries are attached master-side).
-	Observing bool
+	// Fields is the master's record mask (Engine.fields): zero asks for no
+	// VertexRecords in the result; otherwise the worker builds exactly the
+	// fields the master's observers read, and its Context.Observing
+	// reports FieldEmitted as the master's would.
+	Fields Fields
 	// Combine enables sender-side combining on the worker, using the
 	// program's combiner (both sides are constructed from the same analytic,
 	// so the association order matches the local path exactly).
@@ -499,7 +501,7 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 	// never runs its own barrier, so e.results[p] is idle here, and
 	// everything Exec exports below is copied out of it before return.
 	pr := &e.results[p]
-	e.runPartition(ctx, p, req.Superstep, req.Observing, req.Active, pr)
+	e.runPartition(ctx, p, req.Superstep, req.Fields, req.Active, pr)
 
 	res := &ExecResult{Partition: p, Sent: pr.sent, CombinedSender: pr.combinedSender}
 	rp.executedSS = req.Superstep
@@ -553,7 +555,7 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 		flat = append(flat, msgs...)
 		res.Outbox[dp] = flat[lo:len(flat):len(flat)]
 	}
-	if req.Observing {
+	if req.Fields != 0 {
 		res.Records = detachRecords(pr.records)
 	}
 	res.Agg = e.agg.partial(p)
@@ -662,11 +664,11 @@ func (x *Executor) Collect(target, p int) *DeliverPart {
 // control metadata go over the wire. ids is not modified for the duration of
 // the call (owner lists are only recycled at the next barrier, after every
 // Exec of this superstep returned).
-func (e *Engine) buildExecRequest(p, ss int, observing bool, ids []VertexID) *ExecRequest {
+func (e *Engine) buildExecRequest(p, ss int, fields Fields, ids []VertexID) *ExecRequest {
 	req := &ExecRequest{
 		Superstep: ss,
 		Partition: p,
-		Observing: observing,
+		Fields:    fields,
 		Combine:   e.sendComb != nil,
 		Active:    ids,
 		Agg:       e.agg.currentSnapshot(),
@@ -768,9 +770,9 @@ func transportRetryable(err error) bool {
 // PR 3 applies to a partition whose capture keeps failing. A worker that
 // later rejoins the pool serves other partitions; pinning is sticky by
 // design (cheap, deterministic, and the gap accounting stays contiguous).
-func (e *Engine) transportCompute(p, ss int, observing bool, ids []VertexID, results []partResult, durs []time.Duration) {
+func (e *Engine) transportCompute(p, ss int, fields Fields, ids []VertexID, results []partResult, durs []time.Duration) {
 	start := time.Now()
-	req := e.buildExecRequest(p, ss, observing, ids)
+	req := e.buildExecRequest(p, ss, fields, ids)
 	attempt := func(actx context.Context) error {
 		res, err := e.cfg.Transport.Exec(actx, req)
 		if err != nil && errors.Is(err, ErrStateMiss) && req.Mode == ModeDelta {
@@ -835,10 +837,10 @@ func (e *Engine) transportCompute(p, ss int, observing bool, ids []VertexID, res
 				return
 			}
 			if e.sup != nil {
-				e.superviseCompute(p, ss, observing, ids, results, durs)
+				e.superviseCompute(p, ss, fields, ids, results, durs)
 				return
 			}
-			e.runPartition(e.runCtx, p, ss, observing, ids, &results[p])
+			e.runPartition(e.runCtx, p, ss, fields, ids, &results[p])
 		} else if results[p].crash == nil {
 			// Not a remote compute crash (those left their CrashError in the
 			// scratch) and not eligible for local fallback — e.g. a transport

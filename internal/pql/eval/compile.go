@@ -96,6 +96,18 @@ type crule struct {
 	seedSS bool
 	// emitted counts every emission, duplicates included.
 	emitted int64
+	// view is rowsInDegree or rowsOutDegree when the rule is a static view
+	// (see makeViews): BeginRun still derives its head, but every literal
+	// reading it is a degree test. Zero otherwise.
+	view rowSource
+}
+
+// planner names the rule's kind for Explain.
+func (r *crule) planner() string {
+	if r.view != 0 {
+		return "view"
+	}
+	return r.kind.String()
 }
 
 // shard is one evaluation context: slot scratch, head-key buffer and the
@@ -184,6 +196,7 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 		db.Relation(name, arity)
 	}
 	globalHeads := map[string]bool{}
+	var plans []*recordPlan // by rule index
 	for si, stratum := range q.Strata {
 		heads := map[string]bool{}
 		for _, r := range stratum {
@@ -202,6 +215,7 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 			if cr.prog, err = lower(rp.steps, r.Head.Args, q.Env(), rp.anchor...); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrNotCompilable, err)
 			}
+			plans = append(plans, rp)
 			if cr.kind == ruleGlobal {
 				globalHeads[r.Head.Pred] = true
 			}
@@ -213,6 +227,9 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 			c.strata[si] = append(c.strata[si], cr)
 			c.rules = append(c.rules, cr)
 		}
+	}
+	if err := c.makeViews(q, plans); err != nil {
+		return nil, err
 	}
 	// Soundness guard: record rules re-evaluate per record, so they must
 	// not consume predicates whose tuples may appear without a matching
@@ -232,6 +249,82 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 		c.partRules += len(stratum)
 	}
 	return c, nil
+}
+
+// makeViews turns static degree rules into views. A static rule
+// h(X) :- edge(Y, X) (or edge(X, Y)) holds exactly the vertices with an in-
+// (out-) edge, so when it is h's only rule and every literal reading h has
+// X ground, the literal becomes a degree test over the graph instead of a
+// probe of the relation. BeginRun still derives the relation, for its
+// readers and its counts. plans are the rules' plans by index; the rules
+// reading a view are lowered again from them.
+func (c *Compiled) makeViews(q *analysis.Query, plans []*recordPlan) error {
+	rulesOf := map[string]int{}
+	for _, r := range c.rules {
+		rulesOf[r.src.Head.Pred]++
+	}
+	views := map[string]rowSource{}
+	for _, r := range c.rules {
+		if src, ok := degreeRule(r.src); ok && rulesOf[r.src.Head.Pred] == 1 {
+			views[r.src.Head.Pred] = src
+		}
+	}
+	// A negation is ground by construction; a positive read must be keyed on
+	// the view's column. A scan, or a global rule's delta drive, keeps the
+	// rule static.
+	for _, r := range c.rules {
+		for _, st := range r.prog.steps {
+			if _, ok := views[st.pred]; ok && st.kind == stepPositive && (st.rows != rowsRelation || len(st.lookupCols) != 1) {
+				delete(views, st.pred)
+			}
+		}
+	}
+	for i, r := range c.rules {
+		if src, ok := views[r.src.Head.Pred]; ok {
+			r.view = src
+			continue
+		}
+		rp, reads := plans[i], false
+		for j := range rp.steps {
+			if ps := &rp.steps[j]; ps.atom != nil {
+				if src, ok := views[ps.atom.Pred]; ok {
+					ps.rows, reads = src, true
+				}
+			}
+		}
+		if !reads {
+			continue
+		}
+		var err error
+		if r.prog, err = lower(rp.steps, r.src.Head.Args, q.Env(), rp.anchor...); err != nil {
+			return fmt.Errorf("%w: %v", ErrNotCompilable, err)
+		}
+	}
+	return nil
+}
+
+// degreeRule reports whether r is h(X) :- edge(Y, X) or h(X) :- edge(X, Y),
+// Y any other variable, and which degree it tests.
+func degreeRule(r *pql.Rule) (rowSource, bool) {
+	if len(r.Head.Args) != 1 || len(r.Body) != 1 {
+		return 0, false
+	}
+	pl, ok := r.Body[0].(*pql.PredLit)
+	if !ok || pl.Negated || pl.Atom.Pred != "edge" || len(pl.Atom.Args) != 2 {
+		return 0, false
+	}
+	x, ok := asVar(r.Head.Args[0])
+	src, ok0 := pl.Atom.Args[0].(*pql.Var)
+	dst, ok1 := pl.Atom.Args[1].(*pql.Var)
+	switch {
+	case !ok || !ok0 || !ok1:
+		return 0, false
+	case dst.Name == x && src.Name != x:
+		return rowsInDegree, true
+	case src.Name == x && dst.Name != x:
+		return rowsOutDegree, true
+	}
+	return 0, false
 }
 
 // partitionPrefix returns how many strata, from the first, run inside the
@@ -888,7 +981,7 @@ func EngineViews(dst []RecordView, recs []engine.VertexRecord) []RecordView {
 			HasValue:   true,
 			Value:      r.NewValue,
 			PrevActive: int64(r.PrevActive),
-			SentAny:    len(r.Sent) > 0,
+			SentAny:    r.SentAny,
 			Sends:      r.Sent,
 			Recvs:      r.Received,
 			Emitted:    r.Emitted,

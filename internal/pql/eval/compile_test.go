@@ -17,31 +17,33 @@ import (
 // fakeGraph is a tiny StaticGraph for compiler tests.
 type fakeGraph struct {
 	n   int
-	out map[int64][]int64
+	out map[int64][]engine.VertexID
 	w   map[[2]int64]float64
-	in  map[int64][]int64
+	in  map[int64][]engine.VertexID
 }
 
 func newFakeGraph(n int, edges [][2]int64) *fakeGraph {
-	f := &fakeGraph{n: n, out: map[int64][]int64{}, w: map[[2]int64]float64{}, in: map[int64][]int64{}}
+	f := &fakeGraph{n: n, out: map[int64][]engine.VertexID{}, w: map[[2]int64]float64{}, in: map[int64][]engine.VertexID{}}
 	for _, e := range edges {
-		f.out[e[0]] = append(f.out[e[0]], e[1])
-		f.in[e[1]] = append(f.in[e[1]], e[0])
+		f.out[e[0]] = append(f.out[e[0]], engine.VertexID(e[1]))
+		f.in[e[1]] = append(f.in[e[1]], engine.VertexID(e[0]))
 		f.w[e] = 1
 	}
 	return f
 }
 
 func (f *fakeGraph) NumVertices() int { return f.n }
-func (f *fakeGraph) OutNeighbors(v int64) ([]int64, []float64) {
+func (f *fakeGraph) OutNeighbors(v int64) ([]engine.VertexID, []float64) {
 	dst := f.out[v]
 	ws := make([]float64, len(dst))
 	for i, d := range dst {
-		ws[i] = f.w[[2]int64{v, d}]
+		ws[i] = f.w[[2]int64{v, int64(d)}]
 	}
 	return dst, ws
 }
-func (f *fakeGraph) InNeighbors(v int64) []int64 { return f.in[v] }
+func (f *fakeGraph) InNeighbors(v int64) []engine.VertexID { return f.in[v] }
+func (f *fakeGraph) OutDegree(v int64) int                 { return len(f.out[v]) }
+func (f *fakeGraph) InDegree(v int64) int                  { return len(f.in[v]) }
 func (f *fakeGraph) EdgeWeight(src, dst int64) (float64, bool) {
 	w, ok := f.w[[2]int64{src, dst}]
 	return w, ok
@@ -59,7 +61,7 @@ func feedLayers(ev factSink, sg StaticGraph, layers [][]RecordView, forward bool
 	for v := 0; v < sg.NumVertices(); v++ {
 		dst, _ := sg.OutNeighbors(int64(v))
 		for _, d := range dst {
-			ev.AddFact("edge", Tuple{value.NewInt(int64(v)), value.NewInt(d)})
+			ev.AddFact("edge", Tuple{value.NewInt(int64(v)), value.NewInt(int64(d))})
 		}
 	}
 	for _, l := range layers {
@@ -325,7 +327,7 @@ func feedView(ev factSink, sg StaticGraph, rv *RecordView, forward bool) {
 	}
 	dst, ws := sg.OutNeighbors(rv.Vertex)
 	for k, d := range dst {
-		ev.AddFact("edge_value", Tuple{x, value.NewInt(d), value.NewFloat(ws[k]), value.NewInt(0)})
+		ev.AddFact("edge_value", Tuple{x, value.NewInt(int64(d)), value.NewFloat(ws[k]), value.NewInt(0)})
 	}
 	for _, f := range rv.Emitted {
 		t := make(Tuple, 0, len(f.Args)+2)

@@ -34,7 +34,7 @@ func Explain(q *analysis.Query) (string, error) {
 				label += " barrier"
 			}
 			for _, r := range stratum {
-				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s slots=%d%s\n", label, r.src, r.kind, r.prog.nSlots, r.prog.cutNote())
+				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s slots=%d%s\n", label, r.src, r.planner(), r.prog.nSlots, r.prog.cutNote())
 				r.prog.describe(&b, "      ")
 			}
 		}

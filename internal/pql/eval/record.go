@@ -31,12 +31,14 @@ const (
 	rowsEmitted                    // table(X, payload..., I); key column 1 uses the first-argument index
 	rowsEdge                       // edge(A, B); the key columns select membership / out / in / scan
 	rowsEdgeValue                  // edge_value(X, Y, W, 0); key column 1 selects the weight probe
+	rowsInDegree                   // a view head h(X) :- edge(_, X), keyed X: one row when X has an in-edge
+	rowsOutDegree                  // a view head h(X) :- edge(X, _), keyed X: one row when X has an out-edge
 )
 
 var rowSourceNames = [...]string{
 	"relation", "delta", "record.superstep", "record.value", "record.prev_value",
 	"record.evolution", "record.sends", "record.recvs", "record.prov_send",
-	"record.emitted", "graph.edge", "graph.edge_value",
+	"record.emitted", "graph.edge", "graph.edge_value", "graph.in_degree", "graph.out_degree",
 }
 
 func (s rowSource) String() string { return rowSourceNames[s] }
@@ -51,6 +53,8 @@ func (s rowSource) keyColumn(i, arity int) bool {
 		return i == 1 && arity > 3
 	case rowsEdgeValue:
 		return i == 1
+	case rowsInDegree, rowsOutDegree:
+		return i == 0
 	}
 	return false
 }
@@ -129,13 +133,17 @@ func fnvSum(b []byte) uint64 {
 	return h
 }
 
-// StaticGraph exposes the input graph to edge/edge_value steps.
+// StaticGraph exposes the input graph to edge/edge_value steps and to the
+// degree tests of static views. A vertex outside the graph has no edges.
 type StaticGraph interface {
 	NumVertices() int
 	// OutNeighbors returns destinations and weights of v's out-edges.
-	OutNeighbors(v int64) ([]int64, []float64)
+	OutNeighbors(v int64) ([]engine.VertexID, []float64)
 	// InNeighbors returns sources of v's in-edges (nil if unavailable).
-	InNeighbors(v int64) []int64
+	InNeighbors(v int64) []engine.VertexID
+	// OutDegree and InDegree count v's out- and in-edges.
+	OutDegree(v int64) int
+	InDegree(v int64) int
 	// EdgeWeight returns the weight of edge src->dst if present.
 	EdgeWeight(src, dst int64) (float64, bool)
 }
@@ -276,6 +284,28 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 	case rowsEdge:
 		return p.edgeRows(rn, si, st, row)
 
+	case rowsInDegree, rowsOutDegree:
+		// A static view's probe: the key is the view's one column.
+		xv, err := st.lookupSrc[0].eval(rn.slots)
+		if err != nil {
+			return err
+		}
+		id, ok := vertexID(xv)
+		if !ok {
+			return nil
+		}
+		deg := 0
+		if st.rows == rowsInDegree {
+			deg = rn.sg.InDegree(id)
+		} else {
+			deg = rn.sg.OutDegree(id)
+		}
+		if deg == 0 {
+			return nil
+		}
+		row[0] = value.NewInt(id)
+		return p.tryRow(rn, si, st, row)
+
 	default: // rowsEdgeValue: static weights, so the superstep column is 0
 		row[0], row[3] = x, value.NewInt(0)
 		if len(st.lookupCols) > 0 {
@@ -296,7 +326,7 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 		}
 		dst, ws := rn.sg.OutNeighbors(rv.Vertex)
 		for i, d := range dst {
-			row[1], row[2] = value.NewInt(d), value.NewFloat(ws[i])
+			row[1], row[2] = value.NewInt(int64(d)), value.NewFloat(ws[i])
 			if err := p.tryRow(rn, si, st, row); err != nil {
 				return err
 			}
@@ -326,7 +356,7 @@ func (p *program) edgeRows(rn *slotRun, si int, st *slotStep, row []value.Value)
 		row[0] = value.NewInt(a)
 		dst, _ := sg.OutNeighbors(a)
 		for _, d := range dst {
-			row[1] = value.NewInt(d)
+			row[1] = value.NewInt(int64(d))
 			if err := p.tryRow(rn, si, st, row); err != nil {
 				return err
 			}
@@ -352,7 +382,7 @@ func (p *program) edgeRows(rn *slotRun, si int, st *slotStep, row []value.Value)
 	default:
 		row[1] = value.NewInt(end[1])
 		for _, s := range sg.InNeighbors(end[1]) {
-			row[0] = value.NewInt(s)
+			row[0] = value.NewInt(int64(s))
 			if err := p.tryRow(rn, si, st, row); err != nil {
 				return err
 			}

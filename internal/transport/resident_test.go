@@ -19,7 +19,7 @@ import (
 func TestWireDeltaSeedRoundTrip(t *testing.T) {
 	delta := &engine.ExecRequest{
 		Superstep: 4, Partition: 2, Mode: engine.ModeDelta,
-		Observing: true, Combine: true,
+		Fields: engine.FieldRecords | engine.FieldReceived | engine.FieldEmitted, Combine: true,
 		Active:  []engine.VertexID{2, 6, 14},
 		Route:   []string{"", ".", "10.0.0.2:9", "."},
 		Agg:     map[string]float64{"mass": 0.75},

@@ -37,17 +37,31 @@ func testGraph(t *testing.T) *graph.Graph {
 func testProg() engine.Program { return &analytics.PageRank{Iterations: testSteps - 1} }
 
 // recObserver fingerprints every observed record so legs can be compared
-// for identical provenance streams without a capture store in the loop.
-type recObserver struct{ sigs []string }
+// for identical provenance streams without a capture store in the loop. It
+// reads the fields reads and checks the mask contract on every record: a
+// field it does not read is nil, and SentAny agrees with Sent when it reads
+// sends.
+type recObserver struct {
+	reads engine.Fields
+	sigs  []string
+	errs  []string
+}
 
-func (o *recObserver) NeedsRawMessages() bool                         { return true }
+func (o *recObserver) Reads() engine.Fields                           { return o.reads }
 func (*recObserver) ObservePartition(int, int, []engine.VertexRecord) {}
 func (o *recObserver) Finish(int) error                               { return nil }
 func (o *recObserver) ObserveSuperstep(v *engine.SuperstepView) error {
 	for i := range v.Records() {
 		r := &v.Records()[i]
-		sig := fmt.Sprintf("%d/%d/%d:%x:%x:", r.ID, r.Superstep, r.PrevActive,
-			r.OldValue.AppendBinary(nil), r.NewValue.AppendBinary(nil))
+		if o.reads&engine.FieldSent == 0 && r.Sent != nil ||
+			o.reads&engine.FieldSent != 0 && r.SentAny != (len(r.Sent) > 0) ||
+			o.reads&engine.FieldReceived == 0 && r.Received != nil ||
+			o.reads&engine.FieldEmitted == 0 && r.Emitted != nil {
+			o.errs = append(o.errs, fmt.Sprintf("superstep %d vertex %d: sent %d (any %v), received %d, emitted %d",
+				r.Superstep, r.ID, len(r.Sent), r.SentAny, len(r.Received), len(r.Emitted)))
+		}
+		sig := fmt.Sprintf("%d/%d/%d:%x:%x:%v:", r.ID, r.Superstep, r.PrevActive,
+			r.OldValue.AppendBinary(nil), r.NewValue.AppendBinary(nil), r.SentAny)
 		for _, m := range r.Received {
 			sig += fmt.Sprintf("r%d:%x,", m.Src, m.Val.AppendBinary(nil))
 		}
@@ -87,7 +101,7 @@ func startWorkers(t *testing.T, g *graph.Graph, n int, wcfg func(i int) engine.C
 
 func runLeg(t *testing.T, g *graph.Graph, cfg engine.Config) (*engine.Engine, engine.RunStats, *recObserver, error) {
 	t.Helper()
-	o := &recObserver{}
+	o := &recObserver{reads: engine.FieldReceived | engine.FieldSent}
 	cfg.MaxSupersteps = testSteps
 	cfg.Partitions = testParts
 	cfg.Combiner = analytics.SumCombiner
@@ -131,7 +145,7 @@ func TestWireExecRequestRoundTrip(t *testing.T) {
 	for name, req := range map[string]*engine.ExecRequest{
 		"no-mode": {Partition: 3, Active: []engine.VertexID{}},
 		"delta": {
-			Superstep: 3, Partition: 1, Observing: true, Combine: true,
+			Superstep: 3, Partition: 1, Fields: engine.FieldRecords | engine.FieldSent, Combine: true,
 			Active: []engine.VertexID{1, 5, 9},
 			Route:  []string{"", ".", "10.0.0.2:9", "."},
 			Agg:    map[string]float64{"err": 0.5, "mass": 1.0},
@@ -164,6 +178,11 @@ func TestWireExecRequestRoundTrip(t *testing.T) {
 	if _, err := decodeExecRequest(bad); err == nil {
 		t.Error("mode 2 decoded without error")
 	}
+	unknown := encodeExecRequest(&engine.ExecRequest{Partition: 1})
+	unknown[3] = byte(engine.FieldRecords) << 1 // the record field mask, one byte
+	if _, err := decodeExecRequest(unknown); err == nil || !strings.Contains(err.Error(), "unknown record fields") {
+		t.Errorf("a request with an unknown record field decoded as %v", err)
+	}
 	trailing := append(encodeExecRequest(&engine.ExecRequest{Partition: 1}), 0)
 	if _, err := decodeExecRequest(trailing); err == nil {
 		t.Error("a request with a trailing byte decoded without error")
@@ -180,7 +199,7 @@ func TestWireExecResultRoundTrip(t *testing.T) {
 		},
 		Records: []engine.VertexRecord{{
 			ID: 4, Superstep: 3, PrevActive: -1,
-			OldValue: value.NewFloat(1), NewValue: value.NewFloat(0.5),
+			OldValue: value.NewFloat(1), NewValue: value.NewFloat(0.5), SentAny: true,
 			Received: []engine.IncomingMessage{{Src: 0, Val: value.NewFloat(2)}},
 			Sent:     []engine.SentMessage{{Dst: 0, Val: value.NewFloat(1.5)}},
 			Emitted:  []engine.ProvFact{{Table: "tp", Args: []value.Value{value.NewInt(4)}}},
@@ -236,6 +255,46 @@ func TestTransportDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertIdentical(t, name, refE, e, refStats, stats, refObs, o)
+		})
+	}
+}
+
+// TestRecordFieldsOverTCP runs an observer of each record mask in process
+// and over two TCP workers. Both legs must hand it identical records, and
+// every record must keep the mask contract: no field the observer does not
+// read, SentAny set whatever it reads. The combiner runs exactly when the
+// observer does not read raw receives.
+func TestRecordFieldsOverTCP(t *testing.T) {
+	g := testGraph(t)
+	for _, reads := range []engine.Fields{0, engine.FieldSent, engine.FieldReceived, engine.FieldReceived | engine.FieldSent} {
+		t.Run(fmt.Sprintf("reads-%04b", reads), func(t *testing.T) {
+			run := func(tr engine.Transport) (*engine.Engine, engine.RunStats, *recObserver) {
+				t.Helper()
+				o := &recObserver{reads: reads}
+				e, err := engine.New(g, testProg(), engine.Config{
+					MaxSupersteps: testSteps, Partitions: testParts, Combiner: analytics.SumCombiner,
+					Observers: []engine.Observer{o}, Transport: tr,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(o.errs) > 0 {
+					t.Errorf("%d records break the mask contract, first: %s", len(o.errs), o.errs[0])
+				}
+				if combined := stats.MessagesCombined > 0; combined == (reads&engine.FieldReceived != 0) {
+					t.Errorf("combined %d messages reading %04b", stats.MessagesCombined, reads)
+				}
+				return e, stats, o
+			}
+			refE, refStats, refObs := run(nil)
+			tr := dialWorkers(t, g, startWorkers(t, g, 2, nil))
+			defer tr.Close()
+			e, stats, o := run(tr)
+			assertIdentical(t, "tcp", refE, e, refStats, stats, refObs, o)
 		})
 	}
 }
@@ -796,12 +855,17 @@ func TestHandshakeRejectsOtherVersions(t *testing.T) {
 	v4.Uvarint(uint64(fp.NumVertices))
 	v4.Uvarint(uint64(fp.NumEdges))
 	v4.Uvarint(1)
+	v5 := value.NewBlob() // a version-5 hello: the fingerprint alone, as now
+	v5.Uvarint(5)
+	v5.Uvarint(uint64(fp.Partitions))
+	v5.Uvarint(uint64(fp.NumVertices))
+	v5.Uvarint(uint64(fp.NumEdges))
 	v99 := value.NewBlob()
 	v99.Uvarint(99)
 	for name, tc := range map[string]struct {
 		hello []byte
 		peer  int
-	}{"v4 with caps": {v4.Bytes(), 4}, "version 99 alone": {v99.Bytes(), 99}} {
+	}{"v4 with caps": {v4.Bytes(), 4}, "v5": {v5.Bytes(), 5}, "version 99 alone": {v99.Bytes(), 99}} {
 		t.Run(name, func(t *testing.T) {
 			typ, text := exchange(t, dial(t), frameHello, 0, tc.hello)
 			want := fmt.Sprintf("protocol version mismatch: peer %d, ours %d", tc.peer, Version)

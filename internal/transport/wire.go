@@ -42,8 +42,10 @@ import (
 // the stateless exchange that shipped whole frontiers: delta is mode 0, seed
 // mode 1, and a result no longer carries new values. Version 5 drops snap
 // compression: the hello carries no capability mask and frame type 13 is
-// retired.
-const Version = 5
+// retired. Version 6 replaces the request's observing flag with the
+// master's record field mask (engine.Fields) and adds each record's SentAny
+// flag, so a worker builds exactly the records the master's observers read.
+const Version = 6
 
 // maxFrame bounds a frame body so a corrupt length prefix fails fast
 // instead of provoking a giant allocation.
@@ -281,7 +283,7 @@ func encodeExecRequest(req *engine.ExecRequest) []byte {
 	b.Uvarint(uint64(req.Superstep))
 	b.Uvarint(uint64(req.Partition))
 	b.Uvarint(uint64(req.Mode))
-	b.Bool(req.Observing)
+	b.Uvarint(uint64(req.Fields))
 	b.Bool(req.Combine)
 	b.Uvarint(uint64(len(req.Active)))
 	for _, v := range req.Active {
@@ -327,7 +329,11 @@ func decodeExecRequest(p []byte) (*engine.ExecRequest, error) {
 	default:
 		return nil, fmt.Errorf("transport: corrupt exec request: unknown mode %d", mode)
 	}
-	req.Observing = r.Bool()
+	fields := r.Uvarint()
+	if fields >= uint64(engine.FieldRecords)<<1 {
+		return nil, fmt.Errorf("transport: corrupt exec request: unknown record fields %#x", fields)
+	}
+	req.Fields = engine.Fields(fields)
 	req.Combine = r.Bool()
 	n := r.Count()
 	req.Active = make([]engine.VertexID, n)
@@ -414,6 +420,7 @@ func encodeExecResultBody(res *engine.ExecResult) []byte {
 		b.Int(int64(rec.PrevActive))
 		b.Value(rec.OldValue)
 		b.Value(rec.NewValue)
+		b.Bool(rec.SentAny)
 		appendInMsgs(b, rec.Received)
 		b.Uvarint(uint64(len(rec.Sent)))
 		for _, m := range rec.Sent {
@@ -486,6 +493,7 @@ func decodeExecResultBody(r *value.BlobReader, res *engine.ExecResult) {
 			rec.PrevActive = int(r.Int())
 			rec.OldValue = r.Value()
 			rec.NewValue = r.Value()
+			rec.SentAny = r.Bool()
 			rec.Received = readInMsgs(r)
 			if k := r.Count(); k > 0 {
 				rec.Sent = make([]engine.SentMessage, k)

@@ -125,10 +125,16 @@ func TestOnlineOrderDifferential(t *testing.T) {
 
 // tcpWorkers starts n loopback workers for emitSSSP over g and dials them.
 func tcpWorkers(t *testing.T, g *ariadne.Graph, parts, n int) *transport.TCP {
+	return tcpWorkersFor(t, g, func() engine.Program { return emitSSSP{&analytics.SSSP{}} }, parts, n)
+}
+
+// tcpWorkersFor starts n loopback workers, each with its own prog(), over g
+// and dials them.
+func tcpWorkersFor(t *testing.T, g *ariadne.Graph, prog func() engine.Program, parts, n int) *transport.TCP {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
-		x, err := engine.NewExecutor(g, emitSSSP{&analytics.SSSP{}}, engine.Config{Partitions: parts})
+		x, err := engine.NewExecutor(g, prog(), engine.Config{Partitions: parts})
 		if err != nil {
 			t.Fatal(err)
 		}
