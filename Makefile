@@ -37,12 +37,12 @@ bench: bench-micro
 # BENCH_micro.json and fails on a regression of the hardware-independent
 # ratios (parallel/sequential barrier-phase time over the same inbox.build);
 # the write-behind spill pipeline and the layered full run are recorded ungated; the
-# frame-encode, disabled-span and steady-state online-observe paths must not
-# allocate at all. The
+# frame-encode, disabled-span, steady-state online-observe and warm fact-emit
+# paths must not allocate at all. The
 # committed BENCH_micro.json is the single-core container baseline
 # (taskset -c 0); CI archives the fresh one.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkBarrier' -benchmem -count 1 \
+	$(GO) test -run '^$$' -bench 'BenchmarkBarrier|BenchmarkEmitProv' -benchmem -count 1 \
 		./internal/engine/ > bench-micro.out
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillPipeline' -benchmem -count 1 \
 		./internal/provenance/ >> bench-micro.out

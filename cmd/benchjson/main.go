@@ -169,20 +169,6 @@ func main() {
 				fmt.Sprintf("transport_overhead %.2f > %.2f", v, *maxTransport))
 		}
 	}
-	// Assembling and writing a wire frame must not allocate: the pooled
-	// single-buffer encode is what lets delta exchanges pipeline without
-	// GC pressure (the PR 9 invariant, like span_disabled_allocs for PR 2).
-	if wants("wire_frame_allocs") {
-		if v, ok := metric(benches, "BenchmarkWireFrame/write", "allocs/op"); !ok {
-			rep.Failures = append(rep.Failures, "wire_frame_allocs: missing BenchmarkWireFrame/write")
-		} else {
-			rep.Ratios["wire_frame_allocs"] = v
-			if v != 0 {
-				rep.Failures = append(rep.Failures,
-					fmt.Sprintf("wire_frame_allocs %.1f != 0 (frame write path allocates)", v))
-			}
-		}
-	}
 	// trace_overhead compares two TCP-loopback legs of the same run, one
 	// with spans enabled. Like transport_overhead it is a ceiling.
 	if wants("trace_overhead") {
@@ -193,30 +179,31 @@ func main() {
 				fmt.Sprintf("trace_overhead %.2f > %.2f", v, *maxTrace))
 		}
 	}
-	// The disabled span path must be literally free: zero allocations per
-	// RecordSpan call when no sink is installed (the PR 2 invariant).
-	if wants("span_disabled_allocs") {
-		if v, ok := metric(benches, "BenchmarkSpanDisabled", "allocs/op"); !ok {
-			rep.Failures = append(rep.Failures, "span_disabled_allocs: missing BenchmarkSpanDisabled")
-		} else {
-			rep.Ratios["span_disabled_allocs"] = v
-			if v != 0 {
-				rep.Failures = append(rep.Failures,
-					fmt.Sprintf("span_disabled_allocs %.1f != 0 (disabled span path allocates)", v))
-			}
+	// Allocation-free paths: each named benchmark must report 0 allocs/op.
+	//   - Assembling and writing a wire frame: the pooled single-buffer
+	//     encode lets delta exchanges pipeline without GC pressure.
+	//   - A disabled span: RecordSpan with no sink installed is free.
+	//   - A steady-state online superstep: record views borrow the engine's
+	//     records and a duplicate derivation probes the relation with reused
+	//     key bytes (BenchmarkOnlineObserve, Query 6).
+	//   - A warm partition's superstep that emits facts: EmitProv copies the
+	//     arguments into the partition's fact arena (BenchmarkEmitProv).
+	for _, g := range []struct{ key, bench, path string }{
+		{"wire_frame_allocs", "BenchmarkWireFrame/write", "frame write path"},
+		{"span_disabled_allocs", "BenchmarkSpanDisabled", "disabled span path"},
+		{"online_observe_allocs", "BenchmarkOnlineObserve", "online observe path"},
+		{"emit_prov_allocs", "BenchmarkEmitProv", "fact emit path"},
+	} {
+		if !wants(g.key) {
+			continue
 		}
-	}
-	// A steady-state online superstep must not allocate: record views borrow
-	// the engine's records and a duplicate derivation probes the relation
-	// with reused key bytes (BenchmarkOnlineObserve, Query 6).
-	if wants("online_observe_allocs") {
-		if v, ok := metric(benches, "BenchmarkOnlineObserve", "allocs/op"); !ok {
-			rep.Failures = append(rep.Failures, "online_observe_allocs: missing BenchmarkOnlineObserve")
+		if v, ok := metric(benches, g.bench, "allocs/op"); !ok {
+			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: missing %s", g.key, g.bench))
 		} else {
-			rep.Ratios["online_observe_allocs"] = v
+			rep.Ratios[g.key] = v
 			if v != 0 {
 				rep.Failures = append(rep.Failures,
-					fmt.Sprintf("online_observe_allocs %.1f != 0 (online observe path allocates)", v))
+					fmt.Sprintf("%s %.1f != 0 (%s allocates)", g.key, v, g.path))
 			}
 		}
 	}

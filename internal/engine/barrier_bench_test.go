@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -144,4 +145,60 @@ func BenchmarkBarrierShape(b *testing.B) {
 	for _, p := range []int{16, 64} {
 		run(fmt.Sprintf("flood/partitions=%d", p), flood, floodProg{}, Config{Partitions: p, MaxSupersteps: 8})
 	}
+}
+
+// emitProg is floodProg that, while observed, emits two facts per message
+// — the sender with the message, and the sender with the running sum — the
+// shape of ALS's prov_prediction and prov_error.
+type emitProg struct{ floodProg }
+
+func (p emitProg) Compute(ctx *Context, msgs []IncomingMessage) error {
+	if ctx.Observing() {
+		sum := ctx.Value().Float()
+		for _, m := range msgs {
+			sum += m.Val.Float()
+			src := value.NewInt(int64(m.Src))
+			ctx.EmitProv("prov_prediction", src, m.Val)
+			ctx.EmitProv("prov_error", src, value.NewFloat(sum))
+		}
+	}
+	return p.floodProg.Compute(ctx, msgs)
+}
+
+// factReader is an observer that reads emitted facts and nothing else.
+type factReader struct{}
+
+func (factReader) Reads() Fields                             { return FieldEmitted }
+func (factReader) ObservePartition(int, int, []VertexRecord) {}
+func (factReader) ObserveSuperstep(*SuperstepView) error     { return nil }
+func (factReader) Finish(int) error                          { return nil }
+
+// BenchmarkEmitProv times one superstep of a warm partition of emitProg
+// under an observer of emitted facts. Once the partition has run, its send
+// buffer, fact arena and records have their size, so a superstep allocates
+// nothing (`make bench-micro` gates emit_prov_allocs at 0).
+func BenchmarkEmitProv(b *testing.B) {
+	g := benchGraph(b, 2000, 8)
+	e, err := New(g, emitProg{}, Config{Partitions: 1, MaxSupersteps: 2, Observers: []Observer{factReader{}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	ctx, ids, res := context.Background(), e.inbox[0].owners(), &e.results[0]
+	e.runPartition(ctx, 0, 2, e.fields, ids, res)
+	var facts int
+	for _, r := range res.records {
+		facts += len(r.Emitted)
+	}
+	if facts == 0 {
+		b.Fatal("the partition emitted no facts")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.runPartition(ctx, 0, 2, e.fields, ids, res)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(facts), "ns/fact")
 }

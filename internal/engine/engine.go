@@ -50,7 +50,8 @@ type SentMessage struct {
 
 // ProvFact is an auxiliary provenance fact emitted by a vertex program via
 // Context.EmitProv — the mechanism behind analytics-specific tables such as
-// the paper's prov-error / prov-prediction for ALS (Queries 7, 8).
+// the paper's prov-error / prov-prediction for ALS (Queries 7, 8). In a
+// record, Args is a window of the partition's fact arena, borrowed like Sent.
 type ProvFact struct {
 	Table string
 	Args  []value.Value
@@ -224,7 +225,9 @@ type VertexRecord struct {
 	// always set, whatever the observers read.
 	SentAny bool
 	// Received, Sent and Emitted are nil unless some observer reads them
-	// (FieldReceived, FieldSent, FieldEmitted).
+	// (FieldReceived, FieldSent, FieldEmitted). They borrow the partition's
+	// inbox arena, send buffer and fact arena (Emitted's Args included):
+	// valid until the superstep's ObserveSuperstep returns.
 	Received []IncomingMessage
 	Sent     []SentMessage
 	Emitted  []ProvFact
@@ -773,9 +776,10 @@ type partResult struct {
 	records  []VertexRecord
 	computed []VertexID
 	crash    *CrashError
-	// sendBuf backs the Sent windows of this superstep's records (the
-	// vertices append their sends to it one after the other); reused.
-	sendBuf []SentMessage
+	// ctx is the partition's vertex context. Its send buffer and fact arena
+	// back the Sent and Emitted windows of this superstep's records (the
+	// vertices append to them one after the other) and are reused.
+	ctx Context
 	// combIdx maps a destination vertex to its pre-combined message's
 	// index inside outbox[partition(dst)] (sender-side combining).
 	combIdx map[VertexID]int32
@@ -910,8 +914,8 @@ func (e *Engine) activeIDs(p, ss int) []VertexID {
 func (e *Engine) runPartition(actx context.Context, p, ss int, fields Fields, ids []VertexID, res *partResult) {
 	comb := e.sendComb
 	res.reset(e.nParts, comb != nil)
-	ctx := &Context{engine: e, superstep: ss, partition: p, fields: fields, sent: res.sendBuf[:0]}
-	defer func() { res.sendBuf = ctx.sent }()
+	ctx := &res.ctx
+	ctx.begin(e, ss, p, fields)
 	inbox := e.inbox[p]
 	n := e.g.NumVertices()
 
@@ -962,7 +966,8 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, fields Fields, id
 		}
 		res.computed = append(res.computed, v)
 		if fields != 0 {
-			// Received and Sent borrow the arena and the send buffer.
+			// Received, Sent and Emitted borrow the inbox arena, the send
+			// buffer and the fact arena.
 			rec := VertexRecord{
 				ID:         v,
 				Superstep:  ss,
@@ -970,13 +975,15 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, fields Fields, id
 				OldValue:   old,
 				NewValue:   e.values[v],
 				SentAny:    len(sent) > 0,
-				Emitted:    ctx.emitted,
 			}
 			if fields&FieldReceived != 0 {
 				rec.Received = msgs
 			}
 			if fields&FieldSent != 0 && len(sent) > 0 {
 				rec.Sent = sent[:len(sent):len(sent)]
+			}
+			if n := len(ctx.emitted); n > ctx.emitStart {
+				rec.Emitted = ctx.emitted[ctx.emitStart:n:n]
 			}
 			res.records = append(res.records, rec)
 		}

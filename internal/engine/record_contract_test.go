@@ -16,7 +16,9 @@ import (
 )
 
 // orderProg folds its messages with an order-sensitive float recurrence and
-// re-broadcasts, so any change in the order Compute sees changes bits.
+// re-broadcasts, so any change in the order Compute sees changes bits. When
+// observed it emits one fact per received message, carrying the sender, the
+// message and the running fold.
 type orderProg struct{}
 
 func (orderProg) InitialValue(_ *graph.Graph, v VertexID) value.Value {
@@ -27,6 +29,9 @@ func (orderProg) Compute(ctx *Context, msgs []IncomingMessage) error {
 	acc := ctx.Value().Float()
 	for _, m := range msgs {
 		acc = acc*0.5 + m.Val.Float()
+		if ctx.Observing() {
+			ctx.EmitProv("heard", value.NewInt(int64(m.Src)), m.Val, value.NewFloat(acc))
+		}
 	}
 	ctx.SetValue(value.NewFloat(acc))
 	ctx.SendToAllNeighbors(value.NewFloat(acc*0.25 + float64(ctx.Superstep())))
@@ -47,6 +52,14 @@ func recordSig(recs []VertexRecord) string {
 		for _, m := range r.Sent {
 			fmt.Fprintf(&b, "%d:%x|", m.Dst, m.Val.AppendBinary(nil))
 		}
+		b.WriteString("] facts[")
+		for _, f := range r.Emitted {
+			b.WriteString(f.Table)
+			for _, a := range f.Args {
+				fmt.Fprintf(&b, " %x", a.AppendBinary(nil))
+			}
+			b.WriteByte(';')
+		}
 		b.WriteString("]\n")
 	}
 	return b.String()
@@ -65,7 +78,7 @@ type borrowObserver struct {
 	sigs     []string
 }
 
-func (o *borrowObserver) Reads() Fields                           { return FieldReceived | FieldSent }
+func (o *borrowObserver) Reads() Fields                           { return FieldReceived | FieldSent | FieldEmitted }
 func (*borrowObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *borrowObserver) Finish(int) error                        { return nil }
 
@@ -245,8 +258,8 @@ func TestDuplicateExecHandsOutIdenticalRecords(t *testing.T) {
 		t.Fatalf("first exec: %+v", first)
 	}
 	want := recordSig(first.Records)
-	if !strings.Contains(want, "recv[") || !strings.Contains(want, "|") {
-		t.Fatal("superstep 1 records carry no messages; the test would prove nothing")
+	if !strings.Contains(want, "recv[") || !strings.Contains(want, "|") || !strings.Contains(want, "heard") {
+		t.Fatal("superstep 1 records carry no messages or facts; the test would prove nothing")
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -270,7 +283,8 @@ func TestDuplicateExecHandsOutIdenticalRecords(t *testing.T) {
 }
 
 // maskProg is orderProg whose vertices 3 mod 7 take their sends back, and
-// which emits one fact per compute carrying what Context.Observing said.
+// which emits, after orderProg's facts, one fact per compute carrying what
+// Context.Observing said.
 type maskProg struct{ orderProg }
 
 func (p maskProg) Compute(ctx *Context, msgs []IncomingMessage) error {
@@ -317,12 +331,14 @@ func (o *maskObserver) ObserveSuperstep(v *SuperstepView) error {
 		if o.reads&FieldReceived == 0 && r.Received != nil {
 			o.t.Errorf("%s: Received %d messages without FieldReceived", at, len(r.Received))
 		}
-		wantFacts := 0
-		if o.reads&FieldEmitted != 0 {
-			wantFacts = 1
-		}
-		if len(r.Emitted) != wantFacts || wantFacts == 1 && !r.Emitted[0].Args[0].Bool() {
-			o.t.Errorf("%s: emitted %v, want %d fact(s) reporting Observing", at, r.Emitted, wantFacts)
+		if n := len(r.Emitted); o.reads&FieldEmitted == 0 {
+			if r.Emitted != nil {
+				o.t.Errorf("%s: emitted %d facts without FieldEmitted", at, n)
+			}
+		} else if n == 0 || r.Emitted[n-1].Table != "observing" || !r.Emitted[n-1].Args[0].Bool() {
+			o.t.Errorf("%s: emitted %v, want a last fact reporting Observing", at, r.Emitted)
+		} else if o.reads&FieldReceived != 0 && n-1 != len(r.Received) {
+			o.t.Errorf("%s: %d facts before the last, want one per received message (%d)", at, n-1, len(r.Received))
 		}
 		o.sent += int64(len(r.Sent))
 		o.received += int64(len(r.Received))
@@ -388,6 +404,74 @@ func TestRecordFieldMask(t *testing.T) {
 			} else if b.String() != want {
 				t.Errorf("parts=%d reads %04b: values differ from the first run with the combiner %v", parts, reads, !raw)
 			}
+		}
+	}
+}
+
+// bufProg is orderProg that also emits three facts per compute through one
+// argument buffer, overwriting it between emits and after the last.
+type bufProg struct{ orderProg }
+
+func (p bufProg) Compute(ctx *Context, msgs []IncomingMessage) error {
+	if err := p.orderProg.Compute(ctx, msgs); err != nil {
+		return err
+	}
+	buf := make([]value.Value, 2)
+	for k := 0; k < 3; k++ {
+		buf[0], buf[1] = value.NewInt(int64(ctx.ID())), value.NewInt(int64(3*ctx.Superstep()+k))
+		ctx.EmitProv("buf", buf...)
+	}
+	buf[0], buf[1] = value.NewInt(-1), value.NewInt(-1)
+	return nil
+}
+
+// bufObserver checks that every record carries bufProg's three facts with
+// the arguments they had when emitted.
+type bufObserver struct {
+	t       *testing.T
+	checked int
+}
+
+func (*bufObserver) Reads() Fields                             { return FieldEmitted }
+func (*bufObserver) ObservePartition(int, int, []VertexRecord) {}
+func (*bufObserver) Finish(int) error                          { return nil }
+
+func (o *bufObserver) ObserveSuperstep(v *SuperstepView) error {
+	for _, r := range v.Records() {
+		var got []string
+		for _, f := range r.Emitted {
+			if f.Table == "buf" {
+				got = append(got, fmt.Sprint(f.Args))
+			}
+		}
+		var want []string
+		for k := 0; k < 3; k++ {
+			want = append(want, fmt.Sprint([]value.Value{value.NewInt(int64(r.ID)), value.NewInt(int64(3*r.Superstep + k))}))
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			o.t.Errorf("superstep %d vertex %d: facts %v, emitted %v", r.Superstep, r.ID, got, want)
+		}
+		o.checked++
+	}
+	return nil
+}
+
+// TestEmitProvCopiesArgs: a program that emits several facts through one
+// buffer, mutating it between emits, leaves each fact with the values it had
+// at emit time, at 1, 4 and 19 partitions.
+func TestEmitProvCopiesArgs(t *testing.T) {
+	g := contractGraph(t)
+	for _, parts := range []int{1, 4, 19} {
+		o := &bufObserver{t: t}
+		e, err := New(g, bufProg{}, Config{Partitions: parts, MaxSupersteps: 4, Observers: []Observer{o}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if o.checked == 0 {
+			t.Fatalf("parts=%d: no records observed", parts)
 		}
 	}
 }

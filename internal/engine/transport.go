@@ -562,19 +562,25 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 	return res
 }
 
-// detachRecords copies records and moves their Received and Sent windows,
-// which borrow the engine's inbox arena and send buffer, into two flat
-// buffers of the result's own: a result leaves the executor's mutex (the TCP
-// worker encodes it afterwards, while a duplicate Exec may already be
-// rewriting the borrowed buffers), so it must not alias them.
+// detachRecords copies records and moves their Received, Sent and Emitted
+// windows, which borrow the engine's inbox arena, send buffer and fact arena,
+// into flat buffers of the result's own (the facts' Args into one more): a
+// result leaves the executor's mutex (the TCP worker encodes it afterwards,
+// while a duplicate Exec may already be rewriting the borrowed buffers), so
+// it must not alias them.
 func detachRecords(recs []VertexRecord) []VertexRecord {
-	var nRecv, nSent int
+	var nRecv, nSent, nFacts, nArgs int
 	for i := range recs {
 		nRecv += len(recs[i].Received)
 		nSent += len(recs[i].Sent)
+		nFacts += len(recs[i].Emitted)
+		for _, f := range recs[i].Emitted {
+			nArgs += len(f.Args)
+		}
 	}
 	out := slices.Clone(recs)
 	recv, sent := make([]IncomingMessage, 0, nRecv), make([]SentMessage, 0, nSent)
+	facts, args := make([]ProvFact, 0, nFacts), make([]value.Value, 0, nArgs)
 	for i := range out {
 		r := &out[i]
 		if n := len(recv); len(r.Received) > 0 {
@@ -584,6 +590,14 @@ func detachRecords(recs []VertexRecord) []VertexRecord {
 		if n := len(sent); len(r.Sent) > 0 {
 			sent = append(sent, r.Sent...)
 			r.Sent = sent[n:len(sent):len(sent)]
+		}
+		if n := len(facts); len(r.Emitted) > 0 {
+			for _, f := range r.Emitted {
+				a := len(args)
+				args = append(args, f.Args...)
+				facts = append(facts, ProvFact{Table: f.Table, Args: args[a:len(args):len(args)]})
+			}
+			r.Emitted = facts[n:len(facts):len(facts)]
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -670,18 +671,24 @@ func TestCutKeepsErrorContract(t *testing.T) {
 // TestEmittedIndexKeepsEmittedOrder drives Query 7's emitted-table join
 // through the keyed step's per-record index over records of many facts,
 // whose first arguments mix Ints and numerically equal Floats (one hash
-// chain per peer, several facts per chain). The compiled relation must hold
-// exactly the nested-loop join's tuples in the nested loop's order, and
-// agree with the other lowerings.
+// chain per peer, several facts per chain), -0.0 beside +0.0, a non-integral
+// Float, an Int no float64 represents, a String and a Vector. The compiled
+// relation must hold exactly the nested-loop join's tuples in the nested
+// loop's order, and agree with the other lowerings.
 func TestEmittedIndexKeepsEmittedOrder(t *testing.T) {
 	env := analysis.NewEnv()
 	env.DeclareEDB("prov_error", 4)
 	env.DeclareEDB("prov_prediction", 4)
 	src := `algo(X, Y, P, I) :- prov_error(X, Y, E, I), prov_prediction(X, Y, P, I).`
 	rng := rand.New(rand.NewSource(5))
+	odd := []value.Value{value.NewFloat(math.Copysign(0, -1)), value.NewFloat(0), value.NewFloat(2.5),
+		value.NewInt(1<<53 + 1), value.NewString("p"), value.NewVector([]float64{1, 2})}
 	peer := func() value.Value {
-		p := int64(rng.Intn(6))
-		if rng.Intn(2) == 0 {
+		p := int64(rng.Intn(6 + len(odd)))
+		switch {
+		case p >= 6:
+			return odd[p-6]
+		case rng.Intn(2) == 0:
 			return value.NewInt(p)
 		}
 		return value.NewFloat(float64(p))

@@ -91,8 +91,9 @@ type factIndex struct {
 }
 
 // factsByFirstArg calls fn, in emitted order, with the current record's
-// facts of table whose canonical first argument hashes to h, building step
-// si's index on the first probe of each record. Hash collisions only add
+// facts of table whose first argument's value.Hash is h, building step si's
+// index on the first probe of each record. Values appendNorm encodes alike
+// hash alike (3 and 3.0, -0.0 and +0.0), and collisions only add
 // candidates: fn's match actions compare every argument anyway.
 func (rn *slotRun) factsByFirstArg(si int, table string, h uint64, fn func(*engine.ProvFact) error) error {
 	fx, facts := &rn.factIdx[si], rn.rv.Emitted
@@ -111,8 +112,7 @@ func (rn *slotRun) factsByFirstArg(si int, table string, h uint64, fn func(*engi
 			if f.Table != table || len(f.Args) == 0 {
 				continue
 			}
-			rn.keyBuf = appendNorm(rn.keyBuf[:0], f.Args[0])
-			b := fnvSum(rn.keyBuf) & uint64(nb-1)
+			b := f.Args[0].Hash() & uint64(nb-1)
 			fx.next[i], fx.head[b] = fx.head[b], int32(i+1)
 		}
 	}
@@ -122,15 +122,6 @@ func (rn *slotRun) factsByFirstArg(si int, table string, h uint64, fn func(*engi
 		}
 	}
 	return nil
-}
-
-// fnvSum is FNV-1a over b.
-func fnvSum(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
 }
 
 // StaticGraph exposes the input graph to edge/edge_value steps and to the
@@ -268,11 +259,11 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 			// Joining on the first payload argument (e.g. the neighbor in
 			// Query 7): probe the step's per-record index instead of
 			// scanning.
-			kb, err := rn.key(st.lookupSrc)
+			kv, err := st.lookupSrc[0].eval(rn.slots)
 			if err != nil {
 				return err
 			}
-			return rn.factsByFirstArg(si, st.pred, fnvSum(kb), fact)
+			return rn.factsByFirstArg(si, st.pred, kv.Hash(), fact)
 		}
 		for fi := range rv.Emitted {
 			if err := fact(&rv.Emitted[fi]); err != nil {

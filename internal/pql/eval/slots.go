@@ -168,7 +168,8 @@ func (rn *slotRun) prep(p *program, deltas []Tuple, emit func(Tuple) error) {
 }
 
 // appendNorm appends v's canonical binary encoding, the one tuple identity
-// every relation key, index key, probe and record-index hash uses. It agrees with
+// every relation key, index key and probe uses (the record index hashes with
+// value.Hash, which hashes alike what this encodes alike). It agrees with
 // value.Equal wherever Equal is transitive: an Int that a float64 represents
 // exactly encodes as that Float (3 and 3.0 are one tuple), a larger one
 // keeps its Int encoding (1<<53 and 1<<53+1 stay two), and -0.0 encodes as

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ariadne/internal/analytics"
 	"ariadne/internal/engine"
@@ -225,6 +227,68 @@ func TestWireExecResultRoundTrip(t *testing.T) {
 	}
 	if !wireEqual(crash, rt) {
 		t.Fatalf("crash roundtrip mismatch: %+v vs %+v", rt, crash)
+	}
+}
+
+// factFrame encodes an exec result of 50 records carrying nFacts emitted
+// facts between them, alternating over two tables as ALS's are.
+func factFrame(nFacts int) (*engine.ExecResult, []byte) {
+	res := &engine.ExecResult{Partition: 1, Outbox: make([][]engine.OutMessage, 2)}
+	for i := 0; i < 50; i++ {
+		rec := engine.VertexRecord{ID: engine.VertexID(i), Superstep: 2, PrevActive: 1,
+			OldValue: value.NewInt(int64(i)), NewValue: value.NewInt(int64(i + 1))}
+		for j := i; j < nFacts; j += 50 {
+			table := [2]string{"prov_prediction", "prov_error"}[j%2]
+			rec.Emitted = append(rec.Emitted, engine.ProvFact{Table: table,
+				Args: []value.Value{value.NewInt(int64(j)), value.NewFloat(float64(j) / 3)}})
+		}
+		res.Records = append(res.Records, rec)
+	}
+	return res, encodeExecResult(res)
+}
+
+// TestWireFactDecodeAllocs: a frame's emitted facts decode into one growing
+// fact slice and one growing argument slice, and a repeated table name reuses
+// its string, so decoding 1 000 or 4 000 facts allocates only the slices'
+// O(log n) regrowths more than decoding 10.
+func TestWireFactDecodeAllocs(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{10, 1000, 4000} {
+		res, frame := factFrame(n)
+		rt, err := decodeExecResult(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wireEqual(res, rt) {
+			t.Fatalf("%d facts: the decoded result differs from the encoded one", n)
+		}
+		tables := map[string]*byte{}
+		for _, r := range rt.Records {
+			for _, f := range r.Emitted {
+				if p, ok := tables[f.Table]; ok && p != unsafe.StringData(f.Table) {
+					t.Fatalf("%d facts: table %q decoded into two strings", n, f.Table)
+				}
+				tables[f.Table] = unsafe.StringData(f.Table)
+			}
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() {
+			if _, err := decodeExecResult(frame); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("allocs for 10, 1000, 4000 facts: %v", allocs)
+	for i, n := range []int{1000, 4000} {
+		if extra := allocs[i+1] - allocs[0]; extra > 2*math.Log2(float64(n)) {
+			t.Fatalf("decoding 10, 1000 and 4000 facts allocates %v times: %v more for %d facts", allocs, extra, n)
+		}
+	}
+	// A frame cut inside its records fails to decode.
+	_, frame := factFrame(1000)
+	for cut := len(frame) - 1; cut > len(frame)/2; cut -= 97 {
+		if _, err := decodeExecResult(frame[:cut]); err == nil {
+			t.Fatalf("a frame cut at %d of %d bytes decoded without error", cut, len(frame))
+		}
 	}
 }
 

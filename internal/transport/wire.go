@@ -485,35 +485,7 @@ func decodeExecResultBody(r *value.BlobReader, res *engine.ExecResult) {
 		res.Outbox[dp] = readOutMsgs(r)
 	}
 	if nRecs := r.Count(); nRecs > 0 {
-		res.Records = make([]engine.VertexRecord, nRecs)
-		for i := 0; i < nRecs; i++ {
-			rec := &res.Records[i]
-			rec.ID = engine.VertexID(r.Uvarint())
-			rec.Superstep = int(r.Uvarint())
-			rec.PrevActive = int(r.Int())
-			rec.OldValue = r.Value()
-			rec.NewValue = r.Value()
-			rec.SentAny = r.Bool()
-			rec.Received = readInMsgs(r)
-			if k := r.Count(); k > 0 {
-				rec.Sent = make([]engine.SentMessage, k)
-				for j := 0; j < k; j++ {
-					rec.Sent[j] = engine.SentMessage{Dst: engine.VertexID(r.Uvarint()), Val: r.Value()}
-				}
-			}
-			if k := r.Count(); k > 0 {
-				rec.Emitted = make([]engine.ProvFact, k)
-				for j := 0; j < k; j++ {
-					rec.Emitted[j].Table = r.String()
-					if na := r.Count(); na > 0 {
-						rec.Emitted[j].Args = make([]value.Value, na)
-						for a := 0; a < na; a++ {
-							rec.Emitted[j].Args[a] = r.Value()
-						}
-					}
-				}
-			}
-		}
+		res.Records = decodeRecords(r, nRecs)
 	}
 	res.Sent = r.Int()
 	res.CombinedSender = r.Int()
@@ -534,6 +506,62 @@ func decodeExecResultBody(r *value.BlobReader, res *engine.ExecResult) {
 			res.DstCounts[j] = r.Int()
 		}
 	}
+}
+
+// decodeRecords reads a frame's nRecs records. Their facts are appended to
+// one growing []ProvFact and their arguments to one growing []value.Value,
+// and each record's Emitted (each fact's Args) is a window taken as it goes:
+// a window into an array the slice has since outgrown stays correct, as
+// nothing writes to the old array again. A table name decoded before in the
+// frame is not allocated again.
+func decodeRecords(r *value.BlobReader, nRecs int) []engine.VertexRecord {
+	recs := make([]engine.VertexRecord, nRecs)
+	var facts []engine.ProvFact
+	var args []value.Value
+	var tables [8]string
+	nTables := 0
+	for i := range recs {
+		rec := &recs[i]
+		rec.ID = engine.VertexID(r.Uvarint())
+		rec.Superstep = int(r.Uvarint())
+		rec.PrevActive = int(r.Int())
+		rec.OldValue = r.Value()
+		rec.NewValue = r.Value()
+		rec.SentAny = r.Bool()
+		rec.Received = readInMsgs(r)
+		if k := r.Count(); k > 0 {
+			rec.Sent = make([]engine.SentMessage, k)
+			for j := 0; j < k; j++ {
+				rec.Sent[j] = engine.SentMessage{Dst: engine.VertexID(r.Uvarint()), Val: r.Value()}
+			}
+		}
+		k := r.Count()
+		if k == 0 {
+			continue
+		}
+		n := len(facts)
+		for j := 0; j < k; j++ {
+			raw, t := r.Raw(), 0
+			for t < nTables && tables[t] != string(raw) {
+				t++
+			}
+			if t == nTables {
+				t = min(t, len(tables)-1)
+				tables[t], nTables = string(raw), t+1
+			}
+			f := engine.ProvFact{Table: tables[t]}
+			if na := r.Count(); na > 0 {
+				a := len(args)
+				for ; na > 0; na-- {
+					args = append(args, r.Value())
+				}
+				f.Args = args[a:len(args):len(args)]
+			}
+			facts = append(facts, f)
+		}
+		rec.Emitted = facts[n:len(facts):len(facts)]
+	}
+	return recs
 }
 
 // encodeDeliverRequest serializes one worker's slice of the delivery

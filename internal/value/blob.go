@@ -170,18 +170,22 @@ func (r *BlobReader) Bytes8() []byte {
 }
 
 // String reads a length-prefixed string.
-func (r *BlobReader) String() string {
+func (r *BlobReader) String() string { return string(r.Raw()) }
+
+// Raw reads a length-prefixed string's bytes without copying them: the
+// slice aliases the blob.
+func (r *BlobReader) Raw() []byte {
 	n := r.Count()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if r.off+n > len(r.b) {
 		r.fail(io.ErrUnexpectedEOF)
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+n])
+	p := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
-	return s
+	return p
 }
 
 // Value reads a Value in the binary codec.

