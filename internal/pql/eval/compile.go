@@ -94,6 +94,9 @@ type crule struct {
 	// vertex.
 	anchor string
 	seedSS bool
+	// keyed: the rule derives exactly (anchor, current superstep); once
+	// Compile returns, that its head is record-keyed (see keyHeads).
+	keyed bool
 	// emitted counts every emission, duplicates included.
 	emitted int64
 	// view is rowsInDegree or rowsOutDegree when the rule is a static view
@@ -164,15 +167,29 @@ func (sh *shard) emit(t Tuple) error {
 		return nil
 	}
 	sh.emitted[r.idx]++
-	sh.headKey = appendKey(sh.headKey[:0], t)
 	ovl := sh.ovlHead[r.idx]
+	if v, s, ok := r.head.bitOf(t); ok {
+		if r.head.bits.has(v, s) || ovl.bits.has(v, s) {
+			return nil
+		}
+		ovl.bits.set(v, s)
+		ovl.appendNew(sh.keep(r.idx, t))
+		return nil
+	}
+	sh.headKey = appendKey(sh.headKey[:0], t)
 	if r.head.inRows(sh.headKey) || ovl.inRows(sh.headKey) {
 		return nil
 	}
-	st := shardTuple{vertex: sh.rn.rv.Vertex, t: t.Clone()}
-	ovl.add(string(sh.headKey), st.t)
-	sh.out[r.idx] = append(sh.out[r.idx], st)
+	ovl.add(string(sh.headKey), sh.keep(r.idx, t))
 	return nil
+}
+
+// keep clones a new tuple of rule ri's head, lists it for the merge and
+// returns the clone.
+func (sh *shard) keep(ri int, t Tuple) Tuple {
+	c := t.Clone()
+	sh.out[ri] = append(sh.out[ri], shardTuple{vertex: sh.rn.rv.Vertex, t: c})
+	return c
 }
 
 type ruleKind uint8
@@ -208,7 +225,8 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 				return nil, err
 			}
 			cr := &crule{src: r, kind: rp.kind, drivePred: rp.drivePred, seedSS: len(rp.anchor) > 1,
-				idx: len(c.rules), head: db.Relation(r.Head.Pred, len(r.Head.Args))}
+				idx: len(c.rules), head: db.Relation(r.Head.Pred, len(r.Head.Args)),
+				keyed: rp.kind == ruleRecord && derivesRecord(r.Head, rp.anchor)}
 			if cr.kind == ruleRecord {
 				cr.anchor = rp.anchor[0]
 			}
@@ -248,6 +266,7 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 	for _, stratum := range c.strata[:c.inPart] {
 		c.partRules += len(stratum)
 	}
+	c.keyHeads(sg)
 	return c, nil
 }
 
@@ -301,6 +320,39 @@ func (c *Compiled) makeViews(q *analysis.Query, plans []*recordPlan) error {
 		}
 	}
 	return nil
+}
+
+// keyHeads makes record-keyed the heads every rule of which derives exactly
+// (anchor, current superstep) — the provenance graph's node, one bit per
+// record (Relation.bits) — and clears keyed on the rules of every other head.
+// A graph-less compilation keys them over no vertex: every tuple falls back
+// to its string key.
+func (c *Compiled) keyHeads(sg StaticGraph) {
+	keyed := map[*Relation]bool{}
+	for _, r := range c.rules {
+		prev, seen := keyed[r.head]
+		keyed[r.head] = r.keyed && (prev || !seen)
+	}
+	n := 0
+	if sg != nil {
+		n = sg.NumVertices()
+	}
+	for _, r := range c.rules {
+		if r.keyed = keyed[r.head]; r.keyed {
+			r.head.keyRecords(n)
+		}
+	}
+}
+
+// derivesRecord reports whether head is h(A, I), A and I the record rule's
+// anchor and current-superstep variables.
+func derivesRecord(head *pql.Atom, anchor []string) bool {
+	if len(head.Args) != 2 || len(anchor) != 2 {
+		return false
+	}
+	x, ok0 := asVar(head.Args[0])
+	i, ok1 := asVar(head.Args[1])
+	return ok0 && ok1 && x == anchor[0] && i == anchor[1]
 }
 
 // degreeRule reports whether r is h(X) :- edge(Y, X) or h(X) :- edge(X, Y),
@@ -813,7 +865,12 @@ func (c *Compiled) partShard(p int) *shard {
 		sh.emitted = make([]int64, c.partRules)
 		for _, r := range c.rules[:c.partRules] {
 			if r.kind == ruleRecord && ovl.Get(r.src.Head.Pred) == nil {
-				r.head.sets = append(r.head.sets, ovl.Relation(r.src.Head.Pred, r.head.arity).rows)
+				o := ovl.Relation(r.src.Head.Pred, r.head.arity)
+				r.head.sets = append(r.head.sets, o.rows)
+				if r.head.bits != nil {
+					o.bits = &recordBits{n: r.head.bits.n}
+					r.head.bitSets = append(r.head.bitSets, o.bits)
+				}
 			}
 			sh.ovlHead[r.idx] = ovl.Get(r.src.Head.Pred)
 		}
@@ -913,8 +970,13 @@ func (c *Compiled) mergeRule(r *crule, last int64) {
 // forget deletes the tuples of out[ri][from:], which the merge did not take,
 // from the shard's dedup set, and empties out[ri].
 func (sh *shard) forget(ri, from int) {
+	ovl := sh.ovlHead[ri]
 	for _, st := range sh.out[ri][from:] {
-		delete(sh.ovlHead[ri].rows, st.t.Key())
+		if v, s, ok := ovl.bitOf(st.t); ok {
+			ovl.bits.unset(v, s)
+		} else {
+			delete(ovl.rows, st.t.Key())
+		}
 	}
 	sh.out[ri] = sh.out[ri][:0]
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"ariadne/internal/engine"
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
+	"ariadne/internal/queries"
 	"ariadne/internal/value"
 )
 
@@ -784,8 +786,8 @@ func TestCompiledHeadBufferNeverStored(t *testing.T) {
 		}
 	}
 	for i, tu := range rel.All() {
-		if !rel.ContainsKey(tu.Key()) {
-			t.Errorf("tuple %d (%v) is not a member under its own key", i, tu)
+		if !rel.Contains(tu) {
+			t.Errorf("tuple %d (%v) is not a member", i, tu)
 		}
 	}
 }
@@ -796,13 +798,21 @@ func TestCompiledHeadBufferNeverStored(t *testing.T) {
 // members are exactly its tuples in order, and the partition derives the
 // tuple again later, in the order a serial Layer over the merged records
 // does. seen has no superstep column: a vertex derives the same tuple in
-// every superstep it hears from someone.
+// every superstep it hears from someone. The heads of Queries 5 and 6 are
+// record-keyed: their shards keep them in bitsets, which must forget them
+// alike, and a re-observed superstep derives them again.
 func TestUnmergedTuplesForgotten(t *testing.T) {
 	const seen = `seen(X) :- receive_message(X, Y, M, I).`
 	// ratio fails at vertex 2 only; late's tuples all lie past that failure.
 	const failing = seen + `
 ratio(X, R) :- superstep(X, I), R = 10 mod (X - 2).
 late(X) :- superstep(X, I).`
+	q5, q6 := queries.MonotoneCheck().Source, queries.SilentChange().Source
+	// The record-keyed twin of failing: ratio's tuples at vertices 0 and 1
+	// precede the failure, the rest and all of late's lie past it.
+	const failingKeyed = `
+ratio(X, I) :- superstep(X, I), R = 10 mod (X - 2).
+late(X, I) :- superstep(X, I).`
 	const parts, p = 3, 1
 	sg, layers := testGraphAndLayers(2)
 	l1, l2 := layers[1], layers[2]
@@ -849,11 +859,12 @@ late(X) :- superstep(X, I).`
 		name, src string
 		run       func(c *Compiled) error
 		serial    [][]RecordView
+		fails     bool
 	}{
 		{"shed", seen, func(c *Compiled) error {
 			observe(c, 1, l1, all)
 			return merge(c, 1, func(q int) bool { return q == p })
-		}, [][]RecordView{only(l1, notP)}},
+		}, [][]RecordView{only(l1, notP)}, false},
 		{"shed then live", seen, func(c *Compiled) error {
 			observe(c, 1, l1, all)
 			if err := merge(c, 1, func(q int) bool { return q == p }); err != nil {
@@ -861,21 +872,47 @@ late(X) :- superstep(X, I).`
 			}
 			observe(c, 2, l2, all)
 			return merge(c, 2, nil)
-		}, [][]RecordView{only(l1, notP), l2}},
+		}, [][]RecordView{only(l1, notP), l2}, false},
 		{"aborted then observed", seen, func(c *Compiled) error {
 			observe(c, 1, l1, func(q int64) bool { return q == p })
 			observe(c, 2, l2, all)
 			return merge(c, 2, nil)
-		}, [][]RecordView{l2}},
+		}, [][]RecordView{l2}, false},
 		{"aborted then not observed", seen, func(c *Compiled) error {
 			observe(c, 1, l1, func(q int64) bool { return q == p })
 			observe(c, 2, l2, notP)
 			return merge(c, 2, nil)
-		}, [][]RecordView{only(l2, notP)}},
+		}, [][]RecordView{only(l2, notP)}, false},
 		{"past the first error", failing, func(c *Compiled) error {
 			observe(c, 0, layers[0], all)
 			return merge(c, 0, nil)
-		}, [][]RecordView{layers[0]}},
+		}, [][]RecordView{layers[0]}, true},
+		{"Query 6 shed", q6, func(c *Compiled) error {
+			observe(c, 1, l1, all)
+			return merge(c, 1, func(q int) bool { return q == p })
+		}, [][]RecordView{only(l1, notP)}, false},
+		{"Query 6 aborted then re-observed", q6, func(c *Compiled) error {
+			observe(c, 1, l1, func(q int64) bool { return q == p })
+			observe(c, 1, l1, all)
+			return merge(c, 1, nil)
+		}, [][]RecordView{l1}, false},
+		{"Query 5 shed then live", q5, func(c *Compiled) error {
+			observe(c, 1, l1, all)
+			if err := merge(c, 1, func(q int) bool { return q == p }); err != nil {
+				return err
+			}
+			observe(c, 2, l2, all)
+			return merge(c, 2, nil)
+		}, [][]RecordView{only(l1, notP), l2}, false},
+		{"Query 5 aborted then re-observed", q5, func(c *Compiled) error {
+			observe(c, 2, l2, all)
+			observe(c, 2, l2, all)
+			return merge(c, 2, nil)
+		}, [][]RecordView{l2}, false},
+		{"record-keyed past the first error", failingKeyed, func(c *Compiled) error {
+			observe(c, 0, layers[0], all)
+			return merge(c, 0, nil)
+		}, [][]RecordView{layers[0]}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := analysis.MustAnalyze(tc.src, analysis.NewEnv())
@@ -889,21 +926,22 @@ late(X) :- superstep(X, I).`
 				t.Fatal(err)
 			}
 			gotErr, wantErr := fmt.Sprint(tc.run(c)), fmt.Sprint(serialLeg(ref, tc.serial))
-			if gotErr != wantErr || (tc.src == failing) != (wantErr != "<nil>") {
+			if gotErr != wantErr || tc.fails != (wantErr != "<nil>") {
 				t.Errorf("error %s, serial %s", gotErr, wantErr)
 			}
 			if err := sameRelations(tc.name, insertionOrder(q, want, false), insertionOrder(q, db, false)); err != nil {
 				t.Error(err)
 			}
+			derived := 0
 			for name := range q.IDBs {
 				rel := db.Get(name)
-				members := len(rel.rows)
-				for _, set := range rel.sets {
-					members += len(set)
+				if keyed := rel.bits != nil; keyed != (tc.src != seen && tc.src != failing) {
+					t.Errorf("%s: record-keyed %v", name, keyed)
 				}
-				if members != rel.Len() {
-					t.Errorf("%s: %d members, %d tuples in order", name, members, rel.Len())
+				if got := members(rel); got != rel.Len() {
+					t.Errorf("%s: %d members, %d tuples in order", name, got, rel.Len())
 				}
+				derived += rel.Len()
 				for _, tu := range rel.All() {
 					if !rel.Contains(tu) {
 						t.Errorf("%s%v is in order but not a member", name, tu)
@@ -913,8 +951,87 @@ late(X) :- superstep(X, I).`
 			if c.DerivedTuples() != ref.DerivedTuples() {
 				t.Errorf("derived %d tuples, serial %d", c.DerivedTuples(), ref.DerivedTuples())
 			}
+			if derived == 0 {
+				t.Error("nothing derived")
+			}
 		})
 	}
+}
+
+// TestShardsProbeMainBits: a record-keyed tuple the relation already holds in
+// its own bits (a checkpoint restored it, say) is not derived again by the
+// partition owning its vertex, and that partition's negations see it, as a
+// serial Layer would.
+func TestShardsProbeMainBits(t *testing.T) {
+	const parts = 3
+	q := analysis.MustAnalyze(queries.SilentChange().Source, analysis.NewEnv())
+	sg, layers := testGraphAndLayers(2)
+	l1 := layers[1]
+	db, want := NewDatabase(), NewDatabase()
+	c, err := Compile(q, db, sg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := Compile(q, want, sg)
+	var held Tuple
+	for _, rv := range l1 {
+		if len(rv.Recvs) > 0 {
+			held = ints(rv.Vertex, rv.Superstep)
+			break
+		}
+	}
+	if held == nil {
+		t.Fatal("fixture: nobody hears from anyone at superstep 1")
+	}
+	for _, d := range []*Database{db, want} {
+		if !d.Get("neighbor_change").Insert(held) {
+			t.Fatal("held tuple not inserted")
+		}
+	}
+	if err := c.BeginRun(); err != nil {
+		t.Fatal(err)
+	}
+	for p := int64(0); p < parts; p++ {
+		var recs []RecordView
+		for _, rv := range l1 {
+			if rv.Vertex%parts == p {
+				recs = append(recs, rv)
+			}
+		}
+		c.partShard(int(p)).layer(1, recs)
+	}
+	if merged, err := c.MergePartitions(1, nil); !merged || err != nil {
+		t.Fatal(merged, err)
+	}
+	if err := ref.Layer(l1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRelations("partitioned", insertionOrder(q, want, false), insertionOrder(q, db, false)); err != nil {
+		t.Error(err)
+	}
+	if rel := db.Get("neighbor_change"); members(rel) != rel.Len() {
+		t.Errorf("neighbor_change: %d members, %d tuples in order", members(rel), rel.Len())
+	}
+}
+
+// members counts what a relation's membership holds: rows, the shard sets,
+// and the bits set in bits and in the shard bitsets.
+func members(rel *Relation) int {
+	n := len(rel.rows)
+	for _, set := range rel.sets {
+		n += len(set)
+	}
+	for _, b := range append([]*recordBits{rel.bits}, rel.bitSets...) {
+		if b == nil {
+			continue
+		}
+		for _, w := range b.ss {
+			for _, x := range w {
+				n += bits.OnesCount64(x)
+			}
+		}
+	}
+	return n
 }
 
 // BenchmarkMergePartitions times the barrier's merge of one superstep's

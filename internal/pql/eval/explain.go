@@ -12,7 +12,9 @@ import (
 // one reason why — and per rule the planner kind, the join order, each
 // step's row source with its key columns, the slot count and the cut
 // (cut=k: every head variable is bound before step k+1, so the first
-// completion ends that step's enumeration). A record-sourced stratum marked
+// completion ends that step's enumeration), and keys=record when the rule's
+// head is record-keyed (one bit per (vertex, superstep) member). A
+// record-sourced stratum marked
 // recursive iterates to an in-layer fixpoint; every other runs once per
 // layer. Each record-sourced stratum shows its online placement: partition
 // (on each engine partition's goroutine, right after its compute) or
@@ -34,7 +36,11 @@ func Explain(q *analysis.Query) (string, error) {
 				label += " barrier"
 			}
 			for _, r := range stratum {
-				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s slots=%d%s\n", label, r.src, r.planner(), r.prog.nSlots, r.prog.cutNote())
+				keys := ""
+				if r.keyed {
+					keys = " keys=record"
+				}
+				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s slots=%d%s%s\n", label, r.src, r.planner(), r.prog.nSlots, r.prog.cutNote(), keys)
 				r.prog.describe(&b, "      ")
 			}
 		}

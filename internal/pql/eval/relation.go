@@ -6,6 +6,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -44,20 +45,30 @@ func (t Tuple) Clone() Tuple {
 // derived on its partition's goroutine. Those tuples are in order and in
 // every built index, but never in rows; a member is in rows or in one set.
 //
+// A record-keyed relation (Compile keys a head whose every rule derives
+// exactly (anchor, current superstep)) holds its members that are such
+// pairs in bits instead, one bit per (vertex, superstep), and the shards'
+// in bitSets, registered as their sets are; only its other tuples are keyed
+// by string. A member is then in rows, in one set, in bits or in one bitset.
+//
 // Concurrency contract: concurrent readers (Lookup/LookupKey/Contains/All)
 // are safe with each other — lazy index construction is serialized behind
 // mu, and everything else they touch is read-only. Mutations (Insert,
 // Delete, Clear, the barrier's merge) must not overlap with readers or each
 // other: a caller that reads a relation from several goroutines keeps its
-// writes to phases in which no reader runs. A shard set is written only on
-// its partition's goroutine, while the relation is frozen, and read by every
-// membership probe at the barrier; a partition shard itself probes only rows
-// and its own set.
+// writes to phases in which no reader runs. A shard set or bitset is written
+// only on its partition's goroutine, while the relation is frozen, and read
+// by every membership probe at the barrier; a partition shard itself probes
+// only rows and bits and its own set and bitset. Partitions share bitset
+// words (a partition is vertex mod P), which is why each shard writes a
+// bitset of its own.
 type Relation struct {
-	arity int
-	rows  map[string]Tuple
-	sets  []map[string]Tuple
-	order []Tuple // insertion order, for deterministic iteration
+	arity   int
+	rows    map[string]Tuple
+	sets    []map[string]Tuple
+	bits    *recordBits   // nil unless record-keyed
+	bitSets []*recordBits // the shards' bits of a record-keyed relation
+	order   []Tuple       // insertion order, for deterministic iteration
 
 	mu      sync.Mutex // guards indexes map + lazy index construction by readers
 	indexes map[string]*index
@@ -85,11 +96,20 @@ func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("eval: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
-	k := t.Key()
-	if r.ContainsKey(k) {
+	if v, s, ok := r.bitOf(t); ok {
+		if r.hasBit(v, s) {
+			return false
+		}
+		r.bits.set(v, s)
+		r.appendNew(t)
+		return true
+	}
+	var buf [64]byte
+	k := appendKey(buf[:0], t)
+	if r.inKeyed(k) {
 		return false
 	}
-	r.add(k, t)
+	r.add(string(k), t)
 	return true
 }
 
@@ -102,8 +122,17 @@ func (r *Relation) insertCopy(t Tuple, kb *[]byte) (Tuple, bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("eval: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
+	if v, s, ok := r.bitOf(t); ok {
+		if r.hasBit(v, s) {
+			return nil, false
+		}
+		r.bits.set(v, s)
+		c := t.Clone()
+		r.appendNew(c)
+		return c, true
+	}
 	*kb = appendKey((*kb)[:0], t)
-	if r.containsKeyBytes(*kb) {
+	if r.inKeyed(*kb) {
 		return nil, false
 	}
 	c := t.Clone()
@@ -132,20 +161,26 @@ func (r *Relation) appendNew(t Tuple) {
 // by aggregate-group replacement, whose heads have no shard sets.
 func (r *Relation) Delete(t Tuple) bool {
 	k := t.Key()
-	old, ok := r.rows[k]
-	if !ok {
-		return false
+	if v, s, ok := r.bitOf(t); ok {
+		if !r.bits.has(v, s) {
+			return false
+		}
+		r.bits.unset(v, s)
+	} else {
+		if _, ok := r.rows[k]; !ok {
+			return false
+		}
+		delete(r.rows, k)
 	}
-	delete(r.rows, k)
 	for i, row := range r.order {
-		if &row[0] == &old[0] || row.Key() == k {
+		if row.Key() == k {
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			break
 		}
 	}
 	r.mu.Lock()
 	for _, idx := range r.indexes {
-		pk := projKey(old, idx.cols)
+		pk := projKey(t, idx.cols)
 		lst := idx.m[pk]
 		for i, row := range lst {
 			if row.Key() == k {
@@ -159,25 +194,18 @@ func (r *Relation) Delete(t Tuple) bool {
 }
 
 // Contains reports membership.
-func (r *Relation) Contains(t Tuple) bool { return r.ContainsKey(t.Key()) }
-
-// ContainsKey reports membership by canonical tuple key (see Tuple.Key).
-func (r *Relation) ContainsKey(k string) bool {
-	if _, ok := r.rows[k]; ok {
-		return true
+func (r *Relation) Contains(t Tuple) bool {
+	if v, s, ok := r.bitOf(t); ok {
+		return r.hasBit(v, s)
 	}
-	for _, s := range r.sets {
-		if _, ok := s[k]; ok {
-			return true
-		}
-	}
-	return false
+	var buf [64]byte
+	return r.inKeyed(appendKey(buf[:0], t))
 }
 
-// containsKeyBytes is ContainsKey without the string allocation: the
-// conversion sits inside the map index expression, which the compiler
-// optimizes to a zero-copy lookup.
-func (r *Relation) containsKeyBytes(k []byte) bool {
+// inKeyed reports whether rows or a shard set holds the tuple keyed k. The
+// string conversions sit inside the map index expressions, which the
+// compiler optimizes to zero-copy lookups.
+func (r *Relation) inKeyed(k []byte) bool {
 	if r.inRows(k) {
 		return true
 	}
@@ -191,8 +219,132 @@ func (r *Relation) containsKeyBytes(k []byte) bool {
 
 // inRows reports whether rows alone holds the tuple keyed k.
 func (r *Relation) inRows(k []byte) bool {
+	if len(r.rows) == 0 {
+		return false
+	}
 	_, ok := r.rows[string(k)]
 	return ok
+}
+
+// keyRecords makes an empty relation of arity 2 record-keyed over vertex
+// ids in [0, n). A relation already holding tuples stays keyed by string.
+func (r *Relation) keyRecords(n int) {
+	if r.arity == 2 && r.bits == nil && r.Len() == 0 {
+		r.bits = &recordBits{n: n}
+	}
+}
+
+// bitOf returns the bit of t in a record-keyed relation (r may be nil), or
+// false when r is not record-keyed or t has no bit.
+func (r *Relation) bitOf(t Tuple) (v, s int, ok bool) {
+	if r == nil || r.bits == nil || len(t) != 2 {
+		return 0, 0, false
+	}
+	return r.bits.slot(t[0], t[1])
+}
+
+// hasBit reports whether bit (v, s) is set in bits or any shard's bitset:
+// the main shard's membership probe.
+func (r *Relation) hasBit(v, s int) bool {
+	if r.bits.has(v, s) {
+		return true
+	}
+	for _, b := range r.bitSets {
+		if b.has(v, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// maxRecordSuperstep bounds the supersteps a record-keyed relation keeps in
+// bits; a tuple at a later one is keyed by string. It bounds what a corrupt
+// checkpoint can make LoadState allocate.
+const maxRecordSuperstep = 1 << 16
+
+// recordBits is the membership of a record-keyed relation's (vertex,
+// superstep) tuples: per superstep, a bitset over vertex ids. The supersteps
+// and each superstep's words grow (by doubling, see grow) to the highest one
+// set, and never shrink.
+type recordBits struct {
+	n  int        // vertex ids in [0, n) have a bit
+	ss [][]uint64 // by superstep
+}
+
+// slot returns the bit of the pair (x, y): x a vertex id in [0, n) and y a
+// superstep below maxRecordSuperstep, each an Int or an integral Float (3.0
+// is 3, -0.0 is 0, as appendNorm encodes them). Any other pair has no bit.
+func (b *recordBits) slot(x, y value.Value) (v, s int, ok bool) {
+	if v, ok = natural(x, b.n); !ok {
+		return 0, 0, false
+	}
+	s, ok = natural(y, maxRecordSuperstep)
+	return v, s, ok
+}
+
+// natural returns x as an int when it is an integral number in [0, bound).
+func natural(x value.Value, bound int) (int, bool) {
+	switch x.Kind() {
+	case value.Int:
+		if i := x.Int(); i >= 0 && i < int64(bound) {
+			return int(i), true
+		}
+	case value.Float:
+		if f := x.Float(); f >= 0 && f < float64(bound) && f == math.Trunc(f) {
+			return int(f), true
+		}
+	}
+	return 0, false
+}
+
+// has reports whether bit (v, s) is set; a nil bitset has none.
+func (b *recordBits) has(v, s int) bool {
+	if b == nil || s >= len(b.ss) {
+		return false
+	}
+	w := b.ss[s]
+	return v>>6 < len(w) && w[v>>6]&(1<<(v&63)) != 0
+}
+
+func (b *recordBits) set(v, s int) {
+	b.ss = grow(b.ss, s+1, maxRecordSuperstep)
+	b.ss[s] = grow(b.ss[s], v>>6+1, (b.n+63)>>6)
+	b.ss[s][v>>6] |= 1 << (v & 63)
+}
+
+// grow returns s extended with zeros to at least n elements: to twice its
+// length, at most limit (n is no more), so growing one element at a time
+// costs amortized constant time.
+func grow[E any](s []E, n, limit int) []E {
+	if n <= len(s) {
+		return s
+	}
+	out := make([]E, min(max(n, 2*len(s)), limit))
+	copy(out, s)
+	return out
+}
+
+func (b *recordBits) unset(v, s int) {
+	if s < len(b.ss) && v>>6 < len(b.ss[s]) {
+		b.ss[s][v>>6] &^= 1 << (v & 63)
+	}
+}
+
+// reset clears every bit, keeping the words.
+func (b *recordBits) reset() {
+	for _, w := range b.ss {
+		clear(w)
+	}
+}
+
+// memSize is the bitset's footprint in bytes: a slice header per superstep
+// and the words.
+func (b *recordBits) memSize() int64 {
+	s := int64(24 * cap(b.ss))
+	for _, w := range b.ss {
+		s += int64(8 * cap(w))
+	}
+	return s
 }
 
 // All returns the tuples in insertion order. The slice must not be modified.
@@ -287,6 +439,12 @@ func (r *Relation) MemSize() int64 {
 		s += memTupleOverhead
 		for _, v := range t {
 			s += int64(v.MemSize())
+		}
+	}
+	if r.bits != nil {
+		s += r.bits.memSize()
+		for _, b := range r.bitSets {
+			s += b.memSize()
 		}
 	}
 	r.mu.Lock()

@@ -152,7 +152,7 @@ func TestShardSetsReadAsRows(t *testing.T) {
 			for x := int64(0); x < 10; x++ {
 				for y := int64(0); y < 5; y++ {
 					tu := ints(x, y)
-					if rel.Contains(tu) != ref.Contains(tu) || rel.ContainsKey(tu.Key()) != ref.ContainsKey(tu.Key()) {
+					if rel.Contains(tu) != ref.Contains(tu) {
 						return false
 					}
 					kb := appendNorm(nil, tu[1])
@@ -383,6 +383,27 @@ func TestRelationMemSizePinned(t *testing.T) {
 	if got, prev := r.MemSize(), tupleBytes+indexBytes; got <= prev {
 		t.Fatalf("second index did not grow MemSize: %d <= %d", got, prev)
 	}
+
+	// A record-keyed relation adds its bitsets: a slice header per superstep
+	// up to the highest set (2, so 3) and a word per 64 vertices up to the
+	// highest set in each (vertex 65 at superstep 2, so 2 words; vertex 3 at
+	// superstep 0, 1 word), as in one shard's bitset. A tuple without a bit
+	// (vertex 200 is past the 128 vertices) adds only its tuple bytes.
+	k := NewRelation(2)
+	k.keyRecords(128)
+	k.bitSets = append(k.bitSets, &recordBits{n: 128})
+	k.bitSets[0].set(0, 0)
+	var keyedTuples int64
+	for _, tu := range []Tuple{ints(1, 2), ints(65, 2), ints(3, 0), ints(200, 1)} {
+		k.Insert(tu)
+		keyedTuples += memTupleOverhead
+		for _, v := range tu {
+			keyedTuples += int64(v.MemSize())
+		}
+	}
+	if want := keyedTuples + 3*24 + 3*8 + (1*24 + 1*8); k.MemSize() != want {
+		t.Fatalf("record-keyed MemSize = %d, want %d", k.MemSize(), want)
+	}
 }
 
 // TestRelationConcurrentLookup: concurrent readers may race on lazy index
@@ -403,7 +424,7 @@ func TestRelationConcurrentLookup(t *testing.T) {
 					t.Errorf("lookup %d: %d tuples, want 10", k, len(got))
 					return
 				}
-				if !r.ContainsKey(ints(k, k).Key()) && k >= 50 {
+				if !r.Contains(ints(k, k)) && k >= 50 {
 					t.Errorf("unexpected membership for %d", k)
 					return
 				}
@@ -411,4 +432,188 @@ func TestRelationConcurrentLookup(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// recordValue draws one column of a record-keyed pair: an Int below bound,
+// an integral Float (3.0 is 3), -0.0, a negative Int, a fraction, an Int
+// above 2^53, a String, or — the column's bound being the superstep cap — a
+// superstep past the cap. Only the first three kinds, drawn half the time,
+// have a bit (a vertex past bound has none), so every sequence mixes the
+// bits with the string-keyed fallback.
+func recordValue(r *rand.Rand, bound int64) value.Value {
+	switch r.Intn(12) {
+	case 0, 1, 2:
+		return value.NewInt(r.Int63n(bound + 2))
+	case 3, 4:
+		return value.NewFloat(float64(r.Int63n(bound + 2)))
+	case 5:
+		return value.NewFloat(math.Copysign(0, -1))
+	case 6:
+		return value.NewInt(-1 - r.Int63n(3))
+	case 7:
+		return value.NewFloat(float64(r.Intn(9)) + 0.5)
+	case 8:
+		return value.NewInt(1<<53 + r.Int63n(3))
+	case 9, 10:
+		return value.NewString([]string{"a", "b"}[r.Intn(2)])
+	default:
+		return value.NewInt(maxRecordSuperstep + r.Int63n(2))
+	}
+}
+
+// TestRecordKeyedReadsAsStringKeyed runs one random sequence of Insert,
+// insertCopy, Delete, Contains, Lookup, Clear, SaveState →
+// LoadState (in place) and shard merges on a record-keyed relation and on a
+// string-keyed one. The two must give the same answer to every call and hold
+// the same tuples in the same order, and SaveState must write the same bytes
+// for both. A merge models the barrier: three shards keep the tuples new to
+// the relation in their own bitsets (or, without a bit, sets), and only
+// order takes them.
+func TestRecordKeyedReadsAsStringKeyed(t *testing.T) {
+	const vertices = 6
+	rng := rand.New(rand.NewSource(37))
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rel, ref := NewRelation(2), NewRelation(2)
+		rel.keyRecords(vertices)
+		if rel.bits == nil || ref.bits != nil {
+			return false
+		}
+		for range 3 {
+			rel.sets = append(rel.sets, map[string]Tuple{})
+			rel.bitSets = append(rel.bitSets, &recordBits{n: vertices})
+		}
+		dbs := [2]*Database{NewDatabase(), NewDatabase()}
+		dbs[0].rels["h"], dbs[1].rels["h"] = rel, ref
+		// Half the draws repeat an earlier one, so deletes and probes hit.
+		var drawn []Tuple
+		mk := func() Tuple {
+			if len(drawn) > 0 && r.Intn(2) == 0 {
+				return drawn[r.Intn(len(drawn))]
+			}
+			ss := int64(4)
+			if r.Intn(4) == 0 {
+				ss = maxRecordSuperstep
+			}
+			tu := Tuple{recordValue(r, vertices), recordValue(r, ss)}
+			drawn = append(drawn, tu)
+			return tu
+		}
+		var kb, refKB []byte
+		sharded := false // a shard holds a member
+		for step := 0; step < 120; step++ {
+			tu := mk()
+			switch op := r.Intn(20); {
+			case op < 4:
+				if rel.Insert(tu.Clone()) != ref.Insert(tu.Clone()) {
+					return false
+				}
+			case op < 9:
+				c, ok := rel.insertCopy(tu, &kb)
+				refC, refOK := ref.insertCopy(tu, &refKB)
+				if ok != refOK || ok && (c.Key() != refC.Key() || &c[0] == &tu[0]) {
+					return false
+				}
+			case op < 11:
+				// Delete is for aggregate heads, which have no shards.
+				if !sharded && rel.Delete(tu) != ref.Delete(tu) {
+					return false
+				}
+			case op < 14:
+				if rel.Contains(tu) != ref.Contains(tu) {
+					return false
+				}
+			case op < 17:
+				for range r.Intn(4) {
+					tu := mk()
+					if rel.Contains(tu) {
+						continue
+					}
+					sh := r.Intn(3)
+					if v, s, ok := rel.bitOf(tu); ok {
+						rel.bitSets[sh].set(v, s)
+					} else {
+						rel.sets[sh][tu.Key()] = tu
+					}
+					rel.appendNew(tu)
+					sharded = true
+					if !ref.Insert(tu) {
+						return false
+					}
+				}
+			case op < 18:
+				cols := [][]int{{0}, {1}, {0, 1}}[r.Intn(3)]
+				key := make([]value.Value, len(cols))
+				for i, c := range cols {
+					key[i] = tu[c]
+				}
+				if !sameKeys(rel.Lookup(cols, key), ref.Lookup(cols, key)) {
+					return false
+				}
+			case op < 19:
+				var saved [2][]byte
+				for i, db := range dbs {
+					w := value.NewBlob()
+					db.SaveState(w)
+					saved[i] = w.Bytes()
+				}
+				if string(saved[0]) != string(saved[1]) {
+					return false
+				}
+				for _, db := range dbs {
+					if err := db.LoadState(value.NewBlobReader(saved[0])); err != nil {
+						return false
+					}
+				}
+				sharded = false
+			default:
+				rel.Clear()
+				ref.Clear()
+				sharded = false
+			}
+			if rel.Len() != ref.Len() || !sameKeys(rel.All(), ref.All()) {
+				return false
+			}
+		}
+		return rel.bits != nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRecordKeyedLoadStateBounded: a checkpoint naming a superstep past the
+// cap (here 2^40) restores that tuple by its string key, so LoadState
+// allocates nothing in proportion to the superstep; one just under the cap
+// costs at most the cap's slice headers.
+func TestRecordKeyedLoadStateBounded(t *testing.T) {
+	for _, c := range []struct {
+		ss  int64
+		max int64 // MemSize bound
+	}{
+		{1 << 40, 1 << 10},
+		{maxRecordSuperstep - 1, 2*24*maxRecordSuperstep + 1<<10},
+	} {
+		src := NewDatabase()
+		src.Relation("h", 2).Insert(ints(3, c.ss))
+		w := value.NewBlob()
+		src.SaveState(w)
+		db := NewDatabase()
+		db.Relation("h", 2).keyRecords(8)
+		load := func() {
+			if err := db.LoadState(value.NewBlobReader(w.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, load); c.ss == 1<<40 && allocs > 16 {
+			t.Errorf("superstep %d: LoadState allocates %.0f times a run", c.ss, allocs)
+		}
+		h := db.Get("h")
+		if !h.Contains(ints(3, c.ss)) || h.Len() != 1 {
+			t.Fatalf("superstep %d: the tuple was not restored", c.ss)
+		}
+		if got := h.MemSize(); got > c.max {
+			t.Errorf("superstep %d: MemSize %d after LoadState, bound %d", c.ss, got, c.max)
+		}
+	}
 }

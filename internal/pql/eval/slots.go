@@ -121,11 +121,12 @@ type program struct {
 // step, ending its enumeration — as errRowExists ends a negated scan.
 var errCut = errors.New("eval: head bound")
 
-// slotRun is per-goroutine scratch state: the slot array, reused key, row
-// and head buffers, the firing's delta batch and emit sink, and — on the
-// record-sourced path — the record and graph the record sources read. A
-// partition shard's run also reads its overlay: relation steps see the
-// database's tuples, then the overlay's; negations probe as has does.
+// slotRun is per-goroutine scratch state: the slot array, reused key,
+// argument, row and head buffers, the firing's delta batch and emit sink,
+// the relations its relation steps read, and — on the record-sourced path —
+// the record and graph the record sources read. A partition shard's run also
+// reads its overlay: relation steps see the database's tuples, then the
+// overlay's; negations probe as has does.
 //
 // The emit sink receives the head buffer itself, overwritten by the next
 // firing: a sink that keeps a tuple must copy it (Relation.insertCopy), and
@@ -139,15 +140,22 @@ type slotRun struct {
 	slots   []value.Value
 	rowBuf  [][]value.Value // per step, reused across rows
 	factIdx []factIndex     // per step, emitted-fact index of the current record
-	keyBuf  []byte
-	head    Tuple
-	deltas  []Tuple
-	emit    func(Tuple) error
+	// rels and ovls hold, per step, the database's and the overlay's relation
+	// a relation step reads (nil: none), resolved once per firing by prep.
+	rels   []*Relation
+	ovls   []*Relation
+	keyBuf []byte
+	argBuf Tuple
+	head   Tuple
+	deltas []Tuple
+	emit   func(Tuple) error
 }
 
-// prep sizes the scratch for p and installs the delta batch and sink.
-// Stale slot values from a previous firing are harmless: the static binding
-// discipline guarantees every slot is written before it is read.
+// prep sizes the scratch for p, resolves its relation steps' relations and
+// installs the delta batch and sink. A relation missing now stays missing
+// for the firing. Stale slot values from a previous firing are harmless: the
+// static binding discipline guarantees every slot is written before it is
+// read.
 func (rn *slotRun) prep(p *program, deltas []Tuple, emit func(Tuple) error) {
 	if cap(rn.slots) < p.nSlots {
 		rn.slots = make([]value.Value, p.nSlots)
@@ -162,6 +170,19 @@ func (rn *slotRun) prep(p *program, deltas []Tuple, emit func(Tuple) error) {
 	for len(rn.rowBuf) < len(p.steps) {
 		rn.rowBuf = append(rn.rowBuf, nil)
 		rn.factIdx = append(rn.factIdx, factIndex{})
+		rn.rels = append(rn.rels, nil)
+		rn.ovls = append(rn.ovls, nil)
+	}
+	for i := range p.steps {
+		st := &p.steps[i]
+		rn.rels[i], rn.ovls[i] = nil, nil
+		if st.kind == stepCompare || st.rows != rowsRelation {
+			continue
+		}
+		rn.rels[i] = rn.db.Get(st.pred)
+		if rn.ovl != nil {
+			rn.ovls[i] = rn.ovl.Get(st.pred)
+		}
 	}
 	rn.deltas = deltas
 	rn.emit = emit
@@ -208,6 +229,20 @@ func (rn *slotRun) key(srcs []slotSrc) ([]byte, error) {
 	}
 	rn.keyBuf = kb
 	return kb, nil
+}
+
+// args evaluates srcs into the reused argument buffer.
+func (rn *slotRun) args(srcs []slotSrc) (Tuple, error) {
+	t := rn.argBuf[:0]
+	for i := range srcs {
+		v, err := srcs[i].eval(rn.slots)
+		if err != nil {
+			return nil, err
+		}
+		t = append(t, v)
+	}
+	rn.argBuf = t
+	return t, nil
 }
 
 // matchRow runs the step's match actions against one candidate row.
@@ -292,11 +327,11 @@ func (p *program) exec(rn *slotRun, si int) error {
 	case st.kind == stepNegated:
 		// Evaluate the arguments before the nil-relation check so UDF and
 		// arithmetic errors surface whether or not the relation exists.
-		kb, err := rn.key(st.negSrc)
+		t, err := rn.args(st.negSrc)
 		if err != nil {
 			return err
 		}
-		if rn.has(st.pred, kb) {
+		if rn.has(si, t) {
 			return nil
 		}
 		return p.run(rn, si+1)
@@ -305,7 +340,7 @@ func (p *program) exec(rn *slotRun, si int) error {
 		return p.each(rn, si, st, rn.deltas)
 
 	default: // stepPositive over a Relation (and the overlay's)
-		rel, ovl := rn.db.Get(st.pred), rn.overlay(st.pred)
+		rel, ovl := rn.rels[si], rn.ovls[si]
 		if rel == nil && ovl == nil {
 			return nil
 		}
@@ -326,23 +361,23 @@ func (p *program) exec(rn *slotRun, si int) error {
 	}
 }
 
-// overlay returns the run's overlay relation for pred, or nil.
-func (rn *slotRun) overlay(pred string) *Relation {
-	if rn.ovl == nil {
-		return nil
+// has reports whether step si's relation holds t: on the main shard, in rows,
+// bits or any shard set or bitset; on a partition shard, whose IDB literals
+// are anchored or static-only, in the frozen rows and bits or its own set
+// and bitset.
+func (rn *slotRun) has(si int, t Tuple) bool {
+	rel, ovl := rn.rels[si], rn.ovls[si]
+	if v, s, ok := rel.bitOf(t); ok {
+		if rn.ovl == nil {
+			return rel.hasBit(v, s)
+		}
+		return rel.bits.has(v, s) || ovl != nil && ovl.bits.has(v, s)
 	}
-	return rn.ovl.Get(pred)
-}
-
-// has reports whether relation pred holds the tuple keyed kb: on the main
-// shard, in rows or any shard set; on a partition shard, whose IDB literals
-// are anchored or static-only, in the frozen rows or its own set.
-func (rn *slotRun) has(pred string, kb []byte) bool {
-	rel := rn.db.Get(pred)
+	rn.keyBuf = appendKey(rn.keyBuf[:0], t)
+	kb := rn.keyBuf
 	if rn.ovl == nil {
-		return rel != nil && rel.containsKeyBytes(kb)
+		return rel != nil && rel.inKeyed(kb)
 	}
-	ovl := rn.ovl.Get(pred)
 	return rel != nil && rel.inRows(kb) || ovl != nil && ovl.inRows(kb)
 }
 

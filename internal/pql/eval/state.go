@@ -18,21 +18,28 @@ import (
 // panics on corrupt input (BlobReader is bounds-checked with a sticky
 // error).
 
-// Clear empties the relation in place, shard sets included, preserving its
-// identity (compiled rules hold *Relation pointers, so restore refills the
-// same objects rather than swap them), its index definitions and its
-// capacity. A slice All returned before is overwritten by later inserts.
+// Clear empties the relation in place, shard sets and bitsets included,
+// preserving its identity (compiled rules hold *Relation pointers, so
+// restore refills the same objects rather than swap them), its index
+// definitions and its capacity. A slice All returned before is overwritten
+// by later inserts.
 func (r *Relation) Clear() {
 	clear(r.rows)
 	for _, s := range r.sets {
 		clear(s)
 	}
+	if r.bits != nil {
+		r.bits.reset()
+		for _, b := range r.bitSets {
+			b.reset()
+		}
+	}
 	r.truncate()
 }
 
-// truncate empties order and every index but keeps rows: a partition
-// shard's overlay starts each superstep so, its rows being the shard's
-// dedup set.
+// truncate empties order and every index but keeps rows and bits: a
+// partition shard's overlay starts each superstep so, its rows and bits
+// being the shard's dedup set.
 func (r *Relation) truncate() {
 	r.order = r.order[:0]
 	for _, idx := range r.indexes {

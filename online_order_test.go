@@ -162,21 +162,26 @@ func tcpWorkersFor(t *testing.T, g *ariadne.Graph, prog func() engine.Program, p
 }
 
 // TestOnlineShedMatchesLayered sheds partition 1's capture from superstep 3
-// (its first capture failure, with DegradeCaptureAfter 1) while Query 6 runs
-// online. Capture sheds the partition in the same superstep, before the
-// online query observes it, so the online query must drop the partition from
+// (its first capture failure, with DegradeCaptureAfter 1) while Queries 6, 5
+// and 1 run online. Capture sheds the partition in the same superstep,
+// before the online queries observe it, so each must drop the partition from
 // that superstep on as well: its relations equal layered evaluation of the
-// degraded store, in insertion order, and hold fewer tuples than a run
-// without the fault.
+// degraded store, in insertion order, and Query 6's hold fewer tuples than a
+// run without the fault. Their heads of the form h(X, I) are record-keyed,
+// so the shed partition's tuples must leave its shard's bitsets.
 func TestOnlineShedMatchesLayered(t *testing.T) {
 	g := rmatGraph(t)
+	defs := []ariadne.QueryDef{queries.SilentChange(), queries.MonotoneCheck(), queries.Apt(0.5, nil)}
 	run := func(opts ...ariadne.Option) *ariadne.Result {
 		t.Helper()
-		res, err := ariadne.Run(g, &analytics.SSSP{}, append([]ariadne.Option{
+		base := []ariadne.Option{
 			ariadne.WithPartitions(4),
 			ariadne.WithCaptureQuery(queries.CaptureFull(), ariadne.StoreConfig{}),
-			ariadne.WithOnlineQuery(queries.SilentChange()),
-		}, opts...)...)
+		}
+		for _, def := range defs {
+			base = append(base, ariadne.WithOnlineQuery(def))
+		}
+		res, err := ariadne.Run(g, &analytics.SSSP{}, append(base, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,19 +200,21 @@ func TestOnlineShedMatchesLayered(t *testing.T) {
 	}
 	sameFinalValues(t, res.Values, clean.Values)
 
-	def := queries.SilentChange()
-	layered, err := ariadne.QueryOffline(def, res.Provenance, g, ariadne.ModeLayered, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	online := res.Query(def.Name)
-	for _, rel := range online.DerivedRelations() {
-		got := relationKeys(online, rel.Name, false)
-		if want := relationKeys(layered, rel.Name, false); !slices.Equal(got, want) {
-			t.Errorf("online %s (%d tuples) differs from layered over the degraded store (%d)", rel.Name, len(got), len(want))
+	for _, def := range defs {
+		layered, err := ariadne.QueryOffline(def, res.Provenance, g, ariadne.ModeLayered, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		online := res.Query(def.Name)
+		for _, rel := range online.DerivedRelations() {
+			got := relationKeys(online, rel.Name, false)
+			if want := relationKeys(layered, rel.Name, false); !slices.Equal(got, want) {
+				t.Errorf("%s: online %s (%d tuples) differs from layered over the degraded store (%d)", def.Name, rel.Name, len(got), len(want))
+			}
 		}
 	}
-	shed, full := online.Relation("neighbor_change").Len(), clean.Query(def.Name).Relation("neighbor_change").Len()
+	def := defs[0]
+	shed, full := res.Query(def.Name).Relation("neighbor_change").Len(), clean.Query(def.Name).Relation("neighbor_change").Len()
 	if shed >= full {
 		t.Errorf("neighbor_change holds %d tuples shed, %d without the fault: nothing was dropped", shed, full)
 	}
