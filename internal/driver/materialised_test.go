@@ -167,12 +167,13 @@ func TestCompiledMatchesMaterialised(t *testing.T) {
 
 // TestMaterialisedOrderIndependentOfGOMAXPROCS: the materialised evaluator
 // runs on the calling goroutine, so the core count cannot reach its results.
-// Query 3's lineage and Query 1 through the layered driver's materialised leg
-// and through naive evaluation derive every relation in the same insertion
-// order at GOMAXPROCS 1 and 4.
+// Query 3's lineage, Query 1 and Query 8's aggregates through the layered
+// driver's materialised leg and through naive evaluation derive every
+// relation in the same insertion order at GOMAXPROCS 1 and 4.
 func TestMaterialisedOrderIndependentOfGOMAXPROCS(t *testing.T) {
 	g, store := captureEmitting(t, 8)
-	defs := []queries.Definition{queries.CaptureForwardLineage(0), queries.Apt(0.01, nil)}
+	defs := []queries.Definition{queries.CaptureForwardLineage(0), queries.Apt(0.01, nil),
+		queries.ALSErrorIncrease(0.01)}
 	run := func(procs int) map[string]map[string][]string {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		out := map[string]map[string][]string{}

@@ -31,6 +31,7 @@ type aggState struct {
 	max     float64
 	seen    map[string]bool // dedup keys (per COUNT arg or per valuation)
 	current Tuple           // head tuple currently in the relation, or nil
+	touched bool            // queued in aggTable.touched
 }
 
 type aggTable struct {
@@ -38,13 +39,21 @@ type aggTable struct {
 	pos     pql.Pos
 	arity   int
 	groups  map[string]*aggState
-	touched map[*aggState]bool // groups changed since the last flush
-	kb      []byte             // canonical-key scratch: probes allocate nothing
+	touched []*aggState // groups changed since the last flush, in first-touch order
+	kb      []byte      // canonical-key scratch: probes allocate nothing
 }
 
 func newAggTable(r *pql.Rule, plan *rulePlan) *aggTable {
 	return &aggTable{plan: plan, pos: r.Pos, arity: len(r.Head.Args),
-		groups: map[string]*aggState{}, touched: map[*aggState]bool{}}
+		groups: map[string]*aggState{}}
+}
+
+// touch queues st for the next flush, once.
+func (a *aggTable) touch(st *aggState) {
+	if !st.touched {
+		st.touched = true
+		a.touched = append(a.touched, st)
+	}
 }
 
 // fold consumes one satisfying body valuation, laid out as the aggregate
@@ -72,7 +81,7 @@ func (a *aggTable) fold(row Tuple) error {
 				continue
 			}
 			st.count++
-			a.touched[st] = true
+			a.touch(st)
 		case pql.AggSum, pql.AggAvg:
 			// Dedup on the full body valuation.
 			if !st.firstSeen(&a.kb, 's', ai, valuation) {
@@ -83,14 +92,14 @@ func (a *aggTable) fold(row Tuple) error {
 			}
 			st.sum += v.Float()
 			st.count++
-			a.touched[st] = true
+			a.touch(st)
 		case pql.AggMin:
 			if !v.IsNumeric() {
 				return fmt.Errorf("pql: %s: MIN needs numeric input, got %s", a.pos, v.Kind())
 			}
 			if v.Float() < st.min {
 				st.min = v.Float()
-				a.touched[st] = true
+				a.touch(st)
 			}
 		case pql.AggMax:
 			if !v.IsNumeric() {
@@ -98,7 +107,7 @@ func (a *aggTable) fold(row Tuple) error {
 			}
 			if v.Float() > st.max {
 				st.max = v.Float()
-				a.touched[st] = true
+				a.touch(st)
 			}
 		}
 	}
@@ -129,10 +138,12 @@ func (st *aggState) firstSeen(kb *[]byte, tag byte, ai int, t Tuple) bool {
 }
 
 // flush replaces the head tuples of the groups touched since the last
-// flush, handing each new tuple to insert, which copies what it keeps.
+// flush, in first-touch order, handing each new tuple to insert, which
+// copies what it keeps.
 func (a *aggTable) flush(head *Relation, insert func(Tuple) error) error {
 	plan := a.plan
-	for st := range a.touched {
+	for _, st := range a.touched {
+		st.touched = false
 		old := append(Tuple(nil), st.current...)
 		hadResult := false
 		for _, c := range plan.aggCols {
@@ -161,6 +172,6 @@ func (a *aggTable) flush(head *Relation, insert func(Tuple) error) error {
 			return err
 		}
 	}
-	clear(a.touched)
+	a.touched = a.touched[:0]
 	return nil
 }

@@ -1,7 +1,8 @@
 // Package eval implements PQL query evaluation: relations with hash
-// indexes, semi-naive stratified Datalog with negation and aggregation, and
-// the three evaluation drivers of the paper — Naive (full materialization,
-// §6.2 "Naive"), Layered (§5.1), and Online (§5.2).
+// indexes, semi-naive stratified Datalog with negation and aggregation over
+// slot programs, and the compiled per-record strata online evaluation runs.
+// The paper's three evaluation drivers — Naive (§6.2 "Naive"), Layered
+// (§5.1) and Online (§5.2) — live in internal/driver and call into it.
 package eval
 
 import (

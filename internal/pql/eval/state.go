@@ -212,7 +212,7 @@ func (e *Evaluator) LoadState(r *value.BlobReader) error {
 			break
 		}
 		table.groups = map[string]*aggState{}
-		table.touched = map[*aggState]bool{}
+		table.touched = nil
 		for j := 0; j < nGroups && r.Err() == nil; j++ {
 			k, err := canonicalKey(r.String(), false)
 			if err != nil {

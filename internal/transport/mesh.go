@@ -1,22 +1,21 @@
 // Worker-to-worker fragment routing. After an exec, the worker routes each
 // outbox column straight to the worker that owns the destination partition
-// — the master sees only aggregates, records, and counts. The receiving side parks columns in a fragStore keyed by
-// (emit superstep, destination partition, source partition) until its
-// delivery round folds them; the sending side keeps one persistent framed
-// connection per peer, handshaked by the same dialHandshake the master
-// uses, and waits for a synchronous ack before the exec reply goes back to
-// the master (so an acked column is durable at its destination before the
-// master advances the barrier). A failed or dropped
-// send is tolerated, not fatal: the column stays in the exec reply, the
-// master forwards it inside the deliver round, and only if that also fails
-// does the partition fall back to checkpoint + replay re-hydration.
+// — the master sees only aggregates, records, and counts. The receiving
+// side parks columns in a fragStore keyed by (emit superstep, destination
+// partition, source partition) until its delivery round folds them. The
+// sending side keeps one link per peer — the same connection type the
+// master dials its workers through (tcp.go): dial and fingerprint
+// handshake, framed writes, reply demux, teardown — and waits for a
+// synchronous ack before the exec reply goes back to the master (so an
+// acked column is durable at its destination before the master advances
+// the barrier). A failed or dropped send is tolerated, not fatal: the
+// column stays in the exec reply, the master forwards it inside the deliver
+// round, and only if that also fails does the partition fall back to
+// checkpoint + replay re-hydration.
 package transport
 
 import (
-	"bufio"
 	"context"
-	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,34 +76,34 @@ func (s *fragStore) prune(ss int) {
 const meshDeadline = 5 * time.Second
 
 // mesh is a worker's client side of the peer fabric: one lazily-dialed
-// connection per peer address, shared by all exec handlers.
+// link per peer address, shared by all exec handlers. A mesh redial counts
+// no master reconnect, so its links carry no hooks.
 type mesh struct {
-	w   *Worker
-	seq atomic.Uint64
+	w      *Worker
+	seq    atomic.Uint64
+	closed atomic.Bool
 
 	mu    sync.Mutex
-	peers map[string]*meshPeer
+	peers map[string]*link
 }
 
-func newMesh(w *Worker) *mesh {
-	return &mesh{w: w, peers: map[string]*meshPeer{}}
-}
-
-func (m *mesh) peer(addr string) *meshPeer {
+func (m *mesh) peer(addr string) *link {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p, ok := m.peers[addr]
 	if !ok {
-		p = &meshPeer{m: m, addr: addr, pending: map[uint64]chan struct{}{}}
+		p = newLink(addr, m.w.fingerprint(), meshDeadline, m.w.m, &m.closed)
 		m.peers[addr] = p
 	}
 	return p
 }
 
-// close tears down every peer connection (worker shutdown).
+// close marks the mesh closed, so an exec handler still in flight dials no
+// new link, then tears down every peer connection (worker shutdown).
 func (m *mesh) close() {
+	m.closed.Store(true)
 	m.mu.Lock()
-	peers := make([]*meshPeer, 0, len(m.peers))
+	peers := make([]*link, 0, len(m.peers))
 	for _, p := range m.peers {
 		peers = append(peers, p)
 	}
@@ -129,10 +128,10 @@ func (m *mesh) sendFrag(ctx context.Context, addr string, f *peerFrag) (int64, e
 	p := m.peer(addr)
 	switch act {
 	case fault.NetDrop:
-		return 0, fmt.Errorf("transport: peer frag to %s dropped by injected fault", addr)
+		return 0, p.wrapErr("frag dropped by injected fault")
 	case fault.NetReset:
 		p.teardownAny()
-		return 0, fmt.Errorf("transport: peer connection to %s reset by injected fault", addr)
+		return 0, p.wrapErr("connection reset by injected fault")
 	}
 	payload := encodePeerFrag(f)
 	var n int64
@@ -158,141 +157,13 @@ func (m *mesh) sendFrag(ctx context.Context, addr string, f *peerFrag) (int64, e
 	defer timer.Stop()
 	select {
 	case <-ctx.Done():
-		return n, fmt.Errorf("transport: peer frag to %s canceled: %w", addr, ctx.Err())
+		return n, p.wrapErr("frag canceled: %v", ctx.Err())
 	case <-timer.C:
-		return n, fmt.Errorf("transport: no frag ack from %s within %v", addr, meshDeadline)
+		return n, p.wrapErr("no frag ack within %v", meshDeadline)
 	case _, ok := <-ch:
 		if !ok {
-			return n, fmt.Errorf("transport: peer connection to %s lost awaiting frag ack", addr)
+			return n, p.wrapErr("connection lost awaiting frag ack")
 		}
 		return n, nil
-	}
-}
-
-// meshPeer is one worker->worker connection: dial + fingerprint handshake
-// on first use, a write mutex for frame interleaving, and an ack demux.
-type meshPeer struct {
-	m    *mesh
-	addr string
-
-	mu      sync.Mutex
-	conn    net.Conn
-	wr      *bufio.Writer
-	gen     int
-	pending map[uint64]chan struct{}
-}
-
-// ensure dials and handshakes if the peer is not connected.
-func (p *meshPeer) ensure() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn != nil {
-		return nil
-	}
-	conn, err := net.DialTimeout("tcp", p.addr, meshDeadline)
-	if err != nil {
-		return fmt.Errorf("transport: mesh dial %s: %v", p.addr, err)
-	}
-	if err := dialHandshake(conn, p.m.w.fingerprint(), meshDeadline); err != nil {
-		conn.Close()
-		return fmt.Errorf("transport: mesh peer %s: %v", p.addr, err)
-	}
-	p.gen++
-	p.conn = conn
-	p.wr = bufio.NewWriter(conn)
-	go p.readLoop(conn, p.gen)
-	return nil
-}
-
-func (p *meshPeer) send(typ byte, seq uint64, payload []byte) (int, error) {
-	if err := p.ensure(); err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	conn, gen, wr := p.conn, p.gen, p.wr
-	if conn == nil {
-		p.mu.Unlock()
-		return 0, fmt.Errorf("transport: mesh connection to %s lost", p.addr)
-	}
-	n, err := writeFrame(wr, typ, seq, payload)
-	if err == nil {
-		err = wr.Flush()
-	}
-	p.mu.Unlock()
-	if err != nil {
-		p.teardown(conn, gen)
-		return n, fmt.Errorf("transport: mesh send to %s: %v", p.addr, err)
-	}
-	m := p.m.w.m
-	m.Counter(obs.MetricNetMessagesSent).Add(1)
-	m.Counter(obs.MetricNetBytesSent).Add(int64(n))
-	return n, nil
-}
-
-func (p *meshPeer) register(seq uint64) chan struct{} {
-	ch := make(chan struct{}, 2)
-	p.mu.Lock()
-	p.pending[seq] = ch
-	p.mu.Unlock()
-	return ch
-}
-
-func (p *meshPeer) unregister(seq uint64) {
-	p.mu.Lock()
-	delete(p.pending, seq)
-	p.mu.Unlock()
-}
-
-func (p *meshPeer) readLoop(conn net.Conn, gen int) {
-	r := bufio.NewReader(conn)
-	for {
-		typ, seq, payload, n, err := readFrame(r)
-		if err != nil {
-			p.teardown(conn, gen)
-			return
-		}
-		m := p.m.w.m
-		m.Counter(obs.MetricNetMessagesRecv).Add(1)
-		m.Counter(obs.MetricNetBytesRecv).Add(int64(n))
-		switch typ {
-		case framePeerAck:
-			p.mu.Lock()
-			ch := p.pending[seq]
-			p.mu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- struct{}{}:
-				default:
-				}
-			}
-		case frameError:
-			m.Tracef(obs.Error, "transport", -1, "mesh peer %s reported: %s", p.addr, payload)
-		}
-	}
-}
-
-func (p *meshPeer) teardown(conn net.Conn, gen int) {
-	p.mu.Lock()
-	if p.gen != gen || p.conn != conn {
-		p.mu.Unlock()
-		conn.Close()
-		return
-	}
-	p.conn = nil
-	p.wr = nil
-	for seq, ch := range p.pending {
-		close(ch)
-		delete(p.pending, seq)
-	}
-	p.mu.Unlock()
-	conn.Close()
-}
-
-func (p *meshPeer) teardownAny() {
-	p.mu.Lock()
-	conn, gen := p.conn, p.gen
-	p.mu.Unlock()
-	if conn != nil {
-		p.teardown(conn, gen)
 	}
 }

@@ -134,7 +134,7 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 	}
 	t := &TCP{cfg: cfg, stop: make(chan struct{}), assign: map[int]int{}, lastExec: map[int]int{}}
 	for _, addr := range cfg.Addrs {
-		t.peers = append(t.peers, &peer{t: t, addr: addr, pending: map[uint64]chan []byte{}, probedSS: -1})
+		t.peers = append(t.peers, newPeer(t, addr))
 	}
 	for _, p := range t.peers {
 		if err := p.ensure(); err != nil {
@@ -450,75 +450,70 @@ func (t *TCP) deliverPeer(ctx context.Context, pi int, sub *engine.DeliverReques
 	return res
 }
 
-// peer is one worker connection with its demux and pool-health state.
-type peer struct {
-	t    *TCP
-	addr string
+// link is one client connection to a worker, for the master's pool and a
+// worker's mesh alike: a lazy dial plus fingerprint handshake, a write lock
+// that keeps frames whole, a seq-keyed reply demux fed by a read loop, and
+// generation-checked teardown. An owner layers its own state on top through
+// two hooks: onConnect runs under mu after each fresh handshake, onDrain
+// when the worker announces a graceful shutdown.
+type link struct {
+	addr      string
+	fp        Fingerprint
+	timeout   time.Duration // bounds dial plus handshake
+	m         *obs.Metrics
+	closed    *atomic.Bool // set by the owner's Close; a closed link never dials
+	onConnect func()
+	onDrain   func()
 
 	mu      sync.Mutex
 	conn    net.Conn
 	w       *bufio.Writer
 	gen     int // bumped per established connection; reader goroutines check it
 	pending map[uint64]chan []byte
-	hbMiss  int
-	// Failover state machine (pool.go): healthy/suspect/dead/draining,
-	// consecutive-failure count, and the superstep of the last revival
-	// probe (dead peers are probed at most once per superstep).
-	state    workerState
-	fails    int
-	probedSS int
 }
 
-func (p *peer) wrapErr(format string, args ...any) error {
-	return fmt.Errorf("%w: peer %s: %s", engine.ErrTransport, p.addr, fmt.Sprintf(format, args...))
+func newLink(addr string, fp Fingerprint, timeout time.Duration, m *obs.Metrics, closed *atomic.Bool) *link {
+	return &link{addr: addr, fp: fp, timeout: timeout, m: m, closed: closed, pending: map[uint64]chan []byte{}}
 }
 
-// ensure dials and handshakes if the peer is not connected. The reader
+func (l *link) wrapErr(format string, args ...any) error {
+	return fmt.Errorf("%w: peer %s: %s", engine.ErrTransport, l.addr, fmt.Sprintf(format, args...))
+}
+
+// ensure dials and handshakes if the link is not connected. The reader
 // goroutine it starts owns the receive side of the connection until it
-// dies, at which point every pending exchange fails over to retransmit.
-func (p *peer) ensure() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn != nil {
+// dies, at which point every pending exchange fails.
+func (l *link) ensure() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conn != nil {
 		return nil
 	}
-	if p.t.closed.Load() {
-		return p.wrapErr("client closed")
+	if l.closed.Load() {
+		return l.wrapErr("client closed")
 	}
-	conn, err := net.DialTimeout("tcp", p.addr, p.t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", l.addr, l.timeout)
 	if err != nil {
-		return p.wrapErr("dial: %v", err)
+		return l.wrapErr("dial: %v", err)
 	}
-	if err := dialHandshake(conn, p.t.cfg.Fingerprint, p.t.cfg.DialTimeout); err != nil {
+	if err := dialHandshake(conn, l.fp, l.timeout); err != nil {
 		conn.Close()
-		return p.wrapErr("%v", err)
+		return l.wrapErr("%v", err)
 	}
-	p.gen++
-	m := p.t.cfg.Metrics
-	if p.gen > 1 {
-		m.Counter(obs.MetricNetReconnects).Add(1)
+	l.gen++
+	if l.onConnect != nil {
+		l.onConnect()
 	}
-	if p.state == stateDead || p.state == stateDraining {
-		// A previously written-off worker passed a fresh fingerprint
-		// handshake: re-admit it. Its reply-dedup cache is empty, which the
-		// seq protocol tolerates — a retransmitted request recomputes and
-		// returns the same bits.
-		m.Counter(obs.MetricFailoverRejoins).Add(1)
-		m.Tracef(obs.Info, "transport", -1, "peer %s rejoined the pool", p.addr)
-	}
-	p.state = stateHealthy
-	p.fails = 0
-	p.conn = conn
-	p.w = bufio.NewWriter(conn)
-	p.hbMiss = 0
-	go p.readLoop(conn, p.gen)
+	l.conn = conn
+	l.w = bufio.NewWriter(conn)
+	go l.readLoop(conn, l.gen)
 	return nil
 }
 
 // dialHandshake runs the dialing side of the versioned hello/welcome
-// exchange on a fresh conn, for the master and for a mesh worker alike:
-// send our hello, read the welcome, and check it echoes our fingerprint.
-// The error says what failed; the caller names the peer.
+// exchange on a fresh conn: send our hello, read the welcome, and check it
+// echoes our fingerprint. The error says what failed; the caller names the
+// peer.
 func dialHandshake(conn net.Conn, fp Fingerprint, timeout time.Duration) error {
 	conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
@@ -546,25 +541,25 @@ func dialHandshake(conn net.Conn, fp Fingerprint, timeout time.Duration) error {
 	return nil
 }
 
-// readLoop owns conn's receive side: it dispatches result and pong frames
-// to the exchange that registered their sequence number. On any read error
-// it tears the connection down, failing every pending exchange promptly.
-func (p *peer) readLoop(conn net.Conn, gen int) {
+// readLoop owns conn's receive side: it dispatches reply frames (result,
+// deliver result, pong, frag ack) to the exchange that registered their
+// sequence number. On any read error it tears the connection down, failing
+// every pending exchange promptly.
+func (l *link) readLoop(conn net.Conn, gen int) {
 	r := bufio.NewReader(conn)
 	for {
 		typ, seq, payload, n, err := readFrame(r)
 		if err != nil {
-			p.teardown(conn, gen)
+			l.teardown(conn, gen)
 			return
 		}
-		m := p.t.cfg.Metrics
-		m.Counter(obs.MetricNetMessagesRecv).Add(1)
-		m.Counter(obs.MetricNetBytesRecv).Add(int64(n))
+		l.m.Counter(obs.MetricNetMessagesRecv).Add(1)
+		l.m.Counter(obs.MetricNetBytesRecv).Add(int64(n))
 		switch typ {
-		case frameResult, framePong, frameDeliverRes:
-			p.mu.Lock()
-			ch := p.pending[seq]
-			p.mu.Unlock()
+		case frameResult, framePong, frameDeliverRes, framePeerAck:
+			l.mu.Lock()
+			ch := l.pending[seq]
+			l.mu.Unlock()
 			if ch != nil {
 				select {
 				case ch <- payload:
@@ -573,86 +568,129 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 			}
 		case frameDrain:
 			// Graceful worker shutdown: it finished its in-flight request
-			// and is deregistering. Stop routing to it; anything still
-			// pending on this connection fails over when the close lands.
-			p.markDraining()
+			// and is deregistering. Anything still pending on this
+			// connection fails when the close lands.
+			if l.onDrain != nil {
+				l.onDrain()
+			}
 		case frameError:
-			m.Tracef(obs.Error, "transport", -1, "peer %s reported: %s", p.addr, payload)
+			l.m.Tracef(obs.Error, "transport", -1, "peer %s reported: %s", l.addr, payload)
 		}
 	}
 }
 
 // teardown closes conn and fails pending exchanges, but only if conn is
-// still the peer's current connection of generation gen (a stale reader
+// still the link's current connection of generation gen (a stale reader
 // must not tear down its successor).
-func (p *peer) teardown(conn net.Conn, gen int) {
-	p.mu.Lock()
-	if p.gen != gen || p.conn != conn {
-		p.mu.Unlock()
+func (l *link) teardown(conn net.Conn, gen int) {
+	l.mu.Lock()
+	if l.gen != gen || l.conn != conn {
+		l.mu.Unlock()
 		conn.Close()
 		return
 	}
-	p.conn = nil
-	p.w = nil
-	for seq, ch := range p.pending {
+	l.conn = nil
+	l.w = nil
+	for seq, ch := range l.pending {
 		close(ch)
-		delete(p.pending, seq)
+		delete(l.pending, seq)
 	}
-	p.mu.Unlock()
+	l.mu.Unlock()
 	conn.Close()
 }
 
 // teardownAny tears down whatever connection is current.
-func (p *peer) teardownAny() {
-	p.mu.Lock()
-	conn, gen := p.conn, p.gen
-	p.mu.Unlock()
+func (l *link) teardownAny() {
+	l.mu.Lock()
+	conn, gen := l.conn, l.gen
+	l.mu.Unlock()
 	if conn != nil {
-		p.teardown(conn, gen)
+		l.teardown(conn, gen)
 	}
 }
 
 // register creates the reply slot for seq. The channel is buffered so the
 // read loop never blocks on a slow exchange (extra duplicates are dropped).
-func (p *peer) register(seq uint64) chan []byte {
+func (l *link) register(seq uint64) chan []byte {
 	ch := make(chan []byte, 2)
-	p.mu.Lock()
-	p.pending[seq] = ch
-	p.mu.Unlock()
+	l.mu.Lock()
+	l.pending[seq] = ch
+	l.mu.Unlock()
 	return ch
 }
 
-func (p *peer) unregister(seq uint64) {
-	p.mu.Lock()
-	delete(p.pending, seq)
-	p.mu.Unlock()
+func (l *link) unregister(seq uint64) {
+	l.mu.Lock()
+	delete(l.pending, seq)
+	l.mu.Unlock()
 }
 
 // send writes one frame on the current connection (establishing it first if
-// needed) under the write lock.
-func (p *peer) send(typ byte, seq uint64, payload []byte) error {
-	if err := p.ensure(); err != nil {
-		return err
+// needed) under the write lock and returns the bytes written.
+func (l *link) send(typ byte, seq uint64, payload []byte) (int, error) {
+	if err := l.ensure(); err != nil {
+		return 0, err
 	}
-	p.mu.Lock()
-	conn, gen, w := p.conn, p.gen, p.w
+	l.mu.Lock()
+	conn, gen, w := l.conn, l.gen, l.w
 	if conn == nil {
-		p.mu.Unlock()
-		return p.wrapErr("connection lost")
+		l.mu.Unlock()
+		return 0, l.wrapErr("connection lost")
 	}
 	n, err := writeFrame(w, typ, seq, payload)
 	if err == nil {
 		err = w.Flush()
 	}
-	p.mu.Unlock()
+	l.mu.Unlock()
 	if err != nil {
-		p.teardown(conn, gen)
-		return p.wrapErr("send: %v", err)
+		l.teardown(conn, gen)
+		return n, l.wrapErr("send: %v", err)
 	}
-	m := p.t.cfg.Metrics
-	m.Counter(obs.MetricNetMessagesSent).Add(1)
-	m.Counter(obs.MetricNetBytesSent).Add(int64(n))
-	return nil
+	l.m.Counter(obs.MetricNetMessagesSent).Add(1)
+	l.m.Counter(obs.MetricNetBytesSent).Add(int64(n))
+	return n, nil
+}
+
+// peer is one worker of the master's pool: its link plus the pool-health
+// state, which the link's mu also guards.
+type peer struct {
+	*link
+	t *TCP
+
+	hbMiss int
+	// Failover state machine (pool.go): healthy/suspect/dead/draining,
+	// consecutive-failure count, and the superstep of the last revival
+	// probe (dead peers are probed at most once per superstep).
+	state    workerState
+	fails    int
+	probedSS int
+}
+
+func newPeer(t *TCP, addr string) *peer {
+	p := &peer{t: t, probedSS: -1}
+	p.link = newLink(addr, t.cfg.Fingerprint, t.cfg.DialTimeout, t.cfg.Metrics, &t.closed)
+	p.onConnect = p.connected
+	p.onDrain = p.markDraining
+	return p
+}
+
+// connected runs under mu after every fresh handshake: it counts a
+// reconnect or a rejoin and resets the peer's health.
+func (p *peer) connected() {
+	if p.gen > 1 {
+		p.m.Counter(obs.MetricNetReconnects).Add(1)
+	}
+	if p.state == stateDead || p.state == stateDraining {
+		// A previously written-off worker passed a fresh fingerprint
+		// handshake: re-admit it. Its reply-dedup cache is empty, which the
+		// seq protocol tolerates — a retransmitted request recomputes and
+		// returns the same bits.
+		p.m.Counter(obs.MetricFailoverRejoins).Add(1)
+		p.m.Tracef(obs.Info, "transport", -1, "peer %s rejoined the pool", p.addr)
+	}
+	p.state = stateHealthy
+	p.fails = 0
+	p.hbMiss = 0
 }
 
 // roundTrip performs one request/reply exchange attempt under the message
@@ -690,12 +728,12 @@ func (p *peer) call(ctx context.Context, typ byte, ss, part int, seq uint64, pay
 		p.teardownAny()
 		return nil, 0, p.wrapErr("connection reset by injected fault")
 	case fault.NetDup:
-		if err := p.send(typ, seq, payload); err != nil {
+		if _, err := p.send(typ, seq, payload); err != nil {
 			return nil, 0, err
 		}
 		fallthrough
 	default:
-		if err := p.send(typ, seq, payload); err != nil {
+		if _, err := p.send(typ, seq, payload); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -751,7 +789,7 @@ func (p *peer) heartbeatLoop() {
 		seq := p.t.seq.Add(1)
 		ch := p.register(seq)
 		missed := false
-		if err := p.send(framePing, seq, nil); err != nil {
+		if _, err := p.send(framePing, seq, nil); err != nil {
 			missed = true
 		} else {
 			wait := time.NewTimer(interval)

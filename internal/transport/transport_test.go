@@ -711,7 +711,7 @@ func seedRequest(g *graph.Graph, ss, p int) *engine.ExecRequest {
 func TestPoolStateMachine(t *testing.T) {
 	m := obs.New()
 	tr := &TCP{cfg: TCPConfig{Metrics: m}.normalize(), assign: map[int]int{}}
-	p := &peer{t: tr, addr: "test:0", probedSS: -1}
+	p := newPeer(tr, "test:0")
 	tr.peers = []*peer{p}
 
 	if !p.routable() || p.state.String() != "healthy" {
@@ -752,29 +752,46 @@ func TestPoolStateMachine(t *testing.T) {
 // (the worker recomputes — same bits, just slower).
 func TestReplyCacheFIFO(t *testing.T) {
 	c := newReplyCache(3)
-	c.put(1, []byte("a"))
-	c.put(2, []byte("b"))
-	c.put(3, []byte("c"))
-	// Duplicate put must not reorder or duplicate the eviction queue.
-	c.put(1, []byte("a2"))
-	if r, ok := c.get(1); !ok || string(r) != "a" {
-		t.Fatalf("dup put overwrote: %q %v", r, ok)
+	store := func(seq uint64, reply string) {
+		t.Helper()
+		if _, ok := c.claim(seq); ok {
+			t.Fatalf("seq %d: claim hit a cached reply", seq)
+		}
+		c.finish(seq, []byte(reply))
 	}
-	c.put(4, []byte("d")) // evicts 1, the oldest
-	if _, ok := c.get(1); ok {
+	// cached looks seq up; a miss claims the seq, so it aborts the claim.
+	cached := func(seq uint64) (string, bool) {
+		r, ok := c.claim(seq)
+		if !ok {
+			c.finish(seq, nil)
+		}
+		return string(r), ok
+	}
+	store(1, "a")
+	store(2, "b")
+	store(3, "c")
+	// A second finish must not overwrite, reorder or duplicate the
+	// eviction queue.
+	c.finish(1, []byte("a2"))
+	if r, ok := cached(1); !ok || r != "a" {
+		t.Fatalf("dup finish overwrote: %q %v", r, ok)
+	}
+	store(4, "d") // evicts 1, the oldest
+	if _, ok := cached(1); ok {
 		t.Error("seq 1 should have been evicted first (FIFO)")
 	}
 	for seq, want := range map[uint64]string{2: "b", 3: "c", 4: "d"} {
-		if r, ok := c.get(seq); !ok || string(r) != want {
+		if r, ok := cached(seq); !ok || r != want {
 			t.Errorf("seq %d: got %q %v, want %q", seq, r, ok, want)
 		}
 	}
-	c.put(5, []byte("e")) // evicts 2
-	if _, ok := c.get(2); ok {
+	store(5, "e") // evicts 2
+	if _, ok := cached(2); ok {
 		t.Error("seq 2 should have been evicted second (FIFO)")
 	}
-	if len(c.replies) != 3 || len(c.order) != 3 {
-		t.Errorf("cache exceeded its bound: %d replies, %d order", len(c.replies), len(c.order))
+	if len(c.replies) != 3 || len(c.order) != 3 || len(c.inflight) != 0 {
+		t.Errorf("cache exceeded its bound: %d replies, %d order, %d in flight",
+			len(c.replies), len(c.order), len(c.inflight))
 	}
 }
 
@@ -875,6 +892,26 @@ func TestHandshakeRejectsMismatch(t *testing.T) {
 	err = w.mesh.peer(addrs[0]).ensure()
 	if err == nil || !strings.Contains(err.Error(), "handshake rejected: graph fingerprint mismatch") {
 		t.Errorf("mesh dial to a worker of another partitioning: %v", err)
+	}
+}
+
+// TestClosedWorkerDialsNoMeshPeer: an exec handler still in flight when its
+// worker closes can reach the mesh, and must not open a peer connection
+// there that nothing would ever tear down.
+func TestClosedWorkerDialsNoMeshPeer(t *testing.T) {
+	g := testGraph(t)
+	a := newTestWorker(t, g, "127.0.0.1:0")
+	b := newTestWorker(t, g, "127.0.0.1:0")
+	a.Close()
+	p := a.mesh.peer(b.Addr())
+	if err := p.ensure(); err == nil {
+		t.Error("a closed worker dialed a mesh peer")
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.conn != nil {
+		p.conn.Close()
+		t.Error("a closed worker left a mesh connection open")
 	}
 }
 

@@ -63,7 +63,7 @@ func NewWorker(x *engine.Executor, addr string, m *obs.Metrics) (*Worker, error)
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	w := &Worker{x: x, ln: ln, m: m, conns: map[net.Conn]struct{}{}}
-	w.mesh = newMesh(w)
+	w.mesh = &mesh{w: w, peers: map[string]*link{}}
 	return w, nil
 }
 
@@ -518,16 +518,4 @@ func (c *replyCache) finish(seq uint64, reply []byte) {
 		}
 	}
 	c.mu.Unlock()
-}
-
-// get and put keep the pre-pipelining surface for tests.
-func (c *replyCache) get(seq uint64) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.replies[seq]
-	return r, ok
-}
-
-func (c *replyCache) put(seq uint64, reply []byte) {
-	c.finish(seq, reply)
 }

@@ -23,25 +23,21 @@ import (
 var updateOrder = flag.Bool("update", false, "rewrite testdata/online_order.golden")
 
 // relationKeys lists a result relation's canonical tuple keys in insertion
-// order, or sorted when sorted is set.
-func relationKeys(r *ariadne.QueryResult, pred string, sorted bool) []string {
+// order.
+func relationKeys(r *ariadne.QueryResult, pred string) []string {
 	var keys []string
 	for _, t := range r.Relation(pred).All() {
 		keys = append(keys, t.Key())
-	}
-	if sorted {
-		slices.Sort(keys)
 	}
 	return keys
 }
 
 // TestOnlineOrderDifferential runs every online-evaluable paper query online
-// alongside a full capture (emitted facts included) — at 1, 4 and 19 partitions and over two TCP
-// workers — and requires each derived relation to equal layered evaluation
-// of that run's capture in insertion order. Query 8's aggregate heads, and
-// what derives from them, flush groups in map order, so its relations
-// compare as sets. The per-relation digests must agree across the legs and
-// with testdata/online_order.golden, the order of evaluation wholly at the
+// alongside a full capture (emitted facts included) — at 1, 4 and 19
+// partitions and over two TCP workers — and requires each derived relation
+// to equal layered evaluation of that run's capture in insertion order. The
+// per-relation digests must agree across the legs and with
+// testdata/online_order.golden, the order of evaluation wholly at the
 // barrier (regenerate with -update only for a deliberate change).
 func TestOnlineOrderDifferential(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(7, 4, 23))
@@ -64,7 +60,6 @@ func TestOnlineOrderDifferential(t *testing.T) {
 	if len(defs) != 9 {
 		t.Fatalf("%d online-evaluable paper queries, want 9", len(defs))
 	}
-	setOnly := map[string]bool{queries.ALSErrorIncrease(0.01).Name: true}
 
 	var first string
 	for _, leg := range []struct {
@@ -93,8 +88,8 @@ func TestOnlineOrderDifferential(t *testing.T) {
 			}
 			online := res.Query(def.Name)
 			for _, rel := range online.DerivedRelations() {
-				got := relationKeys(online, rel.Name, setOnly[def.Name])
-				if want := relationKeys(layered, rel.Name, setOnly[def.Name]); !slices.Equal(got, want) {
+				got := relationKeys(online, rel.Name)
+				if want := relationKeys(layered, rel.Name); !slices.Equal(got, want) {
 					t.Errorf("%s %s: online %s (%d tuples) differs from layered (%d)", leg.name, def.Name, rel.Name, len(got), len(want))
 				}
 				fmt.Fprintf(&digests, "%s %s %d %x\n", def.Name, rel.Name, len(got), sha256.Sum256([]byte(strings.Join(got, "\n"))))
@@ -207,8 +202,8 @@ func TestOnlineShedMatchesLayered(t *testing.T) {
 		}
 		online := res.Query(def.Name)
 		for _, rel := range online.DerivedRelations() {
-			got := relationKeys(online, rel.Name, false)
-			if want := relationKeys(layered, rel.Name, false); !slices.Equal(got, want) {
+			got := relationKeys(online, rel.Name)
+			if want := relationKeys(layered, rel.Name); !slices.Equal(got, want) {
 				t.Errorf("%s: online %s (%d tuples) differs from layered over the degraded store (%d)", def.Name, rel.Name, len(got), len(want))
 			}
 		}
