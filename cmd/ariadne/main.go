@@ -654,7 +654,7 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	fmt.Printf("query class=%s vc-compatible=%v\n", q.Class, q.VCCompatible)
-	ran, err := queryMode(*mode, q.Class)
+	ran, err := queryMode(*mode, q)
 	if err != nil {
 		return err
 	}
@@ -678,7 +678,9 @@ func cmdQuery(args []string) error {
 			*analytic, res.Stats.Supersteps, res.Duration.Round(1e6))
 		qr = res.Query(def.Name)
 	} else {
-		res, err := ariadne.Run(g, prog, append(opts,
+		// The registry's profiles reach the store as its telemetry, which
+		// feeds the superstep_profile and net_rpc EDBs.
+		res, err := ariadne.Run(g, prog, append(opts, ariadne.WithMetrics(ariadne.NewMetrics()),
 			ariadne.WithCaptureQuery(queries.CaptureFull(), provenance.StoreConfig{}))...)
 		if err != nil {
 			return err
@@ -708,18 +710,19 @@ func cmdQuery(args []string) error {
 	return nil
 }
 
-// queryMode resolves the query subcommand's -mode for a query of class cls
-// into the mode that runs: online, layered or naive. auto picks online when
-// the class allows it, else layered when the class allows it, else naive.
-func queryMode(mode string, cls analysis.Class) (string, error) {
+// queryMode resolves the query subcommand's -mode for q into the mode that
+// runs: online, layered or naive. auto picks online when q's class allows it
+// and q reads no EDB only a captured store holds, else layered when the class
+// allows it, else naive.
+func queryMode(mode string, q *analysis.Query) (string, error) {
 	switch mode {
 	case "online", "layered", "naive":
 		return mode, nil
 	case "auto":
 		switch {
-		case cls.OnlineEvaluable():
+		case q.Class.OnlineEvaluable() && q.StoreEDB() == "":
 			return "online", nil
-		case cls.LayeredEvaluable():
+		case q.Class.LayeredEvaluable():
 			return "layered", nil
 		}
 		return "naive", nil

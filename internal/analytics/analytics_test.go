@@ -3,6 +3,7 @@ package analytics
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"ariadne/internal/engine"
@@ -299,22 +300,25 @@ func TestALSAlternatesSides(t *testing.T) {
 
 type sideCount struct{ users, items int }
 
+// sideObserver tallies each partition's records as they arrive.
 type sideObserver struct {
+	mu          sync.Mutex
 	numUsers    int
 	sides       map[int]sideCount
 	sawErrFacts bool
 }
 
-func (o *sideObserver) Reads() engine.Fields                           { return engine.FieldReceived | engine.FieldEmitted }
-func (*sideObserver) ObservePartition(int, int, []engine.VertexRecord) {}
-func (o *sideObserver) ObserveSuperstep(v *engine.SuperstepView) error {
+func (o *sideObserver) Reads() engine.Fields { return engine.FieldReceived | engine.FieldEmitted }
+func (o *sideObserver) ObservePartition(_, ss int, recs []engine.VertexRecord) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	if o.sides == nil {
 		o.sides = map[int]sideCount{}
 	}
-	sc := o.sides[v.Superstep]
-	for _, r := range v.Records() {
+	sc := o.sides[ss]
+	for _, r := range recs {
 		// Count only vertices that actually recomputed their value.
-		if len(r.Received) == 0 && v.Superstep > 0 {
+		if len(r.Received) == 0 && ss > 0 {
 			continue
 		}
 		if int(r.ID) < o.numUsers {
@@ -328,10 +332,10 @@ func (o *sideObserver) ObserveSuperstep(v *engine.SuperstepView) error {
 			}
 		}
 	}
-	o.sides[v.Superstep] = sc
-	return nil
+	o.sides[ss] = sc
 }
-func (o *sideObserver) Finish(int) error { return nil }
+func (o *sideObserver) ObserveSuperstep(*engine.SuperstepView) error { return nil }
+func (o *sideObserver) Finish(int) error                             { return nil }
 
 func TestALSValidate(t *testing.T) {
 	if err := (&ALS{Features: 0, NumUsers: 1}).Validate(); err == nil {

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"ariadne/internal/engine"
@@ -182,21 +183,25 @@ func TestKCoreMonitorableOnline(t *testing.T) {
 	}
 }
 
+// boundObserver checks each partition's records as they arrive; a vertex
+// belongs to one partition, so the order across partitions does not matter.
 type boundObserver struct {
+	mu         sync.Mutex
 	last       map[engine.VertexID]float64
 	violations int
 }
 
-func (o *boundObserver) Reads() engine.Fields                           { return 0 }
-func (*boundObserver) ObservePartition(int, int, []engine.VertexRecord) {}
-func (o *boundObserver) ObserveSuperstep(v *engine.SuperstepView) error {
-	for _, r := range v.Records() {
+func (o *boundObserver) Reads() engine.Fields { return 0 }
+func (o *boundObserver) ObservePartition(_, _ int, recs []engine.VertexRecord) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, r := range recs {
 		b := r.NewValue.Vec()[0]
 		if prev, ok := o.last[r.ID]; ok && b > prev {
 			o.violations++
 		}
 		o.last[r.ID] = b
 	}
-	return nil
 }
-func (o *boundObserver) Finish(int) error { return nil }
+func (o *boundObserver) ObserveSuperstep(*engine.SuperstepView) error { return nil }
+func (o *boundObserver) Finish(int) error                             { return nil }

@@ -33,7 +33,7 @@ func observe(o *Observer, parts, ss int, recs ...engine.VertexRecord) error {
 		}(p, rs)
 	}
 	wg.Wait()
-	return o.ObserveSuperstep(engine.NewSuperstepView(ss, recs))
+	return o.ObserveSuperstep(&engine.SuperstepView{Superstep: ss})
 }
 
 func rec(id graph.VertexID, prev int, val float64, sent []engine.SentMessage, recv []engine.IncomingMessage) engine.VertexRecord {
@@ -178,7 +178,7 @@ func TestForwardLineageAcrossPartitions(t *testing.T) {
 				o.ObservePartition(p, ss, recs)
 			}
 		}
-		if err := o.ObserveSuperstep(engine.NewSuperstepView(ss, nil)); err != nil {
+		if err := o.ObserveSuperstep(&engine.SuperstepView{Superstep: ss}); err != nil {
 			t.Fatal(err)
 		}
 		l, err := store.Layer(ss)

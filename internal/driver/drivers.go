@@ -3,6 +3,8 @@ package driver
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"ariadne/internal/engine"
 	"ariadne/internal/graph"
@@ -143,10 +145,12 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 // lockstep with the analytic (paper §5.2, Theorem 5.4): each superstep's
 // transient provenance is fed as a delta batch and the query fixpoint runs
 // before the next superstep. At the end of the analytic both its result and
-// the query result exist; nothing is captured. On the compiled path the
-// in-partition strata run in ObservePartition, on each engine partition's
-// goroutine, and ObserveSuperstep merges their tuples and runs the barrier
-// strata.
+// the query result exist; nothing is captured. ObservePartition turns each
+// engine partition's records into record views once, on that partition's
+// goroutine, and the compiled path runs its in-partition strata over them
+// there. ObserveSuperstep merges the compiled path's tuples and, when the
+// barrier strata or the materialised feeder read them, the views of the
+// partitions not shed, in vertex order.
 type Online struct {
 	q  *analysis.Query
 	db *eval.Database
@@ -159,10 +163,14 @@ type Online struct {
 	ev *eval.Evaluator
 	f  *feeder
 
-	// views are the superstep's record views, reused across supersteps: the
-	// barrier strata's on the compiled path, the feeder's on the
-	// materialised one.
+	// parts are the partitions' views, created on first use; mu guards the
+	// slice. views is the barrier's merge of them, reused across supersteps:
+	// the barrier strata's on the compiled path, the feeder's on the
+	// materialised one. live is the merge's scratch.
+	mu    sync.Mutex
+	parts []*partViews
 	views []eval.RecordView
+	live  [][]eval.RecordView
 
 	// PiggybackTuples counts derived tuples, the payload that rides along
 	// analytic messages in a distributed deployment (DESIGN.md decision 4).
@@ -178,12 +186,11 @@ type Online struct {
 	metrics *obs.Metrics
 	name    string
 
-	// deg, when set, sheds online-query piggybacking for degraded
+	// shed, when set, sheds online-query piggybacking for degraded
 	// partitions: records owned by a shed partition are not fed (their
 	// provenance capture was shed too), keeping the online view consistent
-	// with what offline evaluation of the degraded store would derive.
-	deg *supervise.DegradeState
-	// shed is deg.Shed, bound once (nil without deg).
+	// with what offline evaluation of the degraded store would derive. It is
+	// the supervisor's DegradeState.Shed, bound once.
 	shed func(p int) bool
 	// noted is the compiled path's DerivedTuples already counted as
 	// piggyback (static tuples count towards the first superstep).
@@ -191,10 +198,14 @@ type Online struct {
 }
 
 // NewOnline prepares online evaluation of q over graph g. Only forward and
-// local queries qualify (Theorem 5.4 covers exactly these).
+// local queries qualify (Theorem 5.4 covers exactly these), and only when
+// they read no EDB that a captured store alone holds.
 func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, error) {
 	if !q.Class.OnlineEvaluable() {
 		return nil, fmt.Errorf("driver: %v queries cannot run online; capture provenance and query offline", q.Class)
+	}
+	if name := q.StoreEDB(); name != "" {
+		return nil, fmt.Errorf("driver: %s is fed only from a captured store, so it cannot be read online; capture provenance and query offline", name)
 	}
 	cfg := resolveEvalConfig(opts)
 	db := eval.NewDatabase()
@@ -230,33 +241,8 @@ func (o *Online) SetMetrics(m *obs.Metrics, name string) {
 
 // SetDegrade attaches the degradation state shared with the supervisor so
 // online evaluation sheds piggybacking alongside capture. nil keeps all
-// records flowing.
-func (o *Online) SetDegrade(d *supervise.DegradeState) {
-	o.deg, o.shed = d, nil
-	if d != nil {
-		o.shed = d.Shed
-	}
-}
-
-// shedRecords returns v's records with those of shed partitions removed.
-// The common case (no degradation) returns the original slice untouched.
-func (o *Online) shedRecords(v *engine.SuperstepView) []engine.VertexRecord {
-	recs := v.Records()
-	if o.deg == nil || !o.deg.AnyShed() {
-		return recs
-	}
-	if o.deg.Shed(-1) {
-		return nil
-	}
-	out := make([]engine.VertexRecord, 0, len(recs))
-	for i := range recs {
-		if o.deg.Shed(v.Engine.PartitionOf(recs[i].ID)) {
-			continue
-		}
-		out = append(out, recs[i])
-	}
-	return out
-}
+// records flowing (DegradeState.Shed is nil-safe).
+func (o *Online) SetDegrade(d *supervise.DegradeState) { o.shed = d.Shed }
 
 // PiggybackBySuperstep returns the tuples derived at each superstep
 // (index = superstep) — the per-superstep view of PiggybackTuples.
@@ -292,50 +278,85 @@ func (o *Online) Reads() engine.Fields {
 	return f
 }
 
-// ObservePartition implements engine.Observer: the compiled query's
-// in-partition strata evaluate partition p's records on p's goroutine.
+// partViews are one partition's record views of the superstep it observed
+// last (ss; -1 before the first).
+type partViews struct {
+	ss    int
+	views []eval.RecordView
+}
+
+// ObservePartition implements engine.Observer: partition p's records become
+// views, on p's goroutine, and the compiled query's in-partition strata
+// evaluate them there.
 func (o *Online) ObservePartition(p, superstep int, recs []engine.VertexRecord) {
+	pv := o.part(p)
+	pv.ss, pv.views = superstep, eval.EngineViews(pv.views, recs)
 	if o.compiled != nil {
-		o.compiled.ObservePartition(p, superstep, recs)
+		o.compiled.ObservePartition(p, superstep, pv.views)
 	}
+}
+
+// part returns partition p's views, creating them (and any below them) on
+// first use.
+func (o *Online) part(p int) *partViews {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for len(o.parts) <= p {
+		o.parts = append(o.parts, &partViews{ss: -1})
+	}
+	return o.parts[p]
 }
 
 // ObserveSuperstep implements engine.Observer. The shed check runs here, in
 // observer order, so a partition an earlier observer (capture) shed in this
 // superstep is dropped too.
 func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
-	if o.compiled != nil {
-		if err := o.observeCompiled(v); err != nil {
+	if c := o.compiled; c != nil {
+		if err := c.MergePartitions(v.Superstep, o.shed); err != nil {
 			return err
 		}
-		derived := o.compiled.DerivedTuples()
+		if c.HasBarrierStrata() {
+			if err := c.BarrierLayer(o.barrierViews(v.Superstep)); err != nil {
+				return err
+			}
+		}
+		derived := c.DerivedTuples()
 		o.notePiggyback(v.Superstep, derived-o.noted)
 		o.noted = derived
 		return nil
 	}
-	o.views = eval.EngineViews(o.views, o.shedRecords(v))
 	before := o.ev.Stats().Derivations
-	if err := o.f.layer(o.views); err != nil {
+	if err := o.f.layer(o.barrierViews(v.Superstep)); err != nil {
 		return err
 	}
 	o.notePiggyback(v.Superstep, o.ev.Stats().Derivations-before)
 	return nil
 }
 
-// observeCompiled merges the partitions' in-partition strata, then runs the
-// barrier strata over the superstep's records. A superstep no partition
-// observed (a caller that drives ObserveSuperstep alone) is evaluated whole.
-func (o *Online) observeCompiled(v *engine.SuperstepView) error {
-	c := o.compiled
-	merged, err := c.MergePartitions(v.Superstep, o.shed)
-	if err != nil || merged && !c.HasBarrierStrata() {
-		return err
+// barrierViews merges the views of the partitions that observed superstep
+// and are not shed, in vertex order: each partition's are ascending, and a
+// vertex belongs to one partition.
+func (o *Online) barrierViews(superstep int) []eval.RecordView {
+	live, n := o.live[:0], 0
+	for p, pv := range o.parts {
+		if pv.ss == superstep && (o.shed == nil || !o.shed(p)) {
+			live, n = append(live, pv.views), n+len(pv.views)
+		}
 	}
-	o.views = eval.EngineViews(o.views, o.shedRecords(v))
-	if merged {
-		return c.BarrierLayer(o.views)
+	o.live = live
+	views := slices.Grow(o.views[:0], n)
+	for len(views) < n {
+		best := -1
+		for i, l := range live {
+			if len(l) > 0 && (best < 0 || l[0].Vertex < live[best][0].Vertex) {
+				best = i
+			}
+		}
+		views = append(views, live[best][0])
+		live[best] = live[best][1:]
 	}
-	return c.Layer(o.views)
+	o.views = views
+	return views
 }
 
 // Finish implements engine.Observer: the compiled path completes its

@@ -1,9 +1,11 @@
 package driver
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"ariadne/internal/capture"
@@ -19,12 +21,34 @@ import (
 	"ariadne/internal/value"
 )
 
-// serialOnly is an Online the engine never hands partition records to, so
-// it evaluates every superstep whole at the barrier: the single-threaded
-// reference for the in-partition path.
-type serialOnly struct{ *Online }
+// serial evaluates its Online's compiled query the way Layered does, the
+// single-threaded reference for the in-partition path: it collects the
+// partitions' records and at the barrier runs Compiled.Layer, on one shard,
+// over the superstep's records in vertex order.
+type serial struct {
+	*Online
+	mu   sync.Mutex
+	recs []engine.VertexRecord
+}
 
-func (serialOnly) ObservePartition(int, int, []engine.VertexRecord) {}
+func (s *serial) ObservePartition(_, _ int, recs []engine.VertexRecord) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.recs = append(s.recs, recs...)
+}
+
+func (s *serial) ObserveSuperstep(v *engine.SuperstepView) error {
+	slices.SortFunc(s.recs, func(a, b engine.VertexRecord) int { return cmp.Compare(a.ID, b.ID) })
+	err := s.compiled.Layer(eval.EngineViews(nil, s.recs))
+	s.recs = s.recs[:0]
+	if err != nil {
+		return err
+	}
+	derived := s.compiled.DerivedTuples()
+	s.notePiggyback(v.Superstep, derived-s.noted)
+	s.noted = derived
+	return nil
+}
 
 // runOnline runs ssspProg over g at parts partitions with obs observing and
 // returns the run's error.
@@ -75,7 +99,7 @@ func TestInPartitionAnchoredLookup(t *testing.T) {
 				t.Fatal(err)
 			}
 			store := provenance.NewStore(provenance.StoreConfig{})
-			if err := runOnline(t, g, parts, on, serialOnly{ref}, capture.NewObserver(capture.FullPolicy(), store)); err != nil {
+			if err := runOnline(t, g, parts, on, &serial{Online: ref}, capture.NewObserver(capture.FullPolicy(), store)); err != nil {
 				t.Fatal(err)
 			}
 			layered, err := Layered(build(), store, g)
@@ -135,7 +159,7 @@ func TestPeerReadStaysAtBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runOnline(t, g, 4, on, serialOnly{ref}); err != nil {
+	if err := runOnline(t, g, 4, on, &serial{Online: ref}); err != nil {
 		t.Fatal(err)
 	}
 	for _, pred := range []string{"reached", "orphan", "lonely"} {
@@ -207,7 +231,7 @@ func TestInPartitionErrorIsSerialFirst(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := runOnline(t, g, 4, serialOnly{ref}); err == nil || err.Error() != tc.want {
+			if err := runOnline(t, g, 4, &serial{Online: ref}); err == nil || err.Error() != tc.want {
 				t.Fatalf("serial reference error %v, want %q", err, tc.want)
 			}
 			head := on.Result().q.Rules[0].Head.Pred
@@ -262,4 +286,78 @@ func TestOnlineShedMaterialisedMatchesCompiled(t *testing.T) {
 	}
 	requireSameSig(t, "online compiled vs layered", want, relationKeys(compiled.Result(), false))
 	requireSameSig(t, "online materialised vs layered", want, relationKeys(mat.Result(), false))
+}
+
+// TestOnlineRefusesStoreEDBs: capture_gap, net_rpc and superstep_profile are
+// fed only from a captured store, so a query over them would derive nothing
+// online. NewOnline must refuse each by name, although the queries are
+// local, while layered evaluation of a store whose partition 1 was shed
+// derives the gap.
+func TestOnlineRefusesStoreEDBs(t *testing.T) {
+	const gapSrc = `g(P, F, T) :- capture_gap(P, F, T).`
+	g, err := gen.RMAT(gen.DefaultRMAT(6, 4, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ edb, src string }{
+		{"capture_gap", gapSrc},
+		{"net_rpc", `r(S) :- net_rpc(S, P, B, R, N).`},
+		{"superstep_profile", `p(S) :- superstep_profile(S, P, Q, N, T).`},
+	} {
+		q := analysis.MustAnalyze(tc.src, analysis.NewEnv())
+		if !q.Class.OnlineEvaluable() {
+			t.Fatalf("%s: class %v cannot run online anyway", tc.edb, q.Class)
+		}
+		if _, err := NewOnline(q, g); err == nil || !strings.Contains(err.Error(), tc.edb) {
+			t.Errorf("%s: NewOnline error %v, want one naming the EDB", tc.edb, err)
+		}
+	}
+	inj := fault.NewInjector(fault.Rule{Site: fault.SiteCapture, Superstep: 3, Partition: 1, Vertex: -1, Times: 1})
+	store := provenance.NewStore(provenance.StoreConfig{})
+	co := capture.NewObserver(capture.FullPolicy(), store)
+	co.SetDegradation(supervise.NewDegradeState(1), inj)
+	if err := runOnline(t, g, 4, co); err != nil {
+		t.Fatal(err)
+	}
+	layered, err := Layered(analysis.MustAnalyze(gapSrc, analysis.NewEnv()), store, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layered.Relation("g").Len() == 0 {
+		t.Errorf("layered derived no gap; store gaps %+v", store.Gaps())
+	}
+}
+
+// TestInPartitionStaticError: a static rule fails in BeginRun, before any
+// partition observes. The run must fail at the first barrier with the serial
+// reference's exact text, and no record rule may have derived anything.
+func TestInPartitionStaticError(t *testing.T) {
+	const src = `
+		ratio(X, R) :- edge(X, Y), R = 10 mod (X - 2).
+		seen(X, I) :- superstep(X, I).`
+	g, err := gen.RMAT(gen.DefaultRMAT(5, 4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs []string
+	for _, wrap := range []func(*Online) engine.Observer{
+		func(o *Online) engine.Observer { return o },
+		func(o *Online) engine.Observer { return &serial{Online: o} },
+	} {
+		on, err := NewOnline(analysis.MustAnalyze(src, analysis.NewEnv()), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = runOnline(t, g, 4, wrap(on))
+		if err == nil || !strings.HasPrefix(err.Error(), "engine: observer failed at superstep 0: ") {
+			t.Fatalf("error %v, want a failure at the first barrier", err)
+		}
+		if n := on.Result().Relation("seen").Len(); n != 0 {
+			t.Errorf("seen holds %d tuples after a static rule failed", n)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Errorf("error %q, serial reference %q", errs[0], errs[1])
+	}
 }

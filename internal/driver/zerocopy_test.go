@@ -107,23 +107,21 @@ func TestOnlineHeadCarriesBorrowedMessage(t *testing.T) {
 // observeFixture is one synthetic superstep over a fixed small graph: every
 // vertex computed, changed its value and received msgsPer messages, the
 // first quarter of the vertices none (so Query 6 has silent changes). The
-// records are also split over four partitions (vertex mod 4), as the engine
-// hands them to ObservePartition.
+// records are split over four partitions (vertex mod 4), as the engine hands
+// them to ObservePartition.
 func observeFixture(g *graph.Graph, msgsPer int) (*engine.SuperstepView, [][]engine.VertexRecord) {
 	n := g.NumVertices()
-	recs := make([]engine.VertexRecord, n)
 	parts := make([][]engine.VertexRecord, 4)
-	for v := range recs {
-		r := &recs[v]
-		r.ID, r.Superstep, r.PrevActive = engine.VertexID(v), 5, 4
-		r.OldValue, r.NewValue = value.NewFloat(float64(v)), value.NewFloat(float64(v)+1)
+	for v := 0; v < n; v++ {
+		r := engine.VertexRecord{ID: engine.VertexID(v), Superstep: 5, PrevActive: 4,
+			OldValue: value.NewFloat(float64(v)), NewValue: value.NewFloat(float64(v) + 1)}
 		for j := 0; j < msgsPer && v >= n/4; j++ {
 			src := engine.VertexID((v + j + 1) % n)
 			r.Received = append(r.Received, engine.IncomingMessage{Src: src, Val: value.NewFloat(float64(j))})
 		}
-		parts[v%4] = append(parts[v%4], *r)
+		parts[v%4] = append(parts[v%4], r)
 	}
-	return engine.NewSuperstepView(5, recs), parts
+	return &engine.SuperstepView{Superstep: 5}, parts
 }
 
 // observe drives one superstep through o the way the engine does: each

@@ -67,13 +67,13 @@ func TestBSPDeliveryContract(t *testing.T) {
 // countingObserver tallies messages seen by records to verify exactly-once
 // observation of sends and receives.
 type countingObserver struct {
+	collector
 	sent, recv int64
 }
 
-func (o *countingObserver) Reads() Fields                           { return FieldReceived | FieldSent }
-func (*countingObserver) ObservePartition(int, int, []VertexRecord) {}
-func (o *countingObserver) ObserveSuperstep(v *SuperstepView) error {
-	for _, r := range v.Records() {
+func (o *countingObserver) Reads() Fields { return FieldReceived | FieldSent }
+func (o *countingObserver) ObserveSuperstep(*SuperstepView) error {
+	for _, r := range o.take() {
 		o.sent += int64(len(r.Sent))
 		o.recv += int64(len(r.Received))
 	}

@@ -132,23 +132,25 @@ type Config struct {
 	SequentialBarrier bool
 }
 
-// Observer consumes per-superstep vertex records, in two steps. First, on
-// each partition's own goroutine once its compute has succeeded (after any
-// supervised retry, transport exec or local fallback), ObservePartition
-// receives that partition's records in ascending vertex order; partitions
-// call it concurrently, so an observer that does work there keeps it
-// partition-local until the barrier. This is where the per-record work
-// belongs: capture.Observer encodes the partition's provenance segment there
-// and driver.Online runs a compiled query's in-partition strata. Then
-// ObserveSuperstep is called once per superstep, after the barrier, in
-// observer order, to combine what the partitions produced (capture stitches
-// the segments into one layer image; Online merges derived tuples). Records
-// and their slices are only valid until ObserveSuperstep returns: Received is
-// a window of the inbox arena and Sent of the partition's send buffer, both
-// reused by later supersteps, so an observer copies what it keeps. Every
-// observer in this repository does (capture encodes the messages into its
-// column bytes, driver.Online and the driver's fact feed into their own rows;
-// the benchmark's timedObserver wraps those).
+// Observer consumes per-superstep vertex records, in two steps. Records
+// arrive only through ObservePartition: on each partition's own goroutine
+// once its compute has succeeded (after any supervised retry, transport exec
+// or local fallback), it receives that partition's records in ascending
+// vertex order. Partitions call it concurrently, so an observer keeps what it
+// does there partition-local until the barrier. This is where the per-record
+// work belongs: capture.Observer encodes the partition's provenance segment
+// there and driver.Online converts the records to query views and runs a
+// compiled query's in-partition strata. Then ObserveSuperstep is called once
+// per superstep, after the barrier, in observer order, to combine what the
+// partitions produced (capture stitches the segments into one layer image;
+// Online merges derived tuples and views). The engine never merges the
+// partitions' records itself. Records and their slices stay valid until
+// ObserveSuperstep returns: Received is a window of the inbox arena and Sent
+// of the partition's send buffer, both reused by later supersteps, so an
+// observer copies what it keeps. Every observer in this repository does
+// (capture encodes the messages into its column bytes, driver.Online and the
+// driver's fact feed into their own rows; the benchmark's timedObserver wraps
+// those).
 type Observer interface {
 	// Reads declares the optional record fields the observer reads. The
 	// engine builds the union of every observer's mask and nothing more
@@ -184,30 +186,11 @@ const (
 	FieldRecords
 )
 
-// SuperstepView is the transient provenance of one completed superstep.
+// SuperstepView names the superstep whose barrier ObserveSuperstep runs. It
+// carries no records: those reach observers only through ObservePartition.
 type SuperstepView struct {
 	Superstep int
 	Engine    *Engine
-	// recs is the merged record view; the engine builds it on the first
-	// Records call, so a superstep no observer reads never merges.
-	recs   []VertexRecord
-	merged bool
-}
-
-// NewSuperstepView returns a view over records already in ascending vertex
-// order, for observers driven outside an engine run.
-func NewSuperstepView(superstep int, recs []VertexRecord) *SuperstepView {
-	return &SuperstepView{Superstep: superstep, recs: recs, merged: true}
-}
-
-// Records returns the records of every vertex that computed, in ascending
-// vertex order.
-func (v *SuperstepView) Records() []VertexRecord {
-	if !v.merged {
-		v.merged = true
-		v.recs = v.Engine.mergeRecords(v.Engine.results)
-	}
-	return v.recs
 }
 
 // VertexRecord describes the execution of one vertex at one superstep —
@@ -313,10 +296,8 @@ type Engine struct {
 	// is rebuilt by exactly one goroutine during the barrier.
 	inbox []*inbox
 
-	// results is the per-partition superstep scratch; recBuf is the merged
-	// observer-record buffer.
+	// results is the per-partition superstep scratch.
 	results []partResult
-	recBuf  []VertexRecord
 
 	// sendComb is the combiner applied inside runPartition per destination
 	// vertex as messages are emitted (nil when raw messages are needed).
@@ -621,8 +602,8 @@ func (e *Engine) Run() (RunStats, error) {
 		m.SuperstepMessages(sent, delivered, combined)
 		m.SuperstepDelivery(combinedSender, maxShard, e.nParts)
 
-		// Observers see the completed superstep as one batch (one provenance
-		// layer), in deterministic vertex order.
+		// Observers combine the partitions' work at the barrier, in observer
+		// order.
 		var observeDur time.Duration
 		if observing {
 			observeStart := time.Now()
@@ -856,34 +837,6 @@ func (e *Engine) buildInbox(dp int, combiner func(a, b value.Value) value.Value,
 		cols[sp] = results[sp].outbox[dp]
 	}
 	return e.inbox[dp].build(cols, combiner)
-}
-
-// mergeRecords builds the superstep's observer view in ascending vertex
-// order. Each partition produced its records in ascending order already, so
-// a k-way merge does it; the merged buffer is reused across supersteps (the
-// Observer contract says records are only valid during the superstep's
-// observation).
-func (e *Engine) mergeRecords(results []partResult) []VertexRecord {
-	recs := e.recBuf[:0]
-	heads := make([]int, len(results))
-	for {
-		best := -1
-		for p := range results {
-			if heads[p] >= len(results[p].records) {
-				continue
-			}
-			if best < 0 || results[p].records[heads[p]].ID < results[best].records[heads[best]].ID {
-				best = p
-			}
-		}
-		if best < 0 {
-			break
-		}
-		recs = append(recs, results[best].records[heads[best]])
-		heads[best]++
-	}
-	e.recBuf = recs
-	return recs
 }
 
 // activeIDs returns partition p's active vertices for superstep ss in

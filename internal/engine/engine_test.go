@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -144,8 +145,31 @@ func (fanProg) Compute(ctx *Context, msgs []IncomingMessage) error {
 	return nil
 }
 
+// collector gathers the records the partitions hand ObservePartition, for a
+// test observer that reads the whole superstep at the barrier.
+type collector struct {
+	mu   sync.Mutex
+	recs []VertexRecord
+}
+
+func (c *collector) ObservePartition(_, _ int, recs []VertexRecord) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recs = append(c.recs, recs...)
+}
+
+// take returns the superstep's records in ascending vertex order, valid
+// until ObserveSuperstep returns, and starts collecting the next superstep's.
+func (c *collector) take() []VertexRecord {
+	recs := c.recs
+	slices.SortFunc(recs, func(a, b VertexRecord) int { return cmp.Compare(a.ID, b.ID) })
+	c.recs = c.recs[:0]
+	return recs
+}
+
 // countObserver records what it sees.
 type countObserver struct {
+	collector
 	raw       bool
 	perSS     map[int]int // superstep -> records
 	recvCount int
@@ -158,13 +182,13 @@ func (o *countObserver) Reads() Fields {
 	}
 	return 0
 }
-func (*countObserver) ObservePartition(int, int, []VertexRecord) {}
 func (o *countObserver) ObserveSuperstep(v *SuperstepView) error {
 	if o.perSS == nil {
 		o.perSS = map[int]int{}
 	}
-	o.perSS[v.Superstep] += len(v.Records())
-	for _, r := range v.Records() {
+	recs := o.take()
+	o.perSS[v.Superstep] += len(recs)
+	for _, r := range recs {
 		o.recvCount += len(r.Received)
 	}
 	return nil
@@ -230,18 +254,18 @@ func TestObserverRecordsEvolution(t *testing.T) {
 }
 
 type evoObserver struct {
+	collector
 	seen       map[VertexID][]int
 	prev       map[VertexID]map[int]int
 	finishedAt int
 }
 
-func (o *evoObserver) Reads() Fields                           { return 0 }
-func (*evoObserver) ObservePartition(int, int, []VertexRecord) {}
+func (o *evoObserver) Reads() Fields { return 0 }
 func (o *evoObserver) ObserveSuperstep(v *SuperstepView) error {
 	if o.prev == nil {
 		o.prev = map[VertexID]map[int]int{}
 	}
-	for _, r := range v.Records() {
+	for _, r := range o.take() {
 		o.seen[r.ID] = append(o.seen[r.ID], r.Superstep)
 		if o.prev[r.ID] == nil {
 			o.prev[r.ID] = map[int]int{}
@@ -342,7 +366,8 @@ func TestNewValidation(t *testing.T) {
 
 // partObserver checks the ObservePartition contract: once per partition per
 // superstep, before that superstep's ObserveSuperstep, with the partition's
-// own records in ascending vertex order — together exactly the merged view.
+// own records in ascending vertex order — together exactly the vertices the
+// engine marks computed at the barrier.
 type partObserver struct {
 	t     *testing.T
 	e     *Engine
@@ -377,12 +402,13 @@ func (o *partObserver) ObserveSuperstep(v *SuperstepView) error {
 		}
 	}
 	slices.Sort(ids)
-	var merged []VertexID
-	for _, r := range v.Records() {
-		merged = append(merged, r.ID)
+	var computed []VertexID
+	for _, r := range v.Engine.results {
+		computed = append(computed, r.computed...)
 	}
-	if !slices.Equal(ids, merged) {
-		o.t.Errorf("superstep %d: partitions saw %v, the merged view %v", v.Superstep, ids, merged)
+	slices.Sort(computed)
+	if !slices.Equal(ids, computed) {
+		o.t.Errorf("superstep %d: partitions saw %v, the engine computed %v", v.Superstep, ids, computed)
 	}
 	o.parts, o.ss = map[int][]VertexRecord{}, v.Superstep+1
 	o.steps++

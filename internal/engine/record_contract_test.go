@@ -73,34 +73,35 @@ func recordSig(recs []VertexRecord) string {
 // end of the call. sigs keeps one signature per superstep for cross-run
 // comparison.
 type borrowObserver struct {
+	collector
 	t        *testing.T
 	inFlight map[VertexID][]IncomingMessage // dst -> messages sent last superstep
 	sigs     []string
 }
 
-func (o *borrowObserver) Reads() Fields                           { return FieldReceived | FieldSent | FieldEmitted }
-func (*borrowObserver) ObservePartition(int, int, []VertexRecord) {}
-func (o *borrowObserver) Finish(int) error                        { return nil }
+func (o *borrowObserver) Reads() Fields    { return FieldReceived | FieldSent | FieldEmitted }
+func (o *borrowObserver) Finish(int) error { return nil }
 
 func (o *borrowObserver) ObserveSuperstep(v *SuperstepView) error {
+	recs := o.take()
 	if v.Superstep > 0 {
 		var next int64
 		for _, in := range v.Engine.inbox {
 			next += in.size()
 		}
 		var sent int
-		for i := range v.Records() {
-			sent += len(v.Records()[i].Sent)
+		for i := range recs {
+			sent += len(recs[i].Sent)
 		}
 		if next != int64(sent) {
 			o.t.Errorf("superstep %d: next inbox holds %d messages while observers run, records sent %d",
 				v.Superstep, next, sent)
 		}
 	}
-	before := recordSig(v.Records())
+	before := recordSig(recs)
 	seen := 0
-	for i := range v.Records() {
-		r := &v.Records()[i]
+	for i := range recs {
+		r := &recs[i]
 		want := o.inFlight[r.ID]
 		oracleSort(want)
 		if g, w := msgBits(r.Received), msgBits(want); g != w {
@@ -114,13 +115,13 @@ func (o *borrowObserver) ObserveSuperstep(v *SuperstepView) error {
 		o.t.Errorf("superstep %d: %d vertices had messages in flight, %d records received them", v.Superstep, len(o.inFlight), seen)
 	}
 	o.inFlight = map[VertexID][]IncomingMessage{}
-	for i := range v.Records() {
-		r := &v.Records()[i]
+	for i := range recs {
+		r := &recs[i]
 		for _, m := range r.Sent {
 			o.inFlight[m.Dst] = append(o.inFlight[m.Dst], IncomingMessage{Src: r.ID, Val: m.Val})
 		}
 	}
-	if after := recordSig(v.Records()); after != before {
+	if after := recordSig(recs); after != before {
 		o.t.Errorf("superstep %d: records changed during ObserveSuperstep", v.Superstep)
 	}
 	o.sigs = append(o.sigs, before)
@@ -301,6 +302,7 @@ func (p maskProg) Compute(ctx *Context, msgs []IncomingMessage) error {
 // maskObserver checks the record mask contract on every record it reads
 // fields of.
 type maskObserver struct {
+	collector
 	t     *testing.T
 	g     *graph.Graph
 	reads Fields
@@ -311,13 +313,13 @@ type maskObserver struct {
 	outs           []int64
 }
 
-func (o *maskObserver) Reads() Fields                           { return o.reads }
-func (*maskObserver) ObservePartition(int, int, []VertexRecord) {}
-func (o *maskObserver) Finish(int) error                        { return nil }
+func (o *maskObserver) Reads() Fields    { return o.reads }
+func (o *maskObserver) Finish(int) error { return nil }
 
-func (o *maskObserver) ObserveSuperstep(v *SuperstepView) error {
-	for i := range v.Records() {
-		r := &v.Records()[i]
+func (o *maskObserver) ObserveSuperstep(*SuperstepView) error {
+	recs := o.take()
+	for i := range recs {
+		r := &recs[i]
 		at := fmt.Sprintf("reads %04b, superstep %d vertex %d", o.reads, r.Superstep, r.ID)
 		if want := o.g.OutDegree(r.ID) > 0 && r.ID%7 != 3; r.SentAny != want {
 			o.t.Errorf("%s: SentAny %v, sent anything %v", at, r.SentAny, want)
@@ -428,16 +430,16 @@ func (p bufProg) Compute(ctx *Context, msgs []IncomingMessage) error {
 // bufObserver checks that every record carries bufProg's three facts with
 // the arguments they had when emitted.
 type bufObserver struct {
+	collector
 	t       *testing.T
 	checked int
 }
 
-func (*bufObserver) Reads() Fields                             { return FieldEmitted }
-func (*bufObserver) ObservePartition(int, int, []VertexRecord) {}
-func (*bufObserver) Finish(int) error                          { return nil }
+func (*bufObserver) Reads() Fields    { return FieldEmitted }
+func (*bufObserver) Finish(int) error { return nil }
 
-func (o *bufObserver) ObserveSuperstep(v *SuperstepView) error {
-	for _, r := range v.Records() {
+func (o *bufObserver) ObserveSuperstep(*SuperstepView) error {
+	for _, r := range o.take() {
 		var got []string
 		for _, f := range r.Emitted {
 			if f.Table == "buf" {

@@ -73,3 +73,19 @@ func (e *Env) EDBArity(name string) (int, bool) {
 
 // IsStaticEDB reports whether the predicate is location-free static data.
 func IsStaticEDB(name string) bool { return staticEDBs[name] }
+
+// storeEDBs are fed only from a captured store: the degraded-mode gaps and
+// the run telemetry it carries. Online evaluation has no store to read them
+// from.
+var storeEDBs = []string{"capture_gap", "net_rpc", "superstep_profile"}
+
+// StoreEDB returns the first EDB of q, by name, that only a captured store
+// holds, or "" when q reads none.
+func (q *Query) StoreEDB() string {
+	for _, name := range storeEDBs {
+		if _, ok := q.EDBs[name]; ok {
+			return name
+		}
+	}
+	return ""
+}

@@ -130,8 +130,7 @@ type shard struct {
 	sink    func(Tuple) error
 
 	ovl     *Database
-	ovlHead []*Relation // per rule: the overlay relation of its head
-	views   []RecordView
+	ovlHead []*Relation    // per rule: the overlay relation of its head
 	ss      int            // the superstep observed last and not merged, or -1
 	out     [][]shardTuple // per rule: the new tuples, in derivation order
 	emitted []int64        // per rule
@@ -818,17 +817,16 @@ func (c *Compiled) FinishRun() error {
 	return nil
 }
 
-// ObservePartition evaluates the in-partition strata over partition p's
-// records of one superstep, on the calling goroutine. Partitions call it
-// concurrently, after BeginRun and while nothing writes the database. It
-// reports nothing: MergePartitions merges the result and reports the error.
-func (c *Compiled) ObservePartition(p, superstep int, recs []engine.VertexRecord) {
-	if c.inPart == 0 || !c.staticDone || c.staticErr != nil {
+// ObservePartition evaluates the in-partition strata over the views of
+// partition p's records of one superstep, on the calling goroutine, and
+// counts the records. Partitions call it concurrently, after BeginRun and
+// while nothing writes the database. It reports nothing: MergePartitions
+// merges the result and reports the error.
+func (c *Compiled) ObservePartition(p, superstep int, recs []RecordView) {
+	if !c.staticDone || c.staticErr != nil {
 		return
 	}
-	sh := c.partShard(p)
-	sh.views = EngineViews(sh.views, recs)
-	sh.layer(superstep, sh.views)
+	c.partShard(p).layer(superstep, recs)
 }
 
 // layer runs the in-partition rules over one partition's records of a
@@ -888,23 +886,19 @@ func (c *Compiled) partShard(p int) *shard {
 // names the partitions whose records are dropped. When shards failed it
 // merges what a serial pass derives before its first failure and returns
 // that failure: the lowest by (stratum, rule, vertex). The sets forget every
-// tuple not merged. It reports false, merging nothing, when no partition
-// observed superstep; the caller then evaluates the layer whole with Layer.
-func (c *Compiled) MergePartitions(superstep int, shed func(p int) bool) (bool, error) {
+// tuple not merged. A static rule's error, which kept the partitions from
+// observing, is returned first.
+func (c *Compiled) MergePartitions(superstep int, shed func(p int) bool) error {
+	if err := c.BeginRun(); err != nil {
+		return err
+	}
 	c.live = c.live[:0]
-	observed := false
 	for p, sh := range c.parts {
-		if sh.ss == superstep {
-			observed = true
-			if shed == nil || !shed(p) {
-				c.live = append(c.live, sh)
-				continue
-			}
+		if sh.ss == superstep && (shed == nil || !shed(p)) {
+			c.live = append(c.live, sh)
+			continue
 		}
 		sh.drop()
-	}
-	if !observed {
-		return false, nil
 	}
 	var failed *shard
 	for _, sh := range c.live {
@@ -931,7 +925,7 @@ func (c *Compiled) MergePartitions(superstep int, shed func(p int) bool) (bool, 
 	for _, sh := range c.live {
 		sh.drop() // the rules past a failure
 	}
-	return true, err
+	return err
 }
 
 // mergeRule appends the live shards' new tuples of rule r up to anchor vertex

@@ -231,10 +231,10 @@ func serialLeg(c *Compiled, layers [][]RecordView) error {
 }
 
 // partitionLeg evaluates layers as the online driver does, with each layer's
-// records split over parts partitions (vertex mod parts): every partition's
-// shard runs the in-partition strata, MergePartitions merges them, and the
-// barrier strata run over the whole layer. The layer index stands in for the
-// superstep.
+// records split over parts partitions (vertex mod parts): every partition
+// observes its views, running the in-partition strata, MergePartitions
+// merges them, and the barrier strata run over the whole layer. The layer
+// index stands in for the superstep.
 func partitionLeg(c *Compiled, layers [][]RecordView, parts int) error {
 	if err := c.BeginRun(); err != nil {
 		return err
@@ -248,17 +248,11 @@ func partitionLeg(c *Compiled, layers [][]RecordView, parts int) error {
 			p := int(rv.Vertex % int64(parts))
 			split[p] = append(split[p], rv)
 		}
-		if c.inPart > 0 {
-			for p := range split {
-				c.partShard(p).layer(i, split[p])
-			}
+		for p := range split {
+			c.ObservePartition(p, i, split[p])
 		}
-		merged, err := c.MergePartitions(i, nil)
-		switch {
-		case err != nil:
-		case !merged:
-			err = c.Layer(l)
-		case c.HasBarrierStrata():
+		err := c.MergePartitions(i, nil)
+		if err == nil && c.HasBarrierStrata() {
 			err = c.BarrierLayer(l)
 		}
 		if err != nil {
@@ -844,16 +838,9 @@ late(X, I) :- superstep(X, I).`
 	observe := func(c *Compiled, ss int, l []RecordView, keep func(int64) bool) {
 		for q := int64(0); q < parts; q++ {
 			if keep(q) {
-				c.partShard(int(q)).layer(ss, only(l, func(part int64) bool { return part == q }))
+				c.ObservePartition(int(q), ss, only(l, func(part int64) bool { return part == q }))
 			}
 		}
-	}
-	merge := func(c *Compiled, ss int, shed func(int) bool) error {
-		merged, err := c.MergePartitions(ss, shed)
-		if !merged {
-			t.Fatalf("superstep %d not merged", ss)
-		}
-		return err
 	}
 	for _, tc := range []struct {
 		name, src string
@@ -863,55 +850,55 @@ late(X, I) :- superstep(X, I).`
 	}{
 		{"shed", seen, func(c *Compiled) error {
 			observe(c, 1, l1, all)
-			return merge(c, 1, func(q int) bool { return q == p })
+			return c.MergePartitions(1, func(q int) bool { return q == p })
 		}, [][]RecordView{only(l1, notP)}, false},
 		{"shed then live", seen, func(c *Compiled) error {
 			observe(c, 1, l1, all)
-			if err := merge(c, 1, func(q int) bool { return q == p }); err != nil {
+			if err := c.MergePartitions(1, func(q int) bool { return q == p }); err != nil {
 				return err
 			}
 			observe(c, 2, l2, all)
-			return merge(c, 2, nil)
+			return c.MergePartitions(2, nil)
 		}, [][]RecordView{only(l1, notP), l2}, false},
 		{"aborted then observed", seen, func(c *Compiled) error {
 			observe(c, 1, l1, func(q int64) bool { return q == p })
 			observe(c, 2, l2, all)
-			return merge(c, 2, nil)
+			return c.MergePartitions(2, nil)
 		}, [][]RecordView{l2}, false},
 		{"aborted then not observed", seen, func(c *Compiled) error {
 			observe(c, 1, l1, func(q int64) bool { return q == p })
 			observe(c, 2, l2, notP)
-			return merge(c, 2, nil)
+			return c.MergePartitions(2, nil)
 		}, [][]RecordView{only(l2, notP)}, false},
 		{"past the first error", failing, func(c *Compiled) error {
 			observe(c, 0, layers[0], all)
-			return merge(c, 0, nil)
+			return c.MergePartitions(0, nil)
 		}, [][]RecordView{layers[0]}, true},
 		{"Query 6 shed", q6, func(c *Compiled) error {
 			observe(c, 1, l1, all)
-			return merge(c, 1, func(q int) bool { return q == p })
+			return c.MergePartitions(1, func(q int) bool { return q == p })
 		}, [][]RecordView{only(l1, notP)}, false},
 		{"Query 6 aborted then re-observed", q6, func(c *Compiled) error {
 			observe(c, 1, l1, func(q int64) bool { return q == p })
 			observe(c, 1, l1, all)
-			return merge(c, 1, nil)
+			return c.MergePartitions(1, nil)
 		}, [][]RecordView{l1}, false},
 		{"Query 5 shed then live", q5, func(c *Compiled) error {
 			observe(c, 1, l1, all)
-			if err := merge(c, 1, func(q int) bool { return q == p }); err != nil {
+			if err := c.MergePartitions(1, func(q int) bool { return q == p }); err != nil {
 				return err
 			}
 			observe(c, 2, l2, all)
-			return merge(c, 2, nil)
+			return c.MergePartitions(2, nil)
 		}, [][]RecordView{only(l1, notP), l2}, false},
 		{"Query 5 aborted then re-observed", q5, func(c *Compiled) error {
 			observe(c, 2, l2, all)
 			observe(c, 2, l2, all)
-			return merge(c, 2, nil)
+			return c.MergePartitions(2, nil)
 		}, [][]RecordView{l2}, false},
 		{"record-keyed past the first error", failingKeyed, func(c *Compiled) error {
 			observe(c, 0, layers[0], all)
-			return merge(c, 0, nil)
+			return c.MergePartitions(0, nil)
 		}, [][]RecordView{layers[0]}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -998,10 +985,10 @@ func TestShardsProbeMainBits(t *testing.T) {
 				recs = append(recs, rv)
 			}
 		}
-		c.partShard(int(p)).layer(1, recs)
+		c.ObservePartition(int(p), 1, recs)
 	}
-	if merged, err := c.MergePartitions(1, nil); !merged || err != nil {
-		t.Fatal(merged, err)
+	if err := c.MergePartitions(1, nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := ref.Layer(l1); err != nil {
 		t.Fatal(err)
@@ -1064,11 +1051,11 @@ func BenchmarkMergePartitions(b *testing.B) {
 				b.StopTimer()
 				db.Get("heard").Clear()
 				for p := range split {
-					c.partShard(p).layer(1, split[p])
+					c.ObservePartition(p, 1, split[p])
 				}
 				b.StartTimer()
-				if merged, err := c.MergePartitions(1, nil); !merged || err != nil {
-					b.Fatal(merged, err)
+				if err := c.MergePartitions(1, nil); err != nil {
+					b.Fatal(err)
 				}
 			}
 			if got := db.Get("heard").Len(); got != n {

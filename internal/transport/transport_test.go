@@ -1,13 +1,16 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -42,19 +45,28 @@ func testProg() engine.Program { return &analytics.PageRank{Iterations: testStep
 // for identical provenance streams without a capture store in the loop. It
 // reads the fields reads and checks the mask contract on every record: a
 // field it does not read is nil, and SentAny agrees with Sent when it reads
-// sends.
+// sends. It collects the partitions' records and reads them in vertex order
+// at the barrier.
 type recObserver struct {
 	reads engine.Fields
 	sigs  []string
 	errs  []string
+	mu    sync.Mutex
+	recs  []engine.VertexRecord
 }
 
-func (o *recObserver) Reads() engine.Fields                           { return o.reads }
-func (*recObserver) ObservePartition(int, int, []engine.VertexRecord) {}
-func (o *recObserver) Finish(int) error                               { return nil }
-func (o *recObserver) ObserveSuperstep(v *engine.SuperstepView) error {
-	for i := range v.Records() {
-		r := &v.Records()[i]
+func (o *recObserver) Reads() engine.Fields { return o.reads }
+func (o *recObserver) ObservePartition(_, _ int, recs []engine.VertexRecord) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.recs = append(o.recs, recs...)
+}
+func (o *recObserver) Finish(int) error { return nil }
+func (o *recObserver) ObserveSuperstep(*engine.SuperstepView) error {
+	slices.SortFunc(o.recs, func(a, b engine.VertexRecord) int { return cmp.Compare(a.ID, b.ID) })
+	defer func() { o.recs = o.recs[:0] }()
+	for i := range o.recs {
+		r := &o.recs[i]
 		if o.reads&engine.FieldSent == 0 && r.Sent != nil ||
 			o.reads&engine.FieldSent != 0 && r.SentAny != (len(r.Sent) > 0) ||
 			o.reads&engine.FieldReceived == 0 && r.Received != nil ||

@@ -157,8 +157,9 @@ func tcpWorkersFor(t *testing.T, g *ariadne.Graph, prog func() engine.Program, p
 }
 
 // TestOnlineShedMatchesLayered sheds partition 1's capture from superstep 3
-// (its first capture failure, with DegradeCaptureAfter 1) while Queries 6, 5
-// and 1 run online. Capture sheds the partition in the same superstep,
+// (its first capture failure, with DegradeCaptureAfter 1) while Queries 6, 5,
+// 1 and 8 run online (Query 8 on the materialised path, fed the barrier's
+// merged views). Capture sheds the partition in the same superstep,
 // before the online queries observe it, so each must drop the partition from
 // that superstep on as well: its relations equal layered evaluation of the
 // degraded store, in insertion order, and Query 6's hold fewer tuples than a
@@ -166,7 +167,7 @@ func tcpWorkersFor(t *testing.T, g *ariadne.Graph, prog func() engine.Program, p
 // so the shed partition's tuples must leave its shard's bitsets.
 func TestOnlineShedMatchesLayered(t *testing.T) {
 	g := rmatGraph(t)
-	defs := []ariadne.QueryDef{queries.SilentChange(), queries.MonotoneCheck(), queries.Apt(0.5, nil)}
+	defs := []ariadne.QueryDef{queries.SilentChange(), queries.MonotoneCheck(), queries.Apt(0.5, nil), queries.ALSErrorIncrease(0.5)}
 	run := func(opts ...ariadne.Option) *ariadne.Result {
 		t.Helper()
 		base := []ariadne.Option{
