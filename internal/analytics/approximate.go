@@ -76,8 +76,3 @@ func (a *Approximate) ShouldHalt(agg engine.AggregatorReader, superstep int) boo
 
 // AbsDiff adapts value.AbsDiff to a DiffFunc.
 func AbsDiff(old, new value.Value) (float64, error) { return value.AbsDiff(old, new) }
-
-// EuclideanDiff adapts value.EuclideanDist to a DiffFunc.
-func EuclideanDiff(old, new value.Value) (float64, error) {
-	return value.EuclideanDist(old, new)
-}

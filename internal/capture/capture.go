@@ -550,9 +550,14 @@ func (o *Observer) UnmarshalCheckpoint(data []byte) error {
 //   - a recursive forward rule with a $source parameter adds
 //     forward-lineage tainting (Query 3): only influenced vertices are
 //     captured.
+//
+// A policy keeps or drops whole streams and only the lineage taint narrows
+// one, so outside that shape a comparison or negated literal is an error
+// rather than a filter the policy would silently ignore.
 func FromQuery(q *analysis.Query, env *analysis.Env) (Policy, error) {
 	var p Policy
 	recognized := false
+	lineage := q.Recursive && q.Class == analysis.Forward
 	for _, r := range q.Rules {
 		// A stream is *persisted* only when its payload variable flows into
 		// the rule head; a message predicate used purely as a guard (like
@@ -577,6 +582,14 @@ func FromQuery(q *analysis.Query, env *analysis.Env) (Policy, error) {
 		}
 		for _, lit := range r.Body {
 			pl, ok := lit.(*pql.PredLit)
+			if !lineage {
+				if c, cmp := lit.(*pql.CmpLit); cmp {
+					return Policy{}, fmt.Errorf("capture: %s: comparison %s cannot narrow what a capture query stores", c.Pos, c)
+				}
+				if pl.Negated {
+					return Policy{}, fmt.Errorf("capture: %s: negated literal %s cannot narrow what a capture query stores", pl.Atom.Pos, pl)
+				}
+			}
 			if !ok || pl.Negated {
 				continue
 			}

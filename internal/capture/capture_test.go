@@ -295,3 +295,20 @@ fwd(X, V, I) :- receive_message(X, Y, M, I), fwd(Y, W, J), value(X, V, I).`, env
 		t.Errorf("want $source error, got %v", err)
 	}
 }
+
+// TestFromQueryRefusesFilters: outside forward lineage a policy keeps whole
+// streams, so a comparison or negation that would narrow one is a
+// positioned error instead of a silent capture of everything.
+func TestFromQueryRefusesFilters(t *testing.T) {
+	env := analysis.NewEnv()
+	for _, tc := range []struct{ src, want string }{
+		{"cap(X, D, I) :- value(X, D, I), D > 100.", "capture: 1:33: comparison D > 100"},
+		{"cap(X, D, I) :- value(X, D, I), X = 3.", "capture: 1:33: comparison X = 3"},
+		{"cap(X, D, I) :- value(X, D, I), !send_message(X, X, D, I).", "capture: 1:34: negated literal !send_message(X, X, D, I)"},
+	} {
+		pol, err := FromQuery(mustQuery(t, tc.src, env), env)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: policy %+v, err %v; want error %q", tc.src, pol, err, tc.want)
+		}
+	}
+}

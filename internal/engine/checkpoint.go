@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -40,19 +41,16 @@ var checkpointMagic = [4]byte{'A', 'C', 'K', 'P'}
 const (
 	// checkpointVersion 2 extended v1 with the new RunStats totals
 	// (delivered/combined messages, peak active, per-phase wall times) and
-	// the per-superstep metrics profiles, so a recovered run reports
-	// cumulative — not truncated — metrics. Version 3 adds the partition
-	// supervision columns (RunStats.PartitionRetries/DeadlineHits/
-	// StragglerFlags and the matching per-superstep profile fields) and,
-	// inside the capture observer's blob, the capture-gap records and
-	// degradation state of a degraded run. Version 4 adds the parallel
-	// barrier columns (RunStats.MessagesCombinedSender and the profiles'
-	// MessagesCombinedSender/DeliveryMaxShard). Version 5 adds the
-	// distributed-tracing telemetry: the span timeline, the per-exchange
-	// RPC aggregates behind the net_rpc EDB, and the profiles'
-	// per-superstep transport deltas, so a resumed run's trace covers the
-	// pre-crash supersteps. Older versions are not readable.
-	checkpointVersion  = 5
+	// the per-superstep metrics profiles. Version 3 adds the partition
+	// supervision totals and, inside the capture observer's blob, the
+	// capture-gap records and degradation state of a degraded run. Version
+	// 4 adds RunStats.MessagesCombinedSender. Version 5 adds the span
+	// timeline and the net_rpc exchange rows. Version 6 replaces the
+	// profile and exchange-row sections with one JSON telemetry snapshot
+	// (every counter, gauge and histogram, the profiles and the exchange
+	// rows), so a resumed registry is the one that was checkpointed. Older
+	// versions are not readable.
+	checkpointVersion  = 6
 	manifestName       = "MANIFEST"
 	checkpointAttempts = 4
 	checkpointBackoff  = time.Millisecond
@@ -100,9 +98,8 @@ type checkpointData struct {
 	inboxMsgs  [][]IncomingMessage
 	aggCurrent map[string]float64
 	stat       RunStats
-	profiles   []obs.SuperstepProfile
+	telemetry  obs.Telemetry
 	spans      []obs.Span
-	rpcs       []obs.RPCStat
 	obsPresent []bool
 	obsBlobs   [][]byte
 }
@@ -206,10 +203,10 @@ func (e *Engine) encodeCheckpoint(resumeSS int) ([]byte, error) {
 	w.Uvarint(uint64(e.stat.StragglerFlags))
 	// v4: parallel-barrier totals.
 	w.Uvarint(uint64(e.stat.MessagesCombinedSender))
-	// Marshal observer blobs before snapshotting the profiles: the capture
+	// Marshal observer blobs before snapshotting the telemetry: the capture
 	// observer syncs its async spill pipeline here, which back-fills spill
-	// bytes/durations into the per-superstep profiles the next block writes.
-	// The file layout is unchanged (profiles, then blobs).
+	// bytes/durations into the registry the next block snapshots. The file
+	// still holds the telemetry before the blobs.
 	type obBlob struct {
 		ok   bool
 		blob []byte
@@ -227,13 +224,15 @@ func (e *Engine) encodeCheckpoint(resumeSS int) ([]byte, error) {
 		}
 		blobs = append(blobs, obBlob{ok: true, blob: blob})
 	}
-	// ...the per-superstep metrics profiles (empty when the run is
-	// uninstrumented), so Resume restores cumulative observability state.
-	obs.EncodeProfiles(w, e.cfg.Metrics.Profiles())
-	// v5: the distributed span timeline and per-exchange RPC aggregates
-	// (both empty when span tracing is off / the run is in-process).
+	// v6: the telemetry snapshot as JSON (empty when the run is
+	// uninstrumented), so Resume installs the registry as it stood, then
+	// the span timeline (empty when span tracing is off).
+	telemetry, err := json.Marshal(e.cfg.Metrics.Telemetry())
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: %w", err)
+	}
+	w.Bytes8(telemetry)
 	obs.EncodeSpans(w, e.cfg.Metrics.Spans())
-	obs.EncodeRPCStats(w, e.cfg.Metrics.RPCStats())
 	// Observer state blobs, in cfg.Observers order.
 	w.Uvarint(uint64(len(blobs)))
 	for _, b := range blobs {
@@ -322,21 +321,14 @@ func loadCheckpoint(path string) (*checkpointData, error) {
 	cp.stat.DeadlineHits = int64(r.Uvarint())
 	cp.stat.StragglerFlags = int64(r.Uvarint())
 	cp.stat.MessagesCombinedSender = int64(r.Uvarint())
-	if r.Err() == nil {
-		var perr error
-		if cp.profiles, perr = obs.DecodeProfiles(r); perr != nil {
-			return nil, fmt.Errorf("engine: checkpoint %s corrupt: %w", filepath.Base(path), perr)
+	if telemetry := r.Bytes8(); r.Err() == nil {
+		if err := json.Unmarshal(telemetry, &cp.telemetry); err != nil {
+			return nil, fmt.Errorf("engine: checkpoint %s corrupt: telemetry: %w", filepath.Base(path), err)
 		}
 	}
 	if r.Err() == nil {
 		var perr error
 		if cp.spans, perr = obs.DecodeSpans(r); perr != nil {
-			return nil, fmt.Errorf("engine: checkpoint %s corrupt: %w", filepath.Base(path), perr)
-		}
-	}
-	if r.Err() == nil {
-		var perr error
-		if cp.rpcs, perr = obs.DecodeRPCStats(r); perr != nil {
 			return nil, fmt.Errorf("engine: checkpoint %s corrupt: %w", filepath.Base(path), perr)
 		}
 	}
@@ -389,11 +381,10 @@ func (e *Engine) restore(cp *checkpointData) error {
 		return err
 	}
 	e.stat = cp.stat
-	// Restore the metrics history so a recovered run reports cumulative
-	// per-superstep profiles and counters, not just post-resume ones.
-	e.cfg.Metrics.RestoreProfiles(cp.profiles)
+	// Install the registry as it was checkpointed, so a recovered run
+	// reports cumulative profiles and series, not just post-resume ones.
+	e.cfg.Metrics.Restore(cp.telemetry)
 	e.cfg.Metrics.RestoreSpans(cp.spans)
-	e.cfg.Metrics.RestoreRPCStats(cp.rpcs)
 	for i, o := range e.cfg.Observers {
 		c, ok := o.(Checkpointable)
 		if cp.obsPresent[i] != ok {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -351,6 +352,28 @@ func TestCheckpointTruncationNeverPanics(t *testing.T) {
 		if _, err := loadCheckpoint(trunc); err == nil {
 			t.Fatalf("bit flip at byte %d decoded without error", pos)
 		}
+	}
+}
+
+// TestCheckpointRefusesV5: a version 5 file (binary profile and exchange-row
+// sections) is refused by its version, even with a valid CRC.
+func TestCheckpointRefusesV5(t *testing.T) {
+	dir := t.TempDir()
+	crashRun(t, dir, 2, 5)
+	names, _ := readManifest(dir)
+	raw, err := os.ReadFile(filepath.Join(dir, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := raw[:len(raw)-4]
+	body[4] = 5
+	crc := crc32.ChecksumIEEE(body)
+	old := filepath.Join(dir, "v5.ckpt")
+	if err := os.WriteFile(old, append(body, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadCheckpoint(old); err == nil || !strings.Contains(err.Error(), "unsupported version 5") {
+		t.Fatalf("v5 checkpoint: err = %v, want the version error", err)
 	}
 }
 

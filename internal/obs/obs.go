@@ -264,16 +264,6 @@ func (m *Metrics) Snapshot() map[string]any {
 	return out
 }
 
-// reset drops every registered series (RestoreProfiles rebuilds the
-// counters a restored run would have accumulated).
-func (m *Metrics) reset() {
-	m.mu.Lock()
-	m.counters = map[string]*Counter{}
-	m.gauges = map[string]*Gauge{}
-	m.hists = map[string]*Histogram{}
-	m.mu.Unlock()
-}
-
 // seriesKey splits a registry key into metric name and the optional
 // label block, so rendering can group typed families.
 func seriesKey(key string) (name, labels string) {

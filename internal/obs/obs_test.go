@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"ariadne/internal/value"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -224,25 +222,48 @@ func TestProfileLifecycle(t *testing.T) {
 	}
 }
 
-func sampleProfiles() []SuperstepProfile {
-	return []SuperstepProfile{
-		{
-			Superstep: 0, ActiveVertices: 256,
-			MessagesSent: 1000, MessagesDelivered: 800, MessagesCombined: 200,
-			ComputeNS: 12345, BarrierNS: 678, ObserveNS: 91011,
-			CaptureTuples: map[string]int64{"value": 256, "send_message": 1000},
-			CaptureBytes:  4096,
-			SpillBytes:    4096, SpillNS: 2222,
-		},
-		{
-			Superstep: 1, ActiveVertices: 200,
-			MessagesSent: 900, MessagesDelivered: 900,
-			ComputeNS: 111, BarrierNS: 222, ObserveNS: 333,
-			PiggybackTuples: map[string]int64{"q4-pagerank-check": 17},
-			CheckpointBytes: 8192, CheckpointNS: 5555,
-			Retries: map[string]int64{"spill": 2},
-		},
+// recordSample records two supersteps through the registry's own API: the
+// first spills twice and captures, the second piggybacks, retries a spill
+// twice and puts bytes on the wire; then a checkpoint, a native counter, a
+// gauge and two exchange rows.
+func recordSample(m *Metrics) {
+	m.BeginSuperstep(0, 256)
+	m.SuperstepMessages(1000, 800, 200)
+	m.AddCaptureTuples("value", 256)
+	m.AddCaptureTuples("send_message", 1000)
+	m.AddCaptureBytes(4096)
+	m.AddSpill(0, 2048, 1111)
+	m.AddSpill(0, 2048, 30*time.Second)
+	m.SuperstepTimings(12345, 678, 91011)
+	m.EndSuperstep()
+	m.BeginSuperstep(1, 200)
+	m.SuperstepMessages(900, 900, 0)
+	m.AddPiggyback("q4-pagerank-check", 17)
+	m.AddRetry("spill")
+	m.AddRetry("spill")
+	m.Counter(MetricNetBytesSent).Add(500)
+	m.SuperstepTimings(111, 222, 333)
+	m.EndSuperstep()
+	m.AddCheckpoint(8192, 5555)
+	m.Counter(MetricNetReconnects).Add(3)
+	m.Gauge(MetricSpillQueueHighWater).Set(4)
+	m.AddRPC(0, 1, 100, 0, 3*time.Millisecond)
+	m.AddRPC(1, 0, 10, 0, time.Millisecond)
+}
+
+// restore encodes src's snapshot as a checkpoint does and installs it into
+// dst.
+func restore(t *testing.T, dst, src *Metrics) {
+	t.Helper()
+	raw, err := json.Marshal(src.Telemetry())
+	if err != nil {
+		t.Fatal(err)
 	}
+	var snap Telemetry
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	dst.Restore(snap)
 }
 
 // TestProfilesSnapshotIsolatedFromRetries: AddRetry after EndSuperstep
@@ -276,35 +297,43 @@ func TestProfilesSnapshotIsolatedFromRetries(t *testing.T) {
 }
 
 func TestEncodeDecodeProfiles(t *testing.T) {
-	want := sampleProfiles()
-	w := value.NewBlob()
-	EncodeProfiles(w, want)
-	got, err := DecodeProfiles(value.NewBlobReader(w.Bytes()))
+	m := New()
+	recordSample(m)
+	raw, err := json.Marshal(m.Telemetry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, _ := json.Marshal(got)
-	wb, _ := json.Marshal(want)
+	var got Telemetry
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	gb, _ := json.Marshal(got.Profiles)
+	wb, _ := json.Marshal(m.Profiles())
 	if string(gb) != string(wb) {
-		t.Errorf("roundtrip mismatch:\n got %s\nwant %s", gb, wb)
+		t.Errorf("profile roundtrip mismatch:\n got %s\nwant %s", gb, wb)
+	}
+	if again, _ := json.Marshal(got); string(again) != string(raw) {
+		t.Errorf("snapshot roundtrip mismatch:\n got %s\nwant %s", again, raw)
 	}
 
-	// Truncation at any byte errors instead of returning bogus profiles.
-	raw := w.Bytes()
-	for cut := 1; cut < len(raw); cut += 7 {
-		if _, err := DecodeProfiles(value.NewBlobReader(raw[:cut])); err == nil {
+	// Truncation at any byte errors instead of returning a bogus snapshot.
+	for cut := 0; cut < len(raw); cut++ {
+		var snap Telemetry
+		if err := json.Unmarshal(raw[:cut], &snap); err == nil {
 			t.Fatalf("truncation at %d/%d decoded cleanly", cut, len(raw))
 		}
 	}
 }
 
 func TestRestoreProfiles(t *testing.T) {
-	ps := sampleProfiles()
+	src := New()
+	recordSample(src)
 	m := New()
 	m.Counter("leftover").Add(99)
-	m.RestoreProfiles(ps)
-	if got := m.Counter("leftover").Value(); got != 0 {
-		t.Errorf("pre-restore series survived reset: %d", got)
+	m.BeginSuperstep(7, 1) // an open profile the restore discards
+	restore(t, m, src)
+	if _, ok := m.Telemetry().Counters["leftover"]; ok {
+		t.Error("pre-restore series survived the restore")
 	}
 	if got := m.Counter(MetricSupersteps).Value(); got != 2 {
 		t.Errorf("supersteps = %d, want 2", got)
@@ -318,15 +347,54 @@ func TestRestoreProfiles(t *testing.T) {
 	if got := m.Counter(L(MetricRetries, "site", "spill")).Value(); got != 2 {
 		t.Errorf("spill retries = %d, want 2", got)
 	}
+	if got := m.Histogram(MetricSpillSeconds).Count(); got != 2 {
+		t.Errorf("spill observations = %d, want 2", got)
+	}
+	if got := m.Counter(MetricNetReconnects).Value(); got != 3 {
+		t.Errorf("net reconnects = %d, want 3", got)
+	}
 	if got := len(m.Profiles()); got != 2 {
 		t.Errorf("profiles = %d, want 2", got)
 	}
-	// Restoration continues cleanly: the next superstep appends.
+	// Restoration continues cleanly: the next superstep appends, counters
+	// keep accumulating, and the net delta starts from the restored total.
 	m.BeginSuperstep(2, 100)
 	m.SuperstepMessages(10, 10, 0)
+	m.Counter(MetricNetBytesSent).Add(20)
 	m.EndSuperstep()
 	if got := m.Counter(MetricSupersteps).Value(); got != 3 {
 		t.Errorf("supersteps after continue = %d, want 3", got)
+	}
+	if got := m.Counter(MetricMessagesSent).Value(); got != 1910 {
+		t.Errorf("messages sent after continue = %d, want 1910", got)
+	}
+	ps := m.Profiles()
+	if len(ps) != 3 || ps[2].Superstep != 2 || ps[2].NetBytesSent != 20 {
+		t.Errorf("continued profile = %+v, want superstep 2 with 20 net bytes sent", ps[len(ps)-1])
+	}
+}
+
+// TestTelemetryRestoreRendersSameExposition: a registry restored from its
+// snapshot renders the same exposition, byte for byte — histogram buckets
+// and series no profile column carries included.
+func TestTelemetryRestoreRendersSameExposition(t *testing.T) {
+	m := New()
+	m.BeginSuperstep(0, 8)
+	m.SuperstepMessages(40, 30, 10)
+	m.AddSpill(0, 512, 2*time.Millisecond)
+	m.AddSpill(0, 256, 3*time.Second)
+	m.SuperstepTimings(time.Millisecond, time.Microsecond, 0)
+	m.EndSuperstep()
+	m.Counter(MetricNetReconnects).Add(2)
+	m.Gauge(MetricSpillQueueHighWater).Set(3)
+	want := m.PrometheusText()
+	if !strings.Contains(want, MetricSpillSeconds+"_count 2\n") {
+		t.Fatalf("live exposition lacks two spill observations:\n%s", want)
+	}
+	r := New()
+	restore(t, r, m)
+	if got := r.PrometheusText(); got != want {
+		t.Errorf("restored exposition differs:\n got %s\nwant %s", got, want)
 	}
 }
 

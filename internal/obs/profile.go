@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"time"
-
-	"ariadne/internal/value"
-)
+import "time"
 
 // Canonical series names. Callers thread these through the registry so the
 // /metrics endpoint exposes one coherent namespace.
@@ -412,166 +407,98 @@ func (m *Metrics) Profiles() []SuperstepProfile {
 	return append([]SuperstepProfile(nil), m.profiles...)
 }
 
-// RestoreProfiles resets the registry to the state a run that produced ps
-// would have: the profiles become the completed history and every
-// profile-derived counter/histogram is rebuilt from them, so a resumed run
-// reports cumulative — not truncated — metrics. Counters without a profile
-// column (e.g. injected-fault totals from the crashed attempt) restart at
-// zero. Nil-safe.
-func (m *Metrics) RestoreProfiles(ps []SuperstepProfile) {
+// Telemetry is one snapshot of everything the registry holds: every
+// counter, gauge and histogram (buckets included), the completed
+// per-superstep profiles and the net_rpc exchange rows. A checkpoint stores
+// it as JSON and Restore installs it, so a resumed registry is the one that
+// was checkpointed.
+type Telemetry struct {
+	Counters   map[string]int64     `json:"counters,omitempty"`
+	Gauges     map[string]int64     `json:"gauges,omitempty"`
+	Histograms map[string]histState `json:"histograms,omitempty"`
+	Profiles   []SuperstepProfile   `json:"profiles,omitempty"`
+	RPCs       []RPCStat            `json:"rpcs,omitempty"`
+}
+
+// histState is a histogram's observations: per-bucket counts (the last is
+// +Inf), their summed nanoseconds, and how many there were.
+type histState struct {
+	Buckets [numHistBuckets + 1]int64 `json:"buckets"`
+	SumNS   int64                     `json:"sum_ns"`
+	Count   int64                     `json:"count"`
+}
+
+// Telemetry snapshots the registry. Nil-safe: a nil registry snapshots as
+// empty.
+func (m *Metrics) Telemetry() Telemetry {
+	var t Telemetry
+	if m == nil {
+		return t
+	}
+	m.mu.RLock()
+	t.Counters = make(map[string]int64, len(m.counters))
+	for name, c := range m.counters {
+		t.Counters[name] = c.Value()
+	}
+	t.Gauges = make(map[string]int64, len(m.gauges))
+	for name, g := range m.gauges {
+		t.Gauges[name] = g.Value()
+	}
+	t.Histograms = make(map[string]histState, len(m.hists))
+	for name, h := range m.hists {
+		st := histState{SumNS: h.SumNS(), Count: h.Count()}
+		for i := range st.Buckets {
+			st.Buckets[i] = h.counts[i].Load()
+		}
+		t.Histograms[name] = st
+	}
+	m.mu.RUnlock()
+	t.Profiles = m.Profiles()
+	t.RPCs = m.RPCStats()
+	return t
+}
+
+// Restore replaces everything the registry holds with t: series t lacks
+// are dropped, the profile under construction is discarded, and the
+// per-superstep net deltas continue from t's ariadne_net_* counters.
+// Nil-safe.
+func (m *Metrics) Restore(t Telemetry) {
 	if m == nil {
 		return
 	}
-	m.reset()
+	counters := make(map[string]*Counter, len(t.Counters))
+	for name, v := range t.Counters {
+		c := &Counter{}
+		c.v.Store(v)
+		counters[name] = c
+	}
+	gauges := make(map[string]*Gauge, len(t.Gauges))
+	for name, v := range t.Gauges {
+		g := &Gauge{}
+		g.v.Store(v)
+		gauges[name] = g
+	}
+	hists := make(map[string]*Histogram, len(t.Histograms))
+	for name, st := range t.Histograms {
+		h := &Histogram{}
+		for i, n := range st.Buckets {
+			h.counts[i].Store(n)
+		}
+		h.sumNS.Store(st.SumNS)
+		h.n.Store(st.Count)
+		hists[name] = h
+	}
+	m.mu.Lock()
+	m.counters, m.gauges, m.hists = counters, gauges, hists
+	m.mu.Unlock()
 	m.pmu.Lock()
-	m.profiles = append([]SuperstepProfile(nil), ps...)
-	m.curOpen = false
-	m.cur = SuperstepProfile{}
+	m.profiles = append([]SuperstepProfile(nil), t.Profiles...)
+	m.cur, m.curOpen = SuperstepProfile{}, false
+	m.netPrevSent = t.Counters[MetricNetBytesSent]
+	m.netPrevRecv = t.Counters[MetricNetBytesRecv]
+	m.netPrevRetrans = t.Counters[MetricNetRetransmits]
 	m.pmu.Unlock()
-	for i := range ps {
-		p := &ps[i]
-		m.Counter(MetricSupersteps).Add(1)
-		m.Counter(MetricMessagesSent).Add(p.MessagesSent)
-		m.Counter(MetricMessagesDelivered).Add(p.MessagesDelivered)
-		m.Counter(MetricMessagesCombined).Add(p.MessagesCombined)
-		m.Counter(MetricCaptureBytes).Add(p.CaptureBytes)
-		m.Counter(MetricSpillBytes).Add(p.SpillBytes)
-		m.Counter(MetricCheckpointBytes).Add(p.CheckpointBytes)
-		for t, n := range p.CaptureTuples {
-			m.Counter(L(MetricCaptureTuples, "table", t)).Add(n)
-		}
-		for q, n := range p.PiggybackTuples {
-			m.Counter(L(MetricPiggybackTuples, "query", q)).Add(n)
-		}
-		for s, n := range p.Retries {
-			m.Counter(L(MetricRetries, "site", s)).Add(n)
-		}
-		m.Counter(MetricPartitionRetries).Add(p.PartitionRetries)
-		m.Counter(MetricDeadlineHits).Add(p.DeadlineHits)
-		m.Counter(MetricStragglers).Add(int64(len(p.Stragglers)))
-		m.Counter(MetricCombinedSender).Add(p.MessagesCombinedSender)
-		if p.NetBytesSent > 0 || p.NetBytesRecv > 0 || p.NetRetransmits > 0 {
-			m.Counter(MetricNetBytesSent).Add(p.NetBytesSent)
-			m.Counter(MetricNetBytesRecv).Add(p.NetBytesRecv)
-			m.Counter(MetricNetRetransmits).Add(p.NetRetransmits)
-		}
-		m.Gauge(MetricDeliveryMaxShard).Set(p.DeliveryMaxShard)
-		m.Histogram(MetricComputeSeconds).Observe(time.Duration(p.ComputeNS))
-		m.Histogram(MetricBarrierSeconds).Observe(time.Duration(p.BarrierNS))
-		m.Histogram(MetricObserveSeconds).Observe(time.Duration(p.ObserveNS))
-		if p.SpillNS > 0 || p.SpillBytes > 0 {
-			m.Histogram(MetricSpillSeconds).Observe(time.Duration(p.SpillNS))
-		}
-		if p.CheckpointNS > 0 || p.CheckpointBytes > 0 {
-			m.Histogram(MetricCheckpointSeconds).Observe(time.Duration(p.CheckpointNS))
-		}
-		m.Gauge(MetricSuperstep).Set(int64(p.Superstep))
-		m.Gauge(MetricActiveVertices).Set(int64(p.ActiveVertices))
-	}
-	m.pmu.Lock()
-	m.netPrevSent = m.counterValue(MetricNetBytesSent)
-	m.netPrevRecv = m.counterValue(MetricNetBytesRecv)
-	m.netPrevRetrans = m.counterValue(MetricNetRetransmits)
-	m.pmu.Unlock()
-}
-
-// EncodeProfiles appends the profiles to a checkpoint blob — the format
-// that lets a recovered run report cumulative metrics.
-func EncodeProfiles(w *value.Blob, ps []SuperstepProfile) {
-	w.Uvarint(uint64(len(ps)))
-	for i := range ps {
-		p := &ps[i]
-		w.Uvarint(uint64(p.Superstep))
-		w.Uvarint(uint64(p.ActiveVertices))
-		w.Uvarint(uint64(p.MessagesSent))
-		w.Uvarint(uint64(p.MessagesDelivered))
-		w.Uvarint(uint64(p.MessagesCombined))
-		w.Uvarint(uint64(p.ComputeNS))
-		w.Uvarint(uint64(p.BarrierNS))
-		w.Uvarint(uint64(p.ObserveNS))
-		w.Uvarint(uint64(p.CaptureBytes))
-		w.Uvarint(uint64(p.SpillBytes))
-		w.Uvarint(uint64(p.SpillNS))
-		w.Uvarint(uint64(p.CheckpointBytes))
-		w.Uvarint(uint64(p.CheckpointNS))
-		encodeCountMap(w, p.CaptureTuples)
-		encodeCountMap(w, p.PiggybackTuples)
-		encodeCountMap(w, p.Retries)
-		// Checkpoint v3: supervision columns.
-		w.Uvarint(uint64(p.PartitionRetries))
-		w.Uvarint(uint64(p.DeadlineHits))
-		w.Uvarint(uint64(len(p.Stragglers)))
-		for _, s := range p.Stragglers {
-			w.Uvarint(uint64(s))
-		}
-		// Checkpoint v4: parallel-barrier columns.
-		w.Uvarint(uint64(p.MessagesCombinedSender))
-		w.Uvarint(uint64(p.DeliveryMaxShard))
-		// Checkpoint v5: per-superstep transport deltas.
-		w.Uvarint(uint64(p.NetBytesSent))
-		w.Uvarint(uint64(p.NetBytesRecv))
-		w.Uvarint(uint64(p.NetRetransmits))
-	}
-}
-
-// DecodeProfiles reads an EncodeProfiles blob.
-func DecodeProfiles(r *value.BlobReader) ([]SuperstepProfile, error) {
-	n := r.Count()
-	var ps []SuperstepProfile
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var p SuperstepProfile
-		p.Superstep = int(r.Uvarint())
-		p.ActiveVertices = int(r.Uvarint())
-		p.MessagesSent = int64(r.Uvarint())
-		p.MessagesDelivered = int64(r.Uvarint())
-		p.MessagesCombined = int64(r.Uvarint())
-		p.ComputeNS = int64(r.Uvarint())
-		p.BarrierNS = int64(r.Uvarint())
-		p.ObserveNS = int64(r.Uvarint())
-		p.CaptureBytes = int64(r.Uvarint())
-		p.SpillBytes = int64(r.Uvarint())
-		p.SpillNS = int64(r.Uvarint())
-		p.CheckpointBytes = int64(r.Uvarint())
-		p.CheckpointNS = int64(r.Uvarint())
-		p.CaptureTuples = decodeCountMap(r)
-		p.PiggybackTuples = decodeCountMap(r)
-		p.Retries = decodeCountMap(r)
-		p.PartitionRetries = int64(r.Uvarint())
-		p.DeadlineHits = int64(r.Uvarint())
-		nStrag := r.Count()
-		for j := 0; j < nStrag && r.Err() == nil; j++ {
-			p.Stragglers = append(p.Stragglers, int(r.Uvarint()))
-		}
-		p.MessagesCombinedSender = int64(r.Uvarint())
-		p.DeliveryMaxShard = int64(r.Uvarint())
-		p.NetBytesSent = int64(r.Uvarint())
-		p.NetBytesRecv = int64(r.Uvarint())
-		p.NetRetransmits = int64(r.Uvarint())
-		ps = append(ps, p)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("obs: corrupt profile blob: %w", err)
-	}
-	return ps, nil
-}
-
-func encodeCountMap(w *value.Blob, m map[string]int64) {
-	w.Uvarint(uint64(len(m)))
-	for _, k := range sortedKeys(m) {
-		w.String(k)
-		w.Uvarint(uint64(m[k]))
-	}
-}
-
-func decodeCountMap(r *value.BlobReader) map[string]int64 {
-	n := r.Count()
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]int64, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.String()
-		m[k] = int64(r.Uvarint())
-	}
-	return m
+	m.rmu.Lock()
+	m.rpcs = append([]RPCStat(nil), t.RPCs...)
+	m.rmu.Unlock()
 }

@@ -16,7 +16,7 @@ import (
 // transport wire frames so worker processes open child spans for
 // decode/compute/encode and ship them back piggybacked on ExecResult. The
 // merged timeline exports as Chrome trace_event JSON (chrome://tracing /
-// Perfetto) and persists through checkpoint/resume alongside the profiles.
+// Perfetto) and persists through checkpoint/resume in its own section.
 //
 // The collector lives behind an atomic pointer exactly like the trace ring:
 // when span tracing is disabled the pointer is nil and every hook is one
@@ -383,19 +383,8 @@ func (m *Metrics) RPCStats() []RPCStat {
 	return append([]RPCStat(nil), m.rpcs...)
 }
 
-// RestoreRPCStats replaces the exchange aggregates from a checkpoint.
-// Nil-safe.
-func (m *Metrics) RestoreRPCStats(rs []RPCStat) {
-	if m == nil {
-		return
-	}
-	m.rmu.Lock()
-	m.rpcs = append([]RPCStat(nil), rs...)
-	m.rmu.Unlock()
-}
-
 // EncodeSpans appends a span list to a blob — the section format shared by
-// the transport wire (ExecResult piggyback) and checkpoint v5.
+// the transport wire (ExecResult piggyback) and the checkpoint.
 func EncodeSpans(w *value.Blob, sps []Span) {
 	w.Uvarint(uint64(len(sps)))
 	for i := range sps {
@@ -439,35 +428,4 @@ func DecodeSpans(r *value.BlobReader) ([]Span, error) {
 		return nil, fmt.Errorf("obs: corrupt span blob: %w", err)
 	}
 	return sps, nil
-}
-
-// EncodeRPCStats appends the exchange aggregates to a checkpoint blob.
-func EncodeRPCStats(w *value.Blob, rs []RPCStat) {
-	w.Uvarint(uint64(len(rs)))
-	for i := range rs {
-		w.Int(int64(rs[i].Superstep))
-		w.Int(int64(rs[i].Partition))
-		w.Uvarint(uint64(rs[i].Bytes))
-		w.Uvarint(uint64(rs[i].Retries))
-		w.Uvarint(uint64(rs[i].Nanos))
-	}
-}
-
-// DecodeRPCStats reads an EncodeRPCStats blob.
-func DecodeRPCStats(r *value.BlobReader) ([]RPCStat, error) {
-	n := r.Count()
-	var rs []RPCStat
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var st RPCStat
-		st.Superstep = int(r.Int())
-		st.Partition = int(r.Int())
-		st.Bytes = int64(r.Uvarint())
-		st.Retries = int64(r.Uvarint())
-		st.Nanos = int64(r.Uvarint())
-		rs = append(rs, st)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("obs: corrupt rpc-stat blob: %w", err)
-	}
-	return rs, nil
 }

@@ -160,16 +160,21 @@ func TestRPCStatCodecAndAggregation(t *testing.T) {
 	if rs[0].Bytes != 150 || rs[0].Retries != 2 || rs[0].Nanos != int64(4*time.Millisecond) {
 		t.Fatalf("merge wrong: %+v", rs[0])
 	}
-	b := value.NewBlob()
-	EncodeRPCStats(b, rs)
-	out, err := DecodeRPCStats(value.NewBlobReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	r := New()
+	restore(t, r, m)
+	out := r.RPCStats()
+	if len(out) != len(rs) {
+		t.Fatalf("restored %d rpc stats, want %d", len(out), len(rs))
 	}
 	for i := range rs {
 		if rs[i] != out[i] {
 			t.Fatalf("rpc stat %d: got %+v, want %+v", i, out[i], rs[i])
 		}
+	}
+	// A restored row keeps merging by (superstep, partition).
+	r.AddRPC(1, 0, 5, 1, time.Millisecond)
+	if out = r.RPCStats(); len(out) != 2 || out[1].Bytes != 15 || out[1].Retries != 1 {
+		t.Fatalf("merge after restore wrong: %+v", out)
 	}
 }
 

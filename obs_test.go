@@ -231,6 +231,21 @@ func TestMetricsSurviveRecovery(t *testing.T) {
 			t.Errorf("counter %s = %d after recovery, want %d", name, got, want)
 		}
 	}
+	// So does every other counter series the baseline holds, and the spill
+	// histogram's count: the resumed registry installed the checkpointed
+	// one, series without a profile column included.
+	baseCounters := baseM.Telemetry().Counters
+	if len(baseCounters) == 0 {
+		t.Fatal("baseline registry holds no counters")
+	}
+	for name, want := range baseCounters {
+		if got := resM.Counter(name).Value(); got != want {
+			t.Errorf("counter %s = %d after recovery, want %d", name, got, want)
+		}
+	}
+	if got, want := resM.Histogram(obs.MetricSpillSeconds).Count(), baseM.Histogram(obs.MetricSpillSeconds).Count(); got != want || want == 0 {
+		t.Errorf("%s_count = %d after recovery, want %d (> 0)", obs.MetricSpillSeconds, got, want)
+	}
 }
 
 // TestConcurrentScrape exercises the race-safety claim under -race: HTTP

@@ -385,7 +385,7 @@ func TestSpanTraceCheckpointResume(t *testing.T) {
 		}
 	}
 	if !pre {
-		t.Error("resumed run lost the pre-crash superstep spans (checkpoint v5 restore)")
+		t.Error("resumed run lost the pre-crash superstep spans (checkpoint span section)")
 	}
 	if !post {
 		t.Error("resumed run recorded no new superstep spans")
