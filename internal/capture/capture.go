@@ -543,9 +543,9 @@ func (o *Observer) UnmarshalCheckpoint(data []byte) error {
 // much of it to persist (the paper's customized capturing, §3):
 //
 //   - a rule over value(...) persists vertex values (Queries 2, 3, 11);
-//   - a rule over send_message(...) with a 4-ary head persists full
-//     send-message tuples (Query 2); a narrower head persists only the
-//     send *flag* (Query 11's prov-send);
+//   - a rule over send_message(...) whose head keeps the payload persists
+//     full send-message tuples (Query 2); a head that keeps neither peer nor
+//     payload persists only the send *flag* (Query 11's prov-send);
 //   - a rule over receive_message(...) persists receive-message tuples;
 //   - a recursive forward rule with a $source parameter adds
 //     forward-lineage tainting (Query 3): only influenced vertices are
@@ -553,7 +553,8 @@ func (o *Observer) UnmarshalCheckpoint(data []byte) error {
 //
 // A policy keeps or drops whole streams and only the lineage taint narrows
 // one, so outside that shape a comparison or negated literal is an error
-// rather than a filter the policy would silently ignore.
+// rather than a filter the policy would silently ignore. So is a head that
+// keeps a message's peer but not its payload: no policy stores that.
 func FromQuery(q *analysis.Query, env *analysis.Env) (Policy, error) {
 	var p Policy
 	recognized := false
@@ -571,11 +572,11 @@ func FromQuery(q *analysis.Query, env *analysis.Env) (Policy, error) {
 		for _, v := range hv {
 			headVars[v.Name] = true
 		}
-		payloadInHead := func(a *pql.Atom, payloadArg int) bool {
-			if payloadArg >= len(a.Args) {
+		inHead := func(a *pql.Atom, arg int) bool {
+			if arg >= len(a.Args) {
 				return false
 			}
-			if v, ok := a.Args[payloadArg].(*pql.Var); ok && !v.Wildcard() {
+			if v, ok := a.Args[arg].(*pql.Var); ok && !v.Wildcard() {
 				return headVars[v.Name]
 			}
 			return false
@@ -593,23 +594,29 @@ func FromQuery(q *analysis.Query, env *analysis.Env) (Policy, error) {
 			if !ok || pl.Negated {
 				continue
 			}
+			if msg := pl.Atom.Pred; (msg == "send_message" || msg == "receive_message") && inHead(pl.Atom, 1) && !inHead(pl.Atom, 2) {
+				// A message is stored whole or as a send flag: no policy keeps
+				// the peer without the payload.
+				return Policy{}, fmt.Errorf("capture: %s: %s keeps the peer %s but not the payload %s, which no capture policy stores",
+					pl.Atom.Pos, pl.Atom, pl.Atom.Args[1], pl.Atom.Args[2])
+			}
 			switch pl.Atom.Pred {
 			case "value":
-				if payloadInHead(pl.Atom, 1) { // value(X, D, I): payload D
+				if inHead(pl.Atom, 1) { // value(X, D, I): payload D
 					p.Values = true
 				}
 				recognized = true
 			case "send_message":
-				if payloadInHead(pl.Atom, 2) { // send_message(X, Y, M, I): payload M
+				if inHead(pl.Atom, 2) { // send_message(X, Y, M, I): payload M
 					p.Sends = true
 				} else {
-					// The head records that (or to whom) a message was sent
-					// without its value: the send *flag* suffices (Query 11).
+					// The head records that a message was sent, without its
+					// peer or value: the send *flag* suffices (Query 11).
 					p.SendFlags = true
 				}
 				recognized = true
 			case "receive_message":
-				if payloadInHead(pl.Atom, 2) {
+				if inHead(pl.Atom, 2) {
 					p.Recvs = true
 				}
 				recognized = true

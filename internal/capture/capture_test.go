@@ -298,13 +298,17 @@ fwd(X, V, I) :- receive_message(X, Y, M, I), fwd(Y, W, J), value(X, V, I).`, env
 
 // TestFromQueryRefusesFilters: outside forward lineage a policy keeps whole
 // streams, so a comparison or negation that would narrow one is a
-// positioned error instead of a silent capture of everything.
+// positioned error instead of a silent capture of everything; and a head
+// keeping a message's peer without its payload is one instead of an empty
+// policy or a send flag.
 func TestFromQueryRefusesFilters(t *testing.T) {
 	env := analysis.NewEnv()
 	for _, tc := range []struct{ src, want string }{
 		{"cap(X, D, I) :- value(X, D, I), D > 100.", "capture: 1:33: comparison D > 100"},
 		{"cap(X, D, I) :- value(X, D, I), X = 3.", "capture: 1:33: comparison X = 3"},
 		{"cap(X, D, I) :- value(X, D, I), !send_message(X, X, D, I).", "capture: 1:34: negated literal !send_message(X, X, D, I)"},
+		{"cap(X, Y, I) :- receive_message(X, Y, M, I).", "capture: 1:17: receive_message(X, Y, M, I) keeps the peer Y but not the payload M"},
+		{"cap(X, Y, I) :- send_message(X, Y, M, I).", "capture: 1:17: send_message(X, Y, M, I) keeps the peer Y but not the payload M"},
 	} {
 		pol, err := FromQuery(mustQuery(t, tc.src, env), env)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {

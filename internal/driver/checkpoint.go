@@ -11,9 +11,9 @@ import (
 // Checkpoint support for online query evaluation (engine.Checkpointable).
 // The online driver is a deterministic function of the superstep record
 // stream, so its recoverable state is exactly: the Datalog database (the
-// query-relation deltas derived so far) plus the path-specific cursors —
-// compiled-rule drive cursors for the compiled path, or the evaluator's
-// aggregate tables and the feeder's dedup maps for the materialised path.
+// query-relation deltas derived so far) plus the path-specific state — the
+// compiled path's counters, or the evaluator's aggregate tables and the
+// feeder's dedup maps for the materialised path.
 // Restoring this state and replaying supersteps from the checkpoint barrier
 // reproduces the failure-free query result bit for bit.
 

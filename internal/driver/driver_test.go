@@ -2,6 +2,7 @@ package driver
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -111,32 +112,130 @@ func TestOnlineRejectsBackward(t *testing.T) {
 	}
 }
 
-func TestOnlinePiggybackCounting(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(6, 4, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := queries.Apt(0.1, nil).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := NewOnline(q, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(g, ssspProg{}, engine.Config{Observers: []engine.Observer{o}})
+// lateJoin is a global rule whose join completes across supersteps: a
+// vertex's pair (I, J) exists once it has run at both.
+const lateJoin = `
+seen(X, I) :- superstep(X, I).
+pair(X, I, J) :- seen(X, I), seen(X, J), I < J.
+`
+
+// runOnlineSSSP runs SSSP on g with observers attached.
+func runOnlineSSSP(t *testing.T, g *graph.Graph, observers ...engine.Observer) {
+	t.Helper()
+	e, err := engine.New(g, ssspProg{}, engine.Config{Observers: observers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if o.PiggybackTuples <= 0 {
-		t.Error("piggyback tuple accounting missing")
+}
+
+// TestOnlinePiggybackCounting: every tuple an online query derives is
+// counted as piggyback in the superstep that derives it, so the total equals
+// the derived relations' sizes — for Query 1 and for a global rule whose
+// joins complete in later supersteps.
+func TestOnlinePiggybackCounting(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(6, 4, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if o.Reads()&engine.FieldReceived == 0 {
-		t.Error("apt references receive_message, needs raw delivery")
+	for name, q := range map[string]*analysis.Query{
+		"apt":       queries.Apt(0.1, nil).MustBuild(),
+		"late-join": analysis.MustAnalyze(lateJoin, analysis.NewEnv()),
+	} {
+		o, err := NewOnline(q, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runOnlineSSSP(t, g, o)
+		var derived int64
+		for _, ri := range o.Result().DerivedRelations() {
+			derived += int64(ri.Count)
+		}
+		if o.PiggybackTuples <= 0 || o.PiggybackTuples != derived {
+			t.Errorf("%s: %d piggyback tuples, %d derived", name, o.PiggybackTuples, derived)
+		}
+		if name == "apt" && o.Reads()&engine.FieldReceived == 0 {
+			t.Error("apt references receive_message, needs raw delivery")
+		}
 	}
+}
+
+// lockstep is a compiled Online that, after each superstep it observes,
+// compares pred with a materialised Online observed before it.
+type lockstep struct {
+	*Online
+	ref      *Online
+	pred     string
+	t        *testing.T
+	compared int
+}
+
+func (l *lockstep) ObserveSuperstep(v *engine.SuperstepView) error {
+	if err := l.Online.ObserveSuperstep(v); err != nil {
+		return err
+	}
+	want, got := resultSig(l.ref.Result())[l.pred], resultSig(l.Result())[l.pred]
+	requireSameSig(l.t, fmt.Sprintf("superstep %d", v.Superstep), map[string][]string{l.pred: want}, map[string][]string{l.pred: got})
+	l.compared++
+	return nil
+}
+
+// TestOnlineLateJoinMatchesMaterialised: a compiled global rule has its
+// answers at every barrier, as the materialised Evaluator does — pair holds
+// each vertex's superstep pairs as soon as the later superstep has run, not
+// only at the end of the run.
+func TestOnlineLateJoinMatchesMaterialised(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(6, 4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *analysis.Query { return analysis.MustAnalyze(lateJoin, analysis.NewEnv()) }
+	ref, err := NewOnline(build(), g, materialised())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOnline(build(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o.UsesCompiledPath() || ref.UsesCompiledPath() {
+		t.Fatal("want one compiled and one materialised leg")
+	}
+	l := &lockstep{Online: o, ref: ref, pred: "pair", t: t}
+	runOnlineSSSP(t, g, ref, l)
+	if l.compared < 2 || o.Result().Relation("pair").Len() == 0 {
+		t.Errorf("compared %d supersteps, pair has %d tuples", l.compared, o.Result().Relation("pair").Len())
+	}
+}
+
+// TestOnlineLateJoinResumes: a global rule's delta cursors are not saved —
+// every barrier leaves them at their relations' ends — so an online run of
+// the late-join query resumed from a mid-run checkpoint derives what the
+// uninterrupted run does, in the same order.
+func TestOnlineLateJoinResumes(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(6, 4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *analysis.Query { return analysis.MustAnalyze(lateJoin, analysis.NewEnv()) }
+	newOnline := func() *Online {
+		o, err := NewOnline(build(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	const at = 3
+	ck := &checkpointAt{Online: newOnline(), at: at}
+	runOnlineSSSP(t, g, ck)
+	if ck.blob == nil {
+		t.Fatal("no checkpoint taken")
+	}
+	resumed := &resumeAt{Online: newOnline(), at: at, blob: ck.blob}
+	runOnlineSSSP(t, g, resumed)
+	requireSameSig(t, "resumed", relationKeys(ck.Result(), false), relationKeys(resumed.Result(), false))
 }
 
 func TestNeedsOf(t *testing.T) {

@@ -359,14 +359,9 @@ func (o *Online) barrierViews(superstep int) []eval.RecordView {
 	return views
 }
 
-// Finish implements engine.Observer: the compiled path completes its
-// global rules over the final relations.
-func (o *Online) Finish(int) error {
-	if o.compiled != nil {
-		return o.compiled.FinishRun()
-	}
-	return nil
-}
+// Finish implements engine.Observer. Every superstep's ObserveSuperstep
+// leaves the query's relations complete, so there is nothing left to do.
+func (o *Online) Finish(int) error { return nil }
 
 // Result returns the query results accumulated so far.
 func (o *Online) Result() *Result {

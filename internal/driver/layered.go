@@ -64,9 +64,6 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 		}
 	}
 	if isCompiled {
-		if err := compiled.FinishRun(); err != nil {
-			return nil, err
-		}
 		res.Facts = compiled.Records()
 	} else {
 		res.Facts = f.FactCount

@@ -118,7 +118,7 @@ func (e *Engine) writeCheckpoint(resumeSS int) error {
 		if err := e.cfg.Fault.Hit(fault.SiteCheckpointWrite, resumeSS-1, -1, -1); err != nil {
 			return err
 		}
-		return writeFileAtomic(path, payload)
+		return fault.WriteFileAtomic(path, payload)
 	}
 	notify := func(attempt int, err error) {
 		m.AddRetry("checkpoint")
@@ -457,35 +457,6 @@ func LatestCheckpoint(dir string) (int, error) {
 	return 0, fmt.Errorf("engine: no usable checkpoint in %s", dir)
 }
 
-// writeFileAtomic writes data via a temp file, fsync, and rename, so a
-// crash mid-write never leaves a partial file at the final path.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 // readManifest returns the checkpoint filenames, oldest first.
 func readManifest(dir string) ([]string, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -517,7 +488,7 @@ func updateManifest(dir, name string, keep int) error {
 		drop = names[:len(names)-keep]
 		names = names[len(names)-keep:]
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), []byte(strings.Join(names, "\n")+"\n")); err != nil {
+	if err := fault.WriteFileAtomic(filepath.Join(dir, manifestName), []byte(strings.Join(names, "\n")+"\n")); err != nil {
 		return fmt.Errorf("engine: writing checkpoint manifest: %w", err)
 	}
 	for _, old := range drop {

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -414,6 +415,32 @@ func ParseSpec(spec string) ([]Rule, error) {
 		return nil, errors.New("fault: empty specification")
 	}
 	return rules, nil
+}
+
+// WriteFileAtomic writes data to path via a temp file beside it, fsync and
+// rename, so a crash or I/O error mid-write never leaves a partial file at
+// path; on failure the temp file is removed. The spill and checkpoint
+// writers retry it under RetryNotify.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Retry runs f up to attempts times, sleeping base, 2*base, 4*base, ...

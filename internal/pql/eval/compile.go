@@ -16,8 +16,9 @@ import (
 // This file implements the paper's query compiler (§4: "ARIADNE
 // incorporates a compiler that maps query evaluation to vertex programs";
 // §2.2: "ARIADNE compiles this query into a provenance query vertex
-// program"). It is a second planner over the slot IR of slots.go: a
-// compiled query's rules run as slot programs whose record-local EDB steps
+// program"). It plans rules with the scheduler of plan.go, on its own path
+// (recordPlanner), into the slot IR of slots.go: a compiled query's rules
+// run as slot programs whose record-local EDB steps
 // read each vertex's transient provenance record — value, previous value
 // (evolution), messages, emitted facts, static edges — as virtual relations
 // (record.go), without materializing any EDB tuple in the Datalog database.
@@ -58,9 +59,11 @@ type Compiled struct {
 	partRules int
 
 	// main is the barrier's scratch; noRecord stands in for the record of
-	// global and static rules, which read none.
+	// global and static rules, which read none. delta is fireGlobal's
+	// scratch.
 	main     *shard
 	noRecord RecordView
+	delta    map[string][]Tuple
 
 	// parts are the partition shards, created on first use; mu guards the
 	// slice. live and heads are MergePartitions' scratch.
@@ -79,21 +82,22 @@ type Compiled struct {
 type crule struct {
 	src  *pql.Rule
 	kind ruleKind
-	prog *program
+	// plan holds the rule's ordered bodies and programs. A record or static
+	// rule has one, prog (plan.fact). A global rule fires semi-naively
+	// (fireGlobal): one program per positive IDB literal, or with none its
+	// one program every pass; cursors[i] counts the tuples of
+	// plan.positivePreds[i]'s relation its passes consumed.
+	plan    *rulePlan
+	prog    *program
+	cursors []int
 	// idx is the rule's position in Compiled.rules; head its relation.
 	idx  int
 	head *Relation
-	// Global rules are driven by the new tuples of one IDB relation
-	// (semi-naive): drivePred names it — the program's rowsDelta step —
-	// and driveCursor tracks the insertion-order position already consumed.
-	drivePred   string
-	driveCursor int
-	// anchor is a record rule's location variable (the head's first
-	// argument). seedSS: the rule's current-superstep variable is pre-bound
-	// in slot 1 to the record's superstep, as the anchor is in slot 0 to its
-	// vertex.
-	anchor string
-	seedSS bool
+	// anchor lists the variables a record rule binds before its first step:
+	// its location variable (the head's first argument), in slot 0, to the
+	// record's vertex, and its current-superstep variable, when it has one,
+	// in slot 1, to the record's superstep.
+	anchor []string
 	// keyed: the rule derives exactly (anchor, current superstep); once
 	// Compile returns, that its head is record-keyed (see keyHeads).
 	keyed bool
@@ -103,6 +107,15 @@ type crule struct {
 	// (see makeViews): BeginRun still derives its head, but every literal
 	// reading it is a degree test. Zero otherwise.
 	view rowSource
+}
+
+// lower compiles the rule's plan into its programs.
+func (r *crule) lower(env *analysis.Env) error {
+	if err := r.plan.lower(r.src, env, r.anchor...); err != nil {
+		return fmt.Errorf("%w: %v", ErrNotCompilable, err)
+	}
+	r.prog = r.plan.fact
+	return nil
 }
 
 // planner names the rule's kind for Explain.
@@ -195,8 +208,8 @@ type ruleKind uint8
 
 const (
 	ruleRecord ruleKind = iota // anchored at each record
-	ruleGlobal                 // driven by the new tuples of its first IDB
-	ruleStatic                 // only static EDBs: evaluated once
+	ruleGlobal                 // reads IDBs and no record: fired semi-naively each pass
+	ruleStatic                 // no record and no IDB: evaluated once
 )
 
 func (k ruleKind) String() string { return [...]string{"record", "global", "static"}[k] }
@@ -206,35 +219,31 @@ func (k ruleKind) String() string { return [...]string{"record", "global", "stat
 // compiles never fails for a compile-time reason at run time.
 func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error) {
 	n := len(q.Strata)
-	c := &Compiled{strata: make([][]*crule, n), recursive: make([]bool, n), passes: make([]int64, n)}
+	c := &Compiled{strata: make([][]*crule, n), recursive: make([]bool, n), passes: make([]int64, n),
+		delta: map[string][]Tuple{}}
 	c.main = c.newShard(db, sg, nil)
 	for name, arity := range q.IDBs {
 		db.Relation(name, arity)
 	}
 	globalHeads := map[string]bool{}
-	var plans []*recordPlan // by rule index
 	for si, stratum := range q.Strata {
 		heads := map[string]bool{}
 		for _, r := range stratum {
 			heads[r.Head.Pred] = true
 		}
 		for _, r := range stratum {
-			rp, err := planRecordRule(r, q)
+			cr, err := planRecordRule(r, q)
 			if err != nil {
 				return nil, err
 			}
-			cr := &crule{src: r, kind: rp.kind, drivePred: rp.drivePred, seedSS: len(rp.anchor) > 1,
-				idx: len(c.rules), head: db.Relation(r.Head.Pred, len(r.Head.Args)),
-				keyed: rp.kind == ruleRecord && derivesRecord(r.Head, rp.anchor)}
-			if cr.kind == ruleRecord {
-				cr.anchor = rp.anchor[0]
-			}
-			if cr.prog, err = lower(rp.steps, r.Head.Args, q.Env(), rp.anchor...); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrNotCompilable, err)
-			}
-			plans = append(plans, rp)
+			cr.idx, cr.head = len(c.rules), db.Relation(r.Head.Pred, len(r.Head.Args))
+			cr.keyed = cr.kind == ruleRecord && derivesRecord(r.Head, cr.anchor)
 			if cr.kind == ruleGlobal {
+				cr.cursors = make([]int, len(cr.plan.positivePreds))
 				globalHeads[r.Head.Pred] = true
+			}
+			if err := cr.lower(q.Env()); err != nil {
+				return nil, err
 			}
 			for _, lit := range r.Body {
 				if pl, ok := lit.(*pql.PredLit); ok && heads[pl.Atom.Pred] {
@@ -245,12 +254,13 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 			c.rules = append(c.rules, cr)
 		}
 	}
-	if err := c.makeViews(q, plans); err != nil {
+	if err := c.makeViews(q); err != nil {
 		return nil, err
 	}
-	// Soundness guard: record rules re-evaluate per record, so they must
-	// not consume predicates whose tuples may appear without a matching
-	// record (global-rule heads complete only at FinishRun).
+	// Soundness guard: record rules evaluate each record once, in its layer,
+	// so they must not consume predicates whose tuples may appear without a
+	// matching record (a global rule's head gains tuples from joins that
+	// complete in any later layer).
 	for _, cr := range c.rules {
 		if cr.kind != ruleRecord {
 			continue
@@ -274,9 +284,8 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 // (out-) edge, so when it is h's only rule and every literal reading h has
 // X ground, the literal becomes a degree test over the graph instead of a
 // probe of the relation. BeginRun still derives the relation, for its
-// readers and its counts. plans are the rules' plans by index; the rules
-// reading a view are lowered again from them.
-func (c *Compiled) makeViews(q *analysis.Query, plans []*recordPlan) error {
+// readers and its counts. The rules reading a view are lowered again.
+func (c *Compiled) makeViews(q *analysis.Query) error {
 	rulesOf := map[string]int{}
 	for _, r := range c.rules {
 		rulesOf[r.src.Head.Pred]++
@@ -288,34 +297,37 @@ func (c *Compiled) makeViews(q *analysis.Query, plans []*recordPlan) error {
 		}
 	}
 	// A negation is ground by construction; a positive read must be keyed on
-	// the view's column. A scan, or a global rule's delta drive, keeps the
+	// the view's column. A scan, or a global rule's delta program, keeps the
 	// rule static.
 	for _, r := range c.rules {
-		for _, st := range r.prog.steps {
-			if _, ok := views[st.pred]; ok && st.kind == stepPositive && (st.rows != rowsRelation || len(st.lookupCols) != 1) {
-				delete(views, st.pred)
+		for _, p := range r.plan.programs() {
+			for _, st := range p.steps {
+				if _, ok := views[st.pred]; ok && st.kind == stepPositive && (st.rows != rowsRelation || len(st.lookupCols) != 1) {
+					delete(views, st.pred)
+				}
 			}
 		}
 	}
-	for i, r := range c.rules {
+	for _, r := range c.rules {
 		if src, ok := views[r.src.Head.Pred]; ok {
 			r.view = src
 			continue
 		}
-		rp, reads := plans[i], false
-		for j := range rp.steps {
-			if ps := &rp.steps[j]; ps.atom != nil {
-				if src, ok := views[ps.atom.Pred]; ok {
-					ps.rows, reads = src, true
+		reads := false
+		for _, steps := range r.plan.bodies() {
+			for j := range steps {
+				if ps := &steps[j]; ps.atom != nil {
+					if src, ok := views[ps.atom.Pred]; ok {
+						ps.rows, reads = src, true
+					}
 				}
 			}
 		}
 		if !reads {
 			continue
 		}
-		var err error
-		if r.prog, err = lower(rp.steps, r.src.Head.Args, q.Env(), rp.anchor...); err != nil {
-			return fmt.Errorf("%w: %v", ErrNotCompilable, err)
+		if err := r.lower(q.Env()); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -409,7 +421,7 @@ func (c *Compiled) partitionPrefix(q *analysis.Query) int {
 				if _, idb := q.IDBs[pl.Atom.Pred]; !idb {
 					continue
 				}
-				if v, ok := asVar(pl.Atom.Args[0]); !ok || v != r.anchor {
+				if v, ok := asVar(pl.Atom.Args[0]); !ok || v != r.anchor[0] {
 					return si
 				}
 			}
@@ -418,18 +430,8 @@ func (c *Compiled) partitionPrefix(q *analysis.Query) int {
 	return len(c.strata)
 }
 
-// recordPlan is planRecordRule's result: the rule's kind, its ordered body
-// with a row source per predicate step, and — for record rules — the
-// anchor variables bound before the first step: the record's vertex and,
-// when the rule has one, its current superstep.
-type recordPlan struct {
-	kind      ruleKind
-	steps     []planStep
-	anchor    []string
-	drivePred string
-}
-
-// recordPlanner orders one rule for evaluation against transient records.
+// recordPlanner is the compiled path the scheduler plans rules on, against
+// transient records.
 //
 // Shape requirements (anything else is ErrNotCompilable):
 //   - no aggregates in the head;
@@ -442,29 +444,31 @@ type recordPlan struct {
 //   - remote access happens only through IDB predicates (database lookups)
 //     or static edges, exactly the VC-compatible discipline of Def. 4.1.
 type recordPlanner struct {
-	recordPlan
-	r     *pql.Rule
-	q     *analysis.Query
-	bound map[string]bool
+	r    *pql.Rule
+	q    *analysis.Query
+	kind ruleKind
 
 	curSS  string // the current-superstep variable
 	prevSS string // the evolution predecessor variable, if any
 }
 
-func planRecordRule(r *pql.Rule, q *analysis.Query) (*recordPlan, error) {
+// planRecordRule classifies r and plans it on the compiled path: the
+// returned rule has its kind, its plan (not yet lowered) and, for a record
+// rule, its anchor.
+func planRecordRule(r *pql.Rule, q *analysis.Query) (*crule, error) {
 	for _, a := range r.Head.Args {
 		if containsAgg(a) {
 			return nil, notCompilable(r.Pos, "aggregate head")
 		}
 	}
-	rp := &recordPlanner{r: r, q: q, bound: map[string]bool{}}
+	rp := &recordPlanner{r: r, q: q}
 
 	// Classify the body and identify the anchor (head location) variable.
 	anchor := ""
 	if len(r.Head.Args) > 0 {
 		anchor, _ = asVar(r.Head.Args[0])
 	}
-	hasRecordLocal, hasStatic, hasIDB := false, false, false
+	hasRecordLocal, hasIDB := false, false
 	for _, lit := range r.Body {
 		pl, ok := lit.(*pql.PredLit)
 		if !ok {
@@ -473,7 +477,6 @@ func planRecordRule(r *pql.Rule, q *analysis.Query) (*recordPlan, error) {
 		pred := pl.Atom.Pred
 		switch {
 		case pred == "edge":
-			hasStatic = true
 		case rp.recordLocal(pred):
 			hasRecordLocal = true
 			if pl.Negated && pred != "receive_message" && pred != "send_message" {
@@ -505,82 +508,57 @@ func planRecordRule(r *pql.Rule, q *analysis.Query) (*recordPlan, error) {
 		rp.prevSS, rp.curSS = j, i
 	}
 
+	cr, bound := &crule{src: r, plan: &rulePlan{}}, map[string]bool{}
 	switch {
 	case hasRecordLocal:
-		rp.kind = ruleRecord
-		rp.anchor = []string{anchor}
-		rp.bound[anchor] = true
-	case !hasIDB && (hasStatic || len(r.Body) == 0):
-		rp.kind = ruleStatic
-	default:
+		rp.kind, cr.anchor = ruleRecord, []string{anchor}
+		bound[anchor] = true
+	case hasIDB:
 		rp.kind = ruleGlobal
+	default:
+		rp.kind = ruleStatic
 	}
-
-	// Greedy scheduling: bindable comparisons and ground negations first,
-	// then the cheapest positive literal — record-locals before enumerators
-	// before IDB lookups.
-	remaining := append([]pql.Literal(nil), r.Body...)
-	for len(remaining) > 0 {
-		progressed := false
-		for i := 0; i < len(remaining); i++ {
-			if !schedulable(remaining[i], rp.bound) {
-				continue
-			}
-			switch lit := remaining[i].(type) {
-			case *pql.CmpLit:
-				rp.steps = append(rp.steps, planStep{kind: stepCompare, cmp: lit})
-				bindCmpVars(lit, rp.bound)
-			case *pql.PredLit:
-				rows, err := rp.negatedSource(lit.Atom)
-				if err != nil {
-					return nil, err
-				}
-				rp.steps = append(rp.steps, planStep{kind: stepNegated, atom: lit.Atom, rows: rows})
-			}
-			remaining = append(remaining[:i], remaining[i+1:]...)
-			i--
-			progressed = true
-		}
-		bestIdx, bestCost := -1, 1<<30
-		for i, lit := range remaining {
-			pl, ok := lit.(*pql.PredLit)
-			if !ok || pl.Negated {
-				continue
-			}
-			if cost := rp.literalCost(pl.Atom); cost < bestCost {
-				bestIdx, bestCost = i, cost
-			}
-		}
-		if bestIdx >= 0 {
-			a := remaining[bestIdx].(*pql.PredLit).Atom
-			rows, err := rp.source(a)
-			if err != nil {
-				return nil, err
-			}
-			if rp.kind == ruleGlobal && rp.drivePred == "" && rp.isIDB(a.Pred) {
-				// The first IDB drives the rule semi-naively: its step
-				// scans the relation's new tuples, not the relation.
-				rp.drivePred, rows = a.Pred, rowsDelta
-			}
-			rp.steps = append(rp.steps, planStep{kind: stepPositive, atom: a, rows: rows})
-			bindAtomVars(a, rp.bound)
-			remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-			progressed = true
-		}
-		if !progressed {
-			return nil, notCompilable(r.Pos, "cannot schedule rule body for compilation")
-		}
+	cr.kind = rp.kind
+	var err error
+	if rp.kind == ruleGlobal {
+		cr.plan, err = planRule(r, rp)
+	} else {
+		cr.plan.factSteps, err = schedule(r, nil, bound, rp)
 	}
-	if rp.kind == ruleGlobal && rp.drivePred == "" {
-		return nil, notCompilable(r.Pos, "global rule without an IDB driver")
+	if err != nil {
+		if !errors.Is(err, ErrNotCompilable) {
+			err = fmt.Errorf("%w: %v", ErrNotCompilable, err)
+		}
+		return nil, err
 	}
 	// Every record source yields the record's superstep in its superstep
 	// column, so the current-superstep variable is bound from the start;
 	// the schedule above stays the one planned without it.
 	if rp.kind == ruleRecord && rp.curSS != "" && rp.curSS != anchor {
-		rp.anchor = append(rp.anchor, rp.curSS)
+		cr.anchor = append(cr.anchor, rp.curSS)
 	}
-	return &rp.recordPlan, nil
+	return cr, nil
+}
+
+// delta reports whether a positive literal over pred gets a delta program
+// in a global rule: it does over an IDB.
+func (rp *recordPlanner) delta(pred string) bool { return rp.isIDB(pred) }
+
+// rows picks the row source of a predicate step. A negated step's
+// arguments are ground: it is an IDB or record-local message membership
+// test.
+func (rp *recordPlanner) rows(kind stepKind, a *pql.Atom, bound map[string]bool) (rowSource, error) {
+	switch {
+	case rp.isIDB(a.Pred):
+		return rowsRelation, nil
+	case kind == stepPositive:
+		return rp.source(a, bound)
+	case a.Pred == "receive_message":
+		return rowsRecvs, nil
+	case a.Pred == "send_message":
+		return rowsSends, nil
+	}
+	return 0, notCompilable(a.Pos, "negated %s is not compilable", a.Pred)
 }
 
 func (rp *recordPlanner) isIDB(pred string) bool {
@@ -599,12 +577,10 @@ func (rp *recordPlanner) recordLocal(pred string) bool {
 	return ok
 }
 
-// literalCost orders positive literals for scheduling: lower is earlier.
-func (rp *recordPlanner) literalCost(a *pql.Atom) int {
+// cost orders positive literals for scheduling, lower earlier:
+// record-locals before enumerators before IDB lookups.
+func (rp *recordPlanner) cost(a *pql.Atom, bound map[string]bool) int {
 	if rp.isIDB(a.Pred) {
-		if rp.kind == ruleGlobal {
-			return 50 // the driving scan
-		}
 		return 100
 	}
 	switch a.Pred {
@@ -615,12 +591,12 @@ func (rp *recordPlanner) literalCost(a *pql.Atom) int {
 	case "receive_message", "send_message":
 		return 10
 	case "edge":
-		if staticGround(a.Args[0], rp.bound) && staticGround(a.Args[1], rp.bound) {
+		if staticGround(a.Args[0], bound) && staticGround(a.Args[1], bound) {
 			return 5 // membership test
 		}
 		return 20
 	case "edge_value":
-		if staticGround(a.Args[1], rp.bound) {
+		if staticGround(a.Args[1], bound) {
 			return 6
 		}
 		return 20
@@ -631,7 +607,7 @@ func (rp *recordPlanner) literalCost(a *pql.Atom) int {
 
 // checkSS validates the superstep argument of a record-local literal: it
 // must be the rule's current-superstep variable (or a constant/bound term).
-func (rp *recordPlanner) checkSS(t pql.Term) error {
+func (rp *recordPlanner) checkSS(t pql.Term, bound map[string]bool) error {
 	v, ok := asVar(t)
 	if !ok {
 		return nil
@@ -642,58 +618,41 @@ func (rp *recordPlanner) checkSS(t pql.Term) error {
 	if rp.curSS == "" {
 		rp.curSS = v
 	}
-	if v != rp.curSS && !rp.bound[v] {
+	if v != rp.curSS && !bound[v] {
 		return notCompilable(rp.r.Pos, "superstep variable %s does not match the rule's current superstep", v)
 	}
 	return nil
 }
 
-// source picks the row source of a positive literal.
-func (rp *recordPlanner) source(a *pql.Atom) (rowSource, error) {
-	if rp.isIDB(a.Pred) {
-		return rowsRelation, nil
-	}
+// source picks the row source of a positive EDB literal.
+func (rp *recordPlanner) source(a *pql.Atom, bound map[string]bool) (rowSource, error) {
 	last := a.Args[len(a.Args)-1]
 	switch a.Pred {
 	case "superstep":
-		return rowsSuperstep, rp.checkSS(last)
+		return rowsSuperstep, rp.checkSS(last, bound)
 	case "value":
 		if v, ok := asVar(last); ok && v == rp.prevSS {
 			return rowsPrevValue, nil
 		}
-		return rowsValue, rp.checkSS(last)
+		return rowsValue, rp.checkSS(last, bound)
 	case "evolution":
 		return rowsEvolution, nil
 	case "receive_message":
-		return rowsRecvs, rp.checkSS(last)
+		return rowsRecvs, rp.checkSS(last, bound)
 	case "send_message":
-		return rowsSends, rp.checkSS(last)
+		return rowsSends, rp.checkSS(last, bound)
 	case "prov_send":
-		return rowsProvSend, rp.checkSS(last)
+		return rowsProvSend, rp.checkSS(last, bound)
 	case "edge":
-		if rp.kind != ruleStatic && !staticGround(a.Args[0], rp.bound) && !staticGround(a.Args[1], rp.bound) {
+		if rp.kind != ruleStatic && !staticGround(a.Args[0], bound) && !staticGround(a.Args[1], bound) {
 			return 0, notCompilable(a.Pos, "unanchored edge scan outside a static rule")
 		}
 		return rowsEdge, nil
 	case "edge_value":
 		return rowsEdgeValue, nil
 	default: // emitted analytic table, laid out table(X, payload..., I)
-		return rowsEmitted, rp.checkSS(last)
+		return rowsEmitted, rp.checkSS(last, bound)
 	}
-}
-
-// negatedSource picks the row source of !p(args...) with ground arguments:
-// an IDB or record-local message membership test.
-func (rp *recordPlanner) negatedSource(a *pql.Atom) (rowSource, error) {
-	switch {
-	case rp.isIDB(a.Pred):
-		return rowsRelation, nil
-	case a.Pred == "receive_message":
-		return rowsRecvs, nil
-	case a.Pred == "send_message":
-		return rowsSends, nil
-	}
-	return 0, notCompilable(a.Pos, "negated %s is not compilable", a.Pred)
 }
 
 // DerivedTuples returns how many head tuples were inserted.
@@ -716,10 +675,8 @@ type CompiledStats struct {
 // Stats returns a snapshot of the work counters.
 func (c *Compiled) Stats() CompiledStats {
 	s := CompiledStats{PassesPerStratum: append([]int64(nil), c.passes...), Emissions: map[string]int64{}}
-	for _, stratum := range c.strata {
-		for _, r := range stratum {
-			s.Emissions[r.src.Head.Pred] += r.emitted
-		}
+	for _, r := range c.rules {
+		s.Emissions[r.src.Head.Pred] += r.emitted
 	}
 	return s
 }
@@ -776,7 +733,7 @@ func (c *Compiled) layerFrom(from int, recs []RecordView) error {
 				case ruleStatic:
 					// done in BeginRun
 				case ruleGlobal:
-					if err := c.main.evalGlobal(r); err != nil {
+					if err := c.fireGlobal(r); err != nil {
 						return err
 					}
 				default:
@@ -786,30 +743,6 @@ func (c *Compiled) layerFrom(from int, recs []RecordView) error {
 				}
 			}
 			if !c.recursive[si] || c.derived == before {
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// FinishRun completes evaluation after the last layer: global rules rescan
-// their driving relations in full once, catching any cross-layer
-// compositions their incremental passes could not see.
-func (c *Compiled) FinishRun() error {
-	for _, stratum := range c.strata {
-		for {
-			before := c.derived
-			for _, r := range stratum {
-				if r.kind != ruleGlobal {
-					continue
-				}
-				r.driveCursor = 0
-				if err := c.main.evalGlobal(r); err != nil {
-					return err
-				}
-			}
-			if c.derived == before {
 				break
 			}
 		}
@@ -1000,7 +933,7 @@ func (sh *shard) evalRecords(r *crule, recs []RecordView) error {
 		rn.rv = &recs[i]
 		rn.recSeq++
 		rn.slots[0] = value.NewInt(recs[i].Vertex)
-		if r.seedSS {
+		if len(r.anchor) > 1 {
 			rn.slots[1] = value.NewInt(recs[i].Superstep)
 		}
 		if err := r.prog.run(rn, 0); err != nil {
@@ -1010,17 +943,21 @@ func (sh *shard) evalRecords(r *crule, recs []RecordView) error {
 	return nil
 }
 
-// evalGlobal runs a global rule over the driving relation's tuples that
-// arrived since the rule's last pass.
-func (sh *shard) evalGlobal(r *crule) error {
-	all := sh.rn.db.Get(r.drivePred).All()
-	if r.driveCursor >= len(all) {
-		return nil
+// fireGlobal runs one pass of a global rule: each positive IDB literal's
+// program over the tuples that literal's relation gained since the rule's
+// last pass, every other literal reading its whole relation — or, with no
+// positive IDB literal, the rule's one program. A tuple the pass adds to a
+// relation the rule reads is the next pass's delta, so a join completes in
+// the pass after its last tuple arrives, in whichever layer that is.
+func (c *Compiled) fireGlobal(r *crule) error {
+	db := c.main.rn.db
+	for i, pred := range r.plan.positivePreds {
+		all := db.Get(pred).All()
+		c.delta[pred] = all[r.cursors[i]:]
+		r.cursors[i] = len(all)
 	}
-	start := r.driveCursor
-	r.driveCursor = len(all)
-	sh.start(r, all[start:])
-	return r.prog.run(&sh.rn, 0)
+	c.main.cur = r
+	return r.plan.fire(&c.main.rn, c.delta, c.main.sink)
 }
 
 // EngineViews writes the views of live engine records into dst, reused

@@ -60,19 +60,24 @@ type factSink interface {
 
 // feedLayers materialises the record stream as EDB facts, one Fixpoint per
 // layer, mirroring the driver's feeder; forward says the layers ascend.
-func feedLayers(ev factSink, sg StaticGraph, layers [][]RecordView, forward bool) error {
+// after (nil: none) is called with each layer's index once its Fixpoint
+// returns.
+func feedLayers(ev factSink, sg StaticGraph, layers [][]RecordView, forward bool, after func(int)) error {
 	for v := 0; v < sg.NumVertices(); v++ {
 		dst, _ := sg.OutNeighbors(int64(v))
 		for _, d := range dst {
 			ev.AddFact("edge", Tuple{value.NewInt(int64(v)), value.NewInt(int64(d))})
 		}
 	}
-	for _, l := range layers {
+	for li, l := range layers {
 		for i := range l {
 			feedView(ev, sg, &l[i], forward)
 		}
 		if err := ev.Fixpoint(); err != nil {
 			return err
+		}
+		if after != nil {
+			after(li)
 		}
 	}
 	return nil
@@ -121,7 +126,7 @@ var lowerOutcomes = map[string]int{}
 // and — when the query compiles — the record-sourced lowering. The oracle and
 // the Evaluator must agree tuple for tuple in insertion order (set-wise under
 // aggregates, whose group flush order is a map's); the record-sourced leg
-// must derive the same sets. A run-time error (a type error, a failing UDF)
+// must derive the same sets as the Evaluator after every layer. A run-time error (a type error, a failing UDF)
 // must hit the oracle and the Evaluator alike; the record-sourced leg joins in
 // a different order, so which valuation trips first is its own and it is then
 // not compared. The record-sourced leg is run twice more, with its
@@ -144,7 +149,7 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 	odb := NewDatabase()
 	orc, oerr := newOracle(q, odb)
 	if oerr == nil {
-		oerr = feedLayers(orc, sg, layers, forward)
+		oerr = feedLayers(orc, sg, layers, forward, nil)
 	}
 	ordered := true
 	for _, r := range q.Rules {
@@ -164,7 +169,10 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 		lowerOutcomes["lowering rejected"]++
 		return nil
 	}
-	err = feedLayers(ev, sg, layers, forward)
+	var wantLayers []map[string][]string
+	err = feedLayers(ev, sg, layers, forward, func(int) {
+		wantLayers = append(wantLayers, insertionOrder(qe, edb, true))
+	})
 	if (err == nil) != (oerr == nil) || (err != nil && err.Error() != oerr.Error()) {
 		return fmt.Errorf("run-time verdicts differ: oracle %v, slots %v", oerr, err)
 	}
@@ -190,14 +198,24 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 		lowerOutcomes["materialised only"]++
 		return nil
 	}
-	serr := serialLeg(comp, layers)
+	// agree compares a compiled leg's relations with the Evaluator's after
+	// layer i, keeping the first difference.
+	var differs error
+	agree := func(label string, q *analysis.Query, db *Database) func(int) {
+		return func(i int) {
+			if differs == nil {
+				differs = sameRelations(fmt.Sprintf("%s vs materialised after layer %d", label, i), wantLayers[i], insertionOrder(q, db, true))
+			}
+		}
+	}
+	serr := serialLeg(comp, layers, agree("record-sourced", qc, cdb))
 	qp, _ := build()
 	pdb := NewDatabase()
 	pc, err := Compile(qp, pdb, sg)
 	if err != nil {
 		return fmt.Errorf("second Compile failed: %v", err)
 	}
-	if perr := partitionLeg(pc, layers, 3); (perr == nil) != (serr == nil) || serr != nil && perr.Error() != serr.Error() {
+	if perr := partitionLeg(pc, layers, 3, agree("in-partition", qp, pdb)); (perr == nil) != (serr == nil) || serr != nil && perr.Error() != serr.Error() {
 		return fmt.Errorf("run-time verdicts differ: serial %v, in-partition %v", serr, perr)
 	}
 	if err := sameRelations("in-partition vs serial", insertionOrder(qc, cdb, false), insertionOrder(qp, pdb, false)); err != nil {
@@ -217,25 +235,33 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 	for _, keys := range wantSet {
 		lowerOutcomes["three-way tuples"] += len(keys)
 	}
+	if differs != nil {
+		return differs
+	}
 	return sameRelations("record-sourced vs oracle", wantSet, insertionOrder(qc, cdb, true))
 }
 
-// serialLeg evaluates layers with Layer, then FinishRun.
-func serialLeg(c *Compiled, layers [][]RecordView) error {
-	for _, l := range layers {
+// serialLeg evaluates layers with Layer; after (nil: none) is called with
+// each layer's index once it is evaluated.
+func serialLeg(c *Compiled, layers [][]RecordView, after func(int)) error {
+	for i, l := range layers {
 		if err := c.Layer(l); err != nil {
 			return err
 		}
+		if after != nil {
+			after(i)
+		}
 	}
-	return c.FinishRun()
+	return nil
 }
 
 // partitionLeg evaluates layers as the online driver does, with each layer's
 // records split over parts partitions (vertex mod parts): every partition
 // observes its views, running the in-partition strata, MergePartitions
 // merges them, and the barrier strata run over the whole layer. The layer
-// index stands in for the superstep.
-func partitionLeg(c *Compiled, layers [][]RecordView, parts int) error {
+// index stands in for the superstep; after (nil: none) is called with it
+// once the layer is evaluated.
+func partitionLeg(c *Compiled, layers [][]RecordView, parts int, after func(int)) error {
 	if err := c.BeginRun(); err != nil {
 		return err
 	}
@@ -258,15 +284,18 @@ func partitionLeg(c *Compiled, layers [][]RecordView, parts int) error {
 		if err != nil {
 			return err
 		}
+		if after != nil {
+			after(i)
+		}
 	}
-	return c.FinishRun()
+	return nil
 }
 
 // anyCut reports whether some rule of c takes a cut.
 func anyCut(c *Compiled) bool {
-	for _, stratum := range c.strata {
-		for _, r := range stratum {
-			if r.prog.cut >= 0 {
+	for _, r := range c.rules {
+		for _, p := range r.plan.programs() {
+			if p.cut >= 0 {
 				return true
 			}
 		}
@@ -549,10 +578,11 @@ bad(X, I) :- receive_message(X, Y, M, I), g(X, I).`,
 	}
 }
 
-func TestCompiledFinishRunCatchesLateJoins(t *testing.T) {
-	// A global rule joining tuples derived in different layers: the
-	// incremental passes see only the driving delta; FinishRun must catch
-	// pairs completed later.
+func TestCompiledGlobalRuleCatchesLateJoins(t *testing.T) {
+	// A global rule joining tuples derived in different layers: each pass
+	// fires one program per seen literal over that literal's new tuples, so
+	// a pair completes in the layer its later tuple arrives in, which
+	// runAllPaths checks after every layer.
 	env := analysis.NewEnv()
 	src := `
 seen(X, I) :- superstep(X, I).
@@ -565,6 +595,25 @@ pair(X, I, J) :- seen(X, I), seen(X, J), I < J.
 		{{Vertex: 0, Superstep: 2, HasValue: true, Value: value.NewFloat(3), PrevActive: 1, PrevValue: value.NewFloat(2), HasPrevValue: true}},
 	}
 	runAllPaths(t, src, env, sg, layers)
+}
+
+// TestGlobalRuleShapesCompile: two global rule shapes the one-driver
+// planner refused compile, and agree with the materialised Evaluator after
+// every layer — an edge literal whose one end the delta binds, and a body
+// whose only IDB literal is negated, which fires every pass as a fact rule
+// does (run once before the first layer, it would find p empty and derive
+// h(1)).
+func TestGlobalRuleShapesCompile(t *testing.T) {
+	sg, layers := testGraphAndLayers(7)
+	for _, src := range []string{`
+p(X) :- superstep(X, I), I > 2.
+h(X, Y) :- p(X), edge(X, Y).
+`, `
+p(X, I) :- superstep(X, I).
+h(Z) :- !p(1, 0), Z = 1.
+`} {
+		runAllPaths(t, src, analysis.NewEnv(), sg, layers)
+	}
 }
 
 // legErrors evaluates src over layers on every leg — the oracle, the
@@ -580,25 +629,17 @@ func legErrors(t *testing.T, src string, sg StaticGraph, layers [][]RecordView) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs["oracle"] = feedLayers(orc, sg, layers, true)
+	errs["oracle"] = feedLayers(orc, sg, layers, true, nil)
 	ev, err := NewEvaluator(build(), NewDatabase())
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs["materialised"] = feedLayers(ev, sg, layers, true)
+	errs["materialised"] = feedLayers(ev, sg, layers, true, nil)
 	c, err := Compile(build(), NewDatabase(), sg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range layers {
-		if err = c.Layer(l); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = c.FinishRun()
-	}
-	errs["record-sourced"] = err
+	errs["record-sourced"] = serialLeg(c, layers, nil)
 	return errs, c
 }
 
@@ -912,7 +953,7 @@ late(X, I) :- superstep(X, I).`
 			if err := c.BeginRun(); err != nil {
 				t.Fatal(err)
 			}
-			gotErr, wantErr := fmt.Sprint(tc.run(c)), fmt.Sprint(serialLeg(ref, tc.serial))
+			gotErr, wantErr := fmt.Sprint(tc.run(c)), fmt.Sprint(serialLeg(ref, tc.serial, nil))
 			if gotErr != wantErr || tc.fails != (wantErr != "<nil>") {
 				t.Errorf("error %s, serial %s", gotErr, wantErr)
 			}

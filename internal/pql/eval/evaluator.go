@@ -54,7 +54,7 @@ func NewEvaluator(q *analysis.Query, db *Database) (*Evaluator, error) {
 	}
 	e.stats.RoundsPerStratum = make([]int, len(q.Strata))
 	for _, r := range q.Rules {
-		plan, err := planRule(r)
+		plan, err := planRule(r, bottomUp{})
 		if err != nil {
 			return nil, err
 		}

@@ -13,13 +13,13 @@ import (
 // step's row source with its key columns, the slot count and the cut
 // (cut=k: every head variable is bound before step k+1, so the first
 // completion ends that step's enumeration), and keys=record when the rule's
-// head is record-keyed (one bit per (vertex, superstep) member). A
-// record-sourced stratum marked
-// recursive iterates to an in-layer fixpoint; every other runs once per
-// layer. Each record-sourced stratum shows its online placement: partition
-// (on each engine partition's goroutine, right after its compute) or
-// barrier. Every rule shown is a slot program; there is no other way a rule
-// can run.
+// head is record-keyed (one bit per (vertex, superstep) member). A global
+// rule, like every materialised one, shows one program per delta literal. A
+// record-sourced stratum marked recursive iterates to an in-layer fixpoint;
+// every other runs once per layer. Each record-sourced stratum shows its
+// online placement: partition (on each engine partition's goroutine, right
+// after its compute) or barrier. Every rule shown is a slot program; there
+// is no other way a rule can run.
 func Explain(q *analysis.Query) (string, error) {
 	var b strings.Builder
 	c, cerr := Compile(q, NewDatabase(), nil)
@@ -40,7 +40,13 @@ func Explain(q *analysis.Query) (string, error) {
 				if r.keyed {
 					keys = " keys=record"
 				}
-				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s slots=%d%s%s\n", label, r.src, r.planner(), r.prog.nSlots, r.prog.cutNote(), keys)
+				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s", label, r.src, r.planner())
+				if r.kind == ruleGlobal {
+					b.WriteString("\n")
+					r.plan.describe(&b)
+					continue
+				}
+				fmt.Fprintf(&b, " slots=%d%s%s\n", r.prog.nSlots, r.prog.cutNote(), keys)
 				r.prog.describe(&b, "      ")
 			}
 		}
@@ -54,16 +60,8 @@ func Explain(q *analysis.Query) (string, error) {
 	fmt.Fprintf(&b, "lowering:       materialised (%d rules) — %s\n", len(q.Rules), reason)
 	for si, stratum := range q.Strata {
 		for _, r := range stratum {
-			plan := ev.plans[r]
 			fmt.Fprintf(&b, "  [%d] %s\n      planner=materialised\n", si, r)
-			if plan.fact != nil {
-				fmt.Fprintf(&b, "      fact: slots=%d%s\n", plan.fact.nSlots, plan.fact.cutNote())
-				plan.fact.describe(&b, "        ")
-			}
-			for vi, p := range plan.progs {
-				fmt.Fprintf(&b, "      delta %s: slots=%d%s\n", plan.positivePreds[vi], p.nSlots, p.cutNote())
-				p.describe(&b, "        ")
-			}
+			ev.plans[r].describe(&b)
 		}
 	}
 	return b.String(), nil
@@ -75,6 +73,19 @@ func (p *program) cutNote() string {
 		return ""
 	}
 	return fmt.Sprintf(" cut=%d", p.cut)
+}
+
+// describe writes the plan's programs: the fact program, or one per delta
+// literal.
+func (p *rulePlan) describe(b *strings.Builder) {
+	if p.fact != nil {
+		fmt.Fprintf(b, "      fact: slots=%d%s\n", p.fact.nSlots, p.fact.cutNote())
+		p.fact.describe(b, "        ")
+	}
+	for vi, prog := range p.progs {
+		fmt.Fprintf(b, "      delta %s: slots=%d%s\n", p.positivePreds[vi], prog.nSlots, prog.cutNote())
+		prog.describe(b, "        ")
+	}
 }
 
 // describe writes one line per step, in execution order.

@@ -11,7 +11,7 @@ import (
 
 // The differential oracle: the binding-map interpreter that evaluated PQL
 // rules before they were all lowered to slot programs. It shares the
-// planner (planRule/orderBody), the Relation store and the aggregate group
+// planner (planRule/schedule), the Relation store and the aggregate group
 // tables with production and independently re-implements everything the
 // slot IR replaced — term and comparison evaluation, unification with
 // backtracking, the recursive join, head construction — so a slot program
@@ -31,7 +31,7 @@ func newOracle(q *analysis.Query, db *Database) (*oracle, error) {
 	o := &oracle{q: q, db: db, env: q.Env(),
 		plans: map[*pql.Rule]*rulePlan{}, aggs: map[string]*aggTable{}, pending: map[string][]Tuple{}}
 	for _, r := range q.Rules {
-		plan, err := planRule(r)
+		plan, err := planRule(r, bottomUp{})
 		if err != nil {
 			return nil, err
 		}

@@ -25,19 +25,21 @@ type planStep struct {
 	rows rowSource
 }
 
-// rulePlan is the prepared execution strategy for one rule of the
-// materialised (bottom-up) evaluator: the ordered bodies and the slot
-// programs lowered from them.
+// rulePlan is one rule's ordered bodies and the slot programs lowered from
+// them. The materialised Evaluator plans every rule, and the compiled path
+// its global rules, for semi-naive firing (planRule, rulePlan.fire); a
+// compiled record or static rule has only the fact body, run per record or
+// once.
 type rulePlan struct {
-	// variants[i] drives the delta through the i-th positive body literal:
-	// that literal is joined first, so each semi-naive round costs
+	// variants[i] drives the delta through the i-th delta literal: that
+	// literal is joined first, so each semi-naive round costs
 	// O(|delta| × indexed lookups) instead of re-enumerating relations.
 	variants [][]planStep
 	progs    []*program
-	// positivePreds[i] is the predicate of the i-th positive literal.
+	// positivePreds[i] is the predicate of the i-th delta literal.
 	positivePreds []string
-	// factSteps is the natural-order body used when the rule has no
-	// positive literals (fact rules), fact its program.
+	// factSteps is the body of a rule without delta literals, fired without
+	// a delta (every round, for a fact rule); fact is its program.
 	factSteps []planStep
 	fact      *program
 
@@ -52,26 +54,63 @@ type rulePlan struct {
 	bodyVars []string
 }
 
-func planRule(r *pql.Rule) (*rulePlan, error) {
+// planPath is what one evaluation path tells the scheduler: which positive
+// literals get a delta program, how cheap a positive literal is to place
+// next under the bound variables, and where each predicate step reads its
+// rows.
+type planPath interface {
+	delta(pred string) bool
+	cost(a *pql.Atom, bound map[string]bool) int
+	rows(kind stepKind, a *pql.Atom, bound map[string]bool) (rowSource, error)
+}
+
+// bottomUp is the materialised Evaluator's path: every positive literal is
+// a delta literal, every step reads a Relation, and the literal sharing the
+// most bound variables goes first, so indexed lookups apply.
+type bottomUp struct{}
+
+func (bottomUp) delta(string) bool { return true }
+
+func (bottomUp) cost(a *pql.Atom, bound map[string]bool) int {
+	var vs []*pql.Var
+	for _, arg := range a.Args {
+		vs = pql.Vars(arg, vs)
+	}
+	cost := 0
+	for _, v := range vs {
+		if !v.Wildcard() && bound[v.Name] {
+			cost--
+		}
+	}
+	return cost
+}
+
+func (bottomUp) rows(stepKind, *pql.Atom, map[string]bool) (rowSource, error) {
+	return rowsRelation, nil
+}
+
+// planRule plans r for semi-naive firing on path: one body per delta
+// literal, led by it, or — with none — one fact body.
+func planRule(r *pql.Rule, path planPath) (*rulePlan, error) {
 	p := &rulePlan{}
 
 	var positives []*pql.PredLit
 	for _, lit := range r.Body {
-		if pl, ok := lit.(*pql.PredLit); ok && !pl.Negated {
+		if pl, ok := lit.(*pql.PredLit); ok && !pl.Negated && path.delta(pl.Atom.Pred) {
 			positives = append(positives, pl)
 			p.positivePreds = append(p.positivePreds, pl.Atom.Pred)
 		}
 	}
 
 	if len(positives) == 0 {
-		steps, err := orderBody(r, nil)
+		steps, err := schedule(r, nil, map[string]bool{}, path)
 		if err != nil {
 			return nil, err
 		}
 		p.factSteps = steps
 	}
 	for _, deltaLit := range positives {
-		steps, err := orderBody(r, deltaLit)
+		steps, err := schedule(r, deltaLit, map[string]bool{}, path)
 		if err != nil {
 			return nil, err
 		}
@@ -128,24 +167,44 @@ func (p *rulePlan) emitTerms(r *pql.Rule) []pql.Term {
 	return terms
 }
 
-// lower compiles every ordered body of the plan into its slot program.
-func (p *rulePlan) lower(r *pql.Rule, env *analysis.Env) error {
+// lower compiles every ordered body of the plan into its slot program,
+// replacing any lowered before; the variables in bound hold a value before
+// the first step.
+func (p *rulePlan) lower(r *pql.Rule, env *analysis.Env, bound ...string) error {
 	head := p.emitTerms(r)
 	if len(p.positivePreds) == 0 {
-		prog, err := lower(p.factSteps, head, env)
+		prog, err := lower(p.factSteps, head, env, bound...)
 		if err != nil {
 			return err
 		}
 		p.fact = prog
 	}
-	for _, steps := range p.variants {
-		prog, err := lower(steps, head, env)
+	p.progs = make([]*program, len(p.variants))
+	for i, steps := range p.variants {
+		prog, err := lower(steps, head, env, bound...)
 		if err != nil {
 			return err
 		}
-		p.progs = append(p.progs, prog)
+		p.progs[i] = prog
 	}
 	return nil
+}
+
+// bodies lists the plan's ordered bodies, one per program.
+func (p *rulePlan) bodies() [][]planStep {
+	if len(p.positivePreds) == 0 {
+		return [][]planStep{p.factSteps}
+	}
+	return p.variants
+}
+
+// programs lists the plan's programs: the fact program, or one per delta
+// literal.
+func (p *rulePlan) programs() []*program {
+	if p.fact != nil {
+		return []*program{p.fact}
+	}
+	return p.progs
 }
 
 // bindAtomVars marks every non-wildcard variable of a's arguments bound.
@@ -220,17 +279,19 @@ func bindCmpVars(c *pql.CmpLit, bound map[string]bool) {
 	}
 }
 
-// orderBody orders the rule body with deltaLit (may be nil) first, then
-// greedily: comparisons and negations as soon as their variables are bound,
-// and among the remaining positive atoms the one sharing the most bound
-// variables (so indexed lookups apply).
-func orderBody(r *pql.Rule, deltaLit *pql.PredLit) ([]planStep, error) {
+// schedule orders r's body for one program: delta (nil: none) first,
+// reading the firing's delta batch; then, until every literal is placed,
+// each filter — a comparison, or a negation with ground arguments — as soon
+// as its variables are bound, swept to a fixed point, and the positive
+// literal path ranks cheapest (the first of equals). path picks each
+// predicate step's row source as the step is placed, under the variables
+// bound before it. bound holds the variables bound before the first step;
+// schedule marks every variable it binds.
+func schedule(r *pql.Rule, delta *pql.PredLit, bound map[string]bool, path planPath) ([]planStep, error) {
 	var steps []planStep
-	bound := map[string]bool{}
-
 	remaining := make([]pql.Literal, 0, len(r.Body))
 	for _, lit := range r.Body {
-		if pl, ok := lit.(*pql.PredLit); ok && pl == deltaLit {
+		if pl, ok := lit.(*pql.PredLit); ok && pl == delta {
 			steps = append(steps, planStep{kind: stepPositive, atom: pl.Atom, rows: rowsDelta})
 			bindAtomVars(pl.Atom, bound)
 			continue
@@ -245,9 +306,7 @@ func orderBody(r *pql.Rule, deltaLit *pql.PredLit) ([]planStep, error) {
 	}
 
 	for len(remaining) > 0 {
-		// 1. Schedule every currently bindable filter/binder/negation.
-		progress := true
-		for progress {
+		for progress := true; progress; {
 			progress = false
 			for i := 0; i < len(remaining); i++ {
 				if !schedulable(remaining[i], bound) {
@@ -258,7 +317,11 @@ func orderBody(r *pql.Rule, deltaLit *pql.PredLit) ([]planStep, error) {
 					steps = append(steps, planStep{kind: stepCompare, cmp: lit})
 					bindCmpVars(lit, bound)
 				case *pql.PredLit:
-					steps = append(steps, planStep{kind: stepNegated, atom: lit.Atom})
+					rows, err := path.rows(stepNegated, lit.Atom, bound)
+					if err != nil {
+						return nil, err
+					}
+					steps = append(steps, planStep{kind: stepNegated, atom: lit.Atom, rows: rows})
 				}
 				progress = true
 				i--
@@ -267,34 +330,27 @@ func orderBody(r *pql.Rule, deltaLit *pql.PredLit) ([]planStep, error) {
 		if len(remaining) == 0 {
 			break
 		}
-		// 2. Pick the positive atom sharing the most bound variables.
-		bestIdx, bestScore := -1, -1
+		best, bestCost := -1, 0
 		for i, lit := range remaining {
 			pl, ok := lit.(*pql.PredLit)
 			if !ok || pl.Negated {
 				continue
 			}
-			score := 0
-			var vs []*pql.Var
-			for _, a := range pl.Atom.Args {
-				vs = pql.Vars(a, vs)
-			}
-			for _, vv := range vs {
-				if !vv.Wildcard() && bound[vv.Name] {
-					score++
-				}
-			}
-			if score > bestScore {
-				bestIdx, bestScore = i, score
+			if cost := path.cost(pl.Atom, bound); best < 0 || cost < bestCost {
+				best, bestCost = i, cost
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			// Safety analysis should have rejected this.
 			return nil, fmt.Errorf("pql: %s: cannot order rule body (unresolvable literals)", r.Pos)
 		}
-		pl := take(bestIdx).(*pql.PredLit)
-		steps = append(steps, planStep{kind: stepPositive, atom: pl.Atom})
-		bindAtomVars(pl.Atom, bound)
+		a := take(best).(*pql.PredLit).Atom
+		rows, err := path.rows(stepPositive, a, bound)
+		if err != nil {
+			return nil, err
+		}
+		steps = append(steps, planStep{kind: stepPositive, atom: a, rows: rows})
+		bindAtomVars(a, bound)
 	}
 	return steps, nil
 }

@@ -12,9 +12,9 @@ import (
 
 // The slot program: the one IR every PQL rule is lowered to.
 //
-// A planner (orderBody for the bottom-up evaluator, planRecordRule for the
-// query vertex program) fixes a static join order, so the set of bound
-// variables at each step is known at compile time. lower turns that order
+// The one scheduler (schedule, plan.go), costed by the bottom-up evaluator's
+// path or the query vertex program's, fixes a static join order, so the set
+// of bound variables at each step is known at compile time. lower turns that order
 // into a program over a flat slot array indexed by precomputed positions:
 // a positive step draws candidate rows from its rowSource — an indexed
 // Relation lookup, the firing's delta batch, or a record source read

@@ -49,7 +49,7 @@ func (r *Relation) truncate() {
 
 // SaveState serializes every relation: name, arity, and tuples in insertion
 // order (order matters — compiled global rules track insertion-order
-// cursors into Relation.All()).
+// cursors into Relation.All(), set from the restored relations).
 func (d *Database) SaveState(w *value.Blob) {
 	names := d.Names()
 	w.Uvarint(uint64(len(names)))
@@ -100,44 +100,41 @@ func (d *Database) LoadState(r *value.BlobReader) error {
 }
 
 // SaveState serializes the compiled evaluator's mutable state beyond the
-// database: counters, the static-rules-done flag, and each global rule's
-// insertion-order drive cursor (in stratum/rule order, which is
-// deterministic for a given query).
+// database: counters, the static-rules-done flag, and one zero per rule. A
+// global rule's delta cursors need no state (see LoadState); the per-rule
+// slots keep the layout, so checkpoints that hold a cursor there still load.
 func (c *Compiled) SaveState(w *value.Blob) {
 	w.Bool(c.staticDone)
 	w.Uvarint(uint64(c.derived))
 	w.Uvarint(uint64(c.records))
-	var cursors []int
-	for _, stratum := range c.strata {
-		for _, r := range stratum {
-			cursors = append(cursors, r.driveCursor)
-		}
-	}
-	w.Uvarint(uint64(len(cursors)))
-	for _, cur := range cursors {
-		w.Uvarint(uint64(cur))
+	w.Uvarint(uint64(len(c.rules)))
+	for range c.rules {
+		w.Uvarint(0)
 	}
 }
 
 // LoadState restores a SaveState snapshot taken from a Compiled built for
-// the same query.
+// the same query, after the database's. At every barrier a global rule has
+// consumed each relation it reads to its end, so the rule slots are read
+// past and every cursor is set from its restored relation.
 func (c *Compiled) LoadState(r *value.BlobReader) error {
 	c.staticDone = r.Bool()
 	c.derived = int64(r.Uvarint())
 	c.records = int64(r.Uvarint())
 	n := r.Count()
-	var rules []*crule
-	for _, stratum := range c.strata {
-		rules = append(rules, stratum...)
-	}
-	if r.Err() == nil && n != len(rules) {
-		return fmt.Errorf("eval: saved state has %d rule cursors, query has %d rules", n, len(rules))
+	if r.Err() == nil && n != len(c.rules) {
+		return fmt.Errorf("eval: saved state has %d rule cursors, query has %d rules", n, len(c.rules))
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
-		rules[i].driveCursor = int(r.Uvarint())
+		r.Uvarint()
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("eval: corrupt compiled state: %w", err)
+	}
+	for _, rule := range c.rules {
+		for i, pred := range rule.plan.positivePreds {
+			rule.cursors[i] = c.main.rn.db.Get(pred).Len()
+		}
 	}
 	return nil
 }

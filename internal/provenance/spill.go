@@ -38,25 +38,7 @@ func writeLayerFile(path string, img []byte, ss int, inj *fault.Injector, m *obs
 		if err := inj.Hit(fault.SiteSpillWrite, ss, -1, -1); err != nil {
 			return err
 		}
-		tmp := path + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
-		_, err = f.Write(img)
-		if err == nil {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(tmp, path)
-		}
-		if err != nil {
-			os.Remove(tmp)
-		}
-		return err
+		return fault.WriteFileAtomic(path, img)
 	}
 	notify := func(n int, err error) {
 		m.AddRetry("spill")
