@@ -105,10 +105,12 @@ func TestOnlineHeadCarriesBorrowedMessage(t *testing.T) {
 }
 
 // observeFixture is one synthetic superstep over a fixed small graph: every
-// vertex computed, changed its value and received msgsPer messages, the
-// first quarter of the vertices none (so Query 6 has silent changes). The
-// records are split over four partitions (vertex mod 4), as the engine hands
-// them to ObservePartition.
+// vertex computed, changed its value, received msgsPer messages and emitted
+// a prov_error and a prov_prediction fact about each sender, as ALS does —
+// the first quarter of the vertices none (so Query 6 has silent changes).
+// Every other prediction is out of Query 7's range. The records are split
+// over four partitions (vertex mod 4), as the engine hands them to
+// ObservePartition.
 func observeFixture(g *graph.Graph, msgsPer int) (*engine.SuperstepView, [][]engine.VertexRecord) {
 	n := g.NumVertices()
 	parts := make([][]engine.VertexRecord, 4)
@@ -118,6 +120,14 @@ func observeFixture(g *graph.Graph, msgsPer int) (*engine.SuperstepView, [][]eng
 		for j := 0; j < msgsPer && v >= n/4; j++ {
 			src := engine.VertexID((v + j + 1) % n)
 			r.Received = append(r.Received, engine.IncomingMessage{Src: src, Val: value.NewFloat(float64(j))})
+			pred := float64(j % 4)
+			if j%2 == 1 {
+				pred = -pred
+			}
+			peer := value.NewInt(int64(src))
+			r.Emitted = append(r.Emitted,
+				engine.ProvFact{Table: "prov_prediction", Args: []value.Value{peer, value.NewFloat(pred)}},
+				engine.ProvFact{Table: "prov_error", Args: []value.Value{peer, value.NewFloat(pred - 1)}})
 		}
 		parts[v%4] = append(parts[v%4], r)
 	}
@@ -135,8 +145,8 @@ func observe(o *Online, view *engine.SuperstepView, parts [][]engine.VertexRecor
 
 // observeAllocs measures the steady-state allocations of one observed
 // superstep (AllocsPerRun's warm-up call derives the new tuples; every later
-// call re-derives duplicates only).
-func observeAllocs(t *testing.T, def queries.Definition, g *graph.Graph, msgsPer int) float64 {
+// call re-derives duplicates only), and counts the tuples derived.
+func observeAllocs(t *testing.T, def queries.Definition, g *graph.Graph, msgsPer int) (float64, int64) {
 	o, err := NewOnline(def.MustBuild(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -154,23 +164,28 @@ func observeAllocs(t *testing.T, def queries.Definition, g *graph.Graph, msgsPer
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	return allocs
+	return allocs, o.PiggybackTuples
 }
 
 // TestObserveSuperstepAllocsFlat pins the zero-copy online path: the views
 // borrow the engine's records and a duplicate derivation allocates nothing,
-// so the allocations of a superstep must not grow with its message count.
+// so the allocations of a superstep must not grow with its message count —
+// nor, for Query 7, whose record pass buckets each record's facts by table
+// and buffers its same-head branches, with its fact count.
 func TestObserveSuperstepAllocsFlat(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(6, 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, def := range []queries.Definition{queries.PageRankCheck(), queries.SilentChange()} {
-		base := observeAllocs(t, def, g, 8)
-		doubled := observeAllocs(t, def, g, 16)
-		t.Logf("%s: %.0f allocs/superstep at 8 msgs per vertex, %.0f at 16", def.Name, base, doubled)
+	for _, def := range []queries.Definition{queries.PageRankCheck(), queries.SilentChange(), queries.ALSRangeCheck()} {
+		base, _ := observeAllocs(t, def, g, 8)
+		doubled, derived := observeAllocs(t, def, g, 16)
+		t.Logf("%s: %.0f allocs/superstep at 8 msgs and facts per vertex, %.0f at 16 (%d tuples derived)", def.Name, base, doubled, derived)
+		if def.Name == queries.ALSRangeCheck().Name && derived == 0 {
+			t.Errorf("%s derived nothing from the fixture's facts", def.Name)
+		}
 		if doubled > base {
-			t.Errorf("%s: allocations grow with the message count: %.0f -> %.0f per superstep", def.Name, base, doubled)
+			t.Errorf("%s: allocations grow with the message and fact count: %.0f -> %.0f per superstep", def.Name, base, doubled)
 		}
 	}
 }

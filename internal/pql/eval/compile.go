@@ -54,6 +54,12 @@ type Compiled struct {
 	recursive []bool
 	passes    []int64
 	rules     []*crule
+	// units[i] is what a pass over stratum i runs, in rule order: its global
+	// rules, and its record rules as record passes (trie.go), a run of them
+	// between two global rules to a trie. tables names the emitted tables
+	// the record steps read, by id.
+	units  [][]unit
+	tables []string
 	// strata[:inPart] run in-partition; their rules are rules[:partRules].
 	inPart    int
 	partRules int
@@ -76,6 +82,13 @@ type Compiled struct {
 	staticErr  error
 	derived    int64
 	records    int64
+}
+
+// unit is one step of a stratum's pass: a global rule's firing, or a record
+// pass.
+type unit struct {
+	global *crule
+	trie   *trie
 }
 
 // crule is one compiled rule.
@@ -107,6 +120,8 @@ type crule struct {
 	// (see makeViews): BeginRun still derives its head, but every literal
 	// reading it is a degree test. Zero otherwise.
 	view rowSource
+	// trie is the record pass a record rule runs in.
+	trie *trie
 }
 
 // lower compiles the rule's plan into its programs.
@@ -127,26 +142,42 @@ func (r *crule) planner() string {
 }
 
 // shard is one evaluation context: slot scratch, head-key buffer and the
-// rule whose emissions it is sinking. The main shard inserts straight into
-// the database. A partition shard (ovl != nil) runs the in-partition strata
-// over one partition's records on that partition's goroutine: it reads the
-// database (frozen meanwhile) and then its overlay. Each overlay relation
-// holds this superstep's new tuples of one head in order, for positive reads,
-// and in rows the shard's dedup set of that head: every tuple the shard
-// derived, registered with the head relation (Relation.sets), which the
-// tuple never leaves. out lists the superstep's new tuples for the merge.
+// rules whose emissions it is sinking, by branch. A partition shard (ovl !=
+// nil) runs the in-partition strata over one partition's records on that
+// partition's goroutine: it reads the database (frozen meanwhile) and then
+// its overlay. Each overlay relation holds this superstep's new tuples of one
+// head in order, for positive reads, and in rows the shard's dedup set of
+// that head: every tuple the shard derived, registered with the head relation
+// (Relation.sets), which the tuple never leaves. out lists the superstep's
+// new tuples for the merge.
+//
+// The main shard inserts straight into the database, except in a record pass
+// of two or more rules (pending): there the head itself is the dedup set
+// (ovlHead[ri] is rule ri's head) and out lists the pass's new tuples, which
+// the pass's end appends in rule order, as MergePartitions does.
 type shard struct {
 	c       *Compiled
 	rn      slotRun
 	headKey []byte
-	cur     *crule
+	// sink (emit) and bufSink (buffer) are the shard's sinks, made once.
 	sink    func(Tuple) error
+	bufSink func(Tuple) error
+	rules   []*crule
+	pending bool
+	// buffered[b] (nil: none) holds branch b's derivations until the end of
+	// the record, in buf[b], heads laid end to end.
+	buffered []bool
+	buf      [][]value.Value
 
 	ovl     *Database
 	ovlHead []*Relation    // per rule: the overlay relation of its head
 	ss      int            // the superstep observed last and not merged, or -1
 	out     [][]shardTuple // per rule: the new tuples, in derivation order
 	emitted []int64        // per rule
+	// marks (partition shards) lists per rule, for each record it emitted
+	// at, how many emissions came before: the merge counts a failing rule's
+	// emissions only up to the failure.
+	marks   [][]emitMark
 	records int64
 	// err is the first error; errRule and errVertex locate it.
 	err       error
@@ -161,22 +192,48 @@ type shardTuple struct {
 	t      Tuple
 }
 
+// emitMark notes that a rule's emissions before the first at vertex's
+// record numbered n.
+type emitMark struct {
+	vertex, n int64
+}
+
 func (c *Compiled) newShard(db *Database, sg StaticGraph, ovl *Database) *shard {
 	sh := &shard{c: c, ovl: ovl, ss: -1}
 	sh.rn = slotRun{db: db, sg: sg, ovl: ovl, rv: &c.noRecord}
-	sh.sink = sh.emit
+	sh.sink, sh.bufSink = sh.emit, sh.buffer
 	return sh
 }
 
-// emit is the shard's sink for the current rule's head tuples.
+// buffer is the sink of a pass with buffered branches: a buffered branch's
+// head waits for the end of the record, any other is emitted now.
+func (sh *shard) buffer(t Tuple) error {
+	if b := sh.rn.branch; sh.buffered[b] {
+		sh.buf[b] = append(sh.buf[b], t...)
+		return nil
+	}
+	return sh.emit(t)
+}
+
+// emit sinks one head tuple of the rule of branch rn.branch.
 func (sh *shard) emit(t Tuple) error {
-	r := sh.cur
+	r := sh.rules[sh.rn.branch]
 	if sh.ovl == nil {
-		r.emitted++
-		if _, ok := r.head.insertCopy(t, &sh.headKey); ok {
-			sh.c.derived++
+		if !sh.pending {
+			r.emitted++
+			if _, ok := r.head.insertCopy(t, &sh.headKey); ok {
+				sh.c.derived++
+			}
+			return nil
+		}
+		sh.emitted[r.idx]++
+		if c, ok := r.head.claimCopy(t, &sh.headKey); ok {
+			sh.out[r.idx] = append(sh.out[r.idx], shardTuple{vertex: sh.rn.rv.Vertex, t: c})
 		}
 		return nil
+	}
+	if v, m := sh.rn.rv.Vertex, sh.marks[r.idx]; len(m) == 0 || m[len(m)-1].vertex != v {
+		sh.marks[r.idx] = append(m, emitMark{vertex: v, n: sh.emitted[r.idx]})
 	}
 	sh.emitted[r.idx]++
 	ovl := sh.ovlHead[r.idx]
@@ -194,6 +251,25 @@ func (sh *shard) emit(t Tuple) error {
 	}
 	ovl.add(string(sh.headKey), sh.keep(r.idx, t))
 	return nil
+}
+
+// flush emits the record's buffered derivations, branch by branch in rule
+// order, up to the failing branch: a later branch's would not have been
+// derived by a rule-major pass, which stops at the failure.
+func (sh *shard) flush() {
+	limit := len(sh.buf)
+	if sh.rn.err != nil {
+		limit = sh.rn.errBranch + 1
+	}
+	for b, buf := range sh.buf {
+		if b < limit && len(buf) > 0 {
+			sh.rn.branch = b
+			for n := sh.rules[b].head.arity; len(buf) >= n; buf = buf[n:] {
+				sh.emit(buf[:n])
+			}
+		}
+		sh.buf[b] = sh.buf[b][:0]
+	}
 }
 
 // keep clones a new tuple of rule ri's head, lists it for the merge and
@@ -276,7 +352,62 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 		c.partRules += len(stratum)
 	}
 	c.keyHeads(sg)
+	c.planPasses()
 	return c, nil
+}
+
+// planPasses numbers the emitted tables the record steps read, splits each
+// stratum into units and readies the main shard's pending-pass scratch.
+func (c *Compiled) planPasses() {
+	ids := map[string]int{}
+	for _, r := range c.rules {
+		for _, p := range r.plan.programs() {
+			for i := range p.steps {
+				st := &p.steps[i]
+				if st.kind == stepCompare || st.rows != rowsEmitted {
+					continue
+				}
+				id, ok := ids[st.pred]
+				if !ok {
+					id = len(c.tables)
+					ids[st.pred] = id
+					c.tables = append(c.tables, st.pred)
+				}
+				st.table = id
+			}
+		}
+	}
+	c.units = make([][]unit, len(c.strata))
+	for si, stratum := range c.strata {
+		var run []*crule
+		flush := func() {
+			for _, t := range recordTries(run, c.recursive[si]) {
+				c.units[si] = append(c.units[si], unit{trie: t})
+				for _, r := range t.rules {
+					r.trie = t
+				}
+			}
+			run = nil
+		}
+		for _, r := range stratum {
+			switch r.kind {
+			case ruleRecord:
+				run = append(run, r)
+			case ruleGlobal:
+				flush()
+				c.units[si] = append(c.units[si], unit{global: r})
+			}
+		}
+		flush()
+	}
+	m := c.main
+	m.rn.facts.tables = c.tables
+	m.out = make([][]shardTuple, len(c.rules))
+	m.emitted = make([]int64, len(c.rules))
+	m.ovlHead = make([]*Relation, len(c.rules))
+	for _, r := range c.rules {
+		m.ovlHead[r.idx] = r.head
+	}
 }
 
 // makeViews turns static degree rules into views. A static rule
@@ -692,8 +823,9 @@ func (c *Compiled) BeginRun() error {
 		if r.kind != ruleStatic {
 			continue
 		}
-		c.main.start(r, nil)
-		if err := r.prog.run(&c.main.rn, 0); err != nil {
+		c.main.use(r)
+		c.main.rn.prep(r.prog, nil, c.main.sink)
+		if err := r.prog.start(&c.main.rn); err != nil {
 			c.staticErr = err
 			return err
 		}
@@ -728,18 +860,15 @@ func (c *Compiled) layerFrom(from int, recs []RecordView) error {
 		for {
 			c.passes[si]++
 			before := c.derived
-			for _, r := range c.strata[si] {
-				switch r.kind {
-				case ruleStatic:
-					// done in BeginRun
-				case ruleGlobal:
-					if err := c.fireGlobal(r); err != nil {
-						return err
-					}
-				default:
-					if err := c.main.evalRecords(r, recs); err != nil {
-						return err
-					}
+			for _, u := range c.units[si] {
+				var err error
+				if u.global != nil {
+					err = c.fireGlobal(u.global)
+				} else {
+					err = c.mainPass(u.trie, recs)
+				}
+				if err != nil {
+					return err
 				}
 			}
 			if !c.recursive[si] || c.derived == before {
@@ -748,6 +877,25 @@ func (c *Compiled) layerFrom(from int, recs []RecordView) error {
 		}
 	}
 	return nil
+}
+
+// mainPass runs a record pass on the main shard. A one-rule pass inserts as
+// it derives; a wider one claims its tuples in their heads and appends them
+// at the end, rule by rule, up to its failure — what a rule-major pass
+// would have inserted, in the order it would have.
+func (c *Compiled) mainPass(t *trie, recs []RecordView) error {
+	sh := c.main
+	sh.pending = len(t.rules) > 1
+	clear(sh.emitted)
+	sh.pass(t, recs)
+	sh.pending = false
+	if len(t.rules) == 1 {
+		return sh.err
+	}
+	c.live = append(c.live[:0], sh)
+	err := c.mergeRules(t.rules, sh)
+	sh.drop()
+	return err
 }
 
 // ObservePartition evaluates the in-partition strata over the views of
@@ -762,9 +910,10 @@ func (c *Compiled) ObservePartition(p, superstep int, recs []RecordView) {
 	c.partShard(p).layer(superstep, recs)
 }
 
-// layer runs the in-partition rules over one partition's records of a
-// superstep, in vertex order, into the overlay. The tuples of a superstep
-// observed before and never merged (an aborted one) are dropped first.
+// layer runs the in-partition strata over one partition's records of a
+// superstep, in vertex order, into the overlay, up to the first stratum that
+// fails. The tuples of a superstep observed before and never merged (an
+// aborted one) are dropped first.
 func (sh *shard) layer(superstep int, recs []RecordView) {
 	sh.drop()
 	sh.ss, sh.records, sh.err = superstep, int64(len(recs)), nil
@@ -772,13 +921,14 @@ func (sh *shard) layer(superstep int, recs []RecordView) {
 		rel.truncate()
 	}
 	clear(sh.emitted)
-	for _, r := range sh.c.rules[:sh.c.partRules] {
-		if r.kind != ruleRecord {
-			continue
-		}
-		if err := sh.evalRecords(r, recs); err != nil {
-			sh.err, sh.errRule, sh.errVertex = err, r.idx, sh.rn.rv.Vertex
-			return
+	for ri := range sh.marks {
+		sh.marks[ri] = sh.marks[ri][:0]
+	}
+	for _, units := range sh.c.units[:sh.c.inPart] {
+		for _, u := range units {
+			if sh.pass(u.trie, recs); sh.err != nil {
+				return
+			}
 		}
 	}
 }
@@ -791,9 +941,11 @@ func (c *Compiled) partShard(p int) *shard {
 	for len(c.parts) <= p {
 		ovl := NewDatabase()
 		sh := c.newShard(c.main.rn.db, c.main.rn.sg, ovl)
+		sh.rn.facts.tables = c.tables
 		sh.ovlHead = make([]*Relation, c.partRules)
 		sh.out = make([][]shardTuple, c.partRules)
 		sh.emitted = make([]int64, c.partRules)
+		sh.marks = make([][]emitMark, c.partRules)
 		for _, r := range c.rules[:c.partRules] {
 			if r.kind == ruleRecord && ovl.Get(r.src.Head.Pred) == nil {
 				o := ovl.Relation(r.src.Head.Pred, r.head.arity)
@@ -844,21 +996,32 @@ func (c *Compiled) MergePartitions(superstep int, shed func(p int) bool) error {
 	var err error
 	for si := 0; si < c.inPart && err == nil; si++ {
 		c.passes[si]++
-		for _, r := range c.strata[si] {
-			if r.kind != ruleRecord || err != nil {
-				continue
-			}
-			last := int64(math.MaxInt64)
-			if failed != nil && r.idx == failed.errRule {
-				last, err = failed.errVertex, failed.err
-			}
-			c.mergeRule(r, last)
-		}
+		err = c.mergeRules(c.strata[si], failed)
 	}
 	for _, sh := range c.live {
 		sh.drop() // the rules past a failure
 	}
 	return err
+}
+
+// mergeRules merges the live shards' new tuples of the record rules among
+// rules, in order, up to failed's failure (nil: none), and returns that
+// failure when it is one of theirs.
+func (c *Compiled) mergeRules(rules []*crule, failed *shard) error {
+	for _, r := range rules {
+		if r.kind != ruleRecord {
+			continue
+		}
+		if failed == nil || failed.err == nil || r.idx < failed.errRule {
+			c.mergeRule(r, math.MaxInt64)
+			continue
+		}
+		if r.idx == failed.errRule {
+			c.mergeRule(r, failed.errVertex)
+		}
+		return failed.err
+	}
+	return nil
 }
 
 // mergeRule appends the live shards' new tuples of rule r up to anchor vertex
@@ -870,7 +1033,7 @@ func (c *Compiled) mergeRule(r *crule, last int64) {
 	c.heads = heads
 	n := 0
 	for _, sh := range c.live {
-		r.emitted += sh.emitted[r.idx]
+		r.emitted += sh.emittedUpTo(r.idx, last)
 		n += len(sh.out[r.idx])
 	}
 	r.head.order = slices.Grow(r.head.order, n)
@@ -892,6 +1055,18 @@ func (c *Compiled) mergeRule(r *crule, last int64) {
 	for i, sh := range c.live {
 		sh.forget(r.idx, heads[i])
 	}
+}
+
+// emittedUpTo counts rule ri's emissions at vertices up to last.
+func (sh *shard) emittedUpTo(ri int, last int64) int64 {
+	if last < math.MaxInt64 && ri < len(sh.marks) {
+		for _, m := range sh.marks[ri] {
+			if m.vertex > last {
+				return m.n
+			}
+		}
+	}
+	return sh.emitted[ri]
 }
 
 // forget deletes the tuples of out[ri][from:], which the merge did not take,
@@ -917,30 +1092,50 @@ func (sh *shard) drop() {
 	sh.ss = -1
 }
 
-// start points the shard's run at rule r's program, with deltas as its delta
-// batch.
-func (sh *shard) start(r *crule, deltas []Tuple) {
-	sh.cur = r
-	sh.rn.prep(r.prog, deltas, sh.sink)
+// use points the shard's sink at rule r alone, emitting at once.
+func (sh *shard) use(r *crule) {
+	sh.rules, sh.buffered = sh.c.rules[r.idx:r.idx+1], nil
 }
 
-// evalRecords runs a record rule once per record, the anchor slots holding
-// the record's vertex and superstep.
-func (sh *shard) evalRecords(r *crule, recs []RecordView) error {
-	sh.start(r, nil)
+// pass runs record pass t over recs, record by record, the anchor slots
+// holding the record's vertex and superstep: the record's branches, then
+// its buffered derivations in rule order. A failing branch stops itself and
+// every later one; the earlier ones finish the records. The failure a
+// rule-major pass would have met first, the lowest by (rule, vertex), is
+// left in err, errRule and errVertex.
+func (sh *shard) pass(t *trie, recs []RecordView) {
 	rn := &sh.rn
+	sh.rules, sh.buffered, sh.err = t.rules, t.buffered, nil
+	if t.buffered != nil {
+		sh.buf = slices.Grow(sh.buf[:0], len(t.rules))[:len(t.rules)]
+	}
+	sink := sh.sink
+	if t.buffered != nil {
+		sink = sh.bufSink
+	}
+	rn.prep(t.prog, nil, sink)
+	rn.err = nil
 	for i := range recs {
 		rn.rv = &recs[i]
 		rn.recSeq++
 		rn.slots[0] = value.NewInt(recs[i].Vertex)
-		if len(r.anchor) > 1 {
+		if t.ss {
 			rn.slots[1] = value.NewInt(recs[i].Superstep)
 		}
-		if err := r.prog.run(rn, 0); err != nil {
-			return err
+		rn.done = 0
+		if err := t.prog.start(rn); err != nil && err != errCut {
+			rn.fail(t.prog.all(), err)
+		}
+		if t.buffered != nil {
+			sh.flush()
+		}
+		if rn.live == 0 {
+			break
 		}
 	}
-	return nil
+	if rn.err != nil {
+		sh.err, sh.errRule, sh.errVertex = rn.err, t.rules[rn.errBranch].idx, rn.errVertex
+	}
 }
 
 // fireGlobal runs one pass of a global rule: each positive IDB literal's
@@ -956,7 +1151,7 @@ func (c *Compiled) fireGlobal(r *crule) error {
 		c.delta[pred] = all[r.cursors[i]:]
 		r.cursors[i] = len(all)
 	}
-	c.main.cur = r
+	c.main.use(r)
 	return r.plan.fire(&c.main.rn, c.delta, c.main.sink)
 }
 

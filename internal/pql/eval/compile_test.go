@@ -224,6 +224,17 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 	if pc.inPart > 0 {
 		lowerOutcomes["in-partition strata"]++
 	}
+	shared, global := false, false
+	for _, r := range pc.rules {
+		shared = shared || r.trie != nil && r.trie.shared
+		global = global || r.kind == ruleGlobal
+	}
+	if shared {
+		lowerOutcomes["compiled with a shared prefix"]++
+	}
+	if global {
+		lowerOutcomes["compiled with a global rule"]++
+	}
 	if serr != nil {
 		lowerOutcomes["run-time error"]++
 		return nil
@@ -295,7 +306,7 @@ func partitionLeg(c *Compiled, layers [][]RecordView, parts int, after func(int)
 func anyCut(c *Compiled) bool {
 	for _, r := range c.rules {
 		for _, p := range r.plan.programs() {
-			if p.cut >= 0 {
+			if p.branches[0].cut >= 0 {
 				return true
 			}
 		}
@@ -675,7 +686,7 @@ func TestCutKeepsErrorContract(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			errs, c := legErrors(t, tc.src, sg, tc.layers)
-			if cut := c.strata[0][0].prog.cut; cut != tc.cut {
+			if cut := c.strata[0][0].prog.branches[0].cut; cut != tc.cut {
 				t.Errorf("cut = %d, want %d", cut, tc.cut)
 			}
 			want := errs["oracle"]

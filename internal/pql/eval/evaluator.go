@@ -186,7 +186,7 @@ func (e *Evaluator) sequentialRound(stratum []*pql.Rule, delta map[string][]Tupl
 func (p *rulePlan) fire(rn *slotRun, delta map[string][]Tuple, emit func(Tuple) error) error {
 	if p.fact != nil {
 		rn.prep(p.fact, nil, emit)
-		return p.fact.run(rn, 0)
+		return p.fact.start(rn)
 	}
 	for vi, prog := range p.progs {
 		dts := delta[p.positivePreds[vi]]
@@ -194,7 +194,7 @@ func (p *rulePlan) fire(rn *slotRun, delta map[string][]Tuple, emit func(Tuple) 
 			continue
 		}
 		rn.prep(prog, dts, emit)
-		if err := prog.run(rn, 0); err != nil {
+		if err := prog.start(rn); err != nil {
 			return err
 		}
 	}

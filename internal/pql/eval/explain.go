@@ -18,8 +18,9 @@ import (
 // record-sourced stratum marked recursive iterates to an in-layer fixpoint;
 // every other runs once per layer. Each record-sourced stratum shows its
 // online placement: partition (on each engine partition's goroutine, right
-// after its compute) or barrier. Every rule shown is a slot program; there
-// is no other way a rule can run.
+// after its compute) or barrier. Record rules that share steps (one record
+// pass, trie.go) show their headers, each with branch=n, then the trie once.
+// Every rule shown is a slot program; there is no other way a rule can run.
 func Explain(q *analysis.Query) (string, error) {
 	var b strings.Builder
 	c, cerr := Compile(q, NewDatabase(), nil)
@@ -36,18 +37,20 @@ func Explain(q *analysis.Query) (string, error) {
 				label += " barrier"
 			}
 			for _, r := range stratum {
-				keys := ""
-				if r.keyed {
-					keys = " keys=record"
-				}
-				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s", label, r.src, r.planner())
-				if r.kind == ruleGlobal {
-					b.WriteString("\n")
+				t := r.trie
+				switch {
+				case r.kind == ruleGlobal:
+					fmt.Fprintf(&b, "  [%s] %s\n      planner=%s\n", label, r.src, r.planner())
 					r.plan.describe(&b)
-					continue
+				case t == nil || !t.shared:
+					r.describe(&b, label, "")
+					r.prog.describe(&b, "      ")
+				case t.rules[0] == r:
+					for bi, tr := range t.rules {
+						tr.describe(&b, label, fmt.Sprintf(" branch=%d", bi+1))
+					}
+					t.prog.describe(&b, "      ")
 				}
-				fmt.Fprintf(&b, " slots=%d%s%s\n", r.prog.nSlots, r.prog.cutNote(), keys)
-				r.prog.describe(&b, "      ")
 			}
 		}
 		return b.String(), nil
@@ -67,12 +70,24 @@ func Explain(q *analysis.Query) (string, error) {
 	return b.String(), nil
 }
 
-// cutNote renders the program's cut for Explain, or nothing without one.
-func (p *program) cutNote() string {
-	if p.cut < 0 {
-		return ""
+// describe writes a record or static rule's header: the rule, its planner,
+// slot count, cut and keys, then note.
+func (r *crule) describe(b *strings.Builder, label, note string) {
+	keys := ""
+	if r.keyed {
+		keys = " keys=record"
 	}
-	return fmt.Sprintf(" cut=%d", p.cut)
+	fmt.Fprintf(b, "  [%s] %s\n      planner=%s slots=%d%s%s%s\n", label, r.src, r.planner(),
+		r.prog.nSlots, r.prog.cutNote(), keys, note)
+}
+
+// cutNote renders a one-rule program's cut for Explain, or nothing without
+// one.
+func (p *program) cutNote() string {
+	if cut := p.branches[0].cut; cut >= 0 {
+		return fmt.Sprintf(" cut=%d", cut)
+	}
+	return ""
 }
 
 // describe writes the plan's programs: the fact program, or one per delta
@@ -88,25 +103,31 @@ func (p *rulePlan) describe(b *strings.Builder) {
 	}
 }
 
-// describe writes one line per step, in execution order.
+// describe writes the program's steps, each once, in execution order,
+// numbered by depth: a one-rule program's one after the other, a trie's
+// where its branches part under a label naming the branches below (numbered
+// from 1, in rule order), one indent deeper.
 func (p *program) describe(b *strings.Builder, indent string) {
-	for i := range p.steps {
-		st := &p.steps[i]
-		what := ""
-		switch {
-		case st.kind == stepCompare && st.bindSlot >= 0:
-			what = "bind"
-		case st.kind == stepCompare:
-			what = "filter"
-		default:
-			what = st.rows.String()
-			if st.kind == stepNegated {
-				what = "not " + what
-			}
-			if len(st.lookupCols) > 0 {
-				what += fmt.Sprintf(" key%v", st.lookupCols)
-			}
+	p.describeKids(b, p.roots, 0, indent)
+}
+
+// describe writes the step's line, numbered n: what it runs and its
+// literal.
+func (st *slotStep) describe(b *strings.Builder, n int, indent string) {
+	what := ""
+	switch {
+	case st.kind == stepCompare && st.bindSlot >= 0:
+		what = "bind"
+	case st.kind == stepCompare:
+		what = "filter"
+	default:
+		what = st.rows.String()
+		if st.kind == stepNegated {
+			what = "not " + what
 		}
-		fmt.Fprintf(b, "%s%d. %-24s %s\n", indent, i+1, what, st.text)
+		if len(st.lookupCols) > 0 {
+			what += fmt.Sprintf(" key%v", st.lookupCols)
+		}
 	}
+	fmt.Fprintf(b, "%s%d. %-24s %s\n", indent, n, what, st.text)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,16 +118,37 @@ func fuzzBases(tb testing.TB) []string {
 	return bases
 }
 
-// genRules writes n random rules over the record-local EDBs, heads g0..gn-1.
-// Every rule is anchored at X and derives for the current superstep I, and
-// reads an earlier head only at (X, I), at a receive-guarded peer in the same
+// genRules writes n random rules, heads g0..gn-1. Most are record rules:
+// anchored at X, deriving for the current superstep I, and reading an
+// earlier head only at (X, I), at a receive-guarded peer in the same
 // superstep, or at such a peer in an earlier one — the forward discipline
-// under which per-record and bottom-up evaluation coincide. Safety and
-// stratification are left to the analysis, which rejects some of the output.
+// under which per-record and bottom-up evaluation coincide. Some of them
+// get a sibling: a second rule of the same head whose body begins with the
+// same literals and differs in its filters, Query 7's shape. The rest are
+// global rules, over earlier heads only (which no record rule reads
+// after), and static rules, over edges and comparisons only. Safety and
+// stratification are left to the analysis, which rejects some of the
+// output.
 func genRules(rng *rand.Rand, n int) string {
 	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
 	var b strings.Builder
+	var readable []string // heads a record rule may read: not global
 	for k := 0; k < n; k++ {
+		head := fmt.Sprintf("g%d(X, I)", k)
+		switch {
+		case k > 0 && rng.Intn(6) == 0:
+			g := func() string { return fmt.Sprintf("g%d", rng.Intn(k)) }
+			fmt.Fprintf(&b, "%s :- %s.\n", head, pick(
+				g()+"(X, I), "+g()+"(X, I)",
+				g()+"(X, I), "+g()+"(Y, I), Y != X",
+				g()+"(X, J), "+g()+"(X, I), J < I",
+				g()+"(X, I), !"+g()+"(X, I)"))
+			continue
+		case rng.Intn(10) == 0:
+			fmt.Fprintf(&b, "%s :- %s.\n", head, pick("edge(X, Y), I = 0", "edge(Y, X), I = Y mod 2", "edge(X, Y), X < Y, I = 1"))
+			readable = append(readable, fmt.Sprintf("g%d", k))
+			continue
+		}
 		var body []string
 		vars := []string{"I"} // numeric variables bound so far, besides X
 		peer := false
@@ -158,11 +180,11 @@ func genRules(rng *rand.Rand, n int) string {
 				body = append(body, "edge(X, Y)", "superstep(X, I)")
 				vars = append(vars, "Y")
 			default:
-				if k == 0 {
+				if len(readable) == 0 {
 					body = append(body, "superstep(X, I)")
 					break
 				}
-				g := fmt.Sprintf("g%d", rng.Intn(k))
+				g := readable[rng.Intn(len(readable))]
 				switch {
 				case peer && rng.Intn(2) == 0:
 					body = append(body, g+"(Y, J2)", pick("J2 < I", "J2 = I - 1"), "superstep(X, I)")
@@ -173,31 +195,48 @@ func genRules(rng *rand.Rand, n int) string {
 				}
 			}
 		}
-		for i, filters := 0, rng.Intn(3); i < filters; i++ {
-			v := vars[rng.Intn(len(vars))]
-			switch rng.Intn(6) {
-			case 4: // a run-time type error when v is a float (D, M, E)
-				body = append(body, fmt.Sprintf("R = %s mod 2", v), "R = 0")
-			case 0:
-				body = append(body, fmt.Sprintf("%s %s %d", v, pick("<", "<=", ">", ">=", "!=", "="), rng.Intn(4)))
-			case 1:
-				body = append(body, fmt.Sprintf("abs(%s - %d) %s 1.5", v, rng.Intn(4), pick("<", ">")))
-			case 2:
-				body = append(body, fmt.Sprintf("%s %s %s", v, pick("<", "!=", ">="), vars[rng.Intn(len(vars))]))
-			case 3:
-				body = append(body, fmt.Sprintf("T = %s * 2 + 1", v), "T > 2")
-			default:
-				if len(vars) > 1 {
-					body = append(body, pick("!receive_message(X, V, M2, I)", "!send_message(X, V, 0.5, I)"), "M2 = 1.0", "V = "+v)
+		filters := func() []string {
+			var fs []string
+			for i, n := 0, rng.Intn(3); i < n; i++ {
+				v := vars[rng.Intn(len(vars))]
+				switch rng.Intn(6) {
+				case 4: // a run-time type error when v is a float (D, M, E)
+					fs = append(fs, fmt.Sprintf("R = %s mod 2", v), "R = 0")
+				case 0:
+					fs = append(fs, fmt.Sprintf("%s %s %d", v, pick("<", "<=", ">", ">=", "!=", "="), rng.Intn(4)))
+				case 1:
+					fs = append(fs, fmt.Sprintf("abs(%s - %d) %s 1.5", v, rng.Intn(4), pick("<", ">")))
+				case 2:
+					fs = append(fs, fmt.Sprintf("%s %s %s", v, pick("<", "!=", ">="), vars[rng.Intn(len(vars))]))
+				case 3:
+					fs = append(fs, fmt.Sprintf("T = %s * 2 + 1", v), "T > 2")
+				default:
+					if len(vars) > 1 {
+						fs = append(fs, pick("!receive_message(X, V, M2, I)", "!send_message(X, V, 0.5, I)"), "M2 = 1.0", "V = "+v)
+					}
 				}
 			}
+			return fs
 		}
 		rng.Shuffle(len(body), func(i, j int) { body[i], body[j] = body[j], body[i] })
-		head := fmt.Sprintf("g%d(X, I)", k)
+		if rng.Intn(3) == 0 {
+			// A sibling: the same literals, then its own filter on the same
+			// variable, as Query 7's W < 0 / W > 5.
+			v := vars[rng.Intn(len(vars))]
+			for _, op := range []string{"<", ">"} {
+				rule := append(slices.Clone(body), fmt.Sprintf("%s %s %d", v, op, rng.Intn(4)))
+				fmt.Fprintf(&b, "%s :- %s.\n", head, strings.Join(append(rule, filters()...), ", "))
+			}
+			readable = append(readable, fmt.Sprintf("g%d", k))
+			continue
+		}
+		body = append(body, filters()...)
+		rng.Shuffle(len(body), func(i, j int) { body[i], body[j] = body[j], body[i] })
 		if rng.Intn(8) == 0 && peer {
 			head = fmt.Sprintf("g%d(X, COUNT(%s))", k, vars[len(vars)-1])
 		}
 		fmt.Fprintf(&b, "%s :- %s.\n", head, strings.Join(body, ", "))
+		readable = append(readable, fmt.Sprintf("g%d", k))
 	}
 	return b.String()
 }
@@ -205,8 +244,10 @@ func genRules(rng *rand.Rand, n int) string {
 // TestGeneratedRulesReachEveryLeg runs the fuzz target's generator over a
 // fixed seed range and checks it has teeth: most programs must survive the
 // analysis, a good share must reach the three-way comparison with tuples to
-// compare, a real share of those must have a rule that takes a cut, and a
-// good share of the compiled programs must run some stratum in-partition.
+// compare, a real share of those must have a rule that takes a cut, a good
+// share of the compiled programs must run some stratum in-partition, and a
+// real share must compile with a record pass that shares a prefix and with
+// a global rule.
 func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	for k := range lowerOutcomes {
 		delete(lowerOutcomes, k)
@@ -242,6 +283,11 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	if lowerOutcomes["three-way with a cut"] < n/10 {
 		t.Errorf("only %d of %d programs reached the three-way comparison with a rule that takes a cut",
 			lowerOutcomes["three-way with a cut"], n)
+	}
+	for _, o := range []string{"compiled with a shared prefix", "compiled with a global rule"} {
+		if lowerOutcomes[o] < n/10 {
+			t.Errorf("only %d of %d programs %s", lowerOutcomes[o], n, o)
+		}
 	}
 }
 

@@ -59,6 +59,21 @@ func (s rowSource) keyColumn(i, arity int) bool {
 	return false
 }
 
+// recordColumn reports what a record source writes at column i (of arity
+// columns): 0 for the record's vertex, 1 for its superstep, -1 for
+// anything else.
+func (s rowSource) recordColumn(i, arity int) int {
+	switch {
+	case s < rowsSuperstep || s > rowsEdgeValue || s == rowsEdge:
+		return -1
+	case i == 0:
+		return 0
+	case i == arity-1 && s != rowsPrevValue && s != rowsEdgeValue:
+		return 1
+	}
+	return -1
+}
+
 // RecordView is the query vertex program's view of one provenance record —
 // the transient state the record sources read. Sends, Recvs and Emitted
 // borrow the producer's slices (the engine's record arena online, the
@@ -79,45 +94,85 @@ type RecordView struct {
 	Emitted      []engine.ProvFact
 }
 
-// factIndex is one emitted step's hash index over the current record's
-// facts of its table, chained through the facts' positions: head[b] and
-// next[i] hold a position plus one (zero ends a chain). seq names the record
-// it was built for: slotRun.recSeq moves on with every record, so an index
-// never outlives its record even though views are reused across supersteps.
+// recordFacts holds the current record's emitted facts by table, built on
+// the first emitted step of each record: byTable[id] lists the positions of
+// table id's facts in emitted order, and idx[id] is their index on the
+// first argument, built on the first keyed probe. Every step and branch
+// reading a table shares its bucket and index. seq names the record they
+// were built for: slotRun.recSeq moves on with every record, so neither
+// outlives its record even though views are reused across supersteps.
+type recordFacts struct {
+	tables  []string // by id (Compile numbers them)
+	seq     uint64
+	byTable [][]int32
+	idx     []factIndex
+}
+
+// factIndex is a hash index over one table's bucket, chained through the
+// bucket's positions: head[b] and next[j] hold a position plus one (zero
+// ends a chain). seq names the record it was built for.
 type factIndex struct {
 	seq  uint64
 	head []int32
 	next []int32
 }
 
+// tableFacts returns the positions of the current record's facts of table
+// id, bucketing every fact of the record by table on the first call for the
+// record. A table no record step reads has no bucket.
+func (rn *slotRun) tableFacts(id int) []int32 {
+	fs := &rn.facts
+	if fs.seq != rn.recSeq {
+		fs.seq = rn.recSeq
+		if len(fs.byTable) < len(fs.tables) {
+			fs.byTable = make([][]int32, len(fs.tables))
+			fs.idx = make([]factIndex, len(fs.tables))
+		}
+		for t := range fs.byTable {
+			fs.byTable[t] = fs.byTable[t][:0]
+		}
+		for i := range rn.rv.Emitted {
+			name := rn.rv.Emitted[i].Table
+			for t, tn := range fs.tables {
+				if name == tn {
+					fs.byTable[t] = append(fs.byTable[t], int32(i))
+					break
+				}
+			}
+		}
+	}
+	return fs.byTable[id]
+}
+
 // factsByFirstArg calls fn, in emitted order, with the current record's
-// facts of table whose first argument's value.Hash is h, building step si's
-// index on the first probe of each record. Values appendNorm encodes alike
-// hash alike (3 and 3.0, -0.0 and +0.0), and collisions only add
-// candidates: fn's match actions compare every argument anyway.
-func (rn *slotRun) factsByFirstArg(si int, table string, h uint64, fn func(*engine.ProvFact) error) error {
-	fx, facts := &rn.factIdx[si], rn.rv.Emitted
+// facts of table id whose first argument's value.Hash is h, building the
+// table's index on the first probe of each record. Values appendNorm
+// encodes alike hash alike (3 and 3.0, -0.0 and +0.0), and collisions only
+// add candidates: fn's match actions compare every argument anyway.
+func (rn *slotRun) factsByFirstArg(id int, h uint64, fn func(*engine.ProvFact) error) error {
+	pos, facts := rn.tableFacts(id), rn.rv.Emitted
+	fx := &rn.facts.idx[id]
 	if fx.seq != rn.recSeq {
 		fx.seq = rn.recSeq
 		nb := 1
-		for nb < len(facts) {
+		for nb < len(pos) {
 			nb <<= 1
 		}
 		fx.head = slices.Grow(fx.head[:0], nb)[:nb]
-		fx.next = slices.Grow(fx.next[:0], len(facts))[:len(facts)]
+		fx.next = slices.Grow(fx.next[:0], len(pos))[:len(pos)]
 		clear(fx.head)
 		// Prepending in reverse leaves every chain in emitted order.
-		for i := len(facts) - 1; i >= 0; i-- {
-			f := &facts[i]
-			if f.Table != table || len(f.Args) == 0 {
+		for j := len(pos) - 1; j >= 0; j-- {
+			f := &facts[pos[j]]
+			if len(f.Args) == 0 {
 				continue
 			}
 			b := f.Args[0].Hash() & uint64(nb-1)
-			fx.next[i], fx.head[b] = fx.head[b], int32(i+1)
+			fx.next[j], fx.head[b] = fx.head[b], int32(j+1)
 		}
 	}
-	for p := fx.head[h&uint64(len(fx.head)-1)]; p != 0; p = fx.next[p-1] {
-		if err := fn(&facts[p-1]); err != nil {
+	for j := fx.head[h&uint64(len(fx.head)-1)]; j != 0; j = fx.next[j-1] {
+		if err := fn(&facts[pos[j-1]]); err != nil {
 			return err
 		}
 	}
@@ -159,14 +214,17 @@ var errRowExists = errors.New("eval: row exists")
 // tryRow matches one source row; on success a positive step continues the
 // program and a negated one reports the row.
 func (p *program) tryRow(rn *slotRun, si int, st *slotStep, row []value.Value) error {
-	ok, err := st.matchRow(rn.slots, row)
+	if len(row) != len(st.match) {
+		return st.arityErr()
+	}
+	ok, err := matchCols(rn.slots, st.match, row)
 	if err != nil || !ok {
 		return err
 	}
 	if st.kind == stepNegated {
 		return errRowExists
 	}
-	return p.run(rn, si+1)
+	return p.next(rn, si)
 }
 
 // runRecord executes a predicate step over a record source.
@@ -181,7 +239,7 @@ func (p *program) runRecord(rn *slotRun, si int, st *slotStep) error {
 	if err != nil {
 		return err
 	}
-	return p.run(rn, si+1)
+	return p.next(rn, si)
 }
 
 // recordRows feeds the source's rows, narrowed by the step's key columns,
@@ -247,25 +305,30 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 		return p.tryRow(rn, si, st, row)
 
 	case rowsEmitted:
-		row[0], row[len(row)-1] = x, ss
 		fact := func(f *engine.ProvFact) error {
-			if f.Table != st.pred || len(f.Args) != len(row)-2 {
+			if len(f.Args) != len(st.match)-2 {
 				return nil
 			}
-			copy(row[1:], f.Args)
-			return p.tryRow(rn, si, st, row)
+			ok, err := st.matchFact(rn.slots, x, f.Args, ss)
+			if err != nil || !ok {
+				return err
+			}
+			if st.kind == stepNegated {
+				return errRowExists
+			}
+			return p.next(rn, si)
 		}
 		if len(st.lookupCols) > 0 {
 			// Joining on the first payload argument (e.g. the neighbor in
-			// Query 7): probe the step's per-record index instead of
+			// Query 7): probe the table's per-record index instead of
 			// scanning.
 			kv, err := st.lookupSrc[0].eval(rn.slots)
 			if err != nil {
 				return err
 			}
-			return rn.factsByFirstArg(si, st.pred, kv.Hash(), fact)
+			return rn.factsByFirstArg(st.table, kv.Hash(), fact)
 		}
-		for fi := range rv.Emitted {
+		for _, fi := range rn.tableFacts(st.table) {
 			if err := fact(&rv.Emitted[fi]); err != nil {
 				return err
 			}

@@ -3,7 +3,9 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
+	"strings"
 
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
@@ -101,24 +103,57 @@ type slotStep struct {
 	// fallible: the step evaluates a term that can fail at run time (an
 	// arithmetic expression or a function call).
 	fallible bool
+	// table is a record.emitted step's table id (Compile numbers the tables
+	// the record steps read).
+	table int
+
+	// Where the program goes on: kids lists, in order, what runs once the
+	// step matched; mask has a bit per branch below the step, cutMask one per
+	// branch whose cut step it is.
+	kids    []kid
+	mask    uint64
+	cutMask uint64
+	// sig is the step's identity up to variable names (see lowerer.canon): two
+	// steps with one sig, behind identical prefixes, do the same work. binds
+	// reports whether matching the step binds a slot.
+	sig   string
+	binds bool
 }
 
-// program is one lowered rule body: the step program, the head
-// constructors, and the slot count.
+// program is a tree of steps over one slot array: one lowered rule body —
+// a chain, one branch — or a record pass's prefix trie (see trie.go), one
+// branch per rule, whose rules share the steps their bodies begin with.
+// roots lists what runs first, as a step's kids do.
 type program struct {
-	steps  []slotStep
-	head   []slotSrc
-	nSlots int
-	// cut is the first step before which every head variable is bound, or
-	// -1. Every completion under that step emits the same tuple, so the
-	// first one ends the step's enumeration (errCut). The cut applies only
-	// when no step from it on is fallible: a row it skips could otherwise
-	// have failed the evaluation.
-	cut int
+	steps    []slotStep
+	roots    []kid
+	branches []branch
+	nSlots   int
 }
 
-// errCut unwinds a completion under the program's cut step back to that
-// step, ending its enumeration — as errRowExists ends a negated scan.
+// kid is what runs after a step, or first: step to, or (to < 0) the end of
+// branch ^to; mask has a bit per branch below it.
+type kid struct {
+	to   int32
+	mask uint64
+}
+
+// branch is one rule's end of a program: its head constructors and its cut,
+// the first step before which every head variable is bound, or -1. Every
+// completion under that step emits the same tuple, so the first one ends
+// the branch's enumeration from that step on: the branch is done (its bit
+// in slotRun.done) until the step enumerates afresh. The cut applies only
+// when no step from it on is fallible: a row it skips could otherwise have
+// failed the evaluation.
+type branch struct {
+	head []slotSrc
+	cut  int
+}
+
+// errCut unwinds a completion under a cut out of every enumeration whose
+// branches are all done, back to the cut step — as errRowExists ends a
+// negated scan. A step returns it only when every live branch below it is
+// done.
 var errCut = errors.New("eval: head bound")
 
 // slotRun is per-goroutine scratch state: the slot array, reused key,
@@ -132,14 +167,16 @@ var errCut = errors.New("eval: head bound")
 // firing: a sink that keeps a tuple must copy it (Relation.insertCopy), and
 // it probes with the canonical key first so a duplicate costs nothing.
 type slotRun struct {
-	db      *Database
-	ovl     *Database
-	sg      StaticGraph
-	rv      *RecordView
-	recSeq  uint64 // advances with every record rv points at
-	slots   []value.Value
-	rowBuf  [][]value.Value // per step, reused across rows
-	factIdx []factIndex     // per step, emitted-fact index of the current record
+	db     *Database
+	ovl    *Database
+	sg     StaticGraph
+	rv     *RecordView
+	recSeq uint64 // advances with every record rv points at
+	slots  []value.Value
+	rowBuf [][]value.Value // per step, reused across rows
+	// facts are the current record's emitted facts by table, and their
+	// first-argument indexes (record.go).
+	facts recordFacts
 	// rels and ovls hold, per step, the database's and the overlay's relation
 	// a relation step reads (nil: none), resolved once per firing by prep.
 	rels   []*Relation
@@ -148,7 +185,18 @@ type slotRun struct {
 	argBuf Tuple
 	head   Tuple
 	deltas []Tuple
+	// emit receives every head, branch naming the branch it ends.
 	emit   func(Tuple) error
+	branch int
+	// live has a bit per branch still running (a trie program's pass stops
+	// a failing branch and every later one, see fail), done one per branch
+	// completed under its cut (see end); err is the failure of branch
+	// errBranch at vertex errVertex.
+	live      uint64
+	done      uint64
+	err       error
+	errBranch int
+	errVertex int64
 }
 
 // prep sizes the scratch for p, resolves its relation steps' relations and
@@ -162,17 +210,17 @@ func (rn *slotRun) prep(p *program, deltas []Tuple, emit func(Tuple) error) {
 	} else {
 		rn.slots = rn.slots[:p.nSlots]
 	}
-	if cap(rn.head) < len(p.head) {
-		rn.head = make(Tuple, len(p.head))
-	} else {
-		rn.head = rn.head[:len(p.head)]
+	for _, br := range p.branches {
+		if cap(rn.head) < len(br.head) {
+			rn.head = make(Tuple, len(br.head))
+		}
 	}
 	for len(rn.rowBuf) < len(p.steps) {
 		rn.rowBuf = append(rn.rowBuf, nil)
-		rn.factIdx = append(rn.factIdx, factIndex{})
 		rn.rels = append(rn.rels, nil)
 		rn.ovls = append(rn.ovls, nil)
 	}
+	rn.live, rn.done = p.all(), 0
 	for i := range p.steps {
 		st := &p.steps[i]
 		rn.rels[i], rn.ovls[i] = nil, nil
@@ -245,13 +293,33 @@ func (rn *slotRun) args(srcs []slotSrc) (Tuple, error) {
 	return t, nil
 }
 
-// matchRow runs the step's match actions against one candidate row.
-func (st *slotStep) matchRow(slots, row []value.Value) (bool, error) {
-	if len(row) != len(st.match) {
-		return false, fmt.Errorf("pql: %s: arity mismatch binding %s", st.pos, st.pred)
+// arityErr reports a candidate row whose arity is not the step's.
+func (st *slotStep) arityErr() error {
+	return fmt.Errorf("pql: %s: arity mismatch binding %s", st.pos, st.pred)
+}
+
+// matchFact matches the step against an emitted fact's row (x, args..., ss), which
+// it does not build; args has the row's arity less two.
+func (st *slotStep) matchFact(slots []value.Value, x value.Value, args []value.Value, ss value.Value) (bool, error) {
+	n := len(st.match)
+	ok, err := true, error(nil)
+	if st.match[0].kind != matchSkip {
+		ok, err = matchCols(slots, st.match[:1], []value.Value{x})
 	}
-	for i := range st.match {
-		m := &st.match[i]
+	if ok {
+		ok, err = matchCols(slots, st.match[1:n-1], args)
+	}
+	if ok && st.match[n-1].kind != matchSkip {
+		ok, err = matchCols(slots, st.match[n-1:], []value.Value{ss})
+	}
+	return ok, err
+}
+
+// matchCols runs match actions against the columns of a candidate row, one
+// each.
+func matchCols(slots []value.Value, ms []slotMatch, row []value.Value) (bool, error) {
+	for i := range ms {
+		m := &ms[i]
 		switch m.kind {
 		case matchSkip:
 		case matchBind:
@@ -277,33 +345,102 @@ func (st *slotStep) matchRow(slots, row []value.Value) (bool, error) {
 	return true, nil
 }
 
-// run executes the program from step si; at the cut step it absorbs the
-// errCut its first completion returns.
-func (p *program) run(rn *slotRun, si int) error {
-	if si == p.cut {
-		if err := p.exec(rn, si); err != errCut {
-			return err
-		}
-		return nil
+// all has a bit per branch.
+func (p *program) all() uint64 {
+	if len(p.branches) >= 64 {
+		return ^uint64(0)
 	}
-	return p.exec(rn, si)
+	return 1<<uint(len(p.branches)) - 1
 }
 
-// exec runs step si, or emits the head once every step has matched.
-func (p *program) exec(rn *slotRun, si int) error {
-	if si == len(p.steps) {
-		for i := range p.head {
-			v, err := p.head[i].eval(rn.slots)
-			if err != nil {
-				return err
-			}
-			rn.head[i] = v
+// start runs the program from its roots.
+func (p *program) start(rn *slotRun) error { return p.goOn(rn, p.roots, p.all()) }
+
+// next goes on after step si matched.
+func (p *program) next(rn *slotRun, si int) error {
+	st := &p.steps[si]
+	return p.goOn(rn, st.kids, st.mask)
+}
+
+// goOn runs kids, whose branches mask has: one step or branch end, or at a
+// fork every kid with a live branch below it that is not done, in order. A
+// kid's failure stops the branch it is charged to and every later one (see
+// fail); the fork goes on with the rest, and returns errCut once no branch
+// of mask is left to run. Only a trie program forks.
+func (p *program) goOn(rn *slotRun, kids []kid, mask uint64) error {
+	if len(kids) == 1 {
+		if k := kids[0].to; k >= 0 {
+			return p.run(rn, int(k))
 		}
-		if err := rn.emit(rn.head); err != nil || p.cut < 0 {
-			return err
+		return p.end(rn, int(^kids[0].to))
+	}
+	for _, k := range kids {
+		if k.mask&rn.live&^rn.done == 0 {
+			continue
 		}
+		var err error
+		if k.to >= 0 {
+			err = p.run(rn, int(k.to))
+		} else {
+			err = p.end(rn, int(^k.to))
+		}
+		if err != nil && err != errCut {
+			rn.fail(k.mask, err)
+		}
+	}
+	if mask&rn.live&^rn.done == 0 {
 		return errCut
 	}
+	return nil
+}
+
+// fail charges err to the lowest live branch of mask, which a rule-major
+// pass would have run into first: that branch and every later one stop,
+// so a later failure is always an earlier branch's and replaces this one.
+func (rn *slotRun) fail(mask uint64, err error) {
+	b := bits.TrailingZeros64(mask & rn.live)
+	rn.live &= 1<<uint(b) - 1
+	rn.err, rn.errBranch, rn.errVertex = err, b, rn.rv.Vertex
+}
+
+// end emits branch b's head; under the branch's cut it marks the branch
+// done and returns errCut.
+func (p *program) end(rn *slotRun, b int) error {
+	br := &p.branches[b]
+	head := rn.head[:len(br.head)]
+	for i := range br.head {
+		v, err := br.head[i].eval(rn.slots)
+		if err != nil {
+			return err
+		}
+		head[i] = v
+	}
+	rn.branch = b
+	if err := rn.emit(head); err != nil || br.cut < 0 {
+		return err
+	}
+	rn.done |= 1 << uint(b)
+	return errCut
+}
+
+// run executes step si. At the cut step of some branches, whose enumeration
+// it ends, it makes them not done again and absorbs errCut unless every
+// branch below the step is still done.
+func (p *program) run(rn *slotRun, si int) error {
+	st := &p.steps[si]
+	if st.cutMask == 0 {
+		return p.exec(rn, si)
+	}
+	err := p.exec(rn, si)
+	rn.done &^= st.cutMask
+	if err == errCut && st.mask&rn.live&^rn.done != 0 {
+		return nil
+	}
+	return err
+}
+
+// exec runs step si.
+func (p *program) exec(rn *slotRun, si int) error {
 	st := &p.steps[si]
 	switch {
 	case st.kind == stepCompare:
@@ -313,13 +450,13 @@ func (p *program) exec(rn *slotRun, si int) error {
 				return err
 			}
 			rn.slots[st.bindSlot] = v
-			return p.run(rn, si+1)
+			return p.next(rn, si)
 		}
 		ok, err := st.cmpFn(rn.slots)
 		if err != nil || !ok {
 			return err
 		}
-		return p.run(rn, si+1)
+		return p.next(rn, si)
 
 	case st.rows >= rowsSuperstep:
 		return p.runRecord(rn, si, st)
@@ -334,7 +471,7 @@ func (p *program) exec(rn *slotRun, si int) error {
 		if rn.has(si, t) {
 			return nil
 		}
-		return p.run(rn, si+1)
+		return p.next(rn, si)
 
 	case st.rows == rowsDelta:
 		return p.each(rn, si, st, rn.deltas)
@@ -397,14 +534,17 @@ func (r *Relation) candidates(st *slotStep, kb []byte) []Tuple {
 // each match.
 func (p *program) each(rn *slotRun, si int, st *slotStep, cands []Tuple) error {
 	for _, t := range cands {
-		ok, err := st.matchRow(rn.slots, t)
+		if len(t) != len(st.match) {
+			return st.arityErr()
+		}
+		ok, err := matchCols(rn.slots, st.match, t)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		if err := p.run(rn, si+1); err != nil {
+		if err := p.next(rn, si); err != nil {
 			return err
 		}
 	}
@@ -416,6 +556,9 @@ func (p *program) each(rn *slotRun, si int, st *slotStep, cands []Tuple) error {
 type lowerer struct {
 	env    *analysis.Env
 	slotOf map[string]int
+	// anchors counts the variables bound before the first step: a record
+	// rule's vertex (slot 0) and current superstep (slot 1).
+	anchors int
 }
 
 func (lw *lowerer) bind(name string) int {
@@ -588,25 +731,27 @@ func (lw *lowerer) cmp(c *pql.CmpLit) (slotStep, error) {
 			if err != nil {
 				return st, err
 			}
-			st.bindSlot, st.bindFn = lw.bind(v), fn
+			st.sig = "bind " + lw.canon(side[1])
+			st.bindSlot, st.bindFn, st.binds = lw.bind(v), fn, true
 			return st, nil
 		}
 	}
-	lf, err := lw.term(c.L)
+	ls, err := lw.src(c.L)
 	if err != nil {
 		return st, err
 	}
-	rf, err := lw.term(c.R)
+	rs, err := lw.src(c.R)
 	if err != nil {
 		return st, err
 	}
+	st.sig = fmt.Sprintf("cmp %s %s %s", c.Op, lw.canon(c.L), lw.canon(c.R))
 	op, pos := c.Op, c.Pos
 	st.cmpFn = func(s []value.Value) (bool, error) {
-		l, err := lf(s)
+		l, err := ls.eval(s)
 		if err != nil {
 			return false, err
 		}
-		r, err := rf(s)
+		r, err := rs.eval(s)
 		if err != nil {
 			return false, err
 		}
@@ -637,12 +782,14 @@ func (lw *lowerer) cmp(c *pql.CmpLit) (slotStep, error) {
 // source's key columns that are ground *before* the step; pass 2 builds the
 // match actions in argument order — a variable's first occurrence binds, a
 // repeat occurrence (even within this atom) compares.
-func (lw *lowerer) atom(ps planStep) (slotStep, error) {
+func (lw *lowerer) atom(ps planStep) (st slotStep, err error) {
 	a := ps.atom
-	st := slotStep{kind: ps.kind, pred: a.Pred, pos: a.Pos, text: a.String(), rows: ps.rows, bindSlot: -1}
+	st = slotStep{kind: ps.kind, pred: a.Pred, pos: a.Pos, text: a.String(), rows: ps.rows, bindSlot: -1}
 	for _, arg := range a.Args {
 		st.fallible = st.fallible || canFail(arg)
 	}
+	sig := []string{fmt.Sprintf("%d %s %s", ps.kind, ps.rows, a.Pred)}
+	defer func() { st.sig = strings.Join(sig, " ") }()
 	if ps.kind == stepNegated {
 		st.text = "!" + st.text
 		if ps.rows == rowsRelation {
@@ -652,6 +799,7 @@ func (lw *lowerer) atom(ps planStep) (slotStep, error) {
 					return st, err
 				}
 				st.negSrc = append(st.negSrc, src)
+				sig = append(sig, lw.canon(arg))
 			}
 			return st, nil
 		}
@@ -674,35 +822,71 @@ func (lw *lowerer) atom(ps planStep) (slotStep, error) {
 		case *pql.Var:
 			if arg.Wildcard() {
 				st.match[i] = slotMatch{kind: matchSkip}
-			} else if slot, ok := lw.slotOf[arg.Name]; ok {
+			} else if slot, ok := lw.slotOf[arg.Name]; ok && slot < lw.anchors && ps.rows.recordColumn(i, len(a.Args)) == slot {
+				// The source writes the record's own vertex or superstep
+				// here, which the anchor slot holds.
+				st.match[i] = slotMatch{kind: matchSkip}
+			} else if ok {
 				st.match[i] = slotMatch{kind: matchSlot, slot: slot}
 			} else {
 				st.match[i] = slotMatch{kind: matchBind, slot: lw.bind(arg.Name)}
+				st.binds = true
 			}
+			sig = append(sig, fmt.Sprintf("%d:%d", st.match[i].kind, st.match[i].slot))
 		case *pql.Const:
 			st.match[i] = slotMatch{kind: matchConst, cval: arg.Val}
+			sig = append(sig, lw.canon(arg))
 		default:
 			fn, err := lw.term(arg)
 			if err != nil {
 				return st, fmt.Errorf("%w (argument %s of %s must be ground when matched)", err, arg, a.Pred)
 			}
 			st.match[i] = slotMatch{kind: matchFn, fn: fn}
+			sig = append(sig, lw.canon(arg))
 		}
 	}
 	return st, nil
 }
 
+// canon renders a term with each bound variable as its slot: two steps
+// whose sigs are built from equal renderings, behind identical prefixes,
+// evaluate the same values. A term of any other form renders as itself
+// only.
+func (lw *lowerer) canon(t pql.Term) string {
+	switch t := t.(type) {
+	case *pql.Const:
+		return fmt.Sprintf("%s:%q", t.Val.Kind(), t.Val.String())
+	case *pql.Var:
+		if s, ok := lw.slotOf[t.Name]; ok && !t.Wildcard() {
+			return fmt.Sprintf("$%d", s)
+		}
+	case *pql.BinExpr:
+		if t.Op == pql.OpNeg {
+			return "-(" + lw.canon(t.L) + ")"
+		}
+		return "(" + lw.canon(t.L) + " " + t.Op.String() + " " + lw.canon(t.R) + ")"
+	case *pql.Call:
+		args := make([]string, len(t.Args))
+		for i, a := range t.Args {
+			args[i] = lw.canon(a)
+		}
+		return t.Name + "(" + strings.Join(args, ", ") + ")"
+	}
+	return fmt.Sprintf("%p", t)
+}
+
 // lower compiles an ordered body and head into a slot program. Variables
 // named in bound hold a value before the first step runs (slots 0..).
 func lower(steps []planStep, head []pql.Term, env *analysis.Env, bound ...string) (*program, error) {
-	lw := &lowerer{env: env, slotOf: map[string]int{}}
+	lw := &lowerer{env: env, slotOf: map[string]int{}, anchors: len(bound)}
 	for _, name := range bound {
 		lw.bind(name)
 	}
-	p := &program{cut: -1}
+	p := &program{roots: []kid{{to: ^0, mask: 1}}}
+	br := branch{cut: -1}
 	for i, ps := range steps {
-		if p.cut < 0 && lw.groundAll(head) {
-			p.cut = i
+		if br.cut < 0 && lw.groundAll(head) {
+			br.cut = i
 		}
 		var st slotStep
 		var err error
@@ -714,6 +898,7 @@ func lower(steps []planStep, head []pql.Term, env *analysis.Env, bound ...string
 		if err != nil {
 			return nil, err
 		}
+		st.kids, st.mask = []kid{{to: int32(i + 1), mask: 1}}, 1
 		p.steps = append(p.steps, st)
 	}
 	for _, a := range head {
@@ -721,11 +906,19 @@ func lower(steps []planStep, head []pql.Term, env *analysis.Env, bound ...string
 		if err != nil {
 			return nil, err
 		}
-		p.head = append(p.head, src)
+		br.head = append(br.head, src)
 	}
-	if p.cut >= 0 && slices.ContainsFunc(p.steps[p.cut:], func(st slotStep) bool { return st.fallible }) {
-		p.cut = -1
+	if br.cut >= 0 && slices.ContainsFunc(p.steps[br.cut:], func(st slotStep) bool { return st.fallible }) {
+		br.cut = -1
 	}
+	if n := len(p.steps); n > 0 {
+		p.roots = []kid{{to: 0, mask: 1}}
+		p.steps[n-1].kids = []kid{{to: ^0, mask: 1}}
+	}
+	if br.cut >= 0 {
+		p.steps[br.cut].cutMask = 1
+	}
+	p.branches = []branch{br}
 	p.nSlots = len(lw.slotOf)
 	return p, nil
 }
