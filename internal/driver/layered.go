@@ -42,7 +42,7 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 		evalLayer = f.layer
 	}
 	// Projection pushdown: ask the store for only the payload columns this
-	// query's evaluation path can observe (v2 columnar layers skip the rest
+	// query's evaluation path can observe (columnar layers skip the rest
 	// on disk). NoProjection pins the full-width reference leg.
 	var proj *provenance.LayerProjection
 	if !cfg.noProjection {

@@ -27,13 +27,16 @@ func finish(b *LayerBuilder) []byte {
 	return new(stitcher).layer(b.superstep, []*LayerBuilder{b})
 }
 
-// oracleEncodeColumnar is the row-walking v2 encoder the builder replaced,
-// kept verbatim as the reference: the builder must produce its bytes
-// exactly, so layer files stay byte-identical across the change.
-func oracleEncodeColumnar(l *Layer) []byte {
+// oracleEncodeColumnar is the row-walking encoder the builder replaced,
+// kept as the reference: the builder must produce its bytes exactly, so
+// layer files stay byte-identical across the change. At version 3 a send
+// whose packed bytes equal the record's previous send's is the repeat code
+// (decided by comparing the bytes, not the builder's kind-and-bits test);
+// at version 2 every send is packed in full, as version 2 writers did.
+func oracleEncodeColumnar(l *Layer, version byte) []byte {
 	var head []byte
 	head = append(head, layerMagic[:]...)
-	head = append(head, layerVersionColumnar)
+	head = append(head, version)
 	head = binary.AppendUvarint(head, uint64(l.Superstep))
 	head = binary.AppendUvarint(head, uint64(len(l.Records)))
 
@@ -65,8 +68,15 @@ func oracleEncodeColumnar(l *Layer) []byte {
 			flagAcc, flagBits = 0, 0
 		}
 		blocks[colSendPeers] = oraclePeerDeltas(blocks[colSendPeers], v, r.Sends)
-		for _, m := range r.Sends {
-			blocks[colSendValues] = appendPackedValue(blocks[colSendValues], m.Val)
+		var prevSend []byte
+		for j, m := range r.Sends {
+			packed := appendPackedValue(nil, m.Val)
+			if version >= 3 && j > 0 && bytes.Equal(packed, prevSend) {
+				blocks[colSendValues] = append(blocks[colSendValues], pvRepeat)
+				continue
+			}
+			blocks[colSendValues] = append(blocks[colSendValues], packed...)
+			prevSend = packed
 		}
 		blocks[colRecvPeers] = oraclePeerDeltas(blocks[colRecvPeers], v, r.Recvs)
 		for _, m := range r.Recvs {
@@ -172,7 +182,9 @@ func randomValue(r *rand.Rand) value.Value {
 
 // randomLayer draws a layer of up to 12 records — empty layers included —
 // with sorted or shuffled vertices, PrevActive -1 or earlier, messages in
-// arbitrary peer order, and emitted facts whose tables repeat.
+// arbitrary peer order, and emitted facts whose tables repeat. A third of
+// the records broadcast: their sends carry one payload, sometimes broken
+// by another, so runs of repeats start, end and restart inside a record.
 func randomLayer(r *rand.Rand) *Layer {
 	l := &Layer{Superstep: r.Intn(40)}
 	n := r.Intn(13)
@@ -186,8 +198,14 @@ func randomLayer(r *rand.Rand) *Layer {
 		if r.Intn(4) != 0 {
 			rec.HasValue, rec.Value = true, randomValue(r)
 		}
+		broadcast := r.Intn(3) == 0
+		payload := randomValue(r)
 		for j := r.Intn(5); j > 0; j-- {
-			rec.Sends = append(rec.Sends, MsgHalf{Peer: VertexID(r.Intn(1 << 20)), Val: randomValue(r)})
+			val := randomValue(r)
+			if broadcast && r.Intn(5) != 0 {
+				val = payload
+			}
+			rec.Sends = append(rec.Sends, MsgHalf{Peer: VertexID(r.Intn(1 << 20)), Val: val})
 		}
 		for j := r.Intn(5); j > 0; j-- {
 			rec.Recvs = append(rec.Recvs, MsgHalf{Peer: VertexID(r.Intn(1 << 20)), Val: randomValue(r)})
@@ -218,12 +236,16 @@ func TestLayerBuilderMatchesRowEncoder(t *testing.T) {
 		layers = append(layers, randomLayer(r))
 	}
 	b := NewLayerBuilder(0) // reused, as capture reuses it across layers
+	repeating := 0          // layers whose image holds a repeat code
 	for i, l := range layers {
 		b.Reset(l.Superstep)
 		for j := range l.Records {
 			b.add(&l.Records[j])
 		}
-		got, want := finish(b), oracleEncodeColumnar(l)
+		got, want := finish(b), oracleEncodeColumnar(l, layerVersionColumnar)
+		if !bytes.Equal(want[5:], oracleEncodeColumnar(l, layerVersionNoRepeat)[5:]) {
+			repeating++
+		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("layer %d (ss %d, %d records): builder image differs from the row encoder\n got %x\nwant %x",
 				i, l.Superstep, len(l.Records), got, want)
@@ -240,6 +262,9 @@ func TestLayerBuilderMatchesRowEncoder(t *testing.T) {
 				t.Fatalf("layer %d record %d: builder tallied vertex %d, record has %d", i, j, b.vertices[j], l.Records[j].Vertex)
 			}
 		}
+	}
+	if repeating < len(layers)/4 {
+		t.Errorf("only %d of %d layers hold a repeat code: the property test barely exercises it", repeating, len(layers))
 	}
 }
 
@@ -283,7 +308,7 @@ func TestStitchMatchesOneBuilder(t *testing.T) {
 		segs[i] = NewLayerBuilder(0)
 	}
 	for i, l := range layers {
-		want := oracleEncodeColumnar(l)
+		want := oracleEncodeColumnar(l, layerVersionColumnar)
 		for _, p := range []int{1, 2, 4, 19} {
 			parts := segs[:p]
 			for _, b := range parts {

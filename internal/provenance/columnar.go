@@ -10,12 +10,12 @@ import (
 	"ariadne/internal/value"
 )
 
-// Version 2 columnar layer file format, the only one. It splits the layer
-// into per-column blocks so a reader can seek to and decode only the
-// columns a query projects (the workflow-provenance-on-SPARK lesson: store
-// provenance scan-friendly):
+// Columnar layer file format, version 3. It splits the layer into
+// per-column blocks so a reader can seek to and decode only the columns a
+// query projects (the workflow-provenance-on-SPARK lesson: store provenance
+// scan-friendly):
 //
-//	magic "APRV" | version:2 | superstep:uvarint | nrecords:uvarint |
+//	magic "APRV" | version:3 | superstep:uvarint | nrecords:uvarint |
 //	column blocks (ascending column ID, contiguous) |
 //	footer | footerLen:uint32-LE | end magic "VRPA"
 //
@@ -37,7 +37,10 @@ import (
 //	              consecutive peer IDs (first delta from the record's own
 //	              vertex); capture order is preserved — replay delivery
 //	              order must stay bit-identical
-//	4 sendValues  packed values, aligned by the counts in column 3
+//	4 sendValues  packed values, aligned by the counts in column 3; a
+//	              send whose packed value would repeat the record's
+//	              previous send byte for byte is the one-byte repeat code
+//	              instead (a broadcast stores its payload once)
 //	5 recvPeers   as column 3, for received messages
 //	6 recvValues  packed values, aligned by the counts in column 5
 //	7 values      packed values, one per record with HasValue set
@@ -48,10 +51,17 @@ import (
 // lineage, flags, and the send topology to regenerate the layer's message
 // structure, so every decode materializes them. Columns 4-8 decode only
 // when projected.
+//
+// Version 2 is the same layout without the repeat code, so a version 2 file
+// is a version 3 file whose sends repeat nothing: the one decoder reads
+// both. Writers write only version 3.
 
-const layerVersionColumnar = 2
+const (
+	layerVersionColumnar = 3
+	layerVersionNoRepeat = 2 // read, never written
+)
 
-// Column IDs of the v2 format.
+// Column IDs of the columnar format.
 const (
 	colVertex = iota
 	colPrevActive
@@ -132,6 +142,7 @@ const (
 	pvString   = 6 // uvarint length + bytes
 	pvVecRaw   = 7 // uvarint n + n*8 bytes little-endian
 	pvVecInt   = 8 // uvarint n + n zigzag varints (all elements integral)
+	pvRepeat   = 9 // sendValues only: the record's previous send's payload
 )
 
 // integralFloat reports whether f round-trips bit-exactly through int64
@@ -213,7 +224,7 @@ type bcursor struct {
 }
 
 func corruptf(format string, args ...any) error {
-	return fmt.Errorf("provenance: corrupt v2 layer: "+format, args...)
+	return fmt.Errorf("provenance: corrupt columnar layer: "+format, args...)
 }
 
 func (c *bcursor) remaining() int { return len(c.b) - c.off }
@@ -335,12 +346,14 @@ func (c *bcursor) packedValue() (value.Value, error) {
 			vec[i] = float64(z)
 		}
 		return value.NewVector(vec), nil
+	case pvRepeat:
+		return value.NullValue, corruptf("repeat code outside the send-value column at block offset %d", c.off-1)
 	default:
 		return value.NullValue, corruptf("unknown packed value tag %d", tag)
 	}
 }
 
-// LayerBuilder encodes records straight into their v2 column bytes, so
+// LayerBuilder encodes records straight into their column bytes, so
 // capture never builds row-shaped Records. A builder is a segment of a
 // layer: it holds the whole layer or one partition's share of it, and the
 // store stitches the layer's segments into its file image (see stitcher).
@@ -369,6 +382,8 @@ type LayerBuilder struct {
 	tables    []string
 
 	sendPrev, recvPrev int64
+	sendVal            value.Value // the current record's previous send payload
+	sendSize           int64       // its EncodedSize; 0 before the record's first send
 
 	tuples int64 // Layer.NumTuples
 	enc    int64 // Layer.EncodedSize less its per-layer constant
@@ -401,6 +416,7 @@ func (b *LayerBuilder) Reset(ss int) {
 	clear(b.dict)
 	b.tables = b.tables[:0]
 	b.tuples, b.enc = 0, 0
+	b.sendVal, b.sendSize = value.NullValue, 0
 }
 
 // Begin starts the next record: vertex v, previously active at prevActive
@@ -415,6 +431,7 @@ func (b *LayerBuilder) Begin(v VertexID, prevActive int32, sends, recvs, facts i
 	b.blocks[colSendPeers] = binary.AppendUvarint(b.blocks[colSendPeers], uint64(sends))
 	b.blocks[colRecvPeers] = binary.AppendUvarint(b.blocks[colRecvPeers], uint64(recvs))
 	b.sendPrev, b.recvPrev = x, x
+	b.sendSize = 0
 	b.tuples += int64(1 + sends + recvs + facts) // the superstep fact, one per message and fact
 	if prevActive >= 0 {
 		b.tuples++ // the evolution fact
@@ -441,13 +458,21 @@ func (b *LayerBuilder) SentAny() { b.flag(2) }
 
 // Send appends one sent message of the current record. Peers are stored as
 // zigzag deltas, the first from the record's own vertex, in capture order —
-// which the bit-identity contract depends on.
+// which the bit-identity contract depends on. A payload identical to the
+// record's previous send's, as every send of a broadcast is, is stored as
+// the repeat code: identical values are exactly those whose packed
+// encodings are equal.
 func (b *LayerBuilder) Send(dst VertexID, v value.Value) {
 	p := int64(dst)
 	b.blocks[colSendPeers] = binary.AppendUvarint(b.blocks[colSendPeers], zigzag(p-b.sendPrev))
 	b.sendPrev = p
-	b.blocks[colSendValues] = appendPackedValue(b.blocks[colSendValues], v)
-	b.enc += int64(v.EncodedSize())
+	if b.sendSize != 0 && v.Identical(b.sendVal) {
+		b.blocks[colSendValues] = append(b.blocks[colSendValues], pvRepeat)
+	} else {
+		b.blocks[colSendValues] = appendPackedValue(b.blocks[colSendValues], v)
+		b.sendVal, b.sendSize = v, int64(v.EncodedSize())
+	}
+	b.enc += b.sendSize
 }
 
 // Recv appends one received message of the current record, as Send does.
@@ -518,16 +543,17 @@ func (b *LayerBuilder) factBytes(k int) []byte {
 	return b.blocks[colEmitted][start:b.facts[k].end]
 }
 
-// stitcher assembles a layer's v2 file image from its segments: builders
+// stitcher assembles a layer's file image from its segments: builders
 // that each hold records in ascending vertex order, no vertex in two of
 // them (a lone segment may hold any order, and keeps it). The image is,
 // byte for byte, the one a single builder fed every record in merged vertex
 // order would give. The record-local columns need no re-encoding — peer
 // deltas start from the record's own vertex and packed values are
 // self-contained — so each record's bytes are copied once, straight into
-// the image. Only the vertex deltas, the packed flags and the facts' table
-// indices, renumbered into the layer's dictionary in order of first use,
-// are encoded here. A stitcher keeps its scratch from layer to layer.
+// the image (a repeat code refers only to its own record's sends). Only
+// the vertex deltas, the packed flags and the facts' table indices,
+// renumbered into the layer's dictionary in order of first use, are
+// encoded here. A stitcher keeps its scratch from layer to layer.
 type stitcher struct {
 	runs  []run
 	heap  []int // segments with records left, least next vertex first
@@ -767,8 +793,9 @@ func (st *stitcher) intern(table string) int {
 // uvarintLen returns the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// columnarLayer is an opened v2 layer file: parsed header and footer, with
-// column blocks still on storage until decodeInto reads the projected ones.
+// columnarLayer is an opened columnar layer file: parsed header and footer,
+// with column blocks still on storage until decodeInto reads the projected
+// ones.
 type columnarLayer struct {
 	r         io.ReaderAt
 	superstep int
@@ -778,8 +805,8 @@ type columnarLayer struct {
 	lens      [numColumns]int64
 }
 
-// openColumnar parses the header and footer of a v2 layer file of the given
-// size without reading any column block.
+// openColumnar parses the header and footer of a columnar layer file
+// (version 2 or 3) of the given size without reading any column block.
 func openColumnar(r io.ReaderAt, size int64) (*columnarLayer, error) {
 	hdr := make([]byte, 64)
 	if size < int64(len(hdr)) {
@@ -791,7 +818,7 @@ func openColumnar(r io.ReaderAt, size int64) (*columnarLayer, error) {
 	if len(hdr) < 5 || [4]byte(hdr[:4]) != layerMagic {
 		return nil, fmt.Errorf("provenance: bad layer magic %q", hdr[:min(len(hdr), 4)])
 	}
-	if hdr[4] != layerVersionColumnar {
+	if hdr[4] != layerVersionColumnar && hdr[4] != layerVersionNoRepeat {
 		return nil, fmt.Errorf("provenance: unsupported layer file version %d", hdr[4])
 	}
 	c := bcursor{b: hdr, off: 5}
@@ -1002,6 +1029,14 @@ func (cl *columnarLayer) decodeOptional(l *Layer, col int) error {
 				ms = l.Records[i].Recvs
 			}
 			for j := range ms {
+				if col == colSendValues && c.off < len(c.b) && c.b[c.off] == pvRepeat {
+					if j == 0 {
+						return corruptf("repeat code as record %d's first send", i)
+					}
+					c.off++
+					ms[j].Val = ms[j-1].Val // Values are immutable: a repeated vector shares its slice
+					continue
+				}
 				if ms[j].Val, err = c.packedValue(); err != nil {
 					return err
 				}

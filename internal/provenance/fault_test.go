@@ -88,17 +88,21 @@ func TestSpillWriteExhaustedRetriesLeaveNoPartialFile(t *testing.T) {
 type formatCase struct {
 	name string
 	raw  []byte
-	// rejected is the error every read of the file names, whole or cut
-	// past the version byte; "" for a file the store decodes.
+	// want is the layer the file decodes to; rejected is the error every
+	// read of the file names instead, whole or cut past the version byte.
+	want     *Layer
 	rejected string
 }
 
-// formatCases are the same layer, sampleLayer(0, 6), in both formats: the
-// committed v1 file, which the store rejects, and the v2 image it writes.
+// formatCases are layer files of every version: sampleLayer(0, 6) as the
+// committed v1 file, which the store rejects, and as a version 2 image,
+// which it still reads; and the version 3 image the store writes of a
+// broadcast layer, whose send-value column is mostly repeat codes.
 func formatCases(t *testing.T) []formatCase {
 	return []formatCase{
-		{"v1", readV1Fixture(t, "sample-0-6.prov"), "unsupported layer file version 1"},
-		{"v2", encodeLayerColumnar(sampleLayer(0, 6)), ""},
+		{"v1", readV1Fixture(t, "sample-0-6.prov"), nil, "unsupported layer file version 1"},
+		{"v2", oracleEncodeColumnar(sampleLayer(0, 6), layerVersionNoRepeat), sampleLayer(0, 6), ""},
+		{"v3", encodeLayerColumnar(broadcastLayer(1, 6, 4)), broadcastLayer(1, 6, 4), ""},
 	}
 }
 
@@ -107,14 +111,13 @@ func readRaw(raw []byte, mask colMask) (*Layer, error) {
 	return readLayer(bytes.NewReader(raw), int64(len(raw)), mask)
 }
 
-// TestLayerTruncationNeverPanics first checks that the v2 image decodes to
-// its layer and the v1 file errors naming its version, then reads each
-// truncated at every byte boundary; each truncation must yield an error,
-// never a panic, and a v1 cut that still holds the version byte must be
-// rejected for it. The v2 leg also exercises the projected decode path,
-// whose footer seek reads the file back-to-front.
+// TestLayerTruncationNeverPanics first checks that the v2 and v3 images
+// decode to their layers and the v1 file errors naming its version, then
+// reads each truncated at every byte boundary; each truncation must yield
+// an error, never a panic, and a v1 cut that still holds the version byte
+// must be rejected for it. The columnar legs also exercise the projected
+// decode path, whose footer seek reads the file back-to-front.
 func TestLayerTruncationNeverPanics(t *testing.T) {
-	want := sampleLayer(0, 6)
 	for _, fc := range formatCases(t) {
 		t.Run(fc.name, func(t *testing.T) {
 			got, err := readRaw(fc.raw, maskAll)
@@ -126,7 +129,7 @@ func TestLayerTruncationNeverPanics(t *testing.T) {
 			case err != nil:
 				t.Fatal(err)
 			default:
-				assertLayersIdentical(t, want, got)
+				assertLayersIdentical(t, fc.want, got)
 			}
 			for cut := 0; cut < len(fc.raw); cut++ {
 				for _, mask := range []colMask{maskAll, maskCore} {
@@ -144,8 +147,8 @@ func TestLayerTruncationNeverPanics(t *testing.T) {
 }
 
 // TestLayerCorruptCountsNeverPanic flips bytes across the file (header
-// counts, column footers, packed values) and checks decode errors out
-// rather than over-allocating or panicking, in both formats.
+// counts, column footers, packed values, repeat codes) and checks decode
+// errors out rather than over-allocating or panicking, in every format.
 func TestLayerCorruptCountsNeverPanic(t *testing.T) {
 	for _, fc := range formatCases(t) {
 		t.Run(fc.name, func(t *testing.T) {

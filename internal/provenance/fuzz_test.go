@@ -14,6 +14,9 @@ import (
 // structurally valid files and dig into the dictionary, delta, and varint
 // decoders rather than bouncing off the magic check — and with the
 // committed v1 files of the same layers, which exercise the rejection path.
+// Further seeds carry the repeat code: builder images of broadcast layers,
+// whose send values are mostly repeats, and images with the code where it
+// may not stand — a record's first send, the receive-value column.
 // The invariant under test: decode never panics and never over-allocates;
 // it either returns a layer or a clean error, for the full read and for
 // every projected read, and a projected read materializes exactly the core
@@ -42,6 +45,14 @@ func FuzzLayerV2Decode(f *testing.F) {
 		f.Add(v2[:len(v2)/2], uint16(maskAll))
 	}
 	f.Add([]byte{}, uint16(maskAll))
+	for _, l := range []*Layer{broadcastLayer(2, 12, 4), broadcastLayer(5, 3, 9)} {
+		img := encodeLayerColumnar(l)
+		for _, mask := range []uint16{uint16(maskAll), uint16(maskCore | 1<<colSendValues), 0} {
+			f.Add(img, mask)
+		}
+	}
+	f.Add(misplacedRepeat(colSendValues), uint16(maskAll))
+	f.Add(misplacedRepeat(colRecvValues), uint16(maskAll))
 
 	f.Fuzz(func(t *testing.T, data []byte, mask uint16) {
 		full, err := readRaw(data, maskAll)

@@ -100,7 +100,7 @@ func TestStoreWritesOverSpilledImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(raw, oracleEncodeColumnar(l)) {
+		if !bytes.Equal(raw, oracleEncodeColumnar(l, layerVersionColumnar)) {
 			t.Errorf("layer %d: spilled file differs from its own layer's image", i)
 		}
 	}
@@ -270,8 +270,8 @@ func readV1Fixture(t testing.TB, name string) []byte {
 	return raw
 }
 
-// TestLayerCodecCorruption: a bad magic and a version byte other than 2 fail
-// to decode (TestLayerTruncationNeverPanics covers every cut).
+// TestLayerCodecCorruption: a bad magic and a version byte other than 2 or
+// 3 fail to decode (TestLayerTruncationNeverPanics covers every cut).
 func TestLayerCodecCorruption(t *testing.T) {
 	if _, err := readRaw([]byte("XXXX"), maskAll); err == nil {
 		t.Error("bad magic should fail")

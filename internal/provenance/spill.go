@@ -10,9 +10,10 @@ import (
 )
 
 // layerMagic opens every layer file, followed by its format version byte.
-// The columnar format of columnar.go (version 2) is the only one read or
-// written: any other version, such as the row files of earlier builds
-// (version 1), is rejected with an error naming it.
+// The columnar format of columnar.go is the only one: version 3 is
+// written, versions 2 and 3 are read, and any other version, such as the
+// row files of earlier builds (version 1), is rejected with an error naming
+// it.
 var layerMagic = [4]byte{'A', 'P', 'R', 'V'}
 
 const (

@@ -75,7 +75,7 @@ type CaptureGap struct {
 
 // Store holds the captured provenance graph as a sequence of layers, with
 // size accounting and optional spill-to-disk. A layer has one
-// representation from capture to disk: its finished v2 file image. A
+// representation from capture to disk: its finished columnar file image. A
 // resident layer is the image in memory, a spilled one the same bytes in a
 // file; reads open either with openColumnar and decode only the projected
 // blocks.

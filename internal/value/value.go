@@ -61,9 +61,9 @@ func (k Kind) String() string {
 // vector stays non-nil.
 //
 // Value is deliberately not comparable with ==: two equal strings or vectors
-// can sit at different addresses. Use Equal, Compare or Hash, or compare
-// AppendBinary encodings for bit identity; reflect.DeepEqual compares a
-// String's or Vector's address, not its payload.
+// can sit at different addresses. Use Equal, Compare or Hash, or Identical
+// for bit identity; reflect.DeepEqual compares a String's or Vector's
+// address, not its payload.
 type Value struct {
 	_ [0]func() // forbids ==; zero-size, so it adds nothing as the first field
 	// ptr is the payload of a String or Vector; nil for every other kind.
@@ -223,6 +223,37 @@ func (v Value) Equal(w Value) bool {
 		return v.Float() == w.Float()
 	}
 	return false
+}
+
+// Identical reports whether v and w are the same datum bit for bit, which
+// is when their AppendBinary encodings are equal: the same kind, and the
+// same bits of every number, so -0.0 differs from +0.0, Int 3 from Float 3,
+// and a NaN is identical only to a NaN of the same payload. A nil and an
+// empty vector are identical.
+func (v Value) Identical(w Value) bool {
+	if v.kind != w.kind || v.num != w.num {
+		return false
+	}
+	// num holds all of a scalar, and a payload's length.
+	return v.kind < String || v.samePayload(w)
+}
+
+// samePayload compares the payloads of two Strings or two Vectors of one
+// length, bit for bit.
+func (v Value) samePayload(w Value) bool {
+	if v.ptr == w.ptr {
+		return true
+	}
+	if v.kind == String {
+		return v.str() == w.str()
+	}
+	a, b := v.vec(), w.vec()
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Compare orders Values: by kind class first (null < bool < numeric <

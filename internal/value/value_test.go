@@ -253,6 +253,30 @@ func TestCodecQuick(t *testing.T) {
 	}
 }
 
+// TestIdenticalMatchesBinary: Identical holds for a pair exactly when the
+// two AppendBinary encodings are equal, over every pair of values that tell
+// zero signs, NaN payloads, Int from Float, and nil from empty vectors apart
+// (or fail to).
+func TestIdenticalMatchesBinary(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	vals := []Value{
+		NullValue, NewBool(false), NewBool(true), NewInt(0), NewInt(3), NewInt(-3),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(3), NewFloat(math.NaN()), NewFloat(nan2),
+		NewString(""), NewString("ab"), NewString(strings.Clone("ab")), NewString("ba"),
+		NewVector(nil), NewVector([]float64{}), NewVector([]float64{1, math.NaN()}),
+		NewVector([]float64{1, math.NaN()}), NewVector([]float64{1, nan2}), NewVector([]float64{1}),
+		NewVector([]float64{math.Copysign(0, -1)}), NewVector([]float64{0}),
+	}
+	for _, v := range vals {
+		for _, w := range vals {
+			want := bytes.Equal(v.AppendBinary(nil), w.AppendBinary(nil))
+			if got := v.Identical(w); got != want {
+				t.Errorf("%v (%v).Identical(%v (%v)) = %v, encodings equal: %v", v, v.Kind(), w, w.Kind(), got, want)
+			}
+		}
+	}
+}
+
 func TestHashConsistentWithEqual(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := NewInt(a), NewInt(b)
@@ -385,6 +409,9 @@ func FuzzValueCodec(f *testing.F) {
 		}
 		if !bytes.Equal(got.AppendBinary(nil), buf) || got.Kind() != v.Kind() {
 			t.Fatalf("%v (%v) decoded as %v (%v)", v, v.Kind(), got, got.Kind())
+		}
+		if !got.Identical(v) {
+			t.Fatalf("%v: decoded copy is not Identical", v)
 		}
 		if got.Hash() != v.Hash() {
 			t.Fatalf("%v: hash changed across the round trip", v)
