@@ -552,9 +552,11 @@ func (o *Observer) UnmarshalCheckpoint(data []byte) error {
 //     captured.
 //
 // A policy keeps or drops whole streams and only the lineage taint narrows
-// one, so outside that shape a comparison or negated literal is an error
-// rather than a filter the policy would silently ignore. So is a head that
-// keeps a message's peer but not its payload: no policy stores that.
+// one, so outside that shape a comparison, a negated literal or a join with
+// any table but value, send_message, receive_message and superstep is an
+// error rather than a filter the policy would silently ignore. So is a head
+// that keeps a message's peer but not its payload, which no policy stores,
+// and a query whose policy would store nothing.
 func FromQuery(q *analysis.Query, env *analysis.Env) (Policy, error) {
 	var p Policy
 	recognized := false
@@ -593,6 +595,13 @@ func FromQuery(q *analysis.Query, env *analysis.Env) (Policy, error) {
 			}
 			if !ok || pl.Negated {
 				continue
+			}
+			switch pl.Atom.Pred {
+			case "value", "send_message", "receive_message", "superstep":
+			default:
+				if !lineage {
+					return Policy{}, fmt.Errorf("capture: %s: %s joins a table no capture policy can filter by (a capture query reads value, send_message, receive_message and superstep only)", pl.Atom.Pos, pl.Atom)
+				}
 			}
 			if msg := pl.Atom.Pred; (msg == "send_message" || msg == "receive_message") && inHead(pl.Atom, 1) && !inHead(pl.Atom, 2) {
 				// A message is stored whole or as a send flag: no policy keeps
@@ -636,6 +645,9 @@ func FromQuery(q *analysis.Query, env *analysis.Env) (Policy, error) {
 	}
 	if !recognized {
 		return Policy{}, fmt.Errorf("capture: query does not look like a capture query (no rule draws from a provenance stream)")
+	}
+	if !lineage && !p.Values && !p.Sends && !p.Recvs && !p.SendFlags {
+		return Policy{}, fmt.Errorf("capture: %s: the query stores nothing: no rule head keeps a value, a message payload or a send flag", q.Rules[0].Pos)
 	}
 	return p, nil
 }

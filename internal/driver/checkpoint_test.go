@@ -1,7 +1,10 @@
 package driver
 
 import (
+	"bytes"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"ariadne/internal/analytics"
@@ -31,73 +34,104 @@ func (r *resumeAt) ObserveSuperstep(v *engine.SuperstepView) error {
 	return r.Online.ObserveSuperstep(v)
 }
 
-// TestOnlineResumesRetentionCheckpoint resumes materialised online
-// checkpoints written by the build whose feeder kept its own per-vertex
-// retention map (testdata/online_materialised_*.ckpt, marshalled after
-// superstep at): the saved map is read past, the evolution joins after the
-// resume take their previous values from the engine, and the resumed run
-// feeds and derives what the uninterrupted one does. Query 6 keeps its
-// insertion order; Query 8's aggregate heads are flushed in map order, so
-// they compare as sets.
-func TestOnlineResumesRetentionCheckpoint(t *testing.T) {
-	sssp, err := gen.RMAT(gen.DefaultRMAT(7, 4, 23))
-	if err != nil {
-		t.Fatal(err)
-	}
+// alsQ8 returns the ML dataset's graph and a fresh ALS program for it, the
+// analytic Query 8 monitors.
+func alsQ8(t *testing.T) (*graph.Graph, func() engine.Program) {
+	t.Helper()
 	ml, err := gen.MLDataset(-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		file    string
-		def     queries.Definition
-		g       *graph.Graph
-		prog    func() engine.Program
-		maxSS   int
-		at      int
-		ordered bool
-	}{
-		{"online_materialised_q6.ckpt", queries.SilentChange(), sssp,
-			func() engine.Program { return ssspProg{} }, 0, 3, true},
-		{"online_materialised_q8.ckpt", queries.ALSErrorIncrease(0.01), ml.Graph,
-			func() engine.Program { return &analytics.ALS{NumUsers: ml.NumUsers, Features: 2, Seed: 7} }, 5, 2, false},
+	return ml.Graph, func() engine.Program {
+		return &analytics.ALS{NumUsers: ml.NumUsers, Features: 2, Seed: 7}
 	}
-	for _, c := range cases {
-		t.Run(c.def.Name, func(t *testing.T) {
-			blob, err := os.ReadFile("testdata/" + c.file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(wrap func(*Online) engine.Observer) *Result {
+}
+
+// TestOnlineResumesQuery8: Query 8's aggregate heads run materialised inside
+// the compiled program, so its checkpoint carries their group tables. ALS
+// with Query 8 online, checkpointed at superstep 2 and resumed there, must
+// derive the relations of the uninterrupted run, as sets (a group flushes
+// its replacement where it was touched first), and report the same Facts,
+// at 1 and 4 partitions, and end in the same state.
+func TestOnlineResumesQuery8(t *testing.T) {
+	g, prog := alsQ8(t)
+	def := queries.ALSErrorIncrease(0.01)
+	const at = 2
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			run := func(obs engine.Observer) {
 				t.Helper()
-				o, err := NewOnline(c.def.MustBuild(), c.g, materialised())
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := engine.New(c.g, c.prog(), engine.Config{
-					MaxSupersteps: c.maxSS, Partitions: 2, Observers: []engine.Observer{wrap(o)}})
+				e, err := engine.New(g, prog(), engine.Config{MaxSupersteps: 5, Partitions: parts, Observers: []engine.Observer{obs}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if _, err := e.Run(); err != nil {
 					t.Fatal(err)
 				}
-				return o.Result()
 			}
-			want := run(func(o *Online) engine.Observer { return o })
-			got := run(func(o *Online) engine.Observer { return &resumeAt{Online: o, at: c.at, blob: blob} })
-			wantSig := relationKeys(want, !c.ordered)
-			n := 0
-			for _, keys := range wantSig {
-				n += len(keys)
+			newOnline := func() *Online {
+				o, err := NewOnline(def.MustBuild(), g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return o
 			}
-			if n == 0 {
-				t.Fatal("the uninterrupted run derived nothing")
+			ck := &checkpointAt{Online: newOnline(), at: at}
+			run(ck)
+			if ck.blob == nil {
+				t.Fatal("no checkpoint taken")
 			}
-			requireSameSig(t, "resumed", wantSig, relationKeys(got, !c.ordered))
+			resumed := &resumeAt{Online: newOnline(), at: at, blob: ck.blob}
+			run(resumed)
+			want, got := ck.Result(), resumed.Result()
+			wantSig := relationKeys(want, true)
+			for _, pred := range []string{"degree", "sum_error", "avg_error"} {
+				if len(wantSig[pred]) == 0 {
+					t.Errorf("the uninterrupted run derived no %s", pred)
+				}
+			}
+			requireSameSig(t, "resumed", wantSig, relationKeys(got, true))
 			if got.Facts != want.Facts {
-				t.Errorf("resumed run fed %d facts, uninterrupted %d", got.Facts, want.Facts)
+				t.Errorf("resumed run evaluated %d facts, uninterrupted %d", got.Facts, want.Facts)
+			}
+			// The state the runs end in, group tables included, is one.
+			a, errA := ck.MarshalCheckpoint()
+			b, errB := resumed.MarshalCheckpoint()
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Errorf("resumed run ends in a state of %d bytes, uninterrupted %d (%v, %v)", len(b), len(a), errB, errA)
 			}
 		})
+	}
+}
+
+// TestOnlineRefusesMaterialisedCheckpoint: testdata/online_materialised_*.ckpt
+// were written by the materialised evaluator, which every query ran on
+// before it compiled to one program. Their state is that evaluator's, so
+// resuming from one fails, naming it.
+func TestOnlineRefusesMaterialisedCheckpoint(t *testing.T) {
+	sssp, err := gen.RMAT(gen.DefaultRMAT(7, 4, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml, _ := alsQ8(t)
+	for _, c := range []struct {
+		file string
+		def  queries.Definition
+		g    *graph.Graph
+	}{
+		{"online_materialised_q6.ckpt", queries.SilentChange(), sssp},
+		{"online_materialised_q8.ckpt", queries.ALSErrorIncrease(0.01), ml},
+	} {
+		blob, err := os.ReadFile("testdata/" + c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := NewOnline(c.def.MustBuild(), c.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.UnmarshalCheckpoint(blob); err == nil || !strings.Contains(err.Error(), "materialised evaluator") {
+			t.Errorf("%s: UnmarshalCheckpoint = %v, want an error naming the materialised evaluator", c.file, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"ariadne/internal/engine"
 	"ariadne/internal/graph"
+	"ariadne/internal/obs"
 	"ariadne/internal/pql/analysis"
 	"ariadne/internal/pql/eval"
 	"ariadne/internal/provenance"
@@ -56,59 +57,95 @@ func (s staticGraph) EdgeWeight(src, dst int64) (float64, bool) {
 	return s.g.EdgeWeight(graph.VertexID(src), graph.VertexID(dst))
 }
 
-// tryCompile attempts the compiled (vertex-program) evaluation path. The
-// choice is made here, once, before the run: a query whose shape needs the
-// materialised evaluator (aggregates, EDBs that are not record-local)
-// reports ok=false, and one that compiles cannot fail to at run time.
-func tryCompile(q *analysis.Query, db *eval.Database, g *graph.Graph, cfg evalConfig) (*eval.Compiled, bool) {
-	if cfg.materialised {
-		return nil, false
-	}
+// compile compiles q into its one program over g: every rule materialised
+// when all is set (naive evaluation, and the in-package reference leg),
+// otherwise only the rules the record planner refuses.
+func compile(q *analysis.Query, db *eval.Database, g *graph.Graph, all bool) (*eval.Compiled, error) {
 	if _, usesEdges := q.EDBs["edge"]; usesEdges {
 		g.BuildInEdges() // idempotent; compiled edge(Y, X) steps enumerate in-neighbors
 	}
-	c, err := eval.Compile(q, db, staticGraph{g})
-	return c, err == nil
+	if all {
+		return eval.CompileMaterialised(q, db, staticGraph{g})
+	}
+	return eval.Compile(q, db, staticGraph{g})
 }
 
-// retention keeps, per vertex, the last captured value and its superstep so
-// evolution joins (value at the *previous active* superstep) work in
-// layered mode without materializing older layers — DESIGN.md decision 3;
-// online, the engine hands each record its previous value. Memory is O(active vertices), not O(supersteps). Only a walk
-// forward in time can retain a predecessor's value, so a nil retention
-// (backward or unordered feeding) keeps and finds nothing.
-type retention map[graph.VertexID]retained
+// loadStore fills the store-only EDBs c materialises in db from the store: the
+// capture-gap ranges recorded under degraded mode, and the telemetry EDBs
+// from the run profile attached to the store.
+//
+//	superstep_profile(S, Phase, Partition, Nanos, Tuples)
+//	net_rpc(S, Partition, Bytes, Retries, Nanos)
+//
+// Whole-superstep phase rows carry Partition = -1; per-partition compute
+// rows (from the span timeline, when tracing was on) carry the partition
+// index. The Tuples column is phase-appropriate work volume: active
+// vertices for compute, delivered messages for barrier, captured +
+// piggybacked tuples for observe, bytes for spill/checkpoint.
+func loadStore(c *eval.Compiled, db *eval.Database, store *provenance.Store) {
+	n := value.NewInt
+	for _, pred := range c.Loads() {
+		rel := db.Get(pred)
+		switch pred {
+		case "capture_gap":
+			for _, g := range store.Gaps() {
+				rel.Insert(eval.Tuple{n(int64(g.Partition)), n(int64(g.From)), n(int64(g.To))})
+			}
+		case "superstep_profile":
+			t := store.Telemetry()
+			row := func(ss int, phase string, part int, ns, tuples int64) {
+				rel.Insert(eval.Tuple{n(int64(ss)), value.NewString(phase), n(int64(part)), n(ns), n(tuples)})
+			}
+			for _, p := range t.Profiles {
+				var observed int64
+				for _, k := range p.CaptureTuples {
+					observed += k
+				}
+				for _, k := range p.PiggybackTuples {
+					observed += k
+				}
+				row(p.Superstep, "compute", -1, p.ComputeNS, int64(p.ActiveVertices))
+				row(p.Superstep, "barrier", -1, p.BarrierNS, p.MessagesDelivered)
+				row(p.Superstep, "observe", -1, p.ObserveNS, observed)
+				if p.SpillNS > 0 || p.SpillBytes > 0 {
+					row(p.Superstep, "spill", -1, p.SpillNS, p.SpillBytes)
+				}
+				if p.CheckpointNS > 0 || p.CheckpointBytes > 0 {
+					row(p.Superstep, "checkpoint", -1, p.CheckpointNS, p.CheckpointBytes)
+				}
+			}
+			for _, sp := range t.Spans {
+				if sp.Name == obs.SpanCompute && sp.Partition >= 0 && sp.Proc == obs.ProcMaster {
+					row(sp.Superstep, "compute", sp.Partition, sp.Dur, sp.Tuples)
+				}
+			}
+		case "net_rpc":
+			for _, r := range store.Telemetry().RPCs {
+				rel.Insert(eval.Tuple{n(int64(r.Superstep)), n(int64(r.Partition)), n(r.Bytes), n(r.Retries), n(r.Nanos)})
+			}
+		}
+	}
+}
 
+// retained is a vertex's last captured value and its superstep. The view
+// builder keeps one per vertex so evolution joins (value at the *previous
+// active* superstep) work in layered mode without materializing older
+// layers — DESIGN.md decision 3; online, the engine hands each record its
+// previous value. Memory is O(active vertices), not O(supersteps). Only a
+// walk forward in time can retain a predecessor's value, so a nil map
+// (backward or unordered reading) keeps and finds nothing.
 type retained struct {
 	val value.Value
 	ss  int
 }
 
-// keep records v's value at superstep ss.
-func (r retention) keep(v graph.VertexID, ss int, val value.Value) {
-	if r != nil {
-		r[v] = retained{val: val, ss: ss}
-	}
-}
-
-// at returns v's value at superstep ss, if that is the value retained: a
-// later capture that carried no value must not pass an older value off as
-// the one at ss.
-func (r retention) at(v graph.VertexID, ss int) (value.Value, bool) {
-	e, ok := r[v]
-	if !ok || e.ss != ss {
-		return value.Value{}, false
-	}
-	return e.val, true
-}
-
-// viewBuilder converts stored provenance records to record views for
-// either evaluator, maintaining the per-vertex retention needed for
-// evolution joins when the layers arrive in ascending order. The views and
-// their message and fact slices live in arenas reused layer after layer: a
-// layer's views are valid until the next fromProv call.
+// viewBuilder converts stored provenance records to record views,
+// maintaining the per-vertex retention needed for evolution joins when the
+// layers arrive in ascending order. The views and their message and fact
+// slices live in arenas reused layer after layer: a layer's views are valid
+// until the next fromProv call.
 type viewBuilder struct {
-	ret   retention
+	ret   map[graph.VertexID]retained
 	views []eval.RecordView
 	sends []engine.SentMessage
 	recvs []engine.IncomingMessage
@@ -118,7 +155,7 @@ type viewBuilder struct {
 func newViewBuilder(ascending bool) *viewBuilder {
 	vb := &viewBuilder{}
 	if ascending {
-		vb.ret = retention{}
+		vb.ret = map[graph.VertexID]retained{}
 	}
 	return vb
 }
@@ -147,7 +184,11 @@ func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
 			SentAny:    r.SentAny || len(r.Sends) > 0,
 		}
 		if r.PrevActive >= 0 {
-			rv.PrevValue, rv.HasPrevValue = vb.ret.at(r.Vertex, int(r.PrevActive))
+			// The value retained, if it is the one at PrevActive: a later
+			// capture that carried no value must not pass an older one off.
+			if e, ok := vb.ret[r.Vertex]; ok && e.ss == int(r.PrevActive) {
+				rv.PrevValue, rv.HasPrevValue = e.val, true
+			}
 		}
 		if n := len(r.Sends); n > 0 {
 			rv.Sends, sends = sends[:n:n], sends[n:]
@@ -167,8 +208,8 @@ func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
 				rv.Emitted[j] = engine.ProvFact{Table: f.Table, Args: f.Args}
 			}
 		}
-		if r.HasValue {
-			vb.ret.keep(r.Vertex, l.Superstep, r.Value)
+		if r.HasValue && vb.ret != nil {
+			vb.ret[r.Vertex] = retained{val: r.Value, ss: l.Superstep}
 		}
 		vb.views[i] = rv
 	}

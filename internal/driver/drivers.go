@@ -1,3 +1,15 @@
+// Package driver implements the paper's three PQL evaluation modes, each
+// running the query's one compiled program (eval.Compile):
+//
+//   - Naive (§6.2 "Naive"): materialize the entire provenance graph, then
+//     evaluate it in one pass with every rule materialised — the whole graph
+//     as EDB relations. Memory-bound; the paper's Naive "was not able to
+//     scale beyond the two smallest datasets".
+//   - Layered (§5.1): evaluate one layer (superstep) at a time, in
+//     ascending order for forward/local queries or descending order for
+//     backward queries, reusing working memory.
+//   - Online (§5.2): evaluate in lockstep with the analytic as an engine
+//     Observer, consuming the transient provenance; no capture step at all.
 package driver
 
 import (
@@ -19,9 +31,8 @@ import (
 type Result struct {
 	q        *analysis.Query
 	db       *eval.Database
-	ev       *eval.Evaluator
 	compiled *eval.Compiled
-	Facts    int64 // EDB facts fed
+	Facts    int64 // records evaluated plus EDB tuples materialised
 }
 
 // Relation returns the result relation for an IDB (or EDB) predicate.
@@ -46,23 +57,8 @@ func (r *Result) DerivedRelations() []RelationInfo {
 	return out
 }
 
-// EvalStats returns Datalog work counters (zero when the query ran on the
-// compiled vertex-program path, which feeds no evaluator).
-func (r *Result) EvalStats() eval.Stats {
-	if r.ev == nil {
-		return eval.Stats{}
-	}
-	return r.ev.Stats()
-}
-
-// CompiledStats returns the compiled vertex program's work counters (zero
-// when the query ran on the materialised evaluator).
-func (r *Result) CompiledStats() eval.CompiledStats {
-	if r.compiled == nil {
-		return eval.CompiledStats{}
-	}
-	return r.compiled.Stats()
-}
+// CompiledStats returns the compiled program's work counters.
+func (r *Result) CompiledStats() eval.CompiledStats { return r.compiled.Stats() }
 
 // DBBytes estimates the evaluation database size, the memory the naive mode
 // must hold at once.
@@ -123,50 +119,43 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 		}
 	}
 
-	// Phase 2: one bulk evaluation pass over everything.
+	// Phase 2: one bulk evaluation pass over everything, every rule
+	// materialised: the EDBs become relations, then the rules run bottom-up.
 	db := eval.NewDatabase()
-	ev, err := eval.NewEvaluator(q, db)
+	c, err := compile(q, db, g, true)
 	if err != nil {
 		return nil, err
 	}
-	f := newFeeder(ev, g, q)
-	f.prov = store
-	f.feedStatic()
-	if err := f.layer(nodes); err != nil {
+	loadStore(c, db, store)
+	if err := c.Layer(nodes); err != nil {
 		return nil, err
 	}
 	if memoryBudget > 0 && unfoldedBytes+db.MemSize() > memoryBudget {
 		return nil, fmt.Errorf("%w: %d bytes > %d", ErrNaiveBudget, unfoldedBytes+db.MemSize(), memoryBudget)
 	}
-	return &Result{q: q, db: db, ev: ev, Facts: f.FactCount}, nil
+	return &Result{q: q, db: db, compiled: c, Facts: c.Facts()}, nil
 }
 
 // Online is an engine.Observer that evaluates a forward or local query in
 // lockstep with the analytic (paper §5.2, Theorem 5.4): each superstep's
-// transient provenance is fed as a delta batch and the query fixpoint runs
-// before the next superstep. At the end of the analytic both its result and
-// the query result exist; nothing is captured. ObservePartition turns each
-// engine partition's records into record views once, on that partition's
-// goroutine, and the compiled path runs its in-partition strata over them
-// there. ObserveSuperstep merges the compiled path's tuples and, when the
-// barrier strata or the materialised feeder read them, the views of the
-// partitions not shed, in vertex order.
+// transient provenance is one layer of the compiled query program, and its
+// fixpoint runs before the next superstep. At the end of the analytic both
+// its result and the query result exist; nothing is captured.
+// ObservePartition turns each engine partition's records into record views
+// once, on that partition's goroutine, and runs the program's in-partition
+// strata over them there — the copy rules of materialised EDBs among them,
+// so a shed partition's facts are dropped with its derivations.
+// ObserveSuperstep merges the partitions' tuples and, when the program has
+// barrier strata, runs them over the views of the partitions not shed, in
+// vertex order.
 type Online struct {
-	q  *analysis.Query
-	db *eval.Database
-
-	// Compiled path (the paper's "query vertex program"): rules evaluate
-	// directly against the transient records, no EDB materialization.
+	q        *analysis.Query
+	db       *eval.Database
 	compiled *eval.Compiled
 
-	// Materialised path (aggregates, EDBs that are not record-local).
-	ev *eval.Evaluator
-	f  *feeder
-
 	// parts are the partitions' views, created on first use; mu guards the
-	// slice. views is the barrier's merge of them, reused across supersteps:
-	// the barrier strata's on the compiled path, the feeder's on the
-	// materialised one. live is the merge's scratch.
+	// slice. views is the barrier's merge of them, reused across supersteps.
+	// live is the merge's scratch.
 	mu    sync.Mutex
 	parts []*partViews
 	views []eval.RecordView
@@ -192,8 +181,8 @@ type Online struct {
 	// with what offline evaluation of the degraded store would derive. It is
 	// the supervisor's DegradeState.Shed, bound once.
 	shed func(p int) bool
-	// noted is the compiled path's DerivedTuples already counted as
-	// piggyback (static tuples count towards the first superstep).
+	// noted is the DerivedTuples already counted as piggyback (static tuples
+	// count towards the first superstep).
 	noted int64
 }
 
@@ -207,30 +196,23 @@ func NewOnline(q *analysis.Query, g *graph.Graph, opts ...EvalOpt) (*Online, err
 	if name := q.StoreEDB(); name != "" {
 		return nil, fmt.Errorf("driver: %s is fed only from a captured store, so it cannot be read online; capture provenance and query offline", name)
 	}
-	cfg := resolveEvalConfig(opts)
 	db := eval.NewDatabase()
-	o := &Online{q: q, db: db}
-	if c, ok := tryCompile(q, db, g, cfg); ok {
-		o.compiled = c
-		// Static rules run here, before superstep 0 and never on a partition
-		// goroutine; an error is reported by the first superstep's
-		// ObserveSuperstep, which calls BeginRun again.
-		_ = c.BeginRun()
-		return o, nil
-	}
-	ev, err := eval.NewEvaluator(q, db)
+	c, err := compile(q, db, g, resolveEvalConfig(opts).materialised)
 	if err != nil {
 		return nil, err
 	}
-	o.ev = ev
-	o.f = newFeeder(ev, g, q)
-	o.f.feedStatic()
-	return o, nil
+	// Static rules run here, before superstep 0 and never on a partition
+	// goroutine; an error is reported by the first superstep's
+	// ObserveSuperstep, which calls BeginRun again.
+	_ = c.BeginRun()
+	return &Online{q: q, db: db, compiled: c}, nil
 }
 
 // UsesCompiledPath reports whether the query runs as a compiled vertex
-// program (vs the materialised Datalog evaluator).
-func (o *Online) UsesCompiledPath() bool { return o.compiled != nil }
+// program. It is always true: every query compiles to one program, whose
+// refused rules run materialised inside it. It stays because the
+// repository's benchmark reads it.
+func (o *Online) UsesCompiledPath() bool { return true }
 
 // SetMetrics attaches a metrics registry and the query name used to label
 // its piggyback-tuple series. nil disables instrumentation.
@@ -291,9 +273,7 @@ type partViews struct {
 func (o *Online) ObservePartition(p, superstep int, recs []engine.VertexRecord) {
 	pv := o.part(p)
 	pv.ss, pv.views = superstep, eval.EngineViews(pv.views, recs)
-	if o.compiled != nil {
-		o.compiled.ObservePartition(p, superstep, pv.views)
-	}
+	o.compiled.ObservePartition(p, superstep, pv.views)
 }
 
 // part returns partition p's views, creating them (and any below them) on
@@ -311,25 +291,18 @@ func (o *Online) part(p int) *partViews {
 // observer order, so a partition an earlier observer (capture) shed in this
 // superstep is dropped too.
 func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
-	if c := o.compiled; c != nil {
-		if err := c.MergePartitions(v.Superstep, o.shed); err != nil {
-			return err
-		}
-		if c.HasBarrierStrata() {
-			if err := c.BarrierLayer(o.barrierViews(v.Superstep)); err != nil {
-				return err
-			}
-		}
-		derived := c.DerivedTuples()
-		o.notePiggyback(v.Superstep, derived-o.noted)
-		o.noted = derived
-		return nil
-	}
-	before := o.ev.Stats().Derivations
-	if err := o.f.layer(o.barrierViews(v.Superstep)); err != nil {
+	c := o.compiled
+	if err := c.MergePartitions(v.Superstep, o.shed); err != nil {
 		return err
 	}
-	o.notePiggyback(v.Superstep, o.ev.Stats().Derivations-before)
+	if c.HasBarrierStrata() {
+		if err := c.BarrierLayer(o.barrierViews(v.Superstep)); err != nil {
+			return err
+		}
+	}
+	derived := c.DerivedTuples()
+	o.notePiggyback(v.Superstep, derived-o.noted)
+	o.noted = derived
 	return nil
 }
 
@@ -365,8 +338,5 @@ func (o *Online) Finish(int) error { return nil }
 
 // Result returns the query results accumulated so far.
 func (o *Online) Result() *Result {
-	if o.compiled != nil {
-		return &Result{q: o.q, db: o.db, compiled: o.compiled, Facts: o.compiled.Records()}
-	}
-	return &Result{q: o.q, db: o.db, ev: o.ev, Facts: o.f.FactCount}
+	return &Result{q: o.q, db: o.db, compiled: o.compiled, Facts: o.compiled.Facts()}
 }

@@ -21,33 +21,19 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 	}
 	cfg := resolveEvalConfig(opts)
 	db := eval.NewDatabase()
-	ascending := q.Class != analysis.Backward
-	res := &Result{q: q, db: db}
-	// evalLayer evaluates one layer's views on the query's path.
-	var evalLayer func([]eval.RecordView) error
-	var f *feeder
-	compiled, isCompiled := tryCompile(q, db, g, cfg)
-	if isCompiled {
-		res.compiled = compiled
-		evalLayer = compiled.Layer
-	} else {
-		ev, err := eval.NewEvaluator(q, db)
-		if err != nil {
-			return nil, err
-		}
-		f = newFeeder(ev, g, q)
-		f.prov = store
-		f.feedStatic()
-		res.ev = ev
-		evalLayer = f.layer
+	c, err := compile(q, db, g, cfg.materialised)
+	if err != nil {
+		return nil, err
 	}
-	// Projection pushdown: ask the store for only the payload columns this
-	// query's evaluation path can observe (columnar layers skip the rest
-	// on disk). NoProjection pins the full-width reference leg.
+	loadStore(c, db, store)
+	// Projection pushdown: ask the store for only the payload columns the
+	// program can observe (columnar layers skip the rest on disk).
+	// NoProjection pins the full-width reference leg.
 	var proj *provenance.LayerProjection
 	if !cfg.noProjection {
-		proj = projectionFor(q, isCompiled)
+		proj = projectionFor(q, c)
 	}
+	ascending := q.Class != analysis.Backward
 	vb := newViewBuilder(ascending)
 	n := store.NumLayers()
 	for i := 0; i < n; i++ {
@@ -59,14 +45,9 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 		if err != nil {
 			return nil, err
 		}
-		if err := evalLayer(vb.fromProv(l)); err != nil {
+		if err := c.Layer(vb.fromProv(l)); err != nil {
 			return nil, err
 		}
 	}
-	if isCompiled {
-		res.Facts = compiled.Records()
-	} else {
-		res.Facts = f.FactCount
-	}
-	return res, nil
+	return &Result{q: q, db: db, compiled: c, Facts: c.Facts()}, nil
 }

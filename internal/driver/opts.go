@@ -1,13 +1,13 @@
 package driver
 
-// evalConfig carries the per-run evaluation settings shared by the three
-// drivers. Both are reference legs that only tests set.
+// evalConfig carries the per-run evaluation settings of the layered and
+// online drivers. Both are reference legs that only tests set.
 type evalConfig struct {
 	noProjection bool
 	materialised bool
 }
 
-// EvalOpt tunes query evaluation (layered, naive, and online drivers).
+// EvalOpt tunes query evaluation (layered and online drivers).
 type EvalOpt func(*evalConfig)
 
 // NoProjection disables the layered driver's column projection pushdown:
@@ -18,9 +18,9 @@ func NoProjection() EvalOpt {
 	return func(c *evalConfig) { c.noProjection = true }
 }
 
-// materialised is the in-package test hook that keeps a query on the
-// materialised (bottom-up Datalog) evaluator even when it compiles to a
-// vertex program.
+// materialised is the in-package test hook that compiles every rule
+// materialised, as Naive does: the relation-sourced reference leg for the
+// record-sourced plans.
 func materialised() EvalOpt {
 	return func(c *evalConfig) { c.materialised = true }
 }

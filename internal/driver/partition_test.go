@@ -245,11 +245,11 @@ func TestInPartitionErrorIsSerialFirst(t *testing.T) {
 
 // TestOnlineShedMaterialisedMatchesCompiled sheds partition 1's capture at
 // superstep 3 (one injected capture failure, DegradeCaptureAfter 1) under
-// Query 6, observed online on both evaluation paths. The materialised leg
-// takes each previous value from the engine's record, not from a map of the
-// records it was fed; shedding is permanent, so the two agree on every
-// record the leg sees, and it must derive what the compiled leg and layered
-// evaluation of the degraded store derive.
+// Query 6, observed online record-sourced and with every rule materialised.
+// The materialised leg's copy rules run in the partitions, so a shed
+// partition's facts are dropped with them, and each previous value comes
+// from the engine's record; it must derive what the record-sourced leg and
+// layered evaluation of the degraded store derive.
 func TestOnlineShedMaterialisedMatchesCompiled(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(8, 4, 31))
 	if err != nil {

@@ -85,9 +85,6 @@ func TestStaticViewLegs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if o.UsesCompiledPath() != (name == "compiled") {
-				t.Fatalf("%s leg runs compiled=%v", name, o.UsesCompiledPath())
-			}
 			online[name] = o
 			observers = append(observers, o)
 		}

@@ -126,7 +126,7 @@ func (a *aggTable) fold(row Tuple) error {
 
 // firstSeen records the dedup key "<tag><ai>|" followed by the canonical key
 // of t, reporting whether it is new; only a new key is allocated. The layout
-// is the one checkpoints store (see Evaluator.LoadState).
+// is the one checkpoints store (see saveAggs).
 func (st *aggState) firstSeen(kb *[]byte, tag byte, ai int, t Tuple) bool {
 	*kb = append(strconv.AppendInt(append((*kb)[:0], tag), int64(ai), 10), '|')
 	*kb = appendKey(*kb, t)
@@ -135,6 +135,16 @@ func (st *aggState) firstSeen(kb *[]byte, tag byte, ai int, t Tuple) bool {
 	}
 	st.seen[string(*kb)] = true
 	return true
+}
+
+// fire folds the satisfying valuations plan.fire finds over delta into the
+// group states, then replaces the head tuples of the groups that changed.
+func (a *aggTable) fire(rn *slotRun, delta map[string][]Tuple, head *Relation, insert func(Tuple) error) error {
+	if err := a.plan.fire(rn, delta, a.fold); err != nil {
+		return err
+	}
+	rn.branch = 0
+	return a.flush(head, insert)
 }
 
 // flush replaces the head tuples of the groups touched since the last

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -25,15 +24,20 @@ import (
 // Only derived (IDB) tuples are stored, which is what makes online
 // evaluation cheap.
 //
-// Not every PQL query compiles: aggregates, EDBs that are not record-local,
-// and unrestricted cross-layer joins run on the materialised Evaluator (the
-// drivers handle the choice transparently, once, before the run starts).
+// A rule the record planner refuses — an aggregate head, a store-only EDB,
+// a negated or off-location record literal, two evolution literals, a read
+// of a global head — is materialised: planned bottom-up (the bottomUp path)
+// as a global rule over EDB relations, each filled by one copy rule, a
+// record rule of a new lowest stratum such as
+// receive_message(X, Y, M, I) :- receive_message(X, Y, M, I). The store-only
+// EDBs (capture gaps, telemetry) have no record to copy from: the caller
+// loads them (Loads). There is one program either way, and no other
+// evaluator to fall back to.
 
-// ErrNotCompilable reports that a query needs the materialised evaluator.
-var ErrNotCompilable = errors.New("pql: query is not compilable to a vertex program")
-
+// notCompilable is the record planner's refusal, positioned: it names why a
+// rule is materialised.
 func notCompilable(pos pql.Pos, format string, args ...any) error {
-	return fmt.Errorf("%w: %s: %s", ErrNotCompilable, pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...))
 }
 
 // Compiled is a query compiled to a per-record vertex program.
@@ -77,6 +81,13 @@ type Compiled struct {
 	parts []*shard
 	live  []*shard
 	heads []int
+
+	// mats names the EDB relations the program materialises, copied or
+	// loaded; loads those the caller loads. aggs holds the aggregate heads'
+	// group tables, by head.
+	mats  []string
+	loads []string
+	aggs  map[string]*aggTable
 
 	staticDone bool
 	staticErr  error
@@ -122,12 +133,20 @@ type crule struct {
 	view rowSource
 	// trie is the record pass a record rule runs in.
 	trie *trie
+	// mat marks a materialised rule, a global rule planned bottom-up; why is
+	// the record planner's refusal ("" when it accepted the rule and every
+	// rule is materialised). agg folds and flushes an aggregate head's
+	// groups. copy marks a copy rule.
+	mat  bool
+	why  string
+	agg  *aggTable
+	copy bool
 }
 
 // lower compiles the rule's plan into its programs.
 func (r *crule) lower(env *analysis.Env) error {
 	if err := r.plan.lower(r.src, env, r.anchor...); err != nil {
-		return fmt.Errorf("%w: %v", ErrNotCompilable, err)
+		return err
 	}
 	r.prog = r.plan.fact
 	return nil
@@ -135,8 +154,13 @@ func (r *crule) lower(env *analysis.Env) error {
 
 // planner names the rule's kind for Explain.
 func (r *crule) planner() string {
-	if r.view != 0 {
+	switch {
+	case r.view != 0:
 		return "view"
+	case r.copy:
+		return "copy"
+	case r.mat:
+		return "materialised"
 	}
 	return r.kind.String()
 }
@@ -290,62 +314,102 @@ const (
 
 func (k ruleKind) String() string { return [...]string{"record", "global", "static"}[k] }
 
-// Compile compiles an analyzed query. Returns ErrNotCompilable (wrapped)
-// when the query requires the materialised evaluator; a query that
-// compiles never fails for a compile-time reason at run time.
+// Compile compiles an analyzed query into one program: every rule the record
+// planner accepts runs record-sourced, every other is materialised (see the
+// top of this file). A rule neither path can lower is a positioned error; a
+// query that compiles never fails for a compile-time reason at run time.
 func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error) {
-	n := len(q.Strata)
-	c := &Compiled{strata: make([][]*crule, n), recursive: make([]bool, n), passes: make([]int64, n),
-		delta: map[string][]Tuple{}}
-	c.main = c.newShard(db, sg, nil)
+	return compile(q, db, sg, false)
+}
+
+// CompileMaterialised compiles q with every rule materialised: the EDBs the
+// rules read become relations, copied from every record, and the rules run
+// bottom-up over them — the paper's Naive evaluation, and the
+// relation-sourced reference for the record-sourced plans.
+func CompileMaterialised(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error) {
+	return compile(q, db, sg, true)
+}
+
+func compile(q *analysis.Query, db *Database, sg StaticGraph, all bool) (*Compiled, error) {
 	for name, arity := range q.IDBs {
 		db.Relation(name, arity)
 	}
-	globalHeads := map[string]bool{}
+	strata := make([][]*crule, len(q.Strata))
+	global := map[string]bool{}
 	for si, stratum := range q.Strata {
-		heads := map[string]bool{}
-		for _, r := range stratum {
-			heads[r.Head.Pred] = true
-		}
 		for _, r := range stratum {
 			cr, err := planRecordRule(r, q)
-			if err != nil {
-				return nil, err
+			if err == nil {
+				err = cr.lower(q.Env())
 			}
-			cr.idx, cr.head = len(c.rules), db.Relation(r.Head.Pred, len(r.Head.Args))
-			cr.keyed = cr.kind == ruleRecord && derivesRecord(r.Head, cr.anchor)
-			if cr.kind == ruleGlobal {
-				cr.cursors = make([]int, len(cr.plan.positivePreds))
-				globalHeads[r.Head.Pred] = true
-			}
-			if err := cr.lower(q.Env()); err != nil {
-				return nil, err
-			}
-			for _, lit := range r.Body {
-				if pl, ok := lit.(*pql.PredLit); ok && heads[pl.Atom.Pred] {
-					c.recursive[si] = true
+			if all || err != nil {
+				if cr, err = materialise(r, q, err); err != nil {
+					return nil, err
 				}
 			}
-			c.strata[si] = append(c.strata[si], cr)
+			global[r.Head.Pred] = global[r.Head.Pred] || cr.kind == ruleGlobal
+			strata[si] = append(strata[si], cr)
+		}
+	}
+	// Record rules evaluate each record once, in its layer, so they must not
+	// consume predicates whose tuples may appear without a matching record (a
+	// global rule's head gains tuples from joins that complete in any later
+	// layer): such a rule is materialised, and its head becomes global too.
+	for changed := true; changed; {
+		changed = false
+		for _, stratum := range strata {
+			for i, cr := range stratum {
+				if pred := readsAny(cr, global); cr.kind == ruleRecord && pred != "" {
+					m, err := materialise(cr.src, q, notCompilable(cr.src.Pos, "record rule consumes global predicate %s", pred))
+					if err != nil {
+						return nil, err
+					}
+					stratum[i], global[cr.src.Head.Pred], changed = m, true, true
+				}
+			}
+		}
+	}
+	recursive := make([]bool, len(strata))
+	for si, stratum := range strata {
+		heads := map[string]bool{}
+		for _, cr := range stratum {
+			heads[cr.src.Head.Pred] = true
+		}
+		for _, cr := range stratum {
+			recursive[si] = recursive[si] || readsAny(cr, heads) != ""
+		}
+	}
+	c := &Compiled{delta: map[string][]Tuple{}, aggs: map[string]*aggTable{}}
+	copies, err := c.copyRules(q, strata)
+	if err != nil {
+		return nil, err
+	}
+	if len(copies) > 0 {
+		strata, recursive = append([][]*crule{copies}, strata...), append([]bool{false}, recursive...)
+	}
+	c.strata, c.recursive, c.passes = strata, recursive, make([]int64, len(strata))
+	c.main = c.newShard(db, sg, nil)
+	for _, name := range c.loads {
+		db.Relation(name, q.EDBs[name])
+	}
+	for _, stratum := range strata {
+		for _, cr := range stratum {
+			pred := cr.src.Head.Pred
+			cr.idx, cr.head = len(c.rules), db.Relation(pred, len(cr.src.Head.Args))
+			cr.keyed = cr.kind == ruleRecord && derivesRecord(cr.src.Head, cr.anchor)
+			cr.cursors = make([]int, len(cr.plan.positivePreds))
 			c.rules = append(c.rules, cr)
+			if cr.agg == nil {
+				continue
+			}
+			if c.aggs[pred] != nil {
+				return nil, fmt.Errorf("pql: %s: aggregate predicate %s has multiple defining rules", cr.src.Pos, pred)
+			}
+			c.aggs[pred] = cr.agg
 		}
 	}
 	if err := c.makeViews(q); err != nil {
 		return nil, err
-	}
-	// Soundness guard: record rules evaluate each record once, in its layer,
-	// so they must not consume predicates whose tuples may appear without a
-	// matching record (a global rule's head gains tuples from joins that
-	// complete in any later layer).
-	for _, cr := range c.rules {
-		if cr.kind != ruleRecord {
-			continue
-		}
-		for _, lit := range cr.src.Body {
-			if pl, ok := lit.(*pql.PredLit); ok && globalHeads[pl.Atom.Pred] {
-				return nil, notCompilable(cr.src.Pos, "record rule consumes global predicate %s", pl.Atom.Pred)
-			}
-		}
 	}
 	c.inPart = c.partitionPrefix(q)
 	for _, stratum := range c.strata[:c.inPart] {
@@ -354,6 +418,100 @@ func Compile(q *analysis.Query, db *Database, sg StaticGraph) (*Compiled, error)
 	c.keyHeads(sg)
 	c.planPasses()
 	return c, nil
+}
+
+// materialise plans r bottom-up, as a global rule whose every positive
+// literal is a delta literal over a relation; why is the record planner's
+// refusal, or nil.
+func materialise(r *pql.Rule, q *analysis.Query, why error) (*crule, error) {
+	plan, err := planRule(r, bottomUp{})
+	if err == nil {
+		err = plan.lower(r, q.Env())
+	}
+	if err != nil {
+		return nil, err
+	}
+	cr := &crule{src: r, kind: ruleGlobal, plan: plan, mat: true}
+	if why != nil {
+		cr.why = why.Error()
+	}
+	if plan.aggregates {
+		cr.agg = newAggTable(r, plan)
+	}
+	return cr, nil
+}
+
+// readsAny returns the first body predicate of r in preds, or "".
+func readsAny(r *crule, preds map[string]bool) string {
+	for _, lit := range r.src.Body {
+		if pl, ok := lit.(*pql.PredLit); ok && preds[pl.Atom.Pred] {
+			return pl.Atom.Pred
+		}
+	}
+	return ""
+}
+
+// copyArgs are the arguments of a built-in record EDB's copy rule; an emitted
+// table's are X, A1.., I.
+var copyArgs = map[string]string{
+	"superstep": "X, I", "value": "X, D, I", "evolution": "X, J, I", "prov_send": "X, I",
+	"send_message": "X, Y, M, I", "receive_message": "X, Y, M, I", "edge_value": "X, Y, W, S", "edge": "X, Y",
+}
+
+// copyRules returns the copy rules that fill the EDB relations the
+// materialised rules read, in the order the rules first read them — each a
+// record rule, edge a static one — and lists those relations in c.mats, and
+// in c.loads the EDBs no record holds, which the caller loads. With value
+// copied, a query that reads evolution also copies each record's previous
+// value at its predecessor superstep, so a join at J resolves without layer
+// J; a backward walk reaches layer J after I anyway.
+func (c *Compiled) copyRules(q *analysis.Query, strata [][]*crule) ([]*crule, error) {
+	rp := &recordPlanner{q: q}
+	var srcs []string
+	for _, stratum := range strata {
+		for _, cr := range stratum {
+			for _, lit := range cr.src.Body {
+				pl, ok := lit.(*pql.PredLit)
+				if !ok || !cr.mat || rp.isIDB(pl.Atom.Pred) || slices.Contains(c.mats, pl.Atom.Pred) || slices.Contains(c.loads, pl.Atom.Pred) {
+					continue
+				}
+				name := pl.Atom.Pred
+				args, builtin := copyArgs[name]
+				switch {
+				case !builtin && !rp.recordLocal(name):
+					c.loads = append(c.loads, name)
+					continue
+				case !builtin:
+					args = "X"
+					for i := 1; i < q.EDBs[name]-1; i++ {
+						args += fmt.Sprintf(", A%d", i)
+					}
+					args += ", I"
+				}
+				c.mats = append(c.mats, name)
+				srcs = append(srcs, fmt.Sprintf("%s(%s) :- %s(%s).", name, args, name, args))
+			}
+		}
+	}
+	if _, evo := q.EDBs["evolution"]; evo && slices.Contains(c.mats, "value") && q.Class != analysis.Backward {
+		srcs = append(srcs, "value(X, D, J) :- evolution(X, J, I), value(X, D, J).")
+	}
+	c.mats = append(c.mats, c.loads...)
+	copies := make([]*crule, len(srcs))
+	for i, src := range srcs {
+		r, err := pql.ParseRule(src)
+		if err == nil {
+			copies[i], err = planRecordRule(r, q)
+		}
+		if err == nil {
+			err = copies[i].lower(q.Env())
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pql: copy rule %s: %v", src, err)
+		}
+		copies[i].copy = true
+	}
+	return copies, nil
 }
 
 // planPasses numbers the emitted tables the record steps read, splits each
@@ -423,17 +581,18 @@ func (c *Compiled) makeViews(q *analysis.Query) error {
 	}
 	views := map[string]rowSource{}
 	for _, r := range c.rules {
-		if src, ok := degreeRule(r.src); ok && rulesOf[r.src.Head.Pred] == 1 {
+		if src, ok := degreeRule(r.src); ok && r.kind == ruleStatic && rulesOf[r.src.Head.Pred] == 1 {
 			views[r.src.Head.Pred] = src
 		}
 	}
 	// A negation is ground by construction; a positive read must be keyed on
-	// the view's column. A scan, or a global rule's delta program, keeps the
-	// rule static.
+	// the view's column. A scan, a global rule's delta program, or any read
+	// by a materialised rule, which reads relations only, keeps the rule
+	// static.
 	for _, r := range c.rules {
 		for _, p := range r.plan.programs() {
 			for _, st := range p.steps {
-				if _, ok := views[st.pred]; ok && st.kind == stepPositive && (st.rows != rowsRelation || len(st.lookupCols) != 1) {
+				if _, ok := views[st.pred]; ok && (r.mat || st.kind == stepPositive && (st.rows != rowsRelation || len(st.lookupCols) != 1)) {
 					delete(views, st.pred)
 				}
 			}
@@ -564,7 +723,7 @@ func (c *Compiled) partitionPrefix(q *analysis.Query) int {
 // recordPlanner is the compiled path the scheduler plans rules on, against
 // transient records.
 //
-// Shape requirements (anything else is ErrNotCompilable):
+// Shape requirements (anything else is materialised):
 //   - no aggregates in the head;
 //   - every record-local EDB literal (superstep, value, evolution,
 //     send/receive_message, prov_send, emitted tables, edge_value) is
@@ -657,9 +816,6 @@ func planRecordRule(r *pql.Rule, q *analysis.Query) (*crule, error) {
 		cr.plan.factSteps, err = schedule(r, nil, bound, rp)
 	}
 	if err != nil {
-		if !errors.Is(err, ErrNotCompilable) {
-			err = fmt.Errorf("%w: %v", ErrNotCompilable, err)
-		}
 		return nil, err
 	}
 	// Every record source yields the record's superstep in its superstep
@@ -789,8 +945,23 @@ func (rp *recordPlanner) source(a *pql.Atom, bound map[string]bool) (rowSource, 
 // DerivedTuples returns how many head tuples were inserted.
 func (c *Compiled) DerivedTuples() int64 { return c.derived }
 
-// Records returns how many records were processed.
-func (c *Compiled) Records() int64 { return c.records }
+// Facts returns the records processed plus the EDB tuples materialised: what
+// the evaluation consumed.
+func (c *Compiled) Facts() int64 {
+	n := c.records
+	for _, name := range c.mats {
+		n += int64(c.main.rn.db.Get(name).Len())
+	}
+	return n
+}
+
+// Materialises reports whether EDB pred is held as a relation, whole tuples
+// deduplicated, rather than read off each record column by column.
+func (c *Compiled) Materialises(pred string) bool { return slices.Contains(c.mats, pred) }
+
+// Loads names the EDBs no record holds that the program materialises: the
+// caller inserts their tuples into the database before the first layer.
+func (c *Compiled) Loads() []string { return c.loads }
 
 // CompiledStats is a snapshot of a compiled query's work counters.
 type CompiledStats struct {
@@ -1138,20 +1309,29 @@ func (sh *shard) pass(t *trie, recs []RecordView) {
 	}
 }
 
-// fireGlobal runs one pass of a global rule: each positive IDB literal's
+// fireGlobal runs one pass of a global rule: each positive delta literal's
 // program over the tuples that literal's relation gained since the rule's
 // last pass, every other literal reading its whole relation — or, with no
-// positive IDB literal, the rule's one program. A tuple the pass adds to a
+// delta literal, the rule's one program. A tuple the pass adds to a
 // relation the rule reads is the next pass's delta, so a join completes in
 // the pass after its last tuple arrives, in whichever layer that is.
+//
+// A cursor counts the relation's appends, not positions: an aggregate flush
+// deletes a group's old tuple from the middle of its head, and the tuples
+// appended since are still the relation's last ones (when one of those was
+// deleted again the delta starts early, re-deriving only what the rule
+// derived before). An aggregate rule folds and flushes (aggTable.fire).
 func (c *Compiled) fireGlobal(r *crule) error {
 	db := c.main.rn.db
 	for i, pred := range r.plan.positivePreds {
-		all := db.Get(pred).All()
-		c.delta[pred] = all[r.cursors[i]:]
-		r.cursors[i] = len(all)
+		rel := db.Get(pred)
+		c.delta[pred] = rel.order[len(rel.order)-min(len(rel.order), rel.appends-r.cursors[i]):]
+		r.cursors[i] = rel.appends
 	}
 	c.main.use(r)
+	if r.agg != nil {
+		return r.agg.fire(&c.main.rn, c.delta, r.head, c.main.sink)
+	}
 	return r.plan.fire(&c.main.rn, c.delta, c.main.sink)
 }
 

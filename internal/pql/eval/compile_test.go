@@ -1,11 +1,11 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -59,7 +59,8 @@ type factSink interface {
 }
 
 // feedLayers materialises the record stream as EDB facts, one Fixpoint per
-// layer, mirroring the driver's feeder; forward says the layers ascend.
+// layer, as the copy rules of a compiled program materialise them; forward
+// says the layers ascend.
 // after (nil: none) is called with each layer's index once its Fixpoint
 // returns.
 func feedLayers(ev factSink, sg StaticGraph, layers [][]RecordView, forward bool, after func(int)) error {
@@ -121,18 +122,20 @@ func sameRelations(label string, want, got map[string][]string) error {
 // the generated programs reach the comparisons (single-goroutine tests only).
 var lowerOutcomes = map[string]int{}
 
-// checkLowering is the three-way differential over one program and record
-// stream: the oracle interpreter, the materialised Evaluator's slot programs
-// and — when the query compiles — the record-sourced lowering. The oracle and
-// the Evaluator must agree tuple for tuple in insertion order (set-wise under
-// aggregates, whose group flush order is a map's); the record-sourced leg
-// must derive the same sets as the Evaluator after every layer. A run-time error (a type error, a failing UDF)
-// must hit the oracle and the Evaluator alike; the record-sourced leg joins in
-// a different order, so which valuation trips first is its own and it is then
-// not compared. The record-sourced leg is run twice more, with its
-// in-partition strata on three partitions (partitionLeg): that leg must fail
-// with the same error text and hold the same relations, in insertion order,
-// as the serial one, whether or not the run fails.
+// checkLowering is the differential over one program and record stream:
+// the oracle interpreter, the materialised Evaluator's slot programs, the
+// compiled program (record-sourced where the record planner accepts a rule,
+// materialised where it refuses one) and the compiled program with every
+// rule materialised. The oracle and the Evaluator must agree tuple for tuple
+// in insertion order (set-wise under aggregates, whose group flush order is a
+// map's); both compiled legs must derive the same sets as the Evaluator
+// after every layer. A run-time error (a type error, a failing UDF) must hit
+// the oracle and the Evaluator alike; the compiled legs join in a different
+// order, so which valuation trips first is their own and they are then not
+// compared. The compiled leg is run once more, with its in-partition strata
+// on three partitions (partitionLeg): that leg must fail with the same error
+// text and hold the same relations, in insertion order, as the serial one,
+// whether or not the run fails.
 func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers [][]RecordView) error {
 	q, err := build()
 	if err != nil {
@@ -186,17 +189,15 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 
 	qc, _ := build()
 	if qc.Class == analysis.Mixed {
-		lowerOutcomes["materialised only"]++
+		lowerOutcomes["mixed"]++
 		return nil
 	}
+	// The Evaluator lowered every rule, so Compile, which falls back to the
+	// same bottom-up plans rule by rule, must too.
 	cdb := NewDatabase()
 	comp, err := Compile(qc, cdb, sg)
 	if err != nil {
-		if !errors.Is(err, ErrNotCompilable) {
-			return fmt.Errorf("Compile failed without ErrNotCompilable: %v", err)
-		}
-		lowerOutcomes["materialised only"]++
-		return nil
+		return fmt.Errorf("Compile failed where the Evaluator did not: %v", err)
 	}
 	// agree compares a compiled leg's relations with the Evaluator's after
 	// layer i, keeping the first difference.
@@ -209,6 +210,15 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 		}
 	}
 	serr := serialLeg(comp, layers, agree("record-sourced", qc, cdb))
+	qm, _ := build()
+	mdb := NewDatabase()
+	mc, err := CompileMaterialised(qm, mdb, sg)
+	if err != nil {
+		return fmt.Errorf("CompileMaterialised failed where the Evaluator did not: %v", err)
+	}
+	if merr := serialLeg(mc, layers, agree("all-materialised", qm, mdb)); merr == nil && differs == nil {
+		differs = sameRelations("all-materialised vs oracle", wantSet, insertionOrder(qm, mdb, true))
+	}
 	qp, _ := build()
 	pdb := NewDatabase()
 	pc, err := Compile(qp, pdb, sg)
@@ -227,7 +237,10 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 	shared, global := false, false
 	for _, r := range pc.rules {
 		shared = shared || r.trie != nil && r.trie.shared
-		global = global || r.kind == ruleGlobal
+		global = global || r.kind == ruleGlobal && !r.mat
+		if r.mat && generatedHead.MatchString(r.src.Head.Pred) {
+			lowerOutcomes["materialised "+materialisedShape(r)]++
+		}
 	}
 	if shared {
 		lowerOutcomes["compiled with a shared prefix"]++
@@ -250,6 +263,26 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 		return differs
 	}
 	return sameRelations("record-sourced vs oracle", wantSet, insertionOrder(qc, cdb, true))
+}
+
+// generatedHead matches the heads genRules writes.
+var generatedHead = regexp.MustCompile(`^g[0-9]+$`)
+
+// materialisedShape names why the record planner refused r, for
+// lowerOutcomes: an aggregate head (by kind), a negated or off-location
+// record literal, a read of a global head, or another shape.
+func materialisedShape(r *crule) string {
+	switch {
+	case r.agg != nil:
+		return "aggregate " + r.plan.aggKinds[0].String()
+	case strings.Contains(r.why, "negated"):
+		return "negated record literal"
+	case strings.Contains(r.why, "must be located at"):
+		return "off-location record literal"
+	case strings.Contains(r.why, "consumes global"):
+		return "global read"
+	}
+	return "other"
 }
 
 // serialLeg evaluates layers with Layer; after (nil: none) is called with
@@ -335,8 +368,8 @@ func runAllPaths(t *testing.T, src string, env *analysis.Env, sg StaticGraph, la
 	}
 }
 
-// feedView mirrors the driver's feeder for RecordViews. Like the feeder, it
-// re-injects the predecessor's value only when feeding forward: fed from a
+// feedView turns one RecordView into EDB facts, as the copy rules do. Like
+// them, it re-injects the predecessor's value only when feeding forward: fed from a
 // later record in a backward walk, value(X, D, J) would precede record J's
 // other facts, and a negation over those would be decided too early.
 func feedView(ev factSink, sg StaticGraph, rv *RecordView, forward bool) {
@@ -563,29 +596,91 @@ sent(X, I) :- prov_send(X, I), !reach(X, I).
 	}
 }
 
+// TestCompileRejections: every rule shape the record planner refuses
+// compiles, with that rule materialised (the planner's refusal kept as its
+// reason) and the query's other rules record-sourced, and derives after
+// every layer what the Evaluator fed through feedLayers derives. A
+// store-only EDB is loaded into both from the same tuples.
 func TestCompileRejections(t *testing.T) {
-	env := analysis.NewEnv()
-	sg := newFakeGraph(2, [][2]int64{{0, 1}})
-	cases := []string{
-		// Aggregates need the materialised evaluator.
-		`deg(X, COUNT(Y)) :- receive_message(X, Y, M, I).`,
-		// Record rule consuming a global head.
-		`g(X, I) :- q(X, I), q(X, J).
+	sg, layers := testGraphAndLayers(3)
+	cases := []struct{ src, head, why string }{
+		{`deg(X, COUNT(Y)) :- receive_message(X, Y, M, I).`, "deg", "aggregate head"},
+		{`quiet(X, I) :- superstep(X, I), !prov_send(X, I).`, "quiet", "negated prov_send"},
+		{`heard(Y, I) :- receive_message(X, Y, M, I), superstep(Y, I).`, "heard", "must be located at the head's location variable"},
+		{`twice(X, I) :- evolution(X, J, I), evolution(X, K, J).`, "twice", "multiple evolution literals"},
+		{`g(X, I) :- q(X, I), q(X, J), J < I.
 q(X, I) :- superstep(X, I).
-bad(X, I) :- receive_message(X, Y, M, I), g(X, I).`,
+bad(X, I) :- receive_message(X, Y, M, I), g(X, I).`, "bad", "record rule consumes global predicate g"},
+		{`gap(X, I) :- capture_gap(P, F, T), superstep(X, I), I >= F, I <= T, P = X mod 2.`, "gap", "EDB capture_gap is not record-local"},
 	}
-	for _, src := range cases {
-		prog, err := pql.Parse(src)
+	gaps := []Tuple{
+		{value.NewInt(1), value.NewInt(1), value.NewInt(3)},
+		{value.NewInt(0), value.NewInt(4), value.NewInt(4)},
+	}
+	for _, tc := range cases {
+		build := func() *analysis.Query { return analysis.MustAnalyze(tc.src, analysis.NewEnv()) }
+		db := NewDatabase()
+		c, err := Compile(build(), db, sg)
+		if err != nil {
+			t.Fatalf("Compile(%q) = %v", tc.src, err)
+		}
+		for _, r := range c.rules {
+			switch {
+			case r.src.Head.Pred == tc.head && (!r.mat || !strings.Contains(r.why, tc.why)):
+				t.Errorf("%s: materialised=%v for %q, want it materialised for %q", tc.head, r.mat, r.why, tc.why)
+			case r.src.Head.Pred != tc.head && r.mat:
+				t.Errorf("%s: %s materialised too (%s)", tc.head, r.src, r.why)
+			}
+		}
+		edb := NewDatabase()
+		ev, err := NewEvaluator(build(), edb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := analysis.Analyze(prog, env.Clone())
+		for _, name := range c.Loads() {
+			for _, g := range gaps {
+				db.Get(name).Insert(g)
+				ev.AddFact(name, g)
+			}
+		}
+		var want []map[string][]string
+		if err := feedLayers(ev, sg, layers, true, func(int) { want = append(want, insertionOrder(build(), edb, true)) }); err != nil {
+			t.Fatal(err)
+		}
+		err = serialLeg(c, layers, func(i int) {
+			if err := sameRelations(fmt.Sprintf("%s after layer %d", tc.head, i), want[i], insertionOrder(build(), db, true)); err != nil {
+				t.Error(err)
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Compile(q, NewDatabase(), sg); !errors.Is(err, ErrNotCompilable) {
-			t.Errorf("Compile(%q) = %v, want ErrNotCompilable", src, err)
+		if n := db.Get(tc.head).Len(); n == 0 {
+			t.Errorf("%s derived nothing", tc.head)
 		}
+	}
+}
+
+// TestCopiesPreviousValue: a materialised rule joining value at the
+// evolution predecessor J finds that value on the record at I alone, with
+// no record of J fed, as the Evaluator fed the record does: value is copied
+// at the predecessor too.
+func TestCopiesPreviousValue(t *testing.T) {
+	src := `drop(X, I, COUNT(D2)) :- value(X, D1, I), value(X, D2, J), evolution(X, J, I), D1 < D2.`
+	layers := [][]RecordView{{{Vertex: 1, Superstep: 5, HasValue: true, Value: value.NewFloat(3),
+		PrevActive: 0, PrevValue: value.NewFloat(10), HasPrevValue: true}}}
+	sg := newFakeGraph(2, nil)
+	runAllPaths(t, src, analysis.NewEnv(), sg, layers)
+	db := NewDatabase()
+	c, err := Compile(analysis.MustAnalyze(src, analysis.NewEnv()), db, sg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serialLeg(c, layers, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Get("drop").All(); len(got) != 1 {
+		t.Errorf("drop = %v, want one tuple", got)
 	}
 }
 

@@ -38,7 +38,6 @@ type Evaluator struct {
 type Stats struct {
 	Rounds      int
 	Derivations int64
-	FactsAdded  int64
 	// RoundsPerStratum breaks Rounds down by stratum index.
 	RoundsPerStratum []int
 }
@@ -137,7 +136,6 @@ func (e *Evaluator) drainPending() map[string][]Tuple {
 		for _, t := range ts {
 			if rel.Insert(t) {
 				newSince[name] = append(newSince[name], t)
-				e.stats.FactsAdded++
 			}
 		}
 	}
@@ -160,19 +158,13 @@ func (e *Evaluator) sequentialRound(stratum []*pql.Rule, delta map[string][]Tupl
 			}
 			return nil
 		}
-		if !plan.aggregates {
-			if err := plan.fire(&e.rn, delta, insert); err != nil {
-				return nil, err
-			}
-			continue
+		var err error
+		if plan.aggregates {
+			err = e.aggs[pred].fire(&e.rn, delta, head, insert)
+		} else {
+			err = plan.fire(&e.rn, delta, insert)
 		}
-		// Aggregate rule: fold the new satisfying valuations into the group
-		// states, then replace the head tuples of the groups that changed.
-		table := e.aggs[pred]
-		if err := plan.fire(&e.rn, delta, table.fold); err != nil {
-			return nil, err
-		}
-		if err := table.flush(head, insert); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -7,64 +7,71 @@ import (
 	"ariadne/internal/pql/analysis"
 )
 
-// Explain reports how q is lowered: whether its rules run record-sourced (as
-// a query vertex program) or on the materialised Evaluator — and then the
-// one reason why — and per rule the planner kind, the join order, each
-// step's row source with its key columns, the slot count and the cut
-// (cut=k: every head variable is bound before step k+1, so the first
-// completion ends that step's enumeration), and keys=record when the rule's
-// head is record-keyed (one bit per (vertex, superstep) member). A global
-// rule, like every materialised one, shows one program per delta literal. A
-// record-sourced stratum marked recursive iterates to an in-layer fixpoint;
-// every other runs once per layer. Each record-sourced stratum shows its
-// online placement: partition (on each engine partition's goroutine, right
-// after its compute) or barrier. Record rules that share steps (one record
-// pass, trie.go) show their headers, each with branch=n, then the trie once.
+// Explain reports how q is lowered: how many of its rules the record planner
+// refused, so that they run materialised, and the EDBs loaded from a store;
+// then per rule the planner kind, the join order, each step's row source
+// with its key columns, the slot count and the cut (cut=k: every head
+// variable is bound before step k+1, so the first completion ends that
+// step's enumeration), and keys=record when the rule's head is record-keyed
+// (one bit per (vertex, superstep) member). A global rule shows one program
+// per delta literal; a materialised one is a global rule over relations,
+// and shows the record planner's refusal. The copy rules that fill the
+// relations it reads (planner=copy) come first, in a stratum of their own.
+// A record-sourced stratum marked recursive iterates to an in-layer
+// fixpoint; every other runs once per layer. Each stratum shows its online
+// placement: partition (on each engine partition's goroutine, right after
+// its compute) or barrier. Record rules that share steps (one record pass,
+// trie.go) show their headers, each with branch=n, then the trie once.
 // Every rule shown is a slot program; there is no other way a rule can run.
 func Explain(q *analysis.Query) (string, error) {
 	var b strings.Builder
-	c, cerr := Compile(q, NewDatabase(), nil)
-	if cerr == nil {
-		fmt.Fprintf(&b, "lowering:       record-sourced (%d rules)\n", len(q.Rules))
-		for si, stratum := range c.strata {
-			label := fmt.Sprint(si)
-			if c.recursive[si] {
-				label += " recursive"
-			}
-			if si < c.inPart {
-				label += " partition"
-			} else {
-				label += " barrier"
-			}
-			for _, r := range stratum {
-				t := r.trie
-				switch {
-				case r.kind == ruleGlobal:
-					fmt.Fprintf(&b, "  [%s] %s\n      planner=%s\n", label, r.src, r.planner())
-					r.plan.describe(&b)
-				case t == nil || !t.shared:
-					r.describe(&b, label, "")
-					r.prog.describe(&b, "      ")
-				case t.rules[0] == r:
-					for bi, tr := range t.rules {
-						tr.describe(&b, label, fmt.Sprintf(" branch=%d", bi+1))
-					}
-					t.prog.describe(&b, "      ")
-				}
-			}
-		}
-		return b.String(), nil
-	}
-	ev, err := NewEvaluator(q, NewDatabase())
+	c, err := Compile(q, NewDatabase(), nil)
 	if err != nil {
 		return "", err
 	}
-	reason := strings.TrimPrefix(cerr.Error(), ErrNotCompilable.Error()+": ")
-	fmt.Fprintf(&b, "lowering:       materialised (%d rules) — %s\n", len(q.Rules), reason)
-	for si, stratum := range q.Strata {
+	fmt.Fprintf(&b, "lowering:       record-sourced (%d rules", len(q.Rules))
+	mat := 0
+	for _, r := range c.rules {
+		if r.mat {
+			mat++
+		}
+	}
+	if mat > 0 {
+		fmt.Fprintf(&b, ", %d materialised", mat)
+	}
+	b.WriteString(")\n")
+	if len(c.loads) > 0 {
+		fmt.Fprintf(&b, "loaded:         %s\n", strings.Join(c.loads, ", "))
+	}
+	for si, stratum := range c.strata {
+		label := fmt.Sprint(si)
+		if c.recursive[si] {
+			label += " recursive"
+		}
+		if si < c.inPart {
+			label += " partition"
+		} else {
+			label += " barrier"
+		}
 		for _, r := range stratum {
-			fmt.Fprintf(&b, "  [%d] %s\n      planner=materialised\n", si, r)
-			ev.plans[r].describe(&b)
+			t := r.trie
+			switch {
+			case r.kind == ruleGlobal:
+				why := ""
+				if r.why != "" {
+					why = " (" + r.why + ")"
+				}
+				fmt.Fprintf(&b, "  [%s] %s\n      planner=%s%s\n", label, r.src, r.planner(), why)
+				r.plan.describe(&b)
+			case t == nil || !t.shared:
+				r.describe(&b, label, "")
+				r.prog.describe(&b, "      ")
+			case t.rules[0] == r:
+				for bi, tr := range t.rules {
+					tr.describe(&b, label, fmt.Sprintf(" branch=%d", bi+1))
+				}
+				t.prog.describe(&b, "      ")
+			}
 		}
 	}
 	return b.String(), nil

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -17,8 +16,8 @@ import (
 	"ariadne/internal/value"
 )
 
-// TestRepeatedFreshVariableCompiles is the regression test for an
-// ErrNotCompilable that surfaced at run time: an IDB atom repeating a
+// TestRepeatedFreshVariableCompiles is the regression test for a
+// record-shape refusal that surfaced at run time: an IDB atom repeating a
 // variable it is the first to bind, p(Z, Z), was keyed on Z's second
 // occurrence by a closure that found Z unbound only while evaluating —
 // after the driver had committed to the compiled path. With boundness
@@ -60,8 +59,9 @@ selfmsg(X, I) :- superstep(X, I), p(Z, Z).
 
 // TestUngroundMatchRejectedUpFront: a complex argument that is not ground
 // when its atom is matched used to fail mid-Fixpoint, once data reached the
-// literal. Both constructors now reject the shape with a position — Compile
-// as ErrNotCompilable, so the drivers fall back before the run starts.
+// literal. Both constructors now reject the shape with a position: Compile
+// materialises the rule the record planner refuses, and the bottom-up plan
+// cannot lower it either.
 func TestUngroundMatchRejectedUpFront(t *testing.T) {
 	env := analysis.NewEnv()
 	env.DeclareEDB("q", 2)
@@ -75,8 +75,8 @@ p(X, I) :- superstep(X, I).
 r(X, I) :- superstep(X, I), p(X, K + I).
 `
 	_, err = Compile(analysis.MustAnalyze(src, analysis.NewEnv()), NewDatabase(), newFakeGraph(1, nil))
-	if !errors.Is(err, ErrNotCompilable) || !strings.Contains(err.Error(), "3:") {
-		t.Errorf("Compile = %v, want a positioned ErrNotCompilable", err)
+	if err == nil || !strings.Contains(err.Error(), "pql: 3:") || !strings.Contains(err.Error(), "K") {
+		t.Errorf("Compile = %v, want a positioned error naming K", err)
 	}
 }
 
@@ -125,14 +125,19 @@ func fuzzBases(tb testing.TB) []string {
 // under which per-record and bottom-up evaluation coincide. Some of them
 // get a sibling: a second rule of the same head whose body begins with the
 // same literals and differs in its filters, Query 7's shape. The rest are
-// global rules, over earlier heads only (which no record rule reads
-// after), and static rules, over edges and comparisons only. Safety and
-// stratification are left to the analysis, which rejects some of the
-// output.
-func genRules(rng *rand.Rand, n int) string {
+// global rules, over earlier heads only, and static rules, over edges and
+// comparisons only. Some record-shaped rules take a shape the record
+// planner refuses, so Compile materialises them: an aggregate head (COUNT,
+// SUM, MIN or MAX) over a record literal, a negated record literal, a
+// record literal off the head's location variable, or a read of a global
+// head. Those draw on shapes alone, so a program without them is the one rng
+// alone would write. Safety and stratification are left to the analysis,
+// which rejects some of the output.
+func genRules(rng, shapes *rand.Rand, n int) string {
 	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
 	var b strings.Builder
 	var readable []string // heads a record rule may read: not global
+	var globals []string  // global heads, which a record rule reads only materialised
 	for k := 0; k < n; k++ {
 		head := fmt.Sprintf("g%d(X, I)", k)
 		switch {
@@ -143,6 +148,7 @@ func genRules(rng *rand.Rand, n int) string {
 				g()+"(X, I), "+g()+"(Y, I), Y != X",
 				g()+"(X, J), "+g()+"(X, I), J < I",
 				g()+"(X, I), !"+g()+"(X, I)"))
+			globals = append(globals, fmt.Sprintf("g%d", k))
 			continue
 		case rng.Intn(10) == 0:
 			fmt.Fprintf(&b, "%s :- %s.\n", head, pick("edge(X, Y), I = 0", "edge(Y, X), I = Y mod 2", "edge(X, Y), X < Y, I = 1"))
@@ -153,6 +159,23 @@ func genRules(rng *rand.Rand, n int) string {
 		vars := []string{"I"} // numeric variables bound so far, besides X
 		peer := false
 		for i, atoms := 0, 1+rng.Intn(3); i < atoms; i++ {
+			if shapes.Intn(8) == 0 {
+				// Shapes the record planner refuses: a negated record literal,
+				// one off the location variable, a global head's tuples.
+				pick := func(xs ...string) string { return xs[shapes.Intn(len(xs))] }
+				switch r := shapes.Intn(3); {
+				case r == 0:
+					body = append(body, "superstep(X, I)", pick("!prov_send(X, I)", "!value(X, 1.5, I)", "!evolution(X, 0, I)"))
+				case r == 1:
+					body = append(body, "receive_message(X, Y, M, I)", pick("superstep(Y, I)", "value(Y, D3, I)", "!prov_send(Y, I)"))
+					vars, peer = append(vars, "Y", "M"), true
+				case len(globals) > 0:
+					body = append(body, globals[shapes.Intn(len(globals))]+"(X, I)", "superstep(X, I)")
+				default:
+					body = append(body, "superstep(X, I)")
+				}
+				continue
+			}
 			switch rng.Intn(10) {
 			case 0:
 				body = append(body, "superstep(X, I)")
@@ -232,8 +255,11 @@ func genRules(rng *rand.Rand, n int) string {
 		}
 		body = append(body, filters()...)
 		rng.Shuffle(len(body), func(i, j int) { body[i], body[j] = body[j], body[i] })
-		if rng.Intn(8) == 0 && peer {
+		switch {
+		case rng.Intn(8) == 0 && peer:
 			head = fmt.Sprintf("g%d(X, COUNT(%s))", k, vars[len(vars)-1])
+		case shapes.Intn(8) == 0:
+			head = fmt.Sprintf("g%d(X, %s(%s))", k, []string{"SUM", "MIN", "MAX"}[shapes.Intn(3)], vars[shapes.Intn(len(vars))])
 		}
 		fmt.Fprintf(&b, "%s :- %s.\n", head, strings.Join(body, ", "))
 		readable = append(readable, fmt.Sprintf("g%d", k))
@@ -245,9 +271,11 @@ func genRules(rng *rand.Rand, n int) string {
 // fixed seed range and checks it has teeth: most programs must survive the
 // analysis, a good share must reach the three-way comparison with tuples to
 // compare, a real share of those must have a rule that takes a cut, a good
-// share of the compiled programs must run some stratum in-partition, and a
-// real share must compile with a record pass that shares a prefix and with
-// a global rule.
+// share of the compiled programs must run some stratum in-partition, a real
+// share must compile with a record pass that shares a prefix and with a
+// global rule, and each shape the record planner refuses (an aggregate head
+// of each kind, a negated or off-location record literal, a read of a
+// global head) must be drawn and materialised.
 func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	for k := range lowerOutcomes {
 		delete(lowerOutcomes, k)
@@ -255,8 +283,8 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	bases := fuzzBases(t)
 	const n = 400
 	for seed := int64(0); seed < n; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		src := bases[int(seed)%len(bases)] + "\n" + genRules(rng, 1+rng.Intn(4))
+		rng, shapes := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed))
+		src := bases[int(seed)%len(bases)] + "\n" + genRules(rng, shapes, 1+rng.Intn(4))
 		build := func() (*analysis.Query, error) {
 			prog, err := pql.Parse(src)
 			if err != nil {
@@ -289,6 +317,12 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 			t.Errorf("only %d of %d programs %s", lowerOutcomes[o], n, o)
 		}
 	}
+	for _, shape := range []string{"aggregate COUNT", "aggregate SUM", "aggregate MIN", "aggregate MAX",
+		"negated record literal", "off-location record literal", "global read"} {
+		if lowerOutcomes["materialised "+shape] < n/100 {
+			t.Errorf("only %d generated rules materialised for a %s", lowerOutcomes["materialised "+shape], shape)
+		}
+	}
 }
 
 // FuzzRuleLowering is the semantic fuzz smoke for the rule IR: a seed
@@ -303,8 +337,8 @@ func FuzzRuleLowering(f *testing.F) {
 		f.Add(uint8(i), int64(1000+i))
 	}
 	f.Fuzz(func(t *testing.T, base uint8, seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		src := bases[int(base)%len(bases)] + "\n" + genRules(rng, rng.Intn(5))
+		rng, shapes := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed))
+		src := bases[int(base)%len(bases)] + "\n" + genRules(rng, shapes, rng.Intn(5))
 		build := func() (*analysis.Query, error) {
 			prog, err := pql.Parse(src)
 			if err != nil {

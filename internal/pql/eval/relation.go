@@ -70,6 +70,7 @@ type Relation struct {
 	bits    *recordBits   // nil unless record-keyed
 	bitSets []*recordBits // the shards' bits of a record-keyed relation
 	order   []Tuple       // insertion order, for deterministic iteration
+	appends int           // tuples appended to order since it was last emptied
 
 	mu      sync.Mutex // guards indexes map + lazy index construction by readers
 	indexes map[string]*index
@@ -162,6 +163,7 @@ func (r *Relation) add(k string, t Tuple) {
 // while no reader does, so it takes no lock.
 func (r *Relation) appendNew(t Tuple) {
 	r.order = append(r.order, t)
+	r.appends++
 	for _, idx := range r.indexes {
 		pk := projKey(t, idx.cols)
 		idx.m[pk] = append(idx.m[pk], t)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"ariadne/internal/value"
 )
@@ -12,9 +11,9 @@ import (
 // State save/restore for crash recovery. Online query evaluation is an
 // engine observer; at each checkpoint barrier the driver snapshots the
 // evaluation state — the Datalog database (EDB and IDB relations, the
-// "query-relation deltas" accumulated so far) plus the evaluator- or
-// compiled-path cursors — so a resumed run derives exactly the tuples a
-// failure-free run would. All encoding rides on value.Blob; decoding never
+// "query-relation deltas" accumulated so far) plus the compiled program's
+// counters and aggregate group tables — so a resumed run derives exactly the
+// tuples a failure-free run would. All encoding rides on value.Blob; decoding never
 // panics on corrupt input (BlobReader is bounds-checked with a sticky
 // error).
 
@@ -41,7 +40,7 @@ func (r *Relation) Clear() {
 // partition shard's overlay starts each superstep so, its rows and bits
 // being the shard's dedup set.
 func (r *Relation) truncate() {
-	r.order = r.order[:0]
+	r.order, r.appends = r.order[:0], 0
 	for _, idx := range r.indexes {
 		clear(idx.m)
 	}
@@ -100,9 +99,10 @@ func (d *Database) LoadState(r *value.BlobReader) error {
 }
 
 // SaveState serializes the compiled evaluator's mutable state beyond the
-// database: counters, the static-rules-done flag, and one zero per rule. A
-// global rule's delta cursors need no state (see LoadState); the per-rule
-// slots keep the layout, so checkpoints that hold a cursor there still load.
+// database: counters, the static-rules-done flag, one zero per rule and, for
+// a query with aggregate heads, their group tables. A global rule's delta
+// cursors need no state (see LoadState); the per-rule slots keep the layout,
+// so checkpoints that hold a cursor there still load.
 func (c *Compiled) SaveState(w *value.Blob) {
 	w.Bool(c.staticDone)
 	w.Uvarint(uint64(c.derived))
@@ -110,6 +110,9 @@ func (c *Compiled) SaveState(w *value.Blob) {
 	w.Uvarint(uint64(len(c.rules)))
 	for range c.rules {
 		w.Uvarint(0)
+	}
+	if len(c.aggs) > 0 {
+		saveAggs(w, c.aggs)
 	}
 }
 
@@ -128,32 +131,34 @@ func (c *Compiled) LoadState(r *value.BlobReader) error {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		r.Uvarint()
 	}
+	if len(c.aggs) > 0 {
+		if err := loadAggs(r, c.aggs); err != nil {
+			return err
+		}
+	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("eval: corrupt compiled state: %w", err)
 	}
 	for _, rule := range c.rules {
 		for i, pred := range rule.plan.positivePreds {
-			rule.cursors[i] = c.main.rn.db.Get(pred).Len()
+			rule.cursors[i] = c.main.rn.db.Get(pred).appends
 		}
 	}
 	return nil
 }
 
-// SaveState serializes the materialised evaluator's state beyond the
-// database: work counters and the aggregate group tables (incremental
-// SUM/COUNT/AVG/MIN/MAX accumulators with their dedup sets).
-func (e *Evaluator) SaveState(w *value.Blob) {
-	w.Uvarint(uint64(e.stats.Rounds))
-	w.Uvarint(uint64(e.stats.Derivations))
-	w.Uvarint(uint64(e.stats.FactsAdded))
-	preds := make([]string, 0, len(e.aggs))
-	for p := range e.aggs {
+// saveAggs serializes aggregate group tables, by head: the incremental
+// SUM/COUNT/AVG/MIN/MAX accumulators with their dedup sets and current head
+// tuples, in key order.
+func saveAggs(w *value.Blob, aggs map[string]*aggTable) {
+	preds := make([]string, 0, len(aggs))
+	for p := range aggs {
 		preds = append(preds, p)
 	}
 	sort.Strings(preds)
 	w.Uvarint(uint64(len(preds)))
 	for _, p := range preds {
-		table := e.aggs[p]
+		table := aggs[p]
 		w.String(p)
 		keys := make([]string, 0, len(table.groups))
 		for k := range table.groups {
@@ -188,19 +193,13 @@ func (e *Evaluator) SaveState(w *value.Blob) {
 	}
 }
 
-// LoadState restores a SaveState snapshot taken from an Evaluator built for
-// the same query.
-func (e *Evaluator) LoadState(r *value.BlobReader) error {
-	// The blob carries the three seed counters only; the per-stratum round
-	// breakdown restarts at zero on resume.
-	e.stats.Rounds = int(r.Uvarint())
-	e.stats.Derivations = int64(r.Uvarint())
-	e.stats.FactsAdded = int64(r.Uvarint())
-	e.pending = map[string][]Tuple{}
+// loadAggs restores the group tables saveAggs wrote into aggs, built for
+// the same query. A corrupt blob leaves r's sticky error for the caller.
+func loadAggs(r *value.BlobReader, aggs map[string]*aggTable) error {
 	nPreds := r.Count()
 	for i := 0; i < nPreds && r.Err() == nil; i++ {
 		pred := r.String()
-		table, ok := e.aggs[pred]
+		table, ok := aggs[pred]
 		if r.Err() == nil && !ok {
 			return fmt.Errorf("eval: saved aggregate table %s unknown to this query", pred)
 		}
@@ -211,10 +210,7 @@ func (e *Evaluator) LoadState(r *value.BlobReader) error {
 		table.groups = map[string]*aggState{}
 		table.touched = nil
 		for j := 0; j < nGroups && r.Err() == nil; j++ {
-			k, err := canonicalKey(r.String(), false)
-			if err != nil {
-				return fmt.Errorf("eval: corrupt evaluator state: aggregate %s: %w", pred, err)
-			}
+			k := r.String()
 			st := &aggState{min: math.Inf(1), max: math.Inf(-1), seen: map[string]bool{}}
 			st.count = int64(r.Uvarint())
 			st.sum = r.Float()
@@ -222,11 +218,7 @@ func (e *Evaluator) LoadState(r *value.BlobReader) error {
 			st.max = r.Float()
 			nSeen := r.Count()
 			for s := 0; s < nSeen && r.Err() == nil; s++ {
-				sk, err := canonicalKey(r.String(), true)
-				if err != nil {
-					return fmt.Errorf("eval: corrupt evaluator state: aggregate %s: %w", pred, err)
-				}
-				st.seen[sk] = true
+				st.seen[r.String()] = true
 			}
 			if r.Bool() {
 				arity := r.Count()
@@ -241,37 +233,5 @@ func (e *Evaluator) LoadState(r *value.BlobReader) error {
 			table.groups[k] = st
 		}
 	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("eval: corrupt evaluator state: %w", err)
-	}
 	return nil
-}
-
-// canonicalKey re-encodes a saved aggregate key in the canonical encoding
-// (appendNorm): a group key is the key of the group values, a dedup key
-// (prefixed) is "<tag><column>|" followed by the key of the deduplicated
-// values. Checkpoints written before Int and -0.0 keys were made to agree
-// with value.Equal hold every Int as a float and -0.0 as itself; re-keying
-// lets their seen-sets match the keys fold probes with now. A key already
-// canonical comes back unchanged.
-func canonicalKey(k string, prefixed bool) (string, error) {
-	var b []byte
-	rest := k
-	if prefixed {
-		i := strings.IndexByte(k, '|')
-		if i < 0 {
-			return "", fmt.Errorf("dedup key without a column prefix")
-		}
-		b = append(b, k[:i+1]...)
-		rest = k[i+1:]
-	}
-	for len(rest) > 0 {
-		v, n, err := value.DecodeValue([]byte(rest))
-		if err != nil {
-			return "", err
-		}
-		b = appendNorm(b, v)
-		rest = rest[n:]
-	}
-	return string(b), nil
 }

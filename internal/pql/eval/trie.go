@@ -153,13 +153,16 @@ func newTrie(rules []*crule) *trie {
 }
 
 // recordTries splits record rules, in rule order, into tries: a recursive
-// stratum's rules one to a trie, any other's up to maxTrieRules to one.
+// stratum's rules one to a trie, any other's up to maxTrieRules to one, as
+// long as they anchor as many slots. A pass writes the record's superstep to
+// slot 1 once per record, which a rule without a current-superstep variable
+// binds a variable of its own to.
 func recordTries(rules []*crule, recursive bool) []*trie {
 	var out []*trie
 	for len(rules) > 0 {
-		n := min(len(rules), maxTrieRules)
-		if recursive {
-			n = 1
+		n := 1
+		for !recursive && n < min(len(rules), maxTrieRules) && len(rules[n].anchor) == len(rules[0].anchor) {
+			n++
 		}
 		out = append(out, newTrie(rules[:n]))
 		rules = rules[n:]
