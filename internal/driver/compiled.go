@@ -1,9 +1,6 @@
 package driver
 
 import (
-	"slices"
-
-	"ariadne/internal/engine"
 	"ariadne/internal/graph"
 	"ariadne/internal/obs"
 	"ariadne/internal/pql/analysis"
@@ -127,91 +124,57 @@ func loadStore(c *eval.Compiled, db *eval.Database, store *provenance.Store) {
 	}
 }
 
-// retained is a vertex's last captured value and its superstep. The view
-// builder keeps one per vertex so evolution joins (value at the *previous
-// active* superstep) work in layered mode without materializing older
-// layers — DESIGN.md decision 3; online, the engine hands each record its
-// previous value. Memory is O(active vertices), not O(supersteps). Only a
-// walk forward in time can retain a predecessor's value, so a nil map
-// (backward or unordered reading) keeps and finds nothing.
+// retained is a vertex's last captured value and the superstep after the
+// one it was captured at (0: none). The view builder keeps one per vertex
+// so evolution joins (value at the *previous active* superstep) work in
+// layered mode without materializing older layers — DESIGN.md decision 3;
+// online, the engine hands each record its previous value. Memory is one
+// entry per graph vertex, not per superstep. Only a walk forward in time
+// can retain a predecessor's value, so backward reading keeps none.
 type retained struct {
-	val value.Value
-	ss  int
+	val  value.Value
+	next int64
 }
 
-// viewBuilder converts stored provenance records to record views,
-// maintaining the per-vertex retention needed for evolution joins when the
-// layers arrive in ascending order. The views and their message and fact
-// slices live in arenas reused layer after layer: a layer's views are valid
-// until the next fromProv call.
+// viewBuilder reads layers as record views, one at a time, into one
+// LayerViews whose arenas every read reuses: a layer's views are valid
+// until the next read. When the layers arrive in ascending order it supplies
+// each view's previous value from the per-vertex retention.
 type viewBuilder struct {
-	ret   map[graph.VertexID]retained
-	views []eval.RecordView
-	sends []engine.SentMessage
-	recvs []engine.IncomingMessage
-	facts []engine.ProvFact
+	ret   []retained // by vertex; nil when reading backward
+	views provenance.LayerViews
 }
 
-func newViewBuilder(ascending bool) *viewBuilder {
+func newViewBuilder(ascending bool, g *graph.Graph) *viewBuilder {
 	vb := &viewBuilder{}
 	if ascending {
-		vb.ret = map[graph.VertexID]retained{}
+		vb.ret = make([]retained, g.NumVertices())
 	}
 	return vb
 }
 
-func (vb *viewBuilder) fromProv(l *provenance.Layer) []eval.RecordView {
-	var nSends, nRecvs, nFacts int
-	for i := range l.Records {
-		r := &l.Records[i]
-		nSends += len(r.Sends)
-		nRecvs += len(r.Recvs)
-		nFacts += len(r.Emitted)
+// read decodes layer i of store with the columns proj selects and returns
+// its views. A vertex outside the graph (every vertex, reading backward)
+// retains nothing.
+func (vb *viewBuilder) read(store *provenance.Store, i int, proj *provenance.LayerProjection) ([]eval.RecordView, error) {
+	if err := store.LayerProjected(i, proj, &vb.views); err != nil {
+		return nil, err
 	}
-	vb.views = slices.Grow(vb.views[:0], len(l.Records))[:len(l.Records)]
-	vb.sends = slices.Grow(vb.sends[:0], nSends)[:nSends]
-	vb.recvs = slices.Grow(vb.recvs[:0], nRecvs)[:nRecvs]
-	vb.facts = slices.Grow(vb.facts[:0], nFacts)[:nFacts]
-	sends, recvs, facts := vb.sends, vb.recvs, vb.facts
-	for i := range l.Records {
-		r := &l.Records[i]
-		rv := eval.RecordView{
-			Vertex:     int64(r.Vertex),
-			Superstep:  int64(l.Superstep),
-			HasValue:   r.HasValue,
-			Value:      r.Value,
-			PrevActive: int64(r.PrevActive),
-			SentAny:    r.SentAny || len(r.Sends) > 0,
+	views := vb.views.Records
+	for k := range views {
+		rv := &views[k]
+		if rv.Vertex >= int64(len(vb.ret)) {
+			continue
 		}
-		if r.PrevActive >= 0 {
-			// The value retained, if it is the one at PrevActive: a later
-			// capture that carried no value must not pass an older one off.
-			if e, ok := vb.ret[r.Vertex]; ok && e.ss == int(r.PrevActive) {
-				rv.PrevValue, rv.HasPrevValue = e.val, true
-			}
+		e := &vb.ret[rv.Vertex]
+		// The value retained, if it is the one at PrevActive: a later
+		// capture that carried no value must not pass an older one off.
+		if rv.PrevActive >= 0 && e.next == rv.PrevActive+1 {
+			rv.PrevValue, rv.HasPrevValue = e.val, true
 		}
-		if n := len(r.Sends); n > 0 {
-			rv.Sends, sends = sends[:n:n], sends[n:]
-			for j, m := range r.Sends {
-				rv.Sends[j] = engine.SentMessage{Dst: m.Peer, Val: m.Val}
-			}
+		if rv.HasValue {
+			*e = retained{val: rv.Value, next: rv.Superstep + 1}
 		}
-		if n := len(r.Recvs); n > 0 {
-			rv.Recvs, recvs = recvs[:n:n], recvs[n:]
-			for j, m := range r.Recvs {
-				rv.Recvs[j] = engine.IncomingMessage{Src: m.Peer, Val: m.Val}
-			}
-		}
-		if n := len(r.Emitted); n > 0 {
-			rv.Emitted, facts = facts[:n:n], facts[n:]
-			for j, f := range r.Emitted {
-				rv.Emitted[j] = engine.ProvFact{Table: f.Table, Args: f.Args}
-			}
-		}
-		if r.HasValue && vb.ret != nil {
-			vb.ret[r.Vertex] = retained{val: r.Value, ss: l.Superstep}
-		}
-		vb.views[i] = rv
 	}
-	return vb.views
+	return views, nil
 }

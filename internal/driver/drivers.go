@@ -94,19 +94,20 @@ func nodeBytes(rv *eval.RecordView) int64 {
 // smallest datasets".
 func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBudget int64) (*Result, error) {
 	// Phase 1: full materialization of the unfolded provenance graph, every
-	// layer read once into views that stay resident, in capture order. An
-	// evolution edge needs its predecessor node in the graph; no retention
-	// re-supplies a previous value, every value is present anyway.
+	// layer read once, into fresh arenas, as views that stay resident, in
+	// capture order. An evolution edge needs its predecessor node in the
+	// graph; no retention re-supplies a previous value, every value is
+	// present anyway.
 	var nodes []eval.RecordView
 	present := make(map[uint64]bool)
 	key := func(v, ss int64) uint64 { return uint64(v)<<32 | uint64(uint32(ss)) }
 	var unfoldedBytes int64
 	for i := 0; i < store.NumLayers(); i++ {
-		l, err := store.Layer(i)
-		if err != nil {
+		var layer provenance.LayerViews
+		if err := store.LayerProjected(i, nil, &layer); err != nil {
 			return nil, err
 		}
-		for _, rv := range newViewBuilder(false).fromProv(l) {
+		for _, rv := range layer.Records {
 			if rv.PrevActive >= 0 && !present[key(rv.Vertex, rv.PrevActive)] {
 				rv.PrevActive = -1
 			}

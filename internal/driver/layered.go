@@ -34,20 +34,23 @@ func Layered(q *analysis.Query, store *provenance.Store, g *graph.Graph, opts ..
 		proj = projectionFor(q, c)
 	}
 	ascending := q.Class != analysis.Backward
-	vb := newViewBuilder(ascending)
+	vb := newViewBuilder(ascending, g)
 	n := store.NumLayers()
 	for i := 0; i < n; i++ {
 		idx := i
 		if !ascending {
 			idx = n - 1 - i
 		}
-		l, err := store.LayerProjected(idx, proj)
+		views, err := vb.read(store, idx, proj)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.Layer(vb.fromProv(l)); err != nil {
+		if err := c.Layer(views); err != nil {
 			return nil, err
 		}
+	}
+	if cfg.onViews != nil {
+		cfg.onViews(&vb.views)
 	}
 	return &Result{q: q, db: db, compiled: c, Facts: c.Facts()}, nil
 }

@@ -13,22 +13,33 @@ import (
 
 // benchCapture runs SSSP under full capture on a spilling store, so the
 // layered run pays the real decode cost of every layer.
-func benchCapture(b *testing.B, scale int) (*graph.Graph, *provenance.Store) {
+func benchCapture(b testing.TB, scale int) (*graph.Graph, *provenance.Store) {
 	b.Helper()
 	g, err := gen.RMAT(gen.DefaultRMAT(scale, 6, 7))
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g, spilledCapture(b, g, ssspProg{}, 0)
+}
+
+// spilledCapture runs prog over g for at most steps supersteps (0: until it
+// halts) under full capture into a store that spills every layer.
+func spilledCapture(b testing.TB, g *graph.Graph, prog engine.Program, steps int) *provenance.Store {
+	b.Helper()
 	store := provenance.NewStore(provenance.StoreConfig{SpillDir: b.TempDir(), SpillAll: true})
+	b.Cleanup(func() { store.Close() })
 	obs := capture.NewObserver(capture.FullPolicy(), store)
-	e, err := engine.New(g, ssspProg{}, engine.Config{Observers: []engine.Observer{obs}})
+	e, err := engine.New(g, prog, engine.Config{MaxSupersteps: steps, Observers: []engine.Observer{obs}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
-	return g, store
+	if err := store.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	return store
 }
 
 // BenchmarkLayeredEval measures the layered driver's full run (decode +

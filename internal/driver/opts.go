@@ -1,10 +1,13 @@
 package driver
 
+import "ariadne/internal/provenance"
+
 // evalConfig carries the per-run evaluation settings of the layered and
-// online drivers. Both are reference legs that only tests set.
+// online drivers. Only tests set them: two reference legs and a hook.
 type evalConfig struct {
 	noProjection bool
 	materialised bool
+	onViews      func(*provenance.LayerViews) // Layered's views after the last layer
 }
 
 // EvalOpt tunes query evaluation (layered and online drivers).

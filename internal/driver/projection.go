@@ -26,13 +26,17 @@ import (
 //     flags column and retention presence, both independent of the values
 //     column's content.
 //
-// Columns the projection never covers (vertex, activation lineage, flags,
-// send topology) are core: replay itself needs them to re-activate the
-// layer's vertices and regenerate its message structure.
+// The send topology is read only for send_message and prov_send: under
+// full capture a record's prov_send holds because it has sends, since the
+// stored SentAny flag is written only under the send-flags policy.
+// Columns the projection never covers (vertex, activation lineage, flags)
+// are core: every record view carries them.
 func projectionFor(q *analysis.Query, c *eval.Compiled) *provenance.LayerProjection {
 	n := needsOf(q)
+	_, provSend := q.EDBs["prov_send"]
 	p := &provenance.LayerProjection{
 		Values:     n.value,
+		SendPeers:  n.send || provSend,
 		SendValues: n.send,
 		RecvPeers:  n.recv,
 		RecvValues: n.recv,

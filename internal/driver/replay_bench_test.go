@@ -3,11 +3,9 @@ package driver
 import (
 	"testing"
 
-	"ariadne/internal/capture"
 	"ariadne/internal/engine"
 	"ariadne/internal/gen"
 	"ariadne/internal/graph"
-	"ariadne/internal/provenance"
 	"ariadne/internal/queries"
 	"ariadne/internal/value"
 )
@@ -66,20 +64,8 @@ func BenchmarkLayeredReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := provenance.NewStore(provenance.StoreConfig{SpillDir: b.TempDir(), SpillAll: true})
-	defer store.Close()
-	obs := capture.NewObserver(capture.FullPolicy(), store)
 	prog := vecProg{dim: 32, steps: 8}
-	e, err := engine.New(g, prog, engine.Config{
-		MaxSupersteps: prog.steps + 1,
-		Observers:     []engine.Observer{obs},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
+	store := spilledCapture(b, g, prog, prog.steps+1)
 
 	def := queries.PageRankCheck()
 	run := func(b *testing.B, opts ...EvalOpt) {

@@ -1,12 +1,16 @@
 package provenance
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 
+	"ariadne/internal/engine"
+	"ariadne/internal/pql/eval"
 	"ariadne/internal/value"
 )
 
@@ -35,8 +39,7 @@ import (
 //	              four records per byte
 //	3 sendPeers   per record: count uvarint, then zigzag deltas between
 //	              consecutive peer IDs (first delta from the record's own
-//	              vertex); capture order is preserved — replay delivery
-//	              order must stay bit-identical
+//	              vertex), in capture order
 //	4 sendValues  packed values, aligned by the counts in column 3; a
 //	              send whose packed value would repeat the record's
 //	              previous send byte for byte is the one-byte repeat code
@@ -47,10 +50,10 @@ import (
 //	8 emitted     table-name dictionary, then per record: fact count,
 //	              { tableIdx uvarint | nargs uvarint | packed args }
 //
-// Columns 0-3 are "core": replay always needs the vertex set, activation
-// lineage, flags, and the send topology to regenerate the layer's message
-// structure, so every decode materializes them. Columns 4-8 decode only
-// when projected.
+// Every read decodes columns 0-2, the "core": the vertex set, activation
+// lineage and flags, which every record view carries. Columns 3-8 decode
+// only when projected, a value column with its peer column. Column 3 is
+// still required on disk: a file without it is rejected.
 //
 // Version 2 is the same layout without the repeat code, so a version 2 file
 // is a version 3 file whose sends repeat nothing: the one decoder reads
@@ -79,47 +82,49 @@ const (
 type colMask uint16
 
 const (
-	maskCore colMask = 1<<colVertex | 1<<colPrevActive | 1<<colFlags | 1<<colSendPeers
-	maskAll  colMask = 1<<numColumns - 1
+	maskCore     colMask = 1<<colVertex | 1<<colPrevActive | 1<<colFlags // decoded by every read
+	maskRequired colMask = maskCore | 1<<colSendPeers                    // held by every file
+	maskAll      colMask = 1<<numColumns - 1
 )
 
 func (m colMask) has(col int) bool { return m&(1<<col) != 0 }
 
+// closed returns the columns a read of m decodes: m's known columns, the
+// core, and the peer column of each message value column in m (values align
+// to the per-record message counts; a value column's ID is its peer
+// column's plus one).
+func (m colMask) closed() colMask {
+	m = m&maskAll | maskCore
+	return m | m&(1<<colSendValues|1<<colRecvValues)>>1
+}
+
 // LayerProjection selects which optional layer columns a reader needs
 // materialized. The zero value requests only the core columns (vertex,
-// activation, flags, send topology); a nil *LayerProjection means "all
-// columns". Requesting RecvValues implies RecvPeers (values align to the
-// per-record receive counts).
+// activation, flags); a nil *LayerProjection means "all columns".
+// Requesting a message value column implies its peer column.
 type LayerProjection struct {
 	Values     bool // the value(X, D, I) payload column
+	SendPeers  bool // send topology (peer IDs and counts)
 	SendValues bool // message payloads on send_message tuples
 	RecvPeers  bool // receive topology (peer IDs and counts)
 	RecvValues bool // message payloads on receive_message tuples
 	Emitted    bool // analytic-emitted fact tables
 }
 
-// mask folds the projection into a column bitset. nil selects every column.
+// mask folds the projection into the columns a read decodes. nil selects
+// every column.
 func (p *LayerProjection) mask() colMask {
 	if p == nil {
 		return maskAll
 	}
-	m := maskCore
-	if p.Values {
-		m |= 1 << colValues
+	var m colMask
+	for col, on := range [numColumns]bool{colValues: p.Values, colSendPeers: p.SendPeers, colSendValues: p.SendValues,
+		colRecvPeers: p.RecvPeers, colRecvValues: p.RecvValues, colEmitted: p.Emitted} {
+		if on {
+			m |= 1 << col
+		}
 	}
-	if p.SendValues {
-		m |= 1 << colSendValues
-	}
-	if p.RecvPeers || p.RecvValues {
-		m |= 1 << colRecvPeers
-	}
-	if p.RecvValues {
-		m |= 1 << colRecvValues
-	}
-	if p.Emitted {
-		m |= 1 << colEmitted
-	}
-	return m
+	return m.closed()
 }
 
 var layerEndMagic = [4]byte{'V', 'R', 'P', 'A'}
@@ -794,8 +799,7 @@ func (st *stitcher) intern(table string) int {
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // columnarLayer is an opened columnar layer file: parsed header and footer,
-// with column blocks still on storage until decodeInto reads the projected
-// ones.
+// with column blocks still on storage until decode reads the projected ones.
 type columnarLayer struct {
 	r         io.ReaderAt
 	superstep int
@@ -805,14 +809,35 @@ type columnarLayer struct {
 	lens      [numColumns]int64
 }
 
-// openColumnar parses the header and footer of a columnar layer file
-// (version 2 or 3) of the given size without reading any column block.
-func openColumnar(r io.ReaderAt, size int64) (*columnarLayer, error) {
-	hdr := make([]byte, 64)
-	if size < int64(len(hdr)) {
-		hdr = hdr[:size]
+// image is a layer file held in memory: readAt hands out subslices of it,
+// not copies.
+type image []byte
+
+func (im image) ReadAt(p []byte, off int64) (int, error) { return bytes.NewReader(im).ReadAt(p, off) }
+
+// readAt returns the n bytes of r at off, which openColumnar has checked lie
+// in the file: a subslice when r is an image, otherwise read into *buf,
+// which grows as needed and is overwritten by the next read.
+func readAt(r io.ReaderAt, off, n int64, buf *[]byte) ([]byte, error) {
+	if im, ok := r.(image); ok {
+		return im[off : off+n : off+n], nil
 	}
-	if _, err := r.ReadAt(hdr, 0); err != nil {
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	if _, err := r.ReadAt(b, off); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// openColumnar parses the header and footer of a columnar layer file
+// (version 2 or 3) of the given size without reading any column block. It
+// reads them into *buf (see readAt).
+func openColumnar(r io.ReaderAt, size int64, buf *[]byte) (*columnarLayer, error) {
+	hdr, err := readAt(r, 0, min(size, 64), buf)
+	if err != nil {
 		return nil, corruptf("short header read: %v", err)
 	}
 	if len(hdr) < 5 || [4]byte(hdr[:4]) != layerMagic {
@@ -835,11 +860,11 @@ func openColumnar(r io.ReaderAt, size int64) (*columnarLayer, error) {
 	}
 	headerEnd := int64(c.off)
 
-	var trailer [8]byte
-	if size < headerEnd+int64(len(trailer)) {
+	if size < headerEnd+8 {
 		return nil, corruptf("file size %d too small for trailer", size)
 	}
-	if _, err := r.ReadAt(trailer[:], size-8); err != nil {
+	trailer, err := readAt(r, size-8, 8, buf)
+	if err != nil {
 		return nil, corruptf("short trailer read: %v", err)
 	}
 	if [4]byte(trailer[4:]) != layerEndMagic {
@@ -849,8 +874,8 @@ func openColumnar(r io.ReaderAt, size int64) (*columnarLayer, error) {
 	if footLen <= 0 || footLen > size-8-headerEnd {
 		return nil, corruptf("footer length %d out of range", footLen)
 	}
-	foot := make([]byte, footLen)
-	if _, err := r.ReadAt(foot, size-8-footLen); err != nil {
+	foot, err := readAt(r, size-8-footLen, footLen, buf)
+	if err != nil {
 		return nil, corruptf("short footer read: %v", err)
 	}
 	fc := bcursor{b: foot}
@@ -887,8 +912,8 @@ func openColumnar(r io.ReaderAt, size int64) (*columnarLayer, error) {
 		cl.offs[id] = int64(off)
 		cl.lens[id] = int64(length)
 	}
-	if cl.present&maskCore != maskCore {
-		return nil, corruptf("missing core columns (footer mask %09b)", cl.present)
+	if cl.present&maskRequired != maskRequired {
+		return nil, corruptf("missing required columns (footer mask %09b)", cl.present)
 	}
 	// Each record costs at least one vertex-delta byte, so the record count
 	// is bounded by the vertex block length — reject a lying header before
@@ -899,222 +924,295 @@ func openColumnar(r io.ReaderAt, size int64) (*columnarLayer, error) {
 	return cl, nil
 }
 
-func (cl *columnarLayer) readBlock(col int) (*bcursor, error) {
-	if !cl.present.has(col) {
-		return nil, corruptf("column %d absent from footer", col)
-	}
-	b := make([]byte, cl.lens[col])
-	if _, err := cl.r.ReadAt(b, cl.offs[col]); err != nil {
-		return nil, corruptf("short read of column %d: %v", col, err)
-	}
-	return &bcursor{b: b}, nil
+// LayerViews is a layer decoded into the record views the query evaluator
+// reads, the one decoded form of a layer. The views and the message and
+// fact slices they borrow live in arenas the next decode into the same
+// LayerViews overwrites: a layer's views are valid until then. String and
+// vector payloads are allocated by every decode, so kept Values outlive the
+// views. A view's SentAny is the stored flag (prov_send also holds for a
+// view with sends).
+type LayerViews struct {
+	Superstep int
+	Records   []eval.RecordView
+
+	sends  []engine.SentMessage
+	recvs  []engine.IncomingMessage
+	facts  []engine.ProvFact
+	args   []value.Value
+	tables []string // the layer's fact-table dictionary
+	buf    []byte   // header, footer and column blocks read from a file
 }
 
-// decodeInto materializes the core columns plus the optional columns
-// selected by mask into l (which must be empty).
-func (cl *columnarLayer) decodeInto(l *Layer, mask colMask) error {
-	l.Superstep = cl.superstep
-	n := cl.nrecords
-	l.Records = make([]Record, n)
+// Capacity returns how many views and messages, sent and received, the
+// arenas have room for: those of the largest layer decoded into them.
+func (v *LayerViews) Capacity() (views, msgs int) { return cap(v.Records), cap(v.sends) + cap(v.recvs) }
 
-	vc, err := cl.readBlock(colVertex)
+// ColumnWork is the decode work a store's reads did on one layer column:
+// the column blocks decoded and their bytes.
+type ColumnWork struct{ Blocks, Bytes int64 }
+
+// decodeWork is ColumnWork per column ID.
+type decodeWork [numColumns]ColumnWork
+
+// colNames names the columns by ID, as DecodeWork reports them.
+var colNames = [numColumns]string{"vertex", "prevActive", "flags", "sendPeers", "sendValues", "recvPeers", "recvValues", "values", "emitted"}
+
+// read decodes the layer file r of the given size into v: the columns of
+// mask.closed(), every other column left empty (Null values, nil messages
+// and facts). work counts the column blocks decoded.
+func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeWork) error {
+	cl, err := openColumnar(r, size, &v.buf)
 	if err != nil {
 		return err
 	}
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		d, err := vc.zigzag()
-		if err != nil {
-			return err
-		}
-		prev += d
-		l.Records[i].Vertex = VertexID(prev)
+	mask = mask.closed()
+	v.Superstep = cl.superstep
+	if cap(v.Records) < cl.nrecords {
+		v.Records = make([]eval.RecordView, cl.nrecords)
 	}
-
-	pc, err := cl.readBlock(colPrevActive)
-	if err != nil {
-		return err
-	}
-	base := int64(cl.superstep - 1)
-	for i := 0; i < n; i++ {
-		d, err := pc.zigzag()
-		if err != nil {
-			return err
-		}
-		pa := base - d
-		if pa < -1 || pa > int64(math.MaxInt32) {
-			return corruptf("prevActive %d out of range for record %d", pa, i)
-		}
-		l.Records[i].PrevActive = int32(pa)
-	}
-
-	fc, err := cl.readBlock(colFlags)
-	if err != nil {
-		return err
-	}
-	if len(fc.b) < (n+3)/4 {
-		return corruptf("flags column holds %d bytes, need %d", len(fc.b), (n+3)/4)
-	}
-	for i := 0; i < n; i++ {
-		fl := fc.b[i/4] >> ((i % 4) * 2)
-		l.Records[i].HasValue = fl&1 != 0
-		l.Records[i].SentAny = fl&2 != 0
-	}
-
-	if err := cl.decodePeers(l, colSendPeers); err != nil {
-		return err
-	}
-	for col := colSendValues; col < numColumns; col++ {
+	v.Records = v.Records[:cl.nrecords]
+	v.sends, v.recvs, v.facts, v.args = v.sends[:0], v.recvs[:0], v.facts[:0], v.args[:0]
+	for col := range numColumns {
 		if !mask.has(col) {
 			continue
 		}
-		if err := cl.decodeOptional(l, col); err != nil {
+		if !cl.present.has(col) {
+			return corruptf("column %d absent from footer", col)
+		}
+		b, err := readAt(r, cl.offs[col], cl.lens[col], &v.buf)
+		if err != nil {
+			return corruptf("short read of column %d: %v", col, err)
+		}
+		work[col].Blocks++
+		work[col].Bytes += int64(len(b))
+		if err := v.decode(col, &bcursor{b: b}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// decodePeers decodes a peer-list column (send or receive topology).
-func (cl *columnarLayer) decodePeers(l *Layer, col int) error {
-	c, err := cl.readBlock(col)
-	if err != nil {
-		return err
-	}
-	for i := range l.Records {
-		r := &l.Records[i]
-		cnt, err := c.count(1)
-		if err != nil {
-			return err
+// decode decodes column col from c into the views. Columns decode in ID
+// order: the vertex column first, which resets each view, and a value
+// column after the peer column its values align to.
+func (v *LayerViews) decode(col int, c *bcursor) error {
+	recs := v.Records
+	var err error
+	switch col {
+	case colVertex:
+		prev := int64(0)
+		for i := range recs {
+			if prev, err = c.peer(prev); err != nil {
+				return err
+			}
+			recs[i] = eval.RecordView{Vertex: int64(VertexID(prev)), Superstep: int64(v.Superstep)}
 		}
-		if cnt == 0 {
-			continue
-		}
-		ms := make([]MsgHalf, cnt)
-		prev := int64(r.Vertex)
-		for j := range ms {
+	case colPrevActive:
+		base := int64(v.Superstep - 1)
+		for i := range recs {
 			d, err := c.zigzag()
 			if err != nil {
 				return err
 			}
-			prev += d
-			ms[j].Peer = VertexID(prev)
-		}
-		if col == colSendPeers {
-			r.Sends = ms
-		} else {
-			r.Recvs = ms
-		}
-	}
-	return nil
-}
-
-// decodeOptional decodes one non-core column into an already-materialized
-// layer. Alignment invariants: sendValues needs Sends populated (core),
-// recvValues needs Recvs (so colRecvPeers must decode first — decodeInto
-// iterates columns in ID order and LayerProjection.mask guarantees the
-// peers bit accompanies the values bit).
-func (cl *columnarLayer) decodeOptional(l *Layer, col int) error {
-	switch col {
-	case colRecvPeers:
-		return cl.decodePeers(l, col)
-	case colSendValues, colRecvValues:
-		c, err := cl.readBlock(col)
-		if err != nil {
-			return err
-		}
-		for i := range l.Records {
-			ms := l.Records[i].Sends
-			if col == colRecvValues {
-				ms = l.Records[i].Recvs
+			pa := base - d
+			if pa < -1 || pa > int64(math.MaxInt32) {
+				return corruptf("prevActive %d out of range for record %d", pa, i)
 			}
+			recs[i].PrevActive = pa
+		}
+	case colFlags:
+		if len(c.b) < (len(recs)+3)/4 {
+			return corruptf("flags column holds %d bytes, need %d", len(c.b), (len(recs)+3)/4)
+		}
+		for i := range recs {
+			fl := c.b[i/4] >> ((i % 4) * 2)
+			recs[i].HasValue = fl&1 != 0
+			recs[i].SentAny = fl&2 != 0
+		}
+	case colSendPeers:
+		reserve(&v.sends, c.peers(len(recs)))
+		for i := range recs {
+			cnt, err := c.count(1)
+			if err != nil {
+				return err
+			}
+			ms, peer := window(&v.sends, cnt), recs[i].Vertex
 			for j := range ms {
-				if col == colSendValues && c.off < len(c.b) && c.b[c.off] == pvRepeat {
+				if peer, err = c.peer(peer); err != nil {
+					return err
+				}
+				ms[j] = engine.SentMessage{Dst: VertexID(peer)}
+			}
+			recs[i].Sends = ms
+		}
+	case colRecvPeers:
+		reserve(&v.recvs, c.peers(len(recs)))
+		for i := range recs {
+			cnt, err := c.count(1)
+			if err != nil {
+				return err
+			}
+			ms, peer := window(&v.recvs, cnt), recs[i].Vertex
+			for j := range ms {
+				if peer, err = c.peer(peer); err != nil {
+					return err
+				}
+				ms[j] = engine.IncomingMessage{Src: VertexID(peer)}
+			}
+			recs[i].Recvs = ms
+		}
+	case colSendValues:
+		for i := range recs {
+			ms := recs[i].Sends
+			for j := range ms {
+				if c.off < len(c.b) && c.b[c.off] == pvRepeat {
 					if j == 0 {
 						return corruptf("repeat code as record %d's first send", i)
 					}
 					c.off++
 					ms[j].Val = ms[j-1].Val // Values are immutable: a repeated vector shares its slice
-					continue
-				}
-				if ms[j].Val, err = c.packedValue(); err != nil {
+				} else if ms[j].Val, err = c.packedValue(); err != nil {
 					return err
 				}
 			}
 		}
-		return nil
+	case colRecvValues:
+		for i := range recs {
+			for j := range recs[i].Recvs {
+				if recs[i].Recvs[j].Val, err = c.packedValue(); err != nil {
+					return err
+				}
+			}
+		}
 	case colValues:
-		c, err := cl.readBlock(col)
-		if err != nil {
-			return err
-		}
-		for i := range l.Records {
-			if !l.Records[i].HasValue {
-				continue
-			}
-			var err error
-			if l.Records[i].Value, err = c.packedValue(); err != nil {
-				return err
+		for i := range recs {
+			if recs[i].HasValue {
+				if recs[i].Value, err = c.packedValue(); err != nil {
+					return err
+				}
 			}
 		}
-		return nil
 	case colEmitted:
-		c, err := cl.readBlock(col)
-		if err != nil {
-			return err
-		}
-		ntables, err := c.count(1)
-		if err != nil {
-			return err
-		}
-		tables := make([]string, ntables)
-		for i := range tables {
-			tl, err := c.count(1)
-			if err != nil {
-				return err
-			}
-			raw, err := c.take(tl)
-			if err != nil {
-				return err
-			}
-			tables[i] = string(raw)
-		}
-		for i := range l.Records {
-			nf, err := c.count(1)
-			if err != nil {
-				return err
-			}
-			if nf == 0 {
-				continue
-			}
-			facts := make([]Fact, nf)
-			for j := range facts {
-				ti, err := c.uvarint()
-				if err != nil {
-					return err
-				}
-				if ti >= uint64(len(tables)) {
-					return corruptf("fact table index %d out of dictionary range %d", ti, len(tables))
-				}
-				facts[j].Table = tables[ti]
-				na, err := c.count(1)
-				if err != nil {
-					return err
-				}
-				if na > 0 {
-					args := make([]value.Value, na)
-					for k := range args {
-						if args[k], err = c.packedValue(); err != nil {
-							return err
-						}
-					}
-					facts[j].Args = args
-				}
-			}
-			l.Records[i].Emitted = facts
-		}
-		return nil
-	default:
-		return corruptf("column %d is not decodable", col)
+		return v.decodeFacts(c)
 	}
+	return nil
+}
+
+// peers returns how many peers a peer column of n records holds: every
+// varint ends in one byte below 0x80, and n of the varints are counts.
+func (c *bcursor) peers(n int) int {
+	ends := 0
+	for _, b := range c.b {
+		if b < 0x80 {
+			ends++
+		}
+	}
+	return max(ends-n, 0)
+}
+
+// peer decodes a zigzag delta from prev and returns the sum: the next ID
+// of a delta-encoded list.
+func (c *bcursor) peer(prev int64) (int64, error) {
+	d, err := c.zigzag()
+	return prev + d, err
+}
+
+// reserve makes room for n elements in the empty *arena, so a column sized
+// up front fills it without growing it.
+func reserve[M any](arena *[]M, n int) {
+	if cap(*arena) < n {
+		*arena = make([]M, 0, n)
+	}
+}
+
+// window appends n elements to *arena and returns them. A window taken
+// before the arena grows keeps the elements it had.
+func window[M any](arena *[]M, n int) []M {
+	at := len(*arena)
+	*arena = slices.Grow(*arena, n)[:at+n]
+	return (*arena)[at : at+n : at+n]
+}
+
+// decodeFacts decodes the emitted-fact column: the layer's table
+// dictionary, then each record's facts.
+func (v *LayerViews) decodeFacts(c *bcursor) error {
+	ntables, err := c.count(1)
+	if err != nil {
+		return err
+	}
+	v.tables = v.tables[:0]
+	for range ntables {
+		tl, err := c.count(1)
+		if err != nil {
+			return err
+		}
+		raw, err := c.take(tl)
+		if err != nil {
+			return err
+		}
+		v.tables = append(v.tables, string(raw))
+	}
+	for i := range v.Records {
+		nf, err := c.count(1)
+		if err != nil {
+			return err
+		}
+		facts := window(&v.facts, nf)
+		for j := range facts {
+			ti, err := c.uvarint()
+			if err != nil {
+				return err
+			}
+			if ti >= uint64(len(v.tables)) {
+				return corruptf("fact table index %d out of dictionary range %d", ti, len(v.tables))
+			}
+			na, err := c.count(1)
+			if err != nil {
+				return err
+			}
+			args := window(&v.args, na)
+			for k := range args {
+				if args[k], err = c.packedValue(); err != nil {
+					return err
+				}
+			}
+			facts[j] = engine.ProvFact{Table: v.tables[ti], Args: args}
+		}
+		v.Records[i].Emitted = facts
+	}
+	return nil
+}
+
+// layer copies the views into a row-shaped Layer, which shares only their
+// payloads: v may be decoded into again.
+func (v *LayerViews) layer() *Layer {
+	l := &Layer{Superstep: v.Superstep, Records: make([]Record, len(v.Records))}
+	halves := make([]MsgHalf, len(v.sends)+len(v.recvs))
+	facts := make([]Fact, len(v.facts))
+	args := make([]value.Value, len(v.args))
+	for i := range v.Records {
+		rv := &v.Records[i]
+		r := &l.Records[i]
+		*r = Record{Vertex: VertexID(rv.Vertex), PrevActive: int32(rv.PrevActive), HasValue: rv.HasValue, Value: rv.Value, SentAny: rv.SentAny}
+		if n := len(rv.Sends); n > 0 {
+			r.Sends, halves = halves[:n:n], halves[n:]
+			for j, m := range rv.Sends {
+				r.Sends[j] = MsgHalf{Peer: m.Dst, Val: m.Val}
+			}
+		}
+		if n := len(rv.Recvs); n > 0 {
+			r.Recvs, halves = halves[:n:n], halves[n:]
+			for j, m := range rv.Recvs {
+				r.Recvs[j] = MsgHalf{Peer: m.Src, Val: m.Val}
+			}
+		}
+		if n := len(rv.Emitted); n > 0 {
+			r.Emitted, facts = facts[:n:n], facts[n:]
+			for j, f := range rv.Emitted {
+				k := copy(args, f.Args)
+				r.Emitted[j], args = Fact{Table: f.Table, Args: args[:k:k]}, args[k:]
+			}
+		}
+	}
+	return l
 }

@@ -134,7 +134,9 @@ func project(l *Layer, mask colMask) *Layer {
 		if !mask.has(colValues) {
 			r.Value = value.NullValue
 		}
-		if !mask.has(colSendValues) {
+		if !mask.has(colSendPeers) {
+			r.Sends = nil
+		} else if !mask.has(colSendValues) {
 			r.Sends = peersOnly(r.Sends)
 		}
 		if !mask.has(colRecvPeers) {
@@ -151,13 +153,16 @@ func project(l *Layer, mask colMask) *Layer {
 }
 
 // columnsOf returns the core columns plus every optional column some record
-// of l holds data from: a non-Null payload, receive peers or a fact.
+// of l holds data from: a non-Null payload, send or receive peers or a fact.
 func columnsOf(l *Layer) colMask {
 	m := maskCore
 	for i := range l.Records {
 		r := &l.Records[i]
 		if !r.Value.IsNull() {
 			m |= 1 << colValues
+		}
+		if r.Sends != nil {
+			m |= 1 << colSendPeers
 		}
 		for _, h := range r.Sends {
 			if !h.Val.IsNull() {
@@ -182,11 +187,12 @@ func columnsOf(l *Layer) colMask {
 func TestColumnarRoundTrip(t *testing.T) {
 	for _, l := range []*Layer{trickyLayer(3), trickyLayer(0), {Superstep: 2}, sampleLayer(1, 50)} {
 		path := writeTempLayer(t, l)
-		got, err := readLayerFile(path, maskAll)
-		if err != nil {
+		var v LayerViews
+		var w decodeWork
+		if err := v.readFile(path, maskAll, &w); err != nil {
 			t.Fatal(err)
 		}
-		assertLayersIdentical(t, l, got)
+		assertLayersIdentical(t, l, v.layer())
 	}
 }
 
@@ -251,17 +257,27 @@ func TestIntegralFloat(t *testing.T) {
 }
 
 // TestColumnarProjection reads the same image under every projection and
-// checks that each decode holds exactly the core columns plus the projected
-// ones, with the layer's own data in them.
+// checks that each decode reads and holds exactly the core columns plus the
+// projected ones, with the layer's own data in them: the send peers only
+// when projected.
 func TestColumnarProjection(t *testing.T) {
 	l := trickyLayer(4)
 	img := encodeLayerColumnar(l)
-	for _, p := range []*LayerProjection{nil, {}, {Values: true}, {SendValues: true}, {RecvPeers: true},
-		{RecvValues: true}, {Emitted: true}, {Values: true, SendValues: true, Emitted: true}} {
+	for _, p := range []*LayerProjection{nil, {}, {Values: true}, {SendPeers: true}, {SendValues: true}, {RecvPeers: true},
+		{RecvValues: true}, {Emitted: true}, {Values: true, SendValues: true, Emitted: true}, {SendPeers: true, RecvPeers: true}} {
 		mask := p.mask()
-		got := readImage(t, img, mask)
+		got, work, err := readRawWork(img, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if cols := columnsOf(got); cols != mask {
 			t.Errorf("projection %+v materialized columns %09b, want %09b", p, cols, mask)
+		}
+		if cols := decodedColumns(work); cols != mask {
+			t.Errorf("projection %+v decoded columns %09b, want %09b", p, cols, mask)
+		}
+		if peers := p == nil || p.SendPeers || p.SendValues; (work[colSendPeers].Blocks == 1) != peers {
+			t.Errorf("projection %+v decoded %d sendPeers blocks, want them exactly when projected", p, work[colSendPeers].Blocks)
 		}
 		if !bytes.Equal(encodeLayerColumnar(got), encodeLayerColumnar(project(l, mask))) {
 			t.Errorf("projection %+v decoded other data than the layer's projected columns", p)
@@ -344,13 +360,10 @@ func wccLayer(ss, nrec, fanout int) *Layer {
 func TestColumnarBufferRoundTrip(t *testing.T) {
 	l := trickyLayer(2)
 	img := encodeLayerColumnar(l)
-	cl, err := openColumnar(bytes.NewReader(img), int64(len(img)))
-	if err != nil {
+	var v LayerViews
+	var w decodeWork
+	if err := v.read(image(img), int64(len(img)), maskAll, &w); err != nil {
 		t.Fatal(err)
 	}
-	got := &Layer{}
-	if err := cl.decodeInto(got, maskAll); err != nil {
-		t.Fatal(err)
-	}
-	assertLayersIdentical(t, l, got)
+	assertLayersIdentical(t, l, v.layer())
 }

@@ -3,6 +3,7 @@ package provenance
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,9 +107,43 @@ func formatCases(t *testing.T) []formatCase {
 	}
 }
 
-// readRaw decodes layer file bytes the way the store does.
+// readRaw decodes layer file bytes the way the store does (see readRawWork).
 func readRaw(raw []byte, mask colMask) (*Layer, error) {
-	return readLayer(bytes.NewReader(raw), int64(len(raw)), mask)
+	l, _, err := readRawWork(raw, mask)
+	return l, err
+}
+
+// readRawWork decodes layer file bytes both ways the store reads a layer:
+// as a resident image, whose blocks are subslices of it, and through a
+// reader, as a spilled file is read. The two must agree on the outcome,
+// the work and the layer; it returns the layer and the work.
+func readRawWork(raw []byte, mask colMask) (*Layer, decodeWork, error) {
+	var mem, file LayerViews
+	var work, fileWork decodeWork
+	err := mem.read(image(raw), int64(len(raw)), mask, &work)
+	fileErr := file.read(bytes.NewReader(raw), int64(len(raw)), mask, &fileWork)
+	if (err == nil) != (fileErr == nil) || work != fileWork {
+		return nil, work, fmt.Errorf("image read (%v, %v) and reader read (%v, %v) disagree", err, work, fileErr, fileWork)
+	}
+	if err != nil {
+		return nil, work, err
+	}
+	l := mem.layer()
+	if !bytes.Equal(layerBinary(l), layerBinary(file.layer())) {
+		return nil, work, fmt.Errorf("image read and reader read decode different layers")
+	}
+	return l, work, nil
+}
+
+// decodedColumns returns the columns work shows a block decoded of.
+func decodedColumns(work decodeWork) colMask {
+	var m colMask
+	for col, w := range work {
+		if w.Blocks > 0 {
+			m |= 1 << col
+		}
+	}
+	return m
 }
 
 // TestLayerTruncationNeverPanics first checks that the v2 and v3 images

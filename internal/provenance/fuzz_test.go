@@ -19,8 +19,9 @@ import (
 // may not stand — a record's first send, the receive-value column.
 // The invariant under test: decode never panics and never over-allocates;
 // it either returns a layer or a clean error, for the full read and for
-// every projected read, and a projected read materializes exactly the core
-// and projected columns.
+// every projected read, and a projected read decodes exactly the core and
+// projected columns (the send peers only when projected or implied by the
+// send values) and materializes nothing else.
 //
 // CI runs this as a 30s smoke via `go test -fuzz FuzzLayerV2Decode`.
 func FuzzLayerV2Decode(f *testing.F) {
@@ -36,7 +37,7 @@ func FuzzLayerV2Decode(f *testing.F) {
 	for _, sd := range seeds {
 		v2 := encodeLayerColumnar(sd.l)
 		v1 := readV1Fixture(f, sd.v1)
-		for _, mask := range []uint16{uint16(maskAll), uint16(maskCore), 0} {
+		for _, mask := range []uint16{uint16(maskAll), uint16(maskCore), 0, 1 << colSendPeers} {
 			f.Add(v2, mask)
 			f.Add(v1, mask)
 		}
@@ -59,18 +60,27 @@ func FuzzLayerV2Decode(f *testing.F) {
 		if err == nil && full == nil {
 			t.Fatal("readLayer returned neither layer nor error")
 		}
-		proj, err := readRaw(data, colMask(mask))
+		proj, work, err := readRawWork(data, colMask(mask))
 		if err != nil {
 			return
 		}
 		if proj == nil {
 			t.Fatal("projected readLayer returned neither layer nor error")
 		}
-		// A successful projected decode materializes the requested columns
-		// plus the always-on core set, and nothing more.
-		want := colMask(mask) | maskCore
+		// A successful projected decode reads exactly the requested columns
+		// plus the always-on core set and the peers of requested message
+		// values, each once, and materializes nothing more.
+		want := colMask(mask).closed()
+		if want.has(colSendPeers) != (mask&(1<<colSendPeers|1<<colSendValues) != 0) {
+			t.Fatalf("mask %09b reads the send peers: %v", mask, want.has(colSendPeers))
+		}
 		if got := columnsOf(proj); got&^want != 0 {
 			t.Fatalf("projected decode materialized columns %09b outside %09b", got&^want, want)
+		}
+		for col, w := range work {
+			if blocks := int64(boolByte(want.has(col))); w.Blocks != blocks {
+				t.Fatalf("projected decode (mask %09b) decoded %d blocks of column %d, want %d", want, w.Blocks, col, blocks)
+			}
 		}
 		// A projected decode may succeed where the full decode errors (a
 		// corrupt byte in a skipped column is invisible to it), but when

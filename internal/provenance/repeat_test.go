@@ -85,18 +85,16 @@ func boolByte(x bool) byte {
 // send-value column holds as the repeat code.
 func sendRepeats(t *testing.T, img []byte) [][]bool {
 	t.Helper()
-	cl, err := openColumnar(bytes.NewReader(img), int64(len(img)))
+	l, err := readRaw(img, 1<<colSendPeers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := &Layer{}
-	if err := cl.decodeInto(l, maskCore); err != nil {
-		t.Fatal(err)
-	}
-	c, err := cl.readBlock(colSendValues)
+	cl, err := openColumnar(image(img), int64(len(img)), new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
+	off := cl.offs[colSendValues]
+	c := bcursor{b: img[off : off+cl.lens[colSendValues]]}
 	out := make([][]bool, len(l.Records))
 	for i := range l.Records {
 		for range l.Records[i].Sends {
@@ -172,7 +170,7 @@ func TestSendRepeatBitExact(t *testing.T) {
 		}
 	}
 
-	for _, p := range []*LayerProjection{nil, {}, {SendValues: true}, {RecvValues: true}, {Values: true, Emitted: true}} {
+	for _, p := range []*LayerProjection{nil, {}, {SendPeers: true}, {SendValues: true}, {RecvValues: true}, {Values: true, Emitted: true}} {
 		mask := p.mask()
 		dec := readImage(t, img, mask)
 		if !bytes.Equal(layerBinary(dec), layerBinary(project(l, mask))) {
@@ -197,7 +195,7 @@ func TestV2ImageDecodes(t *testing.T) {
 			t.Fatalf("oracle wrote version %d, want 2", v2[4])
 		}
 		v3 := encodeLayerColumnar(l)
-		for _, p := range []*LayerProjection{nil, {}, {SendValues: true}, {RecvPeers: true}, {Values: true, Emitted: true}} {
+		for _, p := range []*LayerProjection{nil, {}, {SendPeers: true}, {SendValues: true}, {RecvPeers: true}, {Values: true, Emitted: true}} {
 			mask := p.mask()
 			want := layerBinary(project(l, mask))
 			if got := layerBinary(readImage(t, v2, mask)); !bytes.Equal(got, want) {
@@ -224,7 +222,7 @@ func misplacedRepeat(col int) []byte {
 			Emitted: []Fact{{Table: "t", Args: []value.Value{value.NullValue}}}})
 	}
 	img := encodeLayerColumnar(l)
-	cl, err := openColumnar(bytes.NewReader(img), int64(len(img)))
+	cl, err := openColumnar(image(img), int64(len(img)), new([]byte))
 	if err != nil {
 		panic(err)
 	}

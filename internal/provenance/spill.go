@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"io"
 	"os"
 	"time"
 
@@ -53,30 +52,17 @@ func writeLayerFile(path string, img []byte, ss int, inj *fault.Injector, m *obs
 	return nil
 }
 
-// readLayer decodes a layer file of the given size, materializing the core
-// columns and the columns in mask and leaving every other column zero.
-func readLayer(r io.ReaderAt, size int64, mask colMask) (*Layer, error) {
-	cl, err := openColumnar(r, size)
-	if err != nil {
-		return nil, err
-	}
-	l := &Layer{}
-	if err := cl.decodeInto(l, mask); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// readLayerFile decodes the columns in mask from a layer file.
-func readLayerFile(path string, mask colMask) (*Layer, error) {
+// readFile decodes the columns of mask.closed() from a layer file into v
+// (see LayerViews.read).
+func (v *LayerViews) readFile(path string, mask colMask, work *decodeWork) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return readLayer(f, st.Size(), mask)
+	return v.read(f, st.Size(), mask, work)
 }

@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -78,7 +77,7 @@ type CaptureGap struct {
 // representation from capture to disk: its finished columnar file image. A
 // resident layer is the image in memory, a spilled one the same bytes in a
 // file; reads open either with openColumnar and decode only the projected
-// blocks.
+// blocks, into LayerViews.
 //
 // Concurrency: the Store API is single-goroutine (the engine's observe
 // phase). The async spill pipeline adds exactly one background writer
@@ -121,6 +120,8 @@ type Store struct {
 
 	rows   *LayerBuilder // AppendLayer's, reused across layers
 	stitch stitcher
+	work   decodeWork // what layer reads decoded, per column
+	views  LayerViews // Layer's decode arenas, reused from call to call
 }
 
 // vertexSet is a growable bitset of vertex IDs with a count of its members.
@@ -487,23 +488,30 @@ func (s *Store) spillLayer(path string, img []byte, idx, attrSS int) error {
 // NumLayers returns the number of captured layers (supersteps).
 func (s *Store) NumLayers() int { return len(s.images) }
 
-// Layer returns layer i fully materialized (see LayerProjected).
+// Layer returns layer i fully materialized as a row-shaped Layer, a copy of
+// its views (see LayerProjected); the store keeps the arenas it decodes
+// them into for the next call.
 //
 // Layer is not safe for concurrent use: it drains the spill pipeline's
 // completions, which mutates store state.
-func (s *Store) Layer(i int) (*Layer, error) { return s.LayerProjected(i, nil) }
+func (s *Store) Layer(i int) (*Layer, error) {
+	if err := s.LayerProjected(i, nil, &s.views); err != nil {
+		return nil, err
+	}
+	return s.views.layer(), nil
+}
 
-// LayerProjected decodes layer i with the core columns and the columns
-// selected by proj materialized (nil means all — Layer's behavior); every
-// other column is left zero (Null values, nil Recvs and Emitted). Whether
+// LayerProjected decodes layer i into v, reusing its arenas (see
+// LayerViews), with the core columns and the columns selected by proj
+// materialized (nil means all); every other column is left empty. Whether
 // the layer's image is resident, in flight to its file, or only in the
 // file, only those column blocks are read, and every call decodes them
 // afresh.
 //
 // Same concurrency contract as Layer.
-func (s *Store) LayerProjected(i int, proj *LayerProjection) (*Layer, error) {
+func (s *Store) LayerProjected(i int, proj *LayerProjection, v *LayerViews) error {
 	if i < 0 || i >= len(s.images) {
-		return nil, fmt.Errorf("provenance: layer %d out of range [0,%d)", i, len(s.images))
+		return fmt.Errorf("provenance: layer %d out of range [0,%d)", i, len(s.images))
 	}
 	s.drainCompletions()
 	s.cfg.Metrics.Counter("store_layer_reload_total").Add(1)
@@ -511,21 +519,31 @@ func (s *Store) LayerProjected(i int, proj *LayerProjection) (*Layer, error) {
 	if img == nil {
 		img = s.pending[i]
 	}
-	var l *Layer
 	var err error
 	if img != nil {
-		l, err = readLayer(bytes.NewReader(img), int64(len(img)), proj.mask())
+		err = v.read(image(img), int64(len(img)), proj.mask(), &s.work)
 	} else {
-		l, err = readLayerFile(s.files[i], proj.mask())
+		err = v.readFile(s.files[i], proj.mask(), &s.work)
 	}
 	if err != nil {
 		where := "resident"
 		if s.files[i] != "" {
 			where = "spilled"
 		}
-		return nil, fmt.Errorf("provenance: reading %s layer %d: %w", where, i, err)
+		return fmt.Errorf("provenance: reading %s layer %d: %w", where, i, err)
 	}
-	return l, nil
+	return nil
+}
+
+// DecodeWork returns the decode work the store's layer reads have done so
+// far, per column name ("vertex", "sendPeers", ...; see the format comment
+// in columnar.go).
+func (s *Store) DecodeWork() map[string]ColumnWork {
+	out := make(map[string]ColumnWork, numColumns)
+	for col, w := range s.work {
+		out[colNames[col]] = w
+	}
+	return out
 }
 
 // TotalBytes returns the logical size of the captured provenance graph in
@@ -626,10 +644,10 @@ func (s *Store) Reattach(n int) error {
 	}
 	for i := 0; i < n; i++ {
 		path := filepath.Join(s.cfg.SpillDir, layerFileName(i))
-		l, err := readLayerFile(path, maskAll)
-		if err != nil {
+		if err := s.views.readFile(path, maskAll, &s.work); err != nil {
 			return fmt.Errorf("provenance: reattaching layer %d: %w", i, err)
 		}
+		l := s.views.layer()
 		if l.Superstep != i {
 			return fmt.Errorf("provenance: reattached layer file %d holds superstep %d", i, l.Superstep)
 		}

@@ -22,7 +22,9 @@ import (
 // store: over a spilled full capture of each analytic below, layered replay
 // with projection pushdown, where each layer decodes only the columns the
 // query reads, must derive exactly what full-width replay
-// (driver.NoProjection, the reference leg) derives.
+// (driver.NoProjection, the reference leg) derives. Query 10 reads
+// send_message and Query 12 prov_send, which a full capture holds only as
+// the stored sends: a projection that drops the send peers fails both.
 func TestStoreFormatDifferential(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -31,7 +33,7 @@ func TestStoreFormatDifferential(t *testing.T) {
 		offline []queries.Definition
 	}{
 		{"pagerank", &analytics.PageRank{Iterations: 8}, 9,
-			[]queries.Definition{queries.PageRankCheck(), queries.BackwardTrace(3, 6)}},
+			[]queries.Definition{queries.PageRankCheck(), queries.BackwardTrace(3, 6), queries.BackwardTraceCustom(3, 6)}},
 		{"sssp", &analytics.SSSP{Source: 0}, 30,
 			[]queries.Definition{queries.MonotoneCheck()}},
 		{"wcc", analytics.WCC{}, 30,
