@@ -1,5 +1,8 @@
 // Package driver implements the paper's three PQL evaluation modes, each
-// running the query's one compiled program (eval.Compile):
+// running the query's one compiled program (eval.Compile) on one schedule:
+// the in-partition strata on a partition shard per engine partition, their
+// merge, then the barrier strata. Online has a shard per partition; Layered
+// and Naive hand each layer to Compiled.Layer, which runs it as one.
 //
 //   - Naive (§6.2 "Naive"): materialize the entire provenance graph, then
 //     evaluate it in one pass with every rule materialised — the whole graph
@@ -15,8 +18,6 @@ package driver
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 
 	"ariadne/internal/engine"
 	"ariadne/internal/graph"
@@ -141,26 +142,17 @@ func Naive(q *analysis.Query, store *provenance.Store, g *graph.Graph, memoryBud
 // lockstep with the analytic (paper §5.2, Theorem 5.4): each superstep's
 // transient provenance is one layer of the compiled query program, and its
 // fixpoint runs before the next superstep. At the end of the analytic both
-// its result and the query result exist; nothing is captured.
-// ObservePartition turns each engine partition's records into record views
-// once, on that partition's goroutine, and runs the program's in-partition
-// strata over them there — the copy rules of materialised EDBs among them,
-// so a shed partition's facts are dropped with its derivations.
-// ObserveSuperstep merges the partitions' tuples and, when the program has
-// barrier strata, runs them over the views of the partitions not shed, in
-// vertex order.
+// its result and the query result exist; nothing is captured. It forwards
+// each partition's records to the compiled program, whose partition shard
+// turns them into views on that partition's goroutine and runs the
+// in-partition strata over them there — the copy rules of materialised EDBs
+// among them, so a shed partition's facts are dropped with its derivations.
+// ObserveSuperstep has the program merge the partitions not shed and run
+// its barrier strata over their views, and accounts the piggyback tuples.
 type Online struct {
 	q        *analysis.Query
 	db       *eval.Database
 	compiled *eval.Compiled
-
-	// parts are the partitions' views, created on first use; mu guards the
-	// slice. views is the barrier's merge of them, reused across supersteps.
-	// live is the merge's scratch.
-	mu    sync.Mutex
-	parts []*partViews
-	views []eval.RecordView
-	live  [][]eval.RecordView
 
 	// PiggybackTuples counts derived tuples, the payload that rides along
 	// analytic messages in a distributed deployment (DESIGN.md decision 4).
@@ -261,31 +253,10 @@ func (o *Online) Reads() engine.Fields {
 	return f
 }
 
-// partViews are one partition's record views of the superstep it observed
-// last (ss; -1 before the first).
-type partViews struct {
-	ss    int
-	views []eval.RecordView
-}
-
-// ObservePartition implements engine.Observer: partition p's records become
-// views, on p's goroutine, and the compiled query's in-partition strata
-// evaluate them there.
+// ObservePartition implements engine.Observer: the compiled query's
+// in-partition strata evaluate partition p's records on p's goroutine.
 func (o *Online) ObservePartition(p, superstep int, recs []engine.VertexRecord) {
-	pv := o.part(p)
-	pv.ss, pv.views = superstep, eval.EngineViews(pv.views, recs)
-	o.compiled.ObservePartition(p, superstep, pv.views)
-}
-
-// part returns partition p's views, creating them (and any below them) on
-// first use.
-func (o *Online) part(p int) *partViews {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for len(o.parts) <= p {
-		o.parts = append(o.parts, &partViews{ss: -1})
-	}
-	return o.parts[p]
+	o.compiled.ObservePartition(p, superstep, recs)
 }
 
 // ObserveSuperstep implements engine.Observer. The shed check runs here, in
@@ -296,41 +267,13 @@ func (o *Online) ObserveSuperstep(v *engine.SuperstepView) error {
 	if err := c.MergePartitions(v.Superstep, o.shed); err != nil {
 		return err
 	}
-	if c.HasBarrierStrata() {
-		if err := c.BarrierLayer(o.barrierViews(v.Superstep)); err != nil {
-			return err
-		}
+	if err := c.BarrierLayer(); err != nil {
+		return err
 	}
 	derived := c.DerivedTuples()
 	o.notePiggyback(v.Superstep, derived-o.noted)
 	o.noted = derived
 	return nil
-}
-
-// barrierViews merges the views of the partitions that observed superstep
-// and are not shed, in vertex order: each partition's are ascending, and a
-// vertex belongs to one partition.
-func (o *Online) barrierViews(superstep int) []eval.RecordView {
-	live, n := o.live[:0], 0
-	for p, pv := range o.parts {
-		if pv.ss == superstep && (o.shed == nil || !o.shed(p)) {
-			live, n = append(live, pv.views), n+len(pv.views)
-		}
-	}
-	o.live = live
-	views := slices.Grow(o.views[:0], n)
-	for len(views) < n {
-		best := -1
-		for i, l := range live {
-			if len(l) > 0 && (best < 0 || l[0].Vertex < live[best][0].Vertex) {
-				best = i
-			}
-		}
-		views = append(views, live[best][0])
-		live[best] = live[best][1:]
-	}
-	o.views = views
-	return views
 }
 
 // Finish implements engine.Observer. Every superstep's ObserveSuperstep

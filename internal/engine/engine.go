@@ -139,18 +139,19 @@ type Config struct {
 // vertex order. Partitions call it concurrently, so an observer keeps what it
 // does there partition-local until the barrier. This is where the per-record
 // work belongs: capture.Observer encodes the partition's provenance segment
-// there and driver.Online converts the records to query views and runs a
-// compiled query's in-partition strata. Then ObserveSuperstep is called once
-// per superstep, after the barrier, in observer order, to combine what the
-// partitions produced (capture stitches the segments into one layer image;
-// Online merges derived tuples and views). The engine never merges the
-// partitions' records itself. Records and their slices stay valid until
-// ObserveSuperstep returns: Received is a window of the inbox arena and Sent
-// of the partition's send buffer, both reused by later supersteps, so an
-// observer copies what it keeps. Every observer in this repository does
-// (capture encodes the messages into its column bytes, driver.Online and the
-// driver's fact feed into their own rows; the benchmark's timedObserver wraps
-// those).
+// there, and driver.Online hands the records to the compiled query, whose
+// partition shard turns them into views and runs the in-partition strata.
+// Then ObserveSuperstep is called once per superstep, after the barrier, in
+// observer order, to combine what the partitions produced (capture stitches
+// the segments into one layer image; the compiled query merges its shards'
+// tuples and runs its barrier strata over their views). The engine never
+// merges the partitions' records itself. Records and their slices stay valid
+// until ObserveSuperstep returns: Received is a window of the inbox arena and
+// Sent of the partition's send buffer, both reused by later supersteps, so
+// an observer copies what it keeps beyond that. capture encodes the messages
+// into its column bytes; the compiled query's views borrow the records'
+// slices until ObserveSuperstep returns, and the tuples it derives are
+// clones (the benchmark's timedObserver wraps both).
 type Observer interface {
 	// Reads declares the optional record fields the observer reads. The
 	// engine builds the union of every observer's mask and nothing more

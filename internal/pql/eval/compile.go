@@ -45,10 +45,12 @@ func notCompilable(pos pql.Pos, format string, args ...any) error {
 // Its strata run in one of two places. The in-partition prefix (strata[:inPart])
 // runs online on each engine partition's goroutine, right after that
 // partition's compute: a partition shard evaluates its records against the
-// database, frozen while partitions compute, and keeps what it derives in its
-// own dedup sets. At the barrier MergePartitions appends the shards' tuples in
-// the order one serial pass would have, and the remaining strata run there on
-// the main shard, as does every stratum of a layered (offline) evaluation.
+// database, frozen while partitions compute, keeps what it derives in its own
+// dedup sets and keeps the records' views. At the barrier MergePartitions
+// appends the shards' tuples in the order one serial pass would have, and the
+// remaining strata run there on the main shard (BarrierLayer), over the
+// merged views. Layer runs the same schedule with one partition, shard 0, so
+// Layered and Naive evaluation run the record passes online evaluation does.
 type Compiled struct {
 	// strata[i] holds the compiled rules of stratum i; recursive[i] marks a
 	// stratum some rule of which reads a head of that stratum, the only kind
@@ -68,7 +70,7 @@ type Compiled struct {
 	inPart    int
 	partRules int
 
-	// main is the barrier's scratch; noRecord stands in for the record of
+	// main is the barrier's shard; noRecord stands in for the record of
 	// global and static rules, which read none. delta is fireGlobal's
 	// scratch.
 	main     *shard
@@ -76,11 +78,14 @@ type Compiled struct {
 	delta    map[string][]Tuple
 
 	// parts are the partition shards, created on first use; mu guards the
-	// slice. live and heads are MergePartitions' scratch.
+	// slice. live lists the shards MergePartitions merged last; heads is the
+	// merges' scratch, and views holds BarrierLayer's merge of their views,
+	// reused across supersteps.
 	mu    sync.Mutex
 	parts []*shard
 	live  []*shard
 	heads []int
+	views []RecordView
 
 	// mats names the EDB relations the program materialises, copied or
 	// loaded; loads those the caller loads. aggs holds the aggregate heads'
@@ -173,12 +178,13 @@ func (r *crule) planner() string {
 // head in order, for positive reads, and in rows the shard's dedup set of
 // that head: every tuple the shard derived, registered with the head relation
 // (Relation.sets), which the tuple never leaves. out lists the superstep's
-// new tuples for the merge.
+// new tuples for the merge, and views the records it observed, for the
+// barrier; arena holds ObservePartition's views of the engine's records,
+// reused across supersteps.
 //
-// The main shard inserts straight into the database, except in a record pass
-// of two or more rules (pending): there the head itself is the dedup set
-// (ovlHead[ri] is rule ri's head) and out lists the pass's new tuples, which
-// the pass's end appends in rule order, as MergePartitions does.
+// The main shard runs the barrier strata, global and static rules. Its
+// record passes hold one rule each, so it inserts straight into the
+// database as it derives.
 type shard struct {
 	c       *Compiled
 	rn      slotRun
@@ -187,7 +193,6 @@ type shard struct {
 	sink    func(Tuple) error
 	bufSink func(Tuple) error
 	rules   []*crule
-	pending bool
 	// buffered[b] (nil: none) holds branch b's derivations until the end of
 	// the record, in buf[b], heads laid end to end.
 	buffered []bool
@@ -198,8 +203,10 @@ type shard struct {
 	ss      int            // the superstep observed last and not merged, or -1
 	out     [][]shardTuple // per rule: the new tuples, in derivation order
 	emitted []int64        // per rule
-	// marks (partition shards) lists per rule, for each record it emitted
-	// at, how many emissions came before: the merge counts a failing rule's
+	views   []RecordView
+	arena   []RecordView
+	// marks lists per rule, for each record it emitted at, how many
+	// emissions came before: the merge counts a failing rule's
 	// emissions only up to the failure.
 	marks   [][]emitMark
 	records int64
@@ -243,16 +250,9 @@ func (sh *shard) buffer(t Tuple) error {
 func (sh *shard) emit(t Tuple) error {
 	r := sh.rules[sh.rn.branch]
 	if sh.ovl == nil {
-		if !sh.pending {
-			r.emitted++
-			if _, ok := r.head.insertCopy(t, &sh.headKey); ok {
-				sh.c.derived++
-			}
-			return nil
-		}
-		sh.emitted[r.idx]++
-		if c, ok := r.head.claimCopy(t, &sh.headKey); ok {
-			sh.out[r.idx] = append(sh.out[r.idx], shardTuple{vertex: sh.rn.rv.Vertex, t: c})
+		r.emitted++
+		if _, ok := r.head.insertCopy(t, &sh.headKey); ok {
+			sh.c.derived++
 		}
 		return nil
 	}
@@ -514,8 +514,9 @@ func (c *Compiled) copyRules(q *analysis.Query, strata [][]*crule) ([]*crule, er
 	return copies, nil
 }
 
-// planPasses numbers the emitted tables the record steps read, splits each
-// stratum into units and readies the main shard's pending-pass scratch.
+// planPasses numbers the emitted tables the record steps read and splits
+// each stratum into units. A barrier stratum's record rules run one to a
+// trie, as a recursive stratum's do: the main shard inserts as it derives.
 func (c *Compiled) planPasses() {
 	ids := map[string]int{}
 	for _, r := range c.rules {
@@ -539,7 +540,7 @@ func (c *Compiled) planPasses() {
 	for si, stratum := range c.strata {
 		var run []*crule
 		flush := func() {
-			for _, t := range recordTries(run, c.recursive[si]) {
+			for _, t := range recordTries(run, c.recursive[si] || si >= c.inPart) {
 				c.units[si] = append(c.units[si], unit{trie: t})
 				for _, r := range t.rules {
 					r.trie = t
@@ -558,14 +559,7 @@ func (c *Compiled) planPasses() {
 		}
 		flush()
 	}
-	m := c.main
-	m.rn.facts.tables = c.tables
-	m.out = make([][]shardTuple, len(c.rules))
-	m.emitted = make([]int64, len(c.rules))
-	m.ovlHead = make([]*Relation, len(c.rules))
-	for _, r := range c.rules {
-		m.ovlHead[r.idx] = r.head
-	}
+	c.main.rn.facts.tables = c.tables
 }
 
 // makeViews turns static degree rules into views. A static rule
@@ -1004,30 +998,34 @@ func (c *Compiled) BeginRun() error {
 	return nil
 }
 
-// Layer evaluates one provenance layer's records: every stratum in order,
-// once — a recursive stratum until a pass derives nothing (an in-layer
-// fixpoint). A non-recursive stratum reads only lower strata, which a
-// second pass would find unchanged.
+// Layer evaluates one provenance layer's records, in vertex order, on the
+// schedule of an online superstep with one partition: shard 0 runs the
+// in-partition strata, MergePartitions merges them, and BarrierLayer runs
+// every other stratum over the same records — a recursive one until a pass
+// derives nothing (an in-layer fixpoint). A non-recursive stratum reads
+// only lower strata, which a second pass would find unchanged. Naive hands
+// every layer over at once, in capture order: its in-partition strata hold
+// only copy rules, which cannot fail, so no merge stops at a vertex.
 func (c *Compiled) Layer(recs []RecordView) error {
 	if err := c.BeginRun(); err != nil {
 		return err
 	}
-	c.records += int64(len(recs))
-	return c.layerFrom(0, recs)
+	c.partShard(0).layer(0, recs)
+	if err := c.MergePartitions(0, nil); err != nil {
+		return err
+	}
+	return c.BarrierLayer()
 }
 
-// BarrierLayer evaluates the strata above the in-partition prefix over one
-// layer's records, after MergePartitions has merged the prefix's tuples.
-func (c *Compiled) BarrierLayer(recs []RecordView) error {
-	return c.layerFrom(c.inPart, recs)
-}
-
-// HasBarrierStrata reports whether any stratum runs at the barrier.
-func (c *Compiled) HasBarrierStrata() bool { return c.inPart < len(c.strata) }
-
-// layerFrom runs strata[from:] over recs on the main shard.
-func (c *Compiled) layerFrom(from int, recs []RecordView) error {
-	for si := from; si < len(c.strata); si++ {
+// BarrierLayer evaluates the strata above the in-partition prefix on the main
+// shard, over the views of the shards MergePartitions merged last, in vertex
+// order.
+func (c *Compiled) BarrierLayer() error {
+	if c.inPart == len(c.strata) {
+		return nil
+	}
+	recs := c.mergeViews()
+	for si := c.inPart; si < len(c.strata); si++ {
 		for {
 			c.passes[si]++
 			before := c.derived
@@ -1036,7 +1034,8 @@ func (c *Compiled) layerFrom(from int, recs []RecordView) error {
 				if u.global != nil {
 					err = c.fireGlobal(u.global)
 				} else {
-					err = c.mainPass(u.trie, recs)
+					c.main.pass(u.trie, recs)
+					err = c.main.err
 				}
 				if err != nil {
 					return err
@@ -1050,44 +1049,29 @@ func (c *Compiled) layerFrom(from int, recs []RecordView) error {
 	return nil
 }
 
-// mainPass runs a record pass on the main shard. A one-rule pass inserts as
-// it derives; a wider one claims its tuples in their heads and appends them
-// at the end, rule by rule, up to its failure — what a rule-major pass
-// would have inserted, in the order it would have.
-func (c *Compiled) mainPass(t *trie, recs []RecordView) error {
-	sh := c.main
-	sh.pending = len(t.rules) > 1
-	clear(sh.emitted)
-	sh.pass(t, recs)
-	sh.pending = false
-	if len(t.rules) == 1 {
-		return sh.err
-	}
-	c.live = append(c.live[:0], sh)
-	err := c.mergeRules(t.rules, sh)
-	sh.drop()
-	return err
-}
-
-// ObservePartition evaluates the in-partition strata over the views of
-// partition p's records of one superstep, on the calling goroutine, and
-// counts the records. Partitions call it concurrently, after BeginRun and
-// while nothing writes the database. It reports nothing: MergePartitions
-// merges the result and reports the error.
-func (c *Compiled) ObservePartition(p, superstep int, recs []RecordView) {
+// ObservePartition evaluates the in-partition strata over partition p's
+// records of one superstep, on the calling goroutine, and counts the
+// records. The shard converts the records to views in its own arena, which
+// borrow the records' slices until the barrier's BarrierLayer has read them.
+// Partitions call it concurrently, after BeginRun and while nothing writes
+// the database. It reports nothing: MergePartitions merges the result and
+// reports the error.
+func (c *Compiled) ObservePartition(p, superstep int, recs []engine.VertexRecord) {
 	if !c.staticDone || c.staticErr != nil {
 		return
 	}
-	c.partShard(p).layer(superstep, recs)
+	sh := c.partShard(p)
+	sh.arena = EngineViews(sh.arena, recs)
+	sh.layer(superstep, sh.arena)
 }
 
 // layer runs the in-partition strata over one partition's records of a
 // superstep, in vertex order, into the overlay, up to the first stratum that
-// fails. The tuples of a superstep observed before and never merged (an
-// aborted one) are dropped first.
+// fails, and keeps the records for the barrier. The tuples of a superstep
+// observed before and never merged (an aborted one) are dropped first.
 func (sh *shard) layer(superstep int, recs []RecordView) {
 	sh.drop()
-	sh.ss, sh.records, sh.err = superstep, int64(len(recs)), nil
+	sh.ss, sh.views, sh.records, sh.err = superstep, recs, int64(len(recs)), nil
 	for _, rel := range sh.ovl.rels {
 		rel.truncate()
 	}
@@ -1139,7 +1123,8 @@ func (c *Compiled) partShard(p int) *shard {
 // records, emissions and passes. Nothing is probed: the tuples stay in the
 // dedup sets of the shards, which probed the frozen database, and a head is
 // located at its anchor vertex, which one partition owns. shed (nil: none)
-// names the partitions whose records are dropped. When shards failed it
+// names the partitions whose records are dropped; BarrierLayer reads the
+// views of the shards merged. When shards failed it
 // merges what a serial pass derives before its first failure and returns
 // that failure: the lowest by (stratum, rule, vertex). The sets forget every
 // tuple not merged. A static rule's error, which kept the partitions from
@@ -1199,9 +1184,7 @@ func (c *Compiled) mergeRules(rules []*crule, failed *shard) error {
 // last to its head, in vertex order: each shard's list is ascending already,
 // and a vertex belongs to one partition. The rest are forgotten.
 func (c *Compiled) mergeRule(r *crule, last int64) {
-	heads := slices.Grow(c.heads[:0], len(c.live))[:len(c.live)]
-	clear(heads)
-	c.heads = heads
+	heads := c.liveHeads()
 	n := 0
 	for _, sh := range c.live {
 		r.emitted += sh.emittedUpTo(r.idx, last)
@@ -1228,9 +1211,41 @@ func (c *Compiled) mergeRule(r *crule, last int64) {
 	}
 }
 
+// mergeViews returns the live shards' views in vertex order, merged as
+// mergeRule merges their tuples; one shard's as they are.
+func (c *Compiled) mergeViews() []RecordView {
+	if len(c.live) == 1 {
+		return c.live[0].views
+	}
+	heads, n := c.liveHeads(), 0
+	for _, sh := range c.live {
+		n += len(sh.views)
+	}
+	views := slices.Grow(c.views[:0], n)
+	for len(views) < n {
+		best := -1
+		for i, sh := range c.live {
+			if heads[i] < len(sh.views) && (best < 0 || sh.views[heads[i]].Vertex < c.live[best].views[heads[best]].Vertex) {
+				best = i
+			}
+		}
+		views = append(views, c.live[best].views[heads[best]])
+		heads[best]++
+	}
+	c.views = views
+	return views
+}
+
+// liveHeads returns a zeroed cursor per live shard, reusing c.heads.
+func (c *Compiled) liveHeads() []int {
+	c.heads = slices.Grow(c.heads[:0], len(c.live))[:len(c.live)]
+	clear(c.heads)
+	return c.heads
+}
+
 // emittedUpTo counts rule ri's emissions at vertices up to last.
 func (sh *shard) emittedUpTo(ri int, last int64) int64 {
-	if last < math.MaxInt64 && ri < len(sh.marks) {
+	if last < math.MaxInt64 {
 		for _, m := range sh.marks[ri] {
 			if m.vertex > last {
 				return m.n
@@ -1336,11 +1351,15 @@ func (c *Compiled) fireGlobal(r *crule) error {
 }
 
 // EngineViews writes the views of live engine records into dst, reused
-// across supersteps. Each view is a header over the record: its message and
-// fact slices are the engine's own, borrowed for as long as the engine keeps
-// the records. The engine supplies each record's previous value itself.
+// across supersteps and grown only to the largest superstep's records. Each
+// view is a header over the record: its message and fact slices are the
+// engine's own, borrowed for as long as the engine keeps the records. The
+// engine supplies each record's previous value itself.
 func EngineViews(dst []RecordView, recs []engine.VertexRecord) []RecordView {
-	dst = slices.Grow(dst[:0], len(recs))[:len(recs)]
+	if cap(dst) < len(recs) {
+		dst = make([]RecordView, len(recs))
+	}
+	dst = dst[:len(recs)]
 	for i := range recs {
 		r := &recs[i]
 		rv := RecordView{

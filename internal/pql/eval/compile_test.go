@@ -6,11 +6,15 @@ import (
 	"math/bits"
 	"math/rand"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"ariadne/internal/analytics"
 	"ariadne/internal/engine"
+	"ariadne/internal/gen"
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
 	"ariadne/internal/queries"
@@ -245,6 +249,22 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 	if shared {
 		lowerOutcomes["compiled with a shared prefix"]++
 	}
+	// A non-recursive barrier stratum of two or more record rules runs them
+	// one to a trie on the main shard; the legs above compare it with the
+	// Evaluator.
+	split := false
+	for si := pc.inPart; si < len(pc.strata); si++ {
+		records := 0
+		for _, r := range pc.strata[si] {
+			if r.kind == ruleRecord {
+				records++
+			}
+		}
+		split = split || !pc.recursive[si] && records >= 2
+	}
+	if split {
+		lowerOutcomes["compiled with a split barrier stratum"]++
+	}
 	if global {
 		lowerOutcomes["compiled with a global rule"]++
 	}
@@ -302,7 +322,7 @@ func serialLeg(c *Compiled, layers [][]RecordView, after func(int)) error {
 // partitionLeg evaluates layers as the online driver does, with each layer's
 // records split over parts partitions (vertex mod parts): every partition
 // observes its views, running the in-partition strata, MergePartitions
-// merges them, and the barrier strata run over the whole layer. The layer
+// merges them, and the barrier strata run over their merged views. The layer
 // index stands in for the superstep; after (nil: none) is called with it
 // once the layer is evaluated.
 func partitionLeg(c *Compiled, layers [][]RecordView, parts int, after func(int)) error {
@@ -319,11 +339,11 @@ func partitionLeg(c *Compiled, layers [][]RecordView, parts int, after func(int)
 			split[p] = append(split[p], rv)
 		}
 		for p := range split {
-			c.ObservePartition(p, i, split[p])
+			c.partShard(p).layer(i, split[p])
 		}
 		err := c.MergePartitions(i, nil)
-		if err == nil && c.HasBarrierStrata() {
-			err = c.BarrierLayer(l)
+		if err == nil {
+			err = c.BarrierLayer()
 		}
 		if err != nil {
 			return err
@@ -985,7 +1005,7 @@ late(X, I) :- superstep(X, I).`
 	observe := func(c *Compiled, ss int, l []RecordView, keep func(int64) bool) {
 		for q := int64(0); q < parts; q++ {
 			if keep(q) {
-				c.ObservePartition(int(q), ss, only(l, func(part int64) bool { return part == q }))
+				c.partShard(int(q)).layer(ss, only(l, func(part int64) bool { return part == q }))
 			}
 		}
 	}
@@ -1132,7 +1152,7 @@ func TestShardsProbeMainBits(t *testing.T) {
 				recs = append(recs, rv)
 			}
 		}
-		c.ObservePartition(int(p), 1, recs)
+		c.partShard(int(p)).layer(1, recs)
 	}
 	if err := c.MergePartitions(1, nil); err != nil {
 		t.Fatal(err)
@@ -1145,6 +1165,136 @@ func TestShardsProbeMainBits(t *testing.T) {
 	}
 	if rel := db.Get("neighbor_change"); members(rel) != rel.Len() {
 		t.Errorf("neighbor_change: %d members, %d tuples in order", members(rel), rel.Len())
+	}
+}
+
+// TestBarrierReadsMergedShards: the barrier strata read the views of the
+// shards MergePartitions merged, not of every shard that observed the
+// superstep. At three partitions with partition 1 shed, a barrier rule over
+// superstep(X, I) must derive nothing at partition 1's vertices, exactly as
+// Layer over partitions 0 and 2's records does.
+func TestBarrierReadsMergedShards(t *testing.T) {
+	const src = `a(X, I) :- superstep(X, I).
+b(X, I) :- superstep(X, I), K = X + 100, !a(K, I).`
+	const parts = 3
+	q := analysis.MustAnalyze(src, analysis.NewEnv())
+	sg := newFakeGraph(7, nil)
+	split := make([][]RecordView, parts)
+	for v := int64(0); v < 7; v++ {
+		split[v%parts] = append(split[v%parts], RecordView{Vertex: v, Superstep: 1, HasValue: true, Value: value.NewFloat(0), PrevActive: -1})
+	}
+	db, want := NewDatabase(), NewDatabase()
+	c, err := Compile(q, db, sg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.inPart != 1 || len(c.strata) != 2 {
+		t.Fatalf("a must run in-partition and b at the barrier: %d of %d strata in-partition", c.inPart, len(c.strata))
+	}
+	if err := c.BeginRun(); err != nil {
+		t.Fatal(err)
+	}
+	for p := range split {
+		c.partShard(p).layer(1, split[p])
+	}
+	if err := c.MergePartitions(1, func(p int) bool { return p == 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BarrierLayer(); err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := Compile(q, want, sg)
+	kept := append(append([]RecordView(nil), split[0]...), split[2]...)
+	sort.Slice(kept, func(i, j int) bool { return kept[i].Vertex < kept[j].Vertex })
+	if err := ref.Layer(kept); err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRelations("shed partition 1", insertionOrder(q, want, false), insertionOrder(q, db, false)); err != nil {
+		t.Error(err)
+	}
+	b := db.Get("b").All()
+	if len(b) == 0 {
+		t.Fatal("b derived nothing")
+	}
+	for _, tu := range b {
+		if tu[0].Int()%parts == 1 {
+			t.Errorf("b%v derived at a vertex of shed partition 1", tu)
+		}
+	}
+}
+
+// onlineObserver runs a compiled program as driver.Online does and notes
+// the most records each partition observed in one superstep.
+type onlineObserver struct {
+	c    *Compiled
+	mu   sync.Mutex
+	most []int
+}
+
+func (o *onlineObserver) Reads() engine.Fields { return engine.FieldReceived }
+
+func (o *onlineObserver) ObservePartition(p, superstep int, recs []engine.VertexRecord) {
+	o.mu.Lock()
+	for len(o.most) <= p {
+		o.most = append(o.most, 0)
+	}
+	o.most[p] = max(o.most[p], len(recs))
+	o.mu.Unlock()
+	o.c.ObservePartition(p, superstep, recs)
+}
+
+func (o *onlineObserver) ObserveSuperstep(v *engine.SuperstepView) error {
+	if err := o.c.MergePartitions(v.Superstep, nil); err != nil {
+		return err
+	}
+	return o.c.BarrierLayer()
+}
+
+func (o *onlineObserver) Finish(int) error { return nil }
+
+// TestOnlineHoldsOneSuperstep: online evaluation holds one superstep of
+// record views (paper §5.2), as Layered holds one layer. SSSP with Query 6
+// online at 4 partitions, over n and over 2n supersteps: each partition
+// shard's view arena has room for that partition's largest superstep,
+// exactly, and the same room in both runs, not the sum over the supersteps.
+func TestOnlineHoldsOneSuperstep(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 6, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, parts = 3, 4
+	var first []int
+	for _, steps := range []int{n, 2 * n} {
+		c, err := Compile(queries.SilentChange().MustBuild(), NewDatabase(), newFakeGraph(g.NumVertices(), nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.BeginRun(); err != nil {
+			t.Fatal(err)
+		}
+		o := &onlineObserver{c: c}
+		e, err := engine.New(g, &analytics.SSSP{}, engine.Config{Partitions: parts, MaxSupersteps: steps, Observers: []engine.Observer{o}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := e.Run(); err != nil || st.Supersteps != steps {
+			t.Fatalf("SSSP ran %d supersteps (%v), want %d", st.Supersteps, err, steps)
+		}
+		if len(c.parts) != parts {
+			t.Fatalf("%d partition shards, want %d", len(c.parts), parts)
+		}
+		held := make([]int, parts)
+		for p, sh := range c.parts {
+			held[p] = cap(sh.arena)
+			if held[p] != o.most[p] {
+				t.Errorf("%d supersteps: partition %d's arena holds %d views, want its largest superstep's %d", steps, p, held[p], o.most[p])
+			}
+		}
+		if steps == n {
+			first = held
+		} else if !slices.Equal(held, first) {
+			t.Errorf("arenas hold %v views over %d supersteps, %v over %d", held, steps, first, n)
+		}
 	}
 }
 
@@ -1198,7 +1348,7 @@ func BenchmarkMergePartitions(b *testing.B) {
 				b.StopTimer()
 				db.Get("heard").Clear()
 				for p := range split {
-					c.ObservePartition(p, 1, split[p])
+					c.partShard(p).layer(1, split[p])
 				}
 				b.StartTimer()
 				if err := c.MergePartitions(1, nil); err != nil {

@@ -273,9 +273,11 @@ func genRules(rng, shapes *rand.Rand, n int) string {
 // compare, a real share of those must have a rule that takes a cut, a good
 // share of the compiled programs must run some stratum in-partition, a real
 // share must compile with a record pass that shares a prefix and with a
-// global rule, and each shape the record planner refuses (an aggregate head
-// of each kind, a negated or off-location record literal, a read of a
-// global head) must be drawn and materialised.
+// global rule, some must have a non-recursive barrier stratum of two or
+// more record rules (which run one rule to a trie), and each shape the
+// record planner refuses (an aggregate head of each kind, a negated or
+// off-location record literal, a read of a global head) must be drawn and
+// materialised.
 func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	for k := range lowerOutcomes {
 		delete(lowerOutcomes, k)
@@ -316,6 +318,10 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 		if lowerOutcomes[o] < n/10 {
 			t.Errorf("only %d of %d programs %s", lowerOutcomes[o], n, o)
 		}
+	}
+	if lowerOutcomes["compiled with a split barrier stratum"] < n/100 {
+		t.Errorf("only %d of %d programs have a non-recursive barrier stratum of two or more record rules",
+			lowerOutcomes["compiled with a split barrier stratum"], n)
 	}
 	for _, shape := range []string{"aggregate COUNT", "aggregate SUM", "aggregate MIN", "aggregate MAX",
 		"negated record literal", "off-location record literal", "global read"} {

@@ -121,18 +121,6 @@ func (r *Relation) Insert(t Tuple) bool {
 // only a new tuple is cloned and keyed. t itself is never retained, which
 // is what lets the slot programs emit one reused head buffer.
 func (r *Relation) insertCopy(t Tuple, kb *[]byte) (Tuple, bool) {
-	c, ok := r.claimCopy(t, kb)
-	if ok {
-		r.appendNew(c)
-	}
-	return c, ok
-}
-
-// claimCopy is insertCopy without the append: the copy joins rows (or
-// bits) but not order or the indexes, until appendNew takes it or the key
-// is deleted again. The main shard claims a record pass's tuples so, and
-// appends them at the pass's end in rule order.
-func (r *Relation) claimCopy(t Tuple, kb *[]byte) (Tuple, bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("eval: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
@@ -141,14 +129,16 @@ func (r *Relation) claimCopy(t Tuple, kb *[]byte) (Tuple, bool) {
 			return nil, false
 		}
 		r.bits.set(v, s)
-		return t.Clone(), true
+		c := t.Clone()
+		r.appendNew(c)
+		return c, true
 	}
 	*kb = appendKey((*kb)[:0], t)
 	if r.inKeyed(*kb) {
 		return nil, false
 	}
 	c := t.Clone()
-	r.rows[string(*kb)] = c
+	r.add(string(*kb), c)
 	return c, true
 }
 
