@@ -92,20 +92,24 @@ func (a *ALS) Compute(ctx *engine.Context, msgs []engine.IncomingMessage) error 
 	}
 	k := a.Features
 	// Solve the ridge normal equations (Σ q qᵀ + λ n I) x = Σ r q over the
-	// neighbor vectors received, with r the edge-weight rating.
+	// neighbor vectors received, with r the edge-weight rating. The inbox
+	// arrives in ascending sender order, so each pass over it walks one
+	// cursor along the vertex's sorted out-edge row (graph.Seek) to find the
+	// ratings EdgeWeight would.
 	A := linalg.NewSym(k)
 	b := make([]float64, k)
-	g := ctx.Graph()
-	n := 0
+	dst, ws := ctx.Graph().OutNeighbors(ctx.ID())
+	at, n := 0, 0
 	for _, m := range msgs {
 		q := m.Val.Vec()
 		if len(q) != k {
 			return fmt.Errorf("ALS: message vector length %d, want %d", len(q), k)
 		}
-		r, ok := g.EdgeWeight(ctx.ID(), m.Src)
-		if !ok {
+		at, _ = graph.Seek(dst, at, m.Src)
+		if at == len(dst) || dst[at] != m.Src {
 			return fmt.Errorf("ALS: message from non-neighbor %d", m.Src)
 		}
+		r := ws[at]
 		A.AddOuter(q, 1)
 		linalg.AXPY(r, q, b)
 		n++
@@ -119,9 +123,11 @@ func (a *ALS) Compute(ctx *engine.Context, msgs []engine.IncomingMessage) error 
 
 	// Publish per-edge prediction/error provenance and aggregate the global
 	// squared error for convergence.
+	at = 0
 	for _, m := range msgs {
 		q := m.Val.Vec()
-		r, _ := g.EdgeWeight(ctx.ID(), m.Src)
+		at, _ = graph.Seek(dst, at, m.Src)
+		r := ws[at]
 		p := linalg.Dot(x, q)
 		e := r - p
 		ctx.AggregateFloat("als_sq_error", engine.AggSum, e*e)

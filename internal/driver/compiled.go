@@ -47,13 +47,6 @@ func (s staticGraph) InDegree(v int64) int {
 	return s.g.InDegree(graph.VertexID(v))
 }
 
-func (s staticGraph) EdgeWeight(src, dst int64) (float64, bool) {
-	if !s.has(src) || !s.has(dst) {
-		return 0, false
-	}
-	return s.g.EdgeWeight(graph.VertexID(src), graph.VertexID(dst))
-}
-
 // compile compiles q into its one program over g: every rule materialised
 // when all is set (naive evaluation, and the in-package reference leg),
 // otherwise only the rules the record planner refuses.

@@ -7,7 +7,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -163,6 +165,30 @@ func (g *Graph) EdgeWeight(v, u VertexID) (float64, bool) {
 		return w[i], true
 	}
 	return 0, false
+}
+
+// seekSteps bounds Seek's linear walk before it binary searches.
+const seekSteps = 8
+
+// Seek returns the first index of s, sorted ascending, whose element is at
+// least x, for a cursor standing at at: the answer to the previous probe of
+// a run of probes, 0 before the first. When the answer lies at or after at
+// Seek walks forward, a few steps and then by binary search; otherwise
+// (back) it binary searches s[:at]. A run of ascending probes over one row
+// so costs about one walk of the row. Over an out-edge row it finds the edge
+// EdgeWeight does: the first to its destination.
+func Seek[E cmp.Ordered](s []E, at int, x E) (i int, back bool) {
+	if at > 0 && s[at-1] >= x {
+		i, _ = slices.BinarySearch(s[:at], x)
+		return i, true
+	}
+	for end := min(len(s), at+seekSteps); at < end; at++ {
+		if s[at] >= x {
+			return at, false
+		}
+	}
+	i, _ = slices.BinarySearch(s[at:], x)
+	return at + i, false
 }
 
 // Undirected returns a new graph where every edge (u,v) also appears as

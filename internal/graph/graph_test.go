@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -210,5 +211,39 @@ func TestMemSizePositive(t *testing.T) {
 	g.BuildInEdges()
 	if g.MemSize() <= before {
 		t.Error("in-edges should increase MemSize")
+	}
+}
+
+// TestSeekMatchesSearch drives Seek with random runs of probes over random
+// sorted rows with repeats: every probe must land where a fresh
+// sort.Search does, and report back exactly when the answer lies before the
+// cursor.
+func TestSeekMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	backs := 0
+	for trial := 0; trial < 500; trial++ {
+		row := make([]VertexID, rng.Intn(40))
+		for i := range row {
+			row[i] = VertexID(rng.Intn(30))
+		}
+		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		at, prev := 0, VertexID(0)
+		for p := 0; p < 20; p++ {
+			x := VertexID(rng.Intn(32))
+			i, back := Seek(row, at, x)
+			if want := sort.Search(len(row), func(i int) bool { return row[i] >= x }); i != want {
+				t.Fatalf("row %v, cursor %d: Seek(%d) = %d, want %d", row, at, x, i, want)
+			}
+			if wantBack := at > 0 && row[at-1] >= x; back != wantBack {
+				t.Fatalf("row %v, cursor %d after %d: Seek(%d) back = %v", row, at, prev, x, back)
+			}
+			if back {
+				backs++
+			}
+			at, prev = i, x
+		}
+	}
+	if backs == 0 {
+		t.Fatal("no backward probe drawn")
 	}
 }

@@ -98,6 +98,8 @@ type Compiled struct {
 	staticErr  error
 	derived    int64
 	records    int64
+	// work sums the merged partition shards' record-step work.
+	work workCounts
 }
 
 // unit is one step of a stratum's pass: a global rule's firing, or a record
@@ -130,6 +132,8 @@ type crule struct {
 	// keyed: the rule derives exactly (anchor, current superstep); once
 	// Compile returns, that its head is record-keyed (see keyHeads).
 	keyed bool
+	// scoped: its head is record-scoped (see scopeHeads).
+	scoped bool
 	// emitted counts every emission, duplicates included.
 	emitted int64
 	// view is rowsInDegree or rowsOutDegree when the rule is a static view
@@ -174,13 +178,15 @@ func (r *crule) planner() string {
 // rules whose emissions it is sinking, by branch. A partition shard (ovl !=
 // nil) runs the in-partition strata over one partition's records on that
 // partition's goroutine: it reads the database (frozen meanwhile) and then
-// its overlay. Each overlay relation holds this superstep's new tuples of one
-// head in order, for positive reads, and in rows the shard's dedup set of
-// that head: every tuple the shard derived, registered with the head relation
-// (Relation.sets), which the tuple never leaves. out lists the superstep's
-// new tuples for the merge, and views the records it observed, for the
-// barrier; arena holds ObservePartition's views of the engine's records,
-// reused across supersteps.
+// its overlay. Each overlay relation holds in rows the shard's dedup set of
+// one head: every tuple the shard derived, registered with the head relation
+// (Relation.sets), which the tuple never leaves; and in order this
+// superstep's new tuples, when an in-partition step reads them (listed). The
+// overlay of a record-scoped head keeps no string set: its scopeSet keys the
+// superstep's new tuples, listed, by hash, and the shard forgets them at the
+// merge. out lists the superstep's new tuples for the merge, and views the
+// records it observed, for the barrier; arena holds ObservePartition's views
+// of the engine's records, reused across supersteps.
 //
 // The main shard runs the barrier strata, global and static rules. Its
 // record passes hold one rule each, so it inserts straight into the
@@ -199,28 +205,27 @@ type shard struct {
 	buf      [][]value.Value
 
 	ovl     *Database
-	ovlHead []*Relation    // per rule: the overlay relation of its head
-	ss      int            // the superstep observed last and not merged, or -1
-	out     [][]shardTuple // per rule: the new tuples, in derivation order
-	emitted []int64        // per rule
+	ovlHead []*Relation // per rule: the overlay relation of its head
+	listed  []bool      // per rule: its overlay lists the new tuples (see partShard)
+	ss      int         // the superstep observed last and not merged, or -1
+	out     [][]Tuple   // per rule: the new tuples (cloned), in derivation order
+	emitted []int64     // per rule
 	views   []RecordView
 	arena   []RecordView
-	// marks lists per rule, for each record it emitted at, how many
-	// emissions came before: the merge counts a failing rule's
-	// emissions only up to the failure.
+	// outV lists per rule the anchor vertex of each tuple of out, and marks,
+	// for each record the rule emitted at, how many emissions came before:
+	// the merge interleaves the shards' tuples by vertex, and counts a
+	// failing rule's emissions only up to the failure. A shard alone in its
+	// merge (Layer's) keeps neither: its tuples are in order already, and
+	// its failing rule stopped at its failure.
+	outV    [][]int64
 	marks   [][]emitMark
+	alone   bool
 	records int64
 	// err is the first error; errRule and errVertex locate it.
 	err       error
 	errRule   int
 	errVertex int64
-}
-
-// shardTuple is a tuple a partition shard derived: the anchor vertex of the
-// record that derived it and the tuple (already cloned).
-type shardTuple struct {
-	vertex int64
-	t      Tuple
 }
 
 // emitMark notes that a rule's emissions before the first at vertex's
@@ -256,24 +261,36 @@ func (sh *shard) emit(t Tuple) error {
 		}
 		return nil
 	}
-	if v, m := sh.rn.rv.Vertex, sh.marks[r.idx]; len(m) == 0 || m[len(m)-1].vertex != v {
+	if v, m := sh.rn.rv.Vertex, sh.marks[r.idx]; !sh.alone && (len(m) == 0 || m[len(m)-1].vertex != v) {
 		sh.marks[r.idx] = append(m, emitMark{vertex: v, n: sh.emitted[r.idx]})
 	}
 	sh.emitted[r.idx]++
 	ovl := sh.ovlHead[r.idx]
+	if sc := ovl.scope; sc != nil {
+		// A tuple carrying its record's vertex and superstep can equal only
+		// one derived at that record: one of this superstep's, or, when the
+		// head holds the superstep already, one of the head's.
+		h := hashTuple(t)
+		if sc.set.has(ovl.order, t, h) || sc.fallback && r.head.scope.set.has(r.head.order, t, h) {
+			return nil
+		}
+		sh.keep(r.idx, t)
+		sc.set.add(h, len(ovl.order)-1)
+		return nil
+	}
 	if v, s, ok := r.head.bitOf(t); ok {
 		if r.head.bits.has(v, s) || ovl.bits.has(v, s) {
 			return nil
 		}
 		ovl.bits.set(v, s)
-		ovl.appendNew(sh.keep(r.idx, t))
+		sh.keep(r.idx, t)
 		return nil
 	}
 	sh.headKey = appendKey(sh.headKey[:0], t)
 	if r.head.inRows(sh.headKey) || ovl.inRows(sh.headKey) {
 		return nil
 	}
-	ovl.add(string(sh.headKey), sh.keep(r.idx, t))
+	ovl.rows[string(sh.headKey)] = sh.keep(r.idx, t)
 	return nil
 }
 
@@ -296,11 +313,22 @@ func (sh *shard) flush() {
 	}
 }
 
-// keep clones a new tuple of rule ri's head, lists it for the merge and
-// returns the clone.
+// keep clones a new tuple of rule ri's head, lists it for the merge and,
+// when its overlay lists the superstep's tuples, there, and returns the
+// clone.
 func (sh *shard) keep(ri int, t Tuple) Tuple {
 	c := t.Clone()
-	sh.out[ri] = append(sh.out[ri], shardTuple{vertex: sh.rn.rv.Vertex, t: c})
+	if cap(sh.out[ri]) == 0 {
+		// Most rules derive about a tuple per record, if any.
+		sh.out[ri] = make([]Tuple, 0, len(sh.views))
+	}
+	sh.out[ri] = append(sh.out[ri], c)
+	if !sh.alone {
+		sh.outV[ri] = append(sh.outV[ri], sh.rn.rv.Vertex)
+	}
+	if sh.listed[ri] {
+		sh.ovlHead[ri].appendNew(c)
+	}
 	return c
 }
 
@@ -416,6 +444,7 @@ func compile(q *analysis.Query, db *Database, sg StaticGraph, all bool) (*Compil
 		c.partRules += len(stratum)
 	}
 	c.keyHeads(sg)
+	c.scopeHeads()
 	c.planPasses()
 	return c, nil
 }
@@ -648,6 +677,57 @@ func derivesRecord(head *pql.Atom, anchor []string) bool {
 	x, ok0 := asVar(head.Args[0])
 	i, ok1 := asVar(head.Args[1])
 	return ok0 && ok1 && x == anchor[0] && i == anchor[1]
+}
+
+// scopeHeads makes record-scoped the heads no rule reads whose every rule is
+// an in-partition record rule with the anchor vertex at head column 0 and
+// the current superstep at one column, the same in every rule, unless the
+// head is record-keyed: such a tuple can equal only tuples derived at its
+// own record (see Relation). Query 4's check_failed and Query 7's heads are.
+func (c *Compiled) scopeHeads() {
+	read := map[string]bool{}
+	for _, r := range c.rules {
+		for _, lit := range r.src.Body {
+			if pl, ok := lit.(*pql.PredLit); ok {
+				read[pl.Atom.Pred] = true
+			}
+		}
+	}
+	col := map[*Relation]int{}
+	for _, r := range c.rules {
+		s := -1
+		if r.kind == ruleRecord && r.idx < c.partRules && !r.keyed && !read[r.src.Head.Pred] {
+			s = scopeColumn(r.src.Head, r.anchor)
+		}
+		if prev, seen := col[r.head]; seen && prev != s {
+			s = -1
+		}
+		col[r.head] = s
+	}
+	for _, r := range c.rules {
+		if s := col[r.head]; s >= 0 {
+			r.head.scopeRecords(s)
+			r.scoped = r.head.scope != nil
+		}
+	}
+}
+
+// scopeColumn returns the first column of head holding the record rule's
+// current-superstep variable, when its column 0 holds the anchor vertex,
+// or -1.
+func scopeColumn(head *pql.Atom, anchor []string) int {
+	if len(anchor) != 2 || len(head.Args) == 0 {
+		return -1
+	}
+	if x, ok := asVar(head.Args[0]); !ok || x != anchor[0] {
+		return -1
+	}
+	for i, a := range head.Args {
+		if v, ok := asVar(a); ok && v == anchor[1] {
+			return i
+		}
+	}
+	return -1
 }
 
 // degreeRule reports whether r is h(X) :- edge(Y, X) or h(X) :- edge(X, Y),
@@ -966,14 +1046,27 @@ type CompiledStats struct {
 	// duplicates included; a cut rule emits each tuple once per binding of
 	// the steps before its cut.
 	Emissions map[string]int64
+	// IndexBuilds counts the per-record hash indexes built over an emitted
+	// table's facts: one per record and table probed with a key its sorted
+	// bucket cannot take, or whose facts are not sorted (see recordFacts).
+	IndexBuilds int64
+	// CursorProbes counts the probes a record step answered by moving a
+	// cursor along a sorted row, a record's fact bucket or an out-edge row;
+	// CursorReseeks those of them that sought back by binary search.
+	CursorProbes  int64
+	CursorReseeks int64
 }
 
-// Stats returns a snapshot of the work counters.
+// Stats returns a snapshot of the work counters: the partition shards'
+// merged so far, and the main shard's.
 func (c *Compiled) Stats() CompiledStats {
 	s := CompiledStats{PassesPerStratum: append([]int64(nil), c.passes...), Emissions: map[string]int64{}}
 	for _, r := range c.rules {
 		s.Emissions[r.src.Head.Pred] += r.emitted
 	}
+	w := c.work
+	w.add(c.main.rn.work)
+	s.IndexBuilds, s.CursorProbes, s.CursorReseeks = w.indexBuilds, w.factProbes+w.edgeProbes, w.reseeks
 	return s
 }
 
@@ -1010,7 +1103,9 @@ func (c *Compiled) Layer(recs []RecordView) error {
 	if err := c.BeginRun(); err != nil {
 		return err
 	}
-	c.partShard(0).layer(0, recs)
+	sh := c.partShard(0)
+	sh.alone = true
+	sh.layer(0, recs)
 	if err := c.MergePartitions(0, nil); err != nil {
 		return err
 	}
@@ -1062,6 +1157,7 @@ func (c *Compiled) ObservePartition(p, superstep int, recs []engine.VertexRecord
 	}
 	sh := c.partShard(p)
 	sh.arena = EngineViews(sh.arena, recs)
+	sh.alone = false
 	sh.layer(superstep, sh.arena)
 }
 
@@ -1071,9 +1167,17 @@ func (c *Compiled) ObservePartition(p, superstep int, recs []engine.VertexRecord
 // observed before and never merged (an aborted one) are dropped first.
 func (sh *shard) layer(superstep int, recs []RecordView) {
 	sh.drop()
-	sh.ss, sh.views, sh.records, sh.err = superstep, recs, int64(len(recs)), nil
+	sh.ss, sh.views, sh.records, sh.err, sh.rn.work = superstep, recs, int64(len(recs)), nil, workCounts{}
 	for _, rel := range sh.ovl.rels {
 		rel.truncate()
+	}
+	for _, r := range sh.c.rules[:sh.c.partRules] {
+		if r.scoped {
+			sc := sh.ovlHead[r.idx].scope
+			if sc.fallback = r.head.scope.holds(recs); sc.fallback {
+				r.head.keyAll()
+			}
+		}
 	}
 	clear(sh.emitted)
 	for ri := range sh.marks {
@@ -1098,13 +1202,20 @@ func (c *Compiled) partShard(p int) *shard {
 		sh := c.newShard(c.main.rn.db, c.main.rn.sg, ovl)
 		sh.rn.facts.tables = c.tables
 		sh.ovlHead = make([]*Relation, c.partRules)
-		sh.out = make([][]shardTuple, c.partRules)
+		sh.listed = make([]bool, c.partRules)
+		sh.out = make([][]Tuple, c.partRules)
+		sh.outV = make([][]int64, c.partRules)
 		sh.emitted = make([]int64, c.partRules)
 		sh.marks = make([][]emitMark, c.partRules)
 		for _, r := range c.rules[:c.partRules] {
+			sh.listed[r.idx] = r.scoped || c.readInPartition(r.src.Head.Pred)
 			if r.kind == ruleRecord && ovl.Get(r.src.Head.Pred) == nil {
 				o := ovl.Relation(r.src.Head.Pred, r.head.arity)
-				r.head.sets = append(r.head.sets, o.rows)
+				if r.head.scope != nil {
+					o.scope = &scopeSet{col: -1}
+				} else {
+					r.head.sets = append(r.head.sets, o.rows)
+				}
 				if r.head.bits != nil {
 					o.bits = &recordBits{n: r.head.bits.n}
 					r.head.bitSets = append(r.head.bitSets, o.bits)
@@ -1115,6 +1226,23 @@ func (c *Compiled) partShard(p int) *shard {
 		c.parts = append(c.parts, sh)
 	}
 	return c.parts[p]
+}
+
+// readInPartition reports whether a step of an in-partition rule reads
+// pred's rows, so a partition shard's overlay must list its new tuples in
+// order: a negation probes the dedup set instead, and a record-scoped head's
+// set keys them by position anyway.
+func (c *Compiled) readInPartition(pred string) bool {
+	for _, r := range c.rules[:c.partRules] {
+		for _, p := range r.plan.programs() {
+			for _, st := range p.steps {
+				if st.pred == pred && st.kind == stepPositive && st.rows == rowsRelation {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // MergePartitions appends what the partition shards derived at superstep to
@@ -1144,6 +1272,8 @@ func (c *Compiled) MergePartitions(superstep int, shed func(p int) bool) error {
 	var failed *shard
 	for _, sh := range c.live {
 		c.records += sh.records
+		c.work.add(sh.rn.work)
+		sh.rn.work = workCounts{}
 		if sh.err != nil && (failed == nil || sh.errRule < failed.errRule ||
 			sh.errRule == failed.errRule && sh.errVertex < failed.errVertex) {
 			failed = sh
@@ -1182,7 +1312,8 @@ func (c *Compiled) mergeRules(rules []*crule, failed *shard) error {
 
 // mergeRule appends the live shards' new tuples of rule r up to anchor vertex
 // last to its head, in vertex order: each shard's list is ascending already,
-// and a vertex belongs to one partition. The rest are forgotten.
+// and a vertex belongs to one partition. The rest are forgotten. A shard
+// alone in the merge derived none past last.
 func (c *Compiled) mergeRule(r *crule, last int64) {
 	heads := c.liveHeads()
 	n := 0
@@ -1191,18 +1322,26 @@ func (c *Compiled) mergeRule(r *crule, last int64) {
 		n += len(sh.out[r.idx])
 	}
 	r.head.order = slices.Grow(r.head.order, n)
+	if len(c.live) == 1 && c.live[0].alone {
+		for _, t := range c.live[0].out[r.idx] {
+			r.head.appendNew(t)
+		}
+		c.derived += int64(n)
+		c.live[0].forget(r.idx, n)
+		return
+	}
 	for {
 		best := -1
 		var bestV int64
 		for i, sh := range c.live {
-			if out := sh.out[r.idx]; heads[i] < len(out) && (best < 0 || out[heads[i]].vertex < bestV) {
-				best, bestV = i, out[heads[i]].vertex
+			if vs := sh.outV[r.idx]; heads[i] < len(vs) && (best < 0 || vs[heads[i]] < bestV) {
+				best, bestV = i, vs[heads[i]]
 			}
 		}
 		if best < 0 || bestV > last {
 			break
 		}
-		r.head.appendNew(c.live[best].out[r.idx][heads[best]].t)
+		r.head.appendNew(c.live[best].out[r.idx][heads[best]])
 		heads[best]++
 		c.derived++
 	}
@@ -1256,17 +1395,22 @@ func (sh *shard) emittedUpTo(ri int, last int64) int64 {
 }
 
 // forget deletes the tuples of out[ri][from:], which the merge did not take,
-// from the shard's dedup set, and empties out[ri].
+// from the shard's dedup set, and empties out[ri]. A record-scoped set
+// forgets all of them.
 func (sh *shard) forget(ri, from int) {
-	ovl := sh.ovlHead[ri]
-	for _, st := range sh.out[ri][from:] {
-		if v, s, ok := ovl.bitOf(st.t); ok {
-			ovl.bits.unset(v, s)
-		} else {
-			delete(ovl.rows, st.t.Key())
+	if ovl := sh.ovlHead[ri]; ovl != nil && ovl.scope != nil {
+		// A record-scoped set holds one superstep: forget it whole.
+		ovl.scope.set.reset()
+	} else {
+		for _, t := range sh.out[ri][from:] {
+			if v, s, ok := ovl.bitOf(t); ok {
+				ovl.bits.unset(v, s)
+			} else {
+				delete(ovl.rows, t.Key())
+			}
 		}
 	}
-	sh.out[ri] = sh.out[ri][:0]
+	sh.out[ri], sh.outV[ri] = sh.out[ri][:0], sh.outV[ri][:0]
 }
 
 // drop forgets every new tuple the merge has not taken: all of the superstep

@@ -36,6 +36,9 @@ func newFakeGraph(n int, edges [][2]int64) *fakeGraph {
 		f.in[e[1]] = append(f.in[e[1]], engine.VertexID(e[0]))
 		f.w[e] = 1
 	}
+	for _, dst := range f.out {
+		slices.Sort(dst) // StaticGraph's rows are sorted by destination
+	}
 	return f
 }
 
@@ -51,10 +54,6 @@ func (f *fakeGraph) OutNeighbors(v int64) ([]engine.VertexID, []float64) {
 func (f *fakeGraph) InNeighbors(v int64) []engine.VertexID { return f.in[v] }
 func (f *fakeGraph) OutDegree(v int64) int                 { return len(f.out[v]) }
 func (f *fakeGraph) InDegree(v int64) int                  { return len(f.in[v]) }
-func (f *fakeGraph) EdgeWeight(src, dst int64) (float64, bool) {
-	w, ok := f.w[[2]int64{src, dst}]
-	return w, ok
-}
 
 // factSink is what the materialised legs (Evaluator and oracle) share.
 type factSink interface {
@@ -237,6 +236,30 @@ func checkLowering(build func() (*analysis.Query, error), sg StaticGraph, layers
 	}
 	if pc.inPart > 0 {
 		lowerOutcomes["in-partition strata"]++
+	}
+	// The probe and dedup paths the in-partition leg ran.
+	w := pc.work
+	w.add(pc.main.rn.work)
+	for path, n := range map[string]int64{"probe fact cursor": w.factProbes, "probe fact index": w.indexBuilds,
+		"probe edge cursor": w.edgeProbes, "probe re-seek": w.reseeks} {
+		if n > 0 {
+			lowerOutcomes[path]++
+		}
+	}
+	dedup := map[string]bool{}
+	for _, r := range pc.rules[:pc.partRules] {
+		switch {
+		case r.kind != ruleRecord || r.emitted == 0:
+		case r.scoped:
+			dedup["dedup record-scoped"] = true
+		case r.keyed:
+			dedup["dedup record-keyed"] = true
+		default:
+			dedup["dedup shard set"] = true
+		}
+	}
+	for path := range dedup {
+		lowerOutcomes[path]++
 	}
 	shared, global := false, false
 	for _, r := range pc.rules {
@@ -430,8 +453,14 @@ func feedView(ev factSink, sg StaticGraph, rv *RecordView, forward bool) {
 
 // randomLayers generates a deterministic pseudo-random record stream over a
 // small graph: values evolve, messages follow edges (plus a few strays).
+// Each record's emitted facts take a shape drawn from a second stream
+// (seeded ^seed, so rng's draws stay what they were): as drawn (sorted by
+// their Int first argument unless the peers wrap), with a repeated first
+// argument, out of order, or with Float first arguments in one table, so
+// the record probes run every path — cursor, index, and Int keys against
+// Float ones (3 and 3.0 are one value).
 func randomLayers(seed int64, sg *fakeGraph, nLayers int) [][]RecordView {
-	rng := rand.New(rand.NewSource(seed))
+	rng, shapes := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed))
 	type vstate struct {
 		lastSS  int64
 		lastVal value.Value
@@ -480,12 +509,33 @@ func randomLayers(seed int64, sg *fakeGraph, nLayers int) [][]RecordView {
 				{Table: "prov_prediction", Args: []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}},
 				{Table: "prov_prediction", Args: []value.Value{value.NewInt((v + 1) % 3), value.NewFloat(rng.Float64() * 4)}},
 			}
+			factShape(shapes, rv.Emitted)
 			states[v] = &vstate{lastSS: int64(ss), lastVal: val}
 			recs = append(recs, rv)
 		}
 		layers = append(layers, recs)
 	}
 	return layers
+}
+
+// factShape rewrites a record's facts (one prov_error, then two
+// prov_prediction) into a shape drawn from shapes.
+func factShape(shapes *rand.Rand, fs []engine.ProvFact) {
+	floatKey := func(f *engine.ProvFact) {
+		f.Args = []value.Value{value.NewFloat(float64(f.Args[0].Int())), f.Args[1]}
+	}
+	switch shapes.Intn(5) {
+	case 1: // a repeated first argument, the wider-ranged payload second
+		fs[1], fs[2] = fs[2], fs[1]
+		fs[1].Args = []value.Value{fs[2].Args[0], fs[1].Args[1]}
+	case 2: // out of order
+		fs[1], fs[2] = fs[2], fs[1]
+	case 3: // Float keys into prov_prediction's bucket, probed by Ints
+		floatKey(&fs[1])
+		floatKey(&fs[2])
+	case 4: // a Float probe key (prov_error's peer) into an Int bucket
+		floatKey(&fs[0])
+	}
 }
 
 func testGraphAndLayers(seed int64) (*fakeGraph, [][]RecordView) {
@@ -961,9 +1011,12 @@ func TestCompiledHeadBufferNeverStored(t *testing.T) {
 // does. seen has no superstep column: a vertex derives the same tuple in
 // every superstep it hears from someone. The heads of Queries 5 and 6 are
 // record-keyed: their shards keep them in bitsets, which must forget them
-// alike, and a re-observed superstep derives them again.
+// alike, and a re-observed superstep derives them again. heardAt's head is
+// record-scoped: its shards forget a superstep's tuples whole, and a
+// superstep observed again after its merge probes the head's own tuples.
 func TestUnmergedTuplesForgotten(t *testing.T) {
 	const seen = `seen(X) :- receive_message(X, Y, M, I).`
+	const heardAt = `heard(X, Y, I) :- receive_message(X, Y, M, I).`
 	// ratio fails at vertex 2 only; late's tuples all lie past that failure.
 	const failing = seen + `
 ratio(X, R) :- superstep(X, I), R = 10 mod (X - 2).
@@ -1067,6 +1120,27 @@ late(X, I) :- superstep(X, I).`
 			observe(c, 0, layers[0], all)
 			return c.MergePartitions(0, nil)
 		}, [][]RecordView{layers[0]}, true},
+		{"record-scoped shed then live", heardAt, func(c *Compiled) error {
+			observe(c, 1, l1, all)
+			if err := c.MergePartitions(1, func(q int) bool { return q == p }); err != nil {
+				return err
+			}
+			observe(c, 2, l2, all)
+			return c.MergePartitions(2, nil)
+		}, [][]RecordView{only(l1, notP), l2}, false},
+		{"record-scoped aborted then re-observed", heardAt, func(c *Compiled) error {
+			observe(c, 1, l1, func(q int64) bool { return q == p })
+			observe(c, 1, l1, all)
+			return c.MergePartitions(1, nil)
+		}, [][]RecordView{l1}, false},
+		{"record-scoped merged then re-observed", heardAt, func(c *Compiled) error {
+			observe(c, 1, l1, all)
+			if err := c.MergePartitions(1, nil); err != nil {
+				return err
+			}
+			observe(c, 1, l1, all)
+			return c.MergePartitions(1, nil)
+		}, [][]RecordView{l1}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := analysis.MustAnalyze(tc.src, analysis.NewEnv())
@@ -1089,8 +1163,11 @@ late(X, I) :- superstep(X, I).`
 			derived := 0
 			for name := range q.IDBs {
 				rel := db.Get(name)
-				if keyed := rel.bits != nil; keyed != (tc.src != seen && tc.src != failing) {
+				if keyed := rel.bits != nil; keyed != (tc.src != seen && tc.src != failing && tc.src != heardAt) {
 					t.Errorf("%s: record-keyed %v", name, keyed)
+				}
+				if scoped := rel.scope != nil; scoped != (tc.src == heardAt) {
+					t.Errorf("%s: record-scoped %v", name, scoped)
 				}
 				if got := members(rel); got != rel.Len() {
 					t.Errorf("%s: %d members, %d tuples in order", name, got, rel.Len())
@@ -1299,9 +1376,15 @@ func TestOnlineHoldsOneSuperstep(t *testing.T) {
 }
 
 // members counts what a relation's membership holds: rows, the shard sets,
-// and the bits set in bits and in the shard bitsets.
+// the bits set in bits and in the shard bitsets, and a record-scoped
+// relation's set, keyed for the count (it keys order lazily, and each
+// distinct member once).
 func members(rel *Relation) int {
 	n := len(rel.rows)
+	if rel.scope != nil {
+		rel.keyAll()
+		n += rel.scope.set.n
+	}
 	for _, set := range rel.sets {
 		n += len(set)
 	}

@@ -13,7 +13,11 @@ import (
 // with its key columns, the slot count and the cut (cut=k: every head
 // variable is bound before step k+1, so the first completion ends that
 // step's enumeration), and keys=record when the rule's head is record-keyed
-// (one bit per (vertex, superstep) member). A global rule shows one program
+// (one bit per (vertex, superstep) member) or keys=scoped when it is
+// record-scoped (deduplicated per record, keyed only on demand). A step
+// that probes a sorted row with a cursor ends in "cursor": an out-edge row,
+// or an emitted table's facts, whose bucket falls back to a hash index when
+// they are not sorted by an Int first argument. A global rule shows one program
 // per delta literal; a materialised one is a global rule over relations,
 // and shows the record planner's refusal. The copy rules that fill the
 // relations it reads (planner=copy) come first, in a stratum of their own.
@@ -81,8 +85,11 @@ func Explain(q *analysis.Query) (string, error) {
 // slot count, cut and keys, then note.
 func (r *crule) describe(b *strings.Builder, label, note string) {
 	keys := ""
-	if r.keyed {
+	switch {
+	case r.keyed:
 		keys = " keys=record"
+	case r.scoped:
+		keys = " keys=scoped"
 	}
 	fmt.Fprintf(b, "  [%s] %s\n      planner=%s slots=%d%s%s%s\n", label, r.src, r.planner(),
 		r.prog.nSlots, r.prog.cutNote(), keys, note)
@@ -136,5 +143,23 @@ func (st *slotStep) describe(b *strings.Builder, n int, indent string) {
 			what += fmt.Sprintf(" key%v", st.lookupCols)
 		}
 	}
-	fmt.Fprintf(b, "%s%d. %-24s %s\n", indent, n, what, st.text)
+	cursor := ""
+	if st.cursor() {
+		cursor = " cursor"
+	}
+	fmt.Fprintf(b, "%s%d. %-24s %s%s\n", indent, n, what, st.text, cursor)
+}
+
+// cursor reports whether the step probes a sorted row with a cursor: an
+// emitted table or edge_value keyed on the peer, or an edge membership test.
+func (st *slotStep) cursor() bool {
+	switch {
+	case st.kind == stepCompare:
+		return false
+	case st.rows == rowsEmitted, st.rows == rowsEdgeValue:
+		return len(st.lookupCols) > 0
+	case st.rows == rowsEdge:
+		return len(st.lookupCols) == 2
+	}
+	return false
 }

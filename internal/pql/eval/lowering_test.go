@@ -124,35 +124,54 @@ func fuzzBases(tb testing.TB) []string {
 // superstep, or at such a peer in an earlier one — the forward discipline
 // under which per-record and bottom-up evaluation coincide. Some of them
 // get a sibling: a second rule of the same head whose body begins with the
-// same literals and differs in its filters, Query 7's shape. The rest are
+// same literals and differs in its filters, Query 7's shape; some sibling
+// pairs derive a wide head g(X, V, I), which Compile makes record-scoped
+// unless a later rule reads it (as g(X, _, I), or g(X, X, I) negated). The
+// rest are
 // global rules, over earlier heads only, and static rules, over edges and
 // comparisons only. Some record-shaped rules take a shape the record
 // planner refuses, so Compile materialises them: an aggregate head (COUNT,
 // SUM, MIN or MAX) over a record literal, a negated record literal, a
 // record literal off the head's location variable, or a read of a global
-// head. Those draw on shapes alone, so a program without them is the one rng
-// alone would write. Safety and stratification are left to the analysis,
-// which rejects some of the output.
+// head. Those and the wide heads draw on shapes alone, so a program without
+// them is the one rng alone would write. Safety and stratification are left
+// to the analysis, which rejects some of the output.
 func genRules(rng, shapes *rand.Rand, n int) string {
 	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
 	var b strings.Builder
-	var readable []string // heads a record rule may read: not global
-	var globals []string  // global heads, which a record rule reads only materialised
+	var readable []int // heads a record rule may read: not global
+	var globals []int  // global heads, which a record rule reads only materialised
+	wide := map[int]bool{}
+	// at reads head g at location x and superstep i.
+	at := func(g int, neg bool, x, i string) string {
+		switch {
+		case !wide[g] && neg:
+			return fmt.Sprintf("!g%d(%s, %s)", g, x, i)
+		case !wide[g]:
+			return fmt.Sprintf("g%d(%s, %s)", g, x, i)
+		case neg: // a negation is ground
+			return fmt.Sprintf("!g%d(%s, %s, %s)", g, x, x, i)
+		}
+		return fmt.Sprintf("g%d(%s, _, %s)", g, x, i)
+	}
 	for k := 0; k < n; k++ {
 		head := fmt.Sprintf("g%d(X, I)", k)
 		switch {
 		case k > 0 && rng.Intn(6) == 0:
-			g := func() string { return fmt.Sprintf("g%d", rng.Intn(k)) }
+			var g [8]int
+			for i := range g {
+				g[i] = rng.Intn(k)
+			}
 			fmt.Fprintf(&b, "%s :- %s.\n", head, pick(
-				g()+"(X, I), "+g()+"(X, I)",
-				g()+"(X, I), "+g()+"(Y, I), Y != X",
-				g()+"(X, J), "+g()+"(X, I), J < I",
-				g()+"(X, I), !"+g()+"(X, I)"))
-			globals = append(globals, fmt.Sprintf("g%d", k))
+				at(g[0], false, "X", "I")+", "+at(g[1], false, "X", "I"),
+				at(g[2], false, "X", "I")+", "+at(g[3], false, "Y", "I")+", Y != X",
+				at(g[4], false, "X", "J")+", "+at(g[5], false, "X", "I")+", J < I",
+				at(g[6], false, "X", "I")+", "+at(g[7], true, "X", "I")))
+			globals = append(globals, k)
 			continue
 		case rng.Intn(10) == 0:
 			fmt.Fprintf(&b, "%s :- %s.\n", head, pick("edge(X, Y), I = 0", "edge(Y, X), I = Y mod 2", "edge(X, Y), X < Y, I = 1"))
-			readable = append(readable, fmt.Sprintf("g%d", k))
+			readable = append(readable, k)
 			continue
 		}
 		var body []string
@@ -170,7 +189,7 @@ func genRules(rng, shapes *rand.Rand, n int) string {
 					body = append(body, "receive_message(X, Y, M, I)", pick("superstep(Y, I)", "value(Y, D3, I)", "!prov_send(Y, I)"))
 					vars, peer = append(vars, "Y", "M"), true
 				case len(globals) > 0:
-					body = append(body, globals[shapes.Intn(len(globals))]+"(X, I)", "superstep(X, I)")
+					body = append(body, at(globals[shapes.Intn(len(globals))], false, "X", "I"), "superstep(X, I)")
 				default:
 					body = append(body, "superstep(X, I)")
 				}
@@ -210,11 +229,11 @@ func genRules(rng, shapes *rand.Rand, n int) string {
 				g := readable[rng.Intn(len(readable))]
 				switch {
 				case peer && rng.Intn(2) == 0:
-					body = append(body, g+"(Y, J2)", pick("J2 < I", "J2 = I - 1"), "superstep(X, I)")
+					body = append(body, at(g, false, "Y", "J2"), pick("J2 < I", "J2 = I - 1"), "superstep(X, I)")
 				case peer:
-					body = append(body, pick("", "!")+g+"(Y, I)", "superstep(X, I)")
+					body = append(body, at(g, pick("", "!") == "!", "Y", "I"), "superstep(X, I)")
 				default:
-					body = append(body, pick("", "!")+g+"(X, I)", "superstep(X, I)")
+					body = append(body, at(g, pick("", "!") == "!", "X", "I"), "superstep(X, I)")
 				}
 			}
 		}
@@ -246,11 +265,14 @@ func genRules(rng, shapes *rand.Rand, n int) string {
 			// A sibling: the same literals, then its own filter on the same
 			// variable, as Query 7's W < 0 / W > 5.
 			v := vars[rng.Intn(len(vars))]
+			if shapes.Intn(2) == 0 {
+				head, wide[k] = fmt.Sprintf("g%d(X, %s, I)", k, v), true
+			}
 			for _, op := range []string{"<", ">"} {
 				rule := append(slices.Clone(body), fmt.Sprintf("%s %s %d", v, op, rng.Intn(4)))
 				fmt.Fprintf(&b, "%s :- %s.\n", head, strings.Join(append(rule, filters()...), ", "))
 			}
-			readable = append(readable, fmt.Sprintf("g%d", k))
+			readable = append(readable, k)
 			continue
 		}
 		body = append(body, filters()...)
@@ -262,7 +284,7 @@ func genRules(rng, shapes *rand.Rand, n int) string {
 			head = fmt.Sprintf("g%d(X, %s(%s))", k, []string{"SUM", "MIN", "MAX"}[shapes.Intn(3)], vars[shapes.Intn(len(vars))])
 		}
 		fmt.Fprintf(&b, "%s :- %s.\n", head, strings.Join(body, ", "))
-		readable = append(readable, fmt.Sprintf("g%d", k))
+		readable = append(readable, k)
 	}
 	return b.String()
 }
@@ -317,6 +339,12 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	for _, o := range []string{"compiled with a shared prefix", "compiled with a global rule"} {
 		if lowerOutcomes[o] < n/10 {
 			t.Errorf("only %d of %d programs %s", lowerOutcomes[o], n, o)
+		}
+	}
+	for _, path := range []string{"probe fact cursor", "probe fact index", "probe edge cursor", "probe re-seek",
+		"dedup record-scoped", "dedup record-keyed", "dedup shard set"} {
+		if lowerOutcomes[path] < n/100 {
+			t.Errorf("only %d of %d programs reached %s", lowerOutcomes[path], n, path)
 		}
 	}
 	if lowerOutcomes["compiled with a split barrier stratum"] < n/100 {

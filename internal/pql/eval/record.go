@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"ariadne/internal/engine"
+	"ariadne/internal/graph"
 	"ariadne/internal/value"
 )
 
@@ -96,8 +97,12 @@ type RecordView struct {
 
 // recordFacts holds the current record's emitted facts by table, built on
 // the first emitted step of each record: byTable[id] lists the positions of
-// table id's facts in emitted order, and idx[id] is their index on the
-// first argument, built on the first keyed probe. Every step and branch
+// table id's facts in emitted order. sorted[id] reports whether every one's
+// first argument is an Int, each at least the one before (analytics emit
+// their per-peer facts in inbox order, ascending by peer), and keys[id]
+// then lists those first arguments. A keyed probe of a sorted bucket walks
+// a cursor along keys; any other uses idx[id], the bucket's index on the
+// first argument, built on the first such probe. Every step and branch
 // reading a table shares its bucket and index. seq names the record they
 // were built for: slotRun.recSeq moves on with every record, so neither
 // outlives its record even though views are reused across supersteps.
@@ -105,7 +110,47 @@ type recordFacts struct {
 	tables  []string // by id (Compile numbers them)
 	seq     uint64
 	byTable [][]int32
+	sorted  []bool
+	keys    [][]int64
 	idx     []factIndex
+}
+
+// stepCursor is a record step's cursor over a sorted row (graph.Seek): the
+// current record's bucket of an emitted table, or the out-edge row of vertex
+// v. seq names the record it was set for; a fact cursor is good for that
+// record only, an edge cursor for as long as it probes v's row.
+type stepCursor struct {
+	set bool
+	seq uint64
+	v   int64
+	at  int
+	dst []engine.VertexID
+	w   []float64
+}
+
+// workCounts are a run's counts of record-step work, partition-local and
+// summed at the merge in partition order (see CompiledStats): cursor probes
+// of fact buckets and of edge rows, and of those the re-seeks.
+type workCounts struct {
+	indexBuilds, factProbes, edgeProbes, reseeks int64
+}
+
+func (w *workCounts) add(o workCounts) {
+	w.indexBuilds += o.indexBuilds
+	w.factProbes += o.factProbes
+	w.edgeProbes += o.edgeProbes
+	w.reseeks += o.reseeks
+}
+
+// seek moves cur to the first of row's elements at least x, counting a
+// re-seek.
+func seek[E int64 | engine.VertexID](w *workCounts, cur *stepCursor, row []E, x E) int {
+	at, back := graph.Seek(row, cur.at, x)
+	cur.at = at
+	if back {
+		w.reseeks++
+	}
+	return at
 }
 
 // factIndex is a hash index over one table's bucket, chained through the
@@ -126,18 +171,28 @@ func (rn *slotRun) tableFacts(id int) []int32 {
 		fs.seq = rn.recSeq
 		if len(fs.byTable) < len(fs.tables) {
 			fs.byTable = make([][]int32, len(fs.tables))
+			fs.sorted = make([]bool, len(fs.tables))
+			fs.keys = make([][]int64, len(fs.tables))
 			fs.idx = make([]factIndex, len(fs.tables))
 		}
 		for t := range fs.byTable {
-			fs.byTable[t] = fs.byTable[t][:0]
+			fs.byTable[t], fs.keys[t], fs.sorted[t] = fs.byTable[t][:0], fs.keys[t][:0], true
 		}
 		for i := range rn.rv.Emitted {
-			name := rn.rv.Emitted[i].Table
+			f := &rn.rv.Emitted[i]
 			for t, tn := range fs.tables {
-				if name == tn {
-					fs.byTable[t] = append(fs.byTable[t], int32(i))
-					break
+				if f.Table != tn {
+					continue
 				}
+				fs.byTable[t] = append(fs.byTable[t], int32(i))
+				if keys := fs.keys[t]; fs.sorted[t] {
+					if len(f.Args) > 0 && f.Args[0].Kind() == value.Int && (len(keys) == 0 || f.Args[0].Int() >= keys[len(keys)-1]) {
+						fs.keys[t] = append(keys, f.Args[0].Int())
+					} else {
+						fs.sorted[t] = false
+					}
+				}
+				break
 			}
 		}
 	}
@@ -145,14 +200,33 @@ func (rn *slotRun) tableFacts(id int) []int32 {
 }
 
 // factsByFirstArg calls fn, in emitted order, with the current record's
-// facts of table id whose first argument's value.Hash is h, building the
-// table's index on the first probe of each record. Values appendNorm
-// encodes alike hash alike (3 and 3.0, -0.0 and +0.0), and collisions only
-// add candidates: fn's match actions compare every argument anyway.
-func (rn *slotRun) factsByFirstArg(id int, h uint64, fn func(*engine.ProvFact) error) error {
+// facts of table id whose first argument may equal k, probing for step si.
+// An Int key into a sorted bucket moves the step's cursor to exactly the
+// facts whose first argument is k. Any other probe takes the facts whose
+// first argument's value.Hash is k's from the table's index, built on the
+// first such probe of each record: values appendNorm encodes alike hash
+// alike (3 and 3.0, -0.0 and +0.0), and collisions only add candidates, as
+// fn's match actions compare every argument anyway.
+func (rn *slotRun) factsByFirstArg(id, si int, k value.Value, fn func(*engine.ProvFact) error) error {
 	pos, facts := rn.tableFacts(id), rn.rv.Emitted
+	if rn.facts.sorted[id] && k.Kind() == value.Int {
+		cur := &rn.curs[si]
+		if !cur.set || cur.seq != rn.recSeq {
+			*cur = stepCursor{set: true, seq: rn.recSeq}
+		}
+		keys, x := rn.facts.keys[id], k.Int()
+		rn.work.factProbes++
+		for j := seek(&rn.work, cur, keys, x); j < len(keys) && keys[j] == x; j++ {
+			if err := fn(&facts[pos[j]]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	h := k.Hash()
 	fx := &rn.facts.idx[id]
 	if fx.seq != rn.recSeq {
+		rn.work.indexBuilds++
 		fx.seq = rn.recSeq
 		nb := 1
 		for nb < len(pos) {
@@ -183,15 +257,35 @@ func (rn *slotRun) factsByFirstArg(id int, h uint64, fn func(*engine.ProvFact) e
 // degree tests of static views. A vertex outside the graph has no edges.
 type StaticGraph interface {
 	NumVertices() int
-	// OutNeighbors returns destinations and weights of v's out-edges.
+	// OutNeighbors returns destinations and weights of v's out-edges,
+	// sorted by destination (as graph.Graph's CSR rows are).
 	OutNeighbors(v int64) ([]engine.VertexID, []float64)
 	// InNeighbors returns sources of v's in-edges (nil if unavailable).
 	InNeighbors(v int64) []engine.VertexID
 	// OutDegree and InDegree count v's out- and in-edges.
 	OutDegree(v int64) int
 	InDegree(v int64) int
-	// EdgeWeight returns the weight of edge src->dst if present.
-	EdgeWeight(src, dst int64) (float64, bool)
+}
+
+// edgeWeight returns the weight of the first edge a->b, as
+// graph.Graph.EdgeWeight does, from step si's cursor over a's out-edge row:
+// StaticGraph rows are sorted by destination, and a record's probes of its
+// own row mostly ascend, as its peers do.
+func (rn *slotRun) edgeWeight(si int, a, b int64) (float64, bool) {
+	cur := &rn.curs[si]
+	if !cur.set || cur.v != a {
+		*cur = stepCursor{set: true, v: a}
+		cur.dst, cur.w = rn.sg.OutNeighbors(a)
+	}
+	if b < 0 || b > math.MaxUint32 {
+		return 0, false
+	}
+	d := engine.VertexID(b)
+	rn.work.edgeProbes++
+	if at := seek(&rn.work, cur, cur.dst, d); at < len(cur.dst) && cur.dst[at] == d {
+		return cur.w[at], true
+	}
+	return 0, false
 }
 
 // vertexID converts a key value to a vertex id; non-integral values name no
@@ -326,7 +420,7 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 			if err != nil {
 				return err
 			}
-			return rn.factsByFirstArg(st.table, kv.Hash(), fact)
+			return rn.factsByFirstArg(st.table, si, kv, fact)
 		}
 		for _, fi := range rn.tableFacts(st.table) {
 			if err := fact(&rv.Emitted[fi]); err != nil {
@@ -371,7 +465,7 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 			if !ok {
 				return nil
 			}
-			w, ok := rn.sg.EdgeWeight(rv.Vertex, y)
+			w, ok := rn.edgeWeight(si, rv.Vertex, y)
 			if !ok {
 				return nil
 			}
@@ -419,7 +513,7 @@ func (p *program) edgeRows(rn *slotRun, si int, st *slotStep, row []value.Value)
 	}
 	switch {
 	case len(st.lookupCols) == 2:
-		if _, ok := sg.EdgeWeight(end[0], end[1]); !ok {
+		if _, ok := rn.edgeWeight(si, end[0], end[1]); !ok {
 			return nil
 		}
 		row[0], row[1] = value.NewInt(end[0]), value.NewInt(end[1])

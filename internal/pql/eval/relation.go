@@ -52,6 +52,14 @@ func (t Tuple) Clone() Tuple {
 // in bitSets, registered as their sets are; only its other tuples are keyed
 // by string. A member is then in rows, in one set, in bits or in one bitset.
 //
+// A record-scoped relation (Compile scopes a head no rule reads whose every
+// rule is an in-partition record rule deriving the record's vertex and
+// superstep at fixed columns) keeps no keyed set while it is evaluated: a
+// shard dedups what it derives for it against its own tuples of the
+// superstep only, which are all a tuple of that record can equal, and the
+// merge appends them to order alone. Its membership is order, keyed into
+// scope's hash set lazily, by the first method that probes it.
+//
 // Concurrency contract: concurrent readers (Lookup/LookupKey/Contains/All)
 // are safe with each other — lazy index construction is serialized behind
 // mu, and everything else they touch is read-only. Mutations (Insert,
@@ -69,6 +77,7 @@ type Relation struct {
 	sets    []map[string]Tuple
 	bits    *recordBits   // nil unless record-keyed
 	bitSets []*recordBits // the shards' bits of a record-keyed relation
+	scope   *scopeSet     // nil unless record-scoped
 	order   []Tuple       // insertion order, for deterministic iteration
 	appends int           // tuples appended to order since it was last emptied
 
@@ -106,6 +115,9 @@ func (r *Relation) Insert(t Tuple) bool {
 		r.appendNew(t)
 		return true
 	}
+	if r.scope != nil {
+		return r.scopedAdd(t, hashTuple(t))
+	}
 	var buf [64]byte
 	k := appendKey(buf[:0], t)
 	if r.inKeyed(k) {
@@ -133,6 +145,15 @@ func (r *Relation) insertCopy(t Tuple, kb *[]byte) (Tuple, bool) {
 		r.appendNew(c)
 		return c, true
 	}
+	if r.scope != nil {
+		h := hashTuple(t)
+		if r.scopedHas(t, h) {
+			return nil, false
+		}
+		c := t.Clone()
+		r.scopedAdd(c, h)
+		return c, true
+	}
 	*kb = appendKey((*kb)[:0], t)
 	if r.inKeyed(*kb) {
 		return nil, false
@@ -154,6 +175,9 @@ func (r *Relation) add(k string, t Tuple) {
 func (r *Relation) appendNew(t Tuple) {
 	r.order = append(r.order, t)
 	r.appends++
+	if r.scope != nil {
+		r.scope.note(t)
+	}
 	for _, idx := range r.indexes {
 		pk := projKey(t, idx.cols)
 		idx.m[pk] = append(idx.m[pk], t)
@@ -169,6 +193,12 @@ func (r *Relation) Delete(t Tuple) bool {
 			return false
 		}
 		r.bits.unset(v, s)
+	} else if r.scope != nil {
+		if !r.scopedHas(t, hashTuple(t)) {
+			return false
+		}
+		// The set is keyed by position in order: key it afresh.
+		r.scope.unkey()
 	} else {
 		if _, ok := r.rows[k]; !ok {
 			return false
@@ -201,6 +231,9 @@ func (r *Relation) Contains(t Tuple) bool {
 	if v, s, ok := r.bitOf(t); ok {
 		return r.hasBit(v, s)
 	}
+	if r.scope != nil {
+		return r.scopedHas(t, hashTuple(t))
+	}
 	var buf [64]byte
 	return r.inKeyed(appendKey(buf[:0], t))
 }
@@ -227,6 +260,213 @@ func (r *Relation) inRows(k []byte) bool {
 	}
 	_, ok := r.rows[string(k)]
 	return ok
+}
+
+// scopeRecords makes an empty relation record-scoped, its tuples' superstep
+// at column col. A relation already holding tuples stays keyed by string.
+func (r *Relation) scopeRecords(col int) {
+	if r.scope == nil && r.bits == nil && r.Len() == 0 {
+		r.scope = &scopeSet{col: col}
+	}
+}
+
+// scopedHas reports whether a record-scoped relation holds t, whose hash is
+// h, keying order first. Safe for concurrent readers, as Contains is.
+func (r *Relation) scopedHas(t Tuple, h uint64) bool {
+	r.keyAll()
+	return r.scope.set.has(r.order, t, h)
+}
+
+// scopedAdd appends t to a record-scoped relation unless it holds t already,
+// reporting whether it did.
+func (r *Relation) scopedAdd(t Tuple, h uint64) bool {
+	if r.scopedHas(t, h) {
+		return false
+	}
+	r.appendNew(t)
+	r.scope.set.add(h, len(r.order)-1)
+	r.scope.keyed = len(r.order)
+	return true
+}
+
+// keyAll adds the tuples of order not yet keyed to a record-scoped
+// relation's set: the ones the merge appended. It runs under mu, so shards
+// observing a superstep the relation holds key it once between them.
+func (r *Relation) keyAll() {
+	sc := r.scope
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if sc.keyed == len(r.order) {
+		return
+	}
+	sc.set.reserve(len(r.order))
+	for ; sc.keyed < len(r.order); sc.keyed++ {
+		t := r.order[sc.keyed]
+		if h := hashTuple(t); !sc.set.has(r.order, t, h) {
+			sc.set.add(h, sc.keyed)
+		}
+	}
+}
+
+// scopeSet is the membership of a record-scoped relation: set keys
+// order[:keyed] by position, and supersteps lists the supersteps its tuples
+// hold at column col, which a partition shard checks before it trusts its
+// own set alone (see holds). A shard's overlay of the head keeps one too
+// (col -1: it notes no supersteps), over the superstep's new tuples, keyed
+// as they are added, and fallback says its shard also probes the head's own
+// set this superstep.
+type scopeSet struct {
+	col        int
+	set        tupleSet
+	keyed      int
+	supersteps map[int64]bool
+	last       int64 // the superstep note saw last, when any
+	noted      bool
+	fallback   bool
+}
+
+// note records the superstep of a tuple appended to a record-scoped
+// relation. Consecutive tuples mostly share one, so it skips the map then.
+func (sc *scopeSet) note(t Tuple) {
+	if sc.col < 0 {
+		return
+	}
+	ss, ok := vertexID(t[sc.col])
+	if !ok || sc.noted && ss == sc.last {
+		return
+	}
+	if sc.supersteps == nil {
+		sc.supersteps = map[int64]bool{}
+	}
+	sc.supersteps[ss], sc.last, sc.noted = true, ss, true
+}
+
+// holds reports whether the relation holds a tuple at the superstep of some
+// record of recs: only then can a record's tuple equal one derived before
+// (the superstep was merged already, and is observed again).
+func (sc *scopeSet) holds(recs []RecordView) bool {
+	if len(sc.supersteps) == 0 {
+		return false
+	}
+	for i := range recs {
+		if ss := recs[i].Superstep; (i == 0 || ss != recs[i-1].Superstep) && sc.supersteps[ss] {
+			return true
+		}
+	}
+	return false
+}
+
+// unkey empties the set, so keyAll keys order afresh.
+func (sc *scopeSet) unkey() {
+	sc.set.reset()
+	sc.keyed = 0
+}
+
+// reset forgets every tuple and superstep.
+func (sc *scopeSet) reset() {
+	sc.unkey()
+	clear(sc.supersteps)
+	sc.noted = false
+}
+
+// tupleSet is a set of tuples held in a list elsewhere (a relation's order),
+// keyed by position under a fixed-width hash of the tuple (hashTuple): an
+// open-addressing table whose slots hold a hash and a position plus one
+// (zero: empty). Two tuples are one member when appendNorm encodes them
+// alike; a hash match is confirmed so (sameTuple). Emptying it keeps its
+// slots, so a set refilled every superstep grows only to the largest.
+type tupleSet struct {
+	slots []tslot
+	n     int
+}
+
+type tslot struct {
+	h   uint64
+	pos int32
+}
+
+// has reports whether list holds a member equal to t, whose hash is h, among
+// the positions the set keys.
+func (s *tupleSet) has(list []Tuple, t Tuple, h uint64) bool {
+	if s.n == 0 {
+		return false
+	}
+	mask := uint64(len(s.slots) - 1)
+	for j := h & mask; s.slots[j].pos != 0; j = (j + 1) & mask {
+		if sl := s.slots[j]; sl.h == h && sameTuple(list[sl.pos-1], t) {
+			return true
+		}
+	}
+	return false
+}
+
+// add keys position i, whose tuple's hash is h and which the set does not
+// hold.
+func (s *tupleSet) add(h uint64, i int) {
+	s.reserve(s.n + 1)
+	mask := uint64(len(s.slots) - 1)
+	j := h & mask
+	for s.slots[j].pos != 0 {
+		j = (j + 1) & mask
+	}
+	s.slots[j] = tslot{h: h, pos: int32(i + 1)}
+	s.n++
+}
+
+// reserve grows the table, rehashing, to hold n members at most half full.
+func (s *tupleSet) reserve(n int) {
+	if 2*n <= len(s.slots) {
+		return
+	}
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	old := s.slots
+	s.slots = make([]tslot, size)
+	mask := uint64(size - 1)
+	for _, sl := range old {
+		if sl.pos == 0 {
+			continue
+		}
+		j := sl.h & mask
+		for s.slots[j].pos != 0 {
+			j = (j + 1) & mask
+		}
+		s.slots[j] = sl
+	}
+}
+
+// reset empties the set, keeping its slots.
+func (s *tupleSet) reset() {
+	if s.n > 0 {
+		clear(s.slots)
+		s.n = 0
+	}
+}
+
+// hashTuple combines the columns' value.Hash, which hashes alike what
+// appendNorm encodes alike.
+func hashTuple(t Tuple) uint64 {
+	h := uint64(len(t))
+	for _, v := range t {
+		h = (h^v.Hash())*0x9e3779b97f4a7c15 + 1
+	}
+	return h
+}
+
+// sameTuple reports whether appendNorm encodes a and b alike.
+func sameTuple(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		var x, y [64]byte
+		if string(appendNorm(x[:0], a[i])) != string(appendNorm(y[:0], b[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 // keyRecords makes an empty relation of arity 2 record-keyed over vertex
@@ -430,6 +670,7 @@ const (
 	memBucketOverhead = 16 + 24 + 8 // string header + slice header + map slot
 	memIndexOverhead  = 48          // index struct + cols slice
 	memEntryPointer   = 8
+	memSlot           = 16 // a record-scoped relation's hash-set slot (tslot)
 )
 
 // MemSize estimates the relation's footprint in bytes: tuple storage plus
@@ -451,6 +692,9 @@ func (r *Relation) MemSize() int64 {
 		}
 	}
 	r.mu.Lock()
+	if r.scope != nil {
+		s += memSlot * int64(len(r.scope.set.slots))
+	}
 	for _, idx := range r.indexes {
 		s += memIndexOverhead
 		for k, lst := range idx.m {

@@ -175,8 +175,11 @@ type slotRun struct {
 	slots  []value.Value
 	rowBuf [][]value.Value // per step, reused across rows
 	// facts are the current record's emitted facts by table, and their
-	// first-argument indexes (record.go).
+	// first-argument indexes (record.go); curs holds each step's cursor, and
+	// work counts what they did.
 	facts recordFacts
+	curs  []stepCursor
+	work  workCounts
 	// rels and ovls hold, per step, the database's and the overlay's relation
 	// a relation step reads (nil: none), resolved once per firing by prep.
 	rels   []*Relation
@@ -215,11 +218,12 @@ func (rn *slotRun) prep(p *program, deltas []Tuple, emit func(Tuple) error) {
 			rn.head = make(Tuple, len(br.head))
 		}
 	}
-	for len(rn.rowBuf) < len(p.steps) {
-		rn.rowBuf = append(rn.rowBuf, nil)
-		rn.rels = append(rn.rels, nil)
-		rn.ovls = append(rn.ovls, nil)
+	if n := len(p.steps); len(rn.rowBuf) < n {
+		rn.rowBuf = append(rn.rowBuf, make([][]value.Value, n-len(rn.rowBuf))...)
+		rn.rels, rn.ovls = make([]*Relation, n), make([]*Relation, n)
+		rn.curs = make([]stepCursor, n)
 	}
+	clear(rn.curs)
 	rn.live, rn.done = p.all(), 0
 	for i := range p.steps {
 		st := &p.steps[i]

@@ -17,11 +17,11 @@ import (
 // panics on corrupt input (BlobReader is bounds-checked with a sticky
 // error).
 
-// Clear empties the relation in place, shard sets and bitsets included,
-// preserving its identity (compiled rules hold *Relation pointers, so
-// restore refills the same objects rather than swap them), its index
-// definitions and its capacity. A slice All returned before is overwritten
-// by later inserts.
+// Clear empties the relation in place, shard sets, bitsets and a
+// record-scoped relation's set included, preserving its identity (compiled
+// rules hold *Relation pointers, so restore refills the same objects rather
+// than swap them), its index definitions and its capacity. A slice All
+// returned before is overwritten by later inserts.
 func (r *Relation) Clear() {
 	clear(r.rows)
 	for _, s := range r.sets {
@@ -32,6 +32,9 @@ func (r *Relation) Clear() {
 		for _, b := range r.bitSets {
 			b.reset()
 		}
+	}
+	if r.scope != nil {
+		r.scope.reset()
 	}
 	r.truncate()
 }
