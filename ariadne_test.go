@@ -386,11 +386,11 @@ func TestALSCaptureBlowup(t *testing.T) {
 	if !errors.Is(err, provenance.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
-	// With a spill directory the same run succeeds.
+	// With a spill directory the same run, under the same budget, succeeds.
 	res, err := ariadne.Run(r.Graph, prog,
 		ariadne.WithMaxSupersteps(8),
 		ariadne.WithCapture(capture.FullPolicy(), ariadne.StoreConfig{
-			MemoryBudget: 512 << 10, SpillDir: t.TempDir(),
+			MemoryBudget: 64 * 1024, SpillDir: t.TempDir(),
 		}))
 	if err != nil {
 		t.Fatal(err)

@@ -106,6 +106,11 @@ type Observer struct {
 	mu   sync.Mutex
 	segs []*segment
 	live []*provenance.LayerBuilder // the barrier's segments to stitch, reused
+
+	// derives is the superstep whose layer derives its receive payloads
+	// from the previous layer's sends (LayerBuilder.DeriveRecvValues), or
+	// -1; set at each barrier for the next superstep (see deriveAfter).
+	derives int
 }
 
 // segment is one partition's capture of one superstep: its records encoded
@@ -124,7 +129,7 @@ type tally struct{ values, sends, flags, recvs int64 }
 
 // NewObserver creates a capture observer writing into store.
 func NewObserver(policy Policy, store *provenance.Store) *Observer {
-	o := &Observer{policy: policy, store: store}
+	o := &Observer{policy: policy, store: store, derives: -1}
 	o.emitSet = map[string]bool{}
 	for _, t := range policy.Emitted {
 		if t == "*" {
@@ -171,6 +176,9 @@ func (o *Observer) ObservePartition(p, ss int, recs []engine.VertexRecord) {
 	seg := o.segment(p)
 	b := seg.b
 	b.Reset(ss)
+	if ss == o.derives {
+		b.DeriveRecvValues()
+	}
 	seg.observed = len(recs) > 0
 	seg.tuples = tally{}
 	clear(seg.emitted)
@@ -290,10 +298,24 @@ func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
 	o.metrics.AddCaptureTuples("send_message", n.sends)
 	o.metrics.AddCaptureTuples("prov_send", n.flags)
 	o.metrics.AddCaptureTuples("receive_message", n.recvs)
-	if err := o.store.Append(ss, live...); err != nil {
-		return o.degradeLayer(ss, err)
+	err = o.store.Append(ss, live...)
+	if err != nil {
+		err = o.degradeLayer(ss, err)
 	}
-	return nil
+	o.deriveAfter(ss)
+	return err
+}
+
+// deriveAfter decides whether the layer after superstep ss derives its
+// receive payloads: it does when the policy stores every send and every
+// receive, and layer ss is in the store whole — no capture gap, no gap
+// layer — so it holds every message the next superstep receives.
+func (o *Observer) deriveAfter(ss int) {
+	o.derives = -1
+	if o.policy.Sends && o.policy.Recvs && o.policy.TaintSource == nil &&
+		ss >= 0 && o.store.NumLayers() == ss+1 && !o.store.Gapped(ss) {
+		o.derives = ss + 1
+	}
 }
 
 // keeps reports whether the policy persists emitted facts of table.
@@ -526,16 +548,22 @@ func (o *Observer) UnmarshalCheckpoint(data []byte) error {
 	} else {
 		o.tainted = nil
 	}
-	if o.store.NumLayers() >= watermark {
-		return o.store.TruncateLayers(watermark)
-	}
-	if o.store.NumLayers() == 0 && watermark > 0 {
+	switch {
+	case o.store.NumLayers() >= watermark:
+		if err := o.store.TruncateLayers(watermark); err != nil {
+			return err
+		}
+	case o.store.NumLayers() == 0 && watermark > 0:
 		if err := o.store.Reattach(watermark); err != nil {
 			return fmt.Errorf("capture: store behind checkpoint watermark %d and reattach failed (capture recovery needs the crashed run's store or SpillAll files): %w", watermark, err)
 		}
-		return nil
+	default:
+		return fmt.Errorf("capture: store has %d layers, checkpoint watermark is %d", o.store.NumLayers(), watermark)
 	}
-	return fmt.Errorf("capture: store has %d layers, checkpoint watermark is %d", o.store.NumLayers(), watermark)
+	// The resumed run's first layer derives from the last one kept, which
+	// may be a reattached file.
+	o.deriveAfter(watermark - 1)
+	return nil
 }
 
 // FromQuery compiles a PQL *capture query* into a Policy. Each rule's body

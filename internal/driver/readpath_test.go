@@ -29,7 +29,9 @@ func decodedBlocks(t *testing.T, q *analysis.Query, store *provenance.Store, g *
 // queries over a spilled SSSP full capture. Query 6 reads the core
 // columns, the receive peers and the values, each block once per layer, and
 // no other column: not the send topology, the payloads of the messages or
-// the emitted facts. A query over send_message (Query 10) and one over
+// the emitted facts — although every layer after the first derives its
+// receive payloads from the previous layer's sends, which only a read of
+// the payloads decodes (TestLayeredDerivesEachPredecessorOnce). A query over send_message (Query 10) and one over
 // prov_send (Query 12, which under full capture holds for a record with
 // sends) read the send peers of every layer.
 func TestLayeredDecodesProjectedColumns(t *testing.T) {
@@ -58,6 +60,24 @@ func TestLayeredDecodesProjectedColumns(t *testing.T) {
 	for _, d := range []queries.Definition{queries.BackwardTrace(alpha, sigma), queries.BackwardTraceCustom(alpha, sigma)} {
 		if got := decodedBlocks(t, d.MustBuild(), store, g)["sendPeers"]; got != n {
 			t.Errorf("%s decoded %d sendPeers blocks over %d layers, want %d", d.Name, got, n, n)
+		}
+	}
+}
+
+// TestLayeredDerivesEachPredecessorOnce counts the decode work of Query 5,
+// which reads receive payloads, layered over a spilled SSSP full capture:
+// every layer after the first derives them from the previous layer's
+// sends, so each of its reads decodes that layer's vertices, send peers and
+// send values once, and only layer 0 has a receive-value block.
+func TestLayeredDerivesEachPredecessorOnce(t *testing.T) {
+	g, store := benchCapture(t, 8)
+	n := int64(store.NumLayers())
+	got := decodedBlocks(t, queries.MonotoneCheck().MustBuild(), store, g)
+	want := map[string]int64{"vertex": 2*n - 1, "prevActive": n, "flags": n, "recvPeers": n, "values": n,
+		"sendPeers": n - 1, "sendValues": n - 1, "recvValues": 1, "emitted": 0}
+	for col, w := range want {
+		if got[col] != w {
+			t.Errorf("Query 5 decoded %d %s blocks over %d layers, want %d", got[col], col, n, w)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func msgBits(msgs []IncomingMessage) string {
 
 // checkAgainstOracle compares one partition's inbox with the oracle's map:
 // same owners, and for every vertex of the partition the same messages in
-// the same order once canonicalize — the pass runPartition applies before
+// the same order once Canonicalize — the pass runPartition applies before
 // Compute — has run.
 func checkAgainstOracle(t *testing.T, label string, in *inbox, nVerts int, want map[VertexID][]IncomingMessage) {
 	t.Helper()
@@ -73,7 +73,7 @@ func checkAgainstOracle(t *testing.T, label string, in *inbox, nVerts int, want 
 	var total int64
 	for v := in.p; v < nVerts; v += in.nParts {
 		got := in.msgs(VertexID(v))
-		canonicalize(got)
+		Canonicalize(got)
 		if g, w := msgBits(got), msgBits(want[VertexID(v)]); g != w {
 			t.Fatalf("%s: vertex %d receives\n  %s\noracle\n  %s", label, v, g, w)
 		}

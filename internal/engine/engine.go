@@ -885,7 +885,7 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, fields Fields, id
 			return
 		}
 		msgs := inbox.msgs(v)
-		canonicalize(msgs)
+		Canonicalize(msgs)
 		ctx.reset(v)
 		old := e.values[v]
 		if err := e.computeOne(actx, ctx, v, ss, p, msgs); err != nil {
@@ -944,12 +944,14 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, fields Fields, id
 	}
 }
 
-// canonicalize puts msgs into the engine's message order — ascending Src,
+// Canonicalize puts msgs into the engine's message order — ascending Src,
 // then ascending Val, ties as given — so what Compute sees depends on neither
 // scheduling nor the partition count. inbox.build delivers that order unless
 // one Src sent a vertex several messages (multi-edges), and an installed
 // frontier may be in any order, so one linear pass decides whether to sort.
-func canonicalize(msgs []IncomingMessage) {
+// A provenance reader that rebuilds a vertex's receives from its senders'
+// sends, in delivery order, applies it too.
+func Canonicalize(msgs []IncomingMessage) {
 	if !isCanonical(msgs) {
 		slices.SortStableFunc(msgs, func(a, b IncomingMessage) int {
 			if a.Src != b.Src {

@@ -29,14 +29,28 @@ func finish(b *LayerBuilder) []byte {
 
 // oracleEncodeColumnar is the row-walking encoder the builder replaced,
 // kept as the reference: the builder must produce its bytes exactly, so
-// layer files stay byte-identical across the change. At version 3 a send
+// layer files stay byte-identical across the change. From version 3 a send
 // whose packed bytes equal the record's previous send's is the repeat code
 // (decided by comparing the bytes, not the builder's kind-and-bits test);
 // at version 2 every send is packed in full, as version 2 writers did.
-func oracleEncodeColumnar(l *Layer, version byte) []byte {
+// Version 4 adds the flags byte, here zero.
+func oracleEncodeColumnar(l *Layer, version byte) []byte { return oracleEncode(l, version, false) }
+
+// oracleEncodeDerived is the version 4 image of l deriving its receive
+// payloads: the flag set, and no receive-value column.
+func oracleEncodeDerived(l *Layer) []byte { return oracleEncode(l, layerVersionColumnar, true) }
+
+func oracleEncode(l *Layer, version byte, derived bool) []byte {
 	var head []byte
 	head = append(head, layerMagic[:]...)
 	head = append(head, version)
+	if version >= layerVersionColumnar {
+		var flags byte
+		if derived {
+			flags = flagDerivedRecvs
+		}
+		head = append(head, flags)
+	}
 	head = binary.AppendUvarint(head, uint64(l.Superstep))
 	head = binary.AppendUvarint(head, uint64(len(l.Records)))
 
@@ -80,7 +94,9 @@ func oracleEncodeColumnar(l *Layer, version byte) []byte {
 		}
 		blocks[colRecvPeers] = oraclePeerDeltas(blocks[colRecvPeers], v, r.Recvs)
 		for _, m := range r.Recvs {
-			blocks[colRecvValues] = appendPackedValue(blocks[colRecvValues], m.Val)
+			if !derived {
+				blocks[colRecvValues] = appendPackedValue(blocks[colRecvValues], m.Val)
+			}
 		}
 		if r.HasValue {
 			blocks[colValues] = appendPackedValue(blocks[colValues], r.Value)
@@ -112,9 +128,16 @@ func oracleEncodeColumnar(l *Layer, version byte) []byte {
 	blocks[colEmitted] = append(emitted, emittedBody...)
 
 	var foot []byte
-	foot = binary.AppendUvarint(foot, numColumns)
+	cols := numColumns
+	if derived {
+		cols--
+	}
+	foot = binary.AppendUvarint(foot, uint64(cols))
 	off := uint64(len(head))
 	for id, b := range blocks {
+		if derived && id == colRecvValues {
+			continue
+		}
 		foot = binary.AppendUvarint(foot, uint64(id))
 		foot = binary.AppendUvarint(foot, off)
 		foot = binary.AppendUvarint(foot, uint64(len(b)))
@@ -243,7 +266,7 @@ func TestLayerBuilderMatchesRowEncoder(t *testing.T) {
 			b.add(&l.Records[j])
 		}
 		got, want := finish(b), oracleEncodeColumnar(l, layerVersionColumnar)
-		if !bytes.Equal(want[5:], oracleEncodeColumnar(l, layerVersionNoRepeat)[5:]) {
+		if !bytes.Equal(oracleEncodeColumnar(l, layerVersionNoFlags)[5:], oracleEncodeColumnar(l, layerVersionNoRepeat)[5:]) {
 			repeating++
 		}
 		if !bytes.Equal(got, want) {

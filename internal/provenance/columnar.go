@@ -14,13 +14,13 @@ import (
 	"ariadne/internal/value"
 )
 
-// Columnar layer file format, version 3. It splits the layer into
+// Columnar layer file format, version 4. It splits the layer into
 // per-column blocks so a reader can seek to and decode only the columns a
 // query projects (the workflow-provenance-on-SPARK lesson: store provenance
 // scan-friendly):
 //
-//	magic "APRV" | version:3 | superstep:uvarint | nrecords:uvarint |
-//	column blocks (ascending column ID, contiguous) |
+//	magic "APRV" | version:4 | flags:byte | superstep:uvarint |
+//	nrecords:uvarint | column blocks (ascending column ID, contiguous) |
 //	footer | footerLen:uint32-LE | end magic "VRPA"
 //
 // footer: ncols:uvarint { colID:uvarint | offset:uvarint | length:uvarint }
@@ -55,13 +55,31 @@ import (
 // only when projected, a value column with its peer column. Column 3 is
 // still required on disk: a file without it is rejected.
 //
-// Version 2 is the same layout without the repeat code, so a version 2 file
-// is a version 3 file whose sends repeat nothing: the one decoder reads
-// both. Writers write only version 3.
+// The flags byte has one bit, flagDerivedRecvs: the layer's receive
+// payloads are the previous layer's sends (paper §3: send-message and
+// receive-message are two views of one message edge), so the layer holds
+// no column 6. Every message sent at superstep i-1 is received at i, so a
+// reader that projects the payloads decodes layer i-1's columns 0, 3 and 4
+// and hands each send, in sender order, to its receiver's next stored
+// receive, which must name that sender (column 5 is still stored: it holds
+// the receive counts and order and checks the derivation). Each receiver's
+// list is then put into the engine's message order (engine.Canonicalize):
+// ascending sender, a sender's several messages ascending by
+// value.Compare, ties in send order. Both layers must ascend by vertex. A
+// send to a vertex the layer does not hold is skipped, as its partition's
+// capture was shed; a receive no send fills is corruption. Other flag bits
+// are rejected.
+//
+// Version 3 is version 4 without the flags byte, and version 2 version 3
+// without the repeat code (tag 9), so one decoder reads all three. Writers
+// write only version 4.
 
 const (
-	layerVersionColumnar = 3
+	layerVersionColumnar = 4
+	layerVersionNoFlags  = 3 // read, never written
 	layerVersionNoRepeat = 2 // read, never written
+
+	flagDerivedRecvs = 1 // the receive payloads are the previous layer's sends
 )
 
 // Column IDs of the columnar format.
@@ -389,6 +407,7 @@ type LayerBuilder struct {
 	sendPrev, recvPrev int64
 	sendVal            value.Value // the current record's previous send payload
 	sendSize           int64       // its EncodedSize; 0 before the record's first send
+	deriveRecvs        bool        // see DeriveRecvValues
 
 	tuples int64 // Layer.NumTuples
 	enc    int64 // Layer.EncodedSize less its per-layer constant
@@ -422,7 +441,15 @@ func (b *LayerBuilder) Reset(ss int) {
 	b.tables = b.tables[:0]
 	b.tuples, b.enc = 0, 0
 	b.sendVal, b.sendSize = value.NullValue, 0
+	b.deriveRecvs = false
 }
+
+// DeriveRecvValues marks the layer's receive payloads as the previous
+// layer's sends, which a reader takes them from (see the format comment):
+// Recv then stores only the peer. Every segment of a layer must be marked
+// alike, and the previous layer must hold every message sent to the
+// layer's vertices. Reset clears the mark.
+func (b *LayerBuilder) DeriveRecvValues() { b.deriveRecvs = true }
 
 // Begin starts the next record: vertex v, previously active at prevActive
 // (-1: never), followed by sends Send calls, recvs Recv calls and facts Fact
@@ -480,12 +507,15 @@ func (b *LayerBuilder) Send(dst VertexID, v value.Value) {
 	b.enc += b.sendSize
 }
 
-// Recv appends one received message of the current record, as Send does.
+// Recv appends one received message of the current record, as Send does,
+// but its payload only when the layer does not derive it.
 func (b *LayerBuilder) Recv(src VertexID, v value.Value) {
 	p := int64(src)
 	b.blocks[colRecvPeers] = binary.AppendUvarint(b.blocks[colRecvPeers], zigzag(p-b.recvPrev))
 	b.recvPrev = p
-	b.blocks[colRecvValues] = appendPackedValue(b.blocks[colRecvValues], v)
+	if !b.deriveRecvs {
+		b.blocks[colRecvValues] = appendPackedValue(b.blocks[colRecvValues], v)
+	}
 	b.enc += int64(v.EncodedSize())
 }
 
@@ -584,21 +614,30 @@ type run struct{ seg, from, to int }
 var copied = [...]int{colPrevActive, colSendPeers, colSendValues, colRecvPeers, colRecvValues, colValues}
 
 // layer returns the image of superstep ss's layer, stitched from segs (no
-// segments: an empty layer).
+// segments: an empty layer), which derives its receive payloads when the
+// segments do (Store.Append has checked that they agree).
 func (st *stitcher) layer(ss int, segs []*LayerBuilder) []byte {
 	st.merge(segs)
 	n, lens := st.encodeMerged(segs)
+	var flags byte
+	cols := numColumns
+	if len(segs) > 0 && segs[0].deriveRecvs {
+		flags, cols = flagDerivedRecvs, numColumns-1
+	}
 
 	// meta holds the header, then the footer.
 	meta := append(st.meta[:0], layerMagic[:]...)
-	meta = append(meta, layerVersionColumnar)
+	meta = append(meta, layerVersionColumnar, flags)
 	meta = binary.AppendUvarint(meta, uint64(ss))
 	meta = binary.AppendUvarint(meta, uint64(n))
 	headEnd := len(meta)
-	meta = binary.AppendUvarint(meta, numColumns)
+	meta = binary.AppendUvarint(meta, uint64(cols))
 	var pos [numColumns]int // each column's write offset in the image
 	off := headEnd
 	for c, l := range lens {
+		if c == colRecvValues && flags&flagDerivedRecvs != 0 {
+			continue // empty: Recv stored no payload
+		}
 		meta = binary.AppendUvarint(meta, uint64(c))
 		meta = binary.AppendUvarint(meta, uint64(off))
 		meta = binary.AppendUvarint(meta, uint64(l))
@@ -804,6 +843,7 @@ type columnarLayer struct {
 	r         io.ReaderAt
 	superstep int
 	nrecords  int
+	derived   bool // flagDerivedRecvs
 	present   colMask
 	offs      [numColumns]int64
 	lens      [numColumns]int64
@@ -833,8 +873,8 @@ func readAt(r io.ReaderAt, off, n int64, buf *[]byte) ([]byte, error) {
 }
 
 // openColumnar parses the header and footer of a columnar layer file
-// (version 2 or 3) of the given size without reading any column block. It
-// reads them into *buf (see readAt).
+// (version 2, 3 or 4) of the given size without reading any column block.
+// It reads them into *buf (see readAt).
 func openColumnar(r io.ReaderAt, size int64, buf *[]byte) (*columnarLayer, error) {
 	hdr, err := readAt(r, 0, min(size, 64), buf)
 	if err != nil {
@@ -843,10 +883,20 @@ func openColumnar(r io.ReaderAt, size int64, buf *[]byte) (*columnarLayer, error
 	if len(hdr) < 5 || [4]byte(hdr[:4]) != layerMagic {
 		return nil, fmt.Errorf("provenance: bad layer magic %q", hdr[:min(len(hdr), 4)])
 	}
-	if hdr[4] != layerVersionColumnar && hdr[4] != layerVersionNoRepeat {
-		return nil, fmt.Errorf("provenance: unsupported layer file version %d", hdr[4])
+	version := hdr[4]
+	if version < layerVersionNoRepeat || version > layerVersionColumnar {
+		return nil, fmt.Errorf("provenance: unsupported layer file version %d", version)
 	}
 	c := bcursor{b: hdr, off: 5}
+	var flags byte
+	if version >= layerVersionColumnar {
+		if flags, err = c.byte(); err != nil {
+			return nil, err
+		}
+		if flags&^flagDerivedRecvs != 0 {
+			return nil, corruptf("unknown layer flags %#x", flags)
+		}
+	}
 	ss, err := c.uvarint()
 	if err != nil {
 		return nil, err
@@ -883,7 +933,7 @@ func openColumnar(r io.ReaderAt, size int64, buf *[]byte) (*columnarLayer, error
 	if err != nil {
 		return nil, err
 	}
-	cl := &columnarLayer{r: r, superstep: int(ss), nrecords: int(n)}
+	cl := &columnarLayer{r: r, superstep: int(ss), nrecords: int(n), derived: flags&flagDerivedRecvs != 0}
 	blocksEnd := size - 8 - footLen
 	for i := 0; i < ncols; i++ {
 		id, err := fc.uvarint()
@@ -915,6 +965,9 @@ func openColumnar(r io.ReaderAt, size int64, buf *[]byte) (*columnarLayer, error
 	if cl.present&maskRequired != maskRequired {
 		return nil, corruptf("missing required columns (footer mask %09b)", cl.present)
 	}
+	if cl.derived && cl.present.has(colRecvValues) {
+		return nil, corruptf("layer derives its receive payloads but holds column %d", colRecvValues)
+	}
 	// Each record costs at least one vertex-delta byte, so the record count
 	// is bounded by the vertex block length — reject a lying header before
 	// allocating records.
@@ -941,10 +994,84 @@ type LayerViews struct {
 	args   []value.Value
 	tables []string // the layer's fact-table dictionary
 	buf    []byte   // header, footer and column blocks read from a file
+
+	derive deriveScratch
 }
 
+// deriveScratch is a derivation's index of the views' receives (see
+// transpose), reused from layer to layer. Views are found by vertex in an
+// open-addressing table of at least twice as many slots as views, so its
+// size follows the layer's record count, dense or sparse, not the span of
+// its vertex IDs.
+type deriveScratch struct {
+	keys  []VertexID // per view: its vertex
+	fills []recvFill // per view: its receives
+	slots []int      // view indexes by hash of their vertex, -1 for none
+	shift uint       // 64 less log2(len(slots))
+}
+
+// recvFill is one view's receives and how many of them are filled.
+type recvFill struct {
+	ms   []engine.IncomingMessage
+	next int
+}
+
+// index indexes the receives of recs, which must ascend by vertex.
+func (d *deriveScratch) index(recs []eval.RecordView) error {
+	d.keys, d.fills = d.keys[:0], d.fills[:0]
+	for i := range recs {
+		if i > 0 && recs[i].Vertex <= recs[i-1].Vertex {
+			return corruptf("receiver %d follows %d: the layer does not ascend by vertex", recs[i].Vertex, recs[i-1].Vertex)
+		}
+		d.keys = append(d.keys, VertexID(recs[i].Vertex))
+		d.fills = append(d.fills, recvFill{ms: recs[i].Recvs})
+	}
+	size := 1
+	for size < 2*len(d.keys) {
+		size <<= 1
+	}
+	d.shift = uint(65 - bits.Len(uint(size)))
+	d.slots = slices.Grow(d.slots[:0], size)[:size]
+	for i := range d.slots {
+		d.slots[i] = -1
+	}
+	for k, x := range d.keys {
+		i := d.slot(x)
+		for d.slots[i] >= 0 {
+			i = (i + 1) & (size - 1)
+		}
+		d.slots[i] = k
+	}
+	return nil
+}
+
+// slot is vertex x's first slot (Fibonacci hashing; a one-slot table has
+// shift 64, which Go's shift makes slot 0).
+func (d *deriveScratch) slot(x VertexID) int {
+	return int(uint64(x) * 0x9e3779b97f4a7c15 >> d.shift)
+}
+
+// find returns the index of the view of vertex x. Half the slots at least
+// are empty, so every probe ends.
+func (d *deriveScratch) find(x VertexID) (int, bool) {
+	for i := d.slot(x); ; i = (i + 1) & (len(d.slots) - 1) {
+		k := d.slots[i]
+		if k < 0 {
+			return 0, false
+		}
+		if d.keys[k] == x {
+			return k, true
+		}
+	}
+}
+
+// layerOpener hands fn one layer's file, its bytes and size, which stay
+// open while fn runs, and returns fn's error or its own.
+type layerOpener func(fn func(r io.ReaderAt, size int64) error) error
+
 // Capacity returns how many views and messages, sent and received, the
-// arenas have room for: those of the largest layer decoded into them.
+// arenas have room for: those of the largest layer decoded into them. A
+// derived read streams the previous layer's sends and holds none of them.
 func (v *LayerViews) Capacity() (views, msgs int) { return cap(v.Records), cap(v.sends) + cap(v.recvs) }
 
 // ColumnWork is the decode work a store's reads did on one layer column:
@@ -959,13 +1086,19 @@ var colNames = [numColumns]string{"vertex", "prevActive", "flags", "sendPeers", 
 
 // read decodes the layer file r of the given size into v: the columns of
 // mask.closed(), every other column left empty (Null values, nil messages
-// and facts). work counts the column blocks decoded.
-func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeWork) error {
+// and facts). work counts the column blocks decoded. A layer that derives
+// its receive payloads takes them, when mask projects them, from the sends
+// of the previous layer, which prev opens (nil: none is at hand).
+func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeWork, prev layerOpener) error {
 	cl, err := openColumnar(r, size, &v.buf)
 	if err != nil {
 		return err
 	}
 	mask = mask.closed()
+	derive := cl.derived && mask.has(colRecvValues)
+	if derive {
+		mask &^= 1 << colRecvValues
+	}
 	v.Superstep = cl.superstep
 	if cap(v.Records) < cl.nrecords {
 		v.Records = make([]eval.RecordView, cl.nrecords)
@@ -988,6 +1121,104 @@ func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeW
 		if err := v.decode(col, &bcursor{b: b}); err != nil {
 			return err
 		}
+	}
+	if derive {
+		return v.deriveRecvs(prev, work)
+	}
+	return nil
+}
+
+// deriveRecvs fills the receive payloads of a layer that derives them (see
+// the format comment) from the sends of the previous layer, which prev
+// opens: it streams that layer's vertex, send-peer and send-value columns
+// and hands each send to its receiver's next receive. Whatever disagrees
+// with the receives the views hold is an error naming both layers.
+func (v *LayerViews) deriveRecvs(prev layerOpener, work *decodeWork) error {
+	ss := v.Superstep
+	if prev == nil || ss == 0 {
+		return corruptf("layer %d derives its receive payloads from layer %d, which is not at hand", ss, ss-1)
+	}
+	err := prev(func(r io.ReaderAt, size int64) error { return v.transpose(r, size, work) })
+	if err != nil {
+		return fmt.Errorf("provenance: layer %d derives its receive payloads from layer %d: %w", ss, ss-1, err)
+	}
+	return nil
+}
+
+// transpose fills the views' receive payloads from the layer file r of the
+// given size, the previous layer (see deriveRecvs).
+func (v *LayerViews) transpose(r io.ReaderAt, size int64, work *decodeWork) error {
+	d := &v.derive
+	if err := d.index(v.Records); err != nil {
+		return err
+	}
+	cl, err := openColumnar(r, size, &v.buf)
+	if err != nil {
+		return err
+	}
+	if cl.superstep != v.Superstep-1 {
+		return corruptf("the previous layer's file holds superstep %d", cl.superstep)
+	}
+	// One read covers the three columns, wherever the footer puts them.
+	cols := [...]int{colVertex, colSendPeers, colSendValues}
+	lo, hi := int64(math.MaxInt64), int64(0)
+	for _, col := range cols {
+		if !cl.present.has(col) {
+			return corruptf("column %d absent from the previous layer's footer", col)
+		}
+		lo, hi = min(lo, cl.offs[col]), max(hi, cl.offs[col]+cl.lens[col])
+	}
+	span, err := readAt(r, lo, hi-lo, &v.buf)
+	if err != nil {
+		return corruptf("short read of the previous layer's sends: %v", err)
+	}
+	var cur [numColumns]bcursor
+	for _, col := range cols {
+		cur[col].b = span[cl.offs[col]-lo : cl.offs[col]-lo+cl.lens[col]]
+		work[col].Blocks++
+		work[col].Bytes += cl.lens[col]
+	}
+	vc, pc, sc := &cur[colVertex], &cur[colSendPeers], &cur[colSendValues]
+
+	next, src := int64(0), int64(-1)
+	for i := range cl.nrecords {
+		if next, err = vc.peer(next); err != nil {
+			return err
+		}
+		x := int64(VertexID(next))
+		if x <= src {
+			return corruptf("sender %d follows %d: the previous layer does not ascend by vertex", x, src)
+		}
+		src = x
+		cnt, err := pc.count(1)
+		if err != nil {
+			return err
+		}
+		peer, val := x, value.NullValue
+		for j := range cnt {
+			if peer, err = pc.peer(peer); err != nil {
+				return err
+			}
+			if val, err = sc.sendValue(i, j, val); err != nil {
+				return err
+			}
+			k, ok := d.find(VertexID(peer))
+			if !ok {
+				continue // the receiver's capture was shed
+			}
+			f := &d.fills[k]
+			if f.next == len(f.ms) || int64(f.ms[f.next].Src) != x {
+				return corruptf("the send from %d to %d matches no receive", x, d.keys[k])
+			}
+			f.ms[f.next].Val = val
+			f.next++
+		}
+	}
+	for k, f := range d.fills {
+		if f.next != len(f.ms) {
+			return corruptf("the receive of %d from %d matches no send", d.keys[k], f.ms[f.next].Src)
+		}
+		engine.Canonicalize(f.ms)
 	}
 	return nil
 }
@@ -1064,16 +1295,12 @@ func (v *LayerViews) decode(col int, c *bcursor) error {
 	case colSendValues:
 		for i := range recs {
 			ms := recs[i].Sends
+			prev := value.NullValue
 			for j := range ms {
-				if c.off < len(c.b) && c.b[c.off] == pvRepeat {
-					if j == 0 {
-						return corruptf("repeat code as record %d's first send", i)
-					}
-					c.off++
-					ms[j].Val = ms[j-1].Val // Values are immutable: a repeated vector shares its slice
-				} else if ms[j].Val, err = c.packedValue(); err != nil {
+				if ms[j].Val, err = c.sendValue(i, j, prev); err != nil {
 					return err
 				}
+				prev = ms[j].Val
 			}
 		}
 	case colRecvValues:
@@ -1096,6 +1323,20 @@ func (v *LayerViews) decode(col int, c *bcursor) error {
 		return v.decodeFacts(c)
 	}
 	return nil
+}
+
+// sendValue decodes send j of record i from a send-value column: a packed
+// value, or the repeat code for prev, the record's previous send's payload
+// (Values are immutable: a repeated vector shares its slice).
+func (c *bcursor) sendValue(i, j int, prev value.Value) (value.Value, error) {
+	if c.off < len(c.b) && c.b[c.off] == pvRepeat {
+		if j == 0 {
+			return value.NullValue, corruptf("repeat code as record %d's first send", i)
+		}
+		c.off++
+		return prev, nil
+	}
+	return c.packedValue()
 }
 
 // peers returns how many peers a peer column of n records holds: every

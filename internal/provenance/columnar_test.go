@@ -186,10 +186,19 @@ func columnsOf(l *Layer) colMask {
 
 func TestColumnarRoundTrip(t *testing.T) {
 	for _, l := range []*Layer{trickyLayer(3), trickyLayer(0), {Superstep: 2}, sampleLayer(1, 50)} {
-		path := writeTempLayer(t, l)
+		f, err := os.Open(writeTempLayer(t, l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var v LayerViews
 		var w decodeWork
-		if err := v.readFile(path, maskAll, &w); err != nil {
+		err = v.read(f, st.Size(), maskAll, &w, nil)
+		f.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
 		assertLayersIdentical(t, l, v.layer())
@@ -266,7 +275,7 @@ func TestColumnarProjection(t *testing.T) {
 	for _, p := range []*LayerProjection{nil, {}, {Values: true}, {SendPeers: true}, {SendValues: true}, {RecvPeers: true},
 		{RecvValues: true}, {Emitted: true}, {Values: true, SendValues: true, Emitted: true}, {SendPeers: true, RecvPeers: true}} {
 		mask := p.mask()
-		got, work, err := readRawWork(img, mask)
+		got, work, err := readRawWork(img, nil, mask)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +371,7 @@ func TestColumnarBufferRoundTrip(t *testing.T) {
 	img := encodeLayerColumnar(l)
 	var v LayerViews
 	var w decodeWork
-	if err := v.read(image(img), int64(len(img)), maskAll, &w); err != nil {
+	if err := v.read(image(img), int64(len(img)), maskAll, &w, nil); err != nil {
 		t.Fatal(err)
 	}
 	assertLayersIdentical(t, l, v.layer())

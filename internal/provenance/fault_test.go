@@ -93,35 +93,49 @@ type formatCase struct {
 	// read of the file names instead, whole or cut past the version byte.
 	want     *Layer
 	rejected string
+	// prev is the previous layer's file, which a layer that derives its
+	// receive payloads reads them from.
+	prev []byte
 }
 
 // formatCases are layer files of every version: sampleLayer(0, 6) as the
 // committed v1 file, which the store rejects, and as a version 2 image,
-// which it still reads; and the version 3 image the store writes of a
-// broadcast layer, whose send-value column is mostly repeat codes.
+// which it still reads; a broadcast layer, whose send-value column is
+// mostly repeat codes, as a version 3 image and as the version 4 image the
+// store writes; and a version 4 layer that derives its receive payloads,
+// multi-edges with Compare-equal payloads among them, from its previous
+// layer's sends.
 func formatCases(t *testing.T) []formatCase {
+	chain := derivedChain(5, 3)
 	return []formatCase{
-		{"v1", readV1Fixture(t, "sample-0-6.prov"), nil, "unsupported layer file version 1"},
-		{"v2", oracleEncodeColumnar(sampleLayer(0, 6), layerVersionNoRepeat), sampleLayer(0, 6), ""},
-		{"v3", encodeLayerColumnar(broadcastLayer(1, 6, 4)), broadcastLayer(1, 6, 4), ""},
+		{"v1", readV1Fixture(t, "sample-0-6.prov"), nil, "unsupported layer file version 1", nil},
+		{"v2", oracleEncodeColumnar(sampleLayer(0, 6), layerVersionNoRepeat), sampleLayer(0, 6), "", nil},
+		{"v3", oracleEncodeColumnar(broadcastLayer(1, 6, 4), layerVersionNoFlags), broadcastLayer(1, 6, 4), "", nil},
+		{"v4", encodeLayerColumnar(broadcastLayer(1, 6, 4)), broadcastLayer(1, 6, 4), "", nil},
+		{"v4-derived", oracleEncodeDerived(chain[2]), chain[2], "", encodeLayerColumnar(chain[1])},
 	}
 }
 
 // readRaw decodes layer file bytes the way the store does (see readRawWork).
 func readRaw(raw []byte, mask colMask) (*Layer, error) {
-	l, _, err := readRawWork(raw, mask)
+	l, _, err := readRawWork(raw, nil, mask)
 	return l, err
 }
 
 // readRawWork decodes layer file bytes both ways the store reads a layer:
 // as a resident image, whose blocks are subslices of it, and through a
-// reader, as a spilled file is read. The two must agree on the outcome,
-// the work and the layer; it returns the layer and the work.
-func readRawWork(raw []byte, mask colMask) (*Layer, decodeWork, error) {
+// reader, as a spilled file is read, with prev (nil: none) the previous
+// layer's file read the same way. The two must agree on the outcome, the
+// work and the layer; it returns the layer and the work.
+func readRawWork(raw, prev []byte, mask colMask) (*Layer, decodeWork, error) {
 	var mem, file LayerViews
 	var work, fileWork decodeWork
-	err := mem.read(image(raw), int64(len(raw)), mask, &work)
-	fileErr := file.read(bytes.NewReader(raw), int64(len(raw)), mask, &fileWork)
+	var memPrev, filePrev layerOpener
+	if prev != nil {
+		memPrev, filePrev = opens(prev, false), opens(prev, true)
+	}
+	err := mem.read(image(raw), int64(len(raw)), mask, &work, memPrev)
+	fileErr := file.read(bytes.NewReader(raw), int64(len(raw)), mask, &fileWork, filePrev)
 	if (err == nil) != (fileErr == nil) || work != fileWork {
 		return nil, work, fmt.Errorf("image read (%v, %v) and reader read (%v, %v) disagree", err, work, fileErr, fileWork)
 	}
@@ -146,16 +160,18 @@ func decodedColumns(work decodeWork) colMask {
 	return m
 }
 
-// TestLayerTruncationNeverPanics first checks that the v2 and v3 images
-// decode to their layers and the v1 file errors naming its version, then
-// reads each truncated at every byte boundary; each truncation must yield
-// an error, never a panic, and a v1 cut that still holds the version byte
-// must be rejected for it. The columnar legs also exercise the projected
-// decode path, whose footer seek reads the file back-to-front.
+// TestLayerTruncationNeverPanics first checks that the v2, v3 and v4
+// images decode to their layers and the v1 file errors naming its version,
+// then reads each truncated at every byte boundary; each truncation must
+// yield an error, never a panic, and a v1 cut that still holds the version
+// byte must be rejected for it. The columnar legs also exercise the
+// projected decode path, whose footer seek reads the file back-to-front. A
+// layer that derives its receive payloads is read with its previous layer
+// cut at every byte too: that read errors naming both layers.
 func TestLayerTruncationNeverPanics(t *testing.T) {
 	for _, fc := range formatCases(t) {
 		t.Run(fc.name, func(t *testing.T) {
-			got, err := readRaw(fc.raw, maskAll)
+			got, _, err := readRawWork(fc.raw, fc.prev, maskAll)
 			switch {
 			case fc.rejected != "":
 				if err == nil || !strings.Contains(err.Error(), fc.rejected) {
@@ -168,13 +184,19 @@ func TestLayerTruncationNeverPanics(t *testing.T) {
 			}
 			for cut := 0; cut < len(fc.raw); cut++ {
 				for _, mask := range []colMask{maskAll, maskCore} {
-					_, err := readRaw(fc.raw[:cut], mask)
+					_, _, err := readRawWork(fc.raw[:cut], fc.prev, mask)
 					if err == nil {
 						t.Fatalf("truncation at byte %d of %d (mask %09b) decoded without error", cut, len(fc.raw), mask)
 					}
 					if fc.rejected != "" && cut > 4 && !strings.Contains(err.Error(), fc.rejected) {
 						t.Fatalf("truncation at byte %d of %d: %v, want %q", cut, len(fc.raw), err, fc.rejected)
 					}
+				}
+			}
+			for cut := 0; cut < len(fc.prev); cut++ {
+				_, _, err := readRawWork(fc.raw, fc.prev[:cut], maskAll)
+				if err == nil || !strings.Contains(err.Error(), "layer 2 derives its receive payloads from layer 1") {
+					t.Fatalf("previous layer cut at byte %d of %d: %v, want an error naming both layers", cut, len(fc.prev), err)
 				}
 			}
 		})
@@ -193,8 +215,15 @@ func TestLayerCorruptCountsNeverPanic(t *testing.T) {
 					b[pos] ^= bit
 					// Any outcome but a panic is acceptable: some flips still
 					// decode (payload bytes), corrupt counts must error.
-					readRaw(b, maskAll)
-					readRaw(b, maskCore)
+					readRawWork(b, fc.prev, maskAll)
+					readRawWork(b, fc.prev, maskCore)
+				}
+			}
+			for pos := 5; pos < len(fc.prev); pos++ {
+				for _, bit := range []byte{0x80, 0xff} {
+					b := append([]byte(nil), fc.prev...)
+					b[pos] ^= bit
+					readRawWork(fc.raw, b, maskAll)
 				}
 			}
 		})
@@ -221,6 +250,55 @@ func TestTruncateLayers(t *testing.T) {
 	}
 	if err := s.TruncateLayers(7); err == nil {
 		t.Error("truncating beyond the layer count should fail")
+	}
+
+	// Layers that derive their receive payloads recount them from the
+	// layers before them, and the layers appended again derive again.
+	d := NewStore(StoreConfig{})
+	defer d.Close()
+	chain := derivedChain(9, 5)
+	for _, l := range chain {
+		if err := d.AppendLayer(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantBytes, wantTuples := d.TotalBytes(), d.TotalTuples()
+	if err := d.TruncateLayers(3); err != nil {
+		t.Fatal(err)
+	}
+	if want := chain[0].EncodedSize() + chain[1].EncodedSize() + chain[2].EncodedSize(); d.TotalBytes() != want {
+		t.Errorf("3 derived layers recount %d bytes, want %d", d.TotalBytes(), want)
+	}
+	for _, l := range chain[3:] {
+		if err := d.AppendLayer(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.TotalBytes() != wantBytes || d.TotalTuples() != wantTuples {
+		t.Errorf("after truncation and re-append: %d bytes, %d tuples; want %d, %d", d.TotalBytes(), d.TotalTuples(), wantBytes, wantTuples)
+	}
+	for i, l := range chain {
+		assertDerivedLayer(t, d, i, l)
+	}
+}
+
+// assertDerivedLayer checks that layer i of s derives its receive payloads
+// (all but layer 0) and reads back as l, bit for bit.
+func assertDerivedLayer(t *testing.T, s *Store, i int, l *Layer) {
+	t.Helper()
+	want := oracleEncodeColumnar(l, layerVersionColumnar)
+	if i > 0 {
+		want = oracleEncodeDerived(l)
+	}
+	if got := layerImage(t, s, i); !bytes.Equal(got, want) {
+		t.Errorf("layer %d: image is not the expected one", i)
+	}
+	got, err := s.Layer(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(layerBinary(got), layerBinary(l)) {
+		t.Errorf("layer %d reads back differently", i)
 	}
 }
 
@@ -268,5 +346,39 @@ func TestReattachSpilledLayers(t *testing.T) {
 	// layer's spill file can appear mid-RemoveAll.
 	if err := s2.Sync(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Reattached layers that derive their receive payloads recount them from
+	// the files before them, and the first layer appended after the
+	// reattached ones derives from the last reattached file.
+	dir = t.TempDir()
+	d := NewStore(StoreConfig{SpillAll: true, SpillDir: dir})
+	chain := derivedChain(11, 5)
+	for _, l := range chain {
+		if err := d.AppendLayer(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, wantDisk := d.TotalBytes(), d.DiskBytes()
+	d2 := NewStore(StoreConfig{SpillAll: true, SpillDir: dir})
+	if err := d2.Reattach(3); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range chain[3:] {
+		if err := d2.AppendLayer(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if d2.TotalBytes() != wantBytes || d2.DiskBytes() != wantDisk {
+		t.Errorf("reattached and re-appended: %d bytes, %d on disk; want %d, %d", d2.TotalBytes(), d2.DiskBytes(), wantBytes, wantDisk)
+	}
+	for i, l := range chain {
+		assertDerivedLayer(t, d2, i, l)
 	}
 }

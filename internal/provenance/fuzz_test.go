@@ -16,7 +16,16 @@ import (
 // committed v1 files of the same layers, which exercise the rejection path.
 // Further seeds carry the repeat code: builder images of broadcast layers,
 // whose send values are mostly repeats, and images with the code where it
-// may not stand — a record's first send, the receive-value column.
+// may not stand — a record's first send, the receive-value column. Version
+// 4 seeds set the flags byte: a layer that derives its receive payloads,
+// read here without its previous layer (a read projecting the payloads then
+// fails), and one flagged so yet still holding its receive values.
+// Every input is also read as the previous layer of a fixed layer that
+// derives its receive payloads, seeded with that layer's true predecessor,
+// so the derivation's transpose parses fuzzed vertex, send-peer and
+// send-value columns: it either fails cleanly or fills receives whose
+// senders the fixed layer stores, and from the true predecessor it gives
+// back exactly the layer encoded.
 // The invariant under test: decode never panics and never over-allocates;
 // it either returns a layer or a clean error, for the full read and for
 // every projected read, and a projected read decodes exactly the core and
@@ -54,13 +63,37 @@ func FuzzLayerV2Decode(f *testing.F) {
 	}
 	f.Add(misplacedRepeat(colSendValues), uint16(maskAll))
 	f.Add(misplacedRepeat(colRecvValues), uint16(maskAll))
+	chain := derivedChain(5, 3)
+	derived := oracleEncodeDerived(chain[2])
+	for _, mask := range []uint16{uint16(maskAll), uint16(maskCore | 1<<colRecvPeers), 0} {
+		f.Add(derived, mask)
+	}
+	flagged := oracleEncodeColumnar(chain[2], layerVersionColumnar)
+	flagged[5] = flagDerivedRecvs
+	f.Add(flagged, uint16(maskAll))
+	prev := encodeLayerColumnar(chain[1])
+	f.Add(prev, uint16(maskAll))
+	f.Add(prev[:len(prev)/2], uint16(maskAll))
+	ownCols := maskAll &^ (1 << colRecvValues)
+	wantOwn := layerBinary(project(chain[2], ownCols))
+	wantAll := layerBinary(chain[2])
 
 	f.Fuzz(func(t *testing.T, data []byte, mask uint16) {
+		if l, _, err := readRawWork(derived, data, maskAll); err == nil {
+			if !bytes.Equal(layerBinary(project(l, ownCols)), wantOwn) {
+				t.Fatal("a derived read changed the layer's own columns")
+			}
+			if bytes.Equal(data, prev) && !bytes.Equal(layerBinary(l), wantAll) {
+				t.Fatal("a derived read from the true predecessor differs from the layer encoded")
+			}
+		} else if bytes.Equal(data, prev) {
+			t.Fatalf("a derived read from the true predecessor failed: %v", err)
+		}
 		full, err := readRaw(data, maskAll)
 		if err == nil && full == nil {
 			t.Fatal("readLayer returned neither layer nor error")
 		}
-		proj, work, err := readRawWork(data, colMask(mask))
+		proj, work, err := readRawWork(data, nil, colMask(mask))
 		if err != nil {
 			return
 		}

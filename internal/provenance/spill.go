@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"os"
 	"time"
 
 	"ariadne/internal/fault"
@@ -9,8 +8,8 @@ import (
 )
 
 // layerMagic opens every layer file, followed by its format version byte.
-// The columnar format of columnar.go is the only one: version 3 is
-// written, versions 2 and 3 are read, and any other version, such as the
+// The columnar format of columnar.go is the only one: version 4 is
+// written, versions 2 to 4 are read, and any other version, such as the
 // row files of earlier builds (version 1), is rejected with an error naming
 // it.
 var layerMagic = [4]byte{'A', 'P', 'R', 'V'}
@@ -50,19 +49,4 @@ func writeLayerFile(path string, img []byte, ss int, inj *fault.Injector, m *obs
 		return err
 	}
 	return nil
-}
-
-// readFile decodes the columns of mask.closed() from a layer file into v
-// (see LayerViews.read).
-func (v *LayerViews) readFile(path string, mask colMask, work *decodeWork) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	return v.read(f, st.Size(), mask, work)
 }

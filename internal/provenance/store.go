@@ -3,13 +3,16 @@ package provenance
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
+	"ariadne/internal/engine"
 	"ariadne/internal/fault"
 	"ariadne/internal/obs"
+	"ariadne/internal/pql/eval"
 )
 
 // ErrBudgetExceeded is returned when the in-memory provenance exceeds the
@@ -121,7 +124,8 @@ type Store struct {
 	rows   *LayerBuilder // AppendLayer's, reused across layers
 	stitch stitcher
 	work   decodeWork // what layer reads decoded, per column
-	views  LayerViews // Layer's decode arenas, reused from call to call
+	views  LayerViews // Layer's and AppendLayer's decode arenas, reused from call to call
+	sent   edgeTally  // the sends of the last layer when AppendLayer appended it
 }
 
 // vertexSet is a growable bitset of vertex IDs with a count of its members.
@@ -152,7 +156,7 @@ func (vs *vertexSet) add(v VertexID) {
 
 // NewStore creates an empty store.
 func NewStore(cfg StoreConfig) *Store {
-	return &Store{cfg: cfg, rows: NewLayerBuilder(0)}
+	return &Store{cfg: cfg, rows: NewLayerBuilder(0), sent: edgeTally{ss: -1}}
 }
 
 type spillJob struct {
@@ -262,13 +266,98 @@ func (s *Store) Sync() error {
 }
 
 // AppendLayer adds a row-shaped layer for the next superstep by encoding it
-// through the same LayerBuilder capture uses (see Append).
+// through the same LayerBuilder capture uses (see Append). The layer
+// derives its receive payloads (LayerBuilder.DeriveRecvValues) when
+// derivable finds them to be the previous layer's sends, so replaying a
+// capture's layers writes the capture's files; any other layer stores its
+// payloads.
 func (s *Store) AppendLayer(l *Layer) error {
 	s.rows.Reset(l.Superstep)
-	for i := range l.Records {
-		s.rows.add(&l.Records[i])
+	if s.derivable(l) {
+		s.rows.DeriveRecvValues()
 	}
-	return s.Append(l.Superstep, s.rows)
+	sent := edgeTally{ss: l.Superstep}
+	for i := range l.Records {
+		r := &l.Records[i]
+		s.rows.add(r)
+		for _, m := range r.Sends {
+			sent.add(r.Vertex, m.Peer)
+		}
+	}
+	if err := s.Append(l.Superstep, s.rows); err != nil {
+		return err
+	}
+	s.sent = sent
+	return nil
+}
+
+// edgeTally counts the messages of one layer, sent or received, and sums a
+// hash of each one's sender and receiver: a layer whose receives are its
+// predecessor's sends tallies them alike.
+type edgeTally struct {
+	ss  int // the layer's superstep
+	n   int
+	sum uint64
+}
+
+// add tallies the message from src to dst (splitmix64's finaliser mixes
+// the pair).
+func (t *edgeTally) add(src, dst VertexID) {
+	x := uint64(src)<<32 | uint64(dst)
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	t.n, t.sum = t.n+1, t.sum+(x^x>>31)
+}
+
+// derivable reports whether l, the next layer, may derive its receive
+// payloads: it receives something, ascends by vertex and follows a layer
+// without a capture gap, and deriving its receives from that layer's stored
+// sends gives back exactly the payloads it holds. When AppendLayer appended
+// that layer, the tally of its sends turns away, without a decode, a layer
+// whose receives are not those sends; after a layer captured, reattached
+// or kept by a truncation, the decode decides alone. A failed read of the
+// previous layer only means l stores its payloads.
+func (s *Store) derivable(l *Layer) bool {
+	ss := l.Superstep
+	if ss == 0 || ss != len(s.images) || s.Gapped(ss-1) {
+		return false
+	}
+	var recvd edgeTally
+	for i := range l.Records {
+		r := &l.Records[i]
+		if i > 0 && r.Vertex <= l.Records[i-1].Vertex {
+			return false
+		}
+		for _, m := range r.Recvs {
+			recvd.add(m.Peer, r.Vertex)
+		}
+	}
+	if recvd.n == 0 || s.sent.ss == ss-1 && (recvd.n != s.sent.n || recvd.sum != s.sent.sum) {
+		return false
+	}
+	v := &s.views
+	v.Superstep, v.Records, v.recvs = ss, v.Records[:0], v.recvs[:0]
+	reserve(&v.recvs, recvd.n)
+	for i := range l.Records {
+		r := &l.Records[i]
+		ms := window(&v.recvs, len(r.Recvs))
+		for j, m := range r.Recvs {
+			ms[j] = engine.IncomingMessage{Src: m.Peer}
+		}
+		v.Records = append(v.Records, eval.RecordView{Vertex: int64(r.Vertex), Recvs: ms})
+	}
+	var work decodeWork // a check, not a read: DecodeWork leaves it out
+	if v.deriveRecvs(s.opener(ss-1), &work) != nil {
+		return false
+	}
+	for i := range l.Records {
+		for j, m := range l.Records[i].Recvs {
+			if !m.Val.Identical(v.Records[i].Recvs[j].Val) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Append adds the layer of superstep ss, whose records segs hold between
@@ -290,9 +379,16 @@ func (s *Store) Append(ss int, segs ...*LayerBuilder) error {
 		if b.superstep != ss {
 			return fmt.Errorf("provenance: segment of superstep %d appended to layer %d", b.superstep, ss)
 		}
+		if b.deriveRecvs != segs[0].deriveRecvs {
+			return fmt.Errorf("provenance: the segments of layer %d disagree on deriving receive payloads", ss)
+		}
 		enc += b.enc
 	}
+	if len(segs) > 0 && segs[0].deriveRecvs && (ss == 0 || s.Gapped(ss-1)) {
+		return fmt.Errorf("provenance: layer %d derives its receive payloads, but no whole layer precedes it", ss)
+	}
 	s.drainCompletions()
+	s.sent.ss = -1 // AppendLayer tallies its own layers' sends
 	img := s.stitch.layer(ss, segs)
 	for _, b := range segs {
 		for _, v := range b.vertices {
@@ -386,6 +482,17 @@ func (s *Store) coalesceGaps(p int) {
 		merged = append(merged, g)
 	}
 	s.gaps = append(rest, merged...)
+}
+
+// Gapped reports whether a capture gap covers superstep ss: some
+// partition's provenance, or the whole layer's, was shed there.
+func (s *Store) Gapped(ss int) bool {
+	for _, g := range s.gaps {
+		if g.From <= ss && ss <= g.To {
+			return true
+		}
+	}
+	return false
 }
 
 // Gaps returns the recorded capture gaps, ordered by (Partition, From).
@@ -515,17 +622,7 @@ func (s *Store) LayerProjected(i int, proj *LayerProjection, v *LayerViews) erro
 	}
 	s.drainCompletions()
 	s.cfg.Metrics.Counter("store_layer_reload_total").Add(1)
-	img := s.images[i]
-	if img == nil {
-		img = s.pending[i]
-	}
-	var err error
-	if img != nil {
-		err = v.read(image(img), int64(len(img)), proj.mask(), &s.work)
-	} else {
-		err = v.readFile(s.files[i], proj.mask(), &s.work)
-	}
-	if err != nil {
+	if err := s.decode(i, proj.mask(), v); err != nil {
 		where := "resident"
 		if s.files[i] != "" {
 			where = "spilled"
@@ -533,6 +630,41 @@ func (s *Store) LayerProjected(i int, proj *LayerProjection, v *LayerViews) erro
 		return fmt.Errorf("provenance: reading %s layer %d: %w", where, i, err)
 	}
 	return nil
+}
+
+// decode decodes the columns of mask.closed() of layer i into v; a layer
+// that derives its receive payloads also reads layer i-1's sends.
+func (s *Store) decode(i int, mask colMask, v *LayerViews) error {
+	return s.opener(i)(func(r io.ReaderAt, size int64) error {
+		return v.read(r, size, mask, &s.work, s.opener(i-1))
+	})
+}
+
+// opener returns the opener of layer i's file: its image, resident or in
+// flight to its file, or else the file.
+func (s *Store) opener(i int) layerOpener {
+	return func(fn func(io.ReaderAt, int64) error) error {
+		if i < 0 || i >= len(s.images) {
+			return fmt.Errorf("provenance: layer %d out of range [0,%d)", i, len(s.images))
+		}
+		img := s.images[i]
+		if img == nil {
+			img = s.pending[i]
+		}
+		if img != nil {
+			return fn(image(img), int64(len(img)))
+		}
+		f, err := os.Open(s.files[i])
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		return fn(f, st.Size())
+	}
 }
 
 // DecodeWork returns the decode work the store's layer reads have done so
@@ -603,6 +735,9 @@ func (s *Store) TruncateLayers(n int) error {
 	}
 	s.images = s.images[:n]
 	s.files = s.files[:n]
+	if s.sent.ss >= n {
+		s.sent.ss = -1
+	}
 	s.truncateGaps(n)
 	s.resident, s.totalBytes, s.totalTuples, s.diskBytes = 0, 0, 0, 0
 	s.vertices = vertexSet{}
@@ -644,19 +779,20 @@ func (s *Store) Reattach(n int) error {
 	}
 	for i := 0; i < n; i++ {
 		path := filepath.Join(s.cfg.SpillDir, layerFileName(i))
-		if err := s.views.readFile(path, maskAll, &s.work); err != nil {
-			return fmt.Errorf("provenance: reattaching layer %d: %w", i, err)
-		}
-		l := s.views.layer()
-		if l.Superstep != i {
-			return fmt.Errorf("provenance: reattached layer file %d holds superstep %d", i, l.Superstep)
-		}
 		s.images = append(s.images, nil)
 		s.files = append(s.files, path)
+		err := s.decode(i, maskAll, &s.views)
+		if err == nil && s.views.Superstep != i {
+			err = fmt.Errorf("the file holds superstep %d", s.views.Superstep)
+		}
+		if err != nil {
+			s.images, s.files = s.images[:i], s.files[:i]
+			return fmt.Errorf("provenance: reattaching layer %d: %w", i, err)
+		}
 		if st, err := os.Stat(path); err == nil {
 			s.diskBytes += st.Size()
 		}
-		s.recount(l)
+		s.recount(s.views.layer())
 	}
 	return nil
 }

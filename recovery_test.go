@@ -3,6 +3,7 @@ package ariadne_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"ariadne/internal/fault"
 	"ariadne/internal/gen"
 	"ariadne/internal/graph"
+	"ariadne/internal/provenance"
 	"ariadne/internal/queries"
 )
 
@@ -153,7 +155,9 @@ func TestCrashRecoverySSSPQ5(t *testing.T) {
 
 // TestCrashRecoveryWithCapture checks observer-watermark recovery: provenance
 // captured with SpillAll survives a crash on disk, the resumed run reattaches
-// it, and the captured graph equals the no-failure capture.
+// it, and the captured graph equals the no-failure capture, file for file:
+// the first layer the resumed run captures derives its receive payloads
+// from the last reattached layer file, as the no-failure capture's does.
 func TestCrashRecoveryWithCapture(t *testing.T) {
 	g := chain(t, 24)
 	prog := &analytics.SSSP{Source: 0}
@@ -187,6 +191,28 @@ func TestCrashRecoveryWithCapture(t *testing.T) {
 	}
 	if res.Provenance.TotalTuples() != baseline.Provenance.TotalTuples() {
 		t.Errorf("tuples = %d, want %d", res.Provenance.TotalTuples(), baseline.Provenance.TotalTuples())
+	}
+	if res.Provenance.DiskBytes() != baseline.Provenance.DiskBytes() {
+		t.Errorf("disk bytes = %d, want %d", res.Provenance.DiskBytes(), baseline.Provenance.DiskBytes())
+	}
+	for i := 0; i < baseline.Provenance.NumLayers(); i++ {
+		want, err := baseline.Provenance.Layer(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := res.Provenance.Layer(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameLayerBits(t, fmt.Sprintf("resumed layer %d", i), want, got)
+	}
+	before := res.Provenance.DecodeWork()
+	var v provenance.LayerViews
+	if err := res.Provenance.LayerProjected(res.ResumedFrom, &provenance.LayerProjection{RecvValues: true}, &v); err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Provenance.DecodeWork()["sendValues"].Blocks - before["sendValues"].Blocks; res.ResumedFrom == 0 || d != 1 {
+		t.Errorf("resumed at superstep %d, whose payloads decoded %d send-value blocks: want a derived layer after a resume", res.ResumedFrom, d)
 	}
 	// The recovered store answers offline queries identically.
 	qb, err := ariadne.QueryOffline(queries.MonotoneCheck(), baseline.Provenance, g, ariadne.ModeLayered, 0)

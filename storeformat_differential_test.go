@@ -25,6 +25,9 @@ import (
 // (driver.NoProjection, the reference leg) derives. Query 10 reads
 // send_message and Query 12 prov_send, which a full capture holds only as
 // the stored sends: a projection that drops the send peers fails both.
+// Every analytic has a query over receive payloads, which every layer after
+// the first derives from the previous layer's sends: Query 5 over SSSP, and
+// Query 2's prov_received over the others.
 func TestStoreFormatDifferential(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -33,11 +36,11 @@ func TestStoreFormatDifferential(t *testing.T) {
 		offline []queries.Definition
 	}{
 		{"pagerank", &analytics.PageRank{Iterations: 8}, 9,
-			[]queries.Definition{queries.PageRankCheck(), queries.BackwardTrace(3, 6), queries.BackwardTraceCustom(3, 6)}},
+			[]queries.Definition{queries.PageRankCheck(), queries.BackwardTrace(3, 6), queries.BackwardTraceCustom(3, 6), queries.CaptureFull()}},
 		{"sssp", &analytics.SSSP{Source: 0}, 30,
 			[]queries.Definition{queries.MonotoneCheck()}},
 		{"wcc", analytics.WCC{}, 30,
-			[]queries.Definition{queries.SilentChange()}},
+			[]queries.Definition{queries.SilentChange(), queries.CaptureFull()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,6 +62,9 @@ func TestStoreFormatDifferential(t *testing.T) {
 					t.Fatalf("%s/v2/projected: %v", d.Name, err)
 				}
 				assertSameQueryResult(t, d.Name+"/v2/projected", ref, got)
+				if d.Name == queries.CaptureFull().Name && ariadne.Count(got, "prov_received") == 0 {
+					t.Errorf("%s derived no prov_received", d.Name)
+				}
 			}
 		})
 	}
