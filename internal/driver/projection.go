@@ -26,6 +26,15 @@ import (
 //     flags column and retention presence, both independent of the values
 //     column's content.
 //
+// The receive step iterates a record's Recvs, one row per message, so the
+// number of receives must be exact even where no rule looks at them. When
+// the rules ignore both the sender Y and the payload M (Query 6's
+// neighbor_change), the store reads the receive counts alone (RecvCounts):
+// each row then holds a zero sender and a Null payload in positions no rule
+// reads, and a rule derives the same tuples, as often and in the same
+// order, as over the true messages. A rule that reads either position gets
+// the peers.
+//
 // The send topology is read only for send_message and prov_send: under
 // full capture a record's prov_send holds because it has sends, since the
 // stored SentAny flag is written only under the send-flags policy.
@@ -44,18 +53,18 @@ func projectionFor(q *analysis.Query, c *eval.Compiled) *provenance.LayerProject
 	}
 	use := q.ColumnUse()
 	// EDB argument positions per catalog.go: value(X, D, I) payload at 1;
-	// send_message(X, Y, M, I) and receive_message(X, Y, M, I) payload at 2.
-	// Receive *peers* stay table-level even when Y is ignored: the compiled
-	// message steps iterate the Recvs slice, so its length (one entry per
-	// received message) must be exact.
+	// send_message(X, Y, M, I) and receive_message(X, Y, M, I) peer at 1,
+	// payload at 2.
 	if p.Values && !c.Materialises("value") {
 		p.Values = colUsed(use, "value", 1)
 	}
 	if p.SendValues && !c.Materialises("send_message") {
 		p.SendValues = colUsed(use, "send_message", 2)
 	}
-	if p.RecvValues && !c.Materialises("receive_message") {
+	if p.RecvPeers && !c.Materialises("receive_message") {
 		p.RecvValues = colUsed(use, "receive_message", 2)
+		p.RecvPeers = p.RecvValues || colUsed(use, "receive_message", 1)
+		p.RecvCounts = !p.RecvPeers
 	}
 	return p
 }

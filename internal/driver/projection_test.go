@@ -103,3 +103,37 @@ func TestProjectionRecvValuesImplyPeers(t *testing.T) {
 		t.Fatalf("RecvValues without RecvPeers: %+v", p)
 	}
 }
+
+func TestProjectionForSilentChange(t *testing.T) {
+	// Query 6's neighbor_change(X, I) :- receive_message(X, Y, M, I) reads
+	// how many messages a record received, not from whom or what: read off
+	// the records, the store reads the receive counts alone. Materialised,
+	// the copy rule keeps whole tuples.
+	q := queries.SilentChange().MustBuild()
+	p := projectionFor(q, compiledFor(t, q, false))
+	if !p.RecvCounts || p.RecvPeers || p.RecvValues {
+		t.Errorf("compiled projection must read the receive counts alone: %+v", p)
+	}
+	if !p.Values || p.SendPeers || p.SendValues || p.Emitted {
+		t.Errorf("silent change reads values and receives only: %+v", p)
+	}
+	p = projectionFor(q, compiledFor(t, q, true))
+	if !p.RecvPeers || !p.RecvValues || p.RecvCounts {
+		t.Errorf("materialised projection must keep whole receive tuples: %+v", p)
+	}
+}
+
+func TestProjectionKeepsObservedReceivePeers(t *testing.T) {
+	// A rule that reads the sender (Queries 1, 3 and 4 join or project Y)
+	// or the payload (Query 5 compares M) reads the receive peers, on both
+	// legs.
+	for _, d := range []queries.Definition{queries.Apt(0.5, nil), queries.CaptureForwardLineage(0),
+		queries.PageRankCheck(), queries.MonotoneCheck()} {
+		q := d.MustBuild()
+		for _, all := range []bool{false, true} {
+			if p := projectionFor(q, compiledFor(t, q, all)); !p.RecvPeers || p.RecvCounts {
+				t.Errorf("%s (materialised %v): %+v, want the receive peers", d.Name, all, p)
+			}
+		}
+	}
+}

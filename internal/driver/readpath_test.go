@@ -10,43 +10,89 @@ import (
 	"ariadne/internal/queries"
 )
 
-// decodedBlocks runs q layered over store and returns the column blocks it
-// decoded, by column name.
-func decodedBlocks(t *testing.T, q *analysis.Query, store *provenance.Store, g *graph.Graph) map[string]int64 {
+// decodedWork runs q layered over store and returns the decode work it
+// did, by column name.
+func decodedWork(t *testing.T, q *analysis.Query, store *provenance.Store, g *graph.Graph) map[string]provenance.ColumnWork {
 	t.Helper()
 	before := store.DecodeWork()
 	if _, err := Layered(q, store, g); err != nil {
 		t.Fatal(err)
 	}
-	blocks := map[string]int64{}
+	work := map[string]provenance.ColumnWork{}
 	for col, w := range store.DecodeWork() {
-		blocks[col] = w.Blocks - before[col].Blocks
+		b := before[col]
+		work[col] = provenance.ColumnWork{Blocks: w.Blocks - b.Blocks, Bytes: w.Bytes - b.Bytes,
+			Peers: w.Peers - b.Peers, PeersSkipped: w.PeersSkipped - b.PeersSkipped}
+	}
+	return work
+}
+
+// decodedBlocks runs q layered over store and returns the column blocks it
+// decoded, by column name.
+func decodedBlocks(t *testing.T, q *analysis.Query, store *provenance.Store, g *graph.Graph) map[string]int64 {
+	t.Helper()
+	blocks := map[string]int64{}
+	for col, w := range decodedWork(t, q, store, g) {
+		blocks[col] = w.Blocks
 	}
 	return blocks
 }
 
+// receives returns how many messages the store's layers hold as received.
+func receives(t *testing.T, store *provenance.Store) int64 {
+	t.Helper()
+	var n int64
+	for i := 0; i < store.NumLayers(); i++ {
+		l, err := store.Layer(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range l.Records {
+			n += int64(len(r.Recvs))
+		}
+	}
+	return n
+}
+
 // TestLayeredDecodesProjectedColumns counts the decode work of layered
 // queries over a spilled SSSP full capture. Query 6 reads the core
-// columns, the receive peers and the values, each block once per layer, and
-// no other column: not the send topology, the payloads of the messages or
-// the emitted facts — although every layer after the first derives its
-// receive payloads from the previous layer's sends, which only a read of
-// the payloads decodes (TestLayeredDerivesEachPredecessorOnce). A query over send_message (Query 10) and one over
-// prov_send (Query 12, which under full capture holds for a record with
-// sends) read the send peers of every layer.
+// columns, the receive-peer column and the values, each block once per
+// layer, and no other column: not the send topology, the payloads of the
+// messages or the emitted facts — although every layer after the first
+// derives its receive payloads from the previous layer's sends, which only
+// a read of the payloads decodes (TestLayeredDerivesEachPredecessorOnce).
+// Of the receive-peer column it reads the counts alone: it decodes no
+// receive peer ID and skips every one the capture holds, while Queries 4
+// and 5, which read the sender or the payload, decode every one. A query
+// over send_message (Query 10) and one over prov_send (Query 12, which
+// under full capture holds for a record with sends) read the send peers of
+// every layer.
 func TestLayeredDecodesProjectedColumns(t *testing.T) {
 	g, store := benchCapture(t, 8)
 	n := int64(store.NumLayers())
-	got := decodedBlocks(t, queries.SilentChange().MustBuild(), store, g)
+	recvs := receives(t, store)
+	if recvs == 0 {
+		t.Fatal("the capture holds no receive")
+	}
+	work := decodedWork(t, queries.SilentChange().MustBuild(), store, g)
 	want := map[string]int64{"vertex": n, "prevActive": n, "flags": n, "recvPeers": n, "values": n,
 		"sendPeers": 0, "sendValues": 0, "recvValues": 0, "emitted": 0}
 	for col, w := range want {
-		if got[col] != w {
-			t.Errorf("Query 6 decoded %d %s blocks over %d layers, want %d", got[col], col, n, w)
+		if work[col].Blocks != w {
+			t.Errorf("Query 6 decoded %d %s blocks over %d layers, want %d", work[col].Blocks, col, n, w)
 		}
 	}
-	if bytes := store.DecodeWork()["sendPeers"].Bytes; bytes != 0 {
+	if bytes := work["sendPeers"].Bytes; bytes != 0 {
 		t.Errorf("Query 6 decoded %d sendPeers bytes, want 0", bytes)
+	}
+	if w := work["recvPeers"]; w.Peers != 0 || w.PeersSkipped != recvs {
+		t.Errorf("Query 6 decoded %d receive peer IDs and skipped %d, want 0 and the capture's %d", w.Peers, w.PeersSkipped, recvs)
+	}
+	t.Logf("Query 6 over %d layers: %d receive peer IDs skipped, %d recvPeers bytes read", n, work["recvPeers"].PeersSkipped, work["recvPeers"].Bytes)
+	for _, d := range []queries.Definition{queries.PageRankCheck(), queries.MonotoneCheck()} {
+		if w := decodedWork(t, d.MustBuild(), store, g)["recvPeers"]; w.Peers != recvs || w.PeersSkipped != 0 {
+			t.Errorf("%s decoded %d receive peer IDs and skipped %d, want the capture's %d and 0", d.Name, w.Peers, w.PeersSkipped, recvs)
+		}
 	}
 
 	last, err := store.Layer(store.NumLayers() - 1)

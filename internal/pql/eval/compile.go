@@ -205,11 +205,12 @@ type shard struct {
 	buf      [][]value.Value
 
 	ovl     *Database
-	ovlHead []*Relation // per rule: the overlay relation of its head
-	listed  []bool      // per rule: its overlay lists the new tuples (see partShard)
-	ss      int         // the superstep observed last and not merged, or -1
-	out     [][]Tuple   // per rule: the new tuples (cloned), in derivation order
-	emitted []int64     // per rule
+	ovlHead []*Relation   // per rule: the overlay relation of its head
+	listed  []bool        // per rule: its overlay lists the new tuples (see partShard)
+	ss      int           // the superstep observed last and not merged, or -1
+	out     [][]Tuple     // per rule: the new tuples (cloned), in derivation order
+	chunk   []value.Value // the tuple arena keep cuts clones from (see clone)
+	emitted []int64       // per rule
 	views   []RecordView
 	arena   []RecordView
 	// outV lists per rule the anchor vertex of each tuple of out, and marks,
@@ -317,7 +318,7 @@ func (sh *shard) flush() {
 // when its overlay lists the superstep's tuples, there, and returns the
 // clone.
 func (sh *shard) keep(ri int, t Tuple) Tuple {
-	c := t.Clone()
+	c := sh.clone(t)
 	if cap(sh.out[ri]) == 0 {
 		// Most rules derive about a tuple per record, if any.
 		sh.out[ri] = make([]Tuple, 0, len(sh.views))
@@ -330,6 +331,23 @@ func (sh *shard) keep(ri int, t Tuple) Tuple {
 		sh.ovlHead[ri].appendNew(c)
 	}
 	return c
+}
+
+// tupleChunk is how many values a chunk of a shard's tuple arena holds at
+// most; the first holds 64, and each next one twice its predecessor.
+const tupleChunk = 1024
+
+// clone copies t into the shard's tuple arena, a chunk at a time, and
+// returns the copy, capped at its length. A chunk is never reused: the
+// tuples cut from it keep it, and a full one is left to them.
+func (sh *shard) clone(t Tuple) Tuple {
+	n := len(t)
+	if cap(sh.chunk)-len(sh.chunk) < n {
+		sh.chunk = make([]value.Value, 0, max(min(2*cap(sh.chunk), tupleChunk), 64, n))
+	}
+	at := len(sh.chunk)
+	sh.chunk = append(sh.chunk, t...)
+	return sh.chunk[at : at+n : at+n]
 }
 
 type ruleKind uint8
@@ -1321,7 +1339,11 @@ func (c *Compiled) mergeRule(r *crule, last int64) {
 		r.emitted += sh.emittedUpTo(r.idx, last)
 		n += len(sh.out[r.idx])
 	}
-	r.head.order = slices.Grow(r.head.order, n)
+	if o := r.head.order; cap(o)-len(o) < n {
+		// At least doubling: a head growing by a layer's tuples at a time
+		// reallocates a logarithmic number of times, not once per layer.
+		r.head.order = slices.Grow(o, max(n, len(o)))
+	}
 	if len(c.live) == 1 && c.live[0].alone {
 		for _, t := range c.live[0].out[r.idx] {
 			r.head.appendNew(t)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"os"
 	"slices"
 
 	"ariadne/internal/engine"
@@ -54,6 +55,14 @@ import (
 // lineage and flags, which every record view carries. Columns 3-8 decode
 // only when projected, a value column with its peer column. Column 3 is
 // still required on disk: a file without it is rejected.
+//
+// A read may take column 5's counts alone (LayerProjection.RecvCounts): it
+// decodes each record's count and skips its peer varints by their
+// terminator bytes, without decoding them. Such a read checks only that the
+// block holds each record's count and that many varint ends, so a corrupt
+// peer block can fail differently under it than under a read that decodes
+// the peers (an overlong varint, say) — as any column a read does not
+// project is not checked at all.
 //
 // The flags byte has one bit, flagDerivedRecvs: the layer's receive
 // payloads are the previous layer's sends (paper §3: send-message and
@@ -103,6 +112,10 @@ const (
 	maskCore     colMask = 1<<colVertex | 1<<colPrevActive | 1<<colFlags // decoded by every read
 	maskRequired colMask = maskCore | 1<<colSendPeers                    // held by every file
 	maskAll      colMask = 1<<numColumns - 1
+
+	// maskRecvCounts is no column: it asks for column 5's counts alone,
+	// which a mask holding column 5 decodes anyway.
+	maskRecvCounts colMask = 1 << numColumns
 )
 
 func (m colMask) has(col int) bool { return m&(1<<col) != 0 }
@@ -110,21 +123,41 @@ func (m colMask) has(col int) bool { return m&(1<<col) != 0 }
 // closed returns the columns a read of m decodes: m's known columns, the
 // core, and the peer column of each message value column in m (values align
 // to the per-record message counts; a value column's ID is its peer
-// column's plus one).
+// column's plus one); and maskRecvCounts when m asks for the receive counts
+// but not the receive peers.
 func (m colMask) closed() colMask {
-	m = m&maskAll | maskCore
-	return m | m&(1<<colSendValues|1<<colRecvValues)>>1
+	m = m&(maskAll|maskRecvCounts) | maskCore
+	m |= m & (1<<colSendValues | 1<<colRecvValues) >> 1
+	if m.has(colRecvPeers) {
+		m &^= maskRecvCounts
+	}
+	return m
+}
+
+// blocks returns the column blocks a read of m, closed, reads: its
+// columns, and column 5 for the receive counts.
+func (m colMask) blocks() colMask {
+	if m&maskRecvCounts != 0 {
+		m |= 1 << colRecvPeers
+	}
+	return m & maskAll
 }
 
 // LayerProjection selects which optional layer columns a reader needs
 // materialized. The zero value requests only the core columns (vertex,
 // activation, flags); a nil *LayerProjection means "all columns".
 // Requesting a message value column implies its peer column.
+//
+// RecvCounts asks for the receive counts alone, for a reader that observes
+// how many messages a record received but not from whom or what: each
+// view's Recvs holds that many zero messages (source 0, Null payload),
+// which the reader must not write to. RecvPeers or RecvValues overrides it.
 type LayerProjection struct {
 	Values     bool // the value(X, D, I) payload column
 	SendPeers  bool // send topology (peer IDs and counts)
 	SendValues bool // message payloads on send_message tuples
 	RecvPeers  bool // receive topology (peer IDs and counts)
+	RecvCounts bool // receive counts without peer IDs
 	RecvValues bool // message payloads on receive_message tuples
 	Emitted    bool // analytic-emitted fact tables
 }
@@ -141,6 +174,9 @@ func (p *LayerProjection) mask() colMask {
 		if on {
 			m |= 1 << col
 		}
+	}
+	if p.RecvCounts {
+		m |= maskRecvCounts
 	}
 	return m.closed()
 }
@@ -990,6 +1026,7 @@ type LayerViews struct {
 
 	sends  []engine.SentMessage
 	recvs  []engine.IncomingMessage
+	zeros  []engine.IncomingMessage // a counts-only receive read's, never written
 	facts  []engine.ProvFact
 	args   []value.Value
 	tables []string // the layer's fact-table dictionary
@@ -1065,18 +1102,26 @@ func (d *deriveScratch) find(x VertexID) (int, bool) {
 	}
 }
 
-// layerOpener hands fn one layer's file, its bytes and size, which stay
-// open while fn runs, and returns fn's error or its own.
-type layerOpener func(fn func(r io.ReaderAt, size int64) error) error
+// layerFiles opens layer files by index: file returns layer i's bytes and
+// size and, when they are read from an open file, that file, for the
+// caller to close once it has read them.
+type layerFiles interface {
+	file(i int) (r io.ReaderAt, size int64, f *os.File, err error)
+}
 
 // Capacity returns how many views and messages, sent and received, the
-// arenas have room for: those of the largest layer decoded into them. A
-// derived read streams the previous layer's sends and holds none of them.
-func (v *LayerViews) Capacity() (views, msgs int) { return cap(v.Records), cap(v.sends) + cap(v.recvs) }
+// arenas have room for: those of the largest layer decoded into them, and
+// a counts-only receive read's zero messages, as many as the largest count
+// it read. A derived read streams the previous layer's sends and holds
+// none of them.
+func (v *LayerViews) Capacity() (views, msgs int) {
+	return cap(v.Records), cap(v.sends) + cap(v.recvs) + cap(v.zeros)
+}
 
 // ColumnWork is the decode work a store's reads did on one layer column:
-// the column blocks decoded and their bytes.
-type ColumnWork struct{ Blocks, Bytes int64 }
+// the column blocks decoded and their bytes and, in a peer column, the
+// peer IDs decoded and those a counts-only read skipped.
+type ColumnWork struct{ Blocks, Bytes, Peers, PeersSkipped int64 }
 
 // decodeWork is ColumnWork per column ID.
 type decodeWork [numColumns]ColumnWork
@@ -1086,10 +1131,11 @@ var colNames = [numColumns]string{"vertex", "prevActive", "flags", "sendPeers", 
 
 // read decodes the layer file r of the given size into v: the columns of
 // mask.closed(), every other column left empty (Null values, nil messages
-// and facts). work counts the column blocks decoded. A layer that derives
+// and facts). work counts the column blocks decoded and the peer IDs
+// decoded or skipped. A layer that derives
 // its receive payloads takes them, when mask projects them, from the sends
-// of the previous layer, which prev opens (nil: none is at hand).
-func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeWork, prev layerOpener) error {
+// of the previous layer, layer prev of files (nil: none is at hand).
+func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeWork, files layerFiles, prev int) error {
 	cl, err := openColumnar(r, size, &v.buf)
 	if err != nil {
 		return err
@@ -1105,8 +1151,9 @@ func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeW
 	}
 	v.Records = v.Records[:cl.nrecords]
 	v.sends, v.recvs, v.facts, v.args = v.sends[:0], v.recvs[:0], v.facts[:0], v.args[:0]
+	blocks, counts := mask.blocks(), mask&maskRecvCounts != 0
 	for col := range numColumns {
-		if !mask.has(col) {
+		if !blocks.has(col) {
 			continue
 		}
 		if !cl.present.has(col) {
@@ -1116,29 +1163,51 @@ func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeW
 		if err != nil {
 			return corruptf("short read of column %d: %v", col, err)
 		}
-		work[col].Blocks++
-		work[col].Bytes += int64(len(b))
-		if err := v.decode(col, &bcursor{b: b}); err != nil {
+		w := &work[col]
+		w.Blocks++
+		w.Bytes += int64(len(b))
+		c := &bcursor{b: b}
+		if col == colRecvPeers && counts {
+			n, err := v.recvCounts(c)
+			if err != nil {
+				return err
+			}
+			w.PeersSkipped += int64(n)
+			continue
+		}
+		if err := v.decode(col, c); err != nil {
 			return err
+		}
+		switch col {
+		case colSendPeers:
+			w.Peers += int64(len(v.sends))
+		case colRecvPeers:
+			w.Peers += int64(len(v.recvs))
 		}
 	}
 	if derive {
-		return v.deriveRecvs(prev, work)
+		return v.deriveRecvs(files, prev, work)
 	}
 	return nil
 }
 
 // deriveRecvs fills the receive payloads of a layer that derives them (see
-// the format comment) from the sends of the previous layer, which prev
-// opens: it streams that layer's vertex, send-peer and send-value columns
+// the format comment) from the sends of the previous layer, layer prev of
+// files: it streams that layer's vertex, send-peer and send-value columns
 // and hands each send to its receiver's next receive. Whatever disagrees
 // with the receives the views hold is an error naming both layers.
-func (v *LayerViews) deriveRecvs(prev layerOpener, work *decodeWork) error {
+func (v *LayerViews) deriveRecvs(files layerFiles, prev int, work *decodeWork) error {
 	ss := v.Superstep
-	if prev == nil || ss == 0 {
+	if files == nil || ss == 0 {
 		return corruptf("layer %d derives its receive payloads from layer %d, which is not at hand", ss, ss-1)
 	}
-	err := prev(func(r io.ReaderAt, size int64) error { return v.transpose(r, size, work) })
+	r, size, f, err := files.file(prev)
+	if err == nil {
+		err = v.transpose(r, size, work)
+		if f != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("provenance: layer %d derives its receive payloads from layer %d: %w", ss, ss-1, err)
 	}
@@ -1194,6 +1263,7 @@ func (v *LayerViews) transpose(r io.ReaderAt, size int64, work *decodeWork) erro
 		if err != nil {
 			return err
 		}
+		work[colSendPeers].Peers += int64(cnt)
 		peer, val := x, value.NullValue
 		for j := range cnt {
 			if peer, err = pc.peer(peer); err != nil {
@@ -1339,16 +1409,74 @@ func (c *bcursor) sendValue(i, j int, prev value.Value) (value.Value, error) {
 	return c.packedValue()
 }
 
-// peers returns how many peers a peer column of n records holds: every
-// varint ends in one byte below 0x80, and n of the varints are counts.
-func (c *bcursor) peers(n int) int {
-	ends := 0
-	for _, b := range c.b {
-		if b < 0x80 {
-			ends++
+// recvCounts decodes a receive-peer column's counts alone (see the format
+// comment): each view's Recvs becomes as many zero messages, a window of
+// v.zeros grown to the largest count, and the peer varints are skipped. It
+// returns how many it skipped.
+func (v *LayerViews) recvCounts(c *bcursor) (int, error) {
+	skipped := 0
+	for i := range v.Records {
+		cnt, err := c.count(1)
+		if err != nil {
+			return 0, err
+		}
+		if err := c.skip(cnt); err != nil {
+			return 0, err
+		}
+		if cnt > len(v.zeros) {
+			v.zeros = make([]engine.IncomingMessage, cnt)
+		}
+		v.Records[i].Recvs = v.zeros[:cnt:cnt]
+		skipped += cnt
+	}
+	return skipped, nil
+}
+
+// varintEnds counts the bytes of b that end a varint: those below 0x80. It
+// takes eight bytes at a time (see wordEnds), the rest one by one.
+func varintEnds(b []byte) int {
+	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		n += wordEnds(binary.LittleEndian.Uint64(b))
+	}
+	for _, x := range b {
+		if x < 0x80 {
+			n++
 		}
 	}
-	return max(ends-n, 0)
+	return n
+}
+
+// wordEnds counts the bytes of w, eight bytes of a varint stream, whose
+// high bit is clear: the ends of varints.
+func wordEnds(w uint64) int { return bits.OnesCount64(^w & 0x8080808080808080) }
+
+// peers returns how many peers a peer column of n records holds: every
+// varint ends in one byte below 0x80, and n of the varints are counts.
+func (c *bcursor) peers(n int) int { return max(varintEnds(c.b)-n, 0) }
+
+// skip moves the cursor past n varints without decoding them: whole words
+// while the n-th varint's end lies beyond them (see wordEnds), then byte
+// by byte. A block that ends first is a truncated varint.
+func (c *bcursor) skip(n int) error {
+	b, i := c.b, c.off
+	for ; i+8 <= len(b); i += 8 {
+		k := wordEnds(binary.LittleEndian.Uint64(b[i:]))
+		if k >= n {
+			break
+		}
+		n -= k
+	}
+	for ; n > 0 && i < len(b); i++ {
+		if b[i] < 0x80 {
+			n--
+		}
+	}
+	if n > 0 {
+		return corruptf("truncated varint at block offset %d", len(b))
+	}
+	c.off = i
+	return nil
 }
 
 // peer decodes a zigzag delta from prev and returns the sum: the next ID
@@ -1428,7 +1556,11 @@ func (v *LayerViews) decodeFacts(c *bcursor) error {
 // payloads: v may be decoded into again.
 func (v *LayerViews) layer() *Layer {
 	l := &Layer{Superstep: v.Superstep, Records: make([]Record, len(v.Records))}
-	halves := make([]MsgHalf, len(v.sends)+len(v.recvs))
+	msgs := 0
+	for i := range v.Records {
+		msgs += len(v.Records[i].Sends) + len(v.Records[i].Recvs) // v.recvs holds no counts-only read's receives
+	}
+	halves := make([]MsgHalf, msgs)
 	facts := make([]Fact, len(v.facts))
 	args := make([]value.Value, len(v.args))
 	for i := range v.Records {

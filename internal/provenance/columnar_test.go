@@ -2,7 +2,9 @@ package provenance
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -139,7 +141,9 @@ func project(l *Layer, mask colMask) *Layer {
 		} else if !mask.has(colSendValues) {
 			r.Sends = peersOnly(r.Sends)
 		}
-		if !mask.has(colRecvPeers) {
+		if mask&maskRecvCounts != 0 {
+			r.Recvs = make([]MsgHalf, len(r.Recvs))
+		} else if !mask.has(colRecvPeers) {
 			r.Recvs = nil
 		} else if !mask.has(colRecvValues) {
 			r.Recvs = peersOnly(r.Recvs)
@@ -196,7 +200,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		}
 		var v LayerViews
 		var w decodeWork
-		err = v.read(f, st.Size(), maskAll, &w, nil)
+		err = v.read(f, st.Size(), maskAll, &w, nil, 0)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -268,28 +272,81 @@ func TestIntegralFloat(t *testing.T) {
 // TestColumnarProjection reads the same image under every projection and
 // checks that each decode reads and holds exactly the core columns plus the
 // projected ones, with the layer's own data in them: the send peers only
-// when projected.
+// when projected, and under RecvCounts alone as many zero receives per
+// record as it received.
 func TestColumnarProjection(t *testing.T) {
 	l := trickyLayer(4)
 	img := encodeLayerColumnar(l)
 	for _, p := range []*LayerProjection{nil, {}, {Values: true}, {SendPeers: true}, {SendValues: true}, {RecvPeers: true},
-		{RecvValues: true}, {Emitted: true}, {Values: true, SendValues: true, Emitted: true}, {SendPeers: true, RecvPeers: true}} {
+		{RecvValues: true}, {Emitted: true}, {Values: true, SendValues: true, Emitted: true}, {SendPeers: true, RecvPeers: true},
+		{RecvCounts: true}, {RecvCounts: true, Values: true}, {RecvCounts: true, RecvPeers: true}, {RecvCounts: true, RecvValues: true}} {
 		mask := p.mask()
+		if counts := mask&maskRecvCounts != 0; counts != (p != nil && p.RecvCounts && !p.RecvPeers && !p.RecvValues) {
+			t.Errorf("projection %+v reads the receive counts alone: %v", p, counts)
+		}
 		got, work, err := readRawWork(img, nil, mask)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cols := columnsOf(got); cols != mask {
-			t.Errorf("projection %+v materialized columns %09b, want %09b", p, cols, mask)
+		if cols := columnsOf(got); cols != mask.blocks() {
+			t.Errorf("projection %+v materialized columns %09b, want %09b", p, cols, mask.blocks())
 		}
-		if cols := decodedColumns(work); cols != mask {
-			t.Errorf("projection %+v decoded columns %09b, want %09b", p, cols, mask)
+		if cols := decodedColumns(work); cols != mask.blocks() {
+			t.Errorf("projection %+v decoded columns %09b, want %09b", p, cols, mask.blocks())
 		}
 		if peers := p == nil || p.SendPeers || p.SendValues; (work[colSendPeers].Blocks == 1) != peers {
 			t.Errorf("projection %+v decoded %d sendPeers blocks, want them exactly when projected", p, work[colSendPeers].Blocks)
 		}
 		if !bytes.Equal(encodeLayerColumnar(got), encodeLayerColumnar(project(l, mask))) {
 			t.Errorf("projection %+v decoded other data than the layer's projected columns", p)
+		}
+	}
+}
+
+// TestVarintEndsMatchesByteLoop: the word-at-a-time terminator count of
+// varintEnds and of skip, which every full peer-column read and every
+// counts-only skip rely on, agrees with a byte loop over random varint
+// streams and random bytes, read from every offset of the stream and of
+// a copy of it at every offset of a word. Skipping k varints ends where the
+// k-th end byte does, or fails when the stream holds fewer.
+func TestVarintEndsMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := range 120 {
+		var stream []byte
+		for n := rng.Intn(40); n > 0; n-- {
+			if trial%2 == 0 {
+				stream = binary.AppendUvarint(stream, rng.Uint64()>>rng.Intn(64))
+			} else {
+				stream = append(stream, byte(rng.Intn(256))|byte(rng.Intn(2))<<7)
+			}
+		}
+		for shift := range 8 {
+			b := append(make([]byte, shift), stream...)[shift:]
+			for off := 0; off <= len(b); off++ {
+				ends := 0
+				for _, x := range b[off:] {
+					if x < 0x80 {
+						ends++
+					}
+				}
+				if got := varintEnds(b[off:]); got != ends {
+					t.Fatalf("trial %d shift %d offset %d: varintEnds = %d, the byte loop counts %d", trial, shift, off, got, ends)
+				}
+				for k := 0; k <= ends+1; k++ {
+					at, left := off, k
+					for ; left > 0 && at < len(b); at++ {
+						if b[at] < 0x80 {
+							left--
+						}
+					}
+					c := bcursor{b: b, off: off}
+					err := c.skip(k)
+					if (err != nil) != (left > 0) || err == nil && c.off != at {
+						t.Fatalf("trial %d shift %d offset %d: skip(%d) = %v at %d, the byte loop ends at %d with %d left",
+							trial, shift, off, k, err, c.off, at, left)
+					}
+				}
+			}
 		}
 	}
 }
@@ -371,7 +428,7 @@ func TestColumnarBufferRoundTrip(t *testing.T) {
 	img := encodeLayerColumnar(l)
 	var v LayerViews
 	var w decodeWork
-	if err := v.read(image(img), int64(len(img)), maskAll, &w, nil); err != nil {
+	if err := v.read(image(img), int64(len(img)), maskAll, &w, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	assertLayersIdentical(t, l, v.layer())

@@ -61,7 +61,7 @@ func BenchmarkDerivedRead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
-				if err := v.read(image(img), int64(len(img)), proj, &work, opens(prevImg, false)); err != nil {
+				if err := v.read(image(img), int64(len(img)), proj, &work, opens(prevImg, false), 0); err != nil {
 					b.Fatal(err)
 				}
 			}

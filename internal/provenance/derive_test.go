@@ -107,27 +107,36 @@ func encodeDerived(l *Layer, parts int) []byte {
 // layerImage returns the bytes of layer i's file.
 func layerImage(t *testing.T, s *Store, i int) []byte {
 	t.Helper()
-	var raw []byte
-	if err := s.opener(i)(func(r io.ReaderAt, size int64) error {
-		raw = make([]byte, size)
-		_, err := r.ReadAt(raw, 0)
-		return err
-	}); err != nil {
+	r, size, f, err := s.file(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f != nil {
+		defer f.Close()
+	}
+	raw := make([]byte, size)
+	if _, err := r.ReadAt(raw, 0); err != nil {
 		t.Fatal(err)
 	}
 	return raw
 }
 
-// opens opens img as the previous layer's file, through a reader when file
-// is set, as a spilled layer is read.
-func opens(img []byte, file bool) layerOpener {
-	return func(fn func(io.ReaderAt, int64) error) error {
-		if file {
-			return fn(bytes.NewReader(img), int64(len(img)))
-		}
-		return fn(image(img), int64(len(img)))
-	}
+// prevImage is img as every layer's file, the previous layer's of a read,
+// read through a reader when reader is set, as a spilled layer is read.
+type prevImage struct {
+	img    []byte
+	reader bool
 }
+
+func (p prevImage) file(int) (io.ReaderAt, int64, *os.File, error) {
+	if p.reader {
+		return bytes.NewReader(p.img), int64(len(p.img)), nil, nil
+	}
+	return image(p.img), int64(len(p.img)), nil, nil
+}
+
+// opens opens img as the previous layer's file (see prevImage).
+func opens(img []byte, reader bool) layerFiles { return prevImage{img, reader} }
 
 // TestDerivedLayerRoundTrip: a layer whose receive payloads derive from the
 // previous layer's sends — multi-edges with Compare-equal payloads, NaN,
@@ -161,7 +170,7 @@ func TestDerivedLayerRoundTrip(t *testing.T) {
 					if file {
 						r = bytes.NewReader(img)
 					}
-					if err := v.read(r, int64(len(img)), m, &work, opens(prev, file)); err != nil {
+					if err := v.read(r, int64(len(img)), m, &work, opens(prev, file), 1); err != nil {
 						t.Fatalf("seed %d layer %d mask %09b: %v", seed, i, m, err)
 					}
 					if got := layerBinary(v.layer()); !bytes.Equal(got, want) {
@@ -249,11 +258,11 @@ func TestDerivedLayerFaults(t *testing.T) {
 	readWith := func(prev []byte, mask colMask) error {
 		var v LayerViews
 		var work decodeWork
-		var opener layerOpener
+		var files layerFiles
 		if prev != nil {
-			opener = opens(prev, false)
+			files = opens(prev, false)
 		}
-		return v.read(image(img), int64(len(img)), mask, &work, opener)
+		return v.read(image(img), int64(len(img)), mask, &work, files, 1)
 	}
 	const named = "layer 2 derives its receive payloads from layer 1"
 

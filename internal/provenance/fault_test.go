@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,6 +117,25 @@ func formatCases(t *testing.T) []formatCase {
 	}
 }
 
+// maskCounts reads the core columns and the receive counts alone.
+const maskCounts = maskCore | maskRecvCounts
+
+// sameRecvCounts fails unless every record of counts, read under
+// maskCounts, holds as many receives as the same record of full, and those
+// zero.
+func sameRecvCounts(t *testing.T, what string, full, counts *Layer) {
+	t.Helper()
+	if len(counts.Records) != len(full.Records) {
+		t.Fatalf("%s: counts-only read holds %d records, the full read %d", what, len(counts.Records), len(full.Records))
+	}
+	for i := range full.Records {
+		got := counts.Records[i].Recvs
+		if len(got) != len(full.Records[i].Recvs) || slices.ContainsFunc(got, func(h MsgHalf) bool { return h.Peer != 0 || !h.Val.IsNull() }) {
+			t.Fatalf("%s: record %d: counts-only read holds receives %v, the full read %d", what, i, got, len(full.Records[i].Recvs))
+		}
+	}
+}
+
 // readRaw decodes layer file bytes the way the store does (see readRawWork).
 func readRaw(raw []byte, mask colMask) (*Layer, error) {
 	l, _, err := readRawWork(raw, nil, mask)
@@ -130,12 +150,12 @@ func readRaw(raw []byte, mask colMask) (*Layer, error) {
 func readRawWork(raw, prev []byte, mask colMask) (*Layer, decodeWork, error) {
 	var mem, file LayerViews
 	var work, fileWork decodeWork
-	var memPrev, filePrev layerOpener
+	var memPrev, filePrev layerFiles
 	if prev != nil {
 		memPrev, filePrev = opens(prev, false), opens(prev, true)
 	}
-	err := mem.read(image(raw), int64(len(raw)), mask, &work, memPrev)
-	fileErr := file.read(bytes.NewReader(raw), int64(len(raw)), mask, &fileWork, filePrev)
+	err := mem.read(image(raw), int64(len(raw)), mask, &work, memPrev, 1)
+	fileErr := file.read(bytes.NewReader(raw), int64(len(raw)), mask, &fileWork, filePrev, 1)
 	if (err == nil) != (fileErr == nil) || work != fileWork {
 		return nil, work, fmt.Errorf("image read (%v, %v) and reader read (%v, %v) disagree", err, work, fileErr, fileWork)
 	}
@@ -181,9 +201,14 @@ func TestLayerTruncationNeverPanics(t *testing.T) {
 				t.Fatal(err)
 			default:
 				assertLayersIdentical(t, fc.want, got)
+				counts, err := readRaw(fc.raw, maskCounts)
+				if err != nil {
+					t.Fatalf("counts-only read: %v", err)
+				}
+				sameRecvCounts(t, "whole file", got, counts)
 			}
 			for cut := 0; cut < len(fc.raw); cut++ {
-				for _, mask := range []colMask{maskAll, maskCore} {
+				for _, mask := range []colMask{maskAll, maskCore, maskCounts} {
 					_, _, err := readRawWork(fc.raw[:cut], fc.prev, mask)
 					if err == nil {
 						t.Fatalf("truncation at byte %d of %d (mask %09b) decoded without error", cut, len(fc.raw), mask)
@@ -214,9 +239,18 @@ func TestLayerCorruptCountsNeverPanic(t *testing.T) {
 					b := append([]byte(nil), fc.raw...)
 					b[pos] ^= bit
 					// Any outcome but a panic is acceptable: some flips still
-					// decode (payload bytes), corrupt counts must error.
-					readRawWork(b, fc.prev, maskAll)
+					// decode (payload bytes), corrupt counts must error. A
+					// flip the full read accepts leaves the counts-only read
+					// the same counts.
+					full, _, err := readRawWork(b, fc.prev, maskAll)
 					readRawWork(b, fc.prev, maskCore)
+					counts, _, countsErr := readRawWork(b, fc.prev, maskCounts)
+					if err == nil {
+						if countsErr != nil {
+							t.Fatalf("flip %#x at byte %d: the full read accepts it, the counts-only read fails: %v", bit, pos, countsErr)
+						}
+						sameRecvCounts(t, fmt.Sprintf("flip %#x at byte %d", bit, pos), full, counts)
+					}
 				}
 			}
 			for pos := 5; pos < len(fc.prev); pos++ {

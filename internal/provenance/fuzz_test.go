@@ -30,7 +30,10 @@ import (
 // it either returns a layer or a clean error, for the full read and for
 // every projected read, and a projected read decodes exactly the core and
 // projected columns (the send peers only when projected or implied by the
-// send values) and materializes nothing else.
+// send values) and materializes nothing else. Every input is also read
+// under the counts-only receive projection: where the full read accepts
+// it, so does that read, each record holding as many zero receives as the
+// full read's.
 //
 // CI runs this as a 30s smoke via `go test -fuzz FuzzLayerV2Decode`.
 func FuzzLayerV2Decode(f *testing.F) {
@@ -46,7 +49,7 @@ func FuzzLayerV2Decode(f *testing.F) {
 	for _, sd := range seeds {
 		v2 := encodeLayerColumnar(sd.l)
 		v1 := readV1Fixture(f, sd.v1)
-		for _, mask := range []uint16{uint16(maskAll), uint16(maskCore), 0, 1 << colSendPeers} {
+		for _, mask := range []uint16{uint16(maskAll), uint16(maskCore), 0, 1 << colSendPeers, uint16(maskCounts)} {
 			f.Add(v2, mask)
 			f.Add(v1, mask)
 		}
@@ -65,7 +68,7 @@ func FuzzLayerV2Decode(f *testing.F) {
 	f.Add(misplacedRepeat(colRecvValues), uint16(maskAll))
 	chain := derivedChain(5, 3)
 	derived := oracleEncodeDerived(chain[2])
-	for _, mask := range []uint16{uint16(maskAll), uint16(maskCore | 1<<colRecvPeers), 0} {
+	for _, mask := range []uint16{uint16(maskAll), uint16(maskCore | 1<<colRecvPeers), 0, uint16(maskCounts)} {
 		f.Add(derived, mask)
 	}
 	flagged := oracleEncodeColumnar(chain[2], layerVersionColumnar)
@@ -93,6 +96,13 @@ func FuzzLayerV2Decode(f *testing.F) {
 		if err == nil && full == nil {
 			t.Fatal("readLayer returned neither layer nor error")
 		}
+		counts, countsErr := readRaw(data, maskCounts)
+		if full != nil {
+			if countsErr != nil {
+				t.Fatalf("the full read accepts the input, the counts-only read fails: %v", countsErr)
+			}
+			sameRecvCounts(t, "counts-only read", full, counts)
+		}
 		proj, work, err := readRawWork(data, nil, colMask(mask))
 		if err != nil {
 			return
@@ -107,11 +117,11 @@ func FuzzLayerV2Decode(f *testing.F) {
 		if want.has(colSendPeers) != (mask&(1<<colSendPeers|1<<colSendValues) != 0) {
 			t.Fatalf("mask %09b reads the send peers: %v", mask, want.has(colSendPeers))
 		}
-		if got := columnsOf(proj); got&^want != 0 {
-			t.Fatalf("projected decode materialized columns %09b outside %09b", got&^want, want)
+		if got := columnsOf(proj); got&^want.blocks() != 0 {
+			t.Fatalf("projected decode materialized columns %09b outside %09b", got&^want.blocks(), want.blocks())
 		}
 		for col, w := range work {
-			if blocks := int64(boolByte(want.has(col))); w.Blocks != blocks {
+			if blocks := int64(boolByte(want.blocks().has(col))); w.Blocks != blocks {
 				t.Fatalf("projected decode (mask %09b) decoded %d blocks of column %d, want %d", want, w.Blocks, col, blocks)
 			}
 		}

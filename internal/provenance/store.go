@@ -347,7 +347,7 @@ func (s *Store) derivable(l *Layer) bool {
 		v.Records = append(v.Records, eval.RecordView{Vertex: int64(r.Vertex), Recvs: ms})
 	}
 	var work decodeWork // a check, not a read: DecodeWork leaves it out
-	if v.deriveRecvs(s.opener(ss-1), &work) != nil {
+	if v.deriveRecvs(s, ss-1, &work) != nil {
 		return false
 	}
 	for i := range l.Records {
@@ -635,36 +635,39 @@ func (s *Store) LayerProjected(i int, proj *LayerProjection, v *LayerViews) erro
 // decode decodes the columns of mask.closed() of layer i into v; a layer
 // that derives its receive payloads also reads layer i-1's sends.
 func (s *Store) decode(i int, mask colMask, v *LayerViews) error {
-	return s.opener(i)(func(r io.ReaderAt, size int64) error {
-		return v.read(r, size, mask, &s.work, s.opener(i-1))
-	})
+	r, size, f, err := s.file(i)
+	if err != nil {
+		return err
+	}
+	if f != nil {
+		defer f.Close()
+	}
+	return v.read(r, size, mask, &s.work, s, i-1)
 }
 
-// opener returns the opener of layer i's file: its image, resident or in
-// flight to its file, or else the file.
-func (s *Store) opener(i int) layerOpener {
-	return func(fn func(io.ReaderAt, int64) error) error {
-		if i < 0 || i >= len(s.images) {
-			return fmt.Errorf("provenance: layer %d out of range [0,%d)", i, len(s.images))
-		}
-		img := s.images[i]
-		if img == nil {
-			img = s.pending[i]
-		}
-		if img != nil {
-			return fn(image(img), int64(len(img)))
-		}
-		f, err := os.Open(s.files[i])
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		st, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		return fn(f, st.Size())
+// file returns layer i's file: its image, resident or in flight to its
+// file, or else the file, opened (see layerFiles).
+func (s *Store) file(i int) (io.ReaderAt, int64, *os.File, error) {
+	if i < 0 || i >= len(s.images) {
+		return nil, 0, nil, fmt.Errorf("provenance: layer %d out of range [0,%d)", i, len(s.images))
 	}
+	img := s.images[i]
+	if img == nil {
+		img = s.pending[i]
+	}
+	if img != nil {
+		return image(img), int64(len(img)), nil, nil
+	}
+	f, err := os.Open(s.files[i])
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, nil, err
+	}
+	return f, st.Size(), f, nil
 }
 
 // DecodeWork returns the decode work the store's layer reads have done so
