@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,7 @@ func (floodProg) Compute(ctx *Context, msgs []IncomingMessage) error {
 	return nil
 }
 
-func benchGraph(b *testing.B, n, deg int) *graph.Graph {
+func benchGraph(b testing.TB, n, deg int) *graph.Graph {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	edges := make([]graph.Edge, 0, n*deg)
@@ -47,6 +48,25 @@ func benchGraph(b *testing.B, n, deg int) *graph.Graph {
 		b.Fatal(err)
 	}
 	return g
+}
+
+// weightedGraph is benchGraph with edge weights uniform in [0.001, 1.001).
+func weightedGraph(tb testing.TB, n, deg int) *graph.Graph {
+	tb.Helper()
+	g := benchGraph(tb, n, deg)
+	rng := rand.New(rand.NewSource(43))
+	edges := make([]graph.Edge, 0, g.NumEdges())
+	for v := 0; v < n; v++ {
+		dst, _ := g.OutNeighbors(VertexID(v))
+		for _, d := range dst {
+			edges = append(edges, graph.Edge{Src: VertexID(v), Dst: d, Weight: 0.001 + rng.Float64()})
+		}
+	}
+	w, err := graph.NewFromEdges(n, edges)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
 }
 
 // BenchmarkBarrier runs the barrier at 8 partitions on one goroutine
@@ -106,12 +126,49 @@ func BenchmarkBarrier(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierShape runs whole jobs at the two shapes BenchmarkBarrier's
+// ssspProg is weighted single-source shortest paths from vertex 0: on
+// improvement a vertex sends distance+weight along each out-edge. Over random
+// weights its frontier is sparse for many supersteps.
+type ssspProg struct{}
+
+func (ssspProg) InitialValue(_ *graph.Graph, v VertexID) value.Value {
+	return value.NewFloat(math.Inf(1))
+}
+
+func (ssspProg) Compute(ctx *Context, msgs []IncomingMessage) error {
+	best := math.Inf(1)
+	if ctx.ID() == 0 {
+		best = 0
+	}
+	for _, m := range msgs {
+		best = min(best, m.Val.Float())
+	}
+	if best < ctx.Value().Float() {
+		ctx.SetValue(value.NewFloat(best))
+		dst, w := ctx.OutNeighbors()
+		for i, d := range dst {
+			ctx.SendMessage(d, value.NewFloat(best+w[i]))
+		}
+	}
+	return nil
+}
+
+// minCombiner keeps the smaller of two distances.
+func minCombiner(a, b value.Value) value.Value {
+	if b.Float() < a.Float() {
+		return b
+	}
+	return a
+}
+
+// BenchmarkBarrierShape runs whole jobs at the shapes BenchmarkBarrier's
 // dense 8-partition flood does not cover: a chain, whose frontier is one
 // vertex for as many supersteps as the graph has vertices (the barrier must
-// cost what the frontier costs, not what the partition holds), and the flood
+// cost what the frontier costs, not what the partition holds), the flood
 // at 16 and 64 partitions (the column merge must not cost O(partitions) per
-// message).
+// message), and SSSP with a min combiner over random weights at 4 and 16
+// partitions (sender-side combining must cost what the sends cost, not what
+// the largest superstep's destinations cost).
 func BenchmarkBarrierShape(b *testing.B) {
 	run := func(name string, g *graph.Graph, prog Program, cfg Config) {
 		b.Run(name, func(b *testing.B) {
@@ -144,6 +201,10 @@ func BenchmarkBarrierShape(b *testing.B) {
 	flood := benchGraph(b, 10000, 8)
 	for _, p := range []int{16, 64} {
 		run(fmt.Sprintf("flood/partitions=%d", p), flood, floodProg{}, Config{Partitions: p, MaxSupersteps: 8})
+	}
+	weighted := weightedGraph(b, 10000, 8)
+	for _, p := range []int{4, 16} {
+		run(fmt.Sprintf("sssp-combine/partitions=%d", p), weighted, ssspProg{}, Config{Partitions: p, Combiner: minCombiner})
 	}
 }
 

@@ -762,9 +762,12 @@ type partResult struct {
 	// back the Sent and Emitted windows of this superstep's records (the
 	// vertices append to them one after the other) and are reused.
 	ctx Context
-	// combIdx maps a destination vertex to its pre-combined message's
-	// index inside outbox[partition(dst)] (sender-side combining).
-	combIdx map[VertexID]int32
+	// combIdx[dp][dst/nParts] is the index of dst's pre-combined message in
+	// outbox[dp] (sender-side combining; dst/nParts is dst's local id). A
+	// column is allocated on first use and never cleared: a slot counts only
+	// if it is below len(outbox[dp]) and that entry names dst, which holds
+	// for dst's own entry alone, since a column has one entry per dst.
+	combIdx [][]int32
 	// sent counts raw messages emitted by the partition's vertices this
 	// superstep (before any combining); combinedSender counts those the
 	// sender-side combiner merged away.
@@ -792,12 +795,8 @@ func (r *partResult) reset(nParts int, combining bool) {
 	r.sent, r.combinedSender = 0, 0
 	r.residentRemote = false
 	r.dstCounts = r.dstCounts[:0]
-	if combining {
-		if r.combIdx == nil {
-			r.combIdx = make(map[VertexID]int32)
-		} else {
-			clear(r.combIdx)
-		}
+	if combining && r.combIdx == nil {
+		r.combIdx = make([][]int32, nParts)
 	}
 }
 
@@ -908,13 +907,17 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, fields Fields, id
 			}
 			dp := e.partition(m.Dst)
 			if comb != nil {
-				if i, ok := res.combIdx[m.Dst]; ok {
+				if res.combIdx[dp] == nil {
+					res.combIdx[dp] = make([]int32, (n-dp+e.nParts-1)/e.nParts)
+				}
+				slot := &res.combIdx[dp][int(m.Dst)/e.nParts]
+				if i := int(*slot); i < len(res.outbox[dp]) && res.outbox[dp][i].Dst == m.Dst {
 					om := &res.outbox[dp][i]
 					om.Val = comb(om.Val, m.Val)
 					res.combinedSender++
 					continue
 				}
-				res.combIdx[m.Dst] = int32(len(res.outbox[dp]))
+				*slot = int32(len(res.outbox[dp]))
 			}
 			res.outbox[dp] = append(res.outbox[dp], OutMessage{Src: v, Dst: m.Dst, Val: m.Val})
 		}

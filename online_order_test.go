@@ -20,7 +20,7 @@ import (
 	"ariadne/internal/transport"
 )
 
-var updateOrder = flag.Bool("update", false, "rewrite testdata/online_order.golden")
+var updateOrder = flag.Bool("update", false, "rewrite testdata/online_order.golden and testdata/combiner_runs.golden")
 
 // relationKeys lists a result relation's canonical tuple keys in insertion
 // order.
@@ -126,10 +126,17 @@ func tcpWorkers(t *testing.T, g *ariadne.Graph, parts, n int) *transport.TCP {
 // tcpWorkersFor starts n loopback workers, each with its own prog(), over g
 // and dials them.
 func tcpWorkersFor(t *testing.T, g *ariadne.Graph, prog func() engine.Program, parts, n int) *transport.TCP {
+	return tcpWorkersWith(t, g, prog, engine.Config{Partitions: parts}, n)
+}
+
+// tcpWorkersWith starts n loopback workers, each an executor of its own
+// prog() under cfg (the combiner included), over g and dials them.
+func tcpWorkersWith(t *testing.T, g *ariadne.Graph, prog func() engine.Program, cfg engine.Config, n int) *transport.TCP {
 	t.Helper()
+	parts := cfg.Partitions
 	addrs := make([]string, n)
 	for i := range addrs {
-		x, err := engine.NewExecutor(g, prog(), engine.Config{Partitions: parts})
+		x, err := engine.NewExecutor(g, prog(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
