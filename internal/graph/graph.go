@@ -68,29 +68,36 @@ func NewFromEdges(n int, edges []Edge) (*Graph, error) {
 		g.outW[p] = e.Weight
 	}
 	// Sort each vertex's out-edges by destination for deterministic iteration.
+	var buf []edgePair
 	for v := 0; v < n; v++ {
 		lo, hi := g.outOff[v], g.outOff[v+1]
-		sortEdgeRange(g.outDst[lo:hi], g.outW[lo:hi])
+		buf = sortEdgeRange(g.outDst[lo:hi], g.outW[lo:hi], buf)
 	}
 	return g, nil
 }
 
-func sortEdgeRange(dst []VertexID, w []float64) {
-	type pair struct {
-		d VertexID
-		w float64
-	}
+// edgePair is an out-edge while sortEdgeRange sorts its vertex's edges.
+type edgePair struct {
+	d VertexID
+	w float64
+}
+
+// sortEdgeRange sorts one vertex's out-edges by destination through buf,
+// which it returns, grown, for the next vertex. Parallel edges keep the
+// order the pdqsort of slices.SortFunc leaves them in.
+func sortEdgeRange(dst []VertexID, w []float64, buf []edgePair) []edgePair {
 	if len(dst) < 2 {
-		return
+		return buf
 	}
-	ps := make([]pair, len(dst))
+	buf = buf[:0]
 	for i := range dst {
-		ps[i] = pair{dst[i], w[i]}
+		buf = append(buf, edgePair{dst[i], w[i]})
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].d < ps[j].d })
-	for i, p := range ps {
+	slices.SortFunc(buf, func(a, b edgePair) int { return cmp.Compare(a.d, b.d) })
+	for i, p := range buf {
 		dst[i], w[i] = p.d, p.w
 	}
+	return buf
 }
 
 // NumVertices returns the vertex count.

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -245,5 +246,92 @@ func TestSeekMatchesSearch(t *testing.T) {
 	}
 	if backs == 0 {
 		t.Fatal("no backward probe drawn")
+	}
+}
+
+// sortEdgeRangeOracle is how NewFromEdges sorted a vertex's out-edges
+// before sortEdgeRange reused one pair buffer: a fresh pair slice per
+// vertex, sorted by sort.Slice.
+func sortEdgeRangeOracle(dst []VertexID, w []float64) {
+	type pair struct {
+		d VertexID
+		w float64
+	}
+	if len(dst) < 2 {
+		return
+	}
+	ps := make([]pair, len(dst))
+	for i := range dst {
+		ps[i] = pair{dst[i], w[i]}
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].d < ps[j].d })
+	for i, p := range ps {
+		dst[i], w[i] = p.d, p.w
+	}
+}
+
+// TestSortEdgeRangeMatchesOracle: NewFromEdges lays out the CSR arrays
+// exactly as the oracle sort did, parallel edges (one destination, distinct
+// weights) in the same order, on R-MAT-shaped graphs, whose hubs hold
+// hundreds of edges with repeated destinations, and on small graphs dense
+// with parallel edges.
+func TestSortEdgeRangeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	rmat := func(scale, perVertex int) (int, []Edge) {
+		n := 1 << scale
+		var edges []Edge
+		for i := 0; i < perVertex*n; i++ {
+			var src, dst VertexID
+			for bit := 0; bit < scale; bit++ {
+				switch r := rng.Float64(); {
+				case r < 0.57:
+				case r < 0.76:
+					dst |= 1 << bit
+				case r < 0.95:
+					src |= 1 << bit
+				default:
+					src, dst = src|1<<bit, dst|1<<bit
+				}
+			}
+			edges = append(edges, Edge{Src: src, Dst: dst, Weight: float64(i)})
+		}
+		return n, edges
+	}
+	multi := func(n, m int) (int, []Edge) {
+		edges := make([]Edge, m)
+		for i := range edges {
+			edges[i] = Edge{Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: float64(i)}
+		}
+		return n, edges
+	}
+	cases := []struct {
+		name  string
+		build func() (int, []Edge)
+	}{
+		{"rmat-8", func() (int, []Edge) { return rmat(8, 16) }},
+		{"rmat-10", func() (int, []Edge) { return rmat(10, 8) }},
+		{"multi-4", func() (int, []Edge) { return multi(4, 2000) }},
+		{"multi-32", func() (int, []Edge) { return multi(32, 3000) }},
+	}
+	for _, c := range cases {
+		n, edges := c.build()
+		g, err := NewFromEdges(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, w := make([]VertexID, len(edges)), make([]float64, len(edges))
+		next := slices.Clone(g.outOff[:n])
+		for _, e := range edges {
+			p := next[e.Src]
+			next[e.Src]++
+			dst[p], w[p] = e.Dst, e.Weight
+		}
+		for v := 0; v < n; v++ {
+			lo, hi := g.outOff[v], g.outOff[v+1]
+			sortEdgeRangeOracle(dst[lo:hi], w[lo:hi])
+		}
+		if !slices.Equal(dst, g.outDst) || !slices.Equal(w, g.outW) {
+			t.Errorf("%s: the CSR arrays differ from the oracle's", c.name)
+		}
 	}
 }

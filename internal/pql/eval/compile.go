@@ -45,8 +45,8 @@ func notCompilable(pos pql.Pos, format string, args ...any) error {
 // Its strata run in one of two places. The in-partition prefix (strata[:inPart])
 // runs online on each engine partition's goroutine, right after that
 // partition's compute: a partition shard evaluates its records against the
-// database, frozen while partitions compute, keeps what it derives in its own
-// dedup sets and keeps the records' views. At the barrier MergePartitions
+// database, frozen while partitions compute, keeps what it derives in its
+// overlay and keeps the records' views. At the barrier MergePartitions
 // appends the shards' tuples in the order one serial pass would have, and the
 // remaining strata run there on the main shard (BarrierLayer), over the
 // merged views. Layer runs the same schedule with one partition, shard 0, so
@@ -174,27 +174,25 @@ func (r *crule) planner() string {
 	return r.kind.String()
 }
 
-// shard is one evaluation context: slot scratch, head-key buffer and the
-// rules whose emissions it is sinking, by branch. A partition shard (ovl !=
-// nil) runs the in-partition strata over one partition's records on that
-// partition's goroutine: it reads the database (frozen meanwhile) and then
-// its overlay. Each overlay relation holds in rows the shard's dedup set of
-// one head: every tuple the shard derived, registered with the head relation
-// (Relation.sets), which the tuple never leaves; and in order this
-// superstep's new tuples, when an in-partition step reads them (listed). The
-// overlay of a record-scoped head keeps no string set: its scopeSet keys the
-// superstep's new tuples, listed, by hash, and the shard forgets them at the
-// merge. out lists the superstep's new tuples for the merge, and views the
-// records it observed, for the barrier; arena holds ObservePartition's views
-// of the engine's records, reused across supersteps.
+// shard is one evaluation context: slot scratch and the rules whose
+// emissions it is sinking, by branch. A partition shard (ovl != nil) runs
+// the in-partition strata over one partition's records on that partition's
+// goroutine: it reads the database (frozen meanwhile) and then its overlay.
+// Each overlay relation holds, in order and keyed in its set, one head's
+// new tuples of the superstep, which a tuple the shard derives must be new
+// to, as to the head's own (unless probe skips a record-scoped head's); a
+// tuple with a bit is in the overlay's bitset instead, registered with the
+// head (Relation.bitSets), which it never leaves once merged. out lists the
+// superstep's new tuples for the merge, and views the records it observed,
+// for the barrier; arena holds ObservePartition's views of the engine's
+// records, reused across supersteps.
 //
 // The main shard runs the barrier strata, global and static rules. Its
 // record passes hold one rule each, so it inserts straight into the
 // database as it derives.
 type shard struct {
-	c       *Compiled
-	rn      slotRun
-	headKey []byte
+	c  *Compiled
+	rn slotRun
 	// sink (emit) and bufSink (buffer) are the shard's sinks, made once.
 	sink    func(Tuple) error
 	bufSink func(Tuple) error
@@ -206,7 +204,7 @@ type shard struct {
 
 	ovl     *Database
 	ovlHead []*Relation   // per rule: the overlay relation of its head
-	listed  []bool        // per rule: its overlay lists the new tuples (see partShard)
+	probe   []bool        // per rule: its head is probed this superstep (see layer)
 	ss      int           // the superstep observed last and not merged, or -1
 	out     [][]Tuple     // per rule: the new tuples (cloned), in derivation order
 	chunk   []value.Value // the tuple arena keep cuts clones from (see clone)
@@ -257,7 +255,7 @@ func (sh *shard) emit(t Tuple) error {
 	r := sh.rules[sh.rn.branch]
 	if sh.ovl == nil {
 		r.emitted++
-		if _, ok := r.head.insertCopy(t, &sh.headKey); ok {
+		if _, ok := r.head.insertCopy(t); ok {
 			sh.c.derived++
 		}
 		return nil
@@ -267,31 +265,19 @@ func (sh *shard) emit(t Tuple) error {
 	}
 	sh.emitted[r.idx]++
 	ovl := sh.ovlHead[r.idx]
-	if sc := ovl.scope; sc != nil {
-		// A tuple carrying its record's vertex and superstep can equal only
-		// one derived at that record: one of this superstep's, or, when the
-		// head holds the superstep already, one of the head's.
-		h := hashTuple(t)
-		if sc.set.has(ovl.order, t, h) || sc.fallback && r.head.scope.set.has(r.head.order, t, h) {
-			return nil
-		}
-		sh.keep(r.idx, t)
-		sc.set.add(h, len(ovl.order)-1)
-		return nil
-	}
 	if v, s, ok := r.head.bitOf(t); ok {
 		if r.head.bits.has(v, s) || ovl.bits.has(v, s) {
 			return nil
 		}
 		ovl.bits.set(v, s)
-		sh.keep(r.idx, t)
+		ovl.appendNew(sh.keep(r.idx, t))
 		return nil
 	}
-	sh.headKey = appendKey(sh.headKey[:0], t)
-	if r.head.inRows(sh.headKey) || ovl.inRows(sh.headKey) {
+	h := hashTuple(t)
+	if ovl.has(t, h) || sh.probe[r.idx] && r.head.has(t, h) {
 		return nil
 	}
-	ovl.rows[string(sh.headKey)] = sh.keep(r.idx, t)
+	ovl.appendKeyed(sh.keep(r.idx, t), h)
 	return nil
 }
 
@@ -314,9 +300,8 @@ func (sh *shard) flush() {
 	}
 }
 
-// keep clones a new tuple of rule ri's head, lists it for the merge and,
-// when its overlay lists the superstep's tuples, there, and returns the
-// clone.
+// keep clones a new tuple of rule ri's head, lists it for the merge and
+// returns the clone.
 func (sh *shard) keep(ri int, t Tuple) Tuple {
 	c := sh.clone(t)
 	if cap(sh.out[ri]) == 0 {
@@ -326,9 +311,6 @@ func (sh *shard) keep(ri int, t Tuple) Tuple {
 	sh.out[ri] = append(sh.out[ri], c)
 	if !sh.alone {
 		sh.outV[ri] = append(sh.outV[ri], sh.rn.rv.Vertex)
-	}
-	if sh.listed[ri] {
-		sh.ovlHead[ri].appendNew(c)
 	}
 	return c
 }
@@ -725,7 +707,7 @@ func (c *Compiled) scopeHeads() {
 	for _, r := range c.rules {
 		if s := col[r.head]; s >= 0 {
 			r.head.scopeRecords(s)
-			r.scoped = r.head.scope != nil
+			r.scoped = r.head.scoped
 		}
 	}
 }
@@ -1180,9 +1162,12 @@ func (c *Compiled) ObservePartition(p, superstep int, recs []engine.VertexRecord
 }
 
 // layer runs the in-partition strata over one partition's records of a
-// superstep, in vertex order, into the overlay, up to the first stratum that
-// fails, and keeps the records for the barrier. The tuples of a superstep
-// observed before and never merged (an aborted one) are dropped first.
+// superstep, in vertex order, into the emptied overlay, up to the first
+// stratum that fails, and keeps the records for the barrier. The tuples of
+// a superstep observed before and never merged (an aborted one) are dropped
+// first. A tuple carrying its record's vertex and superstep can equal only
+// one derived at that record: a record-scoped head is probed only when it
+// holds the superstep already.
 func (sh *shard) layer(superstep int, recs []RecordView) {
 	sh.drop()
 	sh.ss, sh.views, sh.records, sh.err, sh.rn.work = superstep, recs, int64(len(recs)), nil, workCounts{}
@@ -1190,12 +1175,7 @@ func (sh *shard) layer(superstep int, recs []RecordView) {
 		rel.truncate()
 	}
 	for _, r := range sh.c.rules[:sh.c.partRules] {
-		if r.scoped {
-			sc := sh.ovlHead[r.idx].scope
-			if sc.fallback = r.head.scope.holds(recs); sc.fallback {
-				r.head.keyAll()
-			}
-		}
+		sh.probe[r.idx] = !r.scoped || r.head.holds(recs)
 	}
 	clear(sh.emitted)
 	for ri := range sh.marks {
@@ -1220,20 +1200,14 @@ func (c *Compiled) partShard(p int) *shard {
 		sh := c.newShard(c.main.rn.db, c.main.rn.sg, ovl)
 		sh.rn.facts.tables = c.tables
 		sh.ovlHead = make([]*Relation, c.partRules)
-		sh.listed = make([]bool, c.partRules)
+		sh.probe = make([]bool, c.partRules)
 		sh.out = make([][]Tuple, c.partRules)
 		sh.outV = make([][]int64, c.partRules)
 		sh.emitted = make([]int64, c.partRules)
 		sh.marks = make([][]emitMark, c.partRules)
 		for _, r := range c.rules[:c.partRules] {
-			sh.listed[r.idx] = r.scoped || c.readInPartition(r.src.Head.Pred)
 			if r.kind == ruleRecord && ovl.Get(r.src.Head.Pred) == nil {
 				o := ovl.Relation(r.src.Head.Pred, r.head.arity)
-				if r.head.scope != nil {
-					o.scope = &scopeSet{col: -1}
-				} else {
-					r.head.sets = append(r.head.sets, o.rows)
-				}
 				if r.head.bits != nil {
 					o.bits = &recordBits{n: r.head.bits.n}
 					r.head.bitSets = append(r.head.bitSets, o.bits)
@@ -1246,35 +1220,18 @@ func (c *Compiled) partShard(p int) *shard {
 	return c.parts[p]
 }
 
-// readInPartition reports whether a step of an in-partition rule reads
-// pred's rows, so a partition shard's overlay must list its new tuples in
-// order: a negation probes the dedup set instead, and a record-scoped head's
-// set keys them by position anyway.
-func (c *Compiled) readInPartition(pred string) bool {
-	for _, r := range c.rules[:c.partRules] {
-		for _, p := range r.plan.programs() {
-			for _, st := range p.steps {
-				if st.pred == pred && st.kind == stepPositive && st.rows == rowsRelation {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // MergePartitions appends what the partition shards derived at superstep to
 // the head relations, in the order one serial pass over the layer would have
 // (stratum, rule, anchor vertex, then derivation order), and counts their
-// records, emissions and passes. Nothing is probed: the tuples stay in the
-// dedup sets of the shards, which probed the frozen database, and a head is
-// located at its anchor vertex, which one partition owns. shed (nil: none)
-// names the partitions whose records are dropped; BarrierLayer reads the
-// views of the shards merged. When shards failed it
+// records, emissions and passes. Nothing is probed or keyed: the shards
+// probed the frozen database, a head is located at its anchor vertex, which
+// one partition owns, and the head keys what it gains at its next probe.
+// shed (nil: none) names the partitions whose records are dropped;
+// BarrierLayer reads the views of the shards merged. When shards failed it
 // merges what a serial pass derives before its first failure and returns
-// that failure: the lowest by (stratum, rule, vertex). The sets forget every
-// tuple not merged. A static rule's error, which kept the partitions from
-// observing, is returned first.
+// that failure: the lowest by (stratum, rule, vertex). The shards' bitsets
+// forget every tuple not merged. A static rule's error, which kept the
+// partitions from observing, is returned first.
 func (c *Compiled) MergePartitions(superstep int, shed func(p int) bool) error {
 	if err := c.BeginRun(); err != nil {
 		return err
@@ -1416,20 +1373,14 @@ func (sh *shard) emittedUpTo(ri int, last int64) int64 {
 	return sh.emitted[ri]
 }
 
-// forget deletes the tuples of out[ri][from:], which the merge did not take,
-// from the shard's dedup set, and empties out[ri]. A record-scoped set
-// forgets all of them.
+// forget unsets the bits of the tuples of out[ri][from:], which the merge
+// did not take, in the shard's bitset, and empties out[ri]. The overlay's
+// set forgets the superstep's tuples when the next is observed (layer).
 func (sh *shard) forget(ri, from int) {
-	if ovl := sh.ovlHead[ri]; ovl != nil && ovl.scope != nil {
-		// A record-scoped set holds one superstep: forget it whole.
-		ovl.scope.set.reset()
-	} else {
-		for _, t := range sh.out[ri][from:] {
-			if v, s, ok := ovl.bitOf(t); ok {
-				ovl.bits.unset(v, s)
-			} else {
-				delete(ovl.rows, t.Key())
-			}
+	ovl := sh.ovlHead[ri]
+	for _, t := range sh.out[ri][from:] {
+		if v, s, ok := ovl.bitOf(t); ok {
+			ovl.bits.unset(v, s)
 		}
 	}
 	sh.out[ri], sh.outV[ri] = sh.out[ri][:0], sh.outV[ri][:0]

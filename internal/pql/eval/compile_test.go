@@ -991,9 +991,10 @@ func TestCompiledHeadBufferNeverStored(t *testing.T) {
 	if rel.Len() < 2 {
 		t.Fatalf("%d tuples derived", rel.Len())
 	}
-	for k, tu := range rel.rows {
-		if tu.Key() != k {
-			t.Errorf("tuple stored under %q now reads %v", k, tu)
+	rel.keyAll()
+	for _, sl := range rel.set.slots {
+		if tu := rel.order[max(sl.pos, 1)-1]; sl.pos != 0 && hashTuple(tu) != sl.h {
+			t.Errorf("tuple keyed under hash %x now reads %v", sl.h, tu)
 		}
 	}
 	for i, tu := range rel.All() {
@@ -1005,15 +1006,15 @@ func TestCompiledHeadBufferNeverStored(t *testing.T) {
 
 // TestUnmergedTuplesForgotten: a tuple a partition derived but never merged —
 // its partition was shed, its superstep's barrier never ran, or it lies past
-// the first error — leaves the partition's dedup set, so the relation's
-// members are exactly its tuples in order, and the partition derives the
+// the first error — leaves the partition's overlay and bitset, so the
+// relation's members are exactly its tuples in order, and the partition derives the
 // tuple again later, in the order a serial Layer over the merged records
 // does. seen has no superstep column: a vertex derives the same tuple in
 // every superstep it hears from someone. The heads of Queries 5 and 6 are
 // record-keyed: their shards keep them in bitsets, which must forget them
 // alike, and a re-observed superstep derives them again. heardAt's head is
-// record-scoped: its shards forget a superstep's tuples whole, and a
-// superstep observed again after its merge probes the head's own tuples.
+// record-scoped: a superstep observed again after its merge probes the
+// head's own tuples.
 func TestUnmergedTuplesForgotten(t *testing.T) {
 	const seen = `seen(X) :- receive_message(X, Y, M, I).`
 	const heardAt = `heard(X, Y, I) :- receive_message(X, Y, M, I).`
@@ -1166,7 +1167,7 @@ late(X, I) :- superstep(X, I).`
 				if keyed := rel.bits != nil; keyed != (tc.src != seen && tc.src != failing && tc.src != heardAt) {
 					t.Errorf("%s: record-keyed %v", name, keyed)
 				}
-				if scoped := rel.scope != nil; scoped != (tc.src == heardAt) {
+				if scoped := rel.scoped; scoped != (tc.src == heardAt) {
 					t.Errorf("%s: record-scoped %v", name, scoped)
 				}
 				if got := members(rel); got != rel.Len() {
@@ -1375,19 +1376,12 @@ func TestOnlineHoldsOneSuperstep(t *testing.T) {
 	}
 }
 
-// members counts what a relation's membership holds: rows, the shard sets,
-// the bits set in bits and in the shard bitsets, and a record-scoped
-// relation's set, keyed for the count (it keys order lazily, and each
-// distinct member once).
+// members counts what a relation's membership holds: its set, keyed for
+// the count (it keys order lazily, and each distinct member once), and the
+// bits set in bits and in the shard bitsets.
 func members(rel *Relation) int {
-	n := len(rel.rows)
-	if rel.scope != nil {
-		rel.keyAll()
-		n += rel.scope.set.n
-	}
-	for _, set := range rel.sets {
-		n += len(set)
-	}
+	rel.keyAll()
+	n := rel.set.n
 	for _, b := range append([]*recordBits{rel.bits}, rel.bitSets...) {
 		if b == nil {
 			continue

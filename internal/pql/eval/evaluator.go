@@ -28,8 +28,7 @@ type Evaluator struct {
 	aggs    map[string]*aggTable // aggregate head pred -> state
 	pending map[string][]Tuple
 
-	rn      slotRun // scratch of the delta rounds
-	headKey []byte  // the insert's canonical-key scratch
+	rn slotRun // scratch of the delta rounds
 
 	stats Stats
 }
@@ -152,7 +151,7 @@ func (e *Evaluator) sequentialRound(stratum []*pql.Rule, delta map[string][]Tupl
 		pred := r.Head.Pred
 		head := e.db.Relation(pred, len(r.Head.Args))
 		insert := func(t Tuple) error {
-			if c, ok := head.insertCopy(t, &e.headKey); ok {
+			if c, ok := head.insertCopy(t); ok {
 				derived[pred] = append(derived[pred], c)
 				e.stats.Derivations++
 			}

@@ -8,9 +8,11 @@ package eval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ariadne/internal/value"
 )
@@ -18,8 +20,8 @@ import (
 // Tuple is one relational row.
 type Tuple []value.Value
 
-// Key returns a canonical byte-string identity for the tuple, used for
-// set-semantics deduplication; see appendNorm for how numbers encode.
+// Key returns a canonical byte-string identity for the tuple, the one
+// relations dedup by (see appendNorm for how numbers encode).
 func (t Tuple) Key() string { return string(appendKey(nil, t)) }
 
 // String renders the tuple for diagnostics.
@@ -38,62 +40,56 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Relation is a set of same-arity tuples with lazily built, incrementally
-// maintained hash indexes on column subsets.
+// Relation is a set of same-arity tuples in insertion order (order), with
+// lazily built hash indexes on column subsets.
 //
-// A head of an in-partition compiled rule also carries the partition shards'
-// dedup sets (sets): each holds, by canonical key, the tuples one shard
-// derived on its partition's goroutine. Those tuples are in order and in
-// every built index, but never in rows; a member is in rows or in one set.
+// Its membership is one tupleSet over order's positions (set), which keys
+// order[:keyed]. Insert keeps it keyed as it appends; the barrier's merge
+// appends the partition shards' tuples to order alone, and the next probe
+// keys them (keyAll). An index chains order's positions the same way, up to
+// the tuples present when it is looked up.
 //
 // A record-keyed relation (Compile keys a head whose every rule derives
 // exactly (anchor, current superstep)) holds its members that are such
-// pairs in bits instead, one bit per (vertex, superstep), and the shards'
-// in bitSets, registered as their sets are; only its other tuples are keyed
-// by string. A member is then in rows, in one set, in bits or in one bitset.
+// pairs in bits instead, one bit per (vertex, superstep), and the partition
+// shards' in bitSets; only its other tuples are in set.
 //
 // A record-scoped relation (Compile scopes a head no rule reads whose every
 // rule is an in-partition record rule deriving the record's vertex and
-// superstep at fixed columns) keeps no keyed set while it is evaluated: a
-// shard dedups what it derives for it against its own tuples of the
-// superstep only, which are all a tuple of that record can equal, and the
-// merge appends them to order alone. Its membership is order, keyed into
-// scope's hash set lazily, by the first method that probes it.
+// superstep at fixed columns) notes the supersteps its tuples hold at
+// column ssCol: a partition shard probes it only for a record at one of
+// them (holds), as a tuple of any other superstep can equal only the
+// shard's own.
 //
-// Concurrency contract: concurrent readers (Lookup/LookupKey/Contains/All)
-// are safe with each other — lazy index construction is serialized behind
-// mu, and everything else they touch is read-only. Mutations (Insert,
-// Delete, Clear, the barrier's merge) must not overlap with readers or each
-// other: a caller that reads a relation from several goroutines keeps its
-// writes to phases in which no reader runs. A shard set or bitset is written
-// only on its partition's goroutine, while the relation is frozen, and read
-// by every membership probe at the barrier; a partition shard itself probes
-// only rows and bits and its own set and bitset. Partitions share bitset
-// words (a partition is vertex mod P), which is why each shard writes a
-// bitset of its own.
+// Concurrency contract: readers (Lookup, Contains, All, MemSize and the
+// partition shards' probes) may run together, and mutations (Insert,
+// Delete, Clear, the merge) only while no reader runs. The set and the
+// indexes: a reader keys or chains what was appended since under mu, once
+// between readers, and then probes without a lock. The bits: a partition
+// shard writes only its own bitset, as partitions share words (a partition
+// is vertex mod P), and reads bits and its own; the main shard reads all.
 type Relation struct {
 	arity   int
-	rows    map[string]Tuple
-	sets    []map[string]Tuple
+	order   []Tuple // insertion order, for deterministic iteration
+	appends int     // tuples appended to order since it was last emptied
+
+	mu      sync.Mutex // serializes the readers' keyAll and index chaining
+	set     tupleSet   // keys order[:keyed] but the tuples with a bit
+	keyed   atomic.Int64
+	indexes []*index
+
 	bits    *recordBits   // nil unless record-keyed
-	bitSets []*recordBits // the shards' bits of a record-keyed relation
-	scope   *scopeSet     // nil unless record-scoped
-	order   []Tuple       // insertion order, for deterministic iteration
-	appends int           // tuples appended to order since it was last emptied
+	bitSets []*recordBits // the partition shards' bits of a record-keyed relation
 
-	mu      sync.Mutex // guards indexes map + lazy index construction by readers
-	indexes map[string]*index
-}
-
-// index is a hash index over a column subset.
-type index struct {
-	cols []int
-	m    map[string][]Tuple
+	scoped     bool           // record-scoped
+	ssCol      int            // a record-scoped relation's superstep column
+	supersteps map[int64]bool // the supersteps at ssCol
+	lastSS     int64          // the superstep noted last, or -1
 }
 
 // NewRelation creates an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{arity: arity, rows: map[string]Tuple{}}
+	return &Relation{arity: arity}
 }
 
 // Arity returns the column count.
@@ -104,35 +100,21 @@ func (r *Relation) Len() int { return len(r.order) }
 
 // Insert adds t, reporting whether it was new. The tuple is retained.
 func (r *Relation) Insert(t Tuple) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("eval: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
-	}
-	if v, s, ok := r.bitOf(t); ok {
-		if r.hasBit(v, s) {
-			return false
-		}
-		r.bits.set(v, s)
-		r.appendNew(t)
-		return true
-	}
-	if r.scope != nil {
-		return r.scopedAdd(t, hashTuple(t))
-	}
-	var buf [64]byte
-	k := appendKey(buf[:0], t)
-	if r.inKeyed(k) {
-		return false
-	}
-	r.add(string(k), t)
-	return true
+	_, ok := r.insert(t, false)
+	return ok
 }
 
 // insertCopy inserts a copy of t unless an equal tuple is present, and
-// returns the stored copy. The canonical key is encoded into *kb, scratch
-// the caller reuses, and probed first, so a duplicate allocates nothing:
-// only a new tuple is cloned and keyed. t itself is never retained, which
-// is what lets the slot programs emit one reused head buffer.
-func (r *Relation) insertCopy(t Tuple, kb *[]byte) (Tuple, bool) {
+// returns the stored copy. A duplicate allocates nothing: only a new tuple
+// is cloned. t itself is never retained, which is what lets the slot
+// programs emit one reused head buffer.
+func (r *Relation) insertCopy(t Tuple) (Tuple, bool) {
+	return r.insert(t, true)
+}
+
+// insert adds t, or a copy of it when clone is set, unless an equal tuple is
+// present, and returns what it stored.
+func (r *Relation) insert(t Tuple, clone bool) (Tuple, bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("eval: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
@@ -141,88 +123,59 @@ func (r *Relation) insertCopy(t Tuple, kb *[]byte) (Tuple, bool) {
 			return nil, false
 		}
 		r.bits.set(v, s)
-		c := t.Clone()
-		r.appendNew(c)
-		return c, true
-	}
-	if r.scope != nil {
-		h := hashTuple(t)
-		if r.scopedHas(t, h) {
-			return nil, false
+		if clone {
+			t = t.Clone()
 		}
-		c := t.Clone()
-		r.scopedAdd(c, h)
-		return c, true
+		r.appendNew(t)
+		return t, true
 	}
-	*kb = appendKey((*kb)[:0], t)
-	if r.inKeyed(*kb) {
+	h := hashTuple(t)
+	if r.has(t, h) {
 		return nil, false
 	}
-	c := t.Clone()
-	r.add(string(*kb), c)
-	return c, true
+	if clone {
+		t = t.Clone()
+	}
+	r.appendKeyed(t, h)
+	return t, true
 }
 
-// add stores a tuple known to be new in rows, under its canonical key.
-func (r *Relation) add(k string, t Tuple) {
-	r.rows[k] = t
-	r.appendNew(t)
-}
-
-// appendNew appends a tuple known to be new, and already held by rows or a
-// shard set, to order and to every built index. Like every mutation it runs
-// while no reader does, so it takes no lock.
+// appendNew appends a tuple known to be new to order, unkeyed. Like every
+// mutation it runs while no reader does, so it takes no lock.
 func (r *Relation) appendNew(t Tuple) {
 	r.order = append(r.order, t)
 	r.appends++
-	if r.scope != nil {
-		r.scope.note(t)
-	}
-	for _, idx := range r.indexes {
-		pk := projKey(t, idx.cols)
-		idx.m[pk] = append(idx.m[pk], t)
+	if r.scoped {
+		// Consecutive tuples mostly share a superstep: the map is skipped then.
+		if ss, ok := vertexID(t[r.ssCol]); ok && ss != r.lastSS {
+			r.supersteps[ss], r.lastSS = true, ss
+		}
 	}
 }
 
-// Delete removes t, reporting whether it was present. Deletion is used only
-// by aggregate-group replacement, whose heads have no shard sets.
+// appendKeyed appends t, whose hash is h, and keys it: a tuple known to be
+// new, probed for by has, which keyed the rest of order.
+func (r *Relation) appendKeyed(t Tuple, h uint64) {
+	r.appendNew(t)
+	r.set.add(h, len(r.order)-1)
+	r.keyed.Store(int64(len(r.order)))
+}
+
+// Delete removes t, reporting whether it was present; the set and the
+// indexes are keyed afresh by the next probe and lookup. Deletion is used
+// only by aggregate-group replacement, whose heads have no partition shards.
 func (r *Relation) Delete(t Tuple) bool {
-	k := t.Key()
 	if v, s, ok := r.bitOf(t); ok {
 		if !r.bits.has(v, s) {
 			return false
 		}
 		r.bits.unset(v, s)
-	} else if r.scope != nil {
-		if !r.scopedHas(t, hashTuple(t)) {
-			return false
-		}
-		// The set is keyed by position in order: key it afresh.
-		r.scope.unkey()
-	} else {
-		if _, ok := r.rows[k]; !ok {
-			return false
-		}
-		delete(r.rows, k)
+	} else if !r.has(t, hashTuple(t)) {
+		return false
 	}
-	for i, row := range r.order {
-		if row.Key() == k {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.mu.Lock()
-	for _, idx := range r.indexes {
-		pk := projKey(t, idx.cols)
-		lst := idx.m[pk]
-		for i, row := range lst {
-			if row.Key() == k {
-				idx.m[pk] = append(lst[:i], lst[i+1:]...)
-				break
-			}
-		}
-	}
-	r.mu.Unlock()
+	i := slices.IndexFunc(r.order, func(u Tuple) bool { return sameTuple(u, t) })
+	r.order = slices.Delete(r.order, i, i+1)
+	r.unkey()
 	return true
 }
 
@@ -231,186 +184,112 @@ func (r *Relation) Contains(t Tuple) bool {
 	if v, s, ok := r.bitOf(t); ok {
 		return r.hasBit(v, s)
 	}
-	if r.scope != nil {
-		return r.scopedHas(t, hashTuple(t))
-	}
-	var buf [64]byte
-	return r.inKeyed(appendKey(buf[:0], t))
+	return r.has(t, hashTuple(t))
 }
 
-// inKeyed reports whether rows or a shard set holds the tuple keyed k. The
-// string conversions sit inside the map index expressions, which the
-// compiler optimizes to zero-copy lookups.
-func (r *Relation) inKeyed(k []byte) bool {
-	if r.inRows(k) {
-		return true
+// has reports whether the set holds t, whose hash is h, keying order first.
+func (r *Relation) has(t Tuple, h uint64) bool {
+	if r.keyed.Load() != int64(len(r.order)) {
+		r.keyAll()
 	}
-	for _, s := range r.sets {
-		if _, ok := s[string(k)]; ok {
-			return true
+	return r.set.find(r.order, nil, t, h) != nil
+}
+
+// keyAll keys the tuples appended to order unkeyed (the merge's), but those
+// with a bit. It runs under mu, so readers probing at once key them once
+// between them.
+func (r *Relation) keyAll() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := int(r.keyed.Load())
+	for i, t := range r.order[n:] {
+		if _, _, ok := r.bitOf(t); !ok {
+			r.set.add(hashTuple(t), n+i)
 		}
 	}
-	return false
+	r.keyed.Store(int64(len(r.order)))
 }
 
-// inRows reports whether rows alone holds the tuple keyed k.
-func (r *Relation) inRows(k []byte) bool {
-	if len(r.rows) == 0 {
-		return false
+// unkey empties the set and every index, for the next probe and lookup to
+// key and chain order afresh.
+func (r *Relation) unkey() {
+	r.set.reset()
+	r.keyed.Store(0)
+	for _, idx := range r.indexes {
+		idx.keys.reset()
+		idx.next = idx.next[:0]
 	}
-	_, ok := r.rows[string(k)]
-	return ok
 }
 
 // scopeRecords makes an empty relation record-scoped, its tuples' superstep
-// at column col. A relation already holding tuples stays keyed by string.
+// at column col.
 func (r *Relation) scopeRecords(col int) {
-	if r.scope == nil && r.bits == nil && r.Len() == 0 {
-		r.scope = &scopeSet{col: col}
+	if !r.scoped && r.bits == nil && r.Len() == 0 {
+		r.scoped, r.ssCol, r.supersteps, r.lastSS = true, col, map[int64]bool{}, -1
 	}
 }
 
-// scopedHas reports whether a record-scoped relation holds t, whose hash is
-// h, keying order first. Safe for concurrent readers, as Contains is.
-func (r *Relation) scopedHas(t Tuple, h uint64) bool {
-	r.keyAll()
-	return r.scope.set.has(r.order, t, h)
-}
-
-// scopedAdd appends t to a record-scoped relation unless it holds t already,
-// reporting whether it did.
-func (r *Relation) scopedAdd(t Tuple, h uint64) bool {
-	if r.scopedHas(t, h) {
-		return false
-	}
-	r.appendNew(t)
-	r.scope.set.add(h, len(r.order)-1)
-	r.scope.keyed = len(r.order)
-	return true
-}
-
-// keyAll adds the tuples of order not yet keyed to a record-scoped
-// relation's set: the ones the merge appended. It runs under mu, so shards
-// observing a superstep the relation holds key it once between them.
-func (r *Relation) keyAll() {
-	sc := r.scope
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if sc.keyed == len(r.order) {
-		return
-	}
-	sc.set.reserve(len(r.order))
-	for ; sc.keyed < len(r.order); sc.keyed++ {
-		t := r.order[sc.keyed]
-		if h := hashTuple(t); !sc.set.has(r.order, t, h) {
-			sc.set.add(h, sc.keyed)
-		}
-	}
-}
-
-// scopeSet is the membership of a record-scoped relation: set keys
-// order[:keyed] by position, and supersteps lists the supersteps its tuples
-// hold at column col, which a partition shard checks before it trusts its
-// own set alone (see holds). A shard's overlay of the head keeps one too
-// (col -1: it notes no supersteps), over the superstep's new tuples, keyed
-// as they are added, and fallback says its shard also probes the head's own
-// set this superstep.
-type scopeSet struct {
-	col        int
-	set        tupleSet
-	keyed      int
-	supersteps map[int64]bool
-	last       int64 // the superstep note saw last, when any
-	noted      bool
-	fallback   bool
-}
-
-// note records the superstep of a tuple appended to a record-scoped
-// relation. Consecutive tuples mostly share one, so it skips the map then.
-func (sc *scopeSet) note(t Tuple) {
-	if sc.col < 0 {
-		return
-	}
-	ss, ok := vertexID(t[sc.col])
-	if !ok || sc.noted && ss == sc.last {
-		return
-	}
-	if sc.supersteps == nil {
-		sc.supersteps = map[int64]bool{}
-	}
-	sc.supersteps[ss], sc.last, sc.noted = true, ss, true
-}
-
-// holds reports whether the relation holds a tuple at the superstep of some
-// record of recs: only then can a record's tuple equal one derived before
-// (the superstep was merged already, and is observed again).
-func (sc *scopeSet) holds(recs []RecordView) bool {
-	if len(sc.supersteps) == 0 {
+// holds reports whether a record-scoped relation holds a tuple at the
+// superstep of some record of recs: only then can a record's tuple equal
+// one derived before (the superstep was merged already, and is observed
+// again). A superstep at most the highest held is not enough, as backward
+// layered passes descend.
+func (r *Relation) holds(recs []RecordView) bool {
+	if len(r.supersteps) == 0 {
 		return false
 	}
 	for i := range recs {
-		if ss := recs[i].Superstep; (i == 0 || ss != recs[i-1].Superstep) && sc.supersteps[ss] {
+		if ss := recs[i].Superstep; (i == 0 || ss != recs[i-1].Superstep) && r.supersteps[ss] {
 			return true
 		}
 	}
 	return false
 }
 
-// unkey empties the set, so keyAll keys order afresh.
-func (sc *scopeSet) unkey() {
-	sc.set.reset()
-	sc.keyed = 0
-}
-
-// reset forgets every tuple and superstep.
-func (sc *scopeSet) reset() {
-	sc.unkey()
-	clear(sc.supersteps)
-	sc.noted = false
-}
-
 // tupleSet is a set of tuples held in a list elsewhere (a relation's order),
-// keyed by position under a fixed-width hash of the tuple (hashTuple): an
-// open-addressing table whose slots hold a hash and a position plus one
-// (zero: empty). Two tuples are one member when appendNorm encodes them
-// alike; a hash match is confirmed so (sameTuple). Emptying it keeps its
-// slots, so a set refilled every superstep grows only to the largest.
+// keyed by position under a fixed-width hash (hashTuple): an open-addressing
+// table whose slots hold a hash and a position plus one (zero: empty). Two
+// tuples are one member when appendNorm encodes them alike; a hash match is
+// confirmed so. An index keys its projections alike, each slot the head of
+// a chain whose last position it keeps too. Emptying it keeps its slots, so
+// a set refilled every superstep grows only to the largest.
 type tupleSet struct {
 	slots []tslot
 	n     int
 }
 
 type tslot struct {
-	h   uint64
-	pos int32
+	h         uint64
+	pos, last int32
 }
 
-// has reports whether list holds a member equal to t, whose hash is h, among
-// the positions the set keys.
-func (s *tupleSet) has(list []Tuple, t Tuple, h uint64) bool {
+// find returns the slot of the member whose values at cols (nil: all of
+// them) equal key, whose hash is h, or nil.
+func (s *tupleSet) find(list []Tuple, cols []int, key []value.Value, h uint64) *tslot {
 	if s.n == 0 {
-		return false
+		return nil
 	}
 	mask := uint64(len(s.slots) - 1)
 	for j := h & mask; s.slots[j].pos != 0; j = (j + 1) & mask {
-		if sl := s.slots[j]; sl.h == h && sameTuple(list[sl.pos-1], t) {
-			return true
+		if sl := &s.slots[j]; sl.h == h && sameOn(list[sl.pos-1], cols, key) {
+			return sl
 		}
 	}
-	return false
+	return nil
 }
 
 // add keys position i, whose tuple's hash is h and which the set does not
-// hold.
-func (s *tupleSet) add(h uint64, i int) {
+// hold, and returns its slot.
+func (s *tupleSet) add(h uint64, i int) *tslot {
 	s.reserve(s.n + 1)
 	mask := uint64(len(s.slots) - 1)
 	j := h & mask
 	for s.slots[j].pos != 0 {
 		j = (j + 1) & mask
 	}
-	s.slots[j] = tslot{h: h, pos: int32(i + 1)}
+	s.slots[j] = tslot{h: h, pos: int32(i + 1), last: int32(i + 1)}
 	s.n++
+	return &s.slots[j]
 }
 
 // reserve grows the table, rehashing, to hold n members at most half full.
@@ -447,7 +326,7 @@ func (s *tupleSet) reset() {
 
 // hashTuple combines the columns' value.Hash, which hashes alike what
 // appendNorm encodes alike.
-func hashTuple(t Tuple) uint64 {
+func hashTuple(t []value.Value) uint64 {
 	h := uint64(len(t))
 	for _, v := range t {
 		h = (h^v.Hash())*0x9e3779b97f4a7c15 + 1
@@ -456,21 +335,44 @@ func hashTuple(t Tuple) uint64 {
 }
 
 // sameTuple reports whether appendNorm encodes a and b alike.
-func sameTuple(a, b Tuple) bool {
+func sameTuple(a, b []value.Value) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		var x, y [64]byte
-		if string(appendNorm(x[:0], a[i])) != string(appendNorm(y[:0], b[i])) {
+		if !sameValue(a[i], b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
+// sameOn reports whether t's values at cols (nil: all of them) and key
+// encode alike.
+func sameOn(t Tuple, cols []int, key []value.Value) bool {
+	if cols == nil {
+		return sameTuple(t, key)
+	}
+	for i, c := range cols {
+		if !sameValue(t[c], key[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameValue reports whether appendNorm encodes a and b alike: two Ints
+// when they are one integer.
+func sameValue(a, b value.Value) bool {
+	if a.Kind() == value.Int && b.Kind() == value.Int {
+		return a.Int() == b.Int()
+	}
+	var x, y [64]byte
+	return string(appendNorm(x[:0], a)) == string(appendNorm(y[:0], b))
+}
+
 // keyRecords makes an empty relation of arity 2 record-keyed over vertex
-// ids in [0, n). A relation already holding tuples stays keyed by string.
+// ids in [0, n). A relation already holding tuples keeps them in its set.
 func (r *Relation) keyRecords(n int) {
 	if r.arity == 2 && r.bits == nil && r.Len() == 0 {
 		r.bits = &recordBits{n: n}
@@ -501,7 +403,7 @@ func (r *Relation) hasBit(v, s int) bool {
 }
 
 // maxRecordSuperstep bounds the supersteps a record-keyed relation keeps in
-// bits; a tuple at a later one is keyed by string. It bounds what a corrupt
+// bits; a tuple at a later one is in the set. It bounds what a corrupt
 // checkpoint can make LoadState allocate.
 const maxRecordSuperstep = 1 << 16
 
@@ -593,90 +495,110 @@ func (b *recordBits) memSize() int64 {
 // All returns the tuples in insertion order. The slice must not be modified.
 func (r *Relation) All() []Tuple { return r.order }
 
-// Lookup returns the tuples whose values at cols equal key, building (and
-// thereafter maintaining) a hash index on cols. Safe for concurrent use by
-// multiple readers.
+// index is a hash index on a column subset: a chain through order's
+// positions, in insertion order, per distinct projection on cols. keys
+// holds each chain's first and last position (a tslot's pos and last),
+// next[i] the position after i on i's chain plus one (zero: none), and
+// len(next) is how many positions are chained.
+type index struct {
+	cols []int
+	keys tupleSet
+	next []int32
+	proj []value.Value // chain's scratch
+}
+
+// Lookup returns the tuples whose values at cols equal key, in insertion
+// order, building (and thereafter extending) a hash index on cols. Safe for
+// concurrent use by multiple readers.
 func (r *Relation) Lookup(cols []int, key []value.Value) []Tuple {
 	if len(cols) == 0 {
 		return r.order
 	}
-	idx := r.index(encodeCols(cols), cols)
-	return idx.m[keyOf(key)]
-}
-
-// LookupKey is Lookup with the column subset and projection key already
-// encoded (colsKey via encodeCols, key via the projKey encoding) — the
-// allocation-free fast path used by slot-compiled rule programs. Safe for
-// concurrent use by multiple readers.
-func (r *Relation) LookupKey(cols []int, colsKey string, key []byte) []Tuple {
-	if len(cols) == 0 {
-		return r.order
+	var out []Tuple
+	c := r.lookup(cols, key)
+	for t, ok := c.pop(); ok; t, ok = c.pop() {
+		out = append(out, t)
 	}
-	idx := r.index(colsKey, cols)
-	return idx.m[string(key)]
+	return out
 }
 
-// index returns the hash index on cols, building it under the lock on first
-// use so concurrent lookups race safely.
-func (r *Relation) index(ck string, cols []int) *index {
+// lookup returns the chain of the tuples whose values at cols equal key,
+// among those present now: a tuple inserted while it is walked is not on
+// it.
+func (r *Relation) lookup(cols []int, key []value.Value) cands {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx, ok := r.indexes[ck]
-	if !ok {
-		idx = &index{cols: append([]int(nil), cols...), m: make(map[string][]Tuple, len(r.order))}
-		for _, t := range r.order {
-			pk := projKey(t, cols)
-			idx.m[pk] = append(idx.m[pk], t)
+	i := slices.IndexFunc(r.indexes, func(idx *index) bool { return slices.Equal(idx.cols, cols) })
+	if i < 0 {
+		i = len(r.indexes)
+		r.indexes = append(r.indexes, &index{cols: slices.Clone(cols)})
+	}
+	idx := r.indexes[i]
+	idx.chain(r.order)
+	c := cands{list: r.order, next: idx.next}
+	if sl := idx.keys.find(r.order, cols, key, hashTuple(key)); sl != nil {
+		c.at = sl.pos
+	}
+	return c
+}
+
+// chain adds order's positions from len(next) on to their chains.
+func (idx *index) chain(order []Tuple) {
+	for i := len(idx.next); i < len(order); i++ {
+		idx.proj = idx.proj[:0]
+		for _, c := range idx.cols {
+			idx.proj = append(idx.proj, order[i][c])
 		}
-		if r.indexes == nil {
-			r.indexes = map[string]*index{}
+		h := hashTuple(idx.proj)
+		idx.next = append(idx.next, 0)
+		if sl := idx.keys.find(order, idx.cols, idx.proj, h); sl != nil {
+			idx.next[sl.last-1], sl.last = int32(i+1), int32(i+1)
+		} else {
+			idx.keys.add(h, i)
 		}
-		r.indexes[ck] = idx
 	}
-	return idx
 }
 
-func projKey(t Tuple, cols []int) string {
-	var buf [64]byte
-	b := buf[:0]
-	for _, c := range cols {
-		b = appendNorm(b, t[c])
+// cands walks what one relation step reads: list in order, or, when next is
+// set, the chain through list from position at-1 (zero: none). A position
+// past list ends the walk.
+type cands struct {
+	list []Tuple
+	next []int32
+	at   int32
+}
+
+// all walks the whole of list.
+func all(list []Tuple) cands { return cands{list: list, at: 1} }
+
+// pop returns the next tuple, or false at the end.
+func (c *cands) pop() (Tuple, bool) {
+	if c.at == 0 || int(c.at) > len(c.list) {
+		return nil, false
 	}
-	return string(b)
-}
-
-// keyOf encodes the lookup key values (all columns of key, in order).
-func keyOf(key []value.Value) string {
-	var buf [64]byte
-	return string(appendKey(buf[:0], key))
-}
-
-// encodeCols identifies a column subset compactly (columns are tiny ints).
-func encodeCols(cols []int) string {
-	var buf [16]byte
-	b := buf[:0]
-	for _, c := range cols {
-		b = append(b, byte(c))
+	t := c.list[c.at-1]
+	if c.next == nil {
+		c.at++
+	} else {
+		c.at = c.next[c.at-1]
 	}
-	return string(b)
+	return t, true
 }
 
-// Per-entry overhead constants for MemSize: a tuple costs its values plus a
-// slice header; a hash-index bucket costs its key string (header + bytes),
-// the bucket slice header, map bucket bookkeeping, and one pointer-sized
-// slot per indexed tuple (the tuples themselves are shared with rows).
+// Per-entry sizes for MemSize: a tuple costs its values plus a slice
+// header, a set or index key slot (tslot) 16 bytes, a chain link 4, and an
+// index its struct and column slice.
 const (
-	memTupleOverhead  = 24
-	memBucketOverhead = 16 + 24 + 8 // string header + slice header + map slot
-	memIndexOverhead  = 48          // index struct + cols slice
-	memEntryPointer   = 8
-	memSlot           = 16 // a record-scoped relation's hash-set slot (tslot)
+	memTupleOverhead = 24
+	memSlot          = 16
+	memLink          = 4
+	memIndexOverhead = 48
 )
 
-// MemSize estimates the relation's footprint in bytes: tuple storage plus
-// the overhead of every hash index built so far. Indexes share tuple
-// storage with rows, but their buckets, key strings, and per-entry pointers
-// are real memory the naive-mode budget must account for.
+// MemSize estimates the relation's footprint in bytes: tuple storage, the
+// set's slots, the bitsets, and every index built so far. Indexes share
+// tuple storage with order, but their key slots and chain links are real
+// memory the naive-mode budget must account for.
 func (r *Relation) MemSize() int64 {
 	var s int64
 	for _, t := range r.order {
@@ -692,14 +614,9 @@ func (r *Relation) MemSize() int64 {
 		}
 	}
 	r.mu.Lock()
-	if r.scope != nil {
-		s += memSlot * int64(len(r.scope.set.slots))
-	}
+	s += memSlot * int64(len(r.set.slots))
 	for _, idx := range r.indexes {
-		s += memIndexOverhead
-		for k, lst := range idx.m {
-			s += memBucketOverhead + int64(len(k)) + memEntryPointer*int64(len(lst))
-		}
+		s += memIndexOverhead + memSlot*int64(len(idx.keys.slots)) + memLink*int64(cap(idx.next))
 	}
 	r.mu.Unlock()
 	return s

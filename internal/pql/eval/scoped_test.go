@@ -50,8 +50,8 @@ h(X, Y, I) :- receive_message(X, Y, M, I), a(Y, I).`, map[string]bool{"h": false
 				if !ok {
 					continue
 				}
-				if r.scoped != want || (r.head.scope != nil) != want {
-					t.Errorf("%s: scoped %v (relation %v), want %v", r.src, r.scoped, r.head.scope != nil, want)
+				if r.scoped != want || r.head.scoped != want {
+					t.Errorf("%s: scoped %v (relation %v), want %v", r.src, r.scoped, r.head.scoped, want)
 				}
 			}
 		})
@@ -80,8 +80,8 @@ func scopedLayers(n, supersteps int) [][]RecordView {
 // TestScopedSameHeadRulesDedup: two rules of one record-scoped head, each
 // deriving every tuple of a record twice, leave each tuple once, in the
 // order a rule-major pass derives it, serial and on three partitions; the
-// head registers no shard set and keys nothing while it is evaluated, and
-// its membership reads as its order once probed.
+// head keys nothing while it is evaluated, and its membership reads as its
+// order once probed.
 func TestScopedSameHeadRulesDedup(t *testing.T) {
 	const src = `h(X, Y, I) :- receive_message(X, Y, M, I), M >= 0.
 h(X, Y, I) :- receive_message(X, Y, M, I), Y < 100.`
@@ -104,8 +104,8 @@ h(X, Y, I) :- receive_message(X, Y, M, I), Y < 100.`
 	}
 	for leg, db := range map[string]*Database{"serial": serialDB, "in-partition": partDB} {
 		rel := db.Get("h")
-		if rel.scope == nil || len(rel.sets) != 0 || len(rel.rows) != 0 || rel.scope.set.n != 0 {
-			t.Fatalf("%s: scoped %v, %d shard sets, %d rows, %d keyed", leg, rel.scope != nil, len(rel.sets), len(rel.rows), rel.scope.set.n)
+		if !rel.scoped || rel.set.n != 0 {
+			t.Fatalf("%s: scoped %v, %d keyed", leg, rel.scoped, rel.set.n)
 		}
 		if want := 7 * 2 * 3; rel.Len() != want {
 			t.Errorf("%s: %d tuples, want %d (two peers per record)", leg, rel.Len(), want)
@@ -136,8 +136,8 @@ func TestScopedRelationMethods(t *testing.T) {
 	}
 	rel := db.Get("h")
 	n := rel.Len()
-	if rel.scope == nil || n != 5*2*2 || rel.scope.set.n != 0 {
-		t.Fatalf("scoped %v, %d tuples, %d keyed", rel.scope != nil, n, rel.scope.set.n)
+	if !rel.scoped || n != 5*2*2 || rel.set.n != 0 {
+		t.Fatalf("scoped %v, %d tuples, %d keyed", rel.scoped, n, rel.set.n)
 	}
 	for _, tu := range rel.All() {
 		if !rel.Contains(tu) {
@@ -159,7 +159,7 @@ func TestScopedRelationMethods(t *testing.T) {
 	db.SaveState(&w)
 	saved := insertionOrder(q, db, false)
 	rel.Clear()
-	if rel.Len() != 0 || rel.Contains(ints(0, 1, 0)) || rel.scope.set.n != 0 || len(rel.scope.supersteps) != 0 {
+	if rel.Len() != 0 || rel.Contains(ints(0, 1, 0)) || rel.set.n != 0 || len(rel.supersteps) != 0 {
 		t.Fatal("Clear left members behind")
 	}
 	if err := db.LoadState(value.NewBlobReader(w.Bytes())); err != nil {
@@ -211,14 +211,14 @@ func TestScopedReobserveConcurrent(t *testing.T) {
 	observe()
 	rel := db.Get("h")
 	want := insertionOrder(q, db, false)
-	if rel.Len() != 9*2 || rel.scope.set.n != 0 {
-		t.Fatalf("%d tuples, %d keyed after the first observation", rel.Len(), rel.scope.set.n)
+	if rel.Len() != 9*2 || rel.set.n != 0 {
+		t.Fatalf("%d tuples, %d keyed after the first observation", rel.Len(), rel.set.n)
 	}
 	observe()
 	if err := sameRelations("re-observed", want, insertionOrder(q, db, false)); err != nil {
 		t.Error(err)
 	}
-	rel.scope.unkey()
+	rel.unkey()
 	var wg sync.WaitGroup
 	for _, tu := range rel.All() {
 		wg.Add(1)

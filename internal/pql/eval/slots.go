@@ -89,7 +89,6 @@ type slotStep struct {
 	// negated step over a Relation tests membership by negSrc instead.
 	rows       rowSource
 	lookupCols []int
-	colsKey    string
 	lookupSrc  []slotSrc
 	match      []slotMatch
 	negSrc     []slotSrc
@@ -184,7 +183,6 @@ type slotRun struct {
 	// a relation step reads (nil: none), resolved once per firing by prep.
 	rels   []*Relation
 	ovls   []*Relation
-	keyBuf []byte
 	argBuf Tuple
 	head   Tuple
 	deltas []Tuple
@@ -267,20 +265,6 @@ func appendKey(b []byte, t Tuple) []byte {
 		b = appendNorm(b, v)
 	}
 	return b
-}
-
-// key evaluates srcs into the reused key buffer, in canonical encoding.
-func (rn *slotRun) key(srcs []slotSrc) ([]byte, error) {
-	kb := rn.keyBuf[:0]
-	for i := range srcs {
-		v, err := srcs[i].eval(rn.slots)
-		if err != nil {
-			return nil, err
-		}
-		kb = appendNorm(kb, v)
-	}
-	rn.keyBuf = kb
-	return kb, nil
 }
 
 // args evaluates srcs into the reused argument buffer.
@@ -478,23 +462,23 @@ func (p *program) exec(rn *slotRun, si int) error {
 		return p.next(rn, si)
 
 	case st.rows == rowsDelta:
-		return p.each(rn, si, st, rn.deltas)
+		return p.each(rn, si, st, all(rn.deltas))
 
 	default: // stepPositive over a Relation (and the overlay's)
 		rel, ovl := rn.rels[si], rn.ovls[si]
 		if rel == nil && ovl == nil {
 			return nil
 		}
-		var kb []byte
+		var key Tuple
 		if len(st.lookupCols) > 0 {
 			var err error
-			if kb, err = rn.key(st.lookupSrc); err != nil {
+			if key, err = rn.args(st.lookupSrc); err != nil {
 				return err
 			}
 		}
 		// Both candidate lists are taken before either is walked: the later
 		// steps reuse the key buffer.
-		cands, more := rel.candidates(st, kb), ovl.candidates(st, kb)
+		cands, more := rel.candidates(st, key), ovl.candidates(st, key)
 		if err := p.each(rn, si, st, cands); err != nil {
 			return err
 		}
@@ -502,10 +486,10 @@ func (p *program) exec(rn *slotRun, si int) error {
 	}
 }
 
-// has reports whether step si's relation holds t: on the main shard, in rows,
-// bits or any shard set or bitset; on a partition shard, whose IDB literals
-// are anchored or static-only, in the frozen rows and bits or its own set
-// and bitset.
+// has reports whether step si's relation holds t: on the main shard, in its
+// set, bits or any shard's bitset; on a partition shard, whose IDB literals
+// are anchored or static-only, in the frozen set and bits or its overlay's
+// set and bitset.
 func (rn *slotRun) has(si int, t Tuple) bool {
 	rel, ovl := rn.rels[si], rn.ovls[si]
 	if v, s, ok := rel.bitOf(t); ok {
@@ -514,30 +498,26 @@ func (rn *slotRun) has(si int, t Tuple) bool {
 		}
 		return rel.bits.has(v, s) || ovl != nil && ovl.bits.has(v, s)
 	}
-	rn.keyBuf = appendKey(rn.keyBuf[:0], t)
-	kb := rn.keyBuf
-	if rn.ovl == nil {
-		return rel != nil && rel.inKeyed(kb)
-	}
-	return rel != nil && rel.inRows(kb) || ovl != nil && ovl.inRows(kb)
+	h := hashTuple(t)
+	return rel != nil && rel.has(t, h) || ovl != nil && ovl.has(t, h)
 }
 
 // candidates returns the tuples a relation step reads from r (nil: none):
-// all of them, or those matching the key kb on the step's key columns.
-func (r *Relation) candidates(st *slotStep, kb []byte) []Tuple {
+// all of them, or those matching key on the step's key columns.
+func (r *Relation) candidates(st *slotStep, key Tuple) cands {
 	if r == nil {
-		return nil
+		return cands{}
 	}
 	if len(st.lookupCols) == 0 {
-		return r.All()
+		return all(r.order)
 	}
-	return r.LookupKey(st.lookupCols, st.colsKey, kb)
+	return r.lookup(st.lookupCols, key)
 }
 
 // each matches every candidate tuple and runs the rest of the program on
 // each match.
-func (p *program) each(rn *slotRun, si int, st *slotStep, cands []Tuple) error {
-	for _, t := range cands {
+func (p *program) each(rn *slotRun, si int, st *slotStep, c cands) error {
+	for t, ok := c.pop(); ok; t, ok = c.pop() {
 		if len(t) != len(st.match) {
 			return st.arityErr()
 		}
@@ -819,7 +799,6 @@ func (lw *lowerer) atom(ps planStep) (st slotStep, err error) {
 		st.lookupCols = append(st.lookupCols, i)
 		st.lookupSrc = append(st.lookupSrc, src)
 	}
-	st.colsKey = encodeCols(st.lookupCols)
 	st.match = make([]slotMatch, len(a.Args))
 	for i, arg := range a.Args {
 		switch arg := arg.(type) {

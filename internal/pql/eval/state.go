@@ -17,36 +17,28 @@ import (
 // panics on corrupt input (BlobReader is bounds-checked with a sticky
 // error).
 
-// Clear empties the relation in place, shard sets, bitsets and a
-// record-scoped relation's set included, preserving its identity (compiled
-// rules hold *Relation pointers, so restore refills the same objects rather
-// than swap them), its index definitions and its capacity. A slice All
-// returned before is overwritten by later inserts.
+// Clear empties the relation in place, its set and bitsets included,
+// preserving its identity (compiled rules hold *Relation pointers, so
+// restore refills the same objects rather than swap them), its indexes and
+// its capacity. A slice All returned before is overwritten by later inserts.
 func (r *Relation) Clear() {
-	clear(r.rows)
-	for _, s := range r.sets {
-		clear(s)
-	}
 	if r.bits != nil {
 		r.bits.reset()
 		for _, b := range r.bitSets {
 			b.reset()
 		}
 	}
-	if r.scope != nil {
-		r.scope.reset()
-	}
+	clear(r.supersteps)
+	r.lastSS = -1
 	r.truncate()
 }
 
-// truncate empties order and every index but keeps rows and bits: a
-// partition shard's overlay starts each superstep so, its rows and bits
-// being the shard's dedup set.
+// truncate empties order, the set and every index but keeps bits: a
+// partition shard's overlay starts each superstep so, its bits being the
+// shard's dedup set of the tuples that have one.
 func (r *Relation) truncate() {
 	r.order, r.appends = r.order[:0], 0
-	for _, idx := range r.indexes {
-		clear(idx.m)
-	}
+	r.unkey()
 }
 
 // SaveState serializes every relation: name, arity, and tuples in insertion

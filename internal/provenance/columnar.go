@@ -1147,7 +1147,9 @@ func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeW
 	}
 	v.Superstep = cl.superstep
 	if cap(v.Records) < cl.nrecords {
-		v.Records = make([]eval.RecordView, cl.nrecords)
+		// At least doubling: a scan whose layers grow reallocates a
+		// logarithmic number of times, not at each new largest layer.
+		v.Records = make([]eval.RecordView, max(cl.nrecords, 2*cap(v.Records)))
 	}
 	v.Records = v.Records[:cl.nrecords]
 	v.sends, v.recvs, v.facts, v.args = v.sends[:0], v.recvs[:0], v.facts[:0], v.args[:0]

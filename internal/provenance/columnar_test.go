@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -432,4 +433,41 @@ func TestColumnarBufferRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertLayersIdentical(t, l, v.layer())
+}
+
+// TestLayerViewsGrowByDoubling reads layers of rising record count, one
+// more each, into one LayerViews: its views reallocate about log2 of the
+// largest layer's records times, not once per new largest layer.
+func TestLayerViewsGrowByDoubling(t *testing.T) {
+	const layers = 300
+	s := NewStore(StoreConfig{SpillAll: true, SpillDir: t.TempDir()})
+	defer s.Close()
+	for ss := 0; ss < layers; ss++ {
+		l := &Layer{Superstep: ss}
+		for v := 0; v <= ss; v++ {
+			l.Records = append(l.Records, Record{Vertex: VertexID(v), PrevActive: -1, HasValue: true, Value: value.NewInt(int64(v))})
+		}
+		if err := s.AppendLayer(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var v LayerViews
+	grew, last := 0, 0
+	for i := 0; i < layers; i++ {
+		if err := s.LayerProjected(i, &LayerProjection{}, &v); err != nil {
+			t.Fatal(err)
+		}
+		if len(v.Records) != i+1 {
+			t.Fatalf("layer %d: %d views, want %d", i, len(v.Records), i+1)
+		}
+		if views, _ := v.Capacity(); views != last {
+			grew, last = grew+1, views
+		}
+	}
+	if bound := bits.Len(layers) + 1; grew > bound {
+		t.Errorf("views reallocated %d times over layers of 1..%d records, bound %d", grew, layers, bound)
+	}
 }
