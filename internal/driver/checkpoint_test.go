@@ -135,3 +135,23 @@ func TestOnlineRefusesMaterialisedCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlineRefusesStringKeyedAggregates: testdata/online_compiled_q8.ckpt
+// was written (ALS + Query 8 online, one partition, at superstep 2) by the
+// build whose aggregate group tables were keyed by canonical key strings.
+// Resuming from it fails, naming that layout; it is never misread as the
+// relations that replaced it.
+func TestOnlineRefusesStringKeyedAggregates(t *testing.T) {
+	blob, err := os.ReadFile("testdata/online_compiled_q8.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := alsQ8(t)
+	o, err := NewOnline(queries.ALSErrorIncrease(0.01).MustBuild(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.UnmarshalCheckpoint(blob); err == nil || !strings.Contains(err.Error(), "string-keyed layout") {
+		t.Errorf("UnmarshalCheckpoint = %v, want an error naming the string-keyed group-table layout", err)
+	}
+}

@@ -317,7 +317,7 @@ var generatedHead = regexp.MustCompile(`^g[0-9]+$`)
 func materialisedShape(r *crule) string {
 	switch {
 	case r.agg != nil:
-		return "aggregate " + r.plan.aggKinds[0].String()
+		return "aggregate " + r.plan.agg.Kind.String()
 	case strings.Contains(r.why, "negated"):
 		return "negated record literal"
 	case strings.Contains(r.why, "must be located at"):

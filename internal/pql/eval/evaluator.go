@@ -170,6 +170,16 @@ func (e *Evaluator) sequentialRound(stratum []*pql.Rule, delta map[string][]Tupl
 	return derived, nil
 }
 
+// fire folds the satisfying valuations plan.fire finds over delta into the
+// group states, then replaces the head tuples of the groups that changed.
+func (a *aggTable) fire(rn *slotRun, delta map[string][]Tuple, head *Relation, insert func(Tuple) error) error {
+	if err := a.plan.fire(rn, delta, a.fold); err != nil {
+		return err
+	}
+	rn.branch = 0
+	return a.flush(head, insert)
+}
+
 // fire runs the rule's programs semi-naively: once per positive literal
 // whose predicate has a delta, with that literal restricted to the delta.
 // Rules with no positive body literals (facts) fire unconditionally — once

@@ -43,12 +43,12 @@ type rulePlan struct {
 	factSteps []planStep
 	fact      *program
 
-	// Aggregate metadata (heads with COUNT/SUM/MIN/MAX/AVG).
+	// Aggregate metadata (heads with COUNT/SUM/MIN/MAX/AVG): the head's one
+	// aggregate, agg, at column aggCol, and the grouping columns.
 	aggregates bool
 	groupCols  []int
-	aggCols    []int
-	aggKinds   []pql.AggKind
-	aggArgs    []pql.Term
+	aggCol     int
+	agg        *pql.Aggregate
 	// bodyVars lists all body-bound variables, sorted, for SUM/AVG
 	// valuation deduplication.
 	bodyVars []string
@@ -118,12 +118,10 @@ func planRule(r *pql.Rule, path planPath) (*rulePlan, error) {
 	}
 
 	// Classify head columns.
+	aggs := 0
 	for i, a := range r.Head.Args {
 		if agg, ok := a.(*pql.Aggregate); ok {
-			p.aggregates = true
-			p.aggCols = append(p.aggCols, i)
-			p.aggKinds = append(p.aggKinds, agg.Kind)
-			p.aggArgs = append(p.aggArgs, agg.Arg)
+			p.aggregates, p.aggCol, p.agg, aggs = true, i, agg, aggs+1
 			continue
 		}
 		if containsAgg(a) {
@@ -131,7 +129,7 @@ func planRule(r *pql.Rule, path planPath) (*rulePlan, error) {
 		}
 		p.groupCols = append(p.groupCols, i)
 	}
-	if len(p.aggCols) > 1 {
+	if aggs > 1 {
 		return nil, fmt.Errorf("pql: %s: at most one aggregate per rule head (split into multiple rules)", r.Pos)
 	}
 	if p.aggregates && len(positives) == 0 {
@@ -150,8 +148,8 @@ func planRule(r *pql.Rule, path planPath) (*rulePlan, error) {
 }
 
 // emitTerms returns the terms a firing emits: the head arguments, or for an
-// aggregate rule the row its fold consumes — group values, aggregate
-// arguments, then the body valuation (the sorted body variables).
+// aggregate rule the row its fold consumes — group values, the aggregate
+// argument, then the body valuation (the sorted body variables).
 func (p *rulePlan) emitTerms(r *pql.Rule) []pql.Term {
 	if !p.aggregates {
 		return r.Head.Args
@@ -160,7 +158,7 @@ func (p *rulePlan) emitTerms(r *pql.Rule) []pql.Term {
 	for _, c := range p.groupCols {
 		terms = append(terms, r.Head.Args[c])
 	}
-	terms = append(terms, p.aggArgs...)
+	terms = append(terms, p.agg.Arg)
 	for _, name := range p.bodyVars {
 		terms = append(terms, &pql.Var{Name: name, Pos: r.Pos})
 	}

@@ -20,9 +20,16 @@ import (
 // Tuple is one relational row.
 type Tuple []value.Value
 
-// Key returns a canonical byte-string identity for the tuple, the one
-// relations dedup by (see appendNorm for how numbers encode).
-func (t Tuple) Key() string { return string(appendKey(nil, t)) }
+// Key returns a canonical byte-string identity for the tuple: two tuples
+// have one key exactly when relations hold them as one member (see
+// appendNorm for how numbers encode).
+func (t Tuple) Key() string {
+	var b []byte
+	for _, v := range t {
+		b = appendNorm(b, v)
+	}
+	return string(b)
+}
 
 // String renders the tuple for diagnostics.
 func (t Tuple) String() string {
@@ -187,12 +194,29 @@ func (r *Relation) Contains(t Tuple) bool {
 	return r.has(t, hashTuple(t))
 }
 
-// has reports whether the set holds t, whose hash is h, keying order first.
-func (r *Relation) has(t Tuple, h uint64) bool {
+// has reports whether the set holds t, whose hash is h.
+func (r *Relation) has(t Tuple, h uint64) bool { return r.find(t, h) != nil }
+
+// find returns the set's slot of t, whose hash is h, or nil, keying order
+// first.
+func (r *Relation) find(t Tuple, h uint64) *tslot {
 	if r.keyed.Load() != int64(len(r.order)) {
 		r.keyAll()
 	}
-	return r.set.find(r.order, nil, t, h) != nil
+	return r.set.find(r.order, nil, t, h)
+}
+
+// position returns the position in order of the member equal to t, first
+// appending a copy of t when there is none (added). Positions hold while
+// nothing is deleted: an aggregate's group table, which never deletes,
+// indexes its groups' states by them. r must not be record-keyed.
+func (r *Relation) position(t Tuple) (i int, added bool) {
+	h := hashTuple(t)
+	if sl := r.find(t, h); sl != nil {
+		return int(sl.pos) - 1, false
+	}
+	r.appendKeyed(t.Clone(), h)
+	return len(r.order) - 1, true
 }
 
 // keyAll keys the tuples appended to order unkeyed (the merge's), but those

@@ -259,14 +259,6 @@ func appendNorm(b []byte, v value.Value) []byte {
 	return v.AppendBinary(b)
 }
 
-// appendKey appends the canonical key of t (see Tuple.Key).
-func appendKey(b []byte, t Tuple) []byte {
-	for _, v := range t {
-		b = appendNorm(b, v)
-	}
-	return b
-}
-
 // args evaluates srcs into the reused argument buffer.
 func (rn *slotRun) args(srcs []slotSrc) (Tuple, error) {
 	t := rn.argBuf[:0]

@@ -2,8 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"ariadne/internal/value"
 )
@@ -41,22 +39,15 @@ func (r *Relation) truncate() {
 	r.unkey()
 }
 
-// SaveState serializes every relation: name, arity, and tuples in insertion
-// order (order matters — compiled global rules track insertion-order
-// cursors into Relation.All(), set from the restored relations).
+// SaveState serializes every relation: name, then saveRelation's layout.
+// Order matters: compiled global rules track insertion-order cursors into
+// Relation.All(), set from the restored relations.
 func (d *Database) SaveState(w *value.Blob) {
 	names := d.Names()
 	w.Uvarint(uint64(len(names)))
 	for _, name := range names {
-		rel := d.rels[name]
 		w.String(name)
-		w.Uvarint(uint64(rel.arity))
-		w.Uvarint(uint64(len(rel.order)))
-		for _, t := range rel.order {
-			for _, v := range t {
-				w.Value(v)
-			}
-		}
+		saveRelation(w, d.rels[name])
 	}
 }
 
@@ -71,24 +62,45 @@ func (d *Database) LoadState(r *value.BlobReader) error {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		name := r.String()
 		arity := r.Count()
-		rows := r.Count()
 		if r.Err() != nil {
 			break
 		}
-		rel := d.Relation(name, arity)
-		if rel.arity != arity {
-			return fmt.Errorf("eval: saved relation %s has arity %d, existing has %d", name, arity, rel.arity)
-		}
-		for j := 0; j < rows && r.Err() == nil; j++ {
-			t := make(Tuple, arity)
-			for k := range t {
-				t[k] = r.Value()
-			}
-			rel.Insert(t)
+		if err := loadTuples(r, d.Relation(name, arity), arity); err != nil {
+			return fmt.Errorf("eval: saved relation %s: %w", name, err)
 		}
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("eval: corrupt database state: %w", err)
+	}
+	return nil
+}
+
+// saveRelation writes rel's arity, then its tuples in insertion order after
+// their count.
+func saveRelation(w *value.Blob, rel *Relation) {
+	w.Uvarint(uint64(rel.arity))
+	w.Uvarint(uint64(len(rel.order)))
+	for _, t := range rel.order {
+		for _, v := range t {
+			w.Value(v)
+		}
+	}
+}
+
+// loadTuples inserts into rel the tuples saveRelation wrote after the
+// arity, which the caller read: it must be rel's. A corrupt blob leaves r's
+// sticky error for the caller.
+func loadTuples(r *value.BlobReader, rel *Relation, arity int) error {
+	if r.Err() == nil && arity != rel.arity {
+		return fmt.Errorf("arity %d, existing %d", arity, rel.arity)
+	}
+	rows := r.Count()
+	for j := 0; j < rows && r.Err() == nil; j++ {
+		t := make(Tuple, rel.arity)
+		for k := range t {
+			t[k] = r.Value()
+		}
+		rel.Insert(t)
 	}
 	return nil
 }
@@ -142,90 +154,58 @@ func (c *Compiled) LoadState(r *value.BlobReader) error {
 	return nil
 }
 
-// saveAggs serializes aggregate group tables, by head: the incremental
-// SUM/COUNT/AVG/MIN/MAX accumulators with their dedup sets and current head
-// tuples, in key order.
-func saveAggs(w *value.Blob, aggs map[string]*aggTable) {
-	preds := make([]string, 0, len(aggs))
-	for p := range aggs {
-		preds = append(preds, p)
-	}
-	sort.Strings(preds)
-	w.Uvarint(uint64(len(preds)))
-	for _, p := range preds {
-		table := aggs[p]
-		w.String(p)
-		keys := make([]string, 0, len(table.groups))
-		for k := range table.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		w.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			st := table.groups[k]
-			w.String(k)
+// saveAggs writes the aggregate tables, in rule order, after a 0: the
+// string-keyed layout that came before opened with the number of tables,
+// never 0. Per table: its head, its groups (saveRelation), per group in
+// their order the accumulators and the last flushed result, then its dedup
+// keys. Nothing is sorted: every part keeps insertion order.
+func saveAggs(w *value.Blob, aggs []*aggTable) {
+	w.Uvarint(0)
+	for _, a := range aggs {
+		w.String(a.pred)
+		saveRelation(w, a.grouping)
+		for i := range a.states {
+			st := &a.states[i]
 			w.Uvarint(uint64(st.count))
 			w.Float(st.sum)
 			w.Float(st.min)
 			w.Float(st.max)
-			seen := make([]string, 0, len(st.seen))
-			for s := range st.seen {
-				seen = append(seen, s)
-			}
-			sort.Strings(seen)
-			w.Uvarint(uint64(len(seen)))
-			for _, s := range seen {
-				w.String(s)
-			}
-			w.Bool(st.current != nil)
-			if st.current != nil {
-				w.Uvarint(uint64(len(st.current)))
-				for _, v := range st.current {
-					w.Value(v)
-				}
-			}
+			w.Value(st.current[a.plan.aggCol])
 		}
+		saveRelation(w, a.dedup)
 	}
 }
 
-// loadAggs restores the group tables saveAggs wrote into aggs, built for
-// the same query. A corrupt blob leaves r's sticky error for the caller.
-func loadAggs(r *value.BlobReader, aggs map[string]*aggTable) error {
-	nPreds := r.Count()
-	for i := 0; i < nPreds && r.Err() == nil; i++ {
-		pred := r.String()
-		table, ok := aggs[pred]
-		if r.Err() == nil && !ok {
-			return fmt.Errorf("eval: saved aggregate table %s unknown to this query", pred)
+// loadAggs restores the tables saveAggs wrote into aggs, built for the same
+// query. A corrupt blob leaves r's sticky error for the caller.
+func loadAggs(r *value.BlobReader, aggs []*aggTable) error {
+	if r.Uvarint() != 0 && r.Err() == nil {
+		return fmt.Errorf("eval: checkpoint holds aggregate group tables in the string-keyed layout, which this build no longer reads; rerun without resuming")
+	}
+	load := func(rel *Relation) error {
+		rel.Clear()
+		if err := loadTuples(r, rel, r.Count()); err != nil {
+			return fmt.Errorf("eval: saved aggregate relation: %w", err)
 		}
-		nGroups := r.Count()
-		if r.Err() != nil {
-			break
+		return nil
+	}
+	for _, a := range aggs {
+		if pred := r.String(); r.Err() == nil && pred != a.pred {
+			return fmt.Errorf("eval: saved aggregate table %s, query has %s", pred, a.pred)
 		}
-		table.groups = map[string]*aggState{}
-		table.touched = nil
-		for j := 0; j < nGroups && r.Err() == nil; j++ {
-			k := r.String()
-			st := &aggState{min: math.Inf(1), max: math.Inf(-1), seen: map[string]bool{}}
+		if err := load(a.grouping); err != nil {
+			return err
+		}
+		a.states, a.touched = a.states[:0], a.touched[:0]
+		for _, g := range a.grouping.order {
+			a.addGroup(g)
+			st := &a.states[len(a.states)-1]
 			st.count = int64(r.Uvarint())
-			st.sum = r.Float()
-			st.min = r.Float()
-			st.max = r.Float()
-			nSeen := r.Count()
-			for s := 0; s < nSeen && r.Err() == nil; s++ {
-				st.seen[r.String()] = true
-			}
-			if r.Bool() {
-				arity := r.Count()
-				if r.Err() != nil {
-					break
-				}
-				st.current = make(Tuple, arity)
-				for c := range st.current {
-					st.current[c] = r.Value()
-				}
-			}
-			table.groups[k] = st
+			st.sum, st.min, st.max = r.Float(), r.Float(), r.Float()
+			st.current[a.plan.aggCol] = r.Value()
+		}
+		if err := load(a.dedup); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -557,15 +557,16 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 		l.m.Counter(obs.MetricNetBytesRecv).Add(int64(n))
 		switch typ {
 		case frameResult, framePong, frameDeliverRes, framePeerAck:
+			// The send holds mu, as teardown closes the pending channels
+			// under it: a reply must not race their close. It never blocks.
 			l.mu.Lock()
-			ch := l.pending[seq]
-			l.mu.Unlock()
-			if ch != nil {
+			if ch := l.pending[seq]; ch != nil {
 				select {
 				case ch <- payload:
 				default: // duplicate reply beyond the buffer: drop
 				}
 			}
+			l.mu.Unlock()
 		case frameDrain:
 			// Graceful worker shutdown: it finished its in-flight request
 			// and is deregistering. Anything still pending on this

@@ -101,28 +101,8 @@ func writeFrame(w io.Writer, typ byte, seq uint64, payload []byte) (int, error) 
 // number, and payload. The payload is freshly allocated and owned by the
 // caller — use readFramePooled where the payload's lifetime ends at decode.
 func readFrame(r io.Reader) (typ byte, seq uint64, payload []byte, n int, err error) {
-	var hdr [8]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, 0, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > maxFrame {
-		return 0, 0, nil, 0, fmt.Errorf("%w: body length %d", errBadFrame, length)
-	}
-	body := make([]byte, length)
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, 0, err
-	}
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return 0, 0, nil, 0, fmt.Errorf("%w: CRC mismatch (got %08x want %08x)", errBadFrame, got, want)
-	}
-	typ = body[0]
-	seq, k := binary.Uvarint(body[1:])
-	if k <= 0 {
-		return 0, 0, nil, 0, fmt.Errorf("%w: truncated seq", errBadFrame)
-	}
-	return typ, seq, body[1+k:], 8 + int(length), nil
+	typ, seq, payload, _, n, err = parseFrame(r, nil)
+	return typ, seq, payload, n, err
 }
 
 // readFramePooled is readFrame with a pooled body buffer: the returned
@@ -131,39 +111,46 @@ func readFrame(r io.Reader) (typ byte, seq uint64, payload []byte, n int, err er
 // nothing aliases the buffer afterwards). release is non-nil iff err is
 // nil.
 func readFramePooled(r io.Reader) (typ byte, seq uint64, payload []byte, n int, release func(), err error) {
+	bp := getFrameBuf()
+	typ, seq, payload, *bp, n, err = parseFrame(r, *bp)
+	if err != nil {
+		putFrameBuf(bp)
+		return 0, 0, nil, 0, nil, err
+	}
+	return typ, seq, payload, n, func() { putFrameBuf(bp) }, nil
+}
+
+// parseFrame reads one frame's body into buf, grown when the body is
+// longer (a nil buf: a fresh body), and verifies it: the length bound, the
+// CRC and the seq. It returns the frame's type, seq and payload, which is a
+// window of the body, its size on the wire, and the body buffer for the
+// caller to keep.
+func parseFrame(r io.Reader, buf []byte) (typ byte, seq uint64, payload, body []byte, n int, err error) {
 	var hdr [8]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, 0, nil, err
+		return 0, 0, nil, buf, 0, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	want := binary.LittleEndian.Uint32(hdr[4:8])
 	if length == 0 || length > maxFrame {
-		return 0, 0, nil, 0, nil, fmt.Errorf("%w: body length %d", errBadFrame, length)
+		return 0, 0, nil, buf, 0, fmt.Errorf("%w: body length %d", errBadFrame, length)
 	}
-	bp := getFrameBuf()
-	body := *bp
-	if cap(body) < int(length) {
+	if body = buf[:0]; cap(body) < int(length) {
 		body = make([]byte, length)
 	} else {
 		body = body[:length]
 	}
-	*bp = body
-	release = func() { putFrameBuf(bp) }
 	if _, err = io.ReadFull(r, body); err != nil {
-		release()
-		return 0, 0, nil, 0, nil, err
+		return 0, 0, nil, body, 0, err
 	}
 	if got := crc32.ChecksumIEEE(body); got != want {
-		release()
-		return 0, 0, nil, 0, nil, fmt.Errorf("%w: CRC mismatch (got %08x want %08x)", errBadFrame, got, want)
+		return 0, 0, nil, body, 0, fmt.Errorf("%w: CRC mismatch (got %08x want %08x)", errBadFrame, got, want)
 	}
-	typ = body[0]
 	seq, k := binary.Uvarint(body[1:])
 	if k <= 0 {
-		release()
-		return 0, 0, nil, 0, nil, fmt.Errorf("%w: truncated seq", errBadFrame)
+		return 0, 0, nil, body, 0, fmt.Errorf("%w: truncated seq", errBadFrame)
 	}
-	return typ, seq, body[1+k:], 8 + int(length), release, nil
+	return body[0], seq, body[1+k:], body, 8 + int(length), nil
 }
 
 // Fingerprint identifies the run a connection belongs to: partition count
