@@ -410,51 +410,46 @@ func Resume(g *graph.Graph, prog Program, cfg Config) (*Engine, error) {
 	if ck == nil || ck.Dir == "" {
 		return nil, errors.New("engine: Resume requires Config.Checkpoint with a Dir")
 	}
-	names, err := readManifest(ck.Dir)
+	var e *Engine
+	_, err := newestCheckpoint(ck.Dir, func(cp *checkpointData) (err error) {
+		if e, err = New(g, prog, cfg); err == nil {
+			err = e.restore(cp)
+		}
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("engine: reading checkpoint manifest: %w", err)
+		return nil, err
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("engine: no checkpoints recorded in %s", ck.Dir)
-	}
-	var errs []error
-	for i := len(names) - 1; i >= 0; i-- {
-		cp, err := loadCheckpoint(filepath.Join(ck.Dir, names[i]))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		e, err := New(g, prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.restore(cp); err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		return e, nil
-	}
-	return nil, fmt.Errorf("engine: no usable checkpoint in %s: %w", ck.Dir, errors.Join(errs...))
+	return e, nil
 }
 
 // ResumedFrom returns the superstep the engine will continue from (0 for a
 // fresh engine).
 func (e *Engine) ResumedFrom() int { return e.startSS }
 
-// LatestCheckpoint reports the superstep the newest readable checkpoint in
-// dir resumes at, or an error when none is usable.
-func LatestCheckpoint(dir string) (int, error) {
+// newestCheckpoint walks dir's manifest newest first and returns the first
+// checkpoint that loads and that use accepts, so a corrupt or unusable
+// newest entry falls back to older ones. When none qualifies, the error
+// joins what each entry failed with.
+func newestCheckpoint(dir string, use func(*checkpointData) error) (*checkpointData, error) {
 	names, err := readManifest(dir)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("engine: reading checkpoint manifest: %w", err)
 	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("engine: no checkpoints recorded in %s", dir)
+	}
+	var errs []error
 	for i := len(names) - 1; i >= 0; i-- {
 		cp, err := loadCheckpoint(filepath.Join(dir, names[i]))
 		if err == nil {
-			return cp.resumeSS, nil
+			if err = use(cp); err == nil {
+				return cp, nil
+			}
 		}
+		errs = append(errs, err)
 	}
-	return 0, fmt.Errorf("engine: no usable checkpoint in %s", dir)
+	return nil, fmt.Errorf("engine: no usable checkpoint in %s: %w", dir, errors.Join(errs...))
 }
 
 // readManifest returns the checkpoint filenames, oldest first.

@@ -237,7 +237,7 @@ func TestCheckpointWriteRetriesTransientErrors(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("transient checkpoint errors should be retried: %v", err)
 	}
-	if _, err := LatestCheckpoint(dir); err != nil {
+	if _, err := Resume(g, minProg{}, Config{Checkpoint: cfg.Checkpoint}); err != nil {
 		t.Fatalf("no checkpoint after retried writes: %v", err)
 	}
 

@@ -347,6 +347,21 @@ type Engine struct {
 	replayMu sync.Mutex
 	replay   *Engine
 	replaySS int
+
+	// State Run keeps for the run and reuses every superstep. work[p] hands
+	// partition p's goroutine its share of a phase, and wg waits for them.
+	// ss is the superstep in flight and active[p] partition p's active
+	// vertices in it; durs[p] is p's compute time for the supervisor; cols[dp]
+	// gathers the outbox columns addressed to dp. sent, computeWall and
+	// barrierWall are the superstep's raw sends and phase times.
+	work                     []chan func(p int)
+	wg                       sync.WaitGroup
+	ss                       int
+	active                   [][]VertexID
+	durs                     []time.Duration
+	cols                     [][][]OutMessage
+	sent                     int64
+	computeWall, barrierWall time.Duration
 }
 
 // New creates an engine for prog over g.
@@ -360,9 +375,21 @@ func New(g *graph.Graph, prog Program, cfg Config) (*Engine, error) {
 	if cfg.Transport != nil && cfg.SequentialBarrier {
 		return nil, errors.New("engine: Transport requires the parallel barrier (SequentialBarrier must be off)")
 	}
-	e := &Engine{g: g, prog: prog, cfg: cfg, nParts: cfg.Partitions}
+	e := &Engine{g: g, prog: prog, cfg: cfg, nParts: cfg.Partitions, runCtx: context.Background()}
 	for _, o := range cfg.Observers {
 		e.fields |= FieldRecords | o.Reads()
+	}
+	// Sender-side combining: runPartition pre-combines per destination
+	// vertex as messages are emitted and the barrier folds those partial
+	// values in ascending source-partition order — the engine's one
+	// association tree. Capture is unaffected: raw sends travel in
+	// VertexRecord.Sent under FieldSent, and an observer that reads raw
+	// deliveries disables the combiner with FieldReceived.
+	if e.fields&FieldReceived == 0 {
+		e.sendComb = cfg.Combiner
+	}
+	if cfg.Context != nil {
+		e.runCtx = cfg.Context
 	}
 	n := g.NumVertices()
 	e.values = make([]value.Value, n)
@@ -378,8 +405,12 @@ func New(g *graph.Graph, prog Program, cfg Config) (*Engine, error) {
 	e.results = make([]partResult, e.nParts)
 	e.agg = newAggregators(e.nParts)
 	e.localPinned = make([]atomic.Bool, e.nParts)
-	e.runCtx = context.Background()
 	e.lastCkptSS = -1
+	e.active = make([][]VertexID, e.nParts)
+	e.cols = make([][][]OutMessage, e.nParts)
+	for dp := range e.cols {
+		e.cols[dp] = make([][]OutMessage, e.nParts)
+	}
 	if cfg.Transport != nil {
 		e.residentActive = make([][]VertexID, e.nParts)
 		e.pinnedAtSS = make([]int, e.nParts)
@@ -389,6 +420,7 @@ func New(g *graph.Graph, prog Program, cfg Config) (*Engine, error) {
 	}
 	if cfg.Supervise != nil {
 		e.sup = supervise.New(*cfg.Supervise, e.nParts, cfg.Metrics)
+		e.durs = make([]time.Duration, e.nParts)
 	}
 	return e, nil
 }
@@ -420,255 +452,48 @@ func (e *Engine) Partitions() int { return e.nParts }
 func (e *Engine) PartitionOf(v VertexID) int { return e.partition(v) }
 
 // Run executes supersteps until quiescence, the superstep limit, a Halter
-// stop, or a vertex crash.
+// stop, or a vertex crash. Each superstep is four phases, one method each:
+// compute, barrier, observe, and checkpoint at the barrier.
 func (e *Engine) Run() (RunStats, error) {
-	fields := e.fields
-	observing := fields != 0
-	combiner := e.cfg.Combiner
-	if fields&FieldReceived != 0 {
-		combiner = nil
-	}
-	// Sender-side combining: runPartition pre-combines per destination
-	// vertex as messages are emitted and the barrier folds those partial
-	// values in ascending source-partition order — the engine's one
-	// association tree. Capture is unaffected: raw sends travel in
-	// VertexRecord.Sent under FieldSent, and an observer that reads raw
-	// deliveries has disabled the combiner with FieldReceived.
-	e.sendComb = combiner
 	halter, _ := e.prog.(Halter)
-	m := e.cfg.Metrics
-	if e.cfg.Context != nil {
-		e.runCtx = e.cfg.Context
-	}
-	if e.cfg.Transport != nil {
-		// The master's arrays are authoritative exactly at the run's start
-		// (fresh init, or a checkpoint restore); workers take over from the
-		// first superstep on. Seed the active tracking from the inboxes —
-		// empty on a fresh run (superstep 0 activates everything anyway),
-		// the restored frontier on a resume.
-		e.masterAuthSS = e.startSS
-		e.stateSS = e.startSS
-		for p := 0; p < e.nParts; p++ {
-			e.residentActive[p] = slices.Clone(e.inbox[p].owners())
-		}
-	}
-
-	for ss := e.startSS; ; ss++ {
-		if e.cfg.MaxSupersteps > 0 && ss >= e.cfg.MaxSupersteps {
-			break
-		}
-		if ctx := e.cfg.Context; ctx != nil {
-			select {
-			case <-ctx.Done():
-				e.stat.Aborted = true
-				m.Tracef(obs.Warn, "engine", ss, "run canceled: %v", ctx.Err())
-				// The engine sits exactly at the superstep-ss barrier here,
-				// so the state is consistent: write a final checkpoint (when
-				// configured) so the interrupted run resumes from this
-				// superstep instead of the last periodic snapshot.
-				if ck := e.cfg.Checkpoint; ck != nil && ck.Dir != "" && ck.Interval > 0 && ss != e.lastCkptSS {
-					if e.cfg.Transport != nil {
-						if cerr := e.collectResident(ss); cerr != nil {
-							m.Tracef(obs.Error, "checkpoint", ss, "state collect before final checkpoint failed: %v", cerr)
-						}
-					}
-					if ckErr := e.writeCheckpoint(ss); ckErr != nil {
-						m.Tracef(obs.Error, "checkpoint", ss, "final checkpoint on cancel failed: %v", ckErr)
-					} else {
-						m.Tracef(obs.Info, "checkpoint", ss, "wrote final checkpoint before cancel exit")
-					}
-				}
-				return e.stat, fmt.Errorf("engine: run canceled at superstep %d: %w", ss, ctx.Err())
-			default:
-			}
-		}
-		// Determine active vertices: all at superstep 0, else inbox owners.
-		// Computed once per superstep so a supervised re-execution replays
-		// the same set.
-		active := make([][]VertexID, e.nParts)
-		totalActive := 0
-		for p := range active {
-			active[p] = e.activeIDs(p, ss)
-			totalActive += len(active[p])
-		}
-		if ss > 0 && totalActive == 0 {
-			break
-		}
-
-		if totalActive > e.stat.PeakActiveVertices {
-			e.stat.PeakActiveVertices = totalActive
-		}
-		m.BeginSuperstep(ss, totalActive)
-
-		computeStart := time.Now()
-		e.agg.beginSuperstep()
-		results := e.results
-		var durs []time.Duration
-		if e.sup != nil {
-			durs = make([]time.Duration, e.nParts)
-		}
-		var wg sync.WaitGroup
-		for p := 0; p < e.nParts; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				ids := active[p]
-				spanned := m.SpansEnabled()
-				var t0 time.Time
-				if spanned {
-					t0 = time.Now()
-				}
-				switch {
-				case e.cfg.Transport != nil && !e.localPinned[p].Load():
-					e.transportCompute(p, ss, fields, ids, results, durs)
-				case e.sup == nil:
-					e.runPartition(e.runCtx, p, ss, fields, ids, &results[p])
-				default:
-					e.superviseCompute(p, ss, fields, ids, results, durs)
-				}
-				if spanned {
-					m.RecordSpan(obs.Span{
-						Proc: obs.ProcMaster, Name: obs.SpanCompute,
-						Superstep: ss, Partition: p,
-						Start: t0.UnixNano(), Dur: int64(time.Since(t0)),
-						Tuples: int64(len(ids)),
-					})
-				}
-				if observing && results[p].crash == nil {
-					e.observePartition(p, ss, results[p].records, spanned)
-				}
-			}(p)
-		}
-		wg.Wait()
-		computeDur := time.Since(computeStart)
-		e.stat.ComputeWall += computeDur
-
-		// Flush supervision tallies at the barrier — the supervisor
-		// accumulated them atomically from the worker goroutines; the
-		// profile under construction is engine-goroutine-only.
-		if e.sup != nil {
-			sum := e.sup.EndSuperstep(ss, durs)
-			e.stat.PartitionRetries += sum.Retries
-			e.stat.DeadlineHits += sum.DeadlineHits
-			e.stat.StragglerFlags += int64(len(sum.Stragglers))
-			m.SuperstepSupervision(sum.Retries, sum.DeadlineHits, sum.Stragglers)
-		}
-
-		// Barrier: surface crashes (deterministically: lowest vertex wins).
-		var crash *CrashError
-		for p := range results {
-			if c := results[p].crash; c != nil && (crash == nil || c.Vertex < crash.Vertex) {
-				crash = c
-			}
-		}
-		if crash != nil {
-			e.stat.Aborted = true
-			e.stat.Supersteps = ss + 1
-			m.AbortSuperstep()
-			m.Tracef(obs.Error, "engine", ss, "vertex %d crashed: %v", crash.Vertex, crash.Err)
-			return e.stat, crash
-		}
-
-		// Barrier: merge aggregators, deliver messages, account stats.
-		barrierStart := time.Now()
-		e.agg.endSuperstep()
-		var sent, delivered, combined, combinedSender, maxShard int64
-		for ri := range results {
-			sent += results[ri].sent
-			combinedSender += results[ri].combinedSender
-		}
-		if e.cfg.Transport != nil {
-			var derr error
-			delivered, combined, maxShard, derr = e.residentDeliver(ss, combiner, results)
-			if derr != nil {
-				e.stat.Aborted = true
-				e.stat.Supersteps = ss + 1
-				m.AbortSuperstep()
-				m.Tracef(obs.Error, "engine", ss, "delivery re-hydration failed: %v", derr)
-				return e.stat, derr
-			}
-			e.stateSS = ss + 1
-		} else {
-			delivered, combined, maxShard = e.deliver(combiner, results)
-		}
-		combined += combinedSender
-		e.stat.MessagesSent += sent
-		e.stat.MessagesDelivered += delivered
-		e.stat.MessagesCombined += combined
-		e.stat.MessagesCombinedSender += combinedSender
-		e.stat.ActiveVertices = append(e.stat.ActiveVertices, totalActive)
-		e.stat.Supersteps = ss + 1
-		barrierDur := time.Since(barrierStart)
-		e.stat.BarrierWall += barrierDur
-		m.SuperstepMessages(sent, delivered, combined)
-		m.SuperstepDelivery(combinedSender, maxShard, e.nParts)
-
-		// Observers combine the partitions' work at the barrier, in observer
-		// order.
-		var observeDur time.Duration
-		if observing {
-			observeStart := time.Now()
-			view := &SuperstepView{Superstep: ss, Engine: e}
-			for _, o := range e.cfg.Observers {
-				if err := o.ObserveSuperstep(view); err != nil {
-					e.stat.Aborted = true
-					m.AbortSuperstep()
-					m.Tracef(obs.Error, "engine", ss, "observer %T failed: %v", o, err)
-					return e.stat, fmt.Errorf("engine: observer failed at superstep %d: %w", ss, err)
-				}
-			}
-			observeDur = time.Since(observeStart)
-			e.stat.ObserveWall += observeDur
-		}
-		m.SuperstepTimings(computeDur, barrierDur, observeDur)
-
-		// Mark computed vertices' last-active superstep (after observers,
-		// who need the pre-superstep PrevActive captured in records).
-		for _, r := range results {
-			for _, v := range r.computed {
-				e.lastActive[v] = int32(ss)
-			}
-		}
-
-		// The superstep's profile is complete; publish it before the
-		// checkpoint below so the snapshot carries metrics through
-		// superstep ss and a recovered run reports cumulative numbers.
-		m.EndSuperstep()
-
-		// Checkpoint at the barrier: the snapshot holds everything superstep
-		// ss+1 depends on, including observer state as of the superstep the
-		// observers just processed.
-		if ck := e.cfg.Checkpoint; ck != nil && ck.Dir != "" && ck.Interval > 0 && (ss+1)%ck.Interval == 0 {
-			if e.cfg.Transport != nil {
-				// Pull the worker-resident state home first so the snapshot
-				// holds the exact frontier (and later seeds come cheap).
-				if err := e.collectResident(ss + 1); err != nil {
-					e.stat.Aborted = true
-					return e.stat, err
-				}
-			}
-			if err := e.writeCheckpoint(ss + 1); err != nil {
-				e.stat.Aborted = true
-				return e.stat, err
-			}
-		}
-
-		if halter != nil && halter.ShouldHalt(e.agg.reader(), ss) {
-			break
-		}
-		if sent == 0 {
-			break // quiescence
-		}
-	}
-
-	if e.cfg.Transport != nil {
-		// The run is over: pull every worker-resident partition's final
-		// state back into the master's arrays so Values() reads the result.
-		if err := e.collectResident(e.stateSS); err != nil {
+	e.startRun()
+	defer e.stopRun()
+	for ss := e.startSS; e.cfg.MaxSupersteps <= 0 || ss < e.cfg.MaxSupersteps; ss++ {
+		if err := e.cancelled(ss); err != nil {
 			return e.stat, err
 		}
+		// Active vertices: all at superstep 0, else inbox owners. Computed
+		// once per superstep so a supervised re-execution replays the same
+		// set.
+		total := 0
+		for p := range e.active {
+			e.active[p] = e.activeIDs(p, ss)
+			total += len(e.active[p])
+		}
+		if ss > 0 && total == 0 {
+			break
+		}
+		if err := e.compute(ss, total); err != nil {
+			return e.stat, err
+		}
+		if err := e.barrier(ss, total); err != nil {
+			return e.stat, err
+		}
+		if err := e.observe(ss); err != nil {
+			return e.stat, err
+		}
+		if err := e.checkpoint(ss+1, false); err != nil {
+			e.stat.Aborted = true
+			return e.stat, err
+		}
+		if halter != nil && halter.ShouldHalt(e.agg.reader(), ss) || e.sent == 0 {
+			break // halted, or quiescent
+		}
 	}
-
+	// Values() reads the master's arrays: bring worker-resident state home.
+	if err := e.syncMaster(e.stateSS); err != nil {
+		return e.stat, err
+	}
 	for _, o := range e.cfg.Observers {
 		if err := o.Finish(e.stat.Supersteps - 1); err != nil {
 			return e.stat, fmt.Errorf("engine: observer finish: %w", err)
@@ -677,24 +502,237 @@ func (e *Engine) Run() (RunStats, error) {
 	return e.stat, nil
 }
 
-// observePartition hands partition p's records to every observer on p's
-// goroutine, with an observe span per partition when spans are on.
-func (e *Engine) observePartition(p, ss int, recs []VertexRecord, spanned bool) {
+// startRun readies what the run keeps: one goroutine per partition and the
+// resident bookkeeping. The master's arrays are authoritative exactly at the
+// start (fresh, or restored from a checkpoint); with a transport the workers
+// take over from the first superstep, whose active sets are the inboxes'
+// owners (none on a fresh run, where superstep 0 activates everything, the
+// restored frontier on a resume). residentActive exists only with a
+// transport.
+func (e *Engine) startRun() {
+	e.masterAuthSS, e.stateSS = e.startSS, e.startSS
+	for p := range e.residentActive {
+		e.residentActive[p] = slices.Clone(e.inbox[p].owners())
+	}
+	e.work = make([]chan func(p int), e.nParts)
+	for p := range e.work {
+		e.work[p] = make(chan func(p int))
+		go func(work <-chan func(p int)) {
+			for fn := range work {
+				fn(p)
+				e.wg.Done()
+			}
+			e.wg.Done()
+		}(e.work[p])
+	}
+}
+
+// stopRun ends the partition goroutines and waits until they have exited.
+func (e *Engine) stopRun() {
+	e.wg.Add(len(e.work))
+	for _, w := range e.work {
+		close(w)
+	}
+	e.wg.Wait()
+	e.work = nil
+}
+
+// fanOut runs fn(p) on every partition p's goroutine and waits for all of
+// them; the wait is the happens-before edge between the phase and the engine.
+func (e *Engine) fanOut(fn func(p int)) {
+	e.wg.Add(e.nParts)
+	for _, w := range e.work {
+		w <- fn
+	}
+	e.wg.Wait()
+}
+
+// cancelled returns the run's cancellation error when its context is done at
+// the start of superstep ss. The engine sits exactly at the superstep-ss
+// barrier then, so the state is consistent: a final checkpoint lets the
+// interrupted run resume from here instead of the last periodic snapshot.
+func (e *Engine) cancelled(ss int) error {
+	ctx := e.cfg.Context
+	if ctx == nil || ctx.Err() == nil {
+		return nil
+	}
+	m := e.cfg.Metrics
+	e.stat.Aborted = true
+	m.Tracef(obs.Warn, "engine", ss, "run canceled: %v", ctx.Err())
+	if err := e.checkpoint(ss, true); err != nil {
+		m.Tracef(obs.Error, "checkpoint", ss, "final checkpoint on cancel failed: %v", err)
+	}
+	return fmt.Errorf("engine: run canceled at superstep %d: %w", ss, ctx.Err())
+}
+
+// abort ends the run inside superstep ss: the superstep counts as run, its
+// profile is dropped (a resumed run re-executes and re-profiles it) and the
+// failure is traced. A crash, a delivery that could not be re-hydrated and a
+// failed observer all end here.
+func (e *Engine) abort(ss int, err error, format string, args ...any) error {
+	e.stat.Aborted = true
+	e.stat.Supersteps = ss + 1
+	e.cfg.Metrics.AbortSuperstep()
+	e.cfg.Metrics.Tracef(obs.Error, "engine", ss, format, args...)
+	return err
+}
+
+// compute is the compute phase of superstep ss: every partition runs its
+// active vertices on its own goroutine and hands its records to the
+// observers there (computePartition). It records the compute wall time,
+// flushes the supervision tallies the supervisor accumulated atomically from
+// the partition goroutines, and aborts on the crash of the lowest vertex.
+func (e *Engine) compute(ss, nActive int) error {
+	m := e.cfg.Metrics
+	e.stat.PeakActiveVertices = max(e.stat.PeakActiveVertices, nActive)
+	m.BeginSuperstep(ss, nActive)
+	start := time.Now()
+	e.agg.beginSuperstep()
+	e.ss = ss
+	e.fanOut(e.computePartition)
+	e.computeWall = time.Since(start)
+	e.stat.ComputeWall += e.computeWall
+	if e.sup != nil {
+		sum := e.sup.EndSuperstep(ss, e.durs)
+		e.stat.PartitionRetries += sum.Retries
+		e.stat.DeadlineHits += sum.DeadlineHits
+		e.stat.StragglerFlags += int64(len(sum.Stragglers))
+		m.SuperstepSupervision(sum.Retries, sum.DeadlineHits, sum.Stragglers)
+	}
+	var crash *CrashError
+	for p := range e.results {
+		if c := e.results[p].crash; c != nil && (crash == nil || c.Vertex < crash.Vertex) {
+			crash = c
+		}
+	}
+	if crash != nil {
+		return e.abort(ss, crash, "vertex %d crashed: %v", crash.Vertex, crash.Err)
+	}
+	return nil
+}
+
+// computePartition is partition p's share of the compute phase, on p's
+// goroutine: its active vertices run on a worker when the partition is
+// worker-resident, under the supervisor when one is configured, else
+// directly; then every observer's ObservePartition sees its records.
+func (e *Engine) computePartition(p int) {
+	ss, ids, res := e.ss, e.active[p], &e.results[p]
+	spanned := e.cfg.Metrics.SpansEnabled()
 	var t0 time.Time
 	if spanned {
 		t0 = time.Now()
 	}
-	for _, o := range e.cfg.Observers {
-		o.ObservePartition(p, ss, recs)
+	switch {
+	case e.resident(p):
+		e.transportCompute(p, ss, ids)
+	case e.sup == nil:
+		e.runPartition(e.runCtx, p, ss, e.fields, ids, res)
+	default:
+		e.superviseCompute(p, ss, ids)
 	}
 	if spanned {
-		e.cfg.Metrics.RecordSpan(obs.Span{
-			Proc: obs.ProcMaster, Name: obs.SpanObserve,
-			Superstep: ss, Partition: p,
-			Start: t0.UnixNano(), Dur: int64(time.Since(t0)),
-			Tuples: int64(len(recs)),
-		})
+		t0 = e.recordSpan(obs.SpanCompute, 0, ss, p, t0, len(ids))
 	}
+	if e.fields == 0 || res.crash != nil {
+		return
+	}
+	for _, o := range e.cfg.Observers {
+		o.ObservePartition(p, ss, res.records)
+	}
+	if spanned {
+		e.recordSpan(obs.SpanObserve, 0, ss, p, t0, len(res.records))
+	}
+}
+
+// recordSpan records the master span of partition p in superstep ss that
+// began at t0, and returns when it ended.
+func (e *Engine) recordSpan(name string, id uint64, ss, p int, t0 time.Time, tuples int) time.Time {
+	end := time.Now()
+	e.cfg.Metrics.RecordSpan(obs.Span{
+		SpanID: id, Proc: obs.ProcMaster, Name: name, Superstep: ss, Partition: p,
+		Start: t0.UnixNano(), Dur: int64(end.Sub(t0)), Tuples: int64(tuples),
+	})
+	return end
+}
+
+// barrier is the barrier phase of superstep ss: the aggregators merge, every
+// inbox is rebuilt from the outbox columns addressed to it (deliver), and the
+// superstep's message accounting joins the run's, as its barrier wall time
+// does. A delivery whose lost state cannot be re-hydrated aborts.
+func (e *Engine) barrier(ss, nActive int) error {
+	start := time.Now()
+	e.agg.endSuperstep()
+	var sent, combinedSender int64
+	for p := range e.results {
+		sent += e.results[p].sent
+		combinedSender += e.results[p].combinedSender
+	}
+	delivered, combined, maxShard, err := e.deliver(ss)
+	if err != nil {
+		return e.abort(ss, err, "delivery re-hydration failed: %v", err)
+	}
+	e.stateSS = ss + 1
+	combined += combinedSender
+	e.sent = sent
+	e.stat.MessagesSent += sent
+	e.stat.MessagesDelivered += delivered
+	e.stat.MessagesCombined += combined
+	e.stat.MessagesCombinedSender += combinedSender
+	e.stat.ActiveVertices = append(e.stat.ActiveVertices, nActive)
+	e.stat.Supersteps = ss + 1
+	e.barrierWall = time.Since(start)
+	e.stat.BarrierWall += e.barrierWall
+	m := e.cfg.Metrics
+	m.SuperstepMessages(sent, delivered, combined)
+	m.SuperstepDelivery(combinedSender, maxShard, e.nParts)
+	return nil
+}
+
+// observe is the observe phase of superstep ss: each observer's
+// ObserveSuperstep combines the partitions' work, in observer order, and a
+// failure aborts. Then the superstep closes: its profile gets the three phase
+// times and is published (before the checkpoint, so the snapshot carries the
+// metrics through ss), and the computed vertices' last-active marks advance
+// (after the observers, whose records carry the previous marks).
+func (e *Engine) observe(ss int) error {
+	m := e.cfg.Metrics
+	var wall time.Duration
+	if e.fields != 0 {
+		start := time.Now()
+		view := &SuperstepView{Superstep: ss, Engine: e}
+		for _, o := range e.cfg.Observers {
+			if err := o.ObserveSuperstep(view); err != nil {
+				return e.abort(ss, fmt.Errorf("engine: observer failed at superstep %d: %w", ss, err),
+					"observer %T failed: %v", o, err)
+			}
+		}
+		wall = time.Since(start)
+		e.stat.ObserveWall += wall
+	}
+	m.SuperstepTimings(e.computeWall, e.barrierWall, wall)
+	for p := range e.results {
+		for _, v := range e.results[p].computed {
+			e.lastActive[v] = int32(ss)
+		}
+	}
+	m.EndSuperstep()
+	return nil
+}
+
+// checkpoint writes the snapshot entering superstep next at the barrier
+// before it, when one is due: every Interval supersteps, or, when final (a
+// cancelled run), unless the newest checkpoint already resumes at next. The
+// snapshot holds everything next depends on, observer state included, with
+// worker-resident state pulled home first.
+func (e *Engine) checkpoint(next int, final bool) error {
+	if ck := e.cfg.Checkpoint; ck == nil || ck.Dir == "" || ck.Interval <= 0 ||
+		final && next == e.lastCkptSS || !final && next%ck.Interval != 0 {
+		return nil
+	}
+	if err := e.syncMaster(next); err != nil {
+		return err
+	}
+	return e.writeCheckpoint(next)
 }
 
 // superviseCompute runs partition p's superstep under the supervisor:
@@ -702,15 +740,15 @@ func (e *Engine) observePartition(p, ss int, recs []VertexRecord, spanned bool) 
 // retryable failure roll back and re-execute only this partition. Runs on
 // the partition's worker goroutine; everything it mutates (values of ids,
 // the partition's aggregator map, results[p], durs[p]) is partition-local.
-func (e *Engine) superviseCompute(p, ss int, fields Fields, ids []VertexID, results []partResult, durs []time.Duration) {
+func (e *Engine) superviseCompute(p, ss int, ids []VertexID) {
 	start := time.Now()
 	snap := make([]value.Value, len(ids))
 	for i, v := range ids {
 		snap[i] = e.values[v]
 	}
 	attempt := func(actx context.Context) error {
-		e.runPartition(actx, p, ss, fields, ids, &results[p])
-		if c := results[p].crash; c != nil {
+		e.runPartition(actx, p, ss, e.fields, ids, &e.results[p])
+		if c := e.results[p].crash; c != nil {
 			return c
 		}
 		return nil
@@ -722,7 +760,7 @@ func (e *Engine) superviseCompute(p, ss int, fields Fields, ids []VertexID, resu
 		e.agg.resetPartition(p)
 	}
 	e.sup.Run(e.runCtx, p, ss, attempt, reset, retryableCrash)
-	durs[p] = time.Since(start)
+	e.durs[p] = time.Since(start)
 }
 
 // retryableCrash classifies partition failures for supervised retry:
@@ -800,59 +838,73 @@ func (r *partResult) reset(nParts int, combining bool) {
 	}
 }
 
-// deliver is the master barrier: every destination partition's inbox is
-// rebuilt from the outbox columns addressed to it, one goroutine per
-// destination (or all on this one under SequentialBarrier). The sender
-// already merged its own messages per destination in emission order;
-// inbox.build folds those partial values in ascending source partition.
-func (e *Engine) deliver(combiner func(a, b value.Value) value.Value, results []partResult) (delivered, combined, maxShard int64) {
-	d, c := make([]int64, e.nParts), make([]int64, e.nParts)
-	var wg sync.WaitGroup
-	for dp := range d {
-		build := func() {
-			defer wg.Done()
-			d[dp], c[dp] = e.buildInbox(dp, combiner, results)
+// sentTo is how many messages the partition sent to destination partition
+// dp, after sender-side combining: the worker's count for a resident result,
+// the outbox column's length otherwise.
+func (r *partResult) sentTo(dp int) int64 {
+	if r.residentRemote {
+		return r.dstCounts[dp]
+	}
+	return int64(len(r.outbox[dp]))
+}
+
+// deliver rebuilds every destination partition's inbox from the outbox
+// columns addressed to it: on its own goroutine (buildInbox), all on this one
+// under SequentialBarrier, or through residentDeliver's Deliver round with a
+// transport. The sender already merged its own messages per destination in
+// emission order; inbox.build folds those partial values in ascending source
+// partition, and whatever it did not deliver it combined.
+func (e *Engine) deliver(ss int) (delivered, combined, maxShard int64, err error) {
+	if e.cfg.Transport != nil {
+		return e.residentDeliver(ss)
+	}
+	if e.cfg.SequentialBarrier {
+		for dp := range e.inbox {
+			e.buildInbox(dp)
 		}
-		wg.Add(1)
-		if e.cfg.SequentialBarrier {
-			build()
-		} else {
-			go build()
+	} else {
+		e.fanOut(func(dp int) { e.buildInbox(dp) })
+	}
+	for dp, in := range e.inbox {
+		d := in.size()
+		delivered += d
+		maxShard = max(maxShard, d)
+		for sp := range e.results {
+			combined += e.results[sp].sentTo(dp)
 		}
 	}
-	wg.Wait()
-	for dp := range d {
-		delivered += d[dp]
-		combined += c[dp]
-		maxShard = max(maxShard, d[dp])
-	}
-	return delivered, combined, maxShard
+	return delivered, combined - delivered, maxShard, nil
 }
 
 // buildInbox rebuilds destination partition dp's inbox from every source
 // partition's outbox column. Safe to call concurrently for distinct dp.
-func (e *Engine) buildInbox(dp int, combiner func(a, b value.Value) value.Value, results []partResult) (delivered, combined int64) {
-	cols := make([][]OutMessage, len(results))
-	for sp := range results {
-		cols[sp] = results[sp].outbox[dp]
+func (e *Engine) buildInbox(dp int) (delivered, combined int64) {
+	cols := e.cols[dp]
+	for sp := range e.results {
+		cols[sp] = e.results[sp].outbox[dp]
 	}
-	return e.inbox[dp].build(cols, combiner)
+	return e.inbox[dp].build(cols, e.sendComb)
+}
+
+// resident reports whether partition p's state lives on a transport worker.
+func (e *Engine) resident(p int) bool {
+	return e.cfg.Transport != nil && !e.localPinned[p].Load()
 }
 
 // activeIDs returns partition p's active vertices for superstep ss in
 // ascending order without duplicates: every owned vertex at superstep 0, else
-// the vertices with messages. The result may alias the inbox's owner list.
+// the vertices with messages — which, for a worker-resident partition, the
+// delivery barrier reported instead of a master inbox. The result may alias
+// the inbox's owner list.
 func (e *Engine) activeIDs(p, ss int) []VertexID {
-	if ss == 0 {
-		var ids []VertexID
+	switch {
+	case ss == 0:
+		ids := make([]VertexID, 0, e.strideLen(p))
 		for v := p; v < e.g.NumVertices(); v += e.nParts {
 			ids = append(ids, VertexID(v))
 		}
 		return ids
-	}
-	if e.cfg.Transport != nil && !e.localPinned[p].Load() {
-		// Worker-resident partition: the active set came back from the
-		// delivery barrier, not a master inbox.
+	case e.resident(p):
 		return e.residentActive[p]
 	}
 	return e.inbox[p].owners()

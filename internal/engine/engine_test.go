@@ -480,3 +480,29 @@ func TestMessageLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestSuperstepLoopAllocs: the superstep loop reuses what it keeps for the
+// run (active sets, partition goroutines, barrier columns and merge heaps),
+// so a superstep along a one-vertex frontier allocates a small constant.
+// Running n and 2n supersteps of one 4-partition chain with no observers
+// isolates the extra n supersteps from New and the run's set-up.
+func TestSuperstepLoopAllocs(t *testing.T) {
+	const n = 100
+	g := chainGraph(t, 2*n+2)
+	allocs := func(supersteps int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			e, err := New(g, minProg{}, Config{Partitions: 4, MaxSupersteps: supersteps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats, err := e.Run(); err != nil || stats.Supersteps != supersteps {
+				t.Fatalf("ran %d supersteps (%v), want %d", stats.Supersteps, err, supersteps)
+			}
+		})
+	}
+	short, long := allocs(n), allocs(2*n)
+	if per := (long - short) / n; per > 14 {
+		t.Errorf("a superstep allocates %.1f times (%.0f over %d supersteps, %.0f over %d), want at most 14",
+			per, long, 2*n, short, n)
+	}
+}

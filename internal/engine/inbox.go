@@ -30,6 +30,15 @@ type inbox struct {
 	arena [2][]IncomingMessage
 	own   [2][]VertexID
 	cur   int
+	// heap is build's merge heap, kept for the next build.
+	heap []head
+}
+
+// head is a column remainder in build's merge heap, keyed by the Src of its
+// first message.
+type head struct {
+	src  VertexID
+	rest []OutMessage
 }
 
 // span is arena[lo:hi]. While a rebuild counts, hi is the number of messages
@@ -146,13 +155,8 @@ func (b *inbox) build(columns [][]OutMessage, comb func(a, b value.Value) value.
 		}
 		return int64(len(arena)), total - int64(len(arena))
 	}
-	// h is a min-heap of the non-empty columns' remainders, keyed by the Src
-	// of their first message.
-	type head struct {
-		src  VertexID
-		rest []OutMessage
-	}
-	h := make([]head, 0, len(columns))
+	// h is a min-heap of the non-empty columns' remainders.
+	h := b.heap[:0]
 	for _, col := range columns {
 		if len(col) > 0 {
 			h = append(h, head{col[0].Src, col})
@@ -203,6 +207,7 @@ func (b *inbox) build(columns [][]OutMessage, comb func(a, b value.Value) value.
 			sift(0)
 		}
 	}
+	b.heap = h
 	delivered = int64(len(arena))
 	return delivered, total - delivered
 }

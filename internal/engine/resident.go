@@ -21,8 +21,8 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
-	"path/filepath"
 
 	"ariadne/internal/obs"
 	"ariadne/internal/value"
@@ -38,89 +38,66 @@ import (
 // the round — are re-hydrated by replay. Accounting (delivered, combined,
 // max shard) is identical in all three classes, so the run's stats stay
 // bit-identical to a local execution.
-func (e *Engine) residentDeliver(ss int, combiner func(a, b value.Value) value.Value, results []partResult) (delivered, combined, maxShard int64, err error) {
-	// The per-source-partition fan-out counts, from the workers' DstCounts
-	// for resident results and the local outbox columns otherwise.
-	counts := make([][]int64, e.nParts)
-	for sp := range results {
-		if results[sp].residentRemote {
-			counts[sp] = results[sp].dstCounts
-		} else {
-			row := make([]int64, e.nParts)
-			for dp := range results[sp].outbox {
-				row[dp] = int64(len(results[sp].outbox[dp]))
-			}
-			counts[sp] = row
-		}
-	}
-
+func (e *Engine) residentDeliver(ss int) (delivered, combined, maxShard int64, err error) {
+	results := e.results
 	account := func(d, c int64) {
 		delivered += d
 		combined += c
 		maxShard = max(maxShard, d)
 	}
-	var workerParts []int
+	// lost collects the partitions to re-hydrate: pinned mid-superstep (the
+	// remote fragments for them were routed toward a worker that no longer
+	// owns them, or died), or whose Deliver round failed.
+	var workerParts, lost []int
 	for dp := 0; dp < e.nParts; dp++ {
 		switch {
 		case !e.localPinned[dp].Load():
 			workerParts = append(workerParts, dp)
 		case e.pinnedAtSS[dp] == ss:
-			// Pinned mid-superstep: the remote fragments for dp were routed
-			// toward a worker that no longer owns it (or died); rebuild the
-			// inbox by replay and install it master-side.
-			d, c, rerr := e.replayDeliver(ss, dp, counts)
-			if rerr != nil {
-				return 0, 0, 0, rerr
-			}
-			account(d, c)
+			lost = append(lost, dp)
 		default:
-			account(e.buildInbox(dp, combiner, results))
+			account(e.buildInbox(dp))
 		}
 	}
-	if len(workerParts) == 0 {
-		return delivered, combined, maxShard, nil
-	}
-
-	dreq := &DeliverRequest{
-		Superstep:   ss,
-		Combine:     combiner != nil,
-		Parts:       workerParts,
-		Expected:    make([][]int64, len(workerParts)),
-		MasterFrags: make([][][]OutMessage, len(workerParts)),
-	}
-	for i, dp := range workerParts {
-		exp := make([]int64, e.nParts)
-		mf := make([][]OutMessage, e.nParts)
-		for sp := range results {
-			exp[sp] = counts[sp][dp]
-			if exp[sp] <= 0 || dp >= len(results[sp].outbox) {
+	if len(workerParts) > 0 {
+		dreq := &DeliverRequest{
+			Superstep:   ss,
+			Combine:     e.sendComb != nil,
+			Parts:       workerParts,
+			Expected:    make([][]int64, len(workerParts)),
+			MasterFrags: make([][][]OutMessage, len(workerParts)),
+		}
+		for i, dp := range workerParts {
+			exp := make([]int64, e.nParts)
+			mf := make([][]OutMessage, e.nParts)
+			for sp := range results {
+				// Forward any complete column the master holds: pinned
+				// sources (workers never saw these fragments) and resident
+				// sources whose peer send failed — the worker keeps the
+				// column in its exec reply precisely so the master can relay
+				// it here instead of forcing a replay.
+				col := results[sp].outbox[dp]
+				if exp[sp] = results[sp].sentTo(dp); exp[sp] > 0 && int64(len(col)) == exp[sp] {
+					mf[sp] = append([]OutMessage(nil), col...)
+				}
+			}
+			dreq.Expected[i] = exp
+			dreq.MasterFrags[i] = mf
+		}
+		dreq.TraceID, dreq.ParentSpan = e.spanIDs()
+		dres, derr := e.cfg.Transport.Deliver(e.runCtx, dreq)
+		for i, dp := range workerParts {
+			if derr != nil || dres == nil || i >= len(dres.Parts) || !dres.Parts[i].OK {
+				lost = append(lost, dp)
 				continue
 			}
-			// Forward any complete column the master holds: pinned sources
-			// (workers never saw these fragments) and resident sources whose
-			// peer send failed — the worker keeps the column in its exec
-			// reply precisely so the master can relay it here instead of
-			// forcing a replay.
-			if col := results[sp].outbox[dp]; int64(len(col)) == exp[sp] {
-				mf[sp] = append([]OutMessage(nil), col...)
-			}
-		}
-		dreq.Expected[i] = exp
-		dreq.MasterFrags[i] = mf
-	}
-	if m := e.cfg.Metrics; m.SpansEnabled() {
-		dreq.TraceID = m.SpanTraceID()
-		dreq.ParentSpan = m.NewSpanID()
-	}
-	dres, derr := e.cfg.Transport.Deliver(e.runCtx, dreq)
-	for i, dp := range workerParts {
-		if derr == nil && dres != nil && i < len(dres.Parts) && dres.Parts[i].OK {
 			part := &dres.Parts[i]
 			account(part.Delivered, part.Combined)
 			e.residentActive[dp] = part.Dsts
-			continue
 		}
-		d, c, rerr := e.replayDeliver(ss, dp, counts)
+	}
+	for _, dp := range lost {
+		d, c, rerr := e.replayDeliver(ss, dp)
 		if rerr != nil {
 			return 0, 0, 0, rerr
 		}
@@ -129,13 +106,14 @@ func (e *Engine) residentDeliver(ss int, combiner func(a, b value.Value) value.V
 	return delivered, combined, maxShard, nil
 }
 
-// collectResident pulls every worker-resident partition's state entering
-// superstep target back into the master's arrays (values and inboxes), for
-// checkpoints and the final Values() read. Partitions no worker can serve
-// are re-hydrated by replay. Afterwards the master's arrays are
+// syncMaster makes the master's arrays (values and inboxes) hold the state
+// entering superstep target, for checkpoints and the final Values() read.
+// Without a transport they always do. With one, every worker-resident
+// partition's state is pulled back from its worker, and partitions no worker
+// can serve are re-hydrated by replay. Afterwards the master's arrays are
 // authoritative for target, which also makes subsequent seeds cheap.
-func (e *Engine) collectResident(target int) error {
-	if e.masterAuthSS == target {
+func (e *Engine) syncMaster(target int) error {
+	if e.cfg.Transport == nil || e.masterAuthSS == target {
 		return nil // arrays already hold this exact frontier
 	}
 	var parts []int
@@ -146,10 +124,7 @@ func (e *Engine) collectResident(target int) error {
 	}
 	if len(parts) > 0 {
 		req := &DeliverRequest{Superstep: target, CollectOnly: true, Parts: parts}
-		if m := e.cfg.Metrics; m.SpansEnabled() {
-			req.TraceID = m.SpanTraceID()
-			req.ParentSpan = m.NewSpanID()
-		}
+		req.TraceID, req.ParentSpan = e.spanIDs()
 		res, err := e.cfg.Transport.Deliver(e.runCtx, req)
 		for i, p := range parts {
 			if err == nil && res != nil && i < len(res.Parts) && res.Parts[i].OK &&
@@ -225,23 +200,22 @@ func (e *Engine) seedLocalFromReplay(p, ss int) error {
 // superstep ss after its fragments were lost (worker death, or a pin-local
 // fallback mid-superstep): the replay engine advances through ss, its inbox
 // for dp is the exact fold the worker would have produced, and accounting
-// follows from the fan-out counts (total arrivals = delivered + combined).
+// follows from the messages sent to dp (delivered + combined).
 // For a pinned partition the inbox installs master-side; for a still-remote
 // one only the next-active set is recorded — the worker re-seeds on its
 // next state miss from the same replay.
-func (e *Engine) replayDeliver(ss, dp int, counts [][]int64) (delivered, combined int64, err error) {
+func (e *Engine) replayDeliver(ss, dp int) (delivered, combined int64, err error) {
 	e.cfg.Metrics.Tracef(obs.Warn, "transport", ss,
 		"partition %d delivery lost with its worker; re-hydrating from checkpoint + replay", dp)
 	_, inbox, err := e.replayState(ss+1, dp)
 	if err != nil {
 		return 0, 0, err
 	}
-	var total int64
-	for sp := range counts {
-		total += counts[sp][dp]
-	}
 	delivered = inbox.size()
-	combined = total - delivered
+	for sp := range e.results {
+		combined += e.results[sp].sentTo(dp)
+	}
+	combined -= delivered
 	if e.localPinned[dp].Load() {
 		e.inbox[dp] = inbox
 	} else {
@@ -286,10 +260,14 @@ func (e *Engine) rehydrate(target int) (*Engine, error) {
 		}
 		e.replaySS = 0
 		if ck := e.cfg.Checkpoint; ck != nil && ck.Dir != "" {
-			if cp := newestCheckpointAtOrBefore(ck.Dir, target); cp != nil {
-				if rerr := scratch.restoreCore(cp); rerr == nil {
-					e.replaySS = cp.resumeSS
+			cp, err := newestCheckpoint(ck.Dir, func(cp *checkpointData) error {
+				if cp.resumeSS > target {
+					return errors.New("engine: checkpoint is past the replay target")
 				}
+				return scratch.restoreCore(cp)
+			})
+			if err == nil {
+				e.replaySS = cp.resumeSS
 			}
 		}
 		e.replay = scratch
@@ -305,22 +283,4 @@ func (e *Engine) rehydrate(target int) (*Engine, error) {
 		e.replaySS = target
 	}
 	return e.replay, nil
-}
-
-// newestCheckpointAtOrBefore loads the newest readable checkpoint in dir
-// whose resume superstep does not exceed target, or nil when none
-// qualifies. Corrupt or too-new entries fall through to older ones, same as
-// Resume.
-func newestCheckpointAtOrBefore(dir string, target int) *checkpointData {
-	names, err := readManifest(dir)
-	if err != nil {
-		return nil
-	}
-	for i := len(names) - 1; i >= 0; i-- {
-		cp, err := loadCheckpoint(filepath.Join(dir, names[i]))
-		if err == nil && cp.resumeSS <= target {
-			return cp
-		}
-	}
-	return nil
 }

@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -678,24 +679,21 @@ func (x *Executor) Collect(target, p int) *DeliverPart {
 // control metadata go over the wire. ids is not modified for the duration of
 // the call (owner lists are only recycled at the next barrier, after every
 // Exec of this superstep returned).
-func (e *Engine) buildExecRequest(p, ss int, fields Fields, ids []VertexID) *ExecRequest {
+func (e *Engine) buildExecRequest(p, ss int, ids []VertexID) *ExecRequest {
 	req := &ExecRequest{
 		Superstep: ss,
 		Partition: p,
-		Fields:    fields,
+		Fields:    e.fields,
 		Combine:   e.sendComb != nil,
 		Active:    ids,
-		Agg:       e.agg.currentSnapshot(),
+		Agg:       maps.Clone(e.agg.current),
 		// The transport turns LocalParts into the peer-mesh Route.
 		LocalParts: make([]bool, e.nParts),
 	}
 	for dp := range req.LocalParts {
 		req.LocalParts[dp] = e.localPinned[dp].Load()
 	}
-	if m := e.cfg.Metrics; m.SpansEnabled() {
-		req.TraceID = m.SpanTraceID()
-		req.ParentSpan = m.NewSpanID()
-	}
+	req.TraceID, req.ParentSpan = e.spanIDs()
 	return req
 }
 
@@ -784,9 +782,10 @@ func transportRetryable(err error) bool {
 // PR 3 applies to a partition whose capture keeps failing. A worker that
 // later rejoins the pool serves other partitions; pinning is sticky by
 // design (cheap, deterministic, and the gap accounting stays contiguous).
-func (e *Engine) transportCompute(p, ss int, fields Fields, ids []VertexID, results []partResult, durs []time.Duration) {
+func (e *Engine) transportCompute(p, ss int, ids []VertexID) {
 	start := time.Now()
-	req := e.buildExecRequest(p, ss, fields, ids)
+	results := e.results
+	req := e.buildExecRequest(p, ss, ids)
 	attempt := func(actx context.Context) error {
 		res, err := e.cfg.Transport.Exec(actx, req)
 		if err != nil && errors.Is(err, ErrStateMiss) && req.Mode == ModeDelta {
@@ -828,7 +827,14 @@ func (e *Engine) transportCompute(p, ss int, fields Fields, ids []VertexID, resu
 		err = attempt(e.runCtx)
 	}
 	if err != nil {
-		if errors.Is(err, ErrTransport) && e.runCtx.Err() == nil {
+		// A failure that is not the program's is blamed on the partition's
+		// first active vertex.
+		culprit := VertexID(0)
+		if len(ids) > 0 {
+			culprit = ids[0]
+		}
+		switch {
+		case errors.Is(err, ErrTransport) && e.runCtx.Err() == nil:
 			m := e.cfg.Metrics
 			m.Tracef(obs.Warn, "transport", ss,
 				"partition %d unreachable (%v); pinning local and shedding its capture", p, err)
@@ -840,33 +846,20 @@ func (e *Engine) transportCompute(p, ss int, fields Fields, ids []VertexID, resu
 			// master-side from the last checkpoint plus replayed deltas
 			// before executing locally, so the pinned run stays exact.
 			if serr := e.seedLocalFromReplay(p, ss); serr != nil {
-				v := VertexID(0)
-				if len(ids) > 0 {
-					v = ids[0]
-				}
-				results[p].crash = &CrashError{Vertex: v, Superstep: ss, Err: serr}
-				if durs != nil {
-					durs[p] = time.Since(start)
-				}
-				return
+				results[p].crash = &CrashError{Vertex: culprit, Superstep: ss, Err: serr}
+			} else if e.sup != nil {
+				e.superviseCompute(p, ss, ids)
+			} else {
+				e.runPartition(e.runCtx, p, ss, e.fields, ids, &results[p])
 			}
-			if e.sup != nil {
-				e.superviseCompute(p, ss, fields, ids, results, durs)
-				return
-			}
-			e.runPartition(e.runCtx, p, ss, fields, ids, &results[p])
-		} else if results[p].crash == nil {
+		case results[p].crash == nil:
 			// Not a remote compute crash (those left their CrashError in the
 			// scratch) and not eligible for local fallback — e.g. a transport
 			// failure racing run cancellation. Clear any stale scratch and
 			// surface the failure so the barrier aborts consistently instead
 			// of delivering a partition that computed nothing.
-			v := VertexID(0)
-			if len(ids) > 0 {
-				v = ids[0]
-			}
 			reset()
-			results[p].crash = &CrashError{Vertex: v, Superstep: ss, Err: err}
+			results[p].crash = &CrashError{Vertex: culprit, Superstep: ss, Err: err}
 		}
 	}
 	if req.TraceID != 0 {
@@ -874,32 +867,23 @@ func (e *Engine) transportCompute(p, ss int, fields Fields, ids []VertexID, resu
 		// round for the superstep, including supervised retries and any
 		// local fallback. Its SpanID is the ParentSpan the worker's child
 		// spans and the TCP leg's rpc/backoff spans attached to.
-		e.cfg.Metrics.RecordSpan(obs.Span{
-			SpanID: req.ParentSpan, Proc: obs.ProcMaster, Name: obs.SpanExchange,
-			Superstep: ss, Partition: p,
-			Start: start.UnixNano(), Dur: int64(time.Since(start)),
-			Tuples: int64(len(ids)),
-		})
+		e.recordSpan(obs.SpanExchange, req.ParentSpan, ss, p, start, len(ids))
 	}
-	if durs != nil {
-		durs[p] = time.Since(start)
+	if e.durs != nil {
+		e.durs[p] = time.Since(start)
 	}
+}
+
+// spanIDs returns a request's trace ID and parent span ID, both zero unless
+// spans are on.
+func (e *Engine) spanIDs() (trace, parent uint64) {
+	if m := e.cfg.Metrics; m.SpansEnabled() {
+		return m.SpanTraceID(), m.NewSpanID()
+	}
+	return 0, 0
 }
 
 // aggregator helpers for the transport boundary ---------------------------
-
-// currentSnapshot copies the merged previous-superstep aggregator values for
-// an ExecRequest.
-func (a *aggregators) currentSnapshot() map[string]float64 {
-	if len(a.current) == 0 {
-		return nil
-	}
-	m := make(map[string]float64, len(a.current))
-	for k, v := range a.current {
-		m[k] = v
-	}
-	return m
-}
 
 // setCurrent installs the master-supplied merged aggregator values on a
 // worker-side engine.

@@ -73,8 +73,8 @@ type SuperstepProfile struct {
 	// MessagesCombined counts messages merged away by the combiner.
 	MessagesCombined int64 `json:"messages_combined"`
 	// MessagesCombinedSender is the subset of MessagesCombined merged
-	// inside the sending partition before the barrier (zero when the
-	// sequential reference barrier is selected).
+	// inside the sending partition before the barrier; both barrier modes
+	// combine at the sender, so it is the same in either.
 	MessagesCombinedSender int64 `json:"messages_combined_sender,omitempty"`
 	// DeliveryMaxShard is the message count of the busiest delivery shard
 	// this superstep — maxShard*nParts/delivered gauges shard imbalance.

@@ -46,9 +46,10 @@ type aggTable struct {
 	grouping *Relation
 	states   []aggState // by position in grouping
 	dedup    *Relation
-	touched  []int // groups changed since the last flush, in first-touch order
-	key      Tuple // dedup-key scratch: probes allocate nothing
-	clones   arena // the new dedup keys' copies
+	touched  []int   // groups changed since the last flush, in first-touch order
+	old      []Tuple // flush scratch: the touched groups' head tuples to delete
+	key      Tuple   // dedup-key scratch: probes allocate nothing
+	clones   arena   // the new dedup keys' copies
 }
 
 func newAggTable(r *pql.Rule, plan *rulePlan) *aggTable {
@@ -132,16 +133,23 @@ func (a *aggTable) fresh(groupVals, keyed Tuple) bool {
 }
 
 // flush replaces the head tuples of the groups touched since the last
-// flush, in first-touch order, handing each new tuple to insert, which
-// copies what it keeps.
+// flush: it deletes their old tuples in one pass, then hands the new ones to
+// insert, which copies what it keeps, in first-touch order. That is the
+// order replacing one group after the other gives, as distinct groups' head
+// tuples differ in their group columns and the head has one defining rule.
 func (a *aggTable) flush(head *Relation, insert func(Tuple) error) error {
 	c := a.plan.aggCol
+	old := a.old[:0]
+	for _, g := range a.touched {
+		if cur := a.states[g].current; !cur[c].IsNull() {
+			old = append(old, cur)
+		}
+	}
+	head.Delete(old...)
+	a.old = old
 	for _, g := range a.touched {
 		st := &a.states[g]
 		st.touched = false
-		if !st.current[c].IsNull() {
-			head.Delete(st.current)
-		}
 		switch a.plan.agg.Kind {
 		case pql.AggCount:
 			st.current[c] = value.NewInt(st.count)

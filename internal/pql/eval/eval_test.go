@@ -59,7 +59,7 @@ func TestRelationBasics(t *testing.T) {
 	if len(got) != 3 {
 		t.Errorf("after insert, lookup col0=1: %d tuples", len(got))
 	}
-	if !r.Delete(ints(1, 9)) || r.Delete(ints(1, 9)) {
+	if r.Delete(ints(1, 9)) != 1 || r.Delete(ints(1, 9)) != 0 {
 		t.Error("delete wrong")
 	}
 	got = r.Lookup([]int{0}, []value.Value{value.NewInt(1)})

@@ -168,22 +168,40 @@ func (r *Relation) appendKeyed(t Tuple, h uint64) {
 	r.keyed.Store(int64(len(r.order)))
 }
 
-// Delete removes t, reporting whether it was present; the set and the
-// indexes are keyed afresh by the next probe and lookup. Deletion is used
-// only by aggregate-group replacement, whose heads have no partition shards.
-func (r *Relation) Delete(t Tuple) bool {
-	if v, s, ok := r.bitOf(t); ok {
-		if !r.bits.has(v, s) {
-			return false
+// Delete removes the members among ts and returns how many it removed, in
+// one pass over order: the set and the indexes are keyed afresh once, by the
+// next probe and lookup, however many tuples go. Deletion is used only by
+// aggregate-group replacement, whose heads have no partition shards.
+func (r *Relation) Delete(ts ...Tuple) int {
+	var drop []int // positions in order
+	for _, t := range ts {
+		if v, s, ok := r.bitOf(t); ok {
+			if r.bits.has(v, s) {
+				r.bits.unset(v, s)
+				drop = append(drop, slices.IndexFunc(r.order, func(u Tuple) bool { return sameTuple(u, t) }))
+			}
+		} else if sl := r.find(t, hashTuple(t)); sl != nil {
+			drop = append(drop, int(sl.pos)-1)
 		}
-		r.bits.unset(v, s)
-	} else if !r.has(t, hashTuple(t)) {
-		return false
 	}
-	i := slices.IndexFunc(r.order, func(u Tuple) bool { return sameTuple(u, t) })
-	r.order = slices.Delete(r.order, i, i+1)
+	if len(drop) == 0 {
+		return 0
+	}
+	slices.Sort(drop)
+	drop = slices.Compact(drop)
+	kept := drop[0]
+	for i, next := drop[0], 0; i < len(r.order); i++ {
+		if next < len(drop) && drop[next] == i {
+			next++
+			continue
+		}
+		r.order[kept] = r.order[i]
+		kept++
+	}
+	clear(r.order[kept:])
+	r.order = r.order[:kept]
 	r.unkey()
-	return true
+	return len(drop)
 }
 
 // Contains reports membership.

@@ -39,7 +39,7 @@ func TestRelationIndexConsistency(t *testing.T) {
 			case 2: // delete
 				tup := mk()
 				_, existed := ref[tup.Key()]
-				if rel.Delete(tup) != existed {
+				if (rel.Delete(tup) == 1) != existed {
 					return false
 				}
 				delete(ref, tup.Key())
@@ -219,8 +219,14 @@ func TestShardSetsReadAsRows(t *testing.T) {
 				if ok != ref.insert(tu) {
 					return false
 				}
-			case op < 4: // an aggregate's replacement
-				if tu := mk(); rel.Delete(tu) != ref.delete(tu) {
+			case op < 4: // an aggregate's replacement: a batch, repeats allowed
+				batch, gone := probes()[:1+r.Intn(4)], 0
+				for _, tu := range batch {
+					if ref.delete(tu) {
+						gone++
+					}
+				}
+				if rel.Delete(batch...) != gone {
 					return false
 				}
 			case op < 7: // the shards observe a superstep, then the barrier merges
@@ -684,7 +690,7 @@ func TestRecordKeyedReadsAsStringKeyed(t *testing.T) {
 				}
 			case op < 11:
 				// Delete is for aggregate heads, which have no shards.
-				if !sharded && rel.Delete(tu) != ref.delete(tu) {
+				if !sharded && (rel.Delete(tu) == 1) != ref.delete(tu) {
 					return false
 				}
 			case op < 14:

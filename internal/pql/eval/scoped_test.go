@@ -152,7 +152,7 @@ func TestScopedRelationMethods(t *testing.T) {
 	if !rel.Insert(ints(0, 4, 0)) || rel.Insert(ints(0, 4, 0)) || rel.Len() != n+1 {
 		t.Errorf("Insert of a new tuple and its repeat: %d tuples, want %d", rel.Len(), n+1)
 	}
-	if !rel.Delete(ints(0, 4, 0)) || rel.Contains(ints(0, 4, 0)) || !rel.Contains(ints(0, 1, 0)) || rel.Len() != n {
+	if rel.Delete(ints(0, 4, 0)) != 1 || rel.Contains(ints(0, 4, 0)) || !rel.Contains(ints(0, 1, 0)) || rel.Len() != n {
 		t.Errorf("Delete left %d tuples, want %d", rel.Len(), n)
 	}
 	var w value.Blob
