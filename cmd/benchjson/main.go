@@ -186,8 +186,9 @@ func main() {
 	//   - A steady-state online superstep: record views borrow the engine's
 	//     records and a duplicate derivation probes the relation with reused
 	//     key bytes (BenchmarkOnlineObserve, Query 6).
-	//   - A warm partition's superstep that emits facts: EmitProv copies the
-	//     arguments into the partition's fact arena (BenchmarkEmitProv).
+	//   - A warm partition's superstep that emits facts: EmitProv appends
+	//     the arguments to the partition's per-table columns, kept for the
+	//     run (BenchmarkEmitProv).
 	for _, g := range []struct{ key, bench, path string }{
 		{"wire_frame_allocs", "BenchmarkWireFrame/write", "frame write path"},
 		{"span_disabled_allocs", "BenchmarkSpanDisabled", "disabled span path"},

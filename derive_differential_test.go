@@ -48,9 +48,10 @@ func (r *recorder) ObservePartition(_, ss int, recs []engine.VertexRecord) {
 				row.Recvs = append(row.Recvs, provenance.MsgHalf{Peer: m.Src, Val: m.Val})
 			}
 		}
-		for _, f := range rec.Emitted {
+		for k := range rec.Emitted.Len() {
 			if len(r.policy.Emitted) > 0 {
-				row.Emitted = append(row.Emitted, provenance.Fact{Table: f.Table, Args: append([]value.Value(nil), f.Args...)})
+				t, _ := rec.Emitted.Fact(k)
+				row.Emitted = append(row.Emitted, provenance.Fact{Table: t.Name(), Args: rec.Emitted.AppendArgs(nil, k)})
 			}
 		}
 		rows = append(rows, row)
@@ -250,6 +251,7 @@ func derivedReceives(t *testing.T, g *ariadne.Graph, prog engine.Program, steps 
 // LayerBuilder not told to derive them.
 func appendStored(s *provenance.Store, l *provenance.Layer) error {
 	b := provenance.NewLayerBuilder(l.Superstep)
+	var facts engine.FactStore
 	for _, r := range l.Records {
 		b.Begin(r.Vertex, r.PrevActive, len(r.Sends), len(r.Recvs), len(r.Emitted))
 		if r.HasValue {
@@ -265,7 +267,9 @@ func appendStored(s *provenance.Store, l *provenance.Layer) error {
 			b.Recv(m.Peer, m.Val)
 		}
 		for _, f := range r.Emitted {
-			b.Fact(f.Table, f.Args)
+			facts.Emit(f.Table, f.Args...)
+			t, row := facts.EndRecord().Fact(0)
+			b.Fact(b.Table(f.Table), t, row)
 		}
 	}
 	return s.Append(l.Superstep, b)
@@ -313,7 +317,7 @@ func sameViews(t *testing.T, leg string, want, got []eval.RecordView) {
 		w, g := &want[i], &got[i]
 		ok := w.Vertex == g.Vertex && w.Superstep == g.Superstep && w.PrevActive == g.PrevActive && w.HasValue == g.HasValue &&
 			w.SentAny == g.SentAny && bitIdentical(w.Value, g.Value) &&
-			len(w.Sends) == len(g.Sends) && len(w.Recvs) == len(g.Recvs) && len(w.Emitted) == len(g.Emitted) &&
+			len(w.Sends) == len(g.Sends) && len(w.Recvs) == len(g.Recvs) && w.Emitted.Len() == g.Emitted.Len() &&
 			(w.Sends == nil) == (g.Sends == nil) && (w.Recvs == nil) == (g.Recvs == nil)
 		for j := 0; ok && j < len(w.Sends); j++ {
 			ok = w.Sends[j].Dst == g.Sends[j].Dst && bitIdentical(w.Sends[j].Val, g.Sends[j].Val)
@@ -321,8 +325,10 @@ func sameViews(t *testing.T, leg string, want, got []eval.RecordView) {
 		for j := 0; ok && j < len(w.Recvs); j++ {
 			ok = w.Recvs[j].Src == g.Recvs[j].Src && bitIdentical(w.Recvs[j].Val, g.Recvs[j].Val)
 		}
-		for k := 0; ok && k < len(w.Emitted); k++ {
-			ok = w.Emitted[k].Table == g.Emitted[k].Table && sameValues(w.Emitted[k].Args, g.Emitted[k].Args)
+		for k := 0; ok && k < w.Emitted.Len(); k++ {
+			wt, _ := w.Emitted.Fact(k)
+			gt, _ := g.Emitted.Fact(k)
+			ok = wt.Name() == gt.Name() && sameValues(w.Emitted.AppendArgs(nil, k), g.Emitted.AppendArgs(nil, k))
 		}
 		if !ok {
 			t.Fatalf("%s view %d: %+v, want %+v", leg, i, *g, *w)

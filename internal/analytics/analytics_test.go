@@ -326,8 +326,8 @@ func (o *sideObserver) ObservePartition(_, ss int, recs []engine.VertexRecord) {
 		} else {
 			sc.items++
 		}
-		for _, f := range r.Emitted {
-			if f.Table == "prov_error" {
+		for k := range r.Emitted.Len() {
+			if t, _ := r.Emitted.Fact(k); t.Name() == "prov_error" {
 				o.sawErrFacts = true
 			}
 		}

@@ -120,8 +120,24 @@ type segment struct {
 	b        *provenance.LayerBuilder
 	observed bool // the partition handed over records since the last barrier
 	tuples   tally
-	emitted  map[string]int64
+	emitted  []tableCount // the layer's kept facts per table
 	taints   []graph.VertexID
+
+	// Per table id of facts, the store the records' facts live in (the
+	// partition's own for the whole run, or a decoded frame's): keep[id]
+	// is the policy's decision for the table, dict[id] its index in b's
+	// dictionary plus one (0: not in this layer's yet), counts[id] the
+	// layer's kept facts of it not yet in emitted.
+	facts  *engine.FactStore
+	keep   []bool
+	dict   []int
+	counts []int64
+}
+
+// tableCount is a number of captured facts of one table.
+type tableCount struct {
+	table string
+	n     int64
 }
 
 // tally counts the captured tuples of the built-in tables.
@@ -181,7 +197,8 @@ func (o *Observer) ObservePartition(p, ss int, recs []engine.VertexRecord) {
 	}
 	seg.observed = len(recs) > 0
 	seg.tuples = tally{}
-	clear(seg.emitted)
+	seg.emitted = seg.emitted[:0]
+	clear(seg.dict)
 	seg.taints = seg.taints[:0]
 	for i := range recs {
 		rec := &recs[i]
@@ -196,10 +213,13 @@ func (o *Observer) ObservePartition(p, ss int, recs []engine.VertexRecord) {
 		if o.policy.Recvs {
 			received = rec.Received
 		}
-		facts := 0
-		for _, f := range rec.Emitted {
-			if o.keeps(f.Table) {
-				facts++
+		fs, facts := rec.Emitted, 0
+		if fs.Len() > 0 {
+			seg.use(o, fs.Store())
+			for k := range fs.Len() {
+				if seg.keep[fs.Ref(k).Table] {
+					facts++
+				}
 			}
 		}
 		b.Begin(rec.ID, int32(rec.PrevActive), len(sent), len(received), facts)
@@ -219,17 +239,43 @@ func (o *Observer) ObservePartition(p, ss int, recs []engine.VertexRecord) {
 		}
 		seg.tuples.sends += int64(len(sent))
 		seg.tuples.recvs += int64(len(received))
-		for _, f := range rec.Emitted {
-			if !o.keeps(f.Table) {
+		for k := range fs.Len() {
+			id := fs.Ref(k).Table
+			if !seg.keep[id] {
 				continue
 			}
-			b.Fact(f.Table, f.Args)
-			if o.metrics != nil {
-				if seg.emitted == nil {
-					seg.emitted = map[string]int64{}
-				}
-				seg.emitted[f.Table]++
+			t, row := fs.Fact(k)
+			if seg.dict[id] == 0 {
+				seg.dict[id] = b.Table(t.Name()) + 1
 			}
+			b.Fact(seg.dict[id]-1, t, row)
+			seg.counts[id]++
+		}
+	}
+	seg.countNames()
+}
+
+// use points the segment's per-table slices at fact store s, extended to
+// its tables; a new store starts them afresh.
+func (seg *segment) use(o *Observer, s *engine.FactStore) {
+	if s != seg.facts {
+		seg.countNames()
+		seg.facts = s
+		seg.keep, seg.dict, seg.counts = seg.keep[:0], seg.dict[:0], seg.counts[:0]
+	}
+	for id := len(seg.keep); id < s.NumTables(); id++ {
+		seg.keep = append(seg.keep, o.keeps(s.Table(int32(id)).Name()))
+		seg.dict = append(seg.dict, 0)
+		seg.counts = append(seg.counts, 0)
+	}
+}
+
+// countNames moves the per-table counts into emitted, by table name.
+func (seg *segment) countNames() {
+	for id, n := range seg.counts {
+		if n > 0 {
+			seg.emitted = append(seg.emitted, tableCount{seg.facts.Table(int32(id)).Name(), n})
+			seg.counts[id] = 0
 		}
 	}
 }
@@ -282,8 +328,8 @@ func (o *Observer) ObserveSuperstep(v *engine.SuperstepView) error {
 		n.sends += seg.tuples.sends
 		n.flags += seg.tuples.flags
 		n.recvs += seg.tuples.recvs
-		for t, c := range seg.emitted {
-			o.metrics.AddCaptureTuples(t, c)
+		for _, c := range seg.emitted {
+			o.metrics.AddCaptureTuples(c.table, c.n)
 		}
 		// Taints become visible only now that every partition has captured
 		// the layer, so that same-superstep message order cannot matter (BSP
@@ -318,7 +364,8 @@ func (o *Observer) deriveAfter(ss int) {
 	}
 }
 
-// keeps reports whether the policy persists emitted facts of table.
+// keeps reports whether the policy persists emitted facts of table; a
+// segment asks once per table (segment.use).
 func (o *Observer) keeps(table string) bool { return o.emitAll || o.emitSet[table] }
 
 // partitionHealth runs the per-partition capture health check over the

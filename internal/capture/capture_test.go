@@ -54,7 +54,9 @@ func TestFullPolicyCapturesEverything(t *testing.T) {
 	sent := []engine.SentMessage{{Dst: 2, Val: value.NewFloat(1)}}
 	recv := []engine.IncomingMessage{{Src: 3, Val: value.NewFloat(2)}}
 	r := rec(1, -1, 0.5, sent, recv)
-	r.Emitted = []engine.ProvFact{{Table: "prov_error", Args: []value.Value{value.NewInt(3)}}}
+	var facts engine.FactStore
+	facts.Emit("prov_error", value.NewInt(3))
+	r.Emitted = facts.EndRecord()
 	if err := observe(o, 1, 0, r); err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +204,10 @@ func TestEmittedFilter(t *testing.T) {
 	store := provenance.NewStore(provenance.StoreConfig{})
 	o := NewObserver(Policy{Values: true, Emitted: []string{"keep"}}, store)
 	r := rec(1, -1, 1, nil, nil)
-	r.Emitted = []engine.ProvFact{
-		{Table: "keep", Args: []value.Value{value.NewInt(1)}},
-		{Table: "drop", Args: []value.Value{value.NewInt(2)}},
-	}
+	var facts engine.FactStore
+	facts.Emit("keep", value.NewInt(1))
+	facts.Emit("drop", value.NewInt(2))
+	r.Emitted = facts.EndRecord()
 	if err := observe(o, 1, 0, r); err != nil {
 		t.Fatal(err)
 	}

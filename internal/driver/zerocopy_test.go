@@ -114,6 +114,7 @@ func TestOnlineHeadCarriesBorrowedMessage(t *testing.T) {
 func observeFixture(g *graph.Graph, msgsPer int) (*engine.SuperstepView, [][]engine.VertexRecord) {
 	n := g.NumVertices()
 	parts := make([][]engine.VertexRecord, 4)
+	facts := make([]engine.FactStore, 4) // one per partition, as the engine keeps
 	for v := 0; v < n; v++ {
 		r := engine.VertexRecord{ID: engine.VertexID(v), Superstep: 5, PrevActive: 4,
 			OldValue: value.NewFloat(float64(v)), NewValue: value.NewFloat(float64(v) + 1)}
@@ -125,10 +126,10 @@ func observeFixture(g *graph.Graph, msgsPer int) (*engine.SuperstepView, [][]eng
 				pred = -pred
 			}
 			peer := value.NewInt(int64(src))
-			r.Emitted = append(r.Emitted,
-				engine.ProvFact{Table: "prov_prediction", Args: []value.Value{peer, value.NewFloat(pred)}},
-				engine.ProvFact{Table: "prov_error", Args: []value.Value{peer, value.NewFloat(pred - 1)}})
+			facts[v%4].Emit("prov_prediction", peer, value.NewFloat(pred))
+			facts[v%4].Emit("prov_error", peer, value.NewFloat(pred-1))
 		}
+		r.Emitted = facts[v%4].EndRecord()
 		parts[v%4] = append(parts[v%4], r)
 	}
 	return &engine.SuperstepView{Superstep: 5}, parts

@@ -1,6 +1,9 @@
 package engine
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // AggOp is a global aggregator reduction operator.
 type AggOp uint8
@@ -34,7 +37,12 @@ type aggCell struct {
 // ever touches its own entry (no locks, no append races).
 type aggregators struct {
 	parts   []map[string]aggCell // one map per partition, written without locks
+	merged  map[string]aggCell   // endSuperstep's scratch
 	current map[string]float64   // merged values visible to readers
+	// lent reports that reader has handed current out: the next superstep
+	// with values puts them into a new map, so no reader sees a later
+	// superstep's values. Compute goroutines call reader concurrently.
+	lent atomic.Bool
 }
 
 func newAggregators(nParts int) *aggregators {
@@ -72,11 +80,17 @@ func (a *aggregators) add(p int, name string, op AggOp, v float64) {
 	m[name] = c
 }
 
+// endSuperstep merges the partitions' contributions into current. A
+// superstep without any leaves an empty current as it is, and current is
+// refilled in place unless a reader holds it.
 func (a *aggregators) endSuperstep() {
-	merged := map[string]aggCell{}
+	clear(a.merged)
 	for _, m := range a.parts {
+		if len(m) > 0 && a.merged == nil {
+			a.merged = map[string]aggCell{}
+		}
 		for name, c := range m {
-			g, ok := merged[name]
+			g, ok := a.merged[name]
 			if !ok {
 				g = aggCell{op: c.op, val: initial(c.op)}
 			}
@@ -86,11 +100,19 @@ func (a *aggregators) endSuperstep() {
 				g.val = reduce(c.op, g.val, c.val)
 			}
 			g.n += c.n
-			merged[name] = g
+			a.merged[name] = g
 		}
 	}
-	a.current = map[string]float64{}
-	for name, c := range merged {
+	switch {
+	case len(a.merged) == 0 && len(a.current) == 0:
+		return
+	case a.lent.Load() || a.current == nil:
+		a.current = make(map[string]float64, len(a.merged))
+		a.lent.Store(false)
+	default:
+		clear(a.current)
+	}
+	for name, c := range a.merged {
 		a.current[name] = c.val
 	}
 }
@@ -126,4 +148,9 @@ func (r aggReader) Float(name string) (float64, bool) {
 	return v, ok
 }
 
-func (a *aggregators) reader() AggregatorReader { return aggReader(a.current) }
+func (a *aggregators) reader() AggregatorReader {
+	if !a.lent.Load() {
+		a.lent.Store(true)
+	}
+	return aggReader(a.current)
+}

@@ -236,7 +236,7 @@ func (factReader) Finish(int) error                          { return nil }
 
 // BenchmarkEmitProv times one superstep of a warm partition of emitProg
 // under an observer of emitted facts. Once the partition has run, its send
-// buffer, fact arena and records have their size, so a superstep allocates
+// buffer, fact store and records have their size, so a superstep allocates
 // nothing (`make bench-micro` gates emit_prov_allocs at 0).
 func BenchmarkEmitProv(b *testing.B) {
 	g := benchGraph(b, 2000, 8)
@@ -251,7 +251,7 @@ func BenchmarkEmitProv(b *testing.B) {
 	e.runPartition(ctx, 0, 2, e.fields, ids, res)
 	var facts int
 	for _, r := range res.records {
-		facts += len(r.Emitted)
+		facts += r.Emitted.Len()
 	}
 	if facts == 0 {
 		b.Fatal("the partition emitted no facts")

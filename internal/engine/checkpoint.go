@@ -365,7 +365,7 @@ func (e *Engine) restoreCore(cp *checkpointData) error {
 	for _, in := range e.inbox {
 		in.install(cp.inboxIDs, cp.inboxMsgs)
 	}
-	e.agg.current = cp.aggCurrent
+	e.agg.setCurrent(cp.aggCurrent)
 	e.startSS = cp.resumeSS
 	e.lastCkptSS = cp.resumeSS
 	return nil

@@ -20,19 +20,24 @@ type Context struct {
 	// earlier vertices' stay in front, where their records borrow them.
 	sent      []SentMessage
 	sentStart int
-	// emitted[emitStart:] are the current vertex's facts, whose Args are
-	// windows of args: the partition's fact arena. Records borrow both, and
-	// the next superstep of the partition rewrites them.
-	emitted   []ProvFact
-	emitStart int
-	args      []value.Value
+	// facts is the partition's fact store, kept for the run once FieldEmitted
+	// is read; the vertex's facts are those added since the previous
+	// record's EndRecord. Records borrow it, and the next superstep of the
+	// partition rewrites it.
+	facts *FactStore
 }
 
 // begin prepares the partition's context for a run of superstep ss (or a
-// supervised retry of it), keeping the send buffer and the fact arena.
+// supervised retry of it), keeping the send buffer and the fact store.
 func (c *Context) begin(e *Engine, ss, p int, fields Fields) {
 	c.engine, c.superstep, c.partition, c.fields = e, ss, p, fields
-	c.sent, c.emitted, c.args = c.sent[:0], c.emitted[:0], c.args[:0]
+	c.sent = c.sent[:0]
+	if fields&FieldEmitted != 0 {
+		if c.facts == nil {
+			c.facts = &FactStore{}
+		}
+		c.facts.Reset()
+	}
 }
 
 func (c *Context) reset(v VertexID) {
@@ -41,7 +46,6 @@ func (c *Context) reset(v VertexID) {
 		c.sent = c.sent[:0]
 	}
 	c.sentStart = len(c.sent)
-	c.emitStart = len(c.emitted)
 }
 
 // ID returns the vertex being computed.
@@ -112,15 +116,13 @@ func (c *Context) DiscardSentMessages() { c.sent = c.sent[:c.sentStart] }
 // prov-error and prov-prediction (ALS, Queries 7-8) are produced this way;
 // facts flow to observers, never back into the analytic. Without an
 // observer that reads them (Observing is false) the fact is dropped. The
-// args are copied into the partition's fact arena, so the caller may reuse
-// the slice it passes for the next fact.
+// args are copied into the partition's fact store, one column per table and
+// argument, so the caller may reuse the slice it passes for the next fact.
 func (c *Context) EmitProv(table string, args ...value.Value) {
 	if c.fields&FieldEmitted == 0 {
 		return
 	}
-	a := len(c.args)
-	c.args = append(c.args, args...)
-	c.emitted = append(c.emitted, ProvFact{Table: table, Args: c.args[a:len(c.args):len(c.args)]})
+	c.facts.Emit(table, args...)
 }
 
 // AggregateFloat folds v into the named global aggregator with the given op;

@@ -48,15 +48,6 @@ type SentMessage struct {
 	Val value.Value
 }
 
-// ProvFact is an auxiliary provenance fact emitted by a vertex program via
-// Context.EmitProv — the mechanism behind analytics-specific tables such as
-// the paper's prov-error / prov-prediction for ALS (Queries 7, 8). In a
-// record, Args is a window of the partition's fact arena, borrowed like Sent.
-type ProvFact struct {
-	Table string
-	Args  []value.Value
-}
-
 // Program is a vertex program in the VC model (paper Algorithm 1):
 // read messages, update the vertex value, send messages to neighbors.
 type Program interface {
@@ -208,13 +199,16 @@ type VertexRecord struct {
 	// SentAny reports that the vertex sent at least one message. It is
 	// always set, whatever the observers read.
 	SentAny bool
-	// Received, Sent and Emitted are nil unless some observer reads them
+	// Received, Sent and Emitted are empty unless some observer reads them
 	// (FieldReceived, FieldSent, FieldEmitted). They borrow the partition's
-	// inbox arena, send buffer and fact arena (Emitted's Args included):
-	// valid until the superstep's ObserveSuperstep returns.
+	// inbox arena, send buffer and fact store: valid until the superstep's
+	// ObserveSuperstep returns. Emitted holds the auxiliary provenance facts
+	// the vertex published with Context.EmitProv, the mechanism behind
+	// analytics-specific tables such as the paper's prov-error /
+	// prov-prediction for ALS (Queries 7, 8).
 	Received []IncomingMessage
 	Sent     []SentMessage
-	Emitted  []ProvFact
+	Emitted  Facts
 }
 
 // RunStats summarizes a completed run. The original fields (Supersteps,
@@ -796,8 +790,8 @@ type partResult struct {
 	records  []VertexRecord
 	computed []VertexID
 	crash    *CrashError
-	// ctx is the partition's vertex context. Its send buffer and fact arena
-	// back the Sent and Emitted windows of this superstep's records (the
+	// ctx is the partition's vertex context. Its send buffer and fact store
+	// back the Sent and Emitted views of this superstep's records (the
 	// vertices append to them one after the other) and are reused.
 	ctx Context
 	// combIdx[dp][dst/nParts] is the index of dst's pre-combined message in
@@ -976,7 +970,7 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, fields Fields, id
 		res.computed = append(res.computed, v)
 		if fields != 0 {
 			// Received, Sent and Emitted borrow the inbox arena, the send
-			// buffer and the fact arena.
+			// buffer and the fact store.
 			rec := VertexRecord{
 				ID:         v,
 				Superstep:  ss,
@@ -991,8 +985,8 @@ func (e *Engine) runPartition(actx context.Context, p, ss int, fields Fields, id
 			if fields&FieldSent != 0 && len(sent) > 0 {
 				rec.Sent = sent[:len(sent):len(sent)]
 			}
-			if n := len(ctx.emitted); n > ctx.emitStart {
-				rec.Emitted = ctx.emitted[ctx.emitStart:n:n]
+			if fields&FieldEmitted != 0 {
+				rec.Emitted = ctx.facts.EndRecord()
 			}
 			res.records = append(res.records, rec)
 		}

@@ -53,9 +53,10 @@ func recordSig(recs []VertexRecord) string {
 			fmt.Fprintf(&b, "%d:%x|", m.Dst, m.Val.AppendBinary(nil))
 		}
 		b.WriteString("] facts[")
-		for _, f := range r.Emitted {
-			b.WriteString(f.Table)
-			for _, a := range f.Args {
+		for k := range r.Emitted.Len() {
+			t, _ := r.Emitted.Fact(k)
+			b.WriteString(t.Name())
+			for _, a := range r.Emitted.AppendArgs(nil, k) {
 				fmt.Fprintf(&b, " %x", a.AppendBinary(nil))
 			}
 			b.WriteByte(';')
@@ -333,12 +334,12 @@ func (o *maskObserver) ObserveSuperstep(*SuperstepView) error {
 		if o.reads&FieldReceived == 0 && r.Received != nil {
 			o.t.Errorf("%s: Received %d messages without FieldReceived", at, len(r.Received))
 		}
-		if n := len(r.Emitted); o.reads&FieldEmitted == 0 {
-			if r.Emitted != nil {
+		if n := r.Emitted.Len(); o.reads&FieldEmitted == 0 {
+			if r.Emitted != (Facts{}) {
 				o.t.Errorf("%s: emitted %d facts without FieldEmitted", at, n)
 			}
-		} else if n == 0 || r.Emitted[n-1].Table != "observing" || !r.Emitted[n-1].Args[0].Bool() {
-			o.t.Errorf("%s: emitted %v, want a last fact reporting Observing", at, r.Emitted)
+		} else if n == 0 || !lastObserving(r.Emitted) {
+			o.t.Errorf("%s: emitted %d facts, want a last fact reporting Observing", at, n)
 		} else if o.reads&FieldReceived != 0 && n-1 != len(r.Received) {
 			o.t.Errorf("%s: %d facts before the last, want one per received message (%d)", at, n-1, len(r.Received))
 		}
@@ -352,6 +353,13 @@ func (o *maskObserver) ObserveSuperstep(*SuperstepView) error {
 		}
 	}
 	return nil
+}
+
+// lastObserving reports whether fs ends with maskProg's fact reporting
+// Observing.
+func lastObserving(fs Facts) bool {
+	t, row := fs.Fact(fs.Len() - 1)
+	return t.Name() == "observing" && t.Value(0, row).Bool()
 }
 
 // TestRecordFieldMask runs an observer of each record mask at 1, 4 and 19
@@ -441,9 +449,9 @@ func (*bufObserver) Finish(int) error { return nil }
 func (o *bufObserver) ObserveSuperstep(*SuperstepView) error {
 	for _, r := range o.take() {
 		var got []string
-		for _, f := range r.Emitted {
-			if f.Table == "buf" {
-				got = append(got, fmt.Sprint(f.Args))
+		for k := range r.Emitted.Len() {
+			if t, _ := r.Emitted.Fact(k); t.Name() == "buf" {
+				got = append(got, fmt.Sprint(r.Emitted.AppendArgs(nil, k)))
 			}
 		}
 		var want []string
@@ -474,6 +482,122 @@ func TestEmitProvCopiesArgs(t *testing.T) {
 		}
 		if o.checked == 0 {
 			t.Fatalf("parts=%d: no records observed", parts)
+		}
+	}
+}
+
+// factProg emits, per vertex, facts of every shape a fact store keeps apart:
+// two tables interleaved, one fact of each per message; one name under two
+// arities; and a column whose kind changes mid-superstep, an Int for the
+// first half of the vertices and a String for the rest. It logs every fact
+// as it emits it, arguments encoded at emit time.
+type factProg struct {
+	mu   sync.Mutex
+	want map[[2]int]string // (superstep, vertex) -> facts in emission order
+}
+
+func (*factProg) InitialValue(*graph.Graph, VertexID) value.Value { return value.NewFloat(0) }
+
+func (p *factProg) Compute(ctx *Context, msgs []IncomingMessage) error {
+	var log strings.Builder
+	emit := func(table string, args ...value.Value) {
+		ctx.EmitProv(table, args...)
+		log.WriteString(renderFact(table, args))
+	}
+	for _, m := range msgs {
+		emit("pair_a", value.NewInt(int64(m.Src)), m.Val)
+		emit("pair_b", value.NewInt(int64(m.Src)))
+	}
+	emit("pair_a", value.NewInt(int64(ctx.ID())))
+	k := value.NewInt(int64(ctx.ID()))
+	if 2*int(ctx.ID()) >= ctx.NumVertices() {
+		k = value.NewString(fmt.Sprint("v", ctx.ID()))
+	}
+	emit("mixed", k, value.NewFloat(float64(ctx.Superstep())))
+	p.mu.Lock()
+	p.want[[2]int{ctx.Superstep(), int(ctx.ID())}] = log.String()
+	p.mu.Unlock()
+	ctx.SetValue(value.NewFloat(float64(ctx.Superstep())))
+	ctx.SendToAllNeighbors(value.NewFloat(float64(ctx.ID()) / 3))
+	return nil
+}
+
+// renderFact renders one fact: its table, arity and argument encodings.
+func renderFact(table string, args []value.Value) string {
+	s := fmt.Sprintf("%s/%d(", table, len(args))
+	for _, a := range args {
+		s += fmt.Sprintf("%x ", a.AppendBinary(nil))
+	}
+	return s + ");"
+}
+
+// renderFacts renders a record's facts in emission order.
+func renderFacts(fs Facts) string {
+	var b strings.Builder
+	for k := range fs.Len() {
+		t, _ := fs.Fact(k)
+		b.WriteString(renderFact(t.Name(), fs.AppendArgs(nil, k)))
+	}
+	return b.String()
+}
+
+// factObserver holds every record's facts to what factProg emitted, once all
+// partitions have computed, and counts the supersteps whose "mixed" column
+// a String turned boxed after Ints were stored in it.
+type factObserver struct {
+	collector
+	t       *testing.T
+	p       *factProg
+	checked int
+	boxed   int
+}
+
+func (*factObserver) Reads() Fields    { return FieldEmitted }
+func (*factObserver) Finish(int) error { return nil }
+
+func (o *factObserver) ObserveSuperstep(v *SuperstepView) error {
+	stores := map[*FactStore]bool{}
+	for _, r := range o.take() {
+		if got, want := renderFacts(r.Emitted), o.p.want[[2]int{r.Superstep, int(r.ID)}]; got != want {
+			o.t.Errorf("superstep %d vertex %d: facts\n  %s\nemitted\n  %s", r.Superstep, r.ID, got, want)
+		}
+		o.checked++
+		stores[r.Emitted.Store()] = true
+	}
+	for s := range stores {
+		id, ok := s.Find("mixed", 2)
+		if !ok {
+			o.t.Errorf("superstep %d: no mixed/2 table", v.Superstep)
+			continue
+		}
+		if t := s.Table(id); t.Ints(0) == nil && t.Value(0, 0).Kind() == value.Int {
+			o.boxed++
+		}
+	}
+	return nil
+}
+
+// TestFactsReadBackInEmissionOrder: at 1, 4 and 19 partitions, every record's
+// facts read back in emission order, across tables and arities, with the
+// values they had at emit time — including the records whose Int was stored
+// before a later vertex's String boxed the column.
+func TestFactsReadBackInEmissionOrder(t *testing.T) {
+	g := contractGraph(t)
+	for _, parts := range []int{1, 4, 19} {
+		p := &factProg{want: map[[2]int]string{}}
+		o := &factObserver{t: t, p: p}
+		e, err := New(g, p, Config{Partitions: parts, MaxSupersteps: 4, Observers: []Observer{o}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if o.checked != len(p.want) || o.checked == 0 {
+			t.Errorf("parts=%d: checked %d records, %d computed", parts, o.checked, len(p.want))
+		}
+		if o.boxed == 0 {
+			t.Errorf("parts=%d: no partition's mixed column changed kind mid-superstep", parts)
 		}
 	}
 }

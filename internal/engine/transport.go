@@ -563,25 +563,27 @@ func (x *Executor) Exec(ctx context.Context, req *ExecRequest) *ExecResult {
 	return res
 }
 
-// detachRecords copies records and moves their Received, Sent and Emitted
-// windows, which borrow the engine's inbox arena, send buffer and fact arena,
-// into flat buffers of the result's own (the facts' Args into one more): a
+// detachRecords copies records and moves their Received and Sent windows,
+// which borrow the engine's inbox arena and send buffer, into flat buffers of
+// the result's own, and their Emitted views into a copy of the fact store: a
 // result leaves the executor's mutex (the TCP worker encodes it afterwards,
 // while a duplicate Exec may already be rewriting the borrowed buffers), so
 // it must not alias them.
 func detachRecords(recs []VertexRecord) []VertexRecord {
-	var nRecv, nSent, nFacts, nArgs int
+	var nRecv, nSent int
+	var facts, copied *FactStore
 	for i := range recs {
 		nRecv += len(recs[i].Received)
 		nSent += len(recs[i].Sent)
-		nFacts += len(recs[i].Emitted)
-		for _, f := range recs[i].Emitted {
-			nArgs += len(f.Args)
+		if s := recs[i].Emitted.store; s != nil {
+			facts = s // a partition's records share its one store
 		}
+	}
+	if facts != nil {
+		copied = facts.clone()
 	}
 	out := slices.Clone(recs)
 	recv, sent := make([]IncomingMessage, 0, nRecv), make([]SentMessage, 0, nSent)
-	facts, args := make([]ProvFact, 0, nFacts), make([]value.Value, 0, nArgs)
 	for i := range out {
 		r := &out[i]
 		if n := len(recv); len(r.Received) > 0 {
@@ -592,13 +594,8 @@ func detachRecords(recs []VertexRecord) []VertexRecord {
 			sent = append(sent, r.Sent...)
 			r.Sent = sent[n:len(sent):len(sent)]
 		}
-		if n := len(facts); len(r.Emitted) > 0 {
-			for _, f := range r.Emitted {
-				a := len(args)
-				args = append(args, f.Args...)
-				facts = append(facts, ProvFact{Table: f.Table, Args: args[a:len(args):len(args)]})
-			}
-			r.Emitted = facts[n:len(facts):len(facts)]
+		if r.Emitted.store != nil {
+			r.Emitted.store = copied
 		}
 	}
 	return out
@@ -885,14 +882,15 @@ func (e *Engine) spanIDs() (trace, parent uint64) {
 
 // aggregator helpers for the transport boundary ---------------------------
 
-// setCurrent installs the master-supplied merged aggregator values on a
-// worker-side engine.
+// setCurrent installs a copy of merged aggregator values: the master's on a
+// worker-side engine, or a checkpoint's.
 func (a *aggregators) setCurrent(m map[string]float64) {
 	cur := make(map[string]float64, len(m))
 	for k, v := range m {
 		cur[k] = v
 	}
 	a.current = cur
+	a.lent.Store(false)
 }
 
 // partial extracts partition p's aggregator contributions in deterministic

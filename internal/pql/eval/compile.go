@@ -65,7 +65,7 @@ type Compiled struct {
 	// between two global rules to a trie. tables names the emitted tables
 	// the record steps read, by id.
 	units  [][]unit
-	tables []string
+	tables []factKey
 	// strata[:inPart] run in-partition; their rules are rules[:partRules].
 	inPart    int
 	partRules int
@@ -548,11 +548,12 @@ func (c *Compiled) copyRules(q *analysis.Query, strata [][]*crule) ([]*crule, er
 	return copies, nil
 }
 
-// planPasses numbers the emitted tables the record steps read and splits
-// each stratum into units. A barrier stratum's record rules run one to a
-// trie, as a recursive stratum's do: the main shard inserts as it derives.
+// planPasses numbers the (predicate, arity) emitted tables the record steps
+// read and splits each stratum into units. A barrier stratum's record rules
+// run one to a trie, as a recursive stratum's do: the main shard inserts as
+// it derives.
 func (c *Compiled) planPasses() {
-	ids := map[string]int{}
+	ids := map[factKey]int{}
 	for _, r := range c.rules {
 		for _, p := range r.plan.programs() {
 			for i := range p.steps {
@@ -560,11 +561,12 @@ func (c *Compiled) planPasses() {
 				if st.kind == stepCompare || st.rows != rowsEmitted {
 					continue
 				}
-				id, ok := ids[st.pred]
+				k := factKey{st.pred, len(st.match) - 2}
+				id, ok := ids[k]
 				if !ok {
 					id = len(c.tables)
-					ids[st.pred] = id
-					c.tables = append(c.tables, st.pred)
+					ids[k] = id
+					c.tables = append(c.tables, k)
 				}
 				st.table = id
 			}

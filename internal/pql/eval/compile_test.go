@@ -442,23 +442,38 @@ func feedView(ev factSink, sg StaticGraph, rv *RecordView, forward bool) {
 	for k, d := range dst {
 		ev.AddFact("edge_value", Tuple{x, value.NewInt(int64(d)), value.NewFloat(ws[k]), value.NewInt(0)})
 	}
-	for _, f := range rv.Emitted {
-		t := make(Tuple, 0, len(f.Args)+2)
-		t = append(t, x)
-		t = append(t, f.Args...)
-		t = append(t, i)
-		ev.AddFact(f.Table, t)
+	// Every emitted table a test declares has two payload columns; a fact
+	// of another arity is in a table of its own, which no literal reads.
+	for k := range rv.Emitted.Len() {
+		if t, _ := rv.Emitted.Fact(k); t.Arity() == 2 {
+			ev.AddFact(t.Name(), append(rv.Emitted.AppendArgs(Tuple{x}, k), i))
+		}
 	}
+}
+
+// testFact is one emitted fact of a hand-built record view.
+type testFact struct {
+	table string
+	args  []value.Value
+}
+
+// emitFacts adds fs, in order, to s as one record's facts and returns them.
+func emitFacts(s *engine.FactStore, fs ...testFact) engine.Facts {
+	for _, f := range fs {
+		s.Emit(f.table, f.args...)
+	}
+	return s.EndRecord()
 }
 
 // randomLayers generates a deterministic pseudo-random record stream over a
 // small graph: values evolve, messages follow edges (plus a few strays).
 // Each record's emitted facts take a shape drawn from a second stream
-// (seeded ^seed, so rng's draws stay what they were): as drawn (sorted by
-// their Int first argument unless the peers wrap), with a repeated first
-// argument, out of order, or with Float first arguments in one table, so
-// the record probes run every path — cursor, index, and Int keys against
-// Float ones (3 and 3.0 are one value).
+// (seeded ^seed, so rng's draws stay what they were; see factShape), so the
+// record probes run every path — cursor, index, and Int keys against Float
+// ones (3 and 3.0 are one value) — over every column kind. A layer's records
+// share one fact store, as a partition's do, or each has its own, also
+// drawn: in a shared store one record's Float or String first argument
+// makes the column Float or boxed under every record of the layer.
 func randomLayers(seed int64, sg *fakeGraph, nLayers int) [][]RecordView {
 	rng, shapes := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed))
 	type vstate struct {
@@ -469,6 +484,8 @@ func randomLayers(seed int64, sg *fakeGraph, nLayers int) [][]RecordView {
 	var layers [][]RecordView
 	for ss := 0; ss < nLayers; ss++ {
 		var recs []RecordView
+		shared := shapes.Intn(2) == 0
+		facts := &engine.FactStore{}
 		for v := int64(0); v < int64(sg.n); v++ {
 			if ss > 0 && rng.Intn(2) == 0 {
 				continue // inactive this superstep
@@ -504,12 +521,15 @@ func randomLayers(seed int64, sg *fakeGraph, nLayers int) [][]RecordView {
 					rv.Recvs = append(rv.Recvs, engine.IncomingMessage{Src: engine.VertexID(s), Val: m})
 				}
 			}
-			rv.Emitted = []engine.ProvFact{
-				{Table: "prov_error", Args: []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}},
-				{Table: "prov_prediction", Args: []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}},
-				{Table: "prov_prediction", Args: []value.Value{value.NewInt((v + 1) % 3), value.NewFloat(rng.Float64() * 4)}},
+			fs := []testFact{
+				{"prov_error", []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}},
+				{"prov_prediction", []value.Value{value.NewInt(v % 3), value.NewFloat(rng.Float64()*8 - 1)}},
+				{"prov_prediction", []value.Value{value.NewInt((v + 1) % 3), value.NewFloat(rng.Float64() * 4)}},
 			}
-			factShape(shapes, rv.Emitted)
+			if !shared {
+				facts = &engine.FactStore{}
+			}
+			rv.Emitted = emitFacts(facts, factShape(shapes, fs)...)
 			states[v] = &vstate{lastSS: int64(ss), lastVal: val}
 			recs = append(recs, rv)
 		}
@@ -519,23 +539,30 @@ func randomLayers(seed int64, sg *fakeGraph, nLayers int) [][]RecordView {
 }
 
 // factShape rewrites a record's facts (one prov_error, then two
-// prov_prediction) into a shape drawn from shapes.
-func factShape(shapes *rand.Rand, fs []engine.ProvFact) {
-	floatKey := func(f *engine.ProvFact) {
-		f.Args = []value.Value{value.NewFloat(float64(f.Args[0].Int())), f.Args[1]}
+// prov_prediction) into a shape drawn from shapes and returns them.
+func factShape(shapes *rand.Rand, fs []testFact) []testFact {
+	floatKey := func(f *testFact) {
+		f.args = []value.Value{value.NewFloat(float64(f.args[0].Int())), f.args[1]}
 	}
-	switch shapes.Intn(5) {
+	switch shapes.Intn(7) {
 	case 1: // a repeated first argument, the wider-ranged payload second
 		fs[1], fs[2] = fs[2], fs[1]
-		fs[1].Args = []value.Value{fs[2].Args[0], fs[1].Args[1]}
-	case 2: // out of order
+		fs[1].args = []value.Value{fs[2].args[0], fs[1].args[1]}
+	case 2: // out of order: an unsorted Int first column
 		fs[1], fs[2] = fs[2], fs[1]
-	case 3: // Float keys into prov_prediction's bucket, probed by Ints
+	case 3: // a Float first column in prov_prediction, probed by Ints
 		floatKey(&fs[1])
 		floatKey(&fs[2])
-	case 4: // a Float probe key (prov_error's peer) into an Int bucket
+	case 4: // a Float probe key (prov_error's peer) into an Int column
 		floatKey(&fs[0])
+	case 5: // a boxed first column: a String among prov_prediction's Ints
+		fs[2].args = []value.Value{value.NewString("p"), fs[2].args[1]}
+	case 6: // one name under two arities, interleaved with the others
+		wide := testFact{"prov_prediction", []value.Value{fs[1].args[0], fs[1].args[1], value.NewInt(1)}}
+		narrow := testFact{"prov_error", []value.Value{fs[0].args[0]}}
+		fs = []testFact{fs[0], wide, fs[1], narrow, fs[2]}
 	}
+	return fs
 }
 
 func testGraphAndLayers(seed int64) (*fakeGraph, [][]RecordView) {
@@ -912,11 +939,12 @@ func TestEmittedIndexKeepsEmittedOrder(t *testing.T) {
 		var recs []RecordView
 		for v := int64(0); v < 3; v++ {
 			rv := RecordView{Vertex: v, Superstep: ss, HasValue: true, Value: value.NewFloat(0), PrevActive: -1}
+			facts := &engine.FactStore{}
 			for k := 0; k < 48; k++ {
 				table := [2]string{"prov_error", "prov_prediction"}[rng.Intn(2)]
-				rv.Emitted = append(rv.Emitted, engine.ProvFact{Table: table,
-					Args: []value.Value{peer(), value.NewFloat(float64(rng.Intn(4)))}})
+				facts.Emit(table, peer(), value.NewFloat(float64(rng.Intn(4))))
 			}
+			rv.Emitted = facts.EndRecord()
 			recs = append(recs, rv)
 		}
 		layers = append(layers, recs)
@@ -927,12 +955,16 @@ func TestEmittedIndexKeepsEmittedOrder(t *testing.T) {
 	seen := map[string]bool{}
 	for _, l := range layers {
 		for _, rv := range l {
-			for _, e := range rv.Emitted {
-				for _, p := range rv.Emitted {
-					if e.Table != "prov_error" || p.Table != "prov_prediction" || !e.Args[0].Equal(p.Args[0]) {
+			fs := rv.Emitted
+			for i := range fs.Len() {
+				for j := range fs.Len() {
+					et, _ := fs.Fact(i)
+					pt, _ := fs.Fact(j)
+					e, p := fs.AppendArgs(nil, i), fs.AppendArgs(nil, j)
+					if et.Name() != "prov_error" || pt.Name() != "prov_prediction" || !e[0].Equal(p[0]) {
 						continue
 					}
-					k := Tuple{value.NewInt(rv.Vertex), e.Args[0], p.Args[1], value.NewInt(rv.Superstep)}.Key()
+					k := Tuple{value.NewInt(rv.Vertex), e[0], p[1], value.NewInt(rv.Superstep)}.Key()
 					if !seen[k] {
 						seen[k] = true
 						want = append(want, k)

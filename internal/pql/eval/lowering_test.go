@@ -359,6 +359,56 @@ func TestGeneratedRulesReachEveryLeg(t *testing.T) {
 	}
 }
 
+// TestGeneratedFactsCoverEveryColumn: the records the fuzz target reads
+// hold fact tables of every column kind — an Int first column, ascending
+// over a record's rows or not, a Float one and a boxed one — and a name
+// under two arities.
+func TestGeneratedFactsCoverEveryColumn(t *testing.T) {
+	seen := map[string]int{}
+	for seed := int64(0); seed < 100; seed++ {
+		_, layers := testGraphAndLayers(seed)
+		for _, l := range layers {
+			for _, rv := range l {
+				s := rv.Emitted.Store()
+				arities := map[string]int{}
+				for id := int32(0); id < int32(s.NumTables()); id++ {
+					tab := s.Table(id)
+					arities[tab.Name()]++
+					lo, hi := rv.Emitted.Rows(id)
+					if lo == hi {
+						continue
+					}
+					floats := true
+					for r := lo; r < hi; r++ {
+						floats = floats && tab.Value(0, r).Kind() == value.Float
+					}
+					switch ints := tab.Ints(0); {
+					case ints != nil && slices.IsSorted(ints[lo:hi]):
+						seen["int ascending"]++
+					case ints != nil:
+						seen["int unsorted"]++
+					case floats:
+						seen["float"]++
+					default:
+						seen["boxed"]++
+					}
+				}
+				for _, n := range arities {
+					if n > 1 {
+						seen["two arities"]++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("fact tables read: %v", seen)
+	for _, k := range []string{"int ascending", "int unsorted", "float", "boxed", "two arities"} {
+		if seen[k] < 50 {
+			t.Errorf("only %d records hold a fact table of shape %q", seen[k], k)
+		}
+	}
+}
+
 // FuzzRuleLowering is the semantic fuzz smoke for the rule IR: a seed
 // program (chosen by base) extended with random rules, over a small random
 // record stream, must evaluate identically on the oracle interpreter, the

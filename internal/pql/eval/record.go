@@ -29,7 +29,7 @@ const (
 	rowsSends                      // send_message(X, Y, M, I)
 	rowsRecvs                      // receive_message(X, Y, M, I)
 	rowsProvSend                   // prov_send(X, I)
-	rowsEmitted                    // table(X, payload..., I); key column 1 uses the first-argument index
+	rowsEmitted                    // table(X, payload..., I); key column 1 probes the stored first column
 	rowsEdge                       // edge(A, B); the key columns select membership / out / in / scan
 	rowsEdgeValue                  // edge_value(X, Y, W, 0); key column 1 selects the weight probe
 	rowsInDegree                   // a view head h(X) :- edge(_, X), keyed X: one row when X has an in-edge
@@ -77,9 +77,10 @@ func (s rowSource) recordColumn(i, arity int) int {
 
 // RecordView is the query vertex program's view of one provenance record —
 // the transient state the record sources read. Sends, Recvs and Emitted
-// borrow the producer's slices (the engine's record arena online, the
-// layer's arena offline): a view is valid only while the evaluation call it
-// is passed to runs, and nothing derived from it may keep the slices.
+// borrow the producer's arrays (the engine's record arena and fact store
+// online, the layer's arena offline): a view is valid only while the
+// evaluation call it is passed to runs, and nothing derived from it may keep
+// the slices.
 type RecordView struct {
 	Vertex    int64
 	Superstep int64
@@ -92,33 +93,42 @@ type RecordView struct {
 	SentAny      bool
 	Sends        []engine.SentMessage
 	Recvs        []engine.IncomingMessage
-	Emitted      []engine.ProvFact
+	Emitted      engine.Facts
 }
 
-// recordFacts holds the current record's emitted facts by table, built on
-// the first emitted step of each record: byTable[id] lists the positions of
-// table id's facts in emitted order. sorted[id] reports whether every one's
-// first argument is an Int, each at least the one before (analytics emit
-// their per-peer facts in inbox order, ascending by peer), and keys[id]
-// then lists those first arguments. A keyed probe of a sorted bucket walks
-// a cursor along keys; any other uses idx[id], the bucket's index on the
-// first argument, built on the first such probe. Every step and branch
-// reading a table shares its bucket and index. seq names the record they
-// were built for: slotRun.recSeq moves on with every record, so neither
-// outlives its record even though views are reused across supersteps.
+// factKey is an emitted table a record step reads: the predicate and the
+// arity of its facts, the literal's less the vertex and superstep columns.
+type factKey struct {
+	pred  string
+	arity int
+}
+
+// recordFacts finds the tables the record steps read in the current
+// record's fact store. ids[id] is table id's id in store (-1: the store has
+// no such table), resolved again whenever the record's store is another or
+// has gained tables since (stores only gain tables). Per table, for the
+// record named by seq[id] (slotRun.recSeq moves on with every record, so
+// nothing outlives its record even though views are reused across
+// supersteps): ascending[id] reports whether the record's rows have an Int
+// first column, each at least the one before (analytics emit their per-peer
+// facts in inbox order, ascending by peer), so a keyed probe walks a cursor
+// along the stored column; idx[id] is the rows' hash index on the first
+// argument, built on the first probe the cursor cannot take. Every step and
+// branch reading a table shares both.
 type recordFacts struct {
-	tables  []string // by id (Compile numbers them)
-	seq     uint64
-	byTable [][]int32
-	sorted  []bool
-	keys    [][]int64
-	idx     []factIndex
+	tables    []factKey // by id (Compile numbers them)
+	store     *engine.FactStore
+	known     int
+	ids       []int32
+	seq       []uint64
+	ascending []bool
+	idx       []factIndex
 }
 
 // stepCursor is a record step's cursor over a sorted row (graph.Seek): the
-// current record's bucket of an emitted table, or the out-edge row of vertex
-// v. seq names the record it was set for; a fact cursor is good for that
-// record only, an edge cursor for as long as it probes v's row.
+// current record's first column of an emitted table, or the out-edge row of
+// vertex v. seq names the record it was set for; a fact cursor is good for
+// that record only, an edge cursor for as long as it probes v's row.
 type stepCursor struct {
 	set bool
 	seq uint64
@@ -130,7 +140,7 @@ type stepCursor struct {
 
 // workCounts are a run's counts of record-step work, partition-local and
 // summed at the merge in partition order (see CompiledStats): cursor probes
-// of fact buckets and of edge rows, and of those the re-seeks.
+// of fact columns and of edge rows, and of those the re-seeks.
 type workCounts struct {
 	indexBuilds, factProbes, edgeProbes, reseeks int64
 }
@@ -153,100 +163,102 @@ func seek[E int64 | engine.VertexID](w *workCounts, cur *stepCursor, row []E, x 
 	return at
 }
 
-// factIndex is a hash index over one table's bucket, chained through the
-// bucket's positions: head[b] and next[j] hold a position plus one (zero
-// ends a chain). seq names the record it was built for.
+// factIndex is a hash index over a record's rows of one table, chained
+// through their offsets from the first: head[b] and next[j] hold an offset
+// plus one (zero ends a chain). seq names the record it was built for.
 type factIndex struct {
 	seq  uint64
 	head []int32
 	next []int32
 }
 
-// tableFacts returns the positions of the current record's facts of table
-// id, bucketing every fact of the record by table on the first call for the
-// record. A table no record step reads has no bucket.
-func (rn *slotRun) tableFacts(id int) []int32 {
+// tableRows returns the table of id in the current record's fact store and
+// the record's rows of it, [lo, hi).
+func (rn *slotRun) tableRows(id int) (t *engine.FactTable, lo, hi int) {
+	f := rn.rv.Emitted
+	s := f.Store()
+	if s == nil {
+		return nil, 0, 0
+	}
 	fs := &rn.facts
-	if fs.seq != rn.recSeq {
-		fs.seq = rn.recSeq
-		if len(fs.byTable) < len(fs.tables) {
-			fs.byTable = make([][]int32, len(fs.tables))
-			fs.sorted = make([]bool, len(fs.tables))
-			fs.keys = make([][]int64, len(fs.tables))
-			fs.idx = make([]factIndex, len(fs.tables))
+	if s != fs.store || s.NumTables() != fs.known {
+		fs.store, fs.known = s, s.NumTables()
+		if len(fs.ids) < len(fs.tables) {
+			n := len(fs.tables)
+			fs.ids, fs.seq, fs.ascending, fs.idx = make([]int32, n), make([]uint64, n), make([]bool, n), make([]factIndex, n)
 		}
-		for t := range fs.byTable {
-			fs.byTable[t], fs.keys[t], fs.sorted[t] = fs.byTable[t][:0], fs.keys[t][:0], true
+		for i, k := range fs.tables {
+			fs.ids[i], _ = s.Find(k.pred, k.arity)
 		}
-		for i := range rn.rv.Emitted {
-			f := &rn.rv.Emitted[i]
-			for t, tn := range fs.tables {
-				if f.Table != tn {
-					continue
-				}
-				fs.byTable[t] = append(fs.byTable[t], int32(i))
-				if keys := fs.keys[t]; fs.sorted[t] {
-					if len(f.Args) > 0 && f.Args[0].Kind() == value.Int && (len(keys) == 0 || f.Args[0].Int() >= keys[len(keys)-1]) {
-						fs.keys[t] = append(keys, f.Args[0].Int())
-					} else {
-						fs.sorted[t] = false
-					}
-				}
-				break
-			}
+		// A table id names another table now: no check or index of the
+		// current record stands.
+		clear(fs.seq)
+		for i := range fs.idx {
+			fs.idx[i].seq = 0
 		}
 	}
-	return fs.byTable[id]
+	sid := fs.ids[id]
+	if sid < 0 {
+		return nil, 0, 0
+	}
+	lo, hi = f.Rows(sid)
+	return s.Table(sid), lo, hi
 }
 
 // factsByFirstArg calls fn, in emitted order, with the current record's
-// facts of table id whose first argument may equal k, probing for step si.
-// An Int key into a sorted bucket moves the step's cursor to exactly the
-// facts whose first argument is k. Any other probe takes the facts whose
-// first argument's value.Hash is k's from the table's index, built on the
-// first such probe of each record: values appendNorm encodes alike hash
-// alike (3 and 3.0, -0.0 and +0.0), and collisions only add candidates, as
-// fn's match actions compare every argument anyway.
-func (rn *slotRun) factsByFirstArg(id, si int, k value.Value, fn func(*engine.ProvFact) error) error {
-	pos, facts := rn.tableFacts(id), rn.rv.Emitted
-	if rn.facts.sorted[id] && k.Kind() == value.Int {
+// rows of table id whose first argument may equal k, probing for step si.
+// An Int key into an ascending Int first column moves the step's cursor
+// along the stored column to exactly the rows whose first argument is k.
+// Any other probe takes the rows whose first argument's value.Hash is k's
+// from the table's index, built on the first such probe of each record:
+// values appendNorm encodes alike hash alike (3 and 3.0, -0.0 and +0.0), and
+// collisions only add candidates, as fn's match actions compare every
+// argument anyway.
+func (rn *slotRun) factsByFirstArg(id, si int, k value.Value, fn func(*engine.FactTable, int) error) error {
+	t, lo, hi := rn.tableRows(id)
+	if lo == hi {
+		return nil
+	}
+	fs := &rn.facts
+	if fs.seq[id] != rn.recSeq {
+		fs.seq[id] = rn.recSeq
+		ints := t.Ints(0)
+		fs.ascending[id] = ints != nil && slices.IsSorted(ints[lo:hi])
+	}
+	if fs.ascending[id] && k.Kind() == value.Int {
 		cur := &rn.curs[si]
 		if !cur.set || cur.seq != rn.recSeq {
 			*cur = stepCursor{set: true, seq: rn.recSeq}
 		}
-		keys, x := rn.facts.keys[id], k.Int()
+		keys, x := t.Ints(0)[lo:hi], k.Int()
 		rn.work.factProbes++
 		for j := seek(&rn.work, cur, keys, x); j < len(keys) && keys[j] == x; j++ {
-			if err := fn(&facts[pos[j]]); err != nil {
+			if err := fn(t, lo+j); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	h := k.Hash()
-	fx := &rn.facts.idx[id]
+	fx := &fs.idx[id]
 	if fx.seq != rn.recSeq {
 		rn.work.indexBuilds++
 		fx.seq = rn.recSeq
-		nb := 1
-		for nb < len(pos) {
+		n, nb := hi-lo, 1
+		for nb < n {
 			nb <<= 1
 		}
 		fx.head = slices.Grow(fx.head[:0], nb)[:nb]
-		fx.next = slices.Grow(fx.next[:0], len(pos))[:len(pos)]
+		fx.next = slices.Grow(fx.next[:0], n)[:n]
 		clear(fx.head)
 		// Prepending in reverse leaves every chain in emitted order.
-		for j := len(pos) - 1; j >= 0; j-- {
-			f := &facts[pos[j]]
-			if len(f.Args) == 0 {
-				continue
-			}
-			b := f.Args[0].Hash() & uint64(nb-1)
+		for j := n - 1; j >= 0; j-- {
+			b := t.Value(0, lo+j).Hash() & uint64(nb-1)
 			fx.next[j], fx.head[b] = fx.head[b], int32(j+1)
 		}
 	}
 	for j := fx.head[h&uint64(len(fx.head)-1)]; j != 0; j = fx.next[j-1] {
-		if err := fn(&facts[pos[j-1]]); err != nil {
+		if err := fn(t, lo+int(j)-1); err != nil {
 			return err
 		}
 	}
@@ -399,11 +411,8 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 		return p.tryRow(rn, si, st, row)
 
 	case rowsEmitted:
-		fact := func(f *engine.ProvFact) error {
-			if len(f.Args) != len(st.match)-2 {
-				return nil
-			}
-			ok, err := st.matchFact(rn.slots, x, f.Args, ss)
+		fact := func(t *engine.FactTable, r int) error {
+			ok, err := st.matchFact(rn.slots, x, t, r, ss)
 			if err != nil || !ok {
 				return err
 			}
@@ -414,16 +423,16 @@ func (p *program) recordRows(rn *slotRun, si int, st *slotStep) error {
 		}
 		if len(st.lookupCols) > 0 {
 			// Joining on the first payload argument (e.g. the neighbor in
-			// Query 7): probe the table's per-record index instead of
-			// scanning.
+			// Query 7): probe the stored first column instead of scanning.
 			kv, err := st.lookupSrc[0].eval(rn.slots)
 			if err != nil {
 				return err
 			}
 			return rn.factsByFirstArg(st.table, si, kv, fact)
 		}
-		for _, fi := range rn.tableFacts(st.table) {
-			if err := fact(&rv.Emitted[fi]); err != nil {
+		t, lo, hi := rn.tableRows(st.table)
+		for r := lo; r < hi; r++ {
+			if err := fact(t, r); err != nil {
 				return err
 			}
 		}

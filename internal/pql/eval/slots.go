@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"ariadne/internal/engine"
 	"ariadne/internal/pql"
 	"ariadne/internal/pql/analysis"
 	"ariadne/internal/value"
@@ -102,8 +103,8 @@ type slotStep struct {
 	// fallible: the step evaluates a term that can fail at run time (an
 	// arithmetic expression or a function call).
 	fallible bool
-	// table is a record.emitted step's table id (Compile numbers the tables
-	// the record steps read).
+	// table is a record.emitted step's table id (Compile numbers the
+	// (predicate, arity) tables the record steps read).
 	table int
 
 	// Where the program goes on: kids lists, in order, what runs once the
@@ -173,9 +174,9 @@ type slotRun struct {
 	recSeq uint64 // advances with every record rv points at
 	slots  []value.Value
 	rowBuf [][]value.Value // per step, reused across rows
-	// facts are the current record's emitted facts by table, and their
-	// first-argument indexes (record.go); curs holds each step's cursor, and
-	// work counts what they did.
+	// facts finds the record steps' tables in the current record's fact
+	// store and keeps their first-argument checks and indexes (record.go);
+	// curs holds each step's cursor, and work counts what they did.
 	facts recordFacts
 	curs  []stepCursor
 	work  workCounts
@@ -278,16 +279,23 @@ func (st *slotStep) arityErr() error {
 	return fmt.Errorf("pql: %s: arity mismatch binding %s", st.pos, st.pred)
 }
 
-// matchFact matches the step against an emitted fact's row (x, args..., ss), which
-// it does not build; args has the row's arity less two.
-func (st *slotStep) matchFact(slots []value.Value, x value.Value, args []value.Value, ss value.Value) (bool, error) {
+// matchFact matches the step against an emitted fact's row (x, args..., ss),
+// which it does not build: the args are row row of table t, whose arity is
+// the row's less two.
+func (st *slotStep) matchFact(slots []value.Value, x value.Value, t *engine.FactTable, row int, ss value.Value) (bool, error) {
 	n := len(st.match)
 	ok, err := true, error(nil)
 	if st.match[0].kind != matchSkip {
 		ok, err = matchCols(slots, st.match[:1], []value.Value{x})
 	}
-	if ok {
-		ok, err = matchCols(slots, st.match[1:n-1], args)
+	for c := 0; ok && c < n-2; c++ {
+		switch m := &st.match[c+1]; m.kind {
+		case matchSkip:
+		case matchBind:
+			slots[m.slot] = t.Value(c, row)
+		default:
+			ok, err = matchCols(slots, st.match[c+1:c+2], []value.Value{t.Value(c, row)})
+		}
 	}
 	if ok && st.match[n-1].kind != matchSkip {
 		ok, err = matchCols(slots, st.match[n-1:], []value.Value{ss})

@@ -34,10 +34,11 @@ g(X, Y, I) :- prov_error(X, Y, E, I), boom(Y) = true.`
 	}}
 	rec := func(v int64, facts ...[2]float64) RecordView {
 		rv := RecordView{Vertex: v, HasValue: true, Value: value.NewFloat(0), PrevActive: -1}
+		var s engine.FactStore
 		for _, f := range facts {
-			rv.Emitted = append(rv.Emitted, engine.ProvFact{Table: "prov_error",
-				Args: []value.Value{value.NewInt(int64(f[0])), value.NewFloat(f[1])}})
+			s.Emit("prov_error", value.NewInt(int64(f[0])), value.NewFloat(f[1]))
 		}
+		rv.Emitted = s.EndRecord()
 		return rv
 	}
 	layer := []RecordView{
@@ -135,13 +136,13 @@ a(X, Y, I) :- prov_error(X, Y, E, I), prov_prediction(X, Y, P, I), P > 5.`
 	env := analysis.NewEnv()
 	env.DeclareEDB("prov_error", 4)
 	env.DeclareEDB("prov_prediction", 4)
-	fact := func(table string, y int64, v float64) engine.ProvFact {
-		return engine.ProvFact{Table: table, Args: []value.Value{value.NewInt(y), value.NewFloat(v)}}
+	fact := func(table string, y int64, v float64) testFact {
+		return testFact{table, []value.Value{value.NewInt(y), value.NewFloat(v)}}
 	}
-	rv := RecordView{Vertex: 0, HasValue: true, Value: value.NewFloat(0), PrevActive: -1, Emitted: []engine.ProvFact{
+	rv := RecordView{Vertex: 0, HasValue: true, Value: value.NewFloat(0), PrevActive: -1, Emitted: emitFacts(&engine.FactStore{},
 		fact("prov_prediction", 1, -1), fact("prov_prediction", 1, -2), fact("prov_prediction", 1, 7),
 		fact("prov_prediction", 1, 8), fact("prov_error", 1, 0.5), fact("prov_error", 1, 0.25),
-	}}
+	)}
 	c, err := Compile(analysis.MustAnalyze(src, env), NewDatabase(), newFakeGraph(1, nil))
 	if err != nil {
 		t.Fatal(err)

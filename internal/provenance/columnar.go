@@ -555,23 +555,42 @@ func (b *LayerBuilder) Recv(src VertexID, v value.Value) {
 	b.enc += int64(v.EncodedSize())
 }
 
-// Fact appends one analytic-emitted fact of the current record, its table
-// name interned in the builder's dictionary.
-func (b *LayerBuilder) Fact(table string, args []value.Value) {
-	idx, ok := b.dict[table]
+// Table interns an emitted-fact table name in the builder's dictionary and
+// returns its index, which Fact takes.
+func (b *LayerBuilder) Table(name string) int {
+	idx, ok := b.dict[name]
 	if !ok {
 		idx = len(b.tables)
-		b.dict[table] = idx
-		b.tables = append(b.tables, table)
+		b.dict[name] = idx
+		b.tables = append(b.tables, name)
 	}
-	e := binary.AppendUvarint(b.blocks[colEmitted], uint64(len(args)))
-	b.enc += int64(2 + len(table))
-	for _, a := range args {
-		e = appendPackedValue(e, a)
-		b.enc += int64(a.EncodedSize())
+	return idx
+}
+
+// Fact appends one analytic-emitted fact of the current record: table
+// dictionary index table (see Table), its arguments row row of t.
+func (b *LayerBuilder) Fact(table int, t *engine.FactTable, row int) {
+	b.beginFact(table, t.Arity())
+	for c := range t.Arity() {
+		b.factArg(t.Value(c, row))
 	}
-	b.blocks[colEmitted] = e
-	b.facts = append(b.facts, segFact{table: idx, end: len(e)})
+	b.endFact(table)
+}
+
+// beginFact, factArg and endFact append one fact of table index table with
+// n arguments, one factArg call each.
+func (b *LayerBuilder) beginFact(table, n int) {
+	b.blocks[colEmitted] = binary.AppendUvarint(b.blocks[colEmitted], uint64(n))
+	b.enc += int64(2 + len(b.tables[table]))
+}
+
+func (b *LayerBuilder) factArg(a value.Value) {
+	b.blocks[colEmitted] = appendPackedValue(b.blocks[colEmitted], a)
+	b.enc += int64(a.EncodedSize())
+}
+
+func (b *LayerBuilder) endFact(table int) {
+	b.facts = append(b.facts, segFact{table: table, end: len(b.blocks[colEmitted])})
 }
 
 // add appends one row-shaped record.
@@ -590,7 +609,12 @@ func (b *LayerBuilder) add(r *Record) {
 		b.Recv(m.Peer, m.Val)
 	}
 	for _, f := range r.Emitted {
-		b.Fact(f.Table, f.Args)
+		idx := b.Table(f.Table)
+		b.beginFact(idx, len(f.Args))
+		for _, a := range f.Args {
+			b.factArg(a)
+		}
+		b.endFact(idx)
 	}
 }
 
@@ -1014,9 +1038,9 @@ func openColumnar(r io.ReaderAt, size int64, buf *[]byte) (*columnarLayer, error
 }
 
 // LayerViews is a layer decoded into the record views the query evaluator
-// reads, the one decoded form of a layer. The views and the message and
-// fact slices they borrow live in arenas the next decode into the same
-// LayerViews overwrites: a layer's views are valid until then. String and
+// reads, the one decoded form of a layer. The views, the message slices they
+// borrow and their facts live in arenas and a fact store the next decode
+// into the same LayerViews overwrites: a layer's views are valid until then. String and
 // vector payloads are allocated by every decode, so kept Values outlive the
 // views. A view's SentAny is the stored flag (prov_send also holds for a
 // view with sends).
@@ -1027,10 +1051,11 @@ type LayerViews struct {
 	sends  []engine.SentMessage
 	recvs  []engine.IncomingMessage
 	zeros  []engine.IncomingMessage // a counts-only receive read's, never written
-	facts  []engine.ProvFact
-	args   []value.Value
-	tables []string // the layer's fact-table dictionary
-	buf    []byte   // header, footer and column blocks read from a file
+	facts  engine.FactStore         // the views' facts; its tables serve every layer
+	tables []string                 // the layer's fact-table dictionary
+	dictID []factTable              // per dictionary index: the last arity read and its table id
+	args   []value.Value            // one fact's arguments
+	buf    []byte                   // header, footer and column blocks read from a file
 
 	derive deriveScratch
 }
@@ -1152,7 +1177,8 @@ func (v *LayerViews) read(r io.ReaderAt, size int64, mask colMask, work *decodeW
 		v.Records = make([]eval.RecordView, max(cl.nrecords, 2*cap(v.Records)))
 	}
 	v.Records = v.Records[:cl.nrecords]
-	v.sends, v.recvs, v.facts, v.args = v.sends[:0], v.recvs[:0], v.facts[:0], v.args[:0]
+	v.sends, v.recvs = v.sends[:0], v.recvs[:0]
+	v.facts.Reset()
 	blocks, counts := mask.blocks(), mask&maskRecvCounts != 0
 	for col := range numColumns {
 		if !blocks.has(col) {
@@ -1504,14 +1530,21 @@ func window[M any](arena *[]M, n int) []M {
 	return (*arena)[at : at+n : at+n]
 }
 
+// factTable is a dictionary entry's table id in LayerViews.facts for one
+// arity (-1: none read yet).
+type factTable struct {
+	arity int
+	id    int32
+}
+
 // decodeFacts decodes the emitted-fact column: the layer's table
-// dictionary, then each record's facts.
+// dictionary, then each record's facts, into the views' fact store.
 func (v *LayerViews) decodeFacts(c *bcursor) error {
 	ntables, err := c.count(1)
 	if err != nil {
 		return err
 	}
-	v.tables = v.tables[:0]
+	v.tables, v.dictID = v.tables[:0], v.dictID[:0]
 	for range ntables {
 		tl, err := c.count(1)
 		if err != nil {
@@ -1522,14 +1555,14 @@ func (v *LayerViews) decodeFacts(c *bcursor) error {
 			return err
 		}
 		v.tables = append(v.tables, string(raw))
+		v.dictID = append(v.dictID, factTable{arity: -1})
 	}
 	for i := range v.Records {
 		nf, err := c.count(1)
 		if err != nil {
 			return err
 		}
-		facts := window(&v.facts, nf)
-		for j := range facts {
+		for range nf {
 			ti, err := c.uvarint()
 			if err != nil {
 				return err
@@ -1541,15 +1574,20 @@ func (v *LayerViews) decodeFacts(c *bcursor) error {
 			if err != nil {
 				return err
 			}
-			args := window(&v.args, na)
-			for k := range args {
-				if args[k], err = c.packedValue(); err != nil {
+			v.args = v.args[:0]
+			for range na {
+				a, err := c.packedValue()
+				if err != nil {
 					return err
 				}
+				v.args = append(v.args, a)
 			}
-			facts[j] = engine.ProvFact{Table: v.tables[ti], Args: args}
+			if d := &v.dictID[ti]; d.arity != na {
+				*d = factTable{arity: na, id: v.facts.Intern(v.tables[ti], na)}
+			}
+			v.facts.Append(v.dictID[ti].id, v.args...)
 		}
-		v.Records[i].Emitted = facts
+		v.Records[i].Emitted = v.facts.EndRecord()
 	}
 	return nil
 }
@@ -1558,13 +1596,18 @@ func (v *LayerViews) decodeFacts(c *bcursor) error {
 // payloads: v may be decoded into again.
 func (v *LayerViews) layer() *Layer {
 	l := &Layer{Superstep: v.Superstep, Records: make([]Record, len(v.Records))}
-	msgs := 0
+	msgs, nfacts, nargs := 0, 0, 0
 	for i := range v.Records {
 		msgs += len(v.Records[i].Sends) + len(v.Records[i].Recvs) // v.recvs holds no counts-only read's receives
+		f := v.Records[i].Emitted
+		nfacts += f.Len()
+		for k := range f.Len() {
+			t, _ := f.Fact(k)
+			nargs += t.Arity()
+		}
 	}
 	halves := make([]MsgHalf, msgs)
-	facts := make([]Fact, len(v.facts))
-	args := make([]value.Value, len(v.args))
+	facts, args := make([]Fact, 0, nfacts), make([]value.Value, 0, nargs)
 	for i := range v.Records {
 		rv := &v.Records[i]
 		r := &l.Records[i]
@@ -1581,12 +1624,15 @@ func (v *LayerViews) layer() *Layer {
 				r.Recvs[j] = MsgHalf{Peer: m.Src, Val: m.Val}
 			}
 		}
-		if n := len(rv.Emitted); n > 0 {
-			r.Emitted, facts = facts[:n:n], facts[n:]
-			for j, f := range rv.Emitted {
-				k := copy(args, f.Args)
-				r.Emitted[j], args = Fact{Table: f.Table, Args: args[:k:k]}, args[k:]
+		if n := rv.Emitted.Len(); n > 0 {
+			at := len(facts)
+			for k := range n {
+				t, _ := rv.Emitted.Fact(k)
+				a := len(args)
+				args = rv.Emitted.AppendArgs(args, k)
+				facts = append(facts, Fact{Table: t.Name(), Args: args[a:len(args):len(args)]})
 			}
+			r.Emitted = facts[at:len(facts):len(facts)]
 		}
 	}
 	return l

@@ -414,12 +414,13 @@ func encodeExecResultBody(res *engine.ExecResult) []byte {
 			b.Uvarint(uint64(m.Dst))
 			b.Value(m.Val)
 		}
-		b.Uvarint(uint64(len(rec.Emitted)))
-		for _, f := range rec.Emitted {
-			b.String(f.Table)
-			b.Uvarint(uint64(len(f.Args)))
-			for _, a := range f.Args {
-				b.Value(a)
+		b.Uvarint(uint64(rec.Emitted.Len()))
+		for k := range rec.Emitted.Len() {
+			t, row := rec.Emitted.Fact(k)
+			b.String(t.Name())
+			b.Uvarint(uint64(t.Arity()))
+			for c := range t.Arity() {
+				b.Value(t.Value(c, row))
 			}
 		}
 	}
@@ -495,18 +496,14 @@ func decodeExecResultBody(r *value.BlobReader, res *engine.ExecResult) {
 	}
 }
 
-// decodeRecords reads a frame's nRecs records. Their facts are appended to
-// one growing []ProvFact and their arguments to one growing []value.Value,
-// and each record's Emitted (each fact's Args) is a window taken as it goes:
-// a window into an array the slice has since outgrown stays correct, as
-// nothing writes to the old array again. A table name decoded before in the
-// frame is not allocated again.
+// decodeRecords reads a frame's nRecs records. Their facts go into one
+// fact store for the frame, in emission order, and each record's Emitted is
+// a view into it. A table name decoded before in the frame is not allocated
+// again.
 func decodeRecords(r *value.BlobReader, nRecs int) []engine.VertexRecord {
 	recs := make([]engine.VertexRecord, nRecs)
-	var facts []engine.ProvFact
+	var facts *engine.FactStore
 	var args []value.Value
-	var tables [8]string
-	nTables := 0
 	for i := range recs {
 		rec := &recs[i]
 		rec.ID = engine.VertexID(r.Uvarint())
@@ -526,27 +523,22 @@ func decodeRecords(r *value.BlobReader, nRecs int) []engine.VertexRecord {
 		if k == 0 {
 			continue
 		}
-		n := len(facts)
-		for j := 0; j < k; j++ {
-			raw, t := r.Raw(), 0
-			for t < nTables && tables[t] != string(raw) {
-				t++
-			}
-			if t == nTables {
-				t = min(t, len(tables)-1)
-				tables[t], nTables = string(raw), t+1
-			}
-			f := engine.ProvFact{Table: tables[t]}
-			if na := r.Count(); na > 0 {
-				a := len(args)
-				for ; na > 0; na-- {
-					args = append(args, r.Value())
-				}
-				f.Args = args[a:len(args):len(args)]
-			}
-			facts = append(facts, f)
+		if facts == nil {
+			facts = &engine.FactStore{}
 		}
-		rec.Emitted = facts[n:len(facts):len(facts)]
+		for j := 0; j < k; j++ {
+			raw := r.Raw()
+			args = args[:0]
+			for na := r.Count(); na > 0; na-- {
+				args = append(args, r.Value())
+			}
+			id, ok := facts.Find(string(raw), len(args))
+			if !ok {
+				id = facts.Intern(string(raw), len(args))
+			}
+			facts.Append(id, args...)
+		}
+		rec.Emitted = facts.EndRecord()
 	}
 	return recs
 }

@@ -10,12 +10,18 @@ import (
 	"ariadne/internal/value"
 )
 
-var valueType = reflect.TypeOf(value.Value{})
+var (
+	valueType = reflect.TypeOf(value.Value{})
+	factsType = reflect.TypeOf(engine.Facts{})
+)
 
 // wireEqual is reflect.DeepEqual, except that value.Values compare by their
-// binary encoding. A String or Vector Value is a data pointer and a length,
-// so one decoded from a frame holds the same bytes as the one encoded but at
-// another address, which DeepEqual would call different.
+// binary encoding and a record's engine.Facts by its facts in emission
+// order. A String or Vector Value is a data pointer and a length, so one
+// decoded from a frame holds the same bytes as the one encoded but at
+// another address, which DeepEqual would call different; a decoded record's
+// facts live in the frame's fact store, not in one laid out as the
+// encoder's.
 func wireEqual(a, b any) bool {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	if va.Type() != vb.Type() {
@@ -35,6 +41,9 @@ func wireEqual(a, b any) bool {
 func deepWire(a, b reflect.Value) bool {
 	if a.Type() == valueType {
 		return bytes.Equal(readValue(a).AppendBinary(nil), readValue(b).AppendBinary(nil))
+	}
+	if a.Type() == factsType {
+		return factBits(*(*engine.Facts)(unsafe.Pointer(a.UnsafeAddr()))) == factBits(*(*engine.Facts)(unsafe.Pointer(b.UnsafeAddr())))
 	}
 	switch a.Kind() {
 	case reflect.Pointer, reflect.Interface:
@@ -92,6 +101,21 @@ func deepWire(a, b reflect.Value) bool {
 	default: // Chan, UnsafePointer: identity, as DeepEqual
 		return a.UnsafePointer() == b.UnsafePointer()
 	}
+}
+
+// factBits renders facts in emission order: table, arity and argument
+// encodings.
+func factBits(fs engine.Facts) string {
+	var b []byte
+	for k := range fs.Len() {
+		t, _ := fs.Fact(k)
+		b = append(b, t.Name()...)
+		b = append(b, byte(t.Arity()))
+		for _, a := range fs.AppendArgs(nil, k) {
+			b = a.AppendBinary(b)
+		}
+	}
+	return string(b)
 }
 
 func readValue(v reflect.Value) value.Value {

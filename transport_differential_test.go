@@ -3,9 +3,12 @@ package ariadne_test
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"ariadne"
@@ -27,10 +30,14 @@ import (
 
 // emitSSSP is SSSP plus per-message analytics facts so the ALS monitoring
 // queries (prov_error / prov_prediction) have data to chew on, mirroring
-// the driver-level differential. It also exercises ProvFact emission across
-// the wire, and emits only when Context.Observing says an observer reads the
+// the driver-level differential. It also exercises fact emission across the
+// wire, and emits only when Context.Observing says an observer reads the
 // facts, as ALS does: a worker that misreads the master's record mask emits
-// nothing, and the captured layers differ from the in-process run's.
+// nothing, and the captured layers differ from the in-process run's. Past
+// the two interleaved tables, every vertex emits prov_heard under two
+// arities, its first column an Int for the first half of the vertices and a
+// String for the rest, so a partition's column changes kind mid-superstep;
+// no query reads prov_heard.
 type emitSSSP struct{ *analytics.SSSP }
 
 func (p emitSSSP) Compute(ctx *engine.Context, msgs []engine.IncomingMessage) error {
@@ -43,7 +50,105 @@ func (p emitSSSP) Compute(ctx *engine.Context, msgs []engine.IncomingMessage) er
 		ctx.EmitProv("prov_error", peer, value.NewFloat(e))
 		ctx.EmitProv("prov_prediction", peer, value.NewFloat(e+4))
 	}
+	k := value.NewInt(int64(ctx.ID()))
+	if 2*int(ctx.ID()) >= ctx.NumVertices() {
+		k = value.NewString(fmt.Sprint("v", ctx.ID()))
+	}
+	ctx.EmitProv("prov_heard", k)
+	ctx.EmitProv("prov_heard", k, value.NewInt(int64(len(msgs))))
 	return p.SSSP.Compute(ctx, msgs)
+}
+
+// factLog is an observer of emitted facts that renders every record's, in
+// emission order, by superstep and vertex.
+type factLog struct {
+	mu    sync.Mutex
+	facts map[[2]int]string
+}
+
+func (*factLog) Reads() engine.Fields                         { return engine.FieldEmitted }
+func (*factLog) ObserveSuperstep(*engine.SuperstepView) error { return nil }
+func (*factLog) Finish(int) error                             { return nil }
+
+func (o *factLog) ObservePartition(_, ss int, recs []engine.VertexRecord) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i := range recs {
+		fs := recs[i].Emitted
+		var b strings.Builder
+		for k := range fs.Len() {
+			t, _ := fs.Fact(k)
+			b.WriteString(renderFact(t.Name(), fs.AppendArgs(nil, k)))
+		}
+		o.facts[[2]int{ss, int(recs[i].ID)}] = b.String()
+	}
+}
+
+// renderFact renders one fact: its table, arity and argument encodings.
+func renderFact(table string, args []value.Value) string {
+	s := fmt.Sprintf("%s/%d(", table, len(args))
+	for _, a := range args {
+		s += fmt.Sprintf("%x ", a.AppendBinary(nil))
+	}
+	return s + ");"
+}
+
+// TestEmittedFactsCapturedAndSent: emitSSSP's facts read the same in the
+// records the engine hands its observers, in the layers a full capture
+// decodes, and in the records a TCP worker sends back — at 1, 4 and 19
+// partitions and over two workers, interleaving, arities and the column
+// whose kind changes mid-superstep included.
+func TestEmittedFactsCapturedAndSent(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(7, 4, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first map[[2]int]string
+	for _, leg := range []struct {
+		name           string
+		parts, workers int
+	}{{"partitions=1", 1, 0}, {"partitions=4", 4, 0}, {"partitions=19", 19, 0}, {"tcp-2-workers", 4, 2}} {
+		o := &factLog{facts: map[[2]int]string{}}
+		opts := []ariadne.Option{ariadne.WithPartitions(leg.parts), ariadne.WithObserver(o),
+			ariadne.WithCapture(capture.FullPolicy(), ariadne.StoreConfig{})}
+		if leg.workers > 0 {
+			opts = append(opts, ariadne.WithTransport(tcpWorkers(t, g, leg.parts, leg.workers)))
+		}
+		res, err := ariadne.Run(g, emitSSSP{&analytics.SSSP{}}, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		captured := map[[2]int]string{}
+		for i := 0; i < res.Provenance.NumLayers(); i++ {
+			layer, err := res.Provenance.Layer(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range layer.Records {
+				var b strings.Builder
+				for _, f := range r.Emitted {
+					b.WriteString(renderFact(f.Table, f.Args))
+				}
+				captured[[2]int{layer.Superstep, int(r.Vertex)}] = b.String()
+			}
+		}
+		res.Provenance.Close()
+		if !maps.Equal(captured, o.facts) {
+			t.Errorf("%s: the captured layers' facts differ from the records'", leg.name)
+		}
+		heard := 0
+		for _, s := range o.facts {
+			heard += strings.Count(s, "prov_heard/2(")
+		}
+		if heard == 0 {
+			t.Fatalf("%s: no prov_heard facts; the test would prove nothing", leg.name)
+		}
+		if first == nil {
+			first = o.facts
+		} else if !maps.Equal(o.facts, first) {
+			t.Errorf("%s: the records' facts differ from partitions=1's", leg.name)
+		}
+	}
 }
 
 // paperQueries is the differential query set from the paper (Q1/Q2 lineage
