@@ -23,7 +23,7 @@ type FactStore struct {
 	tables []FactTable
 	index  map[tableKey]int32 // built once there are more than scanTables
 	refs   []FactRef          // every fact, in emission order
-	spans  []FactSpan         // per closed record: one span per table id known at its close
+	spans  []factSpan         // per closed record: one span per table id known at its close
 	start  int                // refs[start:] belong to the record not yet closed
 }
 
@@ -38,8 +38,8 @@ type tableKey struct {
 // FactRef names one fact: its table id and its row in that table.
 type FactRef struct{ Table, Row int32 }
 
-// FactSpan is the rows [Lo, Hi) of one table.
-type FactSpan struct{ Lo, Hi int32 }
+// factSpan is the rows [Lo, Hi) of one table.
+type factSpan struct{ Lo, Hi int32 }
 
 // FactTable is one (name, arity) table of a FactStore.
 type FactTable struct {

@@ -190,12 +190,6 @@ func (rn *slotRun) tableRows(id int) (t *engine.FactTable, lo, hi int) {
 		for i, k := range fs.tables {
 			fs.ids[i], _ = s.Find(k.pred, k.arity)
 		}
-		// A table id names another table now: no check or index of the
-		// current record stands.
-		clear(fs.seq)
-		for i := range fs.idx {
-			fs.idx[i].seq = 0
-		}
 	}
 	sid := fs.ids[id]
 	if sid < 0 {
