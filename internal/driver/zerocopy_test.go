@@ -217,3 +217,29 @@ func BenchmarkOnlineObserve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOnlineObserveQuery7 measures one steady-state online superstep of
+// Query 7 over observeFixture's records, 16 facts of each of ALS's two
+// tables per vertex: the record pass scans prov_error, probes the
+// out-edge row and the prov_prediction column by peer, and filters.
+func BenchmarkOnlineObserveQuery7(b *testing.B) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	o, err := NewOnline(queries.ALSRangeCheck().MustBuild(), g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	view, parts := observeFixture(g, 16)
+	if err := observe(o, view, parts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := observe(o, view, parts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

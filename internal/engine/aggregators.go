@@ -31,14 +31,22 @@ type aggCell struct {
 	n   int64
 }
 
+// aggPart is one named aggregator's partial in a partition.
+type aggPart struct {
+	name string
+	aggCell
+}
+
 // aggregators implements per-partition partial aggregation merged at the
 // superstep barrier, mirroring how Pregel workers reduce locally before the
 // master combines. The parts slice is sized up front so each worker only
-// ever touches its own entry (no locks, no append races).
+// ever touches its own entry (no locks, no append races); a partition's
+// partials are a short slice in first-use order, found by name with a scan,
+// since programs aggregate into a handful of names many times a superstep.
 type aggregators struct {
-	parts   []map[string]aggCell // one map per partition, written without locks
-	merged  map[string]aggCell   // endSuperstep's scratch
-	current map[string]float64   // merged values visible to readers
+	parts   [][]aggPart        // one slice per partition, written without locks
+	merged  map[string]aggCell // endSuperstep's scratch
+	current map[string]float64 // merged values visible to readers
 	// lent reports that reader has handed current out: the next superstep
 	// with values puts them into a new map, so no reader sees a later
 	// superstep's values. Compute goroutines call reader concurrently.
@@ -47,14 +55,14 @@ type aggregators struct {
 
 func newAggregators(nParts int) *aggregators {
 	return &aggregators{
-		parts:   make([]map[string]aggCell, nParts),
+		parts:   make([][]aggPart, nParts),
 		current: map[string]float64{},
 	}
 }
 
 func (a *aggregators) beginSuperstep() {
 	for i := range a.parts {
-		a.parts[i] = nil
+		a.parts[i] = a.parts[i][:0]
 	}
 }
 
@@ -63,21 +71,22 @@ func (a *aggregators) beginSuperstep() {
 // a supervised re-execution must not double-count the failed attempt.
 // Partition-local like add, so safe from p's worker goroutine.
 func (a *aggregators) resetPartition(p int) {
-	a.parts[p] = nil
+	a.parts[p] = a.parts[p][:0]
 }
 
 func (a *aggregators) add(p int, name string, op AggOp, v float64) {
-	if a.parts[p] == nil {
-		a.parts[p] = map[string]aggCell{}
+	cs := a.parts[p]
+	i := 0
+	for i < len(cs) && cs[i].name != name {
+		i++
 	}
-	m := a.parts[p]
-	c, ok := m[name]
-	if !ok {
-		c = aggCell{op: op, val: initial(op)}
+	if i == len(cs) {
+		cs = append(cs, aggPart{name, aggCell{op: op, val: initial(op)}})
+		a.parts[p] = cs
 	}
+	c := &cs[i].aggCell
 	c.val = reduce(op, c.val, v)
 	c.n++
-	m[name] = c
 }
 
 // endSuperstep merges the partitions' contributions into current. A
@@ -85,12 +94,12 @@ func (a *aggregators) add(p int, name string, op AggOp, v float64) {
 // refilled in place unless a reader holds it.
 func (a *aggregators) endSuperstep() {
 	clear(a.merged)
-	for _, m := range a.parts {
-		if len(m) > 0 && a.merged == nil {
+	for _, cs := range a.parts {
+		if len(cs) > 0 && a.merged == nil {
 			a.merged = map[string]aggCell{}
 		}
-		for name, c := range m {
-			g, ok := a.merged[name]
+		for _, c := range cs {
+			g, ok := a.merged[c.name]
 			if !ok {
 				g = aggCell{op: c.op, val: initial(c.op)}
 			}
@@ -100,7 +109,7 @@ func (a *aggregators) endSuperstep() {
 				g.val = reduce(c.op, g.val, c.val)
 			}
 			g.n += c.n
-			a.merged[name] = g
+			a.merged[c.name] = g
 		}
 	}
 	switch {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"maps"
 	"slices"
 
 	"ariadne/internal/value"
@@ -21,18 +20,9 @@ import (
 // array, so the store only ever gains tables.
 type FactStore struct {
 	tables []FactTable
-	index  map[tableKey]int32 // built once there are more than scanTables
-	refs   []FactRef          // every fact, in emission order
-	spans  []factSpan         // per closed record: one span per table id known at its close
-	start  int                // refs[start:] belong to the record not yet closed
-}
-
-// scanTables is how many tables Find scans before it keeps an index.
-const scanTables = 8
-
-type tableKey struct {
-	name  string
-	arity int
+	refs   []FactRef  // every fact, in emission order
+	spans  []factSpan // per closed record: one span per table id known at its close
+	start  int        // refs[start:] belong to the record not yet closed
 }
 
 // FactRef names one fact: its table id and its row in that table.
@@ -46,6 +36,7 @@ type FactTable struct {
 	name  string
 	arity int
 	rows  int
+	room  int // rows Grow asked for before the columns' kinds were known
 	cols  []factColumn
 }
 
@@ -72,9 +63,6 @@ func (t *FactTable) Name() string { return t.name }
 // Arity returns the number of arguments of the table's facts.
 func (t *FactTable) Arity() int { return t.arity }
 
-// Len returns the table's row count.
-func (t *FactTable) Len() int { return t.rows }
-
 // Value returns argument col of row.
 func (t *FactTable) Value(col, row int) value.Value {
 	c := &t.cols[col]
@@ -96,8 +84,9 @@ func (t *FactTable) Ints(col int) []int64 {
 }
 
 // push appends v to the column, which holds rows rows: the first value of a
-// column sets its kind, a value of another kind boxes it.
-func (c *factColumn) push(v value.Value, rows int) {
+// column sets its kind (and makes room for room rows of it), a value of
+// another kind boxes it.
+func (c *factColumn) push(v value.Value, rows, room int) {
 	k := v.Kind()
 	if rows == 0 {
 		c.ints, c.floats, c.vals = c.ints[:0], c.floats[:0], c.vals[:0]
@@ -109,6 +98,7 @@ func (c *factColumn) push(v value.Value, rows int) {
 		default:
 			c.kind = colBoxed
 		}
+		c.grow(room)
 	}
 	switch {
 	case c.kind == colInts && k == value.Int:
@@ -132,6 +122,18 @@ func (c *factColumn) push(v value.Value, rows int) {
 	c.vals = append(c.vals, v)
 }
 
+// grow makes room for n more rows in the column's kind.
+func (c *factColumn) grow(n int) {
+	switch c.kind {
+	case colInts:
+		c.ints = slices.Grow(c.ints, n)
+	case colFloats:
+		c.floats = slices.Grow(c.floats, n)
+	default:
+		c.vals = slices.Grow(c.vals, n)
+	}
+}
+
 // NumTables returns how many tables the store has interned.
 func (s *FactStore) NumTables() int { return len(s.tables) }
 
@@ -140,10 +142,6 @@ func (s *FactStore) Table(id int32) *FactTable { return &s.tables[id] }
 
 // Find returns the id of table (name, arity), if the store has it.
 func (s *FactStore) Find(name string, arity int) (int32, bool) {
-	if s.index != nil {
-		id, ok := s.index[tableKey{name, arity}]
-		return id, ok
-	}
 	for i := range s.tables {
 		if t := &s.tables[i]; t.arity == arity && t.name == name {
 			return int32(i), true
@@ -160,16 +158,21 @@ func (s *FactStore) Intern(name string, arity int) int32 {
 	}
 	id := int32(len(s.tables))
 	s.tables = append(s.tables, FactTable{name: name, arity: arity, cols: make([]factColumn, arity)})
-	switch {
-	case s.index != nil:
-		s.index[tableKey{name, arity}] = id
-	case len(s.tables) > scanTables:
-		s.index = make(map[tableKey]int32, len(s.tables))
-		for i, t := range s.tables {
-			s.index[tableKey{t.name, t.arity}] = int32(i)
-		}
-	}
 	return id
+}
+
+// Grow makes room for n more facts of table id, so that the next n Appends
+// of it do not reallocate while its columns keep their kinds.
+func (s *FactStore) Grow(id int32, n int) {
+	s.refs = slices.Grow(s.refs, n)
+	t := &s.tables[id]
+	if t.rows == 0 {
+		t.room = n // the table's next fact sets its columns' kinds
+		return
+	}
+	for i := range t.cols {
+		t.cols[i].grow(n)
+	}
 }
 
 // Append adds a fact of table id, whose arity must be len(args), to the
@@ -177,7 +180,16 @@ func (s *FactStore) Intern(name string, arity int) int32 {
 func (s *FactStore) Append(id int32, args ...value.Value) {
 	t := &s.tables[id]
 	for i, a := range args {
-		t.cols[i].push(a, t.rows)
+		// A value of its column's kind, the common case, is appended here;
+		// push sets a new column's kind and boxes.
+		switch c := &t.cols[i]; {
+		case t.rows > 0 && c.kind == colInts && a.Kind() == value.Int:
+			c.ints = append(c.ints, a.Int())
+		case t.rows > 0 && c.kind == colFloats && a.Kind() == value.Float:
+			c.floats = append(c.floats, a.Float())
+		default:
+			c.push(a, t.rows, t.room)
+		}
 	}
 	s.refs = append(s.refs, FactRef{Table: id, Row: int32(t.rows)})
 	t.rows++
@@ -216,7 +228,7 @@ func (s *FactStore) EndRecord() Facts {
 // keeping its tables and their ids. Views of the facts it held are void.
 func (s *FactStore) Reset() {
 	for i := range s.tables {
-		s.tables[i].rows = 0
+		s.tables[i].rows, s.tables[i].room = 0, 0
 	}
 	s.refs, s.spans, s.start = s.refs[:0], s.spans[:0], 0
 }
@@ -224,7 +236,7 @@ func (s *FactStore) Reset() {
 // clone returns a copy of s that shares no array with it, so views into s
 // can be moved to the copy by swapping their store.
 func (s *FactStore) clone() *FactStore {
-	c := &FactStore{tables: make([]FactTable, len(s.tables)), index: maps.Clone(s.index),
+	c := &FactStore{tables: make([]FactTable, len(s.tables)),
 		refs: slices.Clone(s.refs), spans: slices.Clone(s.spans), start: s.start}
 	for i := range s.tables {
 		t := &s.tables[i]

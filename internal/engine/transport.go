@@ -896,13 +896,13 @@ func (a *aggregators) setCurrent(m map[string]float64) {
 // partial extracts partition p's aggregator contributions in deterministic
 // (name-sorted) order for the wire.
 func (a *aggregators) partial(p int) []AggUpdate {
-	m := a.parts[p]
-	if len(m) == 0 {
+	cs := a.parts[p]
+	if len(cs) == 0 {
 		return nil
 	}
-	ups := make([]AggUpdate, 0, len(m))
-	for name, c := range m {
-		ups = append(ups, AggUpdate{Name: name, Op: c.op, Val: c.val, N: c.n})
+	ups := make([]AggUpdate, 0, len(cs))
+	for _, c := range cs {
+		ups = append(ups, AggUpdate{Name: c.name, Op: c.op, Val: c.val, N: c.n})
 	}
 	sort.Slice(ups, func(i, j int) bool { return ups[i].Name < ups[j].Name })
 	return ups
@@ -912,13 +912,9 @@ func (a *aggregators) partial(p int) []AggUpdate {
 // master, bit-for-bit the cells local execution would have produced (the
 // worker folded them with the same reduce order).
 func (a *aggregators) applyPartial(p int, ups []AggUpdate) {
-	if len(ups) == 0 {
-		a.parts[p] = nil
-		return
-	}
-	m := make(map[string]aggCell, len(ups))
+	cs := a.parts[p][:0]
 	for _, u := range ups {
-		m[u.Name] = aggCell{op: u.Op, val: u.Val, n: u.N}
+		cs = append(cs, aggPart{u.Name, aggCell{op: u.Op, val: u.Val, n: u.N}})
 	}
-	a.parts[p] = m
+	a.parts[p] = cs
 }

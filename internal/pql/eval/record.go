@@ -327,12 +327,10 @@ func (p *program) tryRow(rn *slotRun, si int, st *slotStep, row []value.Value) e
 	return p.next(rn, si)
 }
 
-// runRecord executes a predicate step over a record source.
-func (p *program) runRecord(rn *slotRun, si int, st *slotStep) error {
+// runNegRecord executes a negated predicate step over a record source: the
+// program goes on only if no row matched.
+func (p *program) runNegRecord(rn *slotRun, si int, st *slotStep) error {
 	err := p.recordRows(rn, si, st)
-	if st.kind != stepNegated {
-		return err
-	}
 	if err == errRowExists {
 		return nil
 	}

@@ -50,14 +50,23 @@ type slotSrc struct {
 }
 
 func (s *slotSrc) eval(slots []value.Value) (value.Value, error) {
-	switch s.kind {
-	case srcConst:
-		return s.cval, nil
-	case srcSlot:
-		return slots[s.slot], nil
-	default:
-		return s.fn(slots)
+	if v, ok := s.value(slots); ok {
+		return v, nil
 	}
+	return s.fn(slots)
+}
+
+// value returns a slot's or a constant's value, which needs no evaluation
+// (ok false: a computed term, for eval). Small enough to inline, it serves
+// the per-row reads of keys, heads and comparison operands.
+func (s *slotSrc) value(slots []value.Value) (v value.Value, ok bool) {
+	switch s.kind {
+	case srcSlot:
+		return slots[s.slot], true
+	case srcConst:
+		return s.cval, true
+	}
+	return v, false
 }
 
 // match actions: how each argument of an atom is checked against a
@@ -283,52 +292,62 @@ func (st *slotStep) arityErr() error {
 // which it does not build: the args are row row of table t, whose arity is
 // the row's less two.
 func (st *slotStep) matchFact(slots []value.Value, x value.Value, t *engine.FactTable, row int, ss value.Value) (bool, error) {
-	n := len(st.match)
-	ok, err := true, error(nil)
-	if st.match[0].kind != matchSkip {
-		ok, err = matchCols(slots, st.match[:1], []value.Value{x})
+	ms := st.match
+	if m := &ms[0]; m.kind != matchSkip {
+		if ok, err := m.match(slots, x); !ok || err != nil {
+			return false, err
+		}
 	}
-	for c := 0; ok && c < n-2; c++ {
-		switch m := &st.match[c+1]; m.kind {
+	for c := 0; c < len(ms)-2; c++ {
+		switch m := &ms[c+1]; m.kind {
 		case matchSkip:
 		case matchBind:
 			slots[m.slot] = t.Value(c, row)
 		default:
-			ok, err = matchCols(slots, st.match[c+1:c+2], []value.Value{t.Value(c, row)})
+			if ok, err := m.match(slots, t.Value(c, row)); !ok || err != nil {
+				return false, err
+			}
 		}
 	}
-	if ok && st.match[n-1].kind != matchSkip {
-		ok, err = matchCols(slots, st.match[n-1:], []value.Value{ss})
+	if m := &ms[len(ms)-1]; m.kind != matchSkip {
+		return m.match(slots, ss)
 	}
-	return ok, err
+	return true, nil
 }
 
 // matchCols runs match actions against the columns of a candidate row, one
 // each.
 func matchCols(slots []value.Value, ms []slotMatch, row []value.Value) (bool, error) {
 	for i := range ms {
-		m := &ms[i]
-		switch m.kind {
+		switch m := &ms[i]; m.kind {
 		case matchSkip:
 		case matchBind:
 			slots[m.slot] = row[i]
-		case matchSlot:
-			if !slots[m.slot].Equal(row[i]) {
-				return false, nil
-			}
-		case matchConst:
-			if !m.cval.Equal(row[i]) {
-				return false, nil
-			}
-		default: // matchFn
-			v, err := m.fn(slots)
-			if err != nil {
+		default:
+			if ok, err := m.match(slots, row[i]); !ok || err != nil {
 				return false, err
 			}
-			if !v.Equal(row[i]) {
-				return false, nil
-			}
 		}
+	}
+	return true, nil
+}
+
+// match runs one match action against column value v.
+func (m *slotMatch) match(slots []value.Value, v value.Value) (bool, error) {
+	switch m.kind {
+	case matchSkip:
+	case matchBind:
+		slots[m.slot] = v
+	case matchSlot:
+		return slots[m.slot].Equal(v), nil
+	case matchConst:
+		return m.cval.Equal(v), nil
+	default: // matchFn
+		w, err := m.fn(slots)
+		if err != nil {
+			return false, err
+		}
+		return w.Equal(v), nil
 	}
 	return true, nil
 }
@@ -357,22 +376,13 @@ func (p *program) next(rn *slotRun, si int) error {
 // of mask is left to run. Only a trie program forks.
 func (p *program) goOn(rn *slotRun, kids []kid, mask uint64) error {
 	if len(kids) == 1 {
-		if k := kids[0].to; k >= 0 {
-			return p.run(rn, int(k))
-		}
-		return p.end(rn, int(^kids[0].to))
+		return p.enter(rn, int(kids[0].to))
 	}
 	for _, k := range kids {
 		if k.mask&rn.live&^rn.done == 0 {
 			continue
 		}
-		var err error
-		if k.to >= 0 {
-			err = p.run(rn, int(k.to))
-		} else {
-			err = p.end(rn, int(^k.to))
-		}
-		if err != nil && err != errCut {
+		if err := p.enter(rn, int(k.to)); err != nil && err != errCut {
 			rn.fail(k.mask, err)
 		}
 	}
@@ -380,6 +390,24 @@ func (p *program) goOn(rn *slotRun, kids []kid, mask uint64) error {
 		return errCut
 	}
 	return nil
+}
+
+// enter runs kid to: step to, or for a negative to the end of branch ^to. A
+// step that is no branch's cut step runs without run's bookkeeping: a
+// filter here (Query 7 forks into two per fact), any other through exec.
+func (p *program) enter(rn *slotRun, to int) error {
+	switch {
+	case to < 0:
+		return p.end(rn, ^to)
+	case p.steps[to].cutMask != 0:
+		return p.run(rn, to)
+	case p.steps[to].cmpFn != nil:
+		if ok, err := p.steps[to].cmpFn(rn.slots); !ok || err != nil {
+			return err
+		}
+		return p.next(rn, to)
+	}
+	return p.exec(rn, to)
 }
 
 // fail charges err to the lowest live branch of mask, which a rule-major
@@ -397,9 +425,12 @@ func (p *program) end(rn *slotRun, b int) error {
 	br := &p.branches[b]
 	head := rn.head[:len(br.head)]
 	for i := range br.head {
-		v, err := br.head[i].eval(rn.slots)
-		if err != nil {
-			return err
+		v, ok := br.head[i].value(rn.slots)
+		if !ok {
+			var err error
+			if v, err = br.head[i].eval(rn.slots); err != nil {
+				return err
+			}
 		}
 		head[i] = v
 	}
@@ -411,14 +442,11 @@ func (p *program) end(rn *slotRun, b int) error {
 	return errCut
 }
 
-// run executes step si. At the cut step of some branches, whose enumeration
-// it ends, it makes them not done again and absorbs errCut unless every
-// branch below the step is still done.
+// run executes step si, the cut step of some branches (enter runs any other
+// step): it ends their enumeration, so it makes them not done again and
+// absorbs errCut unless every branch below the step is still done.
 func (p *program) run(rn *slotRun, si int) error {
 	st := &p.steps[si]
-	if st.cutMask == 0 {
-		return p.exec(rn, si)
-	}
 	err := p.exec(rn, si)
 	rn.done &^= st.cutMask
 	if err == errCut && st.mask&rn.live&^rn.done != 0 {
@@ -447,7 +475,10 @@ func (p *program) exec(rn *slotRun, si int) error {
 		return p.next(rn, si)
 
 	case st.rows >= rowsSuperstep:
-		return p.runRecord(rn, si, st)
+		if st.kind == stepNegated {
+			return p.runNegRecord(rn, si, st)
+		}
+		return p.recordRows(rn, si, st)
 
 	case st.kind == stepNegated:
 		// Evaluate the arguments before the nil-relation check so UDF and
@@ -731,13 +762,16 @@ func (lw *lowerer) cmp(c *pql.CmpLit) (slotStep, error) {
 	st.sig = fmt.Sprintf("cmp %s %s %s", c.Op, lw.canon(c.L), lw.canon(c.R))
 	op, pos := c.Op, c.Pos
 	st.cmpFn = func(s []value.Value) (bool, error) {
-		l, err := ls.eval(s)
-		if err != nil {
-			return false, err
-		}
-		r, err := rs.eval(s)
-		if err != nil {
-			return false, err
+		l, lok := ls.value(s)
+		r, rok := rs.value(s)
+		if !lok || !rok {
+			var err error
+			if l, err = ls.eval(s); err != nil {
+				return false, err
+			}
+			if r, err = rs.eval(s); err != nil {
+				return false, err
+			}
 		}
 		switch op {
 		case pql.CmpEq:
@@ -745,7 +779,18 @@ func (lw *lowerer) cmp(c *pql.CmpLit) (slotStep, error) {
 		case pql.CmpNeq:
 			return !l.Equal(r), nil
 		}
-		cmp := l.Compare(r)
+		var cmp int
+		if l.IsNumeric() && r.IsNumeric() {
+			// Compare's order on numbers, without the call: a NaN side
+			// compares equal to everything.
+			if a, b := l.Float(), r.Float(); a < b {
+				cmp = -1
+			} else if a > b {
+				cmp = 1
+			}
+		} else {
+			cmp = l.Compare(r)
+		}
 		switch op {
 		case pql.CmpLt:
 			return cmp < 0, nil

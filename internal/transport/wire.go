@@ -496,14 +496,19 @@ func decodeExecResultBody(r *value.BlobReader, res *engine.ExecResult) {
 	}
 }
 
-// decodeRecords reads a frame's nRecs records. Their facts go into one
-// fact store for the frame, in emission order, and each record's Emitted is
-// a view into it. A table name decoded before in the frame is not allocated
-// again.
+// decodeRecords reads a frame's nRecs records. Their facts are read first
+// into one flat slice, each as its table id followed by its arguments, then
+// moved into one fact store for the frame, sized from the tables' row
+// counts, in emission order; each record's Emitted is a view into it. A
+// table name decoded before in the frame is not allocated again.
 func decodeRecords(r *value.BlobReader, nRecs int) []engine.VertexRecord {
 	recs := make([]engine.VertexRecord, nRecs)
-	var facts *engine.FactStore
-	var args []value.Value
+	var (
+		facts  *engine.FactStore
+		counts []int32       // each record's fact count
+		flat   []value.Value // every fact: its table id (an Int), then its arguments
+		tables []frameTable
+	)
 	for i := range recs {
 		rec := &recs[i]
 		rec.ID = engine.VertexID(r.Uvarint())
@@ -524,23 +529,52 @@ func decodeRecords(r *value.BlobReader, nRecs int) []engine.VertexRecord {
 			continue
 		}
 		if facts == nil {
-			facts = &engine.FactStore{}
+			facts, counts = &engine.FactStore{}, make([]int32, nRecs)
 		}
+		counts[i] = int32(k)
 		for j := 0; j < k; j++ {
-			raw := r.Raw()
-			args = args[:0]
-			for na := r.Count(); na > 0; na-- {
-				args = append(args, r.Value())
+			raw, na := r.Raw(), r.Count()
+			t := 0
+			for t < len(tables) && (tables[t].arity != na || tables[t].name != string(raw)) {
+				t++
 			}
-			id, ok := facts.Find(string(raw), len(args))
-			if !ok {
-				id = facts.Intern(string(raw), len(args))
+			if t == len(tables) {
+				name := string(raw)
+				tables = append(tables, frameTable{name: name, arity: na, id: facts.Intern(name, na)})
 			}
-			facts.Append(id, args...)
+			tables[t].rows++
+			flat = append(flat, value.NewInt(int64(tables[t].id)))
+			for ; na > 0; na-- {
+				flat = append(flat, r.Value())
+			}
 		}
-		rec.Emitted = facts.EndRecord()
+	}
+	if facts == nil {
+		return recs
+	}
+	for _, t := range tables {
+		facts.Grow(t.id, t.rows)
+	}
+	for i, k := range counts {
+		for ; k > 0; k-- {
+			id := int32(flat[0].Int())
+			na := facts.Table(id).Arity()
+			facts.Append(id, flat[1:1+na]...)
+			flat = flat[1+na:]
+		}
+		if counts[i] > 0 {
+			recs[i].Emitted = facts.EndRecord()
+		}
 	}
 	return recs
+}
+
+// frameTable is one (name, arity) table met in a frame's facts: its id in
+// the frame's store and its row count.
+type frameTable struct {
+	name        string
+	arity, rows int
+	id          int32
 }
 
 // encodeDeliverRequest serializes one worker's slice of the delivery
